@@ -1,22 +1,22 @@
 //! Criterion micro-benchmarks of the hot in-memory paths (these measure
 //! host wall time, unlike the table harnesses which report simulated
 //! time): summary serialization, checksums, directory ops, cache
-//! directory lookups — plus the four before/after pairs of the resident
-//! hot-path raw-speed pass (DESIGN.md §6j):
+//! directory lookups, the request-ticket lifecycle — plus the three
+//! before/after pairs of the resident hot-path raw-speed pass
+//! (DESIGN.md §6j):
 //!
 //! 1. Bloom-guarded residency probe vs the plain `HashMap` replica
 //!    directory it replaced.
-//! 2. Slab-allocated tickets vs a per-request `Rc<RefCell<..>>`.
-//! 3. Open-addressed [`SegDir`] vs `HashMap` for the segment-cache
+//! 2. Open-addressed [`SegDir`] vs `HashMap` for the segment-cache
 //!    directory (and the end-to-end block-map route that sits on it).
-//! 4. Zero-copy staging (device reads straight into the consumer's
+//! 3. Zero-copy staging (device reads straight into the consumer's
 //!    slice) vs an allocate-and-double-copy staging vector.
 //!
 //! The harness-less `main` also runs a small resident-workload check —
 //! a demand hit on a cached segment must perform **zero** tertiary
 //! replica-directory probes (trace-derived counter) — prints a
-//! "Hot-path checks" block that ci.sh greps for "false", and writes
-//! `BENCH_micro.json` at the repository root.
+//! "Hot-path checks" block, writes `BENCH_micro.json` at the repository
+//! root, and exits non-zero if any check is false.
 
 use criterion::Criterion;
 use std::cell::RefCell;
@@ -39,10 +39,7 @@ const ROUTE_GATE_NS: f64 = 55.0;
 /// Noise allowance for the before/after pairs: the optimized side must
 /// stay within this factor of its reference on this host. Wide enough
 /// to absorb shared-host noise; a real regression (the pre-optimization
-/// code was 2-9x slower on three of the four pairs) still trips it. The
-/// ticket pair's honest claim is *parity*: the slab matches the `Rc`
-/// cell's raw speed while adding stale-handle detection and bounded
-/// memory, so parity-within-noise is the right check there too.
+/// code was 2-9x slower on every pair) still trips it.
 const PAIR_SLACK: f64 = 1.25;
 /// A bare 4 KiB fill on the reference machine — the irreducible data
 /// movement inside the 1-block route (a never-written block reads back
@@ -197,20 +194,10 @@ fn bench_residency_pair(c: &mut Criterion) {
     });
 }
 
-/// Pair 2 — request tickets. Before: the shape the slab replaced — one
-/// `Rc` allocation per request with a `RefCell` outcome slot. After:
-/// slab [`Ticket`]s recycling generation-tagged slots from a free list.
-fn bench_ticket_pair(c: &mut Criterion) {
-    c.bench_function("ticket alloc+complete+drop (rc-refcell)", |b| {
-        b.iter(|| {
-            let t: Rc<RefCell<Option<Outcome>>> = Rc::new(RefCell::new(None));
-            let peer = Rc::clone(&t);
-            *t.borrow_mut() = Some(Outcome::Eject(true));
-            let done = peer.borrow().is_some();
-            black_box(done)
-        })
-    });
-    c.bench_function("ticket alloc+complete+drop (slab)", |b| {
+/// The request-ticket lifecycle: one allocation per request, a clone
+/// for the coalescing directory, completion, and an observer's poll.
+fn bench_ticket(c: &mut Criterion) {
+    c.bench_function("ticket alloc+complete+drop", |b| {
         b.iter(|| {
             let t = Ticket::new();
             let peer = t.clone();
@@ -220,7 +207,7 @@ fn bench_ticket_pair(c: &mut Criterion) {
     });
 }
 
-/// Pair 3 — segment-cache directory. Before: `HashMap<SegNo, LineNo>`.
+/// Pair 2 — segment-cache directory. Before: `HashMap<SegNo, LineNo>`.
 /// After: the open-addressed [`SegDir`] the cache now routes through.
 /// The key stream mixes 512 hits with 128 misses, like a scan.
 fn bench_dir_pair(c: &mut Criterion) {
@@ -246,7 +233,7 @@ fn bench_dir_pair(c: &mut Criterion) {
     });
 }
 
-/// Pair 4 — segment staging. Before: allocate a fresh staging vector
+/// Pair 3 — segment staging. Before: allocate a fresh staging vector
 /// per transfer, fill it from the device, then copy it into the
 /// consumer's image. After: the device reads straight into the
 /// consumer's slice — no allocation, no intermediate copy (the
@@ -357,7 +344,7 @@ fn main() {
         bench_fill_anchor(&mut c);
         bench_blockmap_route(&mut c);
         bench_residency_pair(&mut c);
-        bench_ticket_pair(&mut c);
+        bench_ticket(&mut c);
         bench_dir_pair(&mut c);
         bench_staging_pair(&mut c);
     }
@@ -391,17 +378,12 @@ fn main() {
             route = route.min(r.mean_ns);
         }
     }
-    // (json key, before id, after id) for the four optimization pairs.
+    // (json key, before id, after id) for the three optimization pairs.
     let pairs = [
         (
             "residency_probe",
             "residency probe, 256 segs (hashmap dir)",
             "residency probe, 256 segs (bloom-guarded)",
-        ),
-        (
-            "ticket_alloc",
-            "ticket alloc+complete+drop (rc-refcell)",
-            "ticket alloc+complete+drop (slab)",
         ),
         (
             "dir_lookup",
@@ -415,33 +397,44 @@ fn main() {
         ),
     ];
 
-    println!("\nHot-path checks:");
-    println!(
-        "  route + peek <= {route_gate:.1} ns:              {} ({route:.1} ns, host x{host_scale:.2})",
-        route <= route_gate
-    );
+    let mut checks: Vec<(String, bool)> = vec![(
+        format!("route + peek <= {route_gate:.1} ns ({route:.1} ns, host x{host_scale:.2})"),
+        route <= route_gate,
+    )];
     for (key, before, after) in pairs {
         let (b_ns, a_ns) = (ns(before), ns(after));
-        println!(
-            "  {key}: within {PAIR_SLACK:.2}x of reference: {} ({b_ns:.1} -> {a_ns:.1} ns)",
-            a_ns <= b_ns * PAIR_SLACK
-        );
+        checks.push((
+            format!("{key}: within {PAIR_SLACK:.2}x of reference ({b_ns:.1} -> {a_ns:.1} ns)"),
+            a_ns <= b_ns * PAIR_SLACK,
+        ));
     }
-    println!(
-        "  cold fetch probed the replica dir:   {} ({} probes)",
-        resident.cold_probes >= 1,
-        resident.cold_probes
-    );
-    println!(
-        "  resident demand hit probes == 0:     {} ({} probes)",
-        resident.resident_probes == 0,
-        resident.resident_probes
-    );
-    println!(
-        "  bloom skipped unreplicated probe:    {} ({} skips)",
-        resident.bloom_skips >= 1,
-        resident.bloom_skips
-    );
+    checks.extend([
+        (
+            format!(
+                "cold fetch probed the replica dir ({} probes)",
+                resident.cold_probes
+            ),
+            resident.cold_probes >= 1,
+        ),
+        (
+            format!(
+                "resident demand hit probes == 0 ({} probes)",
+                resident.resident_probes
+            ),
+            resident.resident_probes == 0,
+        ),
+        (
+            format!(
+                "bloom skipped unreplicated probe ({} skips)",
+                resident.bloom_skips
+            ),
+            resident.bloom_skips >= 1,
+        ),
+    ]);
+    println!("\nHot-path checks:");
+    for (label, ok) in &checks {
+        println!("  {label}: {ok}");
+    }
 
     // Machine-readable payload at the repository root. The seed_*
     // numbers are the pre-optimization measurements pinned from the
@@ -497,4 +490,8 @@ fn main() {
     let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_micro.json");
     std::fs::write(&out, &json).expect("write BENCH_micro.json");
     println!("\nwrote {}", out.display());
+    if checks.iter().any(|(_, ok)| !ok) {
+        eprintln!("FAIL: a hot-path check is false");
+        std::process::exit(1);
+    }
 }

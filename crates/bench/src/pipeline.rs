@@ -99,7 +99,7 @@ pub struct PipelineResult {
     /// straight from the engine.
     pub phases: PhaseTimer,
     /// FNV digest of the engine's event trace (same-seed runs hash
-    /// equal), printed beside the transcript digest.
+    /// equal).
     pub trace_digest: u64,
     /// Tracecheck findings over the finished run (must be empty).
     pub trace_findings: Vec<hl_trace::Finding>,

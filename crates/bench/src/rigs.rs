@@ -46,20 +46,6 @@ impl Rig {
         }
     }
 
-    /// A rig with a custom disk profile and size (ablations).
-    pub fn with_disk(profile: DiskProfile, nblocks: u64) -> Rig {
-        let clock = Clock::new();
-        let bus = ScsiBus::new("scsi0");
-        let disk = Rc::new(Disk::new(profile, nblocks, Some(bus.clone())));
-        let jukebox = Jukebox::new(JukeboxConfig::hp6300_paper(), Some(bus.clone()));
-        Rig {
-            clock,
-            bus,
-            disk,
-            jukebox,
-        }
-    }
-
     /// Formats and mounts a fresh FFS on the rig's disk.
     pub fn ffs(&self) -> Ffs {
         let cfg = FfsConfig::paper(self.clock.clone());

@@ -405,11 +405,10 @@ fn one_pass(ops: &[TortureOp], plan: CrashPlan, k: u64) -> String {
         plan.clone(),
     ));
     let mut oracle = Oracle::default();
-    // The tertiary engine's decision transcript and event-trace digest,
-    // both stamped into every summary line: the determinism tests then
-    // also prove the service process dispatched identically — and
-    // emitted an identical event history — on every replay of a seed.
-    let mut tio_digest = 0u64;
+    // The tertiary engine's event-trace digest, stamped into every
+    // summary line: the determinism tests then also prove the service
+    // process dispatched identically — and emitted an identical event
+    // history — on every replay of a seed.
     let mut tr_digest = 0u64;
     let end = match HighLight::mount_with_report(
         crash_disk,
@@ -421,7 +420,6 @@ fn one_pass(ops: &[TortureOp], plan: CrashPlan, k: u64) -> String {
             // engine's own spans, so the crash is visible in the trace.
             plan.set_tracer(hl.tio().tracer());
             let end = run_ops(&mut hl, &plan, &r.clock, ops, &mut oracle);
-            tio_digest = hl.tio().transcript_digest();
             tr_digest = hl.tio().trace_digest();
             let findings = match end {
                 // A completed pass must satisfy the full quiesced
@@ -475,7 +473,7 @@ fn one_pass(ops: &[TortureOp], plan: CrashPlan, k: u64) -> String {
                 plan.torn().is_none(),
                 "crash point {k}: device tore a write but the scenario completed"
             );
-            format!("k={k:04} nocrash tio={tio_digest:016x} tr={tr_digest:016x}")
+            format!("k={k:04} nocrash tr={tr_digest:016x}")
         }
         PassEnd::Crashed(op) => {
             let t = plan.torn().expect("crashed plan records its torn write");
@@ -484,18 +482,9 @@ fn one_pass(ops: &[TortureOp], plan: CrashPlan, k: u64) -> String {
             // failing crash point is diagnosable from the panic output.
             eprintln!("crash point {k}: {note} (during op {op})");
             let line = check_recovery(&r, &oracle, k, op, &note);
-            format!("{line} tio={tio_digest:016x} tr={tr_digest:016x}")
+            format!("{line} tr={tr_digest:016x}")
         }
     }
-}
-
-/// Debug aid: run one crash point, announcing the tear before the
-/// recovery checks so a failing point is diagnosable from the panic.
-pub fn debug_one_pass(seed: u64, ops: &[TortureOp], k: u64) {
-    let plan = CrashPlan::at_write(seed, k);
-    eprintln!("running crash point {k} with seed {seed}");
-    let line = one_pass(ops, plan.clone(), k);
-    eprintln!("{line}");
 }
 
 /// Property-test entry point: counts the scenario's writes, then runs

@@ -26,7 +26,7 @@
 //!
 //! **Degraded mode** (DESIGN.md §6f): every op carries an implicit
 //! watchdog — the device profile's nominal whole-segment time scaled by
-//! [`crate::recovery::WatchdogConfig::slack`]. On a hard fault or a
+//! [`crate::recovery::WATCHDOG_SLACK`]. On a hard fault or a
 //! watchdog expiry, the observing lane marks the faulted drive down,
 //! abandons its platter, and pushes the orphaned op back into the shared
 //! device queue so a surviving lane re-runs it (the ticket and its
@@ -109,7 +109,7 @@ impl<W> Actor<W> for IoActor {
     fn step(&mut self, _world: &mut W, now: SimTime) -> Step {
         // Health gate: a downed lane runs its probe ladder instead of
         // taking work; a retired lane leaves the scheduler for good.
-        match self.inner.lane_gate(self.drive, now) {
+        match self.inner.lane_gate(self.drive) {
             LaneGate::Retired => return Step::Done,
             LaneGate::ProbeAt(t) if t > now => return Step::Yield(t),
             LaneGate::ProbeAt(_) => {
@@ -149,12 +149,6 @@ impl<W> Actor<W> for IoActor {
         // arrived while the lane was busy.
         let queued = start.saturating_sub(op.enqueued_at.max(self.free_since));
         self.inner.phases.borrow_mut().add(phase::QUEUING, queued);
-        self.inner.queues.borrow_mut().log(format!(
-            "io< d{} {} seg {} t{start}",
-            self.drive,
-            op.class.label(),
-            op.seg.map_or(-1i64, |s| s as i64),
-        ));
         // Queue residency (enqueue to device start) goes to the trace;
         // `SvcStats`' wait counters are derived from it.
         self.inner.tracer.queuing(

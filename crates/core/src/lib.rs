@@ -61,11 +61,11 @@ pub use migrator::{
 };
 pub use policy::{CleanCandidate, CleaningPolicy, CostBenefitCleaning, LowestDensity};
 pub use prefetch::PrefetchPolicy;
-pub use recovery::{RecoveryPolicy, RecoveryState, WatchdogConfig};
+pub use recovery::{RecoveryPolicy, RecoveryState};
 pub use replicas::{HomeVec, InlineHomes, ReplicaSet};
 pub use requests::{
-    ticket_slab_stats, FetchMode, Outcome, ReqClass, TenantId, Ticket, TicketSlabStats,
-    AFFINITY_BOUND, DISPATCH_CPU, QOS_HEADROOM, TENANT_BOUND,
+    FetchMode, Outcome, ReqClass, TenantId, Ticket, AFFINITY_BOUND, DISPATCH_CPU, QOS_HEADROOM,
+    TENANT_BOUND,
 };
 pub use segcache::{EjectPolicy, SegCache};
 pub use segdir::SegDir;

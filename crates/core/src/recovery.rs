@@ -10,11 +10,12 @@
 //! Drive-scoped recovery is separate from volume-scoped recovery: a
 //! failed *volume* is data loss territory (replicas save it), while a
 //! failed *drive* only removes a lane from the I/O-server pool. The
-//! [`WatchdogConfig`] here governs the latter: how long a device op may
-//! run before the watchdog declares the drive hung, and the probe ladder
-//! a quarantined drive climbs before rejoining as a hot spare.
+//! watchdog constants here govern the latter: how long a device op may
+//! run before the watchdog declares the drive hung ([`deadline`]), and
+//! the probe ladder a quarantined drive climbs before rejoining as a hot
+//! spare ([`probe_delay`], [`MAX_PROBES`]).
 
-use hl_sim::time::SimTime;
+use hl_sim::time::{SimTime, SEC};
 use std::collections::{HashMap, HashSet};
 
 /// Tunable knobs for the retry/failover/quarantine logic.
@@ -47,43 +48,26 @@ impl RecoveryPolicy {
     }
 }
 
-/// Tunable knobs for drive-lane fault handling: the watchdog deadline
-/// scale and the quarantine probe ladder.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct WatchdogConfig {
-    /// Watchdog deadline = `slack` x the device's nominal whole-segment
-    /// op time (`Footprint::nominal_segment_io`). A hung op is abandoned
-    /// and re-dispatched once the deadline expires.
-    pub slack: f64,
-    /// Delay before the first health probe of a downed drive; probe `n`
-    /// waits `probe_base << n`.
-    pub probe_base: SimTime,
-    /// Failed probes before the lane retires permanently.
-    pub max_probes: u32,
+/// Watchdog deadline = this slack x the device's nominal whole-segment
+/// op time (`Footprint::nominal_segment_io`). A hung op is abandoned and
+/// re-dispatched once the deadline expires.
+pub const WATCHDOG_SLACK: f64 = 3.0;
+
+/// Delay before the first health probe of a downed drive; probe `n`
+/// waits `PROBE_BASE << n`.
+pub const PROBE_BASE: SimTime = 10 * SEC;
+
+/// Failed probes before the lane retires permanently.
+pub const MAX_PROBES: u32 = 6;
+
+/// Watchdog deadline for an op whose nominal duration is `nominal`.
+pub fn deadline(nominal: SimTime) -> SimTime {
+    (nominal as f64 * WATCHDOG_SLACK).round() as SimTime
 }
 
-impl Default for WatchdogConfig {
-    fn default() -> WatchdogConfig {
-        WatchdogConfig {
-            slack: 3.0,
-            probe_base: hl_sim::time::secs(10.0),
-            max_probes: 6,
-        }
-    }
-}
-
-impl WatchdogConfig {
-    /// Watchdog deadline for an op whose nominal duration is `nominal`.
-    /// Always at least `nominal` itself, even with a sub-unity slack.
-    pub fn deadline(&self, nominal: SimTime) -> SimTime {
-        let scaled = (nominal as f64 * self.slack).round() as SimTime;
-        scaled.max(nominal)
-    }
-
-    /// Delay before probe number `probe` (0-based), doubling each time.
-    pub fn probe_delay(&self, probe: u32) -> SimTime {
-        self.probe_base << probe.min(16)
-    }
+/// Delay before probe number `probe` (0-based), doubling each time.
+pub fn probe_delay(probe: u32) -> SimTime {
+    PROBE_BASE << probe.min(16)
 }
 
 /// Per-volume failure accounting. Lives inside `TertiaryIo`; updated by
@@ -148,17 +132,10 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_deadline_scales_but_never_undercuts_nominal() {
-        let w = WatchdogConfig {
-            slack: 2.5,
-            probe_base: 1_000,
-            max_probes: 3,
-        };
-        assert_eq!(w.deadline(1_000), 2_500);
-        let tight = WatchdogConfig { slack: 0.5, ..w };
-        assert_eq!(tight.deadline(1_000), 1_000);
-        assert_eq!(w.probe_delay(0), 1_000);
-        assert_eq!(w.probe_delay(2), 4_000);
+    fn watchdog_deadline_scales_and_probe_delay_doubles() {
+        assert_eq!(deadline(1_000), 3_000);
+        assert_eq!(probe_delay(0), PROBE_BASE);
+        assert_eq!(probe_delay(2), 4 * PROBE_BASE);
     }
 
     #[test]

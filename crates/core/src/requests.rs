@@ -19,8 +19,6 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::fmt;
-use std::marker::PhantomData;
 use std::rc::Rc;
 
 use hl_footprint::VolumeId;
@@ -119,19 +117,6 @@ pub enum ReqClass {
     Scrub = 4,
 }
 
-impl ReqClass {
-    /// Short label for transcripts and stats tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            ReqClass::Demand => "demand",
-            ReqClass::Eject => "eject",
-            ReqClass::CopyOut => "copyout",
-            ReqClass::Prefetch => "prefetch",
-            ReqClass::Scrub => "scrub",
-        }
-    }
-}
-
 /// How a fetched segment fills its cache line: a demand fill is a timed
 /// foreground write the caller waits out; a prefetch fill overlaps with
 /// foreground work and only delays the line's `ready_at`.
@@ -156,166 +141,20 @@ pub enum Outcome {
     Scrub(Box<ScrubReport>),
 }
 
-/// One completion cell in the thread-local [`TicketSlab`].
-struct TicketSlot {
-    /// Incremented every time the slot is recycled; a handle whose
-    /// generation disagrees is stale and panics deterministically.
-    gen: u32,
-    /// Live [`Ticket`] handles pointing at this slot.
-    refs: u32,
-    /// The posted outcome, if any.
-    outcome: Option<Outcome>,
-}
-
-/// Free-list slab backing every [`Ticket`] on this thread. Tickets are
-/// the engine's highest-churn allocation — one per request, cloned into
-/// the coalescing directory and each device op — so the slab recycles
-/// slots instead of round-tripping `Rc<RefCell<…>>` through the heap
-/// per request (DESIGN.md §6j).
-#[derive(Default)]
-struct TicketSlab {
-    slots: Vec<TicketSlot>,
-    free: Vec<u32>,
-    /// Tickets ever created (fresh + recycled).
-    allocs: u64,
-    /// Creations served from the free list (no heap growth).
-    recycles: u64,
-}
-
-thread_local! {
-    // `const` initialization keeps every slab access on the fast TLS
-    // path (no lazy-init check per touch) — the ticket lifecycle hits
-    // the slab ~6 times, so the check would dominate the win.
-    static TICKET_SLAB: RefCell<TicketSlab> = const {
-        RefCell::new(TicketSlab {
-            slots: Vec::new(),
-            free: Vec::new(),
-            allocs: 0,
-            recycles: 0,
-        })
-    };
-}
-
-/// Point-in-time counters of the calling thread's ticket slab, for
-/// benches and the recycling property suite.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TicketSlabStats {
-    /// Tickets ever created on this thread.
-    pub allocs: u64,
-    /// Creations served by recycling a freed slot.
-    pub recycles: u64,
-    /// Slots with live handles right now.
-    pub live: usize,
-    /// Total slots ever materialized (high-water mark of concurrency).
-    pub slots: usize,
-}
-
-/// Snapshot of the calling thread's ticket-slab counters.
-pub fn ticket_slab_stats() -> TicketSlabStats {
-    TICKET_SLAB.with(|s| {
-        let s = s.borrow();
-        TicketSlabStats {
-            allocs: s.allocs,
-            recycles: s.recycles,
-            live: s.slots.len() - s.free.len(),
-            slots: s.slots.len(),
-        }
-    })
-}
-
-/// Out-of-line stale-handle panic: keeps the generation check on the
-/// hot path down to a compare-and-branch (the formatting machinery
-/// would otherwise bloat every `with_slot` call site).
-#[cold]
-#[inline(never)]
-fn stale_ticket(idx: u32, slot_gen: u32, handle_gen: u32) -> ! {
-    panic!(
-        "stale ticket handle: slot {idx} was recycled to generation {slot_gen} but the handle \
-         holds generation {handle_gen}"
-    );
-}
-
 /// A cloneable one-shot completion cell. All coalesced observers of one
 /// fetch share a single ticket, so they necessarily agree on `ready_at`.
 ///
-/// Handles are `(slot, generation)` pairs into a thread-local slab
-/// (`TicketSlab`): creating a ticket pops a recycled slot from a free
-/// list (no heap allocation in steady state), and the last handle's drop
-/// advances the slot's generation before returning it. A stale handle —
-/// one that outlived its slot's recycling — therefore observes a
-/// generation mismatch and **panics deterministically** instead of
-/// silently reading another request's outcome.
-pub struct Ticket {
-    idx: u32,
-    gen: u32,
-    /// The slab is thread-local, so handles must not cross threads:
-    /// keeps `Ticket: !Send + !Sync`, exactly like the `Rc`-backed cell
-    /// it replaced.
-    _pinned: PhantomData<Rc<()>>,
-}
+/// The cell is reference-counted: a clone is another handle onto the
+/// same outcome, and the cell lives until its last handle drops, so a
+/// handle can never observe another request's result. (`Rc` also keeps
+/// `Ticket: !Send + !Sync` — the engine is single-threaded.)
+#[derive(Clone, Debug, Default)]
+pub struct Ticket(Rc<RefCell<Option<Outcome>>>);
 
 impl Ticket {
     /// A fresh, unresolved ticket.
     pub fn new() -> Ticket {
-        TICKET_SLAB.with(|slab| {
-            let mut slab = slab.borrow_mut();
-            slab.allocs += 1;
-            let idx = match slab.free.pop() {
-                Some(i) => {
-                    slab.recycles += 1;
-                    let slot = &mut slab.slots[i as usize];
-                    debug_assert_eq!(slot.refs, 0, "free-listed slot had live handles");
-                    slot.refs = 1;
-                    slot.outcome = None;
-                    i
-                }
-                None => {
-                    slab.slots.push(TicketSlot {
-                        gen: 0,
-                        refs: 1,
-                        outcome: None,
-                    });
-                    (slab.slots.len() - 1) as u32
-                }
-            };
-            Ticket {
-                idx,
-                gen: slab.slots[idx as usize].gen,
-                _pinned: PhantomData,
-            }
-        })
-    }
-
-    /// Runs `f` on this handle's slot, panicking if the handle is stale.
-    ///
-    /// `f` must not create, clone, or drop tickets (the slab is borrowed)
-    /// — [`Outcome`] is plain data, so cloning one in here is safe.
-    #[inline]
-    fn with_slot<R>(&self, f: impl FnOnce(&mut TicketSlot) -> R) -> R {
-        TICKET_SLAB.with(|slab| {
-            let mut slab = slab.borrow_mut();
-            let slot = &mut slab.slots[self.idx as usize];
-            if slot.gen != self.gen {
-                stale_ticket(self.idx, slot.gen, self.gen);
-            }
-            f(slot)
-        })
-    }
-
-    /// Recycles this handle's slot out from under it, so the *next*
-    /// access through any surviving handle hits the generation check.
-    /// Test hook for the stale-handle property — the engine itself can
-    /// only reach this state through a bug.
-    #[doc(hidden)]
-    pub fn invalidate_for_test(&self) {
-        TICKET_SLAB.with(|slab| {
-            let mut slab = slab.borrow_mut();
-            let slot = &mut slab.slots[self.idx as usize];
-            slot.gen = slot.gen.wrapping_add(1);
-            slot.refs = 0;
-            slot.outcome = None;
-            slab.free.push(self.idx);
-        });
+        Ticket::default()
     }
 
     /// [`Ticket::complete`] for out-of-crate tests (the property suite
@@ -327,20 +166,18 @@ impl Ticket {
 
     /// Resolves the ticket. Completing twice is a bug in the engine.
     pub(crate) fn complete(&self, outcome: Outcome) {
-        self.with_slot(|slot| {
-            let prev = slot.outcome.replace(outcome);
-            debug_assert!(prev.is_none(), "ticket completed twice");
-        });
+        let prev = self.0.borrow_mut().replace(outcome);
+        debug_assert!(prev.is_none(), "ticket completed twice");
     }
 
     /// `true` once an outcome has been posted.
     pub fn is_done(&self) -> bool {
-        self.with_slot(|slot| slot.outcome.is_some())
+        self.0.borrow().is_some()
     }
 
     /// The posted outcome, if any.
     pub fn outcome(&self) -> Option<Outcome> {
-        self.with_slot(|slot| slot.outcome.clone())
+        self.0.borrow().clone()
     }
 
     /// Reads a fetch outcome.
@@ -378,56 +215,6 @@ impl Ticket {
             Some(Outcome::Scrub(r)) => *r,
             other => panic!("expected a scrub outcome, found {other:?}"),
         }
-    }
-}
-
-impl Clone for Ticket {
-    fn clone(&self) -> Ticket {
-        self.with_slot(|slot| slot.refs += 1);
-        Ticket {
-            idx: self.idx,
-            gen: self.gen,
-            _pinned: PhantomData,
-        }
-    }
-}
-
-impl Drop for Ticket {
-    fn drop(&mut self) {
-        // `try_with`: a handle may legally outlive the slab during
-        // thread teardown (TLS destructor ordering) — nothing to
-        // recycle then.
-        let _ = TICKET_SLAB.try_with(|slab| {
-            let mut slab = slab.borrow_mut();
-            let slot = &mut slab.slots[self.idx as usize];
-            if slot.gen != self.gen {
-                // Slot already recycled out from under us (the
-                // `invalidate_for_test` hook): dropping a stale handle
-                // must stay silent, or the panic-path tests would abort
-                // in drop glue.
-                return;
-            }
-            slot.refs -= 1;
-            if slot.refs == 0 {
-                slot.gen = slot.gen.wrapping_add(1);
-                slot.outcome = None;
-                slab.free.push(self.idx);
-            }
-        });
-    }
-}
-
-impl Default for Ticket {
-    fn default() -> Ticket {
-        Ticket::new()
-    }
-}
-
-impl fmt::Debug for Ticket {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Deliberately does not touch the slab: `Debug` must stay
-        // usable from panic messages, including the stale-handle panic.
-        write!(f, "Ticket#{}g{}", self.idx, self.gen)
     }
 }
 
@@ -513,10 +300,6 @@ fn qos_held(congested: bool, r: &Request) -> bool {
         && r.passed < TENANT_BOUND
 }
 
-/// Transcript length cap: long runs keep the head of the event log plus
-/// a drop counter, bounding memory while staying deterministic.
-const TRANSCRIPT_CAP: usize = 8192;
-
 /// The two queues plus the coalescing directory, owned by the engine.
 pub(crate) struct EngineQueues {
     /// Priority request queue: keyed `(class, seq)` so iteration order is
@@ -566,9 +349,6 @@ pub(crate) struct EngineQueues {
     /// Fair-queue decisions awaiting trace emission (drained by the
     /// service-process actor, which holds the tracer).
     tenant_events: Vec<TenantEvent>,
-    /// Deterministic event log (capped).
-    transcript: Vec<String>,
-    transcript_dropped: u64,
 }
 
 impl EngineQueues {
@@ -590,8 +370,6 @@ impl EngineQueues {
             tenant_throttles: 0,
             tenant_promotions: 0,
             tenant_events: Vec::new(),
-            transcript: Vec::new(),
-            transcript_dropped: 0,
         }
     }
 
@@ -605,20 +383,6 @@ impl EngineQueues {
     /// for trace emission by the caller.
     pub fn take_tenant_events(&mut self) -> Vec<TenantEvent> {
         std::mem::take(&mut self.tenant_events)
-    }
-
-    /// Appends a transcript line (drops past the cap, counting drops).
-    pub fn log(&mut self, line: String) {
-        if self.transcript.len() < TRANSCRIPT_CAP {
-            self.transcript.push(line);
-        } else {
-            self.transcript_dropped += 1;
-        }
-    }
-
-    /// The event log so far, plus how many lines were dropped at the cap.
-    pub fn transcript(&self) -> (&[String], u64) {
-        (&self.transcript, self.transcript_dropped)
     }
 
     pub fn reqq_len(&self) -> usize {
@@ -685,8 +449,8 @@ impl EngineQueues {
         self.devq.len() >= self.devq_cap
     }
 
-    /// Queues a request, returning its sequence number.
-    pub fn push(&mut self, mut req: Request) -> u64 {
+    /// Queues a request, stamping its FIFO sequence number.
+    pub fn push(&mut self, mut req: Request) {
         let seq = self.next_seq;
         self.next_seq += 1;
         req.seq = seq;
@@ -697,7 +461,6 @@ impl EngineQueues {
         let class = req.class as u8;
         let idx = self.alloc_req(req);
         self.reqq.insert((class, seq), idx);
-        seq
     }
 
     /// The in-flight fetch ticket for `seg`, if one exists anywhere in
@@ -1302,53 +1065,17 @@ mod tests {
     }
 
     #[test]
-    fn ticket_slab_recycles_slots() {
-        let before = ticket_slab_stats();
-        // Sequential tickets reuse one slot: after the first, every
-        // creation is a recycle and the slab never grows.
+    fn coalesced_clones_share_one_outcome() {
         let t = Ticket::new();
-        let first_slots = ticket_slab_stats().slots;
-        drop(t);
-        for _ in 0..100 {
-            let t = Ticket::new();
-            t.complete(Outcome::Eject(true));
-            assert!(t.eject_result());
-        }
-        let after = ticket_slab_stats();
-        assert_eq!(after.allocs - before.allocs, 101);
-        assert!(
-            after.recycles - before.recycles >= 100,
-            "sequential tickets must be served from the free list"
-        );
-        assert_eq!(after.slots, first_slots, "slab must not grow");
-        assert_eq!(after.live, before.live);
-    }
-
-    #[test]
-    fn coalesced_clones_share_one_slot_and_outcome() {
-        let t = Ticket::new();
-        let live0 = ticket_slab_stats().live;
         let a = t.clone();
         let b = a.clone();
-        assert_eq!(ticket_slab_stats().live, live0, "clones add no slots");
+        assert!(!b.is_done());
         t.complete(Outcome::Fetch(Ok((7, 99))));
         assert!(a.is_done() && b.is_done());
         assert_eq!(b.fetch_result().unwrap(), (7, 99));
         drop(t);
         drop(a);
-        assert!(b.is_done(), "slot lives until the last handle drops");
-        drop(b);
-        assert_eq!(ticket_slab_stats().live, live0 - 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "stale ticket handle")]
-    fn stale_ticket_handles_panic_deterministically() {
-        let t = Ticket::new();
-        let survivor = t.clone();
-        t.invalidate_for_test();
-        drop(t); // stale drop is silent …
-        survivor.is_done(); // … but a stale *access* is a loud bug
+        assert!(b.is_done(), "the cell lives until the last handle drops");
     }
 
     #[test]
@@ -1365,16 +1092,5 @@ mod tests {
                 "round {round}: pool must recycle, not grow"
             );
         }
-    }
-
-    #[test]
-    fn transcript_caps_and_counts_drops() {
-        let mut q = EngineQueues::new();
-        for i in 0..(TRANSCRIPT_CAP + 10) {
-            q.log(format!("line {i}"));
-        }
-        let (lines, dropped) = q.transcript();
-        assert_eq!(lines.len(), TRANSCRIPT_CAP);
-        assert_eq!(dropped, 10);
     }
 }

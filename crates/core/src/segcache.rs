@@ -397,18 +397,6 @@ impl SegCache {
             }
         }
     }
-
-    /// Lines in `DirtyWait`, oldest first (the delayed copy-out queue).
-    pub fn dirty_wait(&self) -> Vec<CacheLine> {
-        let mut v: Vec<CacheLine> = self
-            .dir
-            .values()
-            .filter(|l| l.state == LineState::DirtyWait)
-            .copied()
-            .collect();
-        v.sort_by_key(|l| l.fetched_at);
-        v
-    }
 }
 
 #[cfg(test)]

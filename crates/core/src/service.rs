@@ -32,7 +32,7 @@ use hl_vdev::{BlockDev, DevError, IoSlot, IoTracker};
 use crate::addr::UniformMap;
 use crate::fault::{FaultEvent, FaultLog, FaultStep, HlError, RecoveryAction};
 use crate::ioserver::{spawn_engine, EngineHandles};
-use crate::recovery::{RecoveryPolicy, RecoveryState, WatchdogConfig};
+use crate::recovery::{self, RecoveryPolicy, RecoveryState};
 use crate::replicas::{HomeVec, ReplicaSet};
 use crate::requests::{
     write_class, DevOp, EngineQueues, FetchMode, Outcome, ReqClass, Request, TenantEvent, TenantId,
@@ -91,7 +91,7 @@ pub(crate) type SharedNotifier = RefCell<Option<Rc<dyn Fn(StallEvent)>>>;
 pub const MAX_DRIVES: usize = 8;
 
 /// Cumulative service counters.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SvcStats {
     /// Demand fetches served.
     pub demand_fetches: u64,
@@ -285,8 +285,6 @@ pub(crate) struct TioInner {
     pub(crate) replicate: Cell<u32>,
     /// Retry/failover/quarantine knobs (§10).
     pub(crate) policy: Cell<RecoveryPolicy>,
-    /// Watchdog deadline and probe-ladder knobs for drive-lane faults.
-    pub(crate) watchdog: Cell<WatchdogConfig>,
     /// Per-lane health registry, indexed by drive.
     pub(crate) lanes: RefCell<Vec<LaneHealth>>,
     /// Every lane retired: requests are failed fast instead of queued
@@ -316,7 +314,7 @@ pub(crate) struct TioInner {
 }
 
 /// Maps an engine [`ReqClass`] onto the trace's class alphabet (the two
-/// enums deliberately share order and labels).
+/// enums deliberately share order).
 pub(crate) fn tclass(class: ReqClass) -> hl_trace::Class {
     match class {
         ReqClass::Demand => hl_trace::Class::Demand,
@@ -390,7 +388,7 @@ impl TioInner {
     }
 
     /// What the lane for `drive` should do this step, per its health.
-    pub(crate) fn lane_gate(&self, drive: usize, _now: SimTime) -> LaneGate {
+    pub(crate) fn lane_gate(&self, drive: usize) -> LaneGate {
         let lanes = self.lanes.borrow();
         match lanes.get(drive) {
             Some(h) if h.retired => LaneGate::Retired,
@@ -418,10 +416,9 @@ impl TioInner {
     }
 
     /// The watchdog deadline for an op of `class`: the device profile's
-    /// nominal whole-segment time scaled by the configured slack.
+    /// nominal whole-segment time scaled by the watchdog slack.
     pub(crate) fn watchdog_deadline(&self, class: ReqClass) -> SimTime {
-        let nominal = self.jukebox.nominal_segment_io(write_class(class));
-        self.watchdog.get().deadline(nominal)
+        recovery::deadline(self.jukebox.nominal_segment_io(write_class(class)))
     }
 
     /// Marks `drive` down at `at` — clamped past the drive's in-flight
@@ -441,7 +438,7 @@ impl TioInner {
             }
             h.down_since = Some(at);
             h.probes = 0;
-            h.next_probe = at + self.watchdog.get().probe_delay(0);
+            h.next_probe = at + recovery::probe_delay(0);
         }
         self.tracer.drive_down(at, drive as u32);
         self.fault_log.borrow_mut().push(FaultEvent::DriveDown {
@@ -450,9 +447,6 @@ impl TioInner {
             error,
         });
         self.jukebox.abandon_drive(at, drive);
-        self.queues
-            .borrow_mut()
-            .log(format!("io! drive d{drive} down t{at}"));
         if let Some(h) = &*self.handles.borrow() {
             if let Some(&id) = h.io.get(drive) {
                 h.waker.wake(id, at);
@@ -467,27 +461,13 @@ impl TioInner {
     pub(crate) fn redispatch(&self, mut op: DevOp, at: SimTime, from_drive: u32, error: DevError) {
         op.attempts += 1;
         if op.attempts > MAX_REDISPATCH {
-            self.queues.borrow_mut().log(format!(
-                "io! {} seg {} gave up after {} re-dispatches",
-                op.class.label(),
-                op.seg.map_or("-".to_string(), |s| s.to_string()),
-                op.attempts - 1,
-            ));
             self.fail_op(op, at, error);
             return;
         }
         self.tracer.redispatch(at, op.span, from_drive);
         op.ready_at = at;
         op.bypassed = 0;
-        {
-            let mut q = self.queues.borrow_mut();
-            q.log(format!(
-                "io> redispatch {} seg {} from d{from_drive} t{at}",
-                op.class.label(),
-                op.seg.map_or("-".to_string(), |s| s.to_string())
-            ));
-            q.devq.push_back(op);
-        }
+        self.queues.borrow_mut().devq.push_back(op);
         self.wake_io(at);
     }
 
@@ -506,28 +486,21 @@ impl TioInner {
                 at: now,
                 drive: drive as u32,
             });
-            self.queues
-                .borrow_mut()
-                .log(format!("io! drive d{drive} up t{now}"));
             return ProbeOutcome::Recovered;
         }
         let (retired, next, all_retired) = {
             let mut lanes = self.lanes.borrow_mut();
-            let cfg = self.watchdog.get();
             let h = &mut lanes[drive];
             h.probes += 1;
-            if h.probes >= cfg.max_probes {
+            if h.probes >= recovery::MAX_PROBES {
                 h.retired = true;
                 (true, 0, lanes.iter().all(|l| l.retired))
             } else {
-                h.next_probe = now + cfg.probe_delay(h.probes);
+                h.next_probe = now + recovery::probe_delay(h.probes);
                 (false, h.next_probe, false)
             }
         };
         if retired {
-            self.queues
-                .borrow_mut()
-                .log(format!("io! drive d{drive} retired t{now}"));
             if all_retired {
                 self.drain_dead(now);
             }
@@ -542,7 +515,6 @@ impl TioInner {
     /// flags the pool dead so future dispatches fail fast.
     fn drain_dead(&self, at: SimTime) {
         self.all_retired.set(true);
-        self.queues.borrow_mut().log(format!("io! pool dead t{at}"));
         let ops: Vec<DevOp> = self.queues.borrow_mut().devq.drain(..).collect();
         for op in ops {
             self.fail_op(op, at, DevError::Offline);
@@ -635,9 +607,6 @@ impl TioInner {
                     req.enqueued_at.min(now),
                     now,
                 );
-                self.queues
-                    .borrow_mut()
-                    .log(format!("svc eject seg {seg} -> {ok} t{now}"));
                 self.tracer.close_span(now, req.span, ok);
                 req.ticket.complete(Outcome::Eject(ok));
             }
@@ -770,11 +739,6 @@ impl TioInner {
         let ready = op.ready_at;
         let depth = {
             let mut q = self.queues.borrow_mut();
-            q.log(format!(
-                "io+ {} seg {} ready t{ready}",
-                op.class.label(),
-                op.seg.map_or("-".to_string(), |s| s.to_string())
-            ));
             q.devq.push_back(op);
             q.devq.len()
         };
@@ -804,9 +768,6 @@ impl TioInner {
                     }
                 }
                 let end = report.end;
-                self.queues
-                    .borrow_mut()
-                    .log(format!("io! scrub done t{end}"));
                 self.tracer.close_span(end, op.span, true);
                 op.ticket.complete(Outcome::Scrub(Box::new(report)));
                 ExecResult::Done(end)
@@ -845,10 +806,7 @@ impl TioInner {
 
     fn fail_fetch(&self, op: &DevOp, seg: SegNo, at: SimTime, err: HlError) {
         self.cache.borrow_mut().eject(seg);
-        let mut q = self.queues.borrow_mut();
-        q.retire_fetch(seg);
-        q.log(format!("io! fetch seg {seg} failed"));
-        drop(q);
+        self.queues.borrow_mut().retire_fetch(seg);
         self.tracer.close_span(at, op.span, false);
         op.ticket.complete(Outcome::Fetch(Err(err)));
     }
@@ -935,11 +893,7 @@ impl TioInner {
             cache.set_state(seg, LineState::Clean);
             cache.set_ready_at(seg, ready);
         }
-        {
-            let mut q = self.queues.borrow_mut();
-            q.retire_fetch(seg);
-            q.log(format!("io! fetch seg {seg} ready t{ready}"));
-        }
+        self.queues.borrow_mut().retire_fetch(seg);
         if let Some(demand_enq) = op.demand_enq {
             self.notify(StallEvent::Resumed {
                 seg,
@@ -1009,9 +963,6 @@ impl TioInner {
                     v.next_slot = v.next_slot.max(slot + 1);
                 }
                 let end = self.write_replicas(w.end, drive, seg, vol, &buf);
-                self.queues
-                    .borrow_mut()
-                    .log(format!("io! copyout seg {seg} done t{end}"));
                 let mut stats = self.stats.borrow_mut();
                 stats.copyouts += 1;
                 stats.copyout_time += end - op.enqueued_at;
@@ -1032,9 +983,6 @@ impl TioInner {
                     vol,
                     slot,
                 });
-                self.queues
-                    .borrow_mut()
-                    .log(format!("io! copyout seg {seg} hit end-of-medium"));
                 self.tracer.close_span(r.end, op.span, false);
                 op.ticket
                     .complete(Outcome::CopyOut(Err(DevError::EndOfMedium { written })));
@@ -1474,7 +1422,6 @@ impl TertiaryIo {
             notifier: RefCell::new(None),
             replicate: Cell::new(0),
             policy: Cell::new(RecoveryPolicy::default()),
-            watchdog: Cell::new(WatchdogConfig::default()),
             lanes: RefCell::new(vec![LaneHealth::default(); lane_count]),
             all_retired: Cell::new(false),
             recovery: RefCell::new(RecoveryState::new()),
@@ -1533,17 +1480,6 @@ impl TertiaryIo {
         self.inner.policy.set(p);
     }
 
-    /// Sets the drive-watchdog deadline slack and quarantine probe
-    /// ladder (DESIGN.md §6f).
-    pub fn set_watchdog(&self, cfg: WatchdogConfig) {
-        self.inner.watchdog.set(cfg);
-    }
-
-    /// The active watchdog/probe-ladder configuration.
-    pub fn watchdog_config(&self) -> WatchdogConfig {
-        self.inner.watchdog.get()
-    }
-
     /// Per-lane health snapshot, indexed by drive: `true` = up and
     /// taking work, `false` = down (probing) or retired.
     pub fn lane_health(&self) -> Vec<bool> {
@@ -1553,11 +1489,6 @@ impl TertiaryIo {
             .iter()
             .map(|h| !h.retired && h.down_since.is_none())
             .collect()
-    }
-
-    /// The active recovery policy.
-    pub fn recovery_policy(&self) -> RecoveryPolicy {
-        self.inner.policy.get()
     }
 
     /// Snapshot of the global fault/recovery log.
@@ -1747,10 +1678,6 @@ impl TertiaryIo {
                     .tracer
                     .join(at, parent, tclass(class_of(mode)));
             }
-            self.inner
-                .queues
-                .borrow_mut()
-                .log(format!("join {} seg {tert_seg} t{at}", class_of(mode).label()));
             self.inner.wake_svc(at);
             return shared;
         }
@@ -1897,10 +1824,7 @@ impl TertiaryIo {
             .open_span(at, tclass(req.class), req.seg.map(|s| s as u64));
         let depth = {
             let mut q = self.inner.queues.borrow_mut();
-            let label = req.class.label();
-            let seg = req.seg.map_or("-".to_string(), |s| s.to_string());
-            let seq = q.push(req);
-            q.log(format!("+req {seq} {label} seg {seg} t{at}"));
+            q.push(req);
             q.reqq_len()
         };
         self.inner
@@ -1968,41 +1892,9 @@ impl TertiaryIo {
         (q.reqq_len(), q.devq.len())
     }
 
-    /// The engine's deterministic event transcript plus how many lines
-    /// were dropped at the cap.
-    pub fn transcript(&self) -> (Vec<String>, u64) {
-        let q = self.inner.queues.borrow();
-        let (lines, dropped) = q.transcript();
-        (lines.to_vec(), dropped)
-    }
-
-    /// FNV-1a digest of the transcript: byte-identical engine histories
-    /// (per seed) hash equal across runs.
-    pub fn transcript_digest(&self) -> u64 {
-        let q = self.inner.queues.borrow();
-        let (lines, dropped) = q.transcript();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |b: u8| {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        };
-        for line in lines {
-            for b in line.bytes() {
-                mix(b);
-            }
-            mix(b'\n');
-        }
-        h ^ dropped
-    }
-
     /// Operations the I/O server has executed against its devices.
     pub fn io_ops(&self) -> u64 {
         self.inner.iotrack.borrow().ops()
-    }
-
-    /// Cumulative device busy time under the I/O server.
-    pub fn io_busy_time(&self) -> SimTime {
-        self.inner.iotrack.borrow().busy_time()
     }
 
     /// Peak simultaneously outstanding device operations.
@@ -2023,17 +1915,6 @@ impl TertiaryIo {
         let ticket = self.enqueue_demand(at, tert_seg);
         self.pump();
         ticket.fetch_result()
-    }
-
-    /// Asynchronous prefetch fill. The tertiary read books the drive
-    /// from `at`; the cache-disk fill is modelled as overlapped
-    /// background work, so the line's `ready_at` reflects both but the
-    /// caller does not block. Readers of the line wait until `ready_at`
-    /// (the block-map enforces it).
-    pub fn prefetch_fetch(&self, at: SimTime, tert_seg: SegNo) -> Result<SimTime, HlError> {
-        let ticket = self.enqueue_prefetch(at, tert_seg);
-        self.pump();
-        ticket.fetch_result().map(|(_, ready)| ready)
     }
 
     /// Copies a sealed (`DirtyWait`) staging line out to its tertiary
@@ -2277,9 +2158,12 @@ mod tests {
         assert!(tio.stats().demand_fetches > 0);
         assert!(tio.io_ops() > 0);
         tio.reset_accounting();
-        assert_eq!(tio.stats().demand_fetches, 0);
+        assert_eq!(tio.stats(), SvcStats::default());
         assert_eq!(tio.phases().total(), 0);
         assert_eq!(tio.io_ops(), 0);
+        // No record keeps covering pre-reset history.
+        let (fresh, _, _) = rig(2);
+        assert_eq!(tio.trace_digest(), fresh.trace_digest());
     }
 
     #[test]
@@ -2466,10 +2350,29 @@ mod tests {
         let q = tio.phases().get(phase::QUEUING);
         assert_eq!(q, DISPATCH_CPU);
         assert!(q * 20 < end, "queuing must be a negligible share");
-        // The engine's transcript records the whole request history.
-        let (lines, dropped) = tio.transcript();
-        assert!(lines.iter().any(|l| l.contains("+req 0 demand")));
-        assert!(lines.iter().any(|l| l.contains("io! fetch")));
-        assert_eq!(dropped, 0);
+        // The trace records the whole request history: one demand span,
+        // opened and successfully closed.
+        use hl_trace::{Class, EventKind};
+        let events = tio.tracer().events();
+        let opened: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::SpanOpen {
+                    span,
+                    class: Class::Demand,
+                    ..
+                } => Some(span),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(opened.len(), 1);
+        let closed: Vec<(u64, bool)> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::SpanClose { span, ok } => Some((span, ok)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(closed, [(opened[0], true)]);
     }
 }

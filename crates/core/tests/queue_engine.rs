@@ -1,7 +1,7 @@
 //! Integration tests for the event-driven tertiary engine: duplicate
-//! fetches coalesce onto one media read, the service process dispatches
-//! in priority order, bounded queues push back, and per-seed engine
-//! transcripts replay byte-identically.
+//! fetches coalesce onto one media read, bounded queues push back, and
+//! per-seed engine traces replay byte-identically. (Priority dispatch
+//! order is covered by `tests/trace_invariants.rs`.)
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -64,47 +64,6 @@ fn interleaved_fetches_of_one_segment_coalesce_to_one_media_read() {
     assert_eq!(jb.stats().reads, 1);
 }
 
-/// The service process drains the request queue priority-major
-/// (demand > eject > copy-out > prefetch > scrub), FIFO within a class.
-#[test]
-fn dispatch_order_is_demand_copyout_prefetch_scrub() {
-    let (tio, jb, map) = rig(4);
-    let demand_seg = map.tert_seg(0, 0);
-    let prefetch_seg = map.tert_seg(0, 1);
-    let copyout_seg = map.tert_seg(2, 0);
-    jb.poke_segment(0, 0, &vec![1u8; 1 << 20]).unwrap();
-    jb.poke_segment(0, 1, &vec![2u8; 1 << 20]).unwrap();
-    // A sealed staging line ready to copy out.
-    tio.cache()
-        .borrow_mut()
-        .allocate(copyout_seg, LineState::Staging, 0)
-        .unwrap();
-    tio.cache()
-        .borrow_mut()
-        .set_state(copyout_seg, LineState::DirtyWait);
-
-    // Enqueue in reverse priority order, all at t=0, then run.
-    let scrub = tio.enqueue_scrub(0);
-    let prefetch = tio.enqueue_prefetch(0, prefetch_seg);
-    let copyout = tio.enqueue_copy_out(0, copyout_seg);
-    let demand = tio.enqueue_demand(0, demand_seg);
-    tio.pump();
-
-    let (lines, dropped) = tio.transcript();
-    assert_eq!(dropped, 0);
-    let dispatched: Vec<&str> = lines
-        .iter()
-        .filter(|l| l.starts_with("io+ "))
-        .map(|l| l.split_whitespace().nth(1).unwrap())
-        .collect();
-    assert_eq!(dispatched, ["demand", "copyout", "prefetch", "scrub"]);
-
-    demand.fetch_result().unwrap();
-    prefetch.fetch_result().unwrap();
-    copyout.copyout_result().unwrap();
-    assert!(scrub.scrub_result().unrecoverable.is_empty());
-}
-
 /// The bounded request queue refuses work once full: the non-blocking
 /// enqueue returns `None` and the producer is expected to park.
 #[test]
@@ -138,9 +97,9 @@ fn try_enqueue_copy_out_pushes_back_at_the_queue_cap() {
 }
 
 /// Satellite: identical request histories produce byte-identical engine
-/// transcripts (and equal digests) across independent runs.
+/// traces (and equal digests) across independent runs.
 #[test]
-fn engine_transcript_replays_byte_identical() {
+fn engine_trace_replays_byte_identical() {
     fn scenario() -> (Vec<String>, u64) {
         let (tio, jb, map) = rig(3);
         jb.poke_segment(0, 3, &vec![5u8; 1 << 20]).unwrap();
@@ -163,9 +122,8 @@ fn engine_transcript_replays_byte_identical() {
         tio.enqueue_copy_out(0, staged);
         tio.enqueue_eject(0, a);
         tio.pump();
-        let (lines, dropped) = tio.transcript();
-        assert_eq!(dropped, 0);
-        (lines, tio.transcript_digest())
+        assert_eq!(tio.tracer().dropped(), 0);
+        (tio.tracer().render_text(), tio.trace_digest())
     }
 
     let (lines_a, digest_a) = scenario();

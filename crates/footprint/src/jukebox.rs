@@ -436,11 +436,6 @@ impl Jukebox {
         Ok((IoSlot { start, end }, d))
     }
 
-    /// When the named drive's `Resource` frees up (its busy horizon).
-    pub fn drive_free_at(&self, drive: usize) -> SimTime {
-        self.inner.borrow().drives[drive].res.free_at()
-    }
-
     fn check_buf(&self, buf_len: usize) -> Result<(), DevError> {
         let want = self.inner.borrow().cfg.segment_bytes;
         if buf_len != want {

@@ -59,11 +59,6 @@ impl BufCache {
         self.map.is_empty()
     }
 
-    /// Number of dirty (pinned) blocks.
-    pub fn dirty_count(&self) -> usize {
-        self.map.values().filter(|b| b.dirty).count()
-    }
-
     /// `true` when the cache holds more blocks than its capacity.
     pub fn over_capacity(&self) -> bool {
         self.map.len() > self.capacity_blocks

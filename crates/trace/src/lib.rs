@@ -831,8 +831,7 @@ impl Tracer {
     }
 
     /// The running FNV-1a digest over every rendered line, XORed with the
-    /// drop count (the same construction as the engine transcript
-    /// digest). Byte-identical histories hash equal.
+    /// drop count. Byte-identical histories hash equal.
     pub fn digest(&self) -> u64 {
         let r = self.rec.borrow();
         r.digest ^ r.dropped

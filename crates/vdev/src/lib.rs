@@ -11,8 +11,6 @@
 //!   contention"),
 //! - a SCSI [`bus`] that serializes transfers and is *hogged* during media
 //!   swaps (the paper notes its autochanger driver never disconnects),
-//! - sequential [`tape`] transports with end-of-medium signalling,
-//! - concatenating and striping pseudo-devices ([`stripe`], §6.6),
 //! - sparse in-memory [`backing`] stores so terabyte address spaces cost
 //!   only what is actually written, and
 //! - fault injection for the reliability experiments (§10).
@@ -25,8 +23,6 @@ pub mod disk;
 pub mod error;
 pub mod fault;
 pub mod profile;
-pub mod stripe;
-pub mod tape;
 pub mod track;
 
 pub use backing::SparseStore;
@@ -37,8 +33,6 @@ pub use disk::{Disk, DiskStats};
 pub use error::DevError;
 pub use fault::{DriveFault, FaultConfig, FaultPlan, FaultyDev, Injected, MediaFault, SwapFault};
 pub use profile::{DiskProfile, TapeProfile};
-pub use stripe::{Concat, Stripe};
-pub use tape::TapeDrive;
 pub use track::IoTracker;
 
 /// The filesystem block size used throughout the reproduction (§6.2:

@@ -190,8 +190,8 @@ fn starvation_guard_bounds_demand_wait_behind_an_affinity_batch() {
 
 /// The pool's schedule — lane assignment, affinity picks, robot
 /// serialization — is part of the engine's determinism contract: two
-/// runs of the same scenario produce byte-identical transcripts and
-/// equal trace digests.
+/// runs of the same scenario produce byte-identical traces and equal
+/// trace digests.
 #[test]
 fn pool_schedule_is_byte_deterministic_per_seed() {
     let run = || {
@@ -213,14 +213,12 @@ fn pool_schedule_is_byte_deterministic_per_seed() {
             t.fetch_result().unwrap();
         }
         assert_clean(&tio);
-        let (lines, dropped) = tio.transcript();
-        assert_eq!(dropped, 0);
-        (lines, tio.transcript_digest(), tio.trace_digest())
+        assert_eq!(tio.tracer().dropped(), 0);
+        (tio.tracer().render_text(), tio.trace_digest())
     };
-    let (la, ta, da) = run();
-    let (lb, tb, db) = run();
-    assert_eq!(la, lb, "transcripts diverged between identical runs");
-    assert_eq!(ta, tb, "transcript digests diverged");
+    let (la, da) = run();
+    let (lb, db) = run();
+    assert_eq!(la, lb, "traces diverged between identical runs");
     assert_eq!(da, db, "trace digests diverged");
 }
 
