@@ -15,12 +15,11 @@
 //! stream's write volume — so no single lane can hold every hot platter
 //! and the 2→4-drive step keeps paying off. The run emits
 //! `BENCH_pipeline.json` at the repository root — one machine-readable
-//! entry per drive count per suite — and prints the ablation checks CI
-//! gates on.
-
-use std::path::Path;
+//! entry per drive count per suite — and exits non-zero if any
+//! ablation check is false.
 
 use hl_bench::pipeline::{run, DemandLoad, PipelineConfig, PipelineResult};
+use hl_bench::report::{write_bench_json, Checks, Json};
 use hl_bench::table::{print_table, Row};
 use hl_footprint::{Jukebox, JukeboxConfig};
 use hl_vdev::{Disk, DiskProfile, ScsiBus};
@@ -59,23 +58,20 @@ fn run_with_drives(drives: usize, hot_volumes: u32, reads: u32) -> PipelineResul
     })
 }
 
-fn suite(name: &str, hot_volumes: u32, reads: u32) -> Vec<(usize, PipelineResult)> {
-    let mut results = Vec::new();
-    for &d in &DRIVE_COUNTS {
-        let r = run_with_drives(d, hot_volumes, reads);
-        assert!(
-            r.trace_findings.is_empty(),
-            "{name}: tracecheck findings at {d} drives: {:?}",
-            r.trace_findings
-        );
-        assert_eq!(
-            r.demand_residency.len(),
-            reads as usize,
-            "{name}: demand fetches lost at {d} drives"
-        );
-        results.push((d, r));
-    }
-    results
+fn suite(
+    checks: &mut Checks,
+    name: &str,
+    hot_volumes: u32,
+    reads: u32,
+) -> Vec<(usize, PipelineResult)> {
+    DRIVE_COUNTS
+        .iter()
+        .map(|&d| {
+            let r = run_with_drives(d, hot_volumes, reads);
+            checks.tracecheck_list(&format!("{name} {d}-drive"), &r.trace_findings);
+            (d, r)
+        })
+        .collect()
 }
 
 fn rows_for(name: &str, results: &[(usize, PipelineResult)], rows: &mut Vec<Row>) {
@@ -96,8 +92,8 @@ fn rows_for(name: &str, results: &[(usize, PipelineResult)], rows: &mut Vec<Row>
             paper: "-".into(),
             measured: format!(
                 "{:.1}s/{:.1}s",
-                hl_sim::time::as_secs(r.demand_residency_pct(0.50)),
-                hl_sim::time::as_secs(r.demand_residency_pct(0.95))
+                hl_sim::time::as_secs(r.demand_residency_pct(50)),
+                hl_sim::time::as_secs(r.demand_residency_pct(95))
             ),
         });
         rows.push(Row {
@@ -113,12 +109,13 @@ fn rows_for(name: &str, results: &[(usize, PipelineResult)], rows: &mut Vec<Row>
 }
 
 fn main() {
+    let mut checks = Checks::new("Ablation checks");
     // Suite 1: the original 1-hot-volume foreground stream (2 hot
     // volumes total with the write volume) — saturates at 2 drives.
-    let narrow = suite("narrow", 1, 8);
+    let narrow = suite(&mut checks, "narrow", 1, 8);
     // Suite 2: reads round-robin across 3 hot volumes (4 hot volumes
     // total) — enough distinct platters to keep a 4-drive pool busy.
-    let wide = suite("wide", 3, 12);
+    let wide = suite(&mut checks, "wide", 3, 12);
 
     let mut rows = Vec::new();
     rows_for("narrow", &narrow, &mut rows);
@@ -132,53 +129,53 @@ fn main() {
     // Machine-readable payload at the repository root, one entry per
     // drive count per suite (each entry is PipelineResult::to_json()).
     let entry = |results: &[(usize, PipelineResult)]| {
-        let entries: Vec<String> = results
-            .iter()
-            .map(|(d, r)| format!("\"{d}\":{}", r.to_json()))
-            .collect();
-        format!("{{{}}}", entries.join(","))
+        Json::obj(results.iter().map(|(d, r)| (d.to_string(), r.to_json())))
     };
-    let json = format!(
-        "{{\"drive_ablation\":{},\"drive_ablation_4hot\":{}}}",
-        entry(&narrow),
-        entry(&wide)
+    write_bench_json(
+        "pipeline",
+        &Json::obj([
+            ("drive_ablation", entry(&narrow)),
+            ("drive_ablation_4hot", entry(&wide)),
+        ]),
     );
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pipeline.json");
-    std::fs::write(&out, &json).expect("write BENCH_pipeline.json");
-    println!("\nwrote {}", out.display());
 
     let r1 = &narrow[0].1;
     let r2 = &narrow[1].1;
     let w2 = &wide[1].1;
     let w4 = &wide[2].1;
-    println!("\nAblation checks:");
-    println!(
-        "  2-drive wall-clock <= 1-drive wall-clock: {}",
-        r2.total_end <= r1.total_end
+    checks.expect_clean_traces(6);
+    checks.row(
+        "2-drive wall-clock <= 1-drive wall-clock",
+        r2.total_end <= r1.total_end,
     );
-    println!(
-        "  2-drive demand p95 residency <= 1-drive: {}",
-        r2.demand_residency_pct(0.95) <= r1.demand_residency_pct(0.95)
+    checks.row(
+        "2-drive demand p95 residency <= 1-drive",
+        r2.demand_residency_pct(95) <= r1.demand_residency_pct(95),
     );
-    println!(
-        "  every run served all demand fetches: {}",
+    checks.row(
+        "every run served all demand fetches",
         narrow.iter().all(|(_, r)| r.demand_residency.len() == 8)
-            && wide.iter().all(|(_, r)| r.demand_residency.len() == 12)
+            && wide.iter().all(|(_, r)| r.demand_residency.len() == 12),
     );
-    println!(
-        "  writer lane busiest under the copy-out stream: {}",
-        r2.drive_busy[0] >= r2.drive_busy[1]
+    checks.row(
+        "writer lane busiest under the copy-out stream",
+        r2.drive_busy[0] >= r2.drive_busy[1],
     );
-    println!(
-        "  4hot: 4-drive wall-clock <= 2-drive wall-clock: {} ({:.0}s vs {:.0}s)",
+    checks.row(
+        format!(
+            "4hot: 4-drive wall-clock <= 2-drive wall-clock ({:.0}s vs {:.0}s)",
+            hl_sim::time::as_secs(w4.total_end),
+            hl_sim::time::as_secs(w2.total_end)
+        ),
         w4.total_end <= w2.total_end,
-        hl_sim::time::as_secs(w4.total_end),
-        hl_sim::time::as_secs(w2.total_end)
     );
-    println!(
-        "  4hot: 4-drive demand p95 residency < 2-drive: {} ({:.1}s vs {:.1}s)",
-        w4.demand_residency_pct(0.95) < w2.demand_residency_pct(0.95),
-        hl_sim::time::as_secs(w4.demand_residency_pct(0.95)),
-        hl_sim::time::as_secs(w2.demand_residency_pct(0.95))
+    checks.row(
+        format!(
+            "4hot: 4-drive demand p95 residency < 2-drive ({:.1}s vs {:.1}s)",
+            hl_sim::time::as_secs(w4.demand_residency_pct(95)),
+            hl_sim::time::as_secs(w2.demand_residency_pct(95))
+        ),
+        w4.demand_residency_pct(95) < w2.demand_residency_pct(95),
     );
+    checks.finish();
 }

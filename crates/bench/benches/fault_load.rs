@@ -18,12 +18,11 @@
 //! Every run must finish with zero tracecheck findings and zero lost
 //! tickets (a lost ticket panics the result collection). The suite
 //! emits `BENCH_faults.json` at the repository root — same per-entry
-//! schema as `BENCH_pipeline.json` — and prints the degraded-mode
-//! checks CI gates on.
-
-use std::path::Path;
+//! schema as `BENCH_pipeline.json` — and exits non-zero if any
+//! degraded-mode check is false.
 
 use hl_bench::pipeline::{run, DemandLoad, PipelineConfig, PipelineResult};
+use hl_bench::report::{write_bench_json, Checks, Json};
 use hl_bench::table::{print_table, Row};
 use hl_footprint::{Jukebox, JukeboxConfig};
 use hl_vdev::{Disk, DiskProfile, FaultConfig, FaultPlan, ScsiBus};
@@ -72,20 +71,10 @@ fn run_with_plan(drives: usize, plan: Option<&FaultPlan>) -> PipelineResult {
     })
 }
 
-fn check(name: &str, r: &PipelineResult) {
-    assert!(
-        r.trace_findings.is_empty(),
-        "{name}: tracecheck findings:\n{}",
-        r.trace_findings
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    println!("{name}: Tracecheck: 0 findings");
-}
-
 fn main() {
+    let mut checks = Checks::new("Degraded-mode checks");
+    let mut check =
+        |name: &str, r: &PipelineResult| checks.tracecheck_list(name, &r.trace_findings);
     // Fault-free baseline at 4 drives.
     let healthy = run_with_plan(4, None);
     check("healthy-4drive", &healthy);
@@ -167,8 +156,8 @@ fn main() {
                 paper: "-".into(),
                 measured: format!(
                     "{:.1}s/{:.1}s",
-                    hl_sim::time::as_secs(r.demand_residency_pct(0.50)),
-                    hl_sim::time::as_secs(r.demand_residency_pct(0.95))
+                    hl_sim::time::as_secs(r.demand_residency_pct(50)),
+                    hl_sim::time::as_secs(r.demand_residency_pct(95))
                 ),
             },
             Row {
@@ -190,41 +179,42 @@ fn main() {
 
     // Machine-readable payload, same per-entry schema as
     // BENCH_pipeline.json (availability timeline + fault counters).
-    let json = format!(
-        concat!(
-            "{{\"fault_load\":{{\"seed\":{},",
-            "\"healthy_4drive\":{},\"drive_death\":{},",
-            "\"robot_jam\":{},\"blackout\":{}}}}}"
-        ),
-        SEED,
-        healthy.to_json(),
-        death.to_json(),
-        jam.to_json(),
-        blackout.to_json(),
+    write_bench_json(
+        "faults",
+        &Json::obj([(
+            "fault_load",
+            Json::obj([
+                ("seed", SEED.into()),
+                ("healthy_4drive", healthy.to_json()),
+                ("drive_death", death.to_json()),
+                ("robot_jam", jam.to_json()),
+                ("blackout", blackout.to_json()),
+            ]),
+        )]),
     );
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_faults.json");
-    std::fs::write(&out, &json).expect("write BENCH_faults.json");
-    println!("\nwrote {}", out.display());
 
-    println!("\nDegraded-mode checks:");
-    println!(
-        "  drive-death completed all 16 copy-outs on survivors: {}",
-        death.completions.len() == 16
+    checks.expect_clean_traces(4);
+    checks.row(
+        "drive-death completed all 16 copy-outs on survivors",
+        death.completions.len() == 16,
     );
-    println!(
-        "  degraded wall clock <= 2x healthy: {} ({:.0}s vs {:.0}s)",
+    checks.row(
+        format!(
+            "degraded wall clock <= 2x healthy ({:.0}s vs {:.0}s)",
+            hl_sim::time::as_secs(death.total_end),
+            hl_sim::time::as_secs(healthy.total_end)
+        ),
         death.total_end <= 2 * healthy.total_end,
-        hl_sim::time::as_secs(death.total_end),
-        hl_sim::time::as_secs(healthy.total_end)
     );
     // A re-dispatched fetch records queue residency once per attempt,
     // so faulted runs may log more entries than fetches.
-    println!(
-        "  degraded demand p95 residency recorded: {}",
-        death.demand_residency.len() >= 6
+    checks.row(
+        "degraded demand p95 residency recorded",
+        death.demand_residency.len() >= 6,
     );
-    println!(
-        "  blackout recovered and drained: {}",
-        blackout.completions.len() == 16 && recovered >= 1
+    checks.row(
+        "blackout recovered and drained",
+        blackout.completions.len() == 16 && recovered >= 1,
     );
+    checks.finish();
 }

@@ -12,15 +12,12 @@
 //! all demand fetches that succeeded; latency is the simulated mean over
 //! the successes (including backoff and media swaps).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use highlight::segcache::{EjectPolicy, SegCache};
-use highlight::{TertiaryIo, TsegTable, UniformMap};
+use highlight::rig::RigSpec;
+use highlight::TertiaryIo;
 use hl_bench::table::{print_table, Row};
-use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
+use hl_footprint::Footprint;
 use hl_sim::time::as_secs;
-use hl_vdev::{Disk, DiskProfile, FaultConfig, FaultPlan};
+use hl_vdev::{FaultConfig, FaultPlan};
 
 const VOLS: u32 = 8;
 const SLOTS: u32 = 16;
@@ -34,22 +31,13 @@ struct Cell {
 }
 
 fn sweep(replicas: u32, media_p: f64, seed: u64) -> Cell {
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 64 * 256, None));
-    let map = UniformMap::new(2, 256, 64, VOLS, SLOTS);
-    let jb = Jukebox::new(
-        JukeboxConfig {
-            volumes: VOLS,
-            segments_per_volume: SLOTS,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let cache = Rc::new(RefCell::new(SegCache::new(
-        (40..46).collect(),
-        EjectPolicy::Lru,
-    )));
-    let tseg = Rc::new(RefCell::new(TsegTable::new()));
-    let tio = TertiaryIo::new(map, Rc::new(jb.clone()), disk, cache, tseg);
+    let (tio, jb, map) = RigSpec {
+        lines: 40..46,
+        volumes: VOLS,
+        slots: SLOTS,
+        ..RigSpec::default()
+    }
+    .build();
     tio.set_replication(replicas);
 
     // Stage the population: 3 primaries per volume in the low slots,

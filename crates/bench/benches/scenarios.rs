@@ -6,27 +6,16 @@
 //! trace digests are byte-identical across runs. Every run must finish
 //! with zero tracecheck findings, zero lost tickets (an unresolved
 //! ticket panics result collection), and a clean byte oracle. Emits
-//! `BENCH_scenarios.json` at the repository root and prints the
-//! per-scenario gates CI greps for.
+//! `BENCH_scenarios.json` at the repository root and exits non-zero if
+//! any scenario check is false.
 
-use std::path::Path;
-
+use hl_bench::report::{write_bench_json, Checks, Json};
 use hl_bench::scenarios::{run_scenario, standard_scenarios, ScenarioResult};
 use hl_bench::table::{print_table, Row};
 use hl_sim::time::as_secs;
 
-fn check(r: &ScenarioResult) {
-    assert!(
-        r.trace_findings.is_empty(),
-        "{}: tracecheck findings:\n{}",
-        r.name,
-        r.trace_findings
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    println!("{}: Tracecheck: 0 findings", r.name);
+fn check(checks: &mut Checks, r: &ScenarioResult) {
+    checks.tracecheck_list(r.name, &r.trace_findings);
     assert_eq!(r.failed_fetches, 0, "{}: failed demand/prefetch", r.name);
     assert_eq!(r.failed_copyouts, 0, "{}: failed copy-outs", r.name);
     assert_eq!(r.oracle_mismatches, 0, "{}: byte oracle diverged", r.name);
@@ -38,6 +27,7 @@ fn check(r: &ScenarioResult) {
 }
 
 fn main() {
+    let mut checks = Checks::new("Scenario checks");
     let suite = standard_scenarios();
     let mut results: Vec<ScenarioResult> = Vec::new();
     let mut digests_stable = true;
@@ -53,10 +43,9 @@ fn main() {
                 cfg.name, r.trace_digest, replay.trace_digest
             );
         }
-        check(&r);
+        check(&mut checks, &r);
         results.push(r);
     }
-    assert!(digests_stable, "same seed must give byte-identical traces");
 
     let by_name = |n: &str| {
         results
@@ -64,45 +53,11 @@ fn main() {
             .find(|r| r.name == n)
             .expect("standard scenario present")
     };
-    let zipf = by_name("zipf_steady");
     let crowd = by_name("flash_crowd");
     let scan = by_name("hierarchy_scan");
     let thrash = by_name("tenant_thrash");
     let death = by_name("flash_crowd_drive_death");
     let jam = by_name("scan_robot_jam");
-
-    // Shape assertions per adversary.
-    assert!(
-        crowd.coalesced >= 20,
-        "the crowd storm must coalesce (got {} joins)",
-        crowd.coalesced
-    );
-    assert!(
-        zipf.hit_rate_pct() > crowd.hit_rate_pct() - 100.0,
-        "sanity"
-    );
-    assert_eq!(
-        scan.demand_issued, 40,
-        "the scan demand-reads every segment once"
-    );
-    assert!(
-        scan.media_swaps >= 4,
-        "a 5-volume scan crosses at least 4 volume boundaries"
-    );
-    assert!(
-        thrash.cache.ejections > 0,
-        "the tenant mix must thrash the line pool"
-    );
-    assert!(thrash.copyouts_issued >= 6, "writer tenants must copy out");
-    assert!(
-        death.drive_down >= 1,
-        "the scripted drive death was never observed"
-    );
-    assert_eq!(jam.drive_down, 0, "a robot jam stalls, it does not kill");
-    assert!(
-        jam.wall_clock > scan.wall_clock,
-        "the jammed scan must pay for the stalled swaps"
-    );
 
     let rows: Vec<Row> = results
         .iter()
@@ -123,8 +78,8 @@ fn main() {
                     paper: "-".into(),
                     measured: format!(
                         "{:.1}s/{:.1}s (n={})",
-                        as_secs(r.demand_residency_pct(0.50)),
-                        as_secs(r.demand_residency_pct(0.95)),
+                        as_secs(r.demand_residency_pct(50)),
+                        as_secs(r.demand_residency_pct(95)),
                         r.demand_residency.len()
                     ),
                 },
@@ -145,50 +100,55 @@ fn main() {
         &rows,
     );
 
-    let entries: Vec<String> = results
-        .iter()
-        .map(|r| format!("\"{}\":{}", r.name, r.to_json()))
-        .collect();
-    let json = format!("{{\"scenarios\":{{{}}}}}", entries.join(","));
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_scenarios.json");
-    std::fs::write(&out, &json).expect("write BENCH_scenarios.json");
-    println!("\nwrote {}", out.display());
+    let rows = results.iter().map(|r| (r.name, r.to_json()));
+    write_bench_json("scenarios", &Json::obj([("scenarios", Json::obj(rows))]));
 
-    println!("\nScenario checks:");
-    println!("  digests byte-stable across replays: {digests_stable}");
-    println!(
-        "  flash crowd coalesced the storm: {} ({} coalesced, {} joins)",
-        crowd.coalesced >= 20 && crowd.joins == crowd.coalesced,
-        crowd.coalesced,
-        crowd.joins
+    checks.expect_clean_traces(6);
+    checks.row("digests byte-stable across replays", digests_stable);
+    checks.row(
+        format!(
+            "flash crowd coalesced the storm ({} coalesced, {} joins)",
+            crowd.coalesced, crowd.joins
+        ),
+        crowd.coalesced >= 23 && crowd.joins == crowd.coalesced,
     );
-    println!(
-        "  scan covered the hierarchy once: {} ({} demands, {} swaps)",
+    checks.row(
+        format!(
+            "scan covered the hierarchy once ({} demands, {} swaps)",
+            scan.demand_issued, scan.media_swaps
+        ),
         scan.demand_issued == 40 && scan.media_swaps >= 4,
-        scan.demand_issued,
-        scan.media_swaps
     );
-    println!(
-        "  tenant mix thrashed the cache: {} ({} ejections, hit rate {:.0}%)",
-        thrash.cache.ejections > 0,
-        thrash.cache.ejections,
-        thrash.hit_rate_pct()
+    checks.row(
+        format!(
+            "tenant mix thrashed the cache ({} ejections, {} copy-outs, hit rate {:.0}%)",
+            thrash.cache.ejections,
+            thrash.copyouts_issued,
+            thrash.hit_rate_pct()
+        ),
+        thrash.cache.ejections > 0 && thrash.copyouts_issued >= 6,
     );
-    println!(
-        "  drive death absorbed mid-crowd: {} ({} downs, {} redispatched, 0 failed)",
+    checks.row(
+        format!(
+            "drive death absorbed mid-crowd ({} downs, {} redispatched, 0 failed)",
+            death.drive_down, death.redispatched
+        ),
         death.drive_down >= 1 && death.failed_fetches == 0,
-        death.drive_down,
-        death.redispatched
     );
-    println!(
-        "  robot jam stalled but lost nothing: {} ({:.0}s vs {:.0}s healthy)",
+    checks.row(
+        format!(
+            "robot jam stalled but lost nothing ({:.0}s vs {:.0}s healthy)",
+            as_secs(jam.wall_clock),
+            as_secs(scan.wall_clock)
+        ),
         jam.drive_down == 0 && jam.wall_clock > scan.wall_clock,
-        as_secs(jam.wall_clock),
-        as_secs(scan.wall_clock)
     );
-    println!(
-        "  byte oracle clean everywhere: {} ({} segments verified)",
+    checks.row(
+        format!(
+            "byte oracle clean everywhere ({} segments verified)",
+            results.iter().map(|r| r.oracle_verified).sum::<usize>()
+        ),
         results.iter().all(|r| r.oracle_mismatches == 0),
-        results.iter().map(|r| r.oracle_verified).sum::<usize>()
     );
+    checks.finish();
 }

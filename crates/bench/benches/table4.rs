@@ -7,6 +7,7 @@
 //! delays." Paper: Footprint write 62%, I/O server read 37%, queuing 1%.
 
 use hl_bench::pipeline::{run, PipelineConfig, FOOTPRINT_WRITE, IOSERVER_READ, QUEUING};
+use hl_bench::report::Checks;
 use hl_bench::table::{print_table, Row};
 use hl_footprint::{Jukebox, JukeboxConfig};
 use hl_vdev::{Disk, DiskProfile, ScsiBus};
@@ -52,28 +53,25 @@ fn main() {
         &rows,
     );
     println!("\n{}", result.phases.report());
-    // The invariant gate: ci greps this line and fails on any nonzero
-    // count, so a Table 4 run that violates the trace contract (open
-    // spans, illegal cache transitions, residency drift, device
-    // over-admission) cannot pass silently.
-    println!(
-        "Tracecheck: {} findings (trace digest {:016x})",
-        result.trace_findings.len(),
-        result.trace_digest,
-    );
-    for f in &result.trace_findings {
-        println!("  {f}");
-    }
+    // The invariant gate: a Table 4 run that violates the trace
+    // contract (open spans, illegal cache transitions, residency drift,
+    // device over-admission) fails the bench.
+    let mut checks = Checks::new("Shape checks");
+    println!("Trace digest {:016x}", result.trace_digest);
+    checks.tracecheck_list("table4", &result.trace_findings);
     if std::env::args().any(|a| a == "--trace") {
         println!("Trace summary:");
         for (kind, n) in &result.trace_summary {
             println!("  {kind:<12} {n}");
         }
     }
-    println!(
-        "Shape checks: Footprint write dominates ({}), queuing negligible ({}).",
+    checks.row(
+        "Footprint write dominates",
         pcts.get(FOOTPRINT_WRITE).copied().unwrap_or(0.0)
             > pcts.get(IOSERVER_READ).copied().unwrap_or(100.0),
+    );
+    checks.row(
+        "queuing negligible (< 5%)",
         pcts.get(QUEUING).copied().unwrap_or(100.0) < 5.0,
     );
     println!(
@@ -81,4 +79,5 @@ fn main() {
          write share is higher than the paper's 62/37 split; the ordering and\n\
          the negligible-queuing conclusion are preserved."
     );
+    checks.finish();
 }

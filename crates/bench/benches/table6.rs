@@ -10,6 +10,7 @@
 //! RZ57, on a separate RZ58, and on a slow HPIB-connected HP 7958A.
 
 use hl_bench::pipeline::{run, PipelineConfig};
+use hl_bench::report::Checks;
 use hl_bench::table::{print_table, Row};
 use hl_footprint::{Jukebox, JukeboxConfig};
 use hl_vdev::{Disk, DiskProfile, ScsiBus};
@@ -105,18 +106,19 @@ fn main() {
     let (c57, n57, _) = measured[0];
     let (c58, n58, _) = measured[1];
     let (chp, nhp, _) = measured[2];
-    println!("\nShape checks:");
     println!(
-        "  contention < no-contention everywhere: {}",
-        c57 < n57 && c58 < n58 && chp < nhp
-    );
-    println!(
-        "  RZ58 staging beats shared RZ57 under contention: {}",
-        c58 > c57
-    );
-    println!("  HP7958A staging is the worst: {}", chp < c57 && nhp < n57);
-    println!(
-        "  no-contention approaches the 204 KB/s MO write speed: {:.0}/{:.0}",
+        "\nno-contention approaches the 204 KB/s MO write speed: {:.0}/{:.0}",
         n57, 204.0
     );
+    let mut checks = Checks::new("Shape checks");
+    checks.row(
+        "contention < no-contention everywhere",
+        c57 < n57 && c58 < n58 && chp < nhp,
+    );
+    checks.row(
+        "RZ58 staging beats shared RZ57 under contention",
+        c58 > c57,
+    );
+    checks.row("HP7958A staging is the worst", chp < c57 && nhp < n57);
+    checks.finish();
 }

@@ -19,11 +19,14 @@
 //! [`pipeline`] is the virtual-time actor pipeline for the concurrent
 //! experiments, [`scenarios`] is the adversarial scenario runner
 //! (Zipfian flash crowds, hierarchy scans, tenant thrash — each with a
-//! per-run trace gate), and [`table`] prints paper-vs-measured rows.
+//! per-run trace gate), [`table`] prints paper-vs-measured rows, and
+//! [`report`] is the check block, tracecheck gate and JSON writer every
+//! bench exits through.
 
 pub mod fsx;
 pub mod pipeline;
 pub mod policies;
+pub mod report;
 pub mod rigs;
 pub mod scenarios;
 pub mod table;

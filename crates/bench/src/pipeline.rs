@@ -19,18 +19,20 @@
 //! completes), and Table 4's queuing column from measured queue
 //! residency inside the engine.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use hl_footprint::{Footprint, Jukebox};
 use hl_lfs::config::AddressMap;
 use hl_lfs::types::SegNo;
+use hl_sim::stats::percentile;
 use hl_sim::time::SimTime;
 use hl_sim::{Actor, ActorId, PhaseTimer, Scheduler, Step};
 use hl_vdev::{BlockDev, Disk, BLOCK_SIZE};
 use highlight::requests::Ticket;
-use highlight::segcache::{EjectPolicy, LineState, SegCache};
-use highlight::{TertiaryIo, TsegTable, UniformMap};
+use highlight::segcache::{EjectPolicy, LineState};
+use highlight::{rig, TertiaryIo, UniformMap};
+
+use crate::report::Json;
 
 pub use highlight::service::phase::{FOOTPRINT_WRITE, IOSERVER_READ, QUEUING};
 
@@ -161,14 +163,9 @@ impl PipelineResult {
         (contention, no_contention, overall)
     }
 
-    /// Nearest-rank percentile over the sorted residency list, µs.
-    pub fn demand_residency_pct(&self, q: f64) -> SimTime {
-        if self.demand_residency.is_empty() {
-            return 0;
-        }
-        let n = self.demand_residency.len();
-        let rank = ((n as f64 - 1.0) * q).round() as usize;
-        self.demand_residency[rank.min(n - 1)]
+    /// `p`-th percentile of the demand queue residencies, µs.
+    pub fn demand_residency_pct(&self, p: usize) -> SimTime {
+        percentile(&self.demand_residency, p)
     }
 
     /// Per-drive utilization over the whole run, percent.
@@ -185,56 +182,51 @@ impl PipelineResult {
     /// throughputs, the demand queue-residency percentiles, drive
     /// utilization, the robot's swap count, the per-drive availability
     /// timeline, and the fault counters (all zero on healthy runs).
-    pub fn to_json(&self) -> String {
+    pub fn to_json(&self) -> Json {
         let (contention, no_contention, overall) = self.throughputs();
-        let utils: Vec<String> = self
-            .drive_utilization()
-            .iter()
-            .map(|u| format!("{u:.2}"))
-            .collect();
-        let avail: Vec<String> = self
-            .availability
-            .iter()
-            .enumerate()
-            .map(|(d, downs)| {
-                let spans: Vec<String> = downs
-                    .iter()
-                    .map(|(s, e)| format!("[{s},{e}]"))
-                    .collect();
-                format!("{{\"drive\":{d},\"down\":[{}]}}", spans.join(","))
-            })
-            .collect();
-        format!(
-            concat!(
-                "{{\"throughput_kbs\":{{\"contention\":{:.1},",
-                "\"no_contention\":{:.1},\"overall\":{:.1}}},",
-                "\"demand_residency_us\":{{\"p50\":{},\"p95\":{},\"n\":{}}},",
-                "\"drive_utilization_pct\":[{}],",
-                "\"drives\":{},\"media_swaps\":{},\"wall_clock_us\":{},",
-                "\"availability\":[{}],",
-                "\"faults\":{{\"drive_down\":{},\"redispatched\":{},",
-                "\"watchdog_fired\":{},\"failed_copyouts\":{},",
-                "\"failed_fetches\":{}}},",
-                "\"trace_digest\":\"{:016x}\"}}"
+        let availability = self.availability.iter().enumerate().map(|(d, downs)| {
+            let spans = downs
+                .iter()
+                .map(|&(s, e)| Json::arr([s.into(), e.into()]));
+            Json::obj([("drive", d.into()), ("down", Json::arr(spans))])
+        });
+        Json::obj([
+            (
+                "throughput_kbs",
+                Json::obj([
+                    ("contention", Json::Fixed(contention, 1)),
+                    ("no_contention", Json::Fixed(no_contention, 1)),
+                    ("overall", Json::Fixed(overall, 1)),
+                ]),
             ),
-            contention,
-            no_contention,
-            overall,
-            self.demand_residency_pct(0.50),
-            self.demand_residency_pct(0.95),
-            self.demand_residency.len(),
-            utils.join(","),
-            self.drives,
-            self.media_swaps,
-            self.total_end,
-            avail.join(","),
-            self.drive_down,
-            self.redispatched,
-            self.watchdog_fired,
-            self.failed_copyouts,
-            self.failed_fetches,
-            self.trace_digest,
-        )
+            (
+                "demand_residency_us",
+                Json::obj([
+                    ("p50", self.demand_residency_pct(50).into()),
+                    ("p95", self.demand_residency_pct(95).into()),
+                    ("n", self.demand_residency.len().into()),
+                ]),
+            ),
+            (
+                "drive_utilization_pct",
+                Json::arr(self.drive_utilization().iter().map(|&u| Json::Fixed(u, 2))),
+            ),
+            ("drives", self.drives.into()),
+            ("media_swaps", self.media_swaps.into()),
+            ("wall_clock_us", self.total_end.into()),
+            ("availability", Json::arr(availability)),
+            (
+                "faults",
+                Json::obj([
+                    ("drive_down", self.drive_down.into()),
+                    ("redispatched", self.redispatched.into()),
+                    ("watchdog_fired", self.watchdog_fired.into()),
+                    ("failed_copyouts", self.failed_copyouts.into()),
+                    ("failed_fetches", self.failed_fetches.into()),
+                ]),
+            ),
+            ("trace_digest", Json::hex(self.trace_digest)),
+        ])
     }
 }
 
@@ -397,18 +389,13 @@ pub fn run(cfg: PipelineConfig) -> PipelineResult {
         cfg.jukebox.volumes(),
         cfg.jukebox.segments_per_volume(),
     );
-    let cache = Rc::new(RefCell::new(SegCache::new(
-        (0..lines).collect::<Vec<SegNo>>(),
-        EjectPolicy::Lru,
-    )));
-    let tseg = Rc::new(RefCell::new(TsegTable::new()));
-    let tio = Rc::new(TertiaryIo::new(
+    let tio = rig::assemble(
         map,
-        Rc::new(cfg.jukebox.clone()),
+        &cfg.jukebox,
         Rc::new(cfg.staging_disk.clone()),
-        cache,
-        tseg,
-    ));
+        0..lines,
+        EjectPolicy::Lru,
+    );
 
     let mut sched: Scheduler<World> = Scheduler::new();
     tio.attach_engine(&mut sched);

@@ -20,6 +20,7 @@ use std::rc::Rc;
 
 use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
 use hl_lfs::cleaner::CleanerPolicy;
+use hl_sim::stats::percentile;
 use hl_sim::{Clock, SimTime};
 use hl_vdev::{BlockDev, Disk, DiskProfile};
 use hl_workload::ops::{Op, OpStream};
@@ -27,6 +28,8 @@ use highlight::migrator::{AdaptiveThrottle, GenerationalPolicy, Migrator, StpPol
 use highlight::policy::{CleaningPolicy, CostBenefitCleaning, LowestDensity};
 use highlight::segcache::EjectPolicy;
 use highlight::{policy, tcleaner, HighLight, HlConfig};
+
+use crate::report::Json;
 
 /// Log-area disk segments (beyond the cache allowance) — small enough
 /// that every workload forces migration.
@@ -199,46 +202,34 @@ impl ArmReport {
     }
 
     /// One JSON object (the bench assembles the arrays).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"arm\":\"{}\",\"workload\":\"{}\",",
-                "\"input_digest\":\"{:#018x}\",\"trace_digest\":\"{:#018x}\",",
-                "\"findings\":{},\"hits\":{},\"misses\":{},\"hit_rate\":{:.4},",
-                "\"stalls\":{},\"demand_fetches\":{},",
-                "\"demand_p50_us\":{},\"demand_p95_us\":{},",
-                "\"user_bytes\":{},\"device_bytes\":{},\"write_amp\":{:.3},",
-                "\"media_swaps\":{},\"media_reads\":{},",
-                "\"migrations\":{},\"disk_cleans\":{},\"tclean_passes\":{},",
-                "\"policy_decisions\":{},",
-                "\"oracle_verified\":{},\"oracle_failures\":{},",
-                "\"end_time_us\":{}}}"
-            ),
-            self.arm,
-            self.workload,
-            self.input_digest,
-            self.trace_digest,
-            self.findings,
-            self.hits,
-            self.misses,
-            self.hit_rate(),
-            self.stalls,
-            self.demand_fetches,
-            self.demand_p50,
-            self.demand_p95,
-            self.user_bytes,
-            self.device_bytes,
-            self.write_amp,
-            self.media_swaps,
-            self.media_reads,
-            self.migrations,
-            self.disk_cleans,
-            self.tclean_passes,
-            self.policy_decisions,
-            self.oracle_verified,
-            self.oracle_failures,
-            self.end_time,
-        )
+    pub fn to_json(&self) -> Json {
+        let hex = |d: u64| Json::Str(format!("{d:#018x}"));
+        Json::obj([
+            ("arm", self.arm.into()),
+            ("workload", self.workload.into()),
+            ("input_digest", hex(self.input_digest)),
+            ("trace_digest", hex(self.trace_digest)),
+            ("findings", self.findings.into()),
+            ("hits", self.hits.into()),
+            ("misses", self.misses.into()),
+            ("hit_rate", Json::Fixed(self.hit_rate(), 4)),
+            ("stalls", self.stalls.into()),
+            ("demand_fetches", self.demand_fetches.into()),
+            ("demand_p50_us", self.demand_p50.into()),
+            ("demand_p95_us", self.demand_p95.into()),
+            ("user_bytes", self.user_bytes.into()),
+            ("device_bytes", self.device_bytes.into()),
+            ("write_amp", Json::Fixed(self.write_amp, 3)),
+            ("media_swaps", self.media_swaps.into()),
+            ("media_reads", self.media_reads.into()),
+            ("migrations", self.migrations.into()),
+            ("disk_cleans", self.disk_cleans.into()),
+            ("tclean_passes", self.tclean_passes.into()),
+            ("policy_decisions", self.policy_decisions.into()),
+            ("oracle_verified", self.oracle_verified.into()),
+            ("oracle_failures", self.oracle_failures.into()),
+            ("end_time_us", self.end_time.into()),
+        ])
     }
 }
 
@@ -250,14 +241,6 @@ pub fn oracle_bytes(file: u32, version: u32, len: u32) -> Vec<u8> {
     (0..len as usize)
         .map(|i| ((i as u64).wrapping_mul(31) ^ k) as u8)
         .collect()
-}
-
-fn percentile(sorted: &[SimTime], p: f64) -> SimTime {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Free tertiary slots remaining across volumes still being filled.
@@ -500,8 +483,8 @@ pub fn run_policy_arm(stream: &OpStream, arm: &ArmSpec) -> ArmReport {
         misses: cache.misses,
         stalls: cache.stalls,
         demand_fetches: svc.demand_fetches,
-        demand_p50: percentile(&demand_residency, 0.50),
-        demand_p95: percentile(&demand_residency, 0.95),
+        demand_p50: percentile(&demand_residency, 50),
+        demand_p95: percentile(&demand_residency, 95),
         user_bytes,
         device_bytes,
         write_amp: if user_bytes == 0 {

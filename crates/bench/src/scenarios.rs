@@ -30,22 +30,22 @@
 //! byte-identical trace digests — and `BENCH_scenarios.json` records a
 //! machine-readable row per scenario.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
-use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
+use hl_footprint::Footprint;
 use hl_lfs::config::AddressMap;
 use hl_lfs::types::SegNo;
+use hl_sim::stats::percentile;
 use hl_sim::time::{secs, SimTime, MS};
 use hl_sim::{Actor, Scheduler, Step};
-use hl_vdev::{Disk, DiskProfile, FaultConfig, FaultPlan, BLOCK_SIZE};
+use hl_vdev::{FaultConfig, FaultPlan, BLOCK_SIZE};
 use hl_workload::{HierarchyScan, Tenant, TenantKind, TenantMix, ZipfStore};
 use highlight::requests::Ticket;
-use highlight::segcache::{CacheStats, EjectPolicy, LineState, SegCache};
-use highlight::{TertiaryIo, TsegTable, UniformMap};
+use highlight::rig::{seg_image, RigSpec, BLOCKS_PER_SEG};
+use highlight::segcache::{CacheStats, LineState};
+use highlight::{TertiaryIo, UniformMap};
 
-/// Blocks per 1 MB segment (the paper's configuration).
-pub const BLOCKS_PER_SEG: u32 = 256;
+use crate::report::Json;
 
 /// Closed-loop actors poll their outstanding ticket at this period.
 const POLL: SimTime = 200 * MS;
@@ -214,73 +214,73 @@ impl ScenarioResult {
         100.0 * self.cache.hits as f64 / total as f64
     }
 
-    /// Nearest-rank percentile over the sorted residency list, µs.
-    pub fn demand_residency_pct(&self, q: f64) -> SimTime {
-        if self.demand_residency.is_empty() {
-            return 0;
-        }
-        let n = self.demand_residency.len();
-        let rank = ((n as f64 - 1.0) * q).round() as usize;
-        self.demand_residency[rank.min(n - 1)]
+    /// `p`-th percentile of the demand queue residencies, µs.
+    pub fn demand_residency_pct(&self, p: usize) -> SimTime {
+        percentile(&self.demand_residency, p)
     }
 
     /// The `BENCH_scenarios.json` row for this run.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"seed\":{},\"wall_clock_us\":{},",
-                "\"requests\":{{\"demand\":{},\"prefetch\":{},\"copyout\":{}}},",
-                "\"served\":{},\"cache\":{{\"hits\":{},\"misses\":{},",
-                "\"ejections\":{},\"hit_rate_pct\":{:.2}}},",
-                "\"coalesced\":{},\"joins\":{},",
-                "\"demand_residency_us\":{{\"p50\":{},\"p95\":{},\"n\":{}}},",
-                "\"media\":{{\"reads\":{},\"writes\":{},\"swaps\":{}}},",
-                "\"faults\":{{\"drive_down\":{},\"redispatched\":{},",
-                "\"watchdog_fired\":{},\"failed_fetches\":{},",
-                "\"failed_copyouts\":{}}},",
-                "\"oracle\":{{\"verified\":{},\"mismatches\":{}}},",
-                "\"tracecheck_findings\":{},",
-                "\"trace_digest\":\"{:016x}\"}}"
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("seed", self.seed.into()),
+            ("wall_clock_us", self.wall_clock.into()),
+            (
+                "requests",
+                Json::obj([
+                    ("demand", self.demand_issued.into()),
+                    ("prefetch", self.prefetch_issued.into()),
+                    ("copyout", self.copyouts_issued.into()),
+                ]),
             ),
-            self.seed,
-            self.wall_clock,
-            self.demand_issued,
-            self.prefetch_issued,
-            self.copyouts_issued,
-            self.served_fetches,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.ejections,
-            self.hit_rate_pct(),
-            self.coalesced,
-            self.joins,
-            self.demand_residency_pct(0.50),
-            self.demand_residency_pct(0.95),
-            self.demand_residency.len(),
-            self.media_reads,
-            self.media_writes,
-            self.media_swaps,
-            self.drive_down,
-            self.redispatched,
-            self.watchdog_fired,
-            self.failed_fetches,
-            self.failed_copyouts,
-            self.oracle_verified,
-            self.oracle_mismatches,
-            self.trace_findings.len(),
-            self.trace_digest,
-        )
+            ("served", self.served_fetches.into()),
+            (
+                "cache",
+                Json::obj([
+                    ("hits", self.cache.hits.into()),
+                    ("misses", self.cache.misses.into()),
+                    ("ejections", self.cache.ejections.into()),
+                    ("hit_rate_pct", Json::Fixed(self.hit_rate_pct(), 2)),
+                ]),
+            ),
+            ("coalesced", self.coalesced.into()),
+            ("joins", self.joins.into()),
+            (
+                "demand_residency_us",
+                Json::obj([
+                    ("p50", self.demand_residency_pct(50).into()),
+                    ("p95", self.demand_residency_pct(95).into()),
+                    ("n", self.demand_residency.len().into()),
+                ]),
+            ),
+            (
+                "media",
+                Json::obj([
+                    ("reads", self.media_reads.into()),
+                    ("writes", self.media_writes.into()),
+                    ("swaps", self.media_swaps.into()),
+                ]),
+            ),
+            (
+                "faults",
+                Json::obj([
+                    ("drive_down", self.drive_down.into()),
+                    ("redispatched", self.redispatched.into()),
+                    ("watchdog_fired", self.watchdog_fired.into()),
+                    ("failed_fetches", self.failed_fetches.into()),
+                    ("failed_copyouts", self.failed_copyouts.into()),
+                ]),
+            ),
+            (
+                "oracle",
+                Json::obj([
+                    ("verified", self.oracle_verified.into()),
+                    ("mismatches", self.oracle_mismatches.into()),
+                ]),
+            ),
+            ("tracecheck_findings", self.trace_findings.len().into()),
+            ("trace_digest", Json::hex(self.trace_digest)),
+        ])
     }
-}
-
-/// The deterministic 1 MB byte image of tertiary segment `seg` under
-/// `seed`: pre-poked onto the media, staged by writer tenants, and
-/// compared by the end-of-run oracle.
-pub fn seg_image(seed: u64, seg: SegNo) -> Vec<u8> {
-    let k = (seg as u8).wrapping_mul(13).wrapping_add(seed as u8);
-    (0..(BLOCKS_PER_SEG as usize * BLOCK_SIZE))
-        .map(|i| (i as u8).wrapping_mul(7).wrapping_add(k))
-        .collect()
 }
 
 struct World {
@@ -487,30 +487,9 @@ impl Actor<World> for WriterActor {
 /// dropped.
 pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
     let spv = cfg.segments_per_volume;
-    let lines = cfg.cache_lines;
-    let disk = Disk::new(
-        DiskProfile::RZ58,
-        (2 + lines * BLOCKS_PER_SEG) as u64,
-        None,
-    );
-    let map = UniformMap::new(2, BLOCKS_PER_SEG, lines, cfg.volumes, spv);
-    let jb = Jukebox::new(
-        JukeboxConfig {
-            drives: cfg.drives,
-            volumes: cfg.volumes,
-            segments_per_volume: spv,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
     // The whole hierarchy carries the deterministic oracle image.
-    for vol in 0..cfg.volumes {
-        for slot in 0..spv {
-            let seg = map.tert_seg(vol, slot);
-            jb.poke_segment(vol, slot, &seg_image(cfg.seed, seg))
-                .expect("poke oracle segment");
-        }
-    }
+    let (tio, jb, map) =
+        RigSpec::cache_disk(cfg.cache_lines, cfg.volumes, spv, cfg.drives, cfg.seed).build();
     if let Some(fault) = cfg.fault {
         let plan = FaultPlan::new(FaultConfig::none(cfg.seed));
         match fault {
@@ -523,19 +502,6 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
         }
         jb.set_fault_plan(plan);
     }
-    let cache = Rc::new(RefCell::new(SegCache::new(
-        (0..lines).collect::<Vec<SegNo>>(),
-        EjectPolicy::Lru,
-    )));
-    let tseg = Rc::new(RefCell::new(TsegTable::new()));
-    let tio = Rc::new(TertiaryIo::new(
-        map,
-        Rc::new(jb.clone()),
-        Rc::new(disk),
-        cache,
-        tseg,
-    ));
-
     let mut sched: Scheduler<World> = Scheduler::new();
     tio.attach_engine(&mut sched);
     match &cfg.kind {
@@ -848,14 +814,6 @@ pub fn standard_scenarios() -> Vec<ScenarioConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seg_image_is_deterministic_and_seg_dependent() {
-        assert_eq!(seg_image(1, 5), seg_image(1, 5));
-        assert_ne!(seg_image(1, 5), seg_image(1, 6));
-        assert_ne!(seg_image(1, 5), seg_image(2, 5));
-        assert_eq!(seg_image(1, 5).len(), BLOCKS_PER_SEG as usize * BLOCK_SIZE);
-    }
 
     #[test]
     fn standard_suite_names_are_unique_and_seeded() {

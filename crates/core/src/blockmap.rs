@@ -340,53 +340,29 @@ impl BlockDev for BlockMapDev {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segcache::EjectPolicy;
-    use crate::tsegfile::TsegTable;
-    use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
-    use hl_vdev::{Disk, DiskProfile};
+    use crate::rig::RigSpec;
+    use hl_footprint::{Footprint, Jukebox};
 
-    fn rig() -> (BlockMapDev, Rc<Disk>, Jukebox, UniformMap, Rc<TertiaryIo>) {
-        // 64 disk segments, 4 volumes × 8 slots, 1 MB segments.
-        let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 64 * 256, None));
-        let map = UniformMap::new(2, 256, 64, 4, 8);
-        let jb = Jukebox::new(
-            JukeboxConfig {
-                volumes: 4,
-                segments_per_volume: 8,
-                ..JukeboxConfig::hp6300_paper()
-            },
-            None,
-        );
+    fn rig() -> (BlockMapDev, Jukebox, UniformMap, Rc<TertiaryIo>) {
         // Cache pool: disk segments 50..54.
-        let cache = Rc::new(RefCell::new(SegCache::new(
-            (50..54).collect(),
-            EjectPolicy::Lru,
-        )));
-        let tseg = Rc::new(RefCell::new(TsegTable::new()));
-        let tio = Rc::new(TertiaryIo::new(
-            map,
-            Rc::new(jb.clone()),
-            disk.clone(),
-            cache,
-            tseg,
-        ));
-        let dev = BlockMapDev::new(disk.clone(), map, tio.clone());
-        (dev, disk, jb, map, tio)
+        let (tio, jb, map) = RigSpec::with_lines(50..54).build();
+        let dev = BlockMapDev::new(tio.disks_handle(), map, tio.clone());
+        (dev, jb, map, tio)
     }
 
     #[test]
     fn secondary_blocks_pass_through() {
-        let (dev, disk, _, _, _) = rig();
+        let (dev, _, _, tio) = rig();
         let data = vec![9u8; BLOCK_SIZE];
         dev.write(0, 100, &data).unwrap();
         let mut back = vec![0u8; BLOCK_SIZE];
-        disk.peek(100, &mut back).unwrap();
+        tio.disks_handle().peek(100, &mut back).unwrap();
         assert_eq!(back, data);
     }
 
     #[test]
     fn dead_zone_errors() {
-        let (dev, _, _, map, _) = rig();
+        let (dev, _, map, _) = rig();
         let dead = map.seg_base(64 + 100) as u64; // past the disks
         let mut buf = vec![0u8; BLOCK_SIZE];
         assert!(matches!(
@@ -397,7 +373,7 @@ mod tests {
 
     #[test]
     fn tertiary_read_demand_fetches_once() {
-        let (dev, _, jb, map, tio) = rig();
+        let (dev, jb, map, tio) = rig();
         // Plant a recognizable segment on volume 1, slot 2.
         let mut seg = vec![0u8; 1 << 20];
         seg[4096] = 0xcd;
@@ -421,7 +397,7 @@ mod tests {
 
     #[test]
     fn writes_to_non_staging_tertiary_are_rejected() {
-        let (dev, _, jb, map, _) = rig();
+        let (dev, jb, map, _) = rig();
         let seg = vec![0u8; 1 << 20];
         jb.poke_segment(0, 0, &seg).unwrap();
         let tseg = map.tert_seg(0, 0);
@@ -440,7 +416,7 @@ mod tests {
 
     #[test]
     fn staging_line_accepts_writes_and_reads_back() {
-        let (dev, _, _, map, tio) = rig();
+        let (dev, _, map, tio) = rig();
         let tseg = map.tert_seg(2, 0);
         tio.cache()
             .borrow_mut()
@@ -457,7 +433,7 @@ mod tests {
 
     #[test]
     fn reads_spanning_two_tertiary_segments_split() {
-        let (dev, _, jb, map, tio) = rig();
+        let (dev, jb, map, tio) = rig();
         let mut seg_a = vec![0u8; 1 << 20];
         let mut seg_b = vec![0u8; 1 << 20];
         seg_a[(1 << 20) - BLOCK_SIZE] = 0xaa; // last block of slot 3
@@ -475,7 +451,7 @@ mod tests {
 
     #[test]
     fn run_splitting_stays_inline_for_typical_requests() {
-        let (dev, _, _, map, _) = rig();
+        let (dev, _, map, _) = rig();
         // A one-block secondary read: one run, nothing on the heap.
         let r = dev.runs(100, 1).unwrap();
         assert_eq!(r.iter().count(), 1);
@@ -499,7 +475,7 @@ mod tests {
 
     #[test]
     fn inlined_route_agrees_with_the_address_map_everywhere() {
-        let (dev, _, _, map, _) = rig();
+        let (dev, _, map, _) = rig();
         // Reference implementation: the pre-inlining derivation chain.
         let reference = |block: u64| -> Option<Route> {
             if block < map.seg_start as u64 {
@@ -548,7 +524,7 @@ mod tests {
 
     #[test]
     fn peek_reads_through_without_time_or_caching() {
-        let (dev, _, jb, map, tio) = rig();
+        let (dev, jb, map, tio) = rig();
         let mut seg = vec![0u8; 1 << 20];
         seg[0] = 0x42;
         jb.poke_segment(3, 1, &seg).unwrap();

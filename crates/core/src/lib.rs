@@ -32,7 +32,6 @@
 
 pub mod addr;
 pub mod blockmap;
-pub mod bloom;
 pub mod fault;
 pub mod fs;
 pub mod hlfsck;
@@ -43,6 +42,7 @@ pub mod prefetch;
 pub mod recovery;
 pub mod replicas;
 pub mod requests;
+pub mod rig;
 pub mod segcache;
 pub mod segdir;
 pub mod service;
@@ -51,7 +51,6 @@ pub mod tcleaner;
 pub mod tsegfile;
 
 pub use addr::UniformMap;
-pub use bloom::Bloom;
 pub use fault::{FaultEvent, FaultLog, FaultStep, HlError, RecoveryAction};
 pub use fs::{CopyOutMode, HighLight, HlConfig, MigrateStats, RearrangeMode};
 pub use hlfsck::{HlFinding, HlfsckReport};
@@ -62,7 +61,7 @@ pub use migrator::{
 pub use policy::{CleanCandidate, CleaningPolicy, CostBenefitCleaning, LowestDensity};
 pub use prefetch::PrefetchPolicy;
 pub use recovery::{RecoveryPolicy, RecoveryState};
-pub use replicas::{HomeVec, InlineHomes, ReplicaSet};
+pub use replicas::ReplicaSet;
 pub use requests::{
     FetchMode, Outcome, ReqClass, TenantId, Ticket, AFFINITY_BOUND, DISPATCH_CPU, QOS_HEADROOM,
     TENANT_BOUND,

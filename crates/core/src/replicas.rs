@@ -13,298 +13,65 @@
 //! Exactly that: [`ReplicaSet`] records extra physical homes for a
 //! logical tertiary segment; replicas never appear in the tsegfile's
 //! live accounting, so reclamation logic is untouched. The fetch path
-//! asks [`ReplicaSet::closest`] which copy is cheapest given what is in
-//! the drives.
+//! asks [`ReplicaSet::homes`] for every copy and orders them by what is
+//! in the drives.
 //!
-//! ## Hot-path shape (DESIGN.md §6j)
-//!
-//! Two raw-speed concerns drive the layout:
-//!
-//! - **Negative lookups dominate.** Almost no segment has extra
-//!   replicas, yet every fetch asks. A seeded [`Bloom`] filter fronts
-//!   the map: "definitely no extras" costs a few multiplies and word
-//!   loads, never a hash-map probe. The filter has no false negatives
-//!   by construction; deletions ([`ReplicaSet::forget`],
-//!   [`ReplicaSet::forget_volume`]) rebuild it from the surviving keys.
-//!   [`ReplicaSet::probes`] / [`ReplicaSet::bloom_skips`] count real
-//!   map probes vs filter-answered negatives so the engine can derive a
-//!   trace-counted "resident hits probe the replica map zero times"
-//!   gate.
-//! - **≥3 replicas is rare.** Map values are a hand-rolled inline-2
-//!   small-vector ([`HomeSlots`]): the common one- or two-replica case
-//!   stores `(vol, slot)` pairs in the entry itself, spilling to a heap
-//!   `Vec` only beyond that. [`ReplicaSet::homes`] likewise returns an
-//!   inline [`HomeVec`] (primary + 3 replicas before spilling), so the
-//!   per-fetch home list allocates nothing in the overwhelmingly common
-//!   cases.
+//! The directory is a plain map: it is consulted once per media fetch
+//! (a 1 MB transfer behind a robot), never on a resident hit, so its
+//! lookup cost is not on any benchmarked path (DESIGN.md §6j).
 
-use std::cell::Cell;
 use std::collections::HashMap;
-use std::ops::Deref;
 
-use hl_footprint::Footprint;
 use hl_lfs::types::SegNo;
 
 use crate::addr::UniformMap;
-use crate::bloom::Bloom;
-
-/// Seed for the replica-directory Bloom filter (arbitrary constant;
-/// fixed so replays are deterministic).
-const BLOOM_SEED: u64 = 0x4869_4c69_6768_7452; // "HiLighR"
-
-/// Bits per key for the guard filter: 16 ⇒ ~0.24 % false positives.
-const BLOOM_BITS_PER_KEY: usize = 16;
-
-/// Filter capacity floor; regrown ×2 whenever insertions exceed it.
-const BLOOM_MIN_KEYS: usize = 1024;
-
-/// A tiny stack-allocated vector of `(vol, slot)` homes: up to `N`
-/// entries inline, spilling everything to a heap `Vec` past that.
-/// Dereferences to a slice, so callers iterate/index it like a `Vec`.
-#[derive(Clone, Debug)]
-pub struct InlineHomes<const N: usize> {
-    inline: [(u32, u32); N],
-    /// Inline occupancy; ignored once `spill` is non-empty.
-    len: u8,
-    spill: Vec<(u32, u32)>,
-}
-
-impl<const N: usize> Default for InlineHomes<N> {
-    fn default() -> InlineHomes<N> {
-        InlineHomes::new()
-    }
-}
-
-impl<const N: usize> InlineHomes<N> {
-    /// An empty list.
-    pub fn new() -> InlineHomes<N> {
-        InlineHomes {
-            inline: [(0, 0); N],
-            len: 0,
-            spill: Vec::new(),
-        }
-    }
-
-    /// Appends a home, spilling the inline entries to the heap on the
-    /// `N+1`-th push.
-    pub fn push(&mut self, home: (u32, u32)) {
-        if self.spill.is_empty() {
-            if (self.len as usize) < N {
-                self.inline[self.len as usize] = home;
-                self.len += 1;
-                return;
-            }
-            self.spill.reserve(N + 1);
-            self.spill.extend_from_slice(&self.inline[..N]);
-            self.len = 0;
-        }
-        self.spill.push(home);
-    }
-
-    /// The homes as a slice (inline or spilled, transparently).
-    pub fn as_slice(&self) -> &[(u32, u32)] {
-        if self.spill.is_empty() {
-            &self.inline[..self.len as usize]
-        } else {
-            &self.spill
-        }
-    }
-
-    /// Keeps only the homes `f` accepts (used when a volume dies).
-    pub fn retain<F: FnMut(&(u32, u32)) -> bool>(&mut self, mut f: F) {
-        if self.spill.is_empty() {
-            let mut kept = 0usize;
-            for i in 0..self.len as usize {
-                if f(&self.inline[i]) {
-                    self.inline[kept] = self.inline[i];
-                    kept += 1;
-                }
-            }
-            self.len = kept as u8;
-        } else {
-            self.spill.retain(f);
-        }
-    }
-
-    /// True if the list currently lives on the heap (test hook).
-    pub fn spilled(&self) -> bool {
-        !self.spill.is_empty()
-    }
-}
-
-impl<const N: usize> Deref for InlineHomes<N> {
-    type Target = [(u32, u32)];
-    fn deref(&self) -> &[(u32, u32)] {
-        self.as_slice()
-    }
-}
-
-impl<const N: usize, const M: usize> PartialEq<InlineHomes<M>> for InlineHomes<N> {
-    fn eq(&self, other: &InlineHomes<M>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl<const N: usize> PartialEq<Vec<(u32, u32)>> for InlineHomes<N> {
-    fn eq(&self, other: &Vec<(u32, u32)>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl<const N: usize> PartialEq<InlineHomes<N>> for Vec<(u32, u32)> {
-    fn eq(&self, other: &InlineHomes<N>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl<'a, const N: usize> IntoIterator for &'a InlineHomes<N> {
-    type Item = &'a (u32, u32);
-    type IntoIter = std::slice::Iter<'a, (u32, u32)>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
-    }
-}
-
-/// Map-entry storage: inline-2, since ≥3 *extra* replicas is rare.
-pub type HomeSlots = InlineHomes<2>;
-
-/// `homes()` result: primary + up to 3 replicas before spilling.
-pub type HomeVec = InlineHomes<4>;
 
 /// Replica bookkeeping: logical tertiary segment → extra `(vol, slot)`
-/// homes (the primary home is implied by the address map), fronted by a
-/// no-false-negative Bloom filter so segments without replicas never
-/// pay a map probe.
-#[derive(Debug)]
+/// homes (the primary home is implied by the address map).
+#[derive(Debug, Default)]
 pub struct ReplicaSet {
-    extra: HashMap<SegNo, HomeSlots>,
-    /// Negative-lookup guard over `extra`'s key set.
-    filter: Bloom,
-    /// Key capacity the filter was sized for (regrow threshold).
-    filter_cap: usize,
-    /// Real `extra` probes performed (filter said "maybe", or a caller
-    /// bypassed the guard).
-    probes: Cell<u64>,
-    /// Probes avoided because the filter answered "definitely absent".
-    skips: Cell<u64>,
-}
-
-impl Default for ReplicaSet {
-    fn default() -> ReplicaSet {
-        ReplicaSet::new()
-    }
+    extra: HashMap<SegNo, Vec<(u32, u32)>>,
 }
 
 impl ReplicaSet {
     /// An empty set.
     pub fn new() -> ReplicaSet {
-        ReplicaSet {
-            extra: HashMap::new(),
-            filter: Bloom::with_capacity(BLOOM_MIN_KEYS, BLOOM_BITS_PER_KEY, BLOOM_SEED),
-            filter_cap: BLOOM_MIN_KEYS,
-            probes: Cell::new(0),
-            skips: Cell::new(0),
-        }
-    }
-
-    /// Rebuilds the guard filter from the live key set — after
-    /// deletions (bits cannot be unset) and on mount/scrub.
-    fn rebuild_filter(&mut self) {
-        while self.extra.len() > self.filter_cap {
-            self.filter_cap *= 2;
-        }
-        self.filter = Bloom::with_capacity(self.filter_cap, BLOOM_BITS_PER_KEY, BLOOM_SEED);
-        for &seg in self.extra.keys() {
-            self.filter.insert(seg as u64);
-        }
+        ReplicaSet::default()
     }
 
     /// Records that `seg` also lives at `(vol, slot)`.
     pub fn add(&mut self, seg: SegNo, vol: u32, slot: u32) {
         let homes = self.extra.entry(seg).or_default();
-        if !homes.as_slice().contains(&(vol, slot)) {
+        if !homes.contains(&(vol, slot)) {
             homes.push((vol, slot));
         }
-        self.filter.insert(seg as u64);
-        if self.extra.len() > self.filter_cap {
-            self.rebuild_filter();
-        }
-    }
-
-    /// Guarded membership test: `false` is exact (the filter has no
-    /// false negatives); `true` cost one real map probe.
-    #[inline]
-    pub fn has_extras(&self, seg: SegNo) -> bool {
-        if !self.filter.maybe_contains(seg as u64) {
-            self.skips.set(self.skips.get() + 1);
-            return false;
-        }
-        self.probes.set(self.probes.get() + 1);
-        self.extra.contains_key(&seg)
     }
 
     /// All physical homes of `seg`: the primary first, replicas after.
-    /// Allocation-free up to four homes; the extras map is only probed
-    /// when the Bloom guard cannot rule it out.
-    pub fn homes(&self, map: &UniformMap, seg: SegNo) -> HomeVec {
-        let mut out = HomeVec::new();
-        if let Some(primary) = map.vol_slot(seg) {
-            out.push(primary);
-        }
-        if self.filter.maybe_contains(seg as u64) {
-            self.probes.set(self.probes.get() + 1);
-            if let Some(extra) = self.extra.get(&seg) {
-                for &h in extra.as_slice() {
-                    out.push(h);
-                }
-            }
-        } else {
-            self.skips.set(self.skips.get() + 1);
+    pub fn homes(&self, map: &UniformMap, seg: SegNo) -> Vec<(u32, u32)> {
+        let mut out: Vec<(u32, u32)> = map.vol_slot(seg).into_iter().collect();
+        if let Some(extra) = self.extra.get(&seg) {
+            out.extend_from_slice(extra);
         }
         out
     }
 
-    /// Picks the cheapest copy to read: a home on an already-loaded
-    /// volume wins; otherwise the primary.
-    pub fn closest(
-        &self,
-        map: &UniformMap,
-        jukebox: &dyn Footprint,
-        seg: SegNo,
-    ) -> Option<(u32, u32)> {
-        let homes = self.homes(map, seg);
-        if homes.is_empty() {
-            return None;
-        }
-        let loaded = jukebox.loaded_volumes();
-        homes
-            .iter()
-            .find(|(vol, _)| loaded.contains(&Some(*vol)))
-            .or_else(|| homes.first())
-            .copied()
-    }
-
     /// Drops the replica records of a segment (e.g. after the tertiary
-    /// cleaner reclaims it). Rebuilds the guard filter.
+    /// cleaner reclaims it).
     pub fn forget(&mut self, seg: SegNo) {
-        if self.extra.remove(&seg).is_some() {
-            self.rebuild_filter();
-        }
+        self.extra.remove(&seg);
     }
 
     /// Drops every replica that lives on `vol` (the volume is being
     /// erased). Returns how many records were dropped.
     pub fn forget_volume(&mut self, vol: u32) -> usize {
         let mut dropped = 0;
-        for homes in self.extra.values_mut() {
+        self.extra.retain(|_, homes| {
             let before = homes.len();
             homes.retain(|&(v, _)| v != vol);
             dropped += before - homes.len();
-        }
-        if dropped > 0 {
-            self.extra.retain(|_, homes| !homes.is_empty());
-            self.rebuild_filter();
-        }
+            !homes.is_empty()
+        });
         dropped
     }
 
@@ -320,22 +87,11 @@ impl ReplicaSet {
         v.sort_unstable();
         v
     }
-
-    /// Real map probes performed since construction.
-    pub fn probes(&self) -> u64 {
-        self.probes.get()
-    }
-
-    /// Map probes the Bloom guard answered without touching the map.
-    pub fn bloom_skips(&self) -> u64 {
-        self.skips.get()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hl_footprint::{Jukebox, JukeboxConfig};
 
     fn map() -> UniformMap {
         UniformMap::new(2, 256, 64, 4, 8)
@@ -362,34 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn closest_prefers_a_loaded_volume() {
-        let m = map();
-        let mut r = ReplicaSet::new();
-        let seg = m.tert_seg(0, 0);
-        r.add(seg, 2, 5);
-        let jb = Jukebox::new(
-            JukeboxConfig {
-                volumes: 4,
-                segments_per_volume: 8,
-                ..JukeboxConfig::hp6300_paper()
-            },
-            None,
-        );
-        // Nothing loaded: the primary wins.
-        assert_eq!(r.closest(&m, &jb, seg), Some((0, 0)));
-        // Load volume 2 by touching it: now the replica is closest.
-        let buf = vec![0u8; jb.segment_bytes()];
-        jb.write_segment(0, 2, 0, &buf).expect("load vol 2");
-        assert_eq!(r.closest(&m, &jb, seg), Some((2, 5)));
-        // Loading the primary's volume flips preference back (it is
-        // listed first among loaded homes).
-        let mut out = vec![0u8; jb.segment_bytes()];
-        jb.poke_segment(0, 1, &buf).expect("stage");
-        jb.read_segment(0, 0, 1, &mut out).expect("load vol 0");
-        assert_eq!(r.closest(&m, &jb, seg), Some((0, 0)));
-    }
-
-    #[test]
     fn forgetting_volumes_prunes_records() {
         let m = map();
         let mut r = ReplicaSet::new();
@@ -401,62 +129,8 @@ mod tests {
         assert_eq!(r.forget_volume(2), 2);
         assert_eq!(r.homes(&m, a), vec![(0, 0), (3, 0)]);
         assert_eq!(r.homes(&m, b), vec![(1, 1)]);
+        assert_eq!(r.segments(), vec![a], "emptied records are pruned");
         r.forget(a);
         assert_eq!(r.homes(&m, a), vec![(0, 0)]);
-    }
-
-    #[test]
-    fn bloom_guard_skips_probes_for_unreplicated_segments() {
-        let m = map();
-        let mut r = ReplicaSet::new();
-        r.add(m.tert_seg(0, 0), 2, 5);
-        let probes_before = r.probes();
-        let skips_before = r.bloom_skips();
-        // Segments that never gained a replica: the filter answers most
-        // of these without a map probe (a rare false positive may still
-        // probe — that is allowed, only false negatives are not).
-        for slot in 0..8 {
-            assert!(!r.has_extras(m.tert_seg(3, slot)));
-        }
-        assert!(
-            r.bloom_skips() > skips_before,
-            "no probe was ever skipped by the filter"
-        );
-        // The replicated segment itself always probes (filter says maybe).
-        assert!(r.has_extras(m.tert_seg(0, 0)));
-        assert!(r.probes() > probes_before);
-    }
-
-    #[test]
-    fn guard_never_reports_false_negative_after_forgets() {
-        let m = map();
-        let mut r = ReplicaSet::new();
-        for vol in 0..4u32 {
-            for slot in 0..8u32 {
-                r.add(m.tert_seg(vol, slot), (vol + 1) % 4, slot);
-            }
-        }
-        r.forget_volume(1);
-        r.forget(m.tert_seg(0, 3));
-        for &seg in &r.segments() {
-            assert!(r.has_extras(seg), "false negative for segment {seg}");
-        }
-    }
-
-    #[test]
-    fn inline_homes_spill_beyond_capacity() {
-        let mut h: InlineHomes<2> = InlineHomes::new();
-        h.push((0, 0));
-        h.push((1, 1));
-        assert!(!h.spilled());
-        h.push((2, 2));
-        assert!(h.spilled());
-        assert_eq!(h.as_slice(), &[(0, 0), (1, 1), (2, 2)]);
-        h.retain(|&(v, _)| v != 1);
-        assert_eq!(h.as_slice(), &[(0, 0), (2, 2)]);
-        let mut inline_only: InlineHomes<2> = InlineHomes::new();
-        inline_only.push((5, 5));
-        inline_only.retain(|_| false);
-        assert!(inline_only.is_empty());
     }
 }

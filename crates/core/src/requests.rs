@@ -304,16 +304,10 @@ fn qos_held(congested: bool, r: &Request) -> bool {
 pub(crate) struct EngineQueues {
     /// Priority request queue: keyed `(class, seq)` so iteration order is
     /// priority-major, FIFO-minor, independent of hash state. Values are
-    /// slots in [`Self::req_pool`] — the tree nodes stay small, and
-    /// re-keying a request (prefetch→demand upgrade) moves a `u32`, not
-    /// the whole struct.
-    reqq: BTreeMap<(u8, u64), u32>,
-    /// Request slab: every queued [`Request`] lives here, recycled
-    /// through [`Self::req_free`] instead of churning the allocator once
-    /// the pool reaches the queue's high-water mark (DESIGN.md §6j).
-    req_pool: Vec<Option<Request>>,
-    /// Free slots in [`Self::req_pool`].
-    req_free: Vec<u32>,
+    /// boxed to keep the tree's 11-entry nodes small: with `Request`
+    /// inline, the end-to-end `fleet_cold` workload (deep queues, a scan
+    /// per pop) lost ~14% of its host throughput; boxed, ~4%.
+    reqq: BTreeMap<(u8, u64), Box<Request>>,
     next_seq: u64,
     /// Request-queue bound (backpressure: enqueuers wait when full).
     pub reqq_cap: usize,
@@ -355,8 +349,6 @@ impl EngineQueues {
     pub fn new() -> EngineQueues {
         EngineQueues {
             reqq: BTreeMap::new(),
-            req_pool: Vec::new(),
-            req_free: Vec::new(),
             next_seq: 0,
             reqq_cap: 64,
             devq: VecDeque::new(),
@@ -389,56 +381,10 @@ impl EngineQueues {
         self.reqq.len()
     }
 
-    /// Parks `req` in the pool, preferring a recycled slot.
-    fn alloc_req(&mut self, req: Request) -> u32 {
-        match self.req_free.pop() {
-            Some(i) => {
-                debug_assert!(self.req_pool[i as usize].is_none());
-                self.req_pool[i as usize] = Some(req);
-                i
-            }
-            None => {
-                self.req_pool.push(Some(req));
-                (self.req_pool.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Moves a request out of the pool and recycles its slot.
-    fn take_req(&mut self, idx: u32) -> Request {
-        let req = self.req_pool[idx as usize]
-            .take()
-            .expect("queued index points at a live request slot");
-        self.req_free.push(idx);
-        req
-    }
-
-    /// The pooled request at `idx`.
-    fn req(&self, idx: u32) -> &Request {
-        self.req_pool[idx as usize]
-            .as_ref()
-            .expect("queued index points at a live request slot")
-    }
-
-    /// The pooled request at `idx`, mutably.
-    fn req_mut(&mut self, idx: u32) -> &mut Request {
-        self.req_pool[idx as usize]
-            .as_mut()
-            .expect("queued index points at a live request slot")
-    }
-
-    /// Pool slots ever materialized — the queue-depth high-water mark,
-    /// after which every push recycles (test/bench observability).
-    #[allow(dead_code)]
-    pub(crate) fn req_pool_slots(&self) -> usize {
-        self.req_pool.len()
-    }
-
     /// The queued request under `key`, mutably (test hook).
     #[cfg(test)]
     fn queued_mut(&mut self, key: (u8, u64)) -> &mut Request {
-        let idx = *self.reqq.get(&key).expect("key is queued");
-        self.req_mut(idx)
+        self.reqq.get_mut(&key).expect("key is queued")
     }
 
     pub fn reqq_full(&self) -> bool {
@@ -458,9 +404,7 @@ impl EngineQueues {
             self.pending_fetch
                 .insert(seg, (seq, req.span, req.ticket.clone()));
         }
-        let class = req.class as u8;
-        let idx = self.alloc_req(req);
-        self.reqq.insert((class, seq), idx);
+        self.reqq.insert((req.class as u8, seq), Box::new(req));
     }
 
     /// The in-flight fetch ticket for `seg`, if one exists anywhere in
@@ -484,18 +428,14 @@ impl EngineQueues {
         let Some(seq) = self.pending_fetch.get(&seg).map(|&(s, _, _)| s) else {
             return;
         };
-        if let Some(idx) = self.reqq.remove(&(ReqClass::Prefetch as u8, seq)) {
-            // Re-keying moves only the slot index; the request upgrades
-            // in place in the pool.
-            let req = self.req_mut(idx);
+        if let Some(mut req) = self.reqq.remove(&(ReqClass::Prefetch as u8, seq)) {
             req.class = ReqClass::Demand;
             req.mode = Some(FetchMode::Demand);
             req.demand_enq = Some(req.demand_enq.map_or(demand_at, |t| t.min(demand_at)));
-            self.reqq.insert((ReqClass::Demand as u8, seq), idx);
+            self.reqq.insert((ReqClass::Demand as u8, seq), req);
             return;
         }
-        if let Some(&idx) = self.reqq.get(&(ReqClass::Demand as u8, seq)) {
-            let req = self.req_mut(idx);
+        if let Some(req) = self.reqq.get_mut(&(ReqClass::Demand as u8, seq)) {
             req.demand_enq = Some(req.demand_enq.map_or(demand_at, |t| t.min(demand_at)));
             return;
         }
@@ -521,9 +461,7 @@ impl EngineQueues {
     /// retired no request can ever be served, so arrival times no longer
     /// matter — each is failed in priority order.
     pub fn pop_any(&mut self) -> Option<Request> {
-        let key = self.reqq.keys().next().copied()?;
-        let idx = self.reqq.remove(&key).expect("key just observed");
-        Some(self.take_req(idx))
+        self.reqq.pop_first().map(|(_, req)| *req)
     }
 
     /// `true` while the device queue has [`QOS_HEADROOM`] or fewer free
@@ -545,8 +483,7 @@ impl EngineQueues {
     /// [`TENANT_BOUND`] starvation guard.
     fn note_deferred(&mut self, keys: &[(u8, u64)], admitted: bool) {
         for &k in keys {
-            let Some(&idx) = self.reqq.get(&k) else { continue };
-            let r = self.req_mut(idx);
+            let Some(r) = self.reqq.get_mut(&k) else { continue };
             if admitted {
                 r.passed += 1;
             }
@@ -580,8 +517,7 @@ impl EngineQueues {
     /// among its current competitors — no credit accrues while absent.
     fn fair_pick(&mut self, class: u8, head_seq: u64, now: SimTime) -> (u8, u64) {
         let mut cands: Vec<(u64, TenantId, u32)> = Vec::new();
-        for (&(_, seq), &idx) in self.reqq.range((class, head_seq)..=(class, u64::MAX)) {
-            let r = self.req(idx);
+        for (&(_, seq), r) in self.reqq.range((class, head_seq)..=(class, u64::MAX)) {
             if r.enqueued_at > now {
                 continue;
             }
@@ -628,8 +564,7 @@ impl EngineQueues {
         let congested = self.devq_congested();
         let mut head: Option<(u8, u64)> = None;
         let mut held: Vec<(u8, u64)> = Vec::new();
-        for (&key, &idx) in self.reqq.iter() {
-            let r = self.req(idx);
+        for (&key, r) in self.reqq.iter() {
             if r.enqueued_at > now {
                 continue;
             }
@@ -647,7 +582,7 @@ impl EngineQueues {
             return None;
         };
         let (class, head_seq) = key;
-        let pick = if self.req(self.reqq[&key]).tenant.is_some() {
+        let pick = if self.reqq[&key].tenant.is_some() {
             self.fair_pick(class, head_seq, now)
         } else {
             key
@@ -657,16 +592,12 @@ impl EngineQueues {
             deferred.extend(
                 self.reqq
                     .range((class, head_seq)..(class, pick.1))
-                    .filter(|&(_, &idx)| {
-                        let r = self.req(idx);
-                        r.enqueued_at <= now && r.tenant.is_some()
-                    })
+                    .filter(|&(_, r)| r.enqueued_at <= now && r.tenant.is_some())
                     .map(|(&k, _)| k),
             );
         }
         self.note_deferred(&deferred, true);
-        let idx = self.reqq.remove(&pick).expect("the picked key is present");
-        let req = self.take_req(idx);
+        let req = *self.reqq.remove(&pick).expect("the picked key is present");
         if let Some(t) = req.tenant {
             self.tenant_admits += 1;
             self.tenant_events.push(TenantEvent::Admit {
@@ -681,10 +612,7 @@ impl EngineQueues {
     /// The earliest enqueue time among queued requests (the service
     /// process's next wake-up when nothing is ready yet).
     pub fn next_ready(&self) -> Option<SimTime> {
-        self.reqq
-            .values()
-            .map(|&idx| self.req(idx).enqueued_at)
-            .min()
+        self.reqq.values().map(|r| r.enqueued_at).min()
     }
 
     /// Volume-affinity dispatch: takes the device-queue op an idle lane
@@ -1078,19 +1006,4 @@ mod tests {
         assert!(b.is_done(), "the cell lives until the last handle drops");
     }
 
-    #[test]
-    fn request_pool_stops_growing_at_the_queue_high_water_mark() {
-        let mut q = EngineQueues::new();
-        for round in 0..10 {
-            for i in 0..8 {
-                q.push(req(ReqClass::Demand, i, 0));
-            }
-            while q.pop_ready(0).is_some() {}
-            assert_eq!(
-                q.req_pool_slots(),
-                8,
-                "round {round}: pool must recycle, not grow"
-            );
-        }
-    }
 }

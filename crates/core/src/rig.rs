@@ -1,0 +1,207 @@
+//! The one engine-rig builder: a cache disk, a jukebox, a segment
+//! cache and a [`TertiaryIo`] over them, for every test and bench that
+//! drives the engine without a filesystem on top (the filesystem's own
+//! assembly is [`crate::HighLight::mount`]).
+//!
+//! [`RigSpec`] is parameterised only by what those callers vary; the
+//! default is the 64-segment RZ57 test rig (4 volumes × 8 slots, two
+//! drives, cache lines `40..52`). [`RigSpec::cache_disk`] is the
+//! scenario/shard shape: an RZ58 that holds nothing but the cache pool,
+//! with the deterministic [`seg_image`] poked onto every tertiary
+//! segment so fetched bytes have an oracle.
+
+use std::cell::RefCell;
+use std::ops::Range;
+use std::rc::Rc;
+
+use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
+use hl_lfs::types::SegNo;
+use hl_vdev::{BlockDev, Disk, DiskProfile, BLOCK_SIZE};
+
+use crate::segcache::{EjectPolicy, SegCache};
+use crate::service::TertiaryIo;
+use crate::tsegfile::TsegTable;
+use crate::UniformMap;
+
+/// Blocks per segment on every rig (1 MB segments, as in the paper).
+pub const BLOCKS_PER_SEG: u32 = 256;
+
+/// The deterministic 1 MB byte image of tertiary segment `seg` under
+/// `seed`: pre-poked onto the media, staged by writer tenants, and
+/// compared by the end-of-run oracles.
+pub fn seg_image(seed: u64, seg: SegNo) -> Vec<u8> {
+    let k = (seg as u8).wrapping_mul(13).wrapping_add(seed as u8);
+    (0..(BLOCKS_PER_SEG as usize * BLOCK_SIZE))
+        .map(|i| (i as u8).wrapping_mul(7).wrapping_add(k))
+        .collect()
+}
+
+/// Panics, listing them, if the engine's trace has tracecheck findings.
+pub fn assert_clean(tio: &TertiaryIo) {
+    let findings = tio.trace_findings();
+    assert!(
+        findings.is_empty(),
+        "tracecheck findings:\n{}",
+        findings
+            .iter()
+            .map(|f| f.to_string())
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+}
+
+/// An engine over prebuilt devices (the migration pipeline shares its
+/// disks and SCSI bus with other actors): a fresh segment cache over
+/// disk segments `lines` and an empty tsegfile.
+pub fn assemble(
+    map: UniformMap,
+    jukebox: &Jukebox,
+    disk: Rc<dyn BlockDev>,
+    lines: Range<u32>,
+    eject: EjectPolicy,
+) -> Rc<TertiaryIo> {
+    let cache = Rc::new(RefCell::new(SegCache::new(lines.collect(), eject)));
+    let tseg = Rc::new(RefCell::new(TsegTable::new()));
+    Rc::new(TertiaryIo::new(
+        map,
+        Rc::new(jukebox.clone()),
+        disk,
+        cache,
+        tseg,
+    ))
+}
+
+/// What the engine rigs vary.
+#[derive(Clone, Debug)]
+pub struct RigSpec {
+    /// Cache-disk model.
+    pub disk: DiskProfile,
+    /// Segments on the cache disk (its size sets the seek curve).
+    pub disk_segs: u32,
+    /// Disk segments forming the segment-cache pool.
+    pub lines: Range<u32>,
+    /// Jukebox volumes.
+    pub volumes: u32,
+    /// Segment slots per volume.
+    pub slots: u32,
+    /// Jukebox drives.
+    pub drives: usize,
+    /// Cache ejection policy.
+    pub eject: EjectPolicy,
+    /// Pokes [`seg_image`] under this seed onto every tertiary segment.
+    pub image_seed: Option<u64>,
+}
+
+impl Default for RigSpec {
+    fn default() -> RigSpec {
+        RigSpec {
+            disk: DiskProfile::RZ57,
+            disk_segs: 64,
+            lines: 40..52,
+            volumes: 4,
+            slots: 8,
+            drives: 2,
+            eject: EjectPolicy::Lru,
+            image_seed: None,
+        }
+    }
+}
+
+impl RigSpec {
+    /// The default rig with cache pool `lines`.
+    pub fn with_lines(lines: Range<u32>) -> RigSpec {
+        RigSpec {
+            lines,
+            ..RigSpec::default()
+        }
+    }
+
+    /// An RZ58 holding only a `lines`-segment cache pool in front of a
+    /// `volumes × slots` jukebox carrying the `seed` oracle image.
+    pub fn cache_disk(lines: u32, volumes: u32, slots: u32, drives: usize, seed: u64) -> RigSpec {
+        RigSpec {
+            disk: DiskProfile::RZ58,
+            disk_segs: lines,
+            lines: 0..lines,
+            volumes,
+            slots,
+            drives,
+            eject: EjectPolicy::Lru,
+            image_seed: Some(seed),
+        }
+    }
+
+    /// Builds the devices and the engine; returns the engine, a handle
+    /// on its jukebox (pokes, fault plans) and the address map. The
+    /// cache disk is reachable through [`TertiaryIo::disks_handle`].
+    pub fn build(&self) -> (Rc<TertiaryIo>, Jukebox, UniformMap) {
+        let blocks = 2 + u64::from(self.disk_segs) * u64::from(BLOCKS_PER_SEG);
+        let disk = Rc::new(Disk::new(self.disk, blocks, None));
+        let map = UniformMap::new(2, BLOCKS_PER_SEG, self.disk_segs, self.volumes, self.slots);
+        let jb = Jukebox::new(
+            JukeboxConfig {
+                drives: self.drives,
+                volumes: self.volumes,
+                segments_per_volume: self.slots,
+                ..JukeboxConfig::hp6300_paper()
+            },
+            None,
+        );
+        if let Some(seed) = self.image_seed {
+            for vol in 0..self.volumes {
+                for slot in 0..self.slots {
+                    jb.poke_segment(vol, slot, &seg_image(seed, map.tert_seg(vol, slot)))
+                        .expect("poke oracle segment");
+                }
+            }
+        }
+        let tio = assemble(map, &jb, disk, self.lines.clone(), self.eject);
+        (tio, jb, map)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The default preset is the rig the suites hand-assembled up to
+    /// PR 12 (`UniformMap::new(2, 256, 64, 4, 8)`, lines `40..52`, two
+    /// drives): the drive-pool determinism scenario still produces the
+    /// digest that rig produced.
+    #[test]
+    fn default_preset_reproduces_the_hand_built_rig() {
+        let (tio, jb, map) = RigSpec::default().build();
+        assert_eq!(
+            format!("{map:?}"),
+            format!("{:?}", UniformMap::new(2, 256, 64, 4, 8))
+        );
+        assert_eq!(tio.disks_handle().nblocks(), 2 + 64 * 256);
+        assert_eq!(tio.cache().borrow().capacity(), 12);
+        for slot in 0..3 {
+            jb.poke_segment(0, slot, &vec![7u8; 1 << 20]).unwrap();
+            jb.poke_segment(1, slot, &vec![8u8; 1 << 20]).unwrap();
+        }
+        let mut tickets = vec![
+            tio.enqueue_demand(0, map.tert_seg(0, 0)),
+            tio.enqueue_demand(0, map.tert_seg(1, 0)),
+        ];
+        for slot in 1..3 {
+            tickets.push(tio.enqueue_prefetch(1_000, map.tert_seg(0, slot)));
+            tickets.push(tio.enqueue_prefetch(1_000, map.tert_seg(1, slot)));
+        }
+        tio.pump();
+        for t in tickets {
+            t.fetch_result().unwrap();
+        }
+        assert_clean(&tio);
+        assert_eq!(tio.trace_digest(), 0x3050_be87_28c0_f911);
+    }
+
+    #[test]
+    fn seg_image_is_deterministic_and_seg_dependent() {
+        assert_eq!(seg_image(1, 5), seg_image(1, 5));
+        assert_ne!(seg_image(1, 5), seg_image(1, 6));
+        assert_ne!(seg_image(1, 5), seg_image(2, 5));
+        assert_eq!(seg_image(1, 5).len(), BLOCKS_PER_SEG as usize * BLOCK_SIZE);
+    }
+}

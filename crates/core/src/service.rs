@@ -33,7 +33,7 @@ use crate::addr::UniformMap;
 use crate::fault::{FaultEvent, FaultLog, FaultStep, HlError, RecoveryAction};
 use crate::ioserver::{spawn_engine, EngineHandles};
 use crate::recovery::{self, RecoveryPolicy, RecoveryState};
-use crate::replicas::{HomeVec, ReplicaSet};
+use crate::replicas::ReplicaSet;
 use crate::requests::{
     write_class, DevOp, EngineQueues, FetchMode, Outcome, ReqClass, Request, TenantEvent, TenantId,
     Ticket, DISPATCH_CPU, MAX_REDISPATCH,
@@ -790,20 +790,6 @@ impl TioInner {
         buf
     }
 
-    /// Looks up `tert_seg`'s replica homes, surfacing any
-    /// tertiary-directory probe the Bloom guard let through as a
-    /// `replica-probe` trace mark — the trace-derived counter the CI
-    /// gate uses to prove resident demand hits do *zero* probes.
-    fn probed_homes(&self, at: SimTime, tert_seg: SegNo) -> HomeVec {
-        let rep = self.replicas.borrow();
-        let before = rep.probes();
-        let homes = rep.homes(&self.map, tert_seg);
-        if rep.probes() > before {
-            self.tracer.mark(at, "replica-probe");
-        }
-        homes
-    }
-
     fn fail_fetch(&self, op: &DevOp, seg: SegNo, at: SimTime, err: HlError) {
         self.cache.borrow_mut().eject(seg);
         self.queues.borrow_mut().retire_fetch(seg);
@@ -998,16 +984,20 @@ impl TioInner {
 
     /// All readable homes of `tert_seg`, "closest" copies first (§5.4:
     /// homes on already-loaded volumes beat ones behind a media swap)
-    /// and quarantined volumes excluded.
-    fn candidate_homes(&self, at: SimTime, tert_seg: SegNo) -> Vec<(u32, u32)> {
-        let homes = self.probed_homes(at, tert_seg);
+    /// and quarantined volumes excluded. `None` when the segment has no
+    /// home at all — unmapped and without a replica record.
+    fn candidate_homes(&self, tert_seg: SegNo) -> Option<Vec<(u32, u32)>> {
+        let homes = self.replicas.borrow().homes(&self.map, tert_seg);
+        if homes.is_empty() {
+            return None;
+        }
         let loaded = self.jukebox.loaded_volumes();
         let rec = self.recovery.borrow();
         let mut ordered: Vec<(u32, u32)> = Vec::with_capacity(homes.len());
         ordered.extend(homes.iter().filter(|(v, _)| loaded.contains(&Some(*v))));
         ordered.extend(homes.iter().filter(|(v, _)| !loaded.contains(&Some(*v))));
         ordered.retain(|&(v, _)| !rec.is_quarantined(v));
-        ordered
+        Some(ordered)
     }
 
     /// Quarantines `vol`: no further reads or writes target it. Its
@@ -1045,22 +1035,10 @@ impl TioInner {
         tert_seg: SegNo,
         buf: &mut [u8],
     ) -> Result<(IoSlot, usize, (u32, u32)), HlError> {
-        let mapped = self.map.vol_slot(tert_seg).is_some() || {
-            // Bloom-guarded extras check: segments with no replica
-            // record short-circuit here without touching the directory.
-            let rep = self.replicas.borrow();
-            let before = rep.probes();
-            let extras = rep.has_extras(tert_seg);
-            if rep.probes() > before {
-                self.tracer.mark(at, "replica-probe");
-            }
-            extras
-        };
-        if !mapped {
+        let Some(homes) = self.candidate_homes(tert_seg) else {
             // Not a mapped tertiary segment at all.
             return Err(HlError::Dev(DevError::Offline));
-        }
-        let homes = self.candidate_homes(at, tert_seg);
+        };
         let policy = self.policy.get();
         let mut trail: Vec<FaultStep> = Vec::new();
         let mut t = at;
@@ -1260,7 +1238,7 @@ impl TioInner {
         // segment's re-fetch fully overwrites it.
         let mut buf = self.seg_scratch();
         for seg in segs {
-            let homes = self.candidate_homes(t, seg);
+            let homes = self.candidate_homes(seg).unwrap_or_default();
             if homes.is_empty() {
                 report.unrecoverable.push(seg);
                 continue;
@@ -1460,19 +1438,6 @@ impl TertiaryIo {
     /// The replica table (the tertiary cleaner prunes it).
     pub fn replicas(&self) -> &RefCell<ReplicaSet> {
         &self.inner.replicas
-    }
-
-    /// Tertiary replica-directory probes performed — lookups the Bloom
-    /// guard let through (each also leaves a `replica-probe` trace
-    /// mark). Resident demand hits must contribute zero.
-    pub fn replica_probe_count(&self) -> u64 {
-        self.inner.replicas.borrow().probes()
-    }
-
-    /// Replica-directory lookups the Bloom guard short-circuited
-    /// (definitely-absent segments answered without a directory probe).
-    pub fn bloom_skip_count(&self) -> u64 {
-        self.inner.replicas.borrow().bloom_skips()
     }
 
     /// Sets the retry/failover/quarantine policy (§10).
@@ -2002,35 +1967,12 @@ impl EngineSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segcache::{EjectPolicy, SegCache};
-    use crate::UniformMap;
-    use hl_footprint::{Jukebox, JukeboxConfig};
-    use hl_vdev::{Disk, DiskProfile, FaultConfig, FaultPlan};
-    use std::rc::Rc;
-
-    fn rig(cache_lines: u32) -> (Rc<TertiaryIo>, Jukebox, UniformMap) {
-        let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 64 * 256, None));
-        let map = UniformMap::new(2, 256, 64, 4, 8);
-        let jb = Jukebox::new(
-            JukeboxConfig {
-                volumes: 4,
-                segments_per_volume: 8,
-                ..JukeboxConfig::hp6300_paper()
-            },
-            None,
-        );
-        let cache = Rc::new(RefCell::new(SegCache::new(
-            (40..40 + cache_lines).collect(),
-            EjectPolicy::Lru,
-        )));
-        let tseg = Rc::new(RefCell::new(TsegTable::new()));
-        let tio = Rc::new(TertiaryIo::new(map, Rc::new(jb.clone()), disk, cache, tseg));
-        (tio, jb, map)
-    }
+    use crate::rig::RigSpec;
+    use hl_vdev::{FaultConfig, FaultPlan};
 
     #[test]
     fn sessions_tag_requests_for_the_fair_queue() {
-        let (tio, jb, map) = rig(4);
+        let (tio, jb, map) = RigSpec::with_lines(40..44).build();
         jb.poke_segment(0, 0, &vec![1u8; 1 << 20]).unwrap();
         jb.poke_segment(0, 1, &vec![2u8; 1 << 20]).unwrap();
         let s1 = tio.session(1);
@@ -2051,7 +1993,7 @@ mod tests {
 
     #[test]
     fn coalesced_sessions_share_one_media_read() {
-        let (tio, jb, map) = rig(4);
+        let (tio, jb, map) = RigSpec::with_lines(40..44).build();
         jb.poke_segment(1, 0, &vec![3u8; 1 << 20]).unwrap();
         let seg = map.tert_seg(1, 0);
         let tickets: Vec<Ticket> = (0..5)
@@ -2070,7 +2012,7 @@ mod tests {
 
     #[test]
     fn sessions_survive_reentrant_notifiers() {
-        let (tio, jb, map) = rig(4);
+        let (tio, jb, map) = RigSpec::with_lines(40..44).build();
         jb.poke_segment(0, 0, &vec![4u8; 1 << 20]).unwrap();
         jb.poke_segment(0, 2, &vec![5u8; 1 << 20]).unwrap();
         // A notifier that re-enters the façade mid-enqueue: reads queue
@@ -2095,7 +2037,7 @@ mod tests {
 
     #[test]
     fn demand_fetch_hits_do_not_refetch() {
-        let (tio, jb, map) = rig(4);
+        let (tio, jb, map) = RigSpec::with_lines(40..44).build();
         let seg = map.tert_seg(0, 0);
         jb.poke_segment(0, 0, &vec![7u8; 1 << 20]).unwrap();
         let (_, t1) = tio.demand_fetch(0, seg).unwrap();
@@ -2107,7 +2049,7 @@ mod tests {
 
     #[test]
     fn fetch_phase_accounting_splits_read_and_fill() {
-        let (tio, jb, map) = rig(4);
+        let (tio, jb, map) = RigSpec::with_lines(40..44).build();
         jb.poke_segment(1, 3, &vec![1u8; 1 << 20]).unwrap();
         tio.demand_fetch(0, map.tert_seg(1, 3)).unwrap();
         let phases = tio.phases();
@@ -2119,7 +2061,7 @@ mod tests {
 
     #[test]
     fn eject_refuses_pinned_lines() {
-        let (tio, _, map) = rig(2);
+        let (tio, _, map) = RigSpec::with_lines(40..42).build();
         let seg = map.tert_seg(0, 0);
         tio.cache()
             .borrow_mut()
@@ -2133,7 +2075,7 @@ mod tests {
 
     #[test]
     fn failed_fetch_releases_the_line() {
-        let (tio, jb, map) = rig(1);
+        let (tio, jb, map) = RigSpec::with_lines(40..41).build();
         jb.fail_volume(2);
         let seg = map.tert_seg(2, 0);
         assert!(tio.demand_fetch(0, seg).is_err());
@@ -2144,7 +2086,7 @@ mod tests {
 
     #[test]
     fn copyout_requires_a_sealed_line() {
-        let (tio, _, map) = rig(2);
+        let (tio, _, map) = RigSpec::with_lines(40..42).build();
         let seg = map.tert_seg(0, 0);
         // Absent line: Offline.
         assert!(tio.copy_out(0, seg).is_err());
@@ -2152,7 +2094,7 @@ mod tests {
 
     #[test]
     fn reset_accounting_clears_everything() {
-        let (tio, jb, map) = rig(2);
+        let (tio, jb, map) = RigSpec::with_lines(40..42).build();
         jb.poke_segment(0, 1, &vec![1u8; 1 << 20]).unwrap();
         tio.demand_fetch(0, map.tert_seg(0, 1)).unwrap();
         assert!(tio.stats().demand_fetches > 0);
@@ -2162,13 +2104,13 @@ mod tests {
         assert_eq!(tio.phases().total(), 0);
         assert_eq!(tio.io_ops(), 0);
         // No record keeps covering pre-reset history.
-        let (fresh, _, _) = rig(2);
+        let (fresh, _, _) = RigSpec::with_lines(40..42).build();
         assert_eq!(tio.trace_digest(), fresh.trace_digest());
     }
 
     #[test]
     fn transient_faults_retry_then_surface_unavailable() {
-        let (tio, jb, map) = rig(4);
+        let (tio, jb, map) = RigSpec::with_lines(40..44).build();
         jb.poke_segment(0, 0, &vec![5u8; 1 << 20]).unwrap();
         let plan = FaultPlan::new(FaultConfig {
             transient_read_p: 1.0,
@@ -2206,7 +2148,7 @@ mod tests {
 
     #[test]
     fn transient_faults_recover_within_the_retry_budget() {
-        let (tio, jb, map) = rig(1);
+        let (tio, jb, map) = RigSpec::with_lines(40..41).build();
         let plan = FaultPlan::new(FaultConfig {
             transient_read_p: 0.5,
             ..FaultConfig::none(7)
@@ -2231,7 +2173,7 @@ mod tests {
 
     #[test]
     fn media_failure_fails_over_to_replica_and_quarantines() {
-        let (tio, jb, map) = rig(4);
+        let (tio, jb, map) = RigSpec::with_lines(40..44).build();
         let seg = map.tert_seg(0, 0);
         let data = vec![9u8; 1 << 20];
         jb.poke_segment(0, 0, &data).unwrap();
@@ -2264,7 +2206,7 @@ mod tests {
 
     #[test]
     fn scrub_restores_the_copy_count_after_a_volume_loss() {
-        let (tio, jb, map) = rig(4);
+        let (tio, jb, map) = RigSpec::with_lines(40..44).build();
         tio.set_replication(1);
         let seg = map.tert_seg(0, 0);
         let data = vec![6u8; 1 << 20];
@@ -2307,7 +2249,7 @@ mod tests {
 
     #[test]
     fn cached_lines_serve_after_every_copy_is_lost() {
-        let (tio, jb, map) = rig(4);
+        let (tio, jb, map) = RigSpec::with_lines(40..44).build();
         let seg = map.tert_seg(2, 1);
         jb.poke_segment(2, 1, &vec![3u8; 1 << 20]).unwrap();
         let (_, end) = tio.demand_fetch(0, seg).unwrap();
@@ -2325,7 +2267,7 @@ mod tests {
 
     #[test]
     fn copy_out_of_an_unsealed_line_errors_instead_of_panicking() {
-        let (tio, _, map) = rig(2);
+        let (tio, _, map) = RigSpec::with_lines(40..42).build();
         let seg = map.tert_seg(0, 0);
         tio.cache()
             .borrow_mut()
@@ -2336,7 +2278,7 @@ mod tests {
 
     #[test]
     fn queue_waits_are_measured_not_charged() {
-        let (tio, jb, map) = rig(4);
+        let (tio, jb, map) = RigSpec::with_lines(40..44).build();
         jb.poke_segment(0, 2, &vec![4u8; 1 << 20]).unwrap();
         let (_, end) = tio.demand_fetch(0, map.tert_seg(0, 2)).unwrap();
         let st = tio.stats();

@@ -5,41 +5,18 @@
 //! stats and the fault log — deterministically, so the same seed yields
 //! a byte-identical log.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
-use highlight::segcache::{EjectPolicy, SegCache};
-use highlight::{
-    FaultEvent, HighLight, HlConfig, HlError, TertiaryIo, TsegTable, UniformMap,
-};
+use highlight::rig::RigSpec;
+use highlight::{FaultEvent, HighLight, HlConfig, HlError};
 use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
 use hl_lfs::config::AddressMap;
 use hl_sim::Clock;
 use hl_vdev::{BlockDev, Disk, DiskProfile, FaultConfig, FaultPlan};
 
-fn rig() -> (Rc<TertiaryIo>, Jukebox, UniformMap) {
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 64 * 256, None));
-    let map = UniformMap::new(2, 256, 64, 4, 8);
-    let jb = Jukebox::new(
-        JukeboxConfig {
-            volumes: 4,
-            segments_per_volume: 8,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let cache = Rc::new(RefCell::new(SegCache::new(
-        (40..44).collect(),
-        EjectPolicy::Lru,
-    )));
-    let tseg = Rc::new(RefCell::new(TsegTable::new()));
-    let tio = Rc::new(TertiaryIo::new(map, Rc::new(jb.clone()), disk, cache, tseg));
-    (tio, jb, map)
-}
-
 /// The full mid-run volume-loss scenario; returns the rendered fault log.
 fn run_scenario(seed: u64) -> String {
-    let (tio, jb, map) = rig();
+    let (tio, jb, map) = RigSpec::with_lines(40..44).build();
     tio.set_replication(1);
     let seg = map.tert_seg(0, 0);
     let data: Vec<u8> = (0..1usize << 20)
@@ -114,7 +91,7 @@ fn volume_loss_mid_run_recovers_and_logs_deterministically() {
 
 #[test]
 fn exhausted_recovery_surfaces_the_ordered_fault_trail() {
-    let (tio, jb, map) = rig();
+    let (tio, jb, map) = RigSpec::with_lines(40..44).build();
     let seg = map.tert_seg(2, 3);
     jb.poke_segment(2, 3, &vec![1u8; 1 << 20]).unwrap();
     // The only copy's volume dies; there is no replica.

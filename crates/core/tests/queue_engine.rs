@@ -3,41 +3,17 @@
 //! per-seed engine traces replay byte-identically. (Priority dispatch
 //! order is covered by `tests/trace_invariants.rs`.)
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use highlight::requests::DISPATCH_CPU;
+use highlight::rig::RigSpec;
 use highlight::segcache::LineState;
-use highlight::{EjectPolicy, SegCache, TertiaryIo, TsegTable, UniformMap};
-use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
+use hl_footprint::Footprint;
 use hl_sim::Scheduler;
-use hl_vdev::{Disk, DiskProfile};
-
-fn rig(cache_lines: u32) -> (TertiaryIo, Jukebox, UniformMap) {
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 64 * 256, None));
-    let map = UniformMap::new(2, 256, 64, 4, 8);
-    let jb = Jukebox::new(
-        JukeboxConfig {
-            volumes: 4,
-            segments_per_volume: 8,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let cache = Rc::new(RefCell::new(SegCache::new(
-        (40..40 + cache_lines).collect(),
-        EjectPolicy::Lru,
-    )));
-    let tseg = Rc::new(RefCell::new(TsegTable::new()));
-    let tio = TertiaryIo::new(map, Rc::new(jb.clone()), disk, cache, tseg);
-    (tio, jb, map)
-}
 
 /// Satellite: N interleaved readers of one tertiary segment perform
 /// exactly one media read and observe the same `ready_at`.
 #[test]
 fn interleaved_fetches_of_one_segment_coalesce_to_one_media_read() {
-    let (tio, jb, map) = rig(4);
+    let (tio, jb, map) = RigSpec::with_lines(40..44).build();
     let seg = map.tert_seg(1, 2);
     jb.poke_segment(1, 2, &vec![9u8; 1 << 20]).unwrap();
     assert_eq!(jb.stats().reads, 0, "poke is not a media read");
@@ -68,7 +44,7 @@ fn interleaved_fetches_of_one_segment_coalesce_to_one_media_read() {
 /// enqueue returns `None` and the producer is expected to park.
 #[test]
 fn try_enqueue_copy_out_pushes_back_at_the_queue_cap() {
-    let (tio, _jb, map) = rig(2);
+    let (tio, _jb, map) = RigSpec::with_lines(40..42).build();
     // Park the engine on an external scheduler we never run, so nothing
     // drains while we fill the queue.
     let mut sched: Scheduler<()> = Scheduler::new();
@@ -101,7 +77,7 @@ fn try_enqueue_copy_out_pushes_back_at_the_queue_cap() {
 #[test]
 fn engine_trace_replays_byte_identical() {
     fn scenario() -> (Vec<String>, u64) {
-        let (tio, jb, map) = rig(3);
+        let (tio, jb, map) = RigSpec::with_lines(40..43).build();
         jb.poke_segment(0, 3, &vec![5u8; 1 << 20]).unwrap();
         jb.poke_segment(1, 1, &vec![6u8; 1 << 20]).unwrap();
         let a = map.tert_seg(0, 3);

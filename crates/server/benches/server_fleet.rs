@@ -4,10 +4,10 @@
 //! the sharded engine through two worker-pool disciplines (plus the
 //! naive one-worker-per-connection baseline at the smallest size),
 //! reporting client-observed p50/p95/p99 latency per client count.
-//! Gates, printed for CI:
+//! Gates (any false check exits non-zero):
 //!
 //! * every run replays with zero tracecheck findings and zero lost
-//!   tickets;
+//!   tickets, and every request is answered;
 //! * the 1000-client run is byte-stable — an identical rerun produces
 //!   the same combined trace digest;
 //! * coalescing holds at the server layer — N concurrent gets of one
@@ -17,8 +17,7 @@
 //!
 //! Emits `BENCH_server.json` at the repository root.
 
-use std::path::Path;
-
+use hl_bench::report::{write_bench_json, Checks, Json};
 use hl_server::fleet::{run_fleet, FleetConfig, FleetReport, StormConfig};
 use hl_server::pool::PoolKind;
 use hl_server::shard::ShardSpec;
@@ -78,55 +77,45 @@ fn fairness_config(tenants: u32, clients: u32) -> FleetConfig {
     }
 }
 
-fn gate(name: &str, r: &FleetReport) {
-    assert_eq!(r.findings, 0, "{name}: tracecheck findings");
+fn gate(checks: &mut Checks, name: &str, r: &FleetReport) {
+    checks.tracecheck(name, r.findings);
     assert_eq!(r.lost_tickets, 0, "{name}: lost tickets");
     assert_eq!(r.errors, 0, "{name}: protocol errors");
-    println!("{name}: Tracecheck: 0 findings");
 }
 
-fn row_json(r: &FleetReport) -> String {
-    format!(
-        "{{\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"completed\":{},\
-         \"errors\":{},\"lost_tickets\":{},\"tracecheck_findings\":{},\
-         \"tenant_admits\":{},\"tenant_throttles\":{},\"steals\":{},\
-         \"demand_fetches\":{},\"coalesced_fetches\":{},\
-         \"end_time_us\":{},\"trace_digest\":\"{:016x}\"}}",
-        r.p50,
-        r.p95,
-        r.p99,
-        r.completed,
-        r.errors,
-        r.lost_tickets,
-        r.findings,
-        r.tenant_admits,
-        r.tenant_throttles,
-        r.steals,
-        r.demand_fetches,
-        r.coalesced_fetches,
-        r.end_time,
-        r.digest,
-    )
+fn row_json(r: &FleetReport) -> Json {
+    Json::obj([
+        ("p50_us", r.p50.into()),
+        ("p95_us", r.p95.into()),
+        ("p99_us", r.p99.into()),
+        ("completed", r.completed.into()),
+        ("errors", r.errors.into()),
+        ("lost_tickets", r.lost_tickets.into()),
+        ("tracecheck_findings", r.findings.into()),
+        ("tenant_admits", r.tenant_admits.into()),
+        ("tenant_throttles", r.tenant_throttles.into()),
+        ("steals", r.steals.into()),
+        ("demand_fetches", r.demand_fetches.into()),
+        ("coalesced_fetches", r.coalesced_fetches.into()),
+        ("end_time_us", r.end_time.into()),
+        ("trace_digest", Json::hex(r.digest)),
+    ])
 }
 
 fn main() {
+    let mut checks = Checks::new("Fleet checks");
     // ---- Scale sweep: latency percentiles vs client count. ---------
     let counts = [100u32, 400, 1000];
     let pools = [PoolKind::SharedQueue, PoolKind::WorkStealing];
     let mut sweep: Vec<(PoolKind, u32, FleetReport)> = Vec::new();
+    let mut answered = true;
     println!("pool           clients  completed   p50(ms)   p95(ms)   p99(ms)  steals");
     for &pool in &pools {
         for &clients in &counts {
             let cfg = sweep_config(pool, clients);
             let r = run_fleet(&cfg);
-            gate(&format!("fleet {}/{}", pool.label(), clients), &r);
-            assert_eq!(
-                r.completed,
-                (cfg.clients * cfg.requests_per_client) as u64,
-                "{}/{}: every request answered",
-                pool.label(),
-                clients
-            );
+            gate(&mut checks, &format!("fleet {}/{}", pool.label(), clients), &r);
+            answered &= r.completed == (cfg.clients * cfg.requests_per_client) as u64;
             println!(
                 "{:<14} {:>7} {:>10} {:>9.1} {:>9.1} {:>9.1} {:>7}",
                 pool.label(),
@@ -143,7 +132,8 @@ fn main() {
     // Naive baseline: one worker per connection, smallest fleet only.
     let naive_cfg = sweep_config(PoolKind::Naive, 100);
     let naive = run_fleet(&naive_cfg);
-    gate("fleet naive/100", &naive);
+    gate(&mut checks, "fleet naive/100", &naive);
+    answered &= naive.completed == (naive_cfg.clients * naive_cfg.requests_per_client) as u64;
     println!(
         "{:<14} {:>7} {:>10} {:>9.1} {:>9.1} {:>9.1} {:>7}",
         "naive",
@@ -176,7 +166,7 @@ fn main() {
     co_cfg.think = 0;
     co_cfg.zipf_exponent = 50.0; // degenerate: everyone draws one object
     let co = run_fleet(&co_cfg);
-    gate("fleet coalesce/64", &co);
+    gate(&mut checks, "fleet coalesce/64", &co);
     let coalesced_ok = co.demand_fetches == 1 && co.completed == 64;
     println!(
         "Coalescing check (64 concurrent gets of one cold object): {} media read(s), {} coalesced -> {}",
@@ -187,14 +177,14 @@ fn main() {
     // Solo: the victim tenant alone (its clients and draw sequence are
     // identical in both runs — streams are per-tenant).
     let solo = run_fleet(&fairness_config(1, 8));
-    gate("fleet fairness-solo", &solo);
+    gate(&mut checks, "fleet fairness-solo", &solo);
     let mut storm_cfg = fairness_config(2, 16);
     storm_cfg.storm = Some(StormConfig {
         tenant: 1,
         width: 8,
     });
     let storm = run_fleet(&storm_cfg);
-    gate("fleet fairness-storm", &storm);
+    gate(&mut checks, "fleet fairness-storm", &storm);
     let solo_p95 = solo.per_tenant[&0].p95;
     let storm_p95 = storm.per_tenant[&0].p95;
     let ratio = storm_p95 as f64 / solo_p95.max(1) as f64;
@@ -209,40 +199,52 @@ fn main() {
         storm.tenant_admits
     );
 
-    println!("Fleet checks");
-    println!("  every_request_answered          true");
-    println!("  deterministic_at_1000_clients   {deterministic}");
-    println!("  coalescing_holds_at_server      {coalesced_ok}");
-    println!("  fairness_p95_within_2x          {fairness_ok}");
-    assert!(deterministic, "1000-client fleet must be byte-stable");
-    assert!(coalesced_ok, "server-layer coalescing regressed");
-    assert!(fairness_ok, "storm starved the victim tenant");
-
     // ---- BENCH_server.json ----------------------------------------
-    let mut pool_objs: Vec<String> = Vec::new();
-    for &pool in &pools {
-        let rows: Vec<String> = sweep
-            .iter()
-            .filter(|(p, _, _)| *p == pool)
-            .map(|(_, c, r)| format!("\"{}\":{}", c, row_json(r)))
-            .collect();
-        pool_objs.push(format!("\"{}\":{{{}}}", pool.label(), rows.join(",")));
-    }
-    pool_objs.push(format!("\"naive\":{{\"100\":{}}}", row_json(&naive)));
-    let json = format!(
-        "{{\"server_fleet\":{{{}}},\"coalescing\":{{\"clients\":64,\"media_reads\":{},\"coalesced\":{}}},\
-         \"fairness\":{{\"solo_p95_us\":{},\"storm_p95_us\":{},\"ratio\":{:.4},\"bound\":2.0,\
-         \"storm_throttles\":{},\"storm_admits\":{}}}}}",
-        pool_objs.join(","),
-        co.demand_fetches,
-        co.coalesced_fetches,
-        solo_p95,
-        storm_p95,
-        ratio,
-        storm.tenant_throttles,
-        storm.tenant_admits
+    let mut fleet_json: Vec<(&str, Json)> = pools
+        .iter()
+        .map(|&pool| {
+            let rows = sweep
+                .iter()
+                .filter(|(p, _, _)| *p == pool)
+                .map(|(_, c, r)| (c.to_string(), row_json(r)));
+            (pool.label(), Json::obj(rows))
+        })
+        .collect();
+    fleet_json.push(("naive", Json::obj([("100", row_json(&naive))])));
+    write_bench_json(
+        "server",
+        &Json::obj([
+            ("server_fleet", Json::obj(fleet_json)),
+            (
+                "coalescing",
+                Json::obj([
+                    ("clients", 64u32.into()),
+                    ("media_reads", co.demand_fetches.into()),
+                    ("coalesced", co.coalesced_fetches.into()),
+                ]),
+            ),
+            (
+                "fairness",
+                Json::obj([
+                    ("solo_p95_us", solo_p95.into()),
+                    ("storm_p95_us", storm_p95.into()),
+                    ("ratio", Json::Fixed(ratio, 4)),
+                    ("bound", Json::Fixed(2.0, 1)),
+                    ("storm_throttles", storm.tenant_throttles.into()),
+                    ("storm_admits", storm.tenant_admits.into()),
+                ]),
+            ),
+        ]),
     );
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_server.json");
-    std::fs::write(&out, &json).expect("write BENCH_server.json");
-    println!("wrote {}", out.display());
+
+    checks.expect_clean_traces(10);
+    checks.row("every_request_answered", answered);
+    checks.row("deterministic_at_1000_clients", deterministic);
+    checks.row("coalescing_holds_at_server", coalesced_ok);
+    checks.row("fairness_p95_within_2x", fairness_ok);
+    checks.row(
+        "fair_queue_engaged_without_starving_the_storm",
+        storm.tenant_throttles > 0 && storm.tenant_admits > 0,
+    );
+    checks.finish();
 }

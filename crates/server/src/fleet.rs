@@ -19,17 +19,19 @@
 use std::collections::BTreeMap;
 
 use hl_lfs::config::AddressMap;
+use hl_sim::stats::percentile;
 use hl_sim::time::MS;
 use hl_sim::{Actor, ActorId, Scheduler, SimTime, Step, Waker};
 use hl_workload::{TenantMix, ZipfStore};
 use highlight::requests::Ticket;
+use highlight::rig::seg_image;
 use highlight::segcache::{EjectPolicy, LineState};
 use highlight::TenantId;
 
 use crate::connection::Connection;
 use crate::pool::{PoolKind, PoolState, WakeHint};
 use crate::proto::{Req, RequestFrame, ResponseFrame};
-use crate::shard::{obj_image, ShardSpec, ShardedEngine};
+use crate::shard::{ShardSpec, ShardedEngine};
 
 /// Worker ticket-poll period. Media operations run for seconds, so a
 /// 20 ms poll costs little precision and keeps step counts sane at
@@ -448,7 +450,7 @@ impl WorkerActor {
                         .borrow_mut()
                         .allocate(seg, LineState::Staging, now);
                     if let Some((disk_seg, _)) = allocated {
-                        let image = obj_image(w.seed ^ 0x9157_0000 ^ si as u64, seg);
+                        let image = seg_image(w.seed ^ 0x9157_0000 ^ si as u64, seg);
                         let wslot = shard
                             .tio
                             .disks_handle()
@@ -530,21 +532,13 @@ impl Actor<FleetWorld> for WorkerActor {
     }
 }
 
-/// `p`-th percentile of a sorted latency slice, µs.
-fn pct(sorted: &[u64], p: usize) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[((sorted.len() - 1) * p + 50) / 100]
-}
-
 fn summarize(mut lats: Vec<u64>) -> TenantLat {
     lats.sort_unstable();
     TenantLat {
         count: lats.len() as u64,
-        p50: pct(&lats, 50),
-        p95: pct(&lats, 95),
-        p99: pct(&lats, 99),
+        p50: percentile(&lats, 50),
+        p95: percentile(&lats, 95),
+        p99: percentile(&lats, 99),
     }
 }
 
@@ -678,9 +672,9 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         steals: world.pool.steals,
         digest: world.engine.combined_digest(),
         findings: world.engine.total_findings(),
-        p50: pct(&all, 50),
-        p95: pct(&all, 95),
-        p99: pct(&all, 99),
+        p50: percentile(&all, 50),
+        p95: percentile(&all, 95),
+        p99: percentile(&all, 99),
         per_tenant,
         tenant_admits: admits,
         tenant_throttles: throttles,

@@ -10,28 +10,14 @@
 //! its N-readers-one-media-read guarantee per shard with no
 //! cross-shard coordination at all.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
-use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
+use hl_footprint::Jukebox;
 use hl_lfs::types::SegNo;
 use hl_sim::Scheduler;
-use hl_vdev::{Disk, DiskProfile, BLOCK_SIZE};
-use highlight::segcache::{EjectPolicy, SegCache};
-use highlight::{TenantId, TertiaryIo, TsegTable, UniformMap};
-
-/// Cache-disk blocks per segment (1 MB segments, as in the paper rig).
-pub const BLOCKS_PER_SEG: u32 = 256;
-
-/// The deterministic 1 MB byte image of tertiary segment `seg` under
-/// `seed` — poked onto every shard's media so fetched bytes have an
-/// oracle.
-pub fn obj_image(seed: u64, seg: SegNo) -> Vec<u8> {
-    let k = (seg as u8).wrapping_mul(13).wrapping_add(seed as u8);
-    (0..(BLOCKS_PER_SEG as usize * BLOCK_SIZE))
-        .map(|i| (i as u8).wrapping_mul(7).wrapping_add(k))
-        .collect()
-}
+use highlight::rig::RigSpec;
+use highlight::segcache::EjectPolicy;
+use highlight::{TenantId, TertiaryIo, UniformMap};
 
 /// Geometry of one engine shard.
 #[derive(Clone, Copy, Debug)]
@@ -107,50 +93,26 @@ impl ShardedEngine {
         assert!(shards > 0, "at least one shard");
         let mut built = Vec::new();
         for s in 0..shards {
-            let spv = spec.segments_per_volume;
-            let disk = Disk::new(
-                DiskProfile::RZ58,
-                (2 + spec.cache_lines * BLOCKS_PER_SEG) as u64,
-                None,
-            );
-            let map = UniformMap::new(2, BLOCKS_PER_SEG, spec.cache_lines, spec.volumes, spv);
-            let jb = Jukebox::new(
-                JukeboxConfig {
-                    drives: spec.drives,
-                    volumes: spec.volumes,
-                    segments_per_volume: spv,
-                    ..JukeboxConfig::hp6300_paper()
-                },
-                None,
-            );
             // Per-shard seed offset: shards hold distinct object ranges,
             // so their images must differ too.
             let shard_seed = seed ^ (s as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            for vol in 0..spec.volumes {
-                for slot in 0..spv {
-                    let seg = map.tert_seg(vol, slot);
-                    jb.poke_segment(vol, slot, &obj_image(shard_seed, seg))
-                        .expect("poke oracle segment");
-                }
-            }
-            let cache = Rc::new(RefCell::new(SegCache::new(
-                (0..spec.cache_lines).collect::<Vec<SegNo>>(),
+            let (tio, jb, map) = RigSpec {
                 eject,
-            )));
-            let tseg = Rc::new(RefCell::new(TsegTable::new()));
-            let tio = Rc::new(TertiaryIo::new(
-                map,
-                Rc::new(jb.clone()),
-                Rc::new(disk),
-                cache,
-                tseg,
-            ));
+                ..RigSpec::cache_disk(
+                    spec.cache_lines,
+                    spec.volumes,
+                    spec.segments_per_volume,
+                    spec.drives,
+                    shard_seed,
+                )
+            }
+            .build();
             tio.attach_engine(sched);
             built.push(Shard {
                 tio,
                 map,
                 jukebox: jb,
-                spv,
+                spv: spec.segments_per_volume,
             });
         }
         ShardedEngine {

@@ -503,11 +503,6 @@ struct Recorder {
     /// `policy`-prefixed [`EventKind::Mark`] events emitted (see
     /// [`Tracer::policy_decision`]).
     policy_decisions: u64,
-    /// `replica-probe` [`EventKind::Mark`] events emitted: tertiary
-    /// replica-directory probes the engine's Bloom guard let through.
-    /// The hot-path CI gate asserts this stays **zero** for resident
-    /// demand hits (DESIGN.md §6j).
-    replica_probes: u64,
     /// Currently open spans (deterministic order for snapshots).
     open_spans: BTreeMap<u64, Class>,
     /// Spans that were already open at the last [`Recorder::reset`]:
@@ -536,7 +531,6 @@ impl Recorder {
             tenant_admits: 0,
             tenant_throttles: 0,
             policy_decisions: 0,
-            replica_probes: 0,
             open_spans: BTreeMap::new(),
             baseline_open: Vec::new(),
         }
@@ -576,7 +570,6 @@ impl Recorder {
         self.tenant_admits = 0;
         self.tenant_throttles = 0;
         self.policy_decisions = 0;
-        self.replica_probes = 0;
         self.baseline_open = self.open_spans.iter().map(|(&s, &c)| (s, c)).collect();
     }
 }
@@ -731,15 +724,9 @@ impl Tracer {
         );
     }
 
-    /// Records a free-form breadcrumb. The `replica-probe` label is
-    /// counted eagerly (like `policy` marks), so replica-directory
-    /// probes are trace-derived rather than tracked in parallel.
+    /// Records a free-form breadcrumb.
     pub fn mark(&self, at: TraceTime, label: &str) {
-        let mut r = self.rec.borrow_mut();
-        if label == "replica-probe" {
-            r.replica_probes += 1;
-        }
-        r.emit(
+        self.rec.borrow_mut().emit(
             at,
             EventKind::Mark {
                 label: label.to_string(),
@@ -895,13 +882,6 @@ impl Tracer {
     /// [`Tracer::policy_decision`] marks recorded.
     pub fn policy_decisions(&self) -> u64 {
         self.rec.borrow().policy_decisions
-    }
-
-    /// `replica-probe` marks recorded: tertiary replica-directory
-    /// probes that got past the Bloom guard. Resident demand hits must
-    /// contribute zero (the hot-path CI gate counts them here).
-    pub fn replica_probes(&self) -> u64 {
-        self.rec.borrow().replica_probes
     }
 
     /// Currently open spans, in id order.

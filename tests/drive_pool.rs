@@ -14,55 +14,30 @@
 //! heals, and a dead solo pool retires and surfaces errors instead of
 //! hanging.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
-use highlight::{EjectPolicy, SegCache, TertiaryIo, TsegTable, UniformMap};
-use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
+use highlight::rig::{assert_clean, RigSpec};
+use highlight::{TertiaryIo, UniformMap};
+use hl_footprint::{Footprint, Jukebox};
 use hl_lfs::config::AddressMap;
 use hl_sim::Scheduler;
-use hl_vdev::{Disk, DiskProfile, FaultConfig, FaultPlan};
+use hl_vdev::{FaultConfig, FaultPlan};
 
-/// 64 disk segments, 4 volumes × 8 slots, 1 MB segments, `drives`
-/// jukebox drives, and a roomy cache.
-fn rig(drives: usize) -> (TertiaryIo, Jukebox, UniformMap) {
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 64 * 256, None));
-    let map = UniformMap::new(2, 256, 64, 4, 8);
-    let jb = Jukebox::new(
-        JukeboxConfig {
-            volumes: 4,
-            segments_per_volume: 8,
-            drives,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let cache = Rc::new(RefCell::new(SegCache::new(
-        (40..52).collect(),
-        EjectPolicy::Lru,
-    )));
-    let tseg = Rc::new(RefCell::new(TsegTable::new()));
-    let tio = TertiaryIo::new(map, Rc::new(jb.clone()), disk, cache, tseg);
-    (tio, jb, map)
+/// The default rig (64 disk segments, 4 volumes × 8 slots, cache lines
+/// `40..52`) with `drives` jukebox drives.
+fn rig(drives: usize) -> (Rc<TertiaryIo>, Jukebox, UniformMap) {
+    RigSpec {
+        drives,
+        ..RigSpec::default()
+    }
+    .build()
 }
 
-fn assert_clean(tio: &TertiaryIo) {
-    let findings = tio.trace_findings();
-    assert!(
-        findings.is_empty(),
-        "tracecheck findings:\n{}",
-        findings
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-}
 
 /// Primes volumes 0 and 1 into the drive pool, then issues two demand
 /// fetches of *different* volumes together. Returns the concurrent
 /// phase's wall-clock, the per-drive busy peak, and the engine.
-fn concurrent_fetch_run(drives: usize) -> (u64, u32, TertiaryIo) {
+fn concurrent_fetch_run(drives: usize) -> (u64, u32, Rc<TertiaryIo>) {
     let (tio, jb, map) = rig(drives);
     for vol in 0..2 {
         for slot in 0..2 {
@@ -225,7 +200,7 @@ fn pool_schedule_is_byte_deterministic_per_seed() {
 /// Primes volumes 0 and 1 into a 2-drive pool with `oracle` bytes in
 /// their first four slots; returns the engine, jukebox, map, the quiesce
 /// time, and the volume drive 1 ended up holding.
-fn primed_two_drive_rig(oracle: &[u8]) -> (TertiaryIo, Jukebox, UniformMap, u64, u32) {
+fn primed_two_drive_rig(oracle: &[u8]) -> (Rc<TertiaryIo>, Jukebox, UniformMap, u64, u32) {
     let (tio, jb, map) = rig(2);
     for vol in 0..2 {
         for slot in 0..4 {
@@ -332,23 +307,7 @@ fn solo_drive_death_retires_the_pool_and_fails_tickets() {
 /// lanes silently; now `SvcStats` flags it and tracecheck reports it.
 #[test]
 fn lane_sharing_is_flagged_when_drives_exceed_lanes() {
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 64 * 256, None));
-    let map = UniformMap::new(2, 256, 64, 4, 8);
-    let jb = Jukebox::new(
-        JukeboxConfig {
-            volumes: 4,
-            segments_per_volume: 8,
-            drives: highlight::MAX_DRIVES + 1,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let cache = Rc::new(RefCell::new(SegCache::new(
-        (40..52).collect::<Vec<_>>(),
-        EjectPolicy::Lru,
-    )));
-    let tseg = Rc::new(RefCell::new(TsegTable::new()));
-    let tio = TertiaryIo::new(map, Rc::new(jb.clone()), disk, cache, tseg);
+    let (tio, jb, map) = rig(highlight::MAX_DRIVES + 1);
     jb.poke_segment(0, 0, &vec![1u8; 1 << 20]).unwrap();
     let t = tio.enqueue_demand(0, map.tert_seg(0, 0));
     tio.pump();

@@ -9,35 +9,12 @@
 //! to the oracle from the surviving lane, and leaves zero tracecheck
 //! findings.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use highlight::segcache::{EjectPolicy, SegCache};
-use highlight::{HlError, RecoveryPolicy, TertiaryIo, TsegTable, UniformMap};
-use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
+use highlight::rig::RigSpec;
+use highlight::{HlError, RecoveryPolicy};
+use hl_footprint::Footprint;
 use hl_lfs::config::AddressMap;
-use hl_vdev::{Disk, DiskProfile, FaultConfig, FaultPlan};
+use hl_vdev::{FaultConfig, FaultPlan};
 use proptest::prelude::*;
-
-fn rig() -> (Rc<TertiaryIo>, Jukebox, UniformMap) {
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 64 * 256, None));
-    let map = UniformMap::new(2, 256, 64, 4, 8);
-    let jb = Jukebox::new(
-        JukeboxConfig {
-            volumes: 4,
-            segments_per_volume: 8,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let cache = Rc::new(RefCell::new(SegCache::new(
-        (40..44).collect(),
-        EjectPolicy::Lru,
-    )));
-    let tseg = Rc::new(RefCell::new(TsegTable::new()));
-    let tio = Rc::new(TertiaryIo::new(map, Rc::new(jb.clone()), disk, cache, tseg));
-    (tio, jb, map)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -62,7 +39,7 @@ proptest! {
             5 => &[0, 2],
             _ => &[1, 2],
         };
-        let (tio, jb, map) = rig();
+        let (tio, jb, map) = RigSpec::with_lines(40..44).build();
         let seg = map.tert_seg(0, 0);
         let oracle: Vec<u8> = (0..1usize << 20)
             .map(|i| (i as u8).wrapping_mul(7).wrapping_add(seed as u8))
@@ -128,7 +105,7 @@ proptest! {
         kind in 0u32..3,
         at_ms in 0u64..60_000,
     ) {
-        let (tio, jb, map) = rig();
+        let (tio, jb, map) = RigSpec::with_lines(40..44).build();
         let mut oracles = Vec::new();
         for vol in 0..4u32 {
             let oracle: Vec<u8> = (0..1usize << 20)

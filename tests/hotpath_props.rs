@@ -2,10 +2,10 @@
 //! §6j): every raw-speed structure must be *behaviour-identical* to the
 //! slow reference it replaced.
 //!
-//! - The Bloom-guarded [`ReplicaSet`] must never produce a false
-//!   negative versus a plain `HashMap` reference directory, under any
-//!   interleaving of `add` / `forget` / `forget_volume` (each forget
-//!   rebuilds the filter — the "scrub" path).
+//! - The [`ReplicaSet`] must agree with a plain `HashMap` reference
+//!   directory under any interleaving of `add` / `forget` /
+//!   `forget_volume`: primary home first, extras in insertion order, no
+//!   duplicates, emptied records pruned.
 //! - A [`Ticket`] must lose no wakeups: any clone of a completed ticket
 //!   observes the outcome, and no clone resolves before its ticket.
 //! - The open-addressed [`SegDir`] must agree with a `HashMap` oracle
@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use highlight::{Bloom, ReplicaSet, SegDir, Ticket, UniformMap};
+use highlight::{ReplicaSet, SegDir, Ticket, UniformMap};
 use proptest::prelude::*;
 
 /// A small uniform map: 8 disk segments, 4 volumes × 16 slots. Tertiary
@@ -23,8 +23,7 @@ fn tiny_map() -> UniformMap {
     UniformMap::new(2, 16, 8, 4, 16)
 }
 
-/// Reference replica directory: the `HashMap<SegNo, Vec<(vol, slot)>>`
-/// the Bloom-guarded set replaced.
+/// Reference replica directory.
 #[derive(Default)]
 struct RefDir {
     extra: HashMap<u32, Vec<(u32, u32)>>,
@@ -54,11 +53,11 @@ impl RefDir {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random add/forget/forget_volume histories: the Bloom guard may
-    /// skip directory probes, but `homes` must stay exactly equal to
-    /// the reference — in particular, never a false negative.
+    /// Random add/forget/forget_volume histories: `homes` must stay
+    /// exactly equal to the reference for every segment, not just the
+    /// touched key.
     #[test]
-    fn bloom_guarded_replicas_never_false_negative(
+    fn replica_set_matches_the_reference_directory(
         ops in prop::collection::vec((0u8..4, 0u32..64, 0u32..4, 0u32..16), 1..200),
     ) {
         let map = tiny_map();
@@ -81,44 +80,21 @@ proptest! {
                     slow.forget_volume(vol);
                 }
             }
-            // Primary home comes from the address map for both sides;
-            // compare the extras directly.
-            let got: Vec<(u32, u32)> = fast
-                .homes(&map, seg)
-                .iter()
-                .copied()
-                .filter(|&h| Some(h) != map.vol_slot(seg))
-                .collect();
-            prop_assert_eq!(&got, &slow.extras(seg), "extras diverged for seg {}", seg);
-            // No false negatives anywhere, not just the touched key.
-            for (&s, homes) in &slow.extra {
-                prop_assert_eq!(
-                    !homes.is_empty(),
-                    fast.has_extras(s),
-                    "false negative for seg {}", s
-                );
+            for s in std::iter::once(seg).chain(slow.extra.keys().copied()) {
+                // Primary first (from the address map), then the extras.
+                let mut want: Vec<(u32, u32)> = map.vol_slot(s).into_iter().collect();
+                want.extend(slow.extras(s));
+                prop_assert_eq!(fast.homes(&map, s), want, "homes diverged for seg {}", s);
             }
-        }
-    }
-
-    /// The filter itself: forgetting keys (rebuild) must never forget a
-    /// *kept* key.
-    #[test]
-    fn bloom_rebuild_keeps_every_surviving_key(
-        raw_keys in prop::collection::vec(0u64..10_000, 1..256),
-        drop_mod in 2u64..7,
-    ) {
-        let mut keys = raw_keys;
-        keys.sort_unstable();
-        keys.dedup();
-        let mut filter = Bloom::with_capacity(keys.len(), 16, 0x6a);
-        for &k in &keys {
-            filter.insert(k);
-        }
-        let kept: Vec<u64> = keys.iter().copied().filter(|k| k % drop_mod != 0).collect();
-        filter.rebuild(kept.iter().copied());
-        for &k in &kept {
-            prop_assert!(filter.maybe_contains(k), "false negative after rebuild: {}", k);
+            let mut keys: Vec<u32> = slow.extra.keys().copied().collect();
+            keys.sort_unstable();
+            prop_assert_eq!(fast.segments(), keys, "emptied records must be pruned");
+            for homes in slow.extra.values() {
+                let mut dedup = homes.clone();
+                dedup.sort_unstable();
+                dedup.dedup();
+                prop_assert_eq!(dedup.len(), homes.len(), "duplicate home recorded");
+            }
         }
     }
 

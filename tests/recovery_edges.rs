@@ -2,7 +2,8 @@
 //! reused segments, torn checkpoint slots, and a crash during the
 //! checkpoint write itself — plus the tertiary engine's degraded-mode
 //! edge (DESIGN.md §6f): the writer lane dying mid copy-out stream and
-//! the mantle failing over to a spare drive.
+//! the mantle failing over to a spare drive, and the fetch of a segment
+//! with no home at all.
 
 use std::rc::Rc;
 
@@ -219,30 +220,13 @@ fn crash_during_checkpoint_write_keeps_a_valid_checkpoint() {
 /// and every staged segment lands on tertiary media byte-identical.
 #[test]
 fn writer_lane_death_fails_over_copyouts_to_a_spare() {
-    use std::cell::RefCell;
-
-    use highlight::segcache::{EjectPolicy, LineState, SegCache};
-    use highlight::{TertiaryIo, TsegTable, UniformMap};
-    use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
+    use highlight::rig::{assert_clean, RigSpec};
+    use highlight::segcache::LineState;
+    use hl_footprint::Footprint;
     use hl_vdev::{FaultConfig, FaultPlan};
 
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 64 * 256, None));
-    let map = UniformMap::new(2, 256, 64, 4, 8);
-    let jb = Jukebox::new(
-        JukeboxConfig {
-            volumes: 4,
-            segments_per_volume: 8,
-            drives: 2,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let cache = Rc::new(RefCell::new(SegCache::new(
-        (40..52).collect::<Vec<_>>(),
-        EjectPolicy::Lru,
-    )));
-    let tseg = Rc::new(RefCell::new(TsegTable::new()));
-    let tio = TertiaryIo::new(map, Rc::new(jb.clone()), disk.clone(), cache, tseg);
+    let (tio, jb, map) = RigSpec::default().build();
+    let disk = tio.disks_handle();
 
     // Drive 0 — the writer — is dead from the start; the engine only
     // discovers it when the first copy-out routes there.
@@ -290,14 +274,35 @@ fn writer_lane_death_fails_over_copyouts_to_a_spare() {
         "the spare must have served both copy-outs"
     );
     assert_eq!(tio.lane_health(), vec![false, true]);
-    let findings = tio.trace_findings();
-    assert!(
-        findings.is_empty(),
-        "tracecheck findings:\n{}",
-        findings
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    assert_clean(&tio);
+}
+
+/// A segment number outside the tertiary range has no primary home: a
+/// demand fetch of it fails `Offline` unless a replica record gives it
+/// one, in which case the replica serves it (one directory lookup
+/// decides both).
+#[test]
+fn a_segment_with_no_home_is_offline_until_a_replica_names_one() {
+    use highlight::rig::RigSpec;
+    use highlight::HlError;
+    use hl_footprint::Footprint;
+    use hl_vdev::DevError;
+
+    let (tio, jb, map) = RigSpec::default().build();
+    let unmapped = map.tertiary_base() - 1;
+    assert!(map.vol_slot(unmapped).is_none());
+    assert!(matches!(
+        tio.demand_fetch(0, unmapped),
+        Err(HlError::Dev(DevError::Offline))
+    ));
+
+    let image = vec![0x5au8; 1 << 20];
+    jb.poke_segment(3, 7, &image).expect("stage the replica");
+    tio.replicas().borrow_mut().add(unmapped, 3, 7);
+    let (disk_seg, _) = tio.demand_fetch(0, unmapped).expect("replica serves");
+    let mut back = vec![0u8; 1 << 20];
+    tio.disks_handle()
+        .peek(map.seg_base(disk_seg) as u64, &mut back)
+        .expect("peek the cache line");
+    assert_eq!(back, image);
 }

@@ -7,34 +7,10 @@
 //! checks over the standard scenario suite. Every run must end with
 //! zero tracecheck findings.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use hl_bench::scenarios::{run_scenario, standard_scenarios, ScenarioConfig};
-use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
+use hl_footprint::Footprint;
 use hl_trace::Class;
-use hl_vdev::{Disk, DiskProfile};
-use highlight::{EjectPolicy, SegCache, TertiaryIo, TsegTable, UniformMap};
-
-fn rig(cache_lines: u32) -> (TertiaryIo, Jukebox, UniformMap) {
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 64 * 256, None));
-    let map = UniformMap::new(2, 256, 64, 4, 8);
-    let jb = Jukebox::new(
-        JukeboxConfig {
-            volumes: 4,
-            segments_per_volume: 8,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let cache = Rc::new(RefCell::new(SegCache::new(
-        (40..40 + cache_lines).collect(),
-        EjectPolicy::Lru,
-    )));
-    let tseg = Rc::new(RefCell::new(TsegTable::new()));
-    let tio = TertiaryIo::new(map, Rc::new(jb.clone()), disk, cache, tseg);
-    (tio, jb, map)
-}
+use highlight::rig::RigSpec;
 
 fn std_scenario(name: &str) -> ScenarioConfig {
     standard_scenarios()
@@ -50,7 +26,7 @@ fn std_scenario(name: &str) -> ScenarioConfig {
 #[test]
 fn flash_crowd_coalesces_to_one_media_read() {
     const CROWD: usize = 8;
-    let (tio, jb, map) = rig(6);
+    let (tio, jb, map) = RigSpec::with_lines(40..46).build();
     jb.poke_segment(2, 5, &vec![0xC7u8; 1 << 20]).unwrap();
     let seg = map.tert_seg(2, 5);
     let reads_before = jb.stats().reads;

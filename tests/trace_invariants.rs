@@ -5,48 +5,12 @@
 //! reconciling against the span residency recomputed from the raw
 //! event stream.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
+use highlight::rig::{assert_clean, RigSpec};
 use highlight::segcache::LineState;
-use highlight::{EjectPolicy, SegCache, TertiaryIo, TsegTable, UniformMap};
 use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
 use hl_sim::Scheduler;
 use hl_trace::{Class, EventKind, QueueId};
 use hl_vdev::{Disk, DiskProfile};
-
-fn rig(cache_lines: u32) -> (TertiaryIo, Jukebox, UniformMap) {
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 64 * 256, None));
-    let map = UniformMap::new(2, 256, 64, 4, 8);
-    let jb = Jukebox::new(
-        JukeboxConfig {
-            volumes: 4,
-            segments_per_volume: 8,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let cache = Rc::new(RefCell::new(SegCache::new(
-        (40..40 + cache_lines).collect(),
-        EjectPolicy::Lru,
-    )));
-    let tseg = Rc::new(RefCell::new(TsegTable::new()));
-    let tio = TertiaryIo::new(map, Rc::new(jb.clone()), disk, cache, tseg);
-    (tio, jb, map)
-}
-
-fn assert_clean(tio: &TertiaryIo) {
-    let findings = tio.trace_findings();
-    assert!(
-        findings.is_empty(),
-        "tracecheck findings:\n{}",
-        findings
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-}
 
 /// Coalesced fetches under the recorder: the joiners emit `Join` events
 /// referencing the live parent span, the engine's `coalesced_fetches`
@@ -54,7 +18,7 @@ fn assert_clean(tio: &TertiaryIo) {
 /// invariant-clean.
 #[test]
 fn coalesced_fetches_trace_one_span_with_joins() {
-    let (tio, jb, map) = rig(4);
+    let (tio, jb, map) = RigSpec::with_lines(40..44).build();
     let seg = map.tert_seg(1, 2);
     jb.poke_segment(1, 2, &vec![9u8; 1 << 20]).unwrap();
 
@@ -82,7 +46,7 @@ fn coalesced_fetches_trace_one_span_with_joins() {
 /// were enqueued in reverse, and the trace is invariant-clean.
 #[test]
 fn dispatch_priority_is_visible_in_queuing_events() {
-    let (tio, jb, map) = rig(4);
+    let (tio, jb, map) = RigSpec::with_lines(40..44).build();
     let demand_seg = map.tert_seg(0, 0);
     let prefetch_seg = map.tert_seg(0, 1);
     let copyout_seg = map.tert_seg(2, 0);
@@ -129,7 +93,7 @@ fn dispatch_priority_is_visible_in_queuing_events() {
 /// refused drain closes every span so the quiesced check still passes.
 #[test]
 fn request_queue_highwater_derives_from_the_recorder() {
-    let (tio, _jb, map) = rig(2);
+    let (tio, _jb, map) = RigSpec::with_lines(40..42).build();
     let mut sched: Scheduler<()> = Scheduler::new();
     tio.attach_engine(&mut sched);
 
@@ -160,7 +124,7 @@ fn request_queue_highwater_derives_from_the_recorder() {
 /// tally that could drift.)
 #[test]
 fn svcstats_reconcile_with_span_residency() {
-    let (tio, jb, map) = rig(3);
+    let (tio, jb, map) = RigSpec::with_lines(40..43).build();
     jb.poke_segment(0, 3, &vec![5u8; 1 << 20]).unwrap();
     jb.poke_segment(1, 1, &vec![6u8; 1 << 20]).unwrap();
     let a = map.tert_seg(0, 3);

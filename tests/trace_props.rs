@@ -11,35 +11,12 @@
 //!   the death of one queued fetch op (demand or prefetch), never a
 //!   phantom.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use highlight::segcache::{EjectPolicy, LineState, SegCache};
-use highlight::{TertiaryIo, TsegTable, UniformMap};
-use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
+use highlight::rig::RigSpec;
+use highlight::segcache::LineState;
+use hl_footprint::Footprint;
 use hl_trace::Class;
-use hl_vdev::{Disk, DiskProfile, FaultConfig, FaultPlan};
+use hl_vdev::{FaultConfig, FaultPlan};
 use proptest::prelude::*;
-
-fn rig() -> (TertiaryIo, Jukebox, UniformMap) {
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 64 * 256, None));
-    let map = UniformMap::new(2, 256, 64, 4, 8);
-    let jb = Jukebox::new(
-        JukeboxConfig {
-            volumes: 4,
-            segments_per_volume: 8,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let cache = Rc::new(RefCell::new(SegCache::new(
-        (40..44).collect(),
-        EjectPolicy::Lru,
-    )));
-    let tseg = Rc::new(RefCell::new(TsegTable::new()));
-    let tio = TertiaryIo::new(map, Rc::new(jb.clone()), disk, cache, tseg);
-    (tio, jb, map)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -54,7 +31,7 @@ proptest! {
         jam_milli in 0u32..200,
         kill_vol in 0u32..8,
     ) {
-        let (tio, jb, map) = rig();
+        let (tio, jb, map) = RigSpec::with_lines(40..44).build();
         // Every segment has media-side bytes, so any fetch that fails
         // does so because of an injected fault, not missing data.
         for vol in 0..4u32 {
