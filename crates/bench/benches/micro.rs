@@ -2,14 +2,16 @@
 //! host wall time, unlike the table harnesses which report simulated
 //! time): summary serialization, checksums, directory ops, the
 //! segment-cache directory, the block-map route, zero-copy staging,
-//! the replica directory and the request-ticket lifecycle — one row per
-//! live path. (The PR 10 before/after pairs are history in
-//! EXPERIMENTS.md; the "before" arms are no longer compiled.)
+//! the replica directory, the request-ticket lifecycle, the scheduler
+//! step and the trace emit — one row per live path. (Earlier PRs'
+//! before/after pairs are history in EXPERIMENTS.md; the "before" arms
+//! are no longer compiled.)
 //!
 //! The harness-less `main` gates the single-block route at
 //! [`ROUTE_GATE_NS`], scaled by the same-process 4 KiB-fill host anchor,
-//! writes `BENCH_micro.json` at the repository root, and exits non-zero
-//! if the gate is missed.
+//! and the scheduler step at [`STEP_SCALING_GATE`] (its cost with 1024
+//! runnable actors over its cost with 8), writes `BENCH_micro.json` at
+//! the repository root, and exits non-zero if a gate is missed.
 
 use criterion::Criterion;
 use std::hint::black_box;
@@ -22,6 +24,8 @@ use hl_bench::report::{write_bench_json, Checks, Json};
 use hl_lfs::dir;
 use hl_lfs::ondisk::{cksum, Finfo, SegSummary};
 use hl_lfs::types::FileKind;
+use hl_sim::{Actor, Scheduler, SimTime, Step};
+use hl_trace::Tracer;
 use hl_vdev::{BlockDev, BLOCK_SIZE};
 
 /// Hard gate for the single-block secondary route.
@@ -34,6 +38,15 @@ const SEED_ROUTE_NS: f64 = 104.0;
 /// when the host runs slower than the reference, so it keeps catching
 /// code regressions instead of hypervisor steal time.
 const REF_FILL_NS: f64 = 33.0;
+/// Hard gate on how the scheduler step scales with connected actors:
+/// cost with 1024 runnable actors over cost with 8, both measured in
+/// this process, so host speed cancels. A heap run queue pays three more
+/// levels of sift; the linear scan it replaced paid 128x the slots and
+/// measured 66x.
+const STEP_SCALING_GATE: f64 = 3.0;
+/// Runnable-actor counts of the `sched step` rows (a paper-rig private
+/// scheduler, a small pool, the `fleet_cold` benchmark fleet).
+const STEP_ACTORS: [u64; 3] = [8, 128, 1024];
 
 fn bench_cksum(c: &mut Criterion) {
     let block = vec![0xa5u8; 4096];
@@ -185,6 +198,64 @@ fn bench_staging(c: &mut Criterion) {
     });
 }
 
+/// Yields one period ahead, forever.
+struct Periodic(SimTime);
+impl Actor<()> for Periodic {
+    fn step(&mut self, _: &mut (), now: SimTime) -> Step {
+        Step::Yield(now + self.0)
+    }
+}
+
+fn step_id(actors: u64) -> String {
+    format!("sched step, {actors} runnable actors")
+}
+
+/// One scheduler step with `n` runnable actors: actor `i` runs at every
+/// `t ≡ i (mod n)`, so advancing the horizon by one steps exactly one
+/// actor and re-queues it behind the other `n - 1`.
+fn bench_sched_step(c: &mut Criterion) {
+    for n in STEP_ACTORS {
+        let mut sched: Scheduler<()> = Scheduler::new();
+        for i in 0..n {
+            sched.spawn_at(i, Periodic(n));
+        }
+        let mut horizon = 0;
+        c.bench_function(&step_id(n), |b| {
+            b.iter(|| {
+                horizon += 1;
+                sched.run_until(&mut (), black_box(horizon))
+            })
+        });
+    }
+}
+
+/// One scheduler-park event into the recorder, on its two paths: kept
+/// in the ring (the ring is emptied whenever it fills, so every emit is
+/// a retained one), and digested-then-dropped past the retention bound —
+/// where most of a fleet run's millions of park/wake events go.
+fn bench_trace_emit(c: &mut Criterion) {
+    let retained = Tracer::new();
+    c.bench_function("trace emit park, retained", |b| {
+        let mut at = 0u64;
+        b.iter(|| {
+            at += 1;
+            if at.is_multiple_of(hl_trace::DEFAULT_CAP as u64) {
+                retained.reset();
+            }
+            retained.park(black_box(at), black_box("fleet-worker"))
+        })
+    });
+    let capped = Tracer::with_capacity(0);
+    c.bench_function("trace emit park, past cap", |b| {
+        let mut at = 0u64;
+        b.iter(|| {
+            at += 1;
+            capped.park(black_box(at), black_box("fleet-worker"))
+        })
+    });
+    black_box((retained.digest(), capped.digest()));
+}
+
 fn main() {
     let mut c = Criterion::default();
     // Two full passes: every id is measured twice, minutes apart in
@@ -201,6 +272,8 @@ fn main() {
         bench_ticket(&mut c);
         bench_segdir(&mut c);
         bench_staging(&mut c);
+        bench_sched_step(&mut c);
+        bench_trace_emit(&mut c);
     }
 
     let ns = |id: &str| {
@@ -231,6 +304,10 @@ fn main() {
         }
     }
 
+    let step_few = ns(&step_id(STEP_ACTORS[0]));
+    let step_many = ns(&step_id(STEP_ACTORS[2]));
+    let step_scaling = step_many / step_few;
+
     // Machine-readable payload at the repository root. The seed_*
     // numbers are the pre-optimization measurements pinned from the
     // reference machine so the trajectory survives even though the slow
@@ -259,6 +336,13 @@ fn main() {
                 ]),
             ),
             (
+                "sched_step_scaling",
+                Json::obj([
+                    ("ratio_1024_over_8", Json::Fixed(step_scaling, 2)),
+                    ("gate", Json::Fixed(STEP_SCALING_GATE, 1)),
+                ]),
+            ),
+            (
                 "seed_baseline_ns",
                 Json::obj([
                     ("route_peek_1_block", Json::Fixed(SEED_ROUTE_NS, 1)),
@@ -279,6 +363,13 @@ fn main() {
     checks.row(
         format!("route + peek faster than the {SEED_ROUTE_NS:.1} ns seed baseline"),
         route < SEED_ROUTE_NS,
+    );
+    checks.row(
+        format!(
+            "step cost at 1024 actors <= {STEP_SCALING_GATE:.0}x the cost at 8 \
+             ({step_many:.1} ns / {step_few:.1} ns = {step_scaling:.2}x)"
+        ),
+        step_scaling <= STEP_SCALING_GATE,
     );
     checks.finish();
 }

@@ -414,12 +414,12 @@ impl WorkerActor {
         }
     }
 
+    /// Answers every get whose ticket resolved; the rest stay in flight,
+    /// in order (filtered in place: this runs on every 20 ms poll).
     fn poll_gets(&mut self, w: &mut FleetWorld, now: SimTime) {
-        let mut keep = Vec::new();
-        for g in self.gets.drain(..) {
+        self.gets.retain(|g| {
             if !g.ticket.is_done() {
-                keep.push(g);
-                continue;
+                return true;
             }
             let result = match g.ticket.fetch_result() {
                 Ok((_, ready)) => Ok(ready),
@@ -433,13 +433,14 @@ impl WorkerActor {
                     result,
                 },
             );
-        }
-        self.gets = keep;
+            false
+        });
     }
 
+    /// Advances every in-flight put one stage if it can; answered puts
+    /// leave the list, the rest stay in order (filtered in place).
     fn poll_puts(&mut self, w: &mut FleetWorld, now: SimTime) {
-        let mut keep = Vec::new();
-        for mut p in self.puts.drain(..) {
+        self.puts.retain_mut(|p| {
             match &p.stage {
                 PutStage::NeedLine => {
                     let (si, seg) = w.engine.locate(p.obj);
@@ -467,46 +468,38 @@ impl WorkerActor {
                             at: wslot.end,
                         };
                     }
-                    keep.push(p);
                 }
                 PutStage::Sealed { seg, shard, at } => {
                     let (seg, si, at) = (*seg, *shard, *at);
-                    if now < at {
-                        keep.push(p);
-                        continue;
-                    }
-                    match w.engine.shards[si]
-                        .tio
-                        .try_enqueue_copy_out_for(p.tenant, now.max(at), seg)
-                    {
-                        Some(ticket) => {
+                    if now >= at {
+                        if let Some(ticket) = w.engine.shards[si]
+                            .tio
+                            .try_enqueue_copy_out_for(p.tenant, now.max(at), seg)
+                        {
                             p.stage = PutStage::CopyOut { ticket };
-                            keep.push(p);
                         }
-                        None => keep.push(p),
                     }
                 }
                 PutStage::CopyOut { ticket } => {
-                    if !ticket.is_done() {
-                        keep.push(p);
-                        continue;
+                    if ticket.is_done() {
+                        let result = match ticket.copyout_result() {
+                            Ok(done_at) => Ok(done_at),
+                            Err(_) => Err(ERR_COPYOUT),
+                        };
+                        w.respond(
+                            now,
+                            p.conn,
+                            ResponseFrame {
+                                req_id: p.req_id,
+                                result,
+                            },
+                        );
+                        return false;
                     }
-                    let result = match ticket.copyout_result() {
-                        Ok(done_at) => Ok(done_at),
-                        Err(_) => Err(ERR_COPYOUT),
-                    };
-                    w.respond(
-                        now,
-                        p.conn,
-                        ResponseFrame {
-                            req_id: p.req_id,
-                            result,
-                        },
-                    );
                 }
             }
-        }
-        self.puts = keep;
+            true
+        });
     }
 }
 

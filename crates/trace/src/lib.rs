@@ -25,6 +25,7 @@ pub mod check;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::rc::Rc;
 
 pub use check::{tracecheck, Expectations, Finding};
@@ -127,12 +128,12 @@ pub enum Lane {
     Staging,
 }
 
-impl Lane {
-    /// Short label used by renders (`d0`, `d1`, …, `st`).
-    pub fn label(self) -> String {
+/// Short label used by renders (`d0`, `d1`, …, `st`).
+impl fmt::Display for Lane {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Lane::Drive(d) => format!("d{d}"),
-            Lane::Staging => "st".to_string(),
+            Lane::Drive(d) => write!(f, "d{d}"),
+            Lane::Staging => f.write_str("st"),
         }
     }
 }
@@ -163,9 +164,12 @@ impl QueueId {
     }
 }
 
-/// One traced occurrence.
+/// One traced occurrence. `S` is the text type of the four labelled
+/// kinds: `String` in a recorded [`Event`], `&str` on the way in, so an
+/// event is digested — and, past the retention bound, dropped — without
+/// its label ever being copied.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EventKind {
+pub enum EventKind<S = String> {
     /// A request entered the engine: its span opens.
     SpanOpen {
         /// Fresh span id.
@@ -238,22 +242,22 @@ pub enum EventKind {
     /// A scheduler actor parked awaiting a wake.
     Park {
         /// The actor's name.
-        actor: String,
+        actor: S,
     },
     /// A parked actor was woken.
     Wake {
         /// The actor's name.
-        actor: String,
+        actor: S,
     },
     /// An injected fault or crash fired.
     Fault {
         /// Description of the injection.
-        label: String,
+        label: S,
     },
     /// Free-form breadcrumb (migrator, prefetcher, cleaner, clock).
     Mark {
         /// The breadcrumb.
-        label: String,
+        label: S,
     },
     /// An I/O-server lane went down (hard fault or watchdog timeout).
     DriveDown {
@@ -308,65 +312,127 @@ pub enum EventKind {
 /// One recorded event: a sequence number (emission order), the simulated
 /// time it describes, and its kind.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Event {
+pub struct Event<S = String> {
     /// Emission order, starting at 0.
     pub seq: u64,
     /// Simulated time the event describes. Not necessarily monotone in
     /// `seq`: wakes may rewind an idle actor's clock.
     pub at: TraceTime,
     /// What happened.
-    pub kind: EventKind,
+    pub kind: EventKind<S>,
 }
 
-impl Event {
-    /// Stable single-line text render. Byte-identical per seed; feeds the
-    /// running digest.
-    pub fn render(&self) -> String {
-        let body = match &self.kind {
+impl<S: fmt::Display> Event<S> {
+    /// Writes the stable single-line text form into `out`. This is the
+    /// only renderer: [`Event::render`] collects it into a `String` and
+    /// the recorder streams it into the running digest, so the digest
+    /// covers exactly the bytes a render shows. Byte-identical per seed.
+    pub fn write_line(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        write!(out, "#{:06} t{} ", self.seq, self.at)?;
+        match &self.kind {
             EventKind::SpanOpen { span, class, seg } => match seg {
-                Some(s) => format!("s+ {span} {} seg {s}", class.label()),
-                None => format!("s+ {span} {} seg -", class.label()),
+                Some(s) => write!(out, "s+ {span} {} seg {s}", class.label()),
+                None => write!(out, "s+ {span} {} seg -", class.label()),
             },
             EventKind::SpanClose { span, ok } => {
-                format!("s- {span} {}", if *ok { "ok" } else { "err" })
+                write!(out, "s- {span} {}", if *ok { "ok" } else { "err" })
             }
-            EventKind::Join { span, class } => format!("join {span} {}", class.label()),
+            EventKind::Join { span, class } => write!(out, "join {span} {}", class.label()),
             EventKind::Queuing {
                 span,
                 class,
                 from,
                 to,
-            } => format!("qres {span} {} {from}..{to}", class.label()),
+            } => write!(out, "qres {span} {} {from}..{to}", class.label()),
             EventKind::QueueDepth { queue, depth } => {
-                format!("qdep {} {depth}", queue.label())
+                write!(out, "qdep {} {depth}", queue.label())
             }
             EventKind::CacheState { seg, from, to } => {
-                format!("line {seg} {}>{}", from.label(), to.label())
+                write!(out, "line {seg} {}>{}", from.label(), to.label())
             }
-            EventKind::CacheRekey { old, new } => format!("rekey {old}>{new}"),
-            EventKind::DevIo { lane, start, end } => {
-                format!("dev {} {start}..{end}", lane.label())
-            }
-            EventKind::Park { actor } => format!("park {actor}"),
-            EventKind::Wake { actor } => format!("wake {actor}"),
-            EventKind::Fault { label } => format!("fault {label}"),
-            EventKind::Mark { label } => format!("mark {label}"),
-            EventKind::DriveDown { drive } => format!("ddn d{drive}"),
-            EventKind::DriveUp { drive } => format!("dup d{drive}"),
-            EventKind::WatchdogFire { drive, span } => format!("wdog d{drive} {span}"),
+            EventKind::CacheRekey { old, new } => write!(out, "rekey {old}>{new}"),
+            EventKind::DevIo { lane, start, end } => write!(out, "dev {lane} {start}..{end}"),
+            EventKind::Park { actor } => write!(out, "park {actor}"),
+            EventKind::Wake { actor } => write!(out, "wake {actor}"),
+            EventKind::Fault { label } => write!(out, "fault {label}"),
+            EventKind::Mark { label } => write!(out, "mark {label}"),
+            EventKind::DriveDown { drive } => write!(out, "ddn d{drive}"),
+            EventKind::DriveUp { drive } => write!(out, "dup d{drive}"),
+            EventKind::WatchdogFire { drive, span } => write!(out, "wdog d{drive} {span}"),
             EventKind::Redispatch { span, from_drive } => {
-                format!("redisp {span} d{from_drive}")
+                write!(out, "redisp {span} d{from_drive}")
             }
             EventKind::TenantAdmit { tenant, class, span } => {
-                format!("tadm n{tenant} {} {span}", class.label())
+                write!(out, "tadm n{tenant} {} {span}", class.label())
             }
             EventKind::TenantThrottle { tenant, class, span } => {
-                format!("tthr n{tenant} {} {span}", class.label())
+                write!(out, "tthr n{tenant} {} {span}", class.label())
             }
-        };
-        format!("#{:06} t{} {body}", self.seq, self.at)
+        }
     }
 
+    /// Stable single-line text render: [`Event::write_line`] into a
+    /// fresh `String`.
+    pub fn render(&self) -> String {
+        let mut line = String::new();
+        self.write_line(&mut line)
+            .expect("writing into a String cannot fail");
+        line
+    }
+}
+
+impl Event<&str> {
+    /// Copies the label of a labelled kind, so the event can outlive the
+    /// call that emitted it.
+    fn into_owned(self) -> Event {
+        use EventKind::*;
+        let kind = match self.kind {
+            Park { actor } => Park {
+                actor: actor.to_string(),
+            },
+            Wake { actor } => Wake {
+                actor: actor.to_string(),
+            },
+            Fault { label } => Fault {
+                label: label.to_string(),
+            },
+            Mark { label } => Mark {
+                label: label.to_string(),
+            },
+            SpanOpen { span, class, seg } => SpanOpen { span, class, seg },
+            SpanClose { span, ok } => SpanClose { span, ok },
+            Join { span, class } => Join { span, class },
+            Queuing {
+                span,
+                class,
+                from,
+                to,
+            } => Queuing {
+                span,
+                class,
+                from,
+                to,
+            },
+            QueueDepth { queue, depth } => QueueDepth { queue, depth },
+            CacheState { seg, from, to } => CacheState { seg, from, to },
+            CacheRekey { old, new } => CacheRekey { old, new },
+            DevIo { lane, start, end } => DevIo { lane, start, end },
+            DriveDown { drive } => DriveDown { drive },
+            DriveUp { drive } => DriveUp { drive },
+            WatchdogFire { drive, span } => WatchdogFire { drive, span },
+            Redispatch { span, from_drive } => Redispatch { span, from_drive },
+            TenantAdmit { tenant, class, span } => TenantAdmit { tenant, class, span },
+            TenantThrottle { tenant, class, span } => TenantThrottle { tenant, class, span },
+        };
+        Event {
+            seq: self.seq,
+            at: self.at,
+            kind,
+        }
+    }
+}
+
+impl Event {
     /// Stable JSON object render (hand-rolled; labels are escaped).
     pub fn render_json(&self) -> String {
         fn esc(s: &str) -> String {
@@ -407,10 +473,7 @@ impl Event {
                 format!("\"ev\":\"cache_rekey\",\"old\":{old},\"new\":{new}")
             }
             EventKind::DevIo { lane, start, end } => {
-                format!(
-                    "\"ev\":\"dev_io\",\"lane\":\"{}\",\"start\":{start},\"end\":{end}",
-                    lane.label()
-                )
+                format!("\"ev\":\"dev_io\",\"lane\":\"{lane}\",\"start\":{start},\"end\":{end}")
             }
             EventKind::Park { actor } => format!("\"ev\":\"park\",\"actor\":\"{}\"", esc(actor)),
             EventKind::Wake { actor } => format!("\"ev\":\"wake\",\"actor\":\"{}\"", esc(actor)),
@@ -536,19 +599,23 @@ impl Recorder {
         }
     }
 
-    fn emit(&mut self, at: TraceTime, kind: EventKind) {
+    /// Digests the event and, below the retention bound, records it.
+    /// Nothing here allocates unless the event is retained: the line is
+    /// streamed into the digest, never built, and a borrowed label is
+    /// copied only on its way into the ring.
+    fn emit(&mut self, at: TraceTime, kind: EventKind<&str>) {
         let ev = Event {
             seq: self.next_seq,
             at,
             kind,
         };
         self.next_seq += 1;
-        for b in ev.render().bytes() {
-            self.digest = fnv_mix(self.digest, b);
-        }
-        self.digest = fnv_mix(self.digest, b'\n');
+        let mut sink = FnvSink(self.digest);
+        ev.write_line(&mut sink)
+            .expect("the digest sink cannot fail");
+        self.digest = fnv_mix(sink.0, b'\n');
         if self.events.len() < self.cap {
-            self.events.push(ev);
+            self.events.push(ev.into_owned());
         } else {
             self.dropped += 1;
         }
@@ -578,6 +645,16 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 fn fnv_mix(h: u64, b: u8) -> u64 {
     (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+}
+
+/// FNV-1a as a [`fmt::Write`] sink: folds whatever is written into it.
+struct FnvSink(u64);
+
+impl fmt::Write for FnvSink {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = s.bytes().fold(self.0, fnv_mix);
+        Ok(())
+    }
 }
 
 /// A cloneable handle onto a shared [trace recorder](Tracer::new). Every
@@ -696,42 +773,22 @@ impl Tracer {
 
     /// Records an actor parking.
     pub fn park(&self, at: TraceTime, actor: &str) {
-        self.rec.borrow_mut().emit(
-            at,
-            EventKind::Park {
-                actor: actor.to_string(),
-            },
-        );
+        self.rec.borrow_mut().emit(at, EventKind::Park { actor });
     }
 
     /// Records a parked actor being woken.
     pub fn wake(&self, at: TraceTime, actor: &str) {
-        self.rec.borrow_mut().emit(
-            at,
-            EventKind::Wake {
-                actor: actor.to_string(),
-            },
-        );
+        self.rec.borrow_mut().emit(at, EventKind::Wake { actor });
     }
 
     /// Records an injected fault or crash.
     pub fn fault(&self, at: TraceTime, label: &str) {
-        self.rec.borrow_mut().emit(
-            at,
-            EventKind::Fault {
-                label: label.to_string(),
-            },
-        );
+        self.rec.borrow_mut().emit(at, EventKind::Fault { label });
     }
 
     /// Records a free-form breadcrumb.
     pub fn mark(&self, at: TraceTime, label: &str) {
-        self.rec.borrow_mut().emit(
-            at,
-            EventKind::Mark {
-                label: label.to_string(),
-            },
-        );
+        self.rec.borrow_mut().emit(at, EventKind::Mark { label });
     }
 
     /// Records a migration/cleaning policy decision as a structured
@@ -743,12 +800,8 @@ impl Tracer {
     pub fn policy_decision(&self, at: TraceTime, policy: &str, detail: &str) {
         let mut r = self.rec.borrow_mut();
         r.policy_decisions += 1;
-        r.emit(
-            at,
-            EventKind::Mark {
-                label: format!("policy {policy}: {detail}"),
-            },
-        );
+        let label = format!("policy {policy}: {detail}");
+        r.emit(at, EventKind::Mark { label: &label });
     }
 
     /// Records an I/O-server lane going down.
@@ -1060,5 +1113,61 @@ mod tests {
         let json = t.render_json();
         assert!(json.starts_with("[{\"seq\":0,"));
         assert!(json.contains("\"ev\":\"cache_state\""));
+    }
+
+    /// Emits every [`EventKind`] (each optional field both ways) through
+    /// the public emitters.
+    fn emit_every_kind(t: &Tracer) {
+        let a = t.open_span(3, Class::Demand, Some(42));
+        let b = t.open_span(4, Class::Scrub, None);
+        t.join(5, a, Class::Prefetch);
+        t.queue_depth(5, QueueId::Request, 2);
+        t.queue_depth(6, QueueId::Device, 1);
+        t.queuing(9, a, Class::Demand, 3, 9);
+        t.cache_state(9, 42, LineTag::Empty, LineTag::Filling);
+        t.cache_state(30, 42, LineTag::Filling, LineTag::Clean);
+        t.cache_state(31, 43, LineTag::Staging, LineTag::DirtyWait);
+        t.cache_rekey(32, 43, 44);
+        t.dev_io(Lane::Drive(1), 9, 30);
+        t.dev_io(Lane::Staging, 30, 31);
+        t.park(31, "io-server 1");
+        t.wake(1_000_000, "io-server 1");
+        t.fault(33, "drive 0 \"dead\"");
+        t.mark(34, "");
+        t.policy_decision(35, "lru", "eject 42");
+        t.drive_down(36, 0);
+        t.watchdog_fire(36, 0, b);
+        t.redispatch(37, b, 0);
+        t.drive_up(90, 0);
+        t.tenant_admit(91, 7, Class::CopyOut, b);
+        t.tenant_throttle(91, 3, Class::Eject, b);
+        t.close_span(95, a, true);
+        t.close_span(96, b, false);
+    }
+
+    /// The digest is FNV-1a over exactly the `render_text()` lines —
+    /// whether an event was kept or dropped past the ring cap — XOR the
+    /// drop count. Computed here from the rendered lines of an uncapped
+    /// tracer, byte by byte, independently of the streaming sink.
+    #[test]
+    fn digest_covers_the_rendered_bytes_of_every_kind_kept_or_dropped() {
+        let full = Tracer::new();
+        emit_every_kind(&full);
+        assert_eq!(full.summary().len(), 18, "one of every EventKind");
+        let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+        for line in full.render_text() {
+            for b in line.bytes().chain([b'\n']) {
+                fnv = (fnv ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        let emitted = full.len();
+        for cap in [usize::MAX, 11, 0] {
+            let t = Tracer::with_capacity(cap);
+            emit_every_kind(&t);
+            let dropped = emitted.saturating_sub(cap as u64);
+            assert_eq!(t.dropped(), dropped, "cap {cap}");
+            assert_eq!(t.digest(), fnv ^ dropped, "cap {cap}");
+            assert_eq!(t.events(), full.events()[..(emitted - dropped) as usize]);
+        }
     }
 }
