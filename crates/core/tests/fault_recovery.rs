@@ -7,34 +7,45 @@
 
 use std::rc::Rc;
 
-use highlight::rig::RigSpec;
+use highlight::rig::{assert_clean, RigSpec};
+use highlight::segcache::LineState;
 use highlight::{FaultEvent, HighLight, HlConfig, HlError};
 use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
 use hl_lfs::config::AddressMap;
 use hl_sim::Clock;
 use hl_vdev::{BlockDev, Disk, DiskProfile, FaultConfig, FaultPlan};
 
-/// The full mid-run volume-loss scenario; returns the rendered fault log.
-fn run_scenario(seed: u64) -> String {
+/// The full mid-run volume-loss scenario; returns the rendered fault
+/// log and the engine's trace digest.
+fn run_scenario(seed: u64) -> (String, u64) {
     let (tio, jb, map) = RigSpec::with_lines(40..44).build();
     tio.set_replication(1);
     let seg = map.tert_seg(0, 0);
     let data: Vec<u8> = (0..1usize << 20)
         .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed as u8))
         .collect();
-    jb.poke_segment(0, 0, &data).unwrap();
-    jb.poke_segment(1, 0, &data).unwrap();
-    tio.replicas().borrow_mut().add(seg, 1, 0);
-    {
-        let tseg = tio.tseg();
-        let mut t = tseg.borrow_mut();
-        t.seg_mut(seg).avail_bytes = 1 << 20;
-        t.volume_mut(0).next_slot = 1;
-        t.volume_mut(1).next_slot = 1;
-    }
+    // A replicated copy-out puts the segment on tertiary media: the
+    // primary at its home (volume 0, slot 0), one replica on volume 1.
+    let (line, _) = tio
+        .cache()
+        .borrow_mut()
+        .allocate(seg, LineState::Staging, 0)
+        .expect("staging line");
+    tio.disks_handle()
+        .poke(map.seg_base(line) as u64, &data)
+        .unwrap();
+    tio.cache().borrow_mut().set_state(seg, LineState::DirtyWait);
+    let t0 = tio.copy_out(0, seg).expect("replicated copy-out");
+    assert_eq!(tio.replicas().borrow().homes(&map, seg), [(0, 0), (1, 0)]);
+    assert!(tio.eject(seg));
 
-    // Healthy fetch first: the segment has been read once already.
-    let (_, t1) = tio.demand_fetch(0, seg).expect("healthy fetch");
+    // Healthy fetches first: a neighbour on volume 0 brings the
+    // primary's platter into a drive (the replica write left volume 1
+    // loaded, and loaded homes are tried first), then the segment
+    // itself has been read once already — from the primary.
+    jb.poke_segment(0, 1, &data).unwrap();
+    let (_, t0) = tio.demand_fetch(t0, map.tert_seg(0, 1)).expect("neighbour");
+    let (_, t1) = tio.demand_fetch(t0, seg).expect("healthy fetch");
     assert!(tio.eject(seg));
 
     // Mid-run, the primary's volume permanently fails.
@@ -68,15 +79,20 @@ fn run_scenario(seed: u64) -> String {
     assert!(tio.eject(seg));
     assert!(tio.demand_fetch(report.end, seg).is_ok());
 
-    tio.fault_log().render()
+    assert_clean(&tio);
+    assert_eq!(tio.queue_depths(), (0, 0));
+    (tio.fault_log().render(), tio.trace_digest())
 }
 
 #[test]
 fn volume_loss_mid_run_recovers_and_logs_deterministically() {
-    let log_a = run_scenario(1234);
-    let log_b = run_scenario(1234);
+    let (log_a, digest_a) = run_scenario(1234);
+    let (log_b, digest_b) = run_scenario(1234);
     assert!(!log_a.is_empty());
     assert_eq!(log_a, log_b, "same seed must render a byte-identical log");
+    assert_eq!(digest_a, digest_b);
+    // Taken at PR 14 (before the one-request-record refactor).
+    assert_eq!(digest_a, 0xccf6_ffb4_2f31_bf10, "the recovery trace moved");
 
     // Each recovery step appears, in causal order.
     let idx = |needle: &str| {

@@ -26,6 +26,24 @@ fn torture_transcript_is_deterministic_per_seed() {
     assert_eq!(c.crash_points_run as u64, c.writes_counted);
 }
 
+/// The seed-42 transcript, pinned. Each summary line embeds the
+/// recovered engine's trace digest (`tr=`), so scheduler pick order,
+/// dispatch order and the rendered event bytes are all under this one
+/// value: a change that moves it must say why and re-pin it.
+#[test]
+fn seed_42_transcript_matches_the_pinned_digest() {
+    let report = run_torture(42, &standard_scenario(), None);
+    assert_eq!(report.writes_counted, 17);
+    let fnv = report
+        .summaries
+        .iter()
+        .flat_map(|line| line.bytes().chain([b'\n']))
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+    assert_eq!(fnv, 0x25ca_40b6_e5f9_4d96, "crash_torture -- 42 transcript drifted");
+}
+
 #[test]
 fn migration_heavy_scenario_survives_every_crash() {
     use TortureOp::*;

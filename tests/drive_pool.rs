@@ -281,25 +281,57 @@ fn watchdog_fires_on_hang_and_the_spare_rejoins() {
 }
 
 /// The solo drive dies: its probe ladder runs dry, the lane retires,
-/// and the drained pool fails the queued ticket instead of hanging the
-/// waiter (or panicking).
+/// and the drained pool fails every ticket — in *both* queues — instead
+/// of hanging the waiters (or panicking). The first batch fills the
+/// device queue (three demands, two sealed copy-outs, three prefetches;
+/// the eject between them finishes inline); the second arrives after
+/// the service process has parked on the full device queue, so one
+/// request of every class is still in the request queue when the last
+/// lane retires. The digest pins the whole refusal order.
 #[test]
 fn solo_drive_death_retires_the_pool_and_fails_tickets() {
+    use highlight::segcache::LineState;
     let (tio, jb, map) = rig(1);
     jb.poke_segment(0, 0, &vec![9u8; 1 << 20]).unwrap();
     let plan = FaultPlan::new(FaultConfig::none(17));
     plan.fail_drive_at(0, 0);
     jb.set_fault_plan(plan);
+    let seal = |slot: u32| {
+        let seg = map.tert_seg(3, slot);
+        let cache = tio.cache();
+        cache
+            .borrow_mut()
+            .allocate(seg, LineState::Staging, 0)
+            .expect("staging line");
+        cache.borrow_mut().set_state(seg, LineState::DirtyWait);
+        seg
+    };
     let t = tio.enqueue_demand(0, map.tert_seg(0, 0));
+    let mut rest = Vec::new();
+    for (at, base) in [(0, 1), (hl_sim::time::secs(1.0), 4)] {
+        rest.push(tio.enqueue_demand(at, map.tert_seg(0, base)));
+        rest.push(tio.enqueue_demand(at, map.tert_seg(1, base)));
+        rest.push(tio.enqueue_eject(at, map.tert_seg(2, base)));
+        rest.push(tio.enqueue_copy_out(at, seal(base)));
+        rest.push(tio.enqueue_copy_out(at, seal(base + 1)));
+        for slot in base..base + 3 {
+            rest.push(tio.enqueue_prefetch(at, map.tert_seg(2, slot)));
+        }
+        rest.push(tio.enqueue_scrub(at));
+    }
     tio.pump();
     assert!(
         t.fetch_result().is_err(),
         "a dead pool must surface the error"
     );
+    assert!(rest.iter().all(|t| t.is_done()), "a ticket was lost");
+    assert_eq!(tio.queue_depths(), (0, 0));
     let st = tio.stats();
     assert_eq!(st.drive_down, 1);
+    assert_eq!(st.devq_hwm, 8, "the device queue filled before the drain");
     assert_eq!(tio.lane_health(), vec![false]);
     assert_clean(&tio);
+    assert_eq!(tio.trace_digest(), 0x6341_d8b2_802d_3005);
 }
 
 

@@ -306,3 +306,54 @@ fn a_segment_with_no_home_is_offline_until_a_replica_names_one() {
         .expect("peek the cache line");
     assert_eq!(back, image);
 }
+
+/// Every way the service process refuses a request at dispatch, on one
+/// engine: a fetch whose volume is gone quarantines it; a copy-out of a
+/// line that is not sealed; an eject of a pinned line; a sealed
+/// copy-out onto the quarantined volume; a demand and a prefetch with
+/// every line pinned. Each ticket holds its class's failure value, the
+/// queues drain, and the digest pins what each refusal traced.
+#[test]
+fn dispatch_time_refusals_resolve_every_class() {
+    use highlight::rig::{assert_clean, RigSpec};
+    use highlight::segcache::LineState;
+    use highlight::HlError;
+    use hl_footprint::Footprint;
+    use hl_vdev::DevError;
+
+    let (tio, jb, map) = RigSpec::with_lines(40..42).build();
+    jb.fail_volume(2);
+    assert!(matches!(
+        tio.demand_fetch(0, map.tert_seg(2, 0)),
+        Err(HlError::SegmentUnavailable { .. })
+    ));
+    assert_eq!(tio.quarantined_volumes(), vec![2]);
+
+    let doomed = map.tert_seg(2, 1);
+    tio.cache()
+        .borrow_mut()
+        .allocate(doomed, LineState::Staging, 0)
+        .expect("staging line");
+    assert_eq!(tio.copy_out(0, doomed), Err(DevError::Offline), "unsealed");
+    assert!(!tio.eject(doomed), "pinned");
+    tio.cache().borrow_mut().set_state(doomed, LineState::DirtyWait);
+    assert_eq!(tio.copy_out(0, doomed), Err(DevError::Offline), "quarantined");
+
+    tio.cache()
+        .borrow_mut()
+        .allocate(map.tert_seg(1, 0), LineState::Staging, 0)
+        .expect("second staging line");
+    let prefetch = tio.enqueue_prefetch(0, map.tert_seg(0, 1));
+    assert!(matches!(
+        tio.demand_fetch(0, map.tert_seg(0, 0)),
+        Err(HlError::Dev(DevError::Offline))
+    ));
+    assert!(matches!(
+        prefetch.fetch_result(),
+        Err(HlError::Dev(DevError::Offline))
+    ));
+
+    assert_eq!(tio.queue_depths(), (0, 0));
+    assert_clean(&tio);
+    assert_eq!(tio.trace_digest(), 0xd717_dec6_5ef7_c925);
+}
