@@ -46,7 +46,7 @@ use hl_sim::time::SimTime;
 use hl_sim::{Actor, ActorId, Scheduler, Step, Waker};
 
 use crate::requests::{ReqClass, DISPATCH_CPU};
-use crate::service::{phase, ExecResult, LaneGate, ProbeOutcome, TioInner, MAX_DRIVES};
+use crate::service::{phase, ExecResult, LaneGate, ProbeOutcome, TioInner};
 
 /// Wake handles for the engine's actors on their current scheduler.
 pub(crate) struct EngineHandles {
@@ -207,7 +207,7 @@ pub(crate) fn spawn_engine<W: 'static>(
     let svc = sched.spawn_parked(SvcActor {
         inner: inner.clone(),
     });
-    let drives = inner.jukebox.drives().clamp(1, MAX_DRIVES);
+    let drives = inner.lanes();
     let spawn_lane = |sched: &mut Scheduler<W>, d: usize| {
         sched.spawn_parked(IoActor {
             inner: inner.clone(),

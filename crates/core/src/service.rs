@@ -183,7 +183,7 @@ pub struct ScrubReport {
 }
 
 /// Health record of one I/O-server lane. Shared through
-/// [`TioInner::lanes`]: *any* lane may mark *any* drive down, because a
+/// [`TioInner::lane_health`]: *any* lane may mark *any* drive down, because a
 /// read routed to an already-loaded platter observes faults on the
 /// drive that holds it, not on the lane's home drive.
 #[derive(Clone, Copy, Debug, Default)]
@@ -286,7 +286,7 @@ pub(crate) struct TioInner {
     /// Retry/failover/quarantine knobs (§10).
     pub(crate) policy: Cell<RecoveryPolicy>,
     /// Per-lane health registry, indexed by drive.
-    pub(crate) lanes: RefCell<Vec<LaneHealth>>,
+    pub(crate) lane_health: RefCell<Vec<LaneHealth>>,
     /// Every lane retired: requests are failed fast instead of queued
     /// (nothing could ever serve them and the engine must quiesce).
     pub(crate) all_retired: Cell<bool>,
@@ -387,9 +387,16 @@ impl TioInner {
         }
     }
 
+    /// How many I/O-server lanes the engine runs: one per jukebox
+    /// drive, capped at [`MAX_DRIVES`] (fixed when the registry is
+    /// built).
+    pub(crate) fn lanes(&self) -> usize {
+        self.lane_health.borrow().len()
+    }
+
     /// What the lane for `drive` should do this step, per its health.
     pub(crate) fn lane_gate(&self, drive: usize) -> LaneGate {
-        let lanes = self.lanes.borrow();
+        let lanes = self.lane_health.borrow();
         match lanes.get(drive) {
             Some(h) if h.retired => LaneGate::Retired,
             Some(h) if h.down_since.is_some() => LaneGate::ProbeAt(h.next_probe),
@@ -402,7 +409,7 @@ impl TioInner {
     /// lowest healthy lane (so copy-outs survive the death of drive 0),
     /// and the last healthy lane serves every class.
     pub(crate) fn lane_roles(&self, drive: usize) -> (bool, bool) {
-        let lanes = self.lanes.borrow();
+        let lanes = self.lane_health.borrow();
         let mut healthy = lanes
             .iter()
             .enumerate()
@@ -429,7 +436,7 @@ impl TioInner {
     pub(crate) fn mark_lane_down(&self, at: SimTime, drive: usize, error: DevError) {
         let at = at.max(self.jukebox.drive_busy_until(drive));
         {
-            let mut lanes = self.lanes.borrow_mut();
+            let mut lanes = self.lane_health.borrow_mut();
             let Some(h) = lanes.get_mut(drive) else {
                 return;
             };
@@ -477,7 +484,7 @@ impl TioInner {
     /// every outstanding ticket resolves).
     pub(crate) fn probe_lane(&self, now: SimTime, drive: usize) -> ProbeOutcome {
         if self.jukebox.probe_drive(now, drive) {
-            if let Some(h) = self.lanes.borrow_mut().get_mut(drive) {
+            if let Some(h) = self.lane_health.borrow_mut().get_mut(drive) {
                 h.down_since = None;
                 h.probes = 0;
             }
@@ -489,7 +496,7 @@ impl TioInner {
             return ProbeOutcome::Recovered;
         }
         let (retired, next, all_retired) = {
-            let mut lanes = self.lanes.borrow_mut();
+            let mut lanes = self.lane_health.borrow_mut();
             let h = &mut lanes[drive];
             h.probes += 1;
             if h.probes >= recovery::MAX_PROBES {
@@ -824,12 +831,7 @@ impl TioInner {
                 return ExecResult::Done(start);
             }
         };
-        self.phases
-            .borrow_mut()
-            .add(phase::FOOTPRINT_READ, r.duration());
-        self.iotrack
-            .borrow_mut()
-            .admit_on(r, hl_trace::Lane::Drive(used as u32));
+        self.admit_drive_io(phase::FOOTPRINT_READ, r, used);
         let base = self.map.seg_base(disk_seg) as u64;
         let (ready, end) = match op.mode.unwrap_or(FetchMode::Demand) {
             FetchMode::Demand => {
@@ -934,12 +936,7 @@ impl TioInner {
         // Memory → tertiary, via Footprint.
         match self.jukebox.write_segment_on(r.end, drive, vol, slot, &buf) {
             Ok((w, used)) => {
-                self.phases
-                    .borrow_mut()
-                    .add(phase::FOOTPRINT_WRITE, w.duration());
-                self.iotrack
-                    .borrow_mut()
-                    .admit_on(w, hl_trace::Lane::Drive(used as u32));
+                self.admit_drive_io(phase::FOOTPRINT_WRITE, w, used);
                 self.cache.borrow_mut().set_state(seg, LineState::Clean);
                 {
                     let mut tseg = self.tseg.borrow_mut();
@@ -1142,6 +1139,31 @@ impl TioInner {
         })
     }
 
+    /// Books one Footprint transfer: its duration under `phase` (Table
+    /// 4) and its interval on the drive that carried it, so per-drive
+    /// stats and the trace's drive lanes see every media operation.
+    fn admit_drive_io(&self, phase: &'static str, slot: IoSlot, used: usize) {
+        self.phases.borrow_mut().add(phase, slot.duration());
+        self.iotrack
+            .borrow_mut()
+            .admit_on(slot, hl_trace::Lane::Drive(used as u32));
+    }
+
+    /// Claims the next free slot of `vol` for a replica write, moving
+    /// the volume's cursor; `None` if the volume is quarantined or full.
+    fn claim_slot(&self, vol: u32) -> Option<u32> {
+        if self.recovery.borrow().is_quarantined(vol) {
+            return None;
+        }
+        let mut tseg = self.tseg.borrow_mut();
+        let v = tseg.volume_mut(vol);
+        if v.full || v.next_slot >= self.map.segs_per_volume {
+            return None;
+        }
+        v.next_slot += 1;
+        Some(v.next_slot - 1)
+    }
+
     /// Writes the configured replica copies of a freshly copied-out
     /// segment onto *other* volumes' free slots. Replicas are never
     /// counted as live data (§5.4), so only the volume cursor moves.
@@ -1163,25 +1185,13 @@ impl TioInner {
             if written >= copies || vol == primary_vol {
                 continue;
             }
-            if self.recovery.borrow().is_quarantined(vol) {
+            let Some(slot) = self.claim_slot(vol) else {
                 continue;
-            }
-            let slot = {
-                let mut tseg = self.tseg.borrow_mut();
-                let v = tseg.volume_mut(vol);
-                if v.full || v.next_slot >= self.map.segs_per_volume {
-                    continue;
-                }
-                let s = v.next_slot;
-                v.next_slot += 1;
-                s
             };
             match self.jukebox.write_segment_on(t, drive, vol, slot, buf) {
-                Ok((w, _used)) => {
+                Ok((w, used)) => {
                     t = w.end;
-                    self.phases
-                        .borrow_mut()
-                        .add(phase::FOOTPRINT_WRITE, w.duration());
+                    self.admit_drive_io(phase::FOOTPRINT_WRITE, w, used);
                     self.replicas.borrow_mut().add(tert_seg, vol, slot);
                     written += 1;
                 }
@@ -1251,7 +1261,8 @@ impl TioInner {
             let mut source = None;
             for &(vol, slot) in &homes {
                 match self.jukebox.read_segment_on(t, drive, vol, slot, &mut buf) {
-                    Ok((r, _used)) => {
+                    Ok((r, used)) => {
+                        self.admit_drive_io(phase::FOOTPRINT_READ, r, used);
                         source = Some((r, (vol, slot)));
                         break;
                     }
@@ -1267,34 +1278,19 @@ impl TioInner {
                 continue;
             };
             t = r.end;
-            self.phases
-                .borrow_mut()
-                .add(phase::FOOTPRINT_READ, r.duration());
             let holding: Vec<u32> = homes.iter().map(|&(v, _)| v).collect();
             let mut made = 0u32;
             for vol in 0..self.map.volumes {
                 if made >= deficit || holding.contains(&vol) {
                     continue;
                 }
-                if self.recovery.borrow().is_quarantined(vol) {
+                let Some(slot) = self.claim_slot(vol) else {
                     continue;
-                }
-                let slot = {
-                    let mut tseg = self.tseg.borrow_mut();
-                    let v = tseg.volume_mut(vol);
-                    if v.full || v.next_slot >= self.map.segs_per_volume {
-                        continue;
-                    }
-                    let s = v.next_slot;
-                    v.next_slot += 1;
-                    s
                 };
                 match self.jukebox.write_segment_on(t, drive, vol, slot, &buf) {
-                    Ok((w, _used)) => {
+                    Ok((w, used)) => {
                         t = w.end;
-                        self.phases
-                            .borrow_mut()
-                            .add(phase::FOOTPRINT_WRITE, w.duration());
+                        self.admit_drive_io(phase::FOOTPRINT_WRITE, w, used);
                         self.replicas.borrow_mut().add(seg, vol, slot);
                         self.stats.borrow_mut().scrub_copies += 1;
                         self.fault_log.borrow_mut().push(FaultEvent::ScrubCopy {
@@ -1400,7 +1396,7 @@ impl TertiaryIo {
             notifier: RefCell::new(None),
             replicate: Cell::new(0),
             policy: Cell::new(RecoveryPolicy::default()),
-            lanes: RefCell::new(vec![LaneHealth::default(); lane_count]),
+            lane_health: RefCell::new(vec![LaneHealth::default(); lane_count]),
             all_retired: Cell::new(false),
             recovery: RefCell::new(RecoveryState::new()),
             fault_log: RefCell::new(FaultLog::new()),
@@ -1449,7 +1445,7 @@ impl TertiaryIo {
     /// taking work, `false` = down (probing) or retired.
     pub fn lane_health(&self) -> Vec<bool> {
         self.inner
-            .lanes
+            .lane_health
             .borrow()
             .iter()
             .map(|h| !h.retired && h.down_since.is_none())
@@ -1484,7 +1480,7 @@ impl TertiaryIo {
     /// How many I/O-server lanes the engine runs (one per jukebox
     /// drive, capped at [`MAX_DRIVES`]).
     pub fn drives(&self) -> usize {
-        self.inner.jukebox.drives().clamp(1, MAX_DRIVES)
+        self.inner.lanes()
     }
 
     /// The raw disk device beneath the block map.
@@ -1573,7 +1569,7 @@ impl TertiaryIo {
             ],
             self.io_peak_in_flight(),
         )
-        .with_drive_lanes(self.inner.jukebox.drives().clamp(1, MAX_DRIVES))
+        .with_drive_lanes(self.inner.lanes())
         .with_configured_drives(self.inner.jukebox.drives());
         hl_trace::tracecheck(&self.inner.tracer, &expect)
     }

@@ -224,3 +224,52 @@ fn migration_pipeline_shape_is_trace_clean() {
     assert!(count("queuing") > 0, "no queue residency recorded");
     assert!(count("dev_io") > 0, "no device intervals recorded");
 }
+
+/// Replica traffic is device time like any other: with one replica
+/// configured a copy-out books *two* drive-lane `DevIo` intervals
+/// (primary + replica) and twice the drive busy time of an unreplicated
+/// one, and a scrub pass that re-replicates books its read and its
+/// write too — so the per-drive no-overlap and no-I/O-while-down
+/// invariants see that traffic.
+#[test]
+fn replica_and_scrub_transfers_are_admitted_device_time() {
+    use hl_trace::Lane;
+    let drive_ios = |tio: &highlight::TertiaryIo| {
+        tio.tracer()
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::DevIo { lane: Lane::Drive(_), .. }))
+            .count()
+    };
+    let copy_out = |copies: u32| {
+        let (tio, _jb, map) = RigSpec::with_lines(40..44).build();
+        tio.set_replication(copies);
+        let seg = map.tert_seg(0, 0);
+        let cache = tio.cache();
+        cache
+            .borrow_mut()
+            .allocate(seg, LineState::Staging, 0)
+            .expect("staging line");
+        cache.borrow_mut().set_state(seg, LineState::DirtyWait);
+        let end = tio.copy_out(0, seg).expect("copy-out");
+        (tio, end)
+    };
+    let (plain, _) = copy_out(0);
+    let one_write: u64 = plain.stats().drive_busy.iter().sum();
+    assert_eq!(drive_ios(&plain), 1);
+
+    let (tio, end) = copy_out(1);
+    assert_eq!(drive_ios(&tio), 2, "primary and replica writes");
+    let st = tio.stats();
+    assert_eq!(st.drive_ops.iter().sum::<u64>(), 2);
+    assert!(st.drive_busy.iter().sum::<u64>() >= 2 * one_write);
+    assert_eq!(tio.io_ops(), 3, "cache-disk read + two media writes");
+
+    // Lose the replica's record; the scrub re-reads the primary and
+    // writes a fresh copy: two more drive intervals.
+    tio.replicas().borrow_mut().forget_volume(1);
+    let report = tio.scrub(end);
+    assert_eq!(report.copies_made, 1);
+    assert_eq!(drive_ios(&tio), 4, "scrub read + scrub write");
+    assert_clean(&tio);
+}
