@@ -28,12 +28,13 @@
 //! watchdog — the device profile's nominal whole-segment time scaled by
 //! [`crate::recovery::WATCHDOG_SLACK`]. On a hard fault or a
 //! watchdog expiry, the observing lane marks the faulted drive down,
-//! abandons its platter, and pushes the orphaned op back into the shared
-//! device queue so a surviving lane re-runs it (the ticket and its
-//! coalesced joiners ride along untouched). Downed lanes climb a
-//! backoff probe ladder and rejoin as hot spares when the drive heals;
-//! exhausted ladders retire the lane. The writer mantle moves to the
-//! lowest *healthy* lane, so copy-outs survive the death of drive 0.
+//! abandons its platter, and pushes the orphaned request back into the
+//! shared device queue so a surviving lane re-runs it (the same record:
+//! its ticket, span and coalesced joiners ride along untouched; past
+//! the re-dispatch bound it is refused like any other). Downed lanes
+//! climb a backoff probe ladder and rejoin as hot spares when the drive
+//! heals; exhausted ladders retire the lane. The writer mantle moves to
+//! the lowest *healthy* lane, so copy-outs survive the death of drive 0.
 //!
 //! All actors are generic over the scheduler's world type, so the same
 //! set runs on [`crate::service::TertiaryIo`]'s internal scheduler (the
@@ -68,11 +69,9 @@ impl<W> Actor<W> for SvcActor {
             // Backpressure: an I/O lane wakes us when it pops.
             return Step::Park;
         }
+        // The pop traces its own fair-queue decisions (tenant admits and
+        // throttles) at `now`.
         let req = self.inner.queues.borrow_mut().pop_ready(now);
-        // Fair-queue decisions (tenant admits/throttles) recorded by the
-        // pop surface as trace events at the dispatch timestamp — in
-        // both branches: a fully QoS-held queue still reports throttles.
-        self.inner.emit_tenant_events(now);
         match req {
             Some(req) => {
                 self.inner.dispatch(req, now);
@@ -151,13 +150,9 @@ impl<W> Actor<W> for IoActor {
         self.inner.phases.borrow_mut().add(phase::QUEUING, queued);
         // Queue residency (enqueue to device start) goes to the trace;
         // `SvcStats`' wait counters are derived from it.
-        self.inner.tracer.queuing(
-            start,
-            op.span,
-            crate::service::tclass(op.class),
-            op.enqueued_at.min(start),
-            start,
-        );
+        self.inner
+            .tracer
+            .queuing(start, op.span, op.class, op.enqueued_at.min(start), start);
         match self.inner.exec(&op, start, self.drive) {
             ExecResult::Done(end) => {
                 self.free_since = end;

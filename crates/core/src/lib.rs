@@ -63,8 +63,7 @@ pub use prefetch::PrefetchPolicy;
 pub use recovery::{RecoveryPolicy, RecoveryState};
 pub use replicas::ReplicaSet;
 pub use requests::{
-    FetchMode, Outcome, ReqClass, TenantId, Ticket, AFFINITY_BOUND, DISPATCH_CPU, QOS_HEADROOM,
-    TENANT_BOUND,
+    Outcome, ReqClass, TenantId, Ticket, AFFINITY_BOUND, DISPATCH_CPU, QOS_HEADROOM, TENANT_BOUND,
 };
 pub use segcache::{EjectPolicy, SegCache};
 pub use segdir::SegDir;

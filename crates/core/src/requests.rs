@@ -6,10 +6,13 @@
 //! segments, unilateral ejections, and (our §10 extension) scrub passes.
 //! This module is those queues made explicit: a priority-ordered
 //! *request queue* the service process drains, and a bounded FIFO
-//! *device queue* it feeds the I/O server through. Every request carries
-//! its enqueue timestamp, so queue residency — Table 4's "queuing
-//! delays" — is measured off the queues themselves rather than charged
-//! synthetically.
+//! *device queue* it feeds the I/O server through. Both hold the same
+//! record: one boxed `Request` lives from enqueue to reply — the
+//! service process fills in the cache line, volume and ready time it
+//! chose and hands *that* request on, as the paper's does. Every request
+//! carries its enqueue timestamp, so queue residency — Table 4's
+//! "queuing delays" — is measured off the queues themselves rather than
+//! charged synthetically.
 //!
 //! Completion flows back through [`Ticket`]s: a cloneable one-shot cell
 //! the enqueuer polls after the engine quiesces (the synchronous façade)
@@ -69,31 +72,6 @@ pub const QOS_HEADROOM: usize = 2;
 /// admission rates converge to the weight ratio.
 const STRIDE_SCALE: u64 = 1 << 20;
 
-/// A fair-queue decision the engine must surface as a trace event.
-/// `pop_ready` records them; the service-process actor drains and emits
-/// them (the queue structure itself has no tracer handle).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum TenantEvent {
-    /// A tagged request was admitted for dispatch.
-    Admit {
-        /// The admitted tenant.
-        tenant: TenantId,
-        /// The request's class at dispatch.
-        class: ReqClass,
-        /// The admitted request's span.
-        span: u64,
-    },
-    /// A tagged request was held back (first time only per request).
-    Throttle {
-        /// The held tenant.
-        tenant: TenantId,
-        /// The held request's class.
-        class: ReqClass,
-        /// The held request's span.
-        span: u64,
-    },
-}
-
 /// Re-dispatch bound for a device op orphaned by drive faults: after this
 /// many lane deaths under one op, the engine stops chasing surviving
 /// drives and fails the ticket. One attempt per possible lane is enough —
@@ -102,31 +80,11 @@ pub const MAX_REDISPATCH: u32 = 8;
 
 /// Request classes in dispatch-priority order: a blocked reader beats
 /// everything, reclaiming pinned lines beats background work, and
-/// speculative prefetch/scrub traffic never delays either.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ReqClass {
-    /// A reader is stalled on this fetch.
-    Demand = 0,
-    /// Unilateral ejection of a clean line (frees a line cheaply).
-    Eject = 1,
-    /// Copy-out of a sealed staging segment (unpins a line).
-    CopyOut = 2,
-    /// Speculative fetch; nobody is waiting.
-    Prefetch = 3,
-    /// Background re-replication pass.
-    Scrub = 4,
-}
-
-/// How a fetched segment fills its cache line: a demand fill is a timed
-/// foreground write the caller waits out; a prefetch fill overlaps with
-/// foreground work and only delays the line's `ready_at`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FetchMode {
-    /// Foreground fill; the requester blocks until the line is readable.
-    Demand,
-    /// Background fill; the line becomes readable at its `ready_at`.
-    Prefetch,
-}
+/// speculative prefetch/scrub traffic never delays either. The engine
+/// and its trace share the one alphabet; a fetch's class is also its
+/// fill mode (a `Demand` fill is a timed foreground write the caller
+/// waits out, a `Prefetch` fill only delays the line's `ready_at`).
+pub use hl_trace::Class as ReqClass;
 
 /// The result a completed request leaves in its [`Ticket`].
 #[derive(Clone, Debug)]
@@ -218,17 +176,19 @@ impl Ticket {
     }
 }
 
-/// One entry in the request queue.
+/// The engine's one record: a request from enqueue to reply. It waits
+/// in the request queue, the service process fills in the dispatch
+/// fields, and the same (still boxed) value waits in the device queue
+/// and is executed by an I/O lane.
 #[derive(Clone, Debug)]
 pub(crate) struct Request {
-    /// Dispatch class (also the major priority key).
+    /// Dispatch class (also the major priority key, and a fetch's fill
+    /// mode).
     pub class: ReqClass,
     /// FIFO tiebreak within a class.
     pub seq: u64,
     /// Target segment (`None` for whole-device work like scrub).
     pub seg: Option<SegNo>,
-    /// Fill mode for fetches.
-    pub mode: Option<FetchMode>,
     /// When the requester enqueued it (queue-residency anchor).
     pub enqueued_at: SimTime,
     /// Earliest enqueue time of a *demand* observer (stall accounting).
@@ -246,41 +206,66 @@ pub(crate) struct Request {
     pub throttled: bool,
     /// Completion cell.
     pub ticket: Ticket,
-}
-
-/// One entry in the device queue: a request the service process has
-/// selected a line for and handed to the I/O server.
-#[derive(Clone, Debug)]
-pub(crate) struct DevOp {
-    /// The originating class (for residency accounting).
-    pub class: ReqClass,
-    /// Target tertiary segment (`None` for scrub).
-    pub seg: Option<SegNo>,
-    /// The cache line's disk segment, selected at dispatch (fetches and
+    /// Set at dispatch — the cache line's disk segment (fetches and
     /// copy-outs only).
     pub disk_seg: Option<SegNo>,
-    /// Fill mode for fetches.
-    pub mode: Option<FetchMode>,
-    /// The original request's enqueue time.
-    pub enqueued_at: SimTime,
-    /// When the service process finished dispatching (service may start
-    /// no earlier).
-    pub ready_at: SimTime,
-    /// Earliest demand observer (stall accounting).
-    pub demand_enq: Option<SimTime>,
-    /// Trace span inherited from the originating request.
-    pub span: u64,
-    /// Target volume, resolved at dispatch (`None` for whole-device work
+    /// Set at dispatch — the target volume (`None` for whole-device work
     /// like scrub): the affinity key the device scheduler batches on.
     pub vol: Option<VolumeId>,
-    /// How many times a later op was taken over this one (the starvation
-    /// guard's age; see [`AFFINITY_BOUND`]).
+    /// Set at dispatch (and re-dispatch) — when the service process
+    /// finished with it; service may start no earlier.
+    pub ready_at: SimTime,
+    /// How many times a later op was taken over this one in the device
+    /// queue (the starvation guard's age; see [`AFFINITY_BOUND`]).
     pub bypassed: u32,
     /// How many times a drive fault orphaned this op and it was pushed
     /// back for another lane (see [`MAX_REDISPATCH`]).
     pub attempts: u32,
-    /// Completion cell.
-    pub ticket: Ticket,
+}
+
+impl Request {
+    /// A request of `class` for `seg`, enqueued at `at` on behalf of
+    /// `tenant`, with a fresh ticket and nothing dispatched yet.
+    pub fn new(
+        class: ReqClass,
+        seg: Option<SegNo>,
+        at: SimTime,
+        tenant: Option<TenantId>,
+    ) -> Request {
+        Request {
+            class,
+            seq: 0,
+            seg,
+            enqueued_at: at,
+            demand_enq: (class == ReqClass::Demand).then_some(at),
+            span: 0,
+            tenant,
+            passed: 0,
+            throttled: false,
+            ticket: Ticket::new(),
+            disk_seg: None,
+            vol: None,
+            ready_at: 0,
+            bypassed: 0,
+            attempts: 0,
+        }
+    }
+
+    /// The segment this request fetches, if it is a fetch of one.
+    pub fn fetch_seg(&self) -> Option<SegNo> {
+        match self.class {
+            ReqClass::Demand | ReqClass::Prefetch => self.seg,
+            _ => None,
+        }
+    }
+
+    /// Joins a demand observer that arrived at `demand_at`: the fetch is
+    /// (now) a foreground fill and stalls are counted from the earliest
+    /// demand.
+    fn join_demand(&mut self, demand_at: SimTime) {
+        self.class = ReqClass::Demand;
+        self.demand_enq = Some(self.demand_enq.map_or(demand_at, |t| t.min(demand_at)));
+    }
 }
 
 /// `true` for op classes only the writer lane (drive 0) may execute:
@@ -311,8 +296,10 @@ pub(crate) struct EngineQueues {
     next_seq: u64,
     /// Request-queue bound (backpressure: enqueuers wait when full).
     pub reqq_cap: usize,
-    /// Bounded device queue the I/O server drains in FIFO order.
-    pub devq: VecDeque<DevOp>,
+    /// Bounded device queue the I/O lanes drain through
+    /// [`Self::take_for_drive`]: the requests the service process has
+    /// selected a line for, boxed as they left the request queue.
+    pub devq: VecDeque<Box<Request>>,
     /// Device-queue bound (the service process stalls dispatch when hit).
     pub devq_cap: usize,
     /// In-flight fetch per tertiary segment: later fetchers of the same
@@ -333,20 +320,15 @@ pub(crate) struct EngineQueues {
     /// admitted next; each admission advances it by `STRIDE_SCALE /
     /// weight`.
     tenant_pass: BTreeMap<TenantId, u64>,
-    /// Tagged requests admitted by the fair queue.
-    pub tenant_admits: u64,
-    /// Tagged requests held back at least once (QoS headroom or a fairer
-    /// tenant picked first).
-    pub tenant_throttles: u64,
     /// Tagged requests force-taken by the [`TENANT_BOUND`] guard.
     pub tenant_promotions: u64,
-    /// Fair-queue decisions awaiting trace emission (drained by the
-    /// service-process actor, which holds the tracer).
-    tenant_events: Vec<TenantEvent>,
+    /// The engine's recorder: fair-queue admits and throttles are
+    /// emitted here as they are decided, and counted nowhere else.
+    tracer: hl_trace::Tracer,
 }
 
 impl EngineQueues {
-    pub fn new() -> EngineQueues {
+    pub fn new(tracer: hl_trace::Tracer) -> EngineQueues {
         EngineQueues {
             reqq: BTreeMap::new(),
             next_seq: 0,
@@ -358,10 +340,8 @@ impl EngineQueues {
             starvation_promotions: 0,
             tenant_weights: BTreeMap::new(),
             tenant_pass: BTreeMap::new(),
-            tenant_admits: 0,
-            tenant_throttles: 0,
             tenant_promotions: 0,
-            tenant_events: Vec::new(),
+            tracer,
         }
     }
 
@@ -369,12 +349,6 @@ impl EngineQueues {
     /// to other tenants; clamped to at least 1).
     pub fn set_tenant_weight(&mut self, tenant: TenantId, weight: u32) {
         self.tenant_weights.insert(tenant, weight.max(1));
-    }
-
-    /// Drains the fair-queue decisions recorded since the last drain,
-    /// for trace emission by the caller.
-    pub fn take_tenant_events(&mut self) -> Vec<TenantEvent> {
-        std::mem::take(&mut self.tenant_events)
     }
 
     pub fn reqq_len(&self) -> usize {
@@ -400,7 +374,7 @@ impl EngineQueues {
         let seq = self.next_seq;
         self.next_seq += 1;
         req.seq = seq;
-        if let (Some(seg), Some(_)) = (req.seg, req.mode) {
+        if let Some(seg) = req.fetch_seg() {
             self.pending_fetch
                 .insert(seg, (seq, req.span, req.ticket.clone()));
         }
@@ -420,32 +394,21 @@ impl EngineQueues {
     }
 
     /// Joins a demand observer onto a pending fetch: if the request is
-    /// still queued as a prefetch it is re-keyed to demand priority and
-    /// switched to a foreground fill; if already dispatched, the waiting
-    /// device op is upgraded in place. A fetch already being served
-    /// keeps its mode — the observers still share its completion.
+    /// still queued as a prefetch it is re-keyed to demand priority (and
+    /// so becomes a foreground fill); if already dispatched, it is
+    /// upgraded in place in the device queue. A fetch already being
+    /// served keeps its class — the observers still share its completion.
     pub fn upgrade_fetch(&mut self, seg: SegNo, demand_at: SimTime) {
         let Some(seq) = self.pending_fetch.get(&seg).map(|&(s, _, _)| s) else {
             return;
         };
         if let Some(mut req) = self.reqq.remove(&(ReqClass::Prefetch as u8, seq)) {
-            req.class = ReqClass::Demand;
-            req.mode = Some(FetchMode::Demand);
-            req.demand_enq = Some(req.demand_enq.map_or(demand_at, |t| t.min(demand_at)));
+            req.join_demand(demand_at);
             self.reqq.insert((ReqClass::Demand as u8, seq), req);
-            return;
-        }
-        if let Some(req) = self.reqq.get_mut(&(ReqClass::Demand as u8, seq)) {
-            req.demand_enq = Some(req.demand_enq.map_or(demand_at, |t| t.min(demand_at)));
-            return;
-        }
-        for op in self.devq.iter_mut() {
-            if op.seg == Some(seg) && op.mode.is_some() {
-                op.mode = Some(FetchMode::Demand);
-                op.class = ReqClass::Demand;
-                op.demand_enq = Some(op.demand_enq.map_or(demand_at, |t| t.min(demand_at)));
-                return;
-            }
+        } else if let Some(req) = self.reqq.get_mut(&(ReqClass::Demand as u8, seq)) {
+            req.join_demand(demand_at);
+        } else if let Some(op) = self.devq.iter_mut().find(|op| op.fetch_seg() == Some(seg)) {
+            op.join_demand(demand_at);
         }
         // Already being served: the join shares the ticket, nothing to
         // re-prioritize.
@@ -460,8 +423,8 @@ impl EngineQueues {
     /// Only the engine's dead-pool drain uses this: with every lane
     /// retired no request can ever be served, so arrival times no longer
     /// matter — each is failed in priority order.
-    pub fn pop_any(&mut self) -> Option<Request> {
-        self.reqq.pop_first().map(|(_, req)| *req)
+    pub fn pop_any(&mut self) -> Option<Box<Request>> {
+        self.reqq.pop_first().map(|(_, req)| req)
     }
 
     /// `true` while the device queue has [`QOS_HEADROOM`] or fewer free
@@ -478,27 +441,18 @@ impl EngineQueues {
     }
 
     /// Records that the fair queue deferred `keys` this pop: each gets a
-    /// one-time `TenantThrottle` event, and — when another request was
-    /// actually admitted past them — a `passed` bump toward the
-    /// [`TENANT_BOUND`] starvation guard.
-    fn note_deferred(&mut self, keys: &[(u8, u64)], admitted: bool) {
+    /// one-time `TenantThrottle` event at `now`, and — when another
+    /// request was actually admitted past them — a `passed` bump toward
+    /// the [`TENANT_BOUND`] starvation guard.
+    fn note_deferred(&mut self, keys: &[(u8, u64)], admitted: bool, now: SimTime) {
         for &k in keys {
             let Some(r) = self.reqq.get_mut(&k) else { continue };
             if admitted {
                 r.passed += 1;
             }
-            if r.throttled {
-                continue;
-            }
-            r.throttled = true;
-            let event = r.tenant.map(|t| TenantEvent::Throttle {
-                tenant: t,
-                class: r.class,
-                span: r.span,
-            });
-            self.tenant_throttles += 1;
-            if let Some(ev) = event {
-                self.tenant_events.push(ev);
+            if let (false, Some(tenant)) = (r.throttled, r.tenant) {
+                r.throttled = true;
+                self.tracer.tenant_throttle(now, tenant, r.class, r.span);
             }
         }
     }
@@ -558,9 +512,10 @@ impl EngineQueues {
     /// through per-tenant weighted fair queuing within their class
     /// ([`Self::fair_pick`]), and tagged *background* work is held while
     /// the device queue lacks demand headroom ([`QOS_HEADROOM`]) — both
-    /// bounded by [`TENANT_BOUND`]. Fair-queue decisions are recorded
-    /// for trace emission via [`Self::take_tenant_events`].
-    pub fn pop_ready(&mut self, now: SimTime) -> Option<Request> {
+    /// bounded by [`TENANT_BOUND`]. Fair-queue decisions go to the trace
+    /// as `TenantThrottle`/`TenantAdmit` events at `now` — in both
+    /// outcomes: a fully QoS-held queue still reports its throttles.
+    pub fn pop_ready(&mut self, now: SimTime) -> Option<Box<Request>> {
         let congested = self.devq_congested();
         let mut head: Option<(u8, u64)> = None;
         let mut held: Vec<(u8, u64)> = Vec::new();
@@ -578,7 +533,7 @@ impl EngineQueues {
         let Some(key) = head else {
             // Everything ready is QoS-held: surface the throttles, but
             // nothing was admitted past them.
-            self.note_deferred(&held, false);
+            self.note_deferred(&held, false, now);
             return None;
         };
         let (class, head_seq) = key;
@@ -596,15 +551,10 @@ impl EngineQueues {
                     .map(|(&k, _)| k),
             );
         }
-        self.note_deferred(&deferred, true);
-        let req = *self.reqq.remove(&pick).expect("the picked key is present");
+        self.note_deferred(&deferred, true, now);
+        let req = self.reqq.remove(&pick).expect("the picked key is present");
         if let Some(t) = req.tenant {
-            self.tenant_admits += 1;
-            self.tenant_events.push(TenantEvent::Admit {
-                tenant: t,
-                class: req.class,
-                span: req.span,
-            });
+            self.tracer.tenant_admit(now, t, req.class, req.span);
         }
         Some(req)
     }
@@ -654,7 +604,7 @@ impl EngineQueues {
         writer: bool,
         solo: bool,
         loaded_all: &[Option<VolumeId>],
-    ) -> Option<DevOp> {
+    ) -> Option<Box<Request>> {
         let loaded = loaded_all.get(drive).copied().flatten();
         let eligible: Vec<usize> = self
             .devq
@@ -714,35 +664,21 @@ impl EngineQueues {
 mod tests {
     use super::*;
 
+    fn queues() -> EngineQueues {
+        EngineQueues::new(hl_trace::Tracer::new())
+    }
+
     fn req(class: ReqClass, seg: SegNo, at: SimTime) -> Request {
-        Request {
-            class,
-            seq: 0,
-            seg: Some(seg),
-            mode: match class {
-                ReqClass::Demand => Some(FetchMode::Demand),
-                ReqClass::Prefetch => Some(FetchMode::Prefetch),
-                _ => None,
-            },
-            enqueued_at: at,
-            demand_enq: (class == ReqClass::Demand).then_some(at),
-            span: 0,
-            tenant: None,
-            passed: 0,
-            throttled: false,
-            ticket: Ticket::new(),
-        }
+        Request::new(class, Some(seg), at, None)
     }
 
     fn treq(tenant: TenantId, class: ReqClass, seg: SegNo, at: SimTime) -> Request {
-        let mut r = req(class, seg, at);
-        r.tenant = Some(tenant);
-        r
+        Request::new(class, Some(seg), at, Some(tenant))
     }
 
     #[test]
     fn pop_ready_is_priority_major_fifo_minor() {
-        let mut q = EngineQueues::new();
+        let mut q = queues();
         q.push(req(ReqClass::Prefetch, 1, 0));
         q.push(req(ReqClass::Scrub, 2, 0));
         q.push(req(ReqClass::CopyOut, 3, 0));
@@ -765,7 +701,7 @@ mod tests {
 
     #[test]
     fn pop_ready_respects_enqueue_times() {
-        let mut q = EngineQueues::new();
+        let mut q = queues();
         q.push(req(ReqClass::Demand, 1, 100));
         q.push(req(ReqClass::Prefetch, 2, 0));
         // At t=0 only the prefetch has arrived, despite lower priority.
@@ -777,19 +713,18 @@ mod tests {
 
     #[test]
     fn upgrade_rekeys_a_queued_prefetch() {
-        let mut q = EngineQueues::new();
+        let mut q = queues();
         q.push(req(ReqClass::Prefetch, 7, 0));
         q.push(req(ReqClass::CopyOut, 8, 0));
         q.upgrade_fetch(7, 5);
         let first = q.pop_ready(10).unwrap();
         assert_eq!(first.class, ReqClass::Demand);
-        assert_eq!(first.mode, Some(FetchMode::Demand));
         assert_eq!(first.demand_enq, Some(5));
     }
 
     #[test]
     fn pending_fetch_shares_one_ticket() {
-        let mut q = EngineQueues::new();
+        let mut q = queues();
         let r = req(ReqClass::Prefetch, 9, 0);
         let t = r.ticket.clone();
         q.push(r);
@@ -800,26 +735,16 @@ mod tests {
         assert!(q.pending_fetch(9).is_none());
     }
 
-    fn devop(class: ReqClass, vol: Option<VolumeId>) -> DevOp {
-        DevOp {
-            class,
-            seg: None,
-            disk_seg: None,
-            mode: None,
-            enqueued_at: 0,
-            ready_at: 0,
-            demand_enq: None,
-            span: 0,
-            vol,
-            bypassed: 0,
-            attempts: 0,
-            ticket: Ticket::new(),
-        }
+    /// A dispatched request for `vol`, as it sits in the device queue.
+    fn devop(class: ReqClass, vol: Option<VolumeId>) -> Box<Request> {
+        let mut op = Request::new(class, None, 0, None);
+        op.vol = vol;
+        Box::new(op)
     }
 
     #[test]
     fn write_class_ops_are_writer_lane_only() {
-        let mut q = EngineQueues::new();
+        let mut q = queues();
         q.devq.push_back(devop(ReqClass::CopyOut, Some(3)));
         assert!(q.take_for_drive(1, false, false, &[None, None]).is_none());
         let op = q.take_for_drive(0, true, false, &[None, None]).unwrap();
@@ -828,7 +753,7 @@ mod tests {
 
     #[test]
     fn affinity_prefers_the_loaded_platter_and_ages_the_bypassed() {
-        let mut q = EngineQueues::new();
+        let mut q = queues();
         q.devq.push_back(devop(ReqClass::Prefetch, Some(2)));
         q.devq.push_back(devop(ReqClass::Prefetch, Some(7)));
         let op = q
@@ -841,7 +766,7 @@ mod tests {
 
     #[test]
     fn starvation_guard_overrides_affinity() {
-        let mut q = EngineQueues::new();
+        let mut q = queues();
         let mut old = devop(ReqClass::Demand, Some(2));
         old.bypassed = AFFINITY_BOUND;
         q.devq.push_back(devop(ReqClass::Prefetch, Some(7)));
@@ -855,7 +780,7 @@ mod tests {
 
     #[test]
     fn writer_lane_prefers_writes_but_serves_reads_when_idle() {
-        let mut q = EngineQueues::new();
+        let mut q = queues();
         q.devq.push_back(devop(ReqClass::Demand, Some(5)));
         q.devq.push_back(devop(ReqClass::CopyOut, Some(1)));
         // With write work queued, the writer lane takes it first even
@@ -870,7 +795,7 @@ mod tests {
 
     #[test]
     fn reads_of_platters_loaded_elsewhere_are_left_for_their_lane() {
-        let mut q = EngineQueues::new();
+        let mut q = queues();
         q.devq.push_back(devop(ReqClass::Demand, Some(4)));
         // Volume 4 sits in drive 1: lane 0 leaves the op alone …
         assert!(q.take_for_drive(0, true, false, &[None, Some(4)]).is_none());
@@ -884,7 +809,7 @@ mod tests {
 
     #[test]
     fn solo_lane_takes_everything_in_affinity_batches() {
-        let mut q = EngineQueues::new();
+        let mut q = queues();
         for i in 0..6 {
             let vol = if i % 2 == 0 { 0 } else { 1 };
             q.devq.push_back(devop(ReqClass::Prefetch, Some(vol)));
@@ -900,7 +825,7 @@ mod tests {
 
     #[test]
     fn untagged_requests_keep_fifo_order_among_tagged() {
-        let mut q = EngineQueues::new();
+        let mut q = queues();
         q.push(req(ReqClass::Demand, 1, 0)); // untagged head
         q.push(treq(2, ReqClass::Demand, 2, 0));
         q.push(treq(1, ReqClass::Demand, 3, 0));
@@ -912,14 +837,14 @@ mod tests {
         let order: Vec<Option<TenantId>> =
             std::iter::from_fn(|| q.pop_ready(0).map(|r| r.tenant)).collect();
         assert_eq!(order, vec![None, Some(1), Some(2), None]);
-        assert_eq!(q.tenant_admits, 2);
+        assert_eq!(q.tracer.tenant_admits(), 2);
         // Tenant 2's request was passed over once by the fair pick.
-        assert_eq!(q.tenant_throttles, 1);
+        assert_eq!(q.tracer.tenant_throttles(), 1);
     }
 
     #[test]
     fn stride_weights_shape_admission_shares() {
-        let mut q = EngineQueues::new();
+        let mut q = queues();
         q.set_tenant_weight(1, 3);
         q.set_tenant_weight(2, 1);
         for i in 0..4 {
@@ -935,7 +860,7 @@ mod tests {
 
     #[test]
     fn tenant_bound_overrides_the_fair_pick() {
-        let mut q = EngineQueues::new();
+        let mut q = queues();
         q.push(treq(2, ReqClass::Demand, 1, 0)); // seq 0
         q.push(treq(1, ReqClass::Demand, 2, 0)); // seq 1
         // On a pass tie tenant 1 would win (lower id) — but tenant 2's
@@ -949,7 +874,7 @@ mod tests {
 
     #[test]
     fn congested_devq_holds_tagged_background_work() {
-        let mut q = EngineQueues::new();
+        let mut q = queues();
         for _ in 0..(q.devq_cap - QOS_HEADROOM) {
             q.devq.push_back(devop(ReqClass::Demand, None));
         }
@@ -959,37 +884,39 @@ mod tests {
         // work is exempt and pops through.
         assert_eq!(q.pop_ready(0).unwrap().tenant, None);
         assert!(q.pop_ready(0).is_none(), "tagged background stays held");
-        assert_eq!(q.tenant_throttles, 1);
+        assert_eq!(q.tracer.tenant_throttles(), 1);
         // One throttle event per request, not per scan.
         assert!(q.pop_ready(0).is_none());
-        assert_eq!(q.tenant_throttles, 1);
+        assert_eq!(q.tracer.tenant_throttles(), 1);
         // Headroom restored: the held prefetch is admitted.
         q.devq.pop_front();
-        let r = q.pop_ready(0).unwrap();
+        let r = q.pop_ready(7).unwrap();
         assert_eq!(r.tenant, Some(3));
-        let evs = q.take_tenant_events();
-        assert!(evs.contains(&TenantEvent::Throttle {
-            tenant: 3,
-            class: ReqClass::Prefetch,
-            span: 0
-        }));
-        assert!(evs.contains(&TenantEvent::Admit {
-            tenant: 3,
-            class: ReqClass::Prefetch,
-            span: 0
-        }));
-        assert!(q.take_tenant_events().is_empty(), "drain clears the buffer");
+        // Both decisions went to the trace, stamped with their pop.
+        use hl_trace::EventKind::{TenantAdmit, TenantThrottle};
+        let (tenant, class, span) = (3, ReqClass::Prefetch, 0);
+        let throttle = TenantThrottle {
+            tenant,
+            class,
+            span,
+        };
+        let admit = TenantAdmit {
+            tenant,
+            class,
+            span,
+        };
+        let events = q.tracer.events();
+        let events: Vec<_> = events.iter().map(|e| (e.at, &e.kind)).collect();
+        assert_eq!(events, [(0, &throttle), (7, &admit)]);
     }
 
     #[test]
     fn untagged_only_queues_record_no_tenant_state() {
-        let mut q = EngineQueues::new();
+        let mut q = queues();
         q.push(req(ReqClass::Demand, 1, 0));
         q.push(req(ReqClass::Prefetch, 2, 0));
         while q.pop_ready(0).is_some() {}
-        assert_eq!(q.tenant_admits, 0);
-        assert_eq!(q.tenant_throttles, 0);
-        assert!(q.take_tenant_events().is_empty());
+        assert!(q.tracer.is_empty(), "untagged pops trace no tenant events");
     }
 
     #[test]

@@ -12,6 +12,13 @@
 //! polls — and Table 4's "queuing" row is measured off the queues
 //! themselves rather than charged synthetically.
 //!
+//! One record makes the whole trip: the `Request` an enqueuer submits is
+//! the value `dispatch` fills a line, volume and ready time into and
+//! the value an I/O lane executes. It succeeds at one of five sites (a
+//! fetch, a copy-out, a scrub, an inline eject, a fetch that became
+//! resident while queued) and fails at exactly one, `TioInner::refuse`,
+//! which knows what each class holds and releases it.
+//!
 //! The old synchronous entry points ([`TertiaryIo::demand_fetch`] and
 //! friends) survive as façades: they enqueue, pump the engine's internal
 //! scheduler to quiescence, and read the completion [`Ticket`]. The
@@ -35,8 +42,8 @@ use crate::ioserver::{spawn_engine, EngineHandles};
 use crate::recovery::{self, RecoveryPolicy, RecoveryState};
 use crate::replicas::ReplicaSet;
 use crate::requests::{
-    write_class, DevOp, EngineQueues, FetchMode, Outcome, ReqClass, Request, TenantEvent, TenantId,
-    Ticket, DISPATCH_CPU, MAX_REDISPATCH,
+    write_class, EngineQueues, Outcome, ReqClass, Request, TenantId, Ticket, DISPATCH_CPU,
+    MAX_REDISPATCH,
 };
 use crate::segcache::{LineState, SegCache};
 use crate::tsegfile::TsegTable;
@@ -93,13 +100,15 @@ pub const MAX_DRIVES: usize = 8;
 /// Cumulative service counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SvcStats {
-    /// Demand fetches served.
+    /// Fetches served from tertiary media — demand *and* prefetch fills
+    /// (the name predates prefetching; coalesced joiners and cache hits
+    /// do not count).
     pub demand_fetches: u64,
     /// Segments copied out to tertiary storage.
     pub copyouts: u64,
     /// End-of-medium events handled.
     pub eom_events: u64,
-    /// Total simulated time spent in demand fetches.
+    /// Total simulated time (enqueue to line-ready) of those fetches.
     pub fetch_time: SimTime,
     /// Total simulated time spent in copy-outs.
     pub copyout_time: SimTime,
@@ -313,18 +322,6 @@ pub(crate) struct TioInner {
     pub(crate) tracer: hl_trace::Tracer,
 }
 
-/// Maps an engine [`ReqClass`] onto the trace's class alphabet (the two
-/// enums deliberately share order).
-pub(crate) fn tclass(class: ReqClass) -> hl_trace::Class {
-    match class {
-        ReqClass::Demand => hl_trace::Class::Demand,
-        ReqClass::Eject => hl_trace::Class::Eject,
-        ReqClass::CopyOut => hl_trace::Class::CopyOut,
-        ReqClass::Prefetch => hl_trace::Class::Prefetch,
-        ReqClass::Scrub => hl_trace::Class::Scrub,
-    }
-}
-
 impl TioInner {
     pub(crate) fn notify(&self, event: StallEvent) {
         // Clone the handle out of the cell first: no interior borrow is
@@ -344,24 +341,6 @@ impl TioInner {
     pub(crate) fn wake_svc(&self, at: SimTime) {
         if let Some(h) = &*self.handles.borrow() {
             h.waker.wake(h.svc, at);
-        }
-    }
-
-    /// Drains the fair-queue decisions recorded by the request queue and
-    /// emits them as `TenantAdmit`/`TenantThrottle` trace events at `at`.
-    /// Called by the service-process actor after each pop, outside the
-    /// queue borrow (the tracer may be observed re-entrantly).
-    pub(crate) fn emit_tenant_events(&self, at: SimTime) {
-        let events = self.queues.borrow_mut().take_tenant_events();
-        for ev in events {
-            match ev {
-                TenantEvent::Admit { tenant, class, span } => {
-                    self.tracer.tenant_admit(at, tenant, tclass(class), span);
-                }
-                TenantEvent::Throttle { tenant, class, span } => {
-                    self.tracer.tenant_throttle(at, tenant, tclass(class), span);
-                }
-            }
         }
     }
 
@@ -464,11 +443,17 @@ impl TioInner {
     /// Pushes an op orphaned by a drive fault back into the device
     /// queue for a surviving lane. The ticket, trace span, and any
     /// coalesced joiners ride along untouched — only past the
-    /// re-dispatch bound is the ticket failed with the drive's error.
-    pub(crate) fn redispatch(&self, mut op: DevOp, at: SimTime, from_drive: u32, error: DevError) {
+    /// re-dispatch bound is the request refused with the drive's error.
+    pub(crate) fn redispatch(
+        &self,
+        mut op: Box<Request>,
+        at: SimTime,
+        from_drive: u32,
+        error: DevError,
+    ) {
         op.attempts += 1;
         if op.attempts > MAX_REDISPATCH {
-            self.fail_op(op, at, error);
+            self.refuse(&op, at, error);
             return;
         }
         self.tracer.redispatch(at, op.span, from_drive);
@@ -517,130 +502,78 @@ impl TioInner {
         }
     }
 
-    /// Every lane has retired: nothing can ever be served again. Fails
-    /// all queued work so tickets resolve and the engine quiesces, and
-    /// flags the pool dead so future dispatches fail fast.
+    /// Every lane has retired: nothing can ever be served again.
+    /// Refuses all queued work — the device queue first, then the
+    /// request queue in priority order — so tickets resolve and the
+    /// engine quiesces, and flags the pool dead so future dispatches
+    /// are refused at once.
     fn drain_dead(&self, at: SimTime) {
         self.all_retired.set(true);
-        let ops: Vec<DevOp> = self.queues.borrow_mut().devq.drain(..).collect();
-        for op in ops {
-            self.fail_op(op, at, DevError::Offline);
-        }
         loop {
-            let req = self.queues.borrow_mut().pop_any();
-            let Some(req) = req else { break };
-            self.fail_request(req, at);
+            let next = {
+                let mut q = self.queues.borrow_mut();
+                q.devq.pop_front().or_else(|| q.pop_any())
+            };
+            let Some(req) = next else { break };
+            self.refuse(&req, at, DevError::Offline);
         }
         self.wake_svc(at);
         self.wake_copyout_waiters(at);
     }
 
-    /// Fails a device op's ticket outright (re-dispatch exhausted or
-    /// the whole pool dead), releasing whatever it held.
-    fn fail_op(&self, op: DevOp, at: SimTime, error: DevError) {
-        match op.class {
-            ReqClass::Demand | ReqClass::Prefetch => match op.seg {
-                Some(seg) => self.fail_fetch(&op, seg, at, HlError::Dev(error)),
-                None => {
-                    self.tracer.close_span(at, op.span, false);
-                    op.ticket.complete(Outcome::Fetch(Err(HlError::Dev(error))));
-                }
-            },
-            ReqClass::CopyOut => {
-                self.tracer.close_span(at, op.span, false);
-                op.ticket.complete(Outcome::CopyOut(Err(error)));
+    /// The one way a request fails, wherever it is — still queued,
+    /// dispatched, or executing: posts its class's failure value, closes
+    /// its span not-ok, and releases exactly what it holds — the cache
+    /// line it was filling (a fetch past dispatch), its coalescing entry
+    /// (any fetch), and producers parked on copy-out completion (a
+    /// copy-out). Each part is a no-op when there is nothing to release.
+    pub(crate) fn refuse(&self, req: &Request, at: SimTime, err: impl Into<HlError>) {
+        let err = err.into();
+        if let Some(seg) = req.fetch_seg() {
+            if req.disk_seg.is_some() {
+                self.cache.borrow_mut().eject(seg);
             }
-            ReqClass::Scrub => {
-                self.tracer.close_span(at, op.span, false);
-                op.ticket.complete(Outcome::Scrub(Box::new(ScrubReport {
-                    end: at,
-                    ..ScrubReport::default()
-                })));
-            }
-            ReqClass::Eject => {
-                self.tracer.close_span(at, op.span, false);
-                op.ticket.complete(Outcome::Eject(false));
-            }
-        }
-    }
-
-    /// Fails one queued request outright (dead pool).
-    fn fail_request(&self, req: Request, at: SimTime) {
-        if let (Some(seg), Some(_)) = (req.seg, req.mode) {
             self.queues.borrow_mut().retire_fetch(seg);
         }
         self.tracer.close_span(at, req.span, false);
-        match req.class {
-            ReqClass::Demand | ReqClass::Prefetch => {
-                req.ticket
-                    .complete(Outcome::Fetch(Err(HlError::Dev(DevError::Offline))));
-            }
-            ReqClass::CopyOut => {
-                req.ticket.complete(Outcome::CopyOut(Err(DevError::Offline)));
-            }
-            ReqClass::Eject => req.ticket.complete(Outcome::Eject(false)),
-            ReqClass::Scrub => {
-                req.ticket.complete(Outcome::Scrub(Box::new(ScrubReport {
-                    end: at,
-                    ..ScrubReport::default()
-                })));
-            }
+        req.ticket.complete(match req.class {
+            ReqClass::Demand | ReqClass::Prefetch => Outcome::Fetch(Err(err)),
+            ReqClass::CopyOut => Outcome::CopyOut(Err(err.into_dev())),
+            ReqClass::Eject => Outcome::Eject(false),
+            ReqClass::Scrub => Outcome::Scrub(Box::new(ScrubReport {
+                end: at,
+                ..ScrubReport::default()
+            })),
+        });
+        if req.class == ReqClass::CopyOut {
+            self.wake_copyout_waiters(at);
         }
     }
 
     /// The service process fields one request at `now`: ejections finish
-    /// inline; everything else gets a cache line selected and enters the
-    /// device queue with a `ready_at` one dispatch hop in the future.
-    pub(crate) fn dispatch(&self, req: Request, now: SimTime) {
+    /// inline; everything else gets its dispatch fields filled in — the
+    /// cache line selected for it, its volume, a `ready_at` one dispatch
+    /// hop in the future — and the same request enters the device queue.
+    pub(crate) fn dispatch(&self, mut req: Box<Request>, now: SimTime) {
         if self.all_retired.get() {
-            // The pool is dead: nothing can serve this, fail fast.
-            self.fail_request(req, now);
-            return;
+            // The pool is dead: nothing can serve this.
+            return self.refuse(&req, now, DevError::Offline);
         }
-        match req.class {
-            ReqClass::Eject => {
-                // A segment-less eject is a caller bug, but a recoverable
-                // one: refuse rather than panic (robustness audit).
-                let Some(seg) = req.seg else {
-                    self.tracer.close_span(now, req.span, false);
-                    req.ticket.complete(Outcome::Eject(false));
-                    return;
-                };
+        match (req.class, req.seg) {
+            // A scrub walks many volumes: no line, no single affinity.
+            (ReqClass::Scrub, _) => {}
+            // Any other request without a segment is a caller bug, but
+            // a recoverable one: refuse rather than panic.
+            (_, None) => return self.refuse(&req, now, DevError::Offline),
+            (ReqClass::Eject, Some(seg)) => {
                 let ok = self.do_eject(seg);
-                self.tracer.queuing(
-                    now,
-                    req.span,
-                    hl_trace::Class::Eject,
-                    req.enqueued_at.min(now),
-                    now,
-                );
+                self.tracer
+                    .queuing(now, req.span, req.class, req.enqueued_at.min(now), now);
                 self.tracer.close_span(now, req.span, ok);
                 req.ticket.complete(Outcome::Eject(ok));
+                return;
             }
-            ReqClass::Scrub => {
-                self.push_devop(DevOp {
-                    class: req.class,
-                    seg: None,
-                    disk_seg: None,
-                    // A scrub walks many volumes: no single affinity.
-                    vol: None,
-                    mode: None,
-                    enqueued_at: req.enqueued_at,
-                    ready_at: now + DISPATCH_CPU,
-                    bypassed: 0,
-                    attempts: 0,
-                    demand_enq: None,
-                    span: req.span,
-                    ticket: req.ticket,
-                });
-            }
-            ReqClass::Demand | ReqClass::Prefetch => {
-                let Some(seg) = req.seg else {
-                    self.tracer.close_span(now, req.span, false);
-                    req.ticket
-                        .complete(Outcome::Fetch(Err(HlError::Dev(DevError::Offline))));
-                    return;
-                };
+            (ReqClass::Demand | ReqClass::Prefetch, Some(seg)) => {
                 let resident = self.cache.borrow().peek(seg).copied();
                 if let Some(line) = resident {
                     if line.state != LineState::Filling {
@@ -667,86 +600,37 @@ impl TioInner {
                 let allocated = self.cache.borrow_mut().allocate(seg, LineState::Filling, now);
                 let Some((disk_seg, _ejected)) = allocated else {
                     // Every line is pinned: the fetch cannot be served.
-                    self.queues.borrow_mut().retire_fetch(seg);
-                    self.tracer.close_span(now, req.span, false);
-                    req.ticket
-                        .complete(Outcome::Fetch(Err(HlError::Dev(DevError::Offline))));
-                    return;
+                    return self.refuse(&req, now, DevError::Offline);
                 };
-                self.push_devop(DevOp {
-                    class: req.class,
-                    seg: Some(seg),
-                    disk_seg: Some(disk_seg),
-                    vol: self.map.vol_slot(seg).map(|(v, _)| v),
-                    mode: req.mode,
-                    enqueued_at: req.enqueued_at,
-                    ready_at: now + DISPATCH_CPU,
-                    bypassed: 0,
-                    attempts: 0,
-                    demand_enq: req.demand_enq,
-                    span: req.span,
-                    ticket: req.ticket,
-                });
+                req.disk_seg = Some(disk_seg);
+                req.vol = self.map.vol_slot(seg).map(|(v, _)| v);
             }
-            ReqClass::CopyOut => {
-                let Some(seg) = req.seg else {
-                    self.tracer.close_span(now, req.span, false);
-                    req.ticket.complete(Outcome::CopyOut(Err(DevError::Offline)));
-                    self.wake_copyout_waiters(now);
-                    return;
+            (ReqClass::CopyOut, Some(seg)) => {
+                // Not sealed: nothing coherent to write. Quarantined:
+                // the segment's primary volume is gone and the migrator
+                // must relocate the staged data. Either way a caller
+                // bug or a lost race, not a panic — and a refused
+                // copy-out still wakes producers parked on it.
+                let sealed = self.cache.borrow().peek(seg).copied();
+                let home = self.map.vol_slot(seg);
+                let (line, vol) = match (sealed, home) {
+                    (Some(l), Some((vol, _)))
+                        if l.state == LineState::DirtyWait
+                            && !self.recovery.borrow().is_quarantined(vol) =>
+                    {
+                        (l, vol)
+                    }
+                    _ => return self.refuse(&req, now, DevError::Offline),
                 };
-                let line = self.cache.borrow().peek(seg).copied();
-                let sealed = match line {
-                    // Not sealed: nothing coherent to write. A caller
-                    // bug, but a recoverable one — refuse, don't panic.
-                    Some(l) if l.state == LineState::DirtyWait => Some(l),
-                    _ => None,
-                };
-                let Some(line) = sealed else {
-                    self.tracer.close_span(now, req.span, false);
-                    req.ticket.complete(Outcome::CopyOut(Err(DevError::Offline)));
-                    // A refused copy-out still resolves waiters parked
-                    // on its completion.
-                    self.wake_copyout_waiters(now);
-                    return;
-                };
-                let Some((vol, _slot)) = self.map.vol_slot(seg) else {
-                    self.tracer.close_span(now, req.span, false);
-                    req.ticket.complete(Outcome::CopyOut(Err(DevError::Offline)));
-                    self.wake_copyout_waiters(now);
-                    return;
-                };
-                if self.recovery.borrow().is_quarantined(vol) {
-                    // The segment's primary volume is gone; the migrator
-                    // must relocate the staged data.
-                    self.tracer.close_span(now, req.span, false);
-                    req.ticket.complete(Outcome::CopyOut(Err(DevError::Offline)));
-                    self.wake_copyout_waiters(now);
-                    return;
-                }
-                self.push_devop(DevOp {
-                    class: req.class,
-                    seg: Some(seg),
-                    disk_seg: Some(line.disk_seg),
-                    vol: Some(vol),
-                    mode: None,
-                    enqueued_at: req.enqueued_at,
-                    ready_at: now + DISPATCH_CPU,
-                    bypassed: 0,
-                    attempts: 0,
-                    demand_enq: None,
-                    span: req.span,
-                    ticket: req.ticket,
-                });
+                req.disk_seg = Some(line.disk_seg);
+                req.vol = Some(vol);
             }
         }
-    }
-
-    fn push_devop(&self, op: DevOp) {
-        let ready = op.ready_at;
+        req.ready_at = now + DISPATCH_CPU;
+        let ready = req.ready_at;
         let depth = {
             let mut q = self.queues.borrow_mut();
-            q.devq.push_back(op);
+            q.devq.push_back(req);
             q.devq.len()
         };
         self.tracer
@@ -761,7 +645,7 @@ impl TioInner {
     /// serves the next op). A drive-scoped fault instead surfaces as
     /// [`ExecResult::LaneFault`] with the ticket left open, so the
     /// caller can down the drive and re-dispatch the op.
-    pub(crate) fn exec(&self, op: &DevOp, start: SimTime, drive: usize) -> ExecResult {
+    pub(crate) fn exec(&self, op: &Request, start: SimTime, drive: usize) -> ExecResult {
         match op.class {
             ReqClass::Demand | ReqClass::Prefetch => self.exec_fetch(op, start, drive),
             ReqClass::CopyOut => self.exec_copyout(op, start, drive),
@@ -797,21 +681,17 @@ impl TioInner {
         buf
     }
 
-    fn fail_fetch(&self, op: &DevOp, seg: SegNo, at: SimTime, err: HlError) {
-        self.cache.borrow_mut().eject(seg);
-        self.queues.borrow_mut().retire_fetch(seg);
-        self.tracer.close_span(at, op.span, false);
-        op.ticket.complete(Outcome::Fetch(Err(err)));
+    /// Refuses `op` mid-execution; the lane is free again at `at`.
+    fn refuse_op(&self, op: &Request, at: SimTime, err: impl Into<HlError>) -> ExecResult {
+        self.refuse(op, at, err);
+        ExecResult::Done(at)
     }
 
-    fn exec_fetch(&self, op: &DevOp, start: SimTime, drive: usize) -> ExecResult {
+    fn exec_fetch(&self, op: &Request, start: SimTime, drive: usize) -> ExecResult {
         // Missing fields are dispatch bugs, but recoverable ones:
         // refuse the op rather than panic (robustness audit).
         let (Some(seg), Some(disk_seg)) = (op.seg, op.disk_seg) else {
-            self.tracer.close_span(start, op.span, false);
-            op.ticket
-                .complete(Outcome::Fetch(Err(HlError::Dev(DevError::Offline))));
-            return ExecResult::Done(start);
+            return self.refuse_op(op, start, DevError::Offline);
         };
         // I/O server: tertiary → memory, with retry/failover (§10),
         // staged through the engine's recycled buffer.
@@ -827,21 +707,38 @@ impl TioInner {
                         return f;
                     }
                 }
-                self.fail_fetch(op, seg, start, e);
-                return ExecResult::Done(start);
+                return self.refuse_op(op, start, e);
             }
         };
         self.admit_drive_io(phase::FOOTPRINT_READ, r, used);
         let base = self.map.seg_base(disk_seg) as u64;
-        let (ready, end) = match op.mode.unwrap_or(FetchMode::Demand) {
-            FetchMode::Demand => {
+        let (ready, end) = match op.class {
+            ReqClass::Prefetch => {
+                // Fill the line without booking the arm horizon (the
+                // background write interleaves with foreground reads in
+                // reality; booking a future slot on the scalar-horizon
+                // arm resource would instead stall all earlier
+                // foreground I/O). The fill's duration still delays the
+                // line's readiness, and the I/O server is free as soon
+                // as the tertiary read completes.
+                if let Err(e) = self.disks.poke(base, &buf) {
+                    return self.refuse_op(op, r.end, e);
+                }
+                let fill = hl_sim::time::transfer_time(self.seg_bytes as u64, 993.0);
+                let ready = r.end + fill;
+                self.iotrack.borrow_mut().admit(IoSlot {
+                    start: r.end,
+                    end: ready,
+                });
+                (ready, r.end)
+            }
+            _ => {
                 // Memory → raw cache disk ("direct access avoids ...
                 // pollution of the block buffer cache", §6.7).
                 let w = match self.disks.write(r.end, base, &buf) {
                     Ok(w) => w,
                     Err(e) => {
-                        self.fail_fetch(op, seg, r.end, e.into());
-                        return ExecResult::Done(r.end);
+                        return self.refuse_op(op, r.end, e);
                     }
                 };
                 self.phases
@@ -851,26 +748,6 @@ impl TioInner {
                 // The drive is free once the media read lands; the
                 // caller still waits for the cache-disk fill.
                 (w.end, r.end)
-            }
-            FetchMode::Prefetch => {
-                // Fill the line without booking the arm horizon (the
-                // background write interleaves with foreground reads in
-                // reality; booking a future slot on the scalar-horizon
-                // arm resource would instead stall all earlier
-                // foreground I/O). The fill's duration still delays the
-                // line's readiness, and the I/O server is free as soon
-                // as the tertiary read completes.
-                if let Err(e) = self.disks.poke(base, &buf) {
-                    self.fail_fetch(op, seg, r.end, e.into());
-                    return ExecResult::Done(r.end);
-                }
-                let fill = hl_sim::time::transfer_time(self.seg_bytes as u64, 993.0);
-                let ready = r.end + fill;
-                self.iotrack.borrow_mut().admit(IoSlot {
-                    start: r.end,
-                    end: ready,
-                });
-                (ready, r.end)
             }
         };
         // Device writes are done with the staging buffer; release it
@@ -897,24 +774,17 @@ impl TioInner {
         ExecResult::Done(end)
     }
 
-    fn exec_copyout(&self, op: &DevOp, start: SimTime, drive: usize) -> ExecResult {
+    fn exec_copyout(&self, op: &Request, start: SimTime, drive: usize) -> ExecResult {
         let (Some(seg), Some(disk_seg)) = (op.seg, op.disk_seg) else {
-            self.tracer.close_span(start, op.span, false);
-            op.ticket.complete(Outcome::CopyOut(Err(DevError::Offline)));
-            return ExecResult::Done(start);
-        };
-        let Some((vol, slot)) = self.map.vol_slot(seg) else {
-            self.tracer.close_span(start, op.span, false);
-            op.ticket.complete(Outcome::CopyOut(Err(DevError::Offline)));
-            return ExecResult::Done(start);
+            return self.refuse_op(op, start, DevError::Offline);
         };
         // Re-check at service time: the volume may have been quarantined
         // while the op sat in the device queue.
-        if self.recovery.borrow().is_quarantined(vol) {
-            self.tracer.close_span(start, op.span, false);
-            op.ticket.complete(Outcome::CopyOut(Err(DevError::Offline)));
-            return ExecResult::Done(start);
-        }
+        let home = self.map.vol_slot(seg);
+        let Some((vol, slot)) = home.filter(|&(v, _)| !self.recovery.borrow().is_quarantined(v))
+        else {
+            return self.refuse_op(op, start, DevError::Offline);
+        };
 
         // I/O server: cache disk → memory, staged through the engine's
         // recycled buffer.
@@ -922,11 +792,7 @@ impl TioInner {
         let base = self.map.seg_base(disk_seg) as u64;
         let r = match self.disks.read(start, base, &mut buf) {
             Ok(r) => r,
-            Err(e) => {
-                self.tracer.close_span(start, op.span, false);
-                op.ticket.complete(Outcome::CopyOut(Err(e)));
-                return ExecResult::Done(start);
-            }
+            Err(e) => return self.refuse_op(op, start, e),
         };
         self.phases
             .borrow_mut()
@@ -966,16 +832,9 @@ impl TioInner {
                     vol,
                     slot,
                 });
-                self.tracer.close_span(r.end, op.span, false);
-                op.ticket
-                    .complete(Outcome::CopyOut(Err(DevError::EndOfMedium { written })));
-                ExecResult::Done(r.end)
+                self.refuse_op(op, r.end, DevError::EndOfMedium { written })
             }
-            Err(e) => {
-                self.tracer.close_span(r.end, op.span, false);
-                op.ticket.complete(Outcome::CopyOut(Err(e)));
-                ExecResult::Done(r.end)
-            }
+            Err(e) => self.refuse_op(op, r.end, e),
         }
     }
 
@@ -1400,7 +1259,7 @@ impl TertiaryIo {
             all_retired: Cell::new(false),
             recovery: RefCell::new(RecoveryState::new()),
             fault_log: RefCell::new(FaultLog::new()),
-            queues: RefCell::new(EngineQueues::new()),
+            queues: RefCell::new(EngineQueues::new(tracer.clone())),
             handles: RefCell::new(None),
             copyout_waiters: RefCell::new(Vec::new()),
             iotrack: RefCell::new(iotrack),
@@ -1506,9 +1365,12 @@ impl TertiaryIo {
         self.inner.tracer.reset();
     }
 
-    /// Counter snapshot. The queue-residency (`wait_*`) counters and the
-    /// queue high-water marks are derived from the trace recorder — the
-    /// engine does not track them separately.
+    /// Counter snapshot. The queue-residency (`wait_*`) counters, the
+    /// queue high-water marks, the drive-fault counters and the tenant
+    /// admit/throttle counts are derived from the trace recorder — the
+    /// engine does not track them separately. (The scheduler picks that
+    /// emit no event — `affinity_hits`, `starvation_promotions`,
+    /// `tenant_promotions` — are still counted in the queues.)
     pub fn stats(&self) -> SvcStats {
         let mut st = *self.inner.stats.borrow();
         let t = &self.inner.tracer;
@@ -1531,10 +1393,10 @@ impl TertiaryIo {
             let q = self.inner.queues.borrow();
             st.affinity_hits = q.affinity_hits;
             st.starvation_promotions = q.starvation_promotions;
-            st.tenant_admits = q.tenant_admits;
-            st.tenant_throttles = q.tenant_throttles;
             st.tenant_promotions = q.tenant_promotions;
         }
+        st.tenant_admits = t.tenant_admits();
+        st.tenant_throttles = t.tenant_throttles();
         st.drive_down = t.drive_downs();
         st.redispatched = t.redispatches();
         st.watchdog_fired = t.watchdog_fires();
@@ -1582,21 +1444,21 @@ impl TertiaryIo {
     /// ticket immediately without entering the queues; a fetch already
     /// in flight is joined (coalesced) rather than duplicated.
     pub fn enqueue_demand(&self, at: SimTime, tert_seg: SegNo) -> Ticket {
-        self.enqueue_fetch(at, tert_seg, FetchMode::Demand, None)
+        self.enqueue_fetch(ReqClass::Demand, at, tert_seg, None)
     }
 
     /// Queues an asynchronous prefetch fill (§6.2: the service/I/O
     /// processes "may choose unilaterally to ... insert new segments
     /// into the cache"). Coalesces like [`Self::enqueue_demand`].
     pub fn enqueue_prefetch(&self, at: SimTime, tert_seg: SegNo) -> Ticket {
-        self.enqueue_fetch(at, tert_seg, FetchMode::Prefetch, None)
+        self.enqueue_fetch(ReqClass::Prefetch, at, tert_seg, None)
     }
 
     /// [`Self::enqueue_demand`] on behalf of a tenant: the request is
     /// tagged for the per-tenant fair queue. Sessions
     /// ([`EngineSession`]) are the usual caller.
     pub fn enqueue_demand_for(&self, tenant: TenantId, at: SimTime, tert_seg: SegNo) -> Ticket {
-        self.enqueue_fetch(at, tert_seg, FetchMode::Demand, Some(tenant))
+        self.enqueue_fetch(ReqClass::Demand, at, tert_seg, Some(tenant))
     }
 
     /// [`Self::enqueue_prefetch`] on behalf of a tenant. Tagged
@@ -1604,14 +1466,16 @@ impl TertiaryIo {
     /// throttle, so one tenant's prefetch storm cannot crowd out
     /// another's demand fetches.
     pub fn enqueue_prefetch_for(&self, tenant: TenantId, at: SimTime, tert_seg: SegNo) -> Ticket {
-        self.enqueue_fetch(at, tert_seg, FetchMode::Prefetch, Some(tenant))
+        self.enqueue_fetch(ReqClass::Prefetch, at, tert_seg, Some(tenant))
     }
 
+    /// `class` is `Demand` or `Prefetch`: the fetch's priority and its
+    /// fill mode.
     fn enqueue_fetch(
         &self,
+        class: ReqClass,
         at: SimTime,
         tert_seg: SegNo,
-        mode: FetchMode,
         tenant: Option<TenantId>,
     ) -> Ticket {
         self.inner.note_time(at);
@@ -1624,71 +1488,44 @@ impl TertiaryIo {
                 return ticket;
             }
         }
+        let demand = class == ReqClass::Demand;
         let pending = self.inner.queues.borrow().pending_fetch(tert_seg);
         if let Some(shared) = pending {
             // Coalesce: N readers of one tertiary segment share one
             // media read and observe the same `ready_at`.
             self.inner.stats.borrow_mut().coalesced_fetches += 1;
-            if mode == FetchMode::Demand {
+            if demand {
                 self.inner.queues.borrow_mut().upgrade_fetch(tert_seg, at);
                 self.inner.notify(StallEvent::HoldOn { seg: tert_seg, at });
             }
             let parent = self.inner.queues.borrow().pending_fetch_span(tert_seg);
             if let Some(parent) = parent {
-                self.inner
-                    .tracer
-                    .join(at, parent, tclass(class_of(mode)));
+                self.inner.tracer.join(at, parent, class);
             }
             self.inner.wake_svc(at);
             return shared;
         }
-        // Backpressure: a full request queue makes the enqueuer drain
-        // the engine before adding more (callers on an external
-        // scheduler use the `try_*` variants and park instead).
+        self.make_room();
+        if demand {
+            self.inner.notify(StallEvent::HoldOn { seg: tert_seg, at });
+        }
+        self.submit(class, Some(tert_seg), at, tenant)
+    }
+
+    /// Backpressure: a full request queue makes the enqueuer drain the
+    /// engine before adding more (callers on an external scheduler use
+    /// the `try_*` variants and park instead).
+    fn make_room(&self) {
         while !self.external.get() && self.inner.queues.borrow().reqq_full() {
             self.pump();
         }
-        if mode == FetchMode::Demand {
-            self.inner.notify(StallEvent::HoldOn { seg: tert_seg, at });
-        }
-        let ticket = Ticket::new();
-        self.push_request(Request {
-            class: class_of(mode),
-            seq: 0,
-            seg: Some(tert_seg),
-            mode: Some(mode),
-            enqueued_at: at,
-            demand_enq: (mode == FetchMode::Demand).then_some(at),
-            span: 0,
-            tenant,
-            passed: 0,
-            throttled: false,
-            ticket: ticket.clone(),
-        });
-        ticket
     }
 
     /// Queues a copy-out of the sealed (`DirtyWait`) line of `tert_seg`.
     pub fn enqueue_copy_out(&self, at: SimTime, tert_seg: SegNo) -> Ticket {
         self.inner.note_time(at);
-        while !self.external.get() && self.inner.queues.borrow().reqq_full() {
-            self.pump();
-        }
-        let ticket = Ticket::new();
-        self.push_request(Request {
-            class: ReqClass::CopyOut,
-            seq: 0,
-            seg: Some(tert_seg),
-            mode: None,
-            enqueued_at: at,
-            demand_enq: None,
-            span: 0,
-            tenant: None,
-            passed: 0,
-            throttled: false,
-            ticket: ticket.clone(),
-        });
-        ticket
+        self.make_room();
+        self.submit(ReqClass::CopyOut, Some(tert_seg), at, None)
     }
 
     /// Non-blocking variant of [`Self::enqueue_copy_out`] for actors on
@@ -1696,7 +1533,7 @@ impl TertiaryIo {
     /// which case the caller should park and register itself with
     /// [`Self::subscribe_copyout`] to be woken when a copy-out retires.
     pub fn try_enqueue_copy_out(&self, at: SimTime, tert_seg: SegNo) -> Option<Ticket> {
-        self.try_enqueue_copy_out_as(at, tert_seg, None)
+        self.try_copy_out(at, tert_seg, None)
     }
 
     /// [`Self::try_enqueue_copy_out`] on behalf of a tenant (the
@@ -1707,82 +1544,42 @@ impl TertiaryIo {
         at: SimTime,
         tert_seg: SegNo,
     ) -> Option<Ticket> {
-        self.try_enqueue_copy_out_as(at, tert_seg, Some(tenant))
+        self.try_copy_out(at, tert_seg, Some(tenant))
     }
 
-    fn try_enqueue_copy_out_as(
-        &self,
-        at: SimTime,
-        tert_seg: SegNo,
-        tenant: Option<TenantId>,
-    ) -> Option<Ticket> {
+    fn try_copy_out(&self, at: SimTime, seg: SegNo, tenant: Option<TenantId>) -> Option<Ticket> {
         self.inner.note_time(at);
-        if self.inner.queues.borrow().reqq_full() {
-            return None;
-        }
-        let ticket = Ticket::new();
-        self.push_request(Request {
-            class: ReqClass::CopyOut,
-            seq: 0,
-            seg: Some(tert_seg),
-            mode: None,
-            enqueued_at: at,
-            demand_enq: None,
-            span: 0,
-            tenant,
-            passed: 0,
-            throttled: false,
-            ticket: ticket.clone(),
-        });
-        Some(ticket)
+        let full = self.inner.queues.borrow().reqq_full();
+        (!full).then(|| self.submit(ReqClass::CopyOut, Some(seg), at, tenant))
     }
 
     /// Queues a unilateral ejection of a clean line.
     pub fn enqueue_eject(&self, at: SimTime, tert_seg: SegNo) -> Ticket {
         self.inner.note_time(at);
-        let ticket = Ticket::new();
-        self.push_request(Request {
-            class: ReqClass::Eject,
-            seq: 0,
-            seg: Some(tert_seg),
-            mode: None,
-            enqueued_at: at,
-            demand_enq: None,
-            span: 0,
-            tenant: None,
-            passed: 0,
-            throttled: false,
-            ticket: ticket.clone(),
-        });
-        ticket
+        self.submit(ReqClass::Eject, Some(tert_seg), at, None)
     }
 
     /// Queues a scrub / re-replication pass (§10).
     pub fn enqueue_scrub(&self, at: SimTime) -> Ticket {
         self.inner.note_time(at);
-        let ticket = Ticket::new();
-        self.push_request(Request {
-            class: ReqClass::Scrub,
-            seq: 0,
-            seg: None,
-            mode: None,
-            enqueued_at: at,
-            demand_enq: None,
-            span: 0,
-            tenant: None,
-            passed: 0,
-            throttled: false,
-            ticket: ticket.clone(),
-        });
-        ticket
+        self.submit(ReqClass::Scrub, None, at, None)
     }
 
-    fn push_request(&self, mut req: Request) {
-        let at = req.enqueued_at;
+    /// The one way into the request queue: builds the request, opens
+    /// its span, queues it and wakes the service process.
+    fn submit(
+        &self,
+        class: ReqClass,
+        seg: Option<SegNo>,
+        at: SimTime,
+        tenant: Option<TenantId>,
+    ) -> Ticket {
+        let mut req = Request::new(class, seg, at, tenant);
+        let ticket = req.ticket.clone();
         req.span = self
             .inner
             .tracer
-            .open_span(at, tclass(req.class), req.seg.map(|s| s as u64));
+            .open_span(at, class, seg.map(|s| s as u64));
         let depth = {
             let mut q = self.inner.queues.borrow_mut();
             q.push(req);
@@ -1793,6 +1590,7 @@ impl TertiaryIo {
             .queue_depth(at, hl_trace::QueueId::Request, depth as u32);
         self.inner.stats.borrow_mut().queued_requests += 1;
         self.inner.wake_svc(at);
+        ticket
     }
 
     /// Runs the internal engine to quiescence (every queued request
@@ -1910,13 +1708,6 @@ impl TertiaryIo {
     }
 }
 
-fn class_of(mode: FetchMode) -> ReqClass {
-    match mode {
-        FetchMode::Demand => ReqClass::Demand,
-        FetchMode::Prefetch => ReqClass::Prefetch,
-    }
-}
-
 /// A per-client session handle onto a shared [`TertiaryIo`]
 /// ([`TertiaryIo::session`]): the unit of concurrency the server layer
 /// hands each connection. The session owns its identity (tenant id)
@@ -1965,6 +1756,128 @@ mod tests {
     use super::*;
     use crate::rig::RigSpec;
     use hl_vdev::{FaultConfig, FaultPlan};
+
+    /// A copy-out that dies through re-dispatch exhaustion must still
+    /// wake the producers parked on copy-out completion: they would
+    /// otherwise sleep until some *other* copy-out retires.
+    #[test]
+    fn exhausted_copy_out_wakes_parked_producers() {
+        struct Producer(Rc<Cell<u32>>);
+        impl hl_sim::Actor<()> for Producer {
+            fn step(&mut self, _: &mut (), _now: SimTime) -> hl_sim::Step {
+                self.0.set(self.0.get() + 1);
+                hl_sim::Step::Park
+            }
+        }
+        let (tio, _jb, map) = RigSpec::with_lines(40..44).build();
+        let mut sched: Scheduler<()> = Scheduler::new();
+        tio.attach_engine(&mut sched);
+        let stepped = Rc::new(Cell::new(0));
+        tio.subscribe_copyout(sched.spawn_parked(Producer(stepped.clone())));
+
+        let mut op = Box::new(Request::new(
+            ReqClass::CopyOut,
+            Some(map.tert_seg(0, 0)),
+            0,
+            None,
+        ));
+        op.span = tio.tracer().open_span(0, ReqClass::CopyOut, None);
+        op.attempts = MAX_REDISPATCH;
+        let ticket = op.ticket.clone();
+        let dead = DevError::DriveDead { drive: 0 };
+        tio.inner.redispatch(op, 1_000, 0, dead);
+        assert_eq!(ticket.copyout_result(), Err(dead));
+        sched.run(&mut ());
+        assert_eq!(stepped.get(), 1, "the parked producer was never woken");
+    }
+
+    /// The refusal table: five classes × the three places a request can
+    /// be refused — still in the request queue when the pool drains, in
+    /// the device queue when it drains, executing when re-dispatch runs
+    /// out. Each cell posts its class's failure value, closes the span
+    /// not-ok once, and releases the request's own holdings only.
+    #[test]
+    fn refusal_releases_exactly_what_the_request_holds() {
+        use hl_trace::EventKind;
+        use ReqClass::{CopyOut, Demand, Eject, Prefetch, Scrub};
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        enum Place {
+            Reqq,
+            Devq,
+            Executing,
+        }
+        let dead = DevError::DriveDead { drive: 0 };
+        for class in ReqClass::ALL {
+            for place in [Place::Reqq, Place::Devq, Place::Executing] {
+                let cell = format!("{class:?} refused in {place:?}");
+                let (tio, _jb, map) = RigSpec::with_lines(40..44).build();
+                let seg = map.tert_seg(1, 2);
+                let cache = tio.cache();
+                // A line of the same segment that is *not* the request's
+                // to release: the sealed line of a copy-out, the clean
+                // line an eject targets, a line that became resident
+                // while the fetch was still queued.
+                let bystander = match class {
+                    CopyOut => Some(LineState::DirtyWait),
+                    Eject => Some(LineState::Clean),
+                    Demand | Prefetch if place == Place::Reqq => Some(LineState::Clean),
+                    _ => None,
+                };
+                if let Some(state) = bystander {
+                    cache.borrow_mut().allocate(seg, state, 0).expect("line");
+                }
+                let ticket = tio.submit(class, (class != Scrub).then_some(seg), 0, None);
+                if place != Place::Reqq {
+                    let req = tio.inner.queues.borrow_mut().pop_ready(0).expect("queued");
+                    if class == Eject {
+                        // Ejects finish at dispatch; only a synthetic
+                        // one sits further down the pipeline.
+                        tio.inner.queues.borrow_mut().devq.push_back(req);
+                    } else {
+                        tio.inner.dispatch(req, 0);
+                    }
+                    if bystander.is_none() && class != Scrub {
+                        let line = cache.borrow().peek(seg).map(|l| l.state);
+                        assert_eq!(line, Some(LineState::Filling), "{cell}");
+                    }
+                }
+
+                let at = 5_000;
+                let err = if place == Place::Executing {
+                    let mut op = tio.inner.queues.borrow_mut().devq.pop_front().expect(&cell);
+                    op.attempts = MAX_REDISPATCH;
+                    tio.inner.redispatch(op, at, 0, dead);
+                    dead
+                } else {
+                    tio.inner.drain_dead(at);
+                    DevError::Offline
+                };
+
+                match (class, ticket.outcome().expect(&cell)) {
+                    (Demand | Prefetch, Outcome::Fetch(Err(HlError::Dev(e)))) => assert_eq!(e, err),
+                    (CopyOut, Outcome::CopyOut(Err(e))) => assert_eq!(e, err, "{cell}"),
+                    (Eject, Outcome::Eject(false)) => {}
+                    (Scrub, Outcome::Scrub(r)) => assert_eq!((r.end, r.copies_made), (at, 0)),
+                    (_, other) => panic!("{cell}: wrong failure value {other:?}"),
+                }
+                let closes: Vec<bool> = tio
+                    .tracer()
+                    .events()
+                    .iter()
+                    .filter_map(|e| match e.kind {
+                        EventKind::SpanClose { ok, .. } => Some(ok),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(closes, [false], "{cell}: one not-ok close");
+                let pending = tio.inner.queues.borrow().pending_fetch(seg);
+                assert!(pending.is_none(), "{cell}: coalescing entry retired");
+                let line = cache.borrow().peek(seg).map(|l| l.state);
+                assert_eq!(line, bystander, "{cell}: only the request's own line goes");
+                assert_eq!(tio.queue_depths(), (0, 0), "{cell}");
+            }
+        }
+    }
 
     #[test]
     fn sessions_tag_requests_for_the_fair_queue() {

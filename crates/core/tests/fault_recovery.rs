@@ -34,7 +34,9 @@ fn run_scenario(seed: u64) -> (String, u64) {
     tio.disks_handle()
         .poke(map.seg_base(line) as u64, &data)
         .unwrap();
-    tio.cache().borrow_mut().set_state(seg, LineState::DirtyWait);
+    tio.cache()
+        .borrow_mut()
+        .set_state(seg, LineState::DirtyWait);
     let t0 = tio.copy_out(0, seg).expect("replicated copy-out");
     assert_eq!(tio.replicas().borrow().homes(&map, seg), [(0, 0), (1, 0)]);
     assert!(tio.eject(seg));

@@ -41,7 +41,7 @@ fn seed_42_transcript_matches_the_pinned_digest() {
         .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
         });
-    assert_eq!(fnv, 0x25ca_40b6_e5f9_4d96, "crash_torture -- 42 transcript drifted");
+    assert_eq!(fnv, 0x25ca_40b6_e5f9_4d96, "seed-42 transcript drifted");
 }
 
 #[test]

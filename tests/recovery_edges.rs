@@ -336,8 +336,11 @@ fn dispatch_time_refusals_resolve_every_class() {
         .expect("staging line");
     assert_eq!(tio.copy_out(0, doomed), Err(DevError::Offline), "unsealed");
     assert!(!tio.eject(doomed), "pinned");
-    tio.cache().borrow_mut().set_state(doomed, LineState::DirtyWait);
-    assert_eq!(tio.copy_out(0, doomed), Err(DevError::Offline), "quarantined");
+    tio.cache()
+        .borrow_mut()
+        .set_state(doomed, LineState::DirtyWait);
+    let refused = tio.copy_out(0, doomed);
+    assert_eq!(refused, Err(DevError::Offline), "quarantined volume");
 
     tio.cache()
         .borrow_mut()

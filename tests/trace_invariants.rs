@@ -234,13 +234,12 @@ fn migration_pipeline_shape_is_trace_clean() {
 #[test]
 fn replica_and_scrub_transfers_are_admitted_device_time() {
     use hl_trace::Lane;
-    let drive_ios = |tio: &highlight::TertiaryIo| {
-        tio.tracer()
-            .events()
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::DevIo { lane: Lane::Drive(_), .. }))
-            .count()
+    let on_drive = |e: &hl_trace::Event| match e.kind {
+        EventKind::DevIo { lane, .. } => matches!(lane, Lane::Drive(_)),
+        _ => false,
     };
+    let drive_ios =
+        |tio: &highlight::TertiaryIo| tio.tracer().events().iter().filter(|e| on_drive(e)).count();
     let copy_out = |copies: u32| {
         let (tio, _jb, map) = RigSpec::with_lines(40..44).build();
         tio.set_replication(copies);
