@@ -47,7 +47,8 @@ use hl_sim::time::SimTime;
 use hl_sim::{Actor, ActorId, Scheduler, Step, Waker};
 
 use crate::requests::{ReqClass, DISPATCH_CPU};
-use crate::service::{phase, ExecResult, LaneGate, ProbeOutcome, TioInner};
+use crate::lanes::{LaneGate, ProbeOutcome};
+use crate::service::{phase, ExecResult, TioInner};
 
 /// Wake handles for the engine's actors on their current scheduler.
 pub(crate) struct EngineHandles {

@@ -36,6 +36,7 @@ pub mod fault;
 pub mod fs;
 pub mod hlfsck;
 mod ioserver;
+mod lanes;
 pub mod migrator;
 pub mod policy;
 pub mod prefetch;

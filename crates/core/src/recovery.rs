@@ -15,8 +15,13 @@
 //! the probe ladder a quarantined drive climbs before rejoining as a hot
 //! spare ([`probe_delay`], [`MAX_PROBES`]).
 
+use hl_lfs::types::SegNo;
 use hl_sim::time::{SimTime, SEC};
+use hl_vdev::{DevError, IoSlot};
 use std::collections::{HashMap, HashSet};
+
+use crate::fault::{FaultEvent, FaultStep, HlError, RecoveryAction};
+use crate::service::{phase, ScrubReport, TioInner};
 
 /// Tunable knobs for the retry/failover/quarantine logic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,6 +117,349 @@ impl RecoveryState {
         let mut v: Vec<u32> = self.quarantined.iter().copied().collect();
         v.sort_unstable();
         v
+    }
+}
+
+/// The replica read/write/scrub recovery loops of the tertiary engine:
+/// which copy a fetch reads, where a copy-out's replicas land, and how
+/// a scrub pass restores the copy count.
+impl TioInner {
+    /// All readable homes of `tert_seg`, "closest" copies first (§5.4:
+    /// homes on already-loaded volumes beat ones behind a media swap)
+    /// and quarantined volumes excluded. `None` when the segment has no
+    /// home at all — unmapped and without a replica record.
+    fn candidate_homes(&self, tert_seg: SegNo) -> Option<Vec<(u32, u32)>> {
+        let homes = self.replicas.borrow().homes(&self.map, tert_seg);
+        if homes.is_empty() {
+            return None;
+        }
+        let loaded = self.jukebox.loaded_volumes();
+        let rec = self.recovery.borrow();
+        let mut ordered: Vec<(u32, u32)> = Vec::with_capacity(homes.len());
+        ordered.extend(homes.iter().filter(|(v, _)| loaded.contains(&Some(*v))));
+        ordered.extend(homes.iter().filter(|(v, _)| !loaded.contains(&Some(*v))));
+        ordered.retain(|&(v, _)| !rec.is_quarantined(v));
+        Some(ordered)
+    }
+
+    /// Quarantines `vol`: no further reads or writes target it. Its
+    /// replica records are dropped (the scrub pass restores the copy
+    /// count elsewhere) and it is marked full so no copy-out or replica
+    /// write allocates on it.
+    fn quarantine_volume(&self, at: SimTime, vol: u32) {
+        {
+            let mut rec = self.recovery.borrow_mut();
+            if rec.is_quarantined(vol) {
+                return;
+            }
+            rec.quarantine(vol);
+        }
+        let failures = self.recovery.borrow().failures(vol);
+        self.tseg.borrow_mut().volume_mut(vol).full = true;
+        self.replicas.borrow_mut().forget_volume(vol);
+        self.stats.borrow_mut().quarantines += 1;
+        self.fault_log
+            .borrow_mut()
+            .push(FaultEvent::Quarantine { at, vol, failures });
+    }
+
+    /// Reads one copy of `tert_seg` into `buf`, applying the recovery
+    /// policy (§10): bounded backoff retries on transient faults,
+    /// immediate quarantine on hard media failures, failover across the
+    /// remaining replica homes. Exhausting every copy yields
+    /// [`HlError::SegmentUnavailable`] with the ordered fault trail.
+    /// `drive` is the requesting lane's home drive: already-loaded
+    /// volumes are read where they sit, fresh swaps land there.
+    pub(crate) fn fetch_segment(
+        &self,
+        at: SimTime,
+        drive: usize,
+        tert_seg: SegNo,
+        buf: &mut [u8],
+    ) -> Result<(IoSlot, usize, (u32, u32)), HlError> {
+        let Some(homes) = self.candidate_homes(tert_seg) else {
+            // Not a mapped tertiary segment at all.
+            return Err(HlError::Dev(DevError::Offline));
+        };
+        let policy = self.policy.get();
+        let mut trail: Vec<FaultStep> = Vec::new();
+        let mut t = at;
+        for (i, &(vol, slot)) in homes.iter().enumerate() {
+            let mut attempt = 0u32;
+            loop {
+                match self.jukebox.read_segment_on(t, drive, vol, slot, buf) {
+                    Ok((r, used)) => return Ok((r, used, (vol, slot))),
+                    Err(e @ DevError::MediaFailure) => {
+                        self.fault_log.borrow_mut().push(FaultEvent::ReadFault {
+                            at: t,
+                            seg: tert_seg,
+                            vol,
+                            slot,
+                            error: e,
+                        });
+                        self.recovery.borrow_mut().record_failure(vol);
+                        self.quarantine_volume(t, vol);
+                        trail.push(FaultStep {
+                            at: t,
+                            vol,
+                            slot,
+                            error: e,
+                            action: RecoveryAction::Quarantine,
+                        });
+                        break;
+                    }
+                    Err(e @ (DevError::ReadError { .. } | DevError::Offline)) => {
+                        self.fault_log.borrow_mut().push(FaultEvent::ReadFault {
+                            at: t,
+                            seg: tert_seg,
+                            vol,
+                            slot,
+                            error: e,
+                        });
+                        attempt += 1;
+                        if attempt <= policy.max_retries {
+                            let delay = policy.backoff(attempt);
+                            trail.push(FaultStep {
+                                at: t,
+                                vol,
+                                slot,
+                                error: e,
+                                action: RecoveryAction::Retry {
+                                    attempt,
+                                    backoff: delay,
+                                },
+                            });
+                            self.fault_log.borrow_mut().push(FaultEvent::Retry {
+                                at: t,
+                                seg: tert_seg,
+                                vol,
+                                slot,
+                                attempt,
+                                delay,
+                            });
+                            self.stats.borrow_mut().retries += 1;
+                            t += delay;
+                            continue;
+                        }
+                        let strikes = self.recovery.borrow_mut().record_failure(vol);
+                        let action = if strikes >= policy.quarantine_after {
+                            self.quarantine_volume(t, vol);
+                            RecoveryAction::Quarantine
+                        } else if i + 1 < homes.len() {
+                            RecoveryAction::Failover
+                        } else {
+                            RecoveryAction::GaveUp
+                        };
+                        trail.push(FaultStep {
+                            at: t,
+                            vol,
+                            slot,
+                            error: e,
+                            action,
+                        });
+                        break;
+                    }
+                    // Structural errors (bad buffer, out of range, ...)
+                    // are bugs, not media faults: surface immediately.
+                    Err(e) => return Err(HlError::Dev(e)),
+                }
+            }
+            if let Some(&next) = homes.get(i + 1) {
+                self.stats.borrow_mut().failovers += 1;
+                self.fault_log.borrow_mut().push(FaultEvent::Failover {
+                    at: t,
+                    seg: tert_seg,
+                    from: (vol, slot),
+                    to: next,
+                });
+            }
+        }
+        self.stats.borrow_mut().permanent_losses += 1;
+        self.fault_log
+            .borrow_mut()
+            .push(FaultEvent::PermanentLoss { at: t, seg: tert_seg });
+        Err(HlError::SegmentUnavailable {
+            seg: tert_seg,
+            trail,
+        })
+    }
+
+    /// Claims the next free slot of `vol` for a replica write, moving
+    /// the volume's cursor; `None` if the volume is quarantined or full.
+    fn claim_slot(&self, vol: u32) -> Option<u32> {
+        if self.recovery.borrow().is_quarantined(vol) {
+            return None;
+        }
+        let mut tseg = self.tseg.borrow_mut();
+        let v = tseg.volume_mut(vol);
+        if v.full || v.next_slot >= self.map.segs_per_volume {
+            return None;
+        }
+        v.next_slot += 1;
+        Some(v.next_slot - 1)
+    }
+
+    /// Writes the configured replica copies of a freshly copied-out
+    /// segment onto *other* volumes' free slots. Replicas are never
+    /// counted as live data (§5.4), so only the volume cursor moves.
+    pub(crate) fn write_replicas(
+        &self,
+        at: SimTime,
+        drive: usize,
+        tert_seg: SegNo,
+        primary_vol: u32,
+        buf: &[u8],
+    ) -> SimTime {
+        let copies = self.replicate.get();
+        let mut t = at;
+        let mut written = 0;
+        if copies == 0 {
+            return t;
+        }
+        for vol in 0..self.map.volumes {
+            if written >= copies || vol == primary_vol {
+                continue;
+            }
+            let Some(slot) = self.claim_slot(vol) else {
+                continue;
+            };
+            match self.jukebox.write_segment_on(t, drive, vol, slot, buf) {
+                Ok((w, used)) => {
+                    t = w.end;
+                    self.admit_drive_io(phase::FOOTPRINT_WRITE, w, used);
+                    self.replicas.borrow_mut().add(tert_seg, vol, slot);
+                    written += 1;
+                }
+                Err(DevError::EndOfMedium { .. }) => {
+                    self.tseg.borrow_mut().volume_mut(vol).full = true;
+                }
+                Err(e) => {
+                    // Never assume the write landed: the slot is burned
+                    // (cursor already moved) but no replica is recorded,
+                    // and the failure is logged rather than swallowed.
+                    self.stats.borrow_mut().replica_write_failures += 1;
+                    self.fault_log.borrow_mut().push(FaultEvent::WriteFault {
+                        at: t,
+                        seg: tert_seg,
+                        vol,
+                        slot,
+                        error: e,
+                    });
+                }
+            }
+        }
+        t
+    }
+
+    /// Background scrub / re-replicate pass (§10): walks every tertiary
+    /// segment that has been copied out or replicated, counts its
+    /// surviving (non-quarantined) copies, and writes fresh replicas
+    /// until each segment again has `1 + replication` copies. Segments
+    /// with no surviving copy are reported unrecoverable.
+    ///
+    /// A drive-scoped fault aborts the pass — reported as the second
+    /// element — rather than letting a dead *drive* masquerade as dead
+    /// *media*: the caller re-dispatches the whole pass to a surviving
+    /// lane, which recomputes the (idempotent) deficits.
+    pub(crate) fn scrub_pass(&self, at: SimTime, drive: usize) -> (ScrubReport, Option<(SimTime, DevError)>) {
+        let target = 1 + self.replicate.get();
+        let mut segs: Vec<SegNo> = self
+            .tseg
+            .borrow()
+            .touched()
+            .filter(|(_, u)| u.avail_bytes > 0)
+            .map(|(s, _)| s)
+            .collect();
+        segs.extend(self.replicas.borrow().segments());
+        segs.sort_unstable();
+        segs.dedup();
+
+        let mut report = ScrubReport {
+            end: at,
+            ..ScrubReport::default()
+        };
+        let mut t = at;
+        // One recycled staging buffer serves the whole pass; each
+        // segment's re-fetch fully overwrites it.
+        let mut buf = self.seg_scratch();
+        for seg in segs {
+            let homes = self.candidate_homes(seg).unwrap_or_default();
+            if homes.is_empty() {
+                report.unrecoverable.push(seg);
+                continue;
+            }
+            if homes.len() as u32 >= target {
+                continue;
+            }
+            let deficit = target - homes.len() as u32;
+            // Whole-segment re-fetch from any surviving copy (§10).
+            let mut source = None;
+            for &(vol, slot) in &homes {
+                match self.jukebox.read_segment_on(t, drive, vol, slot, &mut buf) {
+                    Ok((r, used)) => {
+                        self.admit_drive_io(phase::FOOTPRINT_READ, r, used);
+                        source = Some((r, (vol, slot)));
+                        break;
+                    }
+                    Err(e @ (DevError::DriveDead { .. } | DevError::DriveHung { .. })) => {
+                        report.end = t;
+                        return (report, Some((t, e)));
+                    }
+                    Err(_) => {}
+                }
+            }
+            let Some((r, from)) = source else {
+                report.unrecoverable.push(seg);
+                continue;
+            };
+            t = r.end;
+            let holding: Vec<u32> = homes.iter().map(|&(v, _)| v).collect();
+            let mut made = 0u32;
+            for vol in 0..self.map.volumes {
+                if made >= deficit || holding.contains(&vol) {
+                    continue;
+                }
+                let Some(slot) = self.claim_slot(vol) else {
+                    continue;
+                };
+                match self.jukebox.write_segment_on(t, drive, vol, slot, &buf) {
+                    Ok((w, used)) => {
+                        t = w.end;
+                        self.admit_drive_io(phase::FOOTPRINT_WRITE, w, used);
+                        self.replicas.borrow_mut().add(seg, vol, slot);
+                        self.stats.borrow_mut().scrub_copies += 1;
+                        self.fault_log.borrow_mut().push(FaultEvent::ScrubCopy {
+                            at: t,
+                            seg,
+                            from,
+                            to: (vol, slot),
+                        });
+                        report.copies_made += 1;
+                        made += 1;
+                    }
+                    Err(DevError::EndOfMedium { .. }) => {
+                        self.tseg.borrow_mut().volume_mut(vol).full = true;
+                    }
+                    Err(e @ (DevError::DriveDead { .. } | DevError::DriveHung { .. })) => {
+                        report.end = t;
+                        return (report, Some((t, e)));
+                    }
+                    Err(e) => {
+                        self.stats.borrow_mut().replica_write_failures += 1;
+                        self.fault_log.borrow_mut().push(FaultEvent::WriteFault {
+                            at: t,
+                            seg,
+                            vol,
+                            slot,
+                            error: e,
+                        });
+                        report.write_failures += 1;
+                    }
+                }
+            }
+        }
+        report.end = t;
+        (report, None)
     }
 }
 

@@ -37,13 +37,13 @@ use hl_sim::{ActorId, PhaseTimer, Scheduler};
 use hl_vdev::{BlockDev, DevError, IoSlot, IoTracker};
 
 use crate::addr::UniformMap;
-use crate::fault::{FaultEvent, FaultLog, FaultStep, HlError, RecoveryAction};
+use crate::fault::{FaultEvent, FaultLog, HlError};
 use crate::ioserver::{spawn_engine, EngineHandles};
+use crate::lanes::LaneHealth;
 use crate::recovery::{self, RecoveryPolicy, RecoveryState};
 use crate::replicas::ReplicaSet;
 use crate::requests::{
     write_class, EngineQueues, Outcome, ReqClass, Request, TenantId, Ticket, DISPATCH_CPU,
-    MAX_REDISPATCH,
 };
 use crate::segcache::{LineState, SegCache};
 use crate::tsegfile::TsegTable;
@@ -191,42 +191,6 @@ pub struct ScrubReport {
     pub unrecoverable: Vec<SegNo>,
 }
 
-/// Health record of one I/O-server lane. Shared through
-/// [`TioInner::lane_health`]: *any* lane may mark *any* drive down, because a
-/// read routed to an already-loaded platter observes faults on the
-/// drive that holds it, not on the lane's home drive.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct LaneHealth {
-    /// When the drive was marked down (`None` = healthy).
-    pub down_since: Option<SimTime>,
-    /// Failed health probes since it went down.
-    pub probes: u32,
-    /// Next scheduled health probe.
-    pub next_probe: SimTime,
-    /// Probe ladder exhausted: the lane has left the pool for good.
-    pub retired: bool,
-}
-
-/// What an I/O lane should do this step, per its health record.
-pub(crate) enum LaneGate {
-    /// Take work normally.
-    Healthy,
-    /// Down: run (or wait for) the probe scheduled at this time.
-    ProbeAt(SimTime),
-    /// Out of the pool for good.
-    Retired,
-}
-
-/// Outcome of one health probe of a downed lane.
-pub(crate) enum ProbeOutcome {
-    /// The drive answered: rejoin the pool as a hot spare.
-    Recovered,
-    /// Still dead: probe again at the given time.
-    Backoff(SimTime),
-    /// Ladder exhausted: the lane retires.
-    Retired,
-}
-
 /// Result of executing one device op.
 pub(crate) enum ExecResult {
     /// The op finished (its ticket is resolved); the value is when the
@@ -366,159 +330,10 @@ impl TioInner {
         }
     }
 
-    /// How many I/O-server lanes the engine runs: one per jukebox
-    /// drive, capped at [`MAX_DRIVES`] (fixed when the registry is
-    /// built).
-    pub(crate) fn lanes(&self) -> usize {
-        self.lane_health.borrow().len()
-    }
-
-    /// What the lane for `drive` should do this step, per its health.
-    pub(crate) fn lane_gate(&self, drive: usize) -> LaneGate {
-        let lanes = self.lane_health.borrow();
-        match lanes.get(drive) {
-            Some(h) if h.retired => LaneGate::Retired,
-            Some(h) if h.down_since.is_some() => LaneGate::ProbeAt(h.next_probe),
-            _ => LaneGate::Healthy,
-        }
-    }
-
-    /// Effective `(writer, solo)` roles for `drive`, computed against
-    /// the *healthy* pool each step: the writer mantle falls to the
-    /// lowest healthy lane (so copy-outs survive the death of drive 0),
-    /// and the last healthy lane serves every class.
-    pub(crate) fn lane_roles(&self, drive: usize) -> (bool, bool) {
-        let lanes = self.lane_health.borrow();
-        let mut healthy = lanes
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| !h.retired && h.down_since.is_none())
-            .map(|(i, _)| i);
-        match healthy.next() {
-            Some(lowest) => (lowest == drive, healthy.next().is_none()),
-            // Unreachable from a healthy lane; fail safe as writer+solo.
-            None => (true, true),
-        }
-    }
-
     /// The watchdog deadline for an op of `class`: the device profile's
     /// nominal whole-segment time scaled by the watchdog slack.
     pub(crate) fn watchdog_deadline(&self, class: ReqClass) -> SimTime {
         recovery::deadline(self.jukebox.nominal_segment_io(write_class(class)))
-    }
-
-    /// Marks `drive` down at `at` — clamped past the drive's in-flight
-    /// transfer, so no admitted device interval outlives the down mark —
-    /// logs it, abandons the platter the drive holds, and wakes the
-    /// downed lane so it starts its probe ladder. Idempotent: later
-    /// observers of the same dead drive are no-ops.
-    pub(crate) fn mark_lane_down(&self, at: SimTime, drive: usize, error: DevError) {
-        let at = at.max(self.jukebox.drive_busy_until(drive));
-        {
-            let mut lanes = self.lane_health.borrow_mut();
-            let Some(h) = lanes.get_mut(drive) else {
-                return;
-            };
-            if h.retired || h.down_since.is_some() {
-                return;
-            }
-            h.down_since = Some(at);
-            h.probes = 0;
-            h.next_probe = at + recovery::probe_delay(0);
-        }
-        self.tracer.drive_down(at, drive as u32);
-        self.fault_log.borrow_mut().push(FaultEvent::DriveDown {
-            at,
-            drive: drive as u32,
-            error,
-        });
-        self.jukebox.abandon_drive(at, drive);
-        if let Some(h) = &*self.handles.borrow() {
-            if let Some(&id) = h.io.get(drive) {
-                h.waker.wake(id, at);
-            }
-        }
-    }
-
-    /// Pushes an op orphaned by a drive fault back into the device
-    /// queue for a surviving lane. The ticket, trace span, and any
-    /// coalesced joiners ride along untouched — only past the
-    /// re-dispatch bound is the request refused with the drive's error.
-    pub(crate) fn redispatch(
-        &self,
-        mut op: Box<Request>,
-        at: SimTime,
-        from_drive: u32,
-        error: DevError,
-    ) {
-        op.attempts += 1;
-        if op.attempts > MAX_REDISPATCH {
-            self.refuse(&op, at, error);
-            return;
-        }
-        self.tracer.redispatch(at, op.span, from_drive);
-        op.ready_at = at;
-        op.bypassed = 0;
-        self.queues.borrow_mut().devq.push_back(op);
-        self.wake_io(at);
-    }
-
-    /// Probes a downed lane at `now`: success rejoins it as a hot
-    /// spare; failure climbs the backoff ladder; an exhausted ladder
-    /// retires the lane (and, if it was the last, drains the queues so
-    /// every outstanding ticket resolves).
-    pub(crate) fn probe_lane(&self, now: SimTime, drive: usize) -> ProbeOutcome {
-        if self.jukebox.probe_drive(now, drive) {
-            if let Some(h) = self.lane_health.borrow_mut().get_mut(drive) {
-                h.down_since = None;
-                h.probes = 0;
-            }
-            self.tracer.drive_up(now, drive as u32);
-            self.fault_log.borrow_mut().push(FaultEvent::DriveUp {
-                at: now,
-                drive: drive as u32,
-            });
-            return ProbeOutcome::Recovered;
-        }
-        let (retired, next, all_retired) = {
-            let mut lanes = self.lane_health.borrow_mut();
-            let h = &mut lanes[drive];
-            h.probes += 1;
-            if h.probes >= recovery::MAX_PROBES {
-                h.retired = true;
-                (true, 0, lanes.iter().all(|l| l.retired))
-            } else {
-                h.next_probe = now + recovery::probe_delay(h.probes);
-                (false, h.next_probe, false)
-            }
-        };
-        if retired {
-            if all_retired {
-                self.drain_dead(now);
-            }
-            ProbeOutcome::Retired
-        } else {
-            ProbeOutcome::Backoff(next)
-        }
-    }
-
-    /// Every lane has retired: nothing can ever be served again.
-    /// Refuses all queued work — the device queue first, then the
-    /// request queue in priority order — so tickets resolve and the
-    /// engine quiesces, and flags the pool dead so future dispatches
-    /// are refused at once.
-    fn drain_dead(&self, at: SimTime) {
-        self.all_retired.set(true);
-        loop {
-            let next = {
-                let mut q = self.queues.borrow_mut();
-                q.devq.pop_front().or_else(|| q.pop_any())
-            };
-            let Some(req) = next else { break };
-            self.refuse(&req, at, DevError::Offline);
-        }
-        self.wake_svc(at);
-        self.wake_copyout_waiters(at);
     }
 
     /// The one way a request fails, wherever it is — still queued,
@@ -673,7 +488,7 @@ impl TioInner {
     /// user stages exactly one whole segment) and must drop the borrow
     /// before anything that can re-enter the engine — notably the stall
     /// notifier, which may recurse into the façade.
-    fn seg_scratch(&self) -> std::cell::RefMut<'_, Vec<u8>> {
+    pub(crate) fn seg_scratch(&self) -> std::cell::RefMut<'_, Vec<u8>> {
         let mut buf = self.scratch.borrow_mut();
         if buf.len() != self.seg_bytes {
             buf.resize(self.seg_bytes, 0);
@@ -838,352 +653,14 @@ impl TioInner {
         }
     }
 
-    /// All readable homes of `tert_seg`, "closest" copies first (§5.4:
-    /// homes on already-loaded volumes beat ones behind a media swap)
-    /// and quarantined volumes excluded. `None` when the segment has no
-    /// home at all — unmapped and without a replica record.
-    fn candidate_homes(&self, tert_seg: SegNo) -> Option<Vec<(u32, u32)>> {
-        let homes = self.replicas.borrow().homes(&self.map, tert_seg);
-        if homes.is_empty() {
-            return None;
-        }
-        let loaded = self.jukebox.loaded_volumes();
-        let rec = self.recovery.borrow();
-        let mut ordered: Vec<(u32, u32)> = Vec::with_capacity(homes.len());
-        ordered.extend(homes.iter().filter(|(v, _)| loaded.contains(&Some(*v))));
-        ordered.extend(homes.iter().filter(|(v, _)| !loaded.contains(&Some(*v))));
-        ordered.retain(|&(v, _)| !rec.is_quarantined(v));
-        Some(ordered)
-    }
-
-    /// Quarantines `vol`: no further reads or writes target it. Its
-    /// replica records are dropped (the scrub pass restores the copy
-    /// count elsewhere) and it is marked full so no copy-out or replica
-    /// write allocates on it.
-    fn quarantine_volume(&self, at: SimTime, vol: u32) {
-        {
-            let mut rec = self.recovery.borrow_mut();
-            if rec.is_quarantined(vol) {
-                return;
-            }
-            rec.quarantine(vol);
-        }
-        let failures = self.recovery.borrow().failures(vol);
-        self.tseg.borrow_mut().volume_mut(vol).full = true;
-        self.replicas.borrow_mut().forget_volume(vol);
-        self.stats.borrow_mut().quarantines += 1;
-        self.fault_log
-            .borrow_mut()
-            .push(FaultEvent::Quarantine { at, vol, failures });
-    }
-
-    /// Reads one copy of `tert_seg` into `buf`, applying the recovery
-    /// policy (§10): bounded backoff retries on transient faults,
-    /// immediate quarantine on hard media failures, failover across the
-    /// remaining replica homes. Exhausting every copy yields
-    /// [`HlError::SegmentUnavailable`] with the ordered fault trail.
-    /// `drive` is the requesting lane's home drive: already-loaded
-    /// volumes are read where they sit, fresh swaps land there.
-    fn fetch_segment(
-        &self,
-        at: SimTime,
-        drive: usize,
-        tert_seg: SegNo,
-        buf: &mut [u8],
-    ) -> Result<(IoSlot, usize, (u32, u32)), HlError> {
-        let Some(homes) = self.candidate_homes(tert_seg) else {
-            // Not a mapped tertiary segment at all.
-            return Err(HlError::Dev(DevError::Offline));
-        };
-        let policy = self.policy.get();
-        let mut trail: Vec<FaultStep> = Vec::new();
-        let mut t = at;
-        for (i, &(vol, slot)) in homes.iter().enumerate() {
-            let mut attempt = 0u32;
-            loop {
-                match self.jukebox.read_segment_on(t, drive, vol, slot, buf) {
-                    Ok((r, used)) => return Ok((r, used, (vol, slot))),
-                    Err(e @ DevError::MediaFailure) => {
-                        self.fault_log.borrow_mut().push(FaultEvent::ReadFault {
-                            at: t,
-                            seg: tert_seg,
-                            vol,
-                            slot,
-                            error: e,
-                        });
-                        self.recovery.borrow_mut().record_failure(vol);
-                        self.quarantine_volume(t, vol);
-                        trail.push(FaultStep {
-                            at: t,
-                            vol,
-                            slot,
-                            error: e,
-                            action: RecoveryAction::Quarantine,
-                        });
-                        break;
-                    }
-                    Err(e @ (DevError::ReadError { .. } | DevError::Offline)) => {
-                        self.fault_log.borrow_mut().push(FaultEvent::ReadFault {
-                            at: t,
-                            seg: tert_seg,
-                            vol,
-                            slot,
-                            error: e,
-                        });
-                        attempt += 1;
-                        if attempt <= policy.max_retries {
-                            let delay = policy.backoff(attempt);
-                            trail.push(FaultStep {
-                                at: t,
-                                vol,
-                                slot,
-                                error: e,
-                                action: RecoveryAction::Retry {
-                                    attempt,
-                                    backoff: delay,
-                                },
-                            });
-                            self.fault_log.borrow_mut().push(FaultEvent::Retry {
-                                at: t,
-                                seg: tert_seg,
-                                vol,
-                                slot,
-                                attempt,
-                                delay,
-                            });
-                            self.stats.borrow_mut().retries += 1;
-                            t += delay;
-                            continue;
-                        }
-                        let strikes = self.recovery.borrow_mut().record_failure(vol);
-                        let action = if strikes >= policy.quarantine_after {
-                            self.quarantine_volume(t, vol);
-                            RecoveryAction::Quarantine
-                        } else if i + 1 < homes.len() {
-                            RecoveryAction::Failover
-                        } else {
-                            RecoveryAction::GaveUp
-                        };
-                        trail.push(FaultStep {
-                            at: t,
-                            vol,
-                            slot,
-                            error: e,
-                            action,
-                        });
-                        break;
-                    }
-                    // Structural errors (bad buffer, out of range, ...)
-                    // are bugs, not media faults: surface immediately.
-                    Err(e) => return Err(HlError::Dev(e)),
-                }
-            }
-            if let Some(&next) = homes.get(i + 1) {
-                self.stats.borrow_mut().failovers += 1;
-                self.fault_log.borrow_mut().push(FaultEvent::Failover {
-                    at: t,
-                    seg: tert_seg,
-                    from: (vol, slot),
-                    to: next,
-                });
-            }
-        }
-        self.stats.borrow_mut().permanent_losses += 1;
-        self.fault_log
-            .borrow_mut()
-            .push(FaultEvent::PermanentLoss { at: t, seg: tert_seg });
-        Err(HlError::SegmentUnavailable {
-            seg: tert_seg,
-            trail,
-        })
-    }
-
     /// Books one Footprint transfer: its duration under `phase` (Table
     /// 4) and its interval on the drive that carried it, so per-drive
     /// stats and the trace's drive lanes see every media operation.
-    fn admit_drive_io(&self, phase: &'static str, slot: IoSlot, used: usize) {
+    pub(crate) fn admit_drive_io(&self, phase: &'static str, slot: IoSlot, used: usize) {
         self.phases.borrow_mut().add(phase, slot.duration());
         self.iotrack
             .borrow_mut()
             .admit_on(slot, hl_trace::Lane::Drive(used as u32));
-    }
-
-    /// Claims the next free slot of `vol` for a replica write, moving
-    /// the volume's cursor; `None` if the volume is quarantined or full.
-    fn claim_slot(&self, vol: u32) -> Option<u32> {
-        if self.recovery.borrow().is_quarantined(vol) {
-            return None;
-        }
-        let mut tseg = self.tseg.borrow_mut();
-        let v = tseg.volume_mut(vol);
-        if v.full || v.next_slot >= self.map.segs_per_volume {
-            return None;
-        }
-        v.next_slot += 1;
-        Some(v.next_slot - 1)
-    }
-
-    /// Writes the configured replica copies of a freshly copied-out
-    /// segment onto *other* volumes' free slots. Replicas are never
-    /// counted as live data (§5.4), so only the volume cursor moves.
-    fn write_replicas(
-        &self,
-        at: SimTime,
-        drive: usize,
-        tert_seg: SegNo,
-        primary_vol: u32,
-        buf: &[u8],
-    ) -> SimTime {
-        let copies = self.replicate.get();
-        let mut t = at;
-        let mut written = 0;
-        if copies == 0 {
-            return t;
-        }
-        for vol in 0..self.map.volumes {
-            if written >= copies || vol == primary_vol {
-                continue;
-            }
-            let Some(slot) = self.claim_slot(vol) else {
-                continue;
-            };
-            match self.jukebox.write_segment_on(t, drive, vol, slot, buf) {
-                Ok((w, used)) => {
-                    t = w.end;
-                    self.admit_drive_io(phase::FOOTPRINT_WRITE, w, used);
-                    self.replicas.borrow_mut().add(tert_seg, vol, slot);
-                    written += 1;
-                }
-                Err(DevError::EndOfMedium { .. }) => {
-                    self.tseg.borrow_mut().volume_mut(vol).full = true;
-                }
-                Err(e) => {
-                    // Never assume the write landed: the slot is burned
-                    // (cursor already moved) but no replica is recorded,
-                    // and the failure is logged rather than swallowed.
-                    self.stats.borrow_mut().replica_write_failures += 1;
-                    self.fault_log.borrow_mut().push(FaultEvent::WriteFault {
-                        at: t,
-                        seg: tert_seg,
-                        vol,
-                        slot,
-                        error: e,
-                    });
-                }
-            }
-        }
-        t
-    }
-
-    /// Background scrub / re-replicate pass (§10): walks every tertiary
-    /// segment that has been copied out or replicated, counts its
-    /// surviving (non-quarantined) copies, and writes fresh replicas
-    /// until each segment again has `1 + replication` copies. Segments
-    /// with no surviving copy are reported unrecoverable.
-    ///
-    /// A drive-scoped fault aborts the pass — reported as the second
-    /// element — rather than letting a dead *drive* masquerade as dead
-    /// *media*: the caller re-dispatches the whole pass to a surviving
-    /// lane, which recomputes the (idempotent) deficits.
-    fn scrub_pass(&self, at: SimTime, drive: usize) -> (ScrubReport, Option<(SimTime, DevError)>) {
-        let target = 1 + self.replicate.get();
-        let mut segs: Vec<SegNo> = self
-            .tseg
-            .borrow()
-            .touched()
-            .filter(|(_, u)| u.avail_bytes > 0)
-            .map(|(s, _)| s)
-            .collect();
-        segs.extend(self.replicas.borrow().segments());
-        segs.sort_unstable();
-        segs.dedup();
-
-        let mut report = ScrubReport {
-            end: at,
-            ..ScrubReport::default()
-        };
-        let mut t = at;
-        // One recycled staging buffer serves the whole pass; each
-        // segment's re-fetch fully overwrites it.
-        let mut buf = self.seg_scratch();
-        for seg in segs {
-            let homes = self.candidate_homes(seg).unwrap_or_default();
-            if homes.is_empty() {
-                report.unrecoverable.push(seg);
-                continue;
-            }
-            if homes.len() as u32 >= target {
-                continue;
-            }
-            let deficit = target - homes.len() as u32;
-            // Whole-segment re-fetch from any surviving copy (§10).
-            let mut source = None;
-            for &(vol, slot) in &homes {
-                match self.jukebox.read_segment_on(t, drive, vol, slot, &mut buf) {
-                    Ok((r, used)) => {
-                        self.admit_drive_io(phase::FOOTPRINT_READ, r, used);
-                        source = Some((r, (vol, slot)));
-                        break;
-                    }
-                    Err(e @ (DevError::DriveDead { .. } | DevError::DriveHung { .. })) => {
-                        report.end = t;
-                        return (report, Some((t, e)));
-                    }
-                    Err(_) => {}
-                }
-            }
-            let Some((r, from)) = source else {
-                report.unrecoverable.push(seg);
-                continue;
-            };
-            t = r.end;
-            let holding: Vec<u32> = homes.iter().map(|&(v, _)| v).collect();
-            let mut made = 0u32;
-            for vol in 0..self.map.volumes {
-                if made >= deficit || holding.contains(&vol) {
-                    continue;
-                }
-                let Some(slot) = self.claim_slot(vol) else {
-                    continue;
-                };
-                match self.jukebox.write_segment_on(t, drive, vol, slot, &buf) {
-                    Ok((w, used)) => {
-                        t = w.end;
-                        self.admit_drive_io(phase::FOOTPRINT_WRITE, w, used);
-                        self.replicas.borrow_mut().add(seg, vol, slot);
-                        self.stats.borrow_mut().scrub_copies += 1;
-                        self.fault_log.borrow_mut().push(FaultEvent::ScrubCopy {
-                            at: t,
-                            seg,
-                            from,
-                            to: (vol, slot),
-                        });
-                        report.copies_made += 1;
-                        made += 1;
-                    }
-                    Err(DevError::EndOfMedium { .. }) => {
-                        self.tseg.borrow_mut().volume_mut(vol).full = true;
-                    }
-                    Err(e @ (DevError::DriveDead { .. } | DevError::DriveHung { .. })) => {
-                        report.end = t;
-                        return (report, Some((t, e)));
-                    }
-                    Err(e) => {
-                        self.stats.borrow_mut().replica_write_failures += 1;
-                        self.fault_log.borrow_mut().push(FaultEvent::WriteFault {
-                            at: t,
-                            seg,
-                            vol,
-                            slot,
-                            error: e,
-                        });
-                        report.write_failures += 1;
-                    }
-                }
-            }
-        }
-        report.end = t;
-        (report, None)
     }
 
     /// Ejects a clean cached line ("read-only cached segments ... may be
@@ -1754,6 +1231,8 @@ impl EngineSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::RecoveryAction;
+    use crate::requests::MAX_REDISPATCH;
     use crate::rig::RigSpec;
     use hl_vdev::{FaultConfig, FaultPlan};
 
