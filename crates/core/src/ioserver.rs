@@ -46,8 +46,8 @@ use std::rc::Rc;
 use hl_sim::time::SimTime;
 use hl_sim::{Actor, ActorId, Scheduler, Step, Waker};
 
-use crate::requests::{ReqClass, DISPATCH_CPU};
 use crate::lanes::{LaneGate, ProbeOutcome};
+use crate::requests::{ReqClass, DISPATCH_CPU};
 use crate::service::{phase, ExecResult, TioInner};
 
 /// Wake handles for the engine's actors on their current scheduler.

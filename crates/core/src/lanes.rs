@@ -14,9 +14,9 @@ use crate::requests::{Request, MAX_REDISPATCH};
 use crate::service::TioInner;
 
 /// Health record of one I/O-server lane. Shared through
-/// [`TioInner::lane_health`]: *any* lane may mark *any* drive down, because a
-/// read routed to an already-loaded platter observes faults on the
-/// drive that holds it, not on the lane's home drive.
+/// [`TioInner::lane_health`]: *any* lane may mark *any* drive down,
+/// because a read routed to an already-loaded platter observes faults
+/// on the drive that holds it, not on the lane's home drive.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct LaneHealth {
     /// When the drive was marked down (`None` = healthy).

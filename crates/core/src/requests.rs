@@ -450,8 +450,11 @@ impl EngineQueues {
             if admitted {
                 r.passed += 1;
             }
-            if let (false, Some(tenant)) = (r.throttled, r.tenant) {
-                r.throttled = true;
+            if r.throttled {
+                continue;
+            }
+            r.throttled = true;
+            if let Some(tenant) = r.tenant {
                 self.tracer.tenant_throttle(now, tenant, r.class, r.span);
             }
         }

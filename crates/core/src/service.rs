@@ -1254,15 +1254,9 @@ mod tests {
         let stepped = Rc::new(Cell::new(0));
         tio.subscribe_copyout(sched.spawn_parked(Producer(stepped.clone())));
 
-        let mut op = Box::new(Request::new(
-            ReqClass::CopyOut,
-            Some(map.tert_seg(0, 0)),
-            0,
-            None,
-        ));
-        op.span = tio.tracer().open_span(0, ReqClass::CopyOut, None);
+        let ticket = tio.submit(ReqClass::CopyOut, Some(map.tert_seg(0, 0)), 0, None);
+        let mut op = tio.inner.queues.borrow_mut().pop_ready(0).expect("queued");
         op.attempts = MAX_REDISPATCH;
-        let ticket = op.ticket.clone();
         let dead = DevError::DriveDead { drive: 0 };
         tio.inner.redispatch(op, 1_000, 0, dead);
         assert_eq!(ticket.copyout_result(), Err(dead));
