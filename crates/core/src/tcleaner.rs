@@ -224,7 +224,10 @@ fn scan_live(hl: &mut HighLight, seg: SegNo) -> Result<Vec<MigrateItem>> {
                 blk_idx += 1;
                 let lb = LBlock::decode(lbn as i64);
                 let lfs = hl.lfs();
+                // A freed inode keeps its map version until reallocated;
+                // without the home check `bmap` fails with `NotFound`.
                 if lfs.inode_version(fi.ino) == Some(fi.version)
+                    && lfs.inode_daddr(fi.ino).is_some()
                     && lfs.bmap_public(fi.ino, lb)? == addr
                 {
                     items.push(MigrateItem::Block(fi.ino, lb));
@@ -377,6 +380,36 @@ mod tests {
             Some(0),
             "cost-benefit waits for the cold volume whose space endures"
         );
+    }
+
+    #[test]
+    fn a_segment_shared_with_a_freed_inode_still_cleans() {
+        let (mut hl, _clock) = mounted(2, 1);
+        // Two files share one staging segment; one of them dies.
+        for (path, id) in [("/dead", 1), ("/live", 2)] {
+            let ino = hl.create(path).expect("create");
+            hl.write(ino, 0, &fill(id, 100_000)).expect("write");
+        }
+        hl.sync().expect("sync");
+        for path in ["/dead", "/live"] {
+            let ino = hl.lookup(path).expect("lookup");
+            let items = hl.lfs().whole_file_items(ino, true).expect("items");
+            hl.migrate_items(&items, None).expect("migrate");
+        }
+        hl.sync().expect("sync");
+        hl.unlink("/dead").expect("unlink");
+        hl.sync().expect("sync");
+
+        // The dead file's FINFO still matches its (freed, not yet
+        // reallocated) inode-map version: liveness must not `bmap` it.
+        let report = clean_volume(&mut hl, 0).expect("clean");
+        assert_eq!(report.inodes_moved, 1, "only /live's inode survives");
+        hl.eject_all();
+        hl.drop_caches();
+        let ino = hl.lookup("/live").expect("survivor");
+        let mut back = vec![0u8; 100_000];
+        hl.read(ino, 0, &mut back).expect("read");
+        assert_eq!(back, fill(2, 100_000), "survivor bytes diverged");
     }
 
     #[test]

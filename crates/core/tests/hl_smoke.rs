@@ -279,6 +279,12 @@ fn end_of_medium_relocates_staging_segment() {
         total_reloc >= 1,
         "second copy-out should have hit end-of-medium"
     );
+    // The relocation patched /b's indirect block in the buffer cache;
+    // flushing it must retire the copy at its *relocated* address, not
+    // the end-of-medium one (live bytes went negative there once).
+    hl.sync().unwrap();
+    let fsck = hl.fsck().unwrap();
+    assert!(fsck.clean(), "{}", fsck.render());
     // Both files still read correctly after the relocation.
     hl.eject_all();
     hl.drop_caches();

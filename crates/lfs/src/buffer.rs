@@ -124,6 +124,16 @@ impl BufCache {
         }
     }
 
+    /// Records that a resident block's media copy moved without being
+    /// rewritten (end-of-medium relocation, §6.3). Dirtiness and LRU
+    /// position are untouched: a dirty copy still owes a log write, and
+    /// that write must retire the copy at its *new* address.
+    pub fn readdress(&mut self, ino: Ino, lb: LBlock, addr: BlockAddr) {
+        if let Some(b) = self.map.get_mut(&(ino, lb)) {
+            b.addr = addr;
+        }
+    }
+
     /// Removes a block outright (truncate/unlink paths).
     pub fn remove(&mut self, ino: Ino, lb: LBlock) {
         self.map.remove(&(ino, lb));

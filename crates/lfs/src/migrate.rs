@@ -399,6 +399,7 @@ impl Lfs {
                         self.live_delta(old_addr, -(BLOCK_SIZE as i64));
                         self.live_delta(new_addr, BLOCK_SIZE as i64);
                         self.set_bmap(fi.ino, lb, new_addr)?;
+                        self.cache.readdress(fi.ino, lb, new_addr);
                         moved += 1;
                     }
                     blk_idx += 1;
