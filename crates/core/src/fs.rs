@@ -133,9 +133,23 @@ pub struct HighLight {
 }
 
 impl HighLight {
-    /// Formats a fresh HighLight filesystem across `disks` and `jukebox`.
-    pub fn mkfs(disks: Rc<dyn BlockDev>, jukebox: Rc<dyn Footprint>, cfg: HlConfig) -> Result<()> {
-        let map = Self::build_map(&disks, &jukebox, &cfg.lfs);
+    /// The stack under the LFS, shared by `mkfs` and `mount`: the
+    /// tertiary engine over an empty segment cache and tsegfile, and the
+    /// block-map device and accounting hooks the LFS sits on.
+    fn assemble(
+        disks: Rc<dyn BlockDev>,
+        jukebox: Rc<dyn Footprint>,
+        cfg: &HlConfig,
+    ) -> (UniformMap, Rc<TertiaryIo>, Rc<dyn BlockDev>, Rc<TsegHooks>) {
+        let bps = cfg.lfs.blocks_per_seg();
+        let boot = hl_lfs::fs::BOOT_BLOCKS;
+        let map = UniformMap::new(
+            boot,
+            bps,
+            ((disks.nblocks() - boot as u64) / bps as u64) as u32,
+            jukebox.volumes(),
+            jukebox.segments_per_volume(),
+        );
         let tseg = Rc::new(RefCell::new(TsegTable::new()));
         let cache = Rc::new(RefCell::new(SegCache::new(Vec::new(), cfg.eject)));
         let tio = Rc::new(TertiaryIo::new(
@@ -145,8 +159,13 @@ impl HighLight {
             cache,
             tseg.clone(),
         ));
-        let dev: Rc<dyn BlockDev> = Rc::new(BlockMapDev::new(disks, map, tio));
-        let hooks = Rc::new(TsegHooks { table: tseg });
+        let dev = Rc::new(BlockMapDev::new(disks, map, tio.clone()));
+        (map, tio, dev, Rc::new(TsegHooks { table: tseg }))
+    }
+
+    /// Formats a fresh HighLight filesystem across `disks` and `jukebox`.
+    pub fn mkfs(disks: Rc<dyn BlockDev>, jukebox: Rc<dyn Footprint>, cfg: HlConfig) -> Result<()> {
+        let (map, _tio, dev, hooks) = Self::assemble(disks, jukebox, &cfg);
         Lfs::mkfs(dev.clone(), Rc::new(map), hooks.clone(), cfg.lfs.clone())?;
         // Create the tsegfile so it exists from day one.
         let mut lfs = Lfs::mount(dev, Rc::new(map), hooks, cfg.lfs)?;
@@ -173,20 +192,8 @@ impl HighLight {
         jukebox: Rc<dyn Footprint>,
         cfg: HlConfig,
     ) -> Result<(HighLight, RecoveryReport)> {
-        let map = Self::build_map(&disks, &jukebox, &cfg.lfs);
-        let tseg = Rc::new(RefCell::new(TsegTable::new()));
-        let cache = Rc::new(RefCell::new(SegCache::new(Vec::new(), cfg.eject)));
-        let tio = Rc::new(TertiaryIo::new(
-            map,
-            jukebox,
-            disks.clone(),
-            cache.clone(),
-            tseg.clone(),
-        ));
-        let dev: Rc<dyn BlockDev> = Rc::new(BlockMapDev::new(disks, map, tio.clone()));
-        let hooks = Rc::new(TsegHooks {
-            table: tseg.clone(),
-        });
+        let (map, tio, dev, hooks) = Self::assemble(disks, jukebox, &cfg);
+        let (tseg, cache) = (tio.tseg(), tio.cache());
         let (mut lfs, report) =
             hl_lfs::recovery::mount_with_report(dev, Rc::new(map), hooks, cfg.lfs)?;
 
@@ -310,23 +317,6 @@ impl HighLight {
         ))
     }
 
-    fn build_map(
-        disks: &Rc<dyn BlockDev>,
-        jukebox: &Rc<dyn Footprint>,
-        lfs_cfg: &LfsConfig,
-    ) -> UniformMap {
-        let bps = lfs_cfg.blocks_per_seg();
-        let boot = hl_lfs::fs::BOOT_BLOCKS;
-        let nsegs_disk = ((disks.nblocks() - boot as u64) / bps as u64) as u32;
-        UniformMap::new(
-            boot,
-            bps,
-            nsegs_disk,
-            jukebox.volumes(),
-            jukebox.segments_per_volume(),
-        )
-    }
-
     // -----------------------------------------------------------------
     // Plumbing accessors.
     // -----------------------------------------------------------------
@@ -413,11 +403,11 @@ impl HighLight {
     /// containing segments transparently; the prefetch policy may pull
     /// neighbours in too.
     pub fn read(&mut self, ino: Ino, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        let fetches_before = self.tio.stats().demand_fetches;
+        let fetches_before = self.tio.demand_fetches();
         let n = self.lfs.read(ino, offset, buf)?;
         self.tracker.record(ino, offset, n as u64, self.now());
-        if self.tio.stats().demand_fetches > fetches_before {
-            self.run_prefetch(ino, offset)?;
+        if self.tio.demand_fetches() > fetches_before {
+            self.run_prefetch()?;
             if self.rearrange == RearrangeMode::OnFetch {
                 self.rearrange_last_fetch()?;
             }
@@ -562,7 +552,7 @@ impl HighLight {
         }
     }
 
-    fn run_prefetch(&mut self, _ino: Ino, _offset: u64) -> Result<()> {
+    fn run_prefetch(&mut self) -> Result<()> {
         // Identify the last segment fetched: the most recently filled
         // line. Prefetch its neighbours per policy.
         let last = self
@@ -620,7 +610,7 @@ impl HighLight {
         if self.staging.as_ref().map(|s| s.seg) == Some(seg) {
             return Ok(());
         }
-        let items = crate::tcleaner::live_items_of_segment(self, seg)?;
+        let items = self.lfs.live_items(seg)?;
         if items.is_empty() {
             return Ok(());
         }
@@ -630,11 +620,8 @@ impl HighLight {
 
     /// Ejects a cached tertiary segment (unilateral ejection, §6.2).
     pub fn eject(&mut self, tert_seg: SegNo) -> bool {
-        let ok = self.tio.eject(tert_seg);
-        if ok {
-            // The disk segment's tag is cleared at the next checkpoint.
-        }
-        ok
+        // The disk segment's tag is cleared at the next checkpoint.
+        self.tio.eject(tert_seg)
     }
 
     /// Ejects every clean cached line (benchmark setup for the uncached
@@ -702,9 +689,10 @@ impl HighLight {
         self.migrate_items_opts(items, unit, false)
     }
 
-    /// [`HighLight::migrate_items`] with tertiary-resident sources
-    /// allowed (the tertiary cleaner's consolidation path, §10).
-    pub fn migrate_items_opts(
+    /// [`HighLight::migrate_items`], optionally taking tertiary-resident
+    /// sources too (the tertiary cleaner's consolidation path, §10, and
+    /// on-fetch rearrangement).
+    pub(crate) fn migrate_items_opts(
         &mut self,
         items: &[MigrateItem],
         unit: Option<u32>,
@@ -718,7 +706,7 @@ impl HighLight {
                 self.hints.record(seg, u);
             }
             let mut st = self.staging.take().expect("ensured");
-            let report = self.lfs.migratev_opts(&mut st, rest, allow_tertiary_src)?;
+            let report = self.lfs.migratev(&mut st, rest, allow_tertiary_src)?;
             self.staging = Some(st);
             stats.blocks += report.blocks_moved as u64;
             stats.inodes += report.inodes_moved as u64;
@@ -812,39 +800,38 @@ impl HighLight {
             .collect();
         self.tio.pump();
         for (seg, ticket) in tickets {
-            match ticket.copyout_result() {
-                Ok(end) => self.lfs.clock().advance_to(end),
-                Err(DevError::EndOfMedium { .. }) => {
-                    // Volume is full (tio marked it); relocate the
-                    // staging line and copy it out at its new address.
-                    let new_seg = self.pick_staging_segment()?;
-                    self.relocate_sealed(seg, new_seg)?;
-                    stats.relocations += 1;
-                    self.copy_out_now(new_seg, &mut stats)?;
-                }
-                Err(e) => return Err(e.into()),
-            }
+            self.finish_copy_out(seg, ticket.copyout_result(), &mut stats)?;
         }
         Ok(n)
     }
 
     /// Performs a copy-out, handling end-of-medium relocation (§6.3).
     fn copy_out_now(&mut self, seg: SegNo, stats: &mut MigrateStats) -> Result<()> {
-        let mut seg = seg;
-        for _attempt in 0..self.map.volumes + 1 {
-            let now = self.now();
-            match self.tio.copy_out(now, seg) {
+        let first = self.tio.copy_out(self.now(), seg);
+        self.finish_copy_out(seg, first, stats)
+    }
+
+    /// Settles one copy-out of `seg`: on end-of-medium the volume is
+    /// full (tio marked it), so the staging line is relocated to the
+    /// next volume's first free slot and copied out from there.
+    fn finish_copy_out(
+        &mut self,
+        mut seg: SegNo,
+        mut outcome: std::result::Result<SimTime, DevError>,
+        stats: &mut MigrateStats,
+    ) -> Result<()> {
+        for _attempt in 0..=self.map.volumes {
+            match outcome {
                 Ok(end) => {
                     self.lfs.clock().advance_to(end);
                     return Ok(());
                 }
                 Err(DevError::EndOfMedium { .. }) => {
-                    // Volume is full (tio marked it); relocate the
-                    // staging line to the next volume's first free slot.
                     let new_seg = self.pick_staging_segment()?;
                     self.relocate_sealed(seg, new_seg)?;
                     stats.relocations += 1;
                     seg = new_seg;
+                    outcome = self.tio.copy_out(self.now(), seg);
                 }
                 Err(e) => return Err(e.into()),
             }
@@ -855,27 +842,21 @@ impl HighLight {
     /// Moves a sealed staging line to a different tertiary segment
     /// number, patching all metadata.
     fn relocate_sealed(&mut self, old_seg: SegNo, new_seg: SegNo) -> Result<()> {
-        // Read the image while the line is still keyed to the old
-        // segment (untimed peek; the timed cost is the rewrite below).
-        let bytes = self.map.blocks_per_seg as usize * BLOCK_SIZE;
-        let mut image = vec![0u8; bytes];
+        // Read the image straight off the line's disk segment (untimed;
+        // the timed cost is the rewrite below).
         let line = self
             .cache
             .borrow()
             .peek(old_seg)
             .copied()
             .ok_or(LfsError::Invalid("relocating a non-resident segment"))?;
-        let old_base = self.map.seg_base(old_seg);
-        let _ = line;
-        // Peek through the block map (routes to the cache line).
-        // SAFETY of routing: the line exists, so no fetch is triggered.
-        let dev_peek: &dyn BlockDev = &*BlockMapPeek::new(self);
-        dev_peek.peek(old_base as u64, &mut image)?;
+        let mut image = vec![0u8; self.map.blocks_per_seg as usize * BLOCK_SIZE];
+        self.tio
+            .disks_handle()
+            .peek(self.map.seg_base(line.disk_seg) as u64, &mut image)?;
         self.cache.borrow_mut().rekey(old_seg, new_seg);
-        let moved = self
-            .lfs
+        self.lfs
             .relocate_tertiary_segment(&mut image, old_seg, new_seg)?;
-        let _ = moved;
         // Volume cursor for the new home.
         if let Some((vol, slot)) = self.map.vol_slot(new_seg) {
             let mut t = self.tseg.borrow_mut();
@@ -888,55 +869,5 @@ impl HighLight {
     /// Simulated-time helper for benches: total live tertiary bytes.
     pub fn tertiary_live_bytes(&self) -> u64 {
         self.tseg.borrow().live_total()
-    }
-}
-
-/// A tiny helper so `relocate_sealed` can peek through the block map
-/// without fighting the borrow checker (the block map holds only `Rc`s).
-struct BlockMapPeek {
-    dev: BlockMapDev,
-}
-
-impl BlockMapPeek {
-    fn new(hl: &HighLight) -> Rc<BlockMapPeek> {
-        Rc::new(BlockMapPeek {
-            dev: BlockMapDev::new(
-                // The disks handle inside the tio is the raw device.
-                hl.tio.disks_handle(),
-                hl.map,
-                hl.tio.clone(),
-            ),
-        })
-    }
-}
-
-impl BlockDev for BlockMapPeek {
-    fn nblocks(&self) -> u64 {
-        self.dev.nblocks()
-    }
-    fn block_size(&self) -> usize {
-        self.dev.block_size()
-    }
-    fn read(
-        &self,
-        at: SimTime,
-        b: u64,
-        buf: &mut [u8],
-    ) -> std::result::Result<hl_vdev::IoSlot, DevError> {
-        self.dev.read(at, b, buf)
-    }
-    fn write(
-        &self,
-        at: SimTime,
-        b: u64,
-        buf: &[u8],
-    ) -> std::result::Result<hl_vdev::IoSlot, DevError> {
-        self.dev.write(at, b, buf)
-    }
-    fn peek(&self, b: u64, buf: &mut [u8]) -> std::result::Result<(), DevError> {
-        self.dev.peek(b, buf)
-    }
-    fn poke(&self, b: u64, buf: &[u8]) -> std::result::Result<(), DevError> {
-        self.dev.poke(b, buf)
     }
 }

@@ -881,6 +881,12 @@ impl TertiaryIo {
         st
     }
 
+    /// Demand fetches performed so far — the one [`SvcStats`] counter the
+    /// filesystem read path polls on every call.
+    pub fn demand_fetches(&self) -> u64 {
+        self.inner.stats.borrow().demand_fetches
+    }
+
     /// A handle onto the engine's structured event recorder.
     pub fn tracer(&self) -> hl_trace::Tracer {
         self.inner.tracer.clone()

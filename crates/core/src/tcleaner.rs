@@ -16,12 +16,10 @@
 
 use hl_lfs::error::{LfsError, Result};
 use hl_lfs::migrate::MigrateItem;
-use hl_lfs::types::{LBlock, SegNo, UNASSIGNED};
 use hl_vdev::BLOCK_SIZE;
 
 use crate::fs::HighLight;
 use crate::policy::{CleanCandidate, CleaningPolicy, LowestDensity};
-use hl_lfs::config::AddressMap;
 
 /// What one tertiary cleaning pass did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -132,8 +130,7 @@ pub fn clean_volume(hl: &mut HighLight, vol: u32) -> Result<TCleanReport> {
             .demand_fetch(now, seg)
             .map_err(|e| LfsError::Dev(e.into_dev()))?;
         hl.clock().advance_to(end);
-        let live = scan_live(hl, seg)?;
-        survivors.extend(live);
+        survivors.extend(hl.lfs().live_items(seg)?);
     }
 
     // Re-migrate survivors to fresh staging segments (on the writing
@@ -183,75 +180,6 @@ pub fn clean_volume(hl: &mut HighLight, vol: u32) -> Result<TCleanReport> {
         ),
     );
     Ok(report)
-}
-
-/// Scans a cached tertiary segment for blocks/inodes that are still
-/// current (`bmapv`-style validation, like the disk cleaner's). Shared
-/// by the volume cleaner and §5.4's on-fetch rearrangement.
-pub fn live_items_of_segment(hl: &mut HighLight, seg: SegNo) -> Result<Vec<MigrateItem>> {
-    scan_live(hl, seg)
-}
-
-fn scan_live(hl: &mut HighLight, seg: SegNo) -> Result<Vec<MigrateItem>> {
-    use hl_lfs::ondisk::{Dinode, SegSummary};
-    let map = hl.map();
-    let base = map.seg_base(seg);
-    let bps = map.blocks_per_seg;
-    // Read the whole segment image through the block map (cache hit —
-    // timed, like the disk cleaner's big sequential read).
-    let image = {
-        let lfs = hl.lfs();
-        lfs.read_segment_raw(base, bps)?
-    };
-    let summary_bytes = hl.lfs().superblock().summary_bytes as usize;
-
-    let mut items = Vec::new();
-    let mut off = 0u32;
-    let mut last_serial = None;
-    while off + 1 < bps {
-        let sum_off = off as usize * BLOCK_SIZE;
-        let Ok((summary, _)) = SegSummary::decode(&image[sum_off..sum_off + summary_bytes]) else {
-            break;
-        };
-        if last_serial.map(|s| summary.serial <= s).unwrap_or(false) {
-            break;
-        }
-        last_serial = Some(summary.serial);
-        let mut blk_idx = 0u32;
-        for fi in &summary.finfos {
-            for &lbn in &fi.blocks {
-                let addr = base + off + 1 + blk_idx;
-                blk_idx += 1;
-                let lb = LBlock::decode(lbn as i64);
-                let lfs = hl.lfs();
-                // A freed inode keeps its map version until reallocated;
-                // without the home check `bmap` fails with `NotFound`.
-                if lfs.inode_version(fi.ino) == Some(fi.version)
-                    && lfs.inode_daddr(fi.ino).is_some()
-                    && lfs.bmap_public(fi.ino, lb)? == addr
-                {
-                    items.push(MigrateItem::Block(fi.ino, lb));
-                }
-            }
-        }
-        for &iaddr in &summary.inode_addrs {
-            let boff = (iaddr - base) as usize * BLOCK_SIZE;
-            for slot in 0..hl_lfs::types::INODES_PER_BLOCK {
-                let d = Dinode::decode(&image[boff + slot * hl_lfs::types::DINODE_SIZE..]);
-                if d.nlink == 0 || d.inumber == 0 {
-                    continue;
-                }
-                let lfs = hl.lfs();
-                if lfs.inode_daddr(d.inumber) == Some(iaddr) {
-                    items.push(MigrateItem::Inode(d.inumber));
-                }
-            }
-            blk_idx += 1;
-        }
-        off += 1 + blk_idx;
-    }
-    let _ = UNASSIGNED;
-    Ok(items)
 }
 
 #[cfg(test)]

@@ -194,12 +194,12 @@ impl Lfs {
             };
             for l in 0..nblocks {
                 let lb = LBlock::Data(l as u32);
-                let addr = self.bmap_public(ino, lb)?;
+                let addr = self.bmap(ino, lb)?;
                 let valid = addr == UNASSIGNED || self.addr_mappable(addr);
                 claim(&mut report, &mut owners, valid, addr, lb.encode());
             }
             for lb in [LBlock::Ind1, LBlock::Ind2] {
-                let addr = self.bmap_public(ino, lb)?;
+                let addr = self.bmap(ino, lb)?;
                 let valid = addr == UNASSIGNED || self.addr_mappable(addr);
                 claim(&mut report, &mut owners, valid, addr, lb.encode());
             }
@@ -277,7 +277,7 @@ impl Lfs {
 
     /// `true` if the inode-map entry is allocated.
     pub fn imap_entry_allocated(&self, ino: Ino) -> bool {
-        self.inode_daddr(ino).is_some() || self.has_incore_inode(ino)
+        self.inode_home(ino).is_some() || self.has_incore_inode(ino)
     }
 
     pub(crate) fn has_incore_inode(&self, ino: Ino) -> bool {

@@ -12,8 +12,10 @@ use hl_vdev::BLOCK_SIZE;
 
 use crate::error::{LfsError, Result};
 use crate::fs::Lfs;
-use crate::ondisk::{seg_flags, Dinode, SegSummary};
-use crate::types::{BlockAddr, Ino, LBlock, SegNo, DINODE_SIZE, INODES_PER_BLOCK, UNASSIGNED};
+use crate::migrate::MigrateItem;
+use crate::ondisk::seg_flags;
+use crate::partial;
+use crate::types::{BlockAddr, Ino, LBlock, SegNo, UNASSIGNED};
 
 /// Victim-selection policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -167,27 +169,24 @@ impl Lfs {
         // One large sequential read of the whole victim segment.
         let base = self.amap.seg_base(victim);
         let image = self.read_raw(base, self.bps())?;
-        let live = self.scan_segment_live(victim, &image)?;
 
         // Move live file blocks and re-dirty live inodes.
         let mut report = CleanReport {
             segs_cleaned: 1,
             ..Default::default()
         };
-        {
-            let refs: Vec<(Ino, LBlock, BlockAddr)> =
-                live.blocks.iter().map(|b| (b.0, b.1, b.2)).collect();
-            let data: Vec<&[u8]> = live
-                .blocks
-                .iter()
-                .map(|b| {
-                    let off = (b.2 - base) as usize * BLOCK_SIZE;
-                    &image[off..off + BLOCK_SIZE]
-                })
-                .collect();
-            report.blocks_copied = self.markv(&refs, &data)?;
+        let (mut blocks, mut data, mut inodes) = (Vec::new(), Vec::new(), Vec::new());
+        for (item, addr) in self.scan_segment_live(victim, &image)? {
+            match item {
+                MigrateItem::Block(ino, lb) => {
+                    blocks.push((ino, lb, addr));
+                    data.push(&image[(addr - base) as usize * BLOCK_SIZE..][..BLOCK_SIZE]);
+                }
+                MigrateItem::Inode(ino) => inodes.push(ino),
+            }
         }
-        for ino in live.inodes {
+        report.blocks_copied = self.markv(&blocks, &data)?;
+        for ino in inodes {
             // Loading dirties nothing; mark dirty so the inode moves.
             self.iget_mut(ino)?.dirty = true;
             report.inodes_copied += 1;
@@ -208,84 +207,47 @@ impl Lfs {
         Ok(report)
     }
 
-    /// Parses a segment image and reports which of its blocks and inodes
-    /// are still live (pointer/imap-validated, the `bmapv` check).
-    pub(crate) fn scan_segment_live(&mut self, seg: SegNo, image: &[u8]) -> Result<LiveSet> {
-        let base = self.amap.seg_base(seg);
-        let first_serial = self.seguse[seg as usize].write_serial;
-        let mut live = LiveSet::default();
-        let mut off = 0u32;
-        let mut last_serial = None;
-        while off + 1 < self.bps() {
-            let sum_off = off as usize * BLOCK_SIZE;
-            let Ok((summary, _datasum)) =
-                SegSummary::decode(&image[sum_off..sum_off + self.sb.summary_bytes as usize])
-            else {
-                break;
-            };
-            // Reject summaries from a previous occupancy of this segment.
-            if summary.serial < first_serial
-                || last_serial.map(|s| summary.serial <= s).unwrap_or(false)
-            {
-                break;
-            }
-            last_serial = Some(summary.serial);
-
-            let mut blk_idx = 0u32;
-            for fi in &summary.finfos {
-                for &lbn in &fi.blocks {
-                    let addr = base + off + 1 + blk_idx;
-                    blk_idx += 1;
-                    let lb = LBlock::decode(lbn as i64);
-                    let ino = fi.ino;
-                    if self
-                        .imap
-                        .get(ino as usize)
-                        .map(|e| e.version == fi.version && e.daddr != UNASSIGNED)
-                        .unwrap_or(false)
-                        && self.bmap(ino, lb)? == addr
-                    {
-                        live.blocks.push((ino, lb, addr));
-                    }
+    /// Walks the image of segment `seg` — disk or tertiary — and lists
+    /// what is still live in it (pointer/imap-validated, the `bmapv`
+    /// check), in media order, each item with the address it sits at.
+    pub(crate) fn scan_segment_live(
+        &mut self,
+        seg: SegNo,
+        image: &[u8],
+    ) -> Result<Vec<(MigrateItem, BlockAddr)>> {
+        // A reused log segment still holds its previous occupancy's
+        // summaries; tertiary media are erased before reuse.
+        let min_serial = if self.amap.is_secondary(seg) {
+            self.seguse[seg as usize].write_serial
+        } else {
+            0
+        };
+        let mut live = Vec::new();
+        for parsed in partial::walk(image, self.geometry(), self.amap.seg_base(seg), min_serial) {
+            let (p, payload) = parsed?;
+            for (ino, version, lb, addr) in p.file_blocks() {
+                if self.block_is_live(ino, version, lb, addr)? {
+                    live.push((MigrateItem::Block(ino, lb), addr));
                 }
             }
-            for &iaddr in &summary.inode_addrs {
-                let idx = iaddr - base;
-                let boff = idx as usize * BLOCK_SIZE;
-                if boff + BLOCK_SIZE > image.len() {
-                    return Err(LfsError::Corrupt("inode address outside segment"));
+            for (iaddr, d) in p.inodes(payload) {
+                if self.inode_is_live(&d, iaddr) {
+                    live.push((MigrateItem::Inode(d.inumber), iaddr));
                 }
-                for slot in 0..INODES_PER_BLOCK {
-                    let d = Dinode::decode(&image[boff + slot * DINODE_SIZE..]);
-                    if d.nlink == 0 {
-                        continue;
-                    }
-                    let ino = d.inumber;
-                    if self
-                        .imap
-                        .get(ino as usize)
-                        .map(|e| e.daddr == iaddr && e.version == d.gen)
-                        .unwrap_or(false)
-                        && !live.inodes.contains(&ino)
-                    {
-                        live.inodes.push(ino);
-                    }
-                }
-                blk_idx += 1;
             }
-            off += 1 + blk_idx;
         }
         Ok(live)
     }
-}
 
-/// Live contents of a scanned segment.
-#[derive(Clone, Debug, Default)]
-pub struct LiveSet {
-    /// Live file blocks: `(ino, logical block, current address)`.
-    pub blocks: Vec<(Ino, LBlock, BlockAddr)>,
-    /// Inodes whose current copy is in this segment.
-    pub inodes: Vec<Ino>,
+    /// Reads segment `seg` — a disk segment, or a tertiary one through
+    /// its cache line — in one large timed read and lists what is still
+    /// live in it, in media order: what a cleaner must move before the
+    /// segment can be reclaimed.
+    pub fn live_items(&mut self, seg: SegNo) -> Result<Vec<MigrateItem>> {
+        let image = self.read_raw(self.amap.seg_base(seg), self.bps())?;
+        let live = self.scan_segment_live(seg, &image)?;
+        Ok(live.into_iter().map(|(item, _)| item).collect())
+    }
 }
 
 impl Lfs {

@@ -393,15 +393,8 @@ impl Lfs {
         // Read the inode block and locate our slot by inumber.
         let blk = self.read_raw(daddr, 1)?;
         self.charge_cpu(self.cfg.cpu.read_block);
-        let mut found = None;
-        for slot in 0..crate::types::INODES_PER_BLOCK {
-            let d = Dinode::decode(&blk[slot * crate::types::DINODE_SIZE..]);
-            if d.inumber == ino && d.nlink > 0 {
-                found = Some(d);
-                break;
-            }
-        }
-        let d = found.ok_or(LfsError::Corrupt("inode missing from its block"))?;
+        let d = crate::partial::find_inode(&blk, ino)
+            .ok_or(LfsError::Corrupt("inode missing from its block"))?;
         self.inodes.insert(
             ino,
             CachedInode {
@@ -773,16 +766,7 @@ impl Lfs {
             let d = if let Some(ci) = self.inodes.get(&ino) {
                 ci.d
             } else {
-                let blk = peek_block(&*self.dev, daddr)?;
-                let mut found = None;
-                for slot in 0..crate::types::INODES_PER_BLOCK {
-                    let d = Dinode::decode(&blk[slot * crate::types::DINODE_SIZE..]);
-                    if d.inumber == ino && d.nlink > 0 {
-                        found = Some(d);
-                        break;
-                    }
-                }
-                match found {
+                match crate::partial::find_inode(&peek_block(&*self.dev, daddr)?, ino) {
                     Some(d) => d,
                     None => continue, // stale map entry; roll-forward owns it
                 }
@@ -920,23 +904,6 @@ impl Lfs {
         Ok(added)
     }
 
-    /// Timed raw read of a whole segment-sized region (tertiary cleaner
-    /// and figure tooling; equivalent to the disk cleaner's big read).
-    pub fn read_segment_raw(&mut self, base: BlockAddr, blocks: u32) -> Result<Vec<u8>> {
-        self.read_raw(base, blocks)
-    }
-
-    /// Current inode-map version of `ino` (`None` if out of range).
-    pub fn inode_version(&self, ino: Ino) -> Option<u32> {
-        self.imap.get(ino as usize).map(|e| e.version)
-    }
-
-    /// Current inode-block address of `ino` (`None` if free/out of
-    /// range).
-    pub fn inode_daddr(&self, ino: Ino) -> Option<BlockAddr> {
-        self.inode_home(ino)
-    }
-
     /// Authoritative inode-block address. The ifile's inode is located
     /// by the checkpoint record (like 4.4BSD's superblock field), not by
     /// its own map entry — the map entry is always one flush stale,
@@ -949,11 +916,6 @@ impl Lfs {
             .get(ino as usize)
             .map(|e| e.daddr)
             .filter(|&d| d != UNASSIGNED)
-    }
-
-    /// Public `bmap`: the current device address of one logical block.
-    pub fn bmap_public(&mut self, ino: Ino, lb: LBlock) -> Result<BlockAddr> {
-        self.bmap(ino, lb)
     }
 
     /// `stat` an inode.

@@ -36,6 +36,7 @@ pub mod fileops;
 pub mod fs;
 pub mod migrate;
 pub mod ondisk;
+mod partial;
 pub mod recovery;
 pub mod stats;
 pub mod types;

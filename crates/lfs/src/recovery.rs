@@ -23,10 +23,9 @@ use hl_vdev::{BlockDev, BLOCK_SIZE};
 use crate::config::{AddressMap, LfsConfig, TertiaryHooks};
 use crate::error::{LfsError, Result};
 use crate::fs::{CachedInode, Lfs, CHECKPOINT_ADDR, SUPERBLOCK_ADDR};
-use crate::ondisk::{
-    seg_flags, Checkpoint, Dinode, IfileEntry, SegSummary, SegUse, Superblock, SEGUSE_SIZE,
-};
-use crate::types::{LBlock, DINODE_SIZE, IFILE_INO, INODES_PER_BLOCK, UNASSIGNED};
+use crate::ondisk::{seg_flags, Checkpoint, IfileEntry, SegUse, Superblock, SEGUSE_SIZE};
+use crate::partial::{self, Partial};
+use crate::types::{LBlock, IFILE_INO, INODES_PER_BLOCK, UNASSIGNED};
 use crate::writer::{IFENT_PER_BLOCK, SEGUSE_PER_BLOCK};
 
 /// What recovery did, for logging and tests.
@@ -82,15 +81,8 @@ pub fn mount_with_report(
 
     // Load the ifile inode from its inode block.
     let iblk = fs.read_raw(ckpt.ifile_inode_addr, 1)?;
-    let mut ifile_inode = None;
-    for slot in 0..INODES_PER_BLOCK {
-        let d = Dinode::decode(&iblk[slot * DINODE_SIZE..]);
-        if d.inumber == IFILE_INO && d.nlink > 0 {
-            ifile_inode = Some(d);
-            break;
-        }
-    }
-    let ifile_inode = ifile_inode.ok_or(LfsError::Corrupt("ifile inode not found"))?;
+    let ifile_inode =
+        partial::find_inode(&iblk, IFILE_INO).ok_or(LfsError::Corrupt("ifile inode not found"))?;
     fs.inodes.insert(
         IFILE_INO,
         CachedInode {
@@ -219,57 +211,46 @@ fn roll_forward(fs: &mut Lfs, ckpt: &Checkpoint, report: &mut RecoveryReport) ->
         }
         let sum_addr = fs.amap.seg_base(seg) + off;
         let sum_blk = fs.read_raw(sum_addr, 1)?;
-        let Ok((summary, datasum)) = SegSummary::decode(&sum_blk[..fs.sb.summary_bytes as usize])
-        else {
+        // A summary that fails its checksum, breaks the serial chain or
+        // describes an impossible geometry ends the log like a torn one.
+        let Ok(p) = Partial::parse(&sum_blk, fs.geometry(), off, sum_addr) else {
             break;
         };
-        if summary.serial != expect_serial {
+        if p.summary.serial != expect_serial {
             break;
-        }
-        let nblocks = summary.data_blocks() + summary.inode_addrs.len();
-        if off + 1 + nblocks as u32 > bps {
-            break; // impossible geometry: treat as torn
         }
         // Verify the data checksum (atomicity of the partial, §3). It
         // covers every payload byte, so a write torn anywhere — even
         // inside a block — stops roll-forward here.
-        let data = fs.read_raw(sum_addr + 1, nblocks as u32)?;
-        if SegSummary::datasum_of(&data) != datasum {
+        let data = fs.read_raw(sum_addr + 1, p.nblocks())?;
+        if !p.datasum_matches(&data) {
             break; // torn partial: recovery complete
         }
 
         // Apply: refresh the inode map from the partial's inode blocks.
-        for &iaddr in &summary.inode_addrs {
-            let idx = (iaddr - (sum_addr + 1)) as usize;
-            let boff = idx * BLOCK_SIZE;
-            for slot in 0..INODES_PER_BLOCK {
-                let d = Dinode::decode(&data[boff + slot * DINODE_SIZE..]);
-                if d.nlink == 0 || d.inumber == 0 {
-                    continue;
-                }
-                let ino = d.inumber as usize;
-                while fs.imap.len() <= ino {
-                    fs.imap.push(IfileEntry::free(UNASSIGNED));
-                }
-                fs.imap[ino] = IfileEntry {
-                    version: d.gen,
-                    daddr: iaddr,
-                    free_next: UNASSIGNED,
-                };
-                // Invalidate any stale in-core copy loaded from the ifile.
-                if d.inumber != IFILE_INO {
-                    fs.inodes.remove(&d.inumber);
-                } else {
-                    fs.inodes.insert(
-                        IFILE_INO,
-                        CachedInode {
-                            d,
-                            dirty: false,
-                            atime_dirty: false,
-                        },
-                    );
-                    fs.ifile_inode_addr = iaddr;
-                }
+        for (iaddr, d) in p.inodes(&data) {
+            let ino = d.inumber as usize;
+            while fs.imap.len() <= ino {
+                fs.imap.push(IfileEntry::free(UNASSIGNED));
+            }
+            fs.imap[ino] = IfileEntry {
+                version: d.gen,
+                daddr: iaddr,
+                free_next: UNASSIGNED,
+            };
+            // Invalidate any stale in-core copy loaded from the ifile.
+            if d.inumber != IFILE_INO {
+                fs.inodes.remove(&d.inumber);
+            } else {
+                fs.inodes.insert(
+                    IFILE_INO,
+                    CachedInode {
+                        d,
+                        dirty: false,
+                        atime_dirty: false,
+                    },
+                );
+                fs.ifile_inode_addr = iaddr;
             }
         }
         // Stale cached file blocks (read via the checkpoint-time ifile)
@@ -277,19 +258,19 @@ fn roll_forward(fs: &mut Lfs, ckpt: &Checkpoint, report: &mut RecoveryReport) ->
         fs.cache.drop_clean();
 
         report.partials_replayed += 1;
-        report.inodes_recovered += (summary.inode_addrs.len() * INODES_PER_BLOCK) as u32;
+        report.inodes_recovered += (p.summary.inode_addrs.len() * INODES_PER_BLOCK) as u32;
         expect_serial += 1;
         fs.seguse[seg as usize].flags |= seg_flags::DIRTY;
         if off == 0 {
-            fs.seguse[seg as usize].write_serial = summary.serial;
+            fs.seguse[seg as usize].write_serial = p.summary.serial;
         }
 
         // Next position: further in this segment, else follow the thread.
-        let noff = off + 1 + nblocks as u32;
+        let noff = off + 1 + p.nblocks();
         if noff + 2 <= bps {
             off = noff;
         } else {
-            match fs.amap.seg_of(summary.next) {
+            match fs.amap.seg_of(p.summary.next) {
                 Some(s) if fs.amap.is_secondary(s) => {
                     seg = s;
                     off = 0;

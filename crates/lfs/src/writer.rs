@@ -18,11 +18,10 @@
 use hl_vdev::BLOCK_SIZE;
 
 use crate::error::{LfsError, Result};
-use crate::fs::{CachedInode, Lfs, CHECKPOINT_ADDR};
-use crate::ondisk::{seg_flags, Checkpoint, Finfo, SegSummary, CHECKPOINT_SLOT, SEGUSE_SIZE};
-use crate::types::{
-    BlockAddr, Ino, LBlock, SegNo, DINODE_SIZE, IFILE_INO, INODES_PER_BLOCK, UNASSIGNED,
-};
+use crate::fs::{Lfs, CHECKPOINT_ADDR};
+use crate::ondisk::{seg_flags, Checkpoint, CHECKPOINT_SLOT, SEGUSE_SIZE};
+use crate::partial::PartialBuilder;
+use crate::types::{Ino, LBlock, SegNo, IFILE_INO, UNASSIGNED};
 
 /// Entries per ifile segment-usage block.
 pub const SEGUSE_PER_BLOCK: usize = BLOCK_SIZE / SEGUSE_SIZE;
@@ -288,271 +287,79 @@ impl Lfs {
         self.bps() - self.cur_off
     }
 
+    /// A builder for the next partial at the log tail.
+    fn log_partial(&self) -> PartialBuilder {
+        PartialBuilder::new(
+            self.amap.seg_base(self.cur_seg) + self.cur_off,
+            self.seg_remaining(),
+            self.amap.seg_base(self.next_seg),
+            self.log_serial,
+        )
+    }
+
     /// Writes one batch (a snapshot of dirty file blocks and inodes) as
     /// one or more partial segments.
     fn write_batch(&mut self, files: &[(Ino, Vec<LBlock>)], inos: &[Ino]) -> Result<()> {
-        // Stream of file blocks, children before parents within a file.
-        let mut stream: Vec<(Ino, LBlock)> = Vec::new();
+        let mut partial = self.log_partial();
+        // File blocks, children before parents within a file. Each
+        // pointer moves as its block is reserved: parents are in this
+        // batch by closure, so the patched bytes are serialized later.
         for (ino, blocks) in files {
             let mut ordered = blocks.clone();
             ordered.sort_by_key(|&lb| stream_rank(lb));
-            stream.extend(ordered.into_iter().map(|lb| (*ino, lb)));
-        }
-
-        // Inode blocks needed at the end of the batch.
-        let n_inode_blocks = inos.len().div_ceil(INODES_PER_BLOCK);
-
-        let mut partial = PartialBuilder::new(self);
-        let mut idx = 0;
-        while idx < stream.len() {
-            let (ino, lb) = stream[idx];
-            if !partial.try_add_file_block(self, ino, lb)? {
-                partial.flush(self)?;
-                partial = PartialBuilder::new(self);
-                continue;
+            for lb in ordered {
+                let old = self
+                    .cache
+                    .get(*ino, lb)
+                    .map(|b| b.addr)
+                    .unwrap_or(UNASSIGNED);
+                let addr = loop {
+                    match partial.try_add_block(self, *ino, lb, old)? {
+                        Some(addr) => break addr,
+                        None => partial = self.flush_partial(partial)?,
+                    }
+                };
+                self.repoint_block(*ino, lb, old, addr)?;
             }
-            idx += 1;
         }
-        // Pack the dirty inodes into inode blocks.
-        let mut packed = 0;
-        while packed < inos.len() {
-            let chunk_end = (packed + INODES_PER_BLOCK).min(inos.len());
-            if !partial.try_add_inode_block(self, &inos[packed..chunk_end])? {
-                partial.flush(self)?;
-                partial = PartialBuilder::new(self);
-                continue;
+        // The dirty inodes, packed behind them.
+        for &ino in inos {
+            while !partial.try_add_inode(self, ino) {
+                partial = self.flush_partial(partial)?;
             }
-            packed = chunk_end;
         }
-        let _ = n_inode_blocks;
-        partial.flush(self)?;
+        self.flush_partial(partial)?;
         Ok(())
     }
-}
 
-/// Accumulates one partial segment: address reservations, summary
-/// description, and pointer/accounting updates, then emits a single
-/// device write.
-struct PartialBuilder {
-    /// Segment being written (frozen at creation).
-    seg: SegNo,
-    /// Offset of the summary block within the segment.
-    base_off: u32,
-    /// Blocks reserved so far (excluding the summary).
-    reserved: u32,
-    serial: u64,
-    finfos: Vec<Finfo>,
-    /// `(ino, lb, new_addr)` of file blocks in stream order.
-    file_blocks: Vec<(Ino, LBlock, BlockAddr)>,
-    /// Per inode block: `(new_addr, inos)`.
-    inode_blocks: Vec<(BlockAddr, Vec<Ino>)>,
-}
-
-impl PartialBuilder {
-    fn new(fs: &mut Lfs) -> PartialBuilder {
-        PartialBuilder {
-            seg: fs.cur_seg,
-            base_off: fs.cur_off,
-            reserved: 0,
-            serial: fs.log_serial,
-            finfos: Vec::new(),
-            file_blocks: Vec::new(),
-            inode_blocks: Vec::new(),
-        }
-    }
-
-    /// Address the next reserved block would get.
-    fn next_addr(&self, fs: &Lfs) -> BlockAddr {
-        fs.amap.seg_base(self.seg) + self.base_off + 1 + self.reserved
-    }
-
-    fn summary_len_with(&self, extra_finfo: bool, extra_block: bool, extra_inoaddr: bool) -> usize {
-        use crate::ondisk::{FINFO_FIXED, SUMMARY_HEADER};
-        let mut len = SUMMARY_HEADER
-            + self
-                .finfos
-                .iter()
-                .map(|f| FINFO_FIXED + 4 * f.blocks.len())
-                .sum::<usize>()
-            + 4 * self.inode_blocks.len();
-        if extra_finfo {
-            len += FINFO_FIXED;
-        }
-        if extra_block {
-            len += 4;
-        }
-        if extra_inoaddr {
-            len += 4;
-        }
-        len
-    }
-
-    /// `true` if one more block fits in the segment.
-    fn block_fits(&self, fs: &Lfs) -> bool {
-        self.base_off + self.reserved + 2 <= fs.bps()
-    }
-
-    /// Tries to reserve and describe one file block. Returns `false` if
-    /// this partial is full (caller flushes and retries).
-    fn try_add_file_block(&mut self, fs: &mut Lfs, ino: Ino, lb: LBlock) -> Result<bool> {
-        let new_file = self.finfos.last().map(|f| f.ino != ino).unwrap_or(true);
-        if self.summary_len_with(new_file, true, false) > fs.sb.summary_bytes as usize
-            || !self.block_fits(fs)
-        {
-            return Ok(false);
-        }
-        let addr = self.next_addr(fs);
-        self.reserved += 1;
-
-        let version = fs.imap[ino as usize].version;
-        if new_file {
-            self.finfos.push(Finfo {
-                ino,
-                version,
-                lastlength: BLOCK_SIZE as u32,
-                blocks: Vec::new(),
-            });
-        }
-        let fi = self.finfos.last_mut().expect("just pushed or existing");
-        fi.blocks.push(lb.encode() as i32);
-        if let LBlock::Data(l) = lb {
-            let size = fs.iget(ino)?.d.size;
-            let last_l = if size == 0 {
-                0
-            } else {
-                (size - 1) / BLOCK_SIZE as u64
-            };
-            if l as u64 == last_l {
-                let rem = size - last_l * BLOCK_SIZE as u64;
-                fi.lastlength = if rem == 0 {
-                    BLOCK_SIZE as u32
-                } else {
-                    rem as u32
-                };
-            }
-        }
-
-        // Accounting: the old copy dies, the new one is born.
-        let old = fs.cache.get(ino, lb).map(|b| b.addr).unwrap_or(UNASSIGNED);
-        if old != UNASSIGNED {
-            fs.live_delta(old, -(BLOCK_SIZE as i64));
-        }
-        fs.live_delta(addr, BLOCK_SIZE as i64);
-
-        // Patch the parent pointer (parents are in this batch by
-        // closure, so the patched bytes are serialized later).
-        fs.set_bmap(ino, lb, addr)?;
-        self.file_blocks.push((ino, lb, addr));
-        Ok(true)
-    }
-
-    /// Tries to reserve one inode block holding `chunk`.
-    fn try_add_inode_block(&mut self, fs: &mut Lfs, chunk: &[Ino]) -> Result<bool> {
-        if self.summary_len_with(false, false, true) > fs.sb.summary_bytes as usize
-            || !self.block_fits(fs)
-        {
-            return Ok(false);
-        }
-        let addr = self.next_addr(fs);
-        self.reserved += 1;
-        for &ino in chunk {
-            let old = fs.imap[ino as usize].daddr;
-            if old != UNASSIGNED {
-                fs.live_delta(old, -(DINODE_SIZE as i64));
-            }
-            fs.live_delta(addr, DINODE_SIZE as i64);
-            fs.imap[ino as usize].daddr = addr;
-            if ino == IFILE_INO {
-                fs.ifile_inode_addr = addr;
-            }
-        }
-        self.inode_blocks.push((addr, chunk.to_vec()));
-        Ok(true)
-    }
-
-    /// Serializes and writes the partial segment; updates cache/inode
-    /// dirty state, segment usage, and the log position.
-    fn flush(self, fs: &mut Lfs) -> Result<()> {
-        if self.reserved == 0 {
-            // An empty partial: nothing to write; advance the segment if
-            // we were called because the segment was full.
-            if fs.seg_remaining() < 2 {
-                fs.advance_segment()?;
-            } else if fs.cur_off == 0 && fs.seguse[fs.cur_seg as usize].write_serial == 0 {
+    /// Writes `partial` at the log tail and advances the log position;
+    /// returns the builder for the partial after it.
+    fn flush_partial(&mut self, partial: PartialBuilder) -> Result<PartialBuilder> {
+        let cur = self.cur_seg as usize;
+        if partial.is_empty() {
+            // Nothing to write: advance the segment if we were called
+            // because it was full.
+            if self.seg_remaining() < 2 {
+                self.advance_segment()?;
+            } else if self.cur_off == 0 && self.seguse[cur].write_serial == 0 {
                 // First ever write into the initial segment: claim it.
-                fs.seguse[fs.cur_seg as usize].flags |= seg_flags::ACTIVE | seg_flags::DIRTY;
-                fs.seguse[fs.cur_seg as usize].write_serial = fs.log_serial;
+                self.seguse[cur].flags |= seg_flags::ACTIVE | seg_flags::DIRTY;
+                self.seguse[cur].write_serial = self.log_serial;
             }
-            return Ok(());
+            return Ok(self.log_partial());
         }
         // Claim the segment on its first partial.
-        if self.base_off == 0 {
-            let u = &mut fs.seguse[self.seg as usize];
-            u.flags |= seg_flags::ACTIVE | seg_flags::DIRTY;
-            u.write_serial = self.serial;
+        if self.cur_off == 0 {
+            self.seguse[cur].flags |= seg_flags::ACTIVE | seg_flags::DIRTY;
+            self.seguse[cur].write_serial = self.log_serial;
         }
-
-        let nblocks = self.reserved as usize;
-        let mut image = vec![0u8; (1 + nblocks) * BLOCK_SIZE];
-
-        // File blocks.
-        for (i, &(ino, lb, _addr)) in self.file_blocks.iter().enumerate() {
-            let src = fs
-                .cache
-                .get(ino, lb)
-                .ok_or(LfsError::Corrupt("dirty block vanished from cache"))?;
-            let dst = &mut image[(1 + i) * BLOCK_SIZE..(2 + i) * BLOCK_SIZE];
-            dst.copy_from_slice(&src.data);
+        self.cur_off += partial.write(self)?;
+        self.stats.partials_written += 1;
+        self.log_serial += 1;
+        if self.seg_remaining() < 2 {
+            self.advance_segment()?;
         }
-        // Inode blocks.
-        let ino_base = self.file_blocks.len();
-        for (bi, (_, chunk)) in self.inode_blocks.iter().enumerate() {
-            let off = (1 + ino_base + bi) * BLOCK_SIZE;
-            for (slot, &ino) in chunk.iter().enumerate() {
-                let ci: &CachedInode = fs
-                    .inodes
-                    .get(&ino)
-                    .ok_or(LfsError::Corrupt("dirty inode vanished"))?;
-                ci.d.encode(&mut image[off + slot * DINODE_SIZE..off + (slot + 1) * DINODE_SIZE]);
-            }
-        }
-
-        // Summary.
-        let mut summary = SegSummary::new(fs.amap.seg_base(fs.next_seg), self.serial);
-        summary.finfos = self.finfos;
-        summary.inode_addrs = self.inode_blocks.iter().map(|(a, _)| *a).collect();
-        {
-            let (head, payload) = image.split_at_mut(BLOCK_SIZE);
-            let datasum = SegSummary::datasum_of(payload);
-            summary.encode(&mut head[..fs.sb.summary_bytes as usize], datasum);
-        }
-
-        // One large sequential write.
-        let base_addr = fs.amap.seg_base(self.seg) + self.base_off;
-        fs.write_raw(base_addr, &image)?;
-        fs.charge_cpu(fs.cfg.cpu.write_block * nblocks as u64);
-        fs.stats.partials_written += 1;
-        fs.log_serial += 1;
-
-        // Mark everything clean at its new address.
-        for &(ino, lb, addr) in &self.file_blocks {
-            fs.cache.mark_clean(ino, lb, addr);
-        }
-        for (_, chunk) in &self.inode_blocks {
-            for &ino in chunk {
-                if let Some(i) = fs.inodes.get_mut(&ino) {
-                    i.dirty = false;
-                    i.atime_dirty = false;
-                }
-            }
-        }
-
-        // Advance the log position.
-        fs.cur_off = self.base_off + 1 + self.reserved;
-        if fs.seg_remaining() < 2 {
-            fs.advance_segment()?;
-        }
-        fs.cache.shrink_to_capacity();
-        Ok(())
+        self.cache.shrink_to_capacity();
+        Ok(self.log_partial())
     }
 }

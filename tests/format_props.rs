@@ -544,7 +544,7 @@ proptest! {
             }
             // Nothing has been overwritten since, so everything on the
             // media is live and the library's scan must list all of it.
-            let live = highlight::tcleaner::live_items_of_segment(&mut hl, seg).expect("scan");
+            let live = hl.lfs().live_items(seg).expect("scan");
             prop_assert_eq!(&live, &on_media, "library scan of v{} s{}", vol, slot);
             recovered.extend(on_media);
         }
