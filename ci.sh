@@ -24,7 +24,10 @@ run cargo build --release --offline --locked --manifest-path benchmark/Cargo.tom
 run cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # Paper tables (DESIGN.md §6d): shape checks + tracecheck over Table 4.
+run cargo bench -q -p hl-bench --bench table2
+run cargo bench -q -p hl-bench --bench table3
 run cargo bench -q -p hl-bench --bench table4 -- --trace
+run cargo bench -q -p hl-bench --bench table5
 run cargo bench -q -p hl-bench --bench table6
 # Drive-pool ablation (§6e) and fault-under-load (§6f).
 run cargo bench -q -p hl-bench --bench drive_pool

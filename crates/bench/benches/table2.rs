@@ -6,6 +6,7 @@
 //! segment cache ("in-cache").
 
 use hl_bench::fsx::{build_large_object, run_large_object, BenchFs};
+use hl_bench::report::Checks;
 use hl_bench::rigs::Rig;
 use hl_bench::table::{print_table, time_and_rate, Row};
 use hl_sim::time::SimTime;
@@ -122,30 +123,27 @@ fn main() {
 
     // Shape checks: the paper's qualitative conclusions.
     let t = |config: usize, phase: usize| all[config].1[phase].1;
-    println!("\nShape checks:");
-    println!(
-        "  LFS-family random writes beat FFS (log batching): {}",
-        t(1, 3) < t(0, 3) && t(2, 3) < t(0, 3)
+    let mut checks = Checks::new("Shape checks");
+    checks.row(
+        "LFS-family random writes beat FFS (log batching)",
+        t(1, 3) < t(0, 3) && t(2, 3) < t(0, 3),
     );
-    println!(
-        "  FFS sequential writes beat LFS (no staging copies): {}",
-        t(0, 1) < t(1, 1)
+    checks.row(
+        "FFS sequential writes beat LFS (no staging copies)",
+        t(0, 1) < t(1, 1),
     );
-    println!(
-        "  HighLight on-disk within 15% of base LFS everywhere: {}",
-        (0..6).all(|p| t(2, p) as f64 <= t(1, p) as f64 * 1.15 + 100_000.0)
+    checks.row(
+        "HighLight on-disk within 15% of base LFS everywhere",
+        (0..6).all(|p| t(2, p) as f64 <= t(1, p) as f64 * 1.15 + 100_000.0),
     );
-    println!(
-        "  HighLight in-cache ~= on-disk (cache adds little): {}",
-        (0..6).all(|p| {
-            let a = t(3, p) as f64;
-            let b = t(2, p) as f64;
-            a <= b * 1.25 + 200_000.0
-        })
+    checks.row(
+        "HighLight in-cache ~= on-disk (cache adds little)",
+        (0..6).all(|p| t(3, p) as f64 <= t(2, p) as f64 * 1.25 + 200_000.0),
     );
-    println!(
-        "  random reads seek-bound and ~equal across all four: {}",
+    checks.row(
+        "random reads seek-bound and ~equal across all four",
         (0..4).map(|c| t(c, 2)).max().unwrap() as f64
-            <= (0..4).map(|c| t(c, 2)).min().unwrap() as f64 * 1.4
+            <= (0..4).map(|c| t(c, 2)).min().unwrap() as f64 * 1.4,
     );
+    checks.finish();
 }

@@ -10,6 +10,7 @@
 //! the media swap time."
 
 use hl_bench::fsx::BenchFs;
+use hl_bench::report::Checks;
 use hl_bench::rigs::Rig;
 use hl_bench::table::{print_table, secs2, Row};
 use hl_sim::time::SimTime;
@@ -138,27 +139,30 @@ fn main() {
         );
     }
 
-    println!("\nShape checks:");
+    let mut checks = Checks::new("Shape checks");
     let fb_flat = uncached_times
         .iter()
         .map(|t| t.0 as f64)
         .fold((f64::MAX, 0f64), |(lo, hi), x| (lo.min(x), hi.max(x)));
-    println!(
-        "  uncached first byte roughly flat across sizes ({:.2}..{:.2} s): {}",
-        fb_flat.0 / 1e6,
-        fb_flat.1 / 1e6,
-        fb_flat.1 < fb_flat.0 * 2.0
+    checks.row(
+        format!(
+            "uncached first byte roughly flat across sizes ({:.2}..{:.2} s)",
+            fb_flat.0 / 1e6,
+            fb_flat.1 / 1e6
+        ),
+        fb_flat.1 < fb_flat.0 * 2.0,
     );
-    println!(
-        "  uncached total >> cached total for 10MB: {}",
-        uncached_times[3].1 > cached_times[3].1 * 2
+    checks.row(
+        "uncached total >> cached total for 10MB",
+        uncached_times[3].1 > cached_times[3].1 * 2,
     );
-    println!(
-        "  cached ~ FFS for whole-file reads (within 2x): {}",
-        (0..4).all(|i| cached_times[i].1 < ffs_times[i].1 * 2 + 500_000)
+    checks.row(
+        "cached ~ FFS for whole-file reads (within 2x)",
+        (0..4).all(|i| cached_times[i].1 < ffs_times[i].1 * 2 + 500_000),
     );
-    println!(
-        "  first byte cached << uncached: {}",
-        (0..4).all(|i| cached_times[i].0 * 5 < uncached_times[i].0)
+    checks.row(
+        "first byte cached << uncached",
+        (0..4).all(|i| cached_times[i].0 * 5 < uncached_times[i].0),
     );
+    checks.finish();
 }

@@ -4,6 +4,7 @@
 //! Media change measures time from an eject command to a completed read
 //! of one sector on the MO platter."
 
+use hl_bench::report::Checks;
 use hl_bench::table::{print_table, Row};
 use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
 use hl_sim::time::{as_secs, throughput_kbs};
@@ -49,43 +50,36 @@ fn volume_change_secs() -> f64 {
 }
 
 fn main() {
-    let rows = vec![
-        Row {
-            label: "Raw MO read".into(),
-            paper: "451KB/s".into(),
-            measured: format!("{:.0}KB/s", raw_rate(DiskProfile::HP6300_MO, false)),
-        },
-        Row {
-            label: "Raw MO write".into(),
-            paper: "204KB/s".into(),
-            measured: format!("{:.0}KB/s", raw_rate(DiskProfile::HP6300_MO, true)),
-        },
-        Row {
-            label: "Raw RZ57 read".into(),
-            paper: "1417KB/s".into(),
-            measured: format!("{:.0}KB/s", raw_rate(DiskProfile::RZ57, false)),
-        },
-        Row {
-            label: "Raw RZ57 write".into(),
-            paper: "993KB/s".into(),
-            measured: format!("{:.0}KB/s", raw_rate(DiskProfile::RZ57, true)),
-        },
-        Row {
-            label: "Raw RZ58 read".into(),
-            paper: "1491KB/s".into(),
-            measured: format!("{:.0}KB/s", raw_rate(DiskProfile::RZ58, false)),
-        },
-        Row {
-            label: "Raw RZ58 write".into(),
-            paper: "1261KB/s".into(),
-            measured: format!("{:.0}KB/s", raw_rate(DiskProfile::RZ58, true)),
-        },
-        Row {
-            label: "Volume change".into(),
-            paper: "13.5s".into(),
-            measured: format!("{:.1}s", volume_change_secs()),
-        },
+    let rates = [
+        (
+            "Raw MO read",
+            451.0,
+            raw_rate(DiskProfile::HP6300_MO, false),
+        ),
+        (
+            "Raw MO write",
+            204.0,
+            raw_rate(DiskProfile::HP6300_MO, true),
+        ),
+        ("Raw RZ57 read", 1417.0, raw_rate(DiskProfile::RZ57, false)),
+        ("Raw RZ57 write", 993.0, raw_rate(DiskProfile::RZ57, true)),
+        ("Raw RZ58 read", 1491.0, raw_rate(DiskProfile::RZ58, false)),
+        ("Raw RZ58 write", 1261.0, raw_rate(DiskProfile::RZ58, true)),
     ];
+    let change = volume_change_secs();
+    let mut rows: Vec<Row> = rates
+        .iter()
+        .map(|&(label, paper, measured)| Row {
+            label: label.into(),
+            paper: format!("{paper:.0}KB/s"),
+            measured: format!("{measured:.0}KB/s"),
+        })
+        .collect();
+    rows.push(Row {
+        label: "Volume change".into(),
+        paper: "13.5s".into(),
+        measured: format!("{change:.1}s"),
+    });
     print_table(
         "Table 5: raw device measurements",
         ("I/O type", "paper", "measured"),
@@ -95,4 +89,16 @@ fn main() {
         "\nNote: sequential rates are calibration inputs (profiles take them\n\
          from this table); the volume change emerges from the robot model."
     );
+    let mut checks = Checks::new("Calibration checks");
+    checks.row(
+        "every raw rate within 3% of the paper's",
+        rates
+            .iter()
+            .all(|&(_, paper, measured)| (measured / paper - 1.0).abs() < 0.03),
+    );
+    checks.row(
+        "volume change within 0.5 s of the paper's 13.5 s",
+        (change - 13.5).abs() < 0.5,
+    );
+    checks.finish();
 }

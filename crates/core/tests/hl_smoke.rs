@@ -521,3 +521,75 @@ fn rearrangement_clusters_accessed_segments() {
     hl.read(b, 0, &mut buf).unwrap();
     assert_eq!(buf, patterned(900_000, 2));
 }
+
+/// Rewrites the first summary of the segment stored at disk address
+/// `at` so that it lists one inode block at `iaddr` — with both
+/// checksums valid, so only a geometry check can reject it.
+fn forge_inode_addr(disk: &Disk, at: u32, iaddr: u32) {
+    use hl_lfs::ondisk::SegSummary;
+    let mut blk = vec![0u8; hl_vdev::BLOCK_SIZE];
+    disk.peek(at as u64, &mut blk).unwrap();
+    let (mut summary, datasum) = SegSummary::decode(&blk).expect("a real summary");
+    summary.inode_addrs = vec![iaddr];
+    summary.encode(&mut blk, datasum);
+    disk.poke(at as u64, &blk).unwrap();
+}
+
+/// A checksum-valid summary whose inode block address lies outside its
+/// segment is `Corrupt` to every consumer of the shared walker. The
+/// disk cleaner always said so; the tertiary cleaner and end-of-medium
+/// relocation used to index the image with it unchecked.
+#[test]
+fn forged_inode_address_is_corrupt_to_both_cleaners_and_relocation() {
+    use hl_lfs::config::AddressMap;
+    use hl_lfs::ondisk::seg_flags;
+    use hl_lfs::LfsError;
+
+    let rig = Rig::new(32, 4, 8, 6);
+    rig.mkfs();
+    let mut hl = rig.mount();
+    let map = hl.map();
+    // Enough log to retire the first segment, then one file migrated
+    // (inode included) to a tertiary segment that stays cached.
+    let filler = hl.create("/filler").unwrap();
+    hl.write(filler, 0, &patterned(1_500_000, 1)).unwrap();
+    let f = hl.create("/f").unwrap();
+    hl.write(f, 0, &patterned(100_000, 2)).unwrap();
+    hl.sync().unwrap();
+    hl.migrate_file("/f", true, None).unwrap();
+    hl.sync().unwrap();
+
+    let is_corrupt = |r: Result<(), LfsError>| matches!(r, Err(LfsError::Corrupt(_)));
+
+    // The disk cleaner, over a retired log segment.
+    let victim = (0..hl.lfs().nsegs())
+        .find(|&s| hl.lfs().seg_usage(s).flags == seg_flags::DIRTY)
+        .expect("a retired log segment");
+    for iaddr in [map.seg_base(victim) - 1, map.seg_base(victim + 1)] {
+        forge_inode_addr(&rig.disk, map.seg_base(victim), iaddr);
+        assert!(is_corrupt(hl.lfs().clean_segment(victim).map(|_| ())));
+    }
+
+    // The tertiary cleaner and rearrangement scan, over the cached copy.
+    let tseg = map.tert_seg(0, 0);
+    let line = hl.cache().borrow().peek(tseg).copied().expect("cached");
+    let line_at = map.seg_base(line.disk_seg);
+    for iaddr in [
+        map.seg_base(tseg) - 1,
+        map.seg_base(tseg) + map.blocks_per_seg,
+    ] {
+        forge_inode_addr(&rig.disk, line_at, iaddr);
+        assert!(is_corrupt(hl.lfs().live_items(tseg).map(|_| ())));
+        assert!(is_corrupt(
+            highlight::tcleaner::clean_volume(&mut hl, 0).map(|_| ())
+        ));
+
+        // End-of-medium relocation, handed the same image.
+        let mut image = vec![0u8; map.blocks_per_seg as usize * hl_vdev::BLOCK_SIZE];
+        rig.disk.peek(line_at as u64, &mut image).unwrap();
+        let moved = hl
+            .lfs()
+            .relocate_tertiary_segment(&mut image, tseg, map.tert_seg(1, 0));
+        assert!(is_corrupt(moved.map(|_| ())));
+    }
+}

@@ -138,7 +138,7 @@ impl Lfs {
         // Pass 2: per-inode pointer sanity + duplicate block detection +
         // link counts.
         let mut owners: HashMap<BlockAddr, (Ino, i64)> = HashMap::new();
-        let inos: Vec<Ino> = (0..self.imap_len() as Ino)
+        let inos: Vec<Ino> = (0..self.imap.len() as Ino)
             .filter(|&i| self.imap_entry_allocated(i))
             .collect();
         for ino in inos {
@@ -195,12 +195,12 @@ impl Lfs {
             for l in 0..nblocks {
                 let lb = LBlock::Data(l as u32);
                 let addr = self.bmap(ino, lb)?;
-                let valid = addr == UNASSIGNED || self.addr_mappable(addr);
+                let valid = addr == UNASSIGNED || self.amap.seg_of(addr).is_some();
                 claim(&mut report, &mut owners, valid, addr, lb.encode());
             }
             for lb in [LBlock::Ind1, LBlock::Ind2] {
                 let addr = self.bmap(ino, lb)?;
-                let valid = addr == UNASSIGNED || self.addr_mappable(addr);
+                let valid = addr == UNASSIGNED || self.amap.seg_of(addr).is_some();
                 claim(&mut report, &mut owners, valid, addr, lb.encode());
             }
         }
@@ -208,13 +208,16 @@ impl Lfs {
         // Pass 3: free-inode list integrity.
         {
             let mut seen = HashSet::new();
-            let mut cur = self.free_head_public();
+            let mut cur = self.free_head;
             while cur != UNASSIGNED {
                 if !seen.insert(cur) || self.imap_entry_allocated(cur) {
                     report.findings.push(Finding::BrokenFreeList { at: cur });
                     break;
                 }
-                cur = self.free_next_public(cur);
+                cur = self
+                    .imap
+                    .get(cur as usize)
+                    .map_or(UNASSIGNED, |e| e.free_next);
             }
         }
 
@@ -259,7 +262,7 @@ impl Lfs {
                 }
             }
         }
-        let orphans: Vec<Ino> = (0..self.imap_len() as Ino)
+        let orphans: Vec<Ino> = (0..self.imap.len() as Ino)
             .filter(|&i| self.imap_entry_allocated(i) && !reached.contains(&i))
             .collect();
         let mut reaped = 0;
@@ -275,40 +278,10 @@ impl Lfs {
         Ok(reaped)
     }
 
-    /// `true` if the inode-map entry is allocated.
-    pub fn imap_entry_allocated(&self, ino: Ino) -> bool {
-        self.inode_home(ino).is_some() || self.has_incore_inode(ino)
-    }
-
-    pub(crate) fn has_incore_inode(&self, ino: Ino) -> bool {
-        self.inodes
-            .get(&ino)
-            .map(|i| i.d.nlink > 0)
-            .unwrap_or(false)
-    }
-
-    /// Inode-map length (for checkers and tools).
-    pub fn imap_len(&self) -> usize {
-        self.imap.len()
-    }
-
-    /// Free-list head (for checkers and tools).
-    pub fn free_head_public(&self) -> Ino {
-        self.free_head
-    }
-
-    /// Free-list successor of a free inode.
-    pub fn free_next_public(&self, ino: Ino) -> Ino {
-        self.imap
-            .get(ino as usize)
-            .map(|e| e.free_next)
-            .unwrap_or(UNASSIGNED)
-    }
-
-    /// `true` if `addr` falls in a mapped segment (not boot area / dead
-    /// zone).
-    pub fn addr_mappable(&self, addr: BlockAddr) -> bool {
-        self.amap.seg_of(addr).is_some()
+    /// `true` if the inode-map entry is allocated (on media, or created
+    /// in core and not yet written).
+    fn imap_entry_allocated(&self, ino: Ino) -> bool {
+        self.inode_home(ino).is_some() || self.inodes.get(&ino).is_some_and(|i| i.d.nlink > 0)
     }
 }
 

@@ -268,7 +268,7 @@ impl Lfs {
         hooks: Rc<dyn TertiaryHooks>,
         cfg: LfsConfig,
     ) -> Result<Lfs> {
-        crate::recovery::mount_impl(dev, amap, hooks, cfg)
+        Ok(crate::recovery::mount_with_report(dev, amap, hooks, cfg)?.0)
     }
 
     // -----------------------------------------------------------------

@@ -469,6 +469,9 @@ impl SegSummary {
                 blocks,
             });
         }
+        if off + 4 * ninos > buf.len() {
+            return Err(LfsError::Corrupt("truncated inode address list"));
+        }
         let mut inode_addrs = Vec::with_capacity(ninos);
         let mut back = buf.len();
         for _ in 0..ninos {
@@ -631,6 +634,19 @@ mod tests {
         assert_ne!(cksum(&[1, 2, 3, 4]), cksum(&[4, 3, 2, 1]));
         assert_ne!(cksum(&[0, 0, 1]), cksum(&[0, 1, 0]));
         assert_eq!(cksum(b"abc"), cksum(b"abc"));
+    }
+
+    #[test]
+    fn summary_with_a_forged_inode_count_is_corrupt_not_a_panic() {
+        let mut buf = vec![0u8; 512];
+        SegSummary::new(7, 9).encode(&mut buf, 0);
+        put_u16(&mut buf, 22, u16::MAX); // ss_ninos: far more than fit
+        let sumsum = cksum(&buf[4..]);
+        put_u32(&mut buf, 0, sumsum);
+        assert!(matches!(
+            SegSummary::decode(&buf),
+            Err(LfsError::Corrupt("truncated inode address list"))
+        ));
     }
 
     #[test]

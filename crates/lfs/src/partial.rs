@@ -33,9 +33,7 @@ use hl_vdev::BLOCK_SIZE;
 use crate::error::{LfsError, Result};
 use crate::fs::Lfs;
 use crate::ondisk::{Dinode, Finfo, SegSummary, FINFO_FIXED};
-use crate::types::{
-    BlockAddr, Ino, LBlock, DINODE_SIZE, IFILE_INO, INODES_PER_BLOCK, UNASSIGNED,
-};
+use crate::types::{BlockAddr, Ino, LBlock, DINODE_SIZE, IFILE_INO, INODES_PER_BLOCK, UNASSIGNED};
 
 /// The two superblock figures the format depends on.
 #[derive(Clone, Copy, Debug)]
@@ -129,7 +127,11 @@ impl PartialBuilder {
                 blocks: Vec::new(),
             });
         }
-        let fi = self.summary.finfos.last_mut().expect("just pushed or existing");
+        let fi = self
+            .summary
+            .finfos
+            .last_mut()
+            .expect("just pushed or existing");
         fi.blocks.push(lb.encode() as i32);
         if let LBlock::Data(l) = lb {
             // `fi_lastlength`: valid bytes of the file's final block.
@@ -267,16 +269,17 @@ impl Lfs {
         lb: LBlock,
         addr: BlockAddr,
     ) -> Result<bool> {
-        Ok(self.imap.get(ino as usize).map(|e| e.version) == Some(version)
-            && self.inode_home(ino).is_some()
-            && self.bmap(ino, lb)? == addr)
+        Ok(
+            self.imap.get(ino as usize).map(|e| e.version) == Some(version)
+                && self.inode_home(ino).is_some()
+                && self.bmap(ino, lb)? == addr,
+        )
     }
 
     /// `true` if the dinode `d`, found in the inode block at `iaddr`, is
     /// its inode's current copy.
     pub(crate) fn inode_is_live(&self, d: &Dinode, iaddr: BlockAddr) -> bool {
-        self.inode_home(d.inumber) == Some(iaddr)
-            && self.imap[d.inumber as usize].version == d.gen
+        self.inode_home(d.inumber) == Some(iaddr) && self.imap[d.inumber as usize].version == d.gen
     }
 }
 
@@ -317,7 +320,13 @@ impl Partial {
             return Err(LfsError::Corrupt("partial segment overruns its segment"));
         }
         let first = self.addr + 1 + self.summary.data_blocks() as u32;
-        if !self.summary.inode_addrs.iter().copied().eq(first..self.end()) {
+        if !self
+            .summary
+            .inode_addrs
+            .iter()
+            .copied()
+            .eq(first..self.end())
+        {
             return Err(LfsError::Corrupt("inode address outside its partial"));
         }
         Ok(())

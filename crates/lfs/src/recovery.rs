@@ -39,16 +39,6 @@ pub struct RecoveryReport {
     pub inodes_recovered: u32,
 }
 
-pub(crate) fn mount_impl(
-    dev: Rc<dyn BlockDev>,
-    amap: Rc<dyn AddressMap>,
-    hooks: Rc<dyn TertiaryHooks>,
-    cfg: LfsConfig,
-) -> Result<Lfs> {
-    let (fs, _report) = mount_with_report(dev, amap, hooks, cfg)?;
-    Ok(fs)
-}
-
 /// Mounts and additionally returns the [`RecoveryReport`].
 pub fn mount_with_report(
     dev: Rc<dyn BlockDev>,
