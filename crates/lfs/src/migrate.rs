@@ -86,9 +86,10 @@ impl Lfs {
             UNASSIGNED,
             self.tert_serial,
         );
-        let is_tertiary = |fs: &Lfs, addr: BlockAddr| {
+        // Tertiary, or unmappable (never a migration source either).
+        let off_disk = |fs: &Lfs, addr: BlockAddr| {
             let seg = fs.amap.seg_of(addr);
-            (seg.is_none_or(|s| !fs.amap.is_secondary(s)), seg)
+            seg.is_none_or(|s| !fs.amap.is_secondary(s))
         };
 
         // Select the prefix that is migratable and fits.
@@ -105,18 +106,20 @@ impl Lfs {
                         true
                     } else {
                         let addr = self.bmap(ino, lb)?;
-                        let (tertiary, seg) = is_tertiary(self, addr);
-                        // A hole; or already tertiary (or unmappable),
-                        // which only the tertiary cleaner may ask for.
+                        // A hole; or already tertiary, which only the
+                        // tertiary cleaner may ask for (and never out of
+                        // the segment being filled).
                         addr == UNASSIGNED
-                            || (tertiary && (!allow_tertiary_src || seg == Some(staging.seg)))
+                            || (off_disk(self, addr)
+                                && (!allow_tertiary_src
+                                    || self.amap.seg_of(addr) == Some(staging.seg)))
                             || partial.try_add_block(self, ino, lb, addr)?.is_some()
                     }
                 }
                 MigrateItem::Inode(ino) => match self.inode_home(ino) {
                     None => true,
                     Some(_) if partial.has_inode(ino) => true,
-                    Some(daddr) if is_tertiary(self, daddr).0 && !allow_tertiary_src => true,
+                    Some(daddr) if off_disk(self, daddr) && !allow_tertiary_src => true,
                     Some(_) => partial.try_add_inode(self, ino),
                 },
             };

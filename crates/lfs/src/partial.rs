@@ -437,15 +437,16 @@ impl<'a> Iterator for Walk<'a> {
             rest.get(BLOCK_SIZE..(1 + partial.nblocks() as usize) * BLOCK_SIZE)
                 .ok_or(LfsError::Corrupt("segment image shorter than its partials"))
         });
-        let payload = match payload {
-            Ok(payload) => payload,
+        Some(match payload {
+            Ok(payload) => {
+                self.min_serial = partial.summary.serial.saturating_add(1);
+                self.off = off + 1 + partial.nblocks();
+                Ok((partial, payload))
+            }
             Err(e) => {
                 self.off = self.geo.bps; // fused: nothing follows a corrupt partial
-                return Some(Err(e));
+                Err(e)
             }
-        };
-        self.min_serial = partial.summary.serial.saturating_add(1);
-        self.off = off + 1 + partial.nblocks();
-        Some(Ok((partial, payload)))
+        })
     }
 }
