@@ -308,11 +308,7 @@ impl Lfs {
             let mut ordered = blocks.clone();
             ordered.sort_by_key(|&lb| stream_rank(lb));
             for lb in ordered {
-                let old = self
-                    .cache
-                    .get(*ino, lb)
-                    .map(|b| b.addr)
-                    .unwrap_or(UNASSIGNED);
+                let old = self.cache.get(*ino, lb).map_or(UNASSIGNED, |b| b.addr);
                 let addr = loop {
                     match partial.try_add_block(self, *ino, lb, old)? {
                         Some(addr) => break addr,
