@@ -371,7 +371,7 @@ impl Ffs {
         }
         let buf = self.cache.get_mut(ino, parent).expect("materialized");
         ondisk::put_u32(&mut buf.data, idx * 4, addr);
-        buf.dirty = true;
+        self.cache.mark_dirty(ino, parent);
         Ok(())
     }
 
@@ -441,12 +441,7 @@ impl Ffs {
     /// Elevator flush: sorts dirty blocks by device address and writes
     /// coalesced runs.
     fn flush_data(&mut self) -> Result<()> {
-        let mut dirty: Vec<(Ino, LBlock, BlockAddr)> = self
-            .cache
-            .iter_meta()
-            .filter(|&(_, _, _, d)| d)
-            .map(|(ino, lb, addr, _)| (ino, lb, addr))
-            .collect();
+        let mut dirty: Vec<(Ino, LBlock, BlockAddr)> = self.cache.dirty_blocks().collect();
         debug_assert!(
             dirty.iter().all(|&(_, _, a)| a != UNASSIGNED),
             "FFS dirty block without an assigned address"
@@ -558,7 +553,7 @@ impl Ffs {
             self.ensure_block(dino, LBlock::Data(l))?;
             let buf = self.cache.get_mut(dino, LBlock::Data(l)).expect("ensured");
             if dir::add(&mut buf.data, name, ino, kind)? {
-                buf.dirty = true;
+                self.cache.mark_dirty(dino, LBlock::Data(l));
                 return Ok(());
             }
         }
@@ -630,7 +625,7 @@ impl Ffs {
             self.ensure_block(dino, LBlock::Data(l))?;
             let buf = self.cache.get_mut(dino, LBlock::Data(l)).expect("ensured");
             if dir::remove(&mut buf.data, name).is_some() {
-                buf.dirty = true;
+                self.cache.mark_dirty(dino, LBlock::Data(l));
                 removed = true;
                 break;
             }
@@ -742,8 +737,8 @@ impl Ffs {
             }
             let buf = self.cache.get_mut(ino, lb).expect("present");
             buf.data[off_in..off_in + n].copy_from_slice(&data[done..done + n]);
-            buf.dirty = true;
             buf.addr = addr;
+            self.cache.mark_dirty(ino, lb);
             done += n;
             self.balance()?;
         }

@@ -60,7 +60,7 @@ impl Lfs {
                 continue;
             }
             match self.cache.get(ino, lb) {
-                Some(b) if b.dirty => continue,
+                Some(b) if b.is_dirty() => continue,
                 Some(_) => {
                     self.cache.mark_dirty(ino, lb);
                 }

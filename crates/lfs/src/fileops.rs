@@ -50,8 +50,7 @@ impl Lfs {
         }
         let nblocks = d.size.div_ceil(BLOCK_SIZE as u64) as u32;
         for l in 0..nblocks {
-            self.ensure_block(dino, LBlock::Data(l))?;
-            let buf = self.cache.get(dino, LBlock::Data(l)).expect("ensured");
+            let buf = self.ensure_block(dino, LBlock::Data(l))?;
             if let Some(hit) = dir::find(&buf.data, name) {
                 return Ok(Some(hit));
             }
@@ -70,10 +69,9 @@ impl Lfs {
         let d = self.iget(dino)?.d;
         let nblocks = d.size.div_ceil(BLOCK_SIZE as u64) as u32;
         for l in 0..nblocks {
-            self.ensure_block(dino, LBlock::Data(l))?;
-            let buf = self.cache.get_mut(dino, LBlock::Data(l)).expect("ensured");
+            let buf = self.ensure_block(dino, LBlock::Data(l))?;
             if dir::add(&mut buf.data, name, ino, kind)? {
-                buf.dirty = true;
+                self.cache.mark_dirty(dino, LBlock::Data(l));
                 let now = self.now();
                 let di = self.iget_mut(dino)?;
                 di.d.mtime = now;
@@ -108,10 +106,9 @@ impl Lfs {
         let d = self.iget(dino)?.d;
         let nblocks = d.size.div_ceil(BLOCK_SIZE as u64) as u32;
         for l in 0..nblocks {
-            self.ensure_block(dino, LBlock::Data(l))?;
-            let buf = self.cache.get_mut(dino, LBlock::Data(l)).expect("ensured");
+            let buf = self.ensure_block(dino, LBlock::Data(l))?;
             if let Some(ino) = dir::remove(&mut buf.data, name) {
-                buf.dirty = true;
+                self.cache.mark_dirty(dino, LBlock::Data(l));
                 let now = self.now();
                 let di = self.iget_mut(dino)?;
                 di.d.mtime = now;
@@ -132,8 +129,7 @@ impl Lfs {
         let nblocks = d.size.div_ceil(BLOCK_SIZE as u64) as u32;
         let mut out = Vec::new();
         for l in 0..nblocks {
-            self.ensure_block(dino, LBlock::Data(l))?;
-            let buf = self.cache.get(dino, LBlock::Data(l)).expect("ensured");
+            let buf = self.ensure_block(dino, LBlock::Data(l))?;
             out.extend(dir::entries(&buf.data));
         }
         Ok(out)
@@ -228,8 +224,7 @@ impl Lfs {
         let d = self.iget(ino)?.d;
         let nblocks = d.size.div_ceil(BLOCK_SIZE as u64) as u32;
         for l in 0..nblocks {
-            self.ensure_block(ino, LBlock::Data(l))?;
-            let buf = self.cache.get(ino, LBlock::Data(l)).expect("ensured");
+            let buf = self.ensure_block(ino, LBlock::Data(l))?;
             if !dir::only_dots(&buf.data) {
                 return Err(LfsError::NotEmpty);
             }
@@ -264,11 +259,10 @@ impl Lfs {
         self.dir_add(tdino, tname, ino, kind)?;
         if kind == FileKind::Directory && sdino != tdino {
             // Repoint "..", and fix the parents' link counts.
-            self.ensure_block(ino, LBlock::Data(0))?;
-            let buf = self.cache.get_mut(ino, LBlock::Data(0)).expect("ensured");
+            let buf = self.ensure_block(ino, LBlock::Data(0))?;
             dir::remove(&mut buf.data, "..");
             dir::add(&mut buf.data, "..", tdino, FileKind::Directory)?;
-            buf.dirty = true;
+            self.cache.mark_dirty(ino, LBlock::Data(0));
             self.iget_mut(sdino)?.d.nlink -= 1;
             self.idirty(sdino);
             self.iget_mut(tdino)?.d.nlink += 1;
@@ -300,14 +294,13 @@ impl Lfs {
     /// (short at end of file).
     pub fn read(&mut self, ino: Ino, offset: u64, buf: &mut [u8]) -> Result<usize> {
         self.charge_cpu(self.cfg.cpu.per_op);
-        let (size, now) = {
+        let size = {
             let now = self.now();
             let i = self.iget_mut(ino)?;
             i.d.atime = now;
             i.atime_dirty = true;
-            (i.d.size, now)
+            i.d.size
         };
-        let _ = now;
         if offset >= size {
             return Ok(0);
         }
@@ -318,8 +311,7 @@ impl Lfs {
             let l = (pos / BLOCK_SIZE as u64) as u32;
             let off_in = (pos % BLOCK_SIZE as u64) as usize;
             let n = (BLOCK_SIZE - off_in).min(want - done);
-            self.ensure_block(ino, LBlock::Data(l))?;
-            let src = self.cache.get(ino, LBlock::Data(l)).expect("ensured");
+            let src = self.ensure_block(ino, LBlock::Data(l))?;
             buf[done..done + n].copy_from_slice(&src.data[off_in..off_in + n]);
             self.seq_hint.insert(ino, l + 1);
             done += n;
@@ -345,28 +337,30 @@ impl Lfs {
             let n = (BLOCK_SIZE - off_in).min(data.len() - done);
             let lb = LBlock::Data(l);
 
-            let cached = self.cache.get(ino, lb).is_some();
-            if cached {
-                let buf = self.cache.get_mut(ino, lb).expect("checked");
-                buf.data[off_in..off_in + n].copy_from_slice(&data[done..done + n]);
-                buf.dirty = true;
+            let src = &data[done..done + n];
+            if let Some(buf) = self.cache.get_mut(ino, lb) {
+                buf.data[off_in..off_in + n].copy_from_slice(src);
+                self.cache.mark_dirty(ino, lb);
             } else {
                 let old = self.bmap(ino, lb)?;
                 let full_overwrite = n == BLOCK_SIZE;
                 let within = (l as u64) < size.div_ceil(BLOCK_SIZE as u64);
                 if !full_overwrite && within && old != UNASSIGNED {
                     // Read-modify-write of an existing block.
-                    self.ensure_block(ino, lb)?;
-                    let buf = self.cache.get_mut(ino, lb).expect("ensured");
-                    buf.data[off_in..off_in + n].copy_from_slice(&data[done..done + n]);
-                    buf.dirty = true;
+                    let buf = self.ensure_block(ino, lb)?;
+                    buf.data[off_in..off_in + n].copy_from_slice(src);
+                    self.cache.mark_dirty(ino, lb);
                 } else {
                     // Fresh block (or full overwrite: no need to read the
                     // old copy; keep its address for live accounting).
-                    let mut blk = vec![0u8; BLOCK_SIZE];
-                    blk[off_in..off_in + n].copy_from_slice(&data[done..done + n]);
-                    self.cache
-                        .insert(ino, lb, blk.into_boxed_slice(), true, old);
+                    let blk: Box<[u8]> = if full_overwrite {
+                        src.into()
+                    } else {
+                        let mut blk = vec![0u8; BLOCK_SIZE];
+                        blk[off_in..off_in + n].copy_from_slice(src);
+                        blk.into_boxed_slice()
+                    };
+                    self.cache.insert(ino, lb, blk, true, old);
                     if old == UNASSIGNED {
                         let i = self.iget_mut(ino)?;
                         i.d.blocks += 1;
@@ -418,12 +412,11 @@ impl Lfs {
             let l = (new_size / BLOCK_SIZE as u64) as u32;
             let cut = (new_size % BLOCK_SIZE as u64) as usize;
             if self.bmap(ino, LBlock::Data(l))? != UNASSIGNED
-                || self.cache.get(ino, LBlock::Data(l)).is_some()
+                || self.cache.contains(ino, LBlock::Data(l))
             {
-                self.ensure_block(ino, LBlock::Data(l))?;
-                let buf = self.cache.get_mut(ino, LBlock::Data(l)).expect("ensured");
+                let buf = self.ensure_block(ino, LBlock::Data(l))?;
                 buf.data[cut..].fill(0);
-                buf.dirty = true;
+                self.cache.mark_dirty(ino, LBlock::Data(l));
             }
         }
         let now = self.now();

@@ -22,7 +22,7 @@ use std::rc::Rc;
 use hl_sim::time::SimTime;
 use hl_vdev::{BlockDev, BLOCK_SIZE};
 
-use crate::buffer::BufCache;
+use crate::buffer::{Buf, BufCache};
 use crate::config::{AddressMap, LfsConfig, TertiaryHooks};
 use crate::error::{LfsError, Result};
 use crate::ondisk::{Dinode, IfileEntry, SegUse, Superblock};
@@ -465,6 +465,8 @@ impl Lfs {
         self.free_head = ino;
         self.inodes.remove(&ino);
         self.cache.remove_file(ino);
+        // A recycled inode number must not inherit the read-ahead hint.
+        self.seq_hint.remove(&ino);
         if old_daddr != UNASSIGNED {
             // The dead dinode's bytes stop being live.
             self.live_delta(old_daddr, -(crate::types::DINODE_SIZE as i64));
@@ -530,11 +532,10 @@ impl Lfs {
             PointerHome::InodeIndirect(i) => Ok(self.iget(ino)?.d.ib[i]),
             PointerHome::InBlock(parent, idx) => {
                 let paddr = self.bmap(ino, parent)?;
-                if paddr == UNASSIGNED && self.cache.get(ino, parent).is_none() {
+                if paddr == UNASSIGNED && !self.cache.contains(ino, parent) {
                     return Ok(UNASSIGNED);
                 }
-                self.ensure_block(ino, parent)?;
-                let buf = self.cache.get(ino, parent).expect("ensured indirect block");
+                let buf = self.ensure_block(ino, parent)?;
                 Ok(crate::ondisk::get_u32(&buf.data, idx * 4))
             }
             PointerHome::TooBig => Err(LfsError::FileTooBig),
@@ -559,67 +560,67 @@ impl Lfs {
                 Ok(())
             }
             PointerHome::InBlock(parent, idx) => {
-                self.ensure_indirect(ino, parent)?;
-                let buf = self
-                    .cache
-                    .get_mut(ino, parent)
-                    .expect("ensured indirect block");
+                let buf = self.ensure_indirect(ino, parent)?;
                 crate::ondisk::put_u32(&mut buf.data, idx * 4, addr);
-                buf.dirty = true;
+                self.cache.mark_dirty(ino, parent);
                 Ok(())
             }
             PointerHome::TooBig => Err(LfsError::FileTooBig),
         }
     }
 
-    /// Ensures an indirect block exists in cache, materializing an
-    /// all-`UNASSIGNED` block for holes.
-    fn ensure_indirect(&mut self, ino: Ino, lb: LBlock) -> Result<()> {
-        if self.cache.get(ino, lb).is_some() {
-            return Ok(());
-        }
-        let addr = match self.pointer_home(lb) {
-            PointerHome::InodeIndirect(i) => self.iget(ino)?.d.ib[i],
-            PointerHome::InBlock(parent, idx) => {
-                self.ensure_indirect(ino, parent)?;
-                let buf = self.cache.get(ino, parent).expect("parent present");
-                crate::ondisk::get_u32(&buf.data, idx * 4)
+    /// An indirect block from the buffer cache, read in on a miss — or,
+    /// for a hole, materialized all-`UNASSIGNED`.
+    fn ensure_indirect(&mut self, ino: Ino, lb: LBlock) -> Result<&mut Buf> {
+        if !self.cache.contains(ino, lb) {
+            let addr = match self.pointer_home(lb) {
+                PointerHome::InodeIndirect(i) => self.iget(ino)?.d.ib[i],
+                PointerHome::InBlock(parent, idx) => {
+                    crate::ondisk::get_u32(&self.ensure_indirect(ino, parent)?.data, idx * 4)
+                }
+                _ => unreachable!("indirect blocks only"),
+            };
+            if addr == UNASSIGNED {
+                // Fresh indirect block: every pointer unassigned.
+                let mut blk = vec![0u8; BLOCK_SIZE];
+                for i in 0..NPTR {
+                    crate::ondisk::put_u32(&mut blk, i * 4, UNASSIGNED);
+                }
+                self.cache
+                    .insert(ino, lb, blk.into_boxed_slice(), true, UNASSIGNED);
+                // A new metadata block joins the file's block count.
+                let inode = self.iget_mut(ino)?;
+                inode.d.blocks += 1;
+                inode.dirty = true;
+            } else {
+                let blk = self.read_raw(addr, 1)?;
+                self.charge_cpu(self.cfg.cpu.read_block);
+                self.stats.cache_misses += 1;
+                self.cache
+                    .insert(ino, lb, blk.into_boxed_slice(), false, addr);
             }
-            _ => unreachable!("indirect blocks only"),
-        };
-        if addr == UNASSIGNED {
-            // Fresh indirect block: every pointer unassigned.
-            let mut blk = vec![0u8; BLOCK_SIZE];
-            for i in 0..NPTR {
-                crate::ondisk::put_u32(&mut blk, i * 4, UNASSIGNED);
-            }
-            self.cache
-                .insert(ino, lb, blk.into_boxed_slice(), true, UNASSIGNED);
-            // A new metadata block joins the file's block count.
-            let inode = self.iget_mut(ino)?;
-            inode.d.blocks += 1;
-            inode.dirty = true;
-        } else {
-            let blk = self.read_raw(addr, 1)?;
-            self.charge_cpu(self.cfg.cpu.read_block);
-            self.stats.cache_misses += 1;
-            self.cache
-                .insert(ino, lb, blk.into_boxed_slice(), false, addr);
         }
-        Ok(())
+        Ok(self.cache.get_mut(ino, lb).expect("just ensured"))
     }
 
-    /// Ensures `(ino, lb)` is resident in the buffer cache, performing a
-    /// clustered read on a miss (read clustering, §7: "LFS uses the same
-    /// read-clustering code" as the clustered FFS).
-    pub(crate) fn ensure_block(&mut self, ino: Ino, lb: LBlock) -> Result<()> {
-        if self.cache.get(ino, lb).is_some() {
+    /// `(ino, lb)` from the buffer cache, performing a clustered read on
+    /// a miss (read clustering, §7: "LFS uses the same read-clustering
+    /// code" as the clustered FFS). The block comes back refreshed after
+    /// any read-ahead inserted behind it.
+    pub(crate) fn ensure_block(&mut self, ino: Ino, lb: LBlock) -> Result<&mut Buf> {
+        if self.cache.contains(ino, lb) {
             self.stats.cache_hits += 1;
-            return Ok(());
-        }
-        if lb.is_indirect() {
+        } else if let LBlock::Data(l0) = lb {
+            self.read_cluster(ino, l0)?;
+        } else {
             return self.ensure_indirect(ino, lb);
         }
+        Ok(self.cache.get_mut(ino, lb).expect("just ensured"))
+    }
+
+    /// The miss half of [`Lfs::ensure_block`] for data block `l0`.
+    fn read_cluster(&mut self, ino: Ino, l0: u32) -> Result<()> {
+        let lb = LBlock::Data(l0);
         self.stats.cache_misses += 1;
         let addr = self.bmap(ino, lb)?;
         if addr == UNASSIGNED {
@@ -638,7 +639,6 @@ impl Lfs {
         // physically contiguous, uncached, and within the file — but
         // only for detected-sequential access; a random read fetches a
         // single block.
-        let LBlock::Data(l0) = lb else { unreachable!() };
         let size_blocks = {
             let d = &self.iget(ino)?.d;
             d.size.div_ceil(BLOCK_SIZE as u64)
@@ -680,7 +680,7 @@ impl Lfs {
             self.cache.insert(
                 ino,
                 LBlock::Data(l0 + i),
-                buf[start..start + BLOCK_SIZE].to_vec().into_boxed_slice(),
+                buf[start..start + BLOCK_SIZE].into(),
                 false,
                 addr + i,
             );
@@ -800,7 +800,7 @@ impl Lfs {
                     let child = {
                         // A dirty cached child supersedes the media copy.
                         match self.cache.get(ino, LBlock::Ind2Child(k as u32)) {
-                            Some(b) if b.dirty => Some(b.data.to_vec()),
+                            Some(b) if b.is_dirty() => Some(b.data.to_vec()),
                             _ => None,
                         }
                     };
@@ -834,7 +834,7 @@ impl Lfs {
     /// present (freshest pointers), else an untimed media peek.
     fn audit_indirect(&mut self, ino: Ino, lb: LBlock, addr: BlockAddr) -> Result<Vec<u8>> {
         if let Some(b) = self.cache.get(ino, lb) {
-            if b.dirty {
+            if b.is_dirty() {
                 return Ok(b.data.to_vec());
             }
         }

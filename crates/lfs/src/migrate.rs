@@ -101,7 +101,8 @@ impl Lfs {
                     // pointer patches is still fair game (its serialized
                     // content is read post-patch from the cache).
                     if self.inode_home(ino).is_none()
-                        || (!lb.is_indirect() && self.cache.get(ino, lb).is_some_and(|b| b.dirty))
+                        || (!lb.is_indirect()
+                            && self.cache.get(ino, lb).is_some_and(|b| b.is_dirty()))
                     {
                         true
                     } else {

@@ -132,13 +132,7 @@ pub fn mount_with_report(
 /// Parses the on-disk ifile into the in-core tables.
 fn load_ifile(fs: &mut Lfs) -> Result<()> {
     // Block 0: cleaner info.
-    fs.ensure_block(IFILE_INO, LBlock::Data(0))?;
-    let b0 = fs
-        .cache
-        .get(IFILE_INO, LBlock::Data(0))
-        .expect("ensured")
-        .data
-        .clone();
+    let b0 = fs.ensure_block(IFILE_INO, LBlock::Data(0))?.data.clone();
     fs.free_head = crate::ondisk::get_u32(&b0, 4);
     let ninodes = crate::ondisk::get_u32(&b0, 8) as usize;
     let nsegs = crate::ondisk::get_u32(&b0, 12);
@@ -149,13 +143,8 @@ fn load_ifile(fs: &mut Lfs) -> Result<()> {
     // Segment usage table.
     let su_blocks = (fs.sb.nsegs as usize).div_ceil(SEGUSE_PER_BLOCK);
     for bi in 0..su_blocks {
-        fs.ensure_block(IFILE_INO, LBlock::Data(1 + bi as u32))?;
-        let blk = fs
-            .cache
-            .get(IFILE_INO, LBlock::Data(1 + bi as u32))
-            .expect("ensured")
-            .data
-            .clone();
+        let l = 1 + bi as u32;
+        let blk = fs.ensure_block(IFILE_INO, LBlock::Data(l))?.data.clone();
         for slot in 0..SEGUSE_PER_BLOCK {
             let seg = bi * SEGUSE_PER_BLOCK + slot;
             if seg >= fs.sb.nsegs as usize {
@@ -170,13 +159,7 @@ fn load_ifile(fs: &mut Lfs) -> Result<()> {
     fs.imap = Vec::with_capacity(ninodes);
     for bi in 0..im_blocks {
         let l = (1 + su_blocks + bi) as u32;
-        fs.ensure_block(IFILE_INO, LBlock::Data(l))?;
-        let blk = fs
-            .cache
-            .get(IFILE_INO, LBlock::Data(l))
-            .expect("ensured")
-            .data
-            .clone();
+        let blk = fs.ensure_block(IFILE_INO, LBlock::Data(l))?.data.clone();
         for slot in 0..IFENT_PER_BLOCK {
             if fs.imap.len() >= ninodes {
                 break;

@@ -148,11 +148,12 @@ impl Lfs {
     /// Replaces one logical block of the ifile with fresh dirty contents.
     fn put_ifile_block(&mut self, l: u32, data: Vec<u8>) -> Result<()> {
         let lb = LBlock::Data(l);
-        let old = match self.cache.get(IFILE_INO, lb) {
-            Some(b) => b.addr,
+        let cached = self.cache.get(IFILE_INO, lb).map(|b| b.addr);
+        let old = match cached {
+            Some(addr) => addr,
             None => self.bmap(IFILE_INO, lb)?,
         };
-        let was_hole = old == UNASSIGNED && self.cache.get(IFILE_INO, lb).is_none();
+        let was_hole = old == UNASSIGNED && cached.is_none();
         self.cache
             .insert(IFILE_INO, lb, data.into_boxed_slice(), true, old);
         if was_hole {
@@ -208,11 +209,8 @@ impl Lfs {
                 for lb in blocks {
                     match self.pointer_home(lb) {
                         crate::fs::PointerHome::InBlock(parent, _) => {
-                            let parent_dirty = self
-                                .cache
-                                .get(ino, parent)
-                                .map(|b| b.dirty)
-                                .unwrap_or(false);
+                            let parent_dirty =
+                                self.cache.get(ino, parent).is_some_and(|b| b.is_dirty());
                             if !parent_dirty {
                                 // Materialize and dirty the parent.
                                 self.ensure_block(ino, parent)?;

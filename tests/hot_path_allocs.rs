@@ -1,7 +1,8 @@
 //! The two structures every simulated event passes through — the
 //! scheduler's run queue and the tracer's digest — allocate nothing in
-//! steady state. Exact counts, so the day a `format!` or a per-step
-//! `Vec` creeps back this goes red.
+//! steady state, and the structure every file block passes through — the
+//! buffer cache — allocates only the block. Exact counts, so the day a
+//! `format!` or a per-step `Vec` creeps back this goes red.
 //!
 //! A binary of its own: it installs a counting global allocator. The
 //! count is per thread, so the harness's other threads cannot disturb it.
@@ -9,6 +10,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use hl_lfs::buffer::BufCache;
+use hl_lfs::LBlock;
 use hl_sim::{Actor, ActorId, Scheduler, SimTime, Step, Waker};
 use hl_trace::{Class, Tracer};
 
@@ -156,5 +159,48 @@ fn ten_thousand_park_wake_queuing_emits_past_the_cap_allocate_nothing() {
         }
     });
     assert_eq!(tracer.dropped() - dropped, 10_000);
+    assert_eq!(allocs, 0);
+}
+
+/// A buffer-cache miss on a full cache: the incoming block's box goes in,
+/// the least recently used block goes out.
+fn miss(cache: &mut BufCache, l: u32) {
+    let block = vec![0u8; 4096].into_boxed_slice();
+    cache.insert(1, LBlock::Data(l), block, false, l);
+    cache.shrink_to_capacity();
+}
+
+#[test]
+fn a_warm_buffer_cache_allocates_the_incoming_block_and_nothing_else() {
+    // The paper's 3.2 MB cache.
+    const BLOCKS: u32 = 800;
+    let mut cache = BufCache::new(BLOCKS as u64 * 4096, 4096);
+    // Warm-up: the slab reaches capacity + 1 slots and the index its
+    // steady table; from here every miss reuses the slot just freed.
+    let warm = 10 * BLOCKS;
+    for l in 0..warm {
+        miss(&mut cache, l);
+    }
+    assert_eq!(cache.len(), BLOCKS as usize);
+
+    let allocs = allocs_during(|| {
+        for l in warm..warm + 10_000 {
+            miss(&mut cache, l);
+        }
+    });
+    assert_eq!(allocs, 10_000, "one box per miss: no node, no growth");
+    assert_eq!(cache.len(), BLOCKS as usize);
+
+    // Hits, and a block's trip to the dirty list and back.
+    let newest = warm + 10_000 - 1;
+    let allocs = allocs_during(|| {
+        for i in 0..10_000 {
+            let lb = LBlock::Data(newest - i % BLOCKS);
+            assert!(cache.get(1, lb).is_some());
+            assert!(cache.get_mut(1, lb).is_some());
+            cache.mark_dirty(1, lb);
+            cache.mark_clean(1, lb, i);
+        }
+    });
     assert_eq!(allocs, 0);
 }
