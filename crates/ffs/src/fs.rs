@@ -897,6 +897,40 @@ mod tests {
         assert_eq!(back, data);
     }
 
+    /// Byte pin of a file that reaches `Ind2Child(1)` (2 305 data blocks
+    /// + 4 indirect): every block the life leaves on the device, the
+    /// simulated clock, and the allocator back where it started.
+    #[test]
+    fn nine_megabyte_life_matches_the_pinned_image() {
+        let (dev, clock) = fixture(20_000);
+        Ffs::mkfs(dev.clone(), FfsConfig::paper(clock.clone())).unwrap();
+        let mut fs = Ffs::mount(dev.clone(), FfsConfig::paper(clock.clone())).unwrap();
+        let free0 = fs.free_blocks();
+        let ino = fs.create("/deep").unwrap();
+        let data = patterned(9 * 1024 * 1024 + 777, 8);
+        fs.write(ino, 0, &data).unwrap();
+        fs.sync().unwrap();
+        assert_eq!(fs.stat(ino).unwrap().blocks, 2_309);
+        assert_eq!(fs.free_blocks(), free0 - 2_309);
+        fs.drop_caches();
+        let mut back = vec![0u8; data.len()];
+        assert_eq!(fs.read(ino, 0, &mut back).unwrap(), data.len());
+        assert!(back == data, "read-back diverged");
+        fs.unlink("/deep").unwrap();
+        fs.sync().unwrap();
+        assert_eq!(fs.free_blocks(), free0);
+
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut block = vec![0u8; BLOCK_SIZE];
+        for b in 0..dev.nblocks() {
+            dev.peek(b, &mut block).unwrap();
+            for &byte in &block {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        assert_eq!((digest, clock.now()), (0x5646_1507_0e9c_3edf, 19_443_650));
+    }
+
     #[test]
     fn sequential_write_runs_near_media_speed() {
         // Table 2 shape: FFS sequential writes ≈ raw disk write speed.

@@ -106,8 +106,9 @@ fn large_file_uses_indirect_blocks_and_round_trips() {
     let fx = Fixture::new(40);
     fx.mkfs();
     let mut fs = fx.mount();
-    // 4 MB: well past the 12 direct + into single+double indirect range.
-    let data = patterned(4 * 1024 * 1024 + 555, 7);
+    // 5 MB + 555 B = 1 281 blocks: past the 12 direct and the 1 024
+    // single-indirect blocks, 245 blocks into the double-indirect range.
+    let data = patterned(5 * 1024 * 1024 + 555, 7);
     let ino = fs.create("/big").expect("create");
     fs.write(ino, 0, &data).expect("write");
     fs.checkpoint().expect("checkpoint");
@@ -118,6 +119,7 @@ fn large_file_uses_indirect_blocks_and_round_trips() {
     assert_eq!(back, data, "indirect-addressed data corrupted");
     let st = fs.stat(ino).expect("stat");
     assert_eq!(st.size, data.len() as u64);
+    assert_eq!(st.blocks, 1_281 + 3, "data + Ind1 + Ind2 + Ind2Child(0)");
 }
 
 #[test]

@@ -6,7 +6,12 @@
 //! staging segment), the disk cleaner (`clean_once`), end-of-medium
 //! relocation (immediate and delayed copy-out), the tertiary cleaner
 //! (`tcleaner::clean_volume`), on-fetch rearrangement, and mount-time
-//! roll-forward (remounts, one of them without a checkpoint).
+//! roll-forward (remounts, one of them without a checkpoint). A second,
+//! deep script takes two files behind the double-indirect pointer — one
+//! dense, one with a hole spanning a whole level-1 block — through
+//! migration, refetch, tertiary cleaning, remount, a truncate across
+//! every boundary of the block-pointer tree and unlink, checking
+//! `hlfsck`, the live-byte audit and `stat.blocks` after every step.
 //!
 //! The digests are FNV-1a over the raw device bytes, so a change that
 //! moves a block, reorders a partial, bumps a serial differently or
@@ -30,25 +35,33 @@ struct Rig {
     clock: Clock,
     disk: Rc<Disk>,
     jukebox: Jukebox,
+    volumes: u32,
+    slots: u32,
 }
 
 impl Rig {
     fn new() -> Rig {
-        let jukebox = Jukebox::new(
-            JukeboxConfig {
-                volumes: VOLUMES,
-                segments_per_volume: SLOTS,
-                ..JukeboxConfig::hp6300_paper()
-            },
-            None,
-        );
+        let rig = Rig::sized(DISK_SEGS, VOLUMES, SLOTS);
         // Volume 0 "compresses badly": its second segment write reports
         // end-of-medium, forcing a staging-segment relocation (§6.3).
-        jukebox.set_effective_segments(0, 1);
+        rig.jukebox.set_effective_segments(0, 1);
+        rig
+    }
+
+    fn sized(disk_segs: u64, volumes: u32, slots: u32) -> Rig {
         Rig {
             clock: Clock::new(),
-            disk: Rc::new(Disk::new(DiskProfile::RZ57, 2 + DISK_SEGS * 256 + 5, None)),
-            jukebox,
+            disk: Rc::new(Disk::new(DiskProfile::RZ57, 2 + disk_segs * 256 + 5, None)),
+            jukebox: Jukebox::new(
+                JukeboxConfig {
+                    volumes,
+                    segments_per_volume: slots,
+                    ..JukeboxConfig::hp6300_paper()
+                },
+                None,
+            ),
+            volumes,
+            slots,
         }
     }
 
@@ -67,6 +80,33 @@ impl Rig {
             cfg,
         )
         .expect("mount")
+    }
+
+    /// FNV-1a over every block of the disk; FNV-1a over `(vol, slot,
+    /// bytes)` of every written jukebox slot; the number of those.
+    fn media_digests(&self) -> (u64, u64, u32) {
+        let mut disk = FNV_SEED;
+        let mut block = vec![0u8; BLOCK_SIZE];
+        for b in 0..self.disk.nblocks() {
+            self.disk.peek(b, &mut block).expect("peek disk");
+            disk = fnv(disk, &block);
+        }
+        let mut media = FNV_SEED;
+        let mut slots_written = 0;
+        let mut seg = vec![0u8; self.jukebox.segment_bytes()];
+        for vol in 0..self.volumes {
+            for slot in 0..self.slots {
+                if !self.jukebox.segment_written(vol, slot) {
+                    continue;
+                }
+                self.jukebox
+                    .peek_segment(vol, slot, &mut seg)
+                    .expect("peek media");
+                media = fnv(fnv(media, &[vol as u8, slot as u8]), &seg);
+                slots_written += 1;
+            }
+        }
+        (disk, media, slots_written)
     }
 }
 
@@ -97,7 +137,7 @@ struct Pin {
     eom_events: u64,
     /// Simulated µs on the shared clock at the end.
     sim_now: u64,
-    /// FNV-1a over the four mount sessions' engine-trace digests.
+    /// FNV-1a over the mount sessions' engine-trace digests.
     trace: u64,
 }
 
@@ -265,27 +305,7 @@ fn scripted_life(copyout: CopyOutMode) -> Pin {
     trace = fnv(trace, &hl.tio().trace_digest().to_le_bytes());
     drop(hl);
 
-    let mut disk = FNV_SEED;
-    let mut block = vec![0u8; BLOCK_SIZE];
-    for b in 0..rig.disk.nblocks() {
-        rig.disk.peek(b, &mut block).expect("peek disk");
-        disk = fnv(disk, &block);
-    }
-    let mut media = FNV_SEED;
-    let mut slots_written = 0;
-    let mut seg = vec![0u8; rig.jukebox.segment_bytes()];
-    for vol in 0..VOLUMES {
-        for slot in 0..SLOTS {
-            if !rig.jukebox.segment_written(vol, slot) {
-                continue;
-            }
-            rig.jukebox
-                .peek_segment(vol, slot, &mut seg)
-                .expect("peek media");
-            media = fnv(fnv(media, &[vol as u8, slot as u8]), &seg);
-            slots_written += 1;
-        }
-    }
+    let (disk, media, slots_written) = rig.media_digests();
     Pin {
         disk,
         media,
@@ -322,6 +342,167 @@ fn delayed_copy_out_life_matches_the_pinned_image() {
             eom_events: 2,
             sim_now: 134_099_874,
             trace: 0x356a_be9c_2220_0771,
+        }
+    );
+}
+
+// ---------------------------------------------------------------------------
+// The deep half of the block-pointer tree: files that reach behind the
+// double-indirect pointer (block 1 036 on), through every consumer of
+// the tree's shape — writer, migrator, cleaner liveness, fsck, the
+// live-byte audit, truncate and unlink.
+// ---------------------------------------------------------------------------
+
+const MB: u64 = 1 << 20;
+/// 2 305 data blocks: 245 of them under `Ind2Child(1)`.
+const DENSE_LEN: usize = 9 * MB as usize + 777;
+/// 74 blocks at 5 MB (under `Ind2Child(0)`) and 74 at 13 MB (under
+/// `Ind2Child(2)`); nothing under child 1, `Ind1` or the inode.
+const SPARSE_RUN: usize = 300_000;
+const SPARSE_AT: [u64; 2] = [5 * MB, 13 * MB];
+
+/// After every step: `hlfsck` clean, the usage table equal to a fresh
+/// audit, and each file's `blocks` equal to the hand count.
+fn check_deep(hl: &mut HighLight, step: &str, blocks: &[(&str, u32)]) {
+    let fsck = hl.fsck().expect("fsck");
+    assert!(fsck.clean(), "{step}: {}", fsck.render());
+    let audited = hl.lfs().audit_live_bytes().expect("audit");
+    for seg in 0..hl.lfs().nsegs() {
+        let u = hl.lfs().seg_usage(seg);
+        if u.flags & hl_lfs::ondisk::seg_flags::CACHE == 0 {
+            assert_eq!(u.live_bytes, audited[seg as usize], "{step}: segment {seg}");
+        }
+    }
+    for &(path, want) in blocks {
+        let ino = hl.lookup(path).expect("lookup");
+        assert_eq!(hl.stat(ino).expect("stat").blocks, want, "{step}: {path}");
+    }
+}
+
+fn read_back(hl: &mut HighLight, path: &str, offset: u64, want: &[u8]) {
+    let ino = hl.lookup(path).expect("lookup");
+    let mut back = vec![0u8; want.len()];
+    assert_eq!(hl.read(ino, offset, &mut back).expect("read"), want.len());
+    assert!(back == want, "{path} diverged at {offset}");
+}
+
+fn deep_life() -> Pin {
+    let rig = Rig::sized(48, 4, 6);
+    let cfg = || rig.cfg(CopyOutMode::Immediate, RearrangeMode::Off);
+    HighLight::mkfs(
+        rig.disk.clone() as Rc<dyn BlockDev>,
+        Rc::new(rig.jukebox.clone()),
+        cfg(),
+    )
+    .expect("mkfs");
+    let dense = content(40, DENSE_LEN);
+    let sparse = [content(41, SPARSE_RUN), content(42, SPARSE_RUN)];
+    let mut trace = FNV_SEED;
+
+    {
+        let mut hl = rig.mount(cfg());
+        let ino = hl.create("/dense").expect("create");
+        hl.write(ino, 0, &dense).expect("write");
+        let ino = hl.create("/sparse").expect("create");
+        for (at, run) in SPARSE_AT.iter().zip(&sparse) {
+            hl.write(ino, *at, run).expect("write");
+        }
+        hl.sync().expect("sync");
+        // 2 305 data + Ind1 + Ind2 + two children; 148 data + Ind2 +
+        // two children.
+        let full = [("/dense", 2_309), ("/sparse", 151)];
+        check_deep(&mut hl, "written", &full);
+
+        // Everything out, inodes included, then back in from cold.
+        for path in ["/dense", "/sparse"] {
+            let stats = hl.migrate_file(path, true, None).expect("migrate");
+            assert_eq!(stats.inodes, 1, "{path}: inode migrated");
+        }
+        hl.sync().expect("sync");
+        check_deep(&mut hl, "migrated", &full);
+        hl.eject_all();
+        hl.drop_caches();
+        read_back(&mut hl, "/dense", 0, &dense);
+        for (at, run) in SPARSE_AT.iter().zip(&sparse) {
+            read_back(&mut hl, "/sparse", *at, run);
+        }
+        // The hole spanning all of child 1 reads as zeros.
+        read_back(&mut hl, "/sparse", 9 * MB, &[0u8; 8_192]);
+        check_deep(&mut hl, "refetched", &full);
+
+        // Tertiary cleaner: volume 0 is full; all of it is live.
+        let vol = select_victim_volume(&mut hl).expect("a full volume");
+        let report = clean_volume(&mut hl, vol).expect("clean_volume");
+        assert!(report.blocks_moved > 1_036, "moved {}", report.blocks_moved);
+        hl.checkpoint().expect("checkpoint");
+        check_deep(&mut hl, "tertiary-cleaned", &full);
+        trace = fnv(trace, &hl.tio().trace_digest().to_le_bytes());
+    }
+
+    let mut hl = rig.mount(cfg());
+    check_deep(&mut hl, "remounted", &[("/dense", 2_309), ("/sparse", 151)]);
+    // Down across every boundary: inside child 1, child 1 → child 0,
+    // inside child 0, double → single at block 1 036, inside the single
+    // indirect, single → direct at block 12, inside the direct blocks.
+    let ino = hl.lookup("/dense").expect("lookup");
+    let bs = BLOCK_SIZE as u64;
+    for (size, blocks) in [
+        (2_060 * bs + 100, 2_065),
+        (2_060 * bs, 2_063),
+        (8 * MB + 100, 2_052),
+        (1_041 * bs + 9, 1_045),
+        (1_036 * bs, 1_037),
+        (1_024 * bs, 1_025),
+        (13 * bs, 14),
+        (40_000, 10),
+        (0, 0),
+    ] {
+        hl.truncate(ino, size).expect("truncate");
+        hl.sync().expect("sync");
+        let step = format!("dense cut to {size}");
+        check_deep(&mut hl, &step, &[("/dense", blocks)]);
+        let keep = (size as usize).min(4_096);
+        read_back(&mut hl, "/dense", size - keep as u64, &dense[size as usize - keep..size as usize]);
+    }
+    // The sparse file loses child 2 and keeps child 0 whole.
+    let ino = hl.lookup("/sparse").expect("lookup");
+    hl.truncate(ino, 7 * MB).expect("truncate");
+    hl.sync().expect("sync");
+    check_deep(&mut hl, "sparse cut to 7 MB", &[("/sparse", 76)]);
+    read_back(&mut hl, "/sparse", SPARSE_AT[0], &sparse[0]);
+
+    hl.unlink("/dense").expect("unlink");
+    hl.unlink("/sparse").expect("unlink");
+    hl.checkpoint().expect("checkpoint");
+    check_deep(&mut hl, "unlinked", &[]);
+    assert_eq!(hl.tertiary_live_bytes(), 0, "nothing left on tertiary");
+    let findings = hl.tio().trace_findings();
+    assert!(findings.is_empty(), "tracecheck: {findings:?}");
+    trace = fnv(trace, &hl.tio().trace_digest().to_le_bytes());
+    drop(hl);
+
+    let (disk, media, slots_written) = rig.media_digests();
+    Pin {
+        disk,
+        media,
+        slots_written,
+        eom_events: 0,
+        sim_now: rig.clock.now(),
+        trace,
+    }
+}
+
+#[test]
+fn deep_file_life_matches_the_pinned_image() {
+    assert_eq!(
+        deep_life(),
+        Pin {
+            disk: 0x78b9_0b0b_4585_e66a,
+            media: 0x180d_ab52_e1c5_3566,
+            slots_written: 11,
+            eom_events: 0,
+            sim_now: 357_117_149,
+            trace: 0xb809_94f9_7810_ad44,
         }
     );
 }
