@@ -23,9 +23,9 @@ use hl_lfs::dir;
 use hl_lfs::error::{LfsError, Result};
 use hl_lfs::fs::Stat;
 use hl_lfs::ondisk::{self, Dinode};
+use hl_lfs::ptree::{self, Home};
 use hl_lfs::types::{
-    BlockAddr, FileKind, Ino, LBlock, DINODE_SIZE, INODES_PER_BLOCK, MAX_DATA_BLOCKS, NDIRECT,
-    NPTR, ROOT_INO, UNASSIGNED,
+    BlockAddr, FileKind, Ino, LBlock, DINODE_SIZE, INODES_PER_BLOCK, ROOT_INO, UNASSIGNED,
 };
 use hl_sim::time::SimTime;
 use hl_sim::Clock;
@@ -279,27 +279,11 @@ impl Ffs {
 
     /// Resolves `(ino, lb)` to a device address, `UNASSIGNED` for holes.
     fn bmap(&mut self, ino: Ino, lb: LBlock) -> Result<BlockAddr> {
-        match lb {
-            LBlock::Data(l) => {
-                let l = l as u64;
-                if l < NDIRECT as u64 {
-                    Ok(self.inode(ino)?.db[l as usize])
-                } else if l < (NDIRECT + NPTR) as u64 {
-                    self.ptr_in(ino, LBlock::Ind1, (l - NDIRECT as u64) as usize)
-                } else if l < MAX_DATA_BLOCKS {
-                    let off = l - (NDIRECT + NPTR) as u64;
-                    self.ptr_in(
-                        ino,
-                        LBlock::Ind2Child((off / NPTR as u64) as u32),
-                        (off % NPTR as u64) as usize,
-                    )
-                } else {
-                    Err(LfsError::FileTooBig)
-                }
-            }
-            LBlock::Ind1 => Ok(self.inode(ino)?.ib[0]),
-            LBlock::Ind2 => Ok(self.inode(ino)?.ib[1]),
-            LBlock::Ind2Child(k) => self.ptr_in(ino, LBlock::Ind2, k as usize),
+        match ptree::home(lb) {
+            Home::Inode(i) => Ok(self.inode(ino)?.db[i]),
+            Home::InodeIndirect(i) => Ok(self.inode(ino)?.ib[i]),
+            Home::InBlock(parent, idx) => self.ptr_in(ino, parent, idx),
+            Home::TooBig => Err(LfsError::FileTooBig),
         }
     }
 
@@ -330,26 +314,11 @@ impl Ffs {
         };
         let addr = self.blocks.alloc(hint).ok_or(LfsError::NoSpace)? as BlockAddr;
         // Install the pointer.
-        match lb {
-            LBlock::Data(l) => {
-                let l = l as u64;
-                if l < NDIRECT as u64 {
-                    self.inode_mut(ino)?.db[l as usize] = addr;
-                } else if l < (NDIRECT + NPTR) as u64 {
-                    self.set_ptr_in(ino, LBlock::Ind1, (l - NDIRECT as u64) as usize, addr)?;
-                } else {
-                    let off = l - (NDIRECT + NPTR) as u64;
-                    self.set_ptr_in(
-                        ino,
-                        LBlock::Ind2Child((off / NPTR as u64) as u32),
-                        (off % NPTR as u64) as usize,
-                        addr,
-                    )?;
-                }
-            }
-            LBlock::Ind1 => self.inode_mut(ino)?.ib[0] = addr,
-            LBlock::Ind2 => self.inode_mut(ino)?.ib[1] = addr,
-            LBlock::Ind2Child(k) => self.set_ptr_in(ino, LBlock::Ind2, k as usize, addr)?,
+        match ptree::home(lb) {
+            Home::Inode(i) => self.inode_mut(ino)?.db[i] = addr,
+            Home::InodeIndirect(i) => self.inode_mut(ino)?.ib[i] = addr,
+            Home::InBlock(parent, idx) => self.set_ptr_in(ino, parent, idx, addr)?,
+            Home::TooBig => return Err(LfsError::FileTooBig),
         }
         self.inode_mut(ino)?.blocks += 1;
         Ok(addr)
@@ -360,12 +329,8 @@ impl Ffs {
         let paddr = self.bmap(ino, parent)?;
         if paddr == UNASSIGNED && self.cache.get(ino, parent).is_none() {
             let new_paddr = self.alloc_bmap(ino, parent)?;
-            let mut blk = vec![0u8; BLOCK_SIZE];
-            for i in 0..NPTR {
-                ondisk::put_u32(&mut blk, i * 4, UNASSIGNED);
-            }
             self.cache
-                .insert(ino, parent, blk.into_boxed_slice(), true, new_paddr);
+                .insert(ino, parent, ptree::fresh_indirect(), true, new_paddr);
         } else {
             self.ensure_block(ino, parent)?;
         }
@@ -645,27 +610,11 @@ impl Ffs {
     }
 
     fn release_blocks(&mut self, ino: Ino) -> Result<()> {
-        let d = *self.inode(ino)?;
-        let nblocks = d.size.div_ceil(BLOCK_SIZE as u64);
-        for l in 0..nblocks {
-            let addr = self.bmap(ino, LBlock::Data(l as u32))?;
-            if addr != UNASSIGNED {
-                self.blocks.release(addr as u64);
-            }
-        }
-        for lb in [LBlock::Ind1, LBlock::Ind2] {
+        let nblocks = self.inode(ino)?.size.div_ceil(BLOCK_SIZE as u64);
+        for lb in ptree::blocks(0..nblocks) {
             let addr = self.bmap(ino, lb)?;
             if addr != UNASSIGNED {
                 self.blocks.release(addr as u64);
-            }
-        }
-        if d.ib[1] != UNASSIGNED {
-            let children = (nblocks.saturating_sub((NDIRECT + NPTR) as u64)).div_ceil(NPTR as u64);
-            for k in 0..children {
-                let addr = self.bmap(ino, LBlock::Ind2Child(k as u32))?;
-                if addr != UNASSIGNED {
-                    self.blocks.release(addr as u64);
-                }
             }
         }
         self.cache.remove_file(ino);

@@ -13,7 +13,8 @@ use hl_vdev::BLOCK_SIZE;
 use crate::error::Result;
 use crate::fs::Lfs;
 use crate::ondisk::seg_flags;
-use crate::types::{BlockAddr, FileKind, Ino, LBlock, IFILE_INO, ROOT_INO, UNASSIGNED};
+use crate::ptree;
+use crate::types::{BlockAddr, FileKind, Ino, IFILE_INO, ROOT_INO, UNASSIGNED};
 
 /// One consistency finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -192,13 +193,7 @@ impl Lfs {
                     owners.insert(addr, (ino, lbn));
                 }
             };
-            for l in 0..nblocks {
-                let lb = LBlock::Data(l as u32);
-                let addr = self.bmap(ino, lb)?;
-                let valid = addr == UNASSIGNED || self.amap.seg_of(addr).is_some();
-                claim(&mut report, &mut owners, valid, addr, lb.encode());
-            }
-            for lb in [LBlock::Ind1, LBlock::Ind2] {
+            for lb in ptree::blocks(0..nblocks) {
                 let addr = self.bmap(ino, lb)?;
                 let valid = addr == UNASSIGNED || self.amap.seg_of(addr).is_some();
                 claim(&mut report, &mut owners, valid, addr, lb.encode());

@@ -9,6 +9,7 @@ use hl_vdev::BLOCK_SIZE;
 use crate::dir;
 use crate::error::{LfsError, Result};
 use crate::fs::Lfs;
+use crate::ptree;
 use crate::types::{FileKind, Ino, LBlock, MAX_DATA_BLOCKS, ROOT_INO, UNASSIGNED};
 
 impl Lfs {
@@ -274,14 +275,6 @@ impl Lfs {
     /// Frees an inode's blocks and the inode itself.
     pub(crate) fn release_file(&mut self, ino: Ino) -> Result<()> {
         self.truncate(ino, 0)?;
-        // Release the indirect roots (truncate freed their children).
-        for lb in [LBlock::Ind1, LBlock::Ind2] {
-            let addr = self.bmap(ino, lb)?;
-            if addr != UNASSIGNED {
-                self.live_delta(addr, -(BLOCK_SIZE as i64));
-            }
-            self.cache.remove(ino, lb);
-        }
         self.ifree(ino);
         Ok(())
     }
@@ -390,12 +383,13 @@ impl Lfs {
             i.dirty = true;
             return Ok(());
         }
+        // Everything the shorter file no longer owns, each block before
+        // the indirect block that points at it.
         let keep_blocks = new_size.div_ceil(BLOCK_SIZE as u64);
         let old_blocks = old_size.div_ceil(BLOCK_SIZE as u64);
-        for l in keep_blocks..old_blocks {
-            let lb = LBlock::Data(l as u32);
+        for lb in ptree::blocks(keep_blocks..old_blocks) {
             let addr = self.bmap(ino, lb)?;
-            let had_block = addr != UNASSIGNED || self.cache.get(ino, lb).is_some();
+            let had_block = addr != UNASSIGNED || self.cache.contains(ino, lb);
             if addr != UNASSIGNED {
                 self.live_delta(addr, -(BLOCK_SIZE as i64));
                 self.set_bmap(ino, lb, UNASSIGNED)?;
@@ -406,7 +400,6 @@ impl Lfs {
                 i.d.blocks = i.d.blocks.saturating_sub(1);
             }
         }
-        self.free_empty_indirects(ino, keep_blocks)?;
         // Zero the tail of the now-final block.
         if !new_size.is_multiple_of(BLOCK_SIZE as u64) {
             let l = (new_size / BLOCK_SIZE as u64) as u32;
@@ -424,65 +417,6 @@ impl Lfs {
         i.d.size = new_size;
         i.d.mtime = now;
         i.dirty = true;
-        Ok(())
-    }
-
-    /// Frees indirect blocks made empty by a truncate to `keep_blocks`.
-    fn free_empty_indirects(&mut self, ino: Ino, keep_blocks: u64) -> Result<()> {
-        use crate::types::{NDIRECT, NPTR};
-        // Double-indirect children.
-        let d = self.iget(ino)?.d;
-        if d.ib[1] != UNASSIGNED || self.cache.get(ino, LBlock::Ind2).is_some() {
-            let first_dbl = NDIRECT as u64 + NPTR as u64;
-            let keep_children = if keep_blocks > first_dbl {
-                (keep_blocks - first_dbl).div_ceil(NPTR as u64)
-            } else {
-                0
-            };
-            for k in keep_children..NPTR as u64 {
-                let lb = LBlock::Ind2Child(k as u32);
-                let addr = self.bmap(ino, lb)?;
-                let present = addr != UNASSIGNED || self.cache.get(ino, lb).is_some();
-                if !present {
-                    continue;
-                }
-                if addr != UNASSIGNED {
-                    self.live_delta(addr, -(BLOCK_SIZE as i64));
-                }
-                self.set_bmap(ino, lb, UNASSIGNED)?;
-                self.cache.remove(ino, lb);
-                let i = self.iget_mut(ino)?;
-                i.d.blocks = i.d.blocks.saturating_sub(1);
-            }
-            if keep_children == 0 {
-                let addr = self.iget(ino)?.d.ib[1];
-                if addr != UNASSIGNED {
-                    self.live_delta(addr, -(BLOCK_SIZE as i64));
-                }
-                self.cache.remove(ino, LBlock::Ind2);
-                let i = self.iget_mut(ino)?;
-                if i.d.ib[1] != UNASSIGNED || addr != UNASSIGNED {
-                    i.d.blocks = i.d.blocks.saturating_sub(1);
-                }
-                i.d.ib[1] = UNASSIGNED;
-                i.dirty = true;
-            }
-        }
-        // Single indirect.
-        if keep_blocks <= NDIRECT as u64 {
-            let addr = self.iget(ino)?.d.ib[0];
-            let present = addr != UNASSIGNED || self.cache.get(ino, LBlock::Ind1).is_some();
-            if present {
-                if addr != UNASSIGNED {
-                    self.live_delta(addr, -(BLOCK_SIZE as i64));
-                }
-                self.cache.remove(ino, LBlock::Ind1);
-                let i = self.iget_mut(ino)?;
-                i.d.ib[0] = UNASSIGNED;
-                i.d.blocks = i.d.blocks.saturating_sub(1);
-                i.dirty = true;
-            }
-        }
         Ok(())
     }
 

@@ -26,11 +26,9 @@ use crate::buffer::{Buf, BufCache};
 use crate::config::{AddressMap, LfsConfig, TertiaryHooks};
 use crate::error::{LfsError, Result};
 use crate::ondisk::{Dinode, IfileEntry, SegUse, Superblock};
+use crate::ptree::{self, Home};
 use crate::stats::LfsStats;
-use crate::types::{
-    BlockAddr, FileKind, Ino, LBlock, SegNo, IFILE_INO, MAX_DATA_BLOCKS, NDIRECT, NPTR, ROOT_INO,
-    UNASSIGNED,
-};
+use crate::types::{BlockAddr, FileKind, Ino, LBlock, SegNo, IFILE_INO, ROOT_INO, UNASSIGNED};
 
 /// Device block holding the superblock.
 pub const SUPERBLOCK_ADDR: BlockAddr = 0;
@@ -495,42 +493,17 @@ impl Lfs {
     }
 
     // -----------------------------------------------------------------
-    // Block mapping (shared FFS/LFS indirection code, §3 footnote).
+    // Block mapping (the tree's shape lives in `ptree.rs`).
     // -----------------------------------------------------------------
-
-    /// Where a logical block's pointer lives.
-    pub(crate) fn pointer_home(&self, lb: LBlock) -> PointerHome {
-        match lb {
-            LBlock::Data(l) => {
-                let l = l as u64;
-                if l < NDIRECT as u64 {
-                    PointerHome::Inode(l as usize)
-                } else if l < NDIRECT as u64 + NPTR as u64 {
-                    PointerHome::InBlock(LBlock::Ind1, (l - NDIRECT as u64) as usize)
-                } else if l < MAX_DATA_BLOCKS {
-                    let off = l - NDIRECT as u64 - NPTR as u64;
-                    PointerHome::InBlock(
-                        LBlock::Ind2Child((off / NPTR as u64) as u32),
-                        (off % NPTR as u64) as usize,
-                    )
-                } else {
-                    PointerHome::TooBig
-                }
-            }
-            LBlock::Ind1 => PointerHome::InodeIndirect(0),
-            LBlock::Ind2 => PointerHome::InodeIndirect(1),
-            LBlock::Ind2Child(k) => PointerHome::InBlock(LBlock::Ind2, k as usize),
-        }
-    }
 
     /// Returns the device address of `(ino, lb)`, or `UNASSIGNED` for a
     /// hole. Reads intermediate indirect blocks (timed) as needed; absent
     /// intermediates make the whole range a hole.
     pub(crate) fn bmap(&mut self, ino: Ino, lb: LBlock) -> Result<BlockAddr> {
-        match self.pointer_home(lb) {
-            PointerHome::Inode(i) => Ok(self.iget(ino)?.d.db[i]),
-            PointerHome::InodeIndirect(i) => Ok(self.iget(ino)?.d.ib[i]),
-            PointerHome::InBlock(parent, idx) => {
+        match ptree::home(lb) {
+            Home::Inode(i) => Ok(self.iget(ino)?.d.db[i]),
+            Home::InodeIndirect(i) => Ok(self.iget(ino)?.d.ib[i]),
+            Home::InBlock(parent, idx) => {
                 let paddr = self.bmap(ino, parent)?;
                 if paddr == UNASSIGNED && !self.cache.contains(ino, parent) {
                     return Ok(UNASSIGNED);
@@ -538,7 +511,7 @@ impl Lfs {
                 let buf = self.ensure_block(ino, parent)?;
                 Ok(crate::ondisk::get_u32(&buf.data, idx * 4))
             }
-            PointerHome::TooBig => Err(LfsError::FileTooBig),
+            Home::TooBig => Err(LfsError::FileTooBig),
         }
     }
 
@@ -546,26 +519,26 @@ impl Lfs {
     /// containing inode or indirect block. Creates missing indirect
     /// blocks on the way.
     pub(crate) fn set_bmap(&mut self, ino: Ino, lb: LBlock, addr: BlockAddr) -> Result<()> {
-        match self.pointer_home(lb) {
-            PointerHome::Inode(i) => {
+        match ptree::home(lb) {
+            Home::Inode(i) => {
                 let inode = self.iget_mut(ino)?;
                 inode.d.db[i] = addr;
                 inode.dirty = true;
                 Ok(())
             }
-            PointerHome::InodeIndirect(i) => {
+            Home::InodeIndirect(i) => {
                 let inode = self.iget_mut(ino)?;
                 inode.d.ib[i] = addr;
                 inode.dirty = true;
                 Ok(())
             }
-            PointerHome::InBlock(parent, idx) => {
+            Home::InBlock(parent, idx) => {
                 let buf = self.ensure_indirect(ino, parent)?;
                 crate::ondisk::put_u32(&mut buf.data, idx * 4, addr);
                 self.cache.mark_dirty(ino, parent);
                 Ok(())
             }
-            PointerHome::TooBig => Err(LfsError::FileTooBig),
+            Home::TooBig => Err(LfsError::FileTooBig),
         }
     }
 
@@ -573,21 +546,16 @@ impl Lfs {
     /// for a hole, materialized all-`UNASSIGNED`.
     fn ensure_indirect(&mut self, ino: Ino, lb: LBlock) -> Result<&mut Buf> {
         if !self.cache.contains(ino, lb) {
-            let addr = match self.pointer_home(lb) {
-                PointerHome::InodeIndirect(i) => self.iget(ino)?.d.ib[i],
-                PointerHome::InBlock(parent, idx) => {
+            let addr = match ptree::home(lb) {
+                Home::InodeIndirect(i) => self.iget(ino)?.d.ib[i],
+                Home::InBlock(parent, idx) => {
                     crate::ondisk::get_u32(&self.ensure_indirect(ino, parent)?.data, idx * 4)
                 }
                 _ => unreachable!("indirect blocks only"),
             };
             if addr == UNASSIGNED {
-                // Fresh indirect block: every pointer unassigned.
-                let mut blk = vec![0u8; BLOCK_SIZE];
-                for i in 0..NPTR {
-                    crate::ondisk::put_u32(&mut blk, i * 4, UNASSIGNED);
-                }
                 self.cache
-                    .insert(ino, lb, blk.into_boxed_slice(), true, UNASSIGNED);
+                    .insert(ino, lb, ptree::fresh_indirect(), true, UNASSIGNED);
                 // A new metadata block joins the file's block count.
                 let inode = self.iget_mut(ino)?;
                 inode.d.blocks += 1;
@@ -655,7 +623,7 @@ impl Lfs {
             // pointer lives in an indirect block that is not already
             // resident, stop the cluster rather than synchronously
             // fetching it (it could be on tertiary storage).
-            if let PointerHome::InBlock(parent, _) = self.pointer_home(next) {
+            if let Home::InBlock(parent, _) = ptree::home(next) {
                 if self.cache.get(ino, parent).is_none() {
                     break;
                 }
@@ -736,12 +704,6 @@ impl Lfs {
         let mut live = vec![0u64; nsegs];
         let mut tertiary: std::collections::BTreeMap<SegNo, u64> =
             std::collections::BTreeMap::new();
-        let peek_block = |dev: &dyn BlockDev, addr: BlockAddr| -> Result<Vec<u8>> {
-            let mut buf = vec![0u8; BLOCK_SIZE];
-            dev.peek(addr as u64, &mut buf)?;
-            Ok(buf)
-        };
-        let ptr_at = |blk: &[u8], idx: usize| crate::ondisk::get_u32(blk, idx * 4);
 
         let amap = self.amap.clone();
         for ino in 0..self.imap.len() as Ino {
@@ -766,7 +728,9 @@ impl Lfs {
             let d = if let Some(ci) = self.inodes.get(&ino) {
                 ci.d
             } else {
-                match crate::partial::find_inode(&peek_block(&*self.dev, daddr)?, ino) {
+                let mut blk = vec![0u8; BLOCK_SIZE];
+                self.dev.peek(daddr as u64, &mut blk)?;
+                match crate::partial::find_inode(&blk, ino) {
                     Some(d) => d,
                     None => continue, // stale map entry; roll-forward owns it
                 }
@@ -774,52 +738,9 @@ impl Lfs {
             if d.nlink == 0 {
                 continue;
             }
-            let nblocks = d.size.div_ceil(BLOCK_SIZE as u64);
-            // Direct blocks.
-            for (l, &a) in d.db.iter().enumerate() {
-                if (l as u64) < nblocks {
-                    add(a, BLOCK_SIZE as u64);
-                }
-            }
-            // Single indirect.
-            if d.ib[0] != UNASSIGNED {
-                add(d.ib[0], BLOCK_SIZE as u64);
-                let ind = self.audit_indirect(ino, LBlock::Ind1, d.ib[0])?;
-                let span = nblocks.saturating_sub(NDIRECT as u64).min(NPTR as u64);
-                for l in 0..span as usize {
-                    add(ptr_at(&ind, l), BLOCK_SIZE as u64);
-                }
-            }
-            // Double indirect.
-            if d.ib[1] != UNASSIGNED {
-                add(d.ib[1], BLOCK_SIZE as u64);
-                let l2 = self.audit_indirect(ino, LBlock::Ind2, d.ib[1])?;
-                let dbl = nblocks.saturating_sub((NDIRECT + NPTR) as u64);
-                let nchildren = dbl.div_ceil(NPTR as u64).min(NPTR as u64);
-                for k in 0..nchildren {
-                    let child = {
-                        // A dirty cached child supersedes the media copy.
-                        match self.cache.get(ino, LBlock::Ind2Child(k as u32)) {
-                            Some(b) if b.is_dirty() => Some(b.data.to_vec()),
-                            _ => None,
-                        }
-                    };
-                    let caddr = ptr_at(&l2, k as usize);
-                    add(caddr, BLOCK_SIZE as u64);
-                    let cblk = match child {
-                        Some(c) => c,
-                        None => {
-                            if caddr == UNASSIGNED {
-                                continue;
-                            }
-                            peek_block(&*self.dev, caddr)?
-                        }
-                    };
-                    let span = (dbl - k * NPTR as u64).min(NPTR as u64);
-                    for l in 0..span as usize {
-                        add(ptr_at(&cblk, l), BLOCK_SIZE as u64);
-                    }
-                }
+            let mut indirects = HashMap::new();
+            for lb in ptree::blocks(0..d.size.div_ceil(BLOCK_SIZE as u64)) {
+                add(self.audit_ptr(&d, lb, &mut indirects)?, BLOCK_SIZE as u64);
             }
         }
         Ok((
@@ -830,17 +751,40 @@ impl Lfs {
         ))
     }
 
-    /// Reads an indirect block for the audit: the dirty cached copy if
-    /// present (freshest pointers), else an untimed media peek.
-    fn audit_indirect(&mut self, ino: Ino, lb: LBlock, addr: BlockAddr) -> Result<Vec<u8>> {
-        if let Some(b) = self.cache.get(ino, lb) {
-            if b.is_dirty() {
-                return Ok(b.data.to_vec());
+    /// The audit's `bmap`: the pointer to `lb` read from the inode image
+    /// `d` or from the indirect block holding it — the dirty cached copy
+    /// if present (freshest pointers), else an untimed media peek, each
+    /// fetched once per file into `indirects`; under an absent indirect
+    /// block everything is a hole.
+    fn audit_ptr(
+        &mut self,
+        d: &Dinode,
+        lb: LBlock,
+        indirects: &mut HashMap<LBlock, Option<Box<[u8]>>>,
+    ) -> Result<BlockAddr> {
+        match ptree::home(lb) {
+            Home::Inode(i) => Ok(d.db[i]),
+            Home::InodeIndirect(i) => Ok(d.ib[i]),
+            Home::InBlock(parent, idx) => {
+                if !indirects.contains_key(&parent) {
+                    let addr = self.audit_ptr(d, parent, indirects)?;
+                    let blk = match self.cache.get(d.inumber, parent) {
+                        Some(b) if b.is_dirty() => Some(b.data.clone()),
+                        _ if addr == UNASSIGNED => None,
+                        _ => {
+                            let mut blk = vec![0u8; BLOCK_SIZE].into_boxed_slice();
+                            self.dev.peek(addr as u64, &mut blk)?;
+                            Some(blk)
+                        }
+                    };
+                    indirects.insert(parent, blk);
+                }
+                Ok(indirects[&parent]
+                    .as_ref()
+                    .map_or(UNASSIGNED, |blk| crate::ondisk::get_u32(blk, idx * 4)))
             }
+            Home::TooBig => Err(LfsError::FileTooBig),
         }
-        let mut buf = vec![0u8; BLOCK_SIZE];
-        self.dev.peek(addr as u64, &mut buf)?;
-        Ok(buf)
     }
 
     /// Rewrites the superblock (after on-line reconfiguration, §10).
@@ -932,17 +876,4 @@ impl Lfs {
             blocks: d.blocks,
         })
     }
-}
-
-/// Where the pointer to a logical block is stored.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum PointerHome {
-    /// `di_db[i]`.
-    Inode(usize),
-    /// `di_ib[i]`.
-    InodeIndirect(usize),
-    /// Slot `idx` of another (indirect) logical block.
-    InBlock(LBlock, usize),
-    /// Beyond double-indirect reach.
-    TooBig,
 }

@@ -37,6 +37,7 @@ pub mod fs;
 pub mod migrate;
 pub mod ondisk;
 mod partial;
+pub mod ptree;
 pub mod recovery;
 pub mod stats;
 pub mod types;

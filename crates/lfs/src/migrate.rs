@@ -19,6 +19,7 @@ use hl_vdev::BLOCK_SIZE;
 use crate::error::{LfsError, Result};
 use crate::fs::Lfs;
 use crate::partial::{self, PartialBuilder};
+use crate::ptree::{self, Home};
 use crate::types::{BlockAddr, Ino, LBlock, SegNo, UNASSIGNED};
 
 /// One unit of migration work.
@@ -159,27 +160,22 @@ impl Lfs {
     /// Collects every migratable piece of a file: data blocks, indirect
     /// blocks, and optionally the inode — whole-file migration (§5.1).
     pub fn whole_file_items(&mut self, ino: Ino, include_inode: bool) -> Result<Vec<MigrateItem>> {
-        use crate::types::{NDIRECT, NPTR};
         let d = self.iget(ino)?.d;
-        let nblocks = d.size.div_ceil(BLOCK_SIZE as u64);
-        let mut items = Vec::new();
-        for l in 0..nblocks {
-            items.push(MigrateItem::Block(ino, LBlock::Data(l as u32)));
-        }
-        if d.ib[0] != UNASSIGNED {
-            items.push(MigrateItem::Block(ino, LBlock::Ind1));
-        }
-        if d.ib[1] != UNASSIGNED {
-            let nchildren = if nblocks > (NDIRECT + NPTR) as u64 {
-                (nblocks - NDIRECT as u64 - NPTR as u64).div_ceil(NPTR as u64)
-            } else {
-                0
-            };
-            for k in 0..nchildren {
-                items.push(MigrateItem::Block(ino, LBlock::Ind2Child(k as u32)));
+        // An indirect block is worth listing only once the inode pointer
+        // it hangs from is assigned: nothing under an unwritten root has
+        // reached the media.
+        let rooted = |mut lb: LBlock| loop {
+            match ptree::home(lb) {
+                Home::InBlock(parent, _) => lb = parent,
+                Home::InodeIndirect(i) => break d.ib[i] != UNASSIGNED,
+                Home::Inode(_) | Home::TooBig => break true,
             }
-            items.push(MigrateItem::Block(ino, LBlock::Ind2));
-        }
+        };
+        // `ptree::blocks` order is the media order of a migrated file.
+        let mut items: Vec<MigrateItem> = ptree::blocks(0..d.size.div_ceil(BLOCK_SIZE as u64))
+            .filter(|&lb| !lb.is_indirect() || rooted(lb))
+            .map(|lb| MigrateItem::Block(ino, lb))
+            .collect();
         if include_inode {
             items.push(MigrateItem::Inode(ino));
         }

@@ -21,6 +21,7 @@ use crate::error::{LfsError, Result};
 use crate::fs::{Lfs, CHECKPOINT_ADDR};
 use crate::ondisk::{seg_flags, Checkpoint, CHECKPOINT_SLOT, SEGUSE_SIZE};
 use crate::partial::PartialBuilder;
+use crate::ptree::{self, Home};
 use crate::types::{Ino, LBlock, SegNo, IFILE_INO, UNASSIGNED};
 
 /// Entries per ifile segment-usage block.
@@ -207,8 +208,8 @@ impl Lfs {
             let mut grew = false;
             for (ino, blocks) in dirty {
                 for lb in blocks {
-                    match self.pointer_home(lb) {
-                        crate::fs::PointerHome::InBlock(parent, _) => {
+                    match ptree::home(lb) {
+                        Home::InBlock(parent, _) => {
                             let parent_dirty =
                                 self.cache.get(ino, parent).is_some_and(|b| b.is_dirty());
                             if !parent_dirty {
@@ -218,17 +219,9 @@ impl Lfs {
                                 grew = true;
                             }
                         }
-                        crate::fs::PointerHome::Inode(_)
-                        | crate::fs::PointerHome::InodeIndirect(_) => {
-                            let i = self.iget_mut(ino)?;
-                            if !i.dirty {
-                                i.dirty = true;
-                                grew = true;
-                            }
-                        }
-                        crate::fs::PointerHome::TooBig => {
-                            return Err(LfsError::FileTooBig);
-                        }
+                        // The pointer is in the inode, dirtied below.
+                        Home::Inode(_) | Home::InodeIndirect(_) => {}
+                        Home::TooBig => return Err(LfsError::FileTooBig),
                     }
                 }
                 // The file's inode is rewritten whenever any of its

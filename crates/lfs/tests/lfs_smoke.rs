@@ -404,27 +404,40 @@ fn checker_is_clean_after_torture() {
     assert!(report.dirs_reached >= 3);
 }
 
+/// A forged image: the double-indirect root's slot 0 is repointed at a
+/// block another file owns. Pass 2 must claim level-1 children, or its
+/// duplicate-owner table never sees the clash.
 #[test]
-fn checker_catches_planted_corruption() {
+fn checker_names_a_level_one_child_claimed_twice() {
+    use hl_lfs::{Finding, LBlock};
     let fx = Fixture::new(16);
     fx.mkfs();
     let mut fs = fx.mount();
-    let ino = fs.create("/victim").unwrap();
-    fs.write(ino, 0, &patterned(50_000, 1)).unwrap();
-    fs.sync().unwrap();
-    // Plant a bad pointer: point logical block 0 into the boot area.
-    fs.bmapv(&[(ino, hl_lfs::LBlock::Data(0))]).unwrap();
-    // Use the internal-but-public surface to corrupt via a crafted
-    // markv-style rewrite is not possible from outside; instead corrupt
-    // the link count through a directory-level inconsistency: create a
-    // second entry to the same inode without bumping nlink.
-    // (Simplest observable corruption from the public API: truncate the
-    // in-core size upward so the checker walks unassigned blocks —
-    // legal sparse file, clean. So: verify the checker flags a
-    // deliberately broken free list by double-freeing via unlink+create
-    // races is also not reachable. Settle for the real guarantee:)
-    let report = fs.check().unwrap();
-    assert!(report.clean(), "fresh fs must be clean");
+    let deep = fs.create("/deep").unwrap();
+    fs.write(deep, 1_036 * 4_096, &patterned(4_096, 1)).unwrap();
+    // All-ones reads as an indirect block of holes, so the forged child
+    // plants no second corruption beneath itself.
+    let other = fs.create("/other").unwrap();
+    fs.write(other, 0, &[0xff; 4_096]).unwrap();
+    fs.checkpoint().unwrap();
+    assert!(fs.check().unwrap().clean(), "clean before the forgery");
+
+    let addrs = fs
+        .bmapv(&[(deep, LBlock::Ind2), (other, LBlock::Data(0))])
+        .unwrap();
+    let mut root = vec![0u8; 4_096];
+    fx.dev.peek(addrs[0] as u64, &mut root).unwrap();
+    root[..4].copy_from_slice(&addrs[1].to_le_bytes());
+    fx.dev.poke(addrs[0] as u64, &root).unwrap();
+    fs.drop_caches();
+
+    let findings = fs.check().unwrap().findings;
+    let want = Finding::DuplicateBlock {
+        addr: addrs[1],
+        first: (deep, LBlock::Ind2Child(0).encode()),
+        second: (other, 0),
+    };
+    assert!(findings.contains(&want), "findings: {findings:#?}");
 }
 
 #[test]
