@@ -556,3 +556,316 @@ proptest! {
         prop_assert_eq!(split(&recovered), split(&given));
     }
 }
+
+// ---------------------------------------------------------------------------
+// The block-pointer tree: the library's one enumeration (`hl_lfs::ptree`)
+// against an independent walk of the raw device bytes and against the
+// live-byte audit.
+//
+// Seen to go red, each sabotage planted in `crates/lfs/src/ptree.rs`
+// alone and reverted (the deep script in `golden_image.rs`, the `hl-ffs`
+// image pin and `ptree`'s unit tests go red with it every time):
+//   * `home`: single-indirect range one block too long (block 1 036
+//     sent to `Ind1` slot 1 024) — out-of-range slot panic on the first
+//     write there.
+//   * the double-indirect range starting at 1 037 everywhere (`home`
+//     and the enumeration shifted alike, so the library agrees with
+//     itself) — pointer maps diverge from the raw walk.
+//   * `home`: child index computed from the wrong base (`l − 12`, not
+//     `l − 1 036`) — pointer maps diverge (blocks land under child k+1).
+//   * `blocks`: `Ind2Child`ren dropped from the enumeration — pointer
+//     maps diverge (no −3−k positions; truncate and unlink leak them).
+//   * `blocks`: `Ind2` listed before its children — truncate clears the
+//     root first and strands the children: "segment 0 live bytes".
+//   * `slots` ignoring the file size (always 1 024) — no pointer block
+//     is ever newly owned: a 13-block file lists no `Ind1`.
+//   * `slots(Ind2, n)` rounding down — the last, partly used child is
+//     never listed: pointer maps diverge.
+//   * a `panic!` in `home`'s double-indirect arm — this test, the deep
+//     script, the `hl-ffs` pin and five `lfs_smoke` tests.
+// ---------------------------------------------------------------------------
+
+mod tree {
+    use std::collections::BTreeMap;
+    use std::rc::Rc;
+
+    use hl_lfs::types::{BlockAddr, Ino};
+    use hl_lfs::{Lfs, LfsConfig, LinearMap, NoTertiary};
+    use hl_sim::Clock;
+    use hl_vdev::{BlockDev, Disk, DiskProfile};
+
+    pub const BS: usize = 4096;
+    pub const UNASSIGNED: u32 = 0xffff_ffff;
+    const SEGS: u32 = 24;
+
+    pub struct Rig {
+        pub disk: Rc<Disk>,
+        pub map: LinearMap,
+    }
+
+    impl Rig {
+        pub fn new() -> Rig {
+            let nblocks = 2 + u64::from(SEGS) * 256;
+            Rig {
+                disk: Rc::new(Disk::new(DiskProfile::RZ57, nblocks, None)),
+                map: LinearMap::for_device(nblocks, 256, 2),
+            }
+        }
+
+        pub fn mkfs_and_mount(&self) -> Lfs {
+            let cfg = LfsConfig::base(Clock::new());
+            let (dev, map) = (self.disk.clone(), Rc::new(self.map));
+            Lfs::mkfs(dev.clone(), map.clone(), Rc::new(NoTertiary), cfg.clone()).expect("mkfs");
+            Lfs::mount(dev, map, Rc::new(NoTertiary), cfg).expect("mount")
+        }
+
+        fn block(&self, addr: BlockAddr) -> Vec<u8> {
+            let mut blk = vec![0u8; BS];
+            self.disk.peek(u64::from(addr), &mut blk).expect("peek");
+            blk
+        }
+    }
+
+    fn u32_at(b: &[u8], off: usize) -> u32 {
+        u32::from_le_bytes(b[off..off + 4].try_into().expect("4 bytes"))
+    }
+
+    fn u64_at(b: &[u8], off: usize) -> u64 {
+        u64::from_le_bytes(b[off..off + 8].try_into().expect("8 bytes"))
+    }
+
+    /// DESIGN.md §6a: `acc = rotl(acc, 5) + b + i` from `0x6c66_7331`.
+    fn cksum(bytes: &[u8]) -> u32 {
+        bytes.iter().enumerate().fold(0x6c66_7331u32, |acc, (i, &b)| {
+            acc.rotate_left(5).wrapping_add(u32::from(b)).wrapping_add(i as u32)
+        })
+    }
+
+    /// One file as the raw bytes describe it.
+    pub struct RawFile {
+        /// Address of the inode block holding the dinode.
+        pub daddr: BlockAddr,
+        pub size: u64,
+        /// The dinode's `blocks` field.
+        pub blocks: u32,
+        /// Every position the file owns at its size — signed lbn as in a
+        /// FINFO — with the pointer stored there (holes included; under
+        /// an absent pointer block everything is a hole).
+        pub ptrs: BTreeMap<i64, BlockAddr>,
+    }
+
+    /// The 128-byte dinode of `ino` in the inode block at `daddr`.
+    fn dinode(rig: &Rig, daddr: BlockAddr, ino: Ino) -> Option<Vec<u8>> {
+        let blk = rig.block(daddr);
+        blk.chunks(128)
+            .find(|d| u32_at(d, 4) == ino && u16::from_le_bytes([d[2], d[3]]) != 0)
+            .map(<[u8]>::to_vec)
+    }
+
+    /// DESIGN.md §6a "Block-pointer tree", by hand: `db` covers blocks
+    /// 0..12, `ib[0]` 12..1 036, child `k` of `ib[1]` 1 036 + 1 024·k
+    /// onwards; only slots below the file's block count are valid.
+    fn walk_tree(rig: &Rig, daddr: BlockAddr, d: &[u8]) -> RawFile {
+        let size = u64_at(d, 8);
+        let n = size.div_ceil(BS as u64);
+        let mut ptrs = BTreeMap::new();
+        // An absent pointer block reads as all holes.
+        let slots_of = |addr: BlockAddr| -> Vec<BlockAddr> {
+            if addr == UNASSIGNED {
+                return vec![UNASSIGNED; 1024];
+            }
+            let blk = rig.block(addr);
+            (0..1024).map(|i| u32_at(&blk, i * 4)).collect()
+        };
+        for l in 0..n.min(12) {
+            ptrs.insert(l as i64, u32_at(d, 52 + 4 * l as usize));
+        }
+        if n > 12 {
+            let ind1 = u32_at(d, 100);
+            ptrs.insert(-1, ind1);
+            for (i, &p) in slots_of(ind1).iter().take((n - 12).min(1024) as usize).enumerate() {
+                ptrs.insert(12 + i as i64, p);
+            }
+        }
+        if n > 1036 {
+            let ind2 = u32_at(d, 104);
+            ptrs.insert(-2, ind2);
+            let nchildren = (n - 1036).div_ceil(1024);
+            for (k, &child) in slots_of(ind2).iter().take(nchildren as usize).enumerate() {
+                ptrs.insert(-3 - k as i64, child);
+                let first = 1036 + 1024 * k as u64;
+                for (i, &p) in slots_of(child).iter().take((n - first).min(1024) as usize).enumerate() {
+                    ptrs.insert((first + i as u64) as i64, p);
+                }
+            }
+        }
+        RawFile { daddr, size, blocks: u32_at(d, 48), ptrs }
+    }
+
+    /// Superblock-free reading of a checkpointed image: newest valid
+    /// checkpoint slot → ifile dinode → inode map → every allocated
+    /// inode's dinode → its pointer tree.
+    pub fn raw_walk(rig: &Rig) -> BTreeMap<Ino, RawFile> {
+        let ckpt = rig.block(1);
+        let slot = [&ckpt[..2048], &ckpt[2048..]]
+            .into_iter()
+            .filter(|s| cksum(&s[..44]) == u32_at(s, 44))
+            .max_by_key(|s| u64_at(s, 0))
+            .expect("a valid checkpoint");
+        let ifile_daddr = u32_at(slot, 16);
+        let ifile = walk_tree(rig, ifile_daddr, &dinode(rig, ifile_daddr, 1).expect("ifile dinode"));
+        let ifile_block = |l: i64| rig.block(ifile.ptrs[&l]);
+        let head = ifile_block(0);
+        let (ninodes, nsegs) = (u32_at(&head, 8), u32_at(&head, 12));
+        let imap_start = 1 + i64::from(nsegs.div_ceil(128));
+
+        let mut files = BTreeMap::new();
+        for ino in 2..ninodes {
+            let ent = &ifile_block(imap_start + i64::from(ino / 256))[(ino % 256) as usize * 16..];
+            let daddr = u32_at(ent, 4);
+            if daddr == UNASSIGNED {
+                continue;
+            }
+            if let Some(d) = dinode(rig, daddr, ino) {
+                files.insert(ino, walk_tree(rig, daddr, &d));
+            }
+        }
+        files.insert(1, ifile);
+        files
+    }
+}
+
+#[derive(Clone, Debug)]
+enum TreeOp {
+    /// Write `blocks` blocks (less `short` bytes) at block `at`.
+    Write { file: usize, at: u32, blocks: u32, short: u32 },
+    /// Truncate to `to` blocks less `short` bytes.
+    Truncate { file: usize, to: u32, short: u32 },
+    Unlink { file: usize },
+}
+
+/// Block offsets biased toward the tree's boundaries, up to ~13 MB.
+fn arb_tree_block() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        3 => 0u32..3400,
+        1 => 9u32..15,
+        2 => 1033u32..1040,
+        2 => 2057u32..2063,
+        1 => 3081u32..3087,
+    ]
+}
+
+fn arb_tree_op() -> impl Strategy<Value = TreeOp> {
+    prop_oneof![
+        5 => (0usize..3, arb_tree_block(), 1u32..5, 0u32..4096)
+            .prop_map(|(file, at, blocks, short)| TreeOp::Write { file, at, blocks, short }),
+        4 => (0usize..3, arb_tree_block(), 0u32..4096)
+            .prop_map(|(file, to, short)| TreeOp::Truncate { file, to, short }),
+        1 => (0usize..3).prop_map(|file| TreeOp::Unlink { file }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Sparse files — a few blocks at offsets up to ~13 MB, truncated at
+    /// random, sometimes before the dirty blocks ever reach the log —
+    /// and after every checkpoint three readings of every file must
+    /// agree: `ptree::blocks` resolved through `bmapv`; the raw-byte walk
+    /// above; and, per segment, the audit's totals and the usage table.
+    #[test]
+    fn pointer_tree_agrees_with_a_raw_walk_and_the_audit(
+        ops in proptest::collection::vec(
+            (arb_tree_op(), prop_oneof![2 => Just(false), 1 => Just(true)]),
+            4..16,
+        ),
+    ) {
+        use hl_lfs::config::AddressMap;
+        use hl_lfs::ondisk::seg_flags;
+        use hl_lfs::ptree;
+        use hl_lfs::types::LBlock;
+        use std::collections::BTreeMap;
+        use tree::{raw_walk, Rig, BS, UNASSIGNED};
+
+        let rig = Rig::new();
+        let mut fs = rig.mkfs_and_mount();
+        let paths = ["/a", "/b", "/c"];
+        let last = ops.len() - 1;
+        for (step, (op, settle)) in ops.into_iter().enumerate() {
+            match op {
+                TreeOp::Write { file, at, blocks, short } => {
+                    let ino = match fs.lookup(paths[file]) {
+                        Ok(ino) => ino,
+                        Err(_) => fs.create(paths[file]).expect("create"),
+                    };
+                    let len = blocks as usize * BS - short as usize;
+                    fs.write(ino, u64::from(at) * BS as u64, &vec![step as u8 | 1; len]).expect("write");
+                }
+                TreeOp::Truncate { file, to, short } => {
+                    if let Ok(ino) = fs.lookup(paths[file]) {
+                        let size = (u64::from(to) * BS as u64).saturating_sub(u64::from(short));
+                        fs.truncate(ino, size).expect("truncate");
+                    }
+                }
+                TreeOp::Unlink { file } => {
+                    if fs.lookup(paths[file]).is_ok() {
+                        fs.unlink(paths[file]).expect("unlink");
+                    }
+                }
+            }
+            // Two steps in three run on with dirty state in the cache.
+            if !settle && step != last {
+                continue;
+            }
+            fs.checkpoint().expect("checkpoint");
+            let raw = raw_walk(&rig);
+            let mut live = vec![0u64; fs.nsegs() as usize];
+            let mut credit = |addr: u32, bytes: u64| {
+                if addr != UNASSIGNED {
+                    live[rig.map.seg_of(addr).expect("a segment address") as usize] += bytes;
+                }
+            };
+            for (&ino, file) in &raw {
+                let st = fs.stat(ino).expect("stat");
+                prop_assert_eq!(st.size, file.size, "ino {} size", ino);
+                let owned: Vec<LBlock> = ptree::blocks(0..st.size.div_ceil(BS as u64)).collect();
+                let reqs: Vec<_> = owned.iter().map(|&lb| (ino, lb)).collect();
+                let lib: BTreeMap<i64, u32> = owned
+                    .iter()
+                    .map(|lb| lb.encode())
+                    .zip(fs.bmapv(&reqs).expect("bmapv"))
+                    .collect();
+                let diverges = lib
+                    .keys()
+                    .chain(file.ptrs.keys())
+                    .find(|lbn| lib.get(lbn) != file.ptrs.get(lbn))
+                    .map(|lbn| (lbn, lib.get(lbn), file.ptrs.get(lbn)));
+                prop_assert_eq!(
+                    diverges, None,
+                    "step {}: ino {} (lbn, ptree + bmap, raw walk) of {} blocks", step, ino, owned.len()
+                );
+                // `blocks` counts assigned pointers (mkfs starts the root
+                // directory one short, which every golden image pins).
+                let assigned = file.ptrs.values().filter(|&&a| a != UNASSIGNED).count();
+                if ino != hl_lfs::types::ROOT_INO {
+                    prop_assert_eq!(file.blocks as usize, assigned, "step {}: ino {} blocks", step, ino);
+                }
+                prop_assert_eq!(st.blocks, file.blocks);
+                credit(file.daddr, 128);
+                file.ptrs.values().for_each(|&a| credit(a, BS as u64));
+            }
+            let (audited, tertiary) = fs.audit_all_live().expect("audit");
+            prop_assert!(tertiary.is_empty());
+            for seg in 0..fs.nsegs() {
+                let raw_live = live[seg as usize];
+                prop_assert_eq!(u64::from(audited[seg as usize]), raw_live, "step {}: segment {} audit", step, seg);
+                let u = fs.seg_usage(seg);
+                if u.flags & (seg_flags::CACHE | seg_flags::NOSTORE) == 0 {
+                    prop_assert_eq!(u64::from(u.live_bytes), raw_live, "step {}: segment {} live bytes", step, seg);
+                }
+            }
+            let report = fs.check().expect("check");
+            prop_assert!(report.clean(), "step {}: {:?}", step, report.findings);
+        }
+    }
+}
