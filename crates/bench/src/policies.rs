@@ -25,7 +25,6 @@ use hl_sim::{Clock, SimTime};
 use hl_vdev::{BlockDev, Disk, DiskProfile};
 use hl_workload::ops::{Op, OpStream};
 use highlight::migrator::{AdaptiveThrottle, GenerationalPolicy, Migrator, StpPolicy};
-use highlight::policy::{CleaningPolicy, CostBenefitCleaning, LowestDensity};
 use highlight::segcache::EjectPolicy;
 use highlight::{policy, tcleaner, HighLight, HlConfig};
 
@@ -57,35 +56,6 @@ pub enum MigKind {
     AdaptiveStp,
 }
 
-/// Which cleaning policy an arm runs (shared by the disk cleaner and
-/// the tertiary volume cleaner).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CleanKind {
-    /// Greedy lowest-density (the paper-era default).
-    LowestDensity,
-    /// Sprite-style cost-benefit `(1−u)·age / (1+u)`.
-    CostBenefit,
-}
-
-impl CleanKind {
-    /// The boxed trait object for the shared cleaners.
-    pub fn build(self) -> Box<dyn CleaningPolicy> {
-        match self {
-            CleanKind::LowestDensity => Box::new(LowestDensity),
-            CleanKind::CostBenefit => Box::new(CostBenefitCleaning),
-        }
-    }
-
-    /// The matching builtin for the LFS-internal cleaner (`clean_until`
-    /// inside the migrator must agree with the arm's scoring).
-    pub fn builtin(self) -> CleanerPolicy {
-        match self {
-            CleanKind::LowestDensity => CleanerPolicy::Greedy,
-            CleanKind::CostBenefit => CleanerPolicy::CostBenefit,
-        }
-    }
-}
-
 /// One policy arm: a named (migration × cleaning × ejection) triple.
 #[derive(Clone, Copy, Debug)]
 pub struct ArmSpec {
@@ -93,8 +63,9 @@ pub struct ArmSpec {
     pub name: &'static str,
     /// Migration policy.
     pub migration: MigKind,
-    /// Cleaning policy (disk + tertiary).
-    pub cleaning: CleanKind,
+    /// Cleaning policy: the disk cleaner (also the LFS-internal
+    /// `clean_until` inside the migrator) and the tertiary cleaner.
+    pub cleaning: CleanerPolicy,
     /// Segment-cache ejection policy.
     pub eject: EjectPolicy,
 }
@@ -106,25 +77,25 @@ pub fn standard_arms() -> Vec<ArmSpec> {
         ArmSpec {
             name: "paper_baseline",
             migration: MigKind::Stp,
-            cleaning: CleanKind::LowestDensity,
+            cleaning: CleanerPolicy::Greedy,
             eject: EjectPolicy::Lru,
         },
         ArmSpec {
             name: "cost_benefit",
             migration: MigKind::Stp,
-            cleaning: CleanKind::CostBenefit,
+            cleaning: CleanerPolicy::CostBenefit,
             eject: EjectPolicy::Lru,
         },
         ArmSpec {
             name: "generational",
             migration: MigKind::Generational,
-            cleaning: CleanKind::CostBenefit,
+            cleaning: CleanerPolicy::CostBenefit,
             eject: EjectPolicy::LeastWorthy,
         },
         ArmSpec {
             name: "adaptive",
             migration: MigKind::AdaptiveStp,
-            cleaning: CleanKind::CostBenefit,
+            cleaning: CleanerPolicy::CostBenefit,
             eject: EjectPolicy::Lru,
         },
     ]
@@ -176,7 +147,7 @@ pub struct ArmReport {
     pub media_reads: u64,
     /// Migration passes that moved data.
     pub migrations: u64,
-    /// Disk-cleaner passes through the `CleaningPolicy` trait.
+    /// Disk-cleaner passes under the arm's `CleanerPolicy`.
     pub disk_cleans: u64,
     /// Tertiary-volume cleaning passes.
     pub tclean_passes: u64,
@@ -282,7 +253,7 @@ pub fn run_policy_arm(stream: &OpStream, arm: &ArmSpec) -> ArmReport {
     );
     let mut cfg = HlConfig::paper(clock.clone(), CACHE_SEGS);
     cfg.eject = arm.eject;
-    cfg.lfs.cleaner_policy = arm.cleaning.builtin();
+    cfg.lfs.cleaner_policy = arm.cleaning;
     HighLight::mkfs(
         disk.clone() as Rc<dyn BlockDev>,
         Rc::new(jukebox.clone()),
@@ -311,7 +282,6 @@ pub fn run_policy_arm(stream: &OpStream, arm: &ArmSpec) -> ArmReport {
     // every arm's policy actually runs.
     migrator.low_water_segs = 6;
     migrator.high_water_segs = 7;
-    let cleaning = arm.cleaning.build();
 
     let mut model: BTreeMap<u32, (u32, u32)> = BTreeMap::new();
     let mut inos: BTreeMap<u32, hl_lfs::types::Ino> = BTreeMap::new();
@@ -408,7 +378,7 @@ pub fn run_policy_arm(stream: &OpStream, arm: &ArmSpec) -> ArmReport {
             }
             if hl.lfs().clean_segs() < migrator.low_water_segs {
                 if let Some(report) =
-                    policy::disk_clean_once(&mut hl, cleaning.as_ref()).expect("disk clean")
+                    policy::disk_clean_once(&mut hl, arm.cleaning).expect("disk clean")
                 {
                     if report.segs_cleaned > 0 {
                         disk_cleans += 1;
@@ -416,7 +386,7 @@ pub fn run_policy_arm(stream: &OpStream, arm: &ArmSpec) -> ArmReport {
                 }
             }
             if free_tertiary_slots(&mut hl) <= SLOTS_PER_VOLUME {
-                if let Some(vol) = tcleaner::select_victim_volume_with(&mut hl, cleaning.as_ref())
+                if let Some(vol) = tcleaner::select_victim_volume_with(&mut hl, arm.cleaning)
                 {
                     // NoSpace is a deferral, not a failure: survivors
                     // need staging room, and the daemon simply retries

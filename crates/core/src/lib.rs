@@ -19,9 +19,9 @@
 //!   space-time-product policy the paper's migrator uses (§5.1), plus the
 //!   namespace-unit (§5.3) and block-range (§5.2) policies it proposes,
 //!   hot/cold generational separation, and adaptive load throttling;
-//! - pluggable **cleaning policies** ([`policy`]): one cost-benefit
-//!   scoring vocabulary shared by the disk log cleaner and the tertiary
-//!   volume cleaner (ROADMAP item 3, Lomet & Luo);
+//! - one **reclaim-scoring vocabulary** ([`hl_lfs::CleanerPolicy`]):
+//!   the disk log cleaner ([`policy`]) and the tertiary volume cleaner
+//!   score candidates with the same enum (Lomet & Luo);
 //! - the **tertiary segment summary file** ([`tsegfile`], §6.4);
 //! - **prefetch** policies ([`prefetch`], §5.3–5.4), **segment replicas**
 //!   (§5.4), and the **tertiary volume cleaner** (§10 future work,
@@ -59,7 +59,6 @@ pub use migrator::{
     AdaptiveThrottle, BlockRangePolicy, GenerationalPolicy, MigrationPolicy, Migrator,
     NamespacePolicy, StpPolicy,
 };
-pub use policy::{CleanCandidate, CleaningPolicy, CostBenefitCleaning, LowestDensity};
 pub use prefetch::PrefetchPolicy;
 pub use recovery::{RecoveryPolicy, RecoveryState};
 pub use replicas::ReplicaSet;

@@ -1,119 +1,21 @@
-//! Pluggable cleaning policies (ROADMAP item 3).
+//! The disk cleaner under an explicit victim-selection policy.
 //!
-//! HighLight §5 leaves victim selection open ("based upon some policy");
-//! this module closes the gap with a `CleaningPolicy` trait shared by the
-//! two reclaimers in the hierarchy:
-//!
-//! * the **tertiary volume cleaner** (`tcleaner.rs`), which scores whole
-//!   media, and
-//! * the **disk log cleaner** (`hl-lfs`), whose pluggable entry point
-//!   `Lfs::select_victim_scored` takes the same `(live, capacity, age)`
-//!   vocabulary.
-//!
-//! Both reclaimers therefore speak one cost model: a candidate's *benefit*
-//! is the free space it yields times how long that space is likely to stay
-//! free (its age — cold data resists re-dirtying), and its *cost* is the
-//! work of moving the live remainder, proportional to `1 + u`: one read of
-//! the candidate plus a write of the `u` fraction that survives. The
-//! classical score `(1−u)·age / (1+u)` follows Sprite LFS and Lomet &
-//! Luo's "Efficiently Reclaiming Space in a Log Structured Store".
+//! HighLight §5 leaves victim selection open ("based upon some policy").
+//! The two reclaimers in the hierarchy — the disk log cleaner (`hl-lfs`)
+//! and the tertiary volume cleaner (`tcleaner.rs`) — score candidates
+//! with the same [`CleanerPolicy`] in the same `(live, capacity, age)`
+//! vocabulary, and both record the pick as a `policy_decision` mark.
 
 use crate::fs::HighLight;
-use hl_lfs::cleaner::CleanReport;
+use hl_lfs::cleaner::{CleanReport, CleanerPolicy};
 use hl_lfs::error::Result;
 
-/// A reclamation candidate, normalized so one policy can score disk
-/// segments and tertiary volumes alike.
-#[derive(Clone, Copy, Debug)]
-pub struct CleanCandidate {
-    /// Volume number (tertiary) or segment number (disk).
-    pub id: u32,
-    /// Bytes still live in the candidate.
-    pub live_bytes: u64,
-    /// Total payload capacity of the candidate.
-    pub capacity_bytes: u64,
-    /// Serial distance since the candidate was last written (0 = just
-    /// written; larger = colder).
-    pub age: u64,
-    /// Segments the candidate spans (1 for a disk segment).
-    pub segments: u32,
-}
-
-impl CleanCandidate {
-    /// Utilization `u` in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        if self.capacity_bytes == 0 {
-            0.0
-        } else {
-            self.live_bytes as f64 / self.capacity_bytes as f64
-        }
-    }
-}
-
-/// Scores reclamation candidates; the highest score is cleaned first.
-pub trait CleaningPolicy {
-    /// Higher = better victim. Ties break toward the lowest `id`
-    /// (callers compare with strict `>`).
-    fn score(&self, c: &CleanCandidate) -> f64;
-    /// Stable name for traces, benches, and reports.
-    fn name(&self) -> &'static str;
-}
-
-/// The pre-policy baseline: clean whatever holds the least live data
-/// (greedy). Reproduces the historical hardcoded scan in `tcleaner.rs`
-/// byte for byte, including its earliest-candidate tie-break.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LowestDensity;
-
-impl CleaningPolicy for LowestDensity {
-    fn score(&self, c: &CleanCandidate) -> f64 {
-        -(c.live_bytes as f64)
-    }
-    fn name(&self) -> &'static str {
-        "lowest_density"
-    }
-}
-
-/// Cost-benefit cleaning: maximize `benefit / cost` =
-/// `(1 − u) · age / (1 + u)`. Prefers cold, moderately empty candidates
-/// over hot, just-emptied ones — greedy re-cleans hot media whose free
-/// space evaporates; cost-benefit waits for cold media whose free space
-/// endures (Lomet & Luo).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CostBenefitCleaning;
-
-impl CleaningPolicy for CostBenefitCleaning {
-    fn score(&self, c: &CleanCandidate) -> f64 {
-        let u = c.utilization();
-        (1.0 - u) * c.age as f64 / (1.0 + u)
-    }
-    fn name(&self) -> &'static str {
-        "cost_benefit"
-    }
-}
-
-/// Runs one disk-cleaner pass with victim selection delegated to
-/// `policy` (instead of the [`hl_lfs::cleaner::CleanerPolicy`] baked
-/// into `LfsConfig`). The decision is recorded as a
-/// [`policy_decision`](hl_trace::Tracer::policy_decision) mark. Returns
-/// `None` when nothing is cleanable.
-pub fn disk_clean_once(
-    hl: &mut HighLight,
-    policy: &dyn CleaningPolicy,
-) -> Result<Option<CleanReport>> {
-    let victim = {
-        let lfs = hl.lfs();
-        lfs.select_victim_scored(|live, cap, age| {
-            policy.score(&CleanCandidate {
-                id: 0,
-                live_bytes: live,
-                capacity_bytes: cap,
-                age,
-                segments: 1,
-            })
-        })
-    };
-    let Some(victim) = victim else {
+/// Runs one disk-cleaner pass with the victim selected by `policy`
+/// (instead of the one baked into `LfsConfig`). The decision is recorded
+/// as a [`policy_decision`](hl_trace::Tracer::policy_decision) mark.
+/// Returns `None` when nothing is cleanable.
+pub fn disk_clean_once(hl: &mut HighLight, policy: CleanerPolicy) -> Result<Option<CleanReport>> {
+    let Some(victim) = hl.lfs().select_victim(policy) else {
         return Ok(None);
     };
     hl.tio().tracer().policy_decision(
@@ -123,46 +25,4 @@ pub fn disk_clean_once(
     );
     let report = hl.lfs().clean_segment(victim)?;
     Ok(Some(report))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn cand(id: u32, live: u64, cap: u64, age: u64) -> CleanCandidate {
-        CleanCandidate {
-            id,
-            live_bytes: live,
-            capacity_bytes: cap,
-            age,
-            segments: 1,
-        }
-    }
-
-    #[test]
-    fn lowest_density_ignores_age() {
-        let p = LowestDensity;
-        assert!(p.score(&cand(0, 10, 100, 0)) > p.score(&cand(1, 90, 100, 1_000_000)));
-        assert_eq!(p.score(&cand(0, 50, 100, 1)), p.score(&cand(1, 50, 100, 99)));
-    }
-
-    #[test]
-    fn cost_benefit_prefers_cold_over_just_emptied() {
-        let p = CostBenefitCleaning;
-        // A hot, nearly-empty candidate (age 1) loses to a cold,
-        // half-full one (age 100): the cold one's free space endures.
-        let hot_empty = cand(0, 10, 100, 1);
-        let cold_half = cand(1, 50, 100, 100);
-        assert!(p.score(&cold_half) > p.score(&hot_empty));
-        // Greedy would order them the other way.
-        let g = LowestDensity;
-        assert!(g.score(&hot_empty) > g.score(&cold_half));
-    }
-
-    #[test]
-    fn cost_benefit_is_zero_for_full_candidates() {
-        let p = CostBenefitCleaning;
-        assert_eq!(p.score(&cand(0, 100, 100, 500)), 0.0);
-        assert!(p.score(&cand(1, 99, 100, 500)) > 0.0);
-    }
 }

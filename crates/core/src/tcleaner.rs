@@ -14,12 +14,12 @@
 //! one, so the two-drive jukebox serves reads and writes concurrently),
 //! then erases the victim volume for reuse.
 
+use hl_lfs::cleaner::CleanerPolicy;
 use hl_lfs::error::{LfsError, Result};
 use hl_lfs::migrate::MigrateItem;
 use hl_vdev::BLOCK_SIZE;
 
 use crate::fs::HighLight;
-use crate::policy::{CleanCandidate, CleaningPolicy, LowestDensity};
 
 /// What one tertiary cleaning pass did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -34,10 +34,10 @@ pub struct TCleanReport {
     pub inodes_moved: u64,
 }
 
-/// Picks a victim under the default [`LowestDensity`] policy — the
-/// paper-era behavior (least live data wins, earliest volume on ties).
+/// Picks a victim under [`CleanerPolicy::Greedy`] — the paper-era
+/// behavior (least live data wins, earliest volume on ties).
 pub fn select_victim_volume(hl: &mut HighLight) -> Option<u32> {
-    select_victim_volume_with(hl, &LowestDensity)
+    select_victim_volume_with(hl, CleanerPolicy::Greedy)
 }
 
 /// Picks the best victim among the *full* (or exhausted-cursor) volumes
@@ -45,10 +45,7 @@ pub fn select_victim_volume(hl: &mut HighLight) -> Option<u32> {
 /// fight the migrator. The winning pick is recorded as a
 /// [`policy_decision`](hl_trace::Tracer::policy_decision) mark. Returns
 /// `None` if no volume qualifies.
-pub fn select_victim_volume_with(
-    hl: &mut HighLight,
-    policy: &dyn CleaningPolicy,
-) -> Option<u32> {
+pub fn select_victim_volume_with(hl: &mut HighLight, policy: CleanerPolicy) -> Option<u32> {
     let map = hl.map();
     let seg_payload = (map.blocks_per_seg as u64).saturating_sub(1) * BLOCK_SIZE as u64;
     let best = {
@@ -68,14 +65,11 @@ pub fn select_victim_volume_with(
             if !exhausted {
                 continue;
             }
-            let cand = CleanCandidate {
-                id: vol,
-                live_bytes: tseg.volume_live(&map, vol),
-                capacity_bytes: seg_payload * map.segs_per_volume as u64,
-                age: newest.saturating_sub(v.last_serial),
-                segments: map.segs_per_volume,
-            };
-            let s = policy.score(&cand);
+            let s = policy.score(
+                tseg.volume_live(&map, vol),
+                seg_payload * map.segs_per_volume as u64,
+                newest.saturating_sub(v.last_serial),
+            );
             if best.map(|(b, _)| s > b).unwrap_or(true) {
                 best = Some((s, vol));
             }
@@ -276,7 +270,7 @@ mod tests {
         assert_eq!(
             select_victim_volume(&mut hl),
             legacy,
-            "LowestDensity must reproduce the pre-policy victim choice"
+            "Greedy must reproduce the pre-policy victim choice"
         );
         assert!(
             hl.tio().tracer().policy_decisions() >= 1,
@@ -286,7 +280,6 @@ mod tests {
 
     #[test]
     fn cost_benefit_prefers_cold_half_full_over_hot_empty() {
-        use crate::policy::CostBenefitCleaning;
         let (mut hl, _clock) = mounted(3, 2);
         for i in 0..6u32 {
             migrate_one(&mut hl, &format!("/f{i}"), i);
@@ -304,7 +297,7 @@ mod tests {
             "greedy chases the just-emptied hot volume"
         );
         assert_eq!(
-            select_victim_volume_with(&mut hl, &CostBenefitCleaning),
+            select_victim_volume_with(&mut hl, CleanerPolicy::CostBenefit),
             Some(0),
             "cost-benefit waits for the cold volume whose space endures"
         );

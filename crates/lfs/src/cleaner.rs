@@ -17,15 +17,47 @@ use crate::ondisk::seg_flags;
 use crate::partial;
 use crate::types::{BlockAddr, Ino, LBlock, SegNo, UNASSIGNED};
 
-/// Victim-selection policy.
+/// Victim-selection policy, shared by the two reclaimers in the
+/// hierarchy: the disk log cleaner here scores segments with it, and
+/// HighLight's tertiary cleaner scores whole volumes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CleanerPolicy {
-    /// Clean the segment with the fewest live bytes.
+    /// Clean whatever holds the fewest live bytes.
     Greedy,
     /// Sprite LFS cost-benefit: maximize `(1−u)·age / (1+u)` where `u`
-    /// is utilization — prefers cold, moderately empty segments over
-    /// hot, just-emptied ones.
+    /// is utilization — the free space a candidate yields times how long
+    /// it is likely to stay free, over the cost of reading it and
+    /// writing back the live `u`. Prefers cold, moderately empty
+    /// candidates over hot, just-emptied ones (Lomet & Luo).
     CostBenefit,
+}
+
+impl CleanerPolicy {
+    /// Scores a candidate holding `live` of `capacity` bytes, last
+    /// written `age` serials ago. The highest score is cleaned first;
+    /// callers compare with strict `>`, so ties go to the earliest
+    /// candidate.
+    pub fn score(self, live: u64, capacity: u64, age: u64) -> f64 {
+        match self {
+            CleanerPolicy::Greedy => -(live as f64),
+            CleanerPolicy::CostBenefit => {
+                let u = if capacity == 0 {
+                    0.0
+                } else {
+                    live as f64 / capacity as f64
+                };
+                (1.0 - u) * age as f64 / (1.0 + u)
+            }
+        }
+    }
+
+    /// Stable name for traces, benches and reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            CleanerPolicy::Greedy => "lowest_density",
+            CleanerPolicy::CostBenefit => "cost_benefit",
+        }
+    }
 }
 
 /// What one cleaning pass accomplished.
@@ -75,28 +107,11 @@ impl Lfs {
         Ok(moved)
     }
 
-    /// Selects the best victim under `policy`; `None` if nothing is
-    /// cleanable.
+    /// Selects the cleanable segment `policy` scores highest, a
+    /// segment's age being the serial distance since it was last
+    /// written. Ties go to the lowest segment number (strict `>`
+    /// comparison). `None` if nothing is cleanable.
     pub fn select_victim(&self, policy: CleanerPolicy) -> Option<SegNo> {
-        match policy {
-            CleanerPolicy::Greedy => {
-                self.select_victim_scored(|live, _cap, _age| -(live as f64))
-            }
-            CleanerPolicy::CostBenefit => self.select_victim_scored(|live, cap, age| {
-                let util = live as f64 / cap as f64;
-                (1.0 - util) * age as f64 / (1.0 + util)
-            }),
-        }
-    }
-
-    /// Selects the cleanable segment maximizing `score(live_bytes,
-    /// seg_bytes, age)` where `age` is the serial distance since the
-    /// segment was last written. Ties go to the lowest segment number
-    /// (strict `>` comparison). `None` if nothing is cleanable. This is
-    /// the pluggable entry point HighLight's `CleaningPolicy` trait
-    /// drives, so the disk cleaner and the tertiary volume cleaner share
-    /// one scoring vocabulary.
-    pub fn select_victim_scored(&self, score: impl Fn(u64, u64, u64) -> f64) -> Option<SegNo> {
         let mut best: Option<(SegNo, f64)> = None;
         for seg in 0..self.sb.nsegs {
             if seg == self.cur_seg || seg == self.next_seg {
@@ -109,7 +124,7 @@ impl Lfs {
                 continue;
             }
             let age = self.log_serial.saturating_sub(u.write_serial);
-            let s = score(u.live_bytes as u64, self.sb.seg_bytes as u64, age);
+            let s = policy.score(u.live_bytes as u64, self.sb.seg_bytes as u64, age);
             if best.map(|(_, b)| s > b).unwrap_or(true) {
                 best = Some((seg, s));
             }
@@ -299,5 +314,31 @@ impl Lfs {
             .filter(|(_, u)| u.flags & seg_flags::CACHE != 0)
             .map(|(s, u)| (s as SegNo, u.cache_tag, u.fetch_time))
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::CleanerPolicy::{CostBenefit, Greedy};
+
+    #[test]
+    fn greedy_ignores_age() {
+        assert!(Greedy.score(10, 100, 0) > Greedy.score(90, 100, 1_000_000));
+        assert_eq!(Greedy.score(50, 100, 1), Greedy.score(50, 100, 99));
+    }
+
+    #[test]
+    fn cost_benefit_prefers_cold_over_just_emptied() {
+        // A hot, nearly-empty candidate (age 1) loses to a cold,
+        // half-full one (age 100): the cold one's free space endures.
+        assert!(CostBenefit.score(50, 100, 100) > CostBenefit.score(10, 100, 1));
+        // Greedy orders them the other way.
+        assert!(Greedy.score(10, 100, 1) > Greedy.score(50, 100, 100));
+    }
+
+    #[test]
+    fn cost_benefit_is_zero_for_full_candidates() {
+        assert_eq!(CostBenefit.score(100, 100, 500), 0.0);
+        assert!(CostBenefit.score(99, 100, 500) > 0.0);
     }
 }
