@@ -3,9 +3,10 @@
 //! Models the paper's HP 6300 configuration faithfully (§7): two drives
 //! and 32 cartridges, with "one drive allocated for the currently-active
 //! writing segment, and the other for reading other platters (the writing
-//! drive also fulfilled any read requests for its platter)" — that is
-//! [`DrivePolicy::WriterPlusReaders`]. Media swaps take the measured
-//! 13.5 s and, when a SCSI bus is attached, hog it for the whole swap.
+//! drive also fulfilled any read requests for its platter)" — the rule an
+//! untargeted [`Footprint::read_segment`] / `write_segment` swap follows.
+//! Media swaps take the measured 13.5 s and, when a SCSI bus is
+//! attached, hog it for the whole swap.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -41,17 +42,6 @@ impl MediaKind {
     }
 }
 
-/// How drives are assigned to volumes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DrivePolicy {
-    /// Drive 0 is reserved for the volume being written (it also serves
-    /// reads of that volume); remaining drives serve reads, evicting the
-    /// least recently used loaded volume. This is the paper's §7 setup.
-    WriterPlusReaders,
-    /// Any drive may hold any volume; LRU eviction.
-    AnyLru,
-}
-
 /// Jukebox construction parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct JukeboxConfig {
@@ -68,8 +58,6 @@ pub struct JukeboxConfig {
     pub segment_bytes: usize,
     /// Eject-command-to-ready media change time (Table 5: 13.5 s).
     pub volume_change_time: SimTime,
-    /// How drives are allocated.
-    pub policy: DrivePolicy,
 }
 
 impl JukeboxConfig {
@@ -83,7 +71,6 @@ impl JukeboxConfig {
             segments_per_volume: 40,
             segment_bytes: 1024 * 1024,
             volume_change_time: hl_sim::time::secs(13.5),
-            policy: DrivePolicy::WriterPlusReaders,
         }
     }
 
@@ -97,7 +84,6 @@ impl JukeboxConfig {
             segments_per_volume,
             segment_bytes: 1024 * 1024,
             volume_change_time: hl_sim::time::secs(45.0),
-            policy: DrivePolicy::WriterPlusReaders,
         }
     }
 
@@ -110,7 +96,6 @@ impl JukeboxConfig {
             segments_per_volume,
             segment_bytes: 1024 * 1024,
             volume_change_time: hl_sim::time::secs(8.0),
-            policy: DrivePolicy::AnyLru,
         }
     }
 }
@@ -267,35 +252,23 @@ impl Jukebox {
             inner.drives[d].last_used = at;
             return Ok((d, at));
         }
-        // Pick a drive: the pool's explicit lane, or the policy's pick.
+        // Pick a drive: the pool's explicit lane; else the paper's §7
+        // setup — drive 0 is reserved for the volume being written (it
+        // also serves reads of that volume), the remaining drives serve
+        // reads, evicting the least recently used among them.
         let d = match target {
             Some(t) => t.min(inner.drives.len() - 1),
-            None => match inner.cfg.policy {
-                DrivePolicy::WriterPlusReaders => {
-                    if writing || inner.drives.len() == 1 {
-                        0
-                    } else {
-                        // Reader drives are 1..; evict the LRU among them.
-                        let (idx, _) = inner
-                            .drives
-                            .iter()
-                            .enumerate()
-                            .skip(1)
-                            .min_by_key(|(_, d)| (d.loaded.is_some(), d.last_used))
-                            .expect("at least one reader drive");
-                        idx
-                    }
-                }
-                DrivePolicy::AnyLru => {
-                    let (idx, _) = inner
-                        .drives
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, d)| (d.loaded.is_some(), d.last_used))
-                        .expect("at least one drive");
-                    idx
-                }
-            },
+            None if writing || inner.drives.len() == 1 => 0,
+            None => {
+                let (idx, _) = inner
+                    .drives
+                    .iter()
+                    .enumerate()
+                    .skip(1)
+                    .min_by_key(|(_, d)| (d.loaded.is_some(), d.last_used))
+                    .expect("at least one reader drive");
+                idx
+            }
         };
         // A dead or hung target drive fails before any robot time is paid.
         Self::check_drive(inner, at, d)?;

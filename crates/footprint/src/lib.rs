@@ -18,7 +18,7 @@
 pub mod jukebox;
 pub mod stats;
 
-pub use jukebox::{DrivePolicy, Jukebox, JukeboxConfig, MediaKind};
+pub use jukebox::{Jukebox, JukeboxConfig, MediaKind};
 pub use stats::FpStats;
 
 use hl_sim::time::SimTime;
