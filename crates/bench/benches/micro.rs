@@ -130,9 +130,9 @@ fn bench_fill_anchor(c: &mut Criterion) {
     });
 }
 
-/// Regression guard for the block-map's run splitter: a single-block
-/// secondary read routes through `runs()` on every call, which now uses
-/// an inline buffer instead of allocating a `Vec` per request.
+/// Regression guard for the block-map's resident path: a request that
+/// starts below `disk_limit` goes to the disks whole, never through the
+/// tertiary run splitter.
 fn bench_blockmap_route(c: &mut Criterion) {
     let (tio, _, map) = RigSpec::with_lines(50..54).build();
     let dev = BlockMapDev::new(tio.disks_handle(), map, tio);

@@ -54,8 +54,7 @@ fn sweep(replicas: u32, media_p: f64, seed: u64) -> Cell {
             let tseg = tio.tseg();
             let mut t = tseg.borrow_mut();
             t.seg_mut(seg).avail_bytes = seg_bytes as u32;
-            let v = t.volume_mut(vol);
-            v.next_slot = v.next_slot.max(slot + 1);
+            t.advance_cursor(vol, slot);
         }
         for r in 0..replicas {
             let rvol = (vol + 1 + r) % VOLS;
@@ -63,10 +62,7 @@ fn sweep(replicas: u32, media_p: f64, seed: u64) -> Cell {
             cursor[rvol as usize] += 1;
             jb.poke_segment(rvol, rslot, &data).expect("stage replica");
             tio.replicas().borrow_mut().add(seg, rvol, rslot);
-            let tseg = tio.tseg();
-            let mut t = tseg.borrow_mut();
-            let v = t.volume_mut(rvol);
-            v.next_slot = v.next_slot.max(rslot + 1);
+            tio.tseg().borrow_mut().advance_cursor(rvol, rslot);
         }
     }
 

@@ -9,6 +9,7 @@
 //! cached copy, or (after a blocking demand fetch) a tertiary volume.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::rc::Rc;
 
 use hl_lfs::config::AddressMap;
@@ -20,59 +21,6 @@ use crate::addr::UniformMap;
 use crate::fault::HlError;
 use crate::segcache::{LineState, SegCache};
 use crate::service::TertiaryIo;
-
-/// Where a block range routes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Route {
-    /// Boot area or secondary segment: straight to the disks.
-    Disk,
-    /// Tertiary segment (fetch/cache translation applies).
-    Tertiary(SegNo),
-}
-
-/// Inline capacity of [`RunBuf`]. Nearly every LFS request is one run
-/// (a partial-segment read or write) and a multi-segment span adds one
-/// run per segment crossed, so eight covers everything the filesystem
-/// actually issues without touching the heap.
-const INLINE_RUNS: usize = 8;
-
-/// A split request's same-route runs, held inline. `runs()` sits on the
-/// hot path of every block I/O; the old per-call `Vec` made each 4 KB
-/// read pay a heap round trip for a single-element list.
-struct RunBuf {
-    inline: [(Route, u64, u64); INLINE_RUNS],
-    len: usize,
-    /// Overflow for pathological spans (> [`INLINE_RUNS`] segments).
-    spill: Vec<(Route, u64, u64)>,
-}
-
-impl RunBuf {
-    fn new() -> RunBuf {
-        RunBuf {
-            inline: [(Route::Disk, 0, 0); INLINE_RUNS],
-            len: 0,
-            spill: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, run: (Route, u64, u64)) {
-        if self.len < INLINE_RUNS {
-            self.inline[self.len] = run;
-            self.len += 1;
-        } else {
-            self.spill.push(run);
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &(Route, u64, u64)> {
-        self.inline[..self.len].iter().chain(self.spill.iter())
-    }
-
-    #[cfg(test)]
-    fn spilled(&self) -> bool {
-        !self.spill.is_empty()
-    }
-}
 
 /// The block-map device the HighLight LFS mounts on.
 ///
@@ -125,18 +73,16 @@ impl BlockMapDev {
         }
     }
 
+    /// The tertiary segment holding `block`, which lies at or above
+    /// `disk_limit` (everything below routes straight to the disks).
     #[inline]
-    fn route(&self, block: u64) -> Result<Route, DevError> {
-        if block < self.disk_limit {
-            return Ok(Route::Disk); // boot area or secondary segment
-        }
+    fn tert_seg(&self, block: u64) -> Result<SegNo, DevError> {
         if block >= self.tert_base_blk && block < self.tert_end_blk {
             let off = block - self.seg_start;
-            let seg = match self.bps_shift {
+            return Ok(match self.bps_shift {
                 Some(sh) => (off >> sh) as SegNo,
                 None => (off / self.bps) as SegNo,
-            };
-            return Ok(Route::Tertiary(seg));
+            });
         }
         // "Attempts to access these blocks results in an error." — the
         // dead zone, the discarded top partial segment, and everything
@@ -148,30 +94,38 @@ impl BlockMapDev {
         })
     }
 
-    /// Splits `[block, block+count)` into maximal same-route runs.
-    fn runs(&self, block: u64, count: u64) -> Result<RunBuf, DevError> {
-        let mut out = RunBuf::new();
+    /// Splits a request of `len` bytes starting at `block` — above the
+    /// disk region, so wholly tertiary or an error — into one run per
+    /// tertiary segment it touches (each maps to its own cache line):
+    /// `(segment, first block, the run's bytes of the request buffer)`.
+    /// A span reaching an unmapped block is refused whole, before any
+    /// of it is served.
+    fn tert_runs(
+        &self,
+        block: u64,
+        len: usize,
+    ) -> Result<impl Iterator<Item = (SegNo, u64, Range<usize>)> + '_, DevError> {
+        let end = block + (len / BLOCK_SIZE) as u64;
+        // The tertiary region is contiguous: its first unmapped block
+        // is `block` itself or the region's end.
+        let probe = if block < self.tert_end_blk && end > self.tert_end_blk {
+            self.tert_end_blk
+        } else {
+            block
+        };
+        self.tert_seg(probe)?;
         let mut b = block;
-        let end = block + count;
-        while b < end {
-            let route = self.route(b)?;
-            let run_end = match route {
-                Route::Disk => {
-                    // Up to the start of the tertiary range (disks are a
-                    // single contiguous low region plus the boot area).
-                    end
-                }
-                Route::Tertiary(seg) => {
-                    // One tertiary segment at a time: each maps to its
-                    // own cache line.
-                    let seg_end = self.map.seg_base(seg) as u64 + self.map.blocks_per_seg as u64;
-                    seg_end.min(end)
-                }
-            };
-            out.push((route, b, run_end - b));
+        Ok(std::iter::from_fn(move || {
+            if b >= end {
+                return None;
+            }
+            let seg = self.tert_seg(b).expect("span checked above");
+            let run_end = (self.map.seg_base(seg) as u64 + self.bps).min(end);
+            let bytes = (b - block) as usize * BLOCK_SIZE..(run_end - block) as usize * BLOCK_SIZE;
+            let run = (seg, b, bytes);
             b = run_end;
-        }
-        Ok(out)
+            Some(run)
+        }))
     }
 
     /// Translates a tertiary block to its cache-line disk block, demand
@@ -228,87 +182,50 @@ impl BlockDev for BlockMapDev {
     }
 
     fn read(&self, at: SimTime, block: u64, buf: &mut [u8]) -> Result<IoSlot, DevError> {
-        // Fast path: a request starting in the low disk region is always
-        // a single Disk run (`runs()` never splits it), so skip the run
-        // buffer entirely — this is every resident-file I/O.
+        // Fast path: a request starting in the low disk region goes to
+        // the disks whole — this is every resident-file I/O.
         if block < self.disk_limit {
             return self.disks.read(at, block, buf);
         }
-        let count = (buf.len() / BLOCK_SIZE) as u64;
         let mut t = at;
-        let start = at;
-        for &(route, b, n) in self.runs(block, count)?.iter() {
-            let lo = ((b - block) * BLOCK_SIZE as u64) as usize;
-            let hi = lo + (n * BLOCK_SIZE as u64) as usize;
-            match route {
-                Route::Disk => {
-                    let slot = self.disks.read(t, b, &mut buf[lo..hi])?;
-                    t = slot.end;
-                }
-                Route::Tertiary(seg) => {
-                    let (disk_block, ready) = self.cache_translate(t, seg, b, false)?;
-                    let slot = self.disks.read(ready, disk_block, &mut buf[lo..hi])?;
-                    t = slot.end;
-                }
-            }
+        for (seg, b, bytes) in self.tert_runs(block, buf.len())? {
+            let (disk_block, ready) = self.cache_translate(t, seg, b, false)?;
+            t = self.disks.read(ready, disk_block, &mut buf[bytes])?.end;
         }
-        Ok(IoSlot { start, end: t })
+        Ok(IoSlot { start: at, end: t })
     }
 
     fn write(&self, at: SimTime, block: u64, buf: &[u8]) -> Result<IoSlot, DevError> {
         if block < self.disk_limit {
             return self.disks.write(at, block, buf);
         }
-        let count = (buf.len() / BLOCK_SIZE) as u64;
         let mut t = at;
-        let start = at;
-        for &(route, b, n) in self.runs(block, count)?.iter() {
-            let lo = ((b - block) * BLOCK_SIZE as u64) as usize;
-            let hi = lo + (n * BLOCK_SIZE as u64) as usize;
-            match route {
-                Route::Disk => {
-                    let slot = self.disks.write(t, b, &buf[lo..hi])?;
-                    t = slot.end;
-                }
-                Route::Tertiary(seg) => {
-                    let (disk_block, ready) = self.cache_translate(t, seg, b, true)?;
-                    let slot = self.disks.write(ready, disk_block, &buf[lo..hi])?;
-                    t = slot.end;
-                }
-            }
+        for (seg, b, bytes) in self.tert_runs(block, buf.len())? {
+            let (disk_block, ready) = self.cache_translate(t, seg, b, true)?;
+            t = self.disks.write(ready, disk_block, &buf[bytes])?.end;
         }
-        Ok(IoSlot { start, end: t })
+        Ok(IoSlot { start: at, end: t })
     }
 
     fn peek(&self, block: u64, buf: &mut [u8]) -> Result<(), DevError> {
         if block < self.disk_limit {
             return self.disks.peek(block, buf);
         }
-        let count = (buf.len() / BLOCK_SIZE) as u64;
-        for &(route, b, n) in self.runs(block, count)?.iter() {
-            let lo = ((b - block) * BLOCK_SIZE as u64) as usize;
-            let hi = lo + (n * BLOCK_SIZE as u64) as usize;
-            match route {
-                Route::Disk => self.disks.peek(b, &mut buf[lo..hi])?,
-                Route::Tertiary(seg) => {
-                    // Cached copy if present, else straight off the
-                    // medium (recovery tooling; untimed).
-                    let line = self.cache.borrow().peek(seg).copied();
-                    if let Some(line) = line {
-                        let off = b - self.map.seg_base(seg) as u64;
-                        self.disks.peek(
-                            self.map.seg_base(line.disk_seg) as u64 + off,
-                            &mut buf[lo..hi],
-                        )?;
-                    } else {
-                        let (vol, slot) = self.map.vol_slot(seg).ok_or(DevError::Offline)?;
-                        let mut seg_buf = vec![0u8; self.map.blocks_per_seg as usize * BLOCK_SIZE];
-                        self.tio.jukebox().peek_segment(vol, slot, &mut seg_buf)?;
-                        let off =
-                            ((b - self.map.seg_base(seg) as u64) * BLOCK_SIZE as u64) as usize;
-                        buf[lo..hi].copy_from_slice(&seg_buf[off..off + (hi - lo)]);
-                    }
-                }
+        for (seg, b, bytes) in self.tert_runs(block, buf.len())? {
+            // Cached copy if present, else straight off the medium
+            // (recovery tooling; untimed).
+            let off = b - self.map.seg_base(seg) as u64;
+            let line = self.cache.borrow().peek(seg).copied();
+            if let Some(line) = line {
+                self.disks
+                    .peek(self.map.seg_base(line.disk_seg) as u64 + off, &mut buf[bytes])?;
+            } else {
+                let (vol, slot) = self.map.vol_slot(seg).ok_or(DevError::Offline)?;
+                let mut seg_buf = vec![0u8; self.map.blocks_per_seg as usize * BLOCK_SIZE];
+                self.tio.jukebox().peek_segment(vol, slot, &mut seg_buf)?;
+                let off = off as usize * BLOCK_SIZE;
+                let n = bytes.len();
+                buf[bytes].copy_from_slice(&seg_buf[off..off + n]);
             }
         }
         Ok(())
@@ -318,20 +235,12 @@ impl BlockDev for BlockMapDev {
         if block < self.disk_limit {
             return self.disks.poke(block, buf);
         }
-        let count = (buf.len() / BLOCK_SIZE) as u64;
-        for &(route, b, n) in self.runs(block, count)?.iter() {
-            let lo = ((b - block) * BLOCK_SIZE as u64) as usize;
-            let hi = lo + (n * BLOCK_SIZE as u64) as usize;
-            match route {
-                Route::Disk => self.disks.poke(b, &buf[lo..hi])?,
-                Route::Tertiary(seg) => {
-                    let line = self.cache.borrow().peek(seg).copied();
-                    let line = line.ok_or(DevError::Offline)?;
-                    let off = b - self.map.seg_base(seg) as u64;
-                    self.disks
-                        .poke(self.map.seg_base(line.disk_seg) as u64 + off, &buf[lo..hi])?;
-                }
-            }
+        for (seg, b, bytes) in self.tert_runs(block, buf.len())? {
+            let line = self.cache.borrow().peek(seg).copied();
+            let line = line.ok_or(DevError::Offline)?;
+            let off = b - self.map.seg_base(seg) as u64;
+            self.disks
+                .poke(self.map.seg_base(line.disk_seg) as u64 + off, &buf[bytes])?;
         }
         Ok(())
     }
@@ -450,32 +359,49 @@ mod tests {
     }
 
     #[test]
-    fn run_splitting_stays_inline_for_typical_requests() {
+    fn runs_tile_a_span_one_tertiary_segment_at_a_time() {
         let (dev, _, map, _) = rig();
-        // A one-block secondary read: one run, nothing on the heap.
-        let r = dev.runs(100, 1).unwrap();
-        assert_eq!(r.iter().count(), 1);
-        assert!(!r.spilled());
-        // A span crossing more segments than the inline capacity still
-        // splits correctly, tiling the range exactly.
         // Volume numbering descends from the top of the address space:
         // the last volume's slot 0 is the lowest tertiary segment.
-        let base = map.seg_base(map.tert_seg(3, 0)) as u64;
-        let span = (INLINE_RUNS as u64 + 2) * map.blocks_per_seg as u64;
-        let r = dev.runs(base, span).unwrap();
-        assert_eq!(r.iter().count(), INLINE_RUNS + 2);
-        assert!(r.spilled());
-        let mut b = base;
-        for &(_, rb, rn) in r.iter() {
-            assert_eq!(rb, b);
-            b += rn;
+        let first = map.tert_seg(3, 0);
+        let base = map.seg_base(first) as u64;
+        let bps = map.blocks_per_seg as u64;
+        // Ten segments and a bit, starting mid-segment.
+        let (start, len) = (base + 7, (10 * bps as usize + 3) * BLOCK_SIZE);
+        let runs: Vec<_> = dev.tert_runs(start, len).unwrap().collect();
+        assert_eq!(runs.len(), 11);
+        let (mut b, mut byte) = (start, 0);
+        for (i, (seg, rb, bytes)) in runs.into_iter().enumerate() {
+            assert_eq!((seg, rb, bytes.start), (first + i as u32, b, byte));
+            assert_eq!(map.seg_of(rb as u32), Some(seg));
+            b += (bytes.len() / BLOCK_SIZE) as u64;
+            byte = bytes.end;
+            assert!(b <= map.seg_base(seg) as u64 + bps, "run crosses a segment");
         }
-        assert_eq!(b, base + span);
+        assert_eq!(byte, len);
+        // A span running off the top of the tertiary region is refused
+        // whole, naming the first unmapped block.
+        let top = dev.tert_end_blk;
+        assert!(matches!(
+            dev.tert_runs(top - 2, 4 * BLOCK_SIZE).map(|_| ()),
+            Err(DevError::OutOfRange { block, .. }) if block == top
+        ));
     }
 
     #[test]
     fn inlined_route_agrees_with_the_address_map_everywhere() {
+        #[derive(Debug, PartialEq)]
+        enum Route {
+            Disk,
+            Tertiary(SegNo),
+        }
         let (dev, _, map, _) = rig();
+        let route = |block: u64| -> Option<Route> {
+            if block < dev.disk_limit {
+                return Some(Route::Disk);
+            }
+            dev.tert_seg(block).ok().map(Route::Tertiary)
+        };
         // Reference implementation: the pre-inlining derivation chain.
         let reference = |block: u64| -> Option<Route> {
             if block < map.seg_start as u64 {
@@ -506,7 +432,7 @@ mod tests {
             u64::MAX,
         ];
         for b in probes {
-            assert_eq!(dev.route(b).ok(), reference(b), "route({b:#x}) diverged");
+            assert_eq!(route(b), reference(b), "route({b:#x}) diverged");
         }
         // And a dense sweep across each boundary.
         for base in [
@@ -517,7 +443,7 @@ mod tests {
         ] {
             for d in -2i64..=2 {
                 let b = base.wrapping_add_signed(d);
-                assert_eq!(dev.route(b).ok(), reference(b), "route({b:#x}) diverged");
+                assert_eq!(route(b), reference(b), "route({b:#x}) diverged");
             }
         }
     }

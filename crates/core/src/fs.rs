@@ -217,8 +217,7 @@ impl HighLight {
             t.reset_live(&tert_refs);
             for &seg in tert_refs.keys() {
                 if let Some((vol, slot)) = map.vol_slot(seg) {
-                    let v = t.volume_mut(vol);
-                    v.next_slot = v.next_slot.max(slot + 1);
+                    t.advance_cursor(vol, slot);
                 }
             }
         }
@@ -763,8 +762,8 @@ impl HighLight {
         if let Some((vol, slot)) = self.map.vol_slot(st.seg) {
             let serial = self.lfs.log_serial();
             let mut t = self.tseg.borrow_mut();
+            t.advance_cursor(vol, slot);
             let v = t.volume_mut(vol);
-            v.next_slot = v.next_slot.max(slot + 1);
             v.last_serial = v.last_serial.max(serial);
         }
         match self.copyout {
@@ -859,9 +858,7 @@ impl HighLight {
             .relocate_tertiary_segment(&mut image, old_seg, new_seg)?;
         // Volume cursor for the new home.
         if let Some((vol, slot)) = self.map.vol_slot(new_seg) {
-            let mut t = self.tseg.borrow_mut();
-            let v = t.volume_mut(vol);
-            v.next_slot = v.next_slot.max(slot + 1);
+            self.tseg.borrow_mut().advance_cursor(vol, slot);
         }
         Ok(())
     }

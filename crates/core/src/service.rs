@@ -623,8 +623,7 @@ impl TioInner {
                     let mut tseg = self.tseg.borrow_mut();
                     let u = tseg.seg_mut(seg);
                     u.avail_bytes = self.seg_bytes as u32;
-                    let v = tseg.volume_mut(vol);
-                    v.next_slot = v.next_slot.max(slot + 1);
+                    tseg.advance_cursor(vol, slot);
                 }
                 let end = self.write_replicas(w.end, drive, seg, vol, &buf);
                 let mut stats = self.stats.borrow_mut();

@@ -68,6 +68,13 @@ impl TsegTable {
         self.vols.entry(vol).or_default()
     }
 
+    /// Moves a volume's write cursor past `slot` (it never moves back:
+    /// media are consumed one slot at a time, §6.5).
+    pub fn advance_cursor(&mut self, vol: u32, slot: u32) {
+        let v = self.volume_mut(vol);
+        v.next_slot = v.next_slot.max(slot + 1);
+    }
+
     /// Adjusts a tertiary segment's live bytes (the [`TertiaryHooks`]
     /// path from the LFS core).
     pub fn add_live(&mut self, seg: SegNo, delta: i64) {
