@@ -36,6 +36,13 @@ run cargo bench -q -p hl-bench --bench fault_load
 run cargo bench -q -p hl-bench --bench scenarios
 run cargo bench -q -p hl-server --bench server_fleet
 run cargo bench -q -p hl-bench --bench policies
+# The paper's figures, the §5 design-choice ablations and the replica /
+# scrub sweep: no checks of their own, but they are the only callers of
+# several JukeboxConfig, cleaner-policy and stack.rs paths — run, not
+# just type-checked.
+run cargo bench -q -p hl-bench --bench figures
+run cargo bench -q -p hl-bench --bench ablations
+run cargo bench -q -p hl-bench --bench reliability
 # Hot-path micro gate (§6j): host-scaled <= 55 ns route budget.
 # BENCH_micro.json is host time, so it is not part of the drift check.
 run cargo bench -q -p hl-bench --bench micro
