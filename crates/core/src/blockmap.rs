@@ -217,15 +217,16 @@ impl BlockDev for BlockMapDev {
             let off = b - self.map.seg_base(seg) as u64;
             let line = self.cache.borrow().peek(seg).copied();
             if let Some(line) = line {
-                self.disks
-                    .peek(self.map.seg_base(line.disk_seg) as u64 + off, &mut buf[bytes])?;
+                self.disks.peek(
+                    self.map.seg_base(line.disk_seg) as u64 + off,
+                    &mut buf[bytes],
+                )?;
             } else {
                 let (vol, slot) = self.map.vol_slot(seg).ok_or(DevError::Offline)?;
                 let mut seg_buf = vec![0u8; self.map.blocks_per_seg as usize * BLOCK_SIZE];
                 self.tio.jukebox().peek_segment(vol, slot, &mut seg_buf)?;
-                let off = off as usize * BLOCK_SIZE;
-                let n = bytes.len();
-                buf[bytes].copy_from_slice(&seg_buf[off..off + n]);
+                let src = &seg_buf[off as usize * BLOCK_SIZE..][..bytes.len()];
+                buf[bytes].copy_from_slice(src);
             }
         }
         Ok(())

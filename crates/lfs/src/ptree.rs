@@ -40,7 +40,8 @@ pub enum Home {
     TooBig,
 }
 
-/// The first data block reached through indirect block `lb`.
+/// The first data block at or beneath `lb`.
+#[inline]
 fn first_under(lb: LBlock) -> u64 {
     match lb {
         LBlock::Data(l) => l as u64,
@@ -157,7 +158,17 @@ mod tests {
 
     #[test]
     fn blocks_lists_exactly_what_a_file_owns_children_first() {
-        for n in [0, 1, 12, 13, DOUBLE, DOUBLE + 1, DOUBLE + 1_024, DOUBLE + 1_025, 3_400] {
+        for n in [
+            0,
+            1,
+            12,
+            13,
+            DOUBLE,
+            DOUBLE + 1,
+            DOUBLE + 1_024,
+            DOUBLE + 1_025,
+            3_400,
+        ] {
             let all: Vec<LBlock> = blocks(0..n).collect();
             let nchildren = n.saturating_sub(DOUBLE).div_ceil(1_024);
             let expect = n + u64::from(n > 12) + u64::from(n > DOUBLE) + nchildren;
@@ -166,16 +177,33 @@ mod tests {
                 if let Home::InBlock(parent, idx) = home(lb) {
                     let p = all.iter().position(|&x| x == parent);
                     assert!(p.is_some_and(|p| p > at), "{lb:?} before {parent:?} at {n}");
-                    assert!(idx < slots(parent, n), "{lb:?} in range of {parent:?} at {n}");
+                    assert!(
+                        idx < slots(parent, n),
+                        "{lb:?} in range of {parent:?} at {n}"
+                    );
                 }
             }
         }
-        assert_eq!(blocks(0..MAX_DATA_BLOCKS + 9).count() as u64, MAX_DATA_BLOCKS + 1_026);
+        assert_eq!(
+            blocks(0..MAX_DATA_BLOCKS + 9).count() as u64,
+            MAX_DATA_BLOCKS + 1_026
+        );
     }
 
     #[test]
     fn a_range_is_the_difference_of_two_files() {
-        let sizes = [0, 5, 12, 13, 700, DOUBLE, DOUBLE + 1, DOUBLE + 1_024, DOUBLE + 1_025, 3_400];
+        let sizes = [
+            0,
+            5,
+            12,
+            13,
+            700,
+            DOUBLE,
+            DOUBLE + 1,
+            DOUBLE + 1_024,
+            DOUBLE + 1_025,
+            3_400,
+        ];
         for &keep in &sizes {
             for &n in sizes.iter().filter(|&&n| n >= keep) {
                 let kept: Vec<LBlock> = blocks(0..keep).collect();

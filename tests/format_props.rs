@@ -636,9 +636,14 @@ mod tree {
 
     /// DESIGN.md §6a: `acc = rotl(acc, 5) + b + i` from `0x6c66_7331`.
     fn cksum(bytes: &[u8]) -> u32 {
-        bytes.iter().enumerate().fold(0x6c66_7331u32, |acc, (i, &b)| {
-            acc.rotate_left(5).wrapping_add(u32::from(b)).wrapping_add(i as u32)
-        })
+        bytes
+            .iter()
+            .enumerate()
+            .fold(0x6c66_7331u32, |acc, (i, &b)| {
+                acc.rotate_left(5)
+                    .wrapping_add(u32::from(b))
+                    .wrapping_add(i as u32)
+            })
     }
 
     /// One file as the raw bytes describe it.
@@ -683,7 +688,11 @@ mod tree {
         if n > 12 {
             let ind1 = u32_at(d, 100);
             ptrs.insert(-1, ind1);
-            for (i, &p) in slots_of(ind1).iter().take((n - 12).min(1024) as usize).enumerate() {
+            for (i, &p) in slots_of(ind1)
+                .iter()
+                .take((n - 12).min(1024) as usize)
+                .enumerate()
+            {
                 ptrs.insert(12 + i as i64, p);
             }
         }
@@ -694,12 +703,21 @@ mod tree {
             for (k, &child) in slots_of(ind2).iter().take(nchildren as usize).enumerate() {
                 ptrs.insert(-3 - k as i64, child);
                 let first = 1036 + 1024 * k as u64;
-                for (i, &p) in slots_of(child).iter().take((n - first).min(1024) as usize).enumerate() {
+                for (i, &p) in slots_of(child)
+                    .iter()
+                    .take((n - first).min(1024) as usize)
+                    .enumerate()
+                {
                     ptrs.insert((first + i as u64) as i64, p);
                 }
             }
         }
-        RawFile { daddr, size, blocks: u32_at(d, 48), ptrs }
+        RawFile {
+            daddr,
+            size,
+            blocks: u32_at(d, 48),
+            ptrs,
+        }
     }
 
     /// Superblock-free reading of a checkpointed image: newest valid
@@ -713,7 +731,11 @@ mod tree {
             .max_by_key(|s| u64_at(s, 0))
             .expect("a valid checkpoint");
         let ifile_daddr = u32_at(slot, 16);
-        let ifile = walk_tree(rig, ifile_daddr, &dinode(rig, ifile_daddr, 1).expect("ifile dinode"));
+        let ifile = walk_tree(
+            rig,
+            ifile_daddr,
+            &dinode(rig, ifile_daddr, 1).expect("ifile dinode"),
+        );
         let ifile_block = |l: i64| rig.block(ifile.ptrs[&l]);
         let head = ifile_block(0);
         let (ninodes, nsegs) = (u32_at(&head, 8), u32_at(&head, 12));
@@ -738,10 +760,21 @@ mod tree {
 #[derive(Clone, Debug)]
 enum TreeOp {
     /// Write `blocks` blocks (less `short` bytes) at block `at`.
-    Write { file: usize, at: u32, blocks: u32, short: u32 },
+    Write {
+        file: usize,
+        at: u32,
+        blocks: u32,
+        short: u32,
+    },
     /// Truncate to `to` blocks less `short` bytes.
-    Truncate { file: usize, to: u32, short: u32 },
-    Unlink { file: usize },
+    Truncate {
+        file: usize,
+        to: u32,
+        short: u32,
+    },
+    Unlink {
+        file: usize,
+    },
 }
 
 /// Block offsets biased toward the tree's boundaries, up to ~13 MB.

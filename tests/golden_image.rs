@@ -462,7 +462,12 @@ fn deep_life() -> Pin {
         let step = format!("dense cut to {size}");
         check_deep(&mut hl, &step, &[("/dense", blocks)]);
         let keep = (size as usize).min(4_096);
-        read_back(&mut hl, "/dense", size - keep as u64, &dense[size as usize - keep..size as usize]);
+        read_back(
+            &mut hl,
+            "/dense",
+            size - keep as u64,
+            &dense[size as usize - keep..size as usize],
+        );
     }
     // The sparse file loses child 2 and keeps child 0 whole.
     let ino = hl.lookup("/sparse").expect("lookup");
