@@ -846,8 +846,8 @@ mod tests {
         assert_eq!(back, data);
     }
 
-    /// Byte pin of a file that reaches `Ind2Child(1)` (2 305 data blocks
-    /// + 4 indirect): every block the life leaves on the device, the
+    /// Byte pin of a file that reaches `Ind2Child(1)` (2 305 data and 4
+    /// indirect blocks): every block the life leaves on the device, the
     /// simulated clock, and the allocator back where it started.
     #[test]
     fn nine_megabyte_life_matches_the_pinned_image() {
