@@ -389,7 +389,7 @@ fn ablation_prefetch() {
 
 /// Cleaner policy under skewed overwrites: write cost of cleaning.
 fn ablation_cleaner() {
-    use hl_lfs::CleanerPolicy;
+    use hl_lfs::{CleanerPolicy, Ufs};
     let mut rows = Vec::new();
     for (name, policy) in [
         ("greedy", CleanerPolicy::Greedy),

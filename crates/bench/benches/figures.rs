@@ -12,7 +12,7 @@ use std::rc::Rc;
 use highlight::stack;
 use highlight::{HighLight, HlConfig};
 use hl_footprint::{Jukebox, JukeboxConfig};
-use hl_lfs::{Lfs, LfsConfig, LinearMap, NoTertiary};
+use hl_lfs::{Lfs, LfsConfig, LinearMap, NoTertiary, Ufs};
 use hl_sim::Clock;
 use hl_vdev::{BlockDev, Disk, DiskProfile};
 

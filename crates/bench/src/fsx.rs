@@ -5,7 +5,7 @@ use highlight::HighLight;
 use hl_ffs::Ffs;
 use hl_lfs::error::Result;
 use hl_lfs::types::Ino;
-use hl_lfs::Lfs;
+use hl_lfs::{Lfs, Ufs};
 use hl_sim::time::SimTime;
 use hl_sim::Clock;
 use hl_workload::large_object::{LargeObject, Phase, FRAME, TOTAL_FRAMES};
@@ -30,10 +30,10 @@ pub trait BenchFs {
 
 impl BenchFs for Ffs {
     fn create(&mut self, path: &str) -> Result<Ino> {
-        Ffs::create(self, path)
+        Ufs::create(self, path)
     }
     fn lookup(&mut self, path: &str) -> Result<Ino> {
-        Ffs::lookup(self, path)
+        Ufs::lookup(self, path)
     }
     fn read(&mut self, ino: Ino, offset: u64, buf: &mut [u8]) -> Result<usize> {
         Ffs::read(self, ino, offset, buf)
@@ -57,10 +57,10 @@ impl BenchFs for Ffs {
 
 impl BenchFs for Lfs {
     fn create(&mut self, path: &str) -> Result<Ino> {
-        Lfs::create(self, path)
+        Ufs::create(self, path)
     }
     fn lookup(&mut self, path: &str) -> Result<Ino> {
-        Lfs::lookup(self, path)
+        Ufs::lookup(self, path)
     }
     fn read(&mut self, ino: Ino, offset: u64, buf: &mut [u8]) -> Result<usize> {
         Lfs::read(self, ino, offset, buf)

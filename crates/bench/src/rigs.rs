@@ -103,6 +103,7 @@ impl Rig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hl_lfs::Ufs;
 
     #[test]
     fn paper_rig_mounts_all_three_filesystems() {

@@ -21,7 +21,7 @@ use hl_lfs::fs::Stat;
 use hl_lfs::migrate::{MigrateItem, StagingSegment};
 use hl_lfs::recovery::RecoveryReport;
 use hl_lfs::types::{Ino, SegNo, UNASSIGNED};
-use hl_lfs::{Lfs, LfsConfig};
+use hl_lfs::{Lfs, LfsConfig, Ufs};
 use hl_sim::time::SimTime;
 use hl_vdev::{BlockDev, DevError, BLOCK_SIZE};
 

@@ -29,7 +29,7 @@ use std::rc::Rc;
 use hl_lfs::error::Result;
 use hl_lfs::migrate::MigrateItem;
 use hl_lfs::types::{FileKind, Ino, LBlock};
-use hl_lfs::Lfs;
+use hl_lfs::{Lfs, Ufs};
 use hl_sim::time::SimTime;
 
 use crate::fs::{HighLight, MigrateStats};

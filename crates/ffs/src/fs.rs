@@ -21,12 +21,12 @@ use hl_lfs::buffer::BufCache;
 use hl_lfs::config::CpuCosts;
 use hl_lfs::dir;
 use hl_lfs::error::{LfsError, Result};
-use hl_lfs::fs::Stat;
 use hl_lfs::ondisk::{self, Dinode};
 use hl_lfs::ptree::{self, Home};
 use hl_lfs::types::{
     BlockAddr, FileKind, Ino, LBlock, DINODE_SIZE, INODES_PER_BLOCK, ROOT_INO, UNASSIGNED,
 };
+use hl_lfs::ufs::{Ufs, MAXCONTIG};
 use hl_sim::time::SimTime;
 use hl_sim::Clock;
 use hl_vdev::{BlockDev, BLOCK_SIZE};
@@ -36,24 +36,22 @@ use crate::alloc::BlockMap;
 /// FFS magic number.
 const FFS_MAGIC: u64 = 0x4647_4c49_4646_5331;
 
-/// FFS tunables.
+/// Buffer cache capacity in bytes (the test machine had 3.2 MB).
+const BUFFER_CACHE_BYTES: u64 = 3_355_443;
+/// Inode table capacity, recorded in the superblock.
+const NINODES: u32 = 4096;
+/// Largest coalesced run the flush elevator writes at once. Writes
+/// coalesce beyond [`MAXCONTIG`] because the flusher chains adjacent
+/// clusters (this is why Table 2's FFS writes run at media speed).
+const MAX_FLUSH_RUN: usize = 256;
+
+/// FFS configuration.
 #[derive(Clone)]
 pub struct FfsConfig {
     /// Shared virtual clock.
     pub clock: Clock,
-    /// CPU cost model (defaults to [`CpuCosts::ffs`]).
+    /// CPU cost model.
     pub cpu: CpuCosts,
-    /// Buffer cache capacity in bytes.
-    pub buffer_cache_bytes: u64,
-    /// Maximum contiguous blocks per clustered I/O — the paper sets 16
-    /// (64 KB transfers, §7.1).
-    pub maxcontig: u32,
-    /// Inode table capacity.
-    pub ninodes: u32,
-    /// Largest coalesced run the flush elevator writes at once. Writes
-    /// coalesce beyond `maxcontig` because the flusher chains adjacent
-    /// clusters (this is why Table 2's FFS writes run at media speed).
-    pub max_flush_run: u32,
 }
 
 impl FfsConfig {
@@ -62,10 +60,6 @@ impl FfsConfig {
         FfsConfig {
             clock,
             cpu: CpuCosts::ffs(),
-            buffer_cache_bytes: 3_355_443,
-            maxcontig: 16,
-            ninodes: 4096,
-            max_flush_run: 256,
         }
     }
 }
@@ -96,56 +90,40 @@ impl Ffs {
     /// Formats a fresh FFS on `dev`.
     pub fn mkfs(dev: Rc<dyn BlockDev>, cfg: FfsConfig) -> Result<()> {
         let nblocks = dev.nblocks();
-        let (itable_blocks, bmap_blocks, data_start) = Self::data_start(nblocks, cfg.ninodes);
+        let (itable_blocks, bmap_blocks, data_start) = Self::data_start(nblocks, NINODES);
         if data_start + 16 > nblocks {
             return Err(LfsError::Invalid("device too small for an FFS"));
         }
         let mut sb = vec![0u8; BLOCK_SIZE];
         ondisk::put_u64(&mut sb, 0, FFS_MAGIC);
-        ondisk::put_u32(&mut sb, 8, cfg.ninodes);
-        ondisk::put_u32(&mut sb, 12, cfg.maxcontig);
+        ondisk::put_u32(&mut sb, 8, NINODES);
+        ondisk::put_u32(&mut sb, 12, MAXCONTIG);
         ondisk::put_u64(&mut sb, 16, nblocks);
         dev.poke(0, &sb)?;
 
         let mut fs = Ffs {
-            itable: vec![Dinode::empty(); cfg.ninodes as usize],
-            itable_dirty: vec![false; cfg.ninodes as usize],
+            itable: vec![Dinode::empty(); NINODES as usize],
+            itable_dirty: vec![false; NINODES as usize],
             bmap_blocks,
             itable_blocks,
             blocks: BlockMap::new(nblocks, data_start),
-            cache: BufCache::new(cfg.buffer_cache_bytes, BLOCK_SIZE),
+            cache: BufCache::new(BUFFER_CACHE_BYTES, BLOCK_SIZE),
             dev,
             cfg,
             seq_hint: std::collections::HashMap::new(),
         };
         // Root directory.
-        let now = fs.now();
-        let root = &mut fs.itable[ROOT_INO as usize];
-        root.mode = FileKind::Directory.mode() | 0o755;
+        let mut root = Dinode::new(FileKind::Directory, 0o755, ROOT_INO, 1, fs.now());
         root.nlink = 2;
-        root.inumber = ROOT_INO;
-        root.gen = 1;
         root.size = BLOCK_SIZE as u64;
-        root.atime = now;
-        root.mtime = now;
-        root.ctime = now;
+        fs.itable[ROOT_INO as usize] = root;
         fs.itable_dirty[ROOT_INO as usize] = true;
         let mut blk = vec![0u8; BLOCK_SIZE];
         dir::init_block(&mut blk);
         dir::add(&mut blk, ".", ROOT_INO, FileKind::Directory)?;
         dir::add(&mut blk, "..", ROOT_INO, FileKind::Directory)?;
-        let addr = fs.blocks.alloc(None).ok_or(LfsError::NoSpace)? as BlockAddr;
-        fs.itable[ROOT_INO as usize].db[0] = addr;
-        fs.itable[ROOT_INO as usize].blocks = 1;
-        fs.cache.insert(
-            ROOT_INO,
-            LBlock::Data(0),
-            blk.into_boxed_slice(),
-            true,
-            addr,
-        );
-        fs.sync()?;
-        Ok(())
+        fs.append(ROOT_INO, 0, blk.into_boxed_slice())?;
+        fs.sync()
     }
 
     /// Mounts an existing FFS (clean unmount assumed).
@@ -187,15 +165,11 @@ impl Ffs {
             bmap_blocks,
             itable_blocks,
             blocks,
-            cache: BufCache::new(cfg.buffer_cache_bytes, BLOCK_SIZE),
+            cache: BufCache::new(BUFFER_CACHE_BYTES, BLOCK_SIZE),
             dev,
             cfg,
             seq_hint: std::collections::HashMap::new(),
         })
-    }
-
-    fn now(&self) -> u64 {
-        self.cfg.clock.now()
     }
 
     fn charge_cpu(&self, us: SimTime) {
@@ -236,45 +210,20 @@ impl Ffs {
     // Inodes and block mapping.
     // -----------------------------------------------------------------
 
+    /// A live inode. Live means `mode != 0`, not `nlink != 0`: the
+    /// shared `unlink` drops the last link *before* [`Ufs::release`]
+    /// runs, and `bmap` must still resolve the blocks being freed.
     fn inode(&self, ino: Ino) -> Result<&Dinode> {
-        let d = self.itable.get(ino as usize).ok_or(LfsError::NotFound)?;
-        if d.nlink == 0 {
-            return Err(LfsError::NotFound);
-        }
-        Ok(d)
+        self.itable
+            .get(ino as usize)
+            .filter(|d| d.mode != 0)
+            .ok_or(LfsError::NotFound)
     }
 
     fn inode_mut(&mut self, ino: Ino) -> Result<&mut Dinode> {
+        self.inode(ino)?;
         self.itable_dirty[ino as usize] = true;
-        let d = self
-            .itable
-            .get_mut(ino as usize)
-            .ok_or(LfsError::NotFound)?;
-        Ok(d)
-    }
-
-    fn ialloc(&mut self, kind: FileKind) -> Result<Ino> {
-        let ino = self
-            .itable
-            .iter()
-            .enumerate()
-            .skip(ROOT_INO as usize + 1)
-            .find(|(_, d)| d.nlink == 0)
-            .map(|(i, _)| i as Ino)
-            .ok_or(LfsError::NoInodes)?;
-        let now = self.now();
-        let d = &mut self.itable[ino as usize];
-        let gen = d.gen + 1;
-        *d = Dinode::empty();
-        d.mode = kind.mode() | 0o644;
-        d.nlink = 1;
-        d.inumber = ino;
-        d.gen = gen;
-        d.atime = now;
-        d.mtime = now;
-        d.ctime = now;
-        self.itable_dirty[ino as usize] = true;
-        Ok(ino)
+        Ok(&mut self.itable[ino as usize])
     }
 
     /// Resolves `(ino, lb)` to a device address, `UNASSIGNED` for holes.
@@ -360,7 +309,7 @@ impl Ffs {
         let mut run = 1u32;
         if let LBlock::Data(l0) = lb {
             let sequential = l0 == 0 || self.seq_hint.get(&ino) == Some(&l0);
-            let limit = if sequential { self.cfg.maxcontig } else { 1 };
+            let limit = if sequential { MAXCONTIG } else { 1 };
             let size_blocks = self.inode(ino)?.size.div_ceil(BLOCK_SIZE as u64);
             while run < limit && ((l0 + run) as u64) < size_blocks {
                 let next = LBlock::Data(l0 + run);
@@ -390,19 +339,6 @@ impl Ffs {
         Ok(())
     }
 
-    /// Flushes write-behind data if the cache is over capacity.
-    fn balance(&mut self) -> Result<()> {
-        if !self.cache.over_capacity() {
-            return Ok(());
-        }
-        self.cache.shrink_to_capacity();
-        if self.cache.over_capacity() {
-            self.flush_data()?;
-            self.cache.shrink_to_capacity();
-        }
-        Ok(())
-    }
-
     /// Elevator flush: sorts dirty blocks by device address and writes
     /// coalesced runs.
     fn flush_data(&mut self) -> Result<()> {
@@ -416,10 +352,7 @@ impl Ffs {
         while i < dirty.len() {
             // Extend a contiguous run.
             let mut j = i + 1;
-            while j < dirty.len()
-                && dirty[j].2 == dirty[j - 1].2 + 1
-                && (j - i) < self.cfg.max_flush_run as usize
-            {
+            while j < dirty.len() && dirty[j].2 == dirty[j - 1].2 + 1 && (j - i) < MAX_FLUSH_RUN {
                 j += 1;
             }
             let mut image = vec![0u8; (j - i) * BLOCK_SIZE];
@@ -468,170 +401,12 @@ impl Ffs {
     }
 
     // -----------------------------------------------------------------
-    // Namespace (flat subset of the LFS API, same semantics).
-    // -----------------------------------------------------------------
-
-    fn dir_lookup(&mut self, dino: Ino, name: &str) -> Result<Option<(Ino, FileKind)>> {
-        let d = *self.inode(dino)?;
-        if FileKind::from_mode(d.mode) != Some(FileKind::Directory) {
-            return Err(LfsError::NotDir);
-        }
-        for l in 0..d.size.div_ceil(BLOCK_SIZE as u64) as u32 {
-            self.ensure_block(dino, LBlock::Data(l))?;
-            let buf = self.cache.get(dino, LBlock::Data(l)).expect("ensured");
-            if let Some(hit) = dir::find(&buf.data, name) {
-                return Ok(Some(hit));
-            }
-        }
-        Ok(None)
-    }
-
-    fn namei_parent<'a>(&mut self, path: &'a str) -> Result<(Ino, &'a str)> {
-        let mut comps: Vec<&str> = path.split('/').filter(|c| !c.is_empty()).collect();
-        let name = comps.pop().ok_or(LfsError::Invalid("empty path"))?;
-        let mut cur = ROOT_INO;
-        for comp in comps {
-            let (ino, kind) = self.dir_lookup(cur, comp)?.ok_or(LfsError::NotFound)?;
-            if kind != FileKind::Directory {
-                return Err(LfsError::NotDir);
-            }
-            cur = ino;
-        }
-        Ok((cur, name))
-    }
-
-    /// Resolves a path.
-    pub fn lookup(&mut self, path: &str) -> Result<Ino> {
-        self.charge_cpu(self.cfg.cpu.per_op);
-        let mut cur = ROOT_INO;
-        for comp in path.split('/').filter(|c| !c.is_empty()) {
-            let (ino, _) = self.dir_lookup(cur, comp)?.ok_or(LfsError::NotFound)?;
-            cur = ino;
-        }
-        Ok(cur)
-    }
-
-    fn dir_add(&mut self, dino: Ino, name: &str, ino: Ino, kind: FileKind) -> Result<()> {
-        let size = self.inode(dino)?.size;
-        let nblocks = size.div_ceil(BLOCK_SIZE as u64) as u32;
-        for l in 0..nblocks {
-            self.ensure_block(dino, LBlock::Data(l))?;
-            let buf = self.cache.get_mut(dino, LBlock::Data(l)).expect("ensured");
-            if dir::add(&mut buf.data, name, ino, kind)? {
-                self.cache.mark_dirty(dino, LBlock::Data(l));
-                return Ok(());
-            }
-        }
-        let addr = self.alloc_bmap(dino, LBlock::Data(nblocks))?;
-        let mut blk = vec![0u8; BLOCK_SIZE];
-        dir::init_block(&mut blk);
-        dir::add(&mut blk, name, ino, kind)?;
-        self.cache.insert(
-            dino,
-            LBlock::Data(nblocks),
-            blk.into_boxed_slice(),
-            true,
-            addr,
-        );
-        let d = self.inode_mut(dino)?;
-        d.size += BLOCK_SIZE as u64;
-        Ok(())
-    }
-
-    /// Creates a regular file.
-    pub fn create(&mut self, path: &str) -> Result<Ino> {
-        self.charge_cpu(self.cfg.cpu.per_op);
-        let (dino, name) = self.namei_parent(path)?;
-        if self.dir_lookup(dino, name)?.is_some() {
-            return Err(LfsError::Exists);
-        }
-        let ino = self.ialloc(FileKind::Regular)?;
-        self.dir_add(dino, name, ino, FileKind::Regular)?;
-        Ok(ino)
-    }
-
-    /// Creates a directory.
-    pub fn mkdir(&mut self, path: &str) -> Result<Ino> {
-        self.charge_cpu(self.cfg.cpu.per_op);
-        let (dino, name) = self.namei_parent(path)?;
-        if self.dir_lookup(dino, name)?.is_some() {
-            return Err(LfsError::Exists);
-        }
-        let ino = self.ialloc(FileKind::Directory)?;
-        let addr = self.alloc_bmap(ino, LBlock::Data(0))?;
-        let mut blk = vec![0u8; BLOCK_SIZE];
-        dir::init_block(&mut blk);
-        dir::add(&mut blk, ".", ino, FileKind::Directory)?;
-        dir::add(&mut blk, "..", dino, FileKind::Directory)?;
-        self.cache
-            .insert(ino, LBlock::Data(0), blk.into_boxed_slice(), true, addr);
-        {
-            let d = self.inode_mut(ino)?;
-            d.size = BLOCK_SIZE as u64;
-            d.nlink = 2;
-        }
-        self.dir_add(dino, name, ino, FileKind::Directory)?;
-        self.inode_mut(dino)?.nlink += 1;
-        Ok(ino)
-    }
-
-    /// Removes a file, releasing its blocks.
-    pub fn unlink(&mut self, path: &str) -> Result<()> {
-        self.charge_cpu(self.cfg.cpu.per_op);
-        let (dino, name) = self.namei_parent(path)?;
-        let (ino, kind) = self.dir_lookup(dino, name)?.ok_or(LfsError::NotFound)?;
-        if kind == FileKind::Directory {
-            return Err(LfsError::IsDir);
-        }
-        // Remove the entry.
-        let size = self.inode(dino)?.size;
-        let mut removed = false;
-        for l in 0..size.div_ceil(BLOCK_SIZE as u64) as u32 {
-            self.ensure_block(dino, LBlock::Data(l))?;
-            let buf = self.cache.get_mut(dino, LBlock::Data(l)).expect("ensured");
-            if dir::remove(&mut buf.data, name).is_some() {
-                self.cache.mark_dirty(dino, LBlock::Data(l));
-                removed = true;
-                break;
-            }
-        }
-        if !removed {
-            return Err(LfsError::NotFound);
-        }
-        let last_link = self.inode(ino)?.nlink == 1;
-        if last_link {
-            // Release while the inode is still live (bmap needs it),
-            // then clear the slot.
-            self.release_blocks(ino)?;
-        } else {
-            self.inode_mut(ino)?.nlink -= 1;
-        }
-        Ok(())
-    }
-
-    fn release_blocks(&mut self, ino: Ino) -> Result<()> {
-        let nblocks = self.inode(ino)?.size.div_ceil(BLOCK_SIZE as u64);
-        for lb in ptree::blocks(0..nblocks) {
-            let addr = self.bmap(ino, lb)?;
-            if addr != UNASSIGNED {
-                self.blocks.release(addr as u64);
-            }
-        }
-        self.cache.remove_file(ino);
-        let d = self.inode_mut(ino)?;
-        let gen = d.gen;
-        *d = Dinode::empty();
-        d.gen = gen;
-        Ok(())
-    }
-
-    // -----------------------------------------------------------------
     // Data path.
     // -----------------------------------------------------------------
 
     /// Reads up to `buf.len()` bytes at `offset`.
     pub fn read(&mut self, ino: Ino, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        self.charge_cpu(self.cfg.cpu.per_op);
+        self.charge_op();
         let size = {
             let now = self.now();
             let d = self.inode_mut(ino)?;
@@ -660,7 +435,7 @@ impl Ffs {
 
     /// Writes `data` at `offset` (write-behind; `sync` persists).
     pub fn write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> Result<()> {
-        self.charge_cpu(self.cfg.cpu.per_op);
+        self.charge_op();
         let size = self.inode(ino)?.size;
         let mut done = 0;
         while done < data.len() {
@@ -698,33 +473,80 @@ impl Ffs {
         d.mtime = now;
         Ok(())
     }
+}
 
-    /// `stat` an inode.
-    pub fn stat(&mut self, ino: Ino) -> Result<Stat> {
-        let d = *self.inode(ino)?;
-        Ok(Stat {
-            ino,
-            kind: FileKind::from_mode(d.mode).ok_or(LfsError::Corrupt("bad mode"))?,
-            size: d.size,
-            nlink: d.nlink,
-            atime: d.atime,
-            mtime: d.mtime,
-            ctime: d.ctime,
-            blocks: d.blocks,
-        })
+impl Ufs for Ffs {
+    fn now(&self) -> u64 {
+        self.cfg.clock.now()
     }
 
-    /// Lists a directory.
-    pub fn readdir(&mut self, path: &str) -> Result<Vec<dir::DirEntry>> {
-        let dino = self.lookup(path)?;
-        let d = *self.inode(dino)?;
-        let mut out = Vec::new();
-        for l in 0..d.size.div_ceil(BLOCK_SIZE as u64) as u32 {
-            self.ensure_block(dino, LBlock::Data(l))?;
-            let buf = self.cache.get(dino, LBlock::Data(l)).expect("ensured");
-            out.extend(dir::entries(&buf.data));
+    fn charge_op(&self) {
+        self.charge_cpu(self.cfg.cpu.per_op);
+    }
+
+    fn dinode(&mut self, ino: Ino) -> Result<Dinode> {
+        self.inode(ino).copied()
+    }
+
+    fn update(&mut self, ino: Ino, f: impl FnOnce(&mut Dinode)) -> Result<()> {
+        f(self.inode_mut(ino)?);
+        Ok(())
+    }
+
+    fn ialloc(&mut self, kind: FileKind) -> Result<Ino> {
+        let ino = (ROOT_INO + 1..self.itable.len() as Ino)
+            .find(|&i| self.itable[i as usize].mode == 0)
+            .ok_or(LfsError::NoInodes)?;
+        let gen = self.itable[ino as usize].gen + 1;
+        self.itable[ino as usize] = Dinode::new(kind, 0o644, ino, gen, self.now());
+        self.itable_dirty[ino as usize] = true;
+        Ok(ino)
+    }
+
+    fn release(&mut self, ino: Ino) -> Result<()> {
+        let nblocks = self.inode(ino)?.size.div_ceil(BLOCK_SIZE as u64);
+        for lb in ptree::blocks(0..nblocks) {
+            let addr = self.bmap(ino, lb)?;
+            if addr != UNASSIGNED {
+                self.blocks.release(addr as u64);
+            }
         }
-        Ok(out)
+        self.cache.remove_file(ino);
+        let d = self.inode_mut(ino)?;
+        *d = Dinode {
+            gen: d.gen,
+            ..Dinode::empty()
+        };
+        Ok(())
+    }
+
+    fn block(&mut self, ino: Ino, l: u32) -> Result<&mut [u8]> {
+        self.ensure_block(ino, LBlock::Data(l))?;
+        let buf = self.cache.get_mut(ino, LBlock::Data(l)).expect("ensured");
+        Ok(&mut buf.data)
+    }
+
+    fn dirtied(&mut self, ino: Ino, l: u32) {
+        self.cache.mark_dirty(ino, LBlock::Data(l));
+    }
+
+    fn append(&mut self, ino: Ino, l: u32, data: Box<[u8]>) -> Result<()> {
+        let addr = self.alloc_bmap(ino, LBlock::Data(l))?;
+        self.cache.insert(ino, LBlock::Data(l), data, true, addr);
+        Ok(())
+    }
+
+    /// Flushes write-behind data if the cache is over capacity.
+    fn balance(&mut self) -> Result<()> {
+        if !self.cache.over_capacity() {
+            return Ok(());
+        }
+        self.cache.shrink_to_capacity();
+        if self.cache.over_capacity() {
+            self.flush_data()?;
+            self.cache.shrink_to_capacity();
+        }
+        Ok(())
     }
 }
 
@@ -831,6 +653,51 @@ mod tests {
             .map(|e| e.name)
             .collect();
         assert!(names.contains(&"f".to_string()));
+    }
+
+    /// Regression: `inode_mut` indexed `itable_dirty` before its bounds
+    /// check and panicked where the LFS returns `NotFound`.
+    #[test]
+    fn an_out_of_range_inode_number_is_not_found() {
+        let (mut fs, _) = mkffs(20_000);
+        let mut buf = [0u8; 8];
+        for ino in [0, 999_999, Ino::MAX] {
+            assert_eq!(fs.read(ino, 0, &mut buf), Err(LfsError::NotFound));
+            assert_eq!(fs.write(ino, 0, b"x"), Err(LfsError::NotFound));
+            assert_eq!(fs.stat(ino), Err(LfsError::NotFound));
+        }
+    }
+
+    /// Regression: the hand copy listed a regular file as an empty
+    /// directory.
+    #[test]
+    fn readdir_of_a_regular_file_is_not_a_directory() {
+        let (mut fs, _) = mkffs(20_000);
+        let ino = fs.create("/f").unwrap();
+        fs.write(ino, 0, b"not directory entries").unwrap();
+        assert_eq!(fs.readdir("/f"), Err(LfsError::NotDir));
+    }
+
+    /// Regression: a directory's `mtime` never moved.
+    #[test]
+    fn a_directory_mtime_moves_with_its_entries() {
+        let (mut fs, clock) = mkffs(20_000);
+        let mut last = fs.stat(ROOT_INO).unwrap().mtime;
+        let mut moved = |fs: &mut Ffs, what: &str| {
+            let now = fs.stat(ROOT_INO).unwrap().mtime;
+            assert!(now > last, "root mtime did not move on {what}");
+            last = now;
+            clock.advance_by(5_000_000);
+        };
+        clock.advance_by(5_000_000);
+        fs.create("/f").unwrap();
+        moved(&mut fs, "create");
+        fs.mkdir("/d").unwrap();
+        moved(&mut fs, "mkdir");
+        fs.unlink("/f").unwrap();
+        moved(&mut fs, "unlink");
+        fs.rmdir("/d").unwrap();
+        moved(&mut fs, "rmdir");
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::fs::Lfs;
 use crate::ondisk::seg_flags;
 use crate::ptree;
 use crate::types::{BlockAddr, FileKind, Ino, IFILE_INO, ROOT_INO, UNASSIGNED};
+use crate::ufs::Ufs;
 
 /// One consistency finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -267,7 +268,7 @@ impl Lfs {
                 ci.d.nlink = 1;
                 ci.dirty = true;
             }
-            self.release_file(ino)?;
+            self.release(ino)?;
             reaped += 1;
         }
         Ok(reaped)

@@ -16,6 +16,7 @@ use crate::migrate::MigrateItem;
 use crate::ondisk::seg_flags;
 use crate::partial;
 use crate::types::{BlockAddr, Ino, LBlock, SegNo, UNASSIGNED};
+use crate::ufs::Ufs;
 
 /// Victim-selection policy, shared by the two reclaimers in the
 /// hierarchy: the disk log cleaner here scores segments with it, and
@@ -103,7 +104,7 @@ impl Lfs {
             }
             moved += 1;
         }
-        self.balance_cache()?;
+        self.balance()?;
         Ok(moved)
     }
 

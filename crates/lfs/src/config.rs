@@ -65,15 +65,6 @@ impl CpuCosts {
             per_op: 150,
         }
     }
-
-    /// A free CPU (for pure device experiments such as Table 5).
-    pub fn zero() -> CpuCosts {
-        CpuCosts {
-            read_block: 0,
-            write_block: 0,
-            per_op: 0,
-        }
-    }
 }
 
 /// Tunable filesystem parameters.
@@ -97,8 +88,6 @@ pub struct LfsConfig {
     pub cpu: CpuCosts,
     /// The cleaner keeps at least this many clean segments available.
     pub min_clean_segs: u32,
-    /// Run the cleaner automatically when clean segments run low.
-    pub auto_clean: bool,
     /// Which dirty segments the cleaner picks first.
     pub cleaner_policy: CleanerPolicy,
 }
@@ -114,7 +103,6 @@ impl LfsConfig {
             cache_segs: 0,
             cpu: CpuCosts::lfs(),
             min_clean_segs: 3,
-            auto_clean: true,
             cleaner_policy: CleanerPolicy::CostBenefit,
         }
     }

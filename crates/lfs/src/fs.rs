@@ -29,6 +29,7 @@ use crate::ondisk::{Dinode, IfileEntry, SegUse, Superblock};
 use crate::ptree::{self, Home};
 use crate::stats::LfsStats;
 use crate::types::{BlockAddr, FileKind, Ino, LBlock, SegNo, IFILE_INO, ROOT_INO, UNASSIGNED};
+use crate::ufs::{Ufs, MAXCONTIG};
 
 /// Device block holding the superblock.
 pub const SUPERBLOCK_ADDR: BlockAddr = 0;
@@ -165,31 +166,17 @@ impl Lfs {
         fs.free_head = UNASSIGNED;
 
         let now = fs.now();
-        let mut ifile = Dinode::empty();
-        ifile.mode = FileKind::Regular.mode() | 0o600;
-        ifile.nlink = 1;
-        ifile.inumber = IFILE_INO;
-        ifile.gen = 1;
-        ifile.atime = now;
-        ifile.mtime = now;
-        ifile.ctime = now;
         fs.inodes.insert(
             IFILE_INO,
             CachedInode {
-                d: ifile,
+                d: Dinode::new(FileKind::Regular, 0o600, IFILE_INO, 1, now),
                 dirty: true,
                 atime_dirty: false,
             },
         );
 
-        let mut root = Dinode::empty();
-        root.mode = FileKind::Directory.mode() | 0o755;
+        let mut root = Dinode::new(FileKind::Directory, 0o755, ROOT_INO, 1, now);
         root.nlink = 2; // "." and the parent link from itself
-        root.inumber = ROOT_INO;
-        root.gen = 1;
-        root.atime = now;
-        root.mtime = now;
-        root.ctime = now;
         fs.inodes.insert(
             ROOT_INO,
             CachedInode {
@@ -272,11 +259,6 @@ impl Lfs {
     // -----------------------------------------------------------------
     // Small helpers.
     // -----------------------------------------------------------------
-
-    /// Current simulated time.
-    pub(crate) fn now(&self) -> u64 {
-        self.cfg.clock.now()
-    }
 
     /// Charges CPU time to the virtual clock.
     pub(crate) fn charge_cpu(&self, us: SimTime) {
@@ -402,52 +384,6 @@ impl Lfs {
             },
         );
         Ok(())
-    }
-
-    /// Marks an inode dirty (it will be rewritten by the segment writer).
-    pub(crate) fn idirty(&mut self, ino: Ino) {
-        if let Some(i) = self.inodes.get_mut(&ino) {
-            i.dirty = true;
-        }
-    }
-
-    /// Allocates a fresh inode number, reusing the free list first.
-    pub(crate) fn ialloc(&mut self, kind: FileKind) -> Result<Ino> {
-        let ino = if self.free_head != UNASSIGNED {
-            let ino = self.free_head;
-            self.free_head = self.imap[ino as usize].free_next;
-            ino
-        } else {
-            if self.imap.len() as u64 >= u32::MAX as u64 {
-                return Err(LfsError::NoInodes);
-            }
-            self.imap.push(IfileEntry::free(UNASSIGNED));
-            (self.imap.len() - 1) as Ino
-        };
-        let ent = &mut self.imap[ino as usize];
-        ent.version += 1;
-        ent.daddr = UNASSIGNED;
-        ent.free_next = UNASSIGNED;
-        let version = ent.version;
-
-        let now = self.now();
-        let mut d = Dinode::empty();
-        d.mode = kind.mode() | 0o644;
-        d.nlink = 1;
-        d.inumber = ino;
-        d.gen = version;
-        d.atime = now;
-        d.mtime = now;
-        d.ctime = now;
-        self.inodes.insert(
-            ino,
-            CachedInode {
-                d,
-                dirty: true,
-                atime_dirty: false,
-            },
-        );
-        Ok(ino)
     }
 
     /// Returns an inode to the free list (all blocks must already be
@@ -612,7 +548,7 @@ impl Lfs {
             d.size.div_ceil(BLOCK_SIZE as u64)
         };
         let sequential = l0 == 0 || self.seq_hint.get(&ino) == Some(&l0);
-        let max_cluster = if sequential { 16u32 } else { 1 };
+        let max_cluster = if sequential { MAXCONTIG } else { 1 };
         let mut run = 1u32;
         while run < max_cluster && (l0 + run) < size_blocks.min(u32::MAX as u64) as u32 {
             let next = LBlock::Data(l0 + run);
@@ -656,25 +592,6 @@ impl Lfs {
         self.read_scratch = buf;
         if run > 1 {
             self.stats.cache_misses += (run - 1) as u64;
-        }
-        Ok(())
-    }
-
-    /// Keeps the buffer cache within capacity, flushing the log if dirty
-    /// blocks alone exceed it.
-    pub(crate) fn balance_cache(&mut self) -> Result<()> {
-        // While the segment writer runs, blocks it just materialized
-        // (parents pulled in for patching) must not be evicted from
-        // under it; the writer shrinks the cache itself after each
-        // partial is flushed.
-        if self.writing || !self.cache.over_capacity() {
-            return Ok(());
-        }
-        self.cache.shrink_to_capacity();
-        if self.cache.over_capacity() {
-            // Pinned dirty data exceeds capacity: write the log.
-            self.segwrite()?;
-            self.cache.shrink_to_capacity();
         }
         Ok(())
     }
@@ -860,20 +777,5 @@ impl Lfs {
             .get(ino as usize)
             .map(|e| e.daddr)
             .filter(|&d| d != UNASSIGNED)
-    }
-
-    /// `stat` an inode.
-    pub fn stat(&mut self, ino: Ino) -> Result<Stat> {
-        let d = self.iget(ino)?.d;
-        Ok(Stat {
-            ino,
-            kind: FileKind::from_mode(d.mode).ok_or(LfsError::Corrupt("bad mode"))?,
-            size: d.size,
-            nlink: d.nlink,
-            atime: d.atime,
-            mtime: d.mtime,
-            ctime: d.ctime,
-            blocks: d.blocks,
-        })
     }
 }

@@ -41,6 +41,7 @@ pub mod ptree;
 pub mod recovery;
 pub mod stats;
 pub mod types;
+pub mod ufs;
 pub mod writer;
 
 pub use check::{CheckReport, Finding};
@@ -52,3 +53,4 @@ pub use error::LfsError;
 pub use fs::{Lfs, Stat};
 pub use stats::LfsStats;
 pub use types::{BlockAddr, FileKind, Ino, LBlock, SegNo, UNASSIGNED};
+pub use ufs::Ufs;

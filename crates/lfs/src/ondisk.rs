@@ -10,7 +10,7 @@
 //! during the transfer" (§8.2).
 
 use crate::error::{LfsError, Result};
-use crate::types::{BlockAddr, DINODE_SIZE, NDIRECT, UNASSIGNED};
+use crate::types::{BlockAddr, FileKind, Ino, DINODE_SIZE, NDIRECT, UNASSIGNED};
 
 /// Filesystem magic number ("HighLight LFS", version 1).
 pub const SUPER_MAGIC: u64 = 0x4847_4c49_4c46_5331;
@@ -262,6 +262,21 @@ impl Dinode {
             blocks: 0,
             db: [UNASSIGNED; NDIRECT],
             ib: [UNASSIGNED; 2],
+        }
+    }
+
+    /// A fresh inode of `kind` with one link, no blocks and every time
+    /// at `now`.
+    pub fn new(kind: FileKind, perm: u16, ino: Ino, gen: u32, now: u64) -> Dinode {
+        Dinode {
+            mode: kind.mode() | perm,
+            nlink: 1,
+            inumber: ino,
+            atime: now,
+            mtime: now,
+            ctime: now,
+            gen,
+            ..Dinode::empty()
         }
     }
 

@@ -23,6 +23,7 @@ use crate::ondisk::{seg_flags, Checkpoint, CHECKPOINT_SLOT, SEGUSE_SIZE};
 use crate::partial::PartialBuilder;
 use crate::ptree::{self, Home};
 use crate::types::{Ino, LBlock, SegNo, IFILE_INO, UNASSIGNED};
+use crate::ufs::Ufs;
 
 /// Entries per ifile segment-usage block.
 pub const SEGUSE_PER_BLOCK: usize = BLOCK_SIZE / SEGUSE_SIZE;

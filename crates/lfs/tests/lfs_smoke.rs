@@ -3,7 +3,7 @@
 
 use std::rc::Rc;
 
-use hl_lfs::{CleanerPolicy, Lfs, LfsConfig, LinearMap, NoTertiary};
+use hl_lfs::{CleanerPolicy, Lfs, LfsConfig, LinearMap, NoTertiary, Ufs};
 use hl_sim::Clock;
 use hl_vdev::{BlockDev, Disk, DiskProfile};
 

@@ -7,6 +7,7 @@ use hl_lfs::config::AddressMap;
 use hl_lfs::dir;
 use hl_lfs::ondisk::{Checkpoint, Dinode, Finfo, IfileEntry, SegSummary, SegUse, CHECKPOINT_SLOT};
 use hl_lfs::types::{FileKind, DINODE_SIZE, NDIRECT, UNASSIGNED};
+use hl_lfs::Ufs;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 

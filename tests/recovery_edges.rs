@@ -10,7 +10,7 @@ use std::rc::Rc;
 use hl_lfs::config::AddressMap;
 use hl_lfs::fs::CHECKPOINT_ADDR;
 use hl_lfs::ondisk::{Checkpoint, SegSummary, Superblock, CHECKPOINT_SLOT};
-use hl_lfs::{Lfs, LfsConfig, LinearMap, NoTertiary};
+use hl_lfs::{Lfs, LfsConfig, LinearMap, NoTertiary, Ufs};
 use hl_sim::Clock;
 use hl_vdev::{BlockDev, CrashDev, CrashPlan, Disk, DiskProfile, BLOCK_SIZE};
 
