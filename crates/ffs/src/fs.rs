@@ -744,7 +744,7 @@ mod tests {
                 digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
             }
         }
-        assert_eq!((digest, clock.now()), (0x5646_1507_0e9c_3edf, 19_443_650));
+        assert_eq!((digest, clock.now()), (0x8f9e_4b55_cb90_f0a9, 19_443_650));
     }
 
     #[test]
