@@ -50,4 +50,12 @@ run cargo bench -q -p hl-bench --bench micro
 run git diff --exit-code -- BENCH_pipeline.json BENCH_faults.json \
   BENCH_scenarios.json BENCH_server.json BENCH_policies.json
 
+# Non-test source lines per crate (each file up to its first column-0
+# `#[cfg(test)]`) — the figure CHANGES.md reports. Printed, not gated.
+echo "==> non-test lines under crates/*/src"
+awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 }
+     !t { split(FILENAME, p, "/"); n[p[2]]++; all++ }
+     END { for (c in n) printf "%-10s %6d\n", c, n[c] | "sort"
+           close("sort"); printf "%-10s %6d\n", "total", all }' crates/*/src/*.rs
+
 echo "CI OK"

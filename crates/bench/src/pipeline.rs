@@ -462,21 +462,7 @@ pub fn run(cfg: PipelineConfig) -> PipelineResult {
         .count();
     // Queue residency (enqueue to device start) of each demand fetch,
     // replayed from the recorder's event stream.
-    let mut demand_residency: Vec<SimTime> = tio
-        .tracer()
-        .events()
-        .iter()
-        .filter_map(|ev| match ev.kind {
-            hl_trace::EventKind::Queuing {
-                class: hl_trace::Class::Demand,
-                from,
-                to,
-                ..
-            } => Some(to - from),
-            _ => None,
-        })
-        .collect();
-    demand_residency.sort_unstable();
+    let demand_residency = tio.tracer().residencies(hl_trace::Class::Demand);
     let st = tio.stats();
     let drives = tio.drives();
     let total_end = completions.last().copied().unwrap_or(0);

@@ -26,7 +26,7 @@ use hl_vdev::{BlockDev, Disk, DiskProfile};
 use hl_workload::ops::{Op, OpStream};
 use highlight::migrator::{AdaptiveThrottle, GenerationalPolicy, Migrator, StpPolicy};
 use highlight::segcache::EjectPolicy;
-use highlight::{policy, tcleaner, HighLight, HlConfig};
+use highlight::{tcleaner, HighLight, HlConfig};
 
 use crate::report::Json;
 
@@ -378,7 +378,7 @@ pub fn run_policy_arm(stream: &OpStream, arm: &ArmSpec) -> ArmReport {
             }
             if hl.lfs().clean_segs() < migrator.low_water_segs {
                 if let Some(report) =
-                    policy::disk_clean_once(&mut hl, arm.cleaning).expect("disk clean")
+                    tcleaner::disk_clean_once(&mut hl, arm.cleaning).expect("disk clean")
                 {
                     if report.segs_cleaned > 0 {
                         disk_cleans += 1;
@@ -422,21 +422,7 @@ pub fn run_policy_arm(stream: &OpStream, arm: &ArmSpec) -> ArmReport {
     }
 
     let tio = hl.tio();
-    let mut demand_residency: Vec<SimTime> = tio
-        .tracer()
-        .events()
-        .iter()
-        .filter_map(|ev| match ev.kind {
-            hl_trace::EventKind::Queuing {
-                class: hl_trace::Class::Demand,
-                from,
-                to,
-                ..
-            } => Some(to - from),
-            _ => None,
-        })
-        .collect();
-    demand_residency.sort_unstable();
+    let demand_residency = tio.tracer().residencies(hl_trace::Class::Demand);
 
     let svc = tio.stats();
     let cache = tio.cache().borrow().stats();

@@ -6,6 +6,9 @@
 //! storage device was a SCSI-attached HP 6300 magneto-optic (MO) changer
 //! with two drives and 32 cartridges ... the tests constrained
 //! HighLight's use of each platter to 40MB."
+//!
+//! Kept here rather than merged into `highlight::rig`: it mounts `hl-ffs`,
+//! which `highlight` must not depend on.
 
 use std::rc::Rc;
 
@@ -80,11 +83,7 @@ impl Rig {
     /// Formats and mounts a fresh HighLight with `cache_segs` cache
     /// lines.
     pub fn highlight(&self, cache_segs: u32) -> HighLight {
-        self.highlight_cfg(HlConfig::paper(self.clock.clone(), cache_segs))
-    }
-
-    /// HighLight with a custom configuration.
-    pub fn highlight_cfg(&self, cfg: HlConfig) -> HighLight {
+        let cfg = HlConfig::paper(self.clock.clone(), cache_segs);
         HighLight::mkfs(
             self.disk.clone() as Rc<dyn BlockDev>,
             Rc::new(self.jukebox.clone()),

@@ -662,21 +662,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
         }
     }
 
-    let mut demand_residency: Vec<SimTime> = tio
-        .tracer()
-        .events()
-        .iter()
-        .filter_map(|ev| match ev.kind {
-            hl_trace::EventKind::Queuing {
-                class: hl_trace::Class::Demand,
-                from,
-                to,
-                ..
-            } => Some(to - from),
-            _ => None,
-        })
-        .collect();
-    demand_residency.sort_unstable();
+    let demand_residency = tio.tracer().residencies(hl_trace::Class::Demand);
 
     let st = tio.stats();
     let fp = jb.stats();

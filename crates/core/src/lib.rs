@@ -19,9 +19,6 @@
 //!   space-time-product policy the paper's migrator uses (§5.1), plus the
 //!   namespace-unit (§5.3) and block-range (§5.2) policies it proposes,
 //!   hot/cold generational separation, and adaptive load throttling;
-//! - one **reclaim-scoring vocabulary** ([`hl_lfs::CleanerPolicy`]):
-//!   the disk log cleaner ([`policy`]) and the tertiary volume cleaner
-//!   score candidates with the same enum (Lomet & Luo);
 //! - the **tertiary segment summary file** ([`tsegfile`], §6.4);
 //! - **prefetch** policies ([`prefetch`], §5.3–5.4), **segment replicas**
 //!   (§5.4), and the **tertiary volume cleaner** (§10 future work,
@@ -38,7 +35,6 @@ pub mod hlfsck;
 mod ioserver;
 mod lanes;
 pub mod migrator;
-pub mod policy;
 pub mod prefetch;
 pub mod recovery;
 pub mod replicas;

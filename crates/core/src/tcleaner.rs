@@ -14,7 +14,7 @@
 //! one, so the two-drive jukebox serves reads and writes concurrently),
 //! then erases the victim volume for reuse.
 
-use hl_lfs::cleaner::CleanerPolicy;
+use hl_lfs::cleaner::{CleanReport, CleanerPolicy};
 use hl_lfs::error::{LfsError, Result};
 use hl_lfs::migrate::MigrateItem;
 use hl_vdev::BLOCK_SIZE;
@@ -32,6 +32,25 @@ pub struct TCleanReport {
     pub blocks_moved: u64,
     /// Live inodes re-migrated.
     pub inodes_moved: u64,
+}
+
+/// Runs one *disk* cleaner pass with the victim selected by `policy`
+/// (instead of the one baked into `LfsConfig`) — here beside the volume
+/// cleaner because the two reclaimers score candidates with the same
+/// [`CleanerPolicy`] in the same `(live, capacity, age)` vocabulary and
+/// both record the pick as a
+/// [`policy_decision`](hl_trace::Tracer::policy_decision) mark. Returns
+/// `None` when nothing is cleanable.
+pub fn disk_clean_once(hl: &mut HighLight, policy: CleanerPolicy) -> Result<Option<CleanReport>> {
+    let Some(victim) = hl.lfs().select_victim(policy) else {
+        return Ok(None);
+    };
+    hl.tio().tracer().policy_decision(
+        hl.clock().now(),
+        policy.name(),
+        &format!("disk clean seg {victim}"),
+    );
+    hl.lfs().clean_segment(victim).map(Some)
 }
 
 /// Picks a victim under [`CleanerPolicy::Greedy`] — the paper-era

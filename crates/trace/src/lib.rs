@@ -882,6 +882,25 @@ impl Tracer {
         self.rec.borrow().wait[class.idx()]
     }
 
+    /// Queue residency (enqueue to device start) of each retained
+    /// [`EventKind::Queuing`] event of `class`, sorted ascending.
+    pub fn residencies(&self, class: Class) -> Vec<TraceTime> {
+        let mut out: Vec<TraceTime> = self
+            .rec
+            .borrow()
+            .events
+            .iter()
+            .filter_map(|ev| match ev.kind {
+                EventKind::Queuing {
+                    class: c, from, to, ..
+                } if c == class => Some(to - from),
+                _ => None,
+            })
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
     /// Depth high-water mark of `queue`.
     pub fn queue_hwm(&self, queue: QueueId) -> u32 {
         self.rec.borrow().hwm[queue.idx()]
