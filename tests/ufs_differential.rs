@@ -48,10 +48,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use hl_ffs::{Ffs, FfsConfig};
+use hl_lfs::types::ROOT_INO;
 use hl_lfs::{FileKind, Lfs, LfsConfig, LfsError, LinearMap, NoTertiary, Ufs};
 use hl_sim::rng::DetRng;
 use hl_sim::Clock;
-use hl_vdev::{BlockDev, Disk, DiskProfile};
+use hl_vdev::{BlockDev, Disk, DiskProfile, BLOCK_SIZE};
 
 const DEV_BLOCKS: u64 = 16_384;
 
@@ -136,7 +137,11 @@ fn tree<U: Ufs>(fs: &mut U, dir: &str, out: &mut BTreeMap<String, (FileKind, u16
         let (kind, nlink, size, blocks) = facts(fs, e.ino).expect("stat a listed entry");
         assert_eq!(kind, e.kind, "{p}: entry kind vs inode kind");
         if kind == FileKind::Directory {
-            assert_eq!(u64::from(blocks) * 4096, size, "{p}: blocks vs size");
+            assert_eq!(
+                u64::from(blocks) * BLOCK_SIZE as u64,
+                size,
+                "{p}: blocks vs size"
+            );
             tree(fs, &p, out);
         }
         out.insert(p, (kind, nlink, size));
@@ -149,8 +154,8 @@ fn same_tree(ffs: &mut Ffs, lfs: &mut Lfs, when: &str) -> BTreeSet<String> {
     tree(lfs, "/", &mut l);
     assert_eq!(f, l, "trees diverged {when}");
     assert_eq!(
-        facts(ffs, 2).map(|t| (t.0, t.1, t.2)),
-        facts(lfs, 2).map(|t| (t.0, t.1, t.2)),
+        facts(ffs, ROOT_INO).map(|t| (t.0, t.1, t.2)),
+        facts(lfs, ROOT_INO).map(|t| (t.0, t.1, t.2)),
         "root inode diverged {when}"
     );
     f.into_keys().collect()
@@ -225,7 +230,7 @@ fn run(seed: u64) {
         }
         if step % 250 == 249 {
             assert_eq!(same_tree(&mut ffs, &mut lfs, "mid-script"), model);
-            grew |= facts(&mut ffs, 2).expect("root").2 > 4096;
+            grew |= facts(&mut ffs, ROOT_INO).expect("root").2 > BLOCK_SIZE as u64;
             ffs.sync().expect("ffs sync");
             lfs.checkpoint().expect("lfs checkpoint");
             (ffs, lfs) = (frig.mount(), lrig.mount());
@@ -262,7 +267,7 @@ fn run(seed: u64) {
     assert!(report.clean(), "lfs check: {:?}", report.findings);
     ffs.sync().expect("ffs sync");
     // The root keeps the blocks it grew into; nothing else may remain.
-    let root_blocks = u64::from(facts(&mut ffs, 2).expect("root").3);
+    let root_blocks = u64::from(facts(&mut ffs, ROOT_INO).expect("root").3);
     assert_eq!(ffs.free_blocks(), free0 - (root_blocks - 1));
 }
 
