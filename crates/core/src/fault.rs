@@ -347,34 +347,40 @@ mod tests {
 
     #[test]
     fn trail_renders_in_order() {
+        let step = |at, vol, error, action| FaultStep {
+            at,
+            vol,
+            slot: 1,
+            error,
+            action,
+        };
+        let transient = DevError::ReadError { block: 1 };
         let e = HlError::SegmentUnavailable {
             seg: 99,
             trail: vec![
-                FaultStep {
-                    at: 10,
-                    vol: 0,
-                    slot: 1,
-                    error: DevError::ReadError { block: 1 },
-                    action: RecoveryAction::Retry {
+                step(
+                    10,
+                    0,
+                    transient,
+                    RecoveryAction::Retry {
                         attempt: 1,
                         backoff: 50,
                     },
-                },
-                FaultStep {
-                    at: 60,
-                    vol: 0,
-                    slot: 1,
-                    error: DevError::MediaFailure,
-                    action: RecoveryAction::GaveUp,
-                },
+                ),
+                step(60, 0, transient, RecoveryAction::Failover),
+                step(60, 1, DevError::MediaFailure, RecoveryAction::Quarantine),
+                step(60, 2, DevError::Offline, RecoveryAction::GaveUp),
             ],
         };
-        let s = e.to_string();
-        assert!(s.contains("segment 99 unavailable"));
-        assert!(s.contains("retry #1"));
-        let retry_pos = s.find("retry #1").unwrap();
-        let gave_pos = s.find("gave up").unwrap();
-        assert!(retry_pos < gave_pos, "trail must render in order");
+        // One of every way a step can end (pinned for ISSUE 21).
+        assert_eq!(
+            e.to_string(),
+            "tertiary segment 99 unavailable after 4 recovery steps; \
+             t=10 v0/s1 unrecoverable read error at block 1: retry #1 after 50; \
+             t=60 v0/s1 unrecoverable read error at block 1: failover; \
+             t=60 v1/s1 media failure: quarantine; \
+             t=60 v2/s1 device offline: gave up"
+        );
     }
 
     #[test]

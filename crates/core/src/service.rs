@@ -1511,6 +1511,15 @@ mod tests {
         });
         let seg = map.tert_seg(0, 0);
         let err = tio.demand_fetch(0, seg).unwrap_err();
+        // Pinned while the trail was a `FaultStep` list of its own
+        // (ISSUE 21); it is now the request's slice of the fault log.
+        assert_eq!(
+            err.to_string(),
+            "tertiary segment 16777207 unavailable after 3 recovery steps; \
+             t=2000 v0/s0 unrecoverable read error at block 0: retry #1 after 1000; \
+             t=3000 v0/s0 unrecoverable read error at block 0: retry #2 after 2000; \
+             t=5000 v0/s0 unrecoverable read error at block 0: gave up"
+        );
         match err {
             HlError::SegmentUnavailable { seg: s, trail } => {
                 assert_eq!(s, seg);

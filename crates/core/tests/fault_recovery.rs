@@ -4,12 +4,26 @@
 //! restore the configured copy count, and every step must land in the
 //! stats and the fault log — deterministically, so the same seed yields
 //! a byte-identical log.
+//!
+//! Accounting pins (ISSUE 21): the literal `SvcStats`, `io_ops()`,
+//! `io_peak_in_flight()`, rendered fault log and `SegmentUnavailable`
+//! text below were taken while each figure still had a ledger of its own
+//! (`IoTracker`, the `SvcStats` fault counters, the per-request
+//! `FaultStep` trail) and hold now that each is read off the tracer or
+//! the fault log. Seen to go red, each sabotage applied alone and
+//! reverted:
+//!   * `admit_drive_io` not emitting its `dev_io` — `drive_ops[0]` 6 → 0,
+//!     `io_ops()` 13 → 5 (the volume-loss scenario; its trace digest
+//!     goes too).
+//!   * `quarantine_volume` not pushing its `FaultEvent::Quarantine` —
+//!     `quarantines` 1 → 0, the rendered log loses its second line, and
+//!     the unavailable segment's last step reads "gave up".
 
 use std::rc::Rc;
 
 use highlight::rig::{assert_clean, RigSpec};
 use highlight::segcache::LineState;
-use highlight::{FaultEvent, HighLight, HlConfig, HlError};
+use highlight::{FaultEvent, HighLight, HlConfig, HlError, SvcStats};
 use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
 use hl_lfs::config::AddressMap;
 use hl_sim::Clock;
@@ -83,6 +97,37 @@ fn run_scenario(seed: u64) -> (String, u64) {
 
     assert_clean(&tio);
     assert_eq!(tio.queue_depths(), (0, 0));
+    assert_eq!(
+        tio.stats(),
+        SvcStats {
+            demand_fetches: 4,
+            copyouts: 1,
+            fetch_time: 27_074_907,
+            copyout_time: 37_801_395,
+            failovers: 1,
+            quarantines: 1,
+            scrub_copies: 1,
+            queued_requests: 9,
+            reqq_hwm: 1,
+            devq_hwm: 1,
+            wait_demand: 8_000,
+            wait_copyout: 2_000,
+            wait_scrub: 2_000,
+            drive_ops: [6, 2, 0, 0, 0, 0, 0, 0],
+            drive_busy: [22_085_919, 4_695_375, 0, 0, 0, 0, 0, 0],
+            drive_peak: 1,
+            affinity_hits: 3,
+            ..SvcStats::default()
+        }
+    );
+    assert_eq!((tio.io_ops(), tio.io_peak_in_flight()), (13, 2));
+    assert_eq!(
+        tio.fault_log().render(),
+        "t=58098818 seg=16777207 v0/s0 fault: media failure\n\
+         t=58098818 quarantine v0 after 1 failures\n\
+         t=58098818 seg=16777207 failover v0/s0 -> v1/s0\n\
+         t=82350533 seg=16777207 scrub copy v1/s0 -> v2/s0\n"
+    );
     (tio.fault_log().render(), tio.trace_digest())
 }
 
@@ -120,7 +165,13 @@ fn exhausted_recovery_surfaces_the_ordered_fault_trail() {
     plan.fail_volume_at(2, 0);
     jb.set_fault_plan(plan);
 
-    match tio.demand_fetch(0, seg) {
+    let res = tio.demand_fetch(0, seg);
+    assert_eq!(
+        res.as_ref().unwrap_err().to_string(),
+        "tertiary segment 16777194 unavailable after 1 recovery steps; \
+         t=2000 v2/s3 media failure: quarantine"
+    );
+    match res {
         Err(HlError::SegmentUnavailable { seg: s, trail }) => {
             assert_eq!(s, seg);
             assert!(!trail.is_empty(), "trail must name what was tried");
@@ -130,7 +181,25 @@ fn exhausted_recovery_surfaces_the_ordered_fault_trail() {
         }
         other => panic!("expected SegmentUnavailable, got {other:?}"),
     }
-    assert_eq!(tio.stats().permanent_losses, 1);
+    assert_eq!(
+        tio.stats(),
+        SvcStats {
+            quarantines: 1,
+            permanent_losses: 1,
+            queued_requests: 1,
+            reqq_hwm: 1,
+            devq_hwm: 1,
+            wait_demand: 2_000,
+            ..SvcStats::default()
+        }
+    );
+    assert_eq!((tio.io_ops(), tio.io_peak_in_flight()), (0, 0));
+    assert_eq!(
+        tio.fault_log().render(),
+        "t=2000 seg=16777194 v2/s3 fault: media failure\n\
+         t=2000 quarantine v2 after 1 failures\n\
+         t=2000 seg=16777194 PERMANENT LOSS\n"
+    );
     assert!(tio
         .fault_log()
         .events()

@@ -13,11 +13,22 @@
 //! hung drive trips the watchdog and rejoins as a hot spare when it
 //! heals, and a dead solo pool retires and surfaces errors instead of
 //! hanging.
+//!
+//! Accounting pins (ISSUE 21): the literal `SvcStats`, `io_ops()`,
+//! `io_peak_in_flight()` and rendered fault log in the drive-death and
+//! solo-drive tests were taken while `IoTracker` and the `SvcStats`
+//! counters were ledgers of their own and hold now that each is read off
+//! the tracer or the fault log. Seen to go red, each sabotage applied
+//! alone and reverted:
+//!   * `admit_drive_io` not emitting its `dev_io` — the drive-death pin
+//!     reads `drive_ops` [0, 0, ..], `drive_peak` 0, `io_ops()` 3.
+//!   * `mark_lane_down` not pushing its `FaultEvent::DriveDown` — both
+//!     rendered logs come out empty.
 
 use std::rc::Rc;
 
 use highlight::rig::{assert_clean, RigSpec};
-use highlight::{TertiaryIo, UniformMap};
+use highlight::{SvcStats, TertiaryIo, UniformMap};
 use hl_footprint::{Footprint, Jukebox};
 use hl_lfs::config::AddressMap;
 use hl_sim::Scheduler;
@@ -242,6 +253,29 @@ fn drive_death_mid_fetch_redispatches_to_survivor() {
     assert_eq!(st.watchdog_fired, 0, "a dead drive fails fast, no watchdog");
     assert_eq!(tio.lane_health(), vec![true, false]);
     assert_clean(&tio);
+    assert_eq!(
+        st,
+        SvcStats {
+            demand_fetches: 3,
+            fetch_time: 64_055_296,
+            queued_requests: 3,
+            reqq_hwm: 2,
+            devq_hwm: 2,
+            wait_demand: 10_000,
+            drive_ops: [2, 1, 0, 0, 0, 0, 0, 0],
+            drive_busy: [4_612_875, 2_272_510, 0, 0, 0, 0, 0, 0],
+            drive_peak: 1,
+            affinity_hits: 1,
+            drive_down: 1,
+            redispatched: 1,
+            ..SvcStats::default()
+        }
+    );
+    assert_eq!((tio.io_ops(), tio.io_peak_in_flight()), (6, 2));
+    assert_eq!(
+        tio.fault_log().render(),
+        "t=30325182 drive d1 DOWN: drive d1 is dead\n"
+    );
 }
 
 /// A hung drive trips the watchdog (nominal op time × slack), the op
@@ -332,6 +366,25 @@ fn solo_drive_death_retires_the_pool_and_fails_tickets() {
     assert_eq!(tio.lane_health(), vec![false]);
     assert_clean(&tio);
     assert_eq!(tio.trace_digest(), 0x6341_d8b2_802d_3005);
+    assert_eq!(
+        st,
+        SvcStats {
+            queued_requests: 19,
+            reqq_hwm: 19,
+            devq_hwm: 8,
+            wait_demand: 2_000,
+            wait_eject: 6_000,
+            drive_down: 1,
+            redispatched: 1,
+            ..SvcStats::default()
+        }
+    );
+    assert_eq!((tio.io_ops(), tio.io_peak_in_flight()), (0, 0));
+    assert_eq!(
+        tio.fault_log().render(),
+        "t=2000 drive d0 DOWN: drive d0 is dead\n"
+    );
+    assert_eq!(t.fetch_result().unwrap_err().to_string(), "device offline");
 }
 
 

@@ -11,6 +11,7 @@ use hl_bench::scenarios::{run_scenario, standard_scenarios, ScenarioConfig};
 use hl_footprint::Footprint;
 use hl_trace::Class;
 use highlight::rig::RigSpec;
+use highlight::SvcStats;
 
 fn std_scenario(name: &str) -> ScenarioConfig {
     standard_scenarios()
@@ -53,6 +54,30 @@ fn flash_crowd_coalesces_to_one_media_read() {
     assert_eq!(tio.tracer().spans_opened(Class::Demand), 1);
     let findings = tio.trace_findings();
     assert!(findings.is_empty(), "tracecheck: {findings:?}");
+    // Accounting pin (ISSUE 21): taken while `coalesced_fetches`,
+    // `queued_requests` and the drive figures were counted beside the
+    // trace; they are now read off it. Seen to go red with the `join`
+    // emission in `enqueue_fetch` skipped (`coalesced_fetches` 7 -> 0)
+    // and with `admit_drive_io` not emitting its `dev_io` (`drive_ops`
+    // all zero, `io_ops()` 1).
+    assert_eq!(
+        s,
+        SvcStats {
+            demand_fetches: 1,
+            fetch_time: 16_951_283,
+            queued_requests: 1,
+            coalesced_fetches: 7,
+            reqq_hwm: 1,
+            devq_hwm: 1,
+            wait_demand: 2_000,
+            drive_ops: [0, 1, 0, 0, 0, 0, 0, 0],
+            drive_busy: [0, 2_384_067, 0, 0, 0, 0, 0, 0],
+            drive_peak: 1,
+            ..SvcStats::default()
+        }
+    );
+    assert_eq!((tio.io_ops(), tio.io_peak_in_flight()), (2, 2));
+    assert_eq!(tio.fault_log().render(), "");
 }
 
 /// The same contract at scenario level: the standard flash-crowd storm
