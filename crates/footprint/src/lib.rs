@@ -89,15 +89,12 @@ pub trait Footprint {
 
     /// Number of drives in the device (the I/O-server pool spawns one
     /// actor per drive).
-    fn drives(&self) -> usize {
-        self.loaded_volumes().len()
-    }
+    fn drives(&self) -> usize;
 
     /// Timed whole-segment read targeted at a drive: if `vol` is already
     /// loaded somewhere the loaded drive serves the read (no media
     /// movement); otherwise the robot swaps it into `drive`. Returns the
-    /// slot and the drive that actually performed the transfer. The
-    /// default ignores the target (single-lane devices).
+    /// slot and the drive that actually performed the transfer.
     fn read_segment_on(
         &self,
         at: SimTime,
@@ -105,10 +102,7 @@ pub trait Footprint {
         vol: VolumeId,
         seg: u32,
         buf: &mut [u8],
-    ) -> Result<(IoSlot, usize), DevError> {
-        let _ = drive;
-        self.read_segment(at, vol, seg, buf).map(|s| (s, 0))
-    }
+    ) -> Result<(IoSlot, usize), DevError>;
 
     /// Timed whole-segment write targeted at a drive; same drive-routing
     /// rule and return convention as [`Footprint::read_segment_on`].
@@ -119,10 +113,7 @@ pub trait Footprint {
         vol: VolumeId,
         seg: u32,
         buf: &[u8],
-    ) -> Result<(IoSlot, usize), DevError> {
-        let _ = drive;
-        self.write_segment(at, vol, seg, buf).map(|s| (s, 0))
-    }
+    ) -> Result<(IoSlot, usize), DevError>;
 
     /// Erases a volume so its slots may be rewritten (tertiary cleaning,
     /// §10). Fails on write-once media.
@@ -130,34 +121,22 @@ pub trait Footprint {
 
     /// Nominal duration of one whole-segment operation on a healthy
     /// drive: a volume change plus the media transfer. The I/O server's
-    /// watchdog deadline is this times a slack factor. The default is a
-    /// generous constant for devices that don't model their media.
-    fn nominal_segment_io(&self, writing: bool) -> SimTime {
-        let _ = writing;
-        self.volume_change_time() + hl_sim::time::secs(30.0)
-    }
+    /// watchdog deadline is this times a slack factor.
+    fn nominal_segment_io(&self, writing: bool) -> SimTime;
 
     /// Abandons whatever platter `drive` holds (the lane marked it down):
     /// the volume is unloaded without robot involvement so surviving
-    /// drives can swap it in. The default is a no-op.
-    fn abandon_drive(&self, at: SimTime, drive: usize) {
-        let _ = (at, drive);
-    }
+    /// drives can swap it in.
+    fn abandon_drive(&self, at: SimTime, drive: usize);
 
     /// Health probe: `true` when `drive` would service an operation
     /// started at `at`. Quarantined lanes poll this through their backoff
-    /// ladder before rejoining the pool. The default reports healthy.
-    fn probe_drive(&self, at: SimTime, drive: usize) -> bool {
-        let _ = (at, drive);
-        true
-    }
+    /// ladder before rejoining the pool.
+    fn probe_drive(&self, at: SimTime, drive: usize) -> bool;
 
     /// The drive's busy horizon: when its current media transfer ends
     /// (0 if idle or unknown). A drive-down event is stamped no earlier
     /// than this, so an already in-flight transfer on the victim drive
-    /// never appears to run on a downed lane. The default reports idle.
-    fn drive_busy_until(&self, drive: usize) -> SimTime {
-        let _ = drive;
-        0
-    }
+    /// never appears to run on a downed lane.
+    fn drive_busy_until(&self, drive: usize) -> SimTime;
 }

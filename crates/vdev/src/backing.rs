@@ -151,12 +151,6 @@ impl SparseStore {
         }
     }
 
-    /// Returns `true` if the block has ever been written (zero data is
-    /// legal and still counts as resident — write-once media care).
-    pub fn is_resident(&self, block: u64) -> bool {
-        self.blocks.contains_key(&block)
-    }
-
     /// Drops a block back to the implicit zero state.
     pub fn discard(&mut self, block: u64) {
         self.blocks.remove(&block);

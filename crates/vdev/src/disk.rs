@@ -11,7 +11,6 @@
 //! measures in Table 6.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashSet;
 use std::rc::Rc;
 
 use hl_sim::time::SimTime;
@@ -43,17 +42,10 @@ pub struct DiskStats {
     pub transfer_time: SimTime,
 }
 
-#[derive(Debug, Default)]
-struct FaultPlan {
-    bad_blocks: HashSet<u64>,
-    media_failed: bool,
-}
-
 #[derive(Debug)]
 struct Inner {
     profile: DiskProfile,
     nblocks: u64,
-    write_once: bool,
     /// Geometry constant, duplicated out of the store so the per-I/O
     /// validation path does not borrow the `RefCell` to read it.
     block_size: usize,
@@ -62,11 +54,6 @@ struct Inner {
     arm_pos: Cell<u64>,
     bus: Option<ScsiBus>,
     stats: RefCell<DiskStats>,
-    faults: RefCell<FaultPlan>,
-    /// Fast-path mirror of "any fault is armed": lets the per-I/O check
-    /// skip borrowing `faults` entirely on healthy disks (the common
-    /// case for every benchmark and most tests).
-    any_faults: Cell<bool>,
 }
 
 /// A simulated disk (or an optical platter loaded in a drive).
@@ -95,45 +82,16 @@ impl Disk {
     /// Creates a disk of `nblocks` 4 KB blocks, optionally attached to a
     /// shared [`ScsiBus`].
     pub fn new(profile: DiskProfile, nblocks: u64, bus: Option<ScsiBus>) -> Self {
-        Self::with_block_size(profile, nblocks, crate::BLOCK_SIZE, bus)
-    }
-
-    /// Creates a disk with an explicit block size.
-    pub fn with_block_size(
-        profile: DiskProfile,
-        nblocks: u64,
-        block_size: usize,
-        bus: Option<ScsiBus>,
-    ) -> Self {
-        Self::build(profile, nblocks, block_size, bus, false)
-    }
-
-    /// Creates a write-once disk (a WORM platter): overwriting a resident
-    /// block fails with [`DevError::WriteOnceViolation`].
-    pub fn new_write_once(profile: DiskProfile, nblocks: u64, bus: Option<ScsiBus>) -> Self {
-        Self::build(profile, nblocks, crate::BLOCK_SIZE, bus, true)
-    }
-
-    fn build(
-        profile: DiskProfile,
-        nblocks: u64,
-        block_size: usize,
-        bus: Option<ScsiBus>,
-        write_once: bool,
-    ) -> Self {
         Self {
             inner: Rc::new(Inner {
                 profile,
                 nblocks,
-                write_once,
-                block_size,
-                store: RefCell::new(SparseStore::new(block_size)),
+                block_size: crate::BLOCK_SIZE,
+                store: RefCell::new(SparseStore::new(crate::BLOCK_SIZE)),
                 arm: Resource::new(profile.name),
                 arm_pos: Cell::new(0),
                 bus,
                 stats: RefCell::new(DiskStats::default()),
-                faults: RefCell::new(FaultPlan::default()),
-                any_faults: Cell::new(false),
             }),
         }
     }
@@ -153,53 +111,9 @@ impl Disk {
         *self.inner.stats.borrow_mut() = DiskStats::default();
     }
 
-    /// Time at which the arm next becomes free.
-    pub fn arm_free_at(&self) -> SimTime {
-        self.inner.arm.free_at()
-    }
-
-    /// Injects an unrecoverable read error at `block`.
-    pub fn inject_bad_block(&self, block: u64) {
-        self.inner.faults.borrow_mut().bad_blocks.insert(block);
-        self.inner.any_faults.set(true);
-    }
-
-    /// Fails the entire medium: all subsequent I/O errors out.
-    pub fn fail_media(&self) {
-        self.inner.faults.borrow_mut().media_failed = true;
-        self.inner.any_faults.set(true);
-    }
-
-    /// Clears all injected faults.
-    pub fn clear_faults(&self) {
-        *self.inner.faults.borrow_mut() = FaultPlan::default();
-        self.inner.any_faults.set(false);
-    }
-
     /// Number of blocks ever written (for space accounting in tests).
     pub fn resident_blocks(&self) -> usize {
         self.inner.store.borrow().resident_blocks()
-    }
-
-    fn check_faults(&self, block: u64, count: u64, reading: bool) -> Result<(), DevError> {
-        if !self.inner.any_faults.get() {
-            return Ok(());
-        }
-        let faults = self.inner.faults.borrow();
-        if faults.media_failed {
-            return Err(DevError::MediaFailure);
-        }
-        // Guard the per-block scan: almost no run has injected faults,
-        // and a 256-block segment read would otherwise pay 256 set
-        // probes to learn that.
-        if reading && !faults.bad_blocks.is_empty() {
-            for b in block..block + count {
-                if faults.bad_blocks.contains(&b) {
-                    return Err(DevError::ReadError { block: b });
-                }
-            }
-        }
-        Ok(())
     }
 
     fn timed_io(&self, at: SimTime, block: u64, bytes: u64, count: u64, write: bool) -> IoSlot {
@@ -263,7 +177,6 @@ impl BlockDev for Disk {
 
     fn read(&self, at: SimTime, block: u64, buf: &mut [u8]) -> Result<IoSlot, DevError> {
         let count = check_io(self.nblocks(), self.block_size(), block, buf.len())?;
-        self.check_faults(block, count, true)?;
         let slot = self.timed_io(at, block, buf.len() as u64, count, false);
         self.inner.store.borrow().read_run(block, count, buf);
         Ok(slot)
@@ -271,14 +184,6 @@ impl BlockDev for Disk {
 
     fn write(&self, at: SimTime, block: u64, buf: &[u8]) -> Result<IoSlot, DevError> {
         let count = check_io(self.nblocks(), self.block_size(), block, buf.len())?;
-        self.check_faults(block, count, false)?;
-        if self.inner.write_once {
-            for b in block..block + count {
-                if self.block_resident(b) {
-                    return Err(DevError::WriteOnceViolation { block: b });
-                }
-            }
-        }
         let slot = self.timed_io(at, block, buf.len() as u64, count, true);
         self.inner.store.borrow_mut().write_run(block, count, buf);
         Ok(slot)
@@ -286,28 +191,14 @@ impl BlockDev for Disk {
 
     fn peek(&self, block: u64, buf: &mut [u8]) -> Result<(), DevError> {
         let count = check_io(self.nblocks(), self.block_size(), block, buf.len())?;
-        self.check_faults(block, count, true)?;
         self.inner.store.borrow().read_run(block, count, buf);
         Ok(())
     }
 
     fn poke(&self, block: u64, buf: &[u8]) -> Result<(), DevError> {
         let count = check_io(self.nblocks(), self.block_size(), block, buf.len())?;
-        if self.inner.write_once {
-            for b in block..block + count {
-                if self.block_resident(b) {
-                    return Err(DevError::WriteOnceViolation { block: b });
-                }
-            }
-        }
         self.inner.store.borrow_mut().write_run(block, count, buf);
         Ok(())
-    }
-}
-
-impl Disk {
-    fn block_resident(&self, block: u64) -> bool {
-        self.inner.store.borrow().is_resident(block)
     }
 }
 
@@ -404,7 +295,6 @@ mod tests {
         let mut buf = vec![0u8; 4096];
         d.peek(5, &mut buf).unwrap();
         assert_eq!(buf[0], 9);
-        assert_eq!(d.arm_free_at(), 0);
         assert_eq!(d.stats().reads, 0);
     }
 
@@ -419,41 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_faults_fire() {
-        let d = rz57(64);
-        let buf = vec![1u8; 4096];
-        d.write(0, 3, &buf).unwrap();
-        d.inject_bad_block(3);
-        let mut back = vec![0u8; 4096];
-        assert_eq!(
-            d.read(0, 3, &mut back),
-            Err(DevError::ReadError { block: 3 })
-        );
-        d.clear_faults();
-        assert!(d.read(0, 3, &mut back).is_ok());
-        d.fail_media();
-        assert_eq!(d.read(0, 3, &mut back), Err(DevError::MediaFailure));
-        assert_eq!(d.write(0, 3, &buf), Err(DevError::MediaFailure));
-    }
-
-    #[test]
-    fn write_once_media_rejects_overwrites() {
-        let d = Disk::new_write_once(DiskProfile::SONY_WORM, 64, None);
-        let buf = vec![1u8; 4096];
-        d.write(0, 7, &buf).unwrap();
-        assert_eq!(
-            d.write(0, 7, &buf).unwrap_err(),
-            DevError::WriteOnceViolation { block: 7 }
-        );
-        // Zero-filled writes still count as written.
-        d.poke(8, &vec![0u8; 4096]).unwrap();
-        assert!(matches!(
-            d.poke(8, &buf),
-            Err(DevError::WriteOnceViolation { block: 8 })
-        ));
-    }
-
-    #[test]
     fn clones_share_contents_and_arm() {
         let a = rz57(64);
         let b = a.clone();
@@ -461,7 +316,8 @@ mod tests {
         let mut buf = vec![0u8; 4096];
         b.peek(1, &mut buf).unwrap();
         assert_eq!(buf[0], 3);
+        // The second handle queues behind the first one's write.
         let slot = a.write(0, 50, &vec![0u8; 4096]).unwrap();
-        assert_eq!(b.arm_free_at(), slot.end);
+        assert!(b.write(0, 50, &vec![0u8; 4096]).unwrap().start >= slot.end);
     }
 }

@@ -14,18 +14,15 @@
 //! regression tests that need one precise failure rather than a rate.
 //!
 //! The plan is shared (`Clone` hands out another handle to the same
-//! schedule) so a jukebox and a [`FaultyDev`] disk wrapper can draw from
-//! one seeded stream, and every injected fault is recorded in call order
-//! for later inspection.
+//! schedule), so the test that scripted it can keep adding faults after
+//! handing it to the jukebox, and every injected fault is recorded in
+//! call order for later inspection.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use hl_sim::time::SimTime;
 use hl_sim::DetRng;
-
-use crate::blockdev::{BlockDev, IoSlot};
-use crate::error::DevError;
 
 /// Fault rates and shapes. All probabilities are per-operation.
 #[derive(Clone, Copy, Debug)]
@@ -144,13 +141,6 @@ pub enum Injected {
         at: SimTime,
         /// Volume index.
         vol: u32,
-    },
-    /// A transient read error on the wrapped disk device.
-    DiskReadError {
-        /// Injection time.
-        at: SimTime,
-        /// Failing block.
-        block: u64,
     },
     /// A scripted hard drive failure, logged at first detection.
     DriveDead {
@@ -419,73 +409,11 @@ impl FaultPlan {
         }
         None
     }
-
-    /// Decides the fate of a block read on a wrapped disk device.
-    pub fn on_disk_read(&self, at: SimTime, block: u64) -> Option<DevError> {
-        let mut p = self.inner.borrow_mut();
-        let p = &mut *p;
-        if p.cfg.transient_read_p > 0.0 && p.rng.chance(p.cfg.transient_read_p) {
-            p.log.push(Injected::DiskReadError { at, block });
-            p.trace(at, &format!("disk read error b{block}"));
-            return Some(DevError::ReadError { block });
-        }
-        None
-    }
-}
-
-/// A [`BlockDev`] wrapper that injects the plan's transient read errors
-/// into the disk path, leaving every other call untouched — callers
-/// stack it under the block map without changing.
-pub struct FaultyDev {
-    inner: Rc<dyn BlockDev>,
-    plan: FaultPlan,
-}
-
-impl FaultyDev {
-    /// Wraps `inner` with `plan`.
-    pub fn new(inner: Rc<dyn BlockDev>, plan: FaultPlan) -> FaultyDev {
-        FaultyDev { inner, plan }
-    }
-}
-
-impl BlockDev for FaultyDev {
-    fn nblocks(&self) -> u64 {
-        self.inner.nblocks()
-    }
-
-    fn block_size(&self) -> usize {
-        self.inner.block_size()
-    }
-
-    fn read(&self, at: SimTime, block: u64, buf: &mut [u8]) -> Result<IoSlot, DevError> {
-        if let Some(e) = self.plan.on_disk_read(at, block) {
-            return Err(e);
-        }
-        self.inner.read(at, block, buf)
-    }
-
-    fn write(&self, at: SimTime, block: u64, buf: &[u8]) -> Result<IoSlot, DevError> {
-        self.inner.write(at, block, buf)
-    }
-
-    fn peek(&self, block: u64, buf: &mut [u8]) -> Result<(), DevError> {
-        self.inner.peek(block, buf)
-    }
-
-    fn poke(&self, block: u64, buf: &[u8]) -> Result<(), DevError> {
-        self.inner.poke(block, buf)
-    }
-
-    fn flush(&self, at: SimTime) -> Result<IoSlot, DevError> {
-        self.inner.flush(at)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::Disk;
-    use crate::profile::DiskProfile;
 
     fn noisy(seed: u64) -> FaultPlan {
         FaultPlan::new(FaultConfig {
@@ -609,33 +537,7 @@ mod tests {
             assert_eq!(plan.on_read(t, 0, 0), None);
             assert_eq!(plan.on_write(t, 0, 0), None);
             assert_eq!(plan.on_swap(t, 0), None);
-            assert_eq!(plan.on_disk_read(t, t), None);
         }
         assert!(plan.injected().is_empty());
-    }
-
-    #[test]
-    fn faulty_dev_injects_only_reads() {
-        let disk = Rc::new(Disk::new(DiskProfile::RZ57, 1024, None));
-        let plan = FaultPlan::new(FaultConfig {
-            transient_read_p: 1.0,
-            ..FaultConfig::none(5)
-        });
-        let dev = FaultyDev::new(disk.clone(), plan.clone());
-        let data = vec![3u8; dev.block_size()];
-        // Writes pass through untouched.
-        dev.write(0, 10, &data).unwrap();
-        let mut back = vec![0u8; dev.block_size()];
-        assert_eq!(
-            dev.read(0, 10, &mut back),
-            Err(DevError::ReadError { block: 10 })
-        );
-        // Untimed peeks bypass injection (recovery tooling path).
-        dev.peek(10, &mut back).unwrap();
-        assert_eq!(back, data);
-        assert_eq!(
-            plan.injected(),
-            vec![Injected::DiskReadError { at: 0, block: 10 }]
-        );
     }
 }

@@ -31,7 +31,7 @@ pub use bus::ScsiBus;
 pub use crash::{every_crash_point, CrashDev, CrashPlan, TornWrite};
 pub use disk::{Disk, DiskStats};
 pub use error::DevError;
-pub use fault::{DriveFault, FaultConfig, FaultPlan, FaultyDev, Injected, MediaFault, SwapFault};
+pub use fault::{DriveFault, FaultConfig, FaultPlan, Injected, MediaFault, SwapFault};
 pub use profile::{DiskProfile, TapeProfile};
 pub use track::IoTracker;
 
