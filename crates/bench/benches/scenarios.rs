@@ -19,6 +19,9 @@ fn check(checks: &mut Checks, r: &ScenarioResult) {
     assert_eq!(r.failed_fetches, 0, "{}: failed demand/prefetch", r.name);
     assert_eq!(r.failed_copyouts, 0, "{}: failed copy-outs", r.name);
     assert_eq!(r.oracle_mismatches, 0, "{}: byte oracle diverged", r.name);
+    // A value against itself since `coalesced_fetches` is read from the
+    // join count; kept because BENCH_scenarios.json names both — the
+    // benchmark-only follow-up that drops `max_dev_overlap` can drop it.
     assert_eq!(
         r.joins, r.coalesced,
         "{}: Join events must match the coalesce counter",

@@ -175,9 +175,10 @@ pub struct ScenarioResult {
     pub failed_copyouts: usize,
     /// Segment-cache counters (hits include joins on filling lines).
     pub cache: CacheStats,
-    /// Fetches coalesced onto an in-flight read (engine counter).
+    /// Fetches coalesced onto an in-flight read
+    /// (`SvcStats::coalesced_fetches`, itself the trace's join count).
     pub coalesced: u64,
-    /// Join events in the trace (must equal `coalesced`).
+    /// Join events in the trace (the same read-out as `coalesced`).
     pub joins: u64,
     /// Demand queue residencies (enqueue → device start), ascending.
     pub demand_residency: Vec<SimTime>,

@@ -3,72 +3,20 @@
 //! The paper's answer to tertiary media failures is replication plus
 //! whole-segment re-fetch; what it leaves implicit is what the system
 //! tells its callers when even that fails. Here every fault the recovery
-//! layer observes and every action it takes is recorded twice:
-//!
-//! - per-request, as an ordered [`FaultStep`] *trail* carried inside
-//!   [`HlError::SegmentUnavailable`] so a failed demand fetch explains
-//!   exactly which copies were tried, what each returned, and what the
-//!   policy did about it;
-//! - globally, in the queryable [`FaultLog`], whose rendered form is
-//!   deterministic — the same fault-plan seed produces a byte-identical
-//!   log, which the reliability tests assert.
+//! layer observes and every action it takes is recorded once, in the
+//! queryable [`FaultLog`], whose rendered form is deterministic — the
+//! same fault-plan seed produces a byte-identical log, which the
+//! reliability tests assert. Everything else is a reading of that log:
+//! a failed demand fetch carries, inside
+//! [`HlError::SegmentUnavailable`], the entries appended while it was
+//! being served (which copies were tried, what each returned, what the
+//! policy did about it), and the engine's fault counters are the log's
+//! per-kind counts ([`FaultLog::count`]).
 
 use hl_lfs::types::SegNo;
 use hl_sim::time::SimTime;
 use hl_vdev::DevError;
 use std::fmt;
-
-/// What the recovery policy did in response to one observed fault.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecoveryAction {
-    /// Retried the same copy after a backoff delay.
-    Retry {
-        /// 1-based attempt number of the upcoming retry.
-        attempt: u32,
-        /// Sim-time delay before the retry.
-        backoff: SimTime,
-    },
-    /// Moved on to the next replica home.
-    Failover,
-    /// Quarantined the copy's volume, then moved on.
-    Quarantine,
-    /// No copies left: the request failed.
-    GaveUp,
-}
-
-/// One fault the recovery layer observed while serving a request, with
-/// the action it took. A request's trail is ordered by occurrence.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultStep {
-    /// When the fault was observed.
-    pub at: SimTime,
-    /// Volume of the copy being read.
-    pub vol: u32,
-    /// Segment slot of the copy being read.
-    pub slot: u32,
-    /// What the device reported.
-    pub error: DevError,
-    /// What the policy did about it.
-    pub action: RecoveryAction,
-}
-
-impl fmt::Display for FaultStep {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "t={} v{}/s{} {}: ",
-            self.at, self.vol, self.slot, self.error
-        )?;
-        match self.action {
-            RecoveryAction::Retry { attempt, backoff } => {
-                write!(f, "retry #{attempt} after {backoff}")
-            }
-            RecoveryAction::Failover => write!(f, "failover"),
-            RecoveryAction::Quarantine => write!(f, "quarantine"),
-            RecoveryAction::GaveUp => write!(f, "gave up"),
-        }
-    }
-}
 
 /// Errors surfaced by the tertiary I/O engine: either a plain device
 /// error, or an exhausted recovery with its full fault trail.
@@ -83,8 +31,9 @@ pub enum HlError {
     SegmentUnavailable {
         /// The unreachable logical tertiary segment.
         seg: SegNo,
-        /// Everything the recovery layer tried, in order.
-        trail: Vec<FaultStep>,
+        /// The [`FaultLog`] entries appended while serving the request:
+        /// everything the recovery layer saw and did, in order.
+        trail: Vec<FaultEvent>,
     },
 }
 
@@ -111,10 +60,24 @@ impl fmt::Display for HlError {
         match self {
             HlError::Dev(e) => e.fmt(f),
             HlError::SegmentUnavailable { seg, trail } => {
-                write!(f, "tertiary segment {seg} unavailable after ")?;
-                write!(f, "{} recovery steps", trail.len())?;
-                for step in trail {
-                    write!(f, "; {step}")?;
+                // One step per observed fault; what the policy did about
+                // it is the entry that follows.
+                let fault = |e: &&FaultEvent| e.kind() == FaultKind::ReadFault;
+                let steps = trail.iter().filter(fault).count();
+                write!(f, "tertiary segment {seg} unavailable after {steps} recovery steps")?;
+                for (i, e) in trail.iter().enumerate() {
+                    let FaultEvent::ReadFault { at, vol, slot, error, .. } = e else {
+                        continue;
+                    };
+                    write!(f, "; t={at} v{vol}/s{slot} {error}: ")?;
+                    match trail.get(i + 1) {
+                        Some(FaultEvent::Retry { attempt, delay, .. }) => {
+                            write!(f, "retry #{attempt} after {delay}")?
+                        }
+                        Some(FaultEvent::Quarantine { .. }) => f.write_str("quarantine")?,
+                        Some(FaultEvent::Failover { .. }) => f.write_str("failover")?,
+                        _ => f.write_str("gave up")?,
+                    }
                 }
                 Ok(())
             }
@@ -237,6 +200,49 @@ pub enum FaultEvent {
     },
 }
 
+/// The kinds of [`FaultEvent`], as [`FaultLog::count`] tallies them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultKind {
+    /// [`FaultEvent::ReadFault`].
+    ReadFault,
+    /// [`FaultEvent::Retry`].
+    Retry,
+    /// [`FaultEvent::Failover`].
+    Failover,
+    /// [`FaultEvent::Quarantine`].
+    Quarantine,
+    /// [`FaultEvent::ScrubCopy`].
+    ScrubCopy,
+    /// [`FaultEvent::PermanentLoss`].
+    PermanentLoss,
+    /// [`FaultEvent::WriteFault`].
+    WriteFault,
+    /// [`FaultEvent::EndOfMedium`].
+    EndOfMedium,
+    /// [`FaultEvent::DriveDown`].
+    DriveDown,
+    /// [`FaultEvent::DriveUp`].
+    DriveUp,
+}
+
+impl FaultEvent {
+    /// Which kind of event this is.
+    pub fn kind(&self) -> FaultKind {
+        match self {
+            FaultEvent::ReadFault { .. } => FaultKind::ReadFault,
+            FaultEvent::Retry { .. } => FaultKind::Retry,
+            FaultEvent::Failover { .. } => FaultKind::Failover,
+            FaultEvent::Quarantine { .. } => FaultKind::Quarantine,
+            FaultEvent::ScrubCopy { .. } => FaultKind::ScrubCopy,
+            FaultEvent::PermanentLoss { .. } => FaultKind::PermanentLoss,
+            FaultEvent::WriteFault { .. } => FaultKind::WriteFault,
+            FaultEvent::EndOfMedium { .. } => FaultKind::EndOfMedium,
+            FaultEvent::DriveDown { .. } => FaultKind::DriveDown,
+            FaultEvent::DriveUp { .. } => FaultKind::DriveUp,
+        }
+    }
+}
+
 impl fmt::Display for FaultEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -296,6 +302,8 @@ impl fmt::Display for FaultEvent {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultLog {
     events: Vec<FaultEvent>,
+    /// Events pushed per [`FaultKind`] since the last [`Self::clear`].
+    counts: [u64; FaultKind::DriveUp as usize + 1],
 }
 
 impl FaultLog {
@@ -306,7 +314,13 @@ impl FaultLog {
 
     /// Appends an event.
     pub fn push(&mut self, event: FaultEvent) {
+        self.counts[event.kind() as usize] += 1;
         self.events.push(event);
+    }
+
+    /// How many events of `kind` the log holds.
+    pub fn count(&self, kind: FaultKind) -> u64 {
+        self.counts[kind as usize]
     }
 
     /// All events, in order.
@@ -326,7 +340,7 @@ impl FaultLog {
 
     /// Forgets all events.
     pub fn clear(&mut self) {
-        self.events.clear();
+        *self = FaultLog::default();
     }
 
     /// One line per event. Deterministic: a scenario replayed with the
@@ -347,29 +361,47 @@ mod tests {
 
     #[test]
     fn trail_renders_in_order() {
-        let step = |at, vol, error, action| FaultStep {
+        let fault = |at, vol, error| FaultEvent::ReadFault {
             at,
+            seg: 99,
             vol,
             slot: 1,
             error,
-            action,
         };
         let transient = DevError::ReadError { block: 1 };
         let e = HlError::SegmentUnavailable {
             seg: 99,
             trail: vec![
-                step(
-                    10,
-                    0,
-                    transient,
-                    RecoveryAction::Retry {
-                        attempt: 1,
-                        backoff: 50,
-                    },
-                ),
-                step(60, 0, transient, RecoveryAction::Failover),
-                step(60, 1, DevError::MediaFailure, RecoveryAction::Quarantine),
-                step(60, 2, DevError::Offline, RecoveryAction::GaveUp),
+                fault(10, 0, transient),
+                FaultEvent::Retry {
+                    at: 10,
+                    seg: 99,
+                    vol: 0,
+                    slot: 1,
+                    attempt: 1,
+                    delay: 50,
+                },
+                fault(60, 0, transient),
+                FaultEvent::Failover {
+                    at: 60,
+                    seg: 99,
+                    from: (0, 1),
+                    to: (1, 1),
+                },
+                fault(60, 1, DevError::MediaFailure),
+                FaultEvent::Quarantine {
+                    at: 60,
+                    vol: 1,
+                    failures: 1,
+                },
+                FaultEvent::Failover {
+                    at: 60,
+                    seg: 99,
+                    from: (1, 1),
+                    to: (2, 1),
+                },
+                fault(60, 2, DevError::Offline),
+                FaultEvent::PermanentLoss { at: 60, seg: 99 },
             ],
         };
         // One of every way a step can end (pinned for ISSUE 21).
@@ -417,7 +449,10 @@ mod tests {
         assert_eq!(a.render(), b.render());
         assert_eq!(a.render().lines().count(), 2);
         assert_eq!(a.len(), 2);
+        assert_eq!(a.count(FaultKind::Quarantine), 1);
+        assert_eq!(a.count(FaultKind::Retry), 0);
         a.clear();
         assert!(a.is_empty());
+        assert_eq!(a.count(FaultKind::Quarantine), 0);
     }
 }

@@ -20,7 +20,7 @@ use hl_sim::time::{SimTime, SEC};
 use hl_vdev::{DevError, IoSlot};
 use std::collections::{HashMap, HashSet};
 
-use crate::fault::{FaultEvent, FaultStep, HlError, RecoveryAction};
+use crate::fault::{FaultEvent, HlError};
 use crate::service::{phase, ScrubReport, TioInner};
 
 /// Tunable knobs for the retry/failover/quarantine logic.
@@ -157,7 +157,6 @@ impl TioInner {
         let failures = self.recovery.borrow().failures(vol);
         self.tseg.borrow_mut().volume_mut(vol).full = true;
         self.replicas.borrow_mut().forget_volume(vol);
-        self.stats.borrow_mut().quarantines += 1;
         self.fault_log
             .borrow_mut()
             .push(FaultEvent::Quarantine { at, vol, failures });
@@ -167,7 +166,8 @@ impl TioInner {
     /// policy (§10): bounded backoff retries on transient faults,
     /// immediate quarantine on hard media failures, failover across the
     /// remaining replica homes. Exhausting every copy yields
-    /// [`HlError::SegmentUnavailable`] with the ordered fault trail.
+    /// [`HlError::SegmentUnavailable`] carrying what this call appended
+    /// to the fault log.
     /// `drive` is the requesting lane's home drive: already-loaded
     /// volumes are read where they sit, fresh swaps land there.
     pub(crate) fn fetch_segment(
@@ -182,7 +182,7 @@ impl TioInner {
             return Err(HlError::Dev(DevError::Offline));
         };
         let policy = self.policy.get();
-        let mut trail: Vec<FaultStep> = Vec::new();
+        let logged_before = self.fault_log.borrow().len();
         let mut t = at;
         for (i, &(vol, slot)) in homes.iter().enumerate() {
             let mut attempt = 0u32;
@@ -199,13 +199,6 @@ impl TioInner {
                         });
                         self.recovery.borrow_mut().record_failure(vol);
                         self.quarantine_volume(t, vol);
-                        trail.push(FaultStep {
-                            at: t,
-                            vol,
-                            slot,
-                            error: e,
-                            action: RecoveryAction::Quarantine,
-                        });
                         break;
                     }
                     Err(e @ (DevError::ReadError { .. } | DevError::Offline)) => {
@@ -219,16 +212,6 @@ impl TioInner {
                         attempt += 1;
                         if attempt <= policy.max_retries {
                             let delay = policy.backoff(attempt);
-                            trail.push(FaultStep {
-                                at: t,
-                                vol,
-                                slot,
-                                error: e,
-                                action: RecoveryAction::Retry {
-                                    attempt,
-                                    backoff: delay,
-                                },
-                            });
                             self.fault_log.borrow_mut().push(FaultEvent::Retry {
                                 at: t,
                                 seg: tert_seg,
@@ -237,26 +220,13 @@ impl TioInner {
                                 attempt,
                                 delay,
                             });
-                            self.stats.borrow_mut().retries += 1;
                             t += delay;
                             continue;
                         }
                         let strikes = self.recovery.borrow_mut().record_failure(vol);
-                        let action = if strikes >= policy.quarantine_after {
+                        if strikes >= policy.quarantine_after {
                             self.quarantine_volume(t, vol);
-                            RecoveryAction::Quarantine
-                        } else if i + 1 < homes.len() {
-                            RecoveryAction::Failover
-                        } else {
-                            RecoveryAction::GaveUp
-                        };
-                        trail.push(FaultStep {
-                            at: t,
-                            vol,
-                            slot,
-                            error: e,
-                            action,
-                        });
+                        }
                         break;
                     }
                     // Structural errors (bad buffer, out of range, ...)
@@ -265,7 +235,6 @@ impl TioInner {
                 }
             }
             if let Some(&next) = homes.get(i + 1) {
-                self.stats.borrow_mut().failovers += 1;
                 self.fault_log.borrow_mut().push(FaultEvent::Failover {
                     at: t,
                     seg: tert_seg,
@@ -274,13 +243,11 @@ impl TioInner {
                 });
             }
         }
-        self.stats.borrow_mut().permanent_losses += 1;
-        self.fault_log
-            .borrow_mut()
-            .push(FaultEvent::PermanentLoss { at: t, seg: tert_seg });
+        let mut log = self.fault_log.borrow_mut();
+        log.push(FaultEvent::PermanentLoss { at: t, seg: tert_seg });
         Err(HlError::SegmentUnavailable {
             seg: tert_seg,
-            trail,
+            trail: log.events()[logged_before..].to_vec(),
         })
     }
 
@@ -337,7 +304,6 @@ impl TioInner {
                     // Never assume the write landed: the slot is burned
                     // (cursor already moved) but no replica is recorded,
                     // and the failure is logged rather than swallowed.
-                    self.stats.borrow_mut().replica_write_failures += 1;
                     self.fault_log.borrow_mut().push(FaultEvent::WriteFault {
                         at: t,
                         seg: tert_seg,
@@ -427,7 +393,6 @@ impl TioInner {
                         t = w.end;
                         self.admit_drive_io(phase::FOOTPRINT_WRITE, w, used);
                         self.replicas.borrow_mut().add(seg, vol, slot);
-                        self.stats.borrow_mut().scrub_copies += 1;
                         self.fault_log.borrow_mut().push(FaultEvent::ScrubCopy {
                             at: t,
                             seg,
@@ -445,7 +410,6 @@ impl TioInner {
                         return (report, Some((t, e)));
                     }
                     Err(e) => {
-                        self.stats.borrow_mut().replica_write_failures += 1;
                         self.fault_log.borrow_mut().push(FaultEvent::WriteFault {
                             at: t,
                             seg,

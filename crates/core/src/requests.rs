@@ -381,16 +381,13 @@ impl EngineQueues {
         self.reqq.insert((req.class as u8, seq), Box::new(req));
     }
 
-    /// The in-flight fetch ticket for `seg`, if one exists anywhere in
-    /// the pipeline (queued, dispatched, or being served).
-    pub fn pending_fetch(&self, seg: SegNo) -> Option<Ticket> {
-        self.pending_fetch.get(&seg).map(|(_, _, t)| t.clone())
-    }
-
-    /// The trace span of the in-flight fetch of `seg`, if any (the live
-    /// parent op a coalescing join references).
-    pub fn pending_fetch_span(&self, seg: SegNo) -> Option<u64> {
-        self.pending_fetch.get(&seg).map(|&(_, span, _)| span)
+    /// The in-flight fetch of `seg`, if one exists anywhere in the
+    /// pipeline (queued, dispatched, or being served): its trace span
+    /// (the live parent a coalescing join references) and its ticket.
+    pub fn pending_fetch(&self, seg: SegNo) -> Option<(u64, Ticket)> {
+        self.pending_fetch
+            .get(&seg)
+            .map(|(_, span, t)| (*span, t.clone()))
     }
 
     /// Joins a demand observer onto a pending fetch: if the request is
@@ -731,7 +728,7 @@ mod tests {
         let r = req(ReqClass::Prefetch, 9, 0);
         let t = r.ticket.clone();
         q.push(r);
-        let joined = q.pending_fetch(9).unwrap();
+        let (_span, joined) = q.pending_fetch(9).unwrap();
         t.complete(Outcome::Fetch(Ok((1, 42))));
         assert_eq!(joined.fetch_result().unwrap(), (1, 42));
         q.retire_fetch(9);

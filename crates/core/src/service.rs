@@ -34,10 +34,10 @@ use hl_lfs::config::AddressMap;
 use hl_lfs::types::SegNo;
 use hl_sim::time::SimTime;
 use hl_sim::{ActorId, PhaseTimer, Scheduler};
-use hl_vdev::{BlockDev, DevError, IoSlot, IoTracker};
+use hl_vdev::{BlockDev, DevError, IoSlot};
 
 use crate::addr::UniformMap;
-use crate::fault::{FaultEvent, FaultLog, HlError};
+use crate::fault::{FaultEvent, FaultKind, FaultLog, HlError};
 use crate::ioserver::{spawn_engine, EngineHandles};
 use crate::lanes::LaneHealth;
 use crate::recovery::{self, RecoveryPolicy, RecoveryState};
@@ -273,16 +273,15 @@ pub(crate) struct TioInner {
     pub(crate) handles: RefCell<Option<EngineHandles>>,
     /// Actors parked on copy-out backpressure, woken per completion.
     pub(crate) copyout_waiters: RefCell<Vec<ActorId>>,
-    /// Outstanding-op intervals granted to the I/O server.
-    pub(crate) iotrack: RefCell<IoTracker>,
     /// Latest virtual time any enqueuer has mentioned (anchors requests
     /// that carry no time of their own, like ejections).
     pub(crate) watermark: Cell<SimTime>,
     /// The engine's structured event recorder. Every request opens a
     /// span at enqueue and closes it at ticket completion; queue depths,
     /// residency, cache-line transitions, and device intervals all flow
-    /// through it, and [`SvcStats`]'s wait counters and queue high-water
-    /// marks are *derived from* it rather than tracked in parallel.
+    /// through it, and every [`SvcStats`] field an event carries is
+    /// *read from* it rather than tracked in parallel (DESIGN.md §6d,
+    /// "Accounting sources").
     pub(crate) tracer: hl_trace::Tracer,
 }
 
@@ -541,10 +540,7 @@ impl TioInner {
                 }
                 let fill = hl_sim::time::transfer_time(self.seg_bytes as u64, 993.0);
                 let ready = r.end + fill;
-                self.iotrack.borrow_mut().admit(IoSlot {
-                    start: r.end,
-                    end: ready,
-                });
+                self.tracer.dev_io(hl_trace::Lane::Staging, r.end, ready);
                 (ready, r.end)
             }
             _ => {
@@ -559,7 +555,7 @@ impl TioInner {
                 self.phases
                     .borrow_mut()
                     .add(phase::CACHE_FILL, w.duration());
-                self.iotrack.borrow_mut().admit(w);
+                self.tracer.dev_io(hl_trace::Lane::Staging, w.start, w.end);
                 // The drive is free once the media read lands; the
                 // caller still waits for the cache-disk fill.
                 (w.end, r.end)
@@ -612,7 +608,7 @@ impl TioInner {
         self.phases
             .borrow_mut()
             .add(phase::IOSERVER_READ, r.duration());
-        self.iotrack.borrow_mut().admit(r);
+        self.tracer.dev_io(hl_trace::Lane::Staging, r.start, r.end);
 
         // Memory → tertiary, via Footprint.
         match self.jukebox.write_segment_on(r.end, drive, vol, slot, &buf) {
@@ -640,7 +636,6 @@ impl TioInner {
             }
             Err(DevError::EndOfMedium { written }) => {
                 self.tseg.borrow_mut().volume_mut(vol).full = true;
-                self.stats.borrow_mut().eom_events += 1;
                 self.fault_log.borrow_mut().push(FaultEvent::EndOfMedium {
                     at: r.end,
                     vol,
@@ -653,13 +648,12 @@ impl TioInner {
     }
 
     /// Books one Footprint transfer: its duration under `phase` (Table
-    /// 4) and its interval on the drive that carried it, so per-drive
-    /// stats and the trace's drive lanes see every media operation.
+    /// 4) and its interval on the trace lane of the drive that carried
+    /// it, which is where the per-drive stats are read from.
     pub(crate) fn admit_drive_io(&self, phase: &'static str, slot: IoSlot, used: usize) {
         self.phases.borrow_mut().add(phase, slot.duration());
-        self.iotrack
-            .borrow_mut()
-            .admit_on(slot, hl_trace::Lane::Drive(used as u32));
+        self.tracer
+            .dev_io(hl_trace::Lane::Drive(used as u32), slot.start, slot.end);
     }
 
     /// Ejects a clean cached line ("read-only cached segments ... may be
@@ -714,8 +708,6 @@ impl TertiaryIo {
         );
         let tracer = hl_trace::Tracer::new();
         cache.borrow_mut().set_tracer(tracer.clone());
-        let mut iotrack = IoTracker::new();
-        iotrack.set_tracer(tracer.clone());
         let lane_count = jukebox.drives().clamp(1, MAX_DRIVES);
         let inner = Rc::new(TioInner {
             map,
@@ -738,7 +730,6 @@ impl TertiaryIo {
             queues: RefCell::new(EngineQueues::new(tracer.clone())),
             handles: RefCell::new(None),
             copyout_waiters: RefCell::new(Vec::new()),
-            iotrack: RefCell::new(iotrack),
             watermark: Cell::new(0),
             tracer: tracer.clone(),
         });
@@ -828,28 +819,30 @@ impl TertiaryIo {
         self.inner.phases.borrow().clone()
     }
 
-    /// Resets phase timing, counters, the fault log, and the outstanding
-    /// I/O tracker (quarantines and failure strikes persist: they
-    /// describe media, not accounting).
+    /// Resets phase timing, counters, the fault log and the trace
+    /// (quarantines and failure strikes persist: they describe media,
+    /// not accounting).
     pub fn reset_accounting(&self) {
         *self.inner.phases.borrow_mut() = PhaseTimer::new();
         *self.inner.stats.borrow_mut() = SvcStats::default();
         self.inner.fault_log.borrow_mut().clear();
-        let mut iotrack = IoTracker::new();
-        iotrack.set_tracer(self.inner.tracer.clone());
-        *self.inner.iotrack.borrow_mut() = iotrack;
         self.inner.tracer.reset();
     }
 
-    /// Counter snapshot. The queue-residency (`wait_*`) counters, the
-    /// queue high-water marks, the drive-fault counters and the tenant
-    /// admit/throttle counts are derived from the trace recorder — the
-    /// engine does not track them separately. (The scheduler picks that
-    /// emit no event — `affinity_hits`, `starvation_promotions`,
-    /// `tenant_promotions` — are still counted in the queues.)
+    /// Counter snapshot, read out of the engine's two records: the
+    /// trace recorder (queue residency and high-water marks, request and
+    /// coalescing counts, per-drive ops, busy time and peak, drive-fault
+    /// and tenant counts) and the fault log's per-kind counts (the seven
+    /// recovery counters). What the engine still counts itself has no
+    /// event to be read from: the fetch/copy-out totals the read path
+    /// polls, and the scheduler picks (`affinity_hits`,
+    /// `starvation_promotions`, `tenant_promotions`) kept in the queues.
+    /// DESIGN.md §6d lists the source field by field.
     pub fn stats(&self) -> SvcStats {
         let mut st = *self.inner.stats.borrow();
         let t = &self.inner.tracer;
+        st.queued_requests = hl_trace::Class::ALL.iter().map(|&c| t.spans_opened(c)).sum();
+        st.coalesced_fetches = t.joins();
         st.wait_demand = t.wait(hl_trace::Class::Demand);
         st.wait_eject = t.wait(hl_trace::Class::Eject);
         st.wait_copyout = t.wait(hl_trace::Class::CopyOut);
@@ -857,13 +850,19 @@ impl TertiaryIo {
         st.wait_scrub = t.wait(hl_trace::Class::Scrub);
         st.reqq_hwm = t.queue_hwm(hl_trace::QueueId::Request);
         st.devq_hwm = t.queue_hwm(hl_trace::QueueId::Device);
+        for d in 0..MAX_DRIVES {
+            (st.drive_ops[d], st.drive_busy[d]) = t.drive_io(d as u32);
+        }
+        st.drive_peak = t.drive_peak() as u32;
         {
-            let track = self.inner.iotrack.borrow();
-            for d in 0..MAX_DRIVES {
-                st.drive_ops[d] = track.drive_ops(d as u32);
-                st.drive_busy[d] = track.drive_busy(d as u32);
-            }
-            st.drive_peak = track.drive_peak() as u32;
+            let log = self.inner.fault_log.borrow();
+            st.eom_events = log.count(FaultKind::EndOfMedium);
+            st.retries = log.count(FaultKind::Retry);
+            st.failovers = log.count(FaultKind::Failover);
+            st.quarantines = log.count(FaultKind::Quarantine);
+            st.scrub_copies = log.count(FaultKind::ScrubCopy);
+            st.permanent_losses = log.count(FaultKind::PermanentLoss);
+            st.replica_write_failures = log.count(FaultKind::WriteFault);
         }
         {
             let q = self.inner.queues.borrow();
@@ -900,7 +899,7 @@ impl TertiaryIo {
     /// Runs the tracecheck invariant engine over the recorded trace,
     /// with expectations for a quiesced engine: all spans closed, queue
     /// residency reconciled against [`SvcStats`], and device-op overlap
-    /// bounded by the I/O tracker's admitted peak.
+    /// bounded by [`Self::io_peak_in_flight`].
     pub fn trace_findings(&self) -> Vec<hl_trace::Finding> {
         let st = self.stats();
         let expect = hl_trace::Expectations::quiesced(
@@ -972,18 +971,15 @@ impl TertiaryIo {
         }
         let demand = class == ReqClass::Demand;
         let pending = self.inner.queues.borrow().pending_fetch(tert_seg);
-        if let Some(shared) = pending {
+        if let Some((parent, shared)) = pending {
             // Coalesce: N readers of one tertiary segment share one
-            // media read and observe the same `ready_at`.
-            self.inner.stats.borrow_mut().coalesced_fetches += 1;
+            // media read and observe the same `ready_at`. The join is
+            // the count (`SvcStats::coalesced_fetches`).
             if demand {
                 self.inner.queues.borrow_mut().upgrade_fetch(tert_seg, at);
                 self.inner.notify(StallEvent::HoldOn { seg: tert_seg, at });
             }
-            let parent = self.inner.queues.borrow().pending_fetch_span(tert_seg);
-            if let Some(parent) = parent {
-                self.inner.tracer.join(at, parent, class);
-            }
+            self.inner.tracer.join(at, parent, class);
             self.inner.wake_svc(at);
             return shared;
         }
@@ -1070,7 +1066,6 @@ impl TertiaryIo {
         self.inner
             .tracer
             .queue_depth(at, hl_trace::QueueId::Request, depth as u32);
-        self.inner.stats.borrow_mut().queued_requests += 1;
         self.inner.wake_svc(at);
         ticket
     }
@@ -1133,14 +1128,16 @@ impl TertiaryIo {
         (q.reqq_len(), q.devq.len())
     }
 
-    /// Operations the I/O server has executed against its devices.
+    /// Operations the I/O server has executed against its devices
+    /// (the recorder's `DevIo` total).
     pub fn io_ops(&self) -> u64 {
-        self.inner.iotrack.borrow().ops()
+        self.inner.tracer.dev_ops()
     }
 
-    /// Peak simultaneously outstanding device operations.
+    /// Peak simultaneously outstanding device operations, over the
+    /// retained `DevIo` events (a lower bound on a truncated trace).
     pub fn io_peak_in_flight(&self) -> usize {
-        self.inner.iotrack.borrow().peak_in_flight()
+        self.inner.tracer.peak_in_flight()
     }
 
     // -----------------------------------------------------------------
@@ -1236,7 +1233,6 @@ impl EngineSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::RecoveryAction;
     use crate::requests::MAX_REDISPATCH;
     use crate::rig::RigSpec;
     use hl_vdev::{FaultConfig, FaultPlan};
@@ -1511,8 +1507,8 @@ mod tests {
         });
         let seg = map.tert_seg(0, 0);
         let err = tio.demand_fetch(0, seg).unwrap_err();
-        // Pinned while the trail was a `FaultStep` list of its own
-        // (ISSUE 21); it is now the request's slice of the fault log.
+        // Pinned while the trail was a step list of its own (ISSUE 21);
+        // it is now the request's slice of the fault log.
         assert_eq!(
             err.to_string(),
             "tertiary segment 16777207 unavailable after 3 recovery steps; \
@@ -1523,16 +1519,15 @@ mod tests {
         match err {
             HlError::SegmentUnavailable { seg: s, trail } => {
                 assert_eq!(s, seg);
-                // Two backoff retries, then the policy gave up.
-                assert_eq!(trail.len(), 3);
-                assert!(matches!(
-                    trail[0].action,
-                    RecoveryAction::Retry { attempt: 1, .. }
-                ));
-                assert!(matches!(trail[2].action, RecoveryAction::GaveUp));
-                // Backoff doubles: the second retry observes the fault
-                // strictly later than the first.
-                assert!(trail[1].at > trail[0].at);
+                // Three faults, two backoff retries between them, then
+                // the policy gave up — and nothing else is in the log.
+                let kinds: Vec<FaultKind> = trail.iter().map(FaultEvent::kind).collect();
+                use FaultKind::{PermanentLoss, ReadFault, Retry};
+                assert_eq!(
+                    kinds,
+                    [ReadFault, Retry, ReadFault, Retry, ReadFault, PermanentLoss]
+                );
+                assert_eq!(trail, tio.fault_log().events());
             }
             e => panic!("wrong error: {e:?}"),
         }

@@ -380,7 +380,7 @@ impl WorkerActor {
                     .engine
                     .shards
                     .iter()
-                    .map(|s| s.tio.stats().demand_fetches)
+                    .map(|s| s.tio.demand_fetches())
                     .sum();
                 w.respond(
                     now,

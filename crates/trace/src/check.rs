@@ -57,8 +57,8 @@ pub struct Expectations {
     /// wait counters), in [`Class::ALL`] order. `None` skips the
     /// reconciliation.
     pub wait: Option<[TraceTime; 5]>,
-    /// The device tracker's admitted peak concurrency. `None` skips the
-    /// overlap check.
+    /// The admitted peak device concurrency. `None` skips the overlap
+    /// check.
     pub max_dev_overlap: Option<usize>,
     /// Number of jukebox drive lanes the engine ran with. `Some(n)`
     /// tightens the overlap invariant: per-drive intervals must never
@@ -150,11 +150,10 @@ fn legal_line_transition(from: LineTag, to: LineTag) -> bool {
     )
 }
 
-/// Peak overlap of the given intervals, with the same endpoint semantics
-/// as the engine's `IoTracker`: an op starting exactly when another ends
-/// counts as overlapping (back-to-back handoff), and zero-duration ops
-/// occupy their instant.
-fn peak_overlap(intervals: &[(TraceTime, TraceTime)]) -> usize {
+/// Peak overlap of the given intervals: an op starting exactly when
+/// another ends counts as overlapping (back-to-back handoff), and
+/// zero-duration ops occupy their instant.
+pub(crate) fn peak_overlap(intervals: &[(TraceTime, TraceTime)]) -> usize {
     if intervals.is_empty() {
         return 0;
     }
@@ -185,7 +184,7 @@ fn peak_overlap(intervals: &[(TraceTime, TraceTime)]) -> usize {
 /// legal back-to-back handoff on a physical drive), and zero-duration
 /// ops occupy nothing. Used for the per-drive invariant, where handoffs
 /// at the same instant are the normal case.
-fn peak_overlap_strict(intervals: &[(TraceTime, TraceTime)]) -> usize {
+pub(crate) fn peak_overlap_strict(intervals: &[(TraceTime, TraceTime)]) -> usize {
     let mut starts: Vec<TraceTime> = Vec::new();
     let mut ends: Vec<TraceTime> = Vec::new();
     for &(s, e) in intervals {
@@ -314,6 +313,9 @@ pub fn tracecheck(tracer: &Tracer, expect: &Expectations) -> Vec<Finding> {
             }
         }
     }
+    // From the engine this is a value against itself (`io_peak_in_flight`
+    // is this sweep over these events); kept because `benchmark/` builds
+    // `Expectations::quiesced(wait, peak)` — a benchmark-only PR can drop it.
     if let Some(max) = expect.max_dev_overlap {
         let all: Vec<(TraceTime, TraceTime)> = devops.iter().map(|&(_, s, e)| (s, e)).collect();
         let peak = peak_overlap(&all);

@@ -566,6 +566,11 @@ struct Recorder {
     /// `policy`-prefixed [`EventKind::Mark`] events emitted (see
     /// [`Tracer::policy_decision`]).
     policy_decisions: u64,
+    /// [`EventKind::DevIo`] events emitted, on any lane.
+    dev_ops: u64,
+    /// Per-drive-lane `(ops, busy time)` sums of [`EventKind::DevIo`]
+    /// events, indexed by drive.
+    drive_io: Vec<(u64, TraceTime)>,
     /// Currently open spans (deterministic order for snapshots).
     open_spans: BTreeMap<u64, Class>,
     /// Spans that were already open at the last [`Recorder::reset`]:
@@ -594,6 +599,8 @@ impl Recorder {
             tenant_admits: 0,
             tenant_throttles: 0,
             policy_decisions: 0,
+            dev_ops: 0,
+            drive_io: Vec::new(),
             open_spans: BTreeMap::new(),
             baseline_open: Vec::new(),
         }
@@ -637,6 +644,8 @@ impl Recorder {
         self.tenant_admits = 0;
         self.tenant_throttles = 0;
         self.policy_decisions = 0;
+        self.dev_ops = 0;
+        self.drive_io.clear();
         self.baseline_open = self.open_spans.iter().map(|(&s, &c)| (s, c)).collect();
     }
 }
@@ -764,11 +773,20 @@ impl Tracer {
             .emit(at, EventKind::CacheRekey { old, new });
     }
 
-    /// Records an admitted device-op interval on `lane`.
+    /// Records an admitted device-op interval on `lane` and accumulates
+    /// it: one op in all, and for a drive lane one op and its duration.
     pub fn dev_io(&self, lane: Lane, start: TraceTime, end: TraceTime) {
-        self.rec
-            .borrow_mut()
-            .emit(start, EventKind::DevIo { lane, start, end });
+        let mut r = self.rec.borrow_mut();
+        r.dev_ops += 1;
+        if let Lane::Drive(d) = lane {
+            let d = d as usize;
+            if r.drive_io.len() <= d {
+                r.drive_io.resize(d + 1, (0, 0));
+            }
+            r.drive_io[d].0 += 1;
+            r.drive_io[d].1 += end.saturating_sub(start);
+        }
+        r.emit(start, EventKind::DevIo { lane, start, end });
     }
 
     /// Records an actor parking.
@@ -956,6 +974,44 @@ impl Tracer {
         self.rec.borrow().policy_decisions
     }
 
+    /// [`EventKind::DevIo`] events recorded, on any lane.
+    pub fn dev_ops(&self) -> u64 {
+        self.rec.borrow().dev_ops
+    }
+
+    /// `(ops, busy time)` recorded on drive lane `drive`.
+    pub fn drive_io(&self, drive: u32) -> (u64, TraceTime) {
+        let r = self.rec.borrow();
+        r.drive_io.get(drive as usize).copied().unwrap_or((0, 0))
+    }
+
+    /// The retained [`EventKind::DevIo`] intervals `keep` selects.
+    fn dev_intervals(&self, keep: impl Fn(Lane) -> bool) -> Vec<(TraceTime, TraceTime)> {
+        let r = self.rec.borrow();
+        let io = r.events.iter().filter_map(|ev| match ev.kind {
+            EventKind::DevIo { lane, start, end } if keep(lane) => Some((start, end)),
+            _ => None,
+        });
+        io.collect()
+    }
+
+    /// The most device ops in flight at one instant, over the retained
+    /// events (a lower bound once the trace is truncated). An op
+    /// starting exactly when another ends overlaps it — the queue handed
+    /// the device its next request before the completion was consumed —
+    /// and a zero-length op occupies its instant.
+    pub fn peak_in_flight(&self) -> usize {
+        check::peak_overlap(&self.dev_intervals(|_| true))
+    }
+
+    /// The most drive lanes busy at one instant, over the retained
+    /// events: half-open intervals, so a drive handing off from one op
+    /// to the next at the same instant is not two, a zero-length op is
+    /// nothing, and the staging lane does not count.
+    pub fn drive_peak(&self) -> usize {
+        check::peak_overlap_strict(&self.dev_intervals(|l| matches!(l, Lane::Drive(_))))
+    }
+
     /// Currently open spans, in id order.
     pub fn open_spans(&self) -> Vec<(u64, Class)> {
         self.rec
@@ -1066,6 +1122,53 @@ mod tests {
         t.queue_depth(2, QueueId::Device, 2);
         assert_eq!(t.queue_hwm(QueueId::Request), 3);
         assert_eq!(t.queue_hwm(QueueId::Device), 2);
+    }
+
+    #[test]
+    fn peak_in_flight_counts_handoffs_and_instants() {
+        let t = Tracer::new();
+        t.dev_io(Lane::Drive(0), 0, 10);
+        t.dev_io(Lane::Drive(0), 10, 20);
+        assert_eq!(t.peak_in_flight(), 2, "a back-to-back handoff overlaps");
+        t.dev_io(Lane::Staging, 50, 60);
+        t.dev_io(Lane::Drive(1), 0, 55);
+        assert_eq!(t.peak_in_flight(), 3, "lanes and admission order don't matter");
+        let t = Tracer::new();
+        t.dev_io(Lane::Staging, 5, 5);
+        t.dev_io(Lane::Drive(0), 5, 5);
+        assert_eq!(t.peak_in_flight(), 2, "zero-length ops occupy their instant");
+        assert_eq!(Tracer::new().peak_in_flight(), 0);
+    }
+
+    #[test]
+    fn drive_peak_is_strict_and_sees_only_drive_lanes() {
+        let t = Tracer::new();
+        t.dev_io(Lane::Drive(0), 0, 10);
+        t.dev_io(Lane::Drive(0), 10, 20);
+        t.dev_io(Lane::Drive(1), 5, 5);
+        t.dev_io(Lane::Staging, 0, 100);
+        assert_eq!(t.drive_peak(), 1, "a handoff is legal; an instant is nothing");
+        assert_eq!(t.peak_in_flight(), 3);
+        t.dev_io(Lane::Drive(1), 5, 25);
+        assert_eq!(t.drive_peak(), 2);
+    }
+
+    #[test]
+    fn dev_io_totals_survive_ring_truncation() {
+        let t = Tracer::with_capacity(4);
+        for i in 0..100u64 {
+            t.dev_io(Lane::Drive((i % 2) as u32), i, i + 3);
+            t.dev_io(Lane::Staging, i, i + 1);
+        }
+        assert_eq!(t.dropped(), 196);
+        assert_eq!(t.dev_ops(), 200);
+        assert_eq!(t.drive_io(0), (50, 150));
+        assert_eq!(t.drive_io(1), (50, 150));
+        assert_eq!(t.drive_io(7), (0, 0));
+        // The peaks read the four retained events: lower bounds.
+        assert_eq!((t.peak_in_flight(), t.drive_peak()), (4, 2));
+        t.reset();
+        assert_eq!((t.dev_ops(), t.drive_io(0)), (0, (0, 0)));
     }
 
     #[test]

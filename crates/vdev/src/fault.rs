@@ -15,8 +15,9 @@
 //!
 //! The plan is shared (`Clone` hands out another handle to the same
 //! schedule), so the test that scripted it can keep adding faults after
-//! handing it to the jukebox, and every injected fault is recorded in
-//! call order for later inspection.
+//! handing it to the jukebox. Every injected fault leaves a `fault`
+//! event in the attached trace recorder, in call order, and is recorded
+//! nowhere else.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -98,73 +99,6 @@ pub enum DriveFault {
     Hang,
 }
 
-/// One injected fault, in injection order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Injected {
-    /// A transient read error at `(vol, slot)`.
-    TransientRead {
-        /// Injection time.
-        at: SimTime,
-        /// Volume index.
-        vol: u32,
-        /// Segment slot.
-        slot: u32,
-    },
-    /// A permanent media failure of `vol`.
-    MediaFailure {
-        /// Injection time.
-        at: SimTime,
-        /// Volume index.
-        vol: u32,
-    },
-    /// An early end-of-medium on a write to `(vol, slot)`.
-    EarlyEom {
-        /// Injection time.
-        at: SimTime,
-        /// Volume index.
-        vol: u32,
-        /// Segment slot.
-        slot: u32,
-    },
-    /// A robot jam while swapping in `vol`.
-    SwapJam {
-        /// Injection time.
-        at: SimTime,
-        /// Volume index.
-        vol: u32,
-        /// Extra stuck time.
-        stuck: SimTime,
-    },
-    /// A failed swap of `vol`.
-    SwapFail {
-        /// Injection time.
-        at: SimTime,
-        /// Volume index.
-        vol: u32,
-    },
-    /// A scripted hard drive failure, logged at first detection.
-    DriveDead {
-        /// Detection time (first op routed to the dead drive).
-        at: SimTime,
-        /// The failed drive.
-        drive: u32,
-    },
-    /// A scripted drive hang fired on an operation.
-    DriveHang {
-        /// Injection time.
-        at: SimTime,
-        /// The hung drive.
-        drive: u32,
-    },
-    /// A robot jam window stalled a swap.
-    RobotJam {
-        /// The stalled swap's start time.
-        at: SimTime,
-        /// When the robot unjams and the swap can proceed.
-        until: SimTime,
-    },
-}
-
 struct PlanInner {
     cfg: FaultConfig,
     rng: DetRng,
@@ -187,9 +121,9 @@ struct PlanInner {
     /// Robot jam windows `(from, until)`: swaps started inside a window
     /// stall until it ends (the arm is stuck holding a platter).
     robot_jams: Vec<(SimTime, SimTime)>,
-    log: Vec<Injected>,
     /// Optional trace recorder: each injected fault leaves a `fault`
-    /// event so traces can be correlated with recovery activity.
+    /// event so traces can be correlated with recovery activity. It is
+    /// the only record of what was injected.
     tracer: Option<hl_trace::Tracer>,
 }
 
@@ -222,7 +156,6 @@ impl FaultPlan {
                 drive_hangs: Vec::new(),
                 drive_slows: Vec::new(),
                 robot_jams: Vec::new(),
-                log: Vec::new(),
                 tracer: None,
             })),
         }
@@ -285,7 +218,6 @@ impl FaultPlan {
         if p.drive_deaths.iter().any(|&(d, t)| d == drive && at >= t) {
             if !p.dead_logged.contains(&drive) {
                 p.dead_logged.push(drive);
-                p.log.push(Injected::DriveDead { at, drive });
                 p.trace(at, &format!("drive dead d{drive}"));
             }
             return Some(DriveFault::Dead);
@@ -294,7 +226,6 @@ impl FaultPlan {
             .iter()
             .any(|&(d, from, until)| d == drive && at >= from && at < until)
         {
-            p.log.push(Injected::DriveHang { at, drive });
             p.trace(at, &format!("drive hang d{drive}"));
             return Some(DriveFault::Hang);
         }
@@ -336,15 +267,8 @@ impl FaultPlan {
             .filter(|&&(from, until)| at >= from && at < until)
             .map(|&(_, until)| until)
             .max()?;
-        p.log.push(Injected::RobotJam { at, until });
         p.trace(at, &format!("robot jam until t{until}"));
         Some(until)
-    }
-
-    /// Every fault injected so far, in injection order. Same seed and
-    /// call sequence ⇒ identical log.
-    pub fn injected(&self) -> Vec<Injected> {
-        self.inner.borrow().log.clone()
     }
 
     /// Decides the fate of a segment read of `(vol, slot)`.
@@ -358,7 +282,6 @@ impl FaultPlan {
         {
             p.scripted_kills.remove(i);
             p.killed.push(vol);
-            p.log.push(Injected::MediaFailure { at, vol });
             p.trace(at, &format!("media failure v{vol}"));
             return Some(MediaFault::Permanent);
         }
@@ -368,12 +291,10 @@ impl FaultPlan {
         }
         if p.cfg.media_failure_p > 0.0 && p.rng.chance(p.cfg.media_failure_p) {
             p.killed.push(vol);
-            p.log.push(Injected::MediaFailure { at, vol });
             p.trace(at, &format!("media failure v{vol}"));
             return Some(MediaFault::Permanent);
         }
         if p.cfg.transient_read_p > 0.0 && p.rng.chance(p.cfg.transient_read_p) {
-            p.log.push(Injected::TransientRead { at, vol, slot });
             p.trace(at, &format!("transient read v{vol} s{slot}"));
             return Some(MediaFault::Transient);
         }
@@ -385,7 +306,6 @@ impl FaultPlan {
         let mut p = self.inner.borrow_mut();
         let p = &mut *p;
         if p.cfg.early_eom_p > 0.0 && p.rng.chance(p.cfg.early_eom_p) {
-            p.log.push(Injected::EarlyEom { at, vol, slot });
             p.trace(at, &format!("early eom v{vol} s{slot}"));
             return Some(MediaFault::EarlyEom);
         }
@@ -397,13 +317,11 @@ impl FaultPlan {
         let mut p = self.inner.borrow_mut();
         let p = &mut *p;
         if p.cfg.swap_fail_p > 0.0 && p.rng.chance(p.cfg.swap_fail_p) {
-            p.log.push(Injected::SwapFail { at, vol });
             p.trace(at, &format!("swap fail v{vol}"));
             return Some(SwapFault::Failed);
         }
         if p.cfg.swap_jam_p > 0.0 && p.rng.chance(p.cfg.swap_jam_p) {
             let stuck = p.cfg.swap_stuck_time;
-            p.log.push(Injected::SwapJam { at, vol, stuck });
             p.trace(at, &format!("swap jam v{vol} +{stuck}"));
             return Some(SwapFault::Jam { stuck });
         }
@@ -414,6 +332,24 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hl_trace::{EventKind, Tracer};
+
+    /// Attaches a fresh recorder to `plan`.
+    fn traced(plan: &FaultPlan) -> Tracer {
+        let t = Tracer::new();
+        plan.set_tracer(t.clone());
+        t
+    }
+
+    /// The `(time, label)` of every `fault` event, in emission order.
+    fn faults(t: &Tracer) -> Vec<(SimTime, String)> {
+        let events = t.events().into_iter();
+        let faults = events.filter_map(|ev| match ev.kind {
+            EventKind::Fault { label } => Some((ev.at, label)),
+            _ => None,
+        });
+        faults.collect()
+    }
 
     fn noisy(seed: u64) -> FaultPlan {
         FaultPlan::new(FaultConfig {
@@ -430,13 +366,14 @@ mod tests {
     fn same_seed_same_schedule() {
         let a = noisy(42);
         let b = noisy(42);
+        let (ta, tb) = (traced(&a), traced(&b));
         for t in 0..200u64 {
             assert_eq!(a.on_read(t, 1, 2), b.on_read(t, 1, 2));
             assert_eq!(a.on_write(t, 1, 2), b.on_write(t, 1, 2));
             assert_eq!(a.on_swap(t, 3), b.on_swap(t, 3));
         }
-        assert_eq!(a.injected(), b.injected());
-        assert!(!a.injected().is_empty(), "rates this high must fire");
+        assert_eq!(faults(&ta), faults(&tb));
+        assert!(!faults(&ta).is_empty(), "rates this high must fire");
     }
 
     #[test]
@@ -451,15 +388,13 @@ mod tests {
     #[test]
     fn scripted_kill_fires_once_at_its_time() {
         let plan = FaultPlan::new(FaultConfig::none(7));
+        let t = traced(&plan);
         plan.fail_volume_at(3, 1000);
         assert_eq!(plan.on_read(999, 3, 0), None, "not yet due");
         assert_eq!(plan.on_read(1000, 3, 0), Some(MediaFault::Permanent));
         assert_eq!(plan.on_read(1001, 3, 0), None, "already dead");
         assert_eq!(plan.killed_volumes(), vec![3]);
-        assert_eq!(
-            plan.injected(),
-            vec![Injected::MediaFailure { at: 1000, vol: 3 }]
-        );
+        assert_eq!(faults(&t), [(1000, "media failure v3".to_string())]);
     }
 
     #[test]
@@ -468,6 +403,7 @@ mod tests {
         let b = noisy(42);
         // b carries drive faults; a does not. The media streams stay
         // identical because drive faults never draw from the RNG.
+        let tb = traced(&b);
         b.fail_drive_at(1, 500);
         b.hang_drive_at(0, 100, 300);
         b.slow_drive_from(2, 3.0, 0);
@@ -487,22 +423,16 @@ mod tests {
         assert!(b.drive_healthy(400, 0));
         assert_eq!(b.drive_slow_factor(10, 2), 3.0);
         assert_eq!(b.drive_slow_factor(10, 0), 1.0);
-        // Dead detection logs once; each hang fire logs.
-        let drive_faults: Vec<_> = b
-            .injected()
+        // Dead detection is traced once; each hang fire is traced.
+        let drive_faults: Vec<_> = faults(&tb)
             .into_iter()
-            .filter(|i| {
-                matches!(
-                    i,
-                    Injected::DriveDead { .. } | Injected::DriveHang { .. }
-                )
-            })
+            .filter(|(_, label)| label.starts_with("drive"))
             .collect();
         assert_eq!(
             drive_faults,
-            vec![
-                Injected::DriveDead { at: 500, drive: 1 },
-                Injected::DriveHang { at: 100, drive: 0 },
+            [
+                (500, "drive dead d1".to_string()),
+                (100, "drive hang d0".to_string()),
             ]
         );
     }
@@ -510,22 +440,17 @@ mod tests {
     #[test]
     fn robot_jam_window_stalls_swaps_until_it_ends() {
         let plan = FaultPlan::new(FaultConfig::none(9));
+        let t = traced(&plan);
         plan.jam_robot_during(1_000, 500);
         assert_eq!(plan.robot_jam_until(999), None);
         assert_eq!(plan.robot_jam_until(1_000), Some(1_500));
         assert_eq!(plan.robot_jam_until(1_499), Some(1_500));
         assert_eq!(plan.robot_jam_until(1_500), None);
         assert_eq!(
-            plan.injected(),
-            vec![
-                Injected::RobotJam {
-                    at: 1_000,
-                    until: 1_500
-                },
-                Injected::RobotJam {
-                    at: 1_499,
-                    until: 1_500
-                },
+            faults(&t),
+            [
+                (1_000, "robot jam until t1500".to_string()),
+                (1_499, "robot jam until t1500".to_string()),
             ]
         );
     }
@@ -533,11 +458,12 @@ mod tests {
     #[test]
     fn inert_plan_injects_nothing() {
         let plan = FaultPlan::new(FaultConfig::none(0));
+        let tracer = traced(&plan);
         for t in 0..1000u64 {
             assert_eq!(plan.on_read(t, 0, 0), None);
             assert_eq!(plan.on_write(t, 0, 0), None);
             assert_eq!(plan.on_swap(t, 0), None);
         }
-        assert!(plan.injected().is_empty());
+        assert!(tracer.is_empty());
     }
 }

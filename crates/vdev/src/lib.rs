@@ -23,7 +23,6 @@ pub mod disk;
 pub mod error;
 pub mod fault;
 pub mod profile;
-pub mod track;
 
 pub use backing::SparseStore;
 pub use blockdev::{BlockDev, IoSlot};
@@ -31,9 +30,8 @@ pub use bus::ScsiBus;
 pub use crash::{every_crash_point, CrashDev, CrashPlan, TornWrite};
 pub use disk::{Disk, DiskStats};
 pub use error::DevError;
-pub use fault::{DriveFault, FaultConfig, FaultPlan, Injected, MediaFault, SwapFault};
+pub use fault::{DriveFault, FaultConfig, FaultPlan, MediaFault, SwapFault};
 pub use profile::{DiskProfile, TapeProfile};
-pub use track::IoTracker;
 
 /// The filesystem block size used throughout the reproduction (§6.2:
 /// HighLight's pointers address 4-kilobyte units).

@@ -16,9 +16,9 @@
 //!
 //! Accounting pins (ISSUE 21): the literal `SvcStats`, `io_ops()`,
 //! `io_peak_in_flight()` and rendered fault log in the drive-death and
-//! solo-drive tests were taken while `IoTracker` and the `SvcStats`
-//! counters were ledgers of their own and hold now that each is read off
-//! the tracer or the fault log. Seen to go red, each sabotage applied
+//! solo-drive tests were taken while the I/O server's interval tracker
+//! and the `SvcStats` counters were ledgers of their own and hold now
+//! that each is read off the tracer or the fault log. Seen to go red, each sabotage applied
 //! alone and reverted:
 //!   * `admit_drive_io` not emitting its `dev_io` — the drive-death pin
 //!     reads `drive_ops` [0, 0, ..], `drive_peak` 0, `io_ops()` 3.
