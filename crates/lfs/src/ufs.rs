@@ -112,7 +112,7 @@ pub trait Ufs {
     /// Creates a regular file; errors if it exists.
     fn create(&mut self, path: &str) -> Result<Ino> {
         self.charge_op();
-        let (dino, name) = namei_parent(self, path)?;
+        let (dino, name) = namei_parent(self, path, None)?;
         if dir_lookup(self, dino, name)?.is_some() {
             return Err(LfsError::Exists);
         }
@@ -125,7 +125,7 @@ pub trait Ufs {
     /// Creates a directory.
     fn mkdir(&mut self, path: &str) -> Result<Ino> {
         self.charge_op();
-        let (dino, name) = namei_parent(self, path)?;
+        let (dino, name) = namei_parent(self, path, None)?;
         if dir_lookup(self, dino, name)?.is_some() {
             return Err(LfsError::Exists);
         }
@@ -149,7 +149,7 @@ pub trait Ufs {
     /// Removes a file.
     fn unlink(&mut self, path: &str) -> Result<()> {
         self.charge_op();
-        let (dino, name) = namei_parent(self, path)?;
+        let (dino, name) = namei_parent(self, path, None)?;
         let (ino, kind) = dir_lookup(self, dino, name)?.ok_or(LfsError::NotFound)?;
         if kind == FileKind::Directory {
             return Err(LfsError::IsDir);
@@ -170,7 +170,7 @@ pub trait Ufs {
     /// Removes an empty directory.
     fn rmdir(&mut self, path: &str) -> Result<()> {
         self.charge_op();
-        let (dino, name) = namei_parent(self, path)?;
+        let (dino, name) = namei_parent(self, path, None)?;
         let (ino, kind) = dir_lookup(self, dino, name)?.ok_or(LfsError::NotFound)?;
         if kind != FileKind::Directory {
             return Err(LfsError::NotDir);
@@ -190,12 +190,13 @@ pub trait Ufs {
     }
 
     /// Renames a file or directory. An existing target file is replaced;
-    /// an existing target directory must be empty.
+    /// an existing target directory must be empty; a directory cannot
+    /// move into its own subtree.
     fn rename(&mut self, from: &str, to: &str) -> Result<()> {
         self.charge_op();
-        let (sdino, sname) = namei_parent(self, from)?;
+        let (sdino, sname) = namei_parent(self, from, None)?;
         let (ino, kind) = dir_lookup(self, sdino, sname)?.ok_or(LfsError::NotFound)?;
-        let (tdino, tname) = namei_parent(self, to)?;
+        let (tdino, tname) = namei_parent(self, to, Some(ino))?;
         if let Some((tino, tkind)) = dir_lookup(self, tdino, tname)? {
             if tino == ino {
                 return Ok(());
@@ -241,7 +242,14 @@ fn directory<U: Ufs + ?Sized>(fs: &mut U, dino: Ino) -> Result<Dinode> {
 }
 
 /// Splits a path into `(parent directory inode, final component)`.
-fn namei_parent<'a, U: Ufs + ?Sized>(fs: &mut U, path: &'a str) -> Result<(Ino, &'a str)> {
+/// The walk visits every ancestor of the final component, so it is also
+/// rename's cycle check: reaching `avoid` on the way (or landing on it)
+/// is `Invalid`, with no `..` block read.
+fn namei_parent<'a, U: Ufs + ?Sized>(
+    fs: &mut U,
+    path: &'a str,
+    avoid: Option<Ino>,
+) -> Result<(Ino, &'a str)> {
     let mut comps: Vec<&str> = components(path).collect();
     let name = comps.pop().ok_or(LfsError::Invalid("empty path"))?;
     let mut cur = ROOT_INO;
@@ -249,6 +257,9 @@ fn namei_parent<'a, U: Ufs + ?Sized>(fs: &mut U, path: &'a str) -> Result<(Ino, 
         let (ino, kind) = dir_lookup(fs, cur, comp)?.ok_or(LfsError::NotFound)?;
         if kind != FileKind::Directory {
             return Err(LfsError::NotDir);
+        }
+        if Some(ino) == avoid {
+            return Err(LfsError::Invalid("directory moved into its own subtree"));
         }
         cur = ino;
     }

@@ -3,7 +3,7 @@
 
 use std::rc::Rc;
 
-use hl_lfs::{CleanerPolicy, Lfs, LfsConfig, LinearMap, NoTertiary, Ufs};
+use hl_lfs::{CleanerPolicy, Lfs, LfsConfig, LfsError, LinearMap, NoTertiary, Ufs};
 use hl_sim::Clock;
 use hl_vdev::{BlockDev, Disk, DiskProfile};
 
@@ -308,6 +308,34 @@ fn rename_moves_files_and_replaces_targets() {
     let mut buf = [0u8; 3];
     fs.read(got, 0, &mut buf).unwrap();
     assert_eq!(&buf, b"BBB");
+}
+
+/// `rename("/a", "/a/b")` used to detach `/a` as a cycle reachable from
+/// nowhere; it is refused, at any depth, and nothing moves.
+#[test]
+fn rename_refuses_to_move_a_directory_into_its_own_subtree() {
+    let fx = Fixture::new(16);
+    fx.mkfs();
+    let mut fs = fx.mount();
+    fs.mkdir("/a").unwrap();
+    fs.mkdir("/a/b").unwrap();
+    let a = fs.lookup("/a").unwrap();
+    for to in ["/a/c", "/a/b", "/a/b/c"] {
+        assert!(
+            matches!(fs.rename("/a", to), Err(LfsError::Invalid(_))),
+            "rename /a -> {to}"
+        );
+    }
+    assert_eq!(fs.lookup("/a").unwrap(), a);
+    assert_eq!(fs.stat(a).unwrap().nlink, 3);
+    // A sibling whose name merely starts the same is not a descendant.
+    fs.mkdir("/ab").unwrap();
+    fs.rename("/a", "/ab/a").unwrap();
+    assert_eq!(fs.lookup("/ab/a").unwrap(), a);
+    fs.checkpoint().unwrap();
+    let report = fs.check().unwrap();
+    assert!(report.clean(), "findings: {:#?}", report.findings);
+    assert_eq!(report.dirs_reached, 4, "root, ab, a, b");
 }
 
 #[test]
