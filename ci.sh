@@ -58,4 +58,16 @@ awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 }
      END { for (c in n) printf "%-10s %6d\n", c, n[c] | "sort"
            close("sort"); printf "%-10s %6d\n", "total", all }' crates/*/src/*.rs
 
+# Public names declared in the non-test part of a crate source file that
+# occur in no other file: candidates for deletion, not verdicts (a type
+# may be used only where it is declared). Printed, not gated.
+echo "==> public fn/struct/enum names referenced from no other file"
+awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 }
+     !t && match($0, /^ *pub (fn|struct|enum) [A-Za-z_0-9]+/) {
+       n = split(substr($0, RSTART, RLENGTH), w, " "); print w[n], FILENAME }' crates/*/src/*.rs |
+  sort -u | while read -r name file; do
+    others=$(grep -rlw -- "$name" crates tests examples benchmark/src | grep -vxc "$file") || true
+    [ "$others" -ne 0 ] || echo "  $name ($file)"
+  done
+
 echo "CI OK"

@@ -64,19 +64,26 @@ impl fmt::Display for HlError {
                 // it is the entry that follows.
                 let fault = |e: &&FaultEvent| e.kind() == FaultKind::ReadFault;
                 let steps = trail.iter().filter(fault).count();
-                write!(f, "tertiary segment {seg} unavailable after {steps} recovery steps")?;
+                write!(f, "tertiary segment {seg} unavailable after ")?;
+                write!(f, "{steps} recovery steps")?;
                 for (i, e) in trail.iter().enumerate() {
-                    let FaultEvent::ReadFault { at, vol, slot, error, .. } = e else {
-                        continue;
-                    };
-                    write!(f, "; t={at} v{vol}/s{slot} {error}: ")?;
-                    match trail.get(i + 1) {
-                        Some(FaultEvent::Retry { attempt, delay, .. }) => {
-                            write!(f, "retry #{attempt} after {delay}")?
+                    if let FaultEvent::ReadFault {
+                        at,
+                        vol,
+                        slot,
+                        error,
+                        ..
+                    } = e
+                    {
+                        write!(f, "; t={at} v{vol}/s{slot} {error}: ")?;
+                        match trail.get(i + 1) {
+                            Some(FaultEvent::Retry { attempt, delay, .. }) => {
+                                write!(f, "retry #{attempt} after {delay}")?
+                            }
+                            Some(FaultEvent::Quarantine { .. }) => f.write_str("quarantine")?,
+                            Some(FaultEvent::Failover { .. }) => f.write_str("failover")?,
+                            _ => f.write_str("gave up")?,
                         }
-                        Some(FaultEvent::Quarantine { .. }) => f.write_str("quarantine")?,
-                        Some(FaultEvent::Failover { .. }) => f.write_str("failover")?,
-                        _ => f.write_str("gave up")?,
                     }
                 }
                 Ok(())

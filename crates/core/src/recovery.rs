@@ -244,7 +244,10 @@ impl TioInner {
             }
         }
         let mut log = self.fault_log.borrow_mut();
-        log.push(FaultEvent::PermanentLoss { at: t, seg: tert_seg });
+        log.push(FaultEvent::PermanentLoss {
+            at: t,
+            seg: tert_seg,
+        });
         Err(HlError::SegmentUnavailable {
             seg: tert_seg,
             trail: log.events()[logged_before..].to_vec(),

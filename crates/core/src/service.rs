@@ -829,19 +829,19 @@ impl TertiaryIo {
         self.inner.tracer.reset();
     }
 
-    /// Counter snapshot, read out of the engine's two records: the
-    /// trace recorder (queue residency and high-water marks, request and
-    /// coalescing counts, per-drive ops, busy time and peak, drive-fault
-    /// and tenant counts) and the fault log's per-kind counts (the seven
-    /// recovery counters). What the engine still counts itself has no
-    /// event to be read from: the fetch/copy-out totals the read path
-    /// polls, and the scheduler picks (`affinity_hits`,
-    /// `starvation_promotions`, `tenant_promotions`) kept in the queues.
-    /// DESIGN.md §6d lists the source field by field.
+    /// Counter snapshot: a read-out of the trace recorder and of the
+    /// fault log's per-kind counts (DESIGN.md §6d lists the source field
+    /// by field). What the engine still counts itself has no event to
+    /// be read from: the fetch/copy-out totals the read path polls, and
+    /// the scheduler picks (`affinity_hits`, `starvation_promotions`,
+    /// `tenant_promotions`) kept in the queues.
     pub fn stats(&self) -> SvcStats {
         let mut st = *self.inner.stats.borrow();
         let t = &self.inner.tracer;
-        st.queued_requests = hl_trace::Class::ALL.iter().map(|&c| t.spans_opened(c)).sum();
+        st.queued_requests = hl_trace::Class::ALL
+            .iter()
+            .map(|&c| t.spans_opened(c))
+            .sum();
         st.coalesced_fetches = t.joins();
         st.wait_demand = t.wait(hl_trace::Class::Demand);
         st.wait_eject = t.wait(hl_trace::Class::Eject);

@@ -10,14 +10,14 @@
 //! text below were taken while each figure still had a ledger of its own
 //! (the I/O server's interval tracker, the `SvcStats` fault counters,
 //! the per-request step trail) and hold now that each is read off the
-//! tracer or the fault log. Seen to go red, each sabotage applied alone and
-//! reverted:
-//!   * `admit_drive_io` not emitting its `dev_io` — `drive_ops[0]` 6 → 0,
-//!     `io_ops()` 13 → 5 (the volume-loss scenario; its trace digest
+//! tracer or the fault log. Seen to go red, each sabotage applied alone
+//! and reverted:
+//!   * `admit_drive_io` not emitting its `dev_io` — the volume-loss pin
+//!     reads `drive_ops` [0, 0, ..] for [6, 2, ..] (and its trace digest
 //!     goes too).
 //!   * `quarantine_volume` not pushing its `FaultEvent::Quarantine` —
-//!     `quarantines` 1 → 0, the rendered log loses its second line, and
-//!     the unavailable segment's last step reads "gave up".
+//!     `quarantines` reads 0 for 1 in the volume-loss scenario, and the
+//!     unavailable segment's one step ends "gave up", not "quarantine".
 
 use std::rc::Rc;
 

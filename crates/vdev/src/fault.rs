@@ -173,11 +173,6 @@ impl FaultPlan {
         self.inner.borrow_mut().scripted_kills.push((vol, at));
     }
 
-    /// Volumes this plan has permanently failed so far.
-    pub fn killed_volumes(&self) -> Vec<u32> {
-        self.inner.borrow().killed.clone()
-    }
-
     /// Scripts a hard drive failure: every operation routed to `drive`
     /// at or after `at` fails with [`DriveFault::Dead`]. Scripted-only —
     /// no RNG draw, so the seeded media-fault stream is unperturbed.
@@ -393,7 +388,6 @@ mod tests {
         assert_eq!(plan.on_read(999, 3, 0), None, "not yet due");
         assert_eq!(plan.on_read(1000, 3, 0), Some(MediaFault::Permanent));
         assert_eq!(plan.on_read(1001, 3, 0), None, "already dead");
-        assert_eq!(plan.killed_volumes(), vec![3]);
         assert_eq!(faults(&t), [(1000, "media failure v3".to_string())]);
     }
 

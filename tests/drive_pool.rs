@@ -21,7 +21,8 @@
 //! that each is read off the tracer or the fault log. Seen to go red, each sabotage applied
 //! alone and reverted:
 //!   * `admit_drive_io` not emitting its `dev_io` — the drive-death pin
-//!     reads `drive_ops` [0, 0, ..], `drive_peak` 0, `io_ops()` 3.
+//!     reads `drive_ops` [0, 0, ..] for [2, 1, ..], and the two-drive
+//!     overlap test reads a `drive_peak` of 0.
 //!   * `mark_lane_down` not pushing its `FaultEvent::DriveDown` — both
 //!     rendered logs come out empty.
 

@@ -57,9 +57,9 @@ fn flash_crowd_coalesces_to_one_media_read() {
     // Accounting pin (ISSUE 21): taken while `coalesced_fetches`,
     // `queued_requests` and the drive figures were counted beside the
     // trace; they are now read off it. Seen to go red with the `join`
-    // emission in `enqueue_fetch` skipped (`coalesced_fetches` 7 -> 0)
-    // and with `admit_drive_io` not emitting its `dev_io` (`drive_ops`
-    // all zero, `io_ops()` 1).
+    // emission in `enqueue_fetch` skipped (`coalesced_fetches` reads 0,
+    // caught by the assertion above) and with `admit_drive_io` not
+    // emitting its `dev_io` (`drive_ops` all zero here).
     assert_eq!(
         s,
         SvcStats {
