@@ -317,8 +317,7 @@ pub fn tracecheck(tracer: &Tracer, expect: &Expectations) -> Vec<Finding> {
     // is this sweep over these events); kept because `benchmark/` builds
     // `Expectations::quiesced(wait, peak)` — a benchmark-only PR can drop it.
     if let Some(max) = expect.max_dev_overlap {
-        let all: Vec<(TraceTime, TraceTime)> = devops.iter().map(|&(_, s, e)| (s, e)).collect();
-        let peak = peak_overlap(&all);
+        let peak = tracer.peak_in_flight();
         if peak > max {
             findings.push(whole(format!(
                 "device ops overlap beyond admitted concurrency: trace peak {peak} > admitted {max}"
@@ -345,11 +344,7 @@ pub fn tracecheck(tracer: &Tracer, expect: &Expectations) -> Vec<Finding> {
                 )));
             }
         }
-        let drive_all: Vec<(TraceTime, TraceTime)> = per_drive
-            .values()
-            .flat_map(|v| v.iter().copied())
-            .collect();
-        let peak = peak_overlap_strict(&drive_all);
+        let peak = tracer.drive_peak();
         if peak > drives {
             findings.push(whole(format!(
                 "{peak} drive-lane ops in flight at once, but the engine ran with {drives} drive(s)"
