@@ -366,26 +366,38 @@ mod partials {
     }
 
     /// The reference walk, written against the format rather than the
-    /// library's walker: summary block, then the FINFO-described file
-    /// blocks in order, then the inode blocks; stop at the first summary
-    /// that does not verify or whose serial does not increase. Every
-    /// structural promise is asserted on the way.
-    pub fn ref_walk(image: &[u8], base: BlockAddr) -> Vec<RefPartial> {
+    /// library's walker (but on the library's field decoders and its
+    /// `cksum`): summary block, then the FINFO-described file blocks in
+    /// order, then the inode blocks; stop at the first summary that does
+    /// not verify, whose serial does not increase or — first partial
+    /// only — is below `floor`. Every structural promise is asserted on
+    /// the way.
+    pub fn ref_walk(
+        image: &[u8],
+        base: BlockAddr,
+        summary_bytes: usize,
+        floor: u64,
+    ) -> Vec<RefPartial> {
+        let bps = (image.len() / BLOCK_SIZE) as u32;
         let mut out: Vec<RefPartial> = Vec::new();
         let mut off = 0u32;
-        while off + 1 < BPS {
-            let sum = &image[off as usize * BLOCK_SIZE..][..SUMMARY_BYTES];
+        while off + 1 < bps {
+            let sum = &image[off as usize * BLOCK_SIZE..][..summary_bytes];
             let Ok((summary, datasum)) = SegSummary::decode(sum) else {
                 break;
             };
-            if out.last().is_some_and(|p| summary.serial <= p.serial) {
+            let stale = match out.last() {
+                Some(prev) => summary.serial <= prev.serial,
+                None => summary.serial < floor,
+            };
+            if stale {
                 break;
             }
-            assert!(summary.fits(SUMMARY_BYTES), "summary over its limit");
+            assert!(summary.fits(summary_bytes), "summary over its limit");
             let ndata = summary.data_blocks() as u32;
             let nblocks = ndata + summary.inode_addrs.len() as u32;
             assert!(nblocks > 0, "empty partial written");
-            assert!(off + 1 + nblocks <= BPS, "partial overruns its segment");
+            assert!(off + 1 + nblocks <= bps, "partial overruns its segment");
             let payload =
                 &image[(off as usize + 1) * BLOCK_SIZE..][..nblocks as usize * BLOCK_SIZE];
             assert_eq!(SegSummary::datasum_of(payload), datasum, "datasum");
@@ -433,7 +445,12 @@ mod partials {
             if flags & seg_flags::CACHE == 0 && flags & (seg_flags::DIRTY | seg_flags::ACTIVE) != 0
             {
                 let base = map.seg_base(seg);
-                out.extend(ref_walk(&rig.disk_segment(base), base));
+                let floor = hl.lfs().seg_usage(seg).write_serial;
+                let image = rig.disk_segment(base);
+                let partials = ref_walk(&image, base, SUMMARY_BYTES, floor);
+                let raw = super::tree::segment_partials(&image, base, SUMMARY_BYTES, floor);
+                super::tree::assert_same_partials(&raw, &partials);
+                out.extend(partials);
             }
         }
         out
@@ -462,7 +479,7 @@ proptest! {
         use hl_lfs::config::AddressMap;
         use hl_lfs::migrate::MigrateItem;
         use hl_lfs::types::LBlock;
-        use partials::{ref_walk, walk_log, Rig};
+        use partials::{ref_walk, walk_log, Rig, SUMMARY_BYTES};
 
         let rig = Rig::new();
         let mut hl = rig.mkfs_and_mount();
@@ -534,8 +551,12 @@ proptest! {
         let mut recovered: Vec<MigrateItem> = Vec::new();
         for (vol, slot, image) in rig.written_slots() {
             let seg = map.tert_seg(vol, slot);
-            let partials = ref_walk(&image, map.seg_base(seg));
+            let partials = ref_walk(&image, map.seg_base(seg), SUMMARY_BYTES, 0);
             prop_assert!(!partials.is_empty(), "written slot without a partial");
+            // The reader that shares no code with the library sees the
+            // same partials, and both checksums of each verify.
+            let raw = tree::segment_partials(&image, map.seg_base(seg), SUMMARY_BYTES, 0);
+            tree::assert_same_partials(&raw, &partials);
             let on_media: Vec<MigrateItem> = partials.iter().flat_map(|p| p.items()).collect();
             for &(ino, lastlength, lb, _) in partials.iter().flat_map(|p| &p.blocks) {
                 let len = inos.iter().find(|f| f.0 == ino).expect("a test file").1;
@@ -584,6 +605,14 @@ proptest! {
 //     never listed: pointer maps diverge.
 //   * a `panic!` in `home`'s double-indirect arm — this test, the deep
 //     script, the `hl-ffs` pin and five `lfs_smoke` tests.
+//
+// The raw walk is the repository's independent reader of the on-media
+// format (ROADMAP item 5): written from DESIGN.md §6a, sharing no code
+// with `ondisk.rs` / `partial.rs` — its own field offsets, its own stop
+// rules, its own `cksum` — it verifies the superblock, both checkpoint
+// slots and both sums of every partial of every segment, replays the log
+// as a mount would, and is compared with the library wherever the two
+// can be asked the same question.
 // ---------------------------------------------------------------------------
 
 mod tree {
@@ -619,12 +648,21 @@ mod tree {
             Lfs::mkfs(dev.clone(), map.clone(), Rc::new(NoTertiary), cfg.clone()).expect("mkfs");
             Lfs::mount(dev, map, Rc::new(NoTertiary), cfg).expect("mount")
         }
+    }
 
-        fn block(&self, addr: BlockAddr) -> Vec<u8> {
-            let mut blk = vec![0u8; BS];
-            self.disk.peek(u64::from(addr), &mut blk).expect("peek");
-            blk
-        }
+    /// `n` blocks of the raw device from `addr`.
+    fn blocks(disk: &Disk, addr: BlockAddr, n: u32) -> Vec<u8> {
+        let mut image = vec![0u8; n as usize * BS];
+        disk.peek(u64::from(addr), &mut image).expect("peek");
+        image
+    }
+
+    fn block(disk: &Disk, addr: BlockAddr) -> Vec<u8> {
+        blocks(disk, addr, 1)
+    }
+
+    fn u16_at(b: &[u8], off: usize) -> u16 {
+        u16::from_le_bytes(b[off..off + 2].try_into().expect("2 bytes"))
     }
 
     fn u32_at(b: &[u8], off: usize) -> u32 {
@@ -635,8 +673,13 @@ mod tree {
         u64::from_le_bytes(b[off..off + 8].try_into().expect("8 bytes"))
     }
 
+    /// The format generation this reader understands: the last byte of
+    /// the superblock magic. It names the checksum below, so the two
+    /// change together and nothing else in the reader does.
+    const FORMAT: u8 = b'1';
+
     /// DESIGN.md §6a: `acc = rotl(acc, 5) + b + i` from `0x6c66_7331`.
-    fn cksum(bytes: &[u8]) -> u32 {
+    pub fn cksum(bytes: &[u8]) -> u32 {
         bytes
             .iter()
             .enumerate()
@@ -645,6 +688,230 @@ mod tree {
                     .wrapping_add(u32::from(b))
                     .wrapping_add(i as u32)
             })
+    }
+
+    /// The geometry block 0 declares.
+    pub struct RawSuper {
+        /// Blocks per segment.
+        pub bps: u32,
+        pub nsegs: u32,
+        pub seg_start: BlockAddr,
+        pub summary_bytes: usize,
+    }
+
+    impl RawSuper {
+        pub fn seg_base(&self, seg: u32) -> BlockAddr {
+            self.seg_start + seg * self.bps
+        }
+    }
+
+    /// Block 0, if it carries this format's magic and its sum verifies.
+    pub fn superblock(disk: &Disk) -> Option<RawSuper> {
+        let b = block(disk, 0);
+        let magic = u64::from_be_bytes([b'H', b'G', b'L', b'I', b'L', b'F', b'S', FORMAT]);
+        (u64_at(&b, 0) == magic && cksum(&b[..48]) == u32_at(&b, 48)).then(|| RawSuper {
+            bps: u32_at(&b, 12) / BS as u32,
+            nsegs: u32_at(&b, 16),
+            seg_start: u32_at(&b, 20),
+            summary_bytes: u32_at(&b, 24) as usize,
+        })
+    }
+
+    /// One checkpoint slot whose sum verified.
+    #[derive(Clone, Copy)]
+    pub struct RawCkpt {
+        pub serial: u64,
+        pub log_serial: u64,
+        pub ifile_inode_addr: BlockAddr,
+        pub next_seg: u32,
+        pub next_off: u32,
+    }
+
+    /// Both slots of block 1; `None` where the sum does not verify.
+    pub fn checkpoint_slots(disk: &Disk) -> [Option<RawCkpt>; 2] {
+        let b = block(disk, 1);
+        [0, 2048].map(|at| {
+            let s = &b[at..at + 2048];
+            (cksum(&s[..44]) == u32_at(s, 44)).then(|| RawCkpt {
+                serial: u64_at(s, 0),
+                log_serial: u64_at(s, 8),
+                ifile_inode_addr: u32_at(s, 16),
+                next_seg: u32_at(s, 20),
+                next_off: u32_at(s, 24),
+            })
+        })
+    }
+
+    /// The slot a mount starts from.
+    pub fn newest_checkpoint(disk: &Disk) -> RawCkpt {
+        checkpoint_slots(disk)
+            .into_iter()
+            .flatten()
+            .max_by_key(|c| c.serial)
+            .expect("a valid checkpoint")
+    }
+
+    /// One partial whose `ss_sumsum` verified and whose layout fits.
+    pub struct RawPartial {
+        /// Address of the summary block.
+        pub addr: BlockAddr,
+        pub serial: u64,
+        /// `ss_next`.
+        pub next: BlockAddr,
+        /// Blocks after the summary.
+        pub nblocks: u32,
+        /// Whether `ss_datasum` matches the payload as it is on the media.
+        pub datasum_ok: bool,
+        /// `(ino, signed lbn, address)` per file block, in media order.
+        pub blocks: Vec<(Ino, i32, BlockAddr)>,
+        /// `(inode-block address, inumber)` per occupied dinode slot.
+        pub inodes: Vec<(BlockAddr, Ino)>,
+    }
+
+    /// The partial whose summary is block `off` of the segment `image`
+    /// based at `base` (DESIGN.md §6a "Partial segment"): `None` if
+    /// `ss_sumsum` fails, the summary describes more than the segment
+    /// has left, or an inode block is listed anywhere but its packed
+    /// position.
+    fn partial_at(
+        image: &[u8],
+        base: BlockAddr,
+        off: u32,
+        summary_bytes: usize,
+    ) -> Option<RawPartial> {
+        let bps = (image.len() / BS) as u32;
+        let sum = &image[off as usize * BS..][..summary_bytes];
+        if cksum(&sum[4..]) != u32_at(sum, 0) {
+            return None;
+        }
+        let addr = base + off;
+        let (nfinfo, ninos) = (u16_at(sum, 20), u32::from(u16_at(sum, 22)));
+        let mut blocks = Vec::new();
+        let mut at = 28;
+        for _ in 0..nfinfo {
+            if at + 16 > summary_bytes {
+                return None;
+            }
+            let (n, ino) = (u32_at(sum, at) as usize, u32_at(sum, at + 8));
+            at += 16;
+            if at + 4 * n > summary_bytes {
+                return None;
+            }
+            for j in 0..n {
+                let lbn = u32_at(sum, at + 4 * j) as i32;
+                blocks.push((ino, lbn, addr + 1 + blocks.len() as u32));
+            }
+            at += 4 * n;
+        }
+        let ndata = blocks.len() as u32;
+        let nblocks = ndata + ninos;
+        if nblocks == 0 || off + 1 + nblocks > bps || at + 4 * ninos as usize > summary_bytes {
+            return None;
+        }
+        let payload = &image[(off as usize + 1) * BS..][..nblocks as usize * BS];
+        let mut inodes = Vec::new();
+        for k in 0..ninos {
+            let iaddr = addr + 1 + ndata + k;
+            if u32_at(sum, summary_bytes - 4 * (k as usize + 1)) != iaddr {
+                return None;
+            }
+            for d in payload[(ndata + k) as usize * BS..][..BS].chunks(128) {
+                if u16_at(d, 2) != 0 && u32_at(d, 4) != 0 {
+                    inodes.push((iaddr, u32_at(d, 4)));
+                }
+            }
+        }
+        Some(RawPartial {
+            addr,
+            serial: u64_at(sum, 12),
+            next: u32_at(sum, 8),
+            nblocks,
+            datasum_ok: cksum(payload) == u32_at(sum, 4),
+            blocks,
+            inodes,
+        })
+    }
+
+    /// The partials of one segment under the walker's stop rules: the
+    /// first summary that does not verify ends it, as does a serial that
+    /// does not exceed the previous partial's or — first partial only —
+    /// is below `floor`.
+    pub fn segment_partials(
+        image: &[u8],
+        base: BlockAddr,
+        summary_bytes: usize,
+        floor: u64,
+    ) -> Vec<RawPartial> {
+        let bps = (image.len() / BS) as u32;
+        let mut out: Vec<RawPartial> = Vec::new();
+        let mut off = 0;
+        while off + 2 <= bps {
+            let Some(p) = partial_at(image, base, off, summary_bytes) else {
+                break;
+            };
+            let stale = match out.last() {
+                Some(prev) => p.serial <= prev.serial,
+                None => p.serial < floor,
+            };
+            if stale {
+                break;
+            }
+            off += 1 + p.nblocks;
+            out.push(p);
+        }
+        out
+    }
+
+    /// DESIGN.md §6a "Reading a filesystem": the partials a mount replays
+    /// past checkpoint `c` — exact serial chain from `(next_seg,
+    /// next_off)`, both sums verifying, `ss_next` followed when fewer
+    /// than two blocks remain in the segment.
+    pub fn roll_forward(disk: &Disk, sb: &RawSuper, c: &RawCkpt) -> Vec<RawPartial> {
+        let (mut seg, mut off, mut serial) = (c.next_seg, c.next_off, c.log_serial);
+        let mut out = Vec::new();
+        while off + 2 <= sb.bps {
+            let image = blocks(disk, sb.seg_base(seg), sb.bps);
+            let Some(p) = partial_at(&image, sb.seg_base(seg), off, sb.summary_bytes) else {
+                break;
+            };
+            if p.serial != serial || !p.datasum_ok {
+                break;
+            }
+            serial += 1;
+            off += 1 + p.nblocks;
+            if off + 2 > sb.bps {
+                let next = p.next.wrapping_sub(sb.seg_start) / sb.bps;
+                if p.next < sb.seg_start || next >= sb.nsegs {
+                    out.push(p);
+                    break;
+                }
+                (seg, off) = (next, 0);
+            }
+            out.push(p);
+        }
+        out
+    }
+
+    /// The library-based reference walk (`partials::ref_walk`) and this
+    /// reader saw the same partials, and none of them is torn.
+    pub fn assert_same_partials(raw: &[RawPartial], lib: &[super::partials::RefPartial]) {
+        let serials = |it: &mut dyn Iterator<Item = u64>| it.collect::<Vec<_>>();
+        assert_eq!(
+            serials(&mut raw.iter().map(|p| p.serial)),
+            serials(&mut lib.iter().map(|p| p.serial)),
+            "accepted partials"
+        );
+        for (r, l) in raw.iter().zip(lib) {
+            assert!(r.datasum_ok, "partial {} is torn", r.serial);
+            let lib_blocks: Vec<_> = l
+                .blocks
+                .iter()
+                .map(|&(ino, _, lb, addr)| (ino, lb.encode() as i32, addr))
+                .collect();
+            assert_eq!(r.blocks, lib_blocks, "partial {} file blocks", r.serial);
+            let lib_inodes: Vec<_> = l.inodes.iter().map(|(a, d)| (*a, d.inumber)).collect();
+            assert_eq!(r.inodes, lib_inodes, "partial {} inodes", r.serial);
+        }
     }
 
     /// One file as the raw bytes describe it.
@@ -661,17 +928,17 @@ mod tree {
     }
 
     /// The 128-byte dinode of `ino` in the inode block at `daddr`.
-    fn dinode(rig: &Rig, daddr: BlockAddr, ino: Ino) -> Option<Vec<u8>> {
-        let blk = rig.block(daddr);
+    fn dinode(disk: &Disk, daddr: BlockAddr, ino: Ino) -> Option<Vec<u8>> {
+        let blk = block(disk, daddr);
         blk.chunks(128)
-            .find(|d| u32_at(d, 4) == ino && u16::from_le_bytes([d[2], d[3]]) != 0)
+            .find(|d| u32_at(d, 4) == ino && u16_at(d, 2) != 0)
             .map(<[u8]>::to_vec)
     }
 
     /// DESIGN.md §6a "Block-pointer tree", by hand: `db` covers blocks
     /// 0..12, `ib[0]` 12..1 036, child `k` of `ib[1]` 1 036 + 1 024·k
     /// onwards; only slots below the file's block count are valid.
-    fn walk_tree(rig: &Rig, daddr: BlockAddr, d: &[u8]) -> RawFile {
+    fn walk_tree(disk: &Disk, daddr: BlockAddr, d: &[u8]) -> RawFile {
         let size = u64_at(d, 8);
         let n = size.div_ceil(BS as u64);
         let mut ptrs = BTreeMap::new();
@@ -680,7 +947,7 @@ mod tree {
             if addr == UNASSIGNED {
                 return vec![UNASSIGNED; 1024];
             }
-            let blk = rig.block(addr);
+            let blk = block(disk, addr);
             (0..1024).map(|i| u32_at(&blk, i * 4)).collect()
         };
         for l in 0..n.min(12) {
@@ -721,39 +988,89 @@ mod tree {
         }
     }
 
-    /// Superblock-free reading of a checkpointed image: newest valid
-    /// checkpoint slot → ifile dinode → inode map → every allocated
-    /// inode's dinode → its pointer tree.
-    pub fn raw_walk(rig: &Rig) -> BTreeMap<Ino, RawFile> {
-        let ckpt = rig.block(1);
-        let slot = [&ckpt[..2048], &ckpt[2048..]]
-            .into_iter()
-            .filter(|s| cksum(&s[..44]) == u32_at(s, 44))
-            .max_by_key(|s| u64_at(s, 0))
-            .expect("a valid checkpoint");
-        let ifile_daddr = u32_at(slot, 16);
+    /// A checkpointed image read from raw bytes: superblock → newest
+    /// valid checkpoint slot → ifile dinode → inode map → every allocated
+    /// inode's dinode → its pointer tree. On the way every sum the image
+    /// carries is verified with this module's own `cksum`: the
+    /// superblock's, both checkpoint slots' (each must agree with the
+    /// library on whether it is valid), and `ss_sumsum` + `ss_datasum` of
+    /// every partial of every segment, which must be the partials the
+    /// library-based reference walk accepts and must between them hold
+    /// every block and inode the pointer trees reach, where a FINFO or an
+    /// inode-block slot says so.
+    pub fn raw_walk(disk: &Disk) -> BTreeMap<Ino, RawFile> {
+        use hl_lfs::ondisk::Checkpoint;
+
+        let sb = superblock(disk).expect("superblock magic and sum");
+        let ckpt_block = block(disk, 1);
+        for (i, slot) in checkpoint_slots(disk).iter().enumerate() {
+            let lib = Checkpoint::decode(&ckpt_block[i * 2048..][..2048]);
+            assert_eq!(slot.map(|c| c.serial), lib.map(|c| c.serial), "slot {i}");
+        }
+        let ifile_daddr = newest_checkpoint(disk).ifile_inode_addr;
         let ifile = walk_tree(
-            rig,
+            disk,
             ifile_daddr,
-            &dinode(rig, ifile_daddr, 1).expect("ifile dinode"),
+            &dinode(disk, ifile_daddr, 1).expect("ifile dinode"),
         );
-        let ifile_block = |l: i64| rig.block(ifile.ptrs[&l]);
+        let ifile_block = |l: i64| block(disk, ifile.ptrs[&l]);
         let head = ifile_block(0);
         let (ninodes, nsegs) = (u32_at(&head, 8), u32_at(&head, 12));
+        assert_eq!(nsegs, sb.nsegs, "ifile and superblock segment counts");
         let imap_start = 1 + i64::from(nsegs.div_ceil(128));
 
         let mut files = BTreeMap::new();
         for ino in 2..ninodes {
             let ent = &ifile_block(imap_start + i64::from(ino / 256))[(ino % 256) as usize * 16..];
             let daddr = u32_at(ent, 4);
-            if daddr == UNASSIGNED {
+            // Free, or migrated with its inode: a tertiary address, whose
+            // bytes are on a medium or in a cache line, not at `daddr`.
+            if daddr >= sb.seg_base(sb.nsegs) {
                 continue;
             }
-            if let Some(d) = dinode(rig, daddr, ino) {
-                files.insert(ino, walk_tree(rig, daddr, &d));
+            if let Some(d) = dinode(disk, daddr, ino) {
+                files.insert(ino, walk_tree(disk, daddr, &d));
             }
         }
         files.insert(1, ifile);
+
+        // Every segment's partials (a cache line holds a tertiary
+        // segment's image: its addresses are not this segment's).
+        let mut on_media: BTreeMap<BlockAddr, (Ino, i64)> = BTreeMap::new();
+        let mut inode_homes = Vec::new();
+        for seg in 0..sb.nsegs {
+            let usage = &files[&1].ptrs[&(1 + i64::from(seg / 128))];
+            let entry = &block(disk, *usage)[(seg % 128) as usize * 32..][..32];
+            let (flags, floor) = (u32_at(entry, 0), u64_at(entry, 16));
+            if flags & 4 != 0 {
+                continue;
+            }
+            let image = blocks(disk, sb.seg_base(seg), sb.bps);
+            let raw = segment_partials(&image, sb.seg_base(seg), sb.summary_bytes, floor);
+            let lib = super::partials::ref_walk(&image, sb.seg_base(seg), sb.summary_bytes, floor);
+            assert_same_partials(&raw, &lib);
+            for p in raw {
+                on_media.extend(
+                    p.blocks
+                        .iter()
+                        .map(|&(ino, lbn, a)| (a, (ino, i64::from(lbn)))),
+                );
+                inode_homes.extend(p.inodes);
+            }
+        }
+        for (&ino, file) in &files {
+            assert!(
+                inode_homes.contains(&(file.daddr, ino)),
+                "ino {ino}: no partial holds its dinode"
+            );
+            for (&lbn, &addr) in file.ptrs.iter().filter(|(_, &a)| a < sb.seg_base(sb.nsegs)) {
+                assert_eq!(
+                    on_media.get(&addr),
+                    Some(&(ino, lbn)),
+                    "ino {ino} lbn {lbn} at {addr}"
+                );
+            }
+        }
         files
     }
 }
@@ -852,7 +1169,7 @@ proptest! {
                 continue;
             }
             fs.checkpoint().expect("checkpoint");
-            let raw = raw_walk(&rig);
+            let raw = raw_walk(&rig.disk);
             let mut live = vec![0u64; fs.nsegs() as usize];
             let mut credit = |addr: u32, bytes: u64| {
                 if addr != UNASSIGNED {
@@ -902,4 +1219,144 @@ proptest! {
             prop_assert!(report.clean(), "step {}: {:?}", step, report.findings);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The independent reader (`tree`, above) against mount: it accepts
+// exactly the partials roll-forward replays, on an intact image and on
+// one with a single flipped byte, and reads a migrated segment off the
+// jukebox medium as the library's scan does.
+// ---------------------------------------------------------------------------
+
+/// A crashed HighLight image: two checkpoints (so both slots are live),
+/// files migrated to tertiary before the second, then four syncs the
+/// checkpoint never saw, spilling over several 32-block log segments.
+fn crashed_image() -> partials::Rig {
+    let rig = partials::Rig::new();
+    let mut hl = rig.mkfs_and_mount();
+    for i in 0..6u8 {
+        let ino = hl.create(&format!("/old{i}")).expect("create");
+        hl.write(ino, 0, &vec![i | 0x40; 30_000]).expect("write");
+    }
+    hl.sync().expect("sync");
+    for i in 0..3 {
+        hl.migrate_file(&format!("/old{i}"), i != 1, None)
+            .expect("migrate");
+    }
+    hl.checkpoint().expect("checkpoint");
+    for round in 0..4u8 {
+        for i in 0..3u8 {
+            let ino = hl.create(&format!("/new{round}_{i}")).expect("create");
+            hl.write(ino, 0, &vec![round * 16 + i + 1; 25_000])
+                .expect("write");
+        }
+        hl.sync().expect("sync");
+    }
+    drop(hl); // no checkpoint: the next mount rolls forward
+    rig
+}
+
+#[test]
+fn independent_reader_accepts_exactly_what_roll_forward_accepts() {
+    use highlight::{HighLight, HlConfig};
+    use hl_lfs::config::AddressMap;
+    use hl_vdev::BlockDev;
+    use std::rc::Rc;
+    use tree::{newest_checkpoint, roll_forward, segment_partials, superblock, BS};
+
+    let mount = |rig: &partials::Rig| {
+        let mut cfg = HlConfig::paper(hl_sim::Clock::new(), 6);
+        cfg.lfs.seg_bytes = partials::BPS * BS as u32;
+        cfg.lfs.summary_bytes = partials::SUMMARY_BYTES as u32;
+        let disk = rig.disk.clone() as Rc<dyn BlockDev>;
+        HighLight::mount_with_report(disk, Rc::new(rig.jukebox.clone()), cfg)
+    };
+    let flip = |rig: &partials::Rig, addr: u32, byte: usize| {
+        let mut blk = vec![0u8; BS];
+        rig.disk.peek(u64::from(addr), &mut blk).expect("peek");
+        blk[byte] ^= 0x10;
+        rig.disk.poke(u64::from(addr), &blk).expect("poke");
+    };
+
+    // Intact: the checkpointed image verifies sum by sum (`raw_walk`
+    // asserts that), and the reader replays what mount replays.
+    let rig = crashed_image();
+    let sb = superblock(&rig.disk).expect("superblock");
+    let ckpt = newest_checkpoint(&rig.disk);
+    assert!(
+        tree::checkpoint_slots(&rig.disk)
+            .iter()
+            .all(Option::is_some),
+        "two checkpoints fill both slots"
+    );
+    tree::raw_walk(&rig.disk);
+    let replayed = roll_forward(&rig.disk, &sb, &ckpt);
+    let segs: std::collections::BTreeSet<_> = replayed.iter().map(|p| p.addr / sb.bps).collect();
+    assert!(
+        replayed.len() >= 4 && segs.len() >= 2,
+        "log too short to mean much"
+    );
+    let (mut hl, report) = mount(&rig).expect("mount");
+    assert_eq!(report.checkpoint_serial, ckpt.serial);
+    assert_eq!(report.partials_replayed as usize, replayed.len());
+    let fsck = hl.fsck().expect("fsck");
+    assert!(fsck.clean(), "{}", fsck.render());
+
+    // A migrated segment straight off the medium: both sums of every
+    // partial verify, and nothing on it has been overwritten, so the
+    // library's live scan lists the same items in the same order.
+    let (vol, slot, image) = rig.written_slots().swap_remove(0);
+    let map = hl.map();
+    let seg = map.tert_seg(vol, slot);
+    let on_media = segment_partials(&image, map.seg_base(seg), sb.summary_bytes, 0);
+    assert!(!on_media.is_empty() && on_media.iter().all(|p| p.datasum_ok));
+    let items: Vec<_> = on_media
+        .iter()
+        .flat_map(|p| {
+            let blocks = p.blocks.iter().map(|&(ino, lbn, _)| {
+                hl_lfs::migrate::MigrateItem::Block(
+                    ino,
+                    hl_lfs::types::LBlock::decode(i64::from(lbn)),
+                )
+            });
+            blocks.chain(
+                p.inodes
+                    .iter()
+                    .map(|&(_, ino)| hl_lfs::migrate::MigrateItem::Inode(ino)),
+            )
+        })
+        .collect();
+    assert_eq!(hl.lfs().live_items(seg).expect("scan"), items);
+    drop(hl);
+
+    // One flipped byte in the payload of the third replayed partial, or
+    // in its summary: both readers stop after two. One in the newest
+    // checkpoint slot: both fall back to the other. One in the
+    // superblock's summed bytes: both refuse the image.
+    for in_summary in [false, true] {
+        let rig = crashed_image();
+        let victim = &replayed[2];
+        let (addr, byte) = if in_summary {
+            (victim.addr, 40)
+        } else {
+            (victim.addr + victim.nblocks, 1_234)
+        };
+        flip(&rig, addr, byte);
+        assert_eq!(roll_forward(&rig.disk, &sb, &ckpt).len(), 2);
+        let (_, report) = mount(&rig).expect("mount");
+        assert_eq!(report.partials_replayed, 2, "summary byte: {in_summary}");
+    }
+    let rig = crashed_image();
+    flip(&rig, 1, (ckpt.serial as usize % 2) * 2048 + 9);
+    let older = newest_checkpoint(&rig.disk);
+    assert_eq!(older.serial, ckpt.serial - 1);
+    let (_, report) = mount(&rig).expect("mount");
+    assert_eq!(report.checkpoint_serial, older.serial);
+    assert_eq!(
+        report.partials_replayed as usize,
+        roll_forward(&rig.disk, &sb, &older).len()
+    );
+    flip(&rig, 0, 33);
+    assert!(superblock(&rig.disk).is_none());
+    assert!(mount(&rig).is_err());
 }

@@ -4,7 +4,7 @@
 //! back by crash recovery, so silent drift would break remounts of
 //! existing images).
 
-use hl_lfs::ondisk::{Checkpoint, Dinode, Finfo, SegSummary, Superblock, CHECKPOINT_SLOT};
+use hl_lfs::ondisk::{cksum, Checkpoint, Dinode, Finfo, SegSummary, Superblock, CHECKPOINT_SLOT};
 use hl_lfs::types::DINODE_SIZE;
 
 fn hex(bytes: &[u8]) -> String {
@@ -120,4 +120,28 @@ a48101002a000000409c00000000000041420f000000000042420f0000000000\n\
 0b01000000020000010200000000000000000000000000000000000000000000";
     assert_eq!(got, want, "\ndinode bytes changed; got:\n{got}");
     assert_eq!(Dinode::decode(&slot), d);
+}
+
+/// The checksum itself, not only the structures that embed it: known
+/// answers for the lengths the format sums (48, 44, `summary_bytes − 4`
+/// for 512- and 4 096-byte summaries, one block, a 208-block payload)
+/// and the edge cases around them.
+#[test]
+fn cksum_known_answers() {
+    let pattern: Vec<u8> = (0..851_968u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 23) as u8)
+        .collect();
+    let got = [0, 1, 44, 48, 508, 4_092, 4_096, 851_968]
+        .map(|len| format!("{len} {:08x}", cksum(&pattern[..len])))
+        .join("\n");
+    let want = "\
+0 6c667331\n\
+1 8cce662d\n\
+44 69570a23\n\
+48 a28166d7\n\
+508 2b61aeb3\n\
+4092 96310b5b\n\
+4096 be78da41\n\
+851968 17c7914b";
+    assert_eq!(got, want, "\ncksum changed; got:\n{got}");
 }
