@@ -12,8 +12,9 @@
 use crate::error::{LfsError, Result};
 use crate::types::{BlockAddr, FileKind, Ino, DINODE_SIZE, NDIRECT, UNASSIGNED};
 
-/// Filesystem magic number ("HighLight LFS", version 1).
-pub const SUPER_MAGIC: u64 = 0x4847_4c49_4c46_5331;
+/// Filesystem magic number ("HGLILFS2": HighLight LFS, format 2 — the
+/// format whose sums are [`cksum`] as it is now).
+pub const SUPER_MAGIC: u64 = 0x4847_4c49_4c46_5332;
 
 // ---------------------------------------------------------------------------
 // Little-endian field helpers.
@@ -49,18 +50,52 @@ pub fn put_u64(buf: &mut [u8], off: usize, v: u64) {
     buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
 }
 
-/// The 32-bit checksum used for summary blocks and checkpoints: a
-/// byte-position-weighted sum (order-sensitive, unlike a plain sum, so
-/// swapped words are detected).
+/// Accumulators of [`cksum`]: word `w` of the payload goes to lane
+/// `w % CK_LANES`, so consecutive words never wait on each other.
+const CK_LANES: usize = 4;
+/// Lane `k` starts at `CK_SEED + k` ("lfs2").
+const CK_SEED: u64 = 0x6c66_7332;
+/// The odd 64-bit golden-ratio constant every step multiplies by.
+const CK_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One step of a [`cksum`] lane, and of the fold over the lanes.
+fn ck_step(acc: u64, x: u64) -> u64 {
+    acc.rotate_left(31).wrapping_add(x).wrapping_mul(CK_MUL)
+}
+
+/// The 32-bit checksum of the superblock, the checkpoint slots and both
+/// summary sums (DESIGN.md §6a has the definition a reader is written
+/// from). The payload is taken as little-endian 64-bit words, the last
+/// one zero-padded; word `w` is stirred, with its own index added, into
+/// lane `w % 4` by a rotate–add–multiply step that does not commute, so
+/// each lane is sensitive to the order and the position of its words
+/// and the four run in parallel. The lanes are folded, in lane order,
+/// onto the payload length with the same step — swapping two lanes'
+/// contents, or padding with zeros, changes the sum.
 pub fn cksum(data: &[u8]) -> u32 {
-    let mut acc: u32 = 0x6c66_7331;
-    for (i, &b) in data.iter().enumerate() {
-        acc = acc
-            .rotate_left(5)
-            .wrapping_add(b as u32)
-            .wrapping_add(i as u32);
+    // Word `w` — up to eight little-endian bytes, zero-padded — into `lane`.
+    let stir = |lane: &mut u64, bytes: &[u8], w: u64| {
+        let mut le = [0u8; 8];
+        le[..bytes.len()].copy_from_slice(bytes);
+        *lane = ck_step(*lane, u64::from_le_bytes(le).wrapping_add(w));
+    };
+    let mut lanes = [CK_SEED, CK_SEED + 1, CK_SEED + 2, CK_SEED + 3];
+    let mut w = 0;
+    let mut strides = data.chunks_exact(8 * CK_LANES);
+    for stride in &mut strides {
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            stir(lane, &stride[8 * k..8 * k + 8], w + k as u64);
+        }
+        w += CK_LANES as u64;
     }
-    acc
+    // Fewer than four words are left: whole ones, then the padded one.
+    for (k, bytes) in strides.remainder().chunks(8).enumerate() {
+        stir(&mut lanes[k], bytes, w + k as u64);
+    }
+    let h = lanes
+        .iter()
+        .fold(data.len() as u64, |h, &lane| ck_step(h, lane));
+    (h >> 32) as u32 ^ h as u32
 }
 
 // ---------------------------------------------------------------------------

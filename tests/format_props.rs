@@ -676,18 +676,26 @@ mod tree {
     /// The format generation this reader understands: the last byte of
     /// the superblock magic. It names the checksum below, so the two
     /// change together and nothing else in the reader does.
-    const FORMAT: u8 = b'1';
+    const FORMAT: u8 = b'2';
 
-    /// DESIGN.md §6a: `acc = rotl(acc, 5) + b + i` from `0x6c66_7331`.
+    /// DESIGN.md §6a "Checksum", one word at a time: `step(a, x) =
+    /// (rotl(a, 31) + x) · M`; word `w` (little-endian, the last one
+    /// zero-padded) plus its index goes into lane `w mod 4`; the lanes
+    /// are folded in order onto the byte length; high half XOR low half.
     pub fn cksum(bytes: &[u8]) -> u32 {
-        bytes
+        const M: u64 = 0x9e37_79b9_7f4a_7c15;
+        let step = |a: u64, x: u64| a.rotate_left(31).wrapping_add(x).wrapping_mul(M);
+        let mut lanes: Vec<u64> = (0..4).map(|k| 0x6c66_7332 + k).collect();
+        for w in 0..bytes.len().div_ceil(8) {
+            let word = (0..8).fold(0u64, |v, j| {
+                v | u64::from(bytes.get(8 * w + j).copied().unwrap_or(0)) << (8 * j)
+            });
+            lanes[w % 4] = step(lanes[w % 4], word.wrapping_add(w as u64));
+        }
+        let h = lanes
             .iter()
-            .enumerate()
-            .fold(0x6c66_7331u32, |acc, (i, &b)| {
-                acc.rotate_left(5)
-                    .wrapping_add(u32::from(b))
-                    .wrapping_add(i as u32)
-            })
+            .fold(bytes.len() as u64, |h, &lane| step(h, lane));
+        ((h >> 32) ^ (h & 0xffff_ffff)) as u32
     }
 
     /// The geometry block 0 declares.

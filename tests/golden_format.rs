@@ -36,8 +36,8 @@ fn superblock_hex_snapshot() {
     assert!(blk[52..].iter().all(|&b| b == 0), "padding not zeroed");
     let got = hex(&blk[..52]);
     let want = "\
-3153464c494c4748001000000000030050030000020000000010000010000000\n\
-005003000000000015cd5b070000000033a05604";
+3253464c494c4748001000000000030050030000020000000010000010000000\n\
+005003000000000015cd5b070000000008931004";
     assert_eq!(got, want, "\nsuperblock bytes changed; got:\n{got}");
     assert_eq!(Superblock::decode(&blk).unwrap(), sb);
 }
@@ -59,7 +59,7 @@ fn checkpoint_hex_snapshot() {
     let got = hex(&slot[..48]);
     let want = "\
 07000000000000002800000000000000d20400000500000011000000b168de3a\n\
-00000000030000000000000065376c34";
+0000000003000000000000001c78b2fd";
     assert_eq!(got, want, "\ncheckpoint bytes changed; got:\n{got}");
     assert_eq!(Checkpoint::decode(&slot), Some(c));
 }
@@ -82,7 +82,7 @@ fn summary_hex_snapshot() {
     assert!(buf[56..504].iter().all(|&b| b == 0), "padding not zeroed");
     let front = hex(&buf[..56]);
     let want_front = "\
-c225d2358c1e1c43000001000900000000000000010001000000000003000000\n\
+edd870167ea795f8000001000900000000000000010001000000000003000000\n\
 0200000004000000001000000000000001000000ffffffff";
     assert_eq!(front, want_front, "\nsummary front changed; got:\n{front}");
     let back = hex(&buf[512 - 8..]);
@@ -135,13 +135,13 @@ fn cksum_known_answers() {
         .map(|len| format!("{len} {:08x}", cksum(&pattern[..len])))
         .join("\n");
     let want = "\
-0 6c667331\n\
-1 8cce662d\n\
-44 69570a23\n\
-48 a28166d7\n\
-508 2b61aeb3\n\
-4092 96310b5b\n\
-4096 be78da41\n\
-851968 17c7914b";
+0 866a18ea\n\
+1 56e4327b\n\
+44 46da6513\n\
+48 dfb1e99d\n\
+508 f57d8e67\n\
+4092 6d3343e1\n\
+4096 7ebdf316\n\
+851968 c1254f14";
     assert_eq!(got, want, "\ncksum changed; got:\n{got}");
 }

@@ -321,8 +321,8 @@ fn immediate_copy_out_life_matches_the_pinned_image() {
     assert_eq!(
         scripted_life(CopyOutMode::Immediate),
         Pin {
-            disk: 0xd1dd_f0a5_9e9b_ccee,
-            media: 0xe6db_0edc_df29_bf6c,
+            disk: 0x1a18_8dcb_a250_8d13,
+            media: 0x7331_af2d_c9d3_0617,
             slots_written: 5,
             eom_events: 1,
             sim_now: 136_346_952,
@@ -336,8 +336,8 @@ fn delayed_copy_out_life_matches_the_pinned_image() {
     assert_eq!(
         scripted_life(CopyOutMode::Delayed { pipeline: 4 }),
         Pin {
-            disk: 0xdc27_6dca_6e0a_94b6,
-            media: 0x0a0f_3e93_4585_816e,
+            disk: 0x4130_34cc_2dfc_fd38,
+            media: 0x4076_a954_6303_d6c1,
             slots_written: 5,
             eom_events: 2,
             sim_now: 134_099_874,
@@ -502,8 +502,8 @@ fn deep_file_life_matches_the_pinned_image() {
     assert_eq!(
         deep_life(),
         Pin {
-            disk: 0x78b9_0b0b_4585_e66a,
-            media: 0x180d_ab52_e1c5_3566,
+            disk: 0xcab1_8b8a_4a7c_d431,
+            media: 0xf1a8_2e0a_3454_036c,
             slots_written: 11,
             eom_events: 0,
             sim_now: 357_117_149,
