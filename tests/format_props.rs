@@ -1368,3 +1368,199 @@ fn independent_reader_accepts_exactly_what_roll_forward_accepts() {
     assert!(superblock(&rig.disk).is_none());
     assert!(mount(&rig).is_err());
 }
+
+// ---------------------------------------------------------------------------
+// The checksum (`hl_lfs::ondisk::cksum`, DESIGN.md §6a "Checksum"):
+// equal to the independent reader's one-word-at-a-time version, and
+// changed by every corruption the format relies on it to catch.
+//
+// Seen to go red, each sabotage planted in `ondisk::cksum` alone and
+// reverted. Every one of them also turns `cksum_matches_the_readers_…`,
+// `golden_format::cksum_known_answers` and the three tests above that
+// hold the independent reader against the library red:
+//   * the position term dropped (`word` instead of `word + w`) — those
+//     only: the multiply already makes a lane order-sensitive, the term
+//     is belt and braces (DESIGN.md §6a says what for).
+//   * the lanes folded with a commutative `+` or `^` —
+//     `cksum_detects_swapped_words` ("noise: words 1532 and 1533": two
+//     lanes of one stride near the end).
+//   * the length dropped from the fold (`h` starts at 0) —
+//     `cksum_detects_trailing_zeros_and_truncation` (a tail of 1–7
+//     bytes and the same bytes followed by zero bytes pad to one word).
+//   * the tail ignored (the words after the last whole stride skipped) —
+//     `cksum_detects_every_single_bit_flip`, `…swapped_words`,
+//     `…torn_writes` and `summary_round_trips_and_rejects_bitflips`
+//     (48, 44 and `summary_bytes − 4` all end in a tail). The crash
+//     torture does *not* notice: none of its tears ends inside the last
+//     28 bytes of a summary.
+//   * the lane step without its multiply, `rotl(acc, 5) + word + w` (the
+//     byte-serial chain widened, as ISSUE 24's prototype had it) —
+//     `cksum_detects_swapped_words` ("small integers: words 0 and 256"):
+//     words 64 lane steps apart are rotated alike and their sum commutes.
+// ---------------------------------------------------------------------------
+
+mod sums {
+    /// Deterministic noise.
+    pub fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    /// The lengths the format sums (48, 44, 508, 4 092, whole blocks) and
+    /// every residue modulo the 32-byte stride around them.
+    pub fn lengths() -> Vec<usize> {
+        let mut out: Vec<usize> = (0..=72).collect();
+        out.extend([508, 4_092, 4_096, 4_100, 8_192]);
+        out.extend(4_064..4_096 + 33);
+        out
+    }
+}
+
+#[test]
+fn cksum_matches_the_readers_word_at_a_time_version() {
+    use hl_lfs::ondisk::cksum;
+    let pool = sums::noise(24, 4_200);
+    for len in 0..=4_200 {
+        assert_eq!(
+            cksum(&pool[..len]),
+            tree::cksum(&pool[..len]),
+            "length {len}"
+        );
+        assert_eq!(
+            cksum(&vec![0u8; len]),
+            tree::cksum(&vec![0u8; len]),
+            "{len} zeros"
+        );
+    }
+    for seed in 1..=4 {
+        let mb = sums::noise(seed, (1 << 20) + seed as usize * 3);
+        assert_eq!(cksum(&mb), tree::cksum(&mb), "1 MB, seed {seed}");
+    }
+}
+
+#[test]
+fn cksum_detects_every_single_bit_flip() {
+    use hl_lfs::ondisk::cksum;
+    // Every residue of a short payload, and the three lengths the
+    // format sums whole blocks' worth of.
+    for len in (0..=72).chain([508, 4_092, 4_096]) {
+        for mut p in [sums::noise(7, len), vec![0u8; len]] {
+            let sum = cksum(&p);
+            for bit in 0..len * 8 {
+                p[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(cksum(&p), sum, "length {len}, bit {bit}");
+                p[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+}
+
+#[test]
+fn cksum_detects_swapped_words() {
+    use hl_lfs::ondisk::cksum;
+    const WORDS: usize = 3 * 512 + 7; // three blocks, a whole stride, a 3-word tail
+    let word = |p: &[u8], i: usize| u64::from_le_bytes(p[8 * i..8 * i + 8].try_into().unwrap());
+    let swap = |p: &mut [u8], i: usize, j: usize| {
+        for b in 0..8 {
+            p.swap(8 * i + b, 8 * j + b);
+        }
+    };
+    // Same lane (a stride and a half-block apart), different lanes of
+    // one stride (every pair, the last whole stride and the tail
+    // included), the same offset of adjacent blocks.
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    for i in (0..WORDS).step_by(5) {
+        pairs.extend([(i, i + 4), (i, i + 256), (i, i + 512)]);
+        let stride = i / 4 * 4;
+        pairs.extend((stride..stride + 4).flat_map(|a| (a + 1..stride + 4).map(move |b| (a, b))));
+    }
+    pairs.retain(|&(_, j)| j < WORDS);
+    let dense = sums::noise(3, WORDS * 8);
+    // Small integers, as in pointer blocks and directory entries.
+    let small: Vec<u8> = (0..WORDS as u64)
+        .flat_map(|i| (i % 61 + 1).to_le_bytes())
+        .collect();
+    for (name, base) in [("noise", dense), ("small integers", small)] {
+        let mut p = base;
+        let sum = cksum(&p);
+        for &(i, j) in &pairs {
+            if word(&p, i) == word(&p, j) {
+                continue;
+            }
+            swap(&mut p, i, j);
+            assert_ne!(cksum(&p), sum, "{name}: words {i} and {j}");
+            swap(&mut p, i, j);
+        }
+    }
+    // A sparse payload — zeros but for the two words, which differ in
+    // one bit, one byte or everywhere: nothing between them stirs a lane.
+    let values = sums::noise(5, 8 * 64);
+    for (n, &(i, j)) in pairs.iter().enumerate() {
+        let a = word(&values, n % 64);
+        for b in [
+            a ^ 1 << (n % 64),
+            a ^ 0xff << (n % 8 * 8),
+            !a,
+            a.rotate_left(17) | 1,
+        ] {
+            if a == b {
+                continue;
+            }
+            let mut p = vec![0u8; WORDS * 8];
+            p[8 * i..8 * i + 8].copy_from_slice(&a.to_le_bytes());
+            p[8 * j..8 * j + 8].copy_from_slice(&b.to_le_bytes());
+            let sum = cksum(&p);
+            swap(&mut p, i, j);
+            assert_ne!(cksum(&p), sum, "sparse: {a:#x} at {i}, {b:#x} at {j}");
+        }
+    }
+}
+
+#[test]
+fn cksum_detects_torn_writes() {
+    use hl_lfs::ondisk::cksum;
+    // The new payload's prefix reached the medium, the rest still holds
+    // what was there: other data, zeros (a fresh medium), or the same
+    // data but for one block.
+    let len = 2 * 4_096 + 44;
+    let new = sums::noise(11, len);
+    let mut one_block_older = new.clone();
+    one_block_older[4_096..8_192].copy_from_slice(&sums::noise(12, 4_096));
+    let sum = cksum(&new);
+    for old in [sums::noise(13, len), vec![0u8; len], one_block_older] {
+        let mut torn = old.clone();
+        for tear in 0..len {
+            // `torn` is new[..tear] ‖ old[tear..].
+            if torn != new {
+                assert_ne!(cksum(&torn), sum, "tear at byte {tear}");
+            }
+            torn[tear] = new[tear];
+        }
+    }
+}
+
+#[test]
+fn cksum_detects_trailing_zeros_and_truncation() {
+    use hl_lfs::ondisk::cksum;
+    for len in sums::lengths() {
+        for base in [sums::noise(17, len), vec![0u8; len]] {
+            let sum = cksum(&base);
+            let mut padded = base.clone();
+            for extra in 1..=72 {
+                padded.push(0);
+                assert_ne!(cksum(&padded), sum, "{len} bytes + {extra} zero bytes");
+            }
+            // Dropping words, zero or not, from the end.
+            for keep in len.saturating_sub(40)..len {
+                assert_ne!(cksum(&base[..keep]), sum, "{len} bytes cut to {keep}");
+            }
+        }
+    }
+}
