@@ -12,8 +12,10 @@
 use crate::error::{LfsError, Result};
 use crate::types::{BlockAddr, FileKind, Ino, DINODE_SIZE, NDIRECT, UNASSIGNED};
 
-/// Filesystem magic number ("HGLILFS2": HighLight LFS, format 2 — the
-/// format whose sums are [`cksum`] as it is now).
+/// Filesystem magic number: "HGLILFS" and, in the last byte, the format
+/// generation — `'2'` since every sum became the word-wide [`cksum`].
+/// [`Superblock::decode`] refuses any other generation by name; no code
+/// reads format 1.
 pub const SUPER_MAGIC: u64 = 0x4847_4c49_4c46_5332;
 
 // ---------------------------------------------------------------------------
@@ -144,8 +146,13 @@ impl Superblock {
 
     /// Parses and verifies a superblock.
     pub fn decode(buf: &[u8]) -> Result<Superblock> {
-        if get_u64(buf, 0) != SUPER_MAGIC {
-            return Err(LfsError::Corrupt("bad superblock magic"));
+        let magic = get_u64(buf, 0);
+        if magic != SUPER_MAGIC {
+            return Err(LfsError::Corrupt(if magic >> 8 == SUPER_MAGIC >> 8 {
+                "unsupported format version"
+            } else {
+                "bad superblock magic"
+            }));
         }
         if get_u32(buf, 48) != cksum(&buf[..48]) {
             return Err(LfsError::Corrupt("bad superblock checksum"));
@@ -732,7 +739,13 @@ mod tests {
         sb.encode(&mut buf);
         buf[17] ^= 0xff;
         assert!(Superblock::decode(&buf).is_err());
-        buf[0] = 0;
+        // Another generation of this format, then another format.
+        buf[0] = b'1';
+        assert!(matches!(
+            Superblock::decode(&buf),
+            Err(LfsError::Corrupt("unsupported format version"))
+        ));
+        buf[7] = 0;
         assert!(matches!(
             Superblock::decode(&buf),
             Err(LfsError::Corrupt("bad superblock magic"))

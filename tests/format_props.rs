@@ -1564,3 +1564,65 @@ fn cksum_detects_trailing_zeros_and_truncation() {
         }
     }
 }
+
+/// A format-1 image — the `S1` magic, its superblock summed by the
+/// byte-serial chain format 1 used — is refused as that, not
+/// misdiagnosed as a foreign device or a rotted superblock. (`hlfsck`
+/// runs on a mounted hierarchy, so mount is where it surfaces.)
+#[test]
+fn a_format_1_image_is_refused_by_name() {
+    use highlight::{HighLight, HlConfig};
+    use hl_lfs::{Lfs, LfsConfig, LfsError, NoTertiary};
+    use hl_vdev::BlockDev;
+    use std::rc::Rc;
+
+    let downgrade = |disk: &hl_vdev::Disk| {
+        let mut sb = vec![0u8; 4096];
+        disk.peek(0, &mut sb).expect("peek");
+        assert_eq!(&sb[..8], b"2SFLILGH", "a fresh image is format 2");
+        sb[0] = b'1';
+        let sum = sb[..48]
+            .iter()
+            .enumerate()
+            .fold(0x6c66_7331u32, |acc, (i, &b)| {
+                acc.rotate_left(5)
+                    .wrapping_add(u32::from(b))
+                    .wrapping_add(i as u32)
+            });
+        sb[48..52].copy_from_slice(&sum.to_le_bytes());
+        disk.poke(0, &sb).expect("poke");
+    };
+
+    let rig = tree::Rig::new();
+    drop(rig.mkfs_and_mount());
+    downgrade(&rig.disk);
+    let mount = |rig: &tree::Rig| {
+        let cfg = LfsConfig::base(hl_sim::Clock::new());
+        Lfs::mount(rig.disk.clone(), Rc::new(rig.map), Rc::new(NoTertiary), cfg).map(|_| ())
+    };
+    assert_eq!(
+        mount(&rig),
+        Err(LfsError::Corrupt("unsupported format version"))
+    );
+    // Other damage reads as it always did.
+    let mut sb = vec![0u8; 4096];
+    rig.disk.peek(0, &mut sb).expect("peek");
+    sb[7] = b'X';
+    rig.disk.poke(0, &sb).expect("poke");
+    assert_eq!(mount(&rig), Err(LfsError::Corrupt("bad superblock magic")));
+
+    let rig = partials::Rig::new();
+    drop(rig.mkfs_and_mount());
+    downgrade(&rig.disk);
+    let mut cfg = HlConfig::paper(hl_sim::Clock::new(), 6);
+    cfg.lfs.seg_bytes = partials::BPS * 4096;
+    cfg.lfs.summary_bytes = partials::SUMMARY_BYTES as u32;
+    let disk = rig.disk.clone() as Rc<dyn BlockDev>;
+    let refused = HighLight::mount(disk, Rc::new(rig.jukebox.clone()), cfg)
+        .map(|_| ())
+        .expect_err("a format-1 image mounted");
+    assert!(
+        refused.to_string().contains("unsupported format version"),
+        "{refused}"
+    );
+}
