@@ -177,6 +177,7 @@ impl Lfs {
 
         let mut root = Dinode::new(FileKind::Directory, 0o755, ROOT_INO, 1, now);
         root.nlink = 2; // "." and the parent link from itself
+        root.size = BLOCK_SIZE as u64;
         fs.inodes.insert(
             ROOT_INO,
             CachedInode {
@@ -191,14 +192,7 @@ impl Lfs {
         crate::dir::init_block(&mut blk);
         crate::dir::add(&mut blk, ".", ROOT_INO, FileKind::Directory)?;
         crate::dir::add(&mut blk, "..", ROOT_INO, FileKind::Directory)?;
-        fs.cache.insert(
-            ROOT_INO,
-            LBlock::Data(0),
-            blk.into_boxed_slice(),
-            true,
-            UNASSIGNED,
-        );
-        fs.inodes.get_mut(&ROOT_INO).expect("root").d.size = BLOCK_SIZE as u64;
+        fs.append(ROOT_INO, 0, blk.into_boxed_slice())?;
 
         // Persist: superblock (setup, untimed), then data + checkpoint.
         let mut sb_block = vec![0u8; BLOCK_SIZE];

@@ -1203,12 +1203,9 @@ proptest! {
                     diverges, None,
                     "step {}: ino {} (lbn, ptree + bmap, raw walk) of {} blocks", step, ino, owned.len()
                 );
-                // `blocks` counts assigned pointers (mkfs starts the root
-                // directory one short, which every golden image pins).
+                // `blocks` counts assigned pointers.
                 let assigned = file.ptrs.values().filter(|&&a| a != UNASSIGNED).count();
-                if ino != hl_lfs::types::ROOT_INO {
-                    prop_assert_eq!(file.blocks as usize, assigned, "step {}: ino {} blocks", step, ino);
-                }
+                prop_assert_eq!(file.blocks as usize, assigned, "step {}: ino {} blocks", step, ino);
                 prop_assert_eq!(st.blocks, file.blocks);
                 credit(file.daddr, 128);
                 file.ptrs.values().for_each(|&a| credit(a, BS as u64));

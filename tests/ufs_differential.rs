@@ -125,8 +125,8 @@ fn facts<U: Ufs>(fs: &mut U, ino: u32) -> Result<(FileKind, u16, u64, u32), LfsE
 
 /// Lists `dir` recursively as `path -> (kind, nlink, size)`,
 /// checking on the way that a directory's `blocks` matches its size
-/// (every directory block is counted by `append`; the LFS root is the
-/// one documented exception, hand-built by `mkfs` with `blocks == 0`).
+/// (every directory block is counted by `append`, the root's first one
+/// by both `mkfs`).
 fn tree<U: Ufs>(fs: &mut U, dir: &str, out: &mut BTreeMap<String, (FileKind, u16, u64)>) {
     for e in fs.readdir(dir).expect("readdir") {
         if e.name == "." || e.name == ".." {
@@ -154,8 +154,8 @@ fn same_tree(ffs: &mut Ffs, lfs: &mut Lfs, when: &str) -> BTreeSet<String> {
     tree(lfs, "/", &mut l);
     assert_eq!(f, l, "trees diverged {when}");
     assert_eq!(
-        facts(ffs, ROOT_INO).map(|t| (t.0, t.1, t.2)),
-        facts(lfs, ROOT_INO).map(|t| (t.0, t.1, t.2)),
+        facts(ffs, ROOT_INO),
+        facts(lfs, ROOT_INO),
         "root inode diverged {when}"
     );
     f.into_keys().collect()
