@@ -10,8 +10,9 @@
 //! The harness-less `main` gates the single-block route at
 //! [`ROUTE_GATE_NS`], scaled by the same-process 4 KiB-fill host anchor,
 //! the scheduler step at [`STEP_SCALING_GATE`] (its cost with 1024
-//! runnable actors over its cost with 8) and the buffer-cache eviction
-//! at [`EVICT_SCALING_GATE`] (8 000 resident blocks over 800), writes
+//! runnable actors over its cost with 8), the buffer-cache eviction
+//! at [`EVICT_SCALING_GATE`] (8 000 resident blocks over 800) and the
+//! log checksum at [`CKSUM_OVER_FILL_GATE`] fills of the block it sums, writes
 //! `BENCH_micro.json` at the repository root, and exits non-zero if a
 //! gate is missed.
 
@@ -59,6 +60,12 @@ const EVICT_SCALING_GATE: f64 = 2.0;
 /// Capacities of the `buffer cache miss + evict` rows: the paper's
 /// 3.2 MB cache, and ten times it.
 const EVICT_BLOCKS: [u32; 2] = [800, 8_000];
+/// Hard gate on the data path's host cost: `cksum` of a 4 KB block over
+/// a bare fill of one, both measured in this process, so host speed
+/// cancels. Every byte the segment writer, the migrator and roll-forward
+/// touch is summed once; the four-lane word-wide sum reads 9-10x, the
+/// byte-serial chain it replaced read 166x (5 053 ns / 30.5 ns).
+const CKSUM_OVER_FILL_GATE: f64 = 24.0;
 
 fn bench_cksum(c: &mut Criterion) {
     let block = vec![0xa5u8; 4096];
@@ -345,6 +352,21 @@ fn main() {
         }
     }
 
+    // The same guard for the checksum gate: numerator and denominator
+    // are re-measured together, and the lowest ratio kept.
+    let mut cksum_over_fill = ns("cksum 4KB block") / fill;
+    for _ in 0..4 {
+        if cksum_over_fill <= CKSUM_OVER_FILL_GATE {
+            break;
+        }
+        let mut retry = Criterion::default();
+        bench_cksum(&mut retry);
+        bench_fill_anchor(&mut retry);
+        if let [sum, anchor] = retry.results() {
+            cksum_over_fill = cksum_over_fill.min(sum.mean_ns / anchor.mean_ns);
+        }
+    }
+
     let step_few = ns(&step_id(STEP_ACTORS[0]));
     let step_many = ns(&step_id(STEP_ACTORS[2]));
     let step_scaling = step_many / step_few;
@@ -394,6 +416,13 @@ fn main() {
                 ]),
             ),
             (
+                "cksum_over_fill",
+                Json::obj([
+                    ("ratio", Json::Fixed(cksum_over_fill, 2)),
+                    ("gate", Json::Fixed(CKSUM_OVER_FILL_GATE, 1)),
+                ]),
+            ),
+            (
                 "seed_baseline_ns",
                 Json::obj([
                     ("route_peek_1_block", Json::Fixed(SEED_ROUTE_NS, 1)),
@@ -428,6 +457,13 @@ fn main() {
              ({evict_large:.1} ns / {evict_small:.1} ns = {evict_scaling:.2}x)"
         ),
         evict_scaling <= EVICT_SCALING_GATE,
+    );
+    checks.row(
+        format!(
+            "cksum 4KB block <= {CKSUM_OVER_FILL_GATE:.0} x fill 4KB block (host anchor) \
+             ({cksum_over_fill:.1}x)"
+        ),
+        cksum_over_fill <= CKSUM_OVER_FILL_GATE,
     );
     checks.finish();
 }
