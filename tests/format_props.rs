@@ -903,10 +903,9 @@ mod tree {
     /// The library-based reference walk (`partials::ref_walk`) and this
     /// reader saw the same partials, and none of them is torn.
     pub fn assert_same_partials(raw: &[RawPartial], lib: &[super::partials::RefPartial]) {
-        let serials = |it: &mut dyn Iterator<Item = u64>| it.collect::<Vec<_>>();
         assert_eq!(
-            serials(&mut raw.iter().map(|p| p.serial)),
-            serials(&mut lib.iter().map(|p| p.serial)),
+            raw.iter().map(|p| p.serial).collect::<Vec<_>>(),
+            lib.iter().map(|p| p.serial).collect::<Vec<_>>(),
             "accepted partials"
         );
         for (r, l) in raw.iter().zip(lib) {
