@@ -63,7 +63,7 @@ const EVICT_BLOCKS: [u32; 2] = [800, 8_000];
 /// Hard gate on the data path's host cost: `cksum` of a 4 KB block over
 /// a bare fill of one, both measured in this process, so host speed
 /// cancels. Every byte the segment writer, the migrator and roll-forward
-/// touch is summed once; the four-lane word-wide sum reads 9-10x, the
+/// touch is summed once; the four-lane word-wide sum reads 8-12x, the
 /// byte-serial chain it replaced read 166x (5 053 ns / 30.5 ns).
 const CKSUM_OVER_FILL_GATE: f64 = 24.0;
 

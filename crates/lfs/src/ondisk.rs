@@ -81,7 +81,7 @@ pub fn cksum(data: &[u8]) -> u32 {
         le[..bytes.len()].copy_from_slice(bytes);
         *lane = ck_step(*lane, u64::from_le_bytes(le).wrapping_add(w));
     };
-    let mut lanes = [CK_SEED, CK_SEED + 1, CK_SEED + 2, CK_SEED + 3];
+    let mut lanes: [u64; CK_LANES] = std::array::from_fn(|k| CK_SEED + k as u64);
     let mut w = 0;
     let mut strides = data.chunks_exact(8 * CK_LANES);
     for stride in &mut strides {

@@ -266,6 +266,7 @@ mod partials {
     use hl_lfs::config::AddressMap;
     use hl_lfs::migrate::MigrateItem;
     use hl_lfs::ondisk::{seg_flags, Dinode, SegSummary};
+    use hl_lfs::recovery::RecoveryReport;
     use hl_lfs::types::{BlockAddr, Ino, LBlock, DINODE_SIZE, INODES_PER_BLOCK};
     use hl_sim::Clock;
     use hl_vdev::{BlockDev, Disk, DiskProfile, BLOCK_SIZE};
@@ -306,14 +307,24 @@ mod partials {
             }
         }
 
-        pub fn mkfs_and_mount(&self) -> HighLight {
+        fn cfg(&self) -> HlConfig {
             let mut cfg = HlConfig::paper(self.clock.clone(), 6);
             cfg.lfs.seg_bytes = BPS * BLOCK_SIZE as u32;
             cfg.lfs.summary_bytes = SUMMARY_BYTES as u32;
+            cfg
+        }
+
+        pub fn mkfs_and_mount(&self) -> HighLight {
             let disk = self.disk.clone() as Rc<dyn BlockDev>;
             let jukebox = Rc::new(self.jukebox.clone());
-            HighLight::mkfs(disk.clone(), jukebox.clone(), cfg.clone()).expect("mkfs");
-            HighLight::mount(disk, jukebox, cfg).expect("mount")
+            HighLight::mkfs(disk, jukebox, self.cfg()).expect("mkfs");
+            self.remount().expect("mount").0
+        }
+
+        /// Mounts what is on the media, as after a crash.
+        pub fn remount(&self) -> hl_lfs::error::Result<(HighLight, RecoveryReport)> {
+            let disk = self.disk.clone() as Rc<dyn BlockDev>;
+            HighLight::mount_with_report(disk, Rc::new(self.jukebox.clone()), self.cfg())
         }
 
         /// Raw image of disk segment `seg`.
@@ -645,8 +656,18 @@ mod tree {
         pub fn mkfs_and_mount(&self) -> Lfs {
             let cfg = LfsConfig::base(Clock::new());
             let (dev, map) = (self.disk.clone(), Rc::new(self.map));
-            Lfs::mkfs(dev.clone(), map.clone(), Rc::new(NoTertiary), cfg.clone()).expect("mkfs");
-            Lfs::mount(dev, map, Rc::new(NoTertiary), cfg).expect("mount")
+            Lfs::mkfs(dev, map, Rc::new(NoTertiary), cfg).expect("mkfs");
+            self.remount().expect("mount")
+        }
+
+        pub fn remount(&self) -> Result<Lfs, hl_lfs::LfsError> {
+            let cfg = LfsConfig::base(Clock::new());
+            Lfs::mount(
+                self.disk.clone(),
+                Rc::new(self.map),
+                Rc::new(NoTertiary),
+                cfg,
+            )
         }
     }
 
@@ -1262,19 +1283,10 @@ fn crashed_image() -> partials::Rig {
 
 #[test]
 fn independent_reader_accepts_exactly_what_roll_forward_accepts() {
-    use highlight::{HighLight, HlConfig};
     use hl_lfs::config::AddressMap;
     use hl_vdev::BlockDev;
-    use std::rc::Rc;
     use tree::{newest_checkpoint, roll_forward, segment_partials, superblock, BS};
 
-    let mount = |rig: &partials::Rig| {
-        let mut cfg = HlConfig::paper(hl_sim::Clock::new(), 6);
-        cfg.lfs.seg_bytes = partials::BPS * BS as u32;
-        cfg.lfs.summary_bytes = partials::SUMMARY_BYTES as u32;
-        let disk = rig.disk.clone() as Rc<dyn BlockDev>;
-        HighLight::mount_with_report(disk, Rc::new(rig.jukebox.clone()), cfg)
-    };
     let flip = |rig: &partials::Rig, addr: u32, byte: usize| {
         let mut blk = vec![0u8; BS];
         rig.disk.peek(u64::from(addr), &mut blk).expect("peek");
@@ -1300,7 +1312,7 @@ fn independent_reader_accepts_exactly_what_roll_forward_accepts() {
         replayed.len() >= 4 && segs.len() >= 2,
         "log too short to mean much"
     );
-    let (mut hl, report) = mount(&rig).expect("mount");
+    let (mut hl, report) = rig.remount().expect("mount");
     assert_eq!(report.checkpoint_serial, ckpt.serial);
     assert_eq!(report.partials_replayed as usize, replayed.len());
     let fsck = hl.fsck().expect("fsck");
@@ -1347,14 +1359,14 @@ fn independent_reader_accepts_exactly_what_roll_forward_accepts() {
         };
         flip(&rig, addr, byte);
         assert_eq!(roll_forward(&rig.disk, &sb, &ckpt).len(), 2);
-        let (_, report) = mount(&rig).expect("mount");
+        let (_, report) = rig.remount().expect("mount");
         assert_eq!(report.partials_replayed, 2, "summary byte: {in_summary}");
     }
     let rig = crashed_image();
     flip(&rig, 1, (ckpt.serial as usize % 2) * 2048 + 9);
     let older = newest_checkpoint(&rig.disk);
     assert_eq!(older.serial, ckpt.serial - 1);
-    let (_, report) = mount(&rig).expect("mount");
+    let (_, report) = rig.remount().expect("mount");
     assert_eq!(report.checkpoint_serial, older.serial);
     assert_eq!(
         report.partials_replayed as usize,
@@ -1362,7 +1374,7 @@ fn independent_reader_accepts_exactly_what_roll_forward_accepts() {
     );
     flip(&rig, 0, 33);
     assert!(superblock(&rig.disk).is_none());
-    assert!(mount(&rig).is_err());
+    assert!(rig.remount().is_err());
 }
 
 // ---------------------------------------------------------------------------
@@ -1567,10 +1579,8 @@ fn cksum_detects_trailing_zeros_and_truncation() {
 /// runs on a mounted hierarchy, so mount is where it surfaces.)
 #[test]
 fn a_format_1_image_is_refused_by_name() {
-    use highlight::{HighLight, HlConfig};
-    use hl_lfs::{Lfs, LfsConfig, LfsError, NoTertiary};
+    use hl_lfs::LfsError;
     use hl_vdev::BlockDev;
-    use std::rc::Rc;
 
     let downgrade = |disk: &hl_vdev::Disk| {
         let mut sb = vec![0u8; 4096];
@@ -1592,12 +1602,8 @@ fn a_format_1_image_is_refused_by_name() {
     let rig = tree::Rig::new();
     drop(rig.mkfs_and_mount());
     downgrade(&rig.disk);
-    let mount = |rig: &tree::Rig| {
-        let cfg = LfsConfig::base(hl_sim::Clock::new());
-        Lfs::mount(rig.disk.clone(), Rc::new(rig.map), Rc::new(NoTertiary), cfg).map(|_| ())
-    };
     assert_eq!(
-        mount(&rig),
+        rig.remount().map(|_| ()),
         Err(LfsError::Corrupt("unsupported format version"))
     );
     // Other damage reads as it always did.
@@ -1605,16 +1611,16 @@ fn a_format_1_image_is_refused_by_name() {
     rig.disk.peek(0, &mut sb).expect("peek");
     sb[7] = b'X';
     rig.disk.poke(0, &sb).expect("poke");
-    assert_eq!(mount(&rig), Err(LfsError::Corrupt("bad superblock magic")));
+    assert_eq!(
+        rig.remount().map(|_| ()),
+        Err(LfsError::Corrupt("bad superblock magic"))
+    );
 
     let rig = partials::Rig::new();
     drop(rig.mkfs_and_mount());
     downgrade(&rig.disk);
-    let mut cfg = HlConfig::paper(hl_sim::Clock::new(), 6);
-    cfg.lfs.seg_bytes = partials::BPS * 4096;
-    cfg.lfs.summary_bytes = partials::SUMMARY_BYTES as u32;
-    let disk = rig.disk.clone() as Rc<dyn BlockDev>;
-    let refused = HighLight::mount(disk, Rc::new(rig.jukebox.clone()), cfg)
+    let refused = rig
+        .remount()
         .map(|_| ())
         .expect_err("a format-1 image mounted");
     assert!(
