@@ -17,7 +17,7 @@
 
 use hl_lfs::types::SegNo;
 use hl_sim::time::{SimTime, SEC};
-use hl_vdev::{DevError, IoSlot};
+use hl_vdev::{Block, DevError, IoSlot};
 use std::collections::{HashMap, HashSet};
 
 use crate::fault::{FaultEvent, HlError};
@@ -162,7 +162,7 @@ impl TioInner {
             .push(FaultEvent::Quarantine { at, vol, failures });
     }
 
-    /// Reads one copy of `tert_seg` into `buf`, applying the recovery
+    /// Reads one copy of `tert_seg` into `blocks`, applying the recovery
     /// policy (§10): bounded backoff retries on transient faults,
     /// immediate quarantine on hard media failures, failover across the
     /// remaining replica homes. Exhausting every copy yields
@@ -175,7 +175,7 @@ impl TioInner {
         at: SimTime,
         drive: usize,
         tert_seg: SegNo,
-        buf: &mut [u8],
+        blocks: &mut [Block],
     ) -> Result<(IoSlot, usize, (u32, u32)), HlError> {
         let Some(homes) = self.candidate_homes(tert_seg) else {
             // Not a mapped tertiary segment at all.
@@ -187,7 +187,7 @@ impl TioInner {
         for (i, &(vol, slot)) in homes.iter().enumerate() {
             let mut attempt = 0u32;
             loop {
-                match self.jukebox.read_segment_on(t, drive, vol, slot, buf) {
+                match self.jukebox.read_segment_on(t, drive, vol, slot, blocks) {
                     Ok((r, used)) => return Ok((r, used, (vol, slot))),
                     Err(e @ DevError::MediaFailure) => {
                         self.fault_log.borrow_mut().push(FaultEvent::ReadFault {
@@ -278,7 +278,7 @@ impl TioInner {
         drive: usize,
         tert_seg: SegNo,
         primary_vol: u32,
-        buf: &[u8],
+        blocks: &[Block],
     ) -> SimTime {
         let copies = self.replicate.get();
         let mut t = at;
@@ -293,7 +293,7 @@ impl TioInner {
             let Some(slot) = self.claim_slot(vol) else {
                 continue;
             };
-            match self.jukebox.write_segment_on(t, drive, vol, slot, buf) {
+            match self.jukebox.write_segment_on(t, drive, vol, slot, blocks) {
                 Ok((w, used)) => {
                     t = w.end;
                     self.admit_drive_io(phase::FOOTPRINT_WRITE, w, used);
@@ -329,8 +329,14 @@ impl TioInner {
     /// A drive-scoped fault aborts the pass — reported as the second
     /// element — rather than letting a dead *drive* masquerade as dead
     /// *media*: the caller re-dispatches the whole pass to a surviving
-    /// lane, which recomputes the (idempotent) deficits.
-    pub(crate) fn scrub_pass(&self, at: SimTime, drive: usize) -> (ScrubReport, Option<(SimTime, DevError)>) {
+    /// lane, which recomputes the (idempotent) deficits. Each segment's
+    /// copies are made from the handles `blocks` holds after its re-fetch.
+    pub(crate) fn scrub_pass(
+        &self,
+        at: SimTime,
+        drive: usize,
+        blocks: &mut [Block],
+    ) -> (ScrubReport, Option<(SimTime, DevError)>) {
         let target = 1 + self.replicate.get();
         let mut segs: Vec<SegNo> = self
             .tseg
@@ -348,9 +354,6 @@ impl TioInner {
             ..ScrubReport::default()
         };
         let mut t = at;
-        // One recycled staging buffer serves the whole pass; each
-        // segment's re-fetch fully overwrites it.
-        let mut buf = self.seg_scratch();
         for seg in segs {
             let homes = self.candidate_homes(seg).unwrap_or_default();
             if homes.is_empty() {
@@ -364,7 +367,7 @@ impl TioInner {
             // Whole-segment re-fetch from any surviving copy (§10).
             let mut source = None;
             for &(vol, slot) in &homes {
-                match self.jukebox.read_segment_on(t, drive, vol, slot, &mut buf) {
+                match self.jukebox.read_segment_on(t, drive, vol, slot, blocks) {
                     Ok((r, used)) => {
                         self.admit_drive_io(phase::FOOTPRINT_READ, r, used);
                         source = Some((r, (vol, slot)));
@@ -391,7 +394,7 @@ impl TioInner {
                 let Some(slot) = self.claim_slot(vol) else {
                     continue;
                 };
-                match self.jukebox.write_segment_on(t, drive, vol, slot, &buf) {
+                match self.jukebox.write_segment_on(t, drive, vol, slot, blocks) {
                     Ok((w, used)) => {
                         t = w.end;
                         self.admit_drive_io(phase::FOOTPRINT_WRITE, w, used);

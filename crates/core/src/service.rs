@@ -34,7 +34,7 @@ use hl_lfs::config::AddressMap;
 use hl_lfs::types::SegNo;
 use hl_sim::time::SimTime;
 use hl_sim::{ActorId, PhaseTimer, Scheduler};
-use hl_vdev::{BlockDev, DevError, IoSlot};
+use hl_vdev::{Block, BlockDev, DevError, IoSlot, BLOCK_SIZE};
 
 use crate::addr::UniformMap;
 use crate::fault::{FaultEvent, FaultKind, FaultLog, HlError};
@@ -241,12 +241,12 @@ pub(crate) struct TioInner {
     pub(crate) phases: RefCell<PhaseTimer>,
     pub(crate) stats: RefCell<SvcStats>,
     pub(crate) seg_bytes: usize,
-    /// Reusable segment-sized staging buffer for the device paths
-    /// (zero-copy staging, DESIGN.md §6j): fetch, copy-out, and scrub
-    /// each stage exactly one segment at a time and fully overwrite the
-    /// buffer before reading it, so recycling one allocation is
-    /// byte-identical to a fresh zeroed vector per op.
-    pub(crate) scratch: RefCell<Vec<u8>>,
+    /// The one segment's worth of block handles that fetch, copy-out and
+    /// scrub move between the levels (DESIGN.md §6 "Blocks by
+    /// reference"): each op replaces every handle before it reads one,
+    /// so one array serves them all. [`TioInner::exec`] takes it out of
+    /// the cell for the op.
+    pub(crate) staged: Cell<Vec<Block>>,
     /// Replica homes for tertiary segments (§5.4 variant).
     pub(crate) replicas: RefCell<ReplicaSet>,
     /// Optional "hold on" notification agent (§10). Stored as `Rc` so
@@ -459,40 +459,39 @@ impl TioInner {
     /// serves the next op). A drive-scoped fault instead surfaces as
     /// [`ExecResult::LaneFault`] with the ticket left open, so the
     /// caller can down the drive and re-dispatch the op.
+    ///
+    /// The op stages through the engine's one array of block handles,
+    /// taken out of its cell until the op ends: a call that re-enters
+    /// the engine meanwhile (the stall notifier may) finds the cell
+    /// empty and makes itself another.
     pub(crate) fn exec(&self, op: &Request, start: SimTime, drive: usize) -> ExecResult {
-        match op.class {
-            ReqClass::Demand | ReqClass::Prefetch => self.exec_fetch(op, start, drive),
-            ReqClass::CopyOut => self.exec_copyout(op, start, drive),
+        let mut blocks = self.staged.take();
+        let n = self.map.blocks_per_seg as usize;
+        if blocks.len() != n {
+            blocks = vec![Block::zeroed(BLOCK_SIZE); n];
+        }
+        let done = match op.class {
+            ReqClass::Demand | ReqClass::Prefetch => self.exec_fetch(op, start, drive, &mut blocks),
+            ReqClass::CopyOut => self.exec_copyout(op, start, drive, &mut blocks),
             ReqClass::Scrub => {
-                let (report, fault) = self.scrub_pass(start, drive);
-                if let Some((at, error)) = fault {
-                    // Abort, don't mis-report segments unrecoverable: a
-                    // surviving lane re-runs the pass from its deficits.
-                    if let Some(f) = lane_fault(at, error) {
-                        return f;
+                let (report, fault) = self.scrub_pass(start, drive, &mut blocks);
+                // Abort, don't mis-report segments unrecoverable: a
+                // surviving lane re-runs the pass from its deficits.
+                match fault.and_then(|(at, error)| lane_fault(at, error)) {
+                    Some(f) => f,
+                    None => {
+                        let end = report.end;
+                        self.tracer.close_span(end, op.span, true);
+                        op.ticket.complete(Outcome::Scrub(Box::new(report)));
+                        ExecResult::Done(end)
                     }
                 }
-                let end = report.end;
-                self.tracer.close_span(end, op.span, true);
-                op.ticket.complete(Outcome::Scrub(Box::new(report)));
-                ExecResult::Done(end)
             }
             // Ejections never reach the device queue.
             ReqClass::Eject => ExecResult::Done(start),
-        }
-    }
-
-    /// Hands out the engine's reusable segment-sized staging buffer.
-    /// Callers must fully overwrite it before reading (every current
-    /// user stages exactly one whole segment) and must drop the borrow
-    /// before anything that can re-enter the engine — notably the stall
-    /// notifier, which may recurse into the façade.
-    pub(crate) fn seg_scratch(&self) -> std::cell::RefMut<'_, Vec<u8>> {
-        let mut buf = self.scratch.borrow_mut();
-        if buf.len() != self.seg_bytes {
-            buf.resize(self.seg_bytes, 0);
-        }
-        buf
+        };
+        self.staged.set(blocks);
+        done
     }
 
     /// Refuses `op` mid-execution; the lane is free again at `at`.
@@ -501,16 +500,21 @@ impl TioInner {
         ExecResult::Done(at)
     }
 
-    fn exec_fetch(&self, op: &Request, start: SimTime, drive: usize) -> ExecResult {
+    fn exec_fetch(
+        &self,
+        op: &Request,
+        start: SimTime,
+        drive: usize,
+        blocks: &mut [Block],
+    ) -> ExecResult {
         // Missing fields are dispatch bugs, but recoverable ones:
         // refuse the op rather than panic (robustness audit).
         let (Some(seg), Some(disk_seg)) = (op.seg, op.disk_seg) else {
             return self.refuse_op(op, start, DevError::Offline);
         };
-        // I/O server: tertiary → memory, with retry/failover (§10),
-        // staged through the engine's recycled buffer.
-        let mut buf = self.seg_scratch();
-        let (r, used) = match self.fetch_segment(start, drive, seg, &mut buf) {
+        // I/O server: tertiary → the line, with retry/failover (§10).
+        // The medium lends its blocks and the cache disk keeps them.
+        let (r, used) = match self.fetch_segment(start, drive, seg, blocks) {
             Ok((r, used, _home)) => (r, used),
             Err(e) => {
                 // Drive faults are lane-scoped, not data loss: leave the
@@ -535,7 +539,7 @@ impl TioInner {
                 // foreground I/O). The fill's duration still delays the
                 // line's readiness, and the I/O server is free as soon
                 // as the tertiary read completes.
-                if let Err(e) = self.disks.poke(base, &buf) {
+                if let Err(e) = self.disks.poke_blocks(base, blocks) {
                     return self.refuse_op(op, r.end, e);
                 }
                 let fill = hl_sim::time::transfer_time(self.seg_bytes as u64, 993.0);
@@ -546,7 +550,7 @@ impl TioInner {
             _ => {
                 // Memory → raw cache disk ("direct access avoids ...
                 // pollution of the block buffer cache", §6.7).
-                let w = match self.disks.write(r.end, base, &buf) {
+                let w = match self.disks.write_blocks(r.end, base, blocks) {
                     Ok(w) => w,
                     Err(e) => {
                         return self.refuse_op(op, r.end, e);
@@ -561,9 +565,6 @@ impl TioInner {
                 (w.end, r.end)
             }
         };
-        // Device writes are done with the staging buffer; release it
-        // before the notifier below can re-enter the engine.
-        drop(buf);
         {
             let mut cache = self.cache.borrow_mut();
             cache.set_state(seg, LineState::Clean);
@@ -585,7 +586,13 @@ impl TioInner {
         ExecResult::Done(end)
     }
 
-    fn exec_copyout(&self, op: &Request, start: SimTime, drive: usize) -> ExecResult {
+    fn exec_copyout(
+        &self,
+        op: &Request,
+        start: SimTime,
+        drive: usize,
+        blocks: &mut [Block],
+    ) -> ExecResult {
         let (Some(seg), Some(disk_seg)) = (op.seg, op.disk_seg) else {
             return self.refuse_op(op, start, DevError::Offline);
         };
@@ -597,11 +604,9 @@ impl TioInner {
             return self.refuse_op(op, start, DevError::Offline);
         };
 
-        // I/O server: cache disk → memory, staged through the engine's
-        // recycled buffer.
-        let mut buf = self.seg_scratch();
+        // I/O server: the line's blocks, lent by the cache disk...
         let base = self.map.seg_base(disk_seg) as u64;
-        let r = match self.disks.read(start, base, &mut buf) {
+        let r = match self.disks.read_blocks(start, base, blocks) {
             Ok(r) => r,
             Err(e) => return self.refuse_op(op, start, e),
         };
@@ -610,8 +615,11 @@ impl TioInner {
             .add(phase::IOSERVER_READ, r.duration());
         self.tracer.dev_io(hl_trace::Lane::Staging, r.start, r.end);
 
-        // Memory → tertiary, via Footprint.
-        match self.jukebox.write_segment_on(r.end, drive, vol, slot, &buf) {
+        // ...kept by the medium, via Footprint.
+        match self
+            .jukebox
+            .write_segment_on(r.end, drive, vol, slot, blocks)
+        {
             Ok((w, used)) => {
                 self.admit_drive_io(phase::FOOTPRINT_WRITE, w, used);
                 self.cache.borrow_mut().set_state(seg, LineState::Clean);
@@ -621,7 +629,7 @@ impl TioInner {
                     u.avail_bytes = self.seg_bytes as u32;
                     tseg.advance_cursor(vol, slot);
                 }
-                let end = self.write_replicas(w.end, drive, seg, vol, &buf);
+                let end = self.write_replicas(w.end, drive, seg, vol, blocks);
                 let mut stats = self.stats.borrow_mut();
                 stats.copyouts += 1;
                 stats.copyout_time += end - op.enqueued_at;
@@ -718,7 +726,7 @@ impl TertiaryIo {
             phases: RefCell::new(PhaseTimer::new()),
             stats: RefCell::new(SvcStats::default()),
             seg_bytes,
-            scratch: RefCell::new(Vec::new()),
+            staged: Cell::new(Vec::new()),
             replicas: RefCell::new(ReplicaSet::new()),
             notifier: RefCell::new(None),
             replicate: Cell::new(0),

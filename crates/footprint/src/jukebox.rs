@@ -13,9 +13,10 @@ use std::rc::Rc;
 
 use hl_sim::time::SimTime;
 use hl_sim::Resource;
+use hl_vdev::blockdev::run_bytes;
 use hl_vdev::{
-    DevError, DiskProfile, DriveFault, FaultPlan, IoSlot, MediaFault, ScsiBus, SparseStore,
-    SwapFault, TapeProfile,
+    Block, DevError, DiskProfile, DriveFault, FaultPlan, IoSlot, MediaFault, ScsiBus, SwapFault,
+    TapeProfile, BLOCK_SIZE,
 };
 
 use crate::stats::FpStats;
@@ -101,9 +102,10 @@ impl JukeboxConfig {
 }
 
 struct VolumeState {
-    data: SparseStore,
-    /// Segment slots already written (write-once enforcement, EOM model).
-    written: Vec<bool>,
+    /// One entry per segment slot: the blocks last written there, `None`
+    /// for a slot not written since the volume was made or erased
+    /// (write-once enforcement, EOM model).
+    slots: Vec<Option<Box<[Block]>>>,
     /// Effective capacity in segments; may be < nominal for compressing
     /// media with a poor compression outcome.
     effective_segments: u32,
@@ -129,11 +131,17 @@ struct Inner {
     /// Seeded fault schedule consulted on every read, write, and swap
     /// (§10 reliability experiments). `None` injects nothing.
     fault: Option<FaultPlan>,
+    /// Lent for every block of an unwritten slot.
+    zero: Block,
 }
 
 /// A robotic media changer implementing [`Footprint`].
 ///
 /// Cloning shares state (one physical device, many handles).
+///
+/// A written slot holds its segment as [`Block`]s: a byte write makes one
+/// buffer under a window per block; [`Footprint::write_segment_on`] keeps
+/// the caller's handles, so a copied-out cache line shares its buffers.
 ///
 /// # Examples
 ///
@@ -156,11 +164,12 @@ impl Jukebox {
     /// Builds a jukebox; all volumes start in their slots, all drives
     /// empty. An attached [`ScsiBus`] is hogged during swaps and held
     /// during transfers (the paper's non-disconnecting driver).
+    /// Segments must be whole [`BLOCK_SIZE`] blocks.
     pub fn new(cfg: JukeboxConfig, bus: Option<ScsiBus>) -> Self {
+        assert!(cfg.segment_bytes.is_multiple_of(BLOCK_SIZE), "whole blocks");
         let volumes = (0..cfg.volumes)
             .map(|_| VolumeState {
-                data: SparseStore::new(cfg.segment_bytes),
-                written: vec![false; cfg.segments_per_volume as usize],
+                slots: vec![None; cfg.segments_per_volume as usize],
                 effective_segments: cfg.segments_per_volume,
                 failed: false,
             })
@@ -182,6 +191,7 @@ impl Jukebox {
                 bus,
                 stats: FpStats::default(),
                 fault: None,
+                zero: Block::zeroed(BLOCK_SIZE),
             })),
         }
     }
@@ -203,26 +213,9 @@ impl Jukebox {
     /// Returns `true` if the given segment slot has been written.
     pub fn segment_written(&self, vol: VolumeId, seg: u32) -> bool {
         self.inner.borrow().volumes[vol as usize]
-            .written
+            .slots
             .get(seg as usize)
-            .copied()
-            .unwrap_or(false)
-    }
-
-    /// Erases a volume (tertiary cleaner support, §10): all slots become
-    /// writable again. Fails on WORM media.
-    pub fn erase_volume_inner(&self, vol: VolumeId) -> Result<(), DevError> {
-        let mut inner = self.inner.borrow_mut();
-        if matches!(inner.cfg.media, MediaKind::Worm(_)) {
-            return Err(DevError::WriteOnceViolation { block: 0 });
-        }
-        let v = &mut inner.volumes[vol as usize];
-        if v.failed {
-            return Err(DevError::MediaFailure);
-        }
-        v.data.clear();
-        v.written.fill(false);
-        Ok(())
+            .is_some_and(Option::is_some)
     }
 
     /// Ensures `vol` is loaded in a drive, swapping if needed. Returns
@@ -340,24 +333,35 @@ impl Jukebox {
         }
     }
 
+    /// One timed whole-segment transfer of `bytes` bytes, all but moving
+    /// them: validation, the write-once and end-of-medium refusals, then
+    /// robot, drive and media time. `drive` is the pool's lane hint
+    /// (`usize::MAX` = none).
     fn segment_io(
         &self,
         at: SimTime,
+        drive: usize,
         vol: VolumeId,
         seg: u32,
+        bytes: usize,
         writing: bool,
-        target: Option<usize>,
     ) -> Result<(IoSlot, usize), DevError> {
+        self.check(bytes, vol, seg)?;
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        if seg >= inner.cfg.segments_per_volume {
-            return Err(DevError::OutOfRange {
-                block: seg as u64,
-                count: 1,
-                capacity: inner.cfg.segments_per_volume as u64,
-            });
+        let v = &inner.volumes[vol as usize];
+        if writing
+            && matches!(inner.cfg.media, MediaKind::Worm(_))
+            && v.slots[seg as usize].is_some()
+        {
+            return Err(DevError::WriteOnceViolation { block: seg as u64 });
         }
-        if inner.volumes[vol as usize].failed {
+        if writing && seg >= v.effective_segments {
+            // Compression shortfall: the medium reported end-of-medium
+            // before this slot; the volume must be marked full.
+            return Err(DevError::EndOfMedium { written: 0 });
+        }
+        if v.failed {
             return Err(DevError::MediaFailure);
         }
         let decision = match &inner.fault {
@@ -374,6 +378,7 @@ impl Jukebox {
             Some(MediaFault::EarlyEom) => return Err(DevError::EndOfMedium { written: 0 }),
             None => {}
         }
+        let target = (drive != usize::MAX).then_some(drive);
         let (d, ready) = Self::ensure_loaded(inner, at, vol, writing, target)?;
         let (position, mut transfer) = Self::media_io_time(inner, d, seg, writing);
         // A degraded (slow) drive stretches its media transfers; it still
@@ -409,30 +414,49 @@ impl Jukebox {
         Ok((IoSlot { start, end }, d))
     }
 
-    fn check_buf(&self, buf_len: usize) -> Result<(), DevError> {
-        let want = self.inner.borrow().cfg.segment_bytes;
-        if buf_len != want {
+    /// Refuses a transfer that is not one segment's bytes, or a slot the
+    /// jukebox does not have.
+    fn check(&self, bytes: usize, vol: VolumeId, seg: u32) -> Result<(), DevError> {
+        let cfg = self.inner.borrow().cfg;
+        if bytes != cfg.segment_bytes {
             return Err(DevError::BadBuffer {
-                expected: want,
-                got: buf_len,
+                expected: cfg.segment_bytes,
+                got: bytes,
+            });
+        }
+        if vol >= cfg.volumes {
+            return Err(DevError::Offline);
+        }
+        if seg >= cfg.segments_per_volume {
+            return Err(DevError::OutOfRange {
+                block: seg as u64,
+                count: 1,
+                capacity: cfg.segments_per_volume as u64,
             });
         }
         Ok(())
     }
 
-    fn check_slot(&self, vol: VolumeId, seg: u32) -> Result<(), DevError> {
-        let inner = self.inner.borrow();
-        if vol >= inner.cfg.volumes {
-            return Err(DevError::Offline);
+    /// Copies slot `seg` of `vol` into `buf` (zeros if never written).
+    fn copy_out(&self, vol: VolumeId, seg: u32, buf: &mut [u8]) {
+        match &self.inner.borrow().volumes[vol as usize].slots[seg as usize] {
+            Some(blocks) => {
+                for (dst, b) in buf.chunks_exact_mut(BLOCK_SIZE).zip(blocks.iter()) {
+                    dst.copy_from_slice(b);
+                }
+            }
+            None => buf.fill(0),
         }
-        if seg >= inner.cfg.segments_per_volume {
-            return Err(DevError::OutOfRange {
-                block: seg as u64,
-                count: 1,
-                capacity: inner.cfg.segments_per_volume as u64,
-            });
-        }
-        Ok(())
+    }
+
+    /// Makes `blocks` slot `seg` of `vol`.
+    fn store(&self, vol: VolumeId, seg: u32, blocks: Box<[Block]>) {
+        self.inner.borrow_mut().volumes[vol as usize].slots[seg as usize] = Some(blocks);
+    }
+
+    /// A byte image as one buffer under one window per block.
+    fn blocks_of(buf: &[u8]) -> Box<[Block]> {
+        Block::split(Rc::from(buf), BLOCK_SIZE).collect()
     }
 }
 
@@ -456,8 +480,9 @@ impl Footprint for Jukebox {
         seg: u32,
         buf: &mut [u8],
     ) -> Result<IoSlot, DevError> {
-        self.read_segment_on(at, usize::MAX, vol, seg, buf)
-            .map(|(slot, _)| slot)
+        let (slot, _) = self.segment_io(at, usize::MAX, vol, seg, buf.len(), false)?;
+        self.copy_out(vol, seg, buf);
+        Ok(slot)
     }
 
     fn write_segment(
@@ -467,8 +492,9 @@ impl Footprint for Jukebox {
         seg: u32,
         buf: &[u8],
     ) -> Result<IoSlot, DevError> {
-        self.write_segment_on(at, usize::MAX, vol, seg, buf)
-            .map(|(slot, _)| slot)
+        let (slot, _) = self.segment_io(at, usize::MAX, vol, seg, buf.len(), true)?;
+        self.store(vol, seg, Self::blocks_of(buf));
+        Ok(slot)
     }
 
     fn read_segment_on(
@@ -477,16 +503,15 @@ impl Footprint for Jukebox {
         drive: usize,
         vol: VolumeId,
         seg: u32,
-        buf: &mut [u8],
+        out: &mut [Block],
     ) -> Result<(IoSlot, usize), DevError> {
-        self.check_buf(buf.len())?;
-        self.check_slot(vol, seg)?;
-        let target = (drive != usize::MAX).then_some(drive);
-        let (slot, d) = self.segment_io(at, vol, seg, false, target)?;
-        self.inner.borrow().volumes[vol as usize]
-            .data
-            .read(seg as u64, buf);
-        Ok((slot, d))
+        let done = self.segment_io(at, drive, vol, seg, out.len() * BLOCK_SIZE, false)?;
+        let inner = self.inner.borrow();
+        match &inner.volumes[vol as usize].slots[seg as usize] {
+            Some(blocks) => out.clone_from_slice(blocks),
+            None => out.fill(inner.zero.clone()),
+        }
+        Ok(done)
     }
 
     fn write_segment_on(
@@ -495,50 +520,25 @@ impl Footprint for Jukebox {
         drive: usize,
         vol: VolumeId,
         seg: u32,
-        buf: &[u8],
+        blocks: &[Block],
     ) -> Result<(IoSlot, usize), DevError> {
-        self.check_buf(buf.len())?;
-        self.check_slot(vol, seg)?;
-        {
-            let inner = self.inner.borrow();
-            let v = &inner.volumes[vol as usize];
-            if matches!(inner.cfg.media, MediaKind::Worm(_)) && v.written[seg as usize] {
-                return Err(DevError::WriteOnceViolation { block: seg as u64 });
-            }
-            if seg >= v.effective_segments {
-                // Compression shortfall: the medium reported end-of-medium
-                // before this slot; the volume must be marked full.
-                return Err(DevError::EndOfMedium { written: 0 });
-            }
-        }
-        let target = (drive != usize::MAX).then_some(drive);
-        let (slot, d) = self.segment_io(at, vol, seg, true, target)?;
-        let mut inner = self.inner.borrow_mut();
-        let v = &mut inner.volumes[vol as usize];
-        v.data.write(seg as u64, buf);
-        v.written[seg as usize] = true;
-        Ok((slot, d))
+        let done = self.segment_io(at, drive, vol, seg, run_bytes(blocks, BLOCK_SIZE)?, true)?;
+        self.store(vol, seg, blocks.into());
+        Ok(done)
     }
 
     fn peek_segment(&self, vol: VolumeId, seg: u32, buf: &mut [u8]) -> Result<(), DevError> {
-        self.check_buf(buf.len())?;
-        self.check_slot(vol, seg)?;
-        let inner = self.inner.borrow();
-        let v = &inner.volumes[vol as usize];
-        if v.failed {
+        self.check(buf.len(), vol, seg)?;
+        if self.inner.borrow().volumes[vol as usize].failed {
             return Err(DevError::MediaFailure);
         }
-        v.data.read(seg as u64, buf);
+        self.copy_out(vol, seg, buf);
         Ok(())
     }
 
     fn poke_segment(&self, vol: VolumeId, seg: u32, buf: &[u8]) -> Result<(), DevError> {
-        self.check_buf(buf.len())?;
-        self.check_slot(vol, seg)?;
-        let mut inner = self.inner.borrow_mut();
-        let v = &mut inner.volumes[vol as usize];
-        v.data.write(seg as u64, buf);
-        v.written[seg as usize] = true;
+        self.check(buf.len(), vol, seg)?;
+        self.store(vol, seg, Self::blocks_of(buf));
         Ok(())
     }
 
@@ -572,7 +572,16 @@ impl Footprint for Jukebox {
     }
 
     fn erase_volume(&self, vol: VolumeId) -> Result<(), DevError> {
-        self.erase_volume_inner(vol)
+        let mut inner = self.inner.borrow_mut();
+        if matches!(inner.cfg.media, MediaKind::Worm(_)) {
+            return Err(DevError::WriteOnceViolation { block: 0 });
+        }
+        let v = &mut inner.volumes[vol as usize];
+        if v.failed {
+            return Err(DevError::MediaFailure);
+        }
+        v.slots.fill(None);
+        Ok(())
     }
 
     fn nominal_segment_io(&self, writing: bool) -> SimTime {
@@ -626,10 +635,15 @@ mod tests {
         Jukebox::new(JukeboxConfig::hp6300_paper(), None)
     }
 
+    /// A segment's worth of block handles (1 MB segments).
+    fn handles() -> Vec<Block> {
+        vec![Block::zeroed(BLOCK_SIZE); 256]
+    }
+
     #[test]
     fn targeted_reads_load_the_named_drive_unless_already_loaded() {
         let jb = hp6300();
-        let mut buf = vec![0u8; jb.segment_bytes()];
+        let mut buf = handles();
         jb.poke_segment(1, 0, &vec![7u8; 1 << 20]).unwrap();
         jb.poke_segment(1, 1, &vec![8u8; 1 << 20]).unwrap();
         // An explicit lane swaps the volume into that drive.
@@ -644,6 +658,36 @@ mod tests {
     }
 
     #[test]
+    fn by_reference_transfers_move_handles_not_bytes() {
+        let jb = hp6300();
+        let seg: Vec<Block> = Block::split(Rc::from(vec![4u8; 1 << 20]), BLOCK_SIZE).collect();
+        let w = jb.write_segment_on(0, 0, 0, 0, &seg).unwrap().0;
+        let mut back = handles();
+        jb.read_segment_on(w.end, 0, 0, 0, &mut back).unwrap();
+        assert!(back.iter().zip(&seg).all(|(b, s)| b.as_ptr() == s.as_ptr()));
+        // An unwritten slot lends zeros; erasing unwrites.
+        jb.read_segment_on(w.end, 0, 0, 1, &mut back).unwrap();
+        assert!(back.iter().all(|b| b.iter().all(|&x| x == 0)));
+        jb.erase_volume(0).unwrap();
+        assert!(!jb.segment_written(0, 0));
+        // A handle count or handle size that is not one segment of
+        // blocks is refused before any time is charged.
+        let mut short = handles();
+        short.pop();
+        assert!(matches!(
+            jb.read_segment_on(0, 0, 0, 0, &mut short),
+            Err(DevError::BadBuffer { .. })
+        ));
+        short.push(Block::zeroed(100));
+        short.push(Block::zeroed(BLOCK_SIZE - 100));
+        assert!(matches!(
+            jb.write_segment_on(0, 0, 0, 0, &short),
+            Err(DevError::BadBuffer { .. })
+        ));
+        assert_eq!(jb.stats().reads + jb.stats().writes, 3);
+    }
+
+    #[test]
     fn concurrent_lane_swaps_serialize_on_the_robot() {
         let jb = hp6300();
         let seg = vec![1u8; jb.segment_bytes()];
@@ -651,15 +695,20 @@ mod tests {
         // Two lanes demand swaps at the same instant: the robot arm is a
         // single serialized resource, so the second swap starts only
         // after the first finishes.
-        let (w, dw) = jb.write_segment_on(0, 0, 1, 0, &seg).unwrap();
-        let (r, dr) = jb.read_segment_on(0, 1, 2, 0, &mut vec![0u8; 1 << 20]).unwrap();
+        let (w, dw) = jb.write_segment_on(0, 0, 1, 0, &handles()).unwrap();
+        let (r, dr) = jb.read_segment_on(0, 1, 2, 0, &mut handles()).unwrap();
         assert_eq!((dw, dr), (0, 1));
         assert_eq!(jb.stats().swaps, 2);
         let swap = jb.volume_change_time();
         // Both ops carry their own swap; the later one also waited for
         // the robot to release the first platter.
         assert!(w.end >= swap);
-        assert!(r.end >= 2 * swap, "robot not serialized: {} < {}", r.end, 2 * swap);
+        assert!(
+            r.end >= 2 * swap,
+            "robot not serialized: {} < {}",
+            r.end,
+            2 * swap
+        );
     }
 
     #[test]
@@ -917,7 +966,7 @@ mod tests {
         jb.set_fault_plan(plan);
         let seg = vec![3u8; jb.segment_bytes()];
         jb.poke_segment(1, 0, &seg).unwrap();
-        let mut buf = vec![0u8; jb.segment_bytes()];
+        let mut buf = handles();
         // Before the death the targeted read works and loads drive 1.
         let (r, d) = jb.read_segment_on(0, 1, 1, 0, &mut buf).unwrap();
         assert_eq!(d, 1);
@@ -937,7 +986,7 @@ mod tests {
         assert_eq!(jb.loaded_volumes()[1], None);
         let (_, d0) = jb.read_segment_on(r.end, 0, 1, 0, &mut buf).unwrap();
         assert_eq!(d0, 0);
-        assert_eq!(buf, seg);
+        assert_eq!(buf.concat(), seg);
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub use jukebox::{Jukebox, JukeboxConfig, MediaKind};
 pub use stats::FpStats;
 
 use hl_sim::time::SimTime;
-use hl_vdev::{DevError, IoSlot};
+use hl_vdev::{Block, DevError, IoSlot};
 
 /// Identifies a media volume (tape cartridge or optical platter) within a
 /// tertiary device.
@@ -91,7 +91,9 @@ pub trait Footprint {
     /// actor per drive).
     fn drives(&self) -> usize;
 
-    /// Timed whole-segment read targeted at a drive: if `vol` is already
+    /// Timed whole-segment read targeted at a drive, by reference: each
+    /// of `out`'s handles (one per block of the segment) is replaced by
+    /// one onto the medium's block — no bytes move. If `vol` is already
     /// loaded somewhere the loaded drive serves the read (no media
     /// movement); otherwise the robot swaps it into `drive`. Returns the
     /// slot and the drive that actually performed the transfer.
@@ -101,18 +103,19 @@ pub trait Footprint {
         drive: usize,
         vol: VolumeId,
         seg: u32,
-        buf: &mut [u8],
+        out: &mut [Block],
     ) -> Result<(IoSlot, usize), DevError>;
 
-    /// Timed whole-segment write targeted at a drive; same drive-routing
-    /// rule and return convention as [`Footprint::read_segment_on`].
+    /// Timed whole-segment write targeted at a drive, by reference: the
+    /// medium keeps handles onto `blocks`. Same drive-routing rule and
+    /// return convention as [`Footprint::read_segment_on`].
     fn write_segment_on(
         &self,
         at: SimTime,
         drive: usize,
         vol: VolumeId,
         seg: u32,
-        buf: &[u8],
+        blocks: &[Block],
     ) -> Result<(IoSlot, usize), DevError>;
 
     /// Erases a volume so its slots may be rewritten (tertiary cleaning,

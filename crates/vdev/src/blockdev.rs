@@ -8,6 +8,7 @@
 
 use hl_sim::time::SimTime;
 
+use crate::backing::Block;
 use crate::error::DevError;
 
 /// The time slot granted to an I/O operation.
@@ -41,6 +42,11 @@ impl IoSlot {
 /// store without touching the simulation clock — they exist for
 /// formatting, for test setup, and for the migrator's raw-device reads
 /// whose timing the caller accounts explicitly.
+///
+/// The `_blocks` forms move [`Block`] handles, one per device block: the
+/// tertiary engine's whole-segment transfers. By default they go through
+/// the byte forms, so a wrapper that tears, counts or routes bytes does
+/// the same to them; a device holding `Block`s moves no bytes at all.
 pub trait BlockDev {
     /// Device capacity in blocks.
     fn nblocks(&self) -> u64;
@@ -59,6 +65,30 @@ pub trait BlockDev {
 
     /// Untimed write (no simulated time passes).
     fn poke(&self, block: u64, buf: &[u8]) -> Result<(), DevError>;
+
+    /// Timed read of `out.len()` consecutive blocks: each handle in `out`
+    /// is replaced by one onto the device's block. Same timing as
+    /// [`BlockDev::read`] of as many bytes.
+    fn read_blocks(&self, at: SimTime, block: u64, out: &mut [Block]) -> Result<IoSlot, DevError> {
+        let bs = self.block_size();
+        let mut buf = vec![0; out.len() * bs];
+        let slot = self.read(at, block, &mut buf)?;
+        for (o, b) in out.iter_mut().zip(Block::split(buf.into(), bs)) {
+            *o = b;
+        }
+        Ok(slot)
+    }
+
+    /// Timed write of `blocks.len()` consecutive blocks, each handle one
+    /// block long. Same timing as [`BlockDev::write`] of as many bytes.
+    fn write_blocks(&self, at: SimTime, block: u64, blocks: &[Block]) -> Result<IoSlot, DevError> {
+        self.write(at, block, &blocks.concat())
+    }
+
+    /// Untimed write of `blocks.len()` consecutive blocks.
+    fn poke_blocks(&self, block: u64, blocks: &[Block]) -> Result<(), DevError> {
+        self.poke(block, &blocks.concat())
+    }
 
     /// Flushes any device write-behind state. The simulated devices are
     /// write-through, so the default is a no-op; pseudo-devices that
@@ -103,6 +133,19 @@ pub(crate) fn check_io(
         });
     }
     Ok(count)
+}
+
+/// The byte length of a run of block handles to be written, refusing a
+/// handle that is not exactly one `block_size` block (a short handle
+/// must not hide behind a long one in a right-sized total).
+pub fn run_bytes(blocks: &[Block], block_size: usize) -> Result<usize, DevError> {
+    match blocks.iter().find(|b| b.len() != block_size) {
+        Some(b) => Err(DevError::BadBuffer {
+            expected: block_size,
+            got: b.len(),
+        }),
+        None => Ok(blocks.len() * block_size),
+    }
 }
 
 #[cfg(test)]

@@ -16,8 +16,8 @@ use std::rc::Rc;
 use hl_sim::time::SimTime;
 use hl_sim::Resource;
 
-use crate::backing::SparseStore;
-use crate::blockdev::{check_io, BlockDev, IoSlot};
+use crate::backing::{Block, SparseStore};
+use crate::blockdev::{check_io, run_bytes, BlockDev, IoSlot};
 use crate::bus::ScsiBus;
 use crate::error::DevError;
 use crate::profile::DiskProfile;
@@ -111,12 +111,17 @@ impl Disk {
         *self.inner.stats.borrow_mut() = DiskStats::default();
     }
 
-    /// Number of blocks ever written (for space accounting in tests).
-    pub fn resident_blocks(&self) -> usize {
-        self.inner.store.borrow().resident_blocks()
-    }
-
-    fn timed_io(&self, at: SimTime, block: u64, bytes: u64, count: u64, write: bool) -> IoSlot {
+    /// Validates a `len`-byte transfer at `block` and books its time: the
+    /// one timing path under the byte and the block-handle forms alike.
+    fn timed_io(
+        &self,
+        at: SimTime,
+        block: u64,
+        len: usize,
+        write: bool,
+    ) -> Result<IoSlot, DevError> {
+        let count = check_io(self.nblocks(), self.block_size(), block, len)?;
+        let bytes = len as u64;
         let inner = &self.inner;
         let pos = inner.arm_pos.get();
         let dist = pos.abs_diff(block);
@@ -159,7 +164,7 @@ impl Disk {
         }
         stats.seek_time += seek + rot;
         stats.transfer_time += xfer;
-        IoSlot { start, end }
+        Ok(IoSlot { start, end })
     }
 }
 
@@ -176,28 +181,45 @@ impl BlockDev for Disk {
     }
 
     fn read(&self, at: SimTime, block: u64, buf: &mut [u8]) -> Result<IoSlot, DevError> {
-        let count = check_io(self.nblocks(), self.block_size(), block, buf.len())?;
-        let slot = self.timed_io(at, block, buf.len() as u64, count, false);
-        self.inner.store.borrow().read_run(block, count, buf);
+        let slot = self.timed_io(at, block, buf.len(), false)?;
+        self.inner.store.borrow().read(block, buf);
         Ok(slot)
     }
 
     fn write(&self, at: SimTime, block: u64, buf: &[u8]) -> Result<IoSlot, DevError> {
-        let count = check_io(self.nblocks(), self.block_size(), block, buf.len())?;
-        let slot = self.timed_io(at, block, buf.len() as u64, count, true);
-        self.inner.store.borrow_mut().write_run(block, count, buf);
+        let slot = self.timed_io(at, block, buf.len(), true)?;
+        self.inner.store.borrow_mut().write(block, buf);
         Ok(slot)
     }
 
     fn peek(&self, block: u64, buf: &mut [u8]) -> Result<(), DevError> {
-        let count = check_io(self.nblocks(), self.block_size(), block, buf.len())?;
-        self.inner.store.borrow().read_run(block, count, buf);
+        check_io(self.nblocks(), self.block_size(), block, buf.len())?;
+        self.inner.store.borrow().read(block, buf);
         Ok(())
     }
 
     fn poke(&self, block: u64, buf: &[u8]) -> Result<(), DevError> {
-        let count = check_io(self.nblocks(), self.block_size(), block, buf.len())?;
-        self.inner.store.borrow_mut().write_run(block, count, buf);
+        check_io(self.nblocks(), self.block_size(), block, buf.len())?;
+        self.inner.store.borrow_mut().write(block, buf);
+        Ok(())
+    }
+
+    fn read_blocks(&self, at: SimTime, block: u64, out: &mut [Block]) -> Result<IoSlot, DevError> {
+        let slot = self.timed_io(at, block, out.len() * self.block_size(), false)?;
+        self.inner.store.borrow().lend(block, out);
+        Ok(slot)
+    }
+
+    fn write_blocks(&self, at: SimTime, block: u64, blocks: &[Block]) -> Result<IoSlot, DevError> {
+        let slot = self.timed_io(at, block, run_bytes(blocks, self.block_size())?, true)?;
+        self.inner.store.borrow_mut().put(block, blocks);
+        Ok(slot)
+    }
+
+    fn poke_blocks(&self, block: u64, blocks: &[Block]) -> Result<(), DevError> {
+        let len = run_bytes(blocks, self.block_size())?;
+        check_io(self.nblocks(), self.block_size(), block, len)?;
+        self.inner.store.borrow_mut().put(block, blocks);
         Ok(())
     }
 }
@@ -296,6 +318,32 @@ mod tests {
         d.peek(5, &mut buf).unwrap();
         assert_eq!(buf[0], 9);
         assert_eq!(d.stats().reads, 0);
+    }
+
+    #[test]
+    fn block_forms_time_like_byte_forms_and_share_the_buffers() {
+        let (bytes, refs) = (rz57(4096), rz57(4096));
+        let seg: Vec<Block> = Block::split(Rc::from(vec![3u8; 8 * 4096]), 4096).collect();
+        let w = bytes.write(0, 100, &seg.concat()).unwrap();
+        assert_eq!(refs.write_blocks(0, 100, &seg).unwrap(), w);
+        let mut back = vec![0u8; 8 * 4096];
+        let mut out = vec![Block::zeroed(4096); 9];
+        let r = bytes.read(w.end, 100, &mut back).unwrap();
+        assert_eq!(refs.read_blocks(w.end, 100, &mut out[..8]).unwrap(), r);
+        assert_eq!(out[..8].concat(), back);
+        assert_eq!(
+            format!("{:?}", refs.stats()),
+            format!("{:?}", bytes.stats())
+        );
+        // The disk holds the caller's buffer and lends it back: no copy.
+        assert!(out.iter().zip(&seg).all(|(o, s)| o.as_ptr() == s.as_ptr()));
+        // A block that is not one block long is refused, untimed or not.
+        out[8] = Block::zeroed(100);
+        assert!(matches!(
+            refs.poke_blocks(0, &out[8..]),
+            Err(DevError::BadBuffer { .. })
+        ));
+        assert_eq!(refs.stats().writes, 1);
     }
 
     #[test]

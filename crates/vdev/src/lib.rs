@@ -24,7 +24,7 @@ pub mod error;
 pub mod fault;
 pub mod profile;
 
-pub use backing::SparseStore;
+pub use backing::{Block, SparseStore};
 pub use blockdev::{BlockDev, IoSlot};
 pub use bus::ScsiBus;
 pub use crash::{every_crash_point, CrashDev, CrashPlan, TornWrite};
