@@ -1,0 +1,344 @@
+//! Blocks by reference: a segment moved between the levels is the same
+//! buffers at both, and copy-on-write per block keeps either side's
+//! writes from reaching the other.
+//!
+//! `random_scripts_match_a_byte_oracle` runs random scripts over one
+//! `Disk` and one `Jukebox` — byte writes and pokes on each, moves by
+//! reference in both directions (`read_blocks` → `write_segment_on`,
+//! `read_segment_on` → `write_blocks` / `poke_blocks`), erases, timed
+//! byte reads — holding the last move's handles for a while the way the
+//! engine's staging array does. After every step every disk block and
+//! every jukebox slot must read what a plain byte array per device, which
+//! knows nothing of sharing, says. Segments are four blocks, so buffers
+//! shared by a handful of windows are common and a window can outlive
+//! its siblings.
+//!
+//! `a_fetched_line_restaged_for_migration_leaves_the_medium_alone` is the
+//! same promise at the engine: a segment fetched into a cache line
+//! shares the medium's buffers; when the line is re-staged for another
+//! migration the migrator's writes replace the line's blocks, the
+//! medium still reads the segment it held, and `hlfsck` is clean.
+//!
+//! Sabotages this file was seen to catch (each applied alone, each red):
+//!
+//! - mutating a shared buffer in place (`SparseStore::write` writing
+//!   through the handle where `get_mut` refuses): disk blocks a move
+//!   filled from an unwritten slot share the jukebox's zero block, so one
+//!   write changes them all ("disk diverged at block 20" at step 3), and
+//!   at the engine the re-staged line's writes reach the medium ("the
+//!   medium's copy of /a changed");
+//! - `Block::get_mut` ignoring the window offset (`&mut b[..len]`): the
+//!   last surviving window of a segment-sized buffer writes its dead
+//!   sibling's bytes instead of its own ("disk diverged at block 23" at
+//!   step 462 — the engine case stays green, its windows never outlive
+//!   the medium's);
+//! - erase leaving a slot (`erase_volume` not clearing the slot array):
+//!   the erased slot still reports written ("v0/s2 written flag");
+//! - lending the zero block mutably (`SparseStore::write` of a never
+//!   written block writing into the store's shared zero block): every
+//!   other unwritten block reads the write ("disk diverged at block 0";
+//!   at the engine, `mkfs` fails).
+
+use std::rc::Rc;
+
+use highlight::{HighLight, HlConfig, MigrateStats};
+use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
+use hl_lfs::config::AddressMap;
+use hl_sim::rng::DetRng;
+use hl_sim::Clock;
+use hl_vdev::{Block, BlockDev, Disk, DiskProfile, BLOCK_SIZE};
+
+const SEG_BLOCKS: usize = 4;
+const SEG_BYTES: usize = SEG_BLOCKS * BLOCK_SIZE;
+const DISK_BLOCKS: u64 = 24;
+const VOLUMES: u32 = 2;
+const SLOTS: u32 = 3;
+
+/// What each device must read, as plain bytes.
+struct Oracle {
+    disk: Vec<u8>,
+    /// `(vol, slot)` in row order; `None` = never written since erase.
+    media: Vec<Option<Vec<u8>>>,
+}
+
+impl Oracle {
+    fn slot(&mut self, vol: u32, slot: u32) -> &mut Option<Vec<u8>> {
+        &mut self.media[(vol * SLOTS + slot) as usize]
+    }
+
+    fn disk_run(&self, block: u64, n: usize) -> &[u8] {
+        &self.disk[block as usize * BLOCK_SIZE..][..n * BLOCK_SIZE]
+    }
+}
+
+/// `n` blocks, each a distinct pattern under its own random tag.
+fn bytes(rng: &mut DetRng, n: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(n * BLOCK_SIZE);
+    for _ in 0..n {
+        let tag = rng.below(256) as u8;
+        out.extend((0..BLOCK_SIZE).map(|i| (i as u8).wrapping_mul(31) ^ tag));
+    }
+    out
+}
+
+fn check(disk: &Disk, jb: &Jukebox, oracle: &Oracle, step: usize) {
+    let mut block = vec![0u8; BLOCK_SIZE];
+    for b in 0..DISK_BLOCKS {
+        disk.peek(b, &mut block).unwrap();
+        assert!(
+            block == oracle.disk_run(b, 1),
+            "step {step}: disk diverged at block {b}"
+        );
+    }
+    let mut seg = vec![0u8; SEG_BYTES];
+    for vol in 0..VOLUMES {
+        for slot in 0..SLOTS {
+            let want = &oracle.media[(vol * SLOTS + slot) as usize];
+            assert_eq!(
+                jb.segment_written(vol, slot),
+                want.is_some(),
+                "step {step}: v{vol}/s{slot} written flag"
+            );
+            jb.peek_segment(vol, slot, &mut seg).unwrap();
+            let same = match want {
+                Some(w) => seg == *w,
+                None => seg.iter().all(|&b| b == 0),
+            };
+            assert!(same, "step {step}: media v{vol}/s{slot} diverged");
+        }
+    }
+}
+
+fn run(seed: u64) {
+    let mut rng = DetRng::new(seed);
+    let disk = Disk::new(DiskProfile::RZ57, DISK_BLOCKS, None);
+    let jb = Jukebox::new(
+        JukeboxConfig {
+            volumes: VOLUMES,
+            segments_per_volume: SLOTS,
+            segment_bytes: SEG_BYTES,
+            ..JukeboxConfig::hp6300_paper()
+        },
+        None,
+    );
+    let mut oracle = Oracle {
+        disk: vec![0; DISK_BLOCKS as usize * BLOCK_SIZE],
+        media: vec![None; (VOLUMES * SLOTS) as usize],
+    };
+    // The last move's handles, kept for a while (as the engine keeps its
+    // staging array), so some writes find their block shared three ways.
+    let mut held: Vec<Block> = Vec::new();
+    let mut t = 0;
+    let mut moves = [0u32; 2];
+    for step in 0..1_500 {
+        let vol = rng.below(VOLUMES as u64) as u32;
+        let slot = rng.below(SLOTS as u64) as u32;
+        let start = rng.below(DISK_BLOCKS - SEG_BLOCKS as u64 + 1);
+        match rng.below(10) {
+            // Byte writes and pokes on the disk, 1–4 blocks.
+            0..=2 => {
+                let at = rng.below(DISK_BLOCKS);
+                let n = (rng.range(1, 5)).min(DISK_BLOCKS - at) as usize;
+                let data = bytes(&mut rng, n);
+                if rng.chance(0.5) {
+                    t = disk.write(t, at, &data).unwrap().end;
+                } else {
+                    disk.poke(at, &data).unwrap();
+                }
+                let off = at as usize * BLOCK_SIZE;
+                oracle.disk[off..off + data.len()].copy_from_slice(&data);
+            }
+            // Disk → medium, by reference.
+            3 | 4 => {
+                let mut blocks = vec![Block::zeroed(BLOCK_SIZE); SEG_BLOCKS];
+                t = disk.read_blocks(t, start, &mut blocks).unwrap().end;
+                t = jb.write_segment_on(t, 0, vol, slot, &blocks).unwrap().0.end;
+                *oracle.slot(vol, slot) = Some(oracle.disk_run(start, SEG_BLOCKS).to_vec());
+                // Handles moved, not bytes: the medium lends the disk's
+                // buffers back.
+                let mut back = vec![Block::zeroed(BLOCK_SIZE); SEG_BLOCKS];
+                t = jb
+                    .read_segment_on(t, 0, vol, slot, &mut back)
+                    .unwrap()
+                    .0
+                    .end;
+                assert!(back
+                    .iter()
+                    .zip(&blocks)
+                    .all(|(a, b)| a.as_ptr() == b.as_ptr()));
+                held = blocks;
+                moves[0] += 1;
+            }
+            // Medium → disk, by reference: a timed write or a poke.
+            5 | 6 => {
+                let mut blocks = vec![Block::zeroed(BLOCK_SIZE); SEG_BLOCKS];
+                t = jb
+                    .read_segment_on(t, 1, vol, slot, &mut blocks)
+                    .unwrap()
+                    .0
+                    .end;
+                if rng.chance(0.5) {
+                    t = disk.write_blocks(t, start, &blocks).unwrap().end;
+                } else {
+                    disk.poke_blocks(start, &blocks).unwrap();
+                }
+                let seg = oracle.slot(vol, slot).clone().unwrap_or(vec![0; SEG_BYTES]);
+                let off = start as usize * BLOCK_SIZE;
+                oracle.disk[off..off + SEG_BYTES].copy_from_slice(&seg);
+                held = blocks;
+                moves[1] += 1;
+            }
+            // Byte writes and pokes of a whole segment on the medium.
+            7 => {
+                let data = bytes(&mut rng, SEG_BLOCKS);
+                if rng.chance(0.5) {
+                    t = jb.write_segment(t, vol, slot, &data).unwrap().end;
+                } else {
+                    jb.poke_segment(vol, slot, &data).unwrap();
+                }
+                *oracle.slot(vol, slot) = Some(data);
+            }
+            8 => {
+                jb.erase_volume(vol).unwrap();
+                for s in 0..SLOTS {
+                    *oracle.slot(vol, s) = None;
+                }
+            }
+            // Timed byte reads, and letting go of the held handles.
+            _ => {
+                let mut buf = vec![0u8; SEG_BYTES];
+                t = disk.read(t, start, &mut buf).unwrap().end;
+                assert!(
+                    buf == oracle.disk_run(start, SEG_BLOCKS),
+                    "step {step}: disk read"
+                );
+                t = jb.read_segment(t, vol, slot, &mut buf).unwrap().end;
+                let want = oracle.slot(vol, slot).clone().unwrap_or(vec![0; SEG_BYTES]);
+                assert!(buf == want, "step {step}: media read");
+                held.clear();
+            }
+        }
+        check(&disk, &jb, &oracle, step);
+    }
+    assert!(
+        moves.iter().all(|&m| m > 100),
+        "seed {seed}: moves {moves:?}"
+    );
+    drop(held);
+}
+
+#[test]
+fn random_scripts_match_a_byte_oracle() {
+    for seed in [25, 1993, 0xb10c] {
+        run(seed);
+    }
+}
+
+fn content(id: u8, len: usize) -> Vec<u8> {
+    (0..len)
+        .map(|i| (i as u8).wrapping_mul(13).wrapping_add(id))
+        .collect()
+}
+
+/// Every written jukebox slot, in `(vol, slot)` order.
+fn written(jb: &Jukebox) -> Vec<(u32, u32)> {
+    (0..jb.volumes())
+        .flat_map(|v| (0..jb.segments_per_volume()).map(move |s| (v, s)))
+        .filter(|&(v, s)| jb.segment_written(v, s))
+        .collect()
+}
+
+#[test]
+fn a_fetched_line_restaged_for_migration_leaves_the_medium_alone() {
+    let clock = Clock::new();
+    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 40 * 256 + 5, None));
+    let jb = Jukebox::new(
+        JukeboxConfig {
+            volumes: 2,
+            segments_per_volume: 4,
+            ..JukeboxConfig::hp6300_paper()
+        },
+        None,
+    );
+    let mount = || {
+        HighLight::mount(
+            disk.clone() as Rc<dyn BlockDev>,
+            Rc::new(jb.clone()),
+            HlConfig::paper(clock.clone(), 1),
+        )
+        .expect("mount")
+    };
+    HighLight::mkfs(
+        disk.clone() as Rc<dyn BlockDev>,
+        Rc::new(jb.clone()),
+        HlConfig::paper(clock.clone(), 1),
+    )
+    .expect("mkfs");
+    let mut hl = mount();
+    let (a, b) = (content(1, 300_000), content(2, 200_000));
+    let ino_a = hl.create("/a").expect("create");
+    hl.write(ino_a, 0, &a).expect("write");
+    hl.migrate_file("/a", true, None).expect("migrate /a");
+    hl.seal_staging(&mut MigrateStats::default()).expect("seal");
+    let map = hl.map();
+    let [(vol, slot)] = written(&jb)[..] else {
+        panic!("/a filled one segment: {:?}", written(&jb));
+    };
+    let tert_a = map.tert_seg(vol, slot);
+    let mut media_a = vec![0u8; 1 << 20];
+    jb.peek_segment(vol, slot, &mut media_a).unwrap();
+
+    // Demand fetch: the one cache line now holds the medium's buffers.
+    hl.eject_all();
+    hl.drop_caches();
+    let mut back = vec![0u8; a.len()];
+    hl.read(ino_a, 0, &mut back).expect("read /a");
+    assert!(back == a, "/a read back");
+    let line = hl.cache().borrow().peek(tert_a).expect("fetched").disk_seg;
+    let base = map.seg_base(line) as u64;
+    let mut on_disk = vec![Block::zeroed(BLOCK_SIZE); 256];
+    let mut on_media = on_disk.clone();
+    let now = hl.clock().now();
+    disk.read_blocks(now, base, &mut on_disk).unwrap();
+    jb.read_segment_on(now, 0, vol, slot, &mut on_media)
+        .unwrap();
+    assert!(on_disk
+        .iter()
+        .zip(&on_media)
+        .all(|(d, m)| d.as_ptr() == m.as_ptr()));
+    drop((on_disk, on_media));
+
+    // Re-stage that line: migrating /b writes a new segment into it.
+    let ino_b = hl.create("/b").expect("create");
+    hl.write(ino_b, 0, &b).expect("write");
+    hl.migrate_file("/b", true, None).expect("migrate /b");
+    hl.seal_staging(&mut MigrateStats::default()).expect("seal");
+    let [_, (vol_b, slot_b)] = written(&jb)[..] else {
+        panic!("/b filled one segment: {:?}", written(&jb));
+    };
+    let tert_b = map.tert_seg(vol_b, slot_b);
+    assert_eq!(
+        hl.cache().borrow().peek(tert_b).map(|l| l.disk_seg),
+        Some(line),
+        "/b was staged in /a's line"
+    );
+    let mut media = vec![0u8; 1 << 20];
+    jb.peek_segment(vol, slot, &mut media).unwrap();
+    assert!(media == media_a, "the medium's copy of /a changed");
+    let fsck = hl.fsck().expect("fsck");
+    assert!(fsck.clean(), "{}", fsck.render());
+
+    // Both read back from cold caches, after a remount.
+    drop(hl);
+    let mut hl = mount();
+    hl.eject_all();
+    hl.drop_caches();
+    for (path, want) in [("/a", &a), ("/b", &b)] {
+        let ino = hl.lookup(path).expect("lookup");
+        let mut back = vec![0u8; want.len()];
+        hl.read(ino, 0, &mut back).expect("read");
+        assert!(back == *want, "{path} diverged");
+    }
+    let fsck = hl.fsck().expect("fsck");
+    assert!(fsck.clean(), "{}", fsck.render());
+}

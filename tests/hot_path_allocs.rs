@@ -1,8 +1,10 @@
 //! The two structures every simulated event passes through — the
 //! scheduler's run queue and the tracer's digest — allocate nothing in
-//! steady state, and the structure every file block passes through — the
-//! buffer cache — allocates only the block. Exact counts, so the day a
-//! `format!` or a per-step `Vec` creeps back this goes red.
+//! steady state, the structure every file block passes through — the
+//! buffer cache — allocates only the block, and a segment crossing
+//! between the levels allocates only the medium's slot array. Exact
+//! counts, so the day a `format!`, a per-step `Vec` or a staging copy
+//! creeps back this goes red.
 //!
 //! A binary of its own: it installs a counting global allocator. The
 //! count is per thread, so the harness's other threads cannot disturb it.
@@ -10,10 +12,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use highlight::rig::RigSpec;
+use highlight::segcache::LineState;
+use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
 use hl_lfs::buffer::BufCache;
 use hl_lfs::LBlock;
 use hl_sim::{Actor, ActorId, Scheduler, SimTime, Step, Waker};
 use hl_trace::{Class, Tracer};
+use hl_vdev::{Block, BlockDev, Disk, DiskProfile, BLOCK_SIZE};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -203,4 +209,83 @@ fn a_warm_buffer_cache_allocates_the_incoming_block_and_nothing_else() {
         }
     });
     assert_eq!(allocs, 0);
+}
+
+/// The engine's two whole-segment moves, by reference, on devices alone:
+/// a fetch (medium → cache line) and a copy-out (line → medium) of one
+/// 256-block segment that both levels already hold. Seen red (300) with
+/// the jukebox copying what it is handed into a buffer of its own.
+#[test]
+fn a_fetch_and_copy_out_round_trip_allocates_one_slot_array() {
+    const LINE: u64 = 2;
+    let disk = Disk::new(DiskProfile::RZ57, LINE + 256, None);
+    let jb = Jukebox::new(
+        JukeboxConfig {
+            volumes: 1,
+            segments_per_volume: 1,
+            ..JukeboxConfig::hp6300_paper()
+        },
+        None,
+    );
+    jb.poke_segment(0, 0, &vec![7u8; 1 << 20]).unwrap();
+    disk.poke(LINE, &vec![0u8; 1 << 20]).unwrap();
+    let mut staged = vec![Block::zeroed(BLOCK_SIZE); 256];
+    let mut t = 0;
+    let mut round_trip = || {
+        let (r, _) = jb.read_segment_on(t, 0, 0, 0, &mut staged).unwrap();
+        let w = disk.write_blocks(r.end, LINE, &staged).unwrap();
+        let r = disk.read_blocks(w.end, LINE, &mut staged).unwrap();
+        let (w, _) = jb.write_segment_on(r.end, 0, 0, 0, &staged).unwrap();
+        t = w.end;
+    };
+    round_trip();
+    let allocs = allocs_during(|| {
+        for _ in 0..100 {
+            round_trip();
+        }
+    });
+    assert_eq!(
+        allocs, 100,
+        "one slot array per media write, nothing per block"
+    );
+    let mut back = vec![0u8; 1 << 20];
+    jb.peek_segment(0, 0, &mut back).unwrap();
+    assert!(back.iter().all(|&b| b == 7));
+}
+
+/// The same round trip through the engine — demand fetch, seal,
+/// copy-out, eject — once the trace ring is full (so its events are
+/// digested and dropped, as in a long run).
+///
+/// 18 allocations: the two requests' records (ticket, boxed request,
+/// queue and directory nodes: 9 for the fetch, 6 for the copy-out, 2 for
+/// the eject), which do not depend on the segment's size — the same
+/// round trip allocated 17 when the engine staged bytes — and the
+/// medium's one slot array. A staging array per op, or a copy of the
+/// segment anywhere on the way, adds to it (the copying jukebox above
+/// reads 20 here).
+#[test]
+fn an_engine_round_trip_allocates_one_slot_array_beyond_its_requests() {
+    let (tio, jb, map) = RigSpec::with_lines(40..41).build();
+    let seg = map.tert_seg(0, 0);
+    jb.poke_segment(0, 0, &vec![7u8; 1 << 20]).unwrap();
+    let mut t = 0;
+    let mut round_trip = || {
+        let (_, ready) = tio.demand_fetch(t, seg).unwrap();
+        tio.cache()
+            .borrow_mut()
+            .set_state(seg, LineState::DirtyWait);
+        t = tio.copy_out(ready, seg).unwrap();
+        assert!(tio.eject(seg));
+    };
+    for _ in 0..2_000 {
+        round_trip();
+    }
+    assert!(tio.tracer().dropped() > 0, "warm-up fills the trace ring");
+    let allocs = allocs_during(|| {
+        for _ in 0..100 {
+            round_trip();
+        }
+    });
+    assert_eq!(allocs, 100 * 18);
 }
