@@ -3,21 +3,24 @@
 //! time): summary serialization, checksums, directory ops, the
 //! segment-cache directory, the block-map route, zero-copy staging,
 //! the replica directory, the request-ticket lifecycle, the scheduler
-//! step, the trace emit and the buffer-cache miss — one row per live
-//! path. (Earlier PRs' before/after pairs are history in EXPERIMENTS.md;
-//! the "before" arms are no longer compiled.)
+//! step, the trace emit, the buffer-cache miss and the cache-line fill
+//! (by bytes and by reference) — one row per live path. (Earlier PRs'
+//! before/after pairs are history in EXPERIMENTS.md; the "before" arms
+//! are no longer compiled.)
 //!
 //! The harness-less `main` gates the single-block route at
 //! [`ROUTE_GATE_NS`], scaled by the same-process 4 KiB-fill host anchor,
 //! the scheduler step at [`STEP_SCALING_GATE`] (its cost with 1024
 //! runnable actors over its cost with 8), the buffer-cache eviction
-//! at [`EVICT_SCALING_GATE`] (8 000 resident blocks over 800) and the
-//! log checksum at [`CKSUM_OVER_FILL_GATE`] fills of the block it sums, writes
-//! `BENCH_micro.json` at the repository root, and exits non-zero if a
-//! gate is missed.
+//! at [`EVICT_SCALING_GATE`] (8 000 resident blocks over 800), the
+//! log checksum at [`CKSUM_OVER_FILL_GATE`] fills of the block it sums
+//! and a cache-line fill by reference at [`BY_REF_OVER_BYTES_GATE`] of
+//! the same fill by bytes, writes `BENCH_micro.json` at the repository
+//! root, and exits non-zero if a gate is missed.
 
 use criterion::Criterion;
 use std::hint::black_box;
+use std::rc::Rc;
 
 use highlight::blockmap::BlockMapDev;
 use highlight::rig::RigSpec;
@@ -30,7 +33,7 @@ use hl_lfs::ondisk::{cksum, Finfo, SegSummary};
 use hl_lfs::types::{FileKind, LBlock};
 use hl_sim::{Actor, Scheduler, SimTime, Step};
 use hl_trace::Tracer;
-use hl_vdev::{BlockDev, BLOCK_SIZE};
+use hl_vdev::{Block, BlockDev, Disk, DiskProfile, BLOCK_SIZE};
 
 /// Hard gate for the single-block secondary route.
 const ROUTE_GATE_NS: f64 = 55.0;
@@ -66,6 +69,17 @@ const EVICT_BLOCKS: [u32; 2] = [800, 8_000];
 /// touch is summed once; the four-lane word-wide sum reads 8-12x, the
 /// byte-serial chain it replaced read 166x (5 053 ns / 30.5 ns).
 const CKSUM_OVER_FILL_GATE: f64 = 24.0;
+/// Hard gate on a segment crossing the levels by reference: a 1 MB
+/// cache-line fill through `Disk::write_blocks` over the same fill
+/// through `Disk::write`, both onto resident blocks in this process, so
+/// host speed cancels. Handles cost a probe and a reference count per
+/// block (0.03-0.06 measured); bytes cost the megabyte's copy, and the
+/// staging path this replaced — gather the handles' bytes, then the
+/// byte fill — reads 2.3.
+const BY_REF_OVER_BYTES_GATE: f64 = 0.25;
+/// Ids of the two line-fill rows.
+const FILL_BYTES: &str = "fill 1MB cache line, bytes";
+const FILL_BY_REF: &str = "fill 1MB cache line, by reference";
 
 fn bench_cksum(c: &mut Criterion) {
     let block = vec![0xa5u8; 4096];
@@ -217,6 +231,30 @@ fn bench_staging(c: &mut Criterion) {
     });
 }
 
+/// A demand fetch's last hop, both ways the cache disk takes it: the
+/// segment's 256 blocks written over a resident line as bytes (the
+/// staging-buffer path the engine had) and as handles onto the medium's
+/// buffer (the path it has). Each row gets a disk of its own, so the
+/// byte row's blocks are never shared and overwrite in place.
+fn bench_line_fill(c: &mut Criterion) {
+    const LINE: u64 = 2;
+    let image = vec![0xa5u8; 1 << 20];
+    let line = || {
+        let disk = Disk::new(DiskProfile::RZ57, LINE + 256, None);
+        disk.poke(LINE, &image).expect("resident line");
+        disk
+    };
+    let disk = line();
+    c.bench_function(FILL_BYTES, |b| {
+        b.iter(|| disk.write(0, black_box(LINE), black_box(&image)))
+    });
+    let disk = line();
+    let blocks: Vec<Block> = Block::split(Rc::from(image.as_slice()), BLOCK_SIZE).collect();
+    c.bench_function(FILL_BY_REF, |b| {
+        b.iter(|| disk.write_blocks(0, black_box(LINE), black_box(&blocks)))
+    });
+}
+
 /// Yields one period ahead, forever.
 struct Periodic(SimTime);
 impl Actor<()> for Periodic {
@@ -322,6 +360,7 @@ fn main() {
         bench_sched_step(&mut c);
         bench_trace_emit(&mut c);
         bench_bufcache_evict(&mut c);
+        bench_line_fill(&mut c);
     }
 
     let ns = |id: &str| {
@@ -364,6 +403,19 @@ fn main() {
         bench_fill_anchor(&mut retry);
         if let [sum, anchor] = retry.results() {
             cksum_over_fill = cksum_over_fill.min(sum.mean_ns / anchor.mean_ns);
+        }
+    }
+
+    // And for the line-fill gate.
+    let mut by_ref_over_bytes = ns(FILL_BY_REF) / ns(FILL_BYTES);
+    for _ in 0..4 {
+        if by_ref_over_bytes <= BY_REF_OVER_BYTES_GATE {
+            break;
+        }
+        let mut retry = Criterion::default();
+        bench_line_fill(&mut retry);
+        if let [bytes, by_ref] = retry.results() {
+            by_ref_over_bytes = by_ref_over_bytes.min(by_ref.mean_ns / bytes.mean_ns);
         }
     }
 
@@ -423,6 +475,13 @@ fn main() {
                 ]),
             ),
             (
+                "segment_by_ref_over_bytes",
+                Json::obj([
+                    ("ratio", Json::Fixed(by_ref_over_bytes, 2)),
+                    ("gate", Json::Fixed(BY_REF_OVER_BYTES_GATE, 2)),
+                ]),
+            ),
+            (
                 "seed_baseline_ns",
                 Json::obj([
                     ("route_peek_1_block", Json::Fixed(SEED_ROUTE_NS, 1)),
@@ -464,6 +523,13 @@ fn main() {
              ({cksum_over_fill:.1}x)"
         ),
         cksum_over_fill <= CKSUM_OVER_FILL_GATE,
+    );
+    checks.row(
+        format!(
+            "1 MB cache-line fill by reference <= {BY_REF_OVER_BYTES_GATE:.2} x the same \
+             fill by bytes ({by_ref_over_bytes:.2}x)"
+        ),
+        by_ref_over_bytes <= BY_REF_OVER_BYTES_GATE,
     );
     checks.finish();
 }
