@@ -14,18 +14,19 @@
 
 use std::collections::BTreeMap;
 
+use highlight::segcache::EjectPolicy;
 use hl_bench::policies::{run_policy_arm, standard_arms, standard_workloads, ArmReport};
 use hl_bench::report::{write_bench_json, Checks, Json};
 use hl_bench::table::{print_table, Row};
 use hl_server::{run_fleet, FleetConfig, PoolKind};
-use highlight::segcache::EjectPolicy;
 
 fn check(checks: &mut Checks, r: &ArmReport) {
     checks.tracecheck(&format!("{}/{}", r.arm, r.workload), r.findings);
     assert!(
         r.oracle_verified > 0,
         "{}/{}: oracle never exercised",
-        r.arm, r.workload
+        r.arm,
+        r.workload
     );
 }
 

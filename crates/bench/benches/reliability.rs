@@ -77,18 +77,19 @@ fn sweep(replicas: u32, media_p: f64, seed: u64) -> Cell {
     let mut attempts = 0u64;
     let mut latency = 0u64;
     let mut t = 0;
-    let pass = |tio: &TertiaryIo, t: &mut u64, ok: &mut u64, attempts: &mut u64, latency: &mut u64| {
-        for i in 0..SEGS {
-            let seg = map.tert_seg(i % VOLS, i / VOLS);
-            *attempts += 1;
-            if let Ok((_, end)) = tio.demand_fetch(*t, seg) {
-                *ok += 1;
-                *latency += end - *t;
-                *t = end;
-                tio.eject(seg);
+    let pass =
+        |tio: &TertiaryIo, t: &mut u64, ok: &mut u64, attempts: &mut u64, latency: &mut u64| {
+            for i in 0..SEGS {
+                let seg = map.tert_seg(i % VOLS, i / VOLS);
+                *attempts += 1;
+                if let Ok((_, end)) = tio.demand_fetch(*t, seg) {
+                    *ok += 1;
+                    *latency += end - *t;
+                    *t = end;
+                    tio.eject(seg);
+                }
             }
-        }
-    };
+        };
     pass(&tio, &mut t, &mut ok, &mut attempts, &mut latency);
     let report = tio.scrub(t);
     t = report.end;

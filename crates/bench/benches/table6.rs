@@ -115,10 +115,7 @@ fn main() {
         "contention < no-contention everywhere",
         c57 < n57 && c58 < n58 && chp < nhp,
     );
-    checks.row(
-        "RZ58 staging beats shared RZ57 under contention",
-        c58 > c57,
-    );
+    checks.row("RZ58 staging beats shared RZ57 under contention", c58 > c57);
     checks.row("HP7958A staging is the worst", chp < c57 && nhp < n57);
     checks.finish();
 }

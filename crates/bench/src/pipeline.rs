@@ -21,6 +21,9 @@
 
 use std::rc::Rc;
 
+use highlight::requests::Ticket;
+use highlight::segcache::{EjectPolicy, LineState};
+use highlight::{rig, TertiaryIo, UniformMap};
 use hl_footprint::{Footprint, Jukebox};
 use hl_lfs::config::AddressMap;
 use hl_lfs::types::SegNo;
@@ -28,9 +31,6 @@ use hl_sim::stats::percentile;
 use hl_sim::time::SimTime;
 use hl_sim::{Actor, ActorId, PhaseTimer, Scheduler, Step};
 use hl_vdev::{BlockDev, Disk, BLOCK_SIZE};
-use highlight::requests::Ticket;
-use highlight::segcache::{EjectPolicy, LineState};
-use highlight::{rig, TertiaryIo, UniformMap};
 
 use crate::report::Json;
 
@@ -185,9 +185,7 @@ impl PipelineResult {
     pub fn to_json(&self) -> Json {
         let (contention, no_contention, overall) = self.throughputs();
         let availability = self.availability.iter().enumerate().map(|(d, downs)| {
-            let spans = downs
-                .iter()
-                .map(|&(s, e)| Json::arr([s.into(), e.into()]));
+            let spans = downs.iter().map(|&(s, e)| Json::arr([s.into(), e.into()]));
             Json::obj([("drive", d.into()), ("down", Json::arr(spans))])
         });
         Json::obj([
@@ -350,7 +348,10 @@ impl Actor<World> for MigratorActor {
             .expect("staging write");
         t = wslot.end;
         // Seal the line and hand it to the service process.
-        w.tio.cache().borrow_mut().set_state(seg, LineState::DirtyWait);
+        w.tio
+            .cache()
+            .borrow_mut()
+            .set_state(seg, LineState::DirtyWait);
         match w.tio.try_enqueue_copy_out(t, seg) {
             Some(ticket) => w.tickets.push(ticket),
             None => {

@@ -18,15 +18,15 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use highlight::migrator::{AdaptiveThrottle, GenerationalPolicy, Migrator, StpPolicy};
+use highlight::segcache::EjectPolicy;
+use highlight::{tcleaner, HighLight, HlConfig};
 use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
 use hl_lfs::cleaner::CleanerPolicy;
 use hl_sim::stats::percentile;
 use hl_sim::{Clock, SimTime};
 use hl_vdev::{BlockDev, Disk, DiskProfile};
 use hl_workload::ops::{Op, OpStream};
-use highlight::migrator::{AdaptiveThrottle, GenerationalPolicy, Migrator, StpPolicy};
-use highlight::segcache::EjectPolicy;
-use highlight::{tcleaner, HighLight, HlConfig};
 
 use crate::report::Json;
 
@@ -208,7 +208,9 @@ impl ArmReport {
 /// Any policy that loses, reorders, or staleness-serves a block fails
 /// the replay immediately.
 pub fn oracle_bytes(file: u32, version: u32, len: u32) -> Vec<u8> {
-    let k = (file as u64).wrapping_mul(131).wrapping_add((version as u64).wrapping_mul(1009));
+    let k = (file as u64)
+        .wrapping_mul(131)
+        .wrapping_add((version as u64).wrapping_mul(1009));
     (0..len as usize)
         .map(|i| ((i as u64).wrapping_mul(31) ^ k) as u8)
         .collect()
@@ -294,12 +296,12 @@ pub fn run_policy_arm(stream: &OpStream, arm: &ArmSpec) -> ArmReport {
     let mut last_fetches = 0u64;
 
     let verify_read = |hl: &mut HighLight,
-                           ino: hl_lfs::types::Ino,
-                           file: u32,
-                           version: u32,
-                           len: u32,
-                           failures: &mut u64,
-                           verified: &mut u64| {
+                       ino: hl_lfs::types::Ino,
+                       file: u32,
+                       version: u32,
+                       len: u32,
+                       failures: &mut u64,
+                       verified: &mut u64| {
         let mut buf = vec![0u8; len as usize];
         let n = hl.read(ino, 0, &mut buf).expect("read replay file");
         *verified += 1;
@@ -310,11 +312,7 @@ pub fn run_policy_arm(stream: &OpStream, arm: &ArmSpec) -> ArmReport {
 
     for (i, op) in stream.ops.iter().enumerate() {
         match *op {
-            Op::Write {
-                file,
-                version,
-                len,
-            } => {
+            Op::Write { file, version, len } => {
                 let ino = match inos.get(&file) {
                     Some(&ino) => ino,
                     None => {
@@ -386,8 +384,7 @@ pub fn run_policy_arm(stream: &OpStream, arm: &ArmSpec) -> ArmReport {
                 }
             }
             if free_tertiary_slots(&mut hl) <= SLOTS_PER_VOLUME {
-                if let Some(vol) = tcleaner::select_victim_volume_with(&mut hl, arm.cleaning)
-                {
+                if let Some(vol) = tcleaner::select_victim_volume_with(&mut hl, arm.cleaning) {
                     // NoSpace is a deferral, not a failure: survivors
                     // need staging room, and the daemon simply retries
                     // after the migrator frees some.
@@ -404,10 +401,7 @@ pub fn run_policy_arm(stream: &OpStream, arm: &ArmSpec) -> ArmReport {
 
     // Final oracle sweep: every live file must read back its last
     // written version, wherever the policies put it.
-    let files: Vec<(u32, u32, u32)> = model
-        .iter()
-        .map(|(&f, &(v, l))| (f, v, l))
-        .collect();
+    let files: Vec<(u32, u32, u32)> = model.iter().map(|(&f, &(v, l))| (f, v, l)).collect();
     for (file, version, len) in files {
         let ino = inos[&file];
         verify_read(

@@ -32,6 +32,10 @@
 
 use std::rc::Rc;
 
+use highlight::requests::Ticket;
+use highlight::rig::{seg_image, RigSpec, BLOCKS_PER_SEG};
+use highlight::segcache::{CacheStats, LineState};
+use highlight::{TertiaryIo, UniformMap};
 use hl_footprint::Footprint;
 use hl_lfs::config::AddressMap;
 use hl_lfs::types::SegNo;
@@ -40,10 +44,6 @@ use hl_sim::time::{secs, SimTime, MS};
 use hl_sim::{Actor, Scheduler, Step};
 use hl_vdev::{FaultConfig, FaultPlan, BLOCK_SIZE};
 use hl_workload::{HierarchyScan, Tenant, TenantKind, TenantMix, ZipfStore};
-use highlight::requests::Ticket;
-use highlight::rig::{seg_image, RigSpec, BLOCKS_PER_SEG};
-use highlight::segcache::{CacheStats, LineState};
-use highlight::{TertiaryIo, UniformMap};
 
 use crate::report::Json;
 
@@ -471,7 +471,10 @@ impl Actor<World> for WriterActor {
             .disks_handle()
             .write(now, w.map.seg_base(disk_seg) as u64, &image)
             .expect("staging write");
-        w.tio.cache().borrow_mut().set_state(seg, LineState::DirtyWait);
+        w.tio
+            .cache()
+            .borrow_mut()
+            .set_state(seg, LineState::DirtyWait);
         self.idx += 1;
         self.pending_seal = Some((seg, wslot.end));
         Step::Yield(wslot.end)
@@ -496,9 +499,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
         match fault {
             FaultScript::DriveDeath { drive, at } => plan.fail_drive_at(drive, at),
             FaultScript::DriveHang { drive, at, dur } => plan.hang_drive_at(drive, at, dur),
-            FaultScript::DriveSlow { drive, factor, at } => {
-                plan.slow_drive_from(drive, factor, at)
-            }
+            FaultScript::DriveSlow { drive, factor, at } => plan.slow_drive_from(drive, factor, at),
             FaultScript::RobotJam { at, dur } => plan.jam_robot_during(at, dur),
         }
         jb.set_fault_plan(plan);

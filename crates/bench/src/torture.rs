@@ -370,7 +370,10 @@ fn check_recovery(r: &Rig, oracle: &Oracle, k: u64, crashed_at_op: usize, note: 
         let mut got = vec![0u8; want.len()];
         let n = hl.read(ino, 0, &mut got).expect("read");
         assert_eq!(n, want.len(), "crash point {k}: {p} short read");
-        assert_eq!(&got, want, "crash point {k}: {p} bytes diverged from oracle");
+        assert_eq!(
+            &got, want,
+            "crash point {k}: {p} bytes diverged from oracle"
+        );
         surviving += 1;
     }
 
@@ -410,63 +413,60 @@ fn one_pass(ops: &[TortureOp], plan: CrashPlan, k: u64) -> String {
     // process dispatched identically — and emitted an identical event
     // history — on every replay of a seed.
     let mut tr_digest = 0u64;
-    let end = match HighLight::mount_with_report(
-        crash_disk,
-        Rc::new(r.jukebox.clone()),
-        r.cfg.clone(),
-    ) {
-        Ok((mut hl, _)) => {
-            // The injected tear lands in the same event stream as the
-            // engine's own spans, so the crash is visible in the trace.
-            plan.set_tracer(hl.tio().tracer());
-            let end = run_ops(&mut hl, &plan, &r.clock, ops, &mut oracle);
-            tr_digest = hl.tio().trace_digest();
-            let findings = match end {
-                // A completed pass must satisfy the full quiesced
-                // contract: every span closed, residency reconciled,
-                // device overlap bounded.
-                PassEnd::Completed => hl.tio().trace_findings(),
-                // A crashed pass is checked mid-flight: the dead device
-                // may strand an op whose span never closes, but every
-                // other invariant still has to hold.
-                PassEnd::Crashed(_) => {
-                    let st = hl.tio().stats();
-                    hl_trace::tracecheck(
-                        &hl.tio().tracer(),
-                        &hl_trace::Expectations {
-                            wait: Some([
-                                st.wait_demand,
-                                st.wait_eject,
-                                st.wait_copyout,
-                                st.wait_prefetch,
-                                st.wait_scrub,
-                            ]),
-                            max_dev_overlap: Some(hl.tio().io_peak_in_flight()),
-                            drive_lanes: Some(hl.tio().drives()),
-                            configured_drives: None,
-                            require_all_closed: false,
-                        },
-                    )
-                }
-            };
-            assert!(
-                findings.is_empty(),
-                "crash point {k}: tracecheck findings:\n{}",
-                findings
-                    .iter()
-                    .map(|f| f.to_string())
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            );
-            end
-        }
-        Err(e) => {
-            if !plan.crashed() {
-                panic!("initial mount failed without a crash: {e}");
+    let end =
+        match HighLight::mount_with_report(crash_disk, Rc::new(r.jukebox.clone()), r.cfg.clone()) {
+            Ok((mut hl, _)) => {
+                // The injected tear lands in the same event stream as the
+                // engine's own spans, so the crash is visible in the trace.
+                plan.set_tracer(hl.tio().tracer());
+                let end = run_ops(&mut hl, &plan, &r.clock, ops, &mut oracle);
+                tr_digest = hl.tio().trace_digest();
+                let findings = match end {
+                    // A completed pass must satisfy the full quiesced
+                    // contract: every span closed, residency reconciled,
+                    // device overlap bounded.
+                    PassEnd::Completed => hl.tio().trace_findings(),
+                    // A crashed pass is checked mid-flight: the dead device
+                    // may strand an op whose span never closes, but every
+                    // other invariant still has to hold.
+                    PassEnd::Crashed(_) => {
+                        let st = hl.tio().stats();
+                        hl_trace::tracecheck(
+                            &hl.tio().tracer(),
+                            &hl_trace::Expectations {
+                                wait: Some([
+                                    st.wait_demand,
+                                    st.wait_eject,
+                                    st.wait_copyout,
+                                    st.wait_prefetch,
+                                    st.wait_scrub,
+                                ]),
+                                max_dev_overlap: Some(hl.tio().io_peak_in_flight()),
+                                drive_lanes: Some(hl.tio().drives()),
+                                configured_drives: None,
+                                require_all_closed: false,
+                            },
+                        )
+                    }
+                };
+                assert!(
+                    findings.is_empty(),
+                    "crash point {k}: tracecheck findings:\n{}",
+                    findings
+                        .iter()
+                        .map(|f| f.to_string())
+                        .collect::<Vec<_>>()
+                        .join("\n")
+                );
+                end
             }
-            PassEnd::Crashed(0)
-        }
-    };
+            Err(e) => {
+                if !plan.crashed() {
+                    panic!("initial mount failed without a crash: {e}");
+                }
+                PassEnd::Crashed(0)
+            }
+        };
     match end {
         PassEnd::Completed => {
             assert!(

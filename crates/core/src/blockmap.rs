@@ -421,11 +421,11 @@ mod tests {
         let probes: Vec<u64> = vec![
             0,
             1,
-            map.seg_start as u64,                        // first secondary block
-            map.seg_base(63) as u64 + 255,               // last secondary block
-            map.seg_base(64) as u64,                     // dead zone start
-            map.seg_base(tb) as u64 - 1,                 // dead zone end
-            map.seg_base(tb) as u64,                     // first tertiary block
+            map.seg_start as u64,          // first secondary block
+            map.seg_base(63) as u64 + 255, // last secondary block
+            map.seg_base(64) as u64,       // dead zone start
+            map.seg_base(tb) as u64 - 1,   // dead zone end
+            map.seg_base(tb) as u64,       // first tertiary block
             map.seg_base(map.total_segs() - 1) as u64 + 255, // last tertiary block
             map.seg_base(map.total_segs() - 1) as u64 + 256, // top partial segment
             u32::MAX as u64,

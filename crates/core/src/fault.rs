@@ -267,7 +267,10 @@ impl fmt::Display for FaultEvent {
                 slot,
                 attempt,
                 delay,
-            } => write!(f, "t={at} seg={seg} v{vol}/s{slot} retry #{attempt} after {delay}"),
+            } => write!(
+                f,
+                "t={at} seg={seg} v{vol}/s{slot} retry #{attempt} after {delay}"
+            ),
             FaultEvent::Failover { at, seg, from, to } => write!(
                 f,
                 "t={at} seg={seg} failover v{}/s{} -> v{}/s{}",

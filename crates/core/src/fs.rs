@@ -264,10 +264,7 @@ impl HighLight {
                             let ok_disk = (0..map.blocks_per_seg).all(|i| {
                                 let off = i as usize * BLOCK_SIZE;
                                 disks
-                                    .peek(
-                                        u64::from(base + i),
-                                        &mut disk_buf[off..off + BLOCK_SIZE],
-                                    )
+                                    .peek(u64::from(base + i), &mut disk_buf[off..off + BLOCK_SIZE])
                                     .is_ok()
                             });
                             match tio.jukebox().peek_segment(vol, slot, &mut tert_buf) {

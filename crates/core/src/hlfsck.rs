@@ -139,13 +139,19 @@ impl fmt::Display for HlFinding {
         match self {
             HlFinding::Lfs(inner) => write!(f, "lfs: {inner:?}"),
             HlFinding::UnresolvedTertiary { seg } => {
-                write!(f, "tertiary seg {seg} referenced but neither cached nor on media")
+                write!(
+                    f,
+                    "tertiary seg {seg} referenced but neither cached nor on media"
+                )
             }
             HlFinding::DeadZoneTertiary { seg } => {
                 write!(f, "tertiary seg {seg} lies in the dead zone")
             }
             HlFinding::MediaMissing { seg, vol, slot } => {
-                write!(f, "seg {seg} (vol {vol} slot {slot}) copied out but media is blank")
+                write!(
+                    f,
+                    "seg {seg} (vol {vol} slot {slot}) copied out but media is blank"
+                )
             }
             HlFinding::MediaUnreadable { seg, vol, slot } => {
                 write!(f, "seg {seg} (vol {vol} slot {slot}) media unreadable")
@@ -185,7 +191,10 @@ impl fmt::Display for HlFinding {
                 write!(f, "cache line {disk_seg} (tertiary {tert_seg}) unreadable")
             }
             HlFinding::ReplicaUnreadable { seg, vol, slot } => {
-                write!(f, "replica of seg {seg} at vol {vol} slot {slot} unreadable")
+                write!(
+                    f,
+                    "replica of seg {seg} at vol {vol} slot {slot} unreadable"
+                )
             }
             HlFinding::ReplicaDivergence {
                 seg,
@@ -251,7 +260,9 @@ impl HighLight {
         // counts, pointers — including dead-zone pointers —, segment
         // usage, free list).
         let base = self.lfs().check()?;
-        report.findings.extend(base.findings.into_iter().map(HlFinding::Lfs));
+        report
+            .findings
+            .extend(base.findings.into_iter().map(HlFinding::Lfs));
 
         // Pass 2: every tertiary segment the log references must
         // resolve to real data, and the tsegfile must agree with a
@@ -358,9 +369,11 @@ impl HighLight {
                 continue;
             }
             if jukebox.peek_segment(vol, slot, &mut media).is_err() {
-                report
-                    .findings
-                    .push(HlFinding::MediaUnreadable { seg: tert_seg, vol, slot });
+                report.findings.push(HlFinding::MediaUnreadable {
+                    seg: tert_seg,
+                    vol,
+                    slot,
+                });
                 continue;
             }
             if let Some(first_diff) = first_difference(&cached_bytes, &media) {

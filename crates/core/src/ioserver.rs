@@ -131,12 +131,11 @@ impl<W> Actor<W> for IoActor {
         // left alone by faults serves every class (solo rules).
         let (writer, solo) = self.inner.lane_roles(self.drive);
         let loaded_all = self.inner.jukebox.loaded_volumes();
-        let op = self.inner.queues.borrow_mut().take_for_drive(
-            self.drive,
-            writer,
-            solo,
-            &loaded_all,
-        );
+        let op =
+            self.inner
+                .queues
+                .borrow_mut()
+                .take_for_drive(self.drive, writer, solo, &loaded_all);
         let Some(op) = op else {
             return Step::Park;
         };

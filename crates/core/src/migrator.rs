@@ -447,8 +447,10 @@ impl MigrationPolicy for NamespacePolicy {
                 break;
             }
             let mut items = Vec::new();
-            let mut files: Vec<&Candidate> =
-                self.groups[id as usize].iter().map(|&i| &cands[i]).collect();
+            let mut files: Vec<&Candidate> = self.groups[id as usize]
+                .iter()
+                .map(|&i| &cands[i])
+                .collect();
             files.sort_by(|a, b| a.path.cmp(&b.path));
             for c in files {
                 items.extend(fs.whole_file_items(c.ino, self.migrate_inodes)?);

@@ -433,7 +433,12 @@ impl EngineQueues {
 
     /// Advances `tenant`'s virtual pass by one admission's stride.
     fn charge(&mut self, tenant: TenantId) {
-        let w = self.tenant_weights.get(&tenant).copied().unwrap_or(1).max(1) as u64;
+        let w = self
+            .tenant_weights
+            .get(&tenant)
+            .copied()
+            .unwrap_or(1)
+            .max(1) as u64;
         *self.tenant_pass.entry(tenant).or_insert(0) += STRIDE_SCALE / w;
     }
 
@@ -443,7 +448,9 @@ impl EngineQueues {
     /// the [`TENANT_BOUND`] starvation guard.
     fn note_deferred(&mut self, keys: &[(u8, u64)], admitted: bool, now: SimTime) {
         for &k in keys {
-            let Some(r) = self.reqq.get_mut(&k) else { continue };
+            let Some(r) = self.reqq.get_mut(&k) else {
+                continue;
+            };
             if admitted {
                 r.passed += 1;
             }
@@ -756,9 +763,7 @@ mod tests {
         let mut q = queues();
         q.devq.push_back(devop(ReqClass::Prefetch, Some(2)));
         q.devq.push_back(devop(ReqClass::Prefetch, Some(7)));
-        let op = q
-            .take_for_drive(1, false, false, &[None, Some(7)])
-            .unwrap();
+        let op = q.take_for_drive(1, false, false, &[None, Some(7)]).unwrap();
         assert_eq!(op.vol, Some(7), "loaded platter batches first");
         assert_eq!(q.affinity_hits, 1);
         assert_eq!(q.devq[0].bypassed, 1, "passed-over op aged");
@@ -771,9 +776,7 @@ mod tests {
         old.bypassed = AFFINITY_BOUND;
         q.devq.push_back(devop(ReqClass::Prefetch, Some(7)));
         q.devq.push_back(old);
-        let op = q
-            .take_for_drive(1, false, false, &[None, Some(7)])
-            .unwrap();
+        let op = q.take_for_drive(1, false, false, &[None, Some(7)]).unwrap();
         assert_eq!(op.vol, Some(2), "starved op beats the affinity hit");
         assert_eq!(q.starvation_promotions, 1);
     }
@@ -800,9 +803,7 @@ mod tests {
         // Volume 4 sits in drive 1: lane 0 leaves the op alone …
         assert!(q.take_for_drive(0, true, false, &[None, Some(4)]).is_none());
         // … and lane 1 takes it as an affinity hit.
-        let op = q
-            .take_for_drive(1, false, false, &[None, Some(4)])
-            .unwrap();
+        let op = q.take_for_drive(1, false, false, &[None, Some(4)]).unwrap();
         assert_eq!(op.vol, Some(4));
         assert_eq!(q.affinity_hits, 1);
     }
@@ -830,10 +831,10 @@ mod tests {
         q.push(treq(2, ReqClass::Demand, 2, 0));
         q.push(treq(1, ReqClass::Demand, 3, 0));
         q.push(req(ReqClass::Demand, 4, 0)); // untagged tail
-        // Untagged head pops first (historical FIFO); then the fair
-        // queue picks among the tagged pair — tenant 1 wins the tie on
-        // id despite tenant 2's earlier seq — but never reorders past
-        // the untagged tail.
+                                             // Untagged head pops first (historical FIFO); then the fair
+                                             // queue picks among the tagged pair — tenant 1 wins the tie on
+                                             // id despite tenant 2's earlier seq — but never reorders past
+                                             // the untagged tail.
         let order: Vec<Option<TenantId>> =
             std::iter::from_fn(|| q.pop_ready(0).map(|r| r.tenant)).collect();
         assert_eq!(order, vec![None, Some(1), Some(2), None]);
@@ -863,8 +864,8 @@ mod tests {
         let mut q = queues();
         q.push(treq(2, ReqClass::Demand, 1, 0)); // seq 0
         q.push(treq(1, ReqClass::Demand, 2, 0)); // seq 1
-        // On a pass tie tenant 1 would win (lower id) — but tenant 2's
-        // request has hit the starvation bound and must go first.
+                                                 // On a pass tie tenant 1 would win (lower id) — but tenant 2's
+                                                 // request has hit the starvation bound and must go first.
         q.queued_mut((ReqClass::Demand as u8, 0)).passed = TENANT_BOUND;
         let r = q.pop_ready(0).unwrap();
         assert_eq!(r.tenant, Some(2), "starved request beats the stride pick");
@@ -932,5 +933,4 @@ mod tests {
         drop(a);
         assert!(b.is_done(), "the cell lives until the last handle drops");
     }
-
 }

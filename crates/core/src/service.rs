@@ -394,10 +394,8 @@ impl TioInner {
                         // Became resident between enqueue and dispatch.
                         self.queues.borrow_mut().retire_fetch(seg);
                         self.tracer.close_span(now, req.span, true);
-                        req.ticket.complete(Outcome::Fetch(Ok((
-                            line.disk_seg,
-                            now.max(line.ready_at),
-                        ))));
+                        req.ticket
+                            .complete(Outcome::Fetch(Ok((line.disk_seg, now.max(line.ready_at)))));
                         return;
                     }
                     // Two in-flight fetches of one segment cannot reach
@@ -411,7 +409,10 @@ impl TioInner {
                 // Ejected clean lines need no I/O: they never hold the
                 // sole copy of a block (§4). `Filling` pins the line
                 // until the fetch lands.
-                let allocated = self.cache.borrow_mut().allocate(seg, LineState::Filling, now);
+                let allocated = self
+                    .cache
+                    .borrow_mut()
+                    .allocate(seg, LineState::Filling, now);
                 let Some((disk_seg, _ejected)) = allocated else {
                     // Every line is pinned: the fetch cannot be served.
                     return self.refuse(&req, now, DevError::Offline);
@@ -1560,7 +1561,8 @@ mod tests {
         });
         let mut t = 0;
         for slot in 0..8 {
-            jb.poke_segment(0, slot, &vec![slot as u8; 1 << 20]).unwrap();
+            jb.poke_segment(0, slot, &vec![slot as u8; 1 << 20])
+                .unwrap();
             let seg = map.tert_seg(0, slot);
             let (_, end) = tio.demand_fetch(t, seg).expect("retries recover");
             t = end;

@@ -17,11 +17,11 @@
 //!
 //! Emits `BENCH_server.json` at the repository root.
 
+use highlight::segcache::EjectPolicy;
 use hl_bench::report::{write_bench_json, Checks, Json};
 use hl_server::fleet::{run_fleet, FleetConfig, FleetReport, StormConfig};
 use hl_server::pool::PoolKind;
 use hl_server::shard::ShardSpec;
-use highlight::segcache::EjectPolicy;
 
 const MS: u64 = 1_000;
 
@@ -114,7 +114,11 @@ fn main() {
         for &clients in &counts {
             let cfg = sweep_config(pool, clients);
             let r = run_fleet(&cfg);
-            gate(&mut checks, &format!("fleet {}/{}", pool.label(), clients), &r);
+            gate(
+                &mut checks,
+                &format!("fleet {}/{}", pool.label(), clients),
+                &r,
+            );
             answered &= r.completed == (cfg.clients * cfg.requests_per_client) as u64;
             println!(
                 "{:<14} {:>7} {:>10} {:>9.1} {:>9.1} {:>9.1} {:>7}",

@@ -18,15 +18,15 @@
 
 use std::collections::BTreeMap;
 
+use highlight::requests::Ticket;
+use highlight::rig::seg_image;
+use highlight::segcache::{EjectPolicy, LineState};
+use highlight::TenantId;
 use hl_lfs::config::AddressMap;
 use hl_sim::stats::percentile;
 use hl_sim::time::MS;
 use hl_sim::{Actor, ActorId, Scheduler, SimTime, Step, Waker};
 use hl_workload::{TenantMix, ZipfStore};
-use highlight::requests::Ticket;
-use highlight::rig::seg_image;
-use highlight::segcache::{EjectPolicy, LineState};
-use highlight::TenantId;
 
 use crate::connection::Connection;
 use crate::pool::{PoolKind, PoolState, WakeHint};
@@ -243,7 +243,11 @@ impl ClientActor {
 
 impl Actor<FleetWorld> for ClientActor {
     fn step(&mut self, w: &mut FleetWorld, now: SimTime) -> Step {
-        while let Some(r) = self.conn.recv_response().expect("well-formed response stream") {
+        while let Some(r) = self
+            .conn
+            .recv_response()
+            .expect("well-formed response stream")
+        {
             let (sent, op) = self
                 .inflight
                 .remove(&r.req_id)
@@ -309,7 +313,11 @@ enum PutStage {
     /// Waiting for a free cache line to stage into.
     NeedLine,
     /// Staged and sealed at `at`; waiting for request-queue space.
-    Sealed { seg: hl_lfs::types::SegNo, shard: usize, at: SimTime },
+    Sealed {
+        seg: hl_lfs::types::SegNo,
+        shard: usize,
+        at: SimTime,
+    },
     /// Copy-out queued; waiting for the drive.
     CopyOut { ticket: Ticket },
 }
@@ -346,7 +354,9 @@ impl WorkerActor {
                     return;
                 }
                 let (si, seg) = w.engine.locate(obj);
-                let ticket = w.engine.shards[si].tio.enqueue_demand_for(f.tenant, now, seg);
+                let ticket = w.engine.shards[si]
+                    .tio
+                    .enqueue_demand_for(f.tenant, now, seg);
                 self.gets.push(InFlightGet {
                     conn,
                     req_id: f.req_id,
@@ -360,7 +370,9 @@ impl WorkerActor {
                         break;
                     }
                     let (si, seg) = w.engine.locate(obj);
-                    let t = w.engine.shards[si].tio.enqueue_prefetch_for(f.tenant, now, seg);
+                    let t = w.engine.shards[si]
+                        .tio
+                        .enqueue_prefetch_for(f.tenant, now, seg);
                     w.prefetch_tickets.push(t);
                     queued += 1;
                 }
@@ -376,12 +388,7 @@ impl WorkerActor {
                 );
             }
             Req::Stat => {
-                let served: u64 = w
-                    .engine
-                    .shards
-                    .iter()
-                    .map(|s| s.tio.demand_fetches())
-                    .sum();
+                let served: u64 = w.engine.shards.iter().map(|s| s.tio.demand_fetches()).sum();
                 w.respond(
                     now,
                     conn,
@@ -445,11 +452,12 @@ impl WorkerActor {
                 PutStage::NeedLine => {
                     let (si, seg) = w.engine.locate(p.obj);
                     let shard = &w.engine.shards[si];
-                    let allocated = shard
-                        .tio
-                        .cache()
-                        .borrow_mut()
-                        .allocate(seg, LineState::Staging, now);
+                    let allocated =
+                        shard
+                            .tio
+                            .cache()
+                            .borrow_mut()
+                            .allocate(seg, LineState::Staging, now);
                     if let Some((disk_seg, _)) = allocated {
                         let image = seg_image(w.seed ^ 0x9157_0000 ^ si as u64, seg);
                         let wslot = shard
@@ -472,10 +480,11 @@ impl WorkerActor {
                 PutStage::Sealed { seg, shard, at } => {
                     let (seg, si, at) = (*seg, *shard, *at);
                     if now >= at {
-                        if let Some(ticket) = w.engine.shards[si]
-                            .tio
-                            .try_enqueue_copy_out_for(p.tenant, now.max(at), seg)
-                        {
+                        if let Some(ticket) = w.engine.shards[si].tio.try_enqueue_copy_out_for(
+                            p.tenant,
+                            now.max(at),
+                            seg,
+                        ) {
                             p.stage = PutStage::CopyOut { ticket };
                         }
                     }
@@ -595,10 +604,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
             .collect();
         let conn = Connection::new(c);
         conns.push(conn.clone());
-        let scan_width = cfg
-            .storm
-            .filter(|s| s.tenant == tenant.id)
-            .map(|s| s.width);
+        let scan_width = cfg.storm.filter(|s| s.tenant == tenant.id).map(|s| s.width);
         client_ids.push(sched.spawn_at(
             tenant.arrival as SimTime,
             ClientActor {
@@ -683,7 +689,11 @@ mod tests {
 
     #[test]
     fn closed_loop_fleet_completes_every_request() {
-        for pool in [PoolKind::Naive, PoolKind::SharedQueue, PoolKind::WorkStealing] {
+        for pool in [
+            PoolKind::Naive,
+            PoolKind::SharedQueue,
+            PoolKind::WorkStealing,
+        ] {
             let cfg = FleetConfig::small(11, pool);
             let r = run_fleet(&cfg);
             assert_eq!(
@@ -814,15 +824,15 @@ mod tests {
     #[test]
     fn scan_storms_are_throttled_but_never_starved() {
         let mut cfg = FleetConfig::small(13, PoolKind::SharedQueue);
-        cfg.storm = Some(StormConfig { tenant: 0, width: 6 });
+        cfg.storm = Some(StormConfig {
+            tenant: 0,
+            width: 6,
+        });
         cfg.requests_per_client = 2;
         let r = run_fleet(&cfg);
         assert_eq!(r.lost_tickets, 0, "every prefetch ticket resolved");
         assert_eq!(r.findings, 0);
         assert!(r.tenant_admits > 0, "tagged work was admitted");
-        assert_eq!(
-            r.completed,
-            (cfg.clients * cfg.requests_per_client) as u64
-        );
+        assert_eq!(r.completed, (cfg.clients * cfg.requests_per_client) as u64);
     }
 }

@@ -32,4 +32,4 @@ pub use connection::Connection;
 pub use fleet::{run_fleet, FleetConfig, FleetReport, StormConfig, TenantLat};
 pub use pool::{PoolKind, PoolState, WakeHint};
 pub use proto::{Req, RequestFrame, ResponseFrame};
-pub use shard::{ShardSpec, Shard, ShardedEngine};
+pub use shard::{Shard, ShardSpec, ShardedEngine};

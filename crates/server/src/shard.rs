@@ -12,12 +12,12 @@
 
 use std::rc::Rc;
 
-use hl_footprint::Jukebox;
-use hl_lfs::types::SegNo;
-use hl_sim::Scheduler;
 use highlight::rig::RigSpec;
 use highlight::segcache::EjectPolicy;
 use highlight::{TenantId, TertiaryIo, UniformMap};
+use hl_footprint::Jukebox;
+use hl_lfs::types::SegNo;
+use hl_sim::Scheduler;
 
 /// Geometry of one engine shard.
 #[derive(Clone, Copy, Debug)]
@@ -54,8 +54,10 @@ pub struct Shard {
 impl Shard {
     /// The tertiary segment backing shard-local object `local`.
     pub fn seg_of(&self, local: u64) -> SegNo {
-        self.map
-            .tert_seg((local / self.spv as u64) as u32, (local % self.spv as u64) as u32)
+        self.map.tert_seg(
+            (local / self.spv as u64) as u32,
+            (local % self.spv as u64) as u32,
+        )
     }
 }
 

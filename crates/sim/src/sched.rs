@@ -494,10 +494,13 @@ mod tests {
         let mut s = Scheduler::new();
         let server = s.spawn_parked(Server);
         let waker = s.waker();
-        s.spawn_at(10, Poker {
-            target: server,
-            waker,
-        });
+        s.spawn_at(
+            10,
+            Poker {
+                target: server,
+                waker,
+            },
+        );
         let mut log = Vec::new();
         s.run(&mut log);
         assert_eq!(log, vec![11]);

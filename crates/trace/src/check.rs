@@ -466,7 +466,9 @@ fn check_event(
             wait[*class as usize] += to.saturating_sub(*from);
             // The op's span must still be in flight while it queues.
             if !open.contains_key(span) {
-                fail(format!("queuing recorded for span {span}, which is not open"));
+                fail(format!(
+                    "queuing recorded for span {span}, which is not open"
+                ));
             }
         }
         EventKind::QueueDepth { .. } => {}

@@ -362,10 +362,18 @@ impl<S: fmt::Display> Event<S> {
             EventKind::Redispatch { span, from_drive } => {
                 write!(out, "redisp {span} d{from_drive}")
             }
-            EventKind::TenantAdmit { tenant, class, span } => {
+            EventKind::TenantAdmit {
+                tenant,
+                class,
+                span,
+            } => {
                 write!(out, "tadm n{tenant} {} {span}", class.label())
             }
-            EventKind::TenantThrottle { tenant, class, span } => {
+            EventKind::TenantThrottle {
+                tenant,
+                class,
+                span,
+            } => {
                 write!(out, "tthr n{tenant} {} {span}", class.label())
             }
         }
@@ -421,8 +429,24 @@ impl Event<&str> {
             DriveUp { drive } => DriveUp { drive },
             WatchdogFire { drive, span } => WatchdogFire { drive, span },
             Redispatch { span, from_drive } => Redispatch { span, from_drive },
-            TenantAdmit { tenant, class, span } => TenantAdmit { tenant, class, span },
-            TenantThrottle { tenant, class, span } => TenantThrottle { tenant, class, span },
+            TenantAdmit {
+                tenant,
+                class,
+                span,
+            } => TenantAdmit {
+                tenant,
+                class,
+                span,
+            },
+            TenantThrottle {
+                tenant,
+                class,
+                span,
+            } => TenantThrottle {
+                tenant,
+                class,
+                span,
+            },
         };
         Event {
             seq: self.seq,
@@ -486,14 +510,22 @@ impl Event {
             EventKind::WatchdogFire { drive, span } => {
                 format!("\"ev\":\"watchdog_fire\",\"drive\":{drive},\"span\":{span}")
             }
-            EventKind::Redispatch { span, from_drive } => format!(
-                "\"ev\":\"redispatch\",\"span\":{span},\"from_drive\":{from_drive}"
-            ),
-            EventKind::TenantAdmit { tenant, class, span } => format!(
+            EventKind::Redispatch { span, from_drive } => {
+                format!("\"ev\":\"redispatch\",\"span\":{span},\"from_drive\":{from_drive}")
+            }
+            EventKind::TenantAdmit {
+                tenant,
+                class,
+                span,
+            } => format!(
                 "\"ev\":\"tenant_admit\",\"tenant\":{tenant},\"class\":\"{}\",\"span\":{span}",
                 class.label()
             ),
-            EventKind::TenantThrottle { tenant, class, span } => format!(
+            EventKind::TenantThrottle {
+                tenant,
+                class,
+                span,
+            } => format!(
                 "\"ev\":\"tenant_throttle\",\"tenant\":{tenant},\"class\":\"{}\",\"span\":{span}",
                 class.label()
             ),
@@ -854,14 +886,28 @@ impl Tracer {
     pub fn tenant_admit(&self, at: TraceTime, tenant: u32, class: Class, span: u64) {
         let mut r = self.rec.borrow_mut();
         r.tenant_admits += 1;
-        r.emit(at, EventKind::TenantAdmit { tenant, class, span });
+        r.emit(
+            at,
+            EventKind::TenantAdmit {
+                tenant,
+                class,
+                span,
+            },
+        );
     }
 
     /// Records the fair queue holding a tenant-tagged request back.
     pub fn tenant_throttle(&self, at: TraceTime, tenant: u32, class: Class, span: u64) {
         let mut r = self.rec.borrow_mut();
         r.tenant_throttles += 1;
-        r.emit(at, EventKind::TenantThrottle { tenant, class, span });
+        r.emit(
+            at,
+            EventKind::TenantThrottle {
+                tenant,
+                class,
+                span,
+            },
+        );
     }
 
     // ------------------------------------------------------------------
@@ -1132,11 +1178,19 @@ mod tests {
         assert_eq!(t.peak_in_flight(), 2, "a back-to-back handoff overlaps");
         t.dev_io(Lane::Staging, 50, 60);
         t.dev_io(Lane::Drive(1), 0, 55);
-        assert_eq!(t.peak_in_flight(), 3, "lanes and admission order don't matter");
+        assert_eq!(
+            t.peak_in_flight(),
+            3,
+            "lanes and admission order don't matter"
+        );
         let t = Tracer::new();
         t.dev_io(Lane::Staging, 5, 5);
         t.dev_io(Lane::Drive(0), 5, 5);
-        assert_eq!(t.peak_in_flight(), 2, "zero-length ops occupy their instant");
+        assert_eq!(
+            t.peak_in_flight(),
+            2,
+            "zero-length ops occupy their instant"
+        );
         assert_eq!(Tracer::new().peak_in_flight(), 0);
     }
 
@@ -1147,7 +1201,11 @@ mod tests {
         t.dev_io(Lane::Drive(0), 10, 20);
         t.dev_io(Lane::Drive(1), 5, 5);
         t.dev_io(Lane::Staging, 0, 100);
-        assert_eq!(t.drive_peak(), 1, "a handoff is legal; an instant is nothing");
+        assert_eq!(
+            t.drive_peak(),
+            1,
+            "a handoff is legal; an instant is nothing"
+        );
         assert_eq!(t.peak_in_flight(), 3);
         t.dev_io(Lane::Drive(1), 5, 25);
         assert_eq!(t.drive_peak(), 2);

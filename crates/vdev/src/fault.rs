@@ -193,7 +193,10 @@ impl FaultPlan {
     /// Scripts degradation: media transfers on `drive` starting at or
     /// after `at` take `factor`× their nominal time.
     pub fn slow_drive_from(&self, drive: u32, factor: f64, at: SimTime) {
-        self.inner.borrow_mut().drive_slows.push((drive, factor, at));
+        self.inner
+            .borrow_mut()
+            .drive_slows
+            .push((drive, factor, at));
     }
 
     /// Scripts a robot jam: swaps started inside `[at, at + dur)` stall

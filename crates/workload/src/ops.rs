@@ -38,11 +38,7 @@ impl Op {
     /// Stable text rendering — the digest input.
     pub fn render(&self) -> String {
         match self {
-            Op::Write {
-                file,
-                version,
-                len,
-            } => format!("write f{file} v{version} len {len}"),
+            Op::Write { file, version, len } => format!("write f{file} v{version} len {len}"),
             Op::Read { file } => format!("read f{file}"),
             Op::Advance { micros } => format!("advance {micros}"),
         }
@@ -236,7 +232,11 @@ mod tests {
     #[test]
     fn thrash_stream_mixes_reads_and_writer_churn() {
         let s = OpStream::tenant_thrash(11, 3, 1, 8, 6, 4, 10, 65_536);
-        let reads = s.ops.iter().filter(|o| matches!(o, Op::Read { .. })).count();
+        let reads = s
+            .ops
+            .iter()
+            .filter(|o| matches!(o, Op::Read { .. }))
+            .count();
         let writes = s
             .ops
             .iter()

@@ -116,7 +116,14 @@ mod tests {
         seen.sort_unstable();
         seen.dedup();
         assert_eq!(seen.len(), 12, "a scan position repeated or was skipped");
-        assert_eq!(steps[0], ScanStep { vol: 0, slot: 0, readahead: vec![(0, 1), (0, 2)] });
+        assert_eq!(
+            steps[0],
+            ScanStep {
+                vol: 0,
+                slot: 0,
+                readahead: vec![(0, 1), (0, 2)]
+            }
+        );
     }
 
     #[test]

@@ -216,7 +216,10 @@ mod tests {
     #[test]
     fn arrivals_default_to_the_stagger_and_accept_a_schedule() {
         let m = TenantMix::new(5, 2, 1, 8, 6, 8, 0);
-        assert_eq!(m.arrivals(), [(0, 0), (1, ARRIVAL_STAGGER), (2, 2 * ARRIVAL_STAGGER)]);
+        assert_eq!(
+            m.arrivals(),
+            [(0, 0), (1, ARRIVAL_STAGGER), (2, 2 * ARRIVAL_STAGGER)]
+        );
         let m = m.with_arrival_schedule(|id, kind| match kind {
             TenantKind::Reader => 1000 + id as u64,
             TenantKind::Writer => 0,

@@ -57,9 +57,7 @@ impl Zipfian {
     /// Draws the next rank (0 = most popular).
     pub fn draw(&mut self) -> usize {
         let u = self.rng.unit();
-        self.cdf
-            .partition_point(|&c| c < u)
-            .min(self.cdf.len() - 1)
+        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
 }
 

@@ -45,7 +45,6 @@ fn rig(drives: usize) -> (Rc<TertiaryIo>, Jukebox, UniformMap) {
     .build()
 }
 
-
 /// Primes volumes 0 and 1 into the drive pool, then issues two demand
 /// fetches of *different* volumes together. Returns the concurrent
 /// phase's wall-clock, the per-drive busy peak, and the engine.
@@ -125,7 +124,10 @@ fn volume_affinity_batches_ops_per_swap() {
         "six interleaved prefetches across two platters should cost two swaps"
     );
     let st = tio.stats();
-    assert_eq!(st.affinity_hits, 4, "two ops per batch rode the loaded platter");
+    assert_eq!(
+        st.affinity_hits, 4,
+        "two ops per batch rode the loaded platter"
+    );
     assert_eq!(st.starvation_promotions, 0, "no op aged past the bound");
     assert_clean(&tio);
 }
@@ -233,7 +235,9 @@ fn primed_two_drive_rig(oracle: &[u8]) -> (Rc<TertiaryIo>, Jukebox, UniformMap, 
 /// the surviving drive — same ticket, byte-identical contents.
 #[test]
 fn drive_death_mid_fetch_redispatches_to_survivor() {
-    let oracle: Vec<u8> = (0..1usize << 20).map(|i| (i as u8).wrapping_mul(3)).collect();
+    let oracle: Vec<u8> = (0..1usize << 20)
+        .map(|i| (i as u8).wrapping_mul(3))
+        .collect();
     let (tio, jb, map, t0, vol1) = primed_two_drive_rig(&oracle);
     let plan = FaultPlan::new(FaultConfig::none(11));
     plan.fail_drive_at(1, t0);
@@ -284,14 +288,18 @@ fn drive_death_mid_fetch_redispatches_to_survivor() {
 /// probe ladder brings it back as a hot spare that takes new work.
 #[test]
 fn watchdog_fires_on_hang_and_the_spare_rejoins() {
-    let oracle: Vec<u8> = (0..1usize << 20).map(|i| (i as u8).wrapping_mul(5)).collect();
+    let oracle: Vec<u8> = (0..1usize << 20)
+        .map(|i| (i as u8).wrapping_mul(5))
+        .collect();
     let (tio, jb, map, t0, vol1) = primed_two_drive_rig(&oracle);
     let plan = FaultPlan::new(FaultConfig::none(13));
     plan.hang_drive_at(1, t0, hl_sim::time::secs(30.0));
     jb.set_fault_plan(plan);
     let t = tio.enqueue_demand(t0 + 1, map.tert_seg(vol1, 1));
     tio.pump();
-    let (_, end) = t.fetch_result().expect("re-dispatch must complete the fetch");
+    let (_, end) = t
+        .fetch_result()
+        .expect("re-dispatch must complete the fetch");
     let st = tio.stats();
     assert!(st.watchdog_fired >= 1, "the hang must trip the watchdog");
     assert_eq!(st.drive_down, 1);
@@ -387,7 +395,6 @@ fn solo_drive_death_retires_the_pool_and_fails_tickets() {
     );
     assert_eq!(t.fetch_result().unwrap_err().to_string(), "device offline");
 }
-
 
 /// A jukebox with more drives than the engine has lanes used to share
 /// lanes silently; now `SvcStats` flags it and tracecheck reports it.

@@ -33,12 +33,8 @@ fn scripted() -> (Vec<String>, u64, String) {
         cfg.clone(),
     )
     .expect("mkfs");
-    let mut hl = HighLight::mount(
-        disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(jukebox),
-        cfg,
-    )
-    .expect("mount");
+    let mut hl =
+        HighLight::mount(disk.clone() as Rc<dyn BlockDev>, Rc::new(jukebox), cfg).expect("mount");
 
     let data: Vec<u8> = (0..40_000).map(|i| (i % 251) as u8).collect();
     let ino = hl.create("/doc").expect("create");

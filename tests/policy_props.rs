@@ -8,10 +8,10 @@
 //! policies through the concurrent server: zero lost tickets, zero
 //! findings, every client answered.
 
+use highlight::segcache::EjectPolicy;
 use hl_bench::policies::{run_policy_arm, standard_arms, ArmSpec};
 use hl_server::{run_fleet, FleetConfig, PoolKind};
 use hl_workload::OpStream;
-use highlight::segcache::EjectPolicy;
 use proptest::prelude::*;
 
 fn arm(idx: usize) -> ArmSpec {

@@ -5,16 +5,16 @@
 
 use std::rc::Rc;
 
+use highlight::migrator::{
+    AccessTracker, BlockRangePolicy, Candidate, MigrationPolicy, NamespacePolicy, StpPolicy,
+};
+use highlight::{HighLight, HlConfig};
 use hl_footprint::{Jukebox, JukeboxConfig};
 use hl_lfs::migrate::MigrateItem;
 use hl_lfs::types::Ino;
 use hl_sim::time::secs;
 use hl_sim::Clock;
 use hl_vdev::{BlockDev, Disk, DiskProfile, BLOCK_SIZE};
-use highlight::migrator::{
-    AccessTracker, BlockRangePolicy, Candidate, MigrationPolicy, NamespacePolicy, StpPolicy,
-};
-use highlight::{HighLight, HlConfig};
 
 fn mounted() -> (HighLight, Clock) {
     let clock = Clock::new();
@@ -79,9 +79,7 @@ fn stp_score_orders_by_space_time_product() {
     // Same age: bigger file scores higher.
     assert!(p.score(&cand(1 << 20, 0, 0), now) > p.score(&cand(1 << 10, 0, 0), now));
     // Same size: older file scores higher.
-    assert!(
-        p.score(&cand(1 << 20, 0, 0), now) > p.score(&cand(1 << 20, secs(900.0), 0), now)
-    );
+    assert!(p.score(&cand(1 << 20, 0, 0), now) > p.score(&cand(1 << 20, secs(900.0), 0), now));
     // Age counts from the *freshest* of atime/mtime.
     assert_eq!(
         p.score(&cand(1 << 20, secs(900.0), secs(100.0)), now),
@@ -129,9 +127,7 @@ fn stp_select_takes_the_highest_scored_file_first() {
     let now = clock.now();
     let mut p = StpPolicy::paper();
     // A tiny target: only the best candidate fits.
-    let batches = p
-        .select(hl.lfs(), &tracker, now, 1)
-        .expect("select");
+    let batches = p.select(hl.lfs(), &tracker, now, 1).expect("select");
     assert!(!batches.is_empty());
     let first = batch_inos(&batches[0].0);
     assert!(
@@ -166,9 +162,7 @@ fn namespace_policy_groups_files_into_subtree_units() {
     let tracker = AccessTracker::default();
     let now = clock.now();
     let mut p = NamespacePolicy::new("/");
-    let batches = p
-        .select(hl.lfs(), &tracker, now, u64::MAX)
-        .expect("select");
+    let batches = p.select(hl.lfs(), &tracker, now, u64::MAX).expect("select");
     // Unit proj_a migrates as ONE batch holding BOTH its files —
     // including the nested subdirectory — with a unit label for
     // clustering. Recently-modified proj_b is withheld.
@@ -203,9 +197,7 @@ fn namespace_policy_migrates_mostly_dormant_units_despite_fresh_reads() {
     let tracker = AccessTracker::default();
     let now = clock.now();
     let mut p = NamespacePolicy::new("/");
-    let batches = p
-        .select(hl.lfs(), &tracker, now, u64::MAX)
-        .expect("select");
+    let batches = p.select(hl.lfs(), &tracker, now, u64::MAX).expect("select");
     assert!(
         batches
             .iter()

@@ -106,7 +106,9 @@ fn stale_summary_in_reused_segment_is_rejected_by_serial_chain() {
         .expect("fabricated summary decodes");
     assert_eq!(decoded, stale);
     assert_eq!(datasum, SegSummary::datasum_of(&payload));
-    r.disk.poke(sum_addr as u64, &sum_blk).expect("poke summary");
+    r.disk
+        .poke(sum_addr as u64, &sum_blk)
+        .expect("poke summary");
     r.disk
         .poke(sum_addr as u64 + 1, &payload)
         .expect("poke payload");
@@ -119,7 +121,10 @@ fn stale_summary_in_reused_segment_is_rejected_by_serial_chain() {
     let ino = lfs.lookup("/a").expect("a");
     let mut buf = vec![0u8; 10_000];
     lfs.read(ino, 0, &mut buf).expect("read");
-    assert!(buf.iter().all(|&b| b == 0x61), "/a corrupted by stale replay");
+    assert!(
+        buf.iter().all(|&b| b == 0x61),
+        "/a corrupted by stale replay"
+    );
     assert!(lfs.check().expect("check").clean());
 }
 
@@ -179,8 +184,8 @@ fn crash_during_checkpoint_write_keeps_a_valid_checkpoint() {
             r.disk.clone() as Rc<dyn BlockDev>,
             plan.clone(),
         ));
-        let mut lfs = Lfs::mount(dev, r.amap.clone(), Rc::new(NoTertiary), r.cfg.clone())
-            .expect("mount");
+        let mut lfs =
+            Lfs::mount(dev, r.amap.clone(), Rc::new(NoTertiary), r.cfg.clone()).expect("mount");
         scenario(&mut lfs);
         plan.writes_seen()
     };
@@ -193,8 +198,8 @@ fn crash_during_checkpoint_write_keeps_a_valid_checkpoint() {
         r.disk.clone() as Rc<dyn BlockDev>,
         plan.clone(),
     ));
-    let mut lfs = Lfs::mount(dev, r.amap.clone(), Rc::new(NoTertiary), r.cfg.clone())
-        .expect("mount");
+    let mut lfs =
+        Lfs::mount(dev, r.amap.clone(), Rc::new(NoTertiary), r.cfg.clone()).expect("mount");
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         scenario(&mut lfs);
     }));
@@ -249,7 +254,9 @@ fn writer_lane_death_fails_over_copyouts_to_a_spare() {
         let image = vec![0x30 + i as u8; 1 << 20];
         disk.poke(map.seg_base(disk_seg) as u64, &image)
             .expect("poke staging image");
-        tio.cache().borrow_mut().set_state(seg, LineState::DirtyWait);
+        tio.cache()
+            .borrow_mut()
+            .set_state(seg, LineState::DirtyWait);
         tickets.push((i, tio.enqueue_copy_out(0, seg)));
         images.push(image);
     }

@@ -7,11 +7,11 @@
 //! checks over the standard scenario suite. Every run must end with
 //! zero tracecheck findings.
 
+use highlight::rig::RigSpec;
+use highlight::SvcStats;
 use hl_bench::scenarios::{run_scenario, standard_scenarios, ScenarioConfig};
 use hl_footprint::Footprint;
 use hl_trace::Class;
-use highlight::rig::RigSpec;
-use highlight::SvcStats;
 
 fn std_scenario(name: &str) -> ScenarioConfig {
     standard_scenarios()
@@ -165,7 +165,11 @@ fn fault_composed_scenarios_run_clean() {
     assert!(death.drive_down >= 1, "the scripted death was not observed");
     assert_eq!(death.failed_fetches, 0, "survivors must absorb the storm");
     assert_eq!(death.oracle_mismatches, 0);
-    assert!(death.trace_findings.is_empty(), "{:?}", death.trace_findings);
+    assert!(
+        death.trace_findings.is_empty(),
+        "{:?}",
+        death.trace_findings
+    );
 
     let jam = run_scenario(&std_scenario("scan_robot_jam"));
     assert_eq!(jam.drive_down, 0, "a jam stalls, it does not kill");

@@ -13,10 +13,10 @@
 //!   request, resolve every prefetch ticket (zero lost tickets), and
 //!   replay with zero tracecheck findings.
 
+use highlight::segcache::EjectPolicy;
 use hl_server::fleet::{run_fleet, FleetConfig, StormConfig};
 use hl_server::pool::PoolKind;
 use hl_server::shard::ShardSpec;
-use highlight::segcache::EjectPolicy;
 use proptest::prelude::*;
 
 const MS: u64 = 1_000;
@@ -66,8 +66,7 @@ fn prefetch_storm_cannot_double_the_victims_p95_residency() {
     assert_eq!(storm.lost_tickets, 0, "every storm prefetch resolved");
     let victim = storm.per_tenant[&0];
     assert_eq!(
-        victim.count,
-        solo.per_tenant[&0].count,
+        victim.count, solo.per_tenant[&0].count,
         "victim issued the same demand sequence in both runs"
     );
     let storm_p95 = victim.p95;

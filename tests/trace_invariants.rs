@@ -174,7 +174,10 @@ fn svcstats_reconcile_with_span_residency() {
     );
     assert_eq!(s.reqq_hwm, reqq_max, "request-queue HWM diverges");
     assert_eq!(s.devq_hwm, devq_max, "device-queue HWM diverges");
-    assert!(by_class.iter().sum::<u64>() > 0, "scenario recorded no residency");
+    assert!(
+        by_class.iter().sum::<u64>() > 0,
+        "scenario recorded no residency"
+    );
     assert_clean(&tio);
 }
 
@@ -219,7 +222,11 @@ fn migration_pipeline_shape_is_trace_clean() {
             .find(|(k, _)| *k == tag)
             .map_or(0, |&(_, n)| n)
     };
-    assert_eq!(count("span_open"), 12, "one copy-out span per migrated segment");
+    assert_eq!(
+        count("span_open"),
+        12,
+        "one copy-out span per migrated segment"
+    );
     assert_eq!(count("span_close"), count("span_open"));
     assert!(count("queuing") > 0, "no queue residency recorded");
     assert!(count("dev_io") > 0, "no device intervals recorded");
