@@ -126,7 +126,7 @@ pub fn build_large_object<F: BenchFs>(fs: &mut F, path: &str) -> Result<Ino> {
 /// Runs one large-object phase under §7.1 methodology: caches flushed
 /// first; writes are measured through their sync. Returns elapsed
 /// simulated time.
-pub fn run_phase<F: BenchFs>(
+fn run_phase<F: BenchFs>(
     fs: &mut F,
     ino: Ino,
     gen: &mut LargeObject,

@@ -169,7 +169,7 @@ impl PipelineResult {
     }
 
     /// Per-drive utilization over the whole run, percent.
-    pub fn drive_utilization(&self) -> Vec<f64> {
+    fn drive_utilization(&self) -> Vec<f64> {
         let total = self.total_end.max(1) as f64;
         self.drive_busy
             .iter()

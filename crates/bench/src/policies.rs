@@ -32,13 +32,13 @@ use crate::report::Json;
 
 /// Log-area disk segments (beyond the cache allowance) — small enough
 /// that every workload forces migration.
-pub const DISK_SEGS: u32 = 8;
+const DISK_SEGS: u32 = 8;
 /// Segment-cache lines.
-pub const CACHE_SEGS: u32 = 4;
+const CACHE_SEGS: u32 = 4;
 /// Jukebox volumes.
-pub const VOLUMES: u32 = 3;
+const VOLUMES: u32 = 3;
 /// Segment slots per volume.
-pub const SLOTS_PER_VOLUME: u32 = 5;
+const SLOTS_PER_VOLUME: u32 = 5;
 
 /// Maintenance cadence: the migrator/cleaner daemons get a step every
 /// this many replayed ops (the paper's migrator "runs continuously";
@@ -207,7 +207,7 @@ impl ArmReport {
 /// Deterministic file bytes for `(file, version)` — the byte oracle.
 /// Any policy that loses, reorders, or staleness-serves a block fails
 /// the replay immediately.
-pub fn oracle_bytes(file: u32, version: u32, len: u32) -> Vec<u8> {
+fn oracle_bytes(file: u32, version: u32, len: u32) -> Vec<u8> {
     let k = (file as u64)
         .wrapping_mul(131)
         .wrapping_add((version as u64).wrapping_mul(1009));
@@ -452,19 +452,6 @@ pub fn run_policy_arm(stream: &OpStream, arm: &ArmSpec) -> ArmReport {
         oracle_verified,
         end_time: clock.now(),
     }
-}
-
-/// Runs the whole ablation: every standard arm over every standard
-/// workload, each replay on a fresh rig with a freshly regenerated
-/// stream.
-pub fn run_ablation() -> Vec<ArmReport> {
-    let mut out = Vec::new();
-    for arm in standard_arms() {
-        for stream in standard_workloads() {
-            out.push(run_policy_arm(&stream, &arm));
-        }
-    }
-    out
 }
 
 #[cfg(test)]

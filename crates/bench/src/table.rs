@@ -52,14 +52,6 @@ pub fn secs2(t: SimTime) -> String {
     format!("{:.2} s", as_secs(t))
 }
 
-/// Relative error in percent (measured vs paper), for the summary lines.
-pub fn rel_err(paper: f64, measured: f64) -> f64 {
-    if paper == 0.0 {
-        return 0.0;
-    }
-    100.0 * (measured - paper) / paper
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,12 +60,5 @@ mod tests {
     fn formatting_matches_paper_style() {
         assert_eq!(time_and_rate(10_240_000, 12_800_000), "12.8 s  781KB/s");
         assert_eq!(secs2(3_570_000), "3.57 s");
-    }
-
-    #[test]
-    fn rel_err_signs() {
-        assert!(rel_err(100.0, 110.0) > 0.0);
-        assert!(rel_err(100.0, 90.0) < 0.0);
-        assert_eq!(rel_err(0.0, 5.0), 0.0);
     }
 }

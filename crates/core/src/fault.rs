@@ -348,11 +348,6 @@ impl FaultLog {
         self.events.is_empty()
     }
 
-    /// Forgets all events.
-    pub fn clear(&mut self) {
-        *self = FaultLog::default();
-    }
-
     /// One line per event. Deterministic: a scenario replayed with the
     /// same fault-plan seed renders a byte-identical string.
     pub fn render(&self) -> String {
@@ -461,8 +456,5 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert_eq!(a.count(FaultKind::Quarantine), 1);
         assert_eq!(a.count(FaultKind::Retry), 0);
-        a.clear();
-        assert!(a.is_empty());
-        assert_eq!(a.count(FaultKind::Quarantine), 0);
     }
 }

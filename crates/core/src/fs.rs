@@ -532,7 +532,7 @@ impl HighLight {
     /// Makes sure the cache can take one more line, claiming a clean disk
     /// segment (lazy warm-up toward the static limit) when needed.
     /// Returns `false` if no line can be made available.
-    pub fn ensure_line_available(&mut self) -> bool {
+    fn ensure_line_available(&mut self) -> bool {
         {
             let c = self.cache.borrow();
             if c.has_free() || c.has_evictable() {

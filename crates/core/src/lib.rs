@@ -58,9 +58,7 @@ pub use migrator::{
 pub use prefetch::PrefetchPolicy;
 pub use recovery::{RecoveryPolicy, RecoveryState};
 pub use replicas::ReplicaSet;
-pub use requests::{
-    Outcome, ReqClass, TenantId, Ticket, AFFINITY_BOUND, DISPATCH_CPU, QOS_HEADROOM, TENANT_BOUND,
-};
+pub use requests::{Outcome, ReqClass, TenantId, Ticket, DISPATCH_CPU};
 pub use segcache::{EjectPolicy, SegCache};
 pub use segdir::SegDir;
 pub use service::{EngineSession, ScrubReport, StallEvent, SvcStats, TertiaryIo, MAX_DRIVES};

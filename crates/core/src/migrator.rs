@@ -66,15 +66,6 @@ impl AccessTracker {
     /// extents are coalesced.
     const SAME_EPOCH: SimTime = 1_000_000;
 
-    /// A tracker bounded to `max_extents` records per file (0 = the
-    /// default of 16).
-    pub fn with_max_extents(max_extents: usize) -> AccessTracker {
-        AccessTracker {
-            max_extents,
-            ..Default::default()
-        }
-    }
-
     /// Records an access of `len` bytes at `offset`.
     ///
     /// Overlapped extents are *split*, not swallowed: touching a few hot
@@ -187,7 +178,7 @@ pub struct Candidate {
 /// Walks the tree under `root` collecting regular files, "without
 /// disturbing the access times" (§5.3) — directory listing does not
 /// update atimes in this filesystem, matching BSD.
-pub fn survey(fs: &mut Lfs, root: &str) -> Result<Vec<Candidate>> {
+fn survey(fs: &mut Lfs, root: &str) -> Result<Vec<Candidate>> {
     let mut out = Vec::new();
     let mut stack = vec![(root.trim_end_matches('/').to_string(), String::new())];
     while let Some((dir, unit)) = stack.pop() {
@@ -708,7 +699,7 @@ impl AdaptiveThrottle {
     }
 
     /// The byte target that survives throttling at the current load.
-    pub fn throttled_target(&self, target_bytes: u64) -> u64 {
+    fn throttled_target(&self, target_bytes: u64) -> u64 {
         let load = self.load.get().clamp(0.0, 1.0);
         let frac = (1.0 - load).max(self.floor.clamp(0.0, 1.0));
         (target_bytes as f64 * frac) as u64

@@ -39,13 +39,8 @@ impl UnitHintMap {
         }
     }
 
-    /// The unit a segment belongs to.
-    pub fn unit_of(&self, seg: SegNo) -> Option<u32> {
-        self.seg_unit.get(&seg).copied()
-    }
-
     /// Sibling segments of `seg`'s unit (excluding `seg`).
-    pub fn siblings(&self, seg: SegNo) -> Vec<SegNo> {
+    fn siblings(&self, seg: SegNo) -> Vec<SegNo> {
         match self.seg_unit.get(&seg) {
             Some(unit) => self.unit_segs[unit]
                 .iter()
@@ -130,7 +125,6 @@ mod tests {
         let t = prefetch_targets(&PrefetchPolicy::UnitHints, &m, &h, a);
         assert_eq!(t, vec![b]);
         assert!(prefetch_targets(&PrefetchPolicy::UnitHints, &m, &h, m.tert_seg(3, 3)).is_empty());
-        assert_eq!(h.unit_of(c), Some(9));
     }
 
     #[test]

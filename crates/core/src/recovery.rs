@@ -48,7 +48,7 @@ impl Default for RecoveryPolicy {
 impl RecoveryPolicy {
     /// Backoff before retry attempt `attempt` (1-based), doubling each
     /// time: base, 2*base, 4*base, ...
-    pub fn backoff(&self, attempt: u32) -> SimTime {
+    fn backoff(&self, attempt: u32) -> SimTime {
         self.backoff_base << (attempt - 1).min(16)
     }
 }
@@ -56,11 +56,11 @@ impl RecoveryPolicy {
 /// Watchdog deadline = this slack x the device's nominal whole-segment
 /// op time (`Footprint::nominal_segment_io`). A hung op is abandoned and
 /// re-dispatched once the deadline expires.
-pub const WATCHDOG_SLACK: f64 = 3.0;
+const WATCHDOG_SLACK: f64 = 3.0;
 
 /// Delay before the first health probe of a downed drive; probe `n`
 /// waits `PROBE_BASE << n`.
-pub const PROBE_BASE: SimTime = 10 * SEC;
+const PROBE_BASE: SimTime = 10 * SEC;
 
 /// Failed probes before the lane retires permanently.
 pub const MAX_PROBES: u32 = 6;
@@ -91,7 +91,7 @@ impl RecoveryState {
 
     /// Records one exhausted-recovery strike against `vol` and returns
     /// the new count.
-    pub fn record_failure(&mut self, vol: u32) -> u32 {
+    fn record_failure(&mut self, vol: u32) -> u32 {
         let n = self.failures.entry(vol).or_insert(0);
         *n += 1;
         *n

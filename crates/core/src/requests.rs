@@ -44,7 +44,7 @@ pub const DISPATCH_CPU: SimTime = 2 * MS;
 /// a loaded platter, or class-preferred work), it *must* be taken next
 /// by any lane it is eligible for. This caps a demand fetch's wait at K
 /// affinity batches no matter how attractive the loaded volume stays.
-pub const AFFINITY_BOUND: u32 = 4;
+const AFFINITY_BOUND: u32 = 4;
 
 /// A logical client of the engine, as tagged by the service layer.
 /// Untagged requests (`tenant: None`) are kernel-internal work — the
@@ -57,7 +57,7 @@ pub type TenantId = u32;
 /// background work held for device-queue headroom), it *must* be taken
 /// next within its class. The analogue of [`AFFINITY_BOUND`] one layer
 /// up: weighted fairness can reorder, but never unboundedly.
-pub const TENANT_BOUND: u32 = 8;
+const TENANT_BOUND: u32 = 8;
 
 /// Device-queue slots reserved for foreground traffic: tagged
 /// *background* work (prefetch, scrub) is held in the request queue
@@ -65,7 +65,7 @@ pub const TENANT_BOUND: u32 = 8;
 /// tenant's prefetch storm cannot pack the device pipeline ahead of
 /// another tenant's demand fetches. Kernel-internal (untagged) work is
 /// exempt.
-pub const QOS_HEADROOM: usize = 2;
+const QOS_HEADROOM: usize = 2;
 
 /// Stride-scheduling scale: a tenant of weight `w` advances its virtual
 /// pass by `STRIDE_SCALE / w` per admitted request, so relative

@@ -80,7 +80,7 @@ pub enum EjectPolicy {
 /// burst of per-block translations that serves a single user read (or
 /// the fill's own first use) must not masquerade as "repeated access"
 /// (§10's promotion criterion).
-pub const EPISODE_GAP: SimTime = 400_000;
+const EPISODE_GAP: SimTime = 400_000;
 
 /// Cumulative cache counters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -307,7 +307,7 @@ impl SegCache {
 
     fn pick_victim(&mut self) -> Option<SegNo> {
         // Sort by key so policy decisions (including tie-breaks and the
-        // random draw) are independent of HashMap iteration order.
+        // random draw) do not depend on the directory's slot order.
         let mut clean: Vec<&CacheLine> = self
             .dir
             .values()

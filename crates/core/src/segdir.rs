@@ -17,8 +17,12 @@
 //!
 //! Determinism: iteration order is slot order, a pure function of the
 //! operation history — unlike `RandomState` maps, two replays of the
-//! same run enumerate lines identically. (Order-sensitive callers still
-//! sort, as they always did, but traces no longer depend on it.)
+//! same run enumerate lines identically. Callers rely on that order:
+//! `HighLight` picks with unsorted `min_by_key`/`max_by_key` over
+//! `SegCache::lines()`, so a tie goes to the line in the earliest slot,
+//! and `eject_all` ejects in slot order. A change to the hash, the probe
+//! or the rebuild rule therefore changes those choices and the trace
+//! digests with them. Only `SegCache::pick_victim` sorts by key first.
 //!
 //! `tests/hotpath_props.rs` drives this table against a `HashMap`
 //! oracle under random fill/eject/rekey sequences.

@@ -57,7 +57,7 @@ pub mod phase {
     /// The I/O server reading a staged segment off the cache disk.
     pub const IOSERVER_READ: &str = "io server read";
     /// Filling a cache line on disk with a fetched segment.
-    pub const CACHE_FILL: &str = "cache fill write";
+    pub(super) const CACHE_FILL: &str = "cache fill write";
     /// Requests waiting in queues (measured at the device queue: time
     /// between an op becoming dispatchable and the I/O server starting
     /// it, beyond any time the device was simply busy).
@@ -828,16 +828,6 @@ impl TertiaryIo {
         self.inner.phases.borrow().clone()
     }
 
-    /// Resets phase timing, counters, the fault log and the trace
-    /// (quarantines and failure strikes persist: they describe media,
-    /// not accounting).
-    pub fn reset_accounting(&self) {
-        *self.inner.phases.borrow_mut() = PhaseTimer::new();
-        *self.inner.stats.borrow_mut() = SvcStats::default();
-        self.inner.fault_log.borrow_mut().clear();
-        self.inner.tracer.reset();
-    }
-
     /// Counter snapshot: a read-out of the trace recorder and of the
     /// fault log's per-kind counts (DESIGN.md §6d lists the source field
     /// by field). What the engine still counts itself has no event to
@@ -944,21 +934,6 @@ impl TertiaryIo {
         self.enqueue_fetch(ReqClass::Prefetch, at, tert_seg, None)
     }
 
-    /// [`Self::enqueue_demand`] on behalf of a tenant: the request is
-    /// tagged for the per-tenant fair queue. Sessions
-    /// ([`EngineSession`]) are the usual caller.
-    pub fn enqueue_demand_for(&self, tenant: TenantId, at: SimTime, tert_seg: SegNo) -> Ticket {
-        self.enqueue_fetch(ReqClass::Demand, at, tert_seg, Some(tenant))
-    }
-
-    /// [`Self::enqueue_prefetch`] on behalf of a tenant. Tagged
-    /// background fetches are subject to the device-queue headroom
-    /// throttle, so one tenant's prefetch storm cannot crowd out
-    /// another's demand fetches.
-    pub fn enqueue_prefetch_for(&self, tenant: TenantId, at: SimTime, tert_seg: SegNo) -> Ticket {
-        self.enqueue_fetch(ReqClass::Prefetch, at, tert_seg, Some(tenant))
-    }
-
     /// `class` is `Demand` or `Prefetch`: the fetch's priority and its
     /// fill mode.
     fn enqueue_fetch(
@@ -1021,17 +996,6 @@ impl TertiaryIo {
     /// [`Self::subscribe_copyout`] to be woken when a copy-out retires.
     pub fn try_enqueue_copy_out(&self, at: SimTime, tert_seg: SegNo) -> Option<Ticket> {
         self.try_copy_out(at, tert_seg, None)
-    }
-
-    /// [`Self::try_enqueue_copy_out`] on behalf of a tenant (the
-    /// server's `put` path).
-    pub fn try_enqueue_copy_out_for(
-        &self,
-        tenant: TenantId,
-        at: SimTime,
-        tert_seg: SegNo,
-    ) -> Option<Ticket> {
-        self.try_copy_out(at, tert_seg, Some(tenant))
     }
 
     fn try_copy_out(&self, at: SimTime, seg: SegNo, tenant: Option<TenantId>) -> Option<Ticket> {
@@ -1200,9 +1164,9 @@ impl TertiaryIo {
 /// ([`TertiaryIo::session`]): the unit of concurrency the server layer
 /// hands each connection. The session owns its identity (tenant id)
 /// as explicit handle state — nothing about the client lives in the
-/// engine's shared `RefCell` interior — and forwards each call to the
-/// engine's tenant-tagged entry points, which borrow that interior
-/// only within the call. Cloning a session shares the engine but the
+/// engine's shared `RefCell` interior — and tags each request it
+/// enqueues with that tenant; the engine borrows its interior only
+/// within the call. Cloning a session shares the engine but the
 /// clone can be re-tenanted cheaply via [`TertiaryIo::session`].
 #[derive(Clone)]
 pub struct EngineSession {
@@ -1221,21 +1185,27 @@ impl EngineSession {
         &self.engine
     }
 
-    /// Tenant-tagged demand fetch ([`TertiaryIo::enqueue_demand_for`]).
+    /// [`TertiaryIo::enqueue_demand`] tagged for the per-tenant fair
+    /// queue.
     pub fn enqueue_demand(&self, at: SimTime, tert_seg: SegNo) -> Ticket {
-        self.engine.enqueue_demand_for(self.tenant, at, tert_seg)
-    }
-
-    /// Tenant-tagged prefetch ([`TertiaryIo::enqueue_prefetch_for`]).
-    pub fn enqueue_prefetch(&self, at: SimTime, tert_seg: SegNo) -> Ticket {
-        self.engine.enqueue_prefetch_for(self.tenant, at, tert_seg)
-    }
-
-    /// Tenant-tagged copy-out; `None` when the request queue is full
-    /// ([`TertiaryIo::try_enqueue_copy_out_for`]).
-    pub fn try_enqueue_copy_out(&self, at: SimTime, tert_seg: SegNo) -> Option<Ticket> {
         self.engine
-            .try_enqueue_copy_out_for(self.tenant, at, tert_seg)
+            .enqueue_fetch(ReqClass::Demand, at, tert_seg, Some(self.tenant))
+    }
+
+    /// [`TertiaryIo::enqueue_prefetch`] tagged for the per-tenant fair
+    /// queue. Tagged background fetches are subject to the device-queue
+    /// headroom throttle, so one tenant's prefetch storm cannot crowd
+    /// out another's demand fetches.
+    pub fn enqueue_prefetch(&self, at: SimTime, tert_seg: SegNo) -> Ticket {
+        self.engine
+            .enqueue_fetch(ReqClass::Prefetch, at, tert_seg, Some(self.tenant))
+    }
+
+    /// [`TertiaryIo::try_enqueue_copy_out`] tagged for the per-tenant
+    /// fair queue (the server's `put` path); `None` when the request
+    /// queue is full.
+    pub fn try_enqueue_copy_out(&self, at: SimTime, tert_seg: SegNo) -> Option<Ticket> {
+        self.engine.try_copy_out(at, tert_seg, Some(self.tenant))
     }
 }
 
@@ -1482,22 +1452,6 @@ mod tests {
         let seg = map.tert_seg(0, 0);
         // Absent line: Offline.
         assert!(tio.copy_out(0, seg).is_err());
-    }
-
-    #[test]
-    fn reset_accounting_clears_everything() {
-        let (tio, jb, map) = RigSpec::with_lines(40..42).build();
-        jb.poke_segment(0, 1, &vec![1u8; 1 << 20]).unwrap();
-        tio.demand_fetch(0, map.tert_seg(0, 1)).unwrap();
-        assert!(tio.stats().demand_fetches > 0);
-        assert!(tio.io_ops() > 0);
-        tio.reset_accounting();
-        assert_eq!(tio.stats(), SvcStats::default());
-        assert_eq!(tio.phases().total(), 0);
-        assert_eq!(tio.io_ops(), 0);
-        // No record keeps covering pre-reset history.
-        let (fresh, _, _) = RigSpec::with_lines(40..42).build();
-        assert_eq!(tio.trace_digest(), fresh.trace_digest());
     }
 
     #[test]

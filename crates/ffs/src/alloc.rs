@@ -36,13 +36,8 @@ impl BlockMap {
         self.free
     }
 
-    /// `true` if the block is allocated.
-    pub fn is_used(&self, block: u64) -> bool {
-        self.used[block as usize]
-    }
-
     /// Marks a block used (mount-time reconstruction).
-    pub fn reserve(&mut self, block: u64) {
+    fn reserve(&mut self, block: u64) {
         if !self.used[block as usize] {
             self.used[block as usize] = true;
             self.free -= 1;
@@ -108,6 +103,12 @@ impl BlockMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BlockMap {
+        fn is_used(&self, block: u64) -> bool {
+            self.used[block as usize]
+        }
+    }
 
     #[test]
     fn hint_gives_contiguous_runs() {

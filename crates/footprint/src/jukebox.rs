@@ -27,7 +27,7 @@ use crate::{Footprint, VolumeId};
 pub enum MediaKind {
     /// Rewritable magneto-optical platters (HP 6300).
     MagnetoOptic(DiskProfile),
-    /// Sequential tape cartridges (Metrum, Exabyte).
+    /// Sequential tape cartridges (Metrum).
     Tape(TapeProfile),
     /// Write-once optical platters (Sony WORM): rewriting a segment slot
     /// fails.

@@ -24,7 +24,7 @@ use std::collections::hash_map::{Entry, HashMap};
 
 use hl_vdev::backing::BlockHashBuilder;
 
-use crate::types::{BlockAddr, Ino, LBlock, UNASSIGNED};
+use crate::types::{BlockAddr, Ino, LBlock};
 
 /// "No slot": list ends and the end of the free chain.
 const NIL: u32 = u32::MAX;
@@ -172,11 +172,6 @@ impl BufCache {
             block_size,
             tick: 0,
         }
-    }
-
-    /// Capacity in blocks.
-    pub fn capacity_blocks(&self) -> usize {
-        self.capacity_blocks
     }
 
     /// Resident block count.
@@ -375,13 +370,13 @@ impl BufCache {
     }
 }
 
-/// Marker address for brand-new blocks.
-pub const NEW_BLOCK: BlockAddr = UNASSIGNED;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Marker address for brand-new blocks.
+    const NEW_BLOCK: BlockAddr = crate::types::UNASSIGNED;
 
     fn block(fill: u8) -> Box<[u8]> {
         vec![fill; 4096].into_boxed_slice()
@@ -632,7 +627,7 @@ mod tests {
             let mut fast = cache(8);
             let mut slow = RefCache {
                 map: HashMap::new(),
-                capacity_blocks: fast.capacity_blocks(),
+                capacity_blocks: fast.capacity_blocks,
                 tick: 0,
             };
             for (step, (op, ino, sel, flag)) in script.into_iter().enumerate() {

@@ -84,7 +84,7 @@ impl Lfs {
     /// moves them to the log tail. `data` supplies the block contents
     /// read from the victim segment; blocks already dirty in the cache
     /// are skipped (a newer copy supersedes the segment's).
-    pub fn markv(&mut self, blocks: &[(Ino, LBlock, BlockAddr)], data: &[&[u8]]) -> Result<u32> {
+    fn markv(&mut self, blocks: &[(Ino, LBlock, BlockAddr)], data: &[&[u8]]) -> Result<u32> {
         assert_eq!(blocks.len(), data.len(), "markv: blocks/data mismatch");
         let mut moved = 0;
         for (&(ino, lb, addr), &payload) in blocks.iter().zip(data) {

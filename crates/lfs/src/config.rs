@@ -9,8 +9,6 @@
 //! (live-byte accounting for tertiary-resident segments, which lives in
 //! HighLight's tsegfile rather than the ifile).
 
-use std::rc::Rc;
-
 use hl_sim::time::SimTime;
 use hl_sim::Clock;
 
@@ -260,9 +258,6 @@ impl TertiaryHooks for NoTertiary {
         panic!("tertiary accounting for segment {seg} in a base LFS");
     }
 }
-
-/// Convenience alias for shared hook objects.
-pub type Hooks = Rc<dyn TertiaryHooks>;
 
 #[cfg(test)]
 mod tests {

@@ -14,10 +14,10 @@ use crate::types::{FileKind, Ino};
 const ENTRY_FIXED: usize = 8;
 
 /// Maximum file name length in bytes.
-pub const MAX_NAME: usize = 255;
+const MAX_NAME: usize = 255;
 
 /// Bytes an entry with an `n`-byte name occupies.
-pub fn entry_size(name_len: usize) -> usize {
+fn entry_size(name_len: usize) -> usize {
     (ENTRY_FIXED + name_len + 3) & !3
 }
 
@@ -113,7 +113,7 @@ pub fn find(block: &[u8], name: &str) -> Option<(Ino, FileKind)> {
 ///
 /// # Errors
 ///
-/// [`LfsError::NameTooLong`] if the name exceeds [`MAX_NAME`].
+/// [`LfsError::NameTooLong`] if the name exceeds `MAX_NAME` bytes.
 pub fn add(block: &mut [u8], name: &str, ino: Ino, kind: FileKind) -> Result<bool> {
     let needle = name.as_bytes();
     if needle.len() > MAX_NAME {

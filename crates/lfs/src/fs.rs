@@ -699,7 +699,7 @@ impl Lfs {
     }
 
     /// Rewrites the superblock (after on-line reconfiguration, §10).
-    pub fn write_superblock(&mut self) -> Result<()> {
+    fn write_superblock(&mut self) -> Result<()> {
         let mut blk = vec![0u8; BLOCK_SIZE];
         self.sb.encode(&mut blk);
         self.write_raw(SUPERBLOCK_ADDR, &blk)

@@ -16,7 +16,7 @@ use crate::types::{BlockAddr, FileKind, Ino, DINODE_SIZE, NDIRECT, UNASSIGNED};
 /// generation — `'2'` since every sum became the word-wide [`cksum`].
 /// [`Superblock::decode`] refuses any other generation by name; no code
 /// reads format 1.
-pub const SUPER_MAGIC: u64 = 0x4847_4c49_4c46_5332;
+const SUPER_MAGIC: u64 = 0x4847_4c49_4c46_5332;
 
 // ---------------------------------------------------------------------------
 // Little-endian field helpers.
@@ -38,7 +38,7 @@ pub fn get_u64(buf: &[u8], off: usize) -> u64 {
 }
 
 /// Writes a `u16` at `off`.
-pub fn put_u16(buf: &mut [u8], off: usize, v: u16) {
+fn put_u16(buf: &mut [u8], off: usize, v: u16) {
     buf[off..off + 2].copy_from_slice(&v.to_le_bytes());
 }
 
@@ -372,7 +372,7 @@ impl Dinode {
 
 /// Fixed summary header size: ss_sumsum(4) ss_datasum(4) ss_next(4)
 /// ss_create(8) ss_nfinfo(2) ss_ninos(2) ss_flags(2) ss_pad(2) = 28.
-pub const SUMMARY_HEADER: usize = 28;
+const SUMMARY_HEADER: usize = 28;
 
 /// Per-FINFO fixed part: fi_nblocks(4) fi_version(4) fi_ino(4)
 /// fi_lastlength(4); the paper's "12 per distinct file" plus our wider

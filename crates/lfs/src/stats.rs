@@ -30,31 +30,3 @@ pub struct LfsStats {
     /// Blocks moved by `lfs_migratev` (HighLight migration).
     pub blocks_migrated: u64,
 }
-
-impl LfsStats {
-    /// Cache hit ratio in `[0, 1]`; 0 when no lookups happened.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn hit_ratio_handles_empty() {
-        assert_eq!(LfsStats::default().hit_ratio(), 0.0);
-        let s = LfsStats {
-            cache_hits: 3,
-            cache_misses: 1,
-            ..Default::default()
-        };
-        assert_eq!(s.hit_ratio(), 0.75);
-    }
-}

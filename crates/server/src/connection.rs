@@ -72,12 +72,6 @@ impl Connection {
         q.drain(..used);
         Ok(Some(frame))
     }
-
-    /// Server side: bytes waiting to be decoded (cheap readiness probe
-    /// for the pool dispatchers; a partial frame also reads as ready).
-    pub fn request_pending(&self) -> bool {
-        !self.c2s.borrow().is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -96,14 +90,12 @@ mod tests {
                 req: Req::Get { obj: i * 10 },
             });
         }
-        assert!(server.request_pending());
         for i in 0..3u64 {
             let f = server.recv_request().unwrap().unwrap();
             assert_eq!(f.req_id, i);
             assert_eq!(f.req, Req::Get { obj: i * 10 });
         }
         assert!(server.recv_request().unwrap().is_none());
-        assert!(!server.request_pending());
         server.send_response(&ResponseFrame {
             req_id: 2,
             result: Ok(7),

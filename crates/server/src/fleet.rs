@@ -170,9 +170,9 @@ pub struct FleetReport {
 }
 
 /// The shared world every fleet actor steps against.
-pub struct FleetWorld {
+struct FleetWorld {
     /// The sharded engine under test.
-    pub engine: ShardedEngine,
+    engine: ShardedEngine,
     conns: Vec<Connection>,
     pool: PoolState,
     waker: Waker,
@@ -356,7 +356,8 @@ impl WorkerActor {
                 let (si, seg) = w.engine.locate(obj);
                 let ticket = w.engine.shards[si]
                     .tio
-                    .enqueue_demand_for(f.tenant, now, seg);
+                    .session(f.tenant)
+                    .enqueue_demand(now, seg);
                 self.gets.push(InFlightGet {
                     conn,
                     req_id: f.req_id,
@@ -372,7 +373,8 @@ impl WorkerActor {
                     let (si, seg) = w.engine.locate(obj);
                     let t = w.engine.shards[si]
                         .tio
-                        .enqueue_prefetch_for(f.tenant, now, seg);
+                        .session(f.tenant)
+                        .enqueue_prefetch(now, seg);
                     w.prefetch_tickets.push(t);
                     queued += 1;
                 }
@@ -480,11 +482,11 @@ impl WorkerActor {
                 PutStage::Sealed { seg, shard, at } => {
                     let (seg, si, at) = (*seg, *shard, *at);
                     if now >= at {
-                        if let Some(ticket) = w.engine.shards[si].tio.try_enqueue_copy_out_for(
-                            p.tenant,
-                            now.max(at),
-                            seg,
-                        ) {
+                        if let Some(ticket) = w.engine.shards[si]
+                            .tio
+                            .session(p.tenant)
+                            .try_enqueue_copy_out(now.max(at), seg)
+                        {
                             p.stage = PutStage::CopyOut { ticket };
                         }
                     }

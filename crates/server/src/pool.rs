@@ -85,7 +85,7 @@ impl PoolState {
 
     /// The worker that owns connection `conn` (meaningful for `Naive`
     /// and `WorkStealing`).
-    pub fn owner(&self, conn: u32) -> usize {
+    fn owner(&self, conn: u32) -> usize {
         conn as usize % self.workers
     }
 
@@ -131,11 +131,6 @@ impl PoolState {
             }
         }
     }
-
-    /// Ready connections not yet picked up.
-    pub fn backlog(&self) -> usize {
-        self.shared.len() + self.local.iter().map(|q| q.len()).sum::<usize>()
-    }
 }
 
 #[cfg(test)]
@@ -178,6 +173,5 @@ mod tests {
         assert_eq!(p.next_for(2), Some(7));
         assert_eq!(p.next_for(0), Some(4));
         assert_eq!(p.steals, 2);
-        assert_eq!(p.backlog(), 0);
     }
 }

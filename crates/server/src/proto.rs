@@ -27,7 +27,7 @@ use highlight::TenantId;
 
 /// Frame length prefix plus body may not exceed this (a corrupted
 /// length must not make a reader wait forever for bytes).
-pub const MAX_FRAME: u32 = 256;
+const MAX_FRAME: u32 = 256;
 
 /// What a client asks of the hierarchy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,7 +89,7 @@ pub struct ResponseFrame {
 /// A malformed frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProtoError {
-    /// The length prefix exceeds [`MAX_FRAME`].
+    /// The length prefix exceeds `MAX_FRAME`.
     Oversize(u32),
     /// The frame body is shorter than its opcode requires.
     Truncated,

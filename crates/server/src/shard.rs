@@ -14,7 +14,7 @@ use std::rc::Rc;
 
 use highlight::rig::RigSpec;
 use highlight::segcache::EjectPolicy;
-use highlight::{TenantId, TertiaryIo, UniformMap};
+use highlight::{TertiaryIo, UniformMap};
 use hl_footprint::Jukebox;
 use hl_lfs::types::SegNo;
 use hl_sim::Scheduler;
@@ -129,7 +129,7 @@ impl ShardedEngine {
     }
 
     /// The shard owning `obj` (address-range division).
-    pub fn shard_of(&self, obj: u64) -> usize {
+    fn shard_of(&self, obj: u64) -> usize {
         ((obj / self.per_shard) as usize).min(self.shards.len() - 1)
     }
 
@@ -137,11 +137,6 @@ impl ShardedEngine {
     pub fn locate(&self, obj: u64) -> (usize, SegNo) {
         let s = self.shard_of(obj);
         (s, self.shards[s].seg_of(obj % self.per_shard))
-    }
-
-    /// A tenant session on the shard owning `obj`.
-    pub fn session_for(&self, obj: u64, tenant: TenantId) -> highlight::EngineSession {
-        self.shards[self.shard_of(obj)].tio.session(tenant)
     }
 
     /// FNV-1a fold of the per-shard trace digests: byte-identical runs
@@ -202,8 +197,11 @@ mod tests {
         let eng = ShardedEngine::build(2, 2, spec(), &mut sched);
         // One object per shard, fetched through tenant sessions driven
         // by the shared external scheduler.
-        let t0 = eng.session_for(0, 1).enqueue_demand(0, eng.locate(0).1);
-        let t1 = eng.session_for(40, 2).enqueue_demand(0, eng.locate(40).1);
+        let fetch = |obj, tenant| {
+            let (si, seg) = eng.locate(obj);
+            eng.shards[si].tio.session(tenant).enqueue_demand(0, seg)
+        };
+        let (t0, t1) = (fetch(0, 1), fetch(40, 2));
         sched.run(&mut ());
         assert!(t0.fetch_result().is_ok());
         assert!(t1.fetch_result().is_ok());

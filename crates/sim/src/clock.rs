@@ -74,44 +74,6 @@ impl Clock {
     }
 }
 
-/// A stopwatch over a [`Clock`], for measuring elapsed simulated time.
-///
-/// # Examples
-///
-/// ```
-/// let clock = hl_sim::Clock::new();
-/// let sw = hl_sim::clock::Stopwatch::start(&clock);
-/// clock.advance_by(42);
-/// assert_eq!(sw.elapsed(), 42);
-/// ```
-#[derive(Debug)]
-pub struct Stopwatch {
-    clock: Clock,
-    started: SimTime,
-}
-
-impl Stopwatch {
-    /// Starts a stopwatch at the clock's current time.
-    pub fn start(clock: &Clock) -> Self {
-        Self {
-            clock: clock.clone(),
-            started: clock.now(),
-        }
-    }
-
-    /// Returns the simulated time elapsed since the stopwatch started.
-    pub fn elapsed(&self) -> SimTime {
-        self.clock.now() - self.started
-    }
-
-    /// Restarts the stopwatch, returning the elapsed time of the lap.
-    pub fn lap(&mut self) -> SimTime {
-        let e = self.elapsed();
-        self.started = self.clock.now();
-        e
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,16 +94,6 @@ mod tests {
         c.advance_to(100);
         c.advance_to(50);
         assert_eq!(c.now(), 100);
-    }
-
-    #[test]
-    fn stopwatch_laps() {
-        let c = Clock::new();
-        let mut sw = Stopwatch::start(&c);
-        c.advance_by(7);
-        assert_eq!(sw.lap(), 7);
-        c.advance_by(3);
-        assert_eq!(sw.elapsed(), 3);
     }
 
     #[test]

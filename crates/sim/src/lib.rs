@@ -24,5 +24,5 @@ pub use clock::Clock;
 pub use resource::Resource;
 pub use rng::DetRng;
 pub use sched::{Actor, ActorId, Scheduler, Step, Waker};
-pub use stats::{PhaseTimer, Summary};
+pub use stats::PhaseTimer;
 pub use time::SimTime;

@@ -71,11 +71,6 @@ impl Resource {
         self.inner.borrow().busy_until
     }
 
-    /// Returns `true` if the resource is idle at time `t`.
-    pub fn idle_at(&self, t: SimTime) -> bool {
-        self.inner.borrow().busy_until <= t
-    }
-
     /// Total busy time accumulated (for utilization reports).
     pub fn busy_total(&self) -> SimTime {
         self.inner.borrow().busy_total
@@ -107,14 +102,6 @@ mod tests {
         assert_eq!(r.acquire(100, 10), (100, 110));
         assert_eq!(r.busy_total(), 20);
         assert_eq!(r.ops(), 2);
-    }
-
-    #[test]
-    fn idle_at_tracks_horizon() {
-        let r = Resource::new("r");
-        r.acquire(0, 10);
-        assert!(!r.idle_at(9));
-        assert!(r.idle_at(10));
     }
 
     #[test]

@@ -219,12 +219,6 @@ impl<W> Scheduler<W> {
         }
     }
 
-    /// Overrides the runaway-actor step limit (default 5·10⁸).
-    pub fn with_max_steps(mut self, max: u64) -> Self {
-        self.max_steps = max;
-        self
-    }
-
     /// Adds an actor that first runs at time `at`. The returned
     /// [`ActorId`] is the actor's wake target.
     pub fn spawn_at<A: Actor<W> + 'static>(&mut self, at: SimTime, actor: A) -> ActorId {
@@ -246,16 +240,6 @@ impl<W> Scheduler<W> {
             wake_pending: None,
         });
         ActorId(self.slots.len() - 1)
-    }
-
-    /// Returns how many actors have not yet finished.
-    pub fn live_actors(&self) -> usize {
-        self.slots.iter().filter(|s| !s.done).count()
-    }
-
-    /// Returns how many actors are parked awaiting a wake.
-    pub fn parked_actors(&self) -> usize {
-        self.slots.iter().filter(|s| !s.done && s.parked).count()
     }
 
     /// Applies queued wakes to their target slots, in post order.
@@ -365,6 +349,16 @@ mod tests {
     use proptest::collection::vec;
     use proptest::prelude::*;
 
+    impl<W> Scheduler<W> {
+        fn live_actors(&self) -> usize {
+            self.slots.iter().filter(|s| !s.done).count()
+        }
+
+        fn parked_actors(&self) -> usize {
+            self.slots.iter().filter(|s| !s.done && s.parked).count()
+        }
+    }
+
     struct Once(SimTime);
     impl Actor<Vec<(SimTime, SimTime)>> for Once {
         fn step(&mut self, log: &mut Vec<(SimTime, SimTime)>, now: SimTime) -> Step {
@@ -416,7 +410,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "stuck")]
     fn runaway_actor_panics() {
-        let mut s = Scheduler::new().with_max_steps(100);
+        let mut s = Scheduler::new();
+        s.max_steps = 100;
         s.spawn_at(0, Stuck);
         s.run(&mut ());
     }

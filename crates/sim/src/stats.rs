@@ -1,4 +1,4 @@
-//! Measurement helpers: scalar summaries and named phase timers.
+//! Measurement helpers: percentiles and named phase timers.
 //!
 //! [`PhaseTimer`] reproduces the paper's Table 4 methodology: the migration
 //! path is instrumented so that elapsed time is attributed to named phases
@@ -8,64 +8,6 @@
 use std::collections::BTreeMap;
 
 use crate::time::{as_secs, SimTime};
-
-/// Running summary of a stream of samples (count / sum / min / max / mean).
-#[derive(Clone, Debug, Default)]
-pub struct Summary {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    pub fn add(&mut self, x: f64) {
-        if self.count == 0 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
-        self.count += 1;
-        self.sum += x;
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Smallest sample, or 0.0 if empty.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest sample, or 0.0 if empty.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Arithmetic mean, or 0.0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
 
 /// The `p`-th percentile (0–100) of an ascending slice by rounded
 /// nearest rank, `sorted[((n - 1) * p + 50) / 100]`; 0 when empty.
@@ -164,25 +106,6 @@ mod tests {
         assert_eq!(percentile(&v, 95), 10);
         assert_eq!(percentile(&v, 0), 0);
         assert_eq!(percentile(&v, 100), 10);
-    }
-
-    #[test]
-    fn summary_tracks_extremes_and_mean() {
-        let mut s = Summary::new();
-        for x in [3.0, 1.0, 2.0] {
-            s.add(x);
-        }
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 3.0);
-        assert!((s.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_summary_is_zero() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.count(), 0);
     }
 
     #[test]

@@ -7,8 +7,6 @@
 /// A point in simulated time, in microseconds since simulation start.
 pub type SimTime = u64;
 
-/// One microsecond.
-pub const US: SimTime = 1;
 /// One millisecond in microseconds.
 pub const MS: SimTime = 1_000;
 /// One second in microseconds.
@@ -65,16 +63,6 @@ pub fn throughput_kbs(bytes: u64, t: SimTime) -> f64 {
     (bytes as f64 / 1024.0) / as_secs(t)
 }
 
-/// Formats a duration as the paper does: seconds with two decimals.
-pub fn fmt_secs(t: SimTime) -> String {
-    format!("{:.2} s", as_secs(t))
-}
-
-/// Formats a throughput as the paper does: integral KB/s.
-pub fn fmt_kbs(bytes: u64, t: SimTime) -> String {
-    format!("{:.0}KB/s", throughput_kbs(bytes, t))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,12 +86,6 @@ mod tests {
     fn throughput_edge_cases() {
         assert_eq!(throughput_kbs(0, 0), 0.0);
         assert!(throughput_kbs(1, 0).is_infinite());
-    }
-
-    #[test]
-    fn formatting() {
-        assert_eq!(fmt_secs(13_500_000), "13.50 s");
-        assert_eq!(fmt_kbs(1024 * 1024, SEC), "1024KB/s");
     }
 
     #[test]

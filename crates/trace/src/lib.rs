@@ -327,7 +327,7 @@ impl<S: fmt::Display> Event<S> {
     /// only renderer: [`Event::render`] collects it into a `String` and
     /// the recorder streams it into the running digest, so the digest
     /// covers exactly the bytes a render shows. Byte-identical per seed.
-    pub fn write_line(&self, out: &mut impl fmt::Write) -> fmt::Result {
+    fn write_line(&self, out: &mut impl fmt::Write) -> fmt::Result {
         write!(out, "#{:06} t{} ", self.seq, self.at)?;
         match &self.kind {
             EventKind::SpanOpen { span, class, seg } => match seg {
@@ -379,8 +379,7 @@ impl<S: fmt::Display> Event<S> {
         }
     }
 
-    /// Stable single-line text render: [`Event::write_line`] into a
-    /// fresh `String`.
+    /// Stable single-line text render, the bytes the digest covers.
     pub fn render(&self) -> String {
         let mut line = String::new();
         self.write_line(&mut line)
@@ -457,82 +456,6 @@ impl Event<&str> {
 }
 
 impl Event {
-    /// Stable JSON object render (hand-rolled; labels are escaped).
-    pub fn render_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let body = match &self.kind {
-            EventKind::SpanOpen { span, class, seg } => format!(
-                "\"ev\":\"span_open\",\"span\":{span},\"class\":\"{}\",\"seg\":{}",
-                class.label(),
-                seg.map_or("null".to_string(), |s| s.to_string())
-            ),
-            EventKind::SpanClose { span, ok } => {
-                format!("\"ev\":\"span_close\",\"span\":{span},\"ok\":{ok}")
-            }
-            EventKind::Join { span, class } => format!(
-                "\"ev\":\"join\",\"span\":{span},\"class\":\"{}\"",
-                class.label()
-            ),
-            EventKind::Queuing {
-                span,
-                class,
-                from,
-                to,
-            } => format!(
-                "\"ev\":\"queuing\",\"span\":{span},\"class\":\"{}\",\"from\":{from},\"to\":{to}",
-                class.label()
-            ),
-            EventKind::QueueDepth { queue, depth } => format!(
-                "\"ev\":\"queue_depth\",\"queue\":\"{}\",\"depth\":{depth}",
-                queue.label()
-            ),
-            EventKind::CacheState { seg, from, to } => format!(
-                "\"ev\":\"cache_state\",\"seg\":{seg},\"from\":\"{}\",\"to\":\"{}\"",
-                from.label(),
-                to.label()
-            ),
-            EventKind::CacheRekey { old, new } => {
-                format!("\"ev\":\"cache_rekey\",\"old\":{old},\"new\":{new}")
-            }
-            EventKind::DevIo { lane, start, end } => {
-                format!("\"ev\":\"dev_io\",\"lane\":\"{lane}\",\"start\":{start},\"end\":{end}")
-            }
-            EventKind::Park { actor } => format!("\"ev\":\"park\",\"actor\":\"{}\"", esc(actor)),
-            EventKind::Wake { actor } => format!("\"ev\":\"wake\",\"actor\":\"{}\"", esc(actor)),
-            EventKind::Fault { label } => format!("\"ev\":\"fault\",\"label\":\"{}\"", esc(label)),
-            EventKind::Mark { label } => format!("\"ev\":\"mark\",\"label\":\"{}\"", esc(label)),
-            EventKind::DriveDown { drive } => {
-                format!("\"ev\":\"drive_down\",\"drive\":{drive}")
-            }
-            EventKind::DriveUp { drive } => format!("\"ev\":\"drive_up\",\"drive\":{drive}"),
-            EventKind::WatchdogFire { drive, span } => {
-                format!("\"ev\":\"watchdog_fire\",\"drive\":{drive},\"span\":{span}")
-            }
-            EventKind::Redispatch { span, from_drive } => {
-                format!("\"ev\":\"redispatch\",\"span\":{span},\"from_drive\":{from_drive}")
-            }
-            EventKind::TenantAdmit {
-                tenant,
-                class,
-                span,
-            } => format!(
-                "\"ev\":\"tenant_admit\",\"tenant\":{tenant},\"class\":\"{}\",\"span\":{span}",
-                class.label()
-            ),
-            EventKind::TenantThrottle {
-                tenant,
-                class,
-                span,
-            } => format!(
-                "\"ev\":\"tenant_throttle\",\"tenant\":{tenant},\"class\":\"{}\",\"span\":{span}",
-                class.label()
-            ),
-        };
-        format!("{{\"seq\":{},\"at\":{},{body}}}", self.seq, self.at)
-    }
-
     /// Short kind tag (for `--trace` summaries).
     pub fn kind_tag(&self) -> &'static str {
         match &self.kind {
@@ -585,8 +508,6 @@ struct Recorder {
     joins: u64,
     /// [`EventKind::DriveDown`] events emitted.
     drive_downs: u64,
-    /// [`EventKind::DriveUp`] events emitted.
-    drive_ups: u64,
     /// [`EventKind::WatchdogFire`] events emitted.
     watchdog_fires: u64,
     /// [`EventKind::Redispatch`] events emitted.
@@ -625,7 +546,6 @@ impl Recorder {
             closed: 0,
             joins: 0,
             drive_downs: 0,
-            drive_ups: 0,
             watchdog_fires: 0,
             redispatches: 0,
             tenant_admits: 0,
@@ -670,7 +590,6 @@ impl Recorder {
         self.closed = 0;
         self.joins = 0;
         self.drive_downs = 0;
-        self.drive_ups = 0;
         self.watchdog_fires = 0;
         self.redispatches = 0;
         self.tenant_admits = 0;
@@ -863,9 +782,7 @@ impl Tracer {
 
     /// Records a quarantined lane rejoining the pool as a hot spare.
     pub fn drive_up(&self, at: TraceTime, drive: u32) {
-        let mut r = self.rec.borrow_mut();
-        r.drive_ups += 1;
-        r.emit(at, EventKind::DriveUp { drive });
+        self.rec.borrow_mut().emit(at, EventKind::DriveUp { drive });
     }
 
     /// Records a watchdog deadline expiring on an in-flight device op.
@@ -990,11 +907,6 @@ impl Tracer {
         self.rec.borrow().drive_downs
     }
 
-    /// [`EventKind::DriveUp`] events recorded.
-    pub fn drive_ups(&self) -> u64 {
-        self.rec.borrow().drive_ups
-    }
-
     /// [`EventKind::WatchdogFire`] events recorded.
     pub fn watchdog_fires(&self) -> u64 {
         self.rec.borrow().watchdog_fires
@@ -1077,18 +989,6 @@ impl Tracer {
     /// Renders the retained events as text lines.
     pub fn render_text(&self) -> Vec<String> {
         self.rec.borrow().events.iter().map(Event::render).collect()
-    }
-
-    /// Renders the retained events as a JSON array.
-    pub fn render_json(&self) -> String {
-        let body: Vec<String> = self
-            .rec
-            .borrow()
-            .events
-            .iter()
-            .map(Event::render_json)
-            .collect();
-        format!("[{}]", body.join(","))
     }
 
     /// Per-kind event counts over the retained events (for `--trace`
@@ -1251,7 +1151,6 @@ mod tests {
         t.redispatch(11, 7, 1);
         t.drive_up(50, 1);
         assert_eq!(t.drive_downs(), 1);
-        assert_eq!(t.drive_ups(), 1);
         assert_eq!(t.watchdog_fires(), 1);
         assert_eq!(t.redispatches(), 1);
         let text = t.render_text();
@@ -1259,7 +1158,6 @@ mod tests {
         assert_eq!(text[1], "#000001 t10 wdog d1 7");
         assert_eq!(text[2], "#000002 t11 redisp 7 d1");
         assert_eq!(text[3], "#000003 t50 dup d1");
-        assert!(t.render_json().contains("\"ev\":\"watchdog_fire\""));
         t.reset();
         assert_eq!(t.drive_downs(), 0);
     }
@@ -1275,8 +1173,6 @@ mod tests {
         let text = t.render_text();
         assert_eq!(text[1], "#000001 t5 tadm n2 demand 0");
         assert_eq!(text[2], "#000002 t6 tthr n7 prefetch 0");
-        assert!(t.render_json().contains("\"ev\":\"tenant_admit\""));
-        assert!(t.render_json().contains("\"ev\":\"tenant_throttle\""));
         t.reset();
         assert_eq!(t.tenant_admits(), 0);
         assert_eq!(t.tenant_throttles(), 0);
@@ -1290,9 +1186,6 @@ mod tests {
         let text = t.render_text();
         assert_eq!(text[0], "#000000 t3 s+ 0 demand seg 42");
         assert_eq!(text[1], "#000001 t4 line 42 empty>filling");
-        let json = t.render_json();
-        assert!(json.starts_with("[{\"seq\":0,"));
-        assert!(json.contains("\"ev\":\"cache_state\""));
     }
 
     /// Emits every [`EventKind`] (each optional field both ways) through

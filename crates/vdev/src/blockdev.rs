@@ -24,7 +24,7 @@ pub struct IoSlot {
 impl IoSlot {
     /// An instantaneous slot at `t` (used for cache hits and zero-length
     /// operations).
-    pub fn instant(t: SimTime) -> Self {
+    fn instant(t: SimTime) -> Self {
         Self { start: t, end: t }
     }
 

@@ -17,33 +17,26 @@ use hl_sim::time::{transfer_time, SimTime};
 use hl_sim::Resource;
 
 /// SCSI-I bus bandwidth in KB/s.
-pub const SCSI1_KBS: f64 = 1500.0;
+const SCSI1_KBS: f64 = 1500.0;
 
 /// A shared bus; cloning shares state.
 #[derive(Clone, Debug)]
 pub struct ScsiBus {
     res: Resource,
-    kbs: f64,
 }
 
 impl ScsiBus {
     /// Creates an idle SCSI-I bus.
     pub fn new(name: &'static str) -> Self {
-        Self::with_rate(name, SCSI1_KBS)
-    }
-
-    /// Creates a bus with an explicit bandwidth.
-    pub fn with_rate(name: &'static str, kbs: f64) -> Self {
         Self {
             res: Resource::new(name),
-            kbs,
         }
     }
 
     /// Occupies the bus to move `bytes`, starting no earlier than `at`.
     /// Returns the granted `(start, end)` slot.
     pub fn transfer(&self, at: SimTime, bytes: u64) -> (SimTime, SimTime) {
-        self.res.acquire(at, transfer_time(bytes, self.kbs))
+        self.res.acquire(at, transfer_time(bytes, SCSI1_KBS))
     }
 
     /// Occupies the bus for a media-swap transaction of `duration` (the

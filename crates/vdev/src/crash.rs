@@ -10,11 +10,10 @@
 //! fails every subsequent operation as if the machine lost power.
 //!
 //! A scenario with `N` writes therefore has `N` distinct crash points.
-//! [`every_crash_point`] hands out one armed plan per boundary so a
-//! torture driver can replay the same seeded scenario `N` times, crashing
-//! at each write in turn. After the crash the driver calls
-//! [`CrashPlan::power_cycle`] (reboot) and remounts over the surviving
-//! media image.
+//! A [`CrashPlan::counting`] dry run learns `N`; a torture driver then
+//! replays the same seeded scenario `N` times, crashing at each write in
+//! turn with [`CrashPlan::at_write`], and remounts over the raw device
+//! underneath the wrapper, which holds the surviving media image.
 //!
 //! Like [`crate::fault::FaultPlan`], the plan is shared: `Clone` hands
 //! out another handle to the same schedule, and the torn-write shape is
@@ -53,7 +52,7 @@ struct CrashInner {
     writes_seen: u64,
     /// Chooses the torn prefix length; seeded per plan.
     rng: DetRng,
-    /// Set once the crash fires; all I/O fails until `power_cycle`.
+    /// Set once the crash fires; all I/O through the wrapper fails after.
     torn: Option<TornWrite>,
     /// Optional trace recorder: the torn write leaves a `fault` event.
     tracer: Option<hl_trace::Tracer>,
@@ -127,15 +126,6 @@ impl CrashPlan {
         self.inner.borrow().torn
     }
 
-    /// Reboot: clear the dead state and disarm the plan so the surviving
-    /// media image can be remounted through the same wrapper. The write
-    /// count keeps running (a rebooted machine writes again).
-    pub fn power_cycle(&self) {
-        let mut p = self.inner.borrow_mut();
-        p.torn = None;
-        p.crash_at = None;
-    }
-
     /// Decides the fate of one timed write of `len` bytes.
     fn on_write(&self, at: SimTime, block: u64, len: usize) -> WriteFate {
         let mut p = self.inner.borrow_mut();
@@ -164,13 +154,6 @@ impl CrashPlan {
     fn dead(&self) -> bool {
         self.inner.borrow().torn.is_some()
     }
-}
-
-/// One armed [`CrashPlan`] per write boundary of a scenario with
-/// `writes` timed writes: plan `k` tears write `k`. Pair with a
-/// [`CrashPlan::counting`] dry run to learn `writes`.
-pub fn every_crash_point(seed: u64, writes: u64) -> impl Iterator<Item = CrashPlan> {
-    (0..writes).map(move |k| CrashPlan::at_write(seed, k))
 }
 
 /// A [`BlockDev`] wrapper that tears the scheduled write and then plays
@@ -297,18 +280,13 @@ mod tests {
         d.peek(10, &mut got).unwrap();
         assert!(got[..torn.kept].iter().all(|&x| x == 0xbb));
         assert!(got[torn.kept..].iter().all(|&x| x == 0x00));
-        // All subsequent I/O fails until power-cycle.
+        // All subsequent I/O fails.
         let mut one = vec![0u8; bs];
         assert_eq!(dev.read(0, 0, &mut one), Err(DevError::Offline));
         assert_eq!(dev.write(0, 0, &a), Err(DevError::Offline));
         assert_eq!(dev.peek(0, &mut one), Err(DevError::Offline));
         assert_eq!(dev.poke(0, &a), Err(DevError::Offline));
         assert_eq!(dev.flush(0), Err(DevError::Offline));
-        plan.power_cycle();
-        dev.read(0, 0, &mut one).unwrap();
-        assert_eq!(one, a);
-        dev.write(0, 20, &a).unwrap();
-        assert!(!plan.crashed(), "rebooted device is disarmed");
     }
 
     #[test]
@@ -327,13 +305,12 @@ mod tests {
             assert_eq!(run(7), run(7));
         }
         // Distinct crash indices draw independent tear shapes.
-        let tears: Vec<usize> = every_crash_point(7, 8)
-            .enumerate()
-            .map(|(i, plan)| {
-                let d = disk();
-                let dev = CrashDev::new(d, plan.clone());
+        let tears: Vec<usize> = (0..8)
+            .map(|i| {
+                let plan = CrashPlan::at_write(7, i);
+                let dev = CrashDev::new(disk(), plan.clone());
                 let buf = vec![1u8; dev.block_size() * 4];
-                for k in 0..=i as u64 {
+                for k in 0..=i {
                     let _ = dev.write(0, k * 4, &buf);
                 }
                 plan.torn().unwrap().kept
@@ -346,12 +323,10 @@ mod tests {
     }
 
     #[test]
-    fn every_crash_point_covers_each_boundary() {
-        let plans: Vec<_> = every_crash_point(3, 4).collect();
-        assert_eq!(plans.len(), 4);
-        for (i, plan) in plans.iter().enumerate() {
-            let d = disk();
-            let dev = CrashDev::new(d, plan.clone());
+    fn plan_k_tears_write_k() {
+        for i in 0..4 {
+            let plan = CrashPlan::at_write(3, i);
+            let dev = CrashDev::new(disk(), plan.clone());
             let buf = vec![2u8; dev.block_size()];
             let mut completed = 0u64;
             for k in 0..4u64 {
@@ -360,7 +335,7 @@ mod tests {
                     Err(_) => break,
                 }
             }
-            assert_eq!(completed, i as u64, "plan {i} must tear write {i}");
+            assert_eq!(completed, i, "plan {i} must tear write {i}");
             assert!(plan.crashed());
         }
     }

@@ -5,7 +5,7 @@
 //! all of whose raw throughput it reports in Table 5. This crate provides:
 //!
 //! - calibrated performance [`profile`]s for those devices (and for the
-//!   Metrum, Exabyte, and Sony jukebox media Sequoia planned to use),
+//!   Metrum tape and Sony WORM media Sequoia planned to use),
 //! - a seek/rotation/transfer [`disk`] model with a shared-arm resource so
 //!   that interleaved access streams pay seeks (the paper's "disk arm
 //!   contention"),
@@ -27,7 +27,7 @@ pub mod profile;
 pub use backing::{Block, SparseStore};
 pub use blockdev::{BlockDev, IoSlot};
 pub use bus::ScsiBus;
-pub use crash::{every_crash_point, CrashDev, CrashPlan, TornWrite};
+pub use crash::{CrashDev, CrashPlan, TornWrite};
 pub use disk::{Disk, DiskStats};
 pub use error::DevError;
 pub use fault::{DriveFault, FaultConfig, FaultPlan, MediaFault, SwapFault};

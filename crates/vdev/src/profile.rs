@@ -149,15 +149,6 @@ impl TapeProfile {
         capacity: 14_500 * 1024 * 1024,
     };
 
-    /// Exabyte EXB-8500 8mm cartridge (Jaquith's EXB-120 robot, §8.1).
-    pub const EXABYTE: TapeProfile = TapeProfile {
-        name: "Exabyte 8mm cartridge",
-        stream_kbs: 500.0,
-        seek_per_mb: 40 * MS,
-        rewind: 120_000_000,
-        capacity: 5 * 1024 * 1024 * 1024,
-    };
-
     /// Streaming transfer time for `bytes`.
     pub fn transfer(&self, bytes: u64) -> SimTime {
         transfer_time(bytes, self.stream_kbs)

@@ -20,9 +20,9 @@ pub const FRAME: usize = 4096;
 /// Total frames in the object (51.2 MB).
 pub const TOTAL_FRAMES: u64 = 12_500;
 /// Frames touched by the sequential phases.
-pub const SEQ_FRAMES: u64 = 2_500;
+const SEQ_FRAMES: u64 = 2_500;
 /// Frames touched by the random and 80/20 phases.
-pub const RAND_FRAMES: u64 = 250;
+const RAND_FRAMES: u64 = 250;
 
 /// One benchmark phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,7 +75,7 @@ impl Phase {
     }
 
     /// Frames the phase touches.
-    pub fn frame_count(self) -> u64 {
+    fn frame_count(self) -> u64 {
         match self {
             Phase::SeqRead | Phase::SeqWrite => SEQ_FRAMES,
             _ => RAND_FRAMES,

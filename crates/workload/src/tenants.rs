@@ -17,11 +17,10 @@ use hl_sim::DetRng;
 
 use crate::zipf::Zipfian;
 
-/// Default arrival stagger between consecutive tenants, µs: tenant `i`
-/// starts issuing at `i × ARRIVAL_STAGGER` unless the mix is given an
-/// explicit schedule. Half a second keeps ramp-up visible in traces
-/// without serializing the mix.
-pub const ARRIVAL_STAGGER: u64 = 500_000;
+/// Arrival stagger between consecutive tenants, µs: tenant `i` starts
+/// issuing at `i × ARRIVAL_STAGGER`. Half a second keeps ramp-up
+/// visible in traces without serializing the mix.
+const ARRIVAL_STAGGER: u64 = 500_000;
 
 /// What a tenant does to the hierarchy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -128,34 +127,6 @@ impl TenantMix {
             segments_per_volume,
         }
     }
-
-    /// Replaces the default staggered arrivals with an explicit
-    /// per-tenant schedule (`f(id, kind)` → start time in µs).
-    pub fn with_arrival_schedule(mut self, f: impl Fn(u32, TenantKind) -> u64) -> TenantMix {
-        for t in &mut self.tenants {
-            t.arrival = f(t.id, t.kind);
-        }
-        self
-    }
-
-    /// The `(id, arrival µs)` schedule, in tenant order.
-    pub fn arrivals(&self) -> Vec<(u32, u64)> {
-        self.tenants.iter().map(|t| (t.id, t.arrival)).collect()
-    }
-
-    /// Distinct segments the readers can touch — the number that must
-    /// exceed the cache's line count for the mix to thrash.
-    pub fn distinct_read_targets(&self) -> usize {
-        let mut all: Vec<(u32, u32)> = self
-            .tenants
-            .iter()
-            .filter(|t| t.kind == TenantKind::Reader)
-            .flat_map(|t| t.working_set.iter().copied())
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        all.len()
-    }
 }
 
 #[cfg(test)]
@@ -211,26 +182,5 @@ mod tests {
         let head = m.tenants[0].working_set[0];
         let head_hits = xs.iter().filter(|&&p| p == head).count();
         assert!(head_hits > 10, "head of the set drew {head_hits}/100");
-    }
-
-    #[test]
-    fn arrivals_default_to_the_stagger_and_accept_a_schedule() {
-        let m = TenantMix::new(5, 2, 1, 8, 6, 8, 0);
-        assert_eq!(
-            m.arrivals(),
-            [(0, 0), (1, ARRIVAL_STAGGER), (2, 2 * ARRIVAL_STAGGER)]
-        );
-        let m = m.with_arrival_schedule(|id, kind| match kind {
-            TenantKind::Reader => 1000 + id as u64,
-            TenantKind::Writer => 0,
-        });
-        assert_eq!(m.arrivals(), [(0, 1000), (1, 1001), (2, 0)]);
-    }
-
-    #[test]
-    fn union_of_working_sets_outgrows_one_set() {
-        let m = TenantMix::new(11, 3, 1, 10, 6, 8, 0);
-        assert!(m.distinct_read_targets() > 10);
-        assert!(m.distinct_read_targets() <= 40);
     }
 }

@@ -225,7 +225,8 @@ proptest! {
             1..80
         ),
     ) {
-        let mut t = AccessTracker::with_max_extents(8);
+        let mut t = AccessTracker::default();
+        t.max_extents = 8;
         let mut max_end = 0u32;
         for (off, len, now) in accesses {
             t.record(1, off, len, now);
