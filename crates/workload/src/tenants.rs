@@ -183,4 +183,29 @@ mod tests {
         let head_hits = xs.iter().filter(|&&p| p == head).count();
         assert!(head_hits > 10, "head of the set drew {head_hits}/100");
     }
+
+    #[test]
+    fn arrivals_follow_the_stagger() {
+        let m = TenantMix::new(5, 2, 1, 8, 6, 8, 0);
+        let arrivals: Vec<(u32, u64)> = m.tenants.iter().map(|t| (t.id, t.arrival)).collect();
+        assert_eq!(
+            arrivals,
+            [(0, 0), (1, ARRIVAL_STAGGER), (2, 2 * ARRIVAL_STAGGER)]
+        );
+    }
+
+    #[test]
+    fn union_of_working_sets_outgrows_one_set() {
+        let m = TenantMix::new(11, 3, 1, 10, 6, 8, 0);
+        let mut union: Vec<(u32, u32)> = m
+            .tenants
+            .iter()
+            .filter(|t| t.kind == TenantKind::Reader)
+            .flat_map(|t| t.working_set.iter().copied())
+            .collect();
+        union.sort_unstable();
+        union.dedup();
+        assert!(union.len() > 10);
+        assert!(union.len() <= 40);
+    }
 }
