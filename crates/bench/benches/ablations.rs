@@ -7,40 +7,21 @@ use std::rc::Rc;
 
 use highlight::fs::CopyOutMode;
 use highlight::migrator::{BlockRangePolicy, MigrationPolicy, NamespacePolicy, StpPolicy};
+use highlight::rig::{hp6300, HlRig};
 use highlight::{EjectPolicy, HighLight, HlConfig, PrefetchPolicy};
 use hl_bench::table::{print_table, Row};
-use hl_footprint::{Jukebox, JukeboxConfig};
+use hl_footprint::JukeboxConfig;
 use hl_sim::time::as_secs;
 use hl_sim::Clock;
 use hl_vdev::{BlockDev, Disk, DiskProfile};
 
-struct Mini {
-    clock: Clock,
-    hl: HighLight,
-}
-
-/// A small HighLight instance: `disk_segs` MB of disk, 4×10 MB volumes.
-fn mini(cfg_mut: impl FnOnce(&mut HlConfig)) -> Mini {
-    let clock = Clock::new();
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 64 * 256, None));
-    let jukebox = Jukebox::new(
-        JukeboxConfig {
-            volumes: 6,
-            segments_per_volume: 10,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let mut cfg = HlConfig::paper(clock.clone(), 8);
-    cfg_mut(&mut cfg);
-    HighLight::mkfs(
-        disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(jukebox.clone()),
-        cfg.clone(),
-    )
-    .expect("mkfs");
-    let hl = HighLight::mount(disk as Rc<dyn BlockDev>, Rc::new(jukebox), cfg).expect("mount");
-    Mini { clock, hl }
+/// A small HighLight instance: 64 MB of disk, 6×10 MB volumes, 8 cache
+/// lines, with `cfg_mut` applied before it is formatted.
+fn mini(cfg_mut: impl FnOnce(&mut HlConfig)) -> HighLight {
+    let mut rig = HlRig::new(2 + 64 * 256, hp6300(6, 10), 8, None);
+    cfg_mut(&mut rig.cfg);
+    rig.mkfs();
+    rig.mount()
 }
 
 fn filled(len: usize, seed: u8) -> Vec<u8> {
@@ -48,16 +29,16 @@ fn filled(len: usize, seed: u8) -> Vec<u8> {
 }
 
 /// Migrates `n` 1 MB files named `/m{i}`.
-fn migrate_files(m: &mut Mini, n: u32) {
+fn migrate_files(hl: &mut HighLight, n: u32) {
     for i in 0..n {
         let p = format!("/m{i}");
-        let ino = m.hl.create(&p).expect("create");
-        m.hl.write(ino, 0, &filled(1_000_000, i as u8))
+        let ino = hl.create(&p).expect("create");
+        hl.write(ino, 0, &filled(1_000_000, i as u8))
             .expect("write");
-        m.hl.sync().expect("sync");
-        m.hl.migrate_file(&p, false, None).expect("migrate");
+        hl.sync().expect("sync");
+        hl.migrate_file(&p, false, None).expect("migrate");
         let mut t = Default::default();
-        m.hl.seal_staging(&mut t).expect("seal");
+        hl.seal_staging(&mut t).expect("seal");
     }
 }
 
@@ -70,39 +51,34 @@ fn ablation_cache() {
         ("fetch-time FIFO", EjectPolicy::FetchTime),
         ("least-worthy (§10)", EjectPolicy::LeastWorthy),
     ] {
-        let mut m = mini(|c| c.eject = policy);
-        migrate_files(&mut m, 15);
-        m.hl.eject_all();
-        m.hl.drop_caches();
-        // A 3-file working set is re-read every round while a one-time
+        let mut hl = mini(|c| c.eject = policy);
+        migrate_files(&mut hl, 15);
+        hl.eject_all();
+        hl.drop_caches();
+        // A 6-file working set is re-read every round while a one-time
         // scan walks 3 *new* files per round (§10's "bypass the cache on
-        // first reference" scenario). Cache: 4 lines.
-        {
-            // Shrink the effective cache by pre-pinning? Simpler: the
-            // mini rig has 8 lines; use a 5-file working set + 3-file
-            // scans so the scan pressure is real.
-        }
+        // first reference" scenario), against the rig's 8 cache lines.
         let mut buf = vec![0u8; 64 * 1024];
         for round in 0..4u32 {
             // Working set (files 0..5), twice with buffer drops so the
             // re-touch reaches the segment cache.
             for _ in 0..2 {
                 for i in 0..6 {
-                    let ino = m.hl.lookup(&format!("/m{i}")).expect("lookup");
-                    m.hl.read(ino, 0, &mut buf).expect("read");
+                    let ino = hl.lookup(&format!("/m{i}")).expect("lookup");
+                    hl.read(ino, 0, &mut buf).expect("read");
                 }
-                m.hl.drop_caches();
+                hl.drop_caches();
             }
             if round < 3 {
                 // One-time scan: 3 files never seen before.
                 for i in (6 + round * 3)..(6 + round * 3 + 3) {
-                    let ino = m.hl.lookup(&format!("/m{i}")).expect("lookup");
-                    m.hl.read(ino, 0, &mut buf).expect("read");
+                    let ino = hl.lookup(&format!("/m{i}")).expect("lookup");
+                    hl.read(ino, 0, &mut buf).expect("read");
                 }
             }
-            m.hl.drop_caches();
+            hl.drop_caches();
         }
-        let fetches = m.hl.tio().stats().demand_fetches;
+        let fetches = hl.tio().stats().demand_fetches;
         rows.push(Row {
             label: name.into(),
             paper: "-".into(),
@@ -124,26 +100,26 @@ fn ablation_copyout() {
         ("delayed, pipeline 4", CopyOutMode::Delayed { pipeline: 4 }),
         ("delayed, pipeline 8", CopyOutMode::Delayed { pipeline: 8 }),
     ] {
-        let mut m = mini(|c| c.copyout = mode);
+        let mut hl = mini(|c| c.copyout = mode);
         // Time the migration burst itself (what blocks the foreground).
         for i in 0..6u32 {
             let p = format!("/m{i}");
-            let ino = m.hl.create(&p).expect("create");
-            m.hl.write(ino, 0, &filled(1_000_000, i as u8))
+            let ino = hl.create(&p).expect("create");
+            hl.write(ino, 0, &filled(1_000_000, i as u8))
                 .expect("write");
         }
-        m.hl.sync().expect("sync");
-        let t0 = m.clock.now();
+        hl.sync().expect("sync");
+        let t0 = hl.clock().now();
         for i in 0..6u32 {
-            m.hl.migrate_file(&format!("/m{i}"), false, None)
+            hl.migrate_file(&format!("/m{i}"), false, None)
                 .expect("migrate");
             let mut t = Default::default();
-            m.hl.seal_staging(&mut t).expect("seal");
+            hl.seal_staging(&mut t).expect("seal");
         }
-        let burst = m.clock.now() - t0;
-        let t1 = m.clock.now();
-        m.hl.drain_copyouts().expect("drain");
-        let drain = m.clock.now() - t1;
+        let burst = hl.clock().now() - t0;
+        let t1 = hl.clock().now();
+        hl.drain_copyouts().expect("drain");
+        let drain = hl.clock().now() - t1;
         rows.push(Row {
             label: name.into(),
             paper: "-".into(),
@@ -194,44 +170,43 @@ fn ablation_policy() {
         ("namespace units (§5.3)", ns),
         ("block ranges (§5.2)", br),
     ] {
-        let mut m = mini(|_| {});
+        let mut hl = mini(|_| {});
         // Two project trees: one cold, one hot.
         for proj in ["cold", "hot"] {
-            m.hl.mkdir(&format!("/{proj}")).expect("mkdir");
+            hl.mkdir(&format!("/{proj}")).expect("mkdir");
             for i in 0..4 {
                 let p = format!("/{proj}/f{i}");
-                let ino = m.hl.create(&p).expect("create");
-                m.hl.write(ino, 0, &filled(700_000, i as u8))
-                    .expect("write");
+                let ino = hl.create(&p).expect("create");
+                hl.write(ino, 0, &filled(700_000, i as u8)).expect("write");
             }
         }
-        m.hl.sync().expect("sync");
+        hl.sync().expect("sync");
         // Age passes; the hot tree is touched again recently.
-        m.clock.advance_by(hl_sim::time::secs(10_000.0));
+        hl.clock().advance_by(hl_sim::time::secs(10_000.0));
         let mut buf = vec![0u8; 4096];
         for i in 0..4 {
-            let ino = m.hl.lookup(&format!("/hot/f{i}")).expect("lookup");
-            m.hl.read(ino, 0, &mut buf).expect("read");
+            let ino = hl.lookup(&format!("/hot/f{i}")).expect("lookup");
+            hl.read(ino, 0, &mut buf).expect("read");
         }
-        m.hl.sync().expect("sync");
+        hl.sync().expect("sync");
         // Policy migrates ~3 MB.
         let mut mig = highlight::Migrator {
             policy: ctor(),
             low_water_segs: 0,
             high_water_segs: 0,
         };
-        mig.migrate_bytes(&mut m.hl, 3_000_000).expect("migrate");
-        m.hl.drain_copyouts().expect("drain");
+        mig.migrate_bytes(&mut hl, 3_000_000).expect("migrate");
+        hl.drain_copyouts().expect("drain");
         // Re-access the hot tree: fetches = cost of bad decisions.
-        m.hl.eject_all();
-        m.hl.drop_caches();
-        let f0 = m.hl.tio().stats().demand_fetches;
+        hl.eject_all();
+        hl.drop_caches();
+        let f0 = hl.tio().stats().demand_fetches;
         let mut big = vec![0u8; 700_000];
         for i in 0..4 {
-            let ino = m.hl.lookup(&format!("/hot/f{i}")).expect("lookup");
-            m.hl.read(ino, 0, &mut big).expect("read");
+            let ino = hl.lookup(&format!("/hot/f{i}")).expect("lookup");
+            hl.read(ino, 0, &mut big).expect("read");
         }
-        let fetches = m.hl.tio().stats().demand_fetches - f0;
+        let fetches = hl.tio().stats().demand_fetches - f0;
         rows.push(Row {
             label: name.into(),
             paper: "-".into(),
@@ -252,27 +227,18 @@ fn ablation_segsize() {
         ("512 KB segments", 512 * 1024u32),
         ("1 MB segments", 1 << 20),
     ] {
-        let clock = Clock::new();
-        let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 64 * 256, None));
-        let jukebox = Jukebox::new(
+        let mut rig = HlRig::new(
+            2 + 64 * 256,
             JukeboxConfig {
-                volumes: 6,
-                segments_per_volume: 10 * ((1 << 20) / seg_bytes),
                 segment_bytes: seg_bytes as usize,
-                ..JukeboxConfig::hp6300_paper()
+                ..hp6300(6, 10 * ((1 << 20) / seg_bytes))
             },
+            12,
             None,
         );
-        let mut cfg = HlConfig::paper(clock.clone(), 12);
-        cfg.lfs.seg_bytes = seg_bytes;
-        HighLight::mkfs(
-            disk.clone() as Rc<dyn BlockDev>,
-            Rc::new(jukebox.clone()),
-            cfg.clone(),
-        )
-        .expect("mkfs");
-        let mut hl =
-            HighLight::mount(disk as Rc<dyn BlockDev>, Rc::new(jukebox), cfg).expect("mount");
+        rig.cfg.lfs.seg_bytes = seg_bytes;
+        rig.mkfs();
+        let mut hl = rig.mount();
         let ino = hl.create("/f").expect("create");
         hl.write(ino, 0, &filled(3_000_000, 1)).expect("write");
         hl.sync().expect("sync");
@@ -282,15 +248,15 @@ fn ablation_segsize() {
         hl.eject_all();
         hl.drop_caches();
         // First-byte latency (one segment fetch).
-        let t0 = clock.now();
+        let t0 = rig.clock.now();
         let mut small = [0u8; 4096];
         hl.read(ino, 0, &mut small).expect("read");
-        let first = clock.now() - t0;
+        let first = rig.clock.now() - t0;
         // Whole-file latency.
-        let t1 = clock.now();
+        let t1 = rig.clock.now();
         let mut big = vec![0u8; 3_000_000];
         hl.read(ino, 0, &mut big).expect("read");
-        let total = clock.now() - t1 + first;
+        let total = rig.clock.now() - t1 + first;
         rows.push(Row {
             label: name.into(),
             paper: "-".into(),
@@ -315,21 +281,20 @@ fn ablation_metadata() {
         ("metadata stays on disk (§8.2)", false),
         ("metadata migrates", true),
     ] {
-        let mut m = mini(|_| {});
-        let ino = m.hl.create("/f").expect("create");
-        m.hl.write(ino, 0, &filled(900_000, 1)).expect("write");
-        m.hl.sync().expect("sync");
-        m.hl.migrate_file("/f", migrate_inode, None)
-            .expect("migrate");
+        let mut hl = mini(|_| {});
+        let ino = hl.create("/f").expect("create");
+        hl.write(ino, 0, &filled(900_000, 1)).expect("write");
+        hl.sync().expect("sync");
+        hl.migrate_file("/f", migrate_inode, None).expect("migrate");
         let mut t = Default::default();
-        m.hl.seal_staging(&mut t).expect("seal");
-        m.hl.eject_all();
-        m.hl.drop_caches();
-        let t0 = m.clock.now();
-        let resolved = m.hl.lookup("/f").expect("lookup");
+        hl.seal_staging(&mut t).expect("seal");
+        hl.eject_all();
+        hl.drop_caches();
+        let t0 = hl.clock().now();
+        let resolved = hl.lookup("/f").expect("lookup");
         let mut buf = [0u8; 4096];
-        m.hl.read(resolved, 0, &mut buf).expect("read");
-        let first = m.clock.now() - t0;
+        hl.read(resolved, 0, &mut buf).expect("read");
+        let first = hl.clock().now() - t0;
         rows.push(Row {
             label: name.into(),
             paper: "-".into(),
@@ -351,24 +316,24 @@ fn ablation_prefetch() {
         ("next-segment(2)", PrefetchPolicy::NextSegments(2)),
         ("unit hints (§5.3)", PrefetchPolicy::UnitHints),
     ] {
-        let mut m = mini(|c| c.prefetch = policy.clone());
+        let mut hl = mini(|c| c.prefetch = policy.clone());
         // One 4 MB file = 5 tertiary segments, labelled as one unit.
-        let ino = m.hl.create("/unitfile").expect("create");
-        m.hl.write(ino, 0, &filled(4_000_000, 2)).expect("write");
-        m.hl.sync().expect("sync");
-        let items = m.hl.lfs().whole_file_items(ino, false).expect("items");
-        m.hl.migrate_items(&items, Some(7)).expect("migrate");
+        let ino = hl.create("/unitfile").expect("create");
+        hl.write(ino, 0, &filled(4_000_000, 2)).expect("write");
+        hl.sync().expect("sync");
+        let items = hl.lfs().whole_file_items(ino, false).expect("items");
+        hl.migrate_items(&items, Some(7)).expect("migrate");
         let mut t = Default::default();
-        m.hl.seal_staging(&mut t).expect("seal");
-        m.hl.eject_all();
-        m.hl.drop_caches();
+        hl.seal_staging(&mut t).expect("seal");
+        hl.eject_all();
+        hl.drop_caches();
         // Read stdio-style (64 KB buffer): the prefetcher sees each
         // segment boundary as it is crossed.
-        let t0 = m.clock.now();
+        let t0 = hl.clock().now();
         let mut buf = vec![0u8; 64 * 1024];
         let mut off = 0u64;
         while off < 4_000_000 {
-            let n = m.hl.read(ino, off, &mut buf).expect("read");
+            let n = hl.read(ino, off, &mut buf).expect("read");
             if n == 0 {
                 break;
             }
@@ -377,7 +342,7 @@ fn ablation_prefetch() {
         rows.push(Row {
             label: name.into(),
             paper: "-".into(),
-            measured: format!("4MB cold read {:.2}s", as_secs(m.clock.now() - t0)),
+            measured: format!("4MB cold read {:.2}s", as_secs(hl.clock().now() - t0)),
         });
     }
     print_table(
@@ -448,29 +413,29 @@ fn ablation_cleaner() {
 fn ablation_replicas() {
     let mut rows = Vec::new();
     for (name, copies) in [("single copy", 0u32), ("1 replica, read-closest", 1)] {
-        let mut m = mini(|_| {});
-        m.hl.tio().set_replication(copies);
-        migrate_files(&mut m, 4);
+        let mut hl = mini(|_| {});
+        hl.tio().set_replication(copies);
+        migrate_files(&mut hl, 4);
         // Access pattern that ping-pongs between two files on different
         // volumes... with one volume per 10 segments all 4 land on
         // volume 0; replicas land on volume 1. Force the reader drive to
         // hold volume 1 by reading a replica home directly, then time a
         // fetch of each file: with replicas the loaded volume serves.
-        m.hl.eject_all();
-        m.hl.drop_caches();
-        let t0 = m.clock.now();
+        hl.eject_all();
+        hl.drop_caches();
+        let t0 = hl.clock().now();
         let mut buf = vec![0u8; 64 * 1024];
         for i in 0..4 {
-            let ino = m.hl.lookup(&format!("/m{i}")).expect("lookup");
-            m.hl.read(ino, 0, &mut buf).expect("read");
+            let ino = hl.lookup(&format!("/m{i}")).expect("lookup");
+            hl.read(ino, 0, &mut buf).expect("read");
         }
         rows.push(Row {
             label: name.into(),
             paper: "-".into(),
             measured: format!(
                 "4 cold files in {:.1}s, {} replicated segs",
-                as_secs(m.clock.now() - t0),
-                m.hl.tio().replicas().borrow().replicated_segments()
+                as_secs(hl.clock().now() - t0),
+                hl.tio().replicas().borrow().replicated_segments()
             ),
         });
     }

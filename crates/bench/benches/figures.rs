@@ -9,9 +9,8 @@
 
 use std::rc::Rc;
 
+use highlight::rig::{hp6300, HlRig};
 use highlight::stack;
-use highlight::{HighLight, HlConfig};
-use hl_footprint::{Jukebox, JukeboxConfig};
 use hl_lfs::{Lfs, LfsConfig, LinearMap, NoTertiary, Ufs};
 use hl_sim::Clock;
 use hl_vdev::{BlockDev, Disk, DiskProfile};
@@ -47,24 +46,9 @@ fn main() {
     }
 
     // Figures 2–5 share one HighLight instance with migration history.
-    let clock = Clock::new();
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 24 * 256, None));
-    let jukebox = Jukebox::new(
-        JukeboxConfig {
-            volumes: 4,
-            segments_per_volume: 8,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let cfg = HlConfig::paper(clock.clone(), 5);
-    HighLight::mkfs(
-        disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(jukebox.clone()),
-        cfg.clone(),
-    )
-    .expect("mkfs");
-    let mut hl = HighLight::mount(disk as Rc<dyn BlockDev>, Rc::new(jukebox), cfg).expect("mount");
+    let rig = HlRig::new(2 + 24 * 256, hp6300(4, 8), 5, None);
+    rig.mkfs();
+    let mut hl = rig.mount();
     let ino = hl.create("/archive").expect("create");
     hl.write(ino, 0, &vec![3u8; 1_800_000]).expect("write");
     hl.sync().expect("sync");

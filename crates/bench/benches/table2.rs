@@ -7,7 +7,7 @@
 
 use hl_bench::fsx::{build_large_object, run_large_object, BenchFs};
 use hl_bench::report::Checks;
-use hl_bench::rigs::Rig;
+use hl_bench::rigs;
 use hl_bench::table::{print_table, time_and_rate, Row};
 use hl_sim::time::SimTime;
 use hl_workload::large_object::Phase;
@@ -75,26 +75,26 @@ fn main() {
 
     // FFS.
     {
-        let rig = Rig::paper();
-        let results = run_config(rig.ffs(), |_| {});
+        let results = run_config(rigs::ffs(&rigs::paper()), |_| {});
         all.push(("FFS".into(), results));
     }
     // Base LFS.
     {
-        let rig = Rig::paper();
-        let results = run_config(rig.lfs(), |_| {});
+        let results = run_config(rigs::lfs(&rigs::paper()), |_| {});
         all.push(("Base LFS".into(), results));
     }
     // HighLight, files never migrated.
     {
-        let rig = Rig::paper();
-        let results = run_config(rig.highlight(80), |_| {});
+        let rig = rigs::paper();
+        rig.mkfs();
+        let results = run_config(rig.mount(), |_| {});
         all.push(("HighLight (on-disk)".into(), results));
     }
     // HighLight, file migrated and fully cached on disk.
     {
-        let rig = Rig::paper();
-        let results = run_config(rig.highlight(80), |hl| {
+        let rig = rigs::paper();
+        rig.mkfs();
+        let results = run_config(rig.mount(), |hl| {
             hl.migrate_file("/large_object", true, None)
                 .expect("migrate");
             let mut tail = Default::default();

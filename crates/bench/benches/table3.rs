@@ -11,7 +11,7 @@
 
 use hl_bench::fsx::BenchFs;
 use hl_bench::report::Checks;
-use hl_bench::rigs::Rig;
+use hl_bench::rigs;
 use hl_bench::table::{print_table, secs2, Row};
 use hl_sim::time::SimTime;
 
@@ -61,8 +61,7 @@ fn main() {
     // FFS baseline.
     let mut ffs_times = Vec::new();
     {
-        let rig = Rig::paper();
-        let mut fs = rig.ffs();
+        let mut fs = rigs::ffs(&rigs::paper());
         for (i, &(size, name)) in SIZES.iter().enumerate() {
             let path = format!("/f_{name}");
             let ino = fs.create(&path).expect("create");
@@ -79,8 +78,9 @@ fn main() {
     let mut cached_times = Vec::new();
     let mut uncached_times = Vec::new();
     {
-        let rig = Rig::paper();
-        let mut hl = rig.highlight(80);
+        let rig = rigs::paper();
+        rig.mkfs();
+        let mut hl = rig.mount();
         for (i, &(size, name)) in SIZES.iter().enumerate() {
             let path = format!("/f_{name}");
             let ino = hl.create(&path).expect("create");

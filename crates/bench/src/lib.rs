@@ -14,8 +14,9 @@
 //! | `figures`| Figures 1–5 as ASCII renderings of live state |
 //! | `ablation_*` | design-choice studies listed in DESIGN.md |
 //!
-//! Shared machinery lives here: [`rigs`] builds paper-scale device
-//! stacks, [`fsx`] unifies the three filesystems under one trait,
+//! Shared machinery lives here: [`rigs`] is the §7 testbed and its FFS
+//! and base-LFS mounts (every rig comes from `highlight::rig`), [`fsx`]
+//! unifies the three filesystems under one trait,
 //! [`pipeline`] is the virtual-time actor pipeline for the concurrent
 //! experiments, [`scenarios`] is the adversarial scenario runner
 //! (Zipfian flash crowds, hierarchy scans, tenant thrash — each with a

@@ -16,16 +16,15 @@
 //! win visibly.
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use highlight::migrator::{AdaptiveThrottle, GenerationalPolicy, Migrator, StpPolicy};
+use highlight::rig::{hp6300, HlRig};
 use highlight::segcache::EjectPolicy;
-use highlight::{tcleaner, HighLight, HlConfig};
-use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
+use highlight::{tcleaner, HighLight};
+use hl_footprint::Footprint;
 use hl_lfs::cleaner::CleanerPolicy;
 use hl_sim::stats::percentile;
-use hl_sim::{Clock, SimTime};
-use hl_vdev::{BlockDev, Disk, DiskProfile};
+use hl_sim::SimTime;
 use hl_workload::ops::{Op, OpStream};
 
 use crate::report::Json;
@@ -239,35 +238,17 @@ fn free_tertiary_slots(hl: &mut HighLight) -> u32 {
 pub fn run_policy_arm(stream: &OpStream, arm: &ArmSpec) -> ArmReport {
     let input_digest = stream.input_trace_digest();
 
-    let clock = Clock::new();
-    let disk = Rc::new(Disk::new(
-        DiskProfile::RZ57,
-        (2 + (CACHE_SEGS + DISK_SEGS) * 256 + 5) as u64,
-        None,
-    ));
-    let jukebox = Jukebox::new(
-        JukeboxConfig {
-            volumes: VOLUMES,
-            segments_per_volume: SLOTS_PER_VOLUME,
-            ..JukeboxConfig::hp6300_paper()
-        },
+    let mut rig = HlRig::new(
+        u64::from(2 + (CACHE_SEGS + DISK_SEGS) * 256 + 5),
+        hp6300(VOLUMES, SLOTS_PER_VOLUME),
+        CACHE_SEGS,
         None,
     );
-    let mut cfg = HlConfig::paper(clock.clone(), CACHE_SEGS);
-    cfg.eject = arm.eject;
-    cfg.lfs.cleaner_policy = arm.cleaning;
-    HighLight::mkfs(
-        disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(jukebox.clone()),
-        cfg.clone(),
-    )
-    .expect("mkfs");
-    let mut hl = HighLight::mount(
-        disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(jukebox.clone()),
-        cfg,
-    )
-    .expect("mount");
+    rig.cfg.eject = arm.eject;
+    rig.cfg.lfs.cleaner_policy = arm.cleaning;
+    rig.mkfs();
+    let mut hl = rig.mount();
+    let clock = &rig.clock;
 
     let mut load_signal = None;
     let mut migrator = match arm.migration {
@@ -420,8 +401,8 @@ pub fn run_policy_arm(stream: &OpStream, arm: &ArmSpec) -> ArmReport {
 
     let svc = tio.stats();
     let cache = tio.cache().borrow().stats();
-    let fp = jukebox.stats();
-    let dstats = disk.stats();
+    let fp = rig.jukebox.stats();
+    let dstats = rig.disk.stats();
     let device_bytes = dstats.bytes_written + fp.bytes_written;
     ArmReport {
         arm: arm.name,

@@ -20,12 +20,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use highlight::{HighLight, HlConfig, MigrateStats};
-use hl_footprint::{Jukebox, JukeboxConfig};
+use highlight::rig::{hp6300, HlRig};
+use highlight::{HighLight, MigrateStats};
 use hl_lfs::error::LfsError;
 use hl_sim::time::secs;
 use hl_sim::Clock;
-use hl_vdev::{BlockDev, CrashDev, CrashPlan, Disk, DiskProfile};
+use hl_vdev::{BlockDev, CrashDev, CrashPlan};
 
 /// One step of a torture workload. File identities are small indices
 /// mapped to `/fNN` paths, as in the oracle fuzzer.
@@ -146,36 +146,6 @@ struct Oracle {
 
 fn path(file: u8) -> String {
     format!("/f{file:02}")
-}
-
-/// A fresh small-scale rig (same shape as the oracle fuzzer's): the
-/// whole address hierarchy at a size where every crash point replays in
-/// milliseconds.
-struct Rig {
-    clock: Clock,
-    disk: Rc<Disk>,
-    jukebox: Jukebox,
-    cfg: HlConfig,
-}
-
-fn rig() -> Rig {
-    let clock = Clock::new();
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 48 * 256, None));
-    let jukebox = Jukebox::new(
-        JukeboxConfig {
-            volumes: 8,
-            segments_per_volume: 16,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let cfg = HlConfig::paper(clock.clone(), 6);
-    Rig {
-        clock,
-        disk,
-        jukebox,
-        cfg,
-    }
 }
 
 /// How one pass over the scenario ended.
@@ -334,13 +304,10 @@ fn run_ops(
 /// Remounts the surviving image, reaps crash orphans, and checks the
 /// recovered state: recovery report sanity, oracle byte diff, and a
 /// zero-finding `hlfsck`.
-fn check_recovery(r: &Rig, oracle: &Oracle, k: u64, crashed_at_op: usize, note: &str) -> String {
-    let (mut hl, report) = HighLight::mount_with_report(
-        r.disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(r.jukebox.clone()),
-        r.cfg.clone(),
-    )
-    .unwrap_or_else(|e| panic!("crash point {k}: remount failed: {e}"));
+fn check_recovery(r: &HlRig, oracle: &Oracle, k: u64, crashed_at_op: usize, note: &str) -> String {
+    let (mut hl, report) = r
+        .mount_with_report()
+        .unwrap_or_else(|e| panic!("crash point {k}: remount failed: {e}"));
     assert!(
         report.checkpoint_serial >= oracle.checkpoints,
         "crash point {k}: recovered from serial {} but {} checkpoints completed",
@@ -392,17 +359,14 @@ fn check_recovery(r: &Rig, oracle: &Oracle, k: u64, crashed_at_op: usize, note: 
     )
 }
 
-/// Runs one pass with the given crash plan: fresh rig, mkfs on the raw
-/// disk, mount through the [`CrashDev`], play the scenario, and (if the
-/// plan fired) validate recovery. Returns the summary line.
+/// Runs one pass with the given crash plan: a fresh small-scale rig (the
+/// oracle fuzzer's shape, where every crash point replays in
+/// milliseconds), mkfs on the raw disk, mount through the [`CrashDev`],
+/// play the scenario, and (if the plan fired) validate recovery. Returns
+/// the summary line.
 fn one_pass(ops: &[TortureOp], plan: CrashPlan, k: u64) -> String {
-    let r = rig();
-    HighLight::mkfs(
-        r.disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(r.jukebox.clone()),
-        r.cfg.clone(),
-    )
-    .expect("mkfs");
+    let r = HlRig::new(2 + 48 * 256, hp6300(8, 16), 6, None);
+    r.mkfs();
     let crash_disk: Rc<dyn BlockDev> = Rc::new(CrashDev::new(
         r.disk.clone() as Rc<dyn BlockDev>,
         plan.clone(),

@@ -1,30 +1,111 @@
-//! The one engine-rig builder: a cache disk, a jukebox, a segment
-//! cache and a [`TertiaryIo`] over them, for every test and bench that
-//! drives the engine without a filesystem on top (the filesystem's own
-//! assembly is [`crate::HighLight::mount`]).
+//! The one rig builder, in two halves, for every test, bench and
+//! example that needs the paper's devices.
 //!
-//! [`RigSpec`] is parameterised only by what those callers vary; the
-//! default is the 64-segment RZ57 test rig (4 volumes × 8 slots, two
-//! drives, cache lines `40..52`). [`RigSpec::cache_disk`] is the
-//! scenario/shard shape: an RZ58 that holds nothing but the cache pool,
-//! with the deterministic [`seg_image`] poked onto every tertiary
-//! segment so fetched bytes have an oracle.
+//! - [`HlRig`] is the mounted hierarchy: a clock, an RZ57 cache disk
+//!   and a jukebox (optionally on one SCSI bus, as in §7's testbed),
+//!   with the [`HlConfig`] that `mkfs` and every mount of them use.
+//! - [`RigSpec`] is the engine alone: a cache disk, a jukebox, a
+//!   segment cache and a [`TertiaryIo`] over them, with no filesystem
+//!   on top. Its default is the 64-segment RZ57 test rig (4 volumes × 8
+//!   slots, two drives, cache lines `40..52`). [`RigSpec::cache_disk`]
+//!   is the scenario/shard shape: an RZ58 that holds nothing but the
+//!   cache pool, with the deterministic [`seg_image`] poked onto every
+//!   tertiary segment so fetched bytes have an oracle.
+//!
+//! Both are parameterised only by what their callers vary; both cut the
+//! changer down with [`hp6300`].
 
 use std::cell::RefCell;
 use std::ops::Range;
 use std::rc::Rc;
 
 use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
+use hl_lfs::error::Result;
+use hl_lfs::recovery::RecoveryReport;
 use hl_lfs::types::SegNo;
-use hl_vdev::{BlockDev, Disk, DiskProfile, BLOCK_SIZE};
+use hl_sim::Clock;
+use hl_vdev::{BlockDev, Disk, DiskProfile, ScsiBus, BLOCK_SIZE};
 
 use crate::segcache::{EjectPolicy, SegCache};
 use crate::service::TertiaryIo;
 use crate::tsegfile::TsegTable;
-use crate::UniformMap;
+use crate::{HighLight, HlConfig, UniformMap};
 
 /// Blocks per segment on every rig (1 MB segments, as in the paper).
 pub const BLOCKS_PER_SEG: u32 = 256;
+
+/// Blocks in the paper's 848 MB RZ57 partition (§7).
+pub const RZ57_BLOCKS: u64 = 217_088;
+
+/// The paper's HP 6300 changer cut down to `volumes` platters of
+/// `slots` segments each.
+pub fn hp6300(volumes: u32, slots: u32) -> JukeboxConfig {
+    JukeboxConfig {
+        volumes,
+        segments_per_volume: slots,
+        ..JukeboxConfig::hp6300_paper()
+    }
+}
+
+/// A HighLight hierarchy's devices and configuration. A caller that
+/// varies the configuration sets [`HlRig::cfg`] before it formats or
+/// mounts; the torture harness mounts the same devices through a
+/// crash-injecting wrapper of [`HlRig::disk`].
+pub struct HlRig {
+    /// The shared virtual clock (the one in `cfg`).
+    pub clock: Clock,
+    /// The cache disk, an RZ57.
+    pub disk: Rc<Disk>,
+    /// The tertiary device.
+    pub jukebox: Jukebox,
+    /// What `mkfs` and every mount pass to HighLight.
+    pub cfg: HlConfig,
+}
+
+impl HlRig {
+    /// An RZ57 of exactly `disk_blocks` blocks (its size sets the seek
+    /// curve) and a `jukebox`, both on `bus` if one is given, under
+    /// [`HlConfig::paper`] with `cache_lines` cache segments.
+    pub fn new(
+        disk_blocks: u64,
+        jukebox: JukeboxConfig,
+        cache_lines: u32,
+        bus: Option<ScsiBus>,
+    ) -> HlRig {
+        let clock = Clock::new();
+        HlRig {
+            cfg: HlConfig::paper(clock.clone(), cache_lines),
+            clock,
+            disk: Rc::new(Disk::new(DiskProfile::RZ57, disk_blocks, bus.clone())),
+            jukebox: Jukebox::new(jukebox, bus),
+        }
+    }
+
+    /// Formats HighLight across the devices; panics on failure.
+    pub fn mkfs(&self) {
+        HighLight::mkfs(
+            self.disk.clone(),
+            Rc::new(self.jukebox.clone()),
+            self.cfg.clone(),
+        )
+        .expect("mkfs");
+    }
+
+    /// Mounts what is on the devices; panics on failure.
+    pub fn mount(&self) -> HighLight {
+        self.mount_with_report().expect("mount").0
+    }
+
+    /// Mounts what is on the devices, as after a crash, with what LFS
+    /// recovery did.
+    pub fn mount_with_report(&self) -> Result<(HighLight, RecoveryReport)> {
+        HighLight::mount_with_report(
+            self.disk.clone(),
+            Rc::new(self.jukebox.clone()),
+            self.cfg.clone(),
+        )
+    }
+}
 
 /// The deterministic 1 MB byte image of tertiary segment `seg` under
 /// `seed`: pre-poked onto the media, staged by writer tenants, and
@@ -141,9 +222,7 @@ impl RigSpec {
         let jb = Jukebox::new(
             JukeboxConfig {
                 drives: self.drives,
-                volumes: self.volumes,
-                segments_per_volume: self.slots,
-                ..JukeboxConfig::hp6300_paper()
+                ..hp6300(self.volumes, self.slots)
             },
             None,
         );

@@ -198,32 +198,12 @@ pub fn clean_volume(hl: &mut HighLight, vol: u32) -> Result<TCleanReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fs::HlConfig;
-    use hl_footprint::{Jukebox, JukeboxConfig};
-    use hl_sim::Clock;
-    use hl_vdev::{BlockDev, Disk, DiskProfile};
-    use std::rc::Rc;
+    use crate::rig::{hp6300, HlRig};
 
-    fn mounted(volumes: u32, slots: u32) -> (HighLight, Clock) {
-        let clock = Clock::new();
-        let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 48 * 256 + 5, None));
-        let jukebox = Jukebox::new(
-            JukeboxConfig {
-                volumes,
-                segments_per_volume: slots,
-                ..JukeboxConfig::hp6300_paper()
-            },
-            None,
-        );
-        let cfg = HlConfig::paper(clock.clone(), 8);
-        HighLight::mkfs(
-            disk.clone() as Rc<dyn BlockDev>,
-            Rc::new(jukebox.clone()),
-            cfg.clone(),
-        )
-        .expect("mkfs");
-        let hl = HighLight::mount(disk as Rc<dyn BlockDev>, Rc::new(jukebox), cfg).expect("mount");
-        (hl, clock)
+    fn mounted(volumes: u32, slots: u32) -> HighLight {
+        let rig = HlRig::new(2 + 48 * 256 + 5, hp6300(volumes, slots), 8, None);
+        rig.mkfs();
+        rig.mount()
     }
 
     fn fill(id: u32, len: usize) -> Vec<u8> {
@@ -243,7 +223,7 @@ mod tests {
 
     #[test]
     fn no_victim_while_every_volume_is_still_filling() {
-        let (mut hl, _clock) = mounted(2, 3);
+        let mut hl = mounted(2, 3);
         assert_eq!(select_victim_volume(&mut hl), None, "fresh fs");
         migrate_one(&mut hl, "/one", 1);
         assert_eq!(
@@ -255,7 +235,7 @@ mod tests {
 
     #[test]
     fn default_policy_reproduces_the_legacy_lowest_density_victim() {
-        let (mut hl, _clock) = mounted(3, 2);
+        let mut hl = mounted(3, 2);
         for i in 0..6u32 {
             migrate_one(&mut hl, &format!("/f{i}"), i);
         }
@@ -299,7 +279,7 @@ mod tests {
 
     #[test]
     fn cost_benefit_prefers_cold_half_full_over_hot_empty() {
-        let (mut hl, _clock) = mounted(3, 2);
+        let mut hl = mounted(3, 2);
         for i in 0..6u32 {
             migrate_one(&mut hl, &format!("/f{i}"), i);
         }
@@ -324,7 +304,7 @@ mod tests {
 
     #[test]
     fn a_segment_shared_with_a_freed_inode_still_cleans() {
-        let (mut hl, _clock) = mounted(2, 1);
+        let mut hl = mounted(2, 1);
         // Two files share one staging segment; one of them dies.
         for (path, id) in [("/dead", 1), ("/live", 2)] {
             let ino = hl.create(path).expect("create");
@@ -354,7 +334,7 @@ mod tests {
 
     #[test]
     fn clean_volume_reclaims_and_traces_its_pass() {
-        let (mut hl, _clock) = mounted(2, 3);
+        let mut hl = mounted(2, 3);
         for i in 0..3u32 {
             migrate_one(&mut hl, &format!("/f{i}"), i);
         }

@@ -19,15 +19,12 @@
 //!     `quarantines` reads 0 for 1 in the volume-loss scenario, and the
 //!     unavailable segment's one step ends "gave up", not "quarantine".
 
-use std::rc::Rc;
-
-use highlight::rig::{assert_clean, RigSpec};
+use highlight::rig::{assert_clean, hp6300, HlRig, RigSpec};
 use highlight::segcache::LineState;
-use highlight::{FaultEvent, HighLight, HlConfig, HlError, SvcStats};
-use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
+use highlight::{FaultEvent, HlError, SvcStats};
+use hl_footprint::Footprint;
 use hl_lfs::config::AddressMap;
-use hl_sim::Clock;
-use hl_vdev::{BlockDev, Disk, DiskProfile, FaultConfig, FaultPlan};
+use hl_vdev::{FaultConfig, FaultPlan};
 
 /// The full mid-run volume-loss scenario; returns the rendered fault
 /// log and the engine's trace digest.
@@ -211,31 +208,11 @@ fn exhausted_recovery_surfaces_the_ordered_fault_trail() {
 /// sealed segment on the next volume — with replica bookkeeping intact.
 #[test]
 fn end_of_medium_marks_volume_full_and_rewrites_on_next_volume() {
-    let clock = Clock::new();
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 32u64 * 256 + 7, None));
-    let jukebox = Jukebox::new(
-        JukeboxConfig {
-            volumes: 4,
-            segments_per_volume: 8,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
+    let rig = HlRig::new(2 + 32 * 256 + 7, hp6300(4, 8), 6, None);
     // Volume 0 "compresses badly": only 1 of its 8 slots really fits.
-    jukebox.set_effective_segments(0, 1);
-    let cfg = || HlConfig::paper(clock.clone(), 6);
-    HighLight::mkfs(
-        disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(jukebox.clone()),
-        cfg(),
-    )
-    .unwrap();
-    let mut hl = HighLight::mount(
-        disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(jukebox.clone()),
-        cfg(),
-    )
-    .unwrap();
+    rig.jukebox.set_effective_segments(0, 1);
+    rig.mkfs();
+    let mut hl = rig.mount();
     hl.tio().set_replication(1);
 
     let patterned = |seed: u8| -> Vec<u8> {

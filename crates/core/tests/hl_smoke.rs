@@ -1,67 +1,19 @@
 //! End-to-end HighLight exercises: migration, demand fetch, cache
 //! behaviour, persistence, tertiary cleaning.
 
-use std::rc::Rc;
-
-use highlight::{HighLight, HlConfig};
-use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
+use highlight::rig::{hp6300, HlRig};
+use hl_footprint::Footprint;
 use hl_sim::time::{secs, SEC};
-use hl_sim::Clock;
-use hl_vdev::{BlockDev, Disk, DiskProfile};
+use hl_vdev::{BlockDev, Disk};
 
-struct Rig {
-    disk: Rc<Disk>,
-    jukebox: Jukebox,
-    clock: Clock,
-    cache_segs: u32,
-}
-
-impl Rig {
-    /// `disk_segs` 1 MB disk segments + a small MO jukebox.
-    fn new(disk_segs: u32, volumes: u32, slots: u32, cache_segs: u32) -> Rig {
-        let clock = Clock::new();
-        let disk = Rc::new(Disk::new(
-            DiskProfile::RZ57,
-            2 + disk_segs as u64 * 256 + 7,
-            None,
-        ));
-        let jukebox = Jukebox::new(
-            JukeboxConfig {
-                volumes,
-                segments_per_volume: slots,
-                ..JukeboxConfig::hp6300_paper()
-            },
-            None,
-        );
-        Rig {
-            disk,
-            jukebox,
-            clock,
-            cache_segs,
-        }
-    }
-
-    fn cfg(&self) -> HlConfig {
-        HlConfig::paper(self.clock.clone(), self.cache_segs)
-    }
-
-    fn mkfs(&self) {
-        HighLight::mkfs(
-            self.disk.clone() as Rc<dyn BlockDev>,
-            Rc::new(self.jukebox.clone()),
-            self.cfg(),
-        )
-        .expect("mkfs");
-    }
-
-    fn mount(&self) -> HighLight {
-        HighLight::mount(
-            self.disk.clone() as Rc<dyn BlockDev>,
-            Rc::new(self.jukebox.clone()),
-            self.cfg(),
-        )
-        .expect("mount")
-    }
+/// `disk_segs` 1 MB disk segments + a small MO jukebox.
+fn rig(disk_segs: u64, volumes: u32, slots: u32, cache_segs: u32) -> HlRig {
+    HlRig::new(
+        2 + disk_segs * 256 + 7,
+        hp6300(volumes, slots),
+        cache_segs,
+        None,
+    )
 }
 
 fn patterned(len: usize, seed: u8) -> Vec<u8> {
@@ -72,7 +24,7 @@ fn patterned(len: usize, seed: u8) -> Vec<u8> {
 
 #[test]
 fn acts_like_a_normal_filesystem() {
-    let rig = Rig::new(32, 4, 8, 6);
+    let rig = rig(32, 4, 8, 6);
     rig.mkfs();
     let mut hl = rig.mount();
     hl.mkdir("/data").unwrap();
@@ -86,7 +38,7 @@ fn acts_like_a_normal_filesystem() {
 
 #[test]
 fn migrate_then_read_back_from_cache() {
-    let rig = Rig::new(32, 4, 8, 6);
+    let rig = rig(32, 4, 8, 6);
     rig.mkfs();
     let mut hl = rig.mount();
     let data = patterned(2 * 1024 * 1024 + 777, 2);
@@ -110,7 +62,7 @@ fn migrate_then_read_back_from_cache() {
 
 #[test]
 fn demand_fetch_after_eject_takes_tertiary_time() {
-    let rig = Rig::new(32, 4, 8, 6);
+    let rig = rig(32, 4, 8, 6);
     rig.mkfs();
     let mut hl = rig.mount();
     let data = patterned(1024 * 1024, 3);
@@ -152,7 +104,7 @@ fn demand_fetch_after_eject_takes_tertiary_time() {
 
 #[test]
 fn migrated_metadata_demand_fetches_too() {
-    let rig = Rig::new(32, 4, 8, 6);
+    let rig = rig(32, 4, 8, 6);
     rig.mkfs();
     let mut hl = rig.mount();
     let data = patterned(300_000, 4);
@@ -175,7 +127,7 @@ fn migrated_metadata_demand_fetches_too() {
 
 #[test]
 fn updates_to_migrated_files_go_to_disk_log() {
-    let rig = Rig::new(32, 4, 8, 6);
+    let rig = rig(32, 4, 8, 6);
     rig.mkfs();
     let mut hl = rig.mount();
     let data = patterned(500_000, 5);
@@ -202,7 +154,7 @@ fn updates_to_migrated_files_go_to_disk_log() {
 
 #[test]
 fn state_survives_checkpoint_and_remount() {
-    let rig = Rig::new(32, 4, 8, 6);
+    let rig = rig(32, 4, 8, 6);
     rig.mkfs();
     let data = patterned(1_200_000, 7);
     {
@@ -226,7 +178,7 @@ fn state_survives_checkpoint_and_remount() {
 
 #[test]
 fn cache_is_bounded_by_static_limit() {
-    let rig = Rig::new(40, 4, 8, 3); // only 3 cache lines
+    let rig = rig(40, 4, 8, 3); // only 3 cache lines
     rig.mkfs();
     let mut hl = rig.mount();
     // Migrate 6 × 1 MB files (6 tertiary segments).
@@ -255,7 +207,7 @@ fn cache_is_bounded_by_static_limit() {
 
 #[test]
 fn end_of_medium_relocates_staging_segment() {
-    let rig = Rig::new(32, 4, 8, 6);
+    let rig = rig(32, 4, 8, 6);
     // Volume 0 "compresses badly": only 1 of its 8 slots really fits.
     rig.jukebox.set_effective_segments(0, 1);
     rig.mkfs();
@@ -297,7 +249,7 @@ fn end_of_medium_relocates_staging_segment() {
 
 #[test]
 fn tertiary_cleaner_reclaims_dead_volumes() {
-    let rig = Rig::new(40, 3, 4, 6);
+    let rig = rig(40, 3, 4, 6);
     rig.mkfs();
     let mut hl = rig.mount();
     // Fill volume 0 with 4 files (one segment each), then delete 3.
@@ -335,7 +287,7 @@ fn tertiary_cleaner_reclaims_dead_volumes() {
 #[test]
 fn first_byte_delay_dominated_by_volume_swap() {
     // Table 3's story: ~3.5 s to first byte when the volume is loaded.
-    let rig = Rig::new(32, 4, 8, 6);
+    let rig = rig(32, 4, 8, 6);
     rig.mkfs();
     let mut hl = rig.mount();
     let ino = hl.create("/d").unwrap();
@@ -359,7 +311,7 @@ fn first_byte_delay_dominated_by_volume_swap() {
 
 #[test]
 fn replicas_serve_reads_from_loaded_volumes() {
-    let rig = Rig::new(32, 4, 8, 6);
+    let rig = rig(32, 4, 8, 6);
     rig.mkfs();
     let mut hl = rig.mount();
     hl.tio().set_replication(1);
@@ -399,7 +351,7 @@ fn replicas_serve_reads_from_loaded_volumes() {
 
 #[test]
 fn dynamic_cache_resizing_grows_and_shrinks() {
-    let rig = Rig::new(40, 4, 8, 4);
+    let rig = rig(40, 4, 8, 4);
     rig.mkfs();
     let mut hl = rig.mount();
     assert_eq!(hl.cache().borrow().capacity(), 4);
@@ -433,7 +385,7 @@ fn stall_notifier_reports_hold_on_and_resume() {
     use highlight::StallEvent;
     use std::cell::RefCell;
     use std::rc::Rc as StdRc;
-    let rig = Rig::new(32, 4, 8, 6);
+    let rig = rig(32, 4, 8, 6);
     rig.mkfs();
     let mut hl = rig.mount();
     let events: StdRc<RefCell<Vec<StallEvent>>> = StdRc::new(RefCell::new(Vec::new()));
@@ -466,16 +418,10 @@ fn stall_notifier_reports_hold_on_and_resume() {
 #[test]
 fn rearrangement_clusters_accessed_segments() {
     use highlight::RearrangeMode;
-    let rig = Rig::new(48, 6, 10, 8);
+    let mut rig = rig(48, 6, 10, 8);
     rig.mkfs();
-    let mut cfg = rig.cfg();
-    cfg.rearrange = RearrangeMode::OnFetch;
-    let mut hl = HighLight::mount(
-        rig.disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(rig.jukebox.clone()),
-        cfg,
-    )
-    .unwrap();
+    rig.cfg.rearrange = RearrangeMode::OnFetch;
+    let mut hl = rig.mount();
     // Two datasets loaded separately (so they land in separate
     // segments), later "analyzed together" (§5.4's motivating example).
     let a = hl.create("/setA").unwrap();
@@ -545,7 +491,7 @@ fn forged_inode_address_is_corrupt_to_both_cleaners_and_relocation() {
     use hl_lfs::ondisk::seg_flags;
     use hl_lfs::LfsError;
 
-    let rig = Rig::new(32, 4, 8, 6);
+    let rig = rig(32, 4, 8, 6);
     rig.mkfs();
     let mut hl = rig.mount();
     let map = hl.map();

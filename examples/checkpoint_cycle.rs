@@ -14,37 +14,19 @@
 //! cargo run --release --example checkpoint_cycle
 //! ```
 
-use std::rc::Rc;
-
-use highlight::{HighLight, HlConfig, Migrator};
-use hl_footprint::{Jukebox, JukeboxConfig};
+use highlight::rig::{hp6300, HlRig};
+use highlight::Migrator;
 use hl_sim::time::{as_secs, secs};
-use hl_sim::Clock;
-use hl_vdev::{BlockDev, Disk, DiskProfile};
 use hl_workload::sequoia::CheckpointCycle;
 
 const CKPT_BYTES: u64 = 6 * 1024 * 1024;
 
 fn main() {
-    let clock = Clock::new();
     // A deliberately small disk (48 MB) so migration pressure is real.
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 48 * 256, None));
-    let jukebox = Jukebox::new(
-        JukeboxConfig {
-            volumes: 6,
-            segments_per_volume: 20,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let cfg = HlConfig::paper(clock.clone(), 8);
-    HighLight::mkfs(
-        disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(jukebox.clone()),
-        cfg.clone(),
-    )
-    .expect("mkfs");
-    let mut hl = HighLight::mount(disk as Rc<dyn BlockDev>, Rc::new(jukebox), cfg).expect("mount");
+    let rig = HlRig::new(2 + 48 * 256, hp6300(6, 20), 8, None);
+    rig.mkfs();
+    let mut hl = rig.mount();
+    let clock = &rig.clock;
     hl.mkdir("/ckpt").expect("mkdir");
 
     let cycle = CheckpointCycle::new(CKPT_BYTES);

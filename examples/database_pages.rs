@@ -13,38 +13,19 @@
 //! cargo run --release --example database_pages
 //! ```
 
-use std::rc::Rc;
-
 use highlight::migrator::{BlockRangePolicy, MigrationPolicy};
-use highlight::{HighLight, HlConfig};
-use hl_footprint::{Jukebox, JukeboxConfig};
+use highlight::rig::{hp6300, HlRig, RZ57_BLOCKS};
 use hl_sim::time::{as_secs, secs};
-use hl_sim::Clock;
-use hl_vdev::{BlockDev, Disk, DiskProfile};
 use hl_workload::sequoia::DatabasePages;
 
 const PAGE: usize = 4096;
 const PAGES: u64 = 15_000; // ~60 MB relation
 
 fn main() {
-    let clock = Clock::new();
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 217_088, None));
-    let jukebox = Jukebox::new(
-        JukeboxConfig {
-            volumes: 8,
-            segments_per_volume: 40,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let cfg = HlConfig::paper(clock.clone(), 48);
-    HighLight::mkfs(
-        disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(jukebox.clone()),
-        cfg.clone(),
-    )
-    .expect("mkfs");
-    let mut hl = HighLight::mount(disk as Rc<dyn BlockDev>, Rc::new(jukebox), cfg).expect("mount");
+    let rig = HlRig::new(RZ57_BLOCKS, hp6300(8, 40), 48, None);
+    rig.mkfs();
+    let mut hl = rig.mount();
+    let clock = &rig.clock;
     // Finer-grained range records for the page-access pattern (§5.2's
     // granularity/overhead tradeoff).
     hl.tracker.max_extents = 64;

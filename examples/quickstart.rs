@@ -5,31 +5,24 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use std::rc::Rc;
-
-use highlight::{HighLight, HlConfig};
-use hl_footprint::{Jukebox, JukeboxConfig};
+use highlight::rig::{HlRig, RZ57_BLOCKS};
+use hl_footprint::JukeboxConfig;
 use hl_sim::time::as_secs;
-use hl_sim::Clock;
-use hl_vdev::{BlockDev, Disk, DiskProfile, ScsiBus};
+use hl_vdev::ScsiBus;
 
 fn main() {
     // The §7 testbed: an 848 MB RZ57 and an HP 6300 MO changer sharing
-    // one SCSI bus, under a virtual clock.
-    let clock = Clock::new();
-    let bus = ScsiBus::new("scsi0");
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 217_088, Some(bus.clone())));
-    let jukebox = Jukebox::new(JukeboxConfig::hp6300_paper(), Some(bus));
-
-    // Format and mount HighLight with 64 cache lines.
-    let cfg = HlConfig::paper(clock.clone(), 64);
-    HighLight::mkfs(
-        disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(jukebox.clone()),
-        cfg.clone(),
-    )
-    .expect("mkfs");
-    let mut hl = HighLight::mount(disk as Rc<dyn BlockDev>, Rc::new(jukebox), cfg).expect("mount");
+    // one SCSI bus, under a virtual clock. Format and mount HighLight
+    // with 64 cache lines.
+    let rig = HlRig::new(
+        RZ57_BLOCKS,
+        JukeboxConfig::hp6300_paper(),
+        64,
+        Some(ScsiBus::new("scsi0")),
+    );
+    rig.mkfs();
+    let mut hl = rig.mount();
+    let clock = &rig.clock;
 
     // Applications see a normal filesystem (§4).
     hl.mkdir("/data").expect("mkdir");

@@ -7,36 +7,18 @@
 //! cargo run --release --example sequoia_satellite
 //! ```
 
-use std::rc::Rc;
-
 use highlight::migrator::{MigrationPolicy, NamespacePolicy};
-use highlight::{HighLight, HlConfig, PrefetchPolicy};
-use hl_footprint::{Jukebox, JukeboxConfig};
+use highlight::rig::{hp6300, HlRig, RZ57_BLOCKS};
+use highlight::PrefetchPolicy;
 use hl_sim::time::{as_secs, secs};
-use hl_sim::Clock;
-use hl_vdev::{BlockDev, Disk, DiskProfile};
 use hl_workload::sequoia::SatelliteArchive;
 
 fn main() {
-    let clock = Clock::new();
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 217_088, None));
-    let jukebox = Jukebox::new(
-        JukeboxConfig {
-            volumes: 8,
-            segments_per_volume: 40,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let mut cfg = HlConfig::paper(clock.clone(), 48);
-    cfg.prefetch = PrefetchPolicy::UnitHints;
-    HighLight::mkfs(
-        disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(jukebox.clone()),
-        cfg.clone(),
-    )
-    .expect("mkfs");
-    let mut hl = HighLight::mount(disk as Rc<dyn BlockDev>, Rc::new(jukebox), cfg).expect("mount");
+    let mut rig = HlRig::new(RZ57_BLOCKS, hp6300(8, 40), 48, None);
+    rig.cfg.prefetch = PrefetchPolicy::UnitHints;
+    rig.mkfs();
+    let mut hl = rig.mount();
+    let clock = &rig.clock;
 
     // Load 4 datasets of 6 × 2 MB images.
     let archive = SatelliteArchive::new(42, 4, 6, 2 * 1024 * 1024);

@@ -39,13 +39,11 @@
 //!   other unwritten block reads the write ("disk diverged at block 0";
 //!   at the engine, `mkfs` fails).
 
-use std::rc::Rc;
-
-use highlight::{HighLight, HlConfig, MigrateStats};
+use highlight::rig::{hp6300, HlRig};
+use highlight::MigrateStats;
 use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
 use hl_lfs::config::AddressMap;
 use hl_sim::rng::DetRng;
-use hl_sim::Clock;
 use hl_vdev::{Block, BlockDev, Disk, DiskProfile, BLOCK_SIZE};
 
 const SEG_BLOCKS: usize = 4;
@@ -250,39 +248,18 @@ fn written(jb: &Jukebox) -> Vec<(u32, u32)> {
 
 #[test]
 fn a_fetched_line_restaged_for_migration_leaves_the_medium_alone() {
-    let clock = Clock::new();
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 40 * 256 + 5, None));
-    let jb = Jukebox::new(
-        JukeboxConfig {
-            volumes: 2,
-            segments_per_volume: 4,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let mount = || {
-        HighLight::mount(
-            disk.clone() as Rc<dyn BlockDev>,
-            Rc::new(jb.clone()),
-            HlConfig::paper(clock.clone(), 1),
-        )
-        .expect("mount")
-    };
-    HighLight::mkfs(
-        disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(jb.clone()),
-        HlConfig::paper(clock.clone(), 1),
-    )
-    .expect("mkfs");
-    let mut hl = mount();
+    let rig = HlRig::new(2 + 40 * 256 + 5, hp6300(2, 4), 1, None);
+    let (disk, jb) = (&rig.disk, &rig.jukebox);
+    rig.mkfs();
+    let mut hl = rig.mount();
     let (a, b) = (content(1, 300_000), content(2, 200_000));
     let ino_a = hl.create("/a").expect("create");
     hl.write(ino_a, 0, &a).expect("write");
     hl.migrate_file("/a", true, None).expect("migrate /a");
     hl.seal_staging(&mut MigrateStats::default()).expect("seal");
     let map = hl.map();
-    let [(vol, slot)] = written(&jb)[..] else {
-        panic!("/a filled one segment: {:?}", written(&jb));
+    let [(vol, slot)] = written(jb)[..] else {
+        panic!("/a filled one segment: {:?}", written(jb));
     };
     let tert_a = map.tert_seg(vol, slot);
     let mut media_a = vec![0u8; 1 << 20];
@@ -313,8 +290,8 @@ fn a_fetched_line_restaged_for_migration_leaves_the_medium_alone() {
     hl.write(ino_b, 0, &b).expect("write");
     hl.migrate_file("/b", true, None).expect("migrate /b");
     hl.seal_staging(&mut MigrateStats::default()).expect("seal");
-    let [_, (vol_b, slot_b)] = written(&jb)[..] else {
-        panic!("/b filled one segment: {:?}", written(&jb));
+    let [_, (vol_b, slot_b)] = written(jb)[..] else {
+        panic!("/b filled one segment: {:?}", written(jb));
     };
     let tert_b = map.tert_seg(vol_b, slot_b);
     assert_eq!(
@@ -330,7 +307,7 @@ fn a_fetched_line_restaged_for_migration_leaves_the_medium_alone() {
 
     // Both read back from cold caches, after a remount.
     drop(hl);
-    let mut hl = mount();
+    let mut hl = rig.mount();
     hl.eject_all();
     hl.drop_caches();
     for (path, want) in [("/a", &a), ("/b", &b)] {

@@ -2,6 +2,7 @@
 //! directory blocks, and the access tracker.
 
 use highlight::migrator::AccessTracker;
+use highlight::rig::HlRig;
 use highlight::{TsegTable, UniformMap};
 use hl_lfs::config::AddressMap;
 use hl_lfs::dir;
@@ -260,17 +261,14 @@ fn unassigned_is_out_of_band() {
 // ---------------------------------------------------------------------------
 
 mod partials {
-    use std::rc::Rc;
-
-    use highlight::{HighLight, HlConfig};
-    use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
+    use highlight::rig::{hp6300, HlRig};
+    use highlight::HighLight;
+    use hl_footprint::{Footprint, JukeboxConfig};
     use hl_lfs::config::AddressMap;
     use hl_lfs::migrate::MigrateItem;
     use hl_lfs::ondisk::{seg_flags, Dinode, SegSummary};
-    use hl_lfs::recovery::RecoveryReport;
     use hl_lfs::types::{BlockAddr, Ino, LBlock, DINODE_SIZE, INODES_PER_BLOCK};
-    use hl_sim::Clock;
-    use hl_vdev::{BlockDev, Disk, DiskProfile, BLOCK_SIZE};
+    use hl_vdev::{BlockDev, BLOCK_SIZE};
 
     /// Small geometry so random mixes straddle both limits: a 32-block
     /// segment fills after 31 payload blocks, a 256-byte summary after
@@ -281,76 +279,42 @@ mod partials {
     const VOLUMES: u32 = 2;
     const SLOTS: u32 = 24;
 
-    pub struct Rig {
-        pub disk: Rc<Disk>,
-        pub jukebox: Jukebox,
-        clock: Clock,
+    /// A HighLight of this geometry, freshly formatted and mounted.
+    pub fn mounted() -> (HlRig, HighLight) {
+        let jukebox = JukeboxConfig {
+            segment_bytes: BPS as usize * BLOCK_SIZE,
+            ..hp6300(VOLUMES, SLOTS)
+        };
+        let mut rig = HlRig::new(2 + u64::from(DISK_SEGS * BPS), jukebox, 6, None);
+        rig.cfg.lfs.seg_bytes = BPS * BLOCK_SIZE as u32;
+        rig.cfg.lfs.summary_bytes = SUMMARY_BYTES as u32;
+        rig.mkfs();
+        let hl = rig.mount();
+        (rig, hl)
     }
 
-    impl Rig {
-        pub fn new() -> Rig {
-            Rig {
-                disk: Rc::new(Disk::new(
-                    DiskProfile::RZ57,
-                    2 + u64::from(DISK_SEGS * BPS),
-                    None,
-                )),
-                jukebox: Jukebox::new(
-                    JukeboxConfig {
-                        volumes: VOLUMES,
-                        segments_per_volume: SLOTS,
-                        segment_bytes: BPS as usize * BLOCK_SIZE,
-                        ..JukeboxConfig::hp6300_paper()
-                    },
-                    None,
-                ),
-                clock: Clock::new(),
-            }
-        }
+    /// Raw image of the disk segment at `base`.
+    pub fn disk_segment(rig: &HlRig, base: BlockAddr) -> Vec<u8> {
+        let mut image = vec![0u8; BPS as usize * BLOCK_SIZE];
+        rig.disk.peek(u64::from(base), &mut image).expect("peek");
+        image
+    }
 
-        fn cfg(&self) -> HlConfig {
-            let mut cfg = HlConfig::paper(self.clock.clone(), 6);
-            cfg.lfs.seg_bytes = BPS * BLOCK_SIZE as u32;
-            cfg.lfs.summary_bytes = SUMMARY_BYTES as u32;
-            cfg
-        }
-
-        pub fn mkfs_and_mount(&self) -> HighLight {
-            let disk = self.disk.clone() as Rc<dyn BlockDev>;
-            let jukebox = Rc::new(self.jukebox.clone());
-            HighLight::mkfs(disk, jukebox, self.cfg()).expect("mkfs");
-            self.remount().expect("mount").0
-        }
-
-        /// Mounts what is on the media, as after a crash.
-        pub fn remount(&self) -> hl_lfs::error::Result<(HighLight, RecoveryReport)> {
-            let disk = self.disk.clone() as Rc<dyn BlockDev>;
-            HighLight::mount_with_report(disk, Rc::new(self.jukebox.clone()), self.cfg())
-        }
-
-        /// Raw image of disk segment `seg`.
-        pub fn disk_segment(&self, base: BlockAddr) -> Vec<u8> {
-            let mut image = vec![0u8; BPS as usize * BLOCK_SIZE];
-            self.disk.peek(u64::from(base), &mut image).expect("peek");
-            image
-        }
-
-        /// Raw images of the written jukebox slots, in `(vol, slot)` order.
-        pub fn written_slots(&self) -> Vec<(u32, u32, Vec<u8>)> {
-            let mut out = Vec::new();
-            for vol in 0..VOLUMES {
-                for slot in 0..SLOTS {
-                    if self.jukebox.segment_written(vol, slot) {
-                        let mut image = vec![0u8; BPS as usize * BLOCK_SIZE];
-                        self.jukebox
-                            .peek_segment(vol, slot, &mut image)
-                            .expect("peek media");
-                        out.push((vol, slot, image));
-                    }
+    /// Raw images of the written jukebox slots, in `(vol, slot)` order.
+    pub fn written_slots(rig: &HlRig) -> Vec<(u32, u32, Vec<u8>)> {
+        let mut out = Vec::new();
+        for vol in 0..VOLUMES {
+            for slot in 0..SLOTS {
+                if rig.jukebox.segment_written(vol, slot) {
+                    let mut image = vec![0u8; BPS as usize * BLOCK_SIZE];
+                    rig.jukebox
+                        .peek_segment(vol, slot, &mut image)
+                        .expect("peek media");
+                    out.push((vol, slot, image));
                 }
             }
-            out
         }
+        out
     }
 
     /// One partial as an independent reading of the raw bytes sees it.
@@ -449,7 +413,7 @@ mod partials {
     }
 
     /// Every log partial on the disk, segment by segment.
-    pub fn walk_log(rig: &Rig, hl: &mut HighLight) -> Vec<RefPartial> {
+    pub fn walk_log(rig: &HlRig, hl: &mut HighLight) -> Vec<RefPartial> {
         let map = hl.map();
         let mut out = Vec::new();
         for seg in 0..hl.lfs().nsegs() {
@@ -458,7 +422,7 @@ mod partials {
             {
                 let base = map.seg_base(seg);
                 let floor = hl.lfs().seg_usage(seg).write_serial;
-                let image = rig.disk_segment(base);
+                let image = disk_segment(rig, base);
                 let partials = ref_walk(&image, base, SUMMARY_BYTES, floor);
                 let raw = super::tree::segment_partials(&image, base, SUMMARY_BYTES, floor);
                 super::tree::assert_same_partials(&raw, &partials);
@@ -491,10 +455,9 @@ proptest! {
         use hl_lfs::config::AddressMap;
         use hl_lfs::migrate::MigrateItem;
         use hl_lfs::types::LBlock;
-        use partials::{ref_walk, walk_log, Rig, SUMMARY_BYTES};
+        use partials::{ref_walk, walk_log, written_slots, SUMMARY_BYTES};
 
-        let rig = Rig::new();
-        let mut hl = rig.mkfs_and_mount();
+        let (rig, mut hl) = partials::mounted();
 
         // --- The log writer -------------------------------------------
         let mut inos = Vec::new();
@@ -561,7 +524,7 @@ proptest! {
 
         let map = hl.map();
         let mut recovered: Vec<MigrateItem> = Vec::new();
-        for (vol, slot, image) in rig.written_slots() {
+        for (vol, slot, image) in written_slots(&rig) {
             let seg = map.tert_seg(vol, slot);
             let partials = ref_walk(&image, map.seg_base(seg), SUMMARY_BYTES, 0);
             prop_assert!(!partials.is_empty(), "written slot without a partial");
@@ -1257,9 +1220,8 @@ proptest! {
 /// A crashed HighLight image: two checkpoints (so both slots are live),
 /// files migrated to tertiary before the second, then four syncs the
 /// checkpoint never saw, spilling over several 32-block log segments.
-fn crashed_image() -> partials::Rig {
-    let rig = partials::Rig::new();
-    let mut hl = rig.mkfs_and_mount();
+fn crashed_image() -> HlRig {
+    let (rig, mut hl) = partials::mounted();
     for i in 0..6u8 {
         let ino = hl.create(&format!("/old{i}")).expect("create");
         hl.write(ino, 0, &vec![i | 0x40; 30_000]).expect("write");
@@ -1288,7 +1250,7 @@ fn independent_reader_accepts_exactly_what_roll_forward_accepts() {
     use hl_vdev::BlockDev;
     use tree::{newest_checkpoint, roll_forward, segment_partials, superblock, BS};
 
-    let flip = |rig: &partials::Rig, addr: u32, byte: usize| {
+    let flip = |rig: &HlRig, addr: u32, byte: usize| {
         let mut blk = vec![0u8; BS];
         rig.disk.peek(u64::from(addr), &mut blk).expect("peek");
         blk[byte] ^= 0x10;
@@ -1313,7 +1275,7 @@ fn independent_reader_accepts_exactly_what_roll_forward_accepts() {
         replayed.len() >= 4 && segs.len() >= 2,
         "log too short to mean much"
     );
-    let (mut hl, report) = rig.remount().expect("mount");
+    let (mut hl, report) = rig.mount_with_report().expect("mount");
     assert_eq!(report.checkpoint_serial, ckpt.serial);
     assert_eq!(report.partials_replayed as usize, replayed.len());
     let fsck = hl.fsck().expect("fsck");
@@ -1322,7 +1284,7 @@ fn independent_reader_accepts_exactly_what_roll_forward_accepts() {
     // A migrated segment straight off the medium: both sums of every
     // partial verify, and nothing on it has been overwritten, so the
     // library's live scan lists the same items in the same order.
-    let (vol, slot, image) = rig.written_slots().swap_remove(0);
+    let (vol, slot, image) = partials::written_slots(&rig).swap_remove(0);
     let map = hl.map();
     let seg = map.tert_seg(vol, slot);
     let on_media = segment_partials(&image, map.seg_base(seg), sb.summary_bytes, 0);
@@ -1360,14 +1322,14 @@ fn independent_reader_accepts_exactly_what_roll_forward_accepts() {
         };
         flip(&rig, addr, byte);
         assert_eq!(roll_forward(&rig.disk, &sb, &ckpt).len(), 2);
-        let (_, report) = rig.remount().expect("mount");
+        let (_, report) = rig.mount_with_report().expect("mount");
         assert_eq!(report.partials_replayed, 2, "summary byte: {in_summary}");
     }
     let rig = crashed_image();
     flip(&rig, 1, (ckpt.serial as usize % 2) * 2048 + 9);
     let older = newest_checkpoint(&rig.disk);
     assert_eq!(older.serial, ckpt.serial - 1);
-    let (_, report) = rig.remount().expect("mount");
+    let (_, report) = rig.mount_with_report().expect("mount");
     assert_eq!(report.checkpoint_serial, older.serial);
     assert_eq!(
         report.partials_replayed as usize,
@@ -1375,7 +1337,7 @@ fn independent_reader_accepts_exactly_what_roll_forward_accepts() {
     );
     flip(&rig, 0, 33);
     assert!(superblock(&rig.disk).is_none());
-    assert!(rig.remount().is_err());
+    assert!(rig.mount_with_report().is_err());
 }
 
 // ---------------------------------------------------------------------------
@@ -1617,11 +1579,11 @@ fn a_format_1_image_is_refused_by_name() {
         Err(LfsError::Corrupt("bad superblock magic"))
     );
 
-    let rig = partials::Rig::new();
-    drop(rig.mkfs_and_mount());
+    let (rig, hl) = partials::mounted();
+    drop(hl);
     downgrade(&rig.disk);
     let refused = rig
-        .remount()
+        .mount_with_report()
         .map(|_| ())
         .expect_err("a format-1 image mounted");
     assert!(

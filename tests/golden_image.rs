@@ -23,95 +23,36 @@
 //! `cksum`); `disk` again because `mkfs` now counts the root directory's
 //! first block in its `blocks` (it said 0). Clocks and traces never moved.
 
-use std::rc::Rc;
-
+use highlight::rig::{hp6300, HlRig};
 use highlight::tcleaner::{clean_volume, select_victim_volume};
-use highlight::{CopyOutMode, HighLight, HlConfig, MigrateStats, RearrangeMode};
-use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
-use hl_sim::Clock;
-use hl_vdev::{BlockDev, Disk, DiskProfile, BLOCK_SIZE};
+use highlight::{CopyOutMode, HighLight, MigrateStats, RearrangeMode};
+use hl_footprint::Footprint;
+use hl_vdev::{BlockDev, BLOCK_SIZE};
 
-const DISK_SEGS: u64 = 40;
-const VOLUMES: u32 = 3;
-const SLOTS: u32 = 4;
-
-struct Rig {
-    clock: Clock,
-    disk: Rc<Disk>,
-    jukebox: Jukebox,
-    volumes: u32,
-    slots: u32,
-}
-
-impl Rig {
-    fn new() -> Rig {
-        let rig = Rig::sized(DISK_SEGS, VOLUMES, SLOTS);
-        // Volume 0 "compresses badly": its second segment write reports
-        // end-of-medium, forcing a staging-segment relocation (§6.3).
-        rig.jukebox.set_effective_segments(0, 1);
-        rig
+/// FNV-1a over every block of the disk; FNV-1a over `(vol, slot,
+/// bytes)` of every written jukebox slot; the number of those.
+fn media_digests(rig: &HlRig) -> (u64, u64, u32) {
+    let mut disk = FNV_SEED;
+    let mut block = vec![0u8; BLOCK_SIZE];
+    for b in 0..rig.disk.nblocks() {
+        rig.disk.peek(b, &mut block).expect("peek disk");
+        disk = fnv(disk, &block);
     }
-
-    fn sized(disk_segs: u64, volumes: u32, slots: u32) -> Rig {
-        Rig {
-            clock: Clock::new(),
-            disk: Rc::new(Disk::new(DiskProfile::RZ57, 2 + disk_segs * 256 + 5, None)),
-            jukebox: Jukebox::new(
-                JukeboxConfig {
-                    volumes,
-                    segments_per_volume: slots,
-                    ..JukeboxConfig::hp6300_paper()
-                },
-                None,
-            ),
-            volumes,
-            slots,
-        }
-    }
-
-    fn cfg(&self, copyout: CopyOutMode, rearrange: RearrangeMode) -> HlConfig {
-        HlConfig {
-            copyout,
-            rearrange,
-            ..HlConfig::paper(self.clock.clone(), 6)
-        }
-    }
-
-    fn mount(&self, cfg: HlConfig) -> HighLight {
-        HighLight::mount(
-            self.disk.clone() as Rc<dyn BlockDev>,
-            Rc::new(self.jukebox.clone()),
-            cfg,
-        )
-        .expect("mount")
-    }
-
-    /// FNV-1a over every block of the disk; FNV-1a over `(vol, slot,
-    /// bytes)` of every written jukebox slot; the number of those.
-    fn media_digests(&self) -> (u64, u64, u32) {
-        let mut disk = FNV_SEED;
-        let mut block = vec![0u8; BLOCK_SIZE];
-        for b in 0..self.disk.nblocks() {
-            self.disk.peek(b, &mut block).expect("peek disk");
-            disk = fnv(disk, &block);
-        }
-        let mut media = FNV_SEED;
-        let mut slots_written = 0;
-        let mut seg = vec![0u8; self.jukebox.segment_bytes()];
-        for vol in 0..self.volumes {
-            for slot in 0..self.slots {
-                if !self.jukebox.segment_written(vol, slot) {
-                    continue;
-                }
-                self.jukebox
-                    .peek_segment(vol, slot, &mut seg)
-                    .expect("peek media");
-                media = fnv(fnv(media, &[vol as u8, slot as u8]), &seg);
-                slots_written += 1;
+    let jb = &rig.jukebox;
+    let mut media = FNV_SEED;
+    let mut slots_written = 0;
+    let mut seg = vec![0u8; jb.segment_bytes()];
+    for vol in 0..jb.volumes() {
+        for slot in 0..jb.segments_per_volume() {
+            if !jb.segment_written(vol, slot) {
+                continue;
             }
+            jb.peek_segment(vol, slot, &mut seg).expect("peek media");
+            media = fnv(fnv(media, &[vol as u8, slot as u8]), &seg);
+            slots_written += 1;
         }
-        (disk, media, slots_written)
     }
+    (disk, media, slots_written)
 }
 
 fn content(id: u32, len: usize) -> Vec<u8> {
@@ -146,13 +87,12 @@ struct Pin {
 }
 
 fn scripted_life(copyout: CopyOutMode) -> Pin {
-    let rig = Rig::new();
-    HighLight::mkfs(
-        rig.disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(rig.jukebox.clone()),
-        rig.cfg(copyout, RearrangeMode::Off),
-    )
-    .expect("mkfs");
+    let mut rig = HlRig::new(2 + 40 * 256 + 5, hp6300(3, 4), 6, None);
+    rig.cfg.copyout = copyout;
+    // Volume 0 "compresses badly": its second segment write reports
+    // end-of-medium, forcing a staging-segment relocation (§6.3).
+    rig.jukebox.set_effective_segments(0, 1);
+    rig.mkfs();
 
     let files: Vec<(String, Vec<u8>)> = (0..5u32)
         .map(|i| {
@@ -171,7 +111,7 @@ fn scripted_life(copyout: CopyOutMode) -> Pin {
     let mut trace = FNV_SEED;
 
     {
-        let mut hl = rig.mount(rig.cfg(copyout, RearrangeMode::Off));
+        let mut hl = rig.mount();
         // Log writer: many files, one sync, then a checkpoint.
         hl.mkdir("/d").expect("mkdir");
         for (path, data) in &files {
@@ -247,7 +187,7 @@ fn scripted_life(copyout: CopyOutMode) -> Pin {
     }
 
     {
-        let mut hl = rig.mount(rig.cfg(copyout, RearrangeMode::Off));
+        let mut hl = rig.mount();
         // The unlinks rolled forward as directory updates only (the inode
         // map is as of the checkpoint): sweep the eight orphans, as every
         // post-crash mount does.
@@ -266,7 +206,8 @@ fn scripted_life(copyout: CopyOutMode) -> Pin {
     {
         // On-fetch rearrangement re-migrates what a demand fetch finds
         // live in the fetched segment.
-        let mut hl = rig.mount(rig.cfg(copyout, RearrangeMode::OnFetch));
+        rig.cfg.rearrange = RearrangeMode::OnFetch;
+        let mut hl = rig.mount();
         hl.eject_all();
         hl.drop_caches();
         let other = hl.lookup("/other").expect("lookup");
@@ -279,7 +220,8 @@ fn scripted_life(copyout: CopyOutMode) -> Pin {
 
     // Every surviving file reads back byte-exact from cold caches and
     // the whole hierarchy checks clean.
-    let mut hl = rig.mount(rig.cfg(copyout, RearrangeMode::Off));
+    rig.cfg.rearrange = RearrangeMode::Off;
+    let mut hl = rig.mount();
     hl.eject_all();
     hl.drop_caches();
     for (path, data) in &files {
@@ -309,7 +251,7 @@ fn scripted_life(copyout: CopyOutMode) -> Pin {
     trace = fnv(trace, &hl.tio().trace_digest().to_le_bytes());
     drop(hl);
 
-    let (disk, media, slots_written) = rig.media_digests();
+    let (disk, media, slots_written) = media_digests(&rig);
     Pin {
         disk,
         media,
@@ -391,20 +333,14 @@ fn read_back(hl: &mut HighLight, path: &str, offset: u64, want: &[u8]) {
 }
 
 fn deep_life() -> Pin {
-    let rig = Rig::sized(48, 4, 6);
-    let cfg = || rig.cfg(CopyOutMode::Immediate, RearrangeMode::Off);
-    HighLight::mkfs(
-        rig.disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(rig.jukebox.clone()),
-        cfg(),
-    )
-    .expect("mkfs");
+    let rig = HlRig::new(2 + 48 * 256 + 5, hp6300(4, 6), 6, None);
+    rig.mkfs();
     let dense = content(40, DENSE_LEN);
     let sparse = [content(41, SPARSE_RUN), content(42, SPARSE_RUN)];
     let mut trace = FNV_SEED;
 
     {
-        let mut hl = rig.mount(cfg());
+        let mut hl = rig.mount();
         let ino = hl.create("/dense").expect("create");
         hl.write(ino, 0, &dense).expect("write");
         let ino = hl.create("/sparse").expect("create");
@@ -443,7 +379,7 @@ fn deep_life() -> Pin {
         trace = fnv(trace, &hl.tio().trace_digest().to_le_bytes());
     }
 
-    let mut hl = rig.mount(cfg());
+    let mut hl = rig.mount();
     check_deep(&mut hl, "remounted", &[("/dense", 2_309), ("/sparse", 151)]);
     // Down across every boundary: inside child 1, child 1 → child 0,
     // inside child 0, double → single at block 1 036, inside the single
@@ -490,7 +426,7 @@ fn deep_life() -> Pin {
     trace = fnv(trace, &hl.tio().trace_digest().to_le_bytes());
     drop(hl);
 
-    let (disk, media, slots_written) = rig.media_digests();
+    let (disk, media, slots_written) = media_digests(&rig);
     Pin {
         disk,
         media,

@@ -6,35 +6,14 @@
 //! downstream determinism claims (digest-stamped bench transcripts,
 //! crash-point reproduction by `k=` index) all rest on this stability.
 
-use std::rc::Rc;
-
 use highlight::migrator::Migrator;
-use highlight::{HighLight, HlConfig};
-use hl_footprint::{Jukebox, JukeboxConfig};
-use hl_sim::Clock;
-use hl_vdev::{BlockDev, Disk, DiskProfile};
+use highlight::rig::{hp6300, HlRig};
 
 /// The scripted life: one 40 KB file, migrated and fetched back.
 fn scripted() -> (Vec<String>, u64, Vec<(&'static str, u64)>) {
-    let clock = Clock::new();
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 16 * 256 + 5, None));
-    let jukebox = Jukebox::new(
-        JukeboxConfig {
-            volumes: 2,
-            segments_per_volume: 4,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let cfg = HlConfig::paper(clock.clone(), 4);
-    HighLight::mkfs(
-        disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(jukebox.clone()),
-        cfg.clone(),
-    )
-    .expect("mkfs");
-    let mut hl =
-        HighLight::mount(disk.clone() as Rc<dyn BlockDev>, Rc::new(jukebox), cfg).expect("mount");
+    let rig = HlRig::new(2 + 16 * 256 + 5, hp6300(2, 4), 4, None);
+    rig.mkfs();
+    let mut hl = rig.mount();
 
     let data: Vec<u8> = (0..40_000).map(|i| (i % 251) as u8).collect();
     let ino = hl.create("/doc").expect("create");
@@ -159,30 +138,14 @@ fn scripted_run_matches_the_pinned_trace() {
 /// STP policy must take the cold one first, and the byte target spills
 /// into the hot one.
 fn scripted_migrator_pass() -> (Vec<String>, u64, u64, usize) {
-    let clock = Clock::new();
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 16 * 256 + 5, None));
-    let jukebox = Jukebox::new(
-        JukeboxConfig {
-            volumes: 2,
-            segments_per_volume: 4,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let cfg = HlConfig::paper(clock.clone(), 4);
-    HighLight::mkfs(
-        disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(jukebox.clone()),
-        cfg.clone(),
-    )
-    .expect("mkfs");
-    let mut hl =
-        HighLight::mount(disk.clone() as Rc<dyn BlockDev>, Rc::new(jukebox), cfg).expect("mount");
+    let rig = HlRig::new(2 + 16 * 256 + 5, hp6300(2, 4), 4, None);
+    rig.mkfs();
+    let mut hl = rig.mount();
 
     let old: Vec<u8> = (0..40_000).map(|i| (i % 251) as u8).collect();
     let ino = hl.create("/cold").expect("create");
     hl.write(ino, 0, &old).expect("write");
-    clock.advance_by(hl_sim::time::secs(900.0));
+    rig.clock.advance_by(hl_sim::time::secs(900.0));
     let hot = hl.create("/hot").expect("create");
     hl.write(hot, 0, &old[..8000]).expect("write");
     hl.sync().expect("sync");

@@ -2,63 +2,20 @@
 //! load — applications, cleaner, migrator, demand fetches, tertiary
 //! cleaner, crashes — on one filesystem instance.
 
+use highlight::rig::{hp6300, HlRig};
+use highlight::Migrator;
+use hl_vdev::ScsiBus;
 use std::collections::HashMap;
-use std::rc::Rc;
 
-use highlight::{HighLight, HlConfig, Migrator};
-use hl_footprint::{Jukebox, JukeboxConfig};
-use hl_sim::Clock;
-use hl_vdev::{BlockDev, Disk, DiskProfile, ScsiBus};
-
-struct Rig {
-    clock: Clock,
-    disk: Rc<Disk>,
-    jukebox: Jukebox,
-    cache_segs: u32,
-}
-
-impl Rig {
-    fn new(disk_segs: u32, volumes: u32, slots: u32, cache_segs: u32) -> Rig {
-        let clock = Clock::new();
-        let bus = ScsiBus::new("scsi0");
-        let disk = Rc::new(Disk::new(
-            DiskProfile::RZ57,
-            2 + disk_segs as u64 * 256 + 5,
-            Some(bus.clone()),
-        ));
-        let jukebox = Jukebox::new(
-            JukeboxConfig {
-                volumes,
-                segments_per_volume: slots,
-                ..JukeboxConfig::hp6300_paper()
-            },
-            Some(bus),
-        );
-        Rig {
-            clock,
-            disk,
-            jukebox,
-            cache_segs,
-        }
-    }
-
-    fn mkfs(&self) {
-        HighLight::mkfs(
-            self.disk.clone() as Rc<dyn BlockDev>,
-            Rc::new(self.jukebox.clone()),
-            HlConfig::paper(self.clock.clone(), self.cache_segs),
-        )
-        .expect("mkfs");
-    }
-
-    fn mount(&self) -> HighLight {
-        HighLight::mount(
-            self.disk.clone() as Rc<dyn BlockDev>,
-            Rc::new(self.jukebox.clone()),
-            HlConfig::paper(self.clock.clone(), self.cache_segs),
-        )
-        .expect("mount")
-    }
+/// `disk_segs` 1 MB disk segments + a small MO jukebox on one SCSI bus.
+fn rig(disk_segs: u64, volumes: u32, slots: u32, cache_segs: u32) -> HlRig {
+    let bus = Some(ScsiBus::new("scsi0"));
+    HlRig::new(
+        2 + disk_segs * 256 + 5,
+        hp6300(volumes, slots),
+        cache_segs,
+        bus,
+    )
 }
 
 fn content(id: u32, len: usize) -> Vec<u8> {
@@ -72,7 +29,7 @@ fn content(id: u32, len: usize) -> Vec<u8> {
 /// disk small enough that the cleaner and migrator both have to work.
 #[test]
 fn long_mixed_life_survives_everything() {
-    let rig = Rig::new(48, 6, 16, 8);
+    let rig = rig(48, 6, 16, 8);
     rig.mkfs();
     let mut oracle: HashMap<String, Vec<u8>> = HashMap::new();
     {
@@ -151,7 +108,7 @@ fn long_mixed_life_survives_everything() {
 /// consistent filesystem whose checkpointed files are intact.
 #[test]
 fn crash_after_migration_recovers_checkpointed_state() {
-    let rig = Rig::new(32, 4, 10, 6);
+    let rig = rig(32, 4, 10, 6);
     rig.mkfs();
     let stable = content(1, 900_000);
     {
@@ -185,7 +142,7 @@ fn crash_after_migration_recovers_checkpointed_state() {
 /// data, clean a volume, and refill it.
 #[test]
 fn tertiary_space_is_reused_after_cleaning() {
-    let rig = Rig::new(48, 3, 6, 8);
+    let rig = rig(48, 3, 6, 8);
     rig.mkfs();
     let mut hl = rig.mount();
     for i in 0..6u32 {
@@ -233,7 +190,7 @@ fn tertiary_space_is_reused_after_cleaning() {
 #[test]
 fn namespace_units_round_trip() {
     use highlight::migrator::{MigrationPolicy, NamespacePolicy};
-    let rig = Rig::new(48, 4, 16, 8);
+    let rig = rig(48, 4, 16, 8);
     rig.mkfs();
     let mut hl = rig.mount();
     let files = hl_workload::trees::software_tree(5, "/work", 3, 12);

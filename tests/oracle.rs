@@ -3,12 +3,9 @@
 //! interleaved, must never diverge from the oracle.
 
 use std::collections::HashMap;
-use std::rc::Rc;
 
-use highlight::{HighLight, HlConfig};
-use hl_footprint::{Jukebox, JukeboxConfig};
-use hl_sim::Clock;
-use hl_vdev::{BlockDev, Disk, DiskProfile};
+use highlight::rig::{hp6300, HlRig};
+use highlight::HighLight;
 use proptest::prelude::*;
 
 /// The operations the fuzzer may issue. File identities are small
@@ -93,29 +90,9 @@ fn check_all(hl: &mut HighLight, oracle: &Oracle) {
 }
 
 fn run_ops(ops: &[Op]) {
-    let clock = Clock::new();
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 48 * 256, None));
-    let jukebox = Jukebox::new(
-        JukeboxConfig {
-            volumes: 8,
-            segments_per_volume: 16,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let cfg = || HlConfig::paper(clock.clone(), 6);
-    HighLight::mkfs(
-        disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(jukebox.clone()),
-        cfg(),
-    )
-    .expect("mkfs");
-    let mut hl = HighLight::mount(
-        disk.clone() as Rc<dyn BlockDev>,
-        Rc::new(jukebox.clone()),
-        cfg(),
-    )
-    .expect("mount");
+    let rig = HlRig::new(2 + 48 * 256, hp6300(8, 16), 6, None);
+    rig.mkfs();
+    let mut hl = rig.mount();
 
     let mut oracle = Oracle::default();
     // Crash semantics: deletions/creations are durable at checkpoint;
@@ -222,12 +199,7 @@ fn run_ops(ops: &[Op]) {
                     touched.clear();
                 }
                 drop(hl);
-                hl = HighLight::mount(
-                    disk.clone() as Rc<dyn BlockDev>,
-                    Rc::new(jukebox.clone()),
-                    cfg(),
-                )
-                .expect("remount");
+                hl = rig.mount();
                 if *graceful {
                     check_all(&mut hl, &oracle);
                 } else {
@@ -266,7 +238,7 @@ fn run_ops(ops: &[Op]) {
                 }
             }
         }
-        clock.advance_by(hl_sim::time::secs(30.0));
+        rig.clock.advance_by(hl_sim::time::secs(30.0));
     }
     check_all(&mut hl, &oracle);
     // The fsck-style checker must find a fully consistent filesystem
