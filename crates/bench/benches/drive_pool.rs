@@ -40,21 +40,9 @@ fn run_with_drives(drives: usize, hot_volumes: u32, reads: u32) -> PipelineResul
     run(PipelineConfig {
         segments: 24,
         src_disk: src,
-        staging_disk: staging,
+        staging_disk: Some(staging),
         jukebox,
-        blocks_per_seg: 256,
-        gather_cluster: 8,
-        src_base: 2,
-        staging_base: 0,
-        staging_slots: 4,
-        cpu_per_block: 550,
-        demand: Some(DemandLoad {
-            reads,
-            start: 5_000_000,
-            gap: 4_000_000,
-            extra_lines: reads,
-            hot_volumes,
-        }),
+        demand: Some(DemandLoad { reads, hot_volumes }),
     })
 }
 

@@ -53,19 +53,10 @@ fn run_with_plan(drives: usize, plan: Option<&FaultPlan>) -> PipelineResult {
     run(PipelineConfig {
         segments: 16,
         src_disk: src,
-        staging_disk: staging,
+        staging_disk: Some(staging),
         jukebox,
-        blocks_per_seg: 256,
-        gather_cluster: 8,
-        src_base: 2,
-        staging_base: 0,
-        staging_slots: 4,
-        cpu_per_block: 550,
         demand: Some(DemandLoad {
             reads: 6,
-            start: 5_000_000,
-            gap: 4_000_000,
-            extra_lines: 6,
             hot_volumes: 1,
         }),
     })

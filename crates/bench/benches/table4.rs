@@ -18,15 +18,9 @@ fn main() {
     let jukebox = Jukebox::new(JukeboxConfig::hp6300_paper(), Some(bus));
     let result = run(PipelineConfig {
         segments: 52,
-        src_disk: src.clone(),
-        staging_disk: src,
+        src_disk: src,
+        staging_disk: None,
         jukebox,
-        blocks_per_seg: 256,
-        gather_cluster: 8,
-        src_base: 2,
-        staging_base: 200_000,
-        staging_slots: 4,
-        cpu_per_block: 550,
         demand: None,
     });
     let pcts = result.phases.percentages();

@@ -27,31 +27,22 @@ fn run_config(staging_profile: Option<DiskProfile>) -> (f64, f64, f64) {
     // changer shares the SCSI bus.
     let bus = ScsiBus::new("scsi0");
     let src = Disk::new(DiskProfile::RZ57, 300_000, Some(bus.clone()));
-    let (staging_disk, staging_base) = match staging_profile {
-        None => (src.clone(), 200_000),
-        Some(p) => {
-            // The HP 7958A was HPIB-connected: its transfers bypass the
-            // SCSI bus. The RZ58 shared SCSI.
-            let own_bus = if matches!(p.name, "HP 7958A (HPIB)") {
-                None
-            } else {
-                Some(bus.clone())
-            };
-            (Disk::new(p, 300_000, own_bus), 0)
-        }
-    };
+    let staging_disk = staging_profile.map(|p| {
+        // The HP 7958A was HPIB-connected: its transfers bypass the SCSI
+        // bus. The RZ58 shared SCSI.
+        let own_bus = if matches!(p.name, "HP 7958A (HPIB)") {
+            None
+        } else {
+            Some(bus.clone())
+        };
+        Disk::new(p, 300_000, own_bus)
+    });
     let jukebox = Jukebox::new(JukeboxConfig::hp6300_paper(), Some(bus));
     let result = run(PipelineConfig {
         segments: 52, // the 51.2 MB large object
         src_disk: src,
         staging_disk,
         jukebox,
-        blocks_per_seg: 256,
-        gather_cluster: 8,
-        src_base: 2,
-        staging_base,
-        staging_slots: 4,
-        cpu_per_block: 550,
         demand: None,
     });
     result.throughputs()

@@ -22,8 +22,9 @@
 use std::rc::Rc;
 
 use highlight::requests::Ticket;
+use highlight::rig::{self, BLOCKS_PER_SEG};
 use highlight::segcache::{EjectPolicy, LineState};
-use highlight::{rig, TertiaryIo, UniformMap};
+use highlight::{TertiaryIo, UniformMap};
 use hl_footprint::{Footprint, Jukebox};
 use hl_lfs::config::AddressMap;
 use hl_lfs::types::SegNo;
@@ -36,50 +37,50 @@ use crate::report::Json;
 
 pub use highlight::service::phase::{FOOTPRINT_WRITE, IOSERVER_READ, QUEUING};
 
+/// Gather read cluster in blocks (32 KB).
+const GATHER_CLUSTER: u64 = 8;
+/// First source block on the source disk.
+const SRC_BASE: u64 = 2;
+/// First staging block when staging shares the source spindle (beyond
+/// the file); a separate staging disk starts at block 0.
+const SHARED_STAGING_BASE: u32 = 200_000;
+/// Cache lines available for staging (the lines in flight: a full pool
+/// is the migrator's backpressure).
+const STAGING_SLOTS: u32 = 4;
+/// Migrator CPU cost per block copied, µs.
+const CPU_PER_BLOCK: SimTime = 550;
+/// Virtual time of the first foreground demand fetch.
+const DEMAND_START: SimTime = 5_000_000;
+/// Gap between foreground demand fetches.
+const DEMAND_GAP: SimTime = 4_000_000;
+
 /// Pipeline parameters.
 pub struct PipelineConfig {
     /// Segments to migrate (52 ≈ the 51.2 MB file).
     pub segments: u32,
     /// Disk holding the source file blocks.
     pub src_disk: Disk,
-    /// Disk holding the staging cache lines (may be a clone of
-    /// `src_disk` — the paper's first configuration — or a separate
-    /// spindle, its RZ58/HP7958A variants).
-    pub staging_disk: Disk,
+    /// A separate spindle for the staging cache lines (the paper's
+    /// RZ58/HP7958A variants); `None` stages on `src_disk` beyond the
+    /// file, the paper's first configuration.
+    pub staging_disk: Option<Disk>,
     /// The tertiary device.
     pub jukebox: Jukebox,
-    /// Blocks per segment (256 = 1 MB).
-    pub blocks_per_seg: u32,
-    /// Gather read cluster in blocks (16 = 64 KB).
-    pub gather_cluster: u32,
-    /// First source block on `src_disk`.
-    pub src_base: u64,
-    /// First staging block on `staging_disk`.
-    pub staging_base: u64,
-    /// Cache lines available for staging (the lines in flight: a full
-    /// pool is the migrator's backpressure).
-    pub staging_slots: u32,
-    /// Migrator CPU cost per block copied.
-    pub cpu_per_block: SimTime,
     /// Optional foreground demand-read load running beside the
     /// migration (the drive-pool ablation: with one drive these queue
     /// behind the copy-out stream, with two they ride the reader lane).
     pub demand: Option<DemandLoad>,
 }
 
-/// A paced stream of demand fetches against the jukebox's top volumes
-/// (pre-poked by [`run`]), issued while the migration runs.
+/// A stream of demand fetches against the jukebox's top volumes
+/// (pre-poked by [`run`]), one every 4 s from 5 s on, issued while the
+/// migration runs. Each read gets a cache line of its own added to the
+/// pool, so the foreground reads do not fight the migrator for staging
+/// space.
 #[derive(Clone, Copy, Debug)]
 pub struct DemandLoad {
     /// Demand fetches to issue.
     pub reads: u32,
-    /// Virtual time of the first fetch.
-    pub start: SimTime,
-    /// Gap between fetches.
-    pub gap: SimTime,
-    /// Extra cache lines added to the pool so the foreground reads do
-    /// not fight the migrator for staging space.
-    pub extra_lines: u32,
     /// Distinct hot volumes the reads round-robin across (clamped to a
     /// minimum of 1). With one hot volume a single reader lane absorbs
     /// the whole stream and the drive-count ablation saturates at two
@@ -232,10 +233,6 @@ struct World {
     tio: Rc<TertiaryIo>,
     src_disk: Disk,
     segments: u32,
-    blocks_per_seg: u32,
-    gather_cluster: u32,
-    src_base: u64,
-    cpu_per_block: SimTime,
     /// The migrator's own wake handle, for copy-out backpressure.
     migrator_id: ActorId,
     tickets: Vec<Ticket>,
@@ -264,7 +261,7 @@ impl Actor<World> for DemandActor {
         if self.issued >= self.load.reads {
             return Step::Done;
         }
-        Step::Yield(now + self.load.gap)
+        Step::Yield(now + DEMAND_GAP)
     }
 
     fn name(&self) -> &str {
@@ -319,23 +316,22 @@ impl Actor<World> for MigratorActor {
             w.tio.subscribe_copyout(w.migrator_id);
             return Step::Park;
         };
-        let bps = w.blocks_per_seg as u64;
-        let cluster = w.gather_cluster as u64;
+        let bps = u64::from(BLOCKS_PER_SEG);
         let mut t = now;
         // Gather the segment's blocks in clustered reads.
-        let mut buf = vec![0u8; (cluster as usize) * BLOCK_SIZE];
+        let mut buf = vec![0u8; GATHER_CLUSTER as usize * BLOCK_SIZE];
         let mut b = 0u64;
         while b < bps {
-            let n = cluster.min(bps - b);
+            let n = GATHER_CLUSTER.min(bps - b);
             let slot = w
                 .src_disk
                 .read(
                     t,
-                    w.src_base + self.next_seg as u64 * bps + b,
+                    SRC_BASE + self.next_seg as u64 * bps + b,
                     &mut buf[..n as usize * BLOCK_SIZE],
                 )
                 .expect("gather read");
-            t = slot.end + w.cpu_per_block * n;
+            t = slot.end + CPU_PER_BLOCK * n;
             b += n;
         }
         // One large staging write (the migratev partial-segment write),
@@ -376,16 +372,21 @@ impl Actor<World> for MigratorActor {
     }
 }
 
-/// Runs the pipeline to completion.
-pub fn run(cfg: PipelineConfig) -> PipelineResult {
-    // The uniform map places the staging pool at `staging_base` on the
-    // staging disk and mirrors the jukebox's geometry in the tertiary
-    // range, so the engine's copy-outs address the same blocks the old
-    // hand-rolled pipeline did.
-    let lines = cfg.staging_slots + cfg.demand.map_or(0, |d| d.extra_lines);
+/// Builds the engine and the actors and runs the scheduler until every
+/// actor is done; the finished world holds the engine and the tickets.
+fn simulate(cfg: PipelineConfig) -> World {
+    // The uniform map places the staging pool at its base on the staging
+    // disk and mirrors the jukebox's geometry in the tertiary range, so
+    // the engine's copy-outs address the same blocks the old hand-rolled
+    // pipeline did.
+    let (staging_disk, staging_base) = match cfg.staging_disk {
+        Some(disk) => (disk, 0),
+        None => (cfg.src_disk.clone(), SHARED_STAGING_BASE),
+    };
+    let lines = STAGING_SLOTS + cfg.demand.map_or(0, |d| d.reads);
     let map = UniformMap::new(
-        cfg.staging_base as u32,
-        cfg.blocks_per_seg,
+        staging_base,
+        BLOCKS_PER_SEG,
         lines,
         cfg.jukebox.volumes(),
         cfg.jukebox.segments_per_volume(),
@@ -393,7 +394,7 @@ pub fn run(cfg: PipelineConfig) -> PipelineResult {
     let tio = rig::assemble(
         map,
         &cfg.jukebox,
-        Rc::new(cfg.staging_disk.clone()),
+        Rc::new(staging_disk),
         0..lines,
         EjectPolicy::Lru,
     );
@@ -412,7 +413,7 @@ pub fn run(cfg: PipelineConfig) -> PipelineResult {
         // volumes, well away from the copy-out stream's write volumes.
         let spv = cfg.jukebox.segments_per_volume();
         let hv = load.hot_volumes.max(1);
-        let seg_image = vec![0x6du8; cfg.blocks_per_seg as usize * BLOCK_SIZE];
+        let seg_image = vec![0x6du8; BLOCKS_PER_SEG as usize * BLOCK_SIZE];
         for v in 0..hv {
             let vol = cfg.jukebox.volumes() - 1 - v;
             let slots = (load.reads.div_ceil(hv)).min(spv);
@@ -422,22 +423,25 @@ pub fn run(cfg: PipelineConfig) -> PipelineResult {
                     .expect("poke demand segment");
             }
         }
-        sched.spawn_at(load.start, DemandActor { load, issued: 0 });
+        sched.spawn_at(DEMAND_START, DemandActor { load, issued: 0 });
     }
     let mut world = World {
-        tio: tio.clone(),
+        tio,
         src_disk: cfg.src_disk,
         segments: cfg.segments,
-        blocks_per_seg: cfg.blocks_per_seg,
-        gather_cluster: cfg.gather_cluster,
-        src_base: cfg.src_base,
-        cpu_per_block: cfg.cpu_per_block,
         migrator_id,
         tickets: Vec::new(),
         demand_tickets: Vec::new(),
         migrator_done: None,
     };
     sched.run(&mut world);
+    world
+}
+
+/// Runs the pipeline to completion.
+pub fn run(cfg: PipelineConfig) -> PipelineResult {
+    let world = simulate(cfg);
+    let tio = &world.tio;
 
     // Every ticket resolves even under injected drive faults: a lost
     // op would leave its ticket unresolved and panic here. Failures
@@ -520,27 +524,18 @@ mod tests {
     use hl_footprint::JukeboxConfig;
     use hl_vdev::DiskProfile;
 
-    fn small_pipeline(staging_on_src: bool) -> PipelineResult {
-        let src = Disk::new(DiskProfile::RZ57, 300_000, None);
-        let staging = if staging_on_src {
-            src.clone()
-        } else {
-            Disk::new(DiskProfile::RZ58, 300_000, None)
-        };
-        let jukebox = Jukebox::new(JukeboxConfig::hp6300_paper(), None);
-        run(PipelineConfig {
-            segments: 12,
-            src_disk: src,
-            staging_disk: staging,
-            jukebox,
-            blocks_per_seg: 256,
-            gather_cluster: 16,
-            src_base: 2,
-            staging_base: 200_000,
-            staging_slots: 6,
-            cpu_per_block: 100,
+    fn config(segments: u32, staging_on_src: bool) -> PipelineConfig {
+        PipelineConfig {
+            segments,
+            src_disk: Disk::new(DiskProfile::RZ57, 300_000, None),
+            staging_disk: (!staging_on_src).then(|| Disk::new(DiskProfile::RZ58, 300_000, None)),
+            jukebox: Jukebox::new(JukeboxConfig::hp6300_paper(), None),
             demand: None,
-        })
+        }
+    }
+
+    fn small_pipeline(staging_on_src: bool) -> PipelineResult {
+        run(config(12, staging_on_src))
     }
 
     #[test]
@@ -594,23 +589,18 @@ mod tests {
 
     #[test]
     fn staging_pool_exhaustion_parks_and_resumes_the_migrator() {
-        // A 2-line pool forces the migrator to wait on copy-outs for
-        // most of the run; everything still completes.
-        let src = Disk::new(DiskProfile::RZ57, 300_000, None);
-        let jukebox = Jukebox::new(JukeboxConfig::hp6300_paper(), None);
-        let r = run(PipelineConfig {
-            segments: 8,
-            src_disk: src.clone(),
-            staging_disk: src,
-            jukebox,
-            blocks_per_seg: 256,
-            gather_cluster: 16,
-            src_base: 2,
-            staging_base: 200_000,
-            staging_slots: 2,
-            cpu_per_block: 100,
-            demand: None,
-        });
-        assert_eq!(r.completions.len(), 8);
+        // Twice as many segments as staging lines: the migrator parks on
+        // the full pool until copy-outs free lines; everything still
+        // completes.
+        let w = simulate(config(2 * STAGING_SLOTS, true));
+        let parked = w.tio.tracer().events().iter().any(
+            |ev| matches!(&ev.kind, hl_trace::EventKind::Park { actor } if actor == "migrator"),
+        );
+        assert!(parked, "the migrator never parked on the staging pool");
+        assert!(w.migrator_done.is_some());
+        for t in &w.tickets {
+            t.copyout_result().expect("copy-out");
+        }
+        assert_eq!(w.tickets.len(), 2 * STAGING_SLOTS as usize);
     }
 }

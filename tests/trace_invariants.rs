@@ -193,15 +193,9 @@ fn migration_pipeline_shape_is_trace_clean() {
         let jukebox = Jukebox::new(JukeboxConfig::hp6300_paper(), None);
         run(PipelineConfig {
             segments: 12,
-            src_disk: src.clone(),
-            staging_disk: src,
+            src_disk: src,
+            staging_disk: None,
             jukebox,
-            blocks_per_seg: 256,
-            gather_cluster: 8,
-            src_base: 2,
-            staging_base: 200_000,
-            staging_slots: 4,
-            cpu_per_block: 550,
             demand: None,
         })
     }
