@@ -362,12 +362,18 @@ impl HighLight {
 
     /// Creates a file.
     pub fn create(&mut self, path: &str) -> Result<Ino> {
-        self.lfs.create(path)
+        let ino = self.lfs.create(path)?;
+        // The inode number may be a just-unlinked file's: its access
+        // record must not pass to the new file.
+        self.tracker.forget(ino);
+        Ok(ino)
     }
 
     /// Creates a directory.
     pub fn mkdir(&mut self, path: &str) -> Result<Ino> {
-        self.lfs.mkdir(path)
+        let ino = self.lfs.mkdir(path)?;
+        self.tracker.forget(ino);
+        Ok(ino)
     }
 
     /// Removes a file.
