@@ -170,11 +170,6 @@ impl CrashDev {
     pub fn new(inner: Rc<dyn BlockDev>, plan: CrashPlan) -> CrashDev {
         CrashDev { inner, plan }
     }
-
-    /// The shared plan handle.
-    pub fn plan(&self) -> CrashPlan {
-        self.plan.clone()
-    }
 }
 
 impl BlockDev for CrashDev {

@@ -96,19 +96,9 @@ impl Disk {
         }
     }
 
-    /// The disk's performance profile.
-    pub fn profile(&self) -> &DiskProfile {
-        &self.inner.profile
-    }
-
     /// Snapshot of the cumulative counters.
     pub fn stats(&self) -> DiskStats {
         *self.inner.stats.borrow()
-    }
-
-    /// Resets the cumulative counters (e.g. between benchmark phases).
-    pub fn reset_stats(&self) {
-        *self.inner.stats.borrow_mut() = DiskStats::default();
     }
 
     /// Validates a `len`-byte transfer at `block` and books its time: the

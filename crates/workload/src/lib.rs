@@ -28,6 +28,6 @@ pub mod zipf;
 
 pub use large_object::{LargeObject, Phase};
 pub use ops::{Op, OpStream};
-pub use scan::{HierarchyScan, ScanDirection, ScanStep};
+pub use scan::{HierarchyScan, ScanStep};
 pub use tenants::{Tenant, TenantKind, TenantMix};
 pub use zipf::{FlashCrowd, ZipfStore, Zipfian};

@@ -1,11 +1,9 @@
-//! Whole-hierarchy streaming scans (backup and restore).
+//! Whole-hierarchy streaming scans (backup).
 //!
 //! A backup streams every tertiary segment through the cache exactly
 //! once — the adversarial opposite of a skewed workload: zero reuse, a
 //! media swap at every volume boundary, and (with readahead) a steady
-//! stream of prefetches for the demand stream to coalesce onto. The
-//! restore direction replays the same positions in reverse volume order
-//! (newest volume first, the usual disaster-recovery priority).
+//! stream of prefetches for the demand stream to coalesce onto.
 
 /// One step of a hierarchy scan: the segment to read now, plus the
 /// positions to prefetch behind it.
@@ -19,18 +17,9 @@ pub struct ScanStep {
     pub readahead: Vec<(u32, u32)>,
 }
 
-/// Scan direction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScanDirection {
-    /// Volume-major ascending: vol 0 slot 0 … vol V-1 slot S-1.
-    Backup,
-    /// Volume-major descending volumes (slots still ascend): the
-    /// restore pass drains the newest volume first.
-    Restore,
-}
-
 /// A deterministic streaming scan of a `volumes × segments_per_volume`
-/// hierarchy with a fixed readahead window.
+/// hierarchy with a fixed readahead window, volume-major ascending:
+/// vol 0 slot 0 … vol V-1 slot S-1.
 #[derive(Clone, Debug)]
 pub struct HierarchyScan {
     /// Volumes in the hierarchy.
@@ -39,8 +28,6 @@ pub struct HierarchyScan {
     pub segments_per_volume: u32,
     /// Prefetch lookahead per step (0 = pure demand).
     pub readahead: u32,
-    /// Traversal order.
-    pub direction: ScanDirection,
 }
 
 impl HierarchyScan {
@@ -50,15 +37,6 @@ impl HierarchyScan {
             volumes,
             segments_per_volume,
             readahead,
-            direction: ScanDirection::Backup,
-        }
-    }
-
-    /// A restore-direction scan.
-    pub fn restore(volumes: u32, segments_per_volume: u32, readahead: u32) -> HierarchyScan {
-        HierarchyScan {
-            direction: ScanDirection::Restore,
-            ..HierarchyScan::backup(volumes, segments_per_volume, readahead)
         }
     }
 
@@ -74,13 +52,7 @@ impl HierarchyScan {
 
     /// The `(vol, slot)` of scan position `i`.
     fn position(&self, i: u32) -> (u32, u32) {
-        let vol_seq = i / self.segments_per_volume;
-        let slot = i % self.segments_per_volume;
-        let vol = match self.direction {
-            ScanDirection::Backup => vol_seq,
-            ScanDirection::Restore => self.volumes - 1 - vol_seq,
-        };
-        (vol, slot)
+        (i / self.segments_per_volume, i % self.segments_per_volume)
     }
 
     /// The full step sequence: every segment exactly once, each step
@@ -133,15 +105,5 @@ mod tests {
         assert_eq!(steps[0].readahead, vec![(0, 1), (1, 0), (1, 1)]);
         assert_eq!(steps[2].readahead, vec![(1, 1)]);
         assert!(steps[3].readahead.is_empty());
-    }
-
-    #[test]
-    fn restore_walks_volumes_in_reverse() {
-        let b = HierarchyScan::backup(3, 2, 0);
-        let r = HierarchyScan::restore(3, 2, 0);
-        let vols_b: Vec<u32> = b.steps().iter().map(|s| s.vol).collect();
-        let vols_r: Vec<u32> = r.steps().iter().map(|s| s.vol).collect();
-        assert_eq!(vols_b, [0, 0, 1, 1, 2, 2]);
-        assert_eq!(vols_r, [2, 2, 1, 1, 0, 0]);
     }
 }

@@ -49,11 +49,6 @@ impl Zipfian {
         }
     }
 
-    /// Number of items the sampler draws over.
-    pub fn items(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// Draws the next rank (0 = most popular).
     pub fn draw(&mut self) -> usize {
         let u = self.rng.unit();
