@@ -111,11 +111,19 @@ run git diff --exit-code -- BENCH_pipeline.json BENCH_faults.json \
   BENCH_scenarios.json BENCH_server.json BENCH_policies.json
 
 # Non-test source lines per crate (each file up to its first column-0
-# `#[cfg(test)]`) — the figure CHANGES.md reports. Printed, not gated.
-echo "==> non-test lines under crates/*/src"
-awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 }
-     !t { split(FILENAME, p, "/"); n[p[2]]++; all++ }
-     END { for (c in n) printf "%-10s %6d\n", c, n[c] | "sort"
-           close("sort"); printf "%-10s %6d\n", "total", all }' crates/*/src/*.rs
+# `#[cfg(test)]`), then every line of the tests, benches and examples,
+# and the sum of both — the figures CHANGES.md reports. Printed, not gated.
+echo "==> non-test lines under crates/*/src; all lines of tests, benches, examples"
+awk 'FNR == 1 { t = 0; src = FILENAME ~ /^crates\/[^\/]+\/src\// }
+     src && /^#\[cfg\(test\)\]/ { t = 1 }
+     t { next }
+     src { split(FILENAME, p, "/"); n[p[2]]++; s++; next }
+     { g = FILENAME; sub(/[^\/]+$/, "", g); sub(/^crates\/[^\/]+/, "crates/*", g)
+       m[g]++; o++ }
+     END { for (c in n) printf "%-17s %6d\n", c, n[c] | "sort"
+           close("sort"); printf "%-17s %6d\n", "total", s
+           for (g in m) printf "%-17s %6d\n", g, m[g] | "sort"
+           close("sort"); printf "%-17s %6d\n", "all", s + o }' crates/*/src/*.rs \
+  tests/*.rs crates/*/tests/*.rs crates/*/benches/*.rs crates/*/examples/*.rs examples/*.rs
 
 echo "CI OK"

@@ -48,9 +48,6 @@ impl BenchFs for Ffs {
         Ffs::drop_caches(self)
     }
     fn clock(&self) -> Clock {
-        // The FFS keeps its clock in its config; expose via stat? The
-        // benches construct rigs, so they already hold the clock — this
-        // accessor exists for the generic driver.
         self.clock_handle()
     }
 }
