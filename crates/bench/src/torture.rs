@@ -407,7 +407,6 @@ fn one_pass(ops: &[TortureOp], plan: CrashPlan, k: u64) -> String {
                                 ]),
                                 max_dev_overlap: Some(hl.tio().io_peak_in_flight()),
                                 drive_lanes: Some(hl.tio().drives()),
-                                configured_drives: None,
                                 require_all_closed: false,
                             },
                         )

@@ -51,8 +51,7 @@ pub(crate) enum ProbeOutcome {
 
 impl TioInner {
     /// How many I/O-server lanes the engine runs: one per jukebox
-    /// drive, capped at [`crate::MAX_DRIVES`] (fixed when the registry is
-    /// built).
+    /// drive (fixed when the registry is built).
     pub(crate) fn lanes(&self) -> usize {
         self.lane_health.borrow().len()
     }

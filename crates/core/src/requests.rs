@@ -46,6 +46,12 @@ pub const DISPATCH_CPU: SimTime = 2 * MS;
 /// affinity batches no matter how attractive the loaded volume stays.
 const AFFINITY_BOUND: u32 = 4;
 
+/// Request-queue bound (backpressure: enqueuers wait when full).
+const REQQ_CAP: usize = 64;
+
+/// Device-queue bound (the service process stalls dispatch when hit).
+const DEVQ_CAP: usize = 8;
+
 /// A logical client of the engine, as tagged by the service layer.
 /// Untagged requests (`tenant: None`) are kernel-internal work — the
 /// migrator, the synchronous façades — and bypass the fair queue
@@ -294,14 +300,10 @@ pub(crate) struct EngineQueues {
     /// per pop) lost ~14% of its host throughput; boxed, ~4%.
     reqq: BTreeMap<(u8, u64), Box<Request>>,
     next_seq: u64,
-    /// Request-queue bound (backpressure: enqueuers wait when full).
-    pub reqq_cap: usize,
-    /// Bounded device queue the I/O lanes drain through
+    /// Bounded device queue ([`DEVQ_CAP`]) the I/O lanes drain through
     /// [`Self::take_for_drive`]: the requests the service process has
     /// selected a line for, boxed as they left the request queue.
     pub devq: VecDeque<Box<Request>>,
-    /// Device-queue bound (the service process stalls dispatch when hit).
-    pub devq_cap: usize,
     /// In-flight fetch per tertiary segment: later fetchers of the same
     /// segment join this ticket instead of queuing a duplicate read.
     /// Carries `(seq, span, ticket)` so joins can reference the parent
@@ -332,9 +334,7 @@ impl EngineQueues {
         EngineQueues {
             reqq: BTreeMap::new(),
             next_seq: 0,
-            reqq_cap: 64,
             devq: VecDeque::new(),
-            devq_cap: 8,
             pending_fetch: HashMap::new(),
             affinity_hits: 0,
             starvation_promotions: 0,
@@ -362,11 +362,11 @@ impl EngineQueues {
     }
 
     pub fn reqq_full(&self) -> bool {
-        self.reqq.len() >= self.reqq_cap
+        self.reqq.len() >= REQQ_CAP
     }
 
     pub fn devq_full(&self) -> bool {
-        self.devq.len() >= self.devq_cap
+        self.devq.len() >= DEVQ_CAP
     }
 
     /// Queues a request, stamping its FIFO sequence number.
@@ -428,7 +428,7 @@ impl EngineQueues {
     /// slots — the regime where tagged background work is held back so
     /// demand fetches keep a path into the pipeline.
     fn devq_congested(&self) -> bool {
-        self.devq.len() + QOS_HEADROOM >= self.devq_cap
+        self.devq.len() + QOS_HEADROOM >= DEVQ_CAP
     }
 
     /// Advances `tenant`'s virtual pass by one admission's stride.
@@ -876,7 +876,7 @@ mod tests {
     #[test]
     fn congested_devq_holds_tagged_background_work() {
         let mut q = queues();
-        for _ in 0..(q.devq_cap - QOS_HEADROOM) {
+        for _ in 0..(DEVQ_CAP - QOS_HEADROOM) {
             q.devq.push_back(devop(ReqClass::Demand, None));
         }
         q.push(treq(3, ReqClass::Prefetch, 1, 0));

@@ -94,7 +94,7 @@ pub type StallNotifier = Box<dyn Fn(StallEvent)>;
 pub(crate) type SharedNotifier = RefCell<Option<Rc<dyn Fn(StallEvent)>>>;
 
 /// Upper bound on I/O-server lanes (and on the per-drive stat arrays).
-/// Jukeboxes with more drives than this share the last lane.
+/// [`TertiaryIo::new`] refuses a jukebox with more drives than this.
 pub const MAX_DRIVES: usize = 8;
 
 /// Cumulative service counters.
@@ -172,10 +172,6 @@ pub struct SvcStats {
     pub tenant_throttles: u64,
     /// Tagged requests force-taken by the `TENANT_BOUND` guard.
     pub tenant_promotions: u64,
-    /// `true` when the jukebox reports more drives than the engine runs
-    /// lanes ([`MAX_DRIVES`]): the extra drives silently share lanes,
-    /// which skews per-drive accounting.
-    pub lanes_shared: bool,
 }
 
 /// Outcome of one [`TertiaryIo::scrub`] pass.
@@ -715,9 +711,13 @@ impl TertiaryIo {
             map.blocks_per_seg * hl_vdev::BLOCK_SIZE as u32,
             "jukebox and filesystem disagree on segment size"
         );
+        let lane_count = jukebox.drives();
+        assert!(
+            (1..=MAX_DRIVES).contains(&lane_count),
+            "jukebox has {lane_count} drives; the engine runs 1 to {MAX_DRIVES} lanes"
+        );
         let tracer = hl_trace::Tracer::new();
         cache.borrow_mut().set_tracer(tracer.clone());
-        let lane_count = jukebox.drives().clamp(1, MAX_DRIVES);
         let inner = Rc::new(TioInner {
             map,
             jukebox,
@@ -812,8 +812,7 @@ impl TertiaryIo {
         self.inner.jukebox.clone()
     }
 
-    /// How many I/O-server lanes the engine runs (one per jukebox
-    /// drive, capped at [`MAX_DRIVES`]).
+    /// How many I/O-server lanes the engine runs: one per jukebox drive.
     pub fn drives(&self) -> usize {
         self.inner.lanes()
     }
@@ -874,7 +873,6 @@ impl TertiaryIo {
         st.drive_down = t.drive_downs();
         st.redispatched = t.redispatches();
         st.watchdog_fired = t.watchdog_fires();
-        st.lanes_shared = self.inner.jukebox.drives() > MAX_DRIVES;
         st
     }
 
@@ -911,8 +909,7 @@ impl TertiaryIo {
             ],
             self.io_peak_in_flight(),
         )
-        .with_drive_lanes(self.inner.lanes())
-        .with_configured_drives(self.inner.jukebox.drives());
+        .with_drive_lanes(self.inner.lanes());
         hl_trace::tracecheck(&self.inner.tracer, &expect)
     }
 

@@ -50,7 +50,7 @@ fn try_enqueue_copy_out_pushes_back_at_the_queue_cap() {
     let mut sched: Scheduler<()> = Scheduler::new();
     tio.attach_engine(&mut sched);
 
-    let cap = 64; // EngineQueues::reqq_cap
+    let cap = 64; // requests.rs `REQQ_CAP`
     for i in 0..cap {
         let seg = map.tert_seg((i % 4) as u32, (i / 4 % 8) as u32);
         assert!(

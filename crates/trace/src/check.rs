@@ -36,10 +36,7 @@
 //!    resolved (no orphaned waiter). With the drive-lane count given,
 //!    the cross-lane busy peak is additionally bounded by the *healthy*
 //!    drive count at each instant.
-//! 8. **Lane sharing** — when the configured jukebox drive count is
-//!    given and exceeds the engine's lane count, the silent sharing is
-//!    itself reported as a finding.
-//! 9. **Tenant fair-queue lifecycle** — `TenantAdmit` and
+//! 8. **Tenant fair-queue lifecycle** — `TenantAdmit` and
 //!    `TenantThrottle` events reference spans that are open at the time
 //!    of the event (a held or admitted request is necessarily in
 //!    flight), and no span is admitted twice (a request dispatches
@@ -66,11 +63,6 @@ pub struct Expectations {
     /// `n` drive lanes may be busy at once. `None` skips the per-drive
     /// checks.
     pub drive_lanes: Option<usize>,
-    /// Number of drives the jukebox was *configured* with. When this
-    /// exceeds `drive_lanes` the engine silently shares lanes across
-    /// drives; `Some(n)` turns that into an explicit finding. `None`
-    /// skips the check.
-    pub configured_drives: Option<usize>,
     /// Require every span to be closed by the end of the trace (set
     /// `false` when checking mid-flight).
     pub require_all_closed: bool,
@@ -84,7 +76,6 @@ impl Expectations {
             wait: Some(wait),
             max_dev_overlap: Some(peak),
             drive_lanes: None,
-            configured_drives: None,
             require_all_closed: true,
         }
     }
@@ -93,13 +84,6 @@ impl Expectations {
     /// with `n` drive lanes.
     pub fn with_drive_lanes(mut self, n: usize) -> Expectations {
         self.drive_lanes = Some(n);
-        self
-    }
-
-    /// Declares the jukebox's configured drive count, enabling the
-    /// lane-sharing finding when it exceeds the engine's lane count.
-    pub fn with_configured_drives(mut self, n: usize) -> Expectations {
-        self.configured_drives = Some(n);
         self
     }
 }
@@ -382,13 +366,6 @@ pub fn tracecheck(tracer: &Tracer, expect: &Expectations) -> Vec<Finding> {
                     break;
                 }
             }
-        }
-    }
-    if let (Some(configured), Some(lanes)) = (expect.configured_drives, expect.drive_lanes) {
-        if configured > lanes {
-            findings.push(whole(format!(
-                "jukebox configured with {configured} drives but the engine ran {lanes} lane(s): drives silently share lanes"
-            )));
         }
     }
     findings
@@ -796,28 +773,6 @@ mod tests {
         let f = tracecheck(&t, &Expectations::default().with_drive_lanes(2));
         assert!(f.iter().any(|f| f.message.contains("healthy")), "{f:?}");
         assert!(f.iter().any(|f| f.message.contains("was down")), "{f:?}");
-    }
-
-    #[test]
-    fn lane_sharing_is_reported_when_configured_drives_exceed_lanes() {
-        let t = Tracer::new();
-        t.dev_io(Lane::Drive(0), 0, 10);
-        let f = tracecheck(
-            &t,
-            &Expectations::default()
-                .with_drive_lanes(2)
-                .with_configured_drives(4),
-        );
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("silently share lanes"));
-        // Matching counts are clean.
-        let f = tracecheck(
-            &t,
-            &Expectations::default()
-                .with_drive_lanes(2)
-                .with_configured_drives(2),
-        );
-        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

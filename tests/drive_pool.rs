@@ -402,21 +402,11 @@ fn solo_drive_death_retires_the_pool_and_fails_tickets() {
     assert_eq!(t.fetch_result().unwrap_err().to_string(), "device offline");
 }
 
-/// A jukebox with more drives than the engine has lanes used to share
-/// lanes silently; now `SvcStats` flags it and tracecheck reports it.
+/// The engine runs one lane per drive, at most `MAX_DRIVES`: a jukebox
+/// with more drives is refused when the engine is built, rather than
+/// having its extra drives share a lane.
 #[test]
-fn lane_sharing_is_flagged_when_drives_exceed_lanes() {
-    let (tio, jb, map) = rig(highlight::MAX_DRIVES + 1);
-    jb.poke_segment(0, 0, &vec![1u8; 1 << 20]).unwrap();
-    let t = tio.enqueue_demand(0, map.tert_seg(0, 0));
-    tio.pump();
-    t.fetch_result().unwrap();
-    assert!(tio.stats().lanes_shared, "SvcStats must flag lane sharing");
-    let findings = tio.trace_findings();
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.to_string().contains("share lanes")),
-        "tracecheck must report the silent lane sharing: {findings:?}"
-    );
+#[should_panic(expected = "drives; the engine runs 1 to")]
+fn more_drives_than_lanes_is_refused() {
+    rig(highlight::MAX_DRIVES + 1);
 }
