@@ -27,14 +27,22 @@ run cargo fmt --manifest-path benchmark/Cargo.toml -- --check
 # signature | test-hook | paper-feature | benchmark-api. The gate fails
 # on an unlisted name, on a listed name that now has a caller or no
 # longer exists (a stale entry), and on an entry without a known tag.
+# Trait methods are gated by call, not by name: a method declared in a
+# `pub trait` block of crates/*/src/*.rs must be called — `.m(` or
+# `::m(` — on a non-test line of any file listed above, its own file
+# and doc examples included (the scheduler beside `Actor` is what calls
+# `Actor::name`; a doc example compiles and runs).
+# The same allow list covers both.
 # Seen red, each sabotage alone: a planted `pub fn zz_unused() {}` in
 # hl-sim's time.rs; a name called only from tests/ (`render_text`'s
 # entry removed); a name reachable only through a `pub use` (`TornWrite`'s
 # entry removed: hl-vdev's lib.rs re-exports it); a stale entry
-# (`run_torture`, which has callers, added to the list).
-echo "==> every public name has a non-test caller in another file"
+# (`run_torture`, which has callers, added to the list); a planted
+# `fn zz_unused(&self) {}` in `Footprint`; a trait method called only
+# from tests/ (`fail_volume`'s entry removed).
+echo "==> every public name and trait method has a non-test caller"
 awk -v allow=ci-names.allow '
-  FNR == 1 { t = 0; inuse = 0 }
+  FNR == 1 { t = 0; inuse = 0; tr = 0 }
   FILENAME == allow {
     if (/^#/ || !NF) next
     listed[$1] = 1
@@ -45,6 +53,14 @@ awk -v allow=ci-names.allow '
   }
   /^#\[cfg\(test\)\]/ { t = 1 }
   t { next }
+  {
+    for (rest = $0; match(rest, /(\.|::)[A-Za-z_0-9]+\(/); rest = substr(rest, RSTART + RLENGTH)) {
+      call = substr(rest, RSTART, RLENGTH - 1); sub(/^(\.|::)/, "", call); called[call] = 1
+    }
+  }
+  FILENAME ~ /^crates\/[^\/]+\/src\// && /^pub trait / { tr = 1 }
+  tr && /^}/ { tr = 0 }
+  tr && match($0, /^    fn [A-Za-z_0-9]+/) { tdecl[substr($0, RSTART + 7, RLENGTH - 7)] = FILENAME }
   /^ *(pub(\([a-z]+\))? )?use / { inuse = 1 }
   inuse { if (index($0, ";")) inuse = 0; next }
   /^ *\/\// { next }
@@ -66,6 +82,11 @@ awk -v allow=ci-names.allow '
       if (files[p[1]] - ((p[1], p[2]) in seen) > 0) continue
       unref[p[1]] = 1
       if (!(p[1] in listed)) { print "  " p[1] " (" p[2] "): no caller"; bad = 1 }
+    }
+    for (m in tdecl) {
+      if (m in called) continue
+      unref[m] = 1
+      if (!(m in listed)) { print "  " m " (" tdecl[m] "): trait method never called"; bad = 1 }
     }
     for (name in listed)
       if (!(name in unref)) { print "  " name ": stale allow-list entry"; bad = 1 }

@@ -542,20 +542,12 @@ impl Footprint for Jukebox {
         Ok(())
     }
 
-    fn volume_change_time(&self) -> SimTime {
-        self.inner.borrow().cfg.volume_change_time
-    }
-
     fn fail_volume(&self, vol: VolumeId) {
         self.inner.borrow_mut().volumes[vol as usize].failed = true;
     }
 
     fn stats(&self) -> FpStats {
         self.inner.borrow().stats
-    }
-
-    fn reset_stats(&self) {
-        self.inner.borrow_mut().stats = FpStats::default();
     }
 
     fn loaded_volumes(&self) -> Vec<Option<VolumeId>> {
@@ -699,7 +691,7 @@ mod tests {
         let (r, dr) = jb.read_segment_on(0, 1, 2, 0, &mut handles()).unwrap();
         assert_eq!((dw, dr), (0, 1));
         assert_eq!(jb.stats().swaps, 2);
-        let swap = jb.volume_change_time();
+        let swap = JukeboxConfig::hp6300_paper().volume_change_time;
         // Both ops carry their own swap; the later one also waited for
         // the robot to release the first platter.
         assert!(w.end >= swap);
@@ -1019,7 +1011,7 @@ mod tests {
         // The platter could not be loaded before the jam cleared, so the
         // transfer starts after jam end + swap.
         assert!(
-            w.start >= secs(30.0) + jb.volume_change_time(),
+            w.start >= secs(30.0) + JukeboxConfig::hp6300_paper().volume_change_time,
             "swap ran during jam: start {}",
             w.start
         );
@@ -1050,7 +1042,7 @@ mod tests {
         // Swap + worst-case position + transfer: more than a bare swap,
         // less than a minute for the HP 6300.
         let n = jb.nominal_segment_io(false);
-        assert!(n > jb.volume_change_time());
+        assert!(n > JukeboxConfig::hp6300_paper().volume_change_time);
         assert!(n < secs(60.0));
         // Writes are slower than reads on MO media.
         assert!(jb.nominal_segment_io(true) > n);

@@ -71,18 +71,11 @@ pub trait Footprint {
     /// Untimed write, for formatting and tests.
     fn poke_segment(&self, vol: VolumeId, seg: u32, buf: &[u8]) -> Result<(), DevError>;
 
-    /// The eject-to-ready volume change time (Table 5: 13.5 s for the
-    /// HP 6300).
-    fn volume_change_time(&self) -> SimTime;
-
     /// Marks a volume as failed media (§10 reliability experiments).
     fn fail_volume(&self, vol: VolumeId);
 
     /// Cumulative timing/operation counters.
     fn stats(&self) -> FpStats;
-
-    /// Resets the counters.
-    fn reset_stats(&self);
 
     /// Returns the volume currently loaded in each drive (`None` = empty).
     fn loaded_volumes(&self) -> Vec<Option<VolumeId>>;
