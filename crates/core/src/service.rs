@@ -740,10 +740,9 @@ impl TertiaryIo {
             handles: RefCell::new(None),
             copyout_waiters: RefCell::new(Vec::new()),
             watermark: Cell::new(0),
-            tracer: tracer.clone(),
+            tracer,
         });
         let mut engine = Scheduler::new();
-        engine.set_tracer(tracer);
         let handles = spawn_engine(&inner, &mut engine);
         *inner.handles.borrow_mut() = Some(handles);
         TertiaryIo {
@@ -1054,7 +1053,6 @@ impl TertiaryIo {
     /// completion is observed by running the external scheduler and
     /// polling tickets.
     pub fn attach_engine<W: 'static>(&self, sched: &mut Scheduler<W>) -> (ActorId, Vec<ActorId>) {
-        sched.set_tracer(self.inner.tracer.clone());
         let handles = spawn_engine(&self.inner, sched);
         let ids = (handles.svc, handles.io.clone());
         *self.inner.handles.borrow_mut() = Some(handles);

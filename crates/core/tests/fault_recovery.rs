@@ -135,11 +135,11 @@ fn volume_loss_mid_run_recovers_and_logs_deterministically() {
     assert!(!log_a.is_empty());
     assert_eq!(log_a, log_b, "same seed must render a byte-identical log");
     assert_eq!(digest_a, digest_b);
-    // 0xccf6_ffb4_2f31_bf10 at PR 14; re-pinned once, by the fix that
-    // admits the replica write and the scrub's read and write to the
-    // I/O tracker (three more `dev` lines, nothing else), and held
-    // through the one-request-record refactor that followed it.
-    assert_eq!(digest_a, 0x7609_f9ce_5036_e99e, "the recovery trace moved");
+    // Re-pinned twice: by the fix that admits the replica write and the
+    // scrub's read and write to the I/O tracker (three more `dev` lines,
+    // nothing else), and when the scheduler stopped writing park/wake
+    // lines into the trace (those lines, nothing else).
+    assert_eq!(digest_a, 0xcaff_1397_fe8b_5059, "the recovery trace moved");
 
     // Each recovery step appears, in causal order.
     let idx = |needle: &str| {

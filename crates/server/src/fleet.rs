@@ -550,8 +550,9 @@ fn summarize(mut lats: Vec<u64>) -> TenantLat {
     }
 }
 
-/// Runs one fleet experiment to quiescence and reports what happened.
-pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
+/// Builds the fleet `cfg` describes and runs it to quiescence: the world
+/// it leaves behind, and the simulated time it ended.
+fn simulate(cfg: &FleetConfig) -> (FleetWorld, SimTime) {
     let mut sched: Scheduler<FleetWorld> = Scheduler::new();
     let engine =
         ShardedEngine::build_with_eject(cfg.seed, cfg.shards, cfg.spec, &mut sched, cfg.eject);
@@ -642,7 +643,12 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         prefetch_tickets: Vec::new(),
     };
     let end_time = sched.run(&mut world);
+    (world, end_time)
+}
 
+/// Runs one fleet experiment to quiescence and reports what happened.
+pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
+    let (world, end_time) = simulate(cfg);
     let lost_tickets = world
         .prefetch_tickets
         .iter()
@@ -825,6 +831,35 @@ mod tests {
         let done_at = got.borrow().expect("put answered").expect("put succeeded");
         assert!(done_at > 0, "copy-out finished at a positive time");
         assert_eq!(world.engine.total_findings(), 0);
+    }
+
+    /// The `fleet_resident` benchmark geometry at 12 000 requests, past
+    /// the ~10 000 at which one shard's 65 536-event ring overflowed
+    /// while the fleet's scheduler also traced every actor's parks and
+    /// wakes into it. Every shard's trace is whole and clean.
+    #[test]
+    fn a_fleet_past_the_old_ring_bound_keeps_a_whole_clean_trace() {
+        let cfg = FleetConfig {
+            clients: 100,
+            requests_per_client: 120,
+            tenants: 8,
+            workers: 8,
+            shards: 4,
+            spec: ShardSpec {
+                volumes: 2,
+                segments_per_volume: 16,
+                cache_lines: 64,
+                drives: 2,
+            },
+            think: 20 * MS,
+            ..FleetConfig::small(1, PoolKind::SharedQueue)
+        };
+        let (world, _) = simulate(&cfg);
+        assert_eq!(world.completed, 12_000);
+        for (i, s) in world.engine.shards.iter().enumerate() {
+            assert_eq!(s.tio.tracer().dropped(), 0, "shard {i}");
+            assert_eq!(s.tio.trace_findings(), Vec::new(), "shard {i}");
+        }
     }
 
     #[test]

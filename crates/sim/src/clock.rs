@@ -1,6 +1,6 @@
 //! The shared virtual clock.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
 use crate::time::SimTime;
@@ -25,21 +25,12 @@ use crate::time::SimTime;
 #[derive(Clone, Debug, Default)]
 pub struct Clock {
     now: Rc<Cell<SimTime>>,
-    /// Optional trace recorder shared by all handles: explicit advances
-    /// and resets leave breadcrumbs in the trace.
-    tracer: Rc<RefCell<Option<hl_trace::Tracer>>>,
 }
 
 impl Clock {
     /// Creates a new clock starting at time zero.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Attaches a trace recorder (shared by every handle of this clock):
-    /// [`Self::advance_by`] and [`Self::reset`] emit breadcrumbs into it.
-    pub fn set_tracer(&self, tracer: hl_trace::Tracer) {
-        *self.tracer.borrow_mut() = Some(tracer);
     }
 
     /// Returns the current simulated time.
@@ -59,18 +50,7 @@ impl Clock {
     pub fn advance_by(&self, dt: SimTime) -> SimTime {
         let t = self.now.get() + dt;
         self.now.set(t);
-        if let Some(tr) = &*self.tracer.borrow() {
-            tr.mark(t, &format!("clock +{dt}"));
-        }
         t
-    }
-
-    /// Resets the clock to zero (used between benchmark phases).
-    pub fn reset(&self) {
-        if let Some(tr) = &*self.tracer.borrow() {
-            tr.mark(self.now.get(), "clock reset");
-        }
-        self.now.set(0);
     }
 }
 
@@ -94,13 +74,5 @@ mod tests {
         c.advance_to(100);
         c.advance_to(50);
         assert_eq!(c.now(), 100);
-    }
-
-    #[test]
-    fn reset_returns_to_zero() {
-        let c = Clock::new();
-        c.advance_by(99);
-        c.reset();
-        assert_eq!(c.now(), 0);
     }
 }

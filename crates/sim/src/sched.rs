@@ -114,7 +114,7 @@ pub trait Actor<W> {
     /// resume. Yielding a time earlier than `now` is treated as `now`.
     fn step(&mut self, world: &mut W, now: SimTime) -> Step;
 
-    /// A short label for traces and error messages.
+    /// A short label for error messages.
     fn name(&self) -> &str {
         "actor"
     }
@@ -182,8 +182,6 @@ pub struct Scheduler<W> {
     wake_buf: Vec<(ActorId, SimTime)>,
     /// Safety valve against actors that never advance time.
     max_steps: u64,
-    /// Optional trace recorder: park/wake activity is emitted into it.
-    tracer: Option<hl_trace::Tracer>,
 }
 
 impl<W> Default for Scheduler<W> {
@@ -201,14 +199,7 @@ impl<W> Scheduler<W> {
             inbox: Rc::new(RefCell::new(Vec::new())),
             wake_buf: Vec::new(),
             max_steps: 500_000_000,
-            tracer: None,
         }
-    }
-
-    /// Attaches a trace recorder: every actual park (an actor going
-    /// idle) and every wake of a parked actor is emitted into it.
-    pub fn set_tracer(&mut self, tracer: hl_trace::Tracer) {
-        self.tracer = Some(tracer);
     }
 
     /// A wake handle for this scheduler's actors. Cloneable; actors (or
@@ -261,9 +252,6 @@ impl<W> Scheduler<W> {
                 // time even if that rewinds its local clock (devices
                 // enforce their own busy horizons).
                 self.runq.push(run_key(at, id.0));
-                if let Some(t) = &self.tracer {
-                    t.wake(at, slot.actor.name());
-                }
             } else {
                 slot.wake_pending = Some(match slot.wake_pending {
                     Some(t) => t.min(at),
@@ -323,12 +311,7 @@ impl<W> Scheduler<W> {
                     // wake time may legitimately precede `now` (see
                     // [`Waker`]).
                     let latched = slot.wake_pending.take();
-                    if latched.is_none() {
-                        slot.parked = true;
-                        if let Some(t) = &self.tracer {
-                            t.park(now, slot.actor.name());
-                        }
-                    }
+                    slot.parked = latched.is_none();
                     latched
                 }
                 Step::Done => {
@@ -572,7 +555,6 @@ mod tests {
     struct ScanScheduler<W> {
         slots: Vec<ScanSlot<W>>,
         inbox: Rc<RefCell<Vec<(ActorId, SimTime)>>>,
-        tracer: hl_trace::Tracer,
     }
 
     struct ScanSlot<W> {
@@ -584,11 +566,10 @@ mod tests {
     }
 
     impl<W> ScanScheduler<W> {
-        fn new(tracer: hl_trace::Tracer) -> Self {
+        fn new() -> Self {
             Self {
                 slots: Vec::new(),
                 inbox: Rc::default(),
-                tracer,
             }
         }
 
@@ -633,7 +614,6 @@ mod tests {
                         Some(slot) if slot.parked => {
                             slot.parked = false;
                             slot.local = at;
-                            self.tracer.wake(at, slot.actor.name());
                         }
                         Some(slot) => {
                             slot.wake_pending = Some(slot.wake_pending.map_or(at, |t| t.min(at)))
@@ -657,10 +637,7 @@ mod tests {
                     Step::Yield(t) => slot.local = t.max(now),
                     Step::Park => match slot.wake_pending.take() {
                         Some(t) => slot.local = t,
-                        None => {
-                            slot.parked = true;
-                            self.tracer.park(now, slot.actor.name());
-                        }
+                        None => slot.parked = true,
                     },
                     Step::Done => slot.done = true,
                 }
@@ -692,7 +669,6 @@ mod tests {
 
     struct Scripted {
         me: usize,
-        name: String,
         actors: usize,
         moves: std::vec::IntoIter<Move>,
         waker: Waker,
@@ -719,10 +695,6 @@ mod tests {
                 Then::Done => Step::Done,
             }
         }
-
-        fn name(&self) -> &str {
-            &self.name
-        }
     }
 
     /// `(start time, or None for spawn_parked; moves)` per actor, and
@@ -734,16 +706,14 @@ mod tests {
 
     /// Plays `script` on `$sched` (either scheduler: same method names)
     /// and returns everything observable: the step sequence, each
-    /// call's return value, the live/parked counts, and the park/wake
-    /// trace's length and digest.
+    /// call's return value, and the live/parked counts.
     macro_rules! play {
-        ($sched:expr, $tracer:expr, $script:expr) => {{
-            let (mut sched, tracer, (actors, calls)) = ($sched, $tracer, $script.clone());
+        ($sched:expr, $script:expr) => {{
+            let (mut sched, (actors, calls)) = ($sched, $script.clone());
             let n = actors.len();
             for (me, (start, moves)) in actors.into_iter().enumerate() {
                 let actor = Scripted {
                     me,
-                    name: format!("a{me}"),
                     actors: n,
                     moves: moves.into_iter(),
                     waker: sched.waker(),
@@ -763,7 +733,7 @@ mod tests {
                 ends.push(sched.run_until(&mut log, horizon));
             }
             let counts = (sched.live_actors(), sched.parked_actors());
-            (log, ends, counts, tracer.len(), tracer.digest())
+            (log, ends, counts)
         }};
     }
 
@@ -803,15 +773,12 @@ mod tests {
         /// actor that is gone or never existed), `spawn_parked`, and
         /// `run_until`-then-resume with wakes posted in between: the
         /// run queue steps the same actors at the same times as the
-        /// linear scan, and traces the same parks and wakes.
+        /// linear scan, returns the same times and leaves the same actors
+        /// live and parked.
         #[test]
         fn run_queue_matches_the_linear_scan(script in script()) {
-            let tracer = hl_trace::Tracer::new();
-            let mut sched = Scheduler::new();
-            sched.set_tracer(tracer.clone());
-            let heap = play!(sched, tracer, script);
-            let tracer = hl_trace::Tracer::new();
-            let scan = play!(ScanScheduler::new(tracer.clone()), tracer, script);
+            let heap = play!(Scheduler::new(), script);
+            let scan = play!(ScanScheduler::new(), script);
             prop_assert_eq!(heap, scan);
         }
     }

@@ -380,7 +380,7 @@ fn solo_drive_death_retires_the_pool_and_fails_tickets() {
     assert_eq!(st.devq_hwm, 8, "the device queue filled before the drain");
     assert_eq!(tio.lane_health(), vec![false]);
     assert_clean(&tio);
-    assert_eq!(tio.trace_digest(), 0x6341_d8b2_802d_3005);
+    assert_eq!(tio.trace_digest(), 0x11a7_329f_c4ba_e0b8);
     assert_eq!(
         st,
         SvcStats {

@@ -21,7 +21,9 @@
 //!
 //! Re-pins: `disk` + `media` for format 2 (every sum is the word-wide
 //! `cksum`); `disk` again because `mkfs` now counts the root directory's
-//! first block in its `blocks` (it said 0). Clocks and traces never moved.
+//! first block in its `blocks` (it said 0); `trace` because the scheduler
+//! stopped writing park/wake lines into the engine trace. Clocks never
+//! moved.
 
 use highlight::rig::{hp6300, HlRig};
 use highlight::tcleaner::{clean_volume, select_victim_volume};
@@ -272,7 +274,7 @@ fn immediate_copy_out_life_matches_the_pinned_image() {
             slots_written: 5,
             eom_events: 1,
             sim_now: 136_346_952,
-            trace: 0x27a6_7cb4_64c7_5dd9,
+            trace: 0xcf58_06b8_e7b4_8602,
         }
     );
 }
@@ -287,7 +289,7 @@ fn delayed_copy_out_life_matches_the_pinned_image() {
             slots_written: 5,
             eom_events: 2,
             sim_now: 134_099_874,
-            trace: 0x356a_be9c_2220_0771,
+            trace: 0x7f7e_15db_2e86_bb8a,
         }
     );
 }
@@ -447,7 +449,7 @@ fn deep_file_life_matches_the_pinned_image() {
             slots_written: 11,
             eom_events: 0,
             sim_now: 357_117_149,
-            trace: 0xb809_94f9_7810_ad44,
+            trace: 0xc196_ec1a_4453_ad6b,
         }
     );
 }

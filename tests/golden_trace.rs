@@ -47,59 +47,40 @@ fn scripted_run_replays_byte_identical_per_seed() {
 
 /// The pinned rendering. Reading it top to bottom: the migrator fills
 /// a staging line and seals it (`empty>staging>dirtywait`), the sealed
-/// segment copies out (span 0: wake every I/O lane — the paper jukebox
-/// has two drives — the idle reader lane `d1` re-parks, the writer lane
-/// `d0` takes the op: staging-lane gather read `dev st`, Footprint
-/// write `dev d0`, line goes `dirtywait>clean`), the eject discards the
-/// line (span 1), and the read after `drop_caches` demand-fetches it
-/// back (span 2: `empty>filling`, media read on `d0` — the platter is
-/// still loaded there — then the staging-lane cache fill; the drive
-/// parks at the media read's end while the fill completes the span).
+/// segment copies out (span 0: the writer lane `d0` takes the op —
+/// staging-lane gather read `dev st`, Footprint write `dev d0` — and
+/// the line goes `dirtywait>clean`), the eject discards the line
+/// (span 1), and the read after `drop_caches` demand-fetches it back
+/// (span 2: `empty>filling`, media read on `d0` — the platter is still
+/// loaded there — then the staging-lane cache fill). The scheduler that
+/// steps the service process and the I/O lanes writes nothing here.
 const GOLDEN: &str = "\
 #000000 t550466 line 16777211 empty>staging
 #000001 t550466 line 16777211 staging>dirtywait
 #000002 t648113 s+ 0 copyout seg 16777211
 #000003 t648113 qdep reqq 1
-#000004 t648113 wake service-process
-#000005 t650113 qdep devq 1
-#000006 t650113 wake io-server-d0
-#000007 t650113 wake io-server-d1
-#000008 t650113 park service-process
-#000009 t650113 park io-server-d1
-#000010 t650113 qres 0 copyout 648113..650113
-#000011 t650113 dev st 650113..1387093
-#000012 t14887093 dev d0 14887093..19908701
-#000013 t550466 line 16777211 dirtywait>clean
-#000014 t19908701 s- 0 ok
-#000015 t650113 wake service-process
-#000016 t650113 park service-process
-#000017 t19908701 park io-server-d0
-#000018 t648113 s+ 1 eject seg 16777211
-#000019 t648113 qdep reqq 1
-#000020 t648113 wake service-process
-#000021 t550466 line 16777211 clean>empty
-#000022 t648113 qres 1 eject 648113..648113
-#000023 t648113 s- 1 ok
-#000024 t650113 park service-process
-#000025 t19960501 s+ 2 demand seg 16777211
-#000026 t19960501 qdep reqq 1
-#000027 t19960501 wake service-process
-#000028 t19960501 line 16777211 empty>filling
-#000029 t19962501 qdep devq 1
-#000030 t19962501 wake io-server-d0
-#000031 t19962501 wake io-server-d1
-#000032 t19962501 park service-process
-#000033 t19962501 park io-server-d1
-#000034 t19962501 qres 2 demand 19960501..19962501
-#000035 t19962501 dev d0 19962501..22317511
-#000036 t22317511 dev st 22317511..23375628
-#000037 t19960501 line 16777211 filling>clean
-#000038 t23375628 s- 2 ok
-#000039 t19962501 wake service-process
-#000040 t19962501 park service-process
-#000041 t22317511 park io-server-d0";
+#000004 t650113 qdep devq 1
+#000005 t650113 qres 0 copyout 648113..650113
+#000006 t650113 dev st 650113..1387093
+#000007 t14887093 dev d0 14887093..19908701
+#000008 t550466 line 16777211 dirtywait>clean
+#000009 t19908701 s- 0 ok
+#000010 t648113 s+ 1 eject seg 16777211
+#000011 t648113 qdep reqq 1
+#000012 t550466 line 16777211 clean>empty
+#000013 t648113 qres 1 eject 648113..648113
+#000014 t648113 s- 1 ok
+#000015 t19960501 s+ 2 demand seg 16777211
+#000016 t19960501 qdep reqq 1
+#000017 t19960501 line 16777211 empty>filling
+#000018 t19962501 qdep devq 1
+#000019 t19962501 qres 2 demand 19960501..19962501
+#000020 t19962501 dev d0 19962501..22317511
+#000021 t22317511 dev st 22317511..23375628
+#000022 t19960501 line 16777211 filling>clean
+#000023 t23375628 s- 2 ok";
 
-const GOLDEN_DIGEST: u64 = 0xf16b_41d9_66b4_938f;
+const GOLDEN_DIGEST: u64 = 0x56de_87ec_d9c5_0a2e;
 
 #[test]
 fn scripted_run_matches_the_pinned_trace() {
@@ -179,7 +160,7 @@ fn scripted_migrator_pass() -> (Vec<String>, u64, u64, usize) {
 const GOLDEN_POLICY_MARKS: &str = "\
 #000000 t900563962 mark policy space-time product: select batches 2 items 14";
 
-const GOLDEN_MIGRATOR_DIGEST: u64 = 0xe437_ce2f_61ae_95ae;
+const GOLDEN_MIGRATOR_DIGEST: u64 = 0x0ef6_84b0_324b_ad71;
 
 #[test]
 fn migrator_pass_matches_the_pinned_policy_decision() {

@@ -116,16 +116,11 @@ impl Actor<World> for PingPong {
         self.waker.wake(w.ids[1 - self.me], now + 1);
         Step::Park
     }
-    fn name(&self) -> &str {
-        "ping-pong"
-    }
 }
 
 #[test]
-fn ten_thousand_traced_park_wake_steps_allocate_nothing() {
-    let tracer = full_tracer();
+fn ten_thousand_park_wake_steps_allocate_nothing() {
     let mut sched = Scheduler::new();
-    sched.set_tracer(tracer.clone());
     let waker = sched.waker();
     let mut w = World::default();
     w.ids.push(sched.spawn_at(
@@ -140,14 +135,11 @@ fn ten_thousand_traced_park_wake_steps_allocate_nothing() {
     // the buffer it is swapped with to their steady size.
     sched.run_until(&mut w, 9);
     assert_eq!(w.steps, 10);
-    let (events, dropped) = (tracer.len(), tracer.dropped());
     let allocs = allocs_during(|| {
         sched.run_until(&mut w, 9 + 10_000);
     });
-    assert_eq!(w.steps, 10 + 10_000);
     // Every step parked one actor and woke the other.
-    assert_eq!(tracer.len() - events, 20_000);
-    assert_eq!(tracer.dropped() - dropped, 20_000);
+    assert_eq!(w.steps, 10 + 10_000);
     assert_eq!(allocs, 0);
 }
 
@@ -278,7 +270,7 @@ fn an_engine_round_trip_allocates_one_slot_array_beyond_its_requests() {
         t = tio.copy_out(ready, seg).unwrap();
         assert!(tio.eject(seg));
     };
-    for _ in 0..2_000 {
+    for _ in 0..4_000 {
         round_trip();
     }
     assert!(tio.tracer().dropped() > 0, "warm-up fills the trace ring");

@@ -365,5 +365,5 @@ fn dispatch_time_refusals_resolve_every_class() {
 
     assert_eq!(tio.queue_depths(), (0, 0));
     assert_clean(&tio);
-    assert_eq!(tio.trace_digest(), 0xd717_dec6_5ef7_c925);
+    assert_eq!(tio.trace_digest(), 0x05c7_3c03_721e_e55b);
 }
