@@ -32,7 +32,7 @@ use hl_lfs::dir;
 use hl_lfs::ondisk::{cksum, Finfo, SegSummary};
 use hl_lfs::types::{FileKind, LBlock};
 use hl_sim::{Actor, Scheduler, SimTime, Step};
-use hl_trace::Tracer;
+use hl_trace::{Class, Tracer};
 use hl_vdev::{Block, BlockDev, Disk, DiskProfile, BLOCK_SIZE};
 
 /// Hard gate for the single-block secondary route.
@@ -286,28 +286,29 @@ fn bench_sched_step(c: &mut Criterion) {
     }
 }
 
-/// One scheduler-park event into the recorder, on its two paths: kept
-/// in the ring (the ring is emptied whenever it fills, so every emit is
-/// a retained one), and digested-then-dropped past the retention bound —
-/// where most of a fleet run's millions of park/wake events go.
+/// One queue-residency event into the recorder — an event every queued
+/// request emits — on its two paths: kept in the ring (the ring is
+/// emptied whenever it fills, so every emit is a retained one), and
+/// digested-then-dropped past the retention bound, where a long run's
+/// events go.
 fn bench_trace_emit(c: &mut Criterion) {
     let retained = Tracer::new();
-    c.bench_function("trace emit park, retained", |b| {
+    c.bench_function("trace emit queuing, retained", |b| {
         let mut at = 0u64;
         b.iter(|| {
             at += 1;
             if at.is_multiple_of(hl_trace::DEFAULT_CAP as u64) {
                 retained.reset();
             }
-            retained.park(black_box(at), black_box("fleet-worker"))
+            retained.queuing(black_box(at), at, Class::Demand, at - 1, at)
         })
     });
     let capped = Tracer::with_capacity(0);
-    c.bench_function("trace emit park, past cap", |b| {
+    c.bench_function("trace emit queuing, past cap", |b| {
         let mut at = 0u64;
         b.iter(|| {
             at += 1;
-            capped.park(black_box(at), black_box("fleet-worker"))
+            capped.queuing(black_box(at), at, Class::Demand, at - 1, at)
         })
     });
     black_box((retained.digest(), capped.digest()));

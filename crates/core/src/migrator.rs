@@ -763,7 +763,7 @@ impl Migrator {
         let deficit_bytes = (self.high_water_segs.saturating_sub(clean)) as u64 * (1 << 20);
         hl.tio().tracer().mark(
             hl.clock().now(),
-            &format!("migrate pass deficit {deficit_bytes}"),
+            format!("migrate pass deficit {deficit_bytes}"),
         );
         let stats = self.migrate_bytes(hl, deficit_bytes)?;
         // Vacated segments become clean up to the high-water mark.

@@ -84,7 +84,7 @@ pub(crate) fn trace_batch(
     seed: SegNo,
     queued: usize,
 ) {
-    tracer.mark(at, &format!("prefetch seed {seed} queued {queued}"));
+    tracer.mark(at, format!("prefetch seed {seed} queued {queued}"));
 }
 
 #[cfg(test)]

@@ -117,7 +117,7 @@ pub fn clean_volume(hl: &mut HighLight, vol: u32) -> Result<TCleanReport> {
     };
     hl.tio()
         .tracer()
-        .mark(hl.clock().now(), &format!("tclean v{vol} begin"));
+        .mark(hl.clock().now(), format!("tclean v{vol} begin"));
     // Close the volume so re-migrated survivors cannot land back on it.
     hl.tseg().borrow_mut().volume_mut(vol).full = true;
 
@@ -187,7 +187,7 @@ pub fn clean_volume(hl: &mut HighLight, vol: u32) -> Result<TCleanReport> {
         .map_err(LfsError::Dev)?;
     hl.tio().tracer().mark(
         hl.clock().now(),
-        &format!(
+        format!(
             "tclean v{vol} done scanned {} moved {}",
             report.segments_scanned, report.blocks_moved
         ),

@@ -5,15 +5,17 @@
 //! residency. This crate records that history as a structured stream of
 //! events keyed on simulated time: request *spans* (open at enqueue,
 //! close at completion), per-op queue residency, cache-line state
-//! transitions, device-op intervals, scheduler park/wake activity, and
-//! injected faults. The stream is deterministic: with a fixed seed the
-//! same run emits byte-identical renders and equal FNV digests, so the
-//! whole observed history — not just dispatch order — replays exactly.
+//! transitions, device-op intervals, and injected faults. It follows
+//! requests, not the simulator: the scheduler that steps the engine's
+//! actors records nothing here. The stream is deterministic: with a
+//! fixed seed the same run emits byte-identical renders and equal FNV
+//! digests, so the whole observed history — not just dispatch order —
+//! replays exactly.
 //!
 //! The crate sits at the bottom of the workspace graph (it depends on
-//! nothing), so the simulator, the device models, and the engine can all
-//! emit into one [`Tracer`] without dependency cycles. Timestamps are raw
-//! `u64` microseconds (the same unit as `hl_sim::time::SimTime`).
+//! nothing), so the device models and the engine can both emit into one
+//! [`Tracer`] without dependency cycles. Timestamps are raw `u64`
+//! microseconds (the same unit as `hl_sim::time::SimTime`).
 //!
 //! [`check::tracecheck`] replays a recorded trace and verifies lifecycle
 //! invariants: spans open and close exactly once, cache lines follow the
@@ -164,12 +166,9 @@ impl QueueId {
     }
 }
 
-/// One traced occurrence. `S` is the text type of the four labelled
-/// kinds: `String` in a recorded [`Event`], `&str` on the way in, so an
-/// event is digested — and, past the retention bound, dropped — without
-/// its label ever being copied.
+/// One traced occurrence.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EventKind<S = String> {
+pub enum EventKind {
     /// A request entered the engine: its span opens.
     SpanOpen {
         /// Fresh span id.
@@ -239,25 +238,15 @@ pub enum EventKind<S = String> {
         /// Op end.
         end: TraceTime,
     },
-    /// A scheduler actor parked awaiting a wake.
-    Park {
-        /// The actor's name.
-        actor: S,
-    },
-    /// A parked actor was woken.
-    Wake {
-        /// The actor's name.
-        actor: S,
-    },
     /// An injected fault or crash fired.
     Fault {
         /// Description of the injection.
-        label: S,
+        label: String,
     },
-    /// Free-form breadcrumb (migrator, prefetcher, cleaner, clock).
+    /// Free-form breadcrumb (migrator, prefetcher, cleaner, workload).
     Mark {
         /// The breadcrumb.
-        label: S,
+        label: String,
     },
     /// An I/O-server lane went down (hard fault or watchdog timeout).
     DriveDown {
@@ -312,17 +301,17 @@ pub enum EventKind<S = String> {
 /// One recorded event: a sequence number (emission order), the simulated
 /// time it describes, and its kind.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Event<S = String> {
+pub struct Event {
     /// Emission order, starting at 0.
     pub seq: u64,
     /// Simulated time the event describes. Not necessarily monotone in
-    /// `seq`: wakes may rewind an idle actor's clock.
+    /// `seq`: each actor emits at its own local time.
     pub at: TraceTime,
     /// What happened.
-    pub kind: EventKind<S>,
+    pub kind: EventKind,
 }
 
-impl<S: fmt::Display> Event<S> {
+impl Event {
     /// Writes the stable single-line text form into `out`. This is the
     /// only renderer: [`Event::render`] collects it into a `String` and
     /// the recorder streams it into the running digest, so the digest
@@ -352,8 +341,6 @@ impl<S: fmt::Display> Event<S> {
             }
             EventKind::CacheRekey { old, new } => write!(out, "rekey {old}>{new}"),
             EventKind::DevIo { lane, start, end } => write!(out, "dev {lane} {start}..{end}"),
-            EventKind::Park { actor } => write!(out, "park {actor}"),
-            EventKind::Wake { actor } => write!(out, "wake {actor}"),
             EventKind::Fault { label } => write!(out, "fault {label}"),
             EventKind::Mark { label } => write!(out, "mark {label}"),
             EventKind::DriveDown { drive } => write!(out, "ddn d{drive}"),
@@ -386,76 +373,7 @@ impl<S: fmt::Display> Event<S> {
             .expect("writing into a String cannot fail");
         line
     }
-}
 
-impl Event<&str> {
-    /// Copies the label of a labelled kind, so the event can outlive the
-    /// call that emitted it.
-    fn into_owned(self) -> Event {
-        use EventKind::*;
-        let kind = match self.kind {
-            Park { actor } => Park {
-                actor: actor.to_string(),
-            },
-            Wake { actor } => Wake {
-                actor: actor.to_string(),
-            },
-            Fault { label } => Fault {
-                label: label.to_string(),
-            },
-            Mark { label } => Mark {
-                label: label.to_string(),
-            },
-            SpanOpen { span, class, seg } => SpanOpen { span, class, seg },
-            SpanClose { span, ok } => SpanClose { span, ok },
-            Join { span, class } => Join { span, class },
-            Queuing {
-                span,
-                class,
-                from,
-                to,
-            } => Queuing {
-                span,
-                class,
-                from,
-                to,
-            },
-            QueueDepth { queue, depth } => QueueDepth { queue, depth },
-            CacheState { seg, from, to } => CacheState { seg, from, to },
-            CacheRekey { old, new } => CacheRekey { old, new },
-            DevIo { lane, start, end } => DevIo { lane, start, end },
-            DriveDown { drive } => DriveDown { drive },
-            DriveUp { drive } => DriveUp { drive },
-            WatchdogFire { drive, span } => WatchdogFire { drive, span },
-            Redispatch { span, from_drive } => Redispatch { span, from_drive },
-            TenantAdmit {
-                tenant,
-                class,
-                span,
-            } => TenantAdmit {
-                tenant,
-                class,
-                span,
-            },
-            TenantThrottle {
-                tenant,
-                class,
-                span,
-            } => TenantThrottle {
-                tenant,
-                class,
-                span,
-            },
-        };
-        Event {
-            seq: self.seq,
-            at: self.at,
-            kind,
-        }
-    }
-}
-
-impl Event {
     /// Short kind tag (for `--trace` summaries).
     pub fn kind_tag(&self) -> &'static str {
         match &self.kind {
@@ -467,8 +385,6 @@ impl Event {
             EventKind::CacheState { .. } => "cache_state",
             EventKind::CacheRekey { .. } => "cache_rekey",
             EventKind::DevIo { .. } => "dev_io",
-            EventKind::Park { .. } => "park",
-            EventKind::Wake { .. } => "wake",
             EventKind::Fault { .. } => "fault",
             EventKind::Mark { .. } => "mark",
             EventKind::DriveDown { .. } => "drive_down",
@@ -559,10 +475,9 @@ impl Recorder {
     }
 
     /// Digests the event and, below the retention bound, records it.
-    /// Nothing here allocates unless the event is retained: the line is
-    /// streamed into the digest, never built, and a borrowed label is
-    /// copied only on its way into the ring.
-    fn emit(&mut self, at: TraceTime, kind: EventKind<&str>) {
+    /// The line is streamed into the digest, never built, so an event
+    /// past the bound costs its label (if any) and nothing else.
+    fn emit(&mut self, at: TraceTime, kind: EventKind) {
         let ev = Event {
             seq: self.next_seq,
             at,
@@ -574,7 +489,7 @@ impl Recorder {
             .expect("the digest sink cannot fail");
         self.digest = fnv_mix(sink.0, b'\n');
         if self.events.len() < self.cap {
-            self.events.push(ev.into_owned());
+            self.events.push(ev);
         } else {
             self.dropped += 1;
         }
@@ -618,7 +533,7 @@ impl fmt::Write for FnvSink {
 }
 
 /// A cloneable handle onto a shared [trace recorder](Tracer::new). Every
-/// layer of the stack (scheduler, devices, engine, cache) holds a clone
+/// layer a request passes through (engine, cache, devices) holds a clone
 /// and emits into the same bounded, digested event stream.
 #[derive(Clone, Default)]
 pub struct Tracer {
@@ -740,23 +655,13 @@ impl Tracer {
         r.emit(start, EventKind::DevIo { lane, start, end });
     }
 
-    /// Records an actor parking.
-    pub fn park(&self, at: TraceTime, actor: &str) {
-        self.rec.borrow_mut().emit(at, EventKind::Park { actor });
-    }
-
-    /// Records a parked actor being woken.
-    pub fn wake(&self, at: TraceTime, actor: &str) {
-        self.rec.borrow_mut().emit(at, EventKind::Wake { actor });
-    }
-
     /// Records an injected fault or crash.
-    pub fn fault(&self, at: TraceTime, label: &str) {
+    pub fn fault(&self, at: TraceTime, label: String) {
         self.rec.borrow_mut().emit(at, EventKind::Fault { label });
     }
 
     /// Records a free-form breadcrumb.
-    pub fn mark(&self, at: TraceTime, label: &str) {
+    pub fn mark(&self, at: TraceTime, label: String) {
         self.rec.borrow_mut().emit(at, EventKind::Mark { label });
     }
 
@@ -770,7 +675,7 @@ impl Tracer {
         let mut r = self.rec.borrow_mut();
         r.policy_decisions += 1;
         let label = format!("policy {policy}: {detail}");
-        r.emit(at, EventKind::Mark { label: &label });
+        r.emit(at, EventKind::Mark { label });
     }
 
     /// Records an I/O-server lane going down.
@@ -1019,7 +924,7 @@ mod tests {
         let run = || {
             let t = Tracer::with_capacity(4);
             for i in 0..10u64 {
-                t.mark(i, "tick");
+                t.mark(i, "tick".into());
             }
             (t.digest(), t.dropped(), t.len())
         };
@@ -1031,7 +936,7 @@ mod tests {
         // A different history hashes differently.
         let t = Tracer::with_capacity(4);
         for i in 0..10u64 {
-            t.mark(i, "tock");
+            t.mark(i, "tock".into());
         }
         assert_ne!(t.digest(), d1);
     }
@@ -1203,10 +1108,8 @@ mod tests {
         t.cache_rekey(32, 43, 44);
         t.dev_io(Lane::Drive(1), 9, 30);
         t.dev_io(Lane::Staging, 30, 31);
-        t.park(31, "io-server 1");
-        t.wake(1_000_000, "io-server 1");
-        t.fault(33, "drive 0 \"dead\"");
-        t.mark(34, "");
+        t.fault(33, "drive 0 \"dead\"".into());
+        t.mark(34, String::new());
         t.policy_decision(35, "lru", "eject 42");
         t.drive_down(36, 0);
         t.watchdog_fire(36, 0, b);
@@ -1226,7 +1129,7 @@ mod tests {
     fn digest_covers_the_rendered_bytes_of_every_kind_kept_or_dropped() {
         let full = Tracer::new();
         emit_every_kind(&full);
-        assert_eq!(full.summary().len(), 18, "one of every EventKind");
+        assert_eq!(full.summary().len(), 16, "one of every EventKind");
         let mut fnv = 0xcbf2_9ce4_8422_2325u64;
         for line in full.render_text() {
             for b in line.bytes().chain([b'\n']) {

@@ -143,7 +143,7 @@ impl CrashPlan {
                 kept,
             });
             if let Some(t) = &p.tracer {
-                t.fault(at, &format!("torn write b{block}+{kept}/{len}"));
+                t.fault(at, format!("torn write b{block}+{kept}/{len}"));
             }
             WriteFate::Tear(kept)
         } else {

@@ -128,7 +128,7 @@ struct PlanInner {
 }
 
 impl PlanInner {
-    fn trace(&self, at: SimTime, label: &str) {
+    fn trace(&self, at: SimTime, label: String) {
         if let Some(t) = &self.tracer {
             t.fault(at, label);
         }
@@ -216,7 +216,7 @@ impl FaultPlan {
         if p.drive_deaths.iter().any(|&(d, t)| d == drive && at >= t) {
             if !p.dead_logged.contains(&drive) {
                 p.dead_logged.push(drive);
-                p.trace(at, &format!("drive dead d{drive}"));
+                p.trace(at, format!("drive dead d{drive}"));
             }
             return Some(DriveFault::Dead);
         }
@@ -224,7 +224,7 @@ impl FaultPlan {
             .iter()
             .any(|&(d, from, until)| d == drive && at >= from && at < until)
         {
-            p.trace(at, &format!("drive hang d{drive}"));
+            p.trace(at, format!("drive hang d{drive}"));
             return Some(DriveFault::Hang);
         }
         None
@@ -265,7 +265,7 @@ impl FaultPlan {
             .filter(|&&(from, until)| at >= from && at < until)
             .map(|&(_, until)| until)
             .max()?;
-        p.trace(at, &format!("robot jam until t{until}"));
+        p.trace(at, format!("robot jam until t{until}"));
         Some(until)
     }
 
@@ -280,7 +280,7 @@ impl FaultPlan {
         {
             p.scripted_kills.remove(i);
             p.killed.push(vol);
-            p.trace(at, &format!("media failure v{vol}"));
+            p.trace(at, format!("media failure v{vol}"));
             return Some(MediaFault::Permanent);
         }
         if p.killed.contains(&vol) {
@@ -289,11 +289,11 @@ impl FaultPlan {
         }
         if p.cfg.media_failure_p > 0.0 && p.rng.chance(p.cfg.media_failure_p) {
             p.killed.push(vol);
-            p.trace(at, &format!("media failure v{vol}"));
+            p.trace(at, format!("media failure v{vol}"));
             return Some(MediaFault::Permanent);
         }
         if p.cfg.transient_read_p > 0.0 && p.rng.chance(p.cfg.transient_read_p) {
-            p.trace(at, &format!("transient read v{vol} s{slot}"));
+            p.trace(at, format!("transient read v{vol} s{slot}"));
             return Some(MediaFault::Transient);
         }
         None
@@ -304,7 +304,7 @@ impl FaultPlan {
         let mut p = self.inner.borrow_mut();
         let p = &mut *p;
         if p.cfg.early_eom_p > 0.0 && p.rng.chance(p.cfg.early_eom_p) {
-            p.trace(at, &format!("early eom v{vol} s{slot}"));
+            p.trace(at, format!("early eom v{vol} s{slot}"));
             return Some(MediaFault::EarlyEom);
         }
         None
@@ -315,12 +315,12 @@ impl FaultPlan {
         let mut p = self.inner.borrow_mut();
         let p = &mut *p;
         if p.cfg.swap_fail_p > 0.0 && p.rng.chance(p.cfg.swap_fail_p) {
-            p.trace(at, &format!("swap fail v{vol}"));
+            p.trace(at, format!("swap fail v{vol}"));
             return Some(SwapFault::Failed);
         }
         if p.cfg.swap_jam_p > 0.0 && p.rng.chance(p.cfg.swap_jam_p) {
             let stuck = p.cfg.swap_stuck_time;
-            p.trace(at, &format!("swap jam v{vol} +{stuck}"));
+            p.trace(at, format!("swap jam v{vol} +{stuck}"));
             return Some(SwapFault::Jam { stuck });
         }
         None

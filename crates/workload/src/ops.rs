@@ -65,7 +65,7 @@ impl OpStream {
     pub fn input_trace_digest(&self) -> u64 {
         let t = hl_trace::Tracer::with_capacity(64);
         for (i, op) in self.ops.iter().enumerate() {
-            t.mark(i as u64, &op.render());
+            t.mark(i as u64, op.render());
         }
         t.digest()
     }

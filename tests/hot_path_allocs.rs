@@ -18,7 +18,7 @@ use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
 use hl_lfs::buffer::BufCache;
 use hl_lfs::LBlock;
 use hl_sim::{Actor, ActorId, Scheduler, SimTime, Step, Waker};
-use hl_trace::{Class, Tracer};
+use hl_trace::{Class, Lane, Tracer};
 use hl_vdev::{Block, BlockDev, Disk, DiskProfile, BLOCK_SIZE};
 
 thread_local! {
@@ -64,7 +64,7 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 fn full_tracer() -> Tracer {
     let t = Tracer::with_capacity(8);
     for i in 0..8 {
-        t.mark(i, "fill");
+        t.mark(i, "fill".into());
     }
     t
 }
@@ -143,19 +143,22 @@ fn ten_thousand_park_wake_steps_allocate_nothing() {
     assert_eq!(allocs, 0);
 }
 
+/// The events one request emits — its span opening, its queue residency,
+/// its device interval, its span closing — once the ring is full.
 #[test]
-fn ten_thousand_park_wake_queuing_emits_past_the_cap_allocate_nothing() {
+fn ten_thousand_span_queuing_dev_io_emits_past_the_cap_allocate_nothing() {
     let tracer = full_tracer();
+    let request = |i: u64| match i % 4 {
+        0 => assert_eq!(tracer.open_span(i, Class::Demand, Some(i)), i / 4),
+        1 => tracer.queuing(i, i / 4, Class::Demand, i - 1, i),
+        2 => tracer.dev_io(Lane::Drive(1), i, i + 1),
+        _ => tracer.close_span(i, i / 4, true),
+    };
+    // One request first: the per-drive totals and the open-span map grow
+    // to their steady size.
+    (0..4).for_each(request);
     let dropped = tracer.dropped();
-    let allocs = allocs_during(|| {
-        for i in 0..10_000u64 {
-            match i % 3 {
-                0 => tracer.park(i, "fleet-worker"),
-                1 => tracer.wake(i, "fleet-worker"),
-                _ => tracer.queuing(i, i, Class::Demand, i - 2, i),
-            }
-        }
-    });
+    let allocs = allocs_during(|| (4..10_004).for_each(request));
     assert_eq!(tracer.dropped() - dropped, 10_000);
     assert_eq!(allocs, 0);
 }
