@@ -99,7 +99,8 @@ struct IoActor {
     inner: Rc<TioInner>,
     /// The lane's home drive (swaps for unloaded volumes go here).
     drive: usize,
-    /// Trace/park label, e.g. `io-server-d0`.
+    /// The name the scheduler reports if this lane gets stuck, e.g.
+    /// `io-server-d0`.
     label: String,
     /// When this lane's last operation finished (its busy horizon).
     free_since: SimTime,

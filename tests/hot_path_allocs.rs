@@ -1,10 +1,10 @@
-//! The two structures every simulated event passes through — the
-//! scheduler's run queue and the tracer's digest — allocate nothing in
-//! steady state, the structure every file block passes through — the
-//! buffer cache — allocates only the block, and a segment crossing
-//! between the levels allocates only the medium's slot array. Exact
-//! counts, so the day a `format!`, a per-step `Vec` or a staging copy
-//! creeps back this goes red.
+//! The two structures simulated events pass through — the scheduler's
+//! run queue, and for a request's events the tracer's digest — allocate
+//! nothing in steady state, the structure every file block passes
+//! through — the buffer cache — allocates only the block, and a segment
+//! crossing between the levels allocates only the medium's slot array.
+//! Exact counts, so the day a `format!`, a per-step `Vec` or a staging
+//! copy creeps back this goes red.
 //!
 //! A binary of its own: it installs a counting global allocator. The
 //! count is per thread, so the harness's other threads cannot disturb it.
