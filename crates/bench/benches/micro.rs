@@ -188,7 +188,7 @@ fn bench_replica_dir(c: &mut Criterion) {
 }
 
 /// The request-ticket lifecycle: one allocation per request, a clone
-/// for the coalescing directory, completion, and an observer's poll.
+/// for the coalescing directory, completion, and an observer's check.
 fn bench_ticket(c: &mut Criterion) {
     c.bench_function("ticket alloc+complete+drop", |b| {
         b.iter(|| {

@@ -41,14 +41,17 @@ use hl_lfs::config::AddressMap;
 use hl_lfs::types::SegNo;
 use hl_sim::stats::percentile;
 use hl_sim::time::{secs, SimTime, MS};
-use hl_sim::{Actor, Scheduler, Step};
+use hl_sim::{Actor, ActorId, Scheduler, Step};
 use hl_vdev::{FaultConfig, FaultPlan, BLOCK_SIZE};
 use hl_workload::{HierarchyScan, Tenant, TenantKind, TenantMix, ZipfStore};
 
 use crate::report::Json;
 
-/// Closed-loop actors poll their outstanding ticket at this period.
-const POLL: SimTime = 200 * MS;
+/// How often a writer retries when it waits for space — a free cache
+/// line, or a slot in the request queue. No ticket marks that moment: a
+/// line frees through ejection as well as copy-out. Readers and the scan
+/// park on their tickets instead.
+const RETRY: SimTime = 200 * MS;
 
 /// A workload shape the runner can replay.
 #[derive(Clone, Debug)]
@@ -286,6 +289,8 @@ impl ScenarioResult {
 
 struct World {
     tio: Rc<TertiaryIo>,
+    /// The ids of the actors that park on tickets, indexed by their `me`.
+    waiters: Vec<ActorId>,
     map: UniformMap,
     spv: u32,
     seed: u64,
@@ -354,8 +359,10 @@ impl Actor<World> for FlashCrowdActor {
 }
 
 /// Closed-loop hierarchy scan: demand-read each segment in order,
-/// prefetch the readahead window, eject behind the stream.
+/// prefetch the readahead window, eject behind the stream. Parks on each
+/// demand ticket until the engine resolves it.
 struct ScanActor {
+    me: usize,
     steps: Vec<hl_workload::ScanStep>,
     idx: usize,
     waiting: Option<Ticket>,
@@ -364,31 +371,32 @@ struct ScanActor {
 
 impl Actor<World> for ScanActor {
     fn step(&mut self, w: &mut World, now: SimTime) -> Step {
-        if let Some(t) = &self.waiting {
-            if !t.is_done() {
-                return Step::Yield(now + POLL);
+        loop {
+            if let Some(t) = &self.waiting {
+                if t.wait(w.waiters[self.me]) {
+                    return Step::Park;
+                }
+                self.waiting = None;
+                // The stream never re-reads: drop the line behind us so
+                // the scan's footprint stays one window wide.
+                if let Some(seg) = self.behind.take() {
+                    w.tio.enqueue_eject(now, seg);
+                }
             }
-            self.waiting = None;
-            // The stream never re-reads: drop the line behind us so the
-            // scan's footprint stays one window wide.
-            if let Some(seg) = self.behind.take() {
-                w.tio.enqueue_eject(now, seg);
+            let Some(st) = self.steps.get(self.idx) else {
+                return Step::Done;
+            };
+            let st = st.clone();
+            for &(v, s) in &st.readahead {
+                let seg = w.map.tert_seg(v, s);
+                w.prefetch(now, seg);
             }
+            let seg = w.map.tert_seg(st.vol, st.slot);
+            let t = w.demand(now, seg);
+            self.waiting = Some(t);
+            self.behind = Some(seg);
+            self.idx += 1;
         }
-        let Some(st) = self.steps.get(self.idx) else {
-            return Step::Done;
-        };
-        let st = st.clone();
-        for &(v, s) in &st.readahead {
-            let seg = w.map.tert_seg(v, s);
-            w.prefetch(now, seg);
-        }
-        let seg = w.map.tert_seg(st.vol, st.slot);
-        let t = w.demand(now, seg);
-        self.waiting = Some(t);
-        self.behind = Some(seg);
-        self.idx += 1;
-        Step::Yield(now + POLL)
     }
 
     fn name(&self) -> &str {
@@ -397,8 +405,10 @@ impl Actor<World> for ScanActor {
 }
 
 /// Closed-loop reader tenant: one outstanding demand read at a time,
-/// a think pause between requests.
+/// the next issued a think time after the last or when it is served,
+/// whichever is later. Parks on a ticket still open after the think.
 struct ReaderActor {
+    me: usize,
     tenant: Tenant,
     reads: u32,
     issued: u32,
@@ -408,8 +418,8 @@ struct ReaderActor {
 impl Actor<World> for ReaderActor {
     fn step(&mut self, w: &mut World, now: SimTime) -> Step {
         if let Some(t) = &self.waiting {
-            if !t.is_done() {
-                return Step::Yield(now + POLL);
+            if t.wait(w.waiters[self.me]) {
+                return Step::Park;
             }
             self.waiting = None;
         }
@@ -421,7 +431,7 @@ impl Actor<World> for ReaderActor {
         let t = w.demand(now, seg);
         self.waiting = Some(t);
         self.issued += 1;
-        Step::Yield(now + self.tenant.think.max(POLL))
+        Step::Yield(now + self.tenant.think)
     }
 
     fn name(&self) -> &str {
@@ -448,7 +458,7 @@ impl Actor<World> for WriterActor {
                 }
                 None => {
                     self.pending_seal = Some((seg, sealed_at));
-                    return Step::Yield(now + POLL);
+                    return Step::Yield(now + RETRY);
                 }
             }
         }
@@ -463,7 +473,7 @@ impl Actor<World> for WriterActor {
             .allocate(seg, LineState::Staging, now);
         let Some((disk_seg, _)) = allocated else {
             // Every line pinned: wait for the pool to drain.
-            return Step::Yield(now + POLL);
+            return Step::Yield(now + RETRY);
         };
         let image = seg_image(w.seed, seg);
         let wslot = w
@@ -506,6 +516,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
     }
     let mut sched: Scheduler<World> = Scheduler::new();
     tio.attach_engine(&mut sched);
+    let mut waiters = Vec::new();
     match &cfg.kind {
         ScenarioKind::FlashCrowd {
             objects,
@@ -540,15 +551,16 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
         }
         ScenarioKind::HierarchyScan { readahead } => {
             let scan = HierarchyScan::backup(cfg.volumes, spv, *readahead);
-            sched.spawn_at(
+            waiters.push(sched.spawn_at(
                 0,
                 ScanActor {
+                    me: waiters.len(),
                     steps: scan.steps(),
                     idx: 0,
                     waiting: None,
                     behind: None,
                 },
-            );
+            ));
         }
         ScenarioKind::TenantThrash {
             readers,
@@ -573,15 +585,16 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
                 let start = tenant.arrival as SimTime;
                 match tenant.kind {
                     TenantKind::Reader => {
-                        sched.spawn_at(
+                        waiters.push(sched.spawn_at(
                             start,
                             ReaderActor {
+                                me: waiters.len(),
                                 tenant,
                                 reads: *reads_per_tenant,
                                 issued: 0,
                                 waiting: None,
                             },
-                        );
+                        ));
                     }
                     TenantKind::Writer => {
                         let mut targets = tenant.working_set;
@@ -602,6 +615,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
 
     let mut world = World {
         tio: tio.clone(),
+        waiters,
         map,
         spv,
         seed: cfg.seed,

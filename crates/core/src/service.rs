@@ -17,7 +17,10 @@
 //! the value an I/O lane executes. It succeeds at one of five sites (a
 //! fetch, a copy-out, a scrub, an inline eject, a fetch that became
 //! resident while queued) and fails at exactly one, `TioInner::refuse`,
-//! which knows what each class holds and releases it.
+//! which knows what each class holds and releases it. Every one of them
+//! resolves its ticket through `TioInner::resolve`, which wakes the
+//! actors parked on the ticket ([`Ticket::wait`]) at the instant the
+//! engine resolved it.
 //!
 //! The old synchronous entry points ([`TertiaryIo::demand_fetch`] and
 //! friends) survive as façades: they enqueue, pump the engine's internal
@@ -267,6 +270,11 @@ pub(crate) struct TioInner {
     pub(crate) queues: RefCell<EngineQueues>,
     /// Wake handles onto whichever scheduler currently hosts the actors.
     pub(crate) handles: RefCell<Option<EngineHandles>>,
+    /// Set once the actors live on an external scheduler
+    /// ([`TertiaryIo::attach_engine`]): the façades' pump-based
+    /// backpressure then cannot drain the queues itself, and ticket
+    /// waiters are actors of that scheduler.
+    pub(crate) attached: Cell<bool>,
     /// Actors parked on copy-out backpressure, woken per completion.
     pub(crate) copyout_waiters: RefCell<Vec<ActorId>>,
     /// Latest virtual time any enqueuer has mentioned (anchors requests
@@ -312,6 +320,26 @@ impl TioInner {
         }
     }
 
+    /// Posts `outcome` in `ticket` and wakes every actor waiting on it at
+    /// `at`: the instant the engine resolved it (an I/O lane's start for
+    /// device ops, the dispatch instant, the refusal instant), not the
+    /// outcome's own ready time, which the waiter reads off the ticket.
+    pub(crate) fn resolve(&self, ticket: &Ticket, outcome: Outcome, at: SimTime) {
+        let waiters = ticket.complete(outcome);
+        if waiters.is_empty() {
+            return;
+        }
+        debug_assert!(
+            self.attached.get(),
+            "a ticket waiter on a pumped engine: its wake would reach the private scheduler"
+        );
+        if let Some(h) = &*self.handles.borrow() {
+            for id in waiters.iter() {
+                h.waker.wake(id, at);
+            }
+        }
+    }
+
     /// Wakes every actor parked on copy-out backpressure.
     pub(crate) fn wake_copyout_waiters(&self, at: SimTime) {
         let waiters: Vec<ActorId> = self.copyout_waiters.borrow_mut().drain(..).collect();
@@ -346,7 +374,7 @@ impl TioInner {
             self.queues.borrow_mut().retire_fetch(seg);
         }
         self.tracer.close_span(at, req.span, false);
-        req.ticket.complete(match req.class {
+        let outcome = match req.class {
             ReqClass::Demand | ReqClass::Prefetch => Outcome::Fetch(Err(err)),
             ReqClass::CopyOut => Outcome::CopyOut(Err(err.into_dev())),
             ReqClass::Eject => Outcome::Eject(false),
@@ -354,7 +382,8 @@ impl TioInner {
                 end: at,
                 ..ScrubReport::default()
             })),
-        });
+        };
+        self.resolve(&req.ticket, outcome, at);
         if req.class == ReqClass::CopyOut {
             self.wake_copyout_waiters(at);
         }
@@ -380,8 +409,7 @@ impl TioInner {
                 self.tracer
                     .queuing(now, req.span, req.class, req.enqueued_at.min(now), now);
                 self.tracer.close_span(now, req.span, ok);
-                req.ticket.complete(Outcome::Eject(ok));
-                return;
+                return self.resolve(&req.ticket, Outcome::Eject(ok), now);
             }
             (ReqClass::Demand | ReqClass::Prefetch, Some(seg)) => {
                 let resident = self.cache.borrow().peek(seg).copied();
@@ -390,9 +418,12 @@ impl TioInner {
                         // Became resident between enqueue and dispatch.
                         self.queues.borrow_mut().retire_fetch(seg);
                         self.tracer.close_span(now, req.span, true);
-                        req.ticket
-                            .complete(Outcome::Fetch(Ok((line.disk_seg, now.max(line.ready_at)))));
-                        return;
+                        let ready = now.max(line.ready_at);
+                        return self.resolve(
+                            &req.ticket,
+                            Outcome::Fetch(Ok((line.disk_seg, ready))),
+                            now,
+                        );
                     }
                     // Two in-flight fetches of one segment cannot reach
                     // dispatch: the coalescing directory merges them at
@@ -479,7 +510,7 @@ impl TioInner {
                     None => {
                         let end = report.end;
                         self.tracer.close_span(end, op.span, true);
-                        op.ticket.complete(Outcome::Scrub(Box::new(report)));
+                        self.resolve(&op.ticket, Outcome::Scrub(Box::new(report)), start);
                         ExecResult::Done(end)
                     }
                 }
@@ -579,7 +610,7 @@ impl TioInner {
         stats.fetch_time += ready - op.enqueued_at;
         drop(stats);
         self.tracer.close_span(ready, op.span, true);
-        op.ticket.complete(Outcome::Fetch(Ok((disk_seg, ready))));
+        self.resolve(&op.ticket, Outcome::Fetch(Ok((disk_seg, ready))), start);
         ExecResult::Done(end)
     }
 
@@ -632,7 +663,7 @@ impl TioInner {
                 stats.copyout_time += end - op.enqueued_at;
                 drop(stats);
                 self.tracer.close_span(end, op.span, true);
-                op.ticket.complete(Outcome::CopyOut(Ok(end)));
+                self.resolve(&op.ticket, Outcome::CopyOut(Ok(end)), start);
                 ExecResult::Done(end)
             }
             Err(e @ (DevError::DriveDead { .. } | DevError::DriveHung { .. })) => {
@@ -685,9 +716,6 @@ pub struct TertiaryIo {
     /// The internal scheduler the synchronous façades pump. Unused once
     /// [`Self::attach_engine`] moves the actors to an external one.
     engine: RefCell<Scheduler<()>>,
-    /// Set once the actors live on an external scheduler: the façades'
-    /// pump-based backpressure then cannot drain the queues itself.
-    external: Cell<bool>,
 }
 
 impl TertiaryIo {
@@ -738,6 +766,7 @@ impl TertiaryIo {
             fault_log: RefCell::new(FaultLog::new()),
             queues: RefCell::new(EngineQueues::new(tracer.clone())),
             handles: RefCell::new(None),
+            attached: Cell::new(false),
             copyout_waiters: RefCell::new(Vec::new()),
             watermark: Cell::new(0),
             tracer,
@@ -749,7 +778,6 @@ impl TertiaryIo {
             map,
             inner,
             engine: RefCell::new(engine),
-            external: Cell::new(false),
         }
     }
 
@@ -945,7 +973,9 @@ impl TertiaryIo {
             if line.state != LineState::Filling {
                 // Resident: served without entering the queues at all.
                 let ticket = Ticket::new();
-                ticket.complete(Outcome::Fetch(Ok((line.disk_seg, at.max(line.ready_at)))));
+                let ready = at.max(line.ready_at);
+                let outcome = Outcome::Fetch(Ok((line.disk_seg, ready)));
+                self.inner.resolve(&ticket, outcome, at);
                 return ticket;
             }
         }
@@ -974,7 +1004,7 @@ impl TertiaryIo {
     /// engine before adding more (callers on an external scheduler use
     /// the `try_*` variants and park instead).
     fn make_room(&self) {
-        while !self.external.get() && self.inner.queues.borrow().reqq_full() {
+        while !self.inner.attached.get() && self.inner.queues.borrow().reqq_full() {
             self.pump();
         }
     }
@@ -1050,13 +1080,13 @@ impl TertiaryIo {
     /// interleave with the caller's own actors (the Table 4/6 rigs).
     /// Returns the service-process id and the I/O lane ids (one per
     /// drive). After this, the synchronous façades must not be used:
-    /// completion is observed by running the external scheduler and
-    /// polling tickets.
+    /// completion is observed by running the external scheduler, with
+    /// the caller's actors parked on their tickets ([`Ticket::wait`]).
     pub fn attach_engine<W: 'static>(&self, sched: &mut Scheduler<W>) -> (ActorId, Vec<ActorId>) {
         let handles = spawn_engine(&self.inner, sched);
         let ids = (handles.svc, handles.io.clone());
         *self.inner.handles.borrow_mut() = Some(handles);
-        self.external.set(true);
+        self.inner.attached.set(true);
         ids
     }
 
@@ -1244,6 +1274,110 @@ mod tests {
         assert_eq!(ticket.copyout_result(), Err(dead));
         sched.run(&mut ());
         assert_eq!(stepped.get(), 1, "the parked producer was never woken");
+    }
+
+    // ------------------------------------------------------------------
+    // Ticket waiters: the engine wakes whoever parks on a ticket, at the
+    // instant it resolves the ticket. Seen red, each sabotage alone:
+    // the wake dropped from `refuse` (the refused waiter is never
+    // stepped); the wake posted at the outcome's ready time instead of
+    // the lane's start (the coalesced waiters step at `ready`); `wait`
+    // registering on a ticket that has already resolved, as a separate
+    // check-then-register would after a completion in between (it
+    // returns `true`, so its caller would park for good).
+    // ------------------------------------------------------------------
+
+    /// Parks on every step, recording when it was stepped.
+    struct Woken(Rc<RefCell<Vec<SimTime>>>);
+    impl hl_sim::Actor<()> for Woken {
+        fn step(&mut self, _: &mut (), now: SimTime) -> hl_sim::Step {
+            self.0.borrow_mut().push(now);
+            hl_sim::Step::Park
+        }
+    }
+
+    fn woken(sched: &mut Scheduler<()>) -> (ActorId, Rc<RefCell<Vec<SimTime>>>) {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        (sched.spawn_parked(Woken(log.clone())), log)
+    }
+
+    #[test]
+    fn coalesced_waiters_are_each_woken_once_when_the_lane_starts() {
+        let (tio, jb, map) = RigSpec::with_lines(40..44).build();
+        let seg = map.tert_seg(1, 0);
+        jb.poke_segment(1, 0, &vec![3u8; 1 << 20]).unwrap();
+        let mut sched: Scheduler<()> = Scheduler::new();
+        tio.attach_engine(&mut sched);
+        let (a, a_log) = woken(&mut sched);
+        let (b, b_log) = woken(&mut sched);
+        let first = tio.session(1).enqueue_demand(0, seg);
+        let joined = tio.session(2).enqueue_demand(0, seg);
+        assert!(first.wait(a) && joined.wait(b));
+        assert!(first.wait(a), "a second registration is the same one");
+        sched.run(&mut ());
+
+        let st = tio.stats();
+        assert_eq!((st.demand_fetches, st.coalesced_fetches), (1, 1));
+        // Enqueued at 0, the fetch waits one dispatch hop and the lane
+        // starts it at DISPATCH_CPU: that is when the engine resolves the
+        // ticket, and the media read and the fill finish seconds later.
+        let (_, ready) = joined.fetch_result().unwrap();
+        assert_eq!(st.wait_demand, DISPATCH_CPU);
+        assert!(ready > DISPATCH_CPU);
+        assert_eq!(*a_log.borrow(), [DISPATCH_CPU]);
+        assert_eq!(*b_log.borrow(), [DISPATCH_CPU]);
+    }
+
+    #[test]
+    fn a_refused_ticket_wakes_its_waiter_when_the_last_lane_retires() {
+        use hl_trace::EventKind;
+        let (tio, jb, map) = RigSpec {
+            drives: 1,
+            ..RigSpec::with_lines(40..44)
+        }
+        .build();
+        let plan = FaultPlan::new(FaultConfig::none(17));
+        plan.fail_drive_at(0, 0);
+        jb.set_fault_plan(plan);
+        let mut sched: Scheduler<()> = Scheduler::new();
+        tio.attach_engine(&mut sched);
+        let (id, log) = woken(&mut sched);
+        let ticket = tio.enqueue_demand(0, map.tert_seg(0, 0));
+        assert!(ticket.wait(id));
+        sched.run(&mut ());
+
+        assert_eq!(tio.lane_health(), [false], "the only lane retired");
+        assert!(ticket.fetch_result().is_err());
+        let refused_at: Vec<SimTime> = tio
+            .tracer()
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::SpanClose { ok: false, .. } => Some(e.at),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(refused_at.len(), 1);
+        assert!(refused_at[0] > 0);
+        assert_eq!(*log.borrow(), refused_at, "woken once, when refused");
+    }
+
+    #[test]
+    fn waiting_on_a_resolved_ticket_registers_no_one() {
+        let (tio, jb, map) = RigSpec::with_lines(40..44).build();
+        let seg = map.tert_seg(0, 0);
+        jb.poke_segment(0, 0, &vec![7u8; 1 << 20]).unwrap();
+        let mut sched: Scheduler<()> = Scheduler::new();
+        tio.attach_engine(&mut sched);
+        let (id, log) = woken(&mut sched);
+        let cold = tio.enqueue_demand(0, seg);
+        sched.run(&mut ());
+        assert!(cold.is_done());
+        assert!(!cold.wait(id), "resolved by the engine");
+        let hit = tio.enqueue_demand(1, seg);
+        assert!(!hit.wait(id), "resolved at enqueue: the line is resident");
+        sched.run(&mut ());
+        assert!(log.borrow().is_empty(), "nobody was woken");
     }
 
     /// The refusal table: five classes × the three places a request can

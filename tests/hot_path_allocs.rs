@@ -1,21 +1,26 @@
 //! The two structures simulated events pass through — the scheduler's
 //! run queue, and for a request's events the tracer's digest — allocate
 //! nothing in steady state, the structure every file block passes
-//! through — the buffer cache — allocates only the block, and a segment
-//! crossing between the levels allocates only the medium's slot array.
-//! Exact counts, so the day a `format!`, a per-step `Vec` or a staging
-//! copy creeps back this goes red.
+//! through — the buffer cache — allocates only the block, a segment
+//! crossing between the levels allocates only the medium's slot array,
+//! and an actor parking on a request's ticket and being woken by the
+//! engine allocates nothing. Exact counts, so the day a `format!`, a
+//! per-step `Vec` or a staging copy creeps back this goes red.
 //!
 //! A binary of its own: it installs a counting global allocator. The
 //! count is per thread, so the harness's other threads cannot disturb it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::rc::Rc;
 
+use highlight::requests::Ticket;
 use highlight::rig::RigSpec;
 use highlight::segcache::LineState;
+use highlight::TertiaryIo;
 use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
 use hl_lfs::buffer::BufCache;
+use hl_lfs::types::SegNo;
 use hl_lfs::LBlock;
 use hl_sim::{Actor, ActorId, Scheduler, SimTime, Step, Waker};
 use hl_trace::{Class, Lane, Tracer};
@@ -69,12 +74,13 @@ fn full_tracer() -> Tracer {
     t
 }
 
-/// What the actors below step against: a step counter, and the actors'
-/// own ids (known only once both are spawned).
+/// What the actors below step against: a step counter, the actors' own
+/// ids (known only once both are spawned), and allocation-count marks.
 #[derive(Default)]
 struct World {
     steps: u64,
     ids: Vec<ActorId>,
+    marks: Vec<u64>,
 }
 
 /// Yields one period ahead, forever.
@@ -283,4 +289,90 @@ fn an_engine_round_trip_allocates_one_slot_array_beyond_its_requests() {
         }
     });
     assert_eq!(allocs, 100 * 18);
+}
+
+/// Demand-fetches its segment, parks on the ticket, ejects the line and
+/// parks on that ticket too, `trips` times, marking the allocation count
+/// as each trip starts.
+struct FetchEject {
+    tio: Rc<TertiaryIo>,
+    seg: SegNo,
+    trips: usize,
+    waiting: Option<Ticket>,
+    fetched: bool,
+}
+impl Actor<World> for FetchEject {
+    fn step(&mut self, w: &mut World, now: SimTime) -> Step {
+        if let Some(t) = &self.waiting {
+            if t.wait(w.ids[0]) {
+                return Step::Park;
+            }
+            self.waiting = None;
+        }
+        let ticket = if self.fetched {
+            self.fetched = false;
+            self.tio.enqueue_eject(now, self.seg)
+        } else if w.marks.len() < self.trips {
+            w.marks.push(ALLOCS.with(Cell::get));
+            self.fetched = true;
+            self.tio.enqueue_demand(now, self.seg)
+        } else {
+            return Step::Done;
+        };
+        self.waiting = Some(ticket);
+        Step::Yield(now)
+    }
+}
+
+/// The fetch and eject of the round trip above, on an engine attached to
+/// the caller's scheduler, with the caller parked on each ticket until
+/// the engine wakes it. Once warm, a trip allocates 11 times — what the
+/// pumped engine spends on the same two requests with no waiter at all —
+/// so registering the waiter and waking it allocate nothing. Seen red
+/// (12) with the waiters in a plain `Vec`.
+#[test]
+fn parking_on_a_ticket_and_being_woken_allocate_nothing() {
+    let (tio, jb, map) = RigSpec::with_lines(40..41).build();
+    let seg = map.tert_seg(0, 0);
+    jb.poke_segment(0, 0, &vec![7u8; 1 << 20]).unwrap();
+    let mut t = 0;
+    let mut pumped = || {
+        let (_, ready) = tio.demand_fetch(t, seg).unwrap();
+        assert!(tio.eject(seg));
+        t = ready;
+    };
+    for _ in 0..8_000 {
+        pumped();
+    }
+    assert!(tio.tracer().dropped() > 0, "warm-up fills the trace ring");
+    let allocs = allocs_during(|| (0..100).for_each(|_| pumped()));
+    assert_eq!(allocs, 100 * 11);
+
+    // The attached engine, 8 000 trips of warm-up and 100 measured, in
+    // one run: a trip is measured from its start to the next one's.
+    const TRIPS: usize = 8_101;
+    let (tio, jb, map) = RigSpec::with_lines(40..41).build();
+    jb.poke_segment(0, 0, &vec![7u8; 1 << 20]).unwrap();
+    let mut sched = Scheduler::new();
+    tio.attach_engine(&mut sched);
+    let mut w = World {
+        marks: Vec::with_capacity(TRIPS),
+        ..World::default()
+    };
+    w.ids.push(sched.spawn_at(
+        0,
+        FetchEject {
+            tio: tio.clone(),
+            seg: map.tert_seg(0, 0),
+            trips: TRIPS,
+            waiting: None,
+            fetched: false,
+        },
+    ));
+    sched.run(&mut w);
+    assert_eq!(w.marks.len(), TRIPS);
+    assert_eq!(tio.stats().demand_fetches, TRIPS as u64);
+    assert!(tio.tracer().dropped() > 0, "warm-up fills the trace ring");
+    let allocs = w.marks[TRIPS - 1] - w.marks[TRIPS - 101];
+    assert_eq!(allocs, 100 * 11);
 }
