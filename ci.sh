@@ -113,7 +113,8 @@ run cargo bench -q -p hl-bench --bench table6
 # Drive-pool ablation (§6e) and fault-under-load (§6f).
 run cargo bench -q -p hl-bench --bench drive_pool
 run cargo bench -q -p hl-bench --bench fault_load
-# Adversarial scenarios (§6g), client fleets (§6h), policy ablation (§6i).
+# Adversarial scenarios (§6g), client fleets (§6h; also the ceiling on
+# scheduler steps per request at 1000 clients), policy ablation (§6i).
 run cargo bench -q -p hl-bench --bench scenarios
 run cargo bench -q -p hl-server --bench server_fleet
 run cargo bench -q -p hl-bench --bench policies
