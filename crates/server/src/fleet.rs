@@ -737,6 +737,33 @@ mod tests {
         }
     }
 
+    /// Pins the small fleet, plain and under a prefetch storm: trace
+    /// digest, end time, p99 and scheduler steps as literals. Seen red,
+    /// each sabotage alone: the shared queue waking only worker 0 instead
+    /// of the whole pool (plain steps 663 → 447); storm prefetches tagged
+    /// with the next tenant's session (storm digest and end time move).
+    /// Not caught: `pop_back` in place of `pop_front`, because no worker
+    /// of this fleet ever finds more than one ready connection queued.
+    #[test]
+    fn small_fleets_match_their_pinned_digests() {
+        let plain = run_fleet(&FleetConfig::small(7, PoolKind::SharedQueue));
+        let mut cfg = FleetConfig::small(7, PoolKind::SharedQueue);
+        cfg.storm = Some(StormConfig {
+            tenant: 0,
+            width: 6,
+        });
+        let storm = run_fleet(&cfg);
+        let pin = |r: &FleetReport| (r.digest, r.end_time, r.p99, r.steps);
+        assert_eq!(
+            pin(&plain),
+            (0x313f_c22b_04a3_00df, 95_285_688, 61_171_534, 663)
+        );
+        assert_eq!(
+            pin(&storm),
+            (0x399d_7e88_921f_82b0, 158_264_472, 74_660_169, 782)
+        );
+    }
+
     #[test]
     fn concurrent_gets_of_one_cold_object_coalesce_to_one_media_read() {
         // Every client asks for the same object at the same instant.
