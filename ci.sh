@@ -117,6 +117,8 @@ run cargo bench -q -p hl-bench --bench fault_load
 # scheduler steps per request at 1000 clients), policy ablation (§6i).
 run cargo bench -q -p hl-bench --bench scenarios
 run cargo bench -q -p hl-server --bench server_fleet
+# The server quickstart (README): fails unless two same-seed runs agree.
+run cargo run -q --release -p hl-server --example fleet_demo
 run cargo bench -q -p hl-bench --bench policies
 # The paper's figures, the §5 design-choice ablations and the replica /
 # scrub sweep: no checks of their own, but they are the only callers of

@@ -1,4 +1,4 @@
-//! Policy ablation bench (DESIGN.md §6i, ROADMAP item 3).
+//! Policy ablation bench (DESIGN.md §6i).
 //!
 //! Replays the two standard [`OpStream`] workloads under every standard
 //! policy arm, regenerating each stream fresh per arm and gating on the
@@ -18,7 +18,7 @@ use highlight::segcache::EjectPolicy;
 use hl_bench::policies::{run_policy_arm, standard_arms, standard_workloads, ArmReport};
 use hl_bench::report::{write_bench_json, Checks, Json};
 use hl_bench::table::{print_table, Row};
-use hl_server::{run_fleet, FleetConfig, PoolKind};
+use hl_server::{run_fleet, FleetConfig};
 
 fn check(checks: &mut Checks, r: &ArmReport) {
     checks.tracecheck(&format!("{}/{}", r.arm, r.workload), r.findings);
@@ -44,7 +44,7 @@ struct FleetArm {
 }
 
 fn thrash_fleet_config(eject: EjectPolicy) -> FleetConfig {
-    let mut cfg = FleetConfig::small(0xA4, PoolKind::WorkStealing);
+    let mut cfg = FleetConfig::small(0xA4);
     // Cache-starve the shards so ejection policy decides who waits on
     // the robot — but keep lines ≥ peak concurrent fetches per shard,
     // since an all-lines-pinned cache refuses fetches by design.

@@ -1,9 +1,8 @@
 //! Client-fleet server benchmark (DESIGN.md §6h).
 //!
 //! Runs closed-loop protocol client fleets of increasing size against
-//! the sharded engine through two worker-pool disciplines (plus the
-//! naive one-worker-per-connection baseline at the smallest size),
-//! reporting client-observed p50/p95/p99 latency per client count.
+//! the sharded engine through the shared-queue worker pool, reporting
+//! client-observed p50/p95/p99 latency per client count.
 //! Gates (any false check exits non-zero):
 //!
 //! * every run replays with zero tracecheck findings and zero lost
@@ -14,7 +13,7 @@
 //!   cold object cost exactly one media read;
 //! * fairness — with a prefetch-storm tenant sharing the server, the
 //!   victim tenant's demand p95 degrades at most 2x over running solo;
-//! * nothing polls — the 1000-client shared-queue run takes at most
+//! * nothing polls — the 1000-client run takes at most
 //!   [`STEPS_PER_REQUEST_CEILING`] scheduler steps per request.
 //!
 //! Emits `BENCH_server.json` at the repository root.
@@ -27,20 +26,20 @@ use hl_server::shard::ShardSpec;
 
 const MS: u64 = 1_000;
 
-/// Scheduler steps per request allowed at 1000 clients (shared queue).
+/// Scheduler steps per request allowed at 1000 clients.
 /// Workers that park on their tickets take 12.35; with the 20 ms ticket
 /// poll they took 154.93.
 const STEPS_PER_REQUEST_CEILING: f64 = 15.0;
 
 /// The scale-sweep geometry: 4 shards of 8 volumes x 32 slots, 1024
 /// objects total, 4 drives and 64 cache lines per shard.
-fn sweep_config(pool: PoolKind, clients: u32) -> FleetConfig {
+fn sweep_config(clients: u32) -> FleetConfig {
     FleetConfig {
         seed: 1993,
         clients,
         requests_per_client: 2,
         tenants: 8,
-        pool,
+        pool: PoolKind::SharedQueue,
         workers: 8,
         shards: 4,
         spec: ShardSpec {
@@ -101,7 +100,6 @@ fn row_json(r: &FleetReport) -> Json {
         ("tracecheck_findings", r.findings.into()),
         ("tenant_admits", r.tenant_admits.into()),
         ("tenant_throttles", r.tenant_throttles.into()),
-        ("steals", r.steals.into()),
         ("demand_fetches", r.demand_fetches.into()),
         ("coalesced_fetches", r.coalesced_fetches.into()),
         ("end_time_us", r.end_time.into()),
@@ -119,59 +117,29 @@ fn steps_per_request(r: &FleetReport) -> f64 {
 fn main() {
     let mut checks = Checks::new("Fleet checks");
     // ---- Scale sweep: latency percentiles vs client count. ---------
-    let counts = [100u32, 400, 1000];
-    let pools = [PoolKind::SharedQueue, PoolKind::WorkStealing];
-    let mut sweep: Vec<(PoolKind, u32, FleetReport)> = Vec::new();
+    let mut sweep: Vec<(u32, FleetReport)> = Vec::new();
     let mut answered = true;
-    println!("pool           clients  completed   p50(ms)   p95(ms)   p99(ms)  steals  steps/req");
-    for &pool in &pools {
-        for &clients in &counts {
-            let cfg = sweep_config(pool, clients);
-            let r = run_fleet(&cfg);
-            gate(
-                &mut checks,
-                &format!("fleet {}/{}", pool.label(), clients),
-                &r,
-            );
-            answered &= r.completed == (cfg.clients * cfg.requests_per_client) as u64;
-            println!(
-                "{:<14} {:>7} {:>10} {:>9.1} {:>9.1} {:>9.1} {:>7} {:>10.2}",
-                pool.label(),
-                clients,
-                r.completed,
-                r.p50 as f64 / 1e3,
-                r.p95 as f64 / 1e3,
-                r.p99 as f64 / 1e3,
-                r.steals,
-                steps_per_request(&r)
-            );
-            sweep.push((pool, clients, r));
-        }
+    println!("clients  completed   p50(ms)   p95(ms)   p99(ms)  steps/req");
+    for clients in [100u32, 400, 1000] {
+        let cfg = sweep_config(clients);
+        let r = run_fleet(&cfg);
+        gate(&mut checks, &format!("fleet {clients}"), &r);
+        answered &= r.completed == (cfg.clients * cfg.requests_per_client) as u64;
+        println!(
+            "{:>7} {:>10} {:>9.1} {:>9.1} {:>9.1} {:>10.2}",
+            clients,
+            r.completed,
+            r.p50 as f64 / 1e3,
+            r.p95 as f64 / 1e3,
+            r.p99 as f64 / 1e3,
+            steps_per_request(&r)
+        );
+        sweep.push((clients, r));
     }
-    // Naive baseline: one worker per connection, smallest fleet only.
-    let naive_cfg = sweep_config(PoolKind::Naive, 100);
-    let naive = run_fleet(&naive_cfg);
-    gate(&mut checks, "fleet naive/100", &naive);
-    answered &= naive.completed == (naive_cfg.clients * naive_cfg.requests_per_client) as u64;
-    println!(
-        "{:<14} {:>7} {:>10} {:>9.1} {:>9.1} {:>9.1} {:>7} {:>10.2}",
-        "naive",
-        100,
-        naive.completed,
-        naive.p50 as f64 / 1e3,
-        naive.p95 as f64 / 1e3,
-        naive.p99 as f64 / 1e3,
-        naive.steals,
-        steps_per_request(&naive)
-    );
 
     // ---- Determinism: the 1000-client run is byte-stable. ----------
-    let big = sweep
-        .iter()
-        .find(|(p, c, _)| *p == PoolKind::SharedQueue && *c == 1000)
-        .map(|(_, _, r)| r.clone())
-        .expect("1000-client run present");
-    let replay = run_fleet(&sweep_config(PoolKind::SharedQueue, 1000));
+    let big = &sweep.last().expect("1000-client run present").1;
+    let replay = run_fleet(&sweep_config(1000));
     let deterministic = replay.digest == big.digest && replay.end_time == big.end_time;
     println!(
         "Determinism check (1000 clients, two runs): digest {:016x} == {:016x} -> {}",
@@ -179,7 +147,7 @@ fn main() {
     );
 
     // ---- Server-layer coalescing: one cold object, many clients. ---
-    let mut co_cfg = FleetConfig::small(3, PoolKind::SharedQueue);
+    let mut co_cfg = FleetConfig::small(3);
     co_cfg.clients = 64;
     co_cfg.requests_per_client = 1;
     co_cfg.tenants = 1;
@@ -220,17 +188,7 @@ fn main() {
     );
 
     // ---- BENCH_server.json ----------------------------------------
-    let mut fleet_json: Vec<(&str, Json)> = pools
-        .iter()
-        .map(|&pool| {
-            let rows = sweep
-                .iter()
-                .filter(|(p, _, _)| *p == pool)
-                .map(|(_, c, r)| (c.to_string(), row_json(r)));
-            (pool.label(), Json::obj(rows))
-        })
-        .collect();
-    fleet_json.push(("naive", Json::obj([("100", row_json(&naive))])));
+    let fleet_json = sweep.iter().map(|(c, r)| (c.to_string(), row_json(r)));
     write_bench_json(
         "server",
         &Json::obj([
@@ -257,15 +215,15 @@ fn main() {
         ]),
     );
 
-    checks.expect_clean_traces(10);
+    checks.expect_clean_traces(6);
     checks.row("every_request_answered", answered);
     checks.row("deterministic_at_1000_clients", deterministic);
     checks.row(
         format!(
             "steps_per_request_at_1000_clients ({:.2}) <= {STEPS_PER_REQUEST_CEILING}",
-            steps_per_request(&big)
+            steps_per_request(big)
         ),
-        steps_per_request(&big) <= STEPS_PER_REQUEST_CEILING,
+        steps_per_request(big) <= STEPS_PER_REQUEST_CEILING,
     );
     checks.row("coalescing_holds_at_server", coalesced_ok);
     checks.row("fairness_p95_within_2x", fairness_ok);

@@ -30,7 +30,7 @@ use hl_sim::{Actor, ActorId, Scheduler, SimTime, Step, Waker};
 use hl_workload::{TenantMix, ZipfStore};
 
 use crate::connection::Connection;
-use crate::pool::{PoolKind, PoolState, WakeHint};
+use crate::pool::{PoolKind, PoolState};
 use crate::proto::{Req, RequestFrame, ResponseFrame};
 use crate::shard::{ShardSpec, ShardedEngine};
 
@@ -65,10 +65,10 @@ pub struct FleetConfig {
     pub requests_per_client: u32,
     /// Distinct tenants; client `c` belongs to tenant `c % tenants`.
     pub tenants: u32,
-    /// Worker-pool dispatch discipline.
+    /// Worker-pool dispatch discipline (it has one value; `benchmark/src`
+    /// sets the field).
     pub pool: PoolKind,
-    /// Pool width (ignored by [`PoolKind::Naive`], which spawns one
-    /// worker per client).
+    /// Pool width.
     pub workers: usize,
     /// Engine shards.
     pub shards: usize,
@@ -91,15 +91,15 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A debug-build-sized fleet: small geometry, enough clients to
-    /// exercise every pool path.
-    pub fn small(seed: u64, pool: PoolKind) -> FleetConfig {
+    /// A debug-build-sized fleet: small geometry, more clients than
+    /// workers.
+    pub fn small(seed: u64) -> FleetConfig {
         FleetConfig {
             seed,
             clients: 24,
             requests_per_client: 3,
             tenants: 4,
-            pool,
+            pool: PoolKind::SharedQueue,
             workers: 4,
             shards: 2,
             spec: ShardSpec {
@@ -134,8 +134,6 @@ pub struct TenantLat {
 /// What a fleet run produced.
 #[derive(Clone, Debug)]
 pub struct FleetReport {
-    /// Pool label.
-    pub pool: &'static str,
     /// Clients simulated.
     pub clients: u32,
     /// Responses delivered.
@@ -144,7 +142,8 @@ pub struct FleetReport {
     pub errors: u64,
     /// Engine tickets never resolved (must be zero).
     pub lost_tickets: u64,
-    /// Work-stealing pool: connections stolen.
+    /// Connections stolen between workers: always 0, since the one pool
+    /// shares its queue. `benchmark/src` reads it.
     pub steals: u64,
     /// Combined per-shard trace digest (byte-stable across reruns).
     pub digest: u64,
@@ -192,12 +191,11 @@ struct FleetWorld {
 }
 
 impl FleetWorld {
-    /// Marks `conn` ready and wakes the pool per its dispatch rule.
+    /// Marks `conn` ready and wakes the whole pool (the shared queue's
+    /// only hint).
     fn submit(&mut self, conn: u32, now: SimTime) {
-        match self.pool.submit(conn) {
-            WakeHint::One(w) => self.waker.wake(self.worker_ids[w], now),
-            WakeHint::All => self.waker.wake_many(&self.worker_ids, now),
-        }
+        self.pool.submit(conn);
+        self.waker.wake_many(&self.worker_ids, now);
     }
 
     fn respond(&mut self, now: SimTime, conn: u32, frame: ResponseFrame) {
@@ -594,11 +592,7 @@ fn simulate(cfg: &FleetConfig) -> (FleetWorld, SimTime, u64) {
 
     let mut conns = Vec::new();
     let mut client_ids = Vec::new();
-    let workers = match cfg.pool {
-        PoolKind::Naive => cfg.clients as usize,
-        _ => cfg.workers,
-    };
-    let worker_ids: Vec<ActorId> = (0..workers)
+    let worker_ids: Vec<ActorId> = (0..cfg.workers)
         .map(|idx| {
             sched.spawn_parked(WorkerActor {
                 idx,
@@ -636,7 +630,7 @@ fn simulate(cfg: &FleetConfig) -> (FleetWorld, SimTime, u64) {
     let mut world = FleetWorld {
         engine,
         conns,
-        pool: PoolState::new(cfg.pool, workers),
+        pool: PoolState::new(cfg.pool, cfg.workers),
         waker,
         worker_ids,
         client_ids,
@@ -679,12 +673,11 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         coalesced += st.coalesced_fetches;
     }
     FleetReport {
-        pool: cfg.pool.label(),
         clients: cfg.clients,
         completed: world.completed,
         errors: world.errors,
         lost_tickets,
-        steals: world.pool.steals,
+        steals: 0,
         digest: world.engine.combined_digest(),
         findings: world.engine.total_findings(),
         p50: percentile(&all, 50),
@@ -706,35 +699,22 @@ mod tests {
 
     #[test]
     fn closed_loop_fleet_completes_every_request() {
-        for pool in [
-            PoolKind::Naive,
-            PoolKind::SharedQueue,
-            PoolKind::WorkStealing,
-        ] {
-            let cfg = FleetConfig::small(11, pool);
-            let r = run_fleet(&cfg);
-            assert_eq!(
-                r.completed,
-                (cfg.clients * cfg.requests_per_client) as u64,
-                "{}",
-                pool.label()
-            );
-            assert_eq!(r.errors, 0, "{}", pool.label());
-            assert_eq!(r.lost_tickets, 0, "{}", pool.label());
-            assert_eq!(r.findings, 0, "{}", pool.label());
-            assert!(r.p50 <= r.p95 && r.p95 <= r.p99, "{}", pool.label());
-        }
+        let cfg = FleetConfig::small(11);
+        let r = run_fleet(&cfg);
+        assert_eq!(r.completed, (cfg.clients * cfg.requests_per_client) as u64);
+        assert_eq!(r.errors, 0);
+        assert_eq!(r.lost_tickets, 0);
+        assert_eq!(r.findings, 0);
+        assert!(r.p50 <= r.p95 && r.p95 <= r.p99);
     }
 
     #[test]
     fn fleet_runs_are_byte_stable() {
-        for pool in [PoolKind::SharedQueue, PoolKind::WorkStealing] {
-            let a = run_fleet(&FleetConfig::small(7, pool));
-            let b = run_fleet(&FleetConfig::small(7, pool));
-            assert_eq!(a.digest, b.digest, "{}", pool.label());
-            assert_eq!(a.end_time, b.end_time, "{}", pool.label());
-            assert_eq!(a.p99, b.p99, "{}", pool.label());
-        }
+        let a = run_fleet(&FleetConfig::small(7));
+        let b = run_fleet(&FleetConfig::small(7));
+        assert_eq!(a.digest, b.digest);
+        assert_eq!(a.end_time, b.end_time);
+        assert_eq!(a.p99, b.p99);
     }
 
     /// Pins the small fleet, plain and under a prefetch storm: trace
@@ -746,8 +726,8 @@ mod tests {
     /// of this fleet ever finds more than one ready connection queued.
     #[test]
     fn small_fleets_match_their_pinned_digests() {
-        let plain = run_fleet(&FleetConfig::small(7, PoolKind::SharedQueue));
-        let mut cfg = FleetConfig::small(7, PoolKind::SharedQueue);
+        let plain = run_fleet(&FleetConfig::small(7));
+        let mut cfg = FleetConfig::small(7);
         cfg.storm = Some(StormConfig {
             tenant: 0,
             width: 6,
@@ -767,7 +747,7 @@ mod tests {
     #[test]
     fn concurrent_gets_of_one_cold_object_coalesce_to_one_media_read() {
         // Every client asks for the same object at the same instant.
-        let mut cfg = FleetConfig::small(3, PoolKind::SharedQueue);
+        let mut cfg = FleetConfig::small(3);
         cfg.clients = 8;
         cfg.requests_per_client = 1;
         cfg.tenants = 1; // one tenant ⇒ every client arrives at t = 0
@@ -849,7 +829,7 @@ mod tests {
         let mut world = FleetWorld {
             engine,
             conns: vec![conn],
-            pool: PoolState::new(PoolKind::Naive, 1),
+            pool: PoolState::new(PoolKind::SharedQueue, 1),
             waker,
             worker_ids: vec![wid],
             client_ids: vec![did],
@@ -884,7 +864,7 @@ mod tests {
                 drives: 2,
             },
             think: 20 * MS,
-            ..FleetConfig::small(1, PoolKind::SharedQueue)
+            ..FleetConfig::small(1)
         };
         let (world, _, _) = simulate(&cfg);
         assert_eq!(world.completed, 12_000);
@@ -896,7 +876,7 @@ mod tests {
 
     #[test]
     fn scan_storms_are_throttled_but_never_starved() {
-        let mut cfg = FleetConfig::small(13, PoolKind::SharedQueue);
+        let mut cfg = FleetConfig::small(13);
         cfg.storm = Some(StormConfig {
             tenant: 0,
             width: 6,

@@ -10,8 +10,8 @@
 //! * [`proto`] — a tiny length-prefixed get/put/scan/stat protocol,
 //!   every request tagged with its tenant.
 //! * [`connection`] — duplex in-simulation byte pipes the frames cross.
-//! * [`pool`] — three worker-pool disciplines (naive, shared-queue,
-//!   work-stealing) that hand ready connections to server workers.
+//! * [`pool`] — a fixed pool of server workers draining one shared
+//!   queue of ready connections.
 //! * [`shard`] / [`fleet`] — the engine split into address-range
 //!   shards, and the client-fleet harness that runs thousands of
 //!   closed- or open-loop clients against it deterministically,

@@ -10,7 +10,7 @@
 
 use highlight::segcache::EjectPolicy;
 use hl_bench::policies::{run_policy_arm, standard_arms, ArmSpec};
-use hl_server::{run_fleet, FleetConfig, PoolKind};
+use hl_server::{run_fleet, FleetConfig};
 use hl_workload::OpStream;
 use proptest::prelude::*;
 
@@ -82,7 +82,7 @@ proptest! {
         seed in 0u64..1_000_000,
         eject_idx in 0usize..3,
     ) {
-        let mut cfg = FleetConfig::small(seed, PoolKind::WorkStealing);
+        let mut cfg = FleetConfig::small(seed);
         cfg.clients = 12;
         cfg.requests_per_client = 2;
         cfg.tenants = 4;

@@ -9,7 +9,7 @@
 //!   — the tenant streams are seeded per-tenant, so the victim issues
 //!   the *identical* request sequence in both runs.
 //! * A proptest arm: any small random tenant mix (client count, tenant
-//!   count, storm shape, pool discipline, weights) must complete every
+//!   count, storm shape, pool width, weights) must complete every
 //!   request, resolve every prefetch ticket (zero lost tickets), and
 //!   replay with zero tracecheck findings.
 
@@ -90,17 +90,12 @@ proptest! {
         clients in 2u32..14,
         tenants in 1u32..5,
         rpc in 1u32..4,
-        pool_pick in 0u8..3,
+        workers in 1usize..5,
         storm_pick in 0u8..3,
         width in 1u32..8,
         weight in 1u32..6,
         shards in 1usize..3,
     ) {
-        let pool = match pool_pick {
-            0 => PoolKind::Naive,
-            1 => PoolKind::SharedQueue,
-            _ => PoolKind::WorkStealing,
-        };
         let tenants = tenants.min(clients);
         let storm = (storm_pick == 0).then_some(StormConfig {
             tenant: tenants - 1,
@@ -111,8 +106,8 @@ proptest! {
             clients,
             requests_per_client: rpc,
             tenants,
-            pool,
-            workers: 2,
+            pool: PoolKind::SharedQueue,
+            workers,
             shards,
             spec: ShardSpec {
                 volumes: 4,
