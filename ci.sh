@@ -27,20 +27,25 @@ run cargo fmt --manifest-path benchmark/Cargo.toml -- --check
 # signature | test-hook | paper-feature | benchmark-api. The gate fails
 # on an unlisted name, on a listed name that now has a caller or no
 # longer exists (a stale entry), and on an entry without a known tag.
-# Trait methods are gated by call, not by name: a method declared in a
-# `pub trait` block of crates/*/src/*.rs must be called — `.m(` or
-# `::m(` — on a non-test line of any file listed above, its own file
-# and doc examples included (the scheduler beside `Actor` is what calls
-# `Actor::name`; a doc example compiles and runs).
-# The same allow list covers both.
+# Methods are gated by call, not by name: a method declared in a
+# `pub trait` block of crates/*/src/*.rs, and an inherent method (a
+# 4-space-indented `pub fn` in the non-test part of crates/*/src/*.rs),
+# must be called — `.m(` or `::m(` — on a non-test line of any file
+# listed above, its own file and doc examples included (the scheduler
+# beside `Actor` is what calls `Actor::name`; a doc example compiles and
+# runs). The same allow list covers all three rules.
 # Seen red, each sabotage alone: a planted `pub fn zz_unused() {}` in
 # hl-sim's time.rs; a name called only from tests/ (`render_text`'s
 # entry removed); a name reachable only through a `pub use` (`TornWrite`'s
 # entry removed: hl-vdev's lib.rs re-exports it); a stale entry
 # (`run_torture`, which has callers, added to the list); a planted
 # `fn zz_unused(&self) {}` in `Footprint`; a trait method called only
-# from tests/ (`fail_volume`'s entry removed).
-echo "==> every public name and trait method has a non-test caller"
+# from tests/ (`fail_volume`'s entry removed); a planted
+# `pub fn zz_unused(&self) {}` in `Resource` whose name another file
+# mentions without calling it (`const _: &str = "zz_unused";` in
+# hl-sim's time.rs; only the inherent-method rule fails); an inherent
+# method called only from tests/ (`lane_health`'s entry removed).
+echo "==> every public name, trait method and inherent method has a non-test caller"
 awk -v allow=ci-names.allow '
   FNR == 1 { t = 0; inuse = 0; tr = 0 }
   FILENAME == allow {
@@ -61,6 +66,9 @@ awk -v allow=ci-names.allow '
   FILENAME ~ /^crates\/[^\/]+\/src\// && /^pub trait / { tr = 1 }
   tr && /^}/ { tr = 0 }
   tr && match($0, /^    fn [A-Za-z_0-9]+/) { tdecl[substr($0, RSTART + 7, RLENGTH - 7)] = FILENAME }
+  FILENAME ~ /^crates\/[^\/]+\/src\// && match($0, /^    pub fn [A-Za-z_0-9]+/) {
+    mdecl[substr($0, RSTART + 11, RLENGTH - 11)] = FILENAME
+  }
   /^ *(pub(\([a-z]+\))? )?use / { inuse = 1 }
   inuse { if (index($0, ";")) inuse = 0; next }
   /^ *\/\// { next }
@@ -87,6 +95,11 @@ awk -v allow=ci-names.allow '
       if (m in called) continue
       unref[m] = 1
       if (!(m in listed)) { print "  " m " (" tdecl[m] "): trait method never called"; bad = 1 }
+    }
+    for (m in mdecl) {
+      if (m in called) continue
+      unref[m] = 1
+      if (!(m in listed)) { print "  " m " (" mdecl[m] "): method never called"; bad = 1 }
     }
     for (name in listed)
       if (!(name in unref)) { print "  " name ": stale allow-list entry"; bad = 1 }

@@ -1204,16 +1204,6 @@ pub struct EngineSession {
 // tagged entry points are `#[inline]`: across the crate boundary the
 // calls otherwise cost `fleet_resident` ~7 % of its host throughput.
 impl EngineSession {
-    /// The tenant every request from this session is tagged with.
-    pub fn tenant(&self) -> TenantId {
-        self.tenant
-    }
-
-    /// The shared engine underneath.
-    pub fn engine(&self) -> &TertiaryIo {
-        &self.engine
-    }
-
     /// [`TertiaryIo::enqueue_demand`] tagged for the per-tenant fair
     /// queue.
     #[inline]

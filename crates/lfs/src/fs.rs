@@ -292,11 +292,6 @@ impl Lfs {
         self.sb.nsegs
     }
 
-    /// The superblock (read-only view).
-    pub fn superblock(&self) -> Superblock {
-        self.sb
-    }
-
     /// The current log write serial (monotone per partial-segment write;
     /// the age clock for cost-benefit victim scoring).
     pub fn log_serial(&self) -> u64 {

@@ -246,11 +246,6 @@ impl Checkpoint {
             (x, y) => x.or(y),
         }
     }
-
-    /// The slot index (0 or 1) the *next* checkpoint should overwrite.
-    pub fn next_slot(&self) -> usize {
-        (self.serial as usize + 1) % 2
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -768,8 +763,6 @@ mod tests {
         a.encode(&mut block[..CHECKPOINT_SLOT]);
         b.encode(&mut block[CHECKPOINT_SLOT..2 * CHECKPOINT_SLOT]);
         assert_eq!(Checkpoint::newest(&block).unwrap().serial, 2);
-        assert_eq!(a.next_slot(), 0);
-        assert_eq!(b.next_slot(), 1);
         // Tear the newer slot: the older must be recovered.
         block[CHECKPOINT_SLOT + 5] ^= 0x55;
         assert_eq!(Checkpoint::newest(&block).unwrap().serial, 1);

@@ -261,8 +261,6 @@ fn torn_partial_segment_is_rejected() {
         // Append more after the checkpoint, then corrupt it on media.
         fs.write(ino, data.len() as u64, &data).unwrap();
         fs.sync().unwrap();
-        let sb = fs.superblock();
-        let _ = sb;
         (0u64, data)
     };
     let _ = tail_addr;

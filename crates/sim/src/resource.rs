@@ -17,7 +17,6 @@ use crate::time::SimTime;
 struct Inner {
     busy_until: SimTime,
     busy_total: SimTime,
-    ops: u64,
 }
 
 /// A shared serially-reusable resource (disk arm, bus, drive, robot).
@@ -62,7 +61,6 @@ impl Resource {
         let end = start + duration;
         inner.busy_until = end;
         inner.busy_total += duration;
-        inner.ops += 1;
         (start, end)
     }
 
@@ -74,11 +72,6 @@ impl Resource {
     /// Total busy time accumulated (for utilization reports).
     pub fn busy_total(&self) -> SimTime {
         self.inner.borrow().busy_total
-    }
-
-    /// Number of operations served.
-    pub fn ops(&self) -> u64 {
-        self.inner.borrow().ops
     }
 }
 
@@ -101,7 +94,6 @@ mod tests {
         // Requested long after the first op finished: starts immediately.
         assert_eq!(r.acquire(100, 10), (100, 110));
         assert_eq!(r.busy_total(), 20);
-        assert_eq!(r.ops(), 2);
     }
 
     #[test]

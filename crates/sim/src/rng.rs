@@ -67,16 +67,6 @@ impl DetRng {
             xs.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element of a non-empty slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice is empty.
-    pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        assert!(!xs.is_empty(), "DetRng::pick on empty slice");
-        &xs[self.below(xs.len() as u64) as usize]
-    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! Replayable file-operation streams for the policy ablation harness
-//! (ROADMAP item 3).
+//! (DESIGN.md §6i).
 //!
 //! A policy comparison is only meaningful if every arm faces *exactly*
 //! the same offered load. An [`OpStream`] is a fully materialized,
@@ -68,18 +68,6 @@ impl OpStream {
             t.mark(i as u64, op.render());
         }
         t.digest()
-    }
-
-    /// Total bytes the stream writes (the write-amplification
-    /// denominator is derived from the replay, but this bounds it).
-    pub fn bytes_written(&self) -> u64 {
-        self.ops
-            .iter()
-            .map(|op| match op {
-                Op::Write { len, .. } => *len as u64,
-                _ => 0,
-            })
-            .sum()
     }
 
     /// Zipfian churn: `files` files are created, then `ops` operations

@@ -1,11 +1,11 @@
 //! Seeded Zipfian popularity and the flash-crowd object store.
 //!
-//! ROADMAP item 5 and the tiering/caching survey in PAPERS.md motivate
-//! skewed-popularity access as the canonical stress for a storage
-//! hierarchy: a handful of objects absorb most of the traffic (the
-//! cache's best case) until a *flash crowd* turns a cold object hot and
-//! a storm of concurrent demand fetches lands on one tertiary segment
-//! (the coalescing path's worst case).
+//! The adversarial suite (DESIGN.md §6g) and the tiering/caching survey
+//! in PAPERS.md motivate skewed-popularity access as the canonical
+//! stress for a storage hierarchy: a handful of objects absorb most of
+//! the traffic (the cache's best case) until a *flash crowd* turns a
+//! cold object hot and a storm of concurrent demand fetches lands on one
+//! tertiary segment (the coalescing path's worst case).
 //!
 //! Two pieces:
 //!
@@ -117,11 +117,6 @@ impl ZipfStore {
     /// guaranteed to land on a stone-cold segment.
     pub fn crowd_object(&self) -> u32 {
         *self.by_rank.last().expect("store is non-empty")
-    }
-
-    /// Requests drawn so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
     }
 
     /// The object id of the next request.

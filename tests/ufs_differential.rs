@@ -110,11 +110,11 @@ impl LfsRig {
 /// 32 long names directly under `/` or `/a`.
 fn path(rng: &mut DetRng) -> String {
     if rng.chance(0.4) {
-        let parent = *rng.pick(&["", "/a"]);
+        let parent = ["", "/a"][rng.below(2) as usize];
         return format!("{parent}/{:x>200}", rng.below(32));
     }
     (0..rng.range(1, 4))
-        .map(|_| format!("/{}", rng.pick(&["a", "b", "c"])))
+        .map(|_| format!("/{}", ["a", "b", "c"][rng.below(3) as usize]))
         .collect()
 }
 
