@@ -1,4 +1,4 @@
-//! Adversarial scenario suite (DESIGN.md §6g, ROADMAP item 5).
+//! Adversarial scenario suite (DESIGN.md §6g).
 //!
 //! Runs every standard scenario — Zipfian steady state, flash crowd,
 //! hierarchy scan, tenant thrash, and the two fault-composed variants —

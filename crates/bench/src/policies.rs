@@ -1,4 +1,4 @@
-//! The policy ablation harness (ROADMAP item 3; DESIGN.md §6i).
+//! The policy ablation harness (DESIGN.md §6i).
 //!
 //! Replays byte-identical [`OpStream`] workloads through a full
 //! HighLight filesystem once per *policy arm* — a (migration policy ×

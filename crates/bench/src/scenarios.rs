@@ -1,4 +1,4 @@
-//! The adversarial scenario runner (ROADMAP item 5).
+//! The adversarial scenario runner (DESIGN.md §6g).
 //!
 //! Each scenario replays a seeded `hl-workload` generator against the
 //! *real* event-driven engine — `TertiaryIo`'s service-process and

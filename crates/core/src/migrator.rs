@@ -7,7 +7,7 @@
 //! of 1 for the file size and access times" (§5.1).
 //!
 //! Five policies are implemented — three from the paper and two modern
-//! extensions (ROADMAP item 3):
+//! extensions (DESIGN.md §6i):
 //!
 //! - [`StpPolicy`] — weighted space-time product over whole files (§5.1);
 //! - [`NamespacePolicy`] — subtree units with a unitsize-time product and
@@ -666,7 +666,7 @@ impl MigrationPolicy for GenerationalPolicy {
     }
 }
 
-/// Adaptive write-cost throttling (ROADMAP item 3): wraps any policy and
+/// Adaptive write-cost throttling (DESIGN.md §6i): wraps any policy and
 /// scales its byte target by the current *fleet load* — a `[0, 1]`
 /// signal the harness derives from recent demand activity. Under heavy
 /// demand traffic, migration (and the cleaning it triggers) is

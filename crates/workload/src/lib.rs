@@ -8,10 +8,10 @@
 //! - [`trees`]: software-development directory trees for the namespace
 //!   policy (§5.3);
 //! - [`zipf`]: seeded Zipfian popularity and the flash-crowd object
-//!   store (adversarial suite, ROADMAP item 5);
+//!   store (adversarial suite, DESIGN.md §6g);
 //! - [`scan`]: whole-hierarchy backup/restore streaming scans;
 //! - [`ops`]: replayable file-operation streams with input-trace digests
-//!   for the policy ablation harness (ROADMAP item 3);
+//!   for the policy ablation harness (DESIGN.md §6i);
 //! - [`tenants`]: mixed reader/writer tenants with conflicting working
 //!   sets larger than the segment cache.
 //!
