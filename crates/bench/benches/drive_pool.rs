@@ -9,8 +9,7 @@
 //!
 //! The original workload keeps all foreground reads on **one** hot
 //! volume, so a single reader lane absorbs them and the ablation
-//! saturates at two drives (ROADMAP: "2 drives saturate the 2-hot-volume
-//! ablation workload"). The second suite spreads the reads across
+//! saturates at two drives. The second suite spreads the reads across
 //! **three** hot volumes — four hot volumes total with the copy-out
 //! stream's write volume — so no single lane can hold every hot platter
 //! and the 2→4-drive step keeps paying off. The run emits

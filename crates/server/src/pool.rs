@@ -11,8 +11,8 @@
 
 use std::collections::VecDeque;
 
-/// The dispatch discipline. One is left; `benchmark/src` still names
-/// it, so the type stays until that code stops.
+/// The dispatch discipline. It has one value; the type stays because
+/// `benchmark/src` names it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PoolKind {
     /// Fixed pool, one shared FIFO, wake-all on arrival.
