@@ -744,6 +744,77 @@ mod tests {
         );
     }
 
+    /// The two fleet geometries of the end-to-end benchmark, scaled
+    /// down: `fleet_cold`'s shard geometry and tenant-7 width-8 prefetch
+    /// storm at 200 clients × 4 requests, and `fleet_resident`'s at
+    /// 100 clients × 20 requests. Pins what a client or the jukebox can
+    /// see — trace digest, end time, p50, p99, media reads and coalesced
+    /// fetches — as literals; scheduler steps are host work and are not
+    /// pinned here. Seen red: a worker answering only the first resolved
+    /// get of each step, the rest waiting for its next wake (the cold
+    /// fleet's digest, end time, p50, p99 and media reads move).
+    #[test]
+    fn bench_geometries_keep_their_simulated_figures() {
+        let cold = FleetConfig {
+            clients: 200,
+            requests_per_client: 4,
+            tenants: 8,
+            workers: 8,
+            shards: 4,
+            spec: ShardSpec {
+                volumes: 4,
+                segments_per_volume: 16,
+                cache_lines: 16,
+                drives: 2,
+            },
+            think: 200 * MS,
+            storm: Some(StormConfig {
+                tenant: 7,
+                width: 8,
+            }),
+            ..FleetConfig::small(42)
+        };
+        let resident = FleetConfig {
+            clients: 100,
+            requests_per_client: 20,
+            spec: ShardSpec {
+                volumes: 2,
+                segments_per_volume: 16,
+                cache_lines: 64,
+                drives: 2,
+            },
+            think: 20 * MS,
+            storm: None,
+            ..cold.clone()
+        };
+        let pin = |r: &FleetReport| {
+            (
+                r.digest,
+                r.end_time,
+                r.p50,
+                r.p99,
+                r.demand_fetches,
+                r.coalesced_fetches,
+            )
+        };
+        let (c, r) = (run_fleet(&cold), run_fleet(&resident));
+        assert_eq!(
+            pin(&c),
+            (
+                0x417d_473e_58a4_bd10,
+                354_894_104,
+                53_400_560,
+                159_710_298,
+                374,
+                986
+            )
+        );
+        assert_eq!(
+            pin(&r),
+            (0xd7db_cc45_edd9_556b, 64_839_799, 0, 41_725_185, 128, 272)
+        );
+    }
+
     #[test]
     fn concurrent_gets_of_one_cold_object_coalesce_to_one_media_read() {
         // Every client asks for the same object at the same instant.
