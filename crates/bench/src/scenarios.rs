@@ -32,7 +32,7 @@
 
 use std::rc::Rc;
 
-use highlight::requests::Ticket;
+use highlight::requests::{Inbox, Ticket};
 use highlight::rig::{seg_image, RigSpec, BLOCKS_PER_SEG};
 use highlight::segcache::{CacheStats, LineState};
 use highlight::{TertiaryIo, UniformMap};
@@ -360,12 +360,14 @@ impl Actor<World> for FlashCrowdActor {
 
 /// Closed-loop hierarchy scan: demand-read each segment in order,
 /// prefetch the readahead window, eject behind the stream. Parks on each
-/// demand ticket until the engine resolves it.
+/// demand ticket until the engine resolves it; with one ticket open at a
+/// time, the token the engine posts to `inbox` is taken and dropped.
 struct ScanActor {
     me: usize,
     steps: Vec<hl_workload::ScanStep>,
     idx: usize,
     waiting: Option<Ticket>,
+    inbox: Inbox,
     behind: Option<SegNo>,
 }
 
@@ -373,9 +375,10 @@ impl Actor<World> for ScanActor {
     fn step(&mut self, w: &mut World, now: SimTime) -> Step {
         loop {
             if let Some(t) = &self.waiting {
-                if t.wait(w.waiters[self.me]) {
+                if t.wait(w.waiters[self.me], &self.inbox, 0) {
                     return Step::Park;
                 }
+                self.inbox.pop();
                 self.waiting = None;
                 // The stream never re-reads: drop the line behind us so
                 // the scan's footprint stays one window wide.
@@ -406,21 +409,24 @@ impl Actor<World> for ScanActor {
 
 /// Closed-loop reader tenant: one outstanding demand read at a time,
 /// the next issued a think time after the last or when it is served,
-/// whichever is later. Parks on a ticket still open after the think.
+/// whichever is later. Parks on a ticket still open after the think,
+/// dropping the token it is woken with, as [`ScanActor`] does.
 struct ReaderActor {
     me: usize,
     tenant: Tenant,
     reads: u32,
     issued: u32,
     waiting: Option<Ticket>,
+    inbox: Inbox,
 }
 
 impl Actor<World> for ReaderActor {
     fn step(&mut self, w: &mut World, now: SimTime) -> Step {
         if let Some(t) = &self.waiting {
-            if t.wait(w.waiters[self.me]) {
+            if t.wait(w.waiters[self.me], &self.inbox, 0) {
                 return Step::Park;
             }
+            self.inbox.pop();
             self.waiting = None;
         }
         if self.issued >= self.reads {
@@ -558,6 +564,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
                     steps: scan.steps(),
                     idx: 0,
                     waiting: None,
+                    inbox: Inbox::new(),
                     behind: None,
                 },
             ));
@@ -593,6 +600,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
                                 reads: *reads_per_tenant,
                                 issued: 0,
                                 waiting: None,
+                                inbox: Inbox::new(),
                             },
                         ));
                     }

@@ -17,9 +17,14 @@
 //! Completion flows back through [`Ticket`]s: a cloneable one-shot cell
 //! the enqueuer reads after the engine quiesces (the synchronous façade),
 //! or parks on until the engine resolves it (actors on the engine's
-//! scheduler, [`Ticket::wait`]). Duplicate fetches of one tertiary
+//! scheduler, [`Ticket::wait`]). A parked actor registers a token and
+//! its [`Inbox`]; resolving the ticket posts the token there before the
+//! wake, so an actor holding many open requests answers exactly the ones
+//! the engine resolved instead of re-checking each of its tickets — a
+//! reply matched to its request. Duplicate fetches of one tertiary
 //! segment *coalesce* onto a single ticket, so N concurrent readers cost
-//! one media read, observe one `ready_at`, and are woken together.
+//! one media read, observe one `ready_at`, and are woken together, each
+//! handed its own token.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -125,30 +130,66 @@ struct TicketCell {
     waiters: Waiters,
 }
 
-/// The actors waiting on one ticket, each once. The first is held
+/// A waiter's completion inbox: the tokens of the tickets it waits on
+/// that have resolved since it last looked, posted by the engine just
+/// before it wakes the waiter. Cloning shares the inbox (each ticket the
+/// waiter registers on holds a handle). Once it has grown to the most
+/// tokens ever pending at once, posting and popping allocate nothing.
+#[derive(Clone, Debug, Default)]
+pub struct Inbox(Rc<RefCell<Vec<u64>>>);
+
+impl Inbox {
+    /// An empty inbox.
+    pub fn new() -> Inbox {
+        Inbox::default()
+    }
+
+    /// Takes one posted token, the most recently posted first; `None`
+    /// when every posted token has been taken.
+    #[inline]
+    pub fn pop(&self) -> Option<u64> {
+        self.0.borrow_mut().pop()
+    }
+
+    fn post(&self, token: u64) {
+        self.0.borrow_mut().push(token);
+    }
+}
+
+/// One registration on a ticket: who to wake, and which token to post
+/// in which inbox first.
+#[derive(Debug)]
+struct Waiter {
+    id: ActorId,
+    inbox: Inbox,
+    token: u64,
+}
+
+/// The registrations on one ticket, each `(actor, token)` pair once: an
+/// actor holding two requests that coalesced onto one ticket registers
+/// twice and receives both tokens. The first registration is held
 /// inline, so the usual single waiter costs no allocation; a coalesced
-/// ticket's further waiters (another worker holding a get of the same
-/// segment) go to `rest`.
+/// ticket's further registrations go to `rest`.
 #[derive(Debug, Default)]
 pub(crate) struct Waiters {
-    first: Option<ActorId>,
-    rest: Vec<ActorId>,
+    first: Option<Waiter>,
+    rest: Vec<Waiter>,
 }
 
 impl Waiters {
     #[inline]
-    fn add(&mut self, id: ActorId) {
-        match self.first {
-            None => self.first = Some(id),
-            Some(f) if f == id => {}
-            Some(_) => self.add_more(id),
+    fn add(&mut self, w: Waiter) {
+        match &self.first {
+            None => self.first = Some(w),
+            Some(f) if (f.id, f.token) == (w.id, w.token) => {}
+            Some(_) => self.add_more(w),
         }
     }
 
     #[cold]
-    fn add_more(&mut self, id: ActorId) {
-        if !self.rest.contains(&id) {
-            self.rest.push(id);
+    fn add_more(&mut self, w: Waiter) {
+        if !self.rest.iter().any(|r| (r.id, r.token) == (w.id, w.token)) {
+            self.rest.push(w);
         }
     }
 
@@ -156,8 +197,20 @@ impl Waiters {
         self.first.is_none()
     }
 
-    pub(crate) fn iter(&self) -> impl Iterator<Item = ActorId> + '_ {
-        self.first.into_iter().chain(self.rest.iter().copied())
+    /// Posts every registered token to its inbox, and calls `wake` once
+    /// per registered actor, in registration order.
+    pub(crate) fn deliver(self, mut wake: impl FnMut(ActorId)) {
+        let Some(first) = self.first else {
+            return;
+        };
+        first.inbox.post(first.token);
+        wake(first.id);
+        for (i, w) in self.rest.iter().enumerate() {
+            w.inbox.post(w.token);
+            if w.id != first.id && self.rest[..i].iter().all(|r| r.id != w.id) {
+                wake(w.id);
+            }
+        }
     }
 }
 
@@ -184,11 +237,14 @@ impl Ticket {
         std::mem::take(&mut cell.waiters)
     }
 
-    /// Registers actor `id` to be woken when the ticket resolves, and
-    /// returns `true`; returns `false`, registering nothing, when it has
-    /// already resolved. The check and the registration happen under one
-    /// borrow, so a caller that parks on `true` cannot miss its wake-up.
-    /// Registering twice is one registration.
+    /// Registers actor `id` under `token` and returns `true`: when the
+    /// ticket resolves, the engine posts `token` to `inbox` and then
+    /// wakes `id`. Returns `false`, registering and posting nothing, when
+    /// the ticket has already resolved. The check and the registration
+    /// happen under one borrow, so a caller that parks on `true` cannot
+    /// miss its wake-up. Registering the same `(id, token)` twice is one
+    /// registration; one actor under two tokens receives both, and is
+    /// woken once.
     ///
     /// The wake goes through the scheduler that hosts the engine's
     /// actors, so `id` must be an actor of the scheduler the engine was
@@ -196,12 +252,16 @@ impl Ticket {
     /// engine would deliver it to its private scheduler instead; the
     /// engine refuses that in debug builds.
     #[inline]
-    pub fn wait(&self, id: ActorId) -> bool {
+    pub fn wait(&self, id: ActorId, inbox: &Inbox, token: u64) -> bool {
         let mut cell = self.0.borrow_mut();
         if cell.outcome.is_some() {
             return false;
         }
-        cell.waiters.add(id);
+        cell.waiters.add(Waiter {
+            id,
+            inbox: inbox.clone(),
+            token,
+        });
         true
     }
 

@@ -320,10 +320,11 @@ impl TioInner {
         }
     }
 
-    /// Posts `outcome` in `ticket` and wakes every actor waiting on it at
-    /// `at`: the instant the engine resolved it (an I/O lane's start for
-    /// device ops, the dispatch instant, the refusal instant), not the
-    /// outcome's own ready time, which the waiter reads off the ticket.
+    /// Posts `outcome` in `ticket`, posts each registered token to its
+    /// waiter's inbox, and wakes every actor waiting on it at `at`: the
+    /// instant the engine resolved it (an I/O lane's start for device
+    /// ops, the dispatch instant, the refusal instant), not the outcome's
+    /// own ready time, which the waiter reads off the ticket.
     pub(crate) fn resolve(&self, ticket: &Ticket, outcome: Outcome, at: SimTime) {
         let waiters = ticket.complete(outcome);
         if waiters.is_empty() {
@@ -333,11 +334,12 @@ impl TioInner {
             self.attached.get(),
             "a ticket waiter on a pumped engine: its wake would reach the private scheduler"
         );
-        if let Some(h) = &*self.handles.borrow() {
-            for id in waiters.iter() {
+        let handles = self.handles.borrow();
+        waiters.deliver(|id| {
+            if let Some(h) = &*handles {
                 h.waker.wake(id, at);
             }
-        }
+        });
     }
 
     /// Wakes every actor parked on copy-out backpressure.
@@ -1234,7 +1236,7 @@ impl EngineSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::requests::MAX_REDISPATCH;
+    use crate::requests::{Inbox, MAX_REDISPATCH};
     use crate::rig::RigSpec;
     use hl_vdev::{FaultConfig, FaultPlan};
 
@@ -1267,14 +1269,17 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Ticket waiters: the engine wakes whoever parks on a ticket, at the
-    // instant it resolves the ticket. Seen red, each sabotage alone:
-    // the wake dropped from `refuse` (the refused waiter is never
-    // stepped); the wake posted at the outcome's ready time instead of
-    // the lane's start (the coalesced waiters step at `ready`); `wait`
-    // registering on a ticket that has already resolved, as a separate
-    // check-then-register would after a completion in between (it
-    // returns `true`, so its caller would park for good).
+    // Ticket waiters: the engine posts each registered token to its
+    // waiter's inbox and wakes whoever parks on a ticket, at the instant
+    // it resolves the ticket. Seen red, each sabotage alone: the wake
+    // dropped from `refuse` (the refused waiter is never stepped); the
+    // wake posted at the outcome's ready time instead of the lane's start
+    // (the coalesced waiters step at `ready`); `wait` registering on a
+    // ticket that has already resolved, as a separate check-then-register
+    // would after a completion in between (it returns `true`, so its
+    // caller would park for good); registrations deduplicated by actor
+    // rather than by `(actor, token)` (the second get's token is lost);
+    // a second wake for an actor's second token (it is stepped twice).
     // ------------------------------------------------------------------
 
     /// Parks on every step, recording when it was stepped.
@@ -1300,10 +1305,14 @@ mod tests {
         tio.attach_engine(&mut sched);
         let (a, a_log) = woken(&mut sched);
         let (b, b_log) = woken(&mut sched);
+        let (a_inbox, b_inbox) = (Inbox::new(), Inbox::new());
         let first = tio.session(1).enqueue_demand(0, seg);
         let joined = tio.session(2).enqueue_demand(0, seg);
-        assert!(first.wait(a) && joined.wait(b));
-        assert!(first.wait(a), "a second registration is the same one");
+        assert!(first.wait(a, &a_inbox, 5) && joined.wait(b, &b_inbox, 9));
+        assert!(
+            first.wait(a, &a_inbox, 5),
+            "a second registration is the same one"
+        );
         sched.run(&mut ());
 
         let st = tio.stats();
@@ -1316,6 +1325,32 @@ mod tests {
         assert!(ready > DISPATCH_CPU);
         assert_eq!(*a_log.borrow(), [DISPATCH_CPU]);
         assert_eq!(*b_log.borrow(), [DISPATCH_CPU]);
+        assert_eq!((a_inbox.pop(), a_inbox.pop()), (Some(5), None));
+        assert_eq!((b_inbox.pop(), b_inbox.pop()), (Some(9), None));
+    }
+
+    /// One actor holding two gets that coalesced onto one ticket (a
+    /// fleet worker serving two clients of one segment) registers under
+    /// two tokens: the engine posts both and wakes it once.
+    #[test]
+    fn one_waiter_under_two_tokens_receives_both_and_one_wake() {
+        let (tio, jb, map) = RigSpec::with_lines(40..44).build();
+        let seg = map.tert_seg(1, 0);
+        jb.poke_segment(1, 0, &vec![3u8; 1 << 20]).unwrap();
+        let mut sched: Scheduler<()> = Scheduler::new();
+        tio.attach_engine(&mut sched);
+        let (id, log) = woken(&mut sched);
+        let inbox = Inbox::new();
+        let first = tio.session(1).enqueue_demand(0, seg);
+        let joined = tio.session(2).enqueue_demand(0, seg);
+        assert!(first.wait(id, &inbox, 3) && joined.wait(id, &inbox, 4));
+        sched.run(&mut ());
+
+        assert_eq!(tio.stats().coalesced_fetches, 1, "one ticket");
+        let mut tokens: Vec<u64> = std::iter::from_fn(|| inbox.pop()).collect();
+        tokens.sort_unstable();
+        assert_eq!(tokens, [3, 4]);
+        assert_eq!(*log.borrow(), [DISPATCH_CPU], "woken once");
     }
 
     #[test]
@@ -1332,8 +1367,9 @@ mod tests {
         let mut sched: Scheduler<()> = Scheduler::new();
         tio.attach_engine(&mut sched);
         let (id, log) = woken(&mut sched);
+        let inbox = Inbox::new();
         let ticket = tio.enqueue_demand(0, map.tert_seg(0, 0));
-        assert!(ticket.wait(id));
+        assert!(ticket.wait(id, &inbox, 1));
         sched.run(&mut ());
 
         assert_eq!(tio.lane_health(), [false], "the only lane retired");
@@ -1350,6 +1386,7 @@ mod tests {
         assert_eq!(refused_at.len(), 1);
         assert!(refused_at[0] > 0);
         assert_eq!(*log.borrow(), refused_at, "woken once, when refused");
+        assert_eq!(inbox.pop(), Some(1), "a refusal posts the token too");
     }
 
     #[test]
@@ -1360,14 +1397,19 @@ mod tests {
         let mut sched: Scheduler<()> = Scheduler::new();
         tio.attach_engine(&mut sched);
         let (id, log) = woken(&mut sched);
+        let inbox = Inbox::new();
         let cold = tio.enqueue_demand(0, seg);
         sched.run(&mut ());
         assert!(cold.is_done());
-        assert!(!cold.wait(id), "resolved by the engine");
+        assert!(!cold.wait(id, &inbox, 1), "resolved by the engine");
         let hit = tio.enqueue_demand(1, seg);
-        assert!(!hit.wait(id), "resolved at enqueue: the line is resident");
+        assert!(
+            !hit.wait(id, &inbox, 2),
+            "resolved at enqueue: the line is resident"
+        );
         sched.run(&mut ());
         assert!(log.borrow().is_empty(), "nobody was woken");
+        assert_eq!(inbox.pop(), None, "no token was posted");
     }
 
     /// The refusal table: five classes × the three places a request can

@@ -3,13 +3,17 @@
 //! Thousands of protocol-speaking clients, a worker pool, and the
 //! engine shards all run as actors on one deterministic virtual-time
 //! scheduler. A client encodes a request frame onto its connection,
-//! marks the connection ready in the pool, and parks; a worker decodes
-//! the frame, drives the engine (tagging every fetch with the client's
-//! tenant so the fair queue sees it), parks on the engine's tickets, and
-//! wakes the client when the response frame is on the wire. Nothing
-//! polls: the engine wakes a worker at the instant it resolves a ticket
-//! the worker waits on. Latency is measured where the paper's users would
-//! feel it: from frame sent to the media work done, in virtual time.
+//! marks the connection ready in the pool, which wakes every worker,
+//! and parks; a worker decodes the frame, drives the engine (tagging
+//! every fetch with the client's tenant so the fair queue sees it),
+//! parks on the engine's tickets, and wakes the client when the response
+//! frame is on the wire. Nothing polls and nothing rescans: a worker
+//! registers each open request on its ticket under a token, and the
+//! engine posts that token to the worker's inbox and wakes it at the
+//! instant it resolves the ticket, so the woken worker answers exactly
+//! the requests that resolved. Latency is measured where the paper's
+//! users would feel it: from frame sent to the media work done, in
+//! virtual time.
 //!
 //! Closed-loop clients keep one request outstanding (think time
 //! between); open-loop clients fire on a fixed schedule regardless of
@@ -19,7 +23,7 @@
 
 use std::collections::BTreeMap;
 
-use highlight::requests::Ticket;
+use highlight::requests::{Inbox, Ticket};
 use highlight::rig::seg_image;
 use highlight::segcache::{EjectPolicy, LineState};
 use highlight::TenantId;
@@ -305,12 +309,38 @@ impl Actor<FleetWorld> for ClientActor {
     }
 }
 
-struct InFlightGet {
+/// A request whose answer waits on one engine ticket: a get's fetch, or
+/// a put's copy-out.
+struct Open {
     conn: u32,
     req_id: u64,
     ticket: Ticket,
+    put: bool,
 }
 
+impl Open {
+    /// Answers the request from its resolved ticket.
+    fn answer(self, w: &mut FleetWorld, now: SimTime) {
+        let result = if self.put {
+            self.ticket.copyout_result().map_err(|_| ERR_COPYOUT)
+        } else {
+            match self.ticket.fetch_result() {
+                Ok((_, ready)) => Ok(ready),
+                Err(_) => Err(ERR_FETCH),
+            }
+        };
+        w.respond(
+            now,
+            self.conn,
+            ResponseFrame {
+                req_id: self.req_id,
+                result,
+            },
+        );
+    }
+}
+
+/// Where a put waits for space before its copy-out is queued.
 enum PutStage {
     /// Waiting for a free cache line to stage into.
     NeedLine,
@@ -320,8 +350,6 @@ enum PutStage {
         shard: usize,
         at: SimTime,
     },
-    /// Copy-out queued; waiting for the drive.
-    CopyOut { ticket: Ticket },
 }
 
 struct InFlightPut {
@@ -333,14 +361,58 @@ struct InFlightPut {
 }
 
 /// One pool worker: decodes frames off ready connections, drives the
-/// engine, and parks on its tickets until they resolve.
+/// engine, and parks on its tickets until they resolve. Each open request
+/// sits in a slab slot whose index is the token its ticket posts to the
+/// worker's inbox on resolving, so a woken worker answers exactly what
+/// resolved and never looks at the rest.
 struct WorkerActor {
     idx: usize,
-    gets: Vec<InFlightGet>,
+    /// Open requests, indexed by token; `None` is a free slot.
+    open: Vec<Option<Open>>,
+    /// Free slots of `open`.
+    free: Vec<usize>,
+    inbox: Inbox,
+    /// Puts still waiting for space, in arrival order.
     puts: Vec<InFlightPut>,
 }
 
 impl WorkerActor {
+    fn new(idx: usize) -> WorkerActor {
+        WorkerActor {
+            idx,
+            open: Vec::new(),
+            free: Vec::new(),
+            inbox: Inbox::new(),
+            puts: Vec::new(),
+        }
+    }
+
+    /// Registers `op` on its ticket under a free slot's token, or answers
+    /// it at once if the ticket has already resolved.
+    fn await_ticket(&mut self, w: &mut FleetWorld, now: SimTime, op: Open) {
+        let slot = self.free.last().copied().unwrap_or(self.open.len());
+        let me = w.worker_ids[self.idx];
+        if !op.ticket.wait(me, &self.inbox, slot as u64) {
+            op.answer(w, now);
+        } else if self.free.pop().is_some() {
+            self.open[slot] = Some(op);
+        } else {
+            self.open.push(Some(op));
+        }
+    }
+
+    /// Answers every request whose token the engine has posted.
+    fn answer_resolved(&mut self, w: &mut FleetWorld, now: SimTime) {
+        while let Some(token) = self.inbox.pop() {
+            let slot = token as usize;
+            let op = self.open[slot]
+                .take()
+                .expect("a posted token names an open request");
+            self.free.push(slot);
+            op.answer(w, now);
+        }
+    }
+
     fn handle(&mut self, w: &mut FleetWorld, now: SimTime, conn: u32, f: RequestFrame) {
         match f.req {
             Req::Get { obj } => {
@@ -360,11 +432,16 @@ impl WorkerActor {
                     .tio
                     .session(f.tenant)
                     .enqueue_demand(now, seg);
-                self.gets.push(InFlightGet {
-                    conn,
-                    req_id: f.req_id,
-                    ticket,
-                });
+                self.await_ticket(
+                    w,
+                    now,
+                    Open {
+                        conn,
+                        req_id: f.req_id,
+                        ticket,
+                        put: false,
+                    },
+                );
             }
             Req::Scan { start, count } => {
                 let mut queued = 0u64;
@@ -425,36 +502,14 @@ impl WorkerActor {
         }
     }
 
-    /// Answers every get whose ticket resolved; the rest stay in flight,
-    /// in order, with worker `me` registered on each ticket.
-    fn answer_gets(&mut self, w: &mut FleetWorld, now: SimTime, me: ActorId) {
-        self.gets.retain(|g| {
-            if g.ticket.wait(me) {
-                return true;
-            }
-            let result = match g.ticket.fetch_result() {
-                Ok((_, ready)) => Ok(ready),
-                Err(_) => Err(ERR_FETCH),
-            };
-            w.respond(
-                now,
-                g.conn,
-                ResponseFrame {
-                    req_id: g.req_id,
-                    result,
-                },
-            );
-            false
-        });
-    }
-
-    /// Advances every in-flight put as far as it can go; answered puts
-    /// leave the list, the rest stay in order. A put in copy-out has
-    /// worker `me` registered on its ticket. `true` if a put waits for
-    /// space and the worker must retry.
-    fn advance_puts(&mut self, w: &mut FleetWorld, now: SimTime, me: ActorId) -> bool {
-        let mut retry = false;
-        self.puts.retain_mut(|p| {
+    /// Advances every put waiting for space as far as it can go. A put
+    /// whose copy-out is queued leaves the list and waits on its ticket
+    /// like a get; the rest stay, in order. `true` if a put still waits
+    /// for space and the worker must retry.
+    fn advance_puts(&mut self, w: &mut FleetWorld, now: SimTime) -> bool {
+        let mut i = 0;
+        while i < self.puts.len() {
+            let p = &mut self.puts[i];
             if let PutStage::NeedLine = p.stage {
                 let (si, seg) = w.engine.locate(p.obj);
                 let shard = &w.engine.shards[si];
@@ -483,39 +538,35 @@ impl WorkerActor {
                     };
                 }
             }
-            if let PutStage::Sealed { seg, shard, at } = p.stage {
-                if now >= at {
-                    if let Some(ticket) = w.engine.shards[shard]
-                        .tio
-                        .session(p.tenant)
-                        .try_enqueue_copy_out(now.max(at), seg)
-                    {
-                        p.stage = PutStage::CopyOut { ticket };
-                    }
-                }
-            }
-            let PutStage::CopyOut { ticket } = &p.stage else {
-                retry = true;
-                return true;
+            let PutStage::Sealed { seg, shard, at } = p.stage else {
+                i += 1;
+                continue;
             };
-            if ticket.wait(me) {
-                return true;
-            }
-            let result = match ticket.copyout_result() {
-                Ok(done_at) => Ok(done_at),
-                Err(_) => Err(ERR_COPYOUT),
+            let queued = if now >= at {
+                w.engine.shards[shard]
+                    .tio
+                    .session(p.tenant)
+                    .try_enqueue_copy_out(now.max(at), seg)
+            } else {
+                None
             };
-            w.respond(
+            let Some(ticket) = queued else {
+                i += 1;
+                continue;
+            };
+            let p = self.puts.remove(i);
+            self.await_ticket(
+                w,
                 now,
-                p.conn,
-                ResponseFrame {
+                Open {
+                    conn: p.conn,
                     req_id: p.req_id,
-                    result,
+                    ticket,
+                    put: true,
                 },
             );
-            false
-        });
-        retry
+        }
+        !self.puts.is_empty()
     }
 }
 
@@ -527,9 +578,8 @@ impl Actor<FleetWorld> for WorkerActor {
                 self.handle(w, now, cid, f);
             }
         }
-        let me = w.worker_ids[self.idx];
-        self.answer_gets(w, now, me);
-        if self.advance_puts(w, now, me) {
+        self.answer_resolved(w, now);
+        if self.advance_puts(w, now) {
             Step::Yield(now + RETRY)
         } else {
             Step::Park
@@ -593,13 +643,7 @@ fn simulate(cfg: &FleetConfig) -> (FleetWorld, SimTime, u64) {
     let mut conns = Vec::new();
     let mut client_ids = Vec::new();
     let worker_ids: Vec<ActorId> = (0..cfg.workers)
-        .map(|idx| {
-            sched.spawn_parked(WorkerActor {
-                idx,
-                gets: Vec::new(),
-                puts: Vec::new(),
-            })
-        })
+        .map(|idx| sched.spawn_parked(WorkerActor::new(idx)))
         .collect();
     for c in 0..cfg.clients {
         let tenant = &mix.tenants[c as usize % mix.tenants.len()];
@@ -853,11 +897,7 @@ mod tests {
         };
         let engine = ShardedEngine::build(6, 1, spec, &mut sched);
         let conn = Connection::new(0);
-        let wid = sched.spawn_parked(WorkerActor {
-            idx: 0,
-            gets: Vec::new(),
-            puts: Vec::new(),
-        });
+        let wid = sched.spawn_parked(WorkerActor::new(0));
         // A hand-rolled client that speaks Put (ClientActor only
         // issues Get/Scan) and publishes the response out of the sim.
         struct PutDriver {

@@ -14,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 
-use highlight::requests::Ticket;
+use highlight::requests::{Inbox, Ticket};
 use highlight::rig::RigSpec;
 use highlight::segcache::LineState;
 use highlight::TertiaryIo;
@@ -293,20 +293,23 @@ fn an_engine_round_trip_allocates_one_slot_array_beyond_its_requests() {
 
 /// Demand-fetches its segment, parks on the ticket, ejects the line and
 /// parks on that ticket too, `trips` times, marking the allocation count
-/// as each trip starts.
+/// as each trip starts. One ticket is open at a time, so the token the
+/// engine posts is taken and dropped.
 struct FetchEject {
     tio: Rc<TertiaryIo>,
     seg: SegNo,
     trips: usize,
     waiting: Option<Ticket>,
+    inbox: Inbox,
     fetched: bool,
 }
 impl Actor<World> for FetchEject {
     fn step(&mut self, w: &mut World, now: SimTime) -> Step {
         if let Some(t) = &self.waiting {
-            if t.wait(w.ids[0]) {
+            if t.wait(w.ids[0], &self.inbox, 0) {
                 return Step::Park;
             }
+            self.inbox.pop();
             self.waiting = None;
         }
         let ticket = if self.fetched {
@@ -328,8 +331,10 @@ impl Actor<World> for FetchEject {
 /// the caller's scheduler, with the caller parked on each ticket until
 /// the engine wakes it. Once warm, a trip allocates 11 times — what the
 /// pumped engine spends on the same two requests with no waiter at all —
-/// so registering the waiter and waking it allocate nothing. Seen red
-/// (12) with the waiters in a plain `Vec`.
+/// so registering the waiter under its token, posting the token and
+/// waking the waiter allocate nothing. Seen red (12), each sabotage
+/// alone: the waiters in a plain `Vec`; an inbox that gives its buffer
+/// back whenever it empties.
 #[test]
 fn parking_on_a_ticket_and_being_woken_allocate_nothing() {
     let (tio, jb, map) = RigSpec::with_lines(40..41).build();
@@ -366,6 +371,7 @@ fn parking_on_a_ticket_and_being_woken_allocate_nothing() {
             seg: map.tert_seg(0, 0),
             trips: TRIPS,
             waiting: None,
+            inbox: Inbox::new(),
             fetched: false,
         },
     ));
@@ -375,4 +381,88 @@ fn parking_on_a_ticket_and_being_woken_allocate_nothing() {
     assert!(tio.tracer().dropped() > 0, "warm-up fills the trace ring");
     let allocs = w.marks[TRIPS - 1] - w.marks[TRIPS - 101];
     assert_eq!(allocs, 100 * 11);
+}
+
+/// Holds its open requests in a slab indexed by token, as a fleet worker
+/// does: each trip demand-fetches both `segs`, registering each ticket
+/// once under its slot's token, answers each fetch only when its token
+/// arrives in the inbox, then ejects both lines the same way. Marks the
+/// allocation count as each trip starts.
+struct SlabWorker {
+    tio: Rc<TertiaryIo>,
+    segs: [SegNo; 2],
+    trips: usize,
+    open: Vec<Option<Ticket>>,
+    inbox: Inbox,
+    ejecting: bool,
+}
+impl Actor<World> for SlabWorker {
+    fn step(&mut self, w: &mut World, now: SimTime) -> Step {
+        while let Some(token) = self.inbox.pop() {
+            let t = self.open[token as usize].take().expect("open");
+            if !self.ejecting {
+                assert!(t.fetch_result().is_ok());
+            }
+        }
+        if self.open.iter().any(Option::is_some) {
+            return Step::Park;
+        }
+        self.ejecting = !self.ejecting;
+        if !self.ejecting {
+            if w.marks.len() == self.trips {
+                return Step::Done;
+            }
+            w.marks.push(ALLOCS.with(Cell::get));
+        }
+        for (slot, &seg) in self.segs.iter().enumerate() {
+            let t = if self.ejecting {
+                self.tio.enqueue_eject(now, seg)
+            } else {
+                self.tio.enqueue_demand(now, seg)
+            };
+            if t.wait(w.ids[0], &self.inbox, slot as u64) {
+                self.open[slot] = Some(t);
+            }
+        }
+        Step::Yield(now)
+    }
+}
+
+/// A worker that answers from its inbox: a warmed trip of two fetches and
+/// two ejects, each registered once under a token and answered when the
+/// engine posts it, allocates 22 times — twice the single parked trip's
+/// 11, which is what the requests themselves cost — so registering
+/// under a token, posting it and taking it allocate nothing. Seen red
+/// (26), each sabotage alone: every registration allocated, as a `Vec`
+/// of waiters would; an inbox that gives its buffer back whenever it
+/// empties.
+#[test]
+fn a_warmed_worker_answers_through_its_inbox_without_allocating() {
+    const TRIPS: usize = 4_101;
+    let (tio, jb, map) = RigSpec::with_lines(40..42).build();
+    jb.poke_segment(0, 0, &vec![7u8; 1 << 20]).unwrap();
+    jb.poke_segment(0, 1, &vec![9u8; 1 << 20]).unwrap();
+    let mut sched = Scheduler::new();
+    tio.attach_engine(&mut sched);
+    let mut w = World {
+        marks: Vec::with_capacity(TRIPS),
+        ..World::default()
+    };
+    w.ids.push(sched.spawn_at(
+        0,
+        SlabWorker {
+            tio: tio.clone(),
+            segs: [map.tert_seg(0, 0), map.tert_seg(0, 1)],
+            trips: TRIPS,
+            open: vec![None, None],
+            inbox: Inbox::new(),
+            ejecting: true,
+        },
+    ));
+    sched.run(&mut w);
+    assert_eq!(w.marks.len(), TRIPS);
+    assert_eq!(tio.stats().demand_fetches, 2 * TRIPS as u64);
+    assert!(tio.tracer().dropped() > 0, "warm-up fills the trace ring");
+    let allocs = w.marks[TRIPS - 1] - w.marks[TRIPS - 101];
+    assert_eq!(allocs, 100 * 22);
 }
