@@ -3,8 +3,8 @@
 //! Thousands of protocol-speaking clients, a worker pool, and the
 //! engine shards all run as actors on one deterministic virtual-time
 //! scheduler. A client encodes a request frame onto its connection,
-//! marks the connection ready in the pool, which wakes every worker,
-//! and parks; a worker decodes the frame, drives the engine (tagging
+//! marks the connection ready in the pool, which wakes one idle worker,
+//! and parks; the worker decodes the frame, drives the engine (tagging
 //! every fetch with the client's tenant so the fair queue sees it),
 //! parks on the engine's tickets, and wakes the client when the response
 //! frame is on the wire. Nothing polls and nothing rescans: a worker
@@ -195,11 +195,15 @@ struct FleetWorld {
 }
 
 impl FleetWorld {
-    /// Marks `conn` ready and wakes the whole pool (the shared queue's
-    /// only hint).
+    /// Marks `conn` ready and wakes one idle worker, the idle list's
+    /// head. With no worker idle it wakes no one: each worker is then
+    /// already woken or waiting out a put retry, and drains the queue
+    /// before it next parks.
     fn submit(&mut self, conn: u32, now: SimTime) {
         self.pool.submit(conn);
-        self.waker.wake_many(&self.worker_ids, now);
+        if let Some(idle) = self.pool.idle_worker() {
+            self.waker.wake(self.worker_ids[idle], now);
+        }
     }
 
     fn respond(&mut self, now: SimTime, conn: u32, frame: ResponseFrame) {
@@ -572,6 +576,7 @@ impl WorkerActor {
 
 impl Actor<FleetWorld> for WorkerActor {
     fn step(&mut self, w: &mut FleetWorld, now: SimTime) -> Step {
+        w.pool.stepping(self.idx);
         while let Some(cid) = w.pool.next_for(self.idx) {
             let conn = w.conns[cid as usize].clone();
             while let Some(f) = conn.recv_request().expect("well-formed request stream") {
@@ -582,6 +587,7 @@ impl Actor<FleetWorld> for WorkerActor {
         if self.advance_puts(w, now) {
             Step::Yield(now + RETRY)
         } else {
+            w.pool.parked(self.idx);
             Step::Park
         }
     }
@@ -739,6 +745,9 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
 
     #[test]
@@ -883,11 +892,40 @@ mod tests {
         assert!(r.coalesced_fetches >= 1);
     }
 
-    #[test]
-    fn put_round_trips_through_stage_seal_and_copy_out() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
+    /// A hand-rolled client that sends one request at the instant it is
+    /// spawned for (`ClientActor` only issues Get/Scan) and publishes the
+    /// answer out of the sim.
+    struct OneShot {
+        conn: Connection,
+        req: Option<Req>,
+        got: Rc<RefCell<Option<Result<u64, u32>>>>,
+    }
+    impl Actor<FleetWorld> for OneShot {
+        fn step(&mut self, w: &mut FleetWorld, now: SimTime) -> Step {
+            if let Some(req) = self.req.take() {
+                self.conn.send_request(&RequestFrame {
+                    tenant: 4,
+                    req_id: 77,
+                    req,
+                });
+                w.submit(self.conn.id, now);
+                return Step::Park;
+            }
+            match self.conn.recv_response().unwrap() {
+                Some(r) => {
+                    assert_eq!(r.req_id, 77);
+                    *self.got.borrow_mut() = Some(r.result);
+                    Step::Done
+                }
+                None => Step::Park,
+            }
+        }
+    }
 
+    /// Runs one-shot clients, each `(send at, request)` on its own
+    /// connection, against a one-shard engine served by a one-worker
+    /// pool; returns every answer.
+    fn one_worker_serves(requests: &[(SimTime, Req)]) -> Vec<Option<Result<u64, u32>>> {
         let mut sched: Scheduler<FleetWorld> = Scheduler::new();
         let spec = ShardSpec {
             volumes: 4,
@@ -896,54 +934,30 @@ mod tests {
             drives: 2,
         };
         let engine = ShardedEngine::build(6, 1, spec, &mut sched);
-        let conn = Connection::new(0);
         let wid = sched.spawn_parked(WorkerActor::new(0));
-        // A hand-rolled client that speaks Put (ClientActor only
-        // issues Get/Scan) and publishes the response out of the sim.
-        struct PutDriver {
-            conn: Connection,
-            sent: bool,
-            got: Rc<RefCell<Option<Result<u64, u32>>>>,
+        let (mut conns, mut client_ids, mut answers) = (Vec::new(), Vec::new(), Vec::new());
+        for (c, &(at, req)) in requests.iter().enumerate() {
+            let conn = Connection::new(c as u32);
+            let got = Rc::new(RefCell::new(None));
+            client_ids.push(sched.spawn_at(
+                at,
+                OneShot {
+                    conn: conn.clone(),
+                    req: Some(req),
+                    got: got.clone(),
+                },
+            ));
+            conns.push(conn);
+            answers.push(got);
         }
-        impl Actor<FleetWorld> for PutDriver {
-            fn step(&mut self, w: &mut FleetWorld, now: SimTime) -> Step {
-                if !self.sent {
-                    self.conn.send_request(&RequestFrame {
-                        tenant: 4,
-                        req_id: 77,
-                        req: Req::Put { obj: 2 },
-                    });
-                    w.submit(0, now);
-                    self.sent = true;
-                    return Step::Park;
-                }
-                match self.conn.recv_response().unwrap() {
-                    Some(r) => {
-                        assert_eq!(r.req_id, 77);
-                        *self.got.borrow_mut() = Some(r.result);
-                        Step::Done
-                    }
-                    None => Step::Park,
-                }
-            }
-        }
-        let got = Rc::new(RefCell::new(None));
-        let did = sched.spawn_at(
-            0,
-            PutDriver {
-                conn: conn.clone(),
-                sent: false,
-                got: got.clone(),
-            },
-        );
         let waker = sched.waker();
         let mut world = FleetWorld {
             engine,
-            conns: vec![conn],
+            conns,
             pool: PoolState::new(PoolKind::SharedQueue, 1),
             waker,
             worker_ids: vec![wid],
-            client_ids: vec![did],
+            client_ids,
             seed: 6,
             lat: Vec::new(),
             completed: 0,
@@ -951,9 +965,29 @@ mod tests {
             prefetch_tickets: Vec::new(),
         };
         sched.run(&mut world);
-        let done_at = got.borrow().expect("put answered").expect("put succeeded");
-        assert!(done_at > 0, "copy-out finished at a positive time");
         assert_eq!(world.engine.total_findings(), 0);
+        answers.iter().map(|a| *a.borrow()).collect()
+    }
+
+    #[test]
+    fn put_round_trips_through_stage_seal_and_copy_out() {
+        let got = one_worker_serves(&[(0, Req::Put { obj: 2 })]);
+        let done_at = got[0].expect("put answered").expect("put succeeded");
+        assert!(done_at > 0, "copy-out finished at a positive time");
+    }
+
+    /// A get submitted while the pool's only worker waits out a put's
+    /// retry (its staging write is still landing) finds no idle worker
+    /// and wakes no one; the worker drains the queue on its retry step
+    /// and answers both. Seen red: a submission that assumes some
+    /// worker is idle (`idle_worker().expect(..)` panics here, and
+    /// nowhere in the client fleets, whose workers are all parked
+    /// whenever a client steps).
+    #[test]
+    fn a_submission_that_finds_no_idle_worker_is_still_served() {
+        let got = one_worker_serves(&[(0, Req::Put { obj: 2 }), (MS, Req::Get { obj: 5 })]);
+        assert!(got[0].expect("put answered").is_ok());
+        assert!(got[1].expect("get answered").is_ok());
     }
 
     /// The `fleet_resident` benchmark geometry at 12 000 requests, past
