@@ -772,11 +772,15 @@ mod tests {
 
     /// Pins the small fleet, plain and under a prefetch storm: trace
     /// digest, end time, p99 and scheduler steps as literals. Seen red,
-    /// each sabotage alone: the shared queue waking only worker 0 instead
-    /// of the whole pool (plain steps 663 → 447); storm prefetches tagged
-    /// with the next tenant's session (storm digest and end time move).
-    /// Not caught: `pop_back` in place of `pop_front`, because no worker
-    /// of this fleet ever finds more than one ready connection queued.
+    /// each sabotage alone: a submission waking the whole pool instead
+    /// of one idle worker (steps 447 → 663 plain, 566 → 782 storm);
+    /// storm prefetches tagged with the next tenant's session (storm
+    /// digest and end time move). Not caught: `pop_back` in place of
+    /// `pop_front`, because no worker of this fleet ever finds more than
+    /// one ready connection queued; handing out the highest-index idle
+    /// worker, or leaving a handed-out worker on the idle list, because
+    /// every worker is parked whenever a client of this fleet submits and
+    /// the woken one steps next.
     #[test]
     fn small_fleets_match_their_pinned_digests() {
         let plain = run_fleet(&FleetConfig::small(7));
@@ -789,11 +793,11 @@ mod tests {
         let pin = |r: &FleetReport| (r.digest, r.end_time, r.p99, r.steps);
         assert_eq!(
             pin(&plain),
-            (0x313f_c22b_04a3_00df, 95_285_688, 61_171_534, 663)
+            (0x313f_c22b_04a3_00df, 95_285_688, 61_171_534, 447)
         );
         assert_eq!(
             pin(&storm),
-            (0x399d_7e88_921f_82b0, 158_264_472, 74_660_169, 782)
+            (0x399d_7e88_921f_82b0, 158_264_472, 74_660_169, 566)
         );
     }
 
