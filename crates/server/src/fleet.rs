@@ -806,10 +806,13 @@ mod tests {
     /// storm at 200 clients × 4 requests, and `fleet_resident`'s at
     /// 100 clients × 20 requests. Pins what a client or the jukebox can
     /// see — trace digest, end time, p50, p99, media reads and coalesced
-    /// fetches — as literals; scheduler steps are host work and are not
-    /// pinned here. Seen red: a worker answering only the first resolved
-    /// get of each step, the rest waiting for its next wake (the cold
-    /// fleet's digest, end time, p50, p99 and media reads move).
+    /// fetches — as literals. Scheduler steps are host work, so they get
+    /// a ceiling instead: the resident fleet takes at most 3.5 per
+    /// request (3.45). Seen red, each sabotage alone: a worker answering
+    /// only the first resolved get of each step, the rest waiting for its
+    /// next wake (the cold fleet's digest, end time, p50, p99 and media
+    /// reads move); a submission waking the whole pool (10.45 steps per
+    /// request).
     #[test]
     fn bench_geometries_keep_their_simulated_figures() {
         let cold = FleetConfig {
@@ -869,6 +872,11 @@ mod tests {
         assert_eq!(
             pin(&r),
             (0xd7db_cc45_edd9_556b, 64_839_799, 0, 41_725_185, 128, 272)
+        );
+        let steps_per_request = r.steps as f64 / r.completed as f64;
+        assert!(
+            steps_per_request <= 3.5,
+            "resident: {steps_per_request:.2} steps per request"
         );
     }
 
