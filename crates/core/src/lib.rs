@@ -58,7 +58,7 @@ pub use migrator::{
 pub use prefetch::PrefetchPolicy;
 pub use recovery::{RecoveryPolicy, RecoveryState};
 pub use replicas::ReplicaSet;
-pub use requests::{Inbox, Outcome, ReqClass, TenantId, Ticket, DISPATCH_CPU};
+pub use requests::{Outcome, ReqClass, TenantId, Ticket, DISPATCH_CPU};
 pub use segcache::{EjectPolicy, SegCache};
 pub use segdir::SegDir;
 pub use service::{EngineSession, ScrubReport, StallEvent, SvcStats, TertiaryIo, MAX_DRIVES};

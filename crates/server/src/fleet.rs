@@ -542,17 +542,12 @@ impl WorkerActor {
                     };
                 }
             }
-            let PutStage::Sealed { seg, shard, at } = p.stage else {
-                i += 1;
-                continue;
-            };
-            let queued = if now >= at {
-                w.engine.shards[shard]
+            let queued = match p.stage {
+                PutStage::Sealed { seg, shard, at } if now >= at => w.engine.shards[shard]
                     .tio
                     .session(p.tenant)
-                    .try_enqueue_copy_out(now.max(at), seg)
-            } else {
-                None
+                    .try_enqueue_copy_out(now, seg),
+                _ => None,
             };
             let Some(ticket) = queued else {
                 i += 1;
