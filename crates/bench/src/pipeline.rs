@@ -233,7 +233,7 @@ struct World {
     tio: Rc<TertiaryIo>,
     src_disk: Disk,
     segments: u32,
-    /// The migrator's own wake handle, for copy-out backpressure.
+    /// The migrator's own wake handle, for space backpressure.
     migrator_id: ActorId,
     tickets: Vec<Ticket>,
     demand_tickets: Vec<Ticket>,
@@ -290,7 +290,7 @@ impl Actor<World> for MigratorActor {
                     }
                 }
                 None => {
-                    w.tio.subscribe_copyout(w.migrator_id);
+                    w.tio.subscribe_space(w.migrator_id);
                     self.pending = Some((seg, sealed_at));
                     return Step::Park;
                 }
@@ -304,16 +304,15 @@ impl Actor<World> for MigratorActor {
         let spv = w.tio.jukebox().segments_per_volume();
         let seg = map.tert_seg(self.next_seg / spv, self.next_seg % spv);
         // Claim a staging line. A full pool (every line pinned by an
-        // unfinished copy-out) parks us; the engine wakes every copy-out
-        // waiter when the I/O server completes one (§5.4: the uncopied
-        // lines pin disk space).
+        // unfinished copy-out or fill) parks us until the engine frees
+        // space (§5.4: the uncopied lines pin disk space).
         let allocated = w
             .tio
             .cache()
             .borrow_mut()
             .allocate(seg, LineState::Staging, now);
         let Some((disk_seg, _)) = allocated else {
-            w.tio.subscribe_copyout(w.migrator_id);
+            w.tio.subscribe_space(w.migrator_id);
             return Step::Park;
         };
         let bps = u64::from(BLOCKS_PER_SEG);
@@ -351,10 +350,10 @@ impl Actor<World> for MigratorActor {
         match w.tio.try_enqueue_copy_out(t, seg) {
             Some(ticket) => w.tickets.push(ticket),
             None => {
-                // Request queue full: park until the engine drains one
-                // copy-out, then retry the enqueue (the line stays
-                // sealed meanwhile).
-                w.tio.subscribe_copyout(w.migrator_id);
+                // Request queue full: park until the engine frees a
+                // slot, then retry the enqueue (the line stays sealed
+                // meanwhile).
+                w.tio.subscribe_space(w.migrator_id);
                 self.pending = Some((seg, t));
                 return Step::Park;
             }

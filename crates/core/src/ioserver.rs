@@ -47,7 +47,7 @@ use hl_sim::time::SimTime;
 use hl_sim::{Actor, ActorId, Scheduler, Step, Waker};
 
 use crate::lanes::{LaneGate, ProbeOutcome};
-use crate::requests::{ReqClass, DISPATCH_CPU};
+use crate::requests::DISPATCH_CPU;
 use crate::service::{phase, ExecResult, TioInner};
 
 /// Wake handles for the engine's actors on their current scheduler.
@@ -75,6 +75,9 @@ impl<W> Actor<W> for SvcActor {
         let req = self.inner.queues.borrow_mut().pop_ready(now);
         match req {
             Some(req) => {
+                // A request-queue slot freed (and an ejection may free a
+                // line): parked producers retry.
+                self.inner.wake_space_waiters(now);
                 self.inner.dispatch(req, now);
                 // Fielding a request costs one dispatch hop of CPU.
                 Step::Yield(now + DISPATCH_CPU)
@@ -157,9 +160,9 @@ impl<W> Actor<W> for IoActor {
         match self.inner.exec(&op, start, self.drive) {
             ExecResult::Done(end) => {
                 self.free_since = end;
-                if op.class == ReqClass::CopyOut {
-                    self.inner.wake_copyout_waiters(end);
-                }
+                // A fill or a copy-out turned its line `Clean`, or a
+                // refusal released it: parked producers retry.
+                self.inner.wake_space_waiters(end);
                 Step::Yield(end)
             }
             ExecResult::LaneFault {
