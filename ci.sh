@@ -107,6 +107,22 @@ awk -v allow=ci-names.allow '
   }' ci-names.allow crates/*/src/*.rs crates/*/benches/*.rs crates/*/examples/*.rs \
      examples/*.rs src/*.rs benchmark/src/*.rs
 
+# Nothing polls (DESIGN.md §6h): an actor in hl-server or hl-bench
+# waits for space by parking on a ticket or on the engine's space signal
+# (`TertiaryIo::subscribe_space`), never by a retry period. The gate
+# fails on a constant whose name holds RETRY or POLL, and on a yield to
+# `now` plus a literal period; a yield to a device's end, a think time
+# or a pacing instant (`self.next_send`, `now + self.gap`,
+# `now + DEMAND_GAP`) passes. Seen red, each planted alone: `const
+# RETRY: SimTime = 20 * MS;` in hl-server's fleet.rs, and the fleet
+# worker returning `Step::Yield(now + 20 * MS)` instead of parking.
+echo "==> nothing polls: no retry constant or fixed-period yield in hl-server, hl-bench"
+if grep -nE 'const [A-Z_]*(RETRY|POLL)|Step::Yield\(now \+ ([0-9]|MS\b|SEC\b|secs\()' \
+  crates/server/src/*.rs crates/bench/src/*.rs; then
+  echo "  a producer polls: park on its ticket or on the engine's space signal"
+  exit 1
+fi
+
 run cargo build --release
 run cargo test --workspace -q   # every test binary once (covers tier-1's root suite)
 run cargo clippy --workspace --all-targets -- -D warnings
