@@ -29,7 +29,7 @@ use hl_lfs::types::{
 use hl_lfs::ufs::{Ufs, MAXCONTIG};
 use hl_sim::time::SimTime;
 use hl_sim::Clock;
-use hl_vdev::{BlockDev, BLOCK_SIZE};
+use hl_vdev::{Block, BlockDev, BLOCK_SIZE};
 
 use crate::alloc::BlockMap;
 
@@ -118,11 +118,12 @@ impl Ffs {
         root.size = BLOCK_SIZE as u64;
         fs.itable[ROOT_INO as usize] = root;
         fs.itable_dirty[ROOT_INO as usize] = true;
-        let mut blk = vec![0u8; BLOCK_SIZE];
-        dir::init_block(&mut blk);
-        dir::add(&mut blk, ".", ROOT_INO, FileKind::Directory)?;
-        dir::add(&mut blk, "..", ROOT_INO, FileKind::Directory)?;
-        fs.append(ROOT_INO, 0, blk.into_boxed_slice())?;
+        let mut blk = Block::zeroed(BLOCK_SIZE);
+        let bytes = blk.make_mut();
+        dir::init_block(bytes);
+        dir::add(bytes, ".", ROOT_INO, FileKind::Directory)?;
+        dir::add(bytes, "..", ROOT_INO, FileKind::Directory)?;
+        fs.append(ROOT_INO, 0, blk)?;
         fs.sync()
     }
 
@@ -284,7 +285,7 @@ impl Ffs {
             self.ensure_block(ino, parent)?;
         }
         let buf = self.cache.get_mut(ino, parent).expect("materialized");
-        ondisk::put_u32(&mut buf.data, idx * 4, addr);
+        ondisk::put_u32(buf.data.make_mut(), idx * 4, addr);
         self.cache.mark_dirty(ino, parent);
         Ok(())
     }
@@ -297,13 +298,8 @@ impl Ffs {
         }
         let addr = self.bmap(ino, lb)?;
         if addr == UNASSIGNED {
-            self.cache.insert(
-                ino,
-                lb,
-                vec![0u8; BLOCK_SIZE].into_boxed_slice(),
-                false,
-                UNASSIGNED,
-            );
+            self.cache
+                .insert(ino, lb, Block::zeroed(BLOCK_SIZE), false, UNASSIGNED);
             return Ok(());
         }
         let mut run = 1u32;
@@ -322,19 +318,18 @@ impl Ffs {
         let buf = self.read_dev(addr, run)?;
         self.charge_cpu(self.cfg.cpu.read_block * run as u64);
         if let LBlock::Data(l0) = lb {
-            for i in 0..run {
-                let s = i as usize * BLOCK_SIZE;
+            for (i, blk) in (0..run).zip(buf.chunks_exact(BLOCK_SIZE)) {
                 self.cache.insert(
                     ino,
                     LBlock::Data(l0 + i),
-                    buf[s..s + BLOCK_SIZE].to_vec().into_boxed_slice(),
+                    Block::copy_of(blk),
                     false,
                     addr + i,
                 );
             }
         } else {
             self.cache
-                .insert(ino, lb, buf.into_boxed_slice(), false, addr);
+                .insert(ino, lb, Block::copy_of(&buf), false, addr);
         }
         Ok(())
     }
@@ -450,17 +445,12 @@ impl Ffs {
                 if n < BLOCK_SIZE && within {
                     self.ensure_block(ino, lb)?;
                 } else {
-                    self.cache.insert(
-                        ino,
-                        lb,
-                        vec![0u8; BLOCK_SIZE].into_boxed_slice(),
-                        false,
-                        addr,
-                    );
+                    self.cache
+                        .insert(ino, lb, Block::zeroed(BLOCK_SIZE), false, addr);
                 }
             }
             let buf = self.cache.get_mut(ino, lb).expect("present");
-            buf.data[off_in..off_in + n].copy_from_slice(&data[done..done + n]);
+            buf.data.make_mut()[off_in..off_in + n].copy_from_slice(&data[done..done + n]);
             buf.addr = addr;
             self.cache.mark_dirty(ino, lb);
             done += n;
@@ -520,17 +510,26 @@ impl Ufs for Ffs {
         Ok(())
     }
 
-    fn block(&mut self, ino: Ino, l: u32) -> Result<&mut [u8]> {
+    fn block(&mut self, ino: Ino, l: u32) -> Result<&[u8]> {
+        self.ensure_block(ino, LBlock::Data(l))?;
+        Ok(&self
+            .cache
+            .get_mut(ino, LBlock::Data(l))
+            .expect("ensured")
+            .data)
+    }
+
+    fn block_mut(&mut self, ino: Ino, l: u32) -> Result<&mut [u8]> {
         self.ensure_block(ino, LBlock::Data(l))?;
         let buf = self.cache.get_mut(ino, LBlock::Data(l)).expect("ensured");
-        Ok(&mut buf.data)
+        Ok(buf.data.make_mut())
     }
 
     fn dirtied(&mut self, ino: Ino, l: u32) {
         self.cache.mark_dirty(ino, LBlock::Data(l));
     }
 
-    fn append(&mut self, ino: Ino, l: u32, data: Box<[u8]>) -> Result<()> {
+    fn append(&mut self, ino: Ino, l: u32, data: Block) -> Result<()> {
         let addr = self.alloc_bmap(ino, LBlock::Data(l))?;
         self.cache.insert(ino, LBlock::Data(l), data, true, addr);
         Ok(())

@@ -19,10 +19,20 @@
 //! `readdress` and the removals do not. A buffer keeps its last refresh
 //! while it is dirty, so `mark_clean` puts it back among the clean
 //! buffers where that refresh ranks it — not at the young end.
+//!
+//! A buffer holds its bytes as a [`Block`] handle, so a block moves
+//! between the cache and the devices by reference: a read miss keeps the
+//! handle the store lent, and the segment writer hands the cached handle
+//! to the store. Bytes are copied in only from a caller's `write` and
+//! out only to a caller's `read`. A buffer that shares its bytes — with
+//! a store, a staging line, a jukebox slot — is never written in place:
+//! [`Block::make_mut`] gives it a private copy first (copy-on-write per
+//! block).
 
 use std::collections::hash_map::{Entry, HashMap};
 
 use hl_vdev::backing::BlockHashBuilder;
+use hl_vdev::Block;
 
 use crate::types::{BlockAddr, Ino, LBlock};
 
@@ -35,8 +45,9 @@ const DIRTY: usize = 1;
 /// A cached block.
 #[derive(Debug)]
 pub struct Buf {
-    /// Block contents (one filesystem block).
-    pub data: Box<[u8]>,
+    /// Block contents (one filesystem block), possibly shared with a
+    /// device's store: write through [`Block::make_mut`].
+    pub data: Block,
     /// The device address this copy was read from / last written to;
     /// `UNASSIGNED` for newly created blocks never yet on media.
     pub addr: BlockAddr,
@@ -69,12 +80,14 @@ impl List {
     };
 }
 
-/// The buffers and the lists through them. Free slots keep an empty
-/// `data` box and chain through `next`.
+/// The buffers and the lists through them. Free slots hold a handle on
+/// `vacant` and chain through `next`.
 struct Slab {
     slots: Vec<Buf>,
     lists: [List; 2],
     free: u32,
+    /// The empty block a freed slot keeps, so freeing allocates nothing.
+    vacant: Block,
 }
 
 impl Slab {
@@ -130,7 +143,7 @@ impl Slab {
     fn release(&mut self, s: u32) {
         self.unlink(s);
         let b = &mut self.slots[s as usize];
-        b.data = Box::default();
+        b.data.clone_from(&self.vacant);
         b.next = self.free;
         self.free = s;
     }
@@ -167,6 +180,7 @@ impl BufCache {
                 slots: Vec::new(),
                 lists: [List::EMPTY; 2],
                 free: NIL,
+                vacant: Block::zeroed(0),
             },
             capacity_blocks: (capacity_bytes as usize / block_size).max(8),
             block_size,
@@ -222,7 +236,7 @@ impl BufCache {
     /// # Panics
     ///
     /// Panics if `data` is not exactly one block.
-    pub fn insert(&mut self, ino: Ino, lb: LBlock, data: Box<[u8]>, dirty: bool, addr: BlockAddr) {
+    pub fn insert(&mut self, ino: Ino, lb: LBlock, data: Block, dirty: bool, addr: BlockAddr) {
         assert_eq!(data.len(), self.block_size, "buffer must be one block");
         self.tick += 1;
         let buf = Buf {
@@ -378,8 +392,8 @@ mod tests {
     /// Marker address for brand-new blocks.
     const NEW_BLOCK: BlockAddr = crate::types::UNASSIGNED;
 
-    fn block(fill: u8) -> Box<[u8]> {
-        vec![fill; 4096].into_boxed_slice()
+    fn block(fill: u8) -> Block {
+        Block::copy_of(&[fill; 4096])
     }
 
     fn cache(capacity_blocks: usize) -> BufCache {

@@ -8,7 +8,7 @@
 //! `read`, `write` and `truncate`, where a block gets no address until the
 //! segment writer picks one.
 
-use hl_vdev::BLOCK_SIZE;
+use hl_vdev::{Block, BLOCK_SIZE};
 
 use crate::error::{LfsError, Result};
 use crate::fs::{CachedInode, Lfs};
@@ -72,15 +72,19 @@ impl Ufs for Lfs {
         Ok(())
     }
 
-    fn block(&mut self, ino: Ino, l: u32) -> Result<&mut [u8]> {
-        Ok(&mut self.ensure_block(ino, LBlock::Data(l))?.data)
+    fn block(&mut self, ino: Ino, l: u32) -> Result<&[u8]> {
+        Ok(&self.ensure_block(ino, LBlock::Data(l))?.data)
+    }
+
+    fn block_mut(&mut self, ino: Ino, l: u32) -> Result<&mut [u8]> {
+        Ok(self.ensure_block(ino, LBlock::Data(l))?.data.make_mut())
     }
 
     fn dirtied(&mut self, ino: Ino, l: u32) {
         self.cache.mark_dirty(ino, LBlock::Data(l));
     }
 
-    fn append(&mut self, ino: Ino, l: u32, data: Box<[u8]>) -> Result<()> {
+    fn append(&mut self, ino: Ino, l: u32, data: Block) -> Result<()> {
         self.cache
             .insert(ino, LBlock::Data(l), data, true, UNASSIGNED);
         self.update(ino, |d| d.blocks += 1)
@@ -167,27 +171,33 @@ impl Lfs {
             let lb = LBlock::Data(l);
 
             let src = &data[done..done + n];
+            let full_overwrite = n == BLOCK_SIZE;
             if let Some(buf) = self.cache.get_mut(ino, lb) {
-                buf.data[off_in..off_in + n].copy_from_slice(src);
+                if full_overwrite {
+                    // The caller's bytes are the whole block: a fresh
+                    // block, whoever shared the old one.
+                    buf.data = Block::copy_of(src);
+                } else {
+                    buf.data.make_mut()[off_in..off_in + n].copy_from_slice(src);
+                }
                 self.cache.mark_dirty(ino, lb);
             } else {
                 let old = self.bmap(ino, lb)?;
-                let full_overwrite = n == BLOCK_SIZE;
                 let within = (l as u64) < size.div_ceil(BLOCK_SIZE as u64);
                 if !full_overwrite && within && old != UNASSIGNED {
                     // Read-modify-write of an existing block.
                     let buf = self.ensure_block(ino, lb)?;
-                    buf.data[off_in..off_in + n].copy_from_slice(src);
+                    buf.data.make_mut()[off_in..off_in + n].copy_from_slice(src);
                     self.cache.mark_dirty(ino, lb);
                 } else {
                     // Fresh block (or full overwrite: no need to read the
                     // old copy; keep its address for live accounting).
-                    let blk: Box<[u8]> = if full_overwrite {
-                        src.into()
+                    let blk = if full_overwrite {
+                        Block::copy_of(src)
                     } else {
-                        let mut blk = vec![0u8; BLOCK_SIZE];
-                        blk[off_in..off_in + n].copy_from_slice(src);
-                        blk.into_boxed_slice()
+                        let mut blk = Block::zeroed(BLOCK_SIZE);
+                        blk.make_mut()[off_in..off_in + n].copy_from_slice(src);
+                        blk
                     };
                     self.cache.insert(ino, lb, blk, true, old);
                     if old == UNASSIGNED {
@@ -243,7 +253,7 @@ impl Lfs {
                 || self.cache.contains(ino, LBlock::Data(l))
             {
                 let buf = self.ensure_block(ino, LBlock::Data(l))?;
-                buf.data[cut..].fill(0);
+                buf.data.make_mut()[cut..].fill(0);
                 self.cache.mark_dirty(ino, LBlock::Data(l));
             }
         }

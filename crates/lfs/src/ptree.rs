@@ -25,6 +25,8 @@
 
 use std::ops::Range;
 
+use hl_vdev::Block;
+
 use crate::types::{LBlock, MAX_DATA_BLOCKS, NDIRECT, NPTR, UNASSIGNED};
 
 /// Where the pointer to a logical block is stored.
@@ -112,9 +114,17 @@ pub fn blocks(range: Range<u64>) -> impl Iterator<Item = LBlock> {
         .chain(pointer_blocks)
 }
 
-/// A new indirect block: every pointer unassigned.
-pub fn fresh_indirect() -> Box<[u8]> {
-    UNASSIGNED.to_le_bytes().repeat(NPTR).into_boxed_slice()
+thread_local! {
+    /// The one all-`UNASSIGNED` block every fresh indirect block shares
+    /// until its first pointer is set.
+    static FRESH_INDIRECT: Block = Block::copy_of(&UNASSIGNED.to_le_bytes().repeat(NPTR));
+}
+
+/// A new indirect block: every pointer unassigned. A handle on one shared
+/// block, so it costs no allocation; the first pointer written gives the
+/// buffer its own copy ([`Block::make_mut`]).
+pub fn fresh_indirect() -> Block {
+    FRESH_INDIRECT.with(Block::clone)
 }
 
 #[cfg(test)]

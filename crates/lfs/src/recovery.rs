@@ -58,7 +58,7 @@ pub fn mount_with_report(
     let mut fs = Lfs::fresh(dev, amap, hooks, cfg, sb);
 
     // Newest checkpoint (timed read: mounting costs real I/O).
-    let ckblk = fs.read_raw(CHECKPOINT_ADDR, 1)?;
+    let ckblk = fs.read_block(CHECKPOINT_ADDR)?;
     let ckpt = Checkpoint::newest(&ckblk).ok_or(LfsError::Corrupt("no valid checkpoint"))?;
     let mut report = RecoveryReport {
         checkpoint_serial: ckpt.serial,
@@ -70,7 +70,7 @@ pub fn mount_with_report(
     fs.ifile_inode_addr = ckpt.ifile_inode_addr;
 
     // Load the ifile inode from its inode block.
-    let iblk = fs.read_raw(ckpt.ifile_inode_addr, 1)?;
+    let iblk = fs.read_block(ckpt.ifile_inode_addr)?;
     let ifile_inode =
         partial::find_inode(&iblk, IFILE_INO).ok_or(LfsError::Corrupt("ifile inode not found"))?;
     fs.inodes.insert(
@@ -183,7 +183,7 @@ fn roll_forward(fs: &mut Lfs, ckpt: &Checkpoint, report: &mut RecoveryReport) ->
             break; // cannot hold even a summary + one block
         }
         let sum_addr = fs.amap.seg_base(seg) + off;
-        let sum_blk = fs.read_raw(sum_addr, 1)?;
+        let sum_blk = fs.read_block(sum_addr)?;
         // A summary that fails its checksum, breaks the serial chain or
         // describes an impossible geometry ends the log like a torn one.
         let Ok(p) = Partial::parse(&sum_blk, fs.geometry(), off, sum_addr) else {
@@ -195,7 +195,7 @@ fn roll_forward(fs: &mut Lfs, ckpt: &Checkpoint, report: &mut RecoveryReport) ->
         // Verify the data checksum (atomicity of the partial, §3). It
         // covers every payload byte, so a write torn anywhere — even
         // inside a block — stops roll-forward here.
-        let data = fs.read_raw(sum_addr + 1, p.nblocks())?;
+        let data = fs.read_blocks_vec(sum_addr + 1, p.nblocks())?;
         if !p.datasum_matches(&data) {
             break; // torn partial: recovery complete
         }

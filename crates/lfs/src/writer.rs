@@ -15,7 +15,7 @@
 //! single large device write, which is where LFS's sequential-write
 //! advantage comes from.
 
-use hl_vdev::BLOCK_SIZE;
+use hl_vdev::{Block, BLOCK_SIZE};
 
 use crate::error::{LfsError, Result};
 use crate::fs::{Lfs, CHECKPOINT_ADDR};
@@ -84,10 +84,10 @@ impl Lfs {
         };
         // Read-modify-write the checkpoint block, touching only the slot
         // the previous checkpoint does not occupy.
-        let mut block = self.read_raw(CHECKPOINT_ADDR, 1)?;
+        let mut block = self.read_block(CHECKPOINT_ADDR)?;
         let slot = (ckpt.serial % 2) as usize;
-        ckpt.encode(&mut block[slot * CHECKPOINT_SLOT..(slot + 1) * CHECKPOINT_SLOT]);
-        self.write_raw(CHECKPOINT_ADDR, &block)?;
+        ckpt.encode(&mut block.make_mut()[slot * CHECKPOINT_SLOT..(slot + 1) * CHECKPOINT_SLOT]);
+        self.write_run(CHECKPOINT_ADDR, &[block])?;
         self.ckpt_serial = ckpt.serial;
         self.stats.checkpoints += 1;
         Ok(())
@@ -104,34 +104,37 @@ impl Lfs {
         let total_blocks = 1 + su_blocks + im_blocks;
 
         // Block 0: cleaner info.
-        let mut b0 = vec![0u8; BLOCK_SIZE];
-        crate::ondisk::put_u32(&mut b0, 0, self.clean_segs());
-        crate::ondisk::put_u32(&mut b0, 4, self.free_head);
-        crate::ondisk::put_u32(&mut b0, 8, self.imap.len() as u32);
-        crate::ondisk::put_u32(&mut b0, 12, self.sb.nsegs);
+        let mut b0 = Block::zeroed(BLOCK_SIZE);
+        let bytes = b0.make_mut();
+        crate::ondisk::put_u32(bytes, 0, self.clean_segs());
+        crate::ondisk::put_u32(bytes, 4, self.free_head);
+        crate::ondisk::put_u32(bytes, 8, self.imap.len() as u32);
+        crate::ondisk::put_u32(bytes, 12, self.sb.nsegs);
         self.put_ifile_block(0, b0)?;
 
         for bi in 0..su_blocks {
-            let mut blk = vec![0u8; BLOCK_SIZE];
+            let mut blk = Block::zeroed(BLOCK_SIZE);
+            let bytes = blk.make_mut();
             for slot in 0..SEGUSE_PER_BLOCK {
                 let seg = bi * SEGUSE_PER_BLOCK + slot;
                 if seg >= nsegs {
                     break;
                 }
-                self.seguse[seg].encode(&mut blk[slot * SEGUSE_SIZE..(slot + 1) * SEGUSE_SIZE]);
+                self.seguse[seg].encode(&mut bytes[slot * SEGUSE_SIZE..(slot + 1) * SEGUSE_SIZE]);
             }
             self.put_ifile_block(1 + bi as u32, blk)?;
         }
 
         for bi in 0..im_blocks {
-            let mut blk = vec![0u8; BLOCK_SIZE];
+            let mut blk = Block::zeroed(BLOCK_SIZE);
+            let bytes = blk.make_mut();
             for slot in 0..IFENT_PER_BLOCK {
                 let idx = bi * IFENT_PER_BLOCK + slot;
                 if idx >= self.imap.len() {
                     break;
                 }
                 self.imap[idx].encode(
-                    &mut blk
+                    &mut bytes
                         [slot * crate::ondisk::IFENT_SIZE..(slot + 1) * crate::ondisk::IFENT_SIZE],
                 );
             }
@@ -148,7 +151,7 @@ impl Lfs {
     }
 
     /// Replaces one logical block of the ifile with fresh dirty contents.
-    fn put_ifile_block(&mut self, l: u32, data: Vec<u8>) -> Result<()> {
+    fn put_ifile_block(&mut self, l: u32, data: Block) -> Result<()> {
         let lb = LBlock::Data(l);
         let cached = self.cache.get(IFILE_INO, lb).map(|b| b.addr);
         let old = match cached {
@@ -156,8 +159,7 @@ impl Lfs {
             None => self.bmap(IFILE_INO, lb)?,
         };
         let was_hole = old == UNASSIGNED && cached.is_none();
-        self.cache
-            .insert(IFILE_INO, lb, data.into_boxed_slice(), true, old);
+        self.cache.insert(IFILE_INO, lb, data, true, old);
         if was_hole {
             let inode = self.iget_mut(IFILE_INO)?;
             inode.d.blocks += 1;

@@ -75,7 +75,7 @@ pub struct Block {
 
 impl Block {
     /// A block holding a copy of `bytes`, sole handle on its buffer.
-    fn copy_of(bytes: &[u8]) -> Block {
+    pub fn copy_of(bytes: &[u8]) -> Block {
         Block {
             buf: Rc::from(bytes),
             off: 0,
@@ -83,9 +83,14 @@ impl Block {
         }
     }
 
-    /// A block of `len` zero bytes.
+    /// A block of `len` zero bytes, sole handle on its buffer (one
+    /// allocation).
     pub fn zeroed(len: usize) -> Block {
-        Block::copy_of(&vec![0; len])
+        Block {
+            buf: std::iter::repeat_n(0, len).collect(),
+            off: 0,
+            len,
+        }
     }
 
     /// `buf` as consecutive `len`-byte windows (a partial tail is dropped).
@@ -101,6 +106,17 @@ impl Block {
     pub(crate) fn get_mut(&mut self) -> Option<&mut [u8]> {
         let (off, len) = (self.off, self.len);
         Rc::get_mut(&mut self.buf).map(|b| &mut b[off..off + len])
+    }
+
+    /// The block's bytes for writing. The sole handle on a buffer writes
+    /// it in place; a handle that shares its buffer — with a store, a
+    /// sibling window, a cache line — first becomes a private copy, so
+    /// no other holder ever sees the write (copy-on-write per block).
+    pub fn make_mut(&mut self) -> &mut [u8] {
+        if Rc::get_mut(&mut self.buf).is_none() {
+            *self = Block::copy_of(self);
+        }
+        self.get_mut().expect("a private copy has one handle")
     }
 }
 
@@ -279,6 +295,28 @@ mod tests {
         // The survivor writes its own window, not the buffer's head.
         halves[0].get_mut().unwrap()[0] = b'W';
         assert_eq!(&*halves[0], b"Wxyz");
+    }
+
+    #[test]
+    fn make_mut_copies_a_shared_block_and_writes_a_sole_one_in_place() {
+        let mut s = SparseStore::new(4);
+        s.write(0, &[1; 4]);
+        let mut held = vec![Block::zeroed(4)];
+        s.lend(0, &mut held);
+        let before = held[0].buf.as_ptr();
+        held[0].make_mut()[0] = 9;
+        assert_ne!(
+            held[0].buf.as_ptr(),
+            before,
+            "shared with the store: copied"
+        );
+        let mut back = [0u8; 4];
+        s.read(0, &mut back);
+        assert_eq!(back, [1; 4], "the store's block is untouched");
+        let private = held[0].buf.as_ptr();
+        held[0].make_mut()[1] = 9;
+        assert_eq!(held[0].buf.as_ptr(), private, "sole handle: in place");
+        assert_eq!(&*held[0], &[9, 9, 1, 1][..]);
     }
 
     #[test]
