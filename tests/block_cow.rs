@@ -19,6 +19,15 @@
 //! migration the migrator's writes replace the line's blocks, the
 //! medium still reads the segment it held, and `hlfsck` is clean.
 //!
+//! `an_lfs_write_to_a_block_shared_with_the_disk_leaves_the_disk_alone`
+//! and `..._with_a_line_and_a_slot_...` are the promise at the buffer
+//! cache: a read miss keeps the handle the store lent (through
+//! `read_blocks`), so the cached block and the disk block — or the cache
+//! line's block and the jukebox slot's, for a file fetched back from
+//! tertiary storage — are one buffer. A partial overwrite through
+//! `Lfs::write` must take a fresh block, and the old address must still
+//! read the old bytes until the log moves on.
+//!
 //! Sabotages this file was seen to catch (each applied alone, each red):
 //!
 //! - mutating a shared buffer in place (`SparseStore::write` writing
@@ -34,6 +43,12 @@
 //!   the medium's);
 //! - erase leaving a slot (`erase_volume` not clearing the slot array):
 //!   the erased slot still reports written ("v0/s2 written flag");
+//! - writing through a shared handle instead of taking a fresh block
+//!   (`Block::make_mut` handing out the shared buffer's bytes): the
+//!   overwrite reaches the disk's copy through the handle it lent ("a
+//!   lent handle changed") and, for the fetched file, the cache line's
+//!   and the medium's ("the line's copy changed"; the re-staged line
+//!   above also goes red: "the medium's copy of /a changed");
 //! - lending the zero block mutably (`SparseStore::write` of a never
 //!   written block writing into the store's shared zero block): every
 //!   other unwritten block reads the write ("disk diverged at block 0";
@@ -43,6 +58,7 @@ use highlight::rig::{hp6300, HlRig};
 use highlight::MigrateStats;
 use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
 use hl_lfs::config::AddressMap;
+use hl_lfs::LBlock;
 use hl_sim::rng::DetRng;
 use hl_vdev::{Block, BlockDev, Disk, DiskProfile, BLOCK_SIZE};
 
@@ -316,6 +332,110 @@ fn a_fetched_line_restaged_for_migration_leaves_the_medium_alone() {
         hl.read(ino, 0, &mut back).expect("read");
         assert!(back == *want, "{path} diverged");
     }
+    let fsck = hl.fsck().expect("fsck");
+    assert!(fsck.clean(), "{}", fsck.render());
+}
+
+/// Overwrites 100 bytes inside block 1 of `ino` (cached, sharing its
+/// buffer with a device) through `Lfs::write`; returns what block 1
+/// held before.
+fn overwrite_block_one(hl: &mut highlight::HighLight, ino: u32, old: &[u8]) -> Vec<u8> {
+    let before = old[BLOCK_SIZE..2 * BLOCK_SIZE].to_vec();
+    hl.lfs()
+        .write(ino, BLOCK_SIZE as u64 + 10, &[0xee; 100])
+        .expect("overwrite");
+    let mut back = vec![0u8; 2 * BLOCK_SIZE];
+    hl.read(ino, 0, &mut back).expect("read");
+    assert!(back[BLOCK_SIZE + 10..BLOCK_SIZE + 110]
+        .iter()
+        .all(|&b| b == 0xee));
+    assert!(
+        back[..BLOCK_SIZE] == old[..BLOCK_SIZE],
+        "block 0 is untouched"
+    );
+    before
+}
+
+#[test]
+fn an_lfs_write_to_a_block_shared_with_the_disk_leaves_the_disk_alone() {
+    let rig = HlRig::new(2 + 40 * 256 + 5, hp6300(2, 4), 1, None);
+    rig.mkfs();
+    let mut hl = rig.mount();
+    let data = content(3, 4 * BLOCK_SIZE);
+    let ino = hl.create("/c").expect("create");
+    hl.write(ino, 0, &data).expect("write");
+    hl.sync().expect("sync");
+    hl.drop_caches();
+    // A read miss: the cache keeps the disk store's handles.
+    let mut back = vec![0u8; data.len()];
+    hl.read(ino, 0, &mut back).expect("read");
+    assert!(back == data);
+    let addr = hl.lfs().bmapv(&[(ino, LBlock::Data(1))]).expect("bmap")[0];
+    let mut on_disk = vec![Block::zeroed(BLOCK_SIZE)];
+    rig.disk
+        .read_blocks(hl.clock().now(), addr as u64, &mut on_disk)
+        .unwrap();
+    let before = overwrite_block_one(&mut hl, ino, &data);
+    assert!(*on_disk[0] == before[..], "a lent handle changed");
+    let mut old = vec![0u8; BLOCK_SIZE];
+    rig.disk.peek(addr as u64, &mut old).unwrap();
+    assert!(old == before, "the disk's old copy of block 1 changed");
+
+    // The log moves the new bytes on; the old address keeps the old.
+    hl.sync().expect("sync");
+    let moved = hl.lfs().bmapv(&[(ino, LBlock::Data(1))]).expect("bmap")[0];
+    assert_ne!(moved, addr);
+    rig.disk.peek(addr as u64, &mut old).unwrap();
+    assert!(
+        old == before,
+        "the disk's old copy of block 1 changed at sync"
+    );
+    rig.disk.peek(moved as u64, &mut old).unwrap();
+    assert!(old[10..110].iter().all(|&b| b == 0xee));
+}
+
+#[test]
+fn an_lfs_write_to_a_block_shared_with_a_line_and_a_slot_leaves_both_alone() {
+    let rig = HlRig::new(2 + 40 * 256 + 5, hp6300(2, 4), 1, None);
+    let jb = &rig.jukebox;
+    rig.mkfs();
+    let mut hl = rig.mount();
+    let data = content(4, 4 * BLOCK_SIZE);
+    let ino = hl.create("/d").expect("create");
+    hl.write(ino, 0, &data).expect("write");
+    hl.migrate_file("/d", true, None).expect("migrate");
+    hl.seal_staging(&mut MigrateStats::default()).expect("seal");
+    hl.sync().expect("sync");
+    let map = hl.map();
+    let [(vol, slot)] = written(jb)[..] else {
+        panic!("/d filled one segment: {:?}", written(jb));
+    };
+    let tseg = map.tert_seg(vol, slot);
+
+    // Fetched back: the cache line shares the slot's buffers, and the
+    // buffer cache shares the line's.
+    hl.eject_all();
+    hl.drop_caches();
+    let mut back = vec![0u8; data.len()];
+    hl.read(ino, 0, &mut back).expect("read");
+    assert!(back == data);
+    let addr = hl.lfs().bmapv(&[(ino, LBlock::Data(1))]).expect("bmap")[0];
+    assert_eq!(map.seg_of(addr), Some(tseg), "block 1 is tertiary");
+    let off = (addr - map.seg_base(tseg)) as usize;
+    let line = hl.cache().borrow().peek(tseg).expect("fetched").disk_seg;
+    let at_line = map.seg_base(line) as u64 + off as u64;
+
+    let before = overwrite_block_one(&mut hl, ino, &data);
+    let mut old = vec![0u8; BLOCK_SIZE];
+    rig.disk.peek(at_line, &mut old).unwrap();
+    assert!(old == before, "the line's copy changed");
+    let mut media = vec![0u8; 1 << 20];
+    jb.peek_segment(vol, slot, &mut media).unwrap();
+    assert!(
+        media[off * BLOCK_SIZE..(off + 1) * BLOCK_SIZE] == before[..],
+        "the medium's copy changed"
+    );
+    hl.sync().expect("sync");
     let fsck = hl.fsck().expect("fsck");
     assert!(fsck.clean(), "{}", fsck.render());
 }
