@@ -123,6 +123,20 @@ if grep -nE 'const [A-Z_]*(RETRY|POLL)|Step::Yield\(now \+ ([0-9]|MS\b|SEC\b|sec
   exit 1
 fi
 
+# Blocks by reference (DESIGN.md §6, "Blocks by reference"): inside the
+# LFS a block's bytes are copied only from a caller's `write` and to a
+# caller's `read`; a read miss, a partial write, migration, cleaning and
+# roll-forward move `Block` handles. The gate fails on a boxed byte
+# buffer, the cluster-read scratch buffer or a byte-form raw read
+# anywhere in crates/lfs/src. Seen red at the parent commit: 27 lines in
+# nine files (`read_raw` in the cleaner, roll-forward and writer,
+# `read_scratch` in fs.rs, `Box<[u8]>` in the buffer cache and `Ufs`).
+echo "==> blocks by reference: no byte-buffer hop in crates/lfs/src"
+if grep -nE 'Box<\[u8\]>|read_scratch|read_raw' crates/lfs/src/*.rs; then
+  echo "  a block is copied between levels: move its Block handle"
+  exit 1
+fi
+
 run cargo build --release
 run cargo test --workspace -q   # every test binary once (covers tier-1's root suite)
 run cargo clippy --workspace --all-targets -- -D warnings
