@@ -283,4 +283,18 @@ mod tests {
         assert_ne!(seg_image(1, 5), seg_image(2, 5));
         assert_eq!(seg_image(1, 5).len(), BLOCKS_PER_SEG as usize * BLOCK_SIZE);
     }
+
+    /// The oracle's bytes are the per-byte formula they have always been
+    /// (written out here, not shared with the code), for segments below
+    /// and past 256, whose `seg as u8` wraps.
+    #[test]
+    fn seg_image_is_the_per_byte_formula() {
+        for (seed, seg) in [(1993u64, 0), (4242, 37), (7, 300), (u64::MAX, 511)] {
+            let k = (seg as u8).wrapping_mul(13).wrapping_add(seed as u8);
+            let want: Vec<u8> = (0..1 << 20)
+                .map(|i: usize| (i as u8).wrapping_mul(7).wrapping_add(k))
+                .collect();
+            assert!(seg_image(seed, seg) == want, "seed {seed} seg {seg}");
+        }
+    }
 }
