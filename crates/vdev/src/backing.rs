@@ -7,19 +7,26 @@
 //! jukebox slot can both hold: moving a segment between levels moves
 //! handles, not bytes.
 //!
-//! The block index hashes with a fixed multiplicative mixer
+//! A [`SparseStore`] is sparse at 1 MB granularity: its index maps a
+//! run of 256 blocks — one segment of 4 KB blocks, the unit every
+//! level-crossing moves — to a boxed array of that run's handles. A
+//! whole-segment transfer finds its handles with one or two probes, not
+//! 256; a run never touched costs nothing, and one touched block costs
+//! its run's 8 KB array.
+//!
+//! The index hashes with a fixed multiplicative mixer
 //! ([`BlockHashBuilder`]) instead of the std `RandomState`/SipHash
-//! default: block numbers are trusted simulator-internal integers (no
-//! HashDoS surface), every resident-block probe sits under the device
-//! hot path, and a seeded hasher would make map iteration order — and
-//! thus allocator behaviour — differ run to run. One multiply and a
-//! xor-shift replace a full SipHash round per probe.
+//! default: run numbers are trusted simulator-internal integers (no
+//! HashDoS surface), every probe sits under the device hot path, and a
+//! seeded hasher would make map iteration order — and thus allocator
+//! behaviour — differ run to run. One multiply and a xor-shift replace a
+//! full SipHash round per probe.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::rc::Rc;
 
 /// [`Hasher`] for small trusted integer keys: SplitMix64-style finalizer
@@ -142,6 +149,29 @@ impl fmt::Debug for Block {
     }
 }
 
+/// Blocks per index entry of a [`SparseStore`]: one 1 MB segment of
+/// 4 KB blocks.
+const RUN: usize = 256;
+
+/// The handles of one run of [`RUN`] blocks, `None` where unwritten.
+type Run = Box<[Option<Block>; RUN]>;
+
+/// Cuts the run of `n` blocks from `block` at [`RUN`] boundaries: for
+/// each piece, its index key, its slots in that run's array, and its
+/// positions in the caller's run.
+fn pieces(block: u64, n: usize) -> impl Iterator<Item = (u64, Range<usize>, Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < n).then(|| {
+            let b = block + done as u64;
+            let lo = (b % RUN as u64) as usize;
+            let len = (RUN - lo).min(n - done);
+            done += len;
+            (b / RUN as u64, lo..lo + len, done - len..done)
+        })
+    })
+}
+
 /// A sparse store of fixed-size blocks. Every method takes a run of
 /// consecutive blocks starting at `block`.
 ///
@@ -159,7 +189,8 @@ impl fmt::Debug for Block {
 #[derive(Clone, Debug)]
 pub struct SparseStore {
     block_size: usize,
-    blocks: HashMap<u64, Block, BlockHashBuilder>,
+    /// Run number (`block / RUN`) to that run's handles.
+    runs: HashMap<u64, Run, BlockHashBuilder>,
     /// Lent for every unwritten block; the store's own handle keeps any
     /// borrower from writing it in place.
     zero: Block,
@@ -175,9 +206,16 @@ impl SparseStore {
         assert!(block_size > 0, "block size must be positive");
         Self {
             block_size,
-            blocks: HashMap::default(),
+            runs: HashMap::default(),
             zero: Block::zeroed(block_size),
         }
+    }
+
+    /// Run `key`'s handles, made empty if the run was never touched.
+    fn run_mut(&mut self, key: u64) -> &mut Run {
+        self.runs
+            .entry(key)
+            .or_insert_with(|| Box::new([const { None }; RUN]))
     }
 
     /// Reads `buf.len() / block_size` blocks into `buf`.
@@ -188,10 +226,18 @@ impl SparseStore {
     pub fn read(&self, block: u64, buf: &mut [u8]) {
         let bs = self.block_size;
         assert!(buf.len().is_multiple_of(bs), "buffer size mismatch");
-        for (b, chunk) in (block..).zip(buf.chunks_exact_mut(bs)) {
-            match self.blocks.get(&b) {
-                Some(data) => chunk.copy_from_slice(data),
-                None => chunk.fill(0),
+        for (key, slots, at) in pieces(block, buf.len() / bs) {
+            let dst = buf[at.start * bs..at.end * bs].chunks_exact_mut(bs);
+            match self.runs.get(&key) {
+                Some(run) => {
+                    for (chunk, data) in dst.zip(&run[slots]) {
+                        match data {
+                            Some(data) => chunk.copy_from_slice(data),
+                            None => chunk.fill(0),
+                        }
+                    }
+                }
+                None => dst.for_each(|chunk| chunk.fill(0)),
             }
         }
     }
@@ -207,11 +253,12 @@ impl SparseStore {
     pub fn write(&mut self, block: u64, buf: &[u8]) {
         let bs = self.block_size;
         assert!(buf.len().is_multiple_of(bs), "buffer size mismatch");
-        for (b, chunk) in (block..).zip(buf.chunks_exact(bs)) {
-            match self.blocks.get_mut(&b).and_then(Block::get_mut) {
-                Some(bytes) => bytes.copy_from_slice(chunk),
-                None => {
-                    self.blocks.insert(b, Block::copy_of(chunk));
+        for (key, slots, at) in pieces(block, buf.len() / bs) {
+            let src = buf[at.start * bs..at.end * bs].chunks_exact(bs);
+            for (data, chunk) in self.run_mut(key)[slots].iter_mut().zip(src) {
+                match data.as_mut().and_then(Block::get_mut) {
+                    Some(bytes) => bytes.copy_from_slice(chunk),
+                    None => *data = Some(Block::copy_of(chunk)),
                 }
             }
         }
@@ -220,8 +267,16 @@ impl SparseStore {
     /// Replaces each of `out`'s handles with one onto the store's block
     /// (the zero block where unwritten). No bytes move.
     pub fn lend(&self, block: u64, out: &mut [Block]) {
-        for (b, slot) in (block..).zip(out) {
-            slot.clone_from(self.blocks.get(&b).unwrap_or(&self.zero));
+        for (key, slots, at) in pieces(block, out.len()) {
+            let dst = &mut out[at];
+            match self.runs.get(&key) {
+                Some(run) => {
+                    for (slot, data) in dst.iter_mut().zip(&run[slots]) {
+                        slot.clone_from(data.as_ref().unwrap_or(&self.zero));
+                    }
+                }
+                None => dst.iter_mut().for_each(|slot| slot.clone_from(&self.zero)),
+            }
         }
     }
 
@@ -231,16 +286,36 @@ impl SparseStore {
     ///
     /// Panics if a handle is not one block long.
     pub fn put(&mut self, block: u64, blocks: &[Block]) {
-        for (b, data) in (block..).zip(blocks) {
-            assert_eq!(data.len(), self.block_size, "block size mismatch");
-            self.blocks.insert(b, data.clone());
+        let bs = self.block_size;
+        for (key, slots, at) in pieces(block, blocks.len()) {
+            for (data, b) in self.run_mut(key)[slots].iter_mut().zip(&blocks[at]) {
+                assert_eq!(b.len(), bs, "block size mismatch");
+                *data = Some(b.clone());
+            }
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! The run index is checked by the counts of resident blocks and runs
+    //! and by a run of blocks that straddles two index entries (as every
+    //! rig's disk segment does: they start at block 2). Seen red, each
+    //! sabotage alone: a piece's key taken one block on (`(b + 1) / RUN`:
+    //! a put at block 255 lands in the next run, so the boundary test
+    //! reads B where it put A); a piece's slots one slot on, and a piece
+    //! not cut at its run's end (both index past the array, in the
+    //! boundary test and the 9 TB one).
+
     use super::*;
+
+    /// Blocks the store holds a handle for.
+    fn resident(s: &SparseStore) -> usize {
+        s.runs
+            .values()
+            .map(|run| run.iter().flatten().count())
+            .sum()
+    }
 
     #[test]
     fn unwritten_blocks_read_zero() {
@@ -248,7 +323,7 @@ mod tests {
         let mut buf = [0xffu8; 16];
         s.read(12345, &mut buf);
         assert_eq!(buf, [0u8; 16]);
-        assert_eq!(s.blocks.len(), 0);
+        assert_eq!((s.runs.len(), resident(&s)), (0, 0));
     }
 
     #[test]
@@ -263,16 +338,43 @@ mod tests {
         let mut one = [0u8; 4];
         s.read(21, &mut one);
         assert_eq!(one, [7; 4]);
-        assert_eq!(s.blocks.len(), 3);
+        assert_eq!(resident(&s), 3);
     }
 
     #[test]
     fn huge_addresses_are_cheap() {
-        // A "9 TB" address: only the touched block is resident.
+        // A "9 TB" address: only the touched block is resident, in the
+        // one run that holds it.
         let mut s = SparseStore::new(4096);
         let far = 9u64 * 1024 * 1024 * 1024 * 1024 / 4096;
         s.write(far - 1, &vec![1u8; 4096]);
-        assert_eq!(s.blocks.len(), 1);
+        assert_eq!((s.runs.len(), resident(&s)), (1, 1));
+    }
+
+    #[test]
+    fn a_run_across_two_index_entries_moves_every_block() {
+        let mut s = SparseStore::new(4);
+        // Blocks A, B, C, D at 254..258: two in each of runs 0 and 1.
+        let abcd: Vec<u8> = (1..=16).collect();
+        s.write(254, &abcd);
+        assert_eq!((s.runs.len(), resident(&s)), (2, 4));
+        let mut back = [0xeeu8; 24];
+        s.read(253, &mut back);
+        assert_eq!(back[..4], [0; 4]);
+        assert_eq!(back[4..20], abcd[..]);
+        assert_eq!(back[20..], [0; 4]);
+
+        let mut lent = vec![Block::zeroed(4); 6];
+        s.lend(253, &mut lent);
+        assert_eq!(lent.concat(), back);
+        // A, B, C, D again at 255..259: block 255 is run 0's last slot.
+        s.put(255, &lent[1..5]);
+        assert_eq!((s.runs.len(), resident(&s)), (2, 5));
+        s.read(253, &mut back);
+        assert_eq!(back[..8], [0, 0, 0, 0, 1, 2, 3, 4]);
+        assert_eq!(back[8..], abcd[..]);
+        s.lend(253, &mut lent);
+        assert_eq!(lent.concat(), back);
     }
 
     #[test]
