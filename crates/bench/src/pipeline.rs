@@ -31,7 +31,7 @@ use hl_lfs::types::SegNo;
 use hl_sim::stats::percentile;
 use hl_sim::time::SimTime;
 use hl_sim::{Actor, ActorId, PhaseTimer, Scheduler, Step};
-use hl_vdev::{BlockDev, Disk, BLOCK_SIZE};
+use hl_vdev::{Block, BlockDev, Disk, BLOCK_SIZE};
 
 use crate::report::Json;
 
@@ -412,13 +412,14 @@ fn simulate(cfg: PipelineConfig) -> World {
         // volumes, well away from the copy-out stream's write volumes.
         let spv = cfg.jukebox.segments_per_volume();
         let hv = load.hot_volumes.max(1);
-        let seg_image = vec![0x6du8; BLOCKS_PER_SEG as usize * BLOCK_SIZE];
+        // Every demand segment is one shared block, 256 times over.
+        let seg = vec![Block::copy_of(&[0x6d; BLOCK_SIZE]); BLOCKS_PER_SEG as usize];
         for v in 0..hv {
             let vol = cfg.jukebox.volumes() - 1 - v;
             let slots = (load.reads.div_ceil(hv)).min(spv);
             for slot in 0..slots {
                 cfg.jukebox
-                    .poke_segment(vol, slot, &seg_image)
+                    .poke_segment_blocks(vol, slot, &seg)
                     .expect("poke demand segment");
             }
         }

@@ -10,7 +10,8 @@
 //!   slots, two drives, cache lines `40..52`). [`RigSpec::cache_disk`]
 //!   is the scenario/shard shape: an RZ58 that holds nothing but the
 //!   cache pool, with the deterministic [`seg_image`] poked onto every
-//!   tertiary segment so fetched bytes have an oracle.
+//!   tertiary segment so fetched bytes have an oracle. The image is one
+//!   block repeated, so every slot holds 256 handles onto that block.
 //!
 //! Both are parameterised only by what their callers vary; both cut the
 //! changer down with [`hp6300`].
@@ -19,12 +20,12 @@ use std::cell::RefCell;
 use std::ops::Range;
 use std::rc::Rc;
 
-use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
+use hl_footprint::{Jukebox, JukeboxConfig};
 use hl_lfs::error::Result;
 use hl_lfs::recovery::RecoveryReport;
 use hl_lfs::types::SegNo;
 use hl_sim::Clock;
-use hl_vdev::{BlockDev, Disk, DiskProfile, ScsiBus, BLOCK_SIZE};
+use hl_vdev::{Block, BlockDev, Disk, DiskProfile, ScsiBus, BLOCK_SIZE};
 
 use crate::segcache::{EjectPolicy, SegCache};
 use crate::service::TertiaryIo;
@@ -109,12 +110,21 @@ impl HlRig {
 
 /// The deterministic 1 MB byte image of tertiary segment `seg` under
 /// `seed`: pre-poked onto the media, staged by writer tenants, and
-/// compared by the end-of-run oracles.
+/// compared by the end-of-run oracles. Byte `i` is `7 i + k mod 256`,
+/// `k` from `seg` and `seed`, so the image is one 4 KB block repeated.
 pub fn seg_image(seed: u64, seg: SegNo) -> Vec<u8> {
+    seg_block(seed, seg).repeat(BLOCKS_PER_SEG as usize)
+}
+
+/// Every block of [`seg_image`]`(seed, seg)`: its byte pattern repeats
+/// every 256 bytes, so each of the segment's blocks is this one.
+fn seg_block(seed: u64, seg: SegNo) -> Block {
     let k = (seg as u8).wrapping_mul(13).wrapping_add(seed as u8);
-    (0..(BLOCKS_PER_SEG as usize * BLOCK_SIZE))
-        .map(|i| (i as u8).wrapping_mul(7).wrapping_add(k))
-        .collect()
+    let mut bytes = [0u8; BLOCK_SIZE];
+    for (i, b) in bytes.iter_mut().enumerate() {
+        *b = (i as u8).wrapping_mul(7).wrapping_add(k);
+    }
+    Block::copy_of(&bytes)
 }
 
 /// Panics, listing them, if the engine's trace has tracecheck findings.
@@ -227,9 +237,15 @@ impl RigSpec {
             None,
         );
         if let Some(seed) = self.image_seed {
+            // Each slot holds one block's handle 256 times: a segment's
+            // oracle costs one block and one handle array, not 1 MB.
+            let mut run = Vec::with_capacity(BLOCKS_PER_SEG as usize);
             for vol in 0..self.volumes {
                 for slot in 0..self.slots {
-                    jb.poke_segment(vol, slot, &seg_image(seed, map.tert_seg(vol, slot)))
+                    run.clear();
+                    let block = seg_block(seed, map.tert_seg(vol, slot));
+                    run.resize(BLOCKS_PER_SEG as usize, block);
+                    jb.poke_segment_blocks(vol, slot, &run)
                         .expect("poke oracle segment");
                 }
             }
@@ -242,6 +258,7 @@ impl RigSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hl_footprint::Footprint;
 
     /// The default preset is the rig the suites hand-assembled up to
     /// PR 12 (`UniformMap::new(2, 256, 64, 4, 8)`, lines `40..52`, two
@@ -295,6 +312,20 @@ mod tests {
                 .map(|i: usize| (i as u8).wrapping_mul(7).wrapping_add(k))
                 .collect();
             assert!(seg_image(seed, seg) == want, "seed {seed} seg {seg}");
+        }
+    }
+
+    /// A cache-disk rig's media hold every oracle byte, each slot as one
+    /// shared block.
+    #[test]
+    fn cache_disk_media_hold_the_oracle() {
+        let (_, jb, map) = RigSpec::cache_disk(2, 2, 3, 1, 1993).build();
+        let mut back = vec![0u8; 1 << 20];
+        for vol in 0..2 {
+            for slot in 0..3 {
+                jb.peek_segment(vol, slot, &mut back).unwrap();
+                assert!(back == seg_image(1993, map.tert_seg(vol, slot)));
+            }
         }
     }
 }

@@ -218,6 +218,21 @@ impl Jukebox {
             .is_some_and(Option::is_some)
     }
 
+    /// Untimed write by reference, for formatting and tests: slot `seg`
+    /// of `vol` keeps handles onto `blocks`, one per block of the
+    /// segment. The handle form of [`Footprint::poke_segment`], as
+    /// `BlockDev::poke_blocks` is of `BlockDev::poke`.
+    pub fn poke_segment_blocks(
+        &self,
+        vol: VolumeId,
+        seg: u32,
+        blocks: &[Block],
+    ) -> Result<(), DevError> {
+        self.check(run_bytes(blocks, BLOCK_SIZE)?, vol, seg)?;
+        self.store(vol, seg, blocks.into());
+        Ok(())
+    }
+
     /// Ensures `vol` is loaded in a drive, swapping if needed. Returns
     /// `(drive index, time the volume is ready)`.
     ///

@@ -5,7 +5,8 @@
 //! a block by handle (a read miss allocates nothing, a write and its
 //! sync one block per block written), a segment
 //! crossing between the levels allocates only the medium's slot array,
-//! and an actor parking on a request's ticket and being woken by the
+//! an oracle segment poked onto a rig's media allocates one block and
+//! one slot array, and an actor parking on a request's ticket and being woken by the
 //! engine allocates nothing. Exact counts, so the day a `format!`, a
 //! per-step `Vec` or a staging copy creeps back this goes red.
 //!
@@ -32,22 +33,29 @@ use hl_vdev::{Block, BlockDev, Disk, DiskProfile, BLOCK_SIZE};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation of `size` bytes on this thread.
+fn count(size: usize) {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; counting touches only a const-initialised
-// thread-local `Cell`, which neither allocates nor unwinds.
+// the `GlobalAlloc` contract; counting touches only const-initialised
+// thread-local `Cell`s, which neither allocate nor unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        count(layout.size());
         // SAFETY: the caller's obligations are passed on as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        count(new_size);
         // SAFETY: the caller's obligations are passed on as received.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -66,6 +74,13 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(Cell::get);
     f();
     ALLOCS.with(Cell::get) - before
+}
+
+/// Allocations, and bytes allocated, while `f` runs.
+fn allocs_and_bytes_during(f: impl FnOnce()) -> (u64, u64) {
+    let before = BYTES.with(Cell::get);
+    let allocs = allocs_during(f);
+    (allocs, BYTES.with(Cell::get) - before)
 }
 
 /// A tracer whose ring is already full: every further event is digested
@@ -341,6 +356,31 @@ fn a_fetch_and_copy_out_round_trip_allocates_one_slot_array() {
     let mut back = vec![0u8; 1 << 20];
     jb.peek_segment(0, 0, &mut back).unwrap();
     assert!(back.iter().all(|&b| b == 7));
+}
+
+/// Building a scenario/shard rig pokes the oracle image onto each of its
+/// 64 tertiary segments as one shared block: per segment the block and
+/// the slot's handle array (2 allocations, 4 KB and 8 KB of bytes), plus
+/// one handle run reused for every segment. Nothing per block, and no
+/// segment's bytes. Seen red (256 allocations, and 2 109 472 bytes a
+/// segment) with the per-slot `poke_segment(&seg_image(..))` put back.
+#[test]
+fn building_an_oracle_rig_allocates_per_segment_not_per_block() {
+    const SEGS: u64 = 4 * 16;
+    let with = RigSpec::cache_disk(16, 4, 16, 2, 1993);
+    let without = RigSpec {
+        image_seed: None,
+        ..with.clone()
+    };
+    let cost = |spec: &RigSpec| allocs_and_bytes_during(|| drop(spec.build()));
+    cost(&with);
+    let ((allocs, bytes), (bare_allocs, bare_bytes)) = (cost(&with), cost(&without));
+    assert_eq!(allocs - bare_allocs, 2 * SEGS + 1);
+    assert!(
+        bytes - bare_bytes < SEGS * 16 * 1024,
+        "{} bytes per segment",
+        (bytes - bare_bytes) / SEGS
+    );
 }
 
 /// The same round trip through the engine — demand fetch, seal,
