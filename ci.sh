@@ -137,6 +137,22 @@ if grep -nE 'Box<\[u8\]>|read_scratch|read_raw' crates/lfs/src/*.rs; then
   exit 1
 fi
 
+# Whole segments by reference at the rig end too: a rig, shard or bench
+# pokes a tertiary segment as block handles
+# (`Jukebox::poke_segment_blocks`), never as a 1 MB byte image. The gate
+# fails on a byte-form `poke_segment(` in the non-test part (each file
+# up to its first column-0 `#[cfg(test)]`) of crates/core/src,
+# crates/server/src and crates/bench/src. Seen red with rig.rs's
+# per-slot `poke_segment(vol, slot, &seg_image(..))` restored.
+echo "==> whole segments by reference: no byte-form poke_segment outside tests"
+if awk 'FNR == 1 { t = 0 }
+        /^#\[cfg\(test\)\]/ { t = 1 }
+        !t && /poke_segment\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/core/src/*.rs crates/server/src/*.rs crates/bench/src/*.rs; then
+  echo "  a segment is poked as bytes: poke its Block handles"
+  exit 1
+fi
+
 run cargo build --release
 run cargo test --workspace -q   # every test binary once (covers tier-1's root suite)
 run cargo clippy --workspace --all-targets -- -D warnings
