@@ -157,17 +157,16 @@ const RUN: usize = 256;
 type Run = Box<[Option<Block>; RUN]>;
 
 /// Cuts the run of `n` blocks from `block` at [`RUN`] boundaries: for
-/// each piece, its index key, its slots in that run's array, and its
-/// positions in the caller's run.
-fn pieces(block: u64, n: usize) -> impl Iterator<Item = (u64, Range<usize>, Range<usize>)> {
-    let mut done = 0;
+/// each piece, its index key and its slots in that run's array.
+fn pieces(block: u64, n: usize) -> impl Iterator<Item = (u64, Range<usize>)> {
+    let end = block + n as u64;
+    let mut b = block;
     std::iter::from_fn(move || {
-        (done < n).then(|| {
-            let b = block + done as u64;
-            let lo = (b % RUN as u64) as usize;
-            let len = (RUN - lo).min(n - done);
-            done += len;
-            (b / RUN as u64, lo..lo + len, done - len..done)
+        (b < end).then(|| {
+            let (key, lo) = (b / RUN as u64, (b % RUN as u64) as usize);
+            let len = (RUN - lo).min((end - b) as usize);
+            b += len as u64;
+            (key, lo..lo + len)
         })
     })
 }
@@ -218,6 +217,15 @@ impl SparseStore {
             .or_insert_with(|| Box::new([const { None }; RUN]))
     }
 
+    /// The store's handle on each of the `n` blocks from `block`, `None`
+    /// where unwritten: one index probe per run touched.
+    fn handles(&self, block: u64, n: usize) -> impl Iterator<Item = Option<&Block>> {
+        pieces(block, n).flat_map(move |(key, slots)| {
+            let run = self.runs.get(&key);
+            slots.map(move |i| run.and_then(|run| run[i].as_ref()))
+        })
+    }
+
     /// Reads `buf.len() / block_size` blocks into `buf`.
     ///
     /// # Panics
@@ -226,18 +234,11 @@ impl SparseStore {
     pub fn read(&self, block: u64, buf: &mut [u8]) {
         let bs = self.block_size;
         assert!(buf.len().is_multiple_of(bs), "buffer size mismatch");
-        for (key, slots, at) in pieces(block, buf.len() / bs) {
-            let dst = buf[at.start * bs..at.end * bs].chunks_exact_mut(bs);
-            match self.runs.get(&key) {
-                Some(run) => {
-                    for (chunk, data) in dst.zip(&run[slots]) {
-                        match data {
-                            Some(data) => chunk.copy_from_slice(data),
-                            None => chunk.fill(0),
-                        }
-                    }
-                }
-                None => dst.for_each(|chunk| chunk.fill(0)),
+        let blocks = self.handles(block, buf.len() / bs);
+        for (chunk, data) in buf.chunks_exact_mut(bs).zip(blocks) {
+            match data {
+                Some(data) => chunk.copy_from_slice(data),
+                None => chunk.fill(0),
             }
         }
     }
@@ -253,9 +254,9 @@ impl SparseStore {
     pub fn write(&mut self, block: u64, buf: &[u8]) {
         let bs = self.block_size;
         assert!(buf.len().is_multiple_of(bs), "buffer size mismatch");
-        for (key, slots, at) in pieces(block, buf.len() / bs) {
-            let src = buf[at.start * bs..at.end * bs].chunks_exact(bs);
-            for (data, chunk) in self.run_mut(key)[slots].iter_mut().zip(src) {
+        let mut src = buf.chunks_exact(bs);
+        for (key, slots) in pieces(block, buf.len() / bs) {
+            for (data, chunk) in self.run_mut(key)[slots].iter_mut().zip(&mut src) {
                 match data.as_mut().and_then(Block::get_mut) {
                     Some(bytes) => bytes.copy_from_slice(chunk),
                     None => *data = Some(Block::copy_of(chunk)),
@@ -267,16 +268,9 @@ impl SparseStore {
     /// Replaces each of `out`'s handles with one onto the store's block
     /// (the zero block where unwritten). No bytes move.
     pub fn lend(&self, block: u64, out: &mut [Block]) {
-        for (key, slots, at) in pieces(block, out.len()) {
-            let dst = &mut out[at];
-            match self.runs.get(&key) {
-                Some(run) => {
-                    for (slot, data) in dst.iter_mut().zip(&run[slots]) {
-                        slot.clone_from(data.as_ref().unwrap_or(&self.zero));
-                    }
-                }
-                None => dst.iter_mut().for_each(|slot| slot.clone_from(&self.zero)),
-            }
+        let blocks = self.handles(block, out.len());
+        for (slot, data) in out.iter_mut().zip(blocks) {
+            slot.clone_from(data.unwrap_or(&self.zero));
         }
     }
 
@@ -287,8 +281,9 @@ impl SparseStore {
     /// Panics if a handle is not one block long.
     pub fn put(&mut self, block: u64, blocks: &[Block]) {
         let bs = self.block_size;
-        for (key, slots, at) in pieces(block, blocks.len()) {
-            for (data, b) in self.run_mut(key)[slots].iter_mut().zip(&blocks[at]) {
+        let mut src = blocks.iter();
+        for (key, slots) in pieces(block, blocks.len()) {
+            for (data, b) in self.run_mut(key)[slots].iter_mut().zip(&mut src) {
                 assert_eq!(b.len(), bs, "block size mismatch");
                 *data = Some(b.clone());
             }
@@ -303,9 +298,9 @@ mod tests {
     //! rig's disk segment does: they start at block 2). Seen red, each
     //! sabotage alone: a piece's key taken one block on (`(b + 1) / RUN`:
     //! a put at block 255 lands in the next run, so the boundary test
-    //! reads B where it put A); a piece's slots one slot on, and a piece
-    //! not cut at its run's end (both index past the array, in the
-    //! boundary test and the 9 TB one).
+    //! reads B where it put A); a piece's slots one slot on (past the
+    //! array in the boundary test and the 9 TB one); a piece not cut at
+    //! its run's end (past the array in the boundary test).
 
     use super::*;
 
