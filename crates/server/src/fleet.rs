@@ -220,8 +220,9 @@ struct ClientActor {
     scan_width: Option<u32>,
     think: SimTime,
     open_interval: Option<SimTime>,
-    /// `req_id → (sent at, opcode)`.
-    inflight: BTreeMap<u64, (SimTime, u8)>,
+    /// `(req_id, sent at, opcode)` of each outstanding request: at most
+    /// one for a closed-loop client.
+    inflight: Vec<(u64, SimTime, u8)>,
     next_send: SimTime,
 }
 
@@ -242,7 +243,7 @@ impl ClientActor {
             req_id,
             req,
         });
-        self.inflight.insert(req_id, (now, req.opcode()));
+        self.inflight.push((req_id, now, req.opcode()));
         w.submit(self.conn.id, now);
     }
 }
@@ -254,10 +255,12 @@ impl Actor<FleetWorld> for ClientActor {
             .recv_response()
             .expect("well-formed response stream")
         {
-            let (sent, op) = self
+            let at = self
                 .inflight
-                .remove(&r.req_id)
+                .iter()
+                .position(|&(id, ..)| id == r.req_id)
                 .expect("response matches an outstanding request");
+            let (_, sent, op) = self.inflight.swap_remove(at);
             // Get/Put answers carry the virtual completion time of the
             // media work (the engine future-dates tickets), so latency
             // is measured to that instant — the user-felt residency —
@@ -620,7 +623,7 @@ fn simulate(cfg: &FleetConfig) -> (FleetWorld, SimTime, u64) {
                 scan_width,
                 think: cfg.think,
                 open_interval: cfg.open_loop,
-                inflight: BTreeMap::new(),
+                inflight: Vec::new(),
                 next_send: 0,
             },
         ));
