@@ -153,6 +153,22 @@ if awk 'FNR == 1 { t = 0 }
   exit 1
 fi
 
+# Frames in place (DESIGN.md §6h, "Protocol + pool"): each direction
+# of a connection is one buffer and a read cursor; a send encodes
+# straight onto the buffer and a receive decodes at the cursor, so a
+# request and its reply allocate nothing. The gate fails on a
+# `VecDeque` or a `Vec::new()` in the non-test part (up to the first
+# column-0 `#[cfg(test)]`) of crates/server/src/connection.rs. Seen red
+# with the old `send_request` (a temporary `Vec::new()` copied into a
+# `VecDeque`) restored.
+echo "==> frames in place: no byte queue or temporary buffer in connection.rs"
+if awk '/^#\[cfg\(test\)\]/ { exit }
+        /VecDeque|Vec::new\(\)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/server/src/connection.rs; then
+  echo "  a frame is staged outside its pipe: encode onto the pipe's buffer"
+  exit 1
+fi
+
 run cargo build --release
 run cargo test --workspace -q   # every test binary once (covers tier-1's root suite)
 run cargo clippy --workspace --all-targets -- -D warnings
