@@ -29,6 +29,12 @@ use highlight::TenantId;
 /// length must not make a reader wait forever for bytes).
 const MAX_FRAME: u32 = 256;
 
+/// Bytes of one encoded request frame, length prefix included.
+pub(crate) const REQUEST_BYTES: usize = 4 + 25;
+
+/// Bytes of one encoded response frame, length prefix included.
+pub(crate) const RESPONSE_BYTES: usize = 4 + 17;
+
 /// What a client asks of the hierarchy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Req {
@@ -250,6 +256,7 @@ mod tests {
             off += used;
         }
         assert_eq!(off, buf.len(), "no trailing bytes");
+        assert_eq!(buf.len(), frames.len() * REQUEST_BYTES);
     }
 
     #[test]
@@ -269,6 +276,7 @@ mod tests {
             let (got, used) = decode_response(&buf).unwrap().unwrap();
             assert_eq!(got, f);
             assert_eq!(used, buf.len());
+            assert_eq!(used, RESPONSE_BYTES);
         }
     }
 
