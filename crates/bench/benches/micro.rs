@@ -38,7 +38,7 @@ use hl_lfs::types::{FileKind, LBlock};
 use hl_lfs::ufs::Ufs;
 use hl_lfs::Lfs;
 use hl_sim::{Actor, Clock, Scheduler, SimTime, Step};
-use hl_trace::{Class, Tracer};
+use hl_trace::{tracecheck, Class, Expectations, Lane, QueueId, Tracer};
 use hl_vdev::{Block, BlockDev, Disk, DiskProfile, BLOCK_SIZE};
 
 /// Hard gate for the single-block secondary route.
@@ -320,31 +320,56 @@ fn bench_sched_step(c: &mut Criterion) {
 }
 
 /// One queue-residency event into the recorder — an event every queued
-/// request emits — on its two paths: kept in the ring (the ring is
-/// emptied whenever it fills, so every emit is a retained one), and
-/// digested-then-dropped past the retention bound, where a long run's
-/// events go.
+/// request emits, against its open span — on its two paths: digested and
+/// checked, as every run outside tests emits it, and also kept, as a
+/// test that asked for the event stream emits it (the tracer is renewed
+/// every 65 536 events, so the kept stream stays bounded). Then
+/// finishing the check of 10 002 events: one queued fetch's six events,
+/// 1 667 times.
 fn bench_trace_emit(c: &mut Criterion) {
-    let retained = Tracer::new();
+    let unkept = Tracer::new();
+    let span = unkept.open_span(0, Class::Demand, None);
+    c.bench_function("trace emit queuing, not retained", |b| {
+        let mut at = 0u64;
+        b.iter(|| {
+            at += 1;
+            unkept.queuing(black_box(at), span, Class::Demand, at - 1, at)
+        })
+    });
+    let kept_tracer = || {
+        let t = Tracer::new();
+        t.retain_events();
+        let span = t.open_span(0, Class::Demand, None);
+        (t, span)
+    };
+    let (mut kept, mut kept_span) = kept_tracer();
     c.bench_function("trace emit queuing, retained", |b| {
         let mut at = 0u64;
         b.iter(|| {
             at += 1;
-            if at.is_multiple_of(hl_trace::DEFAULT_CAP as u64) {
-                retained.reset();
+            if at.is_multiple_of(65_536) {
+                (kept, kept_span) = kept_tracer();
             }
-            retained.queuing(black_box(at), at, Class::Demand, at - 1, at)
+            kept.queuing(black_box(at), kept_span, Class::Demand, at - 1, at)
         })
     });
-    let capped = Tracer::with_capacity(0);
-    c.bench_function("trace emit queuing, past cap", |b| {
-        let mut at = 0u64;
-        b.iter(|| {
-            at += 1;
-            capped.queuing(black_box(at), at, Class::Demand, at - 1, at)
-        })
+    black_box((unkept.digest(), kept.digest()));
+
+    const SPANS: u64 = 1_667;
+    let filled = Tracer::new();
+    for i in 0..SPANS {
+        let at = i * 10;
+        let span = filled.open_span(at, Class::Demand, Some(i));
+        filled.queue_depth(at, QueueId::Request, 1);
+        filled.queuing(at + 2, span, Class::Demand, at, at + 2);
+        filled.queue_depth(at + 2, QueueId::Request, 0);
+        filled.dev_io(Lane::Drive(0), at + 2, at + 9);
+        filled.close_span(at + 9, span, true);
+    }
+    let expect = Expectations::quiesced([2 * SPANS, 0, 0, 0, 0], 1).with_drive_lanes(1);
+    c.bench_function("tracecheck finish, 10 002 events", |b| {
+        b.iter(|| assert!(tracecheck(&filled, &expect).is_empty()))
     });
-    black_box((retained.digest(), capped.digest()));
 }
 
 fn evict_id(blocks: u32) -> String {

@@ -466,35 +466,18 @@ pub fn run(cfg: PipelineConfig) -> PipelineResult {
         .filter(|t| t.fetch_result().is_err())
         .count();
     // Queue residency (enqueue to device start) of each demand fetch,
-    // replayed from the recorder's event stream.
+    // as the recorder counted them.
     let demand_residency = tio.tracer().residencies(hl_trace::Class::Demand);
     let st = tio.stats();
     let drives = tio.drives();
     let total_end = completions.last().copied().unwrap_or(0);
-    // Per-drive availability timeline: pair each DriveDown with the
-    // next DriveUp on the same drive; a drive still down at the end
-    // closes its interval at the run's horizon.
+    // Per-drive availability timeline: each down window, from a drive's
+    // first DriveDown to its next DriveUp; a drive still down at the end
+    // closes its window at the run's horizon.
     let mut availability: Vec<Vec<(SimTime, SimTime)>> = vec![Vec::new(); drives];
-    let mut open: Vec<Option<SimTime>> = vec![None; drives];
-    for ev in tio.tracer().events().iter() {
-        match ev.kind {
-            hl_trace::EventKind::DriveDown { drive } => {
-                if let Some(slot) = open.get_mut(drive as usize) {
-                    slot.get_or_insert(ev.at);
-                }
-            }
-            hl_trace::EventKind::DriveUp { drive } => {
-                let d = drive as usize;
-                if let Some(s) = open.get_mut(d).and_then(|o| o.take()) {
-                    availability[d].push((s, ev.at));
-                }
-            }
-            _ => {}
-        }
-    }
-    for (d, slot) in open.into_iter().enumerate() {
-        if let Some(s) = slot {
-            availability[d].push((s, total_end.max(s)));
+    for (d, down, up) in tio.tracer().down_windows() {
+        if let Some(windows) = availability.get_mut(d as usize) {
+            windows.push((down, up.unwrap_or(total_end.max(down))));
         }
     }
     PipelineResult {

@@ -130,6 +130,7 @@ mod tests {
     #[test]
     fn trace_batch_leaves_one_mark_per_batch() {
         let tracer = hl_trace::Tracer::new();
+        tracer.retain_events();
         trace_batch(&tracer, 1_000, 42, 3);
         trace_batch(&tracer, 2_000, 7, 1);
         let marks: Vec<(u64, String)> = tracer

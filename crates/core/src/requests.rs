@@ -1007,6 +1007,7 @@ mod tests {
     #[test]
     fn congested_devq_holds_tagged_background_work() {
         let mut q = queues();
+        q.tracer.retain_events();
         for _ in 0..(DEVQ_CAP - QOS_HEADROOM) {
             q.devq.push_back(devop(ReqClass::Demand, None));
         }

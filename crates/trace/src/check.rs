@@ -1,18 +1,23 @@
 //! Trace invariant checking.
 //!
-//! [`tracecheck`] replays a recorded trace and verifies the lifecycle
-//! rules the engine is supposed to obey. It is a *separate* reading of
-//! the history: the recorder's derived accumulators are maintained
-//! eagerly at emission time, while the checker recomputes everything
-//! from the retained events, so a disagreement between the two (or with
-//! the engine's own counters, passed in as [`Expectations`]) is a bug.
+//! The recorder feeds every event to a checker as it is emitted, and
+//! [`tracecheck`] finishes the check: it adds the end-of-trace findings
+//! to the ones found on the way. The checker is a *separate* reading of
+//! the history: the recorder's derived accumulators are maintained at
+//! emission time from the emitter's arguments, while the checker
+//! recomputes its own state from the events, so a disagreement between
+//! the two (or with the engine's own counters, passed in as
+//! [`Expectations`]) is a bug. Its state is bounded by what is live: a
+//! span's entry goes when the span closes, a line's when the line goes
+//! `empty`, a watchdog's when its span is re-dispatched or resolved. The
+//! one thing it keeps per event is each device op's interval (24 bytes),
+//! which the peak and down-window sweeps read when the check finishes.
 //!
 //! Checked invariants:
 //!
 //! 1. **Span lifecycle** — every span opens exactly once and closes
-//!    exactly once; closes reference a known open span (or one carried
-//!    over a reset as baseline); optionally, no span is left open at the
-//!    end of the trace.
+//!    exactly once; closes reference a known open span; optionally, no
+//!    span is left open at the end of the trace.
 //! 2. **Cache-line state machine** — transitions follow the legal
 //!    machine (empty → filling/staging/clean/dirtywait; filling → clean;
 //!    staging → dirtywait/clean; dirtywait → clean; any → empty on
@@ -39,11 +44,12 @@
 //! 8. **Tenant fair-queue lifecycle** — `TenantAdmit` and
 //!    `TenantThrottle` events reference spans that are open at the time
 //!    of the event (a held or admitted request is necessarily in
-//!    flight), and no span is admitted twice (a request dispatches
+//!    flight), and no open span is admitted twice (a request dispatches
 //!    once; re-dispatch after a drive fault is a `Redispatch`, not a
 //!    second admit).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 use crate::{Class, Event, EventKind, Lane, LineTag, TraceTime, Tracer};
 
@@ -137,30 +143,8 @@ fn legal_line_transition(from: LineTag, to: LineTag) -> bool {
 /// Peak overlap of the given intervals: an op starting exactly when
 /// another ends counts as overlapping (back-to-back handoff), and
 /// zero-duration ops occupy their instant.
-pub(crate) fn peak_overlap(intervals: &[(TraceTime, TraceTime)]) -> usize {
-    if intervals.is_empty() {
-        return 0;
-    }
-    let mut starts: Vec<TraceTime> = intervals.iter().map(|&(s, _)| s).collect();
-    let mut ends: Vec<TraceTime> = intervals
-        .iter()
-        .map(|&(_, e)| e.saturating_add(1))
-        .collect();
-    starts.sort_unstable();
-    ends.sort_unstable();
-    let (mut si, mut ei) = (0usize, 0usize);
-    let (mut cur, mut peak) = (0usize, 0usize);
-    while si < starts.len() {
-        if starts[si] < ends[ei] {
-            cur += 1;
-            peak = peak.max(cur);
-            si += 1;
-        } else {
-            cur -= 1;
-            ei += 1;
-        }
-    }
-    peak
+fn peak_overlap(intervals: impl Iterator<Item = (TraceTime, TraceTime)>) -> usize {
+    sweep(intervals.map(|(s, e)| (s, e.saturating_add(1))))
 }
 
 /// Peak overlap under *strict* half-open `[start, end)` semantics: an op
@@ -168,87 +152,326 @@ pub(crate) fn peak_overlap(intervals: &[(TraceTime, TraceTime)]) -> usize {
 /// legal back-to-back handoff on a physical drive), and zero-duration
 /// ops occupy nothing. Used for the per-drive invariant, where handoffs
 /// at the same instant are the normal case.
-pub(crate) fn peak_overlap_strict(intervals: &[(TraceTime, TraceTime)]) -> usize {
-    let mut starts: Vec<TraceTime> = Vec::new();
-    let mut ends: Vec<TraceTime> = Vec::new();
-    for &(s, e) in intervals {
-        if e > s {
-            starts.push(s);
-            ends.push(e);
-        }
-    }
+fn peak_overlap_strict(intervals: impl Iterator<Item = (TraceTime, TraceTime)>) -> usize {
+    sweep(intervals.filter(|&(s, e)| e > s))
+}
+
+/// The most half-open `[start, end)` intervals covering one instant.
+fn sweep(intervals: impl Iterator<Item = (TraceTime, TraceTime)>) -> usize {
+    let (mut starts, mut ends): (Vec<TraceTime>, Vec<TraceTime>) = intervals.unzip();
     starts.sort_unstable();
     ends.sort_unstable();
-    let (mut si, mut ei) = (0usize, 0usize);
-    let (mut cur, mut peak) = (0usize, 0usize);
-    while si < starts.len() {
-        if starts[si] < ends[ei] {
-            cur += 1;
-            peak = peak.max(cur);
-            si += 1;
-        } else {
-            cur -= 1;
+    let (mut ei, mut cur, mut peak) = (0usize, 0usize, 0usize);
+    for s in starts {
+        // A backwards interval (a finding of its own) may end before any
+        // start: it covers nothing.
+        while ei < ends.len() && ends[ei] <= s {
+            cur = cur.saturating_sub(1);
             ei += 1;
         }
+        cur += 1;
+        peak = peak.max(cur);
     }
     peak
 }
 
-/// Replays the tracer's retained events and returns every invariant
-/// violation found (empty = the trace is consistent).
-///
-/// A truncated trace (events emitted past the retention bound) cannot be
-/// verified and is itself reported as a finding; size test scenarios
-/// under the bound, or raise it with [`Tracer::with_capacity`].
+/// Finishes the check the recorder has fed every event to since the
+/// tracer was made, and returns every invariant violation found (empty =
+/// the trace is consistent): the findings seen as the events arrived,
+/// then the end-of-trace checks against `expect`. No event is read
+/// again, and a check can be finished any number of times.
 pub fn tracecheck(tracer: &Tracer, expect: &Expectations) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    if tracer.dropped() > 0 {
-        findings.push(whole(format!(
-            "trace truncated: {} events dropped past the retention bound",
-            tracer.dropped()
-        )));
-        return findings;
+    tracer.rec.borrow_mut().checker.finish(expect)
+}
+
+/// What the checker knows of one open span.
+struct Live {
+    class: Class,
+    /// The fair queue admitted it.
+    admitted: bool,
+    /// A lane that abandoned its op pushed it back into the device queue.
+    redispatched: bool,
+}
+
+/// One drive lane's serialization, streamed. Its ops arrive in start
+/// order, so an overlap shows as an op starting before the lane is free.
+#[derive(Clone, Copy, Default)]
+struct DriveLane {
+    last_start: TraceTime,
+    /// The latest end of a non-empty op so far.
+    busy_until: TraceTime,
+    /// Two ops overlapped, or one started before its predecessor: the
+    /// finish sweeps this lane's intervals for its exact peak.
+    recheck: bool,
+}
+
+/// How many findings seen as events arrive are listed; past it they are
+/// counted, so a broken stream's checker stays bounded too.
+const LISTED_FINDINGS: usize = 1_000;
+
+/// The invariant checker the recorder feeds at emission.
+#[derive(Default)]
+pub(crate) struct Checker {
+    /// Findings so far, in event order: the first [`LISTED_FINDINGS`].
+    findings: Vec<Finding>,
+    /// Findings seen past [`LISTED_FINDINGS`].
+    unlisted: u64,
+    /// Open spans.
+    open: BTreeMap<u64, Live>,
+    /// One past the highest span id opened. The recorder hands span ids
+    /// out densely and in order, so every id below it has been opened
+    /// and, unless it is open, closed.
+    opened_below: u64,
+    /// Opens of an already opened id, per span (a broken stream only).
+    reopens: BTreeMap<u64, u64>,
+    /// Closes of a span that was not open, per span (a broken stream
+    /// only).
+    stray_closes: BTreeMap<u64, u64>,
+    /// Spans re-dispatched while not open (a broken stream only).
+    stray_redispatches: BTreeSet<u64>,
+    /// Cache-line state per tertiary segment (absent = empty).
+    lines: BTreeMap<u64, LineTag>,
+    /// Queue residency recomputed per class.
+    wait: [TraceTime; 5],
+    /// Per drive lane, by index.
+    drives: Vec<DriveLane>,
+    /// Every device op, with the lane it occupied.
+    dev: Vec<(Lane, TraceTime, TraceTime)>,
+    /// `(peak in flight, drive peak)` over `dev`, until the next op.
+    peaks: Option<(usize, usize)>,
+    /// Currently down drives and when they went down.
+    down: BTreeMap<u32, TraceTime>,
+    /// Closed down windows: (drive, from, until).
+    windows: Vec<(u32, TraceTime, TraceTime)>,
+    /// Watchdog fires whose span is neither re-dispatched nor resolved
+    /// yet: (event seq, span).
+    watchdogs: Vec<(u64, u64)>,
+}
+
+impl Checker {
+    /// Checks one event against the state so far and updates it.
+    pub(crate) fn feed(&mut self, ev: &Event) {
+        let Checker {
+            findings,
+            unlisted,
+            open,
+            ..
+        } = self;
+        let mut fail = |message: fmt::Arguments| {
+            if findings.len() < LISTED_FINDINGS {
+                findings.push(Finding {
+                    seq: ev.seq,
+                    message: message.to_string(),
+                });
+            } else {
+                *unlisted += 1;
+            }
+        };
+        match &ev.kind {
+            EventKind::SpanOpen { span, class, .. } => {
+                if *span < self.opened_below {
+                    let n = self.reopens.entry(*span).or_insert(1);
+                    *n += 1;
+                    fail(format_args!("span {span} opened {n} times"));
+                }
+                self.opened_below = self.opened_below.max(span + 1);
+                let live = Live {
+                    class: *class,
+                    admitted: false,
+                    redispatched: false,
+                };
+                if open.insert(*span, live).is_some() {
+                    fail(format_args!("span {span} re-opened while still open"));
+                }
+            }
+            EventKind::SpanClose { span, .. } => {
+                if open.remove(span).is_none() {
+                    let n = self.stray_closes.entry(*span).or_insert(0);
+                    *n += 1;
+                    match *n + u64::from(*span < self.opened_below) {
+                        1 => fail(format_args!("span {span} closed but was never open")),
+                        n => fail(format_args!("span {span} closed {n} times")),
+                    }
+                }
+                self.watchdogs.retain(|&(_, s)| s != *span);
+            }
+            EventKind::Join { span, .. } => {
+                if !open.contains_key(span) {
+                    fail(format_args!(
+                        "coalesced fetch joined span {span}, which is not a live parent op"
+                    ));
+                }
+            }
+            EventKind::Queuing {
+                span,
+                class,
+                from,
+                to,
+            } => {
+                if to < from {
+                    fail(format_args!(
+                        "queuing interval runs backwards: {from}..{to}"
+                    ));
+                }
+                let wait = &mut self.wait[*class as usize];
+                *wait = wait.saturating_add(to.saturating_sub(*from));
+                // The op's span must still be in flight while it queues.
+                if !open.contains_key(span) {
+                    fail(format_args!(
+                        "queuing recorded for span {span}, which is not open"
+                    ));
+                }
+            }
+            EventKind::QueueDepth { .. } => {}
+            EventKind::CacheState { seg, from, to } => {
+                let tracked = self.lines.get(seg).copied().unwrap_or(LineTag::Empty);
+                if tracked != *from {
+                    fail(format_args!(
+                        "cache line {seg}: transition claims from={} but tracked state is {}",
+                        from.label(),
+                        tracked.label()
+                    ));
+                }
+                if !legal_line_transition(*from, *to) {
+                    fail(format_args!(
+                        "cache line {seg}: illegal transition {}>{}",
+                        from.label(),
+                        to.label()
+                    ));
+                }
+                if *to == LineTag::Empty {
+                    self.lines.remove(seg);
+                } else {
+                    self.lines.insert(*seg, *to);
+                }
+            }
+            EventKind::CacheRekey { old, new } => match self.lines.remove(old) {
+                Some(state) => {
+                    self.lines.insert(*new, state);
+                }
+                None => fail(format_args!(
+                    "rekey of {old}>{new}: no line tracked for {old}"
+                )),
+            },
+            EventKind::DevIo { lane, start, end } => {
+                if end < start {
+                    fail(format_args!("device op runs backwards: {start}..{end}"));
+                }
+                self.dev.push((*lane, *start, *end));
+                self.peaks = None;
+                if let Lane::Drive(d) = *lane {
+                    let d = d as usize;
+                    if self.drives.len() <= d {
+                        self.drives.resize(d + 1, DriveLane::default());
+                    }
+                    let l = &mut self.drives[d];
+                    let busy = end > start && *start < l.busy_until;
+                    l.recheck |= busy || *start < l.last_start;
+                    l.last_start = *start;
+                    if end > start {
+                        l.busy_until = l.busy_until.max(*end);
+                    }
+                }
+            }
+            EventKind::DriveDown { drive } => {
+                if self.down.insert(*drive, ev.at).is_some() {
+                    fail(format_args!(
+                        "drive d{drive} marked down while already down"
+                    ));
+                }
+            }
+            EventKind::DriveUp { drive } => match self.down.remove(drive) {
+                Some(since) => self.windows.push((*drive, since, ev.at)),
+                None => fail(format_args!("drive d{drive} marked up but was not down")),
+            },
+            EventKind::WatchdogFire { span, .. } => {
+                let settled = match open.get(span) {
+                    Some(live) => live.redispatched,
+                    None => {
+                        fail(format_args!(
+                            "watchdog fired for span {span}, which is not open"
+                        ));
+                        *span < self.opened_below
+                            || self.stray_closes.contains_key(span)
+                            || self.stray_redispatches.contains(span)
+                    }
+                };
+                if !settled {
+                    self.watchdogs.push((ev.seq, *span));
+                }
+            }
+            EventKind::Redispatch { span, .. } => {
+                match open.get_mut(span) {
+                    Some(live) => live.redispatched = true,
+                    None => {
+                        fail(format_args!(
+                            "re-dispatch of span {span}, which is not open"
+                        ));
+                        self.stray_redispatches.insert(*span);
+                    }
+                }
+                self.watchdogs.retain(|&(_, s)| s != *span);
+            }
+            EventKind::TenantAdmit { tenant, span, .. } => match open.get_mut(span) {
+                Some(live) if live.admitted => {
+                    fail(format_args!("span {span} admitted twice by the fair queue"));
+                }
+                Some(live) => live.admitted = true,
+                None => fail(format_args!(
+                    "tenant n{tenant} admit references span {span}, which is not open"
+                )),
+            },
+            EventKind::TenantThrottle { tenant, span, .. } => {
+                if !open.contains_key(span) {
+                    fail(format_args!(
+                        "tenant n{tenant} throttle references span {span}, which is not open"
+                    ));
+                }
+            }
+            EventKind::Fault { .. } | EventKind::Mark { .. } => {}
+        }
     }
-    let events = tracer.events();
 
-    // Span bookkeeping, seeded with the spans carried over a reset.
-    let mut open: BTreeMap<u64, Class> = tracer.baseline_open().into_iter().collect();
-    let mut ever_opened: BTreeMap<u64, u64> = BTreeMap::new(); // span -> open count
-    let mut ever_closed: BTreeMap<u64, u64> = BTreeMap::new();
-    // Cache-line state per tertiary segment (absent = empty).
-    let mut lines: BTreeMap<u64, LineTag> = BTreeMap::new();
-    // Queue residency recomputed per class.
-    let mut wait = [0u64; 5];
-    // Device intervals, with the lane each occupied.
-    let mut devops: Vec<(Lane, TraceTime, TraceTime)> = Vec::new();
-    // Drive health bookkeeping (down windows, watchdog/re-dispatch spans).
-    let mut health = HealthState::default();
-    // Spans the fair queue has admitted (each at most once).
-    let mut admitted: BTreeSet<u64> = BTreeSet::new();
+    /// `(peak in flight, drive peak)`: see [`Tracer::peak_in_flight`]
+    /// and [`Tracer::drive_peak`]. Read-outs sweep once per new device
+    /// op; [`tracecheck`] sweeps every time it finishes.
+    pub(crate) fn peaks(&mut self) -> (usize, usize) {
+        match self.peaks {
+            Some(peaks) => peaks,
+            None => self.sweep_peaks(),
+        }
+    }
 
-    for ev in &events {
-        check_event(
-            ev,
-            &mut findings,
-            &mut open,
-            &mut ever_opened,
-            &mut ever_closed,
-            &mut lines,
-            &mut wait,
-            &mut devops,
-            &mut health,
-            &mut admitted,
+    fn sweep_peaks(&mut self) -> (usize, usize) {
+        let drive = self
+            .dev
+            .iter()
+            .filter(|(l, _, _)| matches!(l, Lane::Drive(_)));
+        let peaks = (
+            peak_overlap(self.dev.iter().map(|&(_, s, e)| (s, e))),
+            peak_overlap_strict(drive.map(|&(_, s, e)| (s, e))),
         );
+        self.peaks = Some(peaks);
+        peaks
     }
-    // Drives still down at the end of the trace close open-ended windows
-    // (legitimately: a dead drive may never come back).
-    for (d, since) in std::mem::take(&mut health.down) {
-        health.windows.push((d, since, TraceTime::MAX));
+
+    /// Currently open spans, in id order.
+    pub(crate) fn live_spans(&self) -> Vec<(u64, Class)> {
+        self.open.iter().map(|(&s, l)| (s, l.class)).collect()
     }
-    // Every watchdog-fired span must have been handed to another lane or
-    // resolved; otherwise its waiters are orphaned forever.
-    for &(seq, span) in &health.watchdogs {
-        if !health.redispatched.contains(&span) && !ever_closed.contains_key(&span) {
+
+    /// The findings so far plus the end-of-trace checks against `expect`.
+    fn finish(&mut self, expect: &Expectations) -> Vec<Finding> {
+        let mut findings = self.findings.clone();
+        if self.unlisted > 0 {
+            findings.push(whole(format!(
+                "{} more finding(s) as events arrived, counted but not listed",
+                self.unlisted
+            )));
+        }
+        // Every watchdog-fired span must have been handed to another lane
+        // or resolved; otherwise its waiters are orphaned forever.
+        for &(seq, span) in &self.watchdogs {
             findings.push(Finding {
                 seq,
                 message: format!(
@@ -256,272 +479,131 @@ pub fn tracecheck(tracer: &Tracer, expect: &Expectations) -> Vec<Finding> {
                 ),
             });
         }
-    }
-    // No device op may execute on a lane inside that lane's down window.
-    // An op *ending* exactly at the down time is clean: faults are
-    // detected at op start, so a successful transfer always precedes the
-    // detection-time DriveDown.
-    for &(lane, s, e) in &devops {
-        if let Lane::Drive(d) = lane {
-            let ee = if e > s { e } else { s.saturating_add(1) };
-            for &(wd, ws, we) in &health.windows {
-                if wd == d && s < we && ws < ee {
-                    findings.push(whole(format!(
-                        "device op at t{s}..t{e} on drive lane d{d}, which was down t{ws}..t{we}"
-                    )));
-                }
-            }
-        }
-    }
-
-    if expect.require_all_closed && !open.is_empty() {
-        let ids: Vec<String> = open
+        // Drives still down at the end of the trace close open-ended
+        // windows (legitimately: a dead drive may never come back).
+        let still_down = self
+            .down
             .iter()
-            .map(|(s, c)| format!("{s} ({})", c.label()))
-            .collect();
-        findings.push(whole(format!(
-            "{} span(s) left open at end of trace: {}",
-            open.len(),
-            ids.join(", ")
-        )));
-    }
-    if let Some(expected) = expect.wait {
-        for class in Class::ALL {
-            let got = wait[class as usize];
-            let want = expected[class as usize];
-            if got != want {
+            .map(|(&d, &since)| (d, since, TraceTime::MAX));
+        let windows: Vec<(u32, TraceTime, TraceTime)> =
+            self.windows.iter().copied().chain(still_down).collect();
+        // No device op may execute on a lane inside that lane's down
+        // window. An op *ending* exactly at the down time is clean:
+        // faults are detected at op start, so a successful transfer
+        // always precedes the detection-time DriveDown.
+        if !windows.is_empty() {
+            for &(lane, s, e) in &self.dev {
+                if let Lane::Drive(d) = lane {
+                    let ee = if e > s { e } else { s.saturating_add(1) };
+                    for &(wd, ws, we) in &windows {
+                        if wd == d && s < we && ws < ee {
+                            findings.push(whole(format!(
+                                "device op at t{s}..t{e} on drive lane d{d}, which was down t{ws}..t{we}"
+                            )));
+                        }
+                    }
+                }
+            }
+        }
+
+        if expect.require_all_closed && !self.open.is_empty() {
+            let ids: Vec<String> = self
+                .open
+                .iter()
+                .map(|(s, l)| format!("{s} ({})", l.class.label()))
+                .collect();
+            findings.push(whole(format!(
+                "{} span(s) left open at end of trace: {}",
+                self.open.len(),
+                ids.join(", ")
+            )));
+        }
+        if let Some(expected) = expect.wait {
+            for class in Class::ALL {
+                let got = self.wait[class as usize];
+                let want = expected[class as usize];
+                if got != want {
+                    findings.push(whole(format!(
+                        "queue residency mismatch for {}: trace sums {got}, engine reports {want}",
+                        class.label()
+                    )));
+                }
+            }
+        }
+        let (peak_in_flight, drive_peak) = self.sweep_peaks();
+        // From the engine this is a value against itself (`io_peak_in_flight`
+        // is this sweep over these intervals); kept because `benchmark/`
+        // builds `Expectations::quiesced(wait, peak)` — a benchmark-only
+        // PR can drop it.
+        if let Some(max) = expect.max_dev_overlap {
+            if peak_in_flight > max {
                 findings.push(whole(format!(
-                    "queue residency mismatch for {}: trace sums {got}, engine reports {want}",
-                    class.label()
+                    "device ops overlap beyond admitted concurrency: trace peak {peak_in_flight} > admitted {max}"
                 )));
             }
         }
-    }
-    // From the engine this is a value against itself (`io_peak_in_flight`
-    // is this sweep over these events); kept because `benchmark/` builds
-    // `Expectations::quiesced(wait, peak)` — a benchmark-only PR can drop it.
-    if let Some(max) = expect.max_dev_overlap {
-        let peak = tracer.peak_in_flight();
-        if peak > max {
-            findings.push(whole(format!(
-                "device ops overlap beyond admitted concurrency: trace peak {peak} > admitted {max}"
-            )));
-        }
-    }
-    if let Some(drives) = expect.drive_lanes {
-        let mut per_drive: BTreeMap<u32, Vec<(TraceTime, TraceTime)>> = BTreeMap::new();
-        for &(lane, s, e) in &devops {
-            if let Lane::Drive(d) = lane {
-                if (d as usize) >= drives {
-                    findings.push(whole(format!(
+        if let Some(drives) = expect.drive_lanes {
+            for &(lane, _, _) in &self.dev {
+                match lane {
+                    Lane::Drive(d) if d as usize >= drives => findings.push(whole(format!(
                         "device op on drive lane d{d}, but the engine ran with {drives} drive(s)"
+                    ))),
+                    _ => {}
+                }
+            }
+            for (d, lane) in self.drives.iter().enumerate() {
+                if !lane.recheck {
+                    continue;
+                }
+                let on_d = |&&(l, _, _): &&(Lane, TraceTime, TraceTime)| l == Lane::Drive(d as u32);
+                let peak =
+                    peak_overlap_strict(self.dev.iter().filter(on_d).map(|&(_, s, e)| (s, e)));
+                if peak > 1 {
+                    findings.push(whole(format!(
+                        "drive d{d} ran {peak} ops at once: per-drive intervals must never overlap"
                     )));
                 }
-                per_drive.entry(d).or_default().push((s, e));
             }
-        }
-        for (d, ivals) in &per_drive {
-            let peak = peak_overlap_strict(ivals);
-            if peak > 1 {
+            if drive_peak > drives {
                 findings.push(whole(format!(
-                    "drive d{d} ran {peak} ops at once: per-drive intervals must never overlap"
+                    "{drive_peak} drive-lane ops in flight at once, but the engine ran with {drives} drive(s)"
                 )));
             }
-        }
-        let peak = tracer.drive_peak();
-        if peak > drives {
-            findings.push(whole(format!(
-                "{peak} drive-lane ops in flight at once, but the engine ran with {drives} drive(s)"
-            )));
-        }
-        // With down windows recorded, tighten the cross-lane bound to the
-        // *healthy* drive count at each instant: interval ends first,
-        // then health changes, then interval starts, so a handoff at the
-        // very moment a drive dies is judged fairly.
-        if !health.windows.is_empty() {
-            let mut sweep: Vec<(TraceTime, u8, i64)> = Vec::new();
-            for &(lane, s, e) in &devops {
-                if matches!(lane, Lane::Drive(_)) && e > s {
-                    sweep.push((s, 2, 1));
-                    sweep.push((e, 0, -1));
+            // With down windows recorded, tighten the cross-lane bound to
+            // the *healthy* drive count at each instant: interval ends
+            // first, then health changes, then interval starts, so a
+            // handoff at the very moment a drive dies is judged fairly.
+            if !windows.is_empty() {
+                let mut sweep: Vec<(TraceTime, u8, i64)> = Vec::new();
+                for &(lane, s, e) in &self.dev {
+                    if matches!(lane, Lane::Drive(_)) && e > s {
+                        sweep.push((s, 2, 1));
+                        sweep.push((e, 0, -1));
+                    }
                 }
-            }
-            for &(_, ws, we) in &health.windows {
-                sweep.push((ws, 1, -1));
-                if we != TraceTime::MAX {
-                    sweep.push((we, 1, 1));
+                for &(_, ws, we) in &windows {
+                    sweep.push((ws, 1, -1));
+                    if we != TraceTime::MAX {
+                        sweep.push((we, 1, 1));
+                    }
                 }
-            }
-            sweep.sort_unstable();
-            let (mut busy, mut healthy) = (0i64, drives as i64);
-            for (t, class, delta) in sweep {
-                match class {
-                    1 => healthy += delta,
-                    _ => busy += delta,
-                }
-                if class == 2 && busy > healthy.max(0) {
-                    findings.push(whole(format!(
-                        "{busy} drive-lane ops in flight at t{t} with only {healthy} healthy drive(s)"
-                    )));
-                    break;
+                sweep.sort_unstable();
+                let (mut busy, mut healthy) = (0i64, drives as i64);
+                for (t, class, delta) in sweep {
+                    match class {
+                        1 => healthy += delta,
+                        _ => busy += delta,
+                    }
+                    if class == 2 && busy > healthy.max(0) {
+                        findings.push(whole(format!(
+                            "{busy} drive-lane ops in flight at t{t} with only {healthy} healthy drive(s)"
+                        )));
+                        break;
+                    }
                 }
             }
         }
-    }
-    findings
-}
-
-/// Drive-health state accumulated while replaying the trace.
-#[derive(Default)]
-struct HealthState {
-    /// Currently-down drives and when they went down.
-    down: BTreeMap<u32, TraceTime>,
-    /// Completed down windows: (drive, from, until) — `until` is
-    /// `TraceTime::MAX` for a drive still down at end of trace.
-    windows: Vec<(u32, TraceTime, TraceTime)>,
-    /// Watchdog fires: (event seq, span fired for).
-    watchdogs: Vec<(u64, u64)>,
-    /// Spans that were re-dispatched to another lane.
-    redispatched: BTreeSet<u64>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn check_event(
-    ev: &Event,
-    findings: &mut Vec<Finding>,
-    open: &mut BTreeMap<u64, Class>,
-    ever_opened: &mut BTreeMap<u64, u64>,
-    ever_closed: &mut BTreeMap<u64, u64>,
-    lines: &mut BTreeMap<u64, LineTag>,
-    wait: &mut [u64; 5],
-    devops: &mut Vec<(Lane, TraceTime, TraceTime)>,
-    health: &mut HealthState,
-    admitted: &mut BTreeSet<u64>,
-) {
-    let mut fail = |msg: String| {
-        findings.push(Finding {
-            seq: ev.seq,
-            message: msg,
-        })
-    };
-    match &ev.kind {
-        EventKind::SpanOpen { span, class, .. } => {
-            let n = ever_opened.entry(*span).or_insert(0);
-            *n += 1;
-            if *n > 1 {
-                fail(format!("span {span} opened {n} times"));
-            }
-            if open.insert(*span, *class).is_some() {
-                fail(format!("span {span} re-opened while still open"));
-            }
-        }
-        EventKind::SpanClose { span, .. } => {
-            let n = ever_closed.entry(*span).or_insert(0);
-            *n += 1;
-            if *n > 1 {
-                fail(format!("span {span} closed {n} times"));
-            } else if open.remove(span).is_none() {
-                fail(format!("span {span} closed but was never open"));
-            }
-        }
-        EventKind::Join { span, .. } => {
-            if !open.contains_key(span) {
-                fail(format!(
-                    "coalesced fetch joined span {span}, which is not a live parent op"
-                ));
-            }
-        }
-        EventKind::Queuing {
-            span,
-            class,
-            from,
-            to,
-        } => {
-            if to < from {
-                fail(format!("queuing interval runs backwards: {from}..{to}"));
-            }
-            wait[*class as usize] += to.saturating_sub(*from);
-            // The op's span must still be in flight while it queues.
-            if !open.contains_key(span) {
-                fail(format!(
-                    "queuing recorded for span {span}, which is not open"
-                ));
-            }
-        }
-        EventKind::QueueDepth { .. } => {}
-        EventKind::CacheState { seg, from, to } => {
-            let tracked = lines.get(seg).copied().unwrap_or(LineTag::Empty);
-            if tracked != *from {
-                fail(format!(
-                    "cache line {seg}: transition claims from={} but tracked state is {}",
-                    from.label(),
-                    tracked.label()
-                ));
-            }
-            if !legal_line_transition(*from, *to) {
-                fail(format!(
-                    "cache line {seg}: illegal transition {}>{}",
-                    from.label(),
-                    to.label()
-                ));
-            }
-            if *to == LineTag::Empty {
-                lines.remove(seg);
-            } else {
-                lines.insert(*seg, *to);
-            }
-        }
-        EventKind::CacheRekey { old, new } => match lines.remove(old) {
-            Some(state) => {
-                lines.insert(*new, state);
-            }
-            None => fail(format!("rekey of {old}>{new}: no line tracked for {old}")),
-        },
-        EventKind::DevIo { lane, start, end } => {
-            if end < start {
-                fail(format!("device op runs backwards: {start}..{end}"));
-            }
-            devops.push((*lane, *start, *end));
-        }
-        EventKind::DriveDown { drive } => {
-            if health.down.insert(*drive, ev.at).is_some() {
-                fail(format!("drive d{drive} marked down while already down"));
-            }
-        }
-        EventKind::DriveUp { drive } => match health.down.remove(drive) {
-            Some(since) => health.windows.push((*drive, since, ev.at)),
-            None => fail(format!("drive d{drive} marked up but was not down")),
-        },
-        EventKind::WatchdogFire { span, .. } => {
-            if !open.contains_key(span) {
-                fail(format!("watchdog fired for span {span}, which is not open"));
-            }
-            health.watchdogs.push((ev.seq, *span));
-        }
-        EventKind::Redispatch { span, .. } => {
-            if !open.contains_key(span) {
-                fail(format!("re-dispatch of span {span}, which is not open"));
-            }
-            health.redispatched.insert(*span);
-        }
-        EventKind::TenantAdmit { tenant, span, .. } => {
-            if !open.contains_key(span) {
-                fail(format!(
-                    "tenant n{tenant} admit references span {span}, which is not open"
-                ));
-            }
-            if !admitted.insert(*span) {
-                fail(format!("span {span} admitted twice by the fair queue"));
-            }
-        }
-        EventKind::TenantThrottle { tenant, span, .. } => {
-            if !open.contains_key(span) {
-                fail(format!(
-                    "tenant n{tenant} throttle references span {span}, which is not open"
-                ));
-            }
-        }
-        EventKind::Fault { .. } | EventKind::Mark { .. } => {}
+        findings
     }
 }
 
@@ -799,15 +881,5 @@ mod tests {
         let f = tracecheck(&t, &Expectations::default());
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("admitted twice"));
-    }
-
-    #[test]
-    fn truncated_trace_is_reported_not_verified() {
-        let t = Tracer::with_capacity(1);
-        t.mark(0, "a".into());
-        t.mark(1, "b".into());
-        let f = tracecheck(&t, &Expectations::default());
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("truncated"));
     }
 }

@@ -335,6 +335,7 @@ mod tests {
     /// Attaches a fresh recorder to `plan`.
     fn traced(plan: &FaultPlan) -> Tracer {
         let t = Tracer::new();
+        t.retain_events();
         plan.set_tracer(t.clone());
         t
     }

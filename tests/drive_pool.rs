@@ -185,6 +185,7 @@ fn starvation_guard_bounds_demand_wait_behind_an_affinity_batch() {
 fn pool_schedule_is_byte_deterministic_per_seed() {
     let run = || {
         let (tio, jb, map) = rig(2);
+        tio.tracer().retain_events();
         for slot in 0..3 {
             jb.poke_segment(0, slot, &vec![7u8; 1 << 20]).unwrap();
             jb.poke_segment(1, slot, &vec![8u8; 1 << 20]).unwrap();
@@ -202,7 +203,6 @@ fn pool_schedule_is_byte_deterministic_per_seed() {
             t.fetch_result().unwrap();
         }
         assert_clean(&tio);
-        assert_eq!(tio.tracer().dropped(), 0);
         (tio.tracer().render_text(), tio.trace_digest())
     };
     let (la, da) = run();
@@ -216,6 +216,7 @@ fn pool_schedule_is_byte_deterministic_per_seed() {
 /// time, and the volume drive 1 ended up holding.
 fn primed_two_drive_rig(oracle: &[u8]) -> (Rc<TertiaryIo>, Jukebox, UniformMap, u64, u32) {
     let (tio, jb, map) = rig(2);
+    tio.tracer().retain_events();
     for vol in 0..2 {
         for slot in 0..4 {
             jb.poke_segment(vol, slot, oracle).unwrap();
@@ -309,7 +310,7 @@ fn watchdog_fires_on_hang_and_the_spare_rejoins() {
         .tracer()
         .events()
         .iter()
-        .filter(|e| e.kind_tag() == "drive_up")
+        .filter(|e| matches!(e.kind, hl_trace::EventKind::DriveUp { .. }))
         .count();
     assert_eq!(ups, 1, "the healed drive must rejoin");
     assert_eq!(tio.lane_health(), vec![true, true]);

@@ -14,6 +14,7 @@ fn scripted() -> (Vec<String>, u64, Vec<(&'static str, u64)>) {
     let rig = HlRig::new(2 + 16 * 256 + 5, hp6300(2, 4), 4, None);
     rig.mkfs();
     let mut hl = rig.mount();
+    hl.tio().tracer().retain_events();
 
     let data: Vec<u8> = (0..40_000).map(|i| (i % 251) as u8).collect();
     let ino = hl.create("/doc").expect("create");
@@ -93,9 +94,10 @@ fn scripted_run_matches_the_pinned_trace() {
     assert_eq!(
         digest, GOLDEN_DIGEST,
         "digest drifted (got {digest:016x}); the event *stream* changed \
-         even if the retained render did not"
+         even if the kept render did not"
     );
-    // The per-kind counts cover every retained event, one per text line.
+    // The per-kind counts cover every emitted event, and the script keeps
+    // them all from the mount on: one per text line.
     let counted: u64 = summary.iter().map(|&(_, n)| n).sum();
     assert_eq!(counted, lines.len() as u64, "per-kind counts != text lines");
     for (tag, n) in [("span_open", 3), ("dev_io", 4)] {
@@ -122,6 +124,7 @@ fn scripted_migrator_pass() -> (Vec<String>, u64, u64, usize) {
     let rig = HlRig::new(2 + 16 * 256 + 5, hp6300(2, 4), 4, None);
     rig.mkfs();
     let mut hl = rig.mount();
+    hl.tio().tracer().retain_events();
 
     let old: Vec<u8> = (0..40_000).map(|i| (i % 251) as u8).collect();
     let ino = hl.create("/cold").expect("create");

@@ -47,6 +47,7 @@ fn coalesced_fetches_trace_one_span_with_joins() {
 #[test]
 fn dispatch_priority_is_visible_in_queuing_events() {
     let (tio, jb, map) = RigSpec::with_lines(40..44).build();
+    tio.tracer().retain_events();
     let demand_seg = map.tert_seg(0, 0);
     let prefetch_seg = map.tert_seg(0, 1);
     let copyout_seg = map.tert_seg(2, 0);
@@ -125,6 +126,7 @@ fn request_queue_highwater_derives_from_the_recorder() {
 #[test]
 fn svcstats_reconcile_with_span_residency() {
     let (tio, jb, map) = RigSpec::with_lines(40..43).build();
+    tio.tracer().retain_events();
     jb.poke_segment(0, 3, &vec![5u8; 1 << 20]).unwrap();
     jb.poke_segment(1, 1, &vec![6u8; 1 << 20]).unwrap();
     let a = map.tert_seg(0, 3);
@@ -243,6 +245,7 @@ fn replica_and_scrub_transfers_are_admitted_device_time() {
         |tio: &highlight::TertiaryIo| tio.tracer().events().iter().filter(|e| on_drive(e)).count();
     let copy_out = |copies: u32| {
         let (tio, _jb, map) = RigSpec::with_lines(40..44).build();
+        tio.tracer().retain_events();
         tio.set_replication(copies);
         let seg = map.tert_seg(0, 0);
         let cache = tio.cache();

@@ -10,11 +10,15 @@
 //! - `permanent_losses <= fetch spans opened` — every declared loss is
 //!   the death of one queued fetch op (demand or prefetch), never a
 //!   phantom.
+//!
+//! And for the renderer: every line equals the `core::fmt` form it was
+//! written in before (kept here as the oracle), and the digest is FNV-1a
+//! over exactly those lines — past the six-wide sequence pad too.
 
 use highlight::rig::RigSpec;
 use highlight::segcache::LineState;
 use hl_footprint::Footprint;
-use hl_trace::Class;
+use hl_trace::{Class, Event, EventKind, Lane, LineTag, QueueId, Tracer};
 use hl_vdev::{FaultConfig, FaultPlan};
 use proptest::prelude::*;
 
@@ -116,4 +120,237 @@ proptest! {
         // Every span the engine opened was closed by the drain.
         prop_assert_eq!(tr.open_spans().len(), 0);
     }
+}
+
+/// The renderer before it stopped going through `core::fmt`, kept
+/// verbatim as the oracle every render must equal byte for byte.
+fn oracle(ev: &Event) -> String {
+    use std::fmt::{self, Write};
+
+    struct OracleLane(Lane);
+    impl fmt::Display for OracleLane {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self.0 {
+                Lane::Drive(d) => write!(f, "d{d}"),
+                Lane::Staging => f.write_str("st"),
+            }
+        }
+    }
+
+    let mut out = String::new();
+    let w = &mut out;
+    write!(w, "#{:06} t{} ", ev.seq, ev.at).unwrap();
+    match &ev.kind {
+        EventKind::SpanOpen { span, class, seg } => match seg {
+            Some(s) => write!(w, "s+ {span} {} seg {s}", class.label()),
+            None => write!(w, "s+ {span} {} seg -", class.label()),
+        },
+        EventKind::SpanClose { span, ok } => {
+            write!(w, "s- {span} {}", if *ok { "ok" } else { "err" })
+        }
+        EventKind::Join { span, class } => write!(w, "join {span} {}", class.label()),
+        EventKind::Queuing {
+            span,
+            class,
+            from,
+            to,
+        } => write!(w, "qres {span} {} {from}..{to}", class.label()),
+        EventKind::QueueDepth { queue, depth } => {
+            write!(w, "qdep {} {depth}", queue.label())
+        }
+        EventKind::CacheState { seg, from, to } => {
+            write!(w, "line {seg} {}>{}", from.label(), to.label())
+        }
+        EventKind::CacheRekey { old, new } => write!(w, "rekey {old}>{new}"),
+        EventKind::DevIo { lane, start, end } => {
+            let lane = OracleLane(*lane);
+            write!(w, "dev {lane} {start}..{end}")
+        }
+        EventKind::Fault { label } => write!(w, "fault {label}"),
+        EventKind::Mark { label } => write!(w, "mark {label}"),
+        EventKind::DriveDown { drive } => write!(w, "ddn d{drive}"),
+        EventKind::DriveUp { drive } => write!(w, "dup d{drive}"),
+        EventKind::WatchdogFire { drive, span } => write!(w, "wdog d{drive} {span}"),
+        EventKind::Redispatch { span, from_drive } => {
+            write!(w, "redisp {span} d{from_drive}")
+        }
+        EventKind::TenantAdmit {
+            tenant,
+            class,
+            span,
+        } => {
+            write!(w, "tadm n{tenant} {} {span}", class.label())
+        }
+        EventKind::TenantThrottle {
+            tenant,
+            class,
+            span,
+        } => {
+            write!(w, "tthr n{tenant} {} {span}", class.label())
+        }
+    }
+    .unwrap();
+    out
+}
+
+/// FNV-1a over `lines`, each `\n`-terminated: what the digest must be.
+fn fnv_of_lines<'a>(lines: impl IntoIterator<Item = &'a String>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for line in lines {
+        for b in line.bytes().chain([b'\n']) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// An edge value, a small one, or `raw` itself.
+fn pick(sel: u8, raw: u64) -> u64 {
+    match sel % 4 {
+        0 => 0,
+        1 => u64::MAX,
+        2 => raw % 1_000,
+        _ => raw,
+    }
+}
+
+/// [`pick`] for a `u32` field.
+fn pick32(sel: u8, raw: u64) -> u32 {
+    match sel % 4 {
+        0 => 0,
+        1 => u32::MAX,
+        2 => (raw % 1_000) as u32,
+        _ => raw as u32,
+    }
+}
+
+/// Labels with multi-byte UTF-8, an empty one and separators inside.
+const LABELS: [&str; 6] = [
+    "",
+    "tick",
+    "drive 0 \"dead\"",
+    "é",
+    "日本語 ok",
+    "🦀 a..b>c",
+];
+
+/// One emit through the public emitters: `kind` picks the emitter (every
+/// [`EventKind`], the policy-decision form of `Mark` too), the `(sel, raw)`
+/// pairs its numbers.
+fn emit(t: &Tracer, op: (u8, u8, u64, u8, u64, u8)) {
+    let (kind, sa, a, sb, b, small) = op;
+    let (x, y) = (pick(sa, a), pick(sb, b));
+    let class = Class::ALL[small as usize % 5];
+    let tag = [
+        LineTag::Empty,
+        LineTag::Filling,
+        LineTag::Staging,
+        LineTag::DirtyWait,
+        LineTag::Clean,
+    ];
+    let label = LABELS[small as usize % LABELS.len()];
+    match kind {
+        0 => drop(t.open_span(x, class, (small % 2 == 0).then_some(y))),
+        1 => t.close_span(x, y, small % 2 == 0),
+        2 => t.join(x, y, class),
+        3 => t.queuing(x, y, class, pick(sb.wrapping_add(1), a), pick(sa, b)),
+        4 => {
+            let q = [QueueId::Request, QueueId::Device][small as usize % 2];
+            t.queue_depth(x, q, pick32(sb, b));
+        }
+        5 => t.cache_state(x, y, tag[small as usize % 5], tag[b as usize % 5]),
+        6 => t.cache_rekey(x, y, pick(sb.wrapping_add(1), a)),
+        // Drive lanes index per-lane tables: keep them small.
+        7 => {
+            let lane = match small % 3 {
+                0 => Lane::Staging,
+                d => Lane::Drive(u32::from(d)),
+            };
+            t.dev_io(lane, x, y);
+        }
+        8 => t.fault(x, label.to_string()),
+        9 => t.mark(x, label.to_string()),
+        10 => t.policy_decision(x, label, LABELS[b as usize % LABELS.len()]),
+        11 => t.drive_down(x, pick32(sb, b)),
+        12 => t.drive_up(x, pick32(sb, b)),
+        13 => t.watchdog_fire(x, pick32(sb, b), y),
+        14 => t.redispatch(x, y, pick32(sa, a)),
+        15 => t.tenant_admit(x, pick32(sb, b), class, y),
+        _ => t.tenant_throttle(x, pick32(sb, b), class, y),
+    }
+}
+
+/// Every kept event's render equals the oracle's, and the first one is
+/// `#first_seq`.
+fn check_renders(t: &Tracer, first_seq: u64) -> Result<(), TestCaseError> {
+    let events = t.events();
+    let lines = t.render_text();
+    prop_assert_eq!(events.len(), lines.len());
+    for (ev, line) in events.iter().zip(&lines) {
+        prop_assert_eq!(line, &oracle(ev), "render of {:?}", ev);
+    }
+    prop_assert_eq!(events.first().map(|e| e.seq), Some(first_seq));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every render equals the oracle's, and the digest is FNV-1a over
+    /// the rendered lines — over random streams of every event kind with
+    /// 0, `u64::MAX` and `u32::MAX` in each number, and multi-byte
+    /// labels. Seen red, each sabotage alone in `Event::write_line`: the
+    /// space before a span's class dropped; the sequence number written
+    /// unpadded.
+    #[test]
+    fn every_render_equals_the_fmt_oracle_and_the_digest_folds_it(
+        ops in proptest::collection::vec(
+            (0u8..17, 0u8..4, any::<u64>(), 0u8..4, any::<u64>(), 0u8..30), 1..64),
+    ) {
+        let t = Tracer::new();
+        t.retain_events();
+        for &op in &ops {
+            emit(&t, op);
+        }
+        check_renders(&t, 0)?;
+        prop_assert_eq!(t.digest(), fnv_of_lines(&t.render_text()));
+    }
+}
+
+/// Past `#999999` the sequence number outgrows its six-wide pad. The
+/// first 999 990 events are digested unkept; the oracle renders them
+/// from what was emitted, and the kept tail — one of every kind — from
+/// the events.
+#[test]
+fn renders_past_the_six_digit_sequence_pad_equal_the_oracle() {
+    const HEAD: u64 = 999_990;
+    let t = Tracer::new();
+    for i in 0..HEAD {
+        t.queue_depth(i, QueueId::Device, 1);
+    }
+    t.retain_events();
+    for kind in 0..17u8 {
+        emit(
+            &t,
+            (kind, kind, u64::MAX - u64::from(kind), kind + 1, 7, kind),
+        );
+    }
+    check_renders(&t, HEAD).unwrap();
+    let head = (0..HEAD).map(|i| {
+        oracle(&Event {
+            seq: i,
+            at: i,
+            kind: EventKind::QueueDepth {
+                queue: QueueId::Device,
+                depth: 1,
+            },
+        })
+    });
+    let all: Vec<String> = head.chain(t.render_text()).collect();
+    assert!(
+        all[1_000_000].starts_with("#1000000 t"),
+        "{}",
+        all[1_000_000]
+    );
+    assert_eq!(t.digest(), fnv_of_lines(&all));
 }
