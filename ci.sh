@@ -169,6 +169,19 @@ if awk '/^#\[cfg\(test\)\]/ { exit }
   exit 1
 fi
 
+# Trace lines without core::fmt (DESIGN.md §6d): `Event::write_line`
+# writes through the crate's own three-call sink (a string, a decimal
+# u64, a zero-padded u64), so the running digest folds each line's bytes
+# without a formatter in the way. The gate fails on a `fmt::Write` impl,
+# and on a `fmt::` type in `write_line`'s signature, anywhere in
+# crates/trace/src. Seen red at the parent commit: `impl fmt::Write for
+# FnvSink` and `fn write_line(&self, out: &mut impl fmt::Write)`.
+echo "==> trace lines without core::fmt: no fmt::Write sink in crates/trace/src"
+if grep -nE 'impl (std::)?fmt::Write for|fn write_line\([^)]*fmt::' crates/trace/src/*.rs; then
+  echo "  a trace line goes through core::fmt: write it through the LineSink"
+  exit 1
+fi
+
 run cargo build --release
 run cargo test --workspace -q   # every test binary once (covers tier-1's root suite)
 run cargo clippy --workspace --all-targets -- -D warnings
