@@ -153,6 +153,29 @@ if awk 'FNR == 1 { t = 0 }
   exit 1
 fi
 
+# One drive policy (DESIGN.md §6e): the engine's I/O-server lanes
+# decide which drive serves what, and every timed segment transfer names
+# its drive (`read_segment_on` / `write_segment_on`). The jukebox keeps
+# one rule of its own: a loaded volume is served where it sits. The gate
+# fails on a least-recently-used pick (`min_by_key`, `last_used`) or a
+# no-drive sentinel (`usize::MAX`) in the non-test part (up to the first
+# column-0 `#[cfg(test)]`) of crates/footprint/src/jukebox.rs, and on a
+# timed transfer that names no drive (`fn read_segment(`,
+# `fn write_segment(`) anywhere in crates/footprint/src. Seen red at the
+# parent commit: 11 lines in jukebox.rs (the writer-plus-readers pick,
+# `DriveState::last_used` with its initialiser and four stamps, and the
+# `usize::MAX` hint: its doc line, its test and the two untargeted forms
+# passing it) and the four declarations of `read_segment` and
+# `write_segment` in the trait and the jukebox.
+echo "==> one drive policy: the jukebox picks no drive"
+if awk '/^#\[cfg\(test\)\]/ { exit }
+        /min_by_key|last_used|usize::MAX/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/footprint/src/jukebox.rs ||
+  grep -nE 'fn (read|write)_segment\(' crates/footprint/src/*.rs; then
+  echo "  the device picks a drive: name it at the call (read_segment_on / write_segment_on)"
+  exit 1
+fi
+
 # Frames in place (DESIGN.md §6h, "Protocol + pool"): each direction
 # of a connection is one buffer and a read cursor; a send encodes
 # straight onto the buffer and a receive decodes at the cursor, so a

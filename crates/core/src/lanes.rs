@@ -109,7 +109,7 @@ impl TioInner {
             drive: drive as u32,
             error,
         });
-        self.jukebox.abandon_drive(at, drive);
+        self.jukebox.abandon_drive(drive);
         if let Some(h) = &*self.handles.borrow() {
             if let Some(&id) = h.io.get(drive) {
                 h.waker.wake(id, at);

@@ -12,6 +12,8 @@
 //! with full timing: robot swap latency (13.5 s measured in Table 5, and
 //! the swap *hogs the SCSI bus* because the autochanger driver never
 //! disconnects, §7), per-medium seeks, and calibrated transfer rates.
+//! Every timed transfer names its drive: which drive serves what is the
+//! engine's decision (its I/O-server lanes), not the device's.
 //! [`Jukebox`] implements it for magneto-optical, tape, and write-once
 //! media.
 
@@ -44,27 +46,6 @@ pub trait Footprint {
     /// *maximum expected* count (§6.3); compressing media may fill early.
     fn segments_per_volume(&self) -> u32;
 
-    /// Timed whole-segment read.
-    fn read_segment(
-        &self,
-        at: SimTime,
-        vol: VolumeId,
-        seg: u32,
-        buf: &mut [u8],
-    ) -> Result<IoSlot, DevError>;
-
-    /// Timed whole-segment write. Returns
-    /// [`DevError::EndOfMedium`] if the volume filled early (compression
-    /// shortfall); the caller marks the volume full and re-writes the
-    /// segment on the next volume (§6.3).
-    fn write_segment(
-        &self,
-        at: SimTime,
-        vol: VolumeId,
-        seg: u32,
-        buf: &[u8],
-    ) -> Result<IoSlot, DevError>;
-
     /// Untimed read, for recovery tooling and tests.
     fn peek_segment(&self, vol: VolumeId, seg: u32, buf: &mut [u8]) -> Result<(), DevError>;
 
@@ -84,12 +65,14 @@ pub trait Footprint {
     /// actor per drive).
     fn drives(&self) -> usize;
 
-    /// Timed whole-segment read targeted at a drive, by reference: each
-    /// of `out`'s handles (one per block of the segment) is replaced by
-    /// one onto the medium's block — no bytes move. If `vol` is already
-    /// loaded somewhere the loaded drive serves the read (no media
-    /// movement); otherwise the robot swaps it into `drive`. Returns the
-    /// slot and the drive that actually performed the transfer.
+    /// Timed whole-segment read on a named drive, by reference: each of
+    /// `out`'s handles (one per block of the segment) is replaced by one
+    /// onto the medium's block — no bytes move. The caller picks the
+    /// drive; the device holds no policy of its own (the engine's lanes
+    /// are the policy, DESIGN.md §6e). If `vol` is already loaded
+    /// somewhere the loaded drive serves the read (no media movement);
+    /// otherwise the robot swaps it into `drive`. Returns the slot and
+    /// the drive that actually performed the transfer.
     fn read_segment_on(
         &self,
         at: SimTime,
@@ -99,9 +82,12 @@ pub trait Footprint {
         out: &mut [Block],
     ) -> Result<(IoSlot, usize), DevError>;
 
-    /// Timed whole-segment write targeted at a drive, by reference: the
+    /// Timed whole-segment write on a named drive, by reference: the
     /// medium keeps handles onto `blocks`. Same drive-routing rule and
-    /// return convention as [`Footprint::read_segment_on`].
+    /// return convention as [`Footprint::read_segment_on`]. Returns
+    /// [`DevError::EndOfMedium`] if the volume filled early (compression
+    /// shortfall); the caller marks the volume full and re-writes the
+    /// segment on the next volume (§6.3).
     fn write_segment_on(
         &self,
         at: SimTime,
@@ -123,7 +109,7 @@ pub trait Footprint {
     /// Abandons whatever platter `drive` holds (the lane marked it down):
     /// the volume is unloaded without robot involvement so surviving
     /// drives can swap it in.
-    fn abandon_drive(&self, at: SimTime, drive: usize);
+    fn abandon_drive(&self, drive: usize);
 
     /// Health probe: `true` when `drive` would service an operation
     /// started at `at`. Quarantined lanes poll this through their backoff

@@ -3,10 +3,10 @@
 //! writes from reaching the other.
 //!
 //! `random_scripts_match_a_byte_oracle` runs random scripts over one
-//! `Disk` and one `Jukebox` — byte writes and pokes on each, moves by
-//! reference in both directions (`read_blocks` → `write_segment_on`,
+//! `Disk` and one `Jukebox` — timed writes and byte pokes on each, moves
+//! by reference in both directions (`read_blocks` → `write_segment_on`,
 //! `read_segment_on` → `write_blocks` / `poke_blocks`), erases, timed
-//! byte reads — holding the last move's handles for a while the way the
+//! reads — holding the last move's handles for a while the way the
 //! engine's staging array does. After every step every disk block and
 //! every jukebox slot must read what a plain byte array per device, which
 //! knows nothing of sharing, says. Segments are four blocks, so buffers
@@ -53,6 +53,8 @@
 //!   written block writing into the store's shared zero block): every
 //!   other unwritten block reads the write ("disk diverged at block 0";
 //!   at the engine, `mkfs` fails).
+
+use std::rc::Rc;
 
 use highlight::rig::{hp6300, HlRig};
 use highlight::MigrateStats;
@@ -202,11 +204,14 @@ fn run(seed: u64) {
                 held = blocks;
                 moves[1] += 1;
             }
-            // Byte writes and pokes of a whole segment on the medium.
+            // Timed writes of a fresh segment and byte pokes on the
+            // medium.
             7 => {
                 let data = bytes(&mut rng, SEG_BLOCKS);
                 if rng.chance(0.5) {
-                    t = jb.write_segment(t, vol, slot, &data).unwrap().end;
+                    let blocks: Vec<Block> =
+                        Block::split(Rc::from(data.as_slice()), BLOCK_SIZE).collect();
+                    t = jb.write_segment_on(t, 0, vol, slot, &blocks).unwrap().0.end;
                 } else {
                     jb.poke_segment(vol, slot, &data).unwrap();
                 }
@@ -226,9 +231,14 @@ fn run(seed: u64) {
                     buf == oracle.disk_run(start, SEG_BLOCKS),
                     "step {step}: disk read"
                 );
-                t = jb.read_segment(t, vol, slot, &mut buf).unwrap().end;
+                let mut blocks = vec![Block::zeroed(BLOCK_SIZE); SEG_BLOCKS];
+                t = jb
+                    .read_segment_on(t, 1, vol, slot, &mut blocks)
+                    .unwrap()
+                    .0
+                    .end;
                 let want = oracle.slot(vol, slot).clone().unwrap_or(vec![0; SEG_BYTES]);
-                assert!(buf == want, "step {step}: media read");
+                assert!(blocks.concat() == want, "step {step}: media read");
                 held.clear();
             }
         }
