@@ -61,5 +61,5 @@ pub use replicas::ReplicaSet;
 pub use requests::{Outcome, ReqClass, TenantId, Ticket, DISPATCH_CPU};
 pub use segcache::{EjectPolicy, SegCache};
 pub use segdir::SegDir;
-pub use service::{EngineSession, ScrubReport, StallEvent, SvcStats, TertiaryIo, MAX_DRIVES};
+pub use service::{EngineSession, ScrubReport, SvcStats, TertiaryIo, MAX_DRIVES};
 pub use tsegfile::TsegTable;

@@ -328,8 +328,6 @@ pub(crate) struct Request {
     pub seg: Option<SegNo>,
     /// When the requester enqueued it (queue-residency anchor).
     pub enqueued_at: SimTime,
-    /// Earliest enqueue time of a *demand* observer (stall accounting).
-    pub demand_enq: Option<SimTime>,
     /// Trace span opened at enqueue, closed at ticket completion.
     pub span: u64,
     /// The logical client this request belongs to, if the service layer
@@ -374,7 +372,6 @@ impl Request {
             seq: 0,
             seg,
             enqueued_at: at,
-            demand_enq: (class == ReqClass::Demand).then_some(at),
             span: 0,
             tenant,
             passed: 0,
@@ -396,12 +393,9 @@ impl Request {
         }
     }
 
-    /// Joins a demand observer that arrived at `demand_at`: the fetch is
-    /// (now) a foreground fill and stalls are counted from the earliest
-    /// demand.
-    fn join_demand(&mut self, demand_at: SimTime) {
+    /// Joins a demand observer: the fetch is (now) a foreground fill.
+    fn join_demand(&mut self) {
         self.class = ReqClass::Demand;
-        self.demand_enq = Some(self.demand_enq.map_or(demand_at, |t| t.min(demand_at)));
     }
 }
 
@@ -526,17 +520,17 @@ impl EngineQueues {
     /// so becomes a foreground fill); if already dispatched, it is
     /// upgraded in place in the device queue. A fetch already being
     /// served keeps its class — the observers still share its completion.
-    pub fn upgrade_fetch(&mut self, seg: SegNo, demand_at: SimTime) {
+    pub fn upgrade_fetch(&mut self, seg: SegNo) {
         let Some(seq) = self.pending_fetch.get(&seg).map(|&(s, _, _)| s) else {
             return;
         };
         if let Some(mut req) = self.reqq.remove(&(ReqClass::Prefetch as u8, seq)) {
-            req.join_demand(demand_at);
+            req.join_demand();
             self.reqq.insert((ReqClass::Demand as u8, seq), req);
         } else if let Some(req) = self.reqq.get_mut(&(ReqClass::Demand as u8, seq)) {
-            req.join_demand(demand_at);
+            req.join_demand();
         } else if let Some(op) = self.devq.iter_mut().find(|op| op.fetch_seg() == Some(seg)) {
-            op.join_demand(demand_at);
+            op.join_demand();
         }
         // Already being served: the join shares the ticket, nothing to
         // re-prioritize.
@@ -854,10 +848,9 @@ mod tests {
         let mut q = queues();
         q.push(req(ReqClass::Prefetch, 7, 0));
         q.push(req(ReqClass::CopyOut, 8, 0));
-        q.upgrade_fetch(7, 5);
+        q.upgrade_fetch(7);
         let first = q.pop_ready(10).unwrap();
         assert_eq!(first.class, ReqClass::Demand);
-        assert_eq!(first.demand_enq, Some(5));
     }
 
     #[test]

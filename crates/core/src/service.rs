@@ -67,35 +67,6 @@ pub mod phase {
     pub const QUEUING: &str = "queuing";
 }
 
-/// A demand-fetch stall notification (§10: "It would be nice if the user
-/// could be notified about a file access which is delayed waiting for a
-/// tertiary storage access. Perhaps the kernel could keep track of a
-/// user notification agent per process, and send a 'hold on' message.").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StallEvent {
-    /// A demand fetch began: the caller will block for a while.
-    HoldOn {
-        /// The tertiary segment being fetched.
-        seg: SegNo,
-        /// When the stall began.
-        at: SimTime,
-    },
-    /// The fetch finished.
-    Resumed {
-        /// The fetched segment.
-        seg: SegNo,
-        /// How long the caller was stalled.
-        stalled_for: SimTime,
-    },
-}
-
-/// The "hold on" notification agent callback type (§10).
-pub type StallNotifier = Box<dyn Fn(StallEvent)>;
-
-/// The notifier as stored: shared so [`TioInner::notify`] can clone the
-/// handle out and drop the cell borrow before invoking it.
-pub(crate) type SharedNotifier = RefCell<Option<Rc<dyn Fn(StallEvent)>>>;
-
 /// Upper bound on I/O-server lanes (and on the per-drive stat arrays).
 /// [`TertiaryIo::new`] refuses a jukebox with more drives than this.
 pub const MAX_DRIVES: usize = 8;
@@ -248,11 +219,6 @@ pub(crate) struct TioInner {
     pub(crate) staged: Cell<Vec<Block>>,
     /// Replica homes for tertiary segments (§5.4 variant).
     pub(crate) replicas: RefCell<ReplicaSet>,
-    /// Optional "hold on" notification agent (§10). Stored as `Rc` so
-    /// [`TioInner::notify`] can clone the handle out and drop the
-    /// borrow before invoking it — a callback may re-enter the façade
-    /// (concurrent-session hot path, PR 3 double-borrow class).
-    pub(crate) notifier: SharedNotifier,
     /// Extra copies written per copy-out (0 = no replication).
     pub(crate) replicate: Cell<u32>,
     /// Retry/failover/quarantine knobs (§10).
@@ -292,16 +258,6 @@ pub(crate) struct TioInner {
 }
 
 impl TioInner {
-    pub(crate) fn notify(&self, event: StallEvent) {
-        // Clone the handle out of the cell first: no interior borrow is
-        // held across the callback, so a notifier that re-enters the
-        // façade (or replaces itself) cannot trip a double borrow.
-        let f = self.notifier.borrow().clone();
-        if let Some(f) = f {
-            f(event);
-        }
-    }
-
     pub(crate) fn note_time(&self, at: SimTime) {
         self.watermark.set(self.watermark.get().max(at));
     }
@@ -492,9 +448,9 @@ impl TioInner {
     /// caller can down the drive and re-dispatch the op.
     ///
     /// The op stages through the engine's one array of block handles,
-    /// taken out of its cell until the op ends: a call that re-enters
-    /// the engine meanwhile (the stall notifier may) finds the cell
-    /// empty and makes itself another.
+    /// taken out of its cell until the op ends: a call that re-entered
+    /// the engine meanwhile would find the cell empty and make itself
+    /// another.
     pub(crate) fn exec(&self, op: &Request, start: SimTime, drive: usize) -> ExecResult {
         let mut blocks = self.staged.take();
         let n = self.map.blocks_per_seg as usize;
@@ -602,12 +558,6 @@ impl TioInner {
             cache.set_ready_at(seg, ready);
         }
         self.queues.borrow_mut().retire_fetch(seg);
-        if let Some(demand_enq) = op.demand_enq {
-            self.notify(StallEvent::Resumed {
-                seg,
-                stalled_for: ready - demand_enq,
-            });
-        }
         let mut stats = self.stats.borrow_mut();
         stats.demand_fetches += 1;
         stats.fetch_time += ready - op.enqueued_at;
@@ -760,7 +710,6 @@ impl TertiaryIo {
             seg_bytes,
             staged: Cell::new(Vec::new()),
             replicas: RefCell::new(ReplicaSet::new()),
-            notifier: RefCell::new(None),
             replicate: Cell::new(0),
             policy: Cell::new(RecoveryPolicy::default()),
             lane_health: RefCell::new(vec![LaneHealth::default(); lane_count]),
@@ -782,11 +731,6 @@ impl TertiaryIo {
             inner,
             engine: RefCell::new(engine),
         }
-    }
-
-    /// Installs the per-process "hold on" notification agent (§10).
-    pub fn set_stall_notifier(&self, f: StallNotifier) {
-        *self.inner.notifier.borrow_mut() = Some(Rc::from(f));
     }
 
     /// Sets how many replica copies each copy-out writes (§5.4: "perhaps
@@ -982,24 +926,19 @@ impl TertiaryIo {
                 return ticket;
             }
         }
-        let demand = class == ReqClass::Demand;
         let pending = self.inner.queues.borrow().pending_fetch(tert_seg);
         if let Some((parent, shared)) = pending {
             // Coalesce: N readers of one tertiary segment share one
             // media read and observe the same `ready_at`. The join is
             // the count (`SvcStats::coalesced_fetches`).
-            if demand {
-                self.inner.queues.borrow_mut().upgrade_fetch(tert_seg, at);
-                self.inner.notify(StallEvent::HoldOn { seg: tert_seg, at });
+            if class == ReqClass::Demand {
+                self.inner.queues.borrow_mut().upgrade_fetch(tert_seg);
             }
             self.inner.tracer.join(at, parent, class);
             self.inner.wake_svc(at);
             return shared;
         }
         self.make_room();
-        if demand {
-            self.inner.notify(StallEvent::HoldOn { seg: tert_seg, at });
-        }
         self.submit(class, Some(tert_seg), at, tenant)
     }
 
@@ -1160,9 +1099,9 @@ impl TertiaryIo {
     /// the concurrent-client façade: any number may coexist on one
     /// engine (cheap `Rc` clones), every request a session enqueues is
     /// tagged with its tenant id for the fair queue, and no interior
-    /// borrow outlives a single call — interleaving sessions cannot
-    /// re-trip the historical double-borrow class (see the
-    /// `sessions_survive_reentrant_notifiers` test).
+    /// borrow outlives a single call, so interleaving sessions cannot
+    /// trip a double borrow. No call hands control to user code while
+    /// it holds a borrow.
     #[inline]
     pub fn session(self: &Rc<Self>, tenant: TenantId) -> EngineSession {
         EngineSession {
@@ -1588,31 +1527,6 @@ mod tests {
         let st = tio.stats();
         assert_eq!(st.coalesced_fetches, 4, "five sessions, one media read");
         assert_eq!(st.demand_fetches, 1);
-    }
-
-    #[test]
-    fn sessions_survive_reentrant_notifiers() {
-        let (tio, jb, map) = RigSpec::with_lines(40..44).build();
-        jb.poke_segment(0, 0, &vec![4u8; 1 << 20]).unwrap();
-        jb.poke_segment(0, 2, &vec![5u8; 1 << 20]).unwrap();
-        // A notifier that re-enters the façade mid-enqueue: reads queue
-        // state and enqueues a prefetch from inside the demand path.
-        // Before the Rc'd notifier cell this was the PR 3 double-borrow.
-        let reentrant = Rc::clone(&tio);
-        let side = map.tert_seg(0, 2);
-        tio.set_stall_notifier(Box::new(move |ev| {
-            if let StallEvent::HoldOn { at, .. } = ev {
-                let _ = reentrant.queue_depths();
-                reentrant.enqueue_prefetch(at, side);
-            }
-        }));
-        let ticket = tio.session(9).enqueue_demand(0, map.tert_seg(0, 0));
-        tio.pump();
-        assert!(ticket.fetch_result().is_ok());
-        assert!(
-            tio.cache().borrow_mut().lookup(side, 1 << 40).is_some(),
-            "the notifier's prefetch was served too"
-        );
     }
 
     #[test]
