@@ -494,47 +494,6 @@ impl HighLight {
     // Cache and prefetch management.
     // -----------------------------------------------------------------
 
-    /// Re-sizes the segment cache at runtime (§10's dynamic allocation of
-    /// disk space between regular and cached segments). Growing claims
-    /// clean disk segments; shrinking ejects clean lines and returns
-    /// their segments to the log's pool. Returns the capacity actually
-    /// reached (pinned staging lines can block a full shrink).
-    pub fn set_cache_limit(&mut self, lines: u32) -> Result<u32> {
-        self.lfs.set_cache_limit(lines)?;
-        loop {
-            let capacity = self.cache.borrow().capacity() as u32;
-            if capacity < lines {
-                match self.lfs.claim_cache_segment() {
-                    Some(seg) => self.cache.borrow_mut().add_pool(seg),
-                    None => break,
-                }
-            } else if capacity > lines {
-                // Free a line: evict a clean one first if no line is free.
-                let freed = {
-                    let mut c = self.cache.borrow_mut();
-                    if !c.has_free() {
-                        let victim = c
-                            .lines()
-                            .filter(|l| l.state == LineState::Clean)
-                            .min_by_key(|l| l.last_used)
-                            .map(|l| l.tert_seg);
-                        if let Some(v) = victim {
-                            c.eject(v);
-                        }
-                    }
-                    c.shrink_pool()
-                };
-                match freed {
-                    Some(seg) => self.lfs.release_cache_segment(seg),
-                    None => break, // everything left is pinned
-                }
-            } else {
-                break;
-            }
-        }
-        Ok(self.cache.borrow().capacity() as u32)
-    }
-
     /// Makes sure the cache can take one more line, claiming a clean disk
     /// segment (lazy warm-up toward the static limit) when needed.
     /// Returns `false` if no line can be made available.

@@ -174,14 +174,6 @@ impl SegCache {
         self.free.push(disk_seg);
     }
 
-    /// Removes one free line from the pool, returning its disk segment
-    /// (dynamic cache shrinking, §10). `None` when no line is free.
-    pub fn shrink_pool(&mut self) -> Option<SegNo> {
-        let seg = self.free.pop()?;
-        self.pool.retain(|&s| s != seg);
-        Some(seg)
-    }
-
     /// `true` if a free (unoccupied) line exists.
     pub fn has_free(&self) -> bool {
         !self.free.is_empty()

@@ -296,14 +296,6 @@ impl Lfs {
         Some(seg)
     }
 
-    /// Returns a cache line to the clean pool (dynamic cache shrinking,
-    /// §10 future work).
-    pub fn release_cache_segment(&mut self, seg: SegNo) {
-        let u = &mut self.seguse[seg as usize];
-        debug_assert!(u.flags & seg_flags::CACHE != 0, "not a cache segment");
-        *u = crate::ondisk::SegUse::clean(self.sb.seg_bytes);
-    }
-
     /// Records which tertiary segment a cache line holds (persisted in
     /// the ifile's per-segment cache-directory tag, §6.4).
     pub fn set_cache_tag(&mut self, seg: SegNo, tag: u32, fetch_time: u64) {

@@ -190,49 +190,6 @@ impl AddressMap for LinearMap {
     }
 }
 
-/// A [`LinearMap`] whose segment count can grow while mounted (§10
-/// on-line disk addition): "it is possible to initialize a new disk with
-/// empty segments and adjust the file system superblock parameters and
-/// ifile to incorporate the added disk capacity."
-#[derive(Debug)]
-pub struct GrowableLinearMap {
-    inner: std::cell::RefCell<LinearMap>,
-}
-
-impl GrowableLinearMap {
-    /// Wraps an initial layout.
-    pub fn new(inner: LinearMap) -> GrowableLinearMap {
-        GrowableLinearMap {
-            inner: std::cell::RefCell::new(inner),
-        }
-    }
-
-    /// Grows to `nsegs` segments (the device must have the room).
-    pub fn grow_to(&self, nsegs: u32) {
-        let mut m = self.inner.borrow_mut();
-        assert!(nsegs >= m.nsegs, "maps only grow");
-        m.nsegs = nsegs;
-    }
-}
-
-impl AddressMap for GrowableLinearMap {
-    fn seg_of(&self, addr: BlockAddr) -> Option<SegNo> {
-        self.inner.borrow().seg_of(addr)
-    }
-
-    fn seg_base(&self, seg: SegNo) -> BlockAddr {
-        self.inner.borrow().seg_base(seg)
-    }
-
-    fn is_secondary(&self, seg: SegNo) -> bool {
-        self.inner.borrow().is_secondary(seg)
-    }
-
-    fn nsegs_secondary(&self) -> u32 {
-        self.inner.borrow().nsegs_secondary()
-    }
-}
-
 /// Callbacks for segments outside the ifile's jurisdiction.
 ///
 /// When a tertiary-resident block is overwritten or deleted, its

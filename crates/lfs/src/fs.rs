@@ -688,67 +688,6 @@ impl Lfs {
         }
     }
 
-    /// Rewrites the superblock (after on-line reconfiguration, §10).
-    fn write_superblock(&mut self) -> Result<()> {
-        let mut blk = Block::zeroed(BLOCK_SIZE);
-        self.sb.encode(blk.make_mut());
-        self.write_run(SUPERBLOCK_ADDR, &[blk])
-    }
-
-    /// Updates the static cache-segment allowance at runtime (§10:
-    /// "different dynamic policies for allocating disk space between
-    /// on-disk and cached segments"). Persisted in the superblock.
-    pub fn set_cache_limit(&mut self, cache_segs: u32) -> Result<()> {
-        self.sb.cache_segs = cache_segs;
-        self.cfg.cache_segs = cache_segs;
-        self.write_superblock()
-    }
-
-    /// Takes a segment out of service (§6.4: "its segments can all be
-    /// cleaned (so that the data are copied to another disk) and marked
-    /// as having no storage"). Dirty segments are cleaned first.
-    pub fn retire_segment(&mut self, seg: SegNo) -> Result<()> {
-        use crate::ondisk::seg_flags;
-        let u = self.seguse[seg as usize];
-        if u.flags & seg_flags::CACHE != 0 || seg == self.cur_seg || seg == self.next_seg {
-            return Err(LfsError::Invalid("segment is busy"));
-        }
-        if u.flags & seg_flags::DIRTY != 0 {
-            self.clean_segment(seg)?;
-        }
-        let u = &mut self.seguse[seg as usize];
-        u.flags = seg_flags::NOSTORE;
-        u.avail_bytes = 0;
-        Ok(())
-    }
-
-    /// Returns a retired segment to service (a replaced disk came back).
-    pub fn restore_segment(&mut self, seg: SegNo) {
-        self.seguse[seg as usize] = crate::ondisk::SegUse::clean(self.sb.seg_bytes);
-    }
-
-    /// Grows the filesystem to `new_nsegs` secondary segments (§10
-    /// on-line disk addition). The caller must already have grown the
-    /// device and the address map (see
-    /// [`crate::config::GrowableLinearMap`]); this extends the usage
-    /// table and persists the new geometry. Returns segments added.
-    pub fn extend_segments(&mut self, new_nsegs: u32) -> Result<u32> {
-        if new_nsegs <= self.sb.nsegs {
-            return Err(LfsError::Invalid("extension must grow the filesystem"));
-        }
-        if self.amap.nsegs_secondary() < new_nsegs {
-            return Err(LfsError::Invalid("address map was not grown first"));
-        }
-        let added = new_nsegs - self.sb.nsegs;
-        for _ in 0..added {
-            self.seguse
-                .push(crate::ondisk::SegUse::clean(self.sb.seg_bytes));
-        }
-        self.sb.nsegs = new_nsegs;
-        self.write_superblock()?;
-        Ok(added)
-    }
-
     /// Authoritative inode-block address. The ifile's inode is located
     /// by the checkpoint record (like 4.4BSD's superblock field), not by
     /// its own map entry — the map entry is always one flush stale,

@@ -46,9 +46,7 @@ pub mod writer;
 
 pub use check::{CheckReport, Finding};
 pub use cleaner::CleanerPolicy;
-pub use config::{
-    AddressMap, CpuCosts, GrowableLinearMap, LfsConfig, LinearMap, NoTertiary, TertiaryHooks,
-};
+pub use config::{AddressMap, CpuCosts, LfsConfig, LinearMap, NoTertiary, TertiaryHooks};
 pub use error::LfsError;
 pub use fs::{Lfs, Stat};
 pub use stats::LfsStats;

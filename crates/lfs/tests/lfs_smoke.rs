@@ -465,88 +465,3 @@ fn checker_names_a_level_one_child_claimed_twice() {
     };
     assert!(findings.contains(&want), "findings: {findings:#?}");
 }
-
-#[test]
-fn segments_retire_and_restore() {
-    let fx = Fixture::new(16);
-    fx.mkfs();
-    let mut fs = fx.mount();
-    let ino = fs.create("/f").unwrap();
-    fs.write(ino, 0, &patterned(3_000_000, 1)).unwrap();
-    fs.sync().unwrap();
-    // Retire a dirty, non-active segment: its live data must move first.
-    let candidates: Vec<u32> = (0..fs.nsegs())
-        .filter(|&s| {
-            let u = fs.seg_usage(s);
-            u.live_bytes > 0 && u.flags & hl_lfs::ondisk::seg_flags::ACTIVE == 0
-        })
-        .collect();
-    let victim = candidates
-        .into_iter()
-        .find(|&s| fs.retire_segment(s).is_ok())
-        .expect("a retirable dirty segment exists");
-    let u = fs.seg_usage(victim);
-    assert_eq!(u.flags, hl_lfs::ondisk::seg_flags::NOSTORE);
-    assert_eq!(u.avail_bytes, 0);
-    // Data intact; the retired segment is never re-used by the log.
-    fs.drop_caches();
-    let mut back = vec![0u8; 3_000_000];
-    fs.read(ino, 0, &mut back).unwrap();
-    assert_eq!(back, patterned(3_000_000, 1));
-    fs.write(ino, 3_000_000, &patterned(2_000_000, 2)).unwrap();
-    fs.checkpoint().unwrap();
-    assert_eq!(
-        fs.seg_usage(victim).flags,
-        hl_lfs::ondisk::seg_flags::NOSTORE,
-        "log consumed a retired segment"
-    );
-    // Restore it: it becomes clean capacity again.
-    fs.restore_segment(victim);
-    assert!(fs.seg_usage(victim).is_clean());
-    assert!(fs.check().unwrap().clean());
-}
-
-#[test]
-fn online_growth_adds_capacity() {
-    use hl_lfs::GrowableLinearMap;
-    let clock = Clock::new();
-    // Device has room for 24 segments, but only 8 are mapped initially.
-    let nblocks = 2 + 24 * 256 + 5;
-    let dev = Rc::new(Disk::new(DiskProfile::RZ57, nblocks, None));
-    let small = LinearMap {
-        seg_start: 2,
-        blocks_per_seg: 256,
-        nsegs: 8,
-    };
-    let amap = Rc::new(GrowableLinearMap::new(small));
-    let cfg = LfsConfig::base(clock.clone());
-    Lfs::mkfs(dev.clone(), amap.clone(), Rc::new(NoTertiary), cfg.clone()).unwrap();
-    let mut fs = Lfs::mount(dev.clone(), amap.clone(), Rc::new(NoTertiary), cfg.clone()).unwrap();
-    assert_eq!(fs.nsegs(), 8);
-    let ino = fs.create("/grow").unwrap();
-    fs.write(ino, 0, &patterned(3_000_000, 5)).unwrap();
-    fs.sync().unwrap();
-    let clean_before = fs.clean_segs();
-    // The operator adds a disk: grow the map, then the filesystem.
-    amap.grow_to(24);
-    let added = fs.extend_segments(24).unwrap();
-    assert_eq!(added, 16);
-    assert_eq!(fs.nsegs(), 24);
-    assert_eq!(fs.clean_segs(), clean_before + 16);
-    // The new capacity is usable and everything persists across remount.
-    fs.write(ino, 3_000_000, &patterned(8_000_000, 6)).unwrap();
-    fs.checkpoint().unwrap();
-    drop(fs);
-    let grown = Rc::new(GrowableLinearMap::new(LinearMap {
-        seg_start: 2,
-        blocks_per_seg: 256,
-        nsegs: 24,
-    }));
-    let mut fs = Lfs::mount(dev, grown, Rc::new(NoTertiary), cfg).unwrap();
-    assert_eq!(fs.nsegs(), 24);
-    let ino = fs.lookup("/grow").unwrap();
-    let mut back = vec![0u8; 3_000_000];
-    fs.read(ino, 0, &mut back).unwrap();
-    assert_eq!(back, patterned(3_000_000, 5));
-    assert!(fs.check().unwrap().clean());
-}
