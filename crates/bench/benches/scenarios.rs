@@ -19,14 +19,6 @@ fn check(checks: &mut Checks, r: &ScenarioResult) {
     assert_eq!(r.failed_fetches, 0, "{}: failed demand/prefetch", r.name);
     assert_eq!(r.failed_copyouts, 0, "{}: failed copy-outs", r.name);
     assert_eq!(r.oracle_mismatches, 0, "{}: byte oracle diverged", r.name);
-    // A value against itself since `coalesced_fetches` is read from the
-    // join count; kept because BENCH_scenarios.json names both — the
-    // benchmark-only follow-up that drops `max_dev_overlap` can drop it.
-    assert_eq!(
-        r.joins, r.coalesced,
-        "{}: Join events must match the coalesce counter",
-        r.name
-    );
 }
 
 fn main() {
@@ -110,10 +102,10 @@ fn main() {
     checks.row("digests byte-stable across replays", digests_stable);
     checks.row(
         format!(
-            "flash crowd coalesced the storm ({} coalesced, {} joins)",
-            crowd.coalesced, crowd.joins
+            "flash crowd coalesced the storm ({} coalesced)",
+            crowd.coalesced
         ),
-        crowd.coalesced >= 23 && crowd.joins == crowd.coalesced,
+        crowd.coalesced >= 23,
     );
     checks.row(
         format!(

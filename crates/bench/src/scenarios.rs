@@ -175,8 +175,6 @@ pub struct ScenarioResult {
     /// Fetches coalesced onto an in-flight read
     /// (`SvcStats::coalesced_fetches`, itself the trace's join count).
     pub coalesced: u64,
-    /// Join events in the trace (the same read-out as `coalesced`).
-    pub joins: u64,
     /// Demand queue residencies (enqueue → device start), ascending.
     pub demand_residency: Vec<SimTime>,
     /// Whole-segment media reads.
@@ -241,7 +239,6 @@ impl ScenarioResult {
                 ]),
             ),
             ("coalesced", self.coalesced.into()),
-            ("joins", self.joins.into()),
             (
                 "demand_residency_us",
                 Json::obj([
@@ -686,7 +683,6 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
         failed_copyouts,
         cache: tio.cache().borrow().stats(),
         coalesced: st.coalesced_fetches,
-        joins: tio.tracer().joins(),
         demand_residency,
         media_reads: fp.reads,
         media_writes: fp.writes,

@@ -226,7 +226,6 @@ proptest! {
             r.oracle_mismatches, 0,
             "bytes diverged over {} oracle checks", r.oracle_verified
         );
-        prop_assert_eq!(r.joins, r.coalesced);
         prop_assert!(
             r.trace_findings.is_empty(),
             "tracecheck findings (shape {}, fault {}, victim {}, at {}s): {:?}",
