@@ -5,8 +5,8 @@
 //! (`migrate_file`, with and without inodes, several partials per
 //! staging segment), the disk cleaner (`clean_once`), end-of-medium
 //! relocation (immediate and delayed copy-out), the tertiary cleaner
-//! (`tcleaner::clean_volume`), on-fetch rearrangement, and mount-time
-//! roll-forward (remounts, one of them without a checkpoint). A second,
+//! (`tcleaner::clean_volume`), and mount-time roll-forward (remounts,
+//! one of them without a checkpoint). A second,
 //! deep script takes two files behind the double-indirect pointer — one
 //! dense, one with a hole spanning a whole level-1 block — through
 //! migration, refetch, tertiary cleaning, remount, a truncate across
@@ -23,11 +23,13 @@
 //! `cksum`); `disk` again because `mkfs` now counts the root directory's
 //! first block in its `blocks` (it said 0); `trace` because the scheduler
 //! stopped writing park/wake lines into the engine trace. Clocks never
-//! moved.
+//! moved until the on-fetch rearrangement step was removed with the
+//! feature: that re-pinned every field of both lives but `eom_events`
+//! (the step wrote the fifth slot).
 
 use highlight::rig::{hp6300, HlRig};
 use highlight::tcleaner::{clean_volume, select_victim_volume};
-use highlight::{CopyOutMode, HighLight, MigrateStats, RearrangeMode};
+use highlight::{CopyOutMode, HighLight, MigrateStats};
 use hl_footprint::Footprint;
 use hl_vdev::{BlockDev, BLOCK_SIZE};
 
@@ -205,24 +207,8 @@ fn scripted_life(copyout: CopyOutMode) -> Pin {
         trace = fnv(trace, &hl.tio().trace_digest().to_le_bytes());
     }
 
-    {
-        // On-fetch rearrangement re-migrates what a demand fetch finds
-        // live in the fetched segment.
-        rig.cfg.rearrange = RearrangeMode::OnFetch;
-        let mut hl = rig.mount();
-        hl.eject_all();
-        hl.drop_caches();
-        let other = hl.lookup("/other").expect("lookup");
-        let mut buf = vec![0u8; 100_000];
-        hl.read(other, 0, &mut buf).expect("read");
-        assert!(hl.lfs().stats().blocks_migrated > 0, "nothing rearranged");
-        hl.checkpoint().expect("checkpoint");
-        trace = fnv(trace, &hl.tio().trace_digest().to_le_bytes());
-    }
-
     // Every surviving file reads back byte-exact from cold caches and
     // the whole hierarchy checks clean.
-    rig.cfg.rearrange = RearrangeMode::Off;
     let mut hl = rig.mount();
     hl.eject_all();
     hl.drop_caches();
@@ -269,12 +255,12 @@ fn immediate_copy_out_life_matches_the_pinned_image() {
     assert_eq!(
         scripted_life(CopyOutMode::Immediate),
         Pin {
-            disk: 0x4f1d_6418_7b99_0b45,
-            media: 0x7331_af2d_c9d3_0617,
-            slots_written: 5,
+            disk: 0xbb8f_1561_c562_33b0,
+            media: 0x046a_589f_b500_7436,
+            slots_written: 4,
             eom_events: 1,
-            sim_now: 136_346_952,
-            trace: 0xcf58_06b8_e7b4_8602,
+            sim_now: 90_964_383,
+            trace: 0x5859_b00b_8876_5ac0,
         }
     );
 }
@@ -284,12 +270,12 @@ fn delayed_copy_out_life_matches_the_pinned_image() {
     assert_eq!(
         scripted_life(CopyOutMode::Delayed { pipeline: 4 }),
         Pin {
-            disk: 0xb380_8be2_0bbb_d06c,
-            media: 0x4076_a954_6303_d6c1,
-            slots_written: 5,
+            disk: 0x8b11_4e1b_72d1_cd0d,
+            media: 0x6ccd_63d0_7846_3222,
+            slots_written: 4,
             eom_events: 2,
-            sim_now: 134_099_874,
-            trace: 0x7f7e_15db_2e86_bb8a,
+            sim_now: 92_129_304,
+            trace: 0x3d55_e05c_c72b_74f1,
         }
     );
 }
