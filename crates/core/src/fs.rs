@@ -54,21 +54,6 @@ pub enum CopyOutMode {
     },
 }
 
-/// When cached tertiary segments are rewritten to fresh tertiary
-/// locations (§5.4 "Rearranging tertiary segments").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum RearrangeMode {
-    /// Never rearrange.
-    #[default]
-    Off,
-    /// "A better approach might be to rewrite segments to tertiary
-    /// storage as they are read into the cache. This is more likely to
-    /// reflect true access locality": live blocks of each demand-fetched
-    /// segment are re-migrated into the current staging stream, so
-    /// segments accessed together end up stored together.
-    OnFetch,
-}
-
 /// HighLight construction parameters.
 #[derive(Clone)]
 pub struct HlConfig {
@@ -81,8 +66,6 @@ pub struct HlConfig {
     pub copyout: CopyOutMode,
     /// Prefetch policy (§5.3–5.4).
     pub prefetch: PrefetchPolicy,
-    /// Tertiary rearrangement policy (§5.4).
-    pub rearrange: RearrangeMode,
 }
 
 impl HlConfig {
@@ -94,7 +77,6 @@ impl HlConfig {
             eject: EjectPolicy::Lru,
             copyout: CopyOutMode::Immediate,
             prefetch: PrefetchPolicy::None,
-            rearrange: RearrangeMode::Off,
         }
     }
 }
@@ -125,7 +107,6 @@ pub struct HighLight {
     copyout_queue: Vec<SegNo>,
     copyout: CopyOutMode,
     prefetch: PrefetchPolicy,
-    rearrange: RearrangeMode,
     hints: UnitHintMap,
     /// Per-file access-range records (§5.2 block-range policy fuel).
     pub tracker: AccessTracker,
@@ -304,7 +285,6 @@ impl HighLight {
                 copyout_queue: Vec::new(),
                 copyout: cfg.copyout,
                 prefetch: cfg.prefetch,
-                rearrange: cfg.rearrange,
                 hints: UnitHintMap::default(),
                 tracker: AccessTracker::default(),
                 tsegfile_ino,
@@ -410,9 +390,6 @@ impl HighLight {
         self.tracker.record(ino, offset, n as u64, self.now());
         if self.tio.demand_fetches() > fetches_before {
             self.run_prefetch()?;
-            if self.rearrange == RearrangeMode::OnFetch {
-                self.rearrange_last_fetch()?;
-            }
         }
         Ok(n)
     }
@@ -553,32 +530,6 @@ impl HighLight {
         Ok(())
     }
 
-    /// §5.4 rearrangement: re-migrates the live contents of the most
-    /// recently fetched segment into the current staging stream, so data
-    /// accessed together cluster together on tertiary storage. The old
-    /// copy's live bytes drop to zero (reclaimable by the tertiary
-    /// cleaner); the freshly cached copy keeps serving reads.
-    fn rearrange_last_fetch(&mut self) -> Result<()> {
-        let seed = self
-            .cache
-            .borrow()
-            .lines()
-            .filter(|l| l.state == LineState::Clean)
-            .max_by_key(|l| l.fetched_at)
-            .map(|l| l.tert_seg);
-        let Some(seg) = seed else { return Ok(()) };
-        // Never rearrange into the segment being filled.
-        if self.staging.as_ref().map(|s| s.seg) == Some(seg) {
-            return Ok(());
-        }
-        let items = self.lfs.live_items(seg)?;
-        if items.is_empty() {
-            return Ok(());
-        }
-        self.migrate_items_opts(&items, None, true)?;
-        Ok(())
-    }
-
     /// Ejects a cached tertiary segment (unilateral ejection, §6.2).
     pub fn eject(&mut self, tert_seg: SegNo) -> bool {
         // The disk segment's tag is cleared at the next checkpoint.
@@ -651,8 +602,7 @@ impl HighLight {
     }
 
     /// [`HighLight::migrate_items`], optionally taking tertiary-resident
-    /// sources too (the tertiary cleaner's consolidation path, §10, and
-    /// on-fetch rearrangement).
+    /// sources too (the tertiary cleaner's consolidation path, §10).
     pub(crate) fn migrate_items_opts(
         &mut self,
         items: &[MigrateItem],

@@ -49,7 +49,7 @@ pub mod tsegfile;
 
 pub use addr::UniformMap;
 pub use fault::{FaultEvent, FaultKind, FaultLog, HlError};
-pub use fs::{CopyOutMode, HighLight, HlConfig, MigrateStats, RearrangeMode};
+pub use fs::{CopyOutMode, HighLight, HlConfig, MigrateStats};
 pub use hlfsck::{HlFinding, HlfsckReport};
 pub use migrator::{
     AdaptiveThrottle, BlockRangePolicy, GenerationalPolicy, MigrationPolicy, Migrator,

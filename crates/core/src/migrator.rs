@@ -217,6 +217,9 @@ fn survey(fs: &mut Lfs, root: &str) -> Result<Vec<Candidate>> {
 }
 
 /// A migration policy: orders candidates and produces migration items.
+/// The whole-file policies move each file's inode with its data; §8.2's
+/// keep-metadata-on-disk ablation calls `HighLight::migrate_file` with
+/// `include_inode` unset instead.
 pub trait MigrationPolicy {
     /// Selects what to migrate, up to roughly `target_bytes`. Returns
     /// `(items, unit label)` batches to feed the mechanism.
@@ -241,9 +244,6 @@ pub struct StpPolicy {
     pub size_exp: f64,
     /// Exponent on time since last access.
     pub age_exp: f64,
-    /// Whether inodes migrate with their files (§8.2 discusses keeping
-    /// metadata on disk for reliability).
-    pub migrate_inodes: bool,
     /// Walk root.
     pub root: String,
 }
@@ -255,7 +255,6 @@ impl StpPolicy {
         StpPolicy {
             size_exp: 1.0,
             age_exp: 1.0,
-            migrate_inodes: true,
             root: "/".to_string(),
         }
     }
@@ -283,7 +282,7 @@ impl MigrationPolicy for StpPolicy {
             if bytes >= target_bytes {
                 break;
             }
-            let items = fs.whole_file_items(c.ino, self.migrate_inodes)?;
+            let items = fs.whole_file_items(c.ino, true)?;
             bytes += c.size;
             out.push((items, None));
         }
@@ -312,8 +311,6 @@ pub struct NamespacePolicy {
     pub dormant_fraction: f64,
     /// A file is "active" if accessed within this window.
     pub active_window: SimTime,
-    /// Migrate metadata with the unit.
-    pub migrate_inodes: bool,
     /// Unit-path interner: a stable integer id per unit, assigned in
     /// first-seen order and kept across passes. Grouping then works on
     /// ids (one `Vec` index per file) instead of hashing and cloning
@@ -335,7 +332,6 @@ impl NamespacePolicy {
             root: root.to_string(),
             dormant_fraction: 0.1,
             active_window: hl_sim::time::secs(3600.0),
-            migrate_inodes: true,
             unit_ids: HashMap::new(),
             unit_names: Vec::new(),
             groups: Vec::new(),
@@ -444,7 +440,7 @@ impl MigrationPolicy for NamespacePolicy {
                 .collect();
             files.sort_by(|a, b| a.path.cmp(&b.path));
             for c in files {
-                items.extend(fs.whole_file_items(c.ino, self.migrate_inodes)?);
+                items.extend(fs.whole_file_items(c.ino, true)?);
                 bytes += c.size;
             }
             out.push((items, Some(uid as u32)));
@@ -543,8 +539,6 @@ pub struct GenerationalPolicy {
     pub hot_window: SimTime,
     /// Number of cold age bands (band 0 = coldest).
     pub generations: u32,
-    /// Migrate metadata with the files.
-    pub migrate_inodes: bool,
 }
 
 impl GenerationalPolicy {
@@ -554,7 +548,6 @@ impl GenerationalPolicy {
             root: root.to_string(),
             hot_window: hl_sim::time::secs(600.0),
             generations: 4,
-            migrate_inodes: true,
         }
     }
 
@@ -629,7 +622,7 @@ impl MigrationPolicy for GenerationalPolicy {
                 if bytes >= target_bytes {
                     break;
                 }
-                items.extend(fs.whole_file_items(c.ino, self.migrate_inodes)?);
+                items.extend(fs.whole_file_items(c.ino, true)?);
                 bytes += c.size;
             }
             if !items.is_empty() {
@@ -651,7 +644,7 @@ impl MigrationPolicy for GenerationalPolicy {
                 if bytes >= target_bytes {
                     break;
                 }
-                items.extend(fs.whole_file_items(c.ino, self.migrate_inodes)?);
+                items.extend(fs.whole_file_items(c.ino, true)?);
                 bytes += c.size;
             }
             if !items.is_empty() {
@@ -860,7 +853,6 @@ mod tests {
             root: "/".to_string(),
             hot_window: 100,
             generations: 4,
-            migrate_inodes: true,
         };
         let now = 10_000;
         assert_eq!(p.generation(now - 50, now), None, "hot stays put");

@@ -351,59 +351,6 @@ fn replicas_serve_reads_from_loaded_volumes() {
     assert_eq!(back, data, "replica read returned wrong data");
 }
 
-#[test]
-fn rearrangement_clusters_accessed_segments() {
-    use highlight::RearrangeMode;
-    let mut rig = rig(48, 6, 10, 8);
-    rig.mkfs();
-    rig.cfg.rearrange = RearrangeMode::OnFetch;
-    let mut hl = rig.mount();
-    // Two datasets loaded separately (so they land in separate
-    // segments), later "analyzed together" (§5.4's motivating example).
-    let a = hl.create("/setA").unwrap();
-    hl.write(a, 0, &patterned(900_000, 1)).unwrap();
-    hl.sync().unwrap();
-    hl.migrate_file("/setA", false, None).unwrap();
-    let mut t = Default::default();
-    hl.seal_staging(&mut t).unwrap();
-    let b = hl.create("/setB").unwrap();
-    hl.write(b, 0, &patterned(900_000, 2)).unwrap();
-    hl.sync().unwrap();
-    hl.migrate_file("/setB", false, None).unwrap();
-    let mut t2 = Default::default();
-    hl.seal_staging(&mut t2).unwrap();
-
-    let old_a = hl.map().tert_seg(0, 0);
-    let live_before = hl.tseg().borrow().seg(old_a).live_bytes;
-    assert!(live_before > 0);
-
-    // Analyze both together: demand fetches trigger rearrangement.
-    hl.eject_all();
-    hl.drop_caches();
-    let mut buf = vec![0u8; 900_000];
-    hl.read(a, 0, &mut buf).unwrap();
-    assert_eq!(buf, patterned(900_000, 1));
-    hl.read(b, 0, &mut buf).unwrap();
-    assert_eq!(buf, patterned(900_000, 2));
-    let mut t3 = Default::default();
-    hl.seal_staging(&mut t3).unwrap();
-
-    // The old homes are now dead (their live bytes moved to fresh,
-    // co-located segments) — reclaimable by the tertiary cleaner.
-    assert_eq!(
-        hl.tseg().borrow().seg(old_a).live_bytes,
-        0,
-        "old segment should be dead after rearrangement"
-    );
-    // And everything still reads correctly from the new layout.
-    hl.eject_all();
-    hl.drop_caches();
-    hl.read(a, 0, &mut buf).unwrap();
-    assert_eq!(buf, patterned(900_000, 1));
-    hl.read(b, 0, &mut buf).unwrap();
-    assert_eq!(buf, patterned(900_000, 2));
-}
-
 /// Rewrites the first summary of the segment stored at disk address
 /// `at` so that it lists one inode block at `iaddr` — with both
 /// checksums valid, so only a geometry check can reject it.
@@ -452,7 +399,7 @@ fn forged_inode_address_is_corrupt_to_both_cleaners_and_relocation() {
         assert!(is_corrupt(hl.lfs().clean_segment(victim).map(|_| ())));
     }
 
-    // The tertiary cleaner and rearrangement scan, over the cached copy.
+    // The tertiary cleaner's scan, over the cached copy.
     let tseg = map.tert_seg(0, 0);
     let line = hl.cache().borrow().peek(tseg).copied().expect("cached");
     let line_at = map.seg_base(line.disk_seg);

@@ -17,7 +17,7 @@
 
 use std::rc::Rc;
 
-use hl_lfs::buffer::BufCache;
+use hl_lfs::buffer::{BufCache, BUFFER_CACHE_BYTES};
 use hl_lfs::config::CpuCosts;
 use hl_lfs::dir;
 use hl_lfs::error::{LfsError, Result};
@@ -36,8 +36,6 @@ use crate::alloc::BlockMap;
 /// FFS magic number.
 const FFS_MAGIC: u64 = 0x4647_4c49_4646_5331;
 
-/// Buffer cache capacity in bytes (the test machine had 3.2 MB).
-const BUFFER_CACHE_BYTES: u64 = 3_355_443;
 /// Inode table capacity, recorded in the superblock.
 const NINODES: u32 = 4096;
 /// Largest coalesced run the flush elevator writes at once. Writes

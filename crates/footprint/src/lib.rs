@@ -14,13 +14,14 @@
 //! disconnects, §7), per-medium seeks, and calibrated transfer rates.
 //! Every timed transfer names its drive: which drive serves what is the
 //! engine's decision (its I/O-server lanes), not the device's.
-//! [`Jukebox`] implements it for magneto-optical, tape, and write-once
-//! media.
+//! [`Jukebox`] implements it for the one device the paper measures (§7):
+//! the HP 6300 magneto-optical changer. The Metrum and Sony robots are
+//! named by the paper but not modelled.
 
 pub mod jukebox;
 pub mod stats;
 
-pub use jukebox::{Jukebox, JukeboxConfig, MediaKind};
+pub use jukebox::{Jukebox, JukeboxConfig};
 pub use stats::FpStats;
 
 use hl_sim::time::SimTime;
@@ -98,7 +99,7 @@ pub trait Footprint {
     ) -> Result<(IoSlot, usize), DevError>;
 
     /// Erases a volume so its slots may be rewritten (tertiary cleaning,
-    /// §10). Fails on write-once media.
+    /// §10). Fails on a failed volume.
     fn erase_volume(&self, vol: VolumeId) -> Result<(), DevError>;
 
     /// Nominal duration of one whole-segment operation on a healthy

@@ -77,8 +77,6 @@ pub struct LfsConfig {
     /// 4096 in HighLight, §6.3). The summary always occupies one 4 KB
     /// block on media; this caps how much description fits in it.
     pub summary_bytes: u32,
-    /// Buffer cache capacity in bytes (the test machine had 3.2 MB).
-    pub buffer_cache_bytes: u64,
     /// Disk segments reserved as tertiary cache lines (0 = base LFS;
     /// static, chosen at mkfs time, §6.4).
     pub cache_segs: u32,
@@ -97,7 +95,6 @@ impl LfsConfig {
             clock,
             seg_bytes: 1 << 20,
             summary_bytes: 512,
-            buffer_cache_bytes: 3_355_443, // 3.2 MB, the paper's machine
             cache_segs: 0,
             cpu: CpuCosts::lfs(),
             min_clean_segs: 3,

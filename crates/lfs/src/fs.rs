@@ -22,7 +22,7 @@ use std::rc::Rc;
 use hl_sim::time::SimTime;
 use hl_vdev::{Block, BlockDev, BLOCK_SIZE};
 
-use crate::buffer::{Buf, BufCache};
+use crate::buffer::{Buf, BufCache, BUFFER_CACHE_BYTES};
 use crate::config::{AddressMap, LfsConfig, TertiaryHooks};
 use crate::error::{LfsError, Result};
 use crate::ondisk::{Dinode, IfileEntry, SegUse, Superblock};
@@ -214,7 +214,7 @@ impl Lfs {
     ) -> Lfs {
         let nsegs = sb.nsegs;
         Lfs {
-            cache: BufCache::new(cfg.buffer_cache_bytes, BLOCK_SIZE),
+            cache: BufCache::new(BUFFER_CACHE_BYTES, BLOCK_SIZE),
             dev,
             amap,
             hooks,

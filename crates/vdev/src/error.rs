@@ -29,8 +29,8 @@ pub enum DevError {
     },
     /// The device (or its volume) is not loaded/online.
     Offline,
-    /// An attempt to overwrite a block on write-once media (the Sony WORM
-    /// jukebox of §2).
+    /// An attempt to overwrite a block that is read-only at this level
+    /// (a block held in a tertiary cache line).
     WriteOnceViolation {
         /// The block that already holds data.
         block: u64,

@@ -22,8 +22,11 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use hl_sim::time::SimTime;
+use hl_sim::time::{SimTime, SEC};
 use hl_sim::DetRng;
+
+/// Extra time a jammed robot swap spends stuck.
+const SWAP_STUCK_TIME: SimTime = 60 * SEC;
 
 /// Fault rates and shapes. All probabilities are per-operation.
 #[derive(Clone, Copy, Debug)]
@@ -37,11 +40,9 @@ pub struct FaultConfig {
     /// Probability a segment read kills the whole volume
     /// (`DevError::MediaFailure`); the volume stays dead.
     pub media_failure_p: f64,
-    /// Probability a robot swap jams, adding [`FaultConfig::swap_stuck_time`]
-    /// to the swap before it completes.
+    /// Probability a robot swap jams, adding a minute stuck to the swap
+    /// before it completes.
     pub swap_jam_p: f64,
-    /// Extra time a jammed swap spends stuck.
-    pub swap_stuck_time: SimTime,
     /// Probability a robot swap fails outright (`DevError::Offline`).
     pub swap_fail_p: f64,
     /// Probability a segment write reports `EndOfMedium` early (a
@@ -57,7 +58,6 @@ impl FaultConfig {
             transient_read_p: 0.0,
             media_failure_p: 0.0,
             swap_jam_p: 0.0,
-            swap_stuck_time: hl_sim::time::secs(60.0),
             swap_fail_p: 0.0,
             early_eom_p: 0.0,
         }
@@ -319,7 +319,7 @@ impl FaultPlan {
             return Some(SwapFault::Failed);
         }
         if p.cfg.swap_jam_p > 0.0 && p.rng.chance(p.cfg.swap_jam_p) {
-            let stuck = p.cfg.swap_stuck_time;
+            let stuck = SWAP_STUCK_TIME;
             p.trace(at, format!("swap jam v{vol} +{stuck}"));
             return Some(SwapFault::Jam { stuck });
         }

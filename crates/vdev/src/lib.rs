@@ -4,8 +4,7 @@
 //! disks, an HP 7958A HPIB disk, and an HP 6300 magneto-optical changer,
 //! all of whose raw throughput it reports in Table 5. This crate provides:
 //!
-//! - calibrated performance [`profile`]s for those devices (and for the
-//!   Metrum tape and Sony WORM media Sequoia planned to use),
+//! - calibrated performance [`profile`]s for those devices,
 //! - a seek/rotation/transfer [`disk`] model with a shared-arm resource so
 //!   that interleaved access streams pay seeks (the paper's "disk arm
 //!   contention"),
@@ -31,7 +30,7 @@ pub use crash::{CrashDev, CrashPlan, TornWrite};
 pub use disk::{Disk, DiskStats};
 pub use error::DevError;
 pub use fault::{DriveFault, FaultConfig, FaultPlan, MediaFault, SwapFault};
-pub use profile::{DiskProfile, TapeProfile};
+pub use profile::DiskProfile;
 
 /// The filesystem block size used throughout the reproduction (§6.2:
 /// HighLight's pointers address 4-kilobyte units).

@@ -81,18 +81,6 @@ impl DiskProfile {
         per_io_overhead: 2000,
     };
 
-    /// A platter of the Sony write-once optical jukebox (§2; ~327 GB
-    /// total). Rates estimated from contemporary WORM drives.
-    pub const SONY_WORM: DiskProfile = DiskProfile {
-        name: "Sony WORM platter",
-        seq_read_kbs: 600.0,
-        seq_write_kbs: 300.0,
-        min_seek: 25 * MS,
-        max_seek: 150 * MS,
-        rpm: 1800,
-        per_io_overhead: 2500,
-    };
-
     /// Rotational latency: half a revolution.
     pub fn rot_latency(&self) -> SimTime {
         // Full revolution in µs = 60e6 / rpm.
@@ -123,47 +111,10 @@ impl DiskProfile {
     }
 }
 
-/// Performance model of a sequential tape transport.
-#[derive(Clone, Copy, Debug)]
-pub struct TapeProfile {
-    /// Human-readable model name.
-    pub name: &'static str,
-    /// Streaming throughput, KB/s (reads and writes stream alike).
-    pub stream_kbs: f64,
-    /// Time to position over `1 MB` of tape distance, microseconds.
-    pub seek_per_mb: SimTime,
-    /// Full rewind, microseconds.
-    pub rewind: SimTime,
-    /// Nominal cartridge capacity in bytes.
-    pub capacity: u64,
-}
-
-impl TapeProfile {
-    /// Metrum RSS-48/RSS-600 VHS cartridge: 14.5 GB, ~1 MB/s class
-    /// transport (§2: 600 cartridges ≈ 9 TB).
-    pub const METRUM: TapeProfile = TapeProfile {
-        name: "Metrum VHS cartridge",
-        stream_kbs: 1100.0,
-        seek_per_mb: 6 * MS,
-        rewind: 90_000_000,
-        capacity: 14_500 * 1024 * 1024,
-    };
-
-    /// Streaming transfer time for `bytes`.
-    pub fn transfer(&self, bytes: u64) -> SimTime {
-        transfer_time(bytes, self.stream_kbs)
-    }
-
-    /// Positioning time for a move of `bytes` of tape distance.
-    pub fn seek_time(&self, bytes: u64) -> SimTime {
-        (bytes / (1024 * 1024)) * self.seek_per_mb
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hl_sim::time::{throughput_kbs, SEC};
+    use hl_sim::time::throughput_kbs;
 
     #[test]
     fn table5_sequential_rates_reproduce() {
@@ -209,13 +160,5 @@ mod tests {
     fn rotational_latency_is_half_a_revolution() {
         assert_eq!(DiskProfile::RZ57.rot_latency(), 8_333);
         assert_eq!(DiskProfile::RZ58.rot_latency(), 6_818);
-    }
-
-    #[test]
-    fn tape_streams_at_rated_speed() {
-        let p = TapeProfile::METRUM;
-        let t = p.transfer(p.stream_kbs as u64 * 1024);
-        assert!((t as i64 - SEC as i64).abs() < 2);
-        assert_eq!(p.seek_time(10 * 1024 * 1024), 10 * p.seek_per_mb);
     }
 }
