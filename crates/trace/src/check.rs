@@ -239,7 +239,8 @@ pub(crate) struct Checker {
     dev: Vec<(Lane, TraceTime, TraceTime)>,
     /// `(peak in flight, drive peak)` over `dev`, until the next op.
     peaks: Option<(usize, usize)>,
-    /// Currently down drives and when they went down.
+    /// Currently down drives and when they went down (the first
+    /// [`EventKind::DriveDown`] after their last [`EventKind::DriveUp`]).
     down: BTreeMap<u32, TraceTime>,
     /// Closed down windows: (drive, from, until).
     windows: Vec<(u32, TraceTime, TraceTime)>,
@@ -374,10 +375,12 @@ impl Checker {
                 }
             }
             EventKind::DriveDown { drive } => {
-                if self.down.insert(*drive, ev.at).is_some() {
+                if self.down.contains_key(drive) {
                     fail(format_args!(
                         "drive d{drive} marked down while already down"
                     ));
+                } else {
+                    self.down.insert(*drive, ev.at);
                 }
             }
             EventKind::DriveUp { drive } => match self.down.remove(drive) {
@@ -455,6 +458,16 @@ impl Checker {
         peaks
     }
 
+    /// Each drive's down windows `(drive, down, up)`: the closed ones in
+    /// the order they closed, then the drives still down (`up` is
+    /// `None`) in drive order.
+    pub(crate) fn down_windows(
+        &self,
+    ) -> impl Iterator<Item = (u32, TraceTime, Option<TraceTime>)> + '_ {
+        let closed = self.windows.iter().map(|&(d, s, e)| (d, s, Some(e)));
+        closed.chain(self.down.iter().map(|(&d, &s)| (d, s, None)))
+    }
+
     /// Currently open spans, in id order.
     pub(crate) fn live_spans(&self) -> Vec<(u64, Class)> {
         self.open.iter().map(|(&s, l)| (s, l.class)).collect()
@@ -481,12 +494,10 @@ impl Checker {
         }
         // Drives still down at the end of the trace close open-ended
         // windows (legitimately: a dead drive may never come back).
-        let still_down = self
-            .down
-            .iter()
-            .map(|(&d, &since)| (d, since, TraceTime::MAX));
-        let windows: Vec<(u32, TraceTime, TraceTime)> =
-            self.windows.iter().copied().chain(still_down).collect();
+        let windows: Vec<(u32, TraceTime, TraceTime)> = self
+            .down_windows()
+            .map(|(d, s, e)| (d, s, e.unwrap_or(TraceTime::MAX)))
+            .collect();
         // No device op may execute on a lane inside that lane's down
         // window. An op *ending* exactly at the down time is clean:
         // faults are detected at op start, so a successful transfer
@@ -788,6 +799,8 @@ mod tests {
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f[0].message.contains("already down"));
         assert!(f[1].message.contains("was not down"));
+        // The window opens at the first down, not the repeated one.
+        assert_eq!(t.down_windows(), vec![(0, 10, Some(30))]);
     }
 
     #[test]

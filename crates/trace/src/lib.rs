@@ -596,11 +596,6 @@ struct Recorder {
     /// Per-drive-lane `(ops, busy time)` sums of [`EventKind::DevIo`]
     /// events, indexed by drive.
     drive_io: Vec<(u64, TraceTime)>,
-    /// Drives down since (the first [`EventKind::DriveDown`] after their
-    /// last [`EventKind::DriveUp`]).
-    down_since: BTreeMap<u32, TraceTime>,
-    /// Closed down windows `(drive, down, up)`, in the order they closed.
-    down_windows: Vec<(u32, TraceTime, TraceTime)>,
     /// The independent reading [`tracecheck`] finishes.
     checker: Checker,
 }
@@ -776,18 +771,14 @@ impl Tracer {
 
     /// Records an I/O-server lane going down.
     pub fn drive_down(&self, at: TraceTime, drive: u32) {
-        let mut r = self.rec.borrow_mut();
-        r.down_since.entry(drive).or_insert(at);
-        r.emit(at, EventKind::DriveDown { drive });
+        self.rec
+            .borrow_mut()
+            .emit(at, EventKind::DriveDown { drive });
     }
 
     /// Records a quarantined lane rejoining the pool as a hot spare.
     pub fn drive_up(&self, at: TraceTime, drive: u32) {
-        let mut r = self.rec.borrow_mut();
-        if let Some(since) = r.down_since.remove(&drive) {
-            r.down_windows.push((drive, since, at));
-        }
-        r.emit(at, EventKind::DriveUp { drive });
+        self.rec.borrow_mut().emit(at, EventKind::DriveUp { drive });
     }
 
     /// Records a watchdog deadline expiring on an in-flight device op.
@@ -941,10 +932,7 @@ impl Tracer {
     /// `None`) in drive order. A second [`EventKind::DriveDown`] of a
     /// drive already down does not open a window.
     pub fn down_windows(&self) -> Vec<(u32, TraceTime, Option<TraceTime>)> {
-        let r = self.rec.borrow();
-        let closed = r.down_windows.iter().map(|&(d, s, e)| (d, s, Some(e)));
-        let open = r.down_since.iter().map(|(&d, &s)| (d, s, None));
-        closed.chain(open).collect()
+        self.rec.borrow().checker.down_windows().collect()
     }
 
     /// The most device ops in flight at one instant. An op starting
