@@ -37,7 +37,7 @@ use hl_workload::{TenantMix, ZipfStore};
 
 use crate::connection::Connection;
 use crate::pool::{PoolKind, PoolState};
-use crate::proto::{Req, RequestFrame, ResponseFrame};
+use crate::proto::{Req, RequestFrame, ResponseFrame, OP_GET, OP_PUT};
 use crate::shard::{ShardSpec, ShardedEngine};
 
 /// Protocol error codes the server returns.
@@ -267,7 +267,7 @@ impl Actor<FleetWorld> for ClientActor {
             // not to when the engine resolved the ticket and woke the
             // worker.
             let done = match r.result {
-                Ok(v) if op == 1 || op == 2 => v.max(now),
+                Ok(v) if op == OP_GET || op == OP_PUT => v.max(now),
                 _ => now,
             };
             w.lat.push((self.tenant, op, done - sent));
@@ -662,7 +662,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         let gets: Vec<u64> = world
             .lat
             .iter()
-            .filter(|&&(tid, op, _)| tid == t && op == 1)
+            .filter(|&&(tid, op, _)| tid == t && op == OP_GET)
             .map(|&(_, _, l)| l)
             .collect();
         per_tenant.insert(t, summarize(gets));

@@ -29,6 +29,12 @@ use highlight::TenantId;
 /// length must not make a reader wait forever for bytes).
 const MAX_FRAME: u32 = 256;
 
+/// The opcode byte of each request kind (see [`Req::opcode`]).
+pub(crate) const OP_GET: u8 = 1;
+pub(crate) const OP_PUT: u8 = 2;
+const OP_SCAN: u8 = 3;
+const OP_STAT: u8 = 4;
+
 /// Bytes of one encoded request frame, length prefix included.
 pub(crate) const REQUEST_BYTES: usize = 4 + 25;
 
@@ -64,10 +70,10 @@ impl Req {
     /// The wire opcode byte.
     pub fn opcode(self) -> u8 {
         match self {
-            Req::Get { .. } => 1,
-            Req::Put { .. } => 2,
-            Req::Scan { .. } => 3,
-            Req::Stat => 4,
+            Req::Get { .. } => OP_GET,
+            Req::Put { .. } => OP_PUT,
+            Req::Scan { .. } => OP_SCAN,
+            Req::Stat => OP_STAT,
         }
     }
 }
@@ -179,10 +185,10 @@ pub fn decode_request(buf: &[u8]) -> Result<Option<(RequestFrame, usize)>, Proto
     let obj = get_u64(&body[13..]);
     let count = get_u32(&body[21..]);
     let req = match body[0] {
-        1 => Req::Get { obj },
-        2 => Req::Put { obj },
-        3 => Req::Scan { start: obj, count },
-        4 => Req::Stat,
+        OP_GET => Req::Get { obj },
+        OP_PUT => Req::Put { obj },
+        OP_SCAN => Req::Scan { start: obj, count },
+        OP_STAT => Req::Stat,
         op => return Err(ProtoError::BadOpcode(op)),
     };
     Ok(Some((
