@@ -176,6 +176,31 @@ if awk '/^#\[cfg\(test\)\]/ { exit }
   exit 1
 fi
 
+# Every setting has a workload that sets it (DESIGN.md §2, §4b): the
+# jukebox models the one medium the paper measures (the HP 6300 MO
+# changer), there is no on-fetch rearrangement, and a setting whose only
+# value outside tests is one value is a constant. The gate fails if a
+# deleted media kind, profile, constructor, mode or one-value field is
+# declared again in the non-test part (each file up to its first column-0
+# `#[cfg(test)]`) of crates/*/src. Seen red at the parent commit: 13
+# lines in six files (`enum MediaKind`, `pub volume_change_time`,
+# `fn metrum`, `fn sony_worm` and its `SONY_WORM` in jukebox.rs;
+# `SONY_WORM` and `struct TapeProfile` in profile.rs; `enum
+# RearrangeMode` in core's fs.rs; the three `pub migrate_inodes` in
+# migrator.rs; `pub buffer_cache_bytes` in lfs's config.rs; `pub
+# swap_stuck_time` in fault.rs), and with `pub swap_stuck_time: SimTime,`
+# planted back into `FaultConfig` alone.
+echo "==> every setting has a workload: no deleted medium, mode or one-value field in crates/*/src"
+if awk 'FNR == 1 { t = 0 }
+        /^#\[cfg\(test\)\]/ { t = 1 }
+        !t && /enum (MediaKind|RearrangeMode)|struct TapeProfile|SONY_WORM|fn (metrum|sony_worm)\(|pub (migrate_inodes|buffer_cache_bytes|volume_change_time|swap_stuck_time):/ {
+          print FILENAME ":" FNR ": " $0; bad = 1
+        }
+        END { exit !bad }' crates/*/src/*.rs; then
+  echo "  a setting with one value came back: make it a constant, or give it a workload that sets it"
+  exit 1
+fi
+
 # Frames in place (DESIGN.md §6h, "Protocol + pool"): each direction
 # of a connection is one buffer and a read cursor; a send encodes
 # straight onto the buffer and a receive decodes at the cursor, so a
