@@ -201,6 +201,25 @@ if awk 'FNR == 1 { t = 0 }
   exit 1
 fi
 
+# One accounting source (DESIGN.md §6d): Table 4's rows are read off
+# the trace's lane busy times and the I/O servers' queuing total
+# (`SvcStats::queuing`); no named phase timer is kept beside the trace.
+# The gate fails if a `struct PhaseTimer`, a `fn phases(` or a `mod
+# phase` is declared again in the non-test part (each file up to its
+# first column-0 `#[cfg(test)]`) of crates/*/src. Seen red at the parent
+# commit: 3 lines in two files (`pub struct PhaseTimer` in hl-sim's
+# stats.rs; `pub mod phase` and `pub fn phases(` in core's service.rs).
+echo "==> one accounting source: no phase timer beside the trace in crates/*/src"
+if awk 'FNR == 1 { t = 0 }
+        /^#\[cfg\(test\)\]/ { t = 1 }
+        !t && /struct PhaseTimer|fn phases\(|mod phase([ ;{]|$)/ {
+          print FILENAME ":" FNR ": " $0; bad = 1
+        }
+        END { exit !bad }' crates/*/src/*.rs; then
+  echo "  a phase timer came back: read the split off the trace's lanes"
+  exit 1
+fi
+
 # Frames in place (DESIGN.md §6h, "Protocol + pool"): each direction
 # of a connection is one buffer and a read cursor; a send encodes
 # straight onto the buffer and a receive decodes at the cursor, so a

@@ -146,7 +146,7 @@ fn main() {
     );
     checks.row(
         "writer lane busiest under the copy-out stream",
-        r2.drive_busy[0] >= r2.drive_busy[1],
+        r2.stats.drive_busy[0] >= r2.stats.drive_busy[1],
     );
     checks.row(
         format!(

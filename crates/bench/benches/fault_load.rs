@@ -70,7 +70,7 @@ fn main() {
     let healthy = run_with_plan(4, None);
     check("healthy-4drive", &healthy);
     assert_eq!(healthy.completions.len(), 16);
-    assert_eq!(healthy.drive_down, 0);
+    assert_eq!(healthy.stats.drive_down, 0);
 
     // Drive 1 dies 10 s in — mid demand storm, mid migration. The lane
     // quarantines, probes fail forever, it retires; the other three
@@ -86,7 +86,10 @@ fn main() {
     );
     assert_eq!(death.failed_copyouts, 0, "survivors must absorb the work");
     assert_eq!(death.failed_fetches, 0);
-    assert!(death.drive_down >= 1, "the dead drive was never observed");
+    assert!(
+        death.stats.drive_down >= 1,
+        "the dead drive was never observed"
+    );
     assert!(
         death.availability[1].iter().any(|&(s, _)| s >= secs(10.0)),
         "no down interval recorded for drive 1"
@@ -101,7 +104,7 @@ fn main() {
     check("robot-jam", &jam);
     assert_eq!(jam.completions.len(), 16);
     assert_eq!(jam.failed_fetches, 0);
-    assert_eq!(jam.drive_down, 0, "a jam stalls, it does not kill");
+    assert_eq!(jam.stats.drive_down, 0, "a jam stalls, it does not kill");
 
     // Blackout: both drives hang for 100 s. Watchdogs fire, both lanes
     // quarantine, redispatched ops wait in the device queue, the probe
@@ -114,8 +117,11 @@ fn main() {
     check("blackout", &blackout);
     assert_eq!(blackout.completions.len(), 16);
     assert_eq!(blackout.failed_fetches, 0);
-    assert!(blackout.watchdog_fired >= 1, "hangs must trip the watchdog");
-    assert!(blackout.drive_down >= 1);
+    assert!(
+        blackout.stats.watchdog_fired >= 1,
+        "hangs must trip the watchdog"
+    );
+    assert!(blackout.stats.drive_down >= 1);
     let recovered = blackout
         .availability
         .iter()
@@ -156,7 +162,7 @@ fn main() {
                 paper: "-".into(),
                 measured: format!(
                     "{} / {} / {}",
-                    r.drive_down, r.watchdog_fired, r.redispatched
+                    r.stats.drive_down, r.stats.watchdog_fired, r.stats.redispatched
                 ),
             },
         ]

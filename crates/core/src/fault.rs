@@ -10,8 +10,8 @@
 //! a failed demand fetch carries, inside
 //! [`HlError::SegmentUnavailable`], the entries appended while it was
 //! being served (which copies were tried, what each returned, what the
-//! policy did about it), and the engine's fault counters are the log's
-//! per-kind counts ([`FaultLog::count`]).
+//! policy did about it), and the engine's fault counters count the
+//! log's events by kind ([`FaultLog::count`]).
 
 use hl_lfs::types::SegNo;
 use hl_sim::time::SimTime;
@@ -312,8 +312,6 @@ impl fmt::Display for FaultEvent {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultLog {
     events: Vec<FaultEvent>,
-    /// Events pushed per [`FaultKind`] since the last [`Self::clear`].
-    counts: [u64; FaultKind::DriveUp as usize + 1],
 }
 
 impl FaultLog {
@@ -324,13 +322,12 @@ impl FaultLog {
 
     /// Appends an event.
     pub fn push(&mut self, event: FaultEvent) {
-        self.counts[event.kind() as usize] += 1;
         self.events.push(event);
     }
 
     /// How many events of `kind` the log holds.
     pub fn count(&self, kind: FaultKind) -> u64 {
-        self.counts[kind as usize]
+        self.events.iter().filter(|e| e.kind() == kind).count() as u64
     }
 
     /// All events, in order.

@@ -48,7 +48,7 @@ use hl_sim::{Actor, ActorId, Scheduler, Step, Waker};
 
 use crate::lanes::{LaneGate, ProbeOutcome};
 use crate::requests::DISPATCH_CPU;
-use crate::service::{phase, ExecResult, TioInner};
+use crate::service::{ExecResult, TioInner};
 
 /// Wake handles for the engine's actors on their current scheduler.
 pub(crate) struct EngineHandles {
@@ -151,7 +151,7 @@ impl<W> Actor<W> for IoActor {
         // dispatch hop when the lane was idle, and zero when the op
         // arrived while the lane was busy.
         let queued = start.saturating_sub(op.enqueued_at.max(self.free_since));
-        self.inner.phases.borrow_mut().add(phase::QUEUING, queued);
+        self.inner.ledger.borrow_mut().queuing += queued;
         // Queue residency (enqueue to device start) goes to the trace;
         // `SvcStats`' wait counters are derived from it.
         self.inner

@@ -21,7 +21,7 @@ use hl_vdev::{Block, DevError, IoSlot};
 use std::collections::{HashMap, HashSet};
 
 use crate::fault::{FaultEvent, HlError};
-use crate::service::{phase, ScrubReport, TioInner};
+use crate::service::{ScrubReport, TioInner};
 
 /// Tunable knobs for the retry/failover/quarantine logic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -296,7 +296,7 @@ impl TioInner {
             match self.jukebox.write_segment_on(t, drive, vol, slot, blocks) {
                 Ok((w, used)) => {
                     t = w.end;
-                    self.admit_drive_io(phase::FOOTPRINT_WRITE, w, used);
+                    self.admit_drive_io(w, used);
                     self.replicas.borrow_mut().add(tert_seg, vol, slot);
                     written += 1;
                 }
@@ -369,7 +369,7 @@ impl TioInner {
             for &(vol, slot) in &homes {
                 match self.jukebox.read_segment_on(t, drive, vol, slot, blocks) {
                     Ok((r, used)) => {
-                        self.admit_drive_io(phase::FOOTPRINT_READ, r, used);
+                        self.admit_drive_io(r, used);
                         source = Some((r, (vol, slot)));
                         break;
                     }
@@ -397,7 +397,7 @@ impl TioInner {
                 match self.jukebox.write_segment_on(t, drive, vol, slot, blocks) {
                     Ok((w, used)) => {
                         t = w.end;
-                        self.admit_drive_io(phase::FOOTPRINT_WRITE, w, used);
+                        self.admit_drive_io(w, used);
                         self.replicas.borrow_mut().add(seg, vol, slot);
                         self.fault_log.borrow_mut().push(FaultEvent::ScrubCopy {
                             at: t,

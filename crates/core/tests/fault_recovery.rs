@@ -104,6 +104,7 @@ fn run_scenario(seed: u64) -> (String, u64) {
             failovers: 1,
             quarantines: 1,
             scrub_copies: 1,
+            queuing: 12_000,
             queued_requests: 9,
             reqq_hwm: 1,
             devq_hwm: 1,
@@ -182,6 +183,7 @@ fn exhausted_recovery_surfaces_the_ordered_fault_trail() {
         SvcStats {
             quarantines: 1,
             permanent_losses: 1,
+            queuing: 2_000,
             queued_requests: 1,
             reqq_hwm: 1,
             devq_hwm: 1,

@@ -1,8 +1,8 @@
-//! Footprint operation counters.
+//! Footprint operation counters: swap, seek and transfer time apart.
 //!
-//! Table 4 attributes migration elapsed time to phases; the Footprint
-//! layer's share ("Footprint write, 62%") is exactly the time recorded
-//! here, so the jukebox tracks swap, seek, and transfer time separately.
+//! Table 4's Footprint row is read off the engine trace's drive lanes,
+//! whose intervals start after the robot's media exchange: it holds seek
+//! and transfer time here but not `swap_time` (EXPERIMENTS.md, Table 4).
 
 use hl_sim::time::SimTime;
 

@@ -139,6 +139,14 @@ impl Lane {
             Lane::Staging => out.text("st"),
         }
     }
+
+    /// Slot in the recorder's per-lane sums: staging first, then drives.
+    fn idx(self) -> usize {
+        match self {
+            Lane::Staging => 0,
+            Lane::Drive(d) => d as usize + 1,
+        }
+    }
 }
 
 /// The engine's two bounded queues.
@@ -593,9 +601,9 @@ struct Recorder {
     /// `policy`-prefixed [`EventKind::Mark`] events emitted (see
     /// [`Tracer::policy_decision`]).
     policy_decisions: u64,
-    /// Per-drive-lane `(ops, busy time)` sums of [`EventKind::DevIo`]
-    /// events, indexed by drive.
-    drive_io: Vec<(u64, TraceTime)>,
+    /// Per-lane `(ops, busy time)` sums of [`EventKind::DevIo`] events,
+    /// indexed by [`Lane::idx`].
+    lane_io: Vec<(u64, TraceTime)>,
     /// The independent reading [`tracecheck`] finishes.
     checker: Checker,
 }
@@ -732,17 +740,16 @@ impl Tracer {
     }
 
     /// Records an admitted device-op interval on `lane` and accumulates
-    /// it: for a drive lane, one op and its duration.
+    /// it there: one op and its duration.
     pub fn dev_io(&self, lane: Lane, start: TraceTime, end: TraceTime) {
         let mut r = self.rec.borrow_mut();
-        if let Lane::Drive(d) = lane {
-            let d = d as usize;
-            if r.drive_io.len() <= d {
-                r.drive_io.resize(d + 1, (0, 0));
-            }
-            r.drive_io[d].0 += 1;
-            r.drive_io[d].1 = r.drive_io[d].1.saturating_add(end.saturating_sub(start));
+        let i = lane.idx();
+        if r.lane_io.len() <= i {
+            r.lane_io.resize(i + 1, (0, 0));
         }
+        let (ops, busy) = &mut r.lane_io[i];
+        *ops += 1;
+        *busy = busy.saturating_add(end.saturating_sub(start));
         r.emit(start, EventKind::DevIo { lane, start, end });
     }
 
@@ -921,10 +928,10 @@ impl Tracer {
         self.count("dev_io")
     }
 
-    /// `(ops, busy time)` recorded on drive lane `drive`.
-    pub fn drive_io(&self, drive: u32) -> (u64, TraceTime) {
+    /// `(ops, busy time)` recorded on `lane`.
+    pub fn lane_io(&self, lane: Lane) -> (u64, TraceTime) {
         let r = self.rec.borrow();
-        r.drive_io.get(drive as usize).copied().unwrap_or((0, 0))
+        r.lane_io.get(lane.idx()).copied().unwrap_or((0, 0))
     }
 
     /// Each drive's down windows `(drive, down, up)`: the closed ones in

@@ -264,6 +264,7 @@ fn drive_death_mid_fetch_redispatches_to_survivor() {
         SvcStats {
             demand_fetches: 3,
             fetch_time: 64_055_296,
+            queuing: 10_000,
             queued_requests: 3,
             reqq_hwm: 2,
             devq_hwm: 2,
@@ -385,6 +386,7 @@ fn solo_drive_death_retires_the_pool_and_fails_tickets() {
     assert_eq!(
         st,
         SvcStats {
+            queuing: 2_000,
             queued_requests: 19,
             reqq_hwm: 19,
             devq_hwm: 8,

@@ -65,6 +65,7 @@ fn flash_crowd_coalesces_to_one_media_read() {
         SvcStats {
             demand_fetches: 1,
             fetch_time: 16_951_283,
+            queuing: 2_000,
             queued_requests: 1,
             coalesced_fetches: 7,
             reqq_hwm: 1,
