@@ -328,7 +328,7 @@ mod tests {
 
         // Second read hits the cache: just a disk access.
         let s2 = dev.read(s1.end, addr, &mut buf).unwrap();
-        assert!(s2.duration() < hl_sim::time::secs(1.0));
+        assert!((s2.end - s2.start) < hl_sim::time::secs(1.0));
         assert_eq!(tio.stats().demand_fetches, 1);
         assert_eq!(buf[0], 0xcd);
     }

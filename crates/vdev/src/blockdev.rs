@@ -27,11 +27,6 @@ impl IoSlot {
     fn instant(t: SimTime) -> Self {
         Self { start: t, end: t }
     }
-
-    /// The slot's duration.
-    pub fn duration(&self) -> SimTime {
-        self.end - self.start
-    }
 }
 
 /// A (possibly pseudo-) block device with timed and untimed access.
@@ -151,13 +146,6 @@ pub fn run_bytes(blocks: &[Block], block_size: usize) -> Result<usize, DevError>
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn io_slot_duration() {
-        let s = IoSlot { start: 5, end: 12 };
-        assert_eq!(s.duration(), 7);
-        assert_eq!(IoSlot::instant(3).duration(), 0);
-    }
 
     #[test]
     fn check_io_accepts_whole_blocks_in_range() {
