@@ -34,6 +34,7 @@ use hl_footprint::VolumeId;
 use hl_lfs::types::SegNo;
 use hl_sim::time::{SimTime, MS};
 use hl_sim::ActorId;
+use hl_vdev::backing::BlockHashBuilder;
 use hl_vdev::DevError;
 
 use crate::fault::HlError;
@@ -432,8 +433,9 @@ pub(crate) struct EngineQueues {
     /// In-flight fetch per tertiary segment: later fetchers of the same
     /// segment join this ticket instead of queuing a duplicate read.
     /// Carries `(seq, span, ticket)` so joins can reference the parent
-    /// op's trace span.
-    pending_fetch: HashMap<SegNo, (u64, u64, Ticket)>,
+    /// op's trace span. Probed on every demand and never iterated, so it
+    /// hashes with the fixed mixer of the block stores.
+    pending_fetch: HashMap<SegNo, (u64, u64, Ticket), BlockHashBuilder>,
     /// Device-scheduler counters: ops taken because their volume was
     /// already loaded in the taking lane's drive.
     pub affinity_hits: u64,
@@ -460,7 +462,7 @@ impl EngineQueues {
             reqq: BTreeMap::new(),
             next_seq: 0,
             devq: VecDeque::new(),
-            pending_fetch: HashMap::new(),
+            pending_fetch: HashMap::default(),
             affinity_hits: 0,
             starvation_promotions: 0,
             tenant_weights: BTreeMap::new(),
