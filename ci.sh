@@ -249,6 +249,32 @@ if grep -nE 'impl (std::)?fmt::Write for|fn write_line\([^)]*fmt::' crates/trace
   exit 1
 fi
 
+# Resident-read bookkeeping (DESIGN.md §6j): the maps a file read or a
+# demand probes on every call hash with the fixed mixer
+# (`BlockHashBuilder`), and the access tracker updates a file's extents
+# in place. In the non-test part (up to the first column-0
+# `#[cfg(test)]`) of hl-lfs fs.rs, core's migrator.rs and requests.rs,
+# the gate fails on a declaration of `inodes`, `seq_hint`, `files` or
+# `pending_fetch` whose type does not name `BlockHashBuilder`, and on a
+# `Vec::with_capacity` or a `sort` inside `AccessTracker::record`. Seen
+# red at the parent commit: 7 lines in three files (the four SipHash
+# declarations; record's two `Vec::with_capacity` and its
+# `sort_by_key`).
+echo "==> resident-read bookkeeping: fixed-mixer maps, an in-place access tracker"
+if awk 'FNR == 1 { t = 0; rec = 0 }
+        /^#\[cfg\(test\)\]/ { t = 1 }
+        t { next }
+        /^ *(pub(\([a-z]+\))? )?(inodes|seq_hint|files|pending_fetch): [A-Za-z_:]+</ &&
+          !/BlockHashBuilder/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        /^    pub fn record\(/ { rec = 1 }
+        rec && /Vec::with_capacity|\.sort/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        rec && /^    }$/ { rec = 0 }
+        END { exit !bad }' crates/lfs/src/fs.rs crates/core/src/migrator.rs \
+     crates/core/src/requests.rs; then
+  echo "  per-call bookkeeping came back: key with BlockHashBuilder, update extents in place"
+  exit 1
+fi
+
 run cargo build --release
 run cargo test --workspace -q   # every test binary once (covers tier-1's root suite)
 run cargo clippy --workspace --all-targets -- -D warnings
