@@ -439,3 +439,63 @@ fn deep_file_life_matches_the_pinned_image() {
         }
     );
 }
+
+/// The buffer cache's counters and the clock after reads of a dense
+/// file that reaches `Ind2Child(1)`, from a cold cache: one sequential
+/// pass in 64 KB calls (16-block clusters across `Ind1` and both
+/// double-indirect children), then 3 000 short runs of 4 KB reads at
+/// pseudo-random frames, each run sequential after its first read, so
+/// clusters start anywhere and evictions leave some pointer blocks
+/// resident without others. Read-ahead reads every later pointer of a
+/// cluster from the indirect block it has already walked, so these
+/// counts pin that it still counts each hit the full walk counted
+/// and refreshes what the walk refreshed (eviction order shows in
+/// `blocks_read` and the clock). The values are the parent commit's,
+/// from before read-ahead held the pointer block. Seen red, each
+/// sabotage alone: a held block counted as one hit under a
+/// double-indirect child (the root's hit lost); held reads counting no
+/// hits; the first walk taking the pointer block from the cache without
+/// walking through the root; a cached candidate ending the cluster
+/// without a refresh (misses, reads and the clock move too).
+#[test]
+fn deep_reads_count_every_hit_of_the_pointer_walk() {
+    let rig = HlRig::new(2 + 48 * 256 + 5, hp6300(4, 6), 6, None);
+    rig.mkfs();
+    let mut hl = rig.mount();
+    let dense = content(43, DENSE_LEN);
+    let ino = hl.create("/d").expect("create");
+    for (i, chunk) in dense.chunks(MB as usize).enumerate() {
+        hl.write(ino, i as u64 * MB, chunk).expect("write");
+    }
+    hl.checkpoint().expect("checkpoint");
+    hl.drop_caches();
+    let mut buf = vec![0u8; 64 << 10];
+    for at in (0..DENSE_LEN).step_by(buf.len()) {
+        let n = hl.read(ino, at as u64, &mut buf).expect("read");
+        assert!(buf[..n] == dense[at..at + n], "sequential pass at {at}");
+    }
+    hl.drop_caches();
+    let frames = DENSE_LEN as u64 / BLOCK_SIZE as u64;
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let mut frame = [0u8; BLOCK_SIZE];
+    for _ in 0..3_000 {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        let first = (x >> 33) % frames;
+        for f in first..(first + 1 + (x >> 20) % 6).min(frames) {
+            let at = (f * BLOCK_SIZE as u64) as usize;
+            hl.read(ino, at as u64, &mut frame).expect("read");
+            assert!(frame[..] == dense[at..at + BLOCK_SIZE], "frame {f}");
+        }
+    }
+    let s = hl.lfs().stats();
+    assert_eq!(
+        (
+            s.cache_hits,
+            s.cache_misses,
+            s.dev_reads,
+            s.blocks_read,
+            rig.clock.now()
+        ),
+        (48_099, 24_241, 3_916, 24_248, 185_634_811)
+    );
+}
