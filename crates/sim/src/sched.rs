@@ -22,10 +22,17 @@
 //!    through a [`Waker`] since the previous pick is applied, in the
 //!    order it was posted, before the next actor is chosen.
 //!
-//! The run queue is a binary heap keyed `(local time, spawn index)` that
-//! holds exactly one entry per runnable actor, so a step costs
-//! O(log actors) and allocates nothing: per-request cost follows the
-//! request's own events, not the number of connected clients.
+//! The run queue holds exactly one `(local time, spawn index)` key per
+//! runnable actor, so a step costs O(log actors) and allocates nothing:
+//! per-request cost follows the request's own events, not the number of
+//! connected clients. It is a binary heap plus a *front slot*: one key
+//! kept beside the heap, smaller than every key in it. A key smaller
+//! than the front takes the slot and moves the old front into the heap;
+//! any other key goes into the heap, or into the empty slot if it beats
+//! the heap's top. A pick takes the front first. Keys are unique, so the
+//! pick order is exactly the heap's; an actor woken at the instant being
+//! run (the worker a submit wakes, the client its reply wakes) queues
+//! and is picked without a heap operation.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -120,17 +127,42 @@ pub trait Actor<W> {
     }
 }
 
-/// A run-queue entry: local time in the high half, spawn index in the
-/// low half, reversed so the max-heap pops the smallest. One integer
-/// compare orders entries time-major, spawn-order-minor — and is a
-/// third cheaper per step at 1024 actors than comparing the pair.
-fn run_key(at: SimTime, idx: usize) -> Reverse<u128> {
-    Reverse(((at as u128) << 64) | idx as u128)
+/// A run-queue key: local time in the high half, spawn index in the
+/// low half. One integer compare orders keys time-major,
+/// spawn-order-minor — and is a third cheaper per step at 1024 actors
+/// than comparing the pair. The heap holds keys reversed, so the
+/// max-heap pops the smallest.
+fn run_key(at: SimTime, idx: usize) -> u128 {
+    ((at as u128) << 64) | idx as u128
 }
 
 /// The `(local time, spawn index)` a [`run_key`] was built from.
-fn run_key_parts(Reverse(key): Reverse<u128>) -> (SimTime, usize) {
+fn run_key_parts(key: u128) -> (SimTime, usize) {
     ((key >> 64) as SimTime, key as u64 as usize)
+}
+
+/// Queues `key` on the run queue made of `front` and `runq` (see the
+/// [ordering contract](self#ordering-contract)): `front`, when set, is
+/// smaller than every key in `runq`. A function of the two fields rather
+/// than a method, so `drain_wakes` can call it while it drains its wake
+/// buffer in place.
+#[inline]
+fn enqueue(front: &mut Option<u128>, runq: &mut BinaryHeap<Reverse<u128>>, key: u128) {
+    let heap_key = match *front {
+        Some(f) if key < f => {
+            *front = Some(key);
+            f
+        }
+        Some(_) => key,
+        None if runq.peek().is_none_or(|&Reverse(top)| key < top) => {
+            *front = Some(key);
+            return;
+        }
+        None => key,
+    };
+    #[cfg(test)]
+    tests::HEAP_PUSHES.with(|n| n.set(n.get() + 1));
+    runq.push(Reverse(heap_key));
 }
 
 struct Slot<W> {
@@ -167,13 +199,17 @@ struct Slot<W> {
 /// ```
 pub struct Scheduler<W> {
     slots: Vec<Slot<W>>,
-    /// Run queue: exactly one [`run_key`] entry per runnable (not done,
-    /// not parked) slot, smallest first; the entry *is* the actor's
-    /// local time. A runnable actor's time changes only when it is
-    /// stepped — a wake that finds it runnable is latched in
+    /// Run queue, `front` and `runq` together: exactly one [`run_key`]
+    /// per runnable (not done, not parked) slot; the key *is* the
+    /// actor's local time. A runnable actor's time changes only when it
+    /// is stepped — a wake that finds it runnable is latched in
     /// `wake_pending` instead, and `spawn_parked` queues nothing — so no
-    /// entry ever goes stale and none needs a tombstone or a generation
-    /// stamp.
+    /// key ever goes stale and none needs a tombstone or a generation
+    /// stamp. Keys enter only through [`enqueue`].
+    ///
+    /// The smallest key, when it is smaller than every key in `runq`.
+    front: Option<u128>,
+    /// Every other runnable key, smallest first.
     runq: BinaryHeap<Reverse<u128>>,
     /// Wakes posted through [`Waker`] handles, drained each iteration.
     inbox: Rc<RefCell<Vec<(ActorId, SimTime)>>>,
@@ -197,6 +233,7 @@ impl<W> Scheduler<W> {
     pub fn new() -> Self {
         Self {
             slots: Vec::new(),
+            front: None,
             runq: BinaryHeap::new(),
             inbox: Rc::new(RefCell::new(Vec::new())),
             wake_buf: Vec::new(),
@@ -222,7 +259,7 @@ impl<W> Scheduler<W> {
     /// [`ActorId`] is the actor's wake target.
     pub fn spawn_at<A: Actor<W> + 'static>(&mut self, at: SimTime, actor: A) -> ActorId {
         let id = self.push_slot(false, Box::new(actor));
-        self.runq.push(run_key(at, id.0));
+        enqueue(&mut self.front, &mut self.runq, run_key(at, id.0));
         id
     }
 
@@ -259,7 +296,7 @@ impl<W> Scheduler<W> {
                 // A parked actor was idle; it resumes at the waker's
                 // time even if that rewinds its local clock (devices
                 // enforce their own busy horizons).
-                self.runq.push(run_key(at, id.0));
+                enqueue(&mut self.front, &mut self.runq, run_key(at, id.0));
             } else {
                 slot.wake_pending = Some(match slot.wake_pending {
                     Some(t) => t.min(at),
@@ -295,12 +332,15 @@ impl<W> Scheduler<W> {
             self.drain_wakes();
             // Peek first: an actor beyond the horizon keeps its place for
             // the next call.
-            let next = self.runq.peek().copied().map(run_key_parts);
-            let Some((now, idx)) = next.filter(|&(now, _)| now <= horizon) else {
+            let next = self.front.or_else(|| self.runq.peek().map(|&Reverse(k)| k));
+            let Some((now, idx)) = next.map(run_key_parts).filter(|&(now, _)| now <= horizon)
+            else {
                 self.steps += steps;
                 return furthest;
             };
-            self.runq.pop();
+            if self.front.take().is_none() {
+                self.runq.pop();
+            }
             furthest = furthest.max(now);
             steps += 1;
             assert!(
@@ -327,7 +367,7 @@ impl<W> Scheduler<W> {
                 }
             };
             if let Some(t) = resume {
-                self.runq.push(run_key(t, idx));
+                enqueue(&mut self.front, &mut self.runq, run_key(t, idx));
             }
         }
     }
@@ -338,6 +378,12 @@ mod tests {
     use super::*;
     use proptest::collection::vec;
     use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Keys [`enqueue`] has pushed onto the heap on this thread.
+        pub(super) static HEAP_PUSHES: Cell<u64> = const { Cell::new(0) };
+    }
 
     impl<W> Scheduler<W> {
         fn live_actors(&self) -> usize {
@@ -550,6 +596,63 @@ mod tests {
         let end = s.run(&mut log);
         assert_eq!(log, vec![5, 55, 105, 9]);
         assert_eq!(end, 105);
+    }
+
+    /// Shared by two [`Relay`]s: wakes still to pass, and their ids.
+    #[derive(Default)]
+    struct Relays {
+        left: u32,
+        ids: Vec<ActorId>,
+    }
+
+    /// Wakes the other relay at the current instant while wakes are
+    /// left, then parks.
+    struct Relay {
+        me: usize,
+        waker: Waker,
+    }
+    impl Actor<Relays> for Relay {
+        fn step(&mut self, w: &mut Relays, now: SimTime) -> Step {
+            if w.left > 0 {
+                w.left -= 1;
+                self.waker.wake(w.ids[1 - self.me], now);
+            }
+            Step::Park
+        }
+    }
+
+    /// Finishes when stepped.
+    struct Later;
+    impl Actor<Relays> for Later {
+        fn step(&mut self, _: &mut Relays, _: SimTime) -> Step {
+            Step::Done
+        }
+    }
+
+    /// The front slot's work pin: 1 000 same-instant wakes passed between
+    /// two actors, with 100 actors queued in the future, push nothing
+    /// onto the heap — each woken actor takes the empty front and is
+    /// picked from it. Seen red (1 000 pushes) with `enqueue` always
+    /// pushing onto the heap.
+    #[test]
+    fn same_instant_wakes_push_nothing_onto_the_heap() {
+        let mut s = Scheduler::new();
+        let relay = |me| Relay {
+            me,
+            waker: s.waker(),
+        };
+        let (first, second) = (relay(0), relay(1));
+        let ids = vec![s.spawn_at(10, first), s.spawn_parked(second)];
+        let mut w = Relays { left: 1_000, ids };
+        for _ in 0..100 {
+            s.spawn_at(1_000_000, Later);
+        }
+        HEAP_PUSHES.with(|n| n.set(0));
+        let end = s.run_until(&mut w, 999_999);
+        assert_eq!((end, w.left, s.steps()), (10, 0, 1_001));
+        assert_eq!(HEAP_PUSHES.with(Cell::get), 0);
+        assert_eq!(s.parked_actors(), 2);
+        assert_eq!(s.live_actors(), 102);
     }
 
     // ------------------------------------------------------------------
@@ -781,7 +884,10 @@ mod tests {
         /// `run_until`-then-resume with wakes posted in between: the
         /// run queue steps the same actors at the same times as the
         /// linear scan, returns the same times and leaves the same actors
-        /// live and parked.
+        /// live and parked. Seen red, each front-slot sabotage alone: the
+        /// old front not moved into the heap when a smaller key takes
+        /// the slot (it is dropped); a pick that reads the heap before
+        /// the front.
         #[test]
         fn run_queue_matches_the_linear_scan(script in script()) {
             let heap = play!(Scheduler::new(), script);
