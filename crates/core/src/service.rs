@@ -914,12 +914,9 @@ impl TertiaryIo {
         let line = self.inner.cache.borrow_mut().lookup(tert_seg, at);
         if let Some(line) = line {
             if line.state != LineState::Filling {
-                // Resident: served without entering the queues at all.
-                let ticket = Ticket::new();
-                let ready = at.max(line.ready_at);
-                let outcome = Outcome::Fetch(Ok((line.disk_seg, ready)));
-                self.inner.resolve(&ticket, outcome, at);
-                return ticket;
+                // Resident: served without entering the queues at all,
+                // on a ticket born complete (no cell, no waiter to wake).
+                return Ticket::resident(line.disk_seg, at.max(line.ready_at));
             }
         }
         let pending = self.inner.queues.borrow().pending_fetch(tert_seg);
