@@ -275,6 +275,36 @@ if awk 'FNR == 1 { t = 0; rec = 0 }
   exit 1
 fi
 
+# The resident request path (DESIGN.md §6j): an actor woken at the
+# instant being run waits in the run queue's front slot, not the heap,
+# and a fetch of a resident segment gets a ticket that carries its
+# answer, without a shared cell. In the non-test part (up to the first
+# column-0 `#[cfg(test)]`) of hl-sim's sched.rs the gate fails on a
+# `runq.push(` outside `fn enqueue`; in core's service.rs it fails on a
+# `Ticket::new()` inside `fn enqueue_fetch` (the resident branch is the
+# one that made its own; the queued branches get theirs from
+# `Request::new`). Seen red at the parent commit: 4 lines in two files
+# (the heap pushes in `spawn_at`, `drain_wakes` and `run_until`; the
+# resident branch's `Ticket::new()`).
+echo "==> resident request path: heap pushes only through enqueue, no cell for a resident fetch"
+if awk 'FNR == 1 { t = 0; f = 0 }
+        /^#\[cfg\(test\)\]/ { t = 1 }
+        t { next }
+        FILENAME ~ /sched\.rs$/ {
+          if (/^fn enqueue\(/) f = 1
+          if (!f && /runq\.push\(/) { print FILENAME ":" FNR ": " $0; bad = 1 }
+          if (f && /^}$/) f = 0
+        }
+        FILENAME ~ /service\.rs$/ {
+          if (/^    fn enqueue_fetch\(/) f = 1
+          if (f && /Ticket::new\(\)/) { print FILENAME ":" FNR ": " $0; bad = 1 }
+          if (f && /^    }$/) f = 0
+        }
+        END { exit !bad }' crates/sim/src/sched.rs crates/core/src/service.rs; then
+  echo "  a same-instant wake pays the heap, or a resident fetch allocates a cell: enqueue through the front slot, return Ticket::resident"
+  exit 1
+fi
+
 run cargo build --release
 run cargo test --workspace -q   # every test binary once (covers tier-1's root suite)
 run cargo clippy --workspace --all-targets -- -D warnings
