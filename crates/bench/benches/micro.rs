@@ -2,7 +2,8 @@
 //! host wall time, unlike the table harnesses which report simulated
 //! time): summary serialization, checksums, directory ops, the
 //! segment-cache directory, the block-map route, the replica directory,
-//! the request-ticket lifecycle, the scheduler step, the trace emit, the
+//! the request-ticket lifecycle and a resident hit's ticket, the
+//! scheduler step (and a wake at the current instant), the trace emit, the
 //! buffer-cache miss, the cache-line fill (by bytes and by reference)
 //! and the LFS log write (`Lfs::write` + `sync`) — one row per live
 //! path. (Earlier PRs'
@@ -29,6 +30,7 @@ use highlight::rig::RigSpec;
 use highlight::segcache::{EjectPolicy, LineState, SegCache};
 use highlight::{Outcome, ReplicaSet, SegDir, Ticket, UniformMap};
 use hl_bench::report::{write_bench_json, Checks, Json};
+use hl_footprint::Footprint;
 use hl_lfs::buffer::BufCache;
 use hl_lfs::config::{LfsConfig, LinearMap, NoTertiary};
 use hl_lfs::dir;
@@ -209,7 +211,7 @@ fn bench_replica_dir(c: &mut Criterion) {
     });
 }
 
-/// The request-ticket lifecycle: one allocation per request, a clone
+/// A queued request's ticket lifecycle: one allocation, a clone
 /// for the coalescing directory, completion, and an observer's check.
 fn bench_ticket(c: &mut Criterion) {
     c.bench_function("ticket alloc+complete+drop", |b| {
@@ -218,6 +220,22 @@ fn bench_ticket(c: &mut Criterion) {
             let peer = t.clone();
             t.complete_for_test(Outcome::Eject(true));
             black_box(peer.is_done())
+        })
+    });
+}
+
+/// A demand fetch of a resident segment and the read of its ticket: the
+/// whole engine-side cost of a `fleet_resident` get.
+fn bench_ticket_resident(c: &mut Criterion) {
+    let (tio, jb, map) = RigSpec::with_lines(40..41).build();
+    let seg = map.tert_seg(0, 0);
+    jb.poke_segment(0, 0, &vec![7u8; 1 << 20])
+        .expect("oracle segment");
+    let (_, mut at) = tio.demand_fetch(0, seg).expect("warm fetch");
+    c.bench_function("ticket, resident hit", |b| {
+        b.iter(|| {
+            at += 1;
+            tio.enqueue_demand(black_box(at), seg).fetch_result()
         })
     });
 }
@@ -319,6 +337,32 @@ fn bench_sched_step(c: &mut Criterion) {
     }
 }
 
+/// Parks whenever stepped.
+struct Parks;
+impl Actor<()> for Parks {
+    fn step(&mut self, _: &mut (), _: SimTime) -> Step {
+        Step::Park
+    }
+}
+
+/// One wake at the instant being run and the step it causes — the
+/// fleet's worker woken by a submit, its client by the reply — with 100
+/// actors queued in the future behind it.
+fn bench_sched_wake_now(c: &mut Criterion) {
+    let mut sched: Scheduler<()> = Scheduler::new();
+    let id = sched.spawn_parked(Parks);
+    for _ in 0..100 {
+        sched.spawn_at(SimTime::MAX / 2, Periodic(1));
+    }
+    let waker = sched.waker();
+    c.bench_function("sched step, wake at the current instant", |b| {
+        b.iter(|| {
+            waker.wake(id, 0);
+            sched.run_until(&mut (), black_box(0))
+        })
+    });
+}
+
 /// One queue-residency event into the recorder — an event every queued
 /// request emits, against its open span — on its two paths: digested and
 /// checked, as every run outside tests emits it, and also kept, as a
@@ -414,9 +458,11 @@ fn main() {
         bench_blockmap_route(&mut c);
         bench_replica_dir(&mut c);
         bench_ticket(&mut c);
+        bench_ticket_resident(&mut c);
         bench_segdir(&mut c);
 
         bench_sched_step(&mut c);
+        bench_sched_wake_now(&mut c);
         bench_trace_emit(&mut c);
         bench_bufcache_evict(&mut c);
         bench_line_fill(&mut c);
