@@ -8,7 +8,7 @@ use hl_bench::report::Checks;
 use hl_bench::table::{print_table, Row};
 use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
 use hl_sim::time::{as_secs, throughput_kbs};
-use hl_vdev::{Block, BlockDev, Disk, DiskProfile, BLOCK_SIZE};
+use hl_vdev::{BlockDev, Disk, DiskProfile};
 
 /// Sequential 1 MB transfers over 32 MB, as `dd` would issue them.
 fn raw_rate(profile: DiskProfile, write: bool) -> f64 {
@@ -39,12 +39,9 @@ fn volume_change_secs() -> f64 {
     jb.poke_segment(1, 0, &seg).expect("stage");
     // Load volume 0 into reader drive 1 first, then swap volume 1 into
     // the same drive: the second read is eject-to-ready + first access.
-    let mut buf = vec![Block::zeroed(BLOCK_SIZE); jb.segment_bytes() / BLOCK_SIZE];
-    let (s0, _) = jb.read_segment_on(0, 1, 0, 0, &mut buf).expect("warm");
+    let (s0, _, _) = jb.read_segment_on(0, 1, 0, 0).expect("warm");
     let t0 = s0.end;
-    let (s1, _) = jb
-        .read_segment_on(t0, 1, 1, 0, &mut buf)
-        .expect("swap read");
+    let (s1, _, _) = jb.read_segment_on(t0, 1, 1, 0).expect("swap read");
     // Subtract the 1 MB read to leave eject-to-ready + first access.
     let read_time = DiskProfile::HP6300_MO.transfer(1 << 20, false);
     as_secs(s1.end - t0 - read_time)

@@ -33,7 +33,7 @@ use hl_lfs::types::SegNo;
 use hl_sim::stats::percentile;
 use hl_sim::time::SimTime;
 use hl_sim::{Actor, ActorId, Scheduler, Step};
-use hl_vdev::{Block, BlockDev, Disk, BLOCK_SIZE};
+use hl_vdev::{Block, BlockDev, Disk, Segment, BLOCK_SIZE};
 
 use crate::report::Json;
 
@@ -408,7 +408,10 @@ fn simulate(cfg: PipelineConfig) -> World {
         let spv = cfg.jukebox.segments_per_volume();
         let hv = load.hot_volumes.max(1);
         // Every demand segment is one shared block, 256 times over.
-        let seg = vec![Block::copy_of(&[0x6d; BLOCK_SIZE]); BLOCKS_PER_SEG as usize];
+        let seg = Segment::repeat(
+            &Block::copy_of(&[0x6d; BLOCK_SIZE]),
+            BLOCKS_PER_SEG as usize,
+        );
         for v in 0..hv {
             let vol = cfg.jukebox.volumes() - 1 - v;
             let slots = (load.reads.div_ceil(hv)).min(spv);

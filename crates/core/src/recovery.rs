@@ -17,7 +17,7 @@
 
 use hl_lfs::types::SegNo;
 use hl_sim::time::{SimTime, SEC};
-use hl_vdev::{Block, DevError, IoSlot};
+use hl_vdev::{DevError, IoSlot, Segment};
 use std::collections::{HashMap, HashSet};
 
 use crate::fault::{FaultEvent, HlError};
@@ -162,7 +162,7 @@ impl TioInner {
             .push(FaultEvent::Quarantine { at, vol, failures });
     }
 
-    /// Reads one copy of `tert_seg` into `blocks`, applying the recovery
+    /// Reads one copy of `tert_seg`, applying the recovery
     /// policy (§10): bounded backoff retries on transient faults,
     /// immediate quarantine on hard media failures, failover across the
     /// remaining replica homes. Exhausting every copy yields
@@ -175,8 +175,7 @@ impl TioInner {
         at: SimTime,
         drive: usize,
         tert_seg: SegNo,
-        blocks: &mut [Block],
-    ) -> Result<(IoSlot, usize, (u32, u32)), HlError> {
+    ) -> Result<(IoSlot, usize, (u32, u32), Segment), HlError> {
         let Some(homes) = self.candidate_homes(tert_seg) else {
             // Not a mapped tertiary segment at all.
             return Err(HlError::Dev(DevError::Offline));
@@ -187,8 +186,8 @@ impl TioInner {
         for (i, &(vol, slot)) in homes.iter().enumerate() {
             let mut attempt = 0u32;
             loop {
-                match self.jukebox.read_segment_on(t, drive, vol, slot, blocks) {
-                    Ok((r, used)) => return Ok((r, used, (vol, slot))),
+                match self.jukebox.read_segment_on(t, drive, vol, slot) {
+                    Ok((r, used, blocks)) => return Ok((r, used, (vol, slot), blocks)),
                     Err(e @ DevError::MediaFailure) => {
                         self.fault_log.borrow_mut().push(FaultEvent::ReadFault {
                             at: t,
@@ -278,7 +277,7 @@ impl TioInner {
         drive: usize,
         tert_seg: SegNo,
         primary_vol: u32,
-        blocks: &[Block],
+        blocks: &Segment,
     ) -> SimTime {
         let copies = self.replicate.get();
         let mut t = at;
@@ -330,12 +329,11 @@ impl TioInner {
     /// element — rather than letting a dead *drive* masquerade as dead
     /// *media*: the caller re-dispatches the whole pass to a surviving
     /// lane, which recomputes the (idempotent) deficits. Each segment's
-    /// copies are made from the handles `blocks` holds after its re-fetch.
+    /// copies keep the segment its re-fetch lent.
     pub(crate) fn scrub_pass(
         &self,
         at: SimTime,
         drive: usize,
-        blocks: &mut [Block],
     ) -> (ScrubReport, Option<(SimTime, DevError)>) {
         let target = 1 + self.replicate.get();
         let mut segs: Vec<SegNo> = self
@@ -367,10 +365,10 @@ impl TioInner {
             // Whole-segment re-fetch from any surviving copy (§10).
             let mut source = None;
             for &(vol, slot) in &homes {
-                match self.jukebox.read_segment_on(t, drive, vol, slot, blocks) {
-                    Ok((r, used)) => {
+                match self.jukebox.read_segment_on(t, drive, vol, slot) {
+                    Ok((r, used, blocks)) => {
                         self.admit_drive_io(r, used);
-                        source = Some((r, (vol, slot)));
+                        source = Some((r, (vol, slot), blocks));
                         break;
                     }
                     Err(e @ (DevError::DriveDead { .. } | DevError::DriveHung { .. })) => {
@@ -380,7 +378,7 @@ impl TioInner {
                     Err(_) => {}
                 }
             }
-            let Some((r, from)) = source else {
+            let Some((r, from, blocks)) = source else {
                 report.unrecoverable.push(seg);
                 continue;
             };
@@ -394,7 +392,7 @@ impl TioInner {
                 let Some(slot) = self.claim_slot(vol) else {
                     continue;
                 };
-                match self.jukebox.write_segment_on(t, drive, vol, slot, blocks) {
+                match self.jukebox.write_segment_on(t, drive, vol, slot, &blocks) {
                     Ok((w, used)) => {
                         t = w.end;
                         self.admit_drive_io(w, used);

@@ -25,7 +25,7 @@ use hl_lfs::error::Result;
 use hl_lfs::recovery::RecoveryReport;
 use hl_lfs::types::SegNo;
 use hl_sim::Clock;
-use hl_vdev::{Block, BlockDev, Disk, DiskProfile, ScsiBus, BLOCK_SIZE};
+use hl_vdev::{Block, BlockDev, Disk, DiskProfile, ScsiBus, Segment, BLOCK_SIZE, SEGMENT_ORIGIN};
 
 use crate::segcache::{EjectPolicy, SegCache};
 use crate::service::TertiaryIo;
@@ -226,9 +226,16 @@ impl RigSpec {
     /// on its jukebox (pokes, fault plans) and the address map. The
     /// cache disk is reachable through [`TertiaryIo::disks_handle`].
     pub fn build(&self) -> (Rc<TertiaryIo>, Jukebox, UniformMap) {
-        let blocks = 2 + u64::from(self.disk_segs) * u64::from(BLOCKS_PER_SEG);
+        let origin = SEGMENT_ORIGIN;
+        let blocks = u64::from(origin) + u64::from(self.disk_segs) * u64::from(BLOCKS_PER_SEG);
         let disk = Rc::new(Disk::new(self.disk, blocks, None));
-        let map = UniformMap::new(2, BLOCKS_PER_SEG, self.disk_segs, self.volumes, self.slots);
+        let map = UniformMap::new(
+            origin,
+            BLOCKS_PER_SEG,
+            self.disk_segs,
+            self.volumes,
+            self.slots,
+        );
         let jb = Jukebox::new(
             JukeboxConfig {
                 drives: self.drives,
@@ -239,13 +246,11 @@ impl RigSpec {
         if let Some(seed) = self.image_seed {
             // Each slot holds one block's handle 256 times: a segment's
             // oracle costs one block and one handle array, not 1 MB.
-            let mut run = Vec::with_capacity(BLOCKS_PER_SEG as usize);
             for vol in 0..self.volumes {
                 for slot in 0..self.slots {
-                    run.clear();
                     let block = seg_block(seed, map.tert_seg(vol, slot));
-                    run.resize(BLOCKS_PER_SEG as usize, block);
-                    jb.poke_segment_blocks(vol, slot, &run)
+                    let seg = Segment::repeat(&block, BLOCKS_PER_SEG as usize);
+                    jb.poke_segment_blocks(vol, slot, &seg)
                         .expect("poke oracle segment");
                 }
             }

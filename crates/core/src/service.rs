@@ -37,7 +37,7 @@ use hl_lfs::config::AddressMap;
 use hl_lfs::types::SegNo;
 use hl_sim::time::SimTime;
 use hl_sim::{ActorId, Scheduler};
-use hl_vdev::{Block, BlockDev, DevError, IoSlot, BLOCK_SIZE};
+use hl_vdev::{BlockDev, DevError, IoSlot};
 
 use crate::addr::UniformMap;
 use crate::fault::{FaultEvent, FaultKind, FaultLog, HlError};
@@ -212,12 +212,6 @@ pub(crate) struct TioInner {
     /// rest of [`SvcStats`] off the trace, the fault log and the queues.
     pub(crate) ledger: RefCell<Ledger>,
     pub(crate) seg_bytes: usize,
-    /// The one segment's worth of block handles that fetch, copy-out and
-    /// scrub move between the levels (DESIGN.md §6 "Blocks by
-    /// reference"): each op replaces every handle before it reads one,
-    /// so one array serves them all. [`TioInner::exec`] takes it out of
-    /// the cell for the op.
-    pub(crate) staged: Cell<Vec<Block>>,
     /// Replica homes for tertiary segments (§5.4 variant).
     pub(crate) replicas: RefCell<ReplicaSet>,
     /// Extra copies written per copy-out (0 = no replication).
@@ -448,21 +442,15 @@ impl TioInner {
     /// [`ExecResult::LaneFault`] with the ticket left open, so the
     /// caller can down the drive and re-dispatch the op.
     ///
-    /// The op stages through the engine's one array of block handles,
-    /// taken out of its cell until the op ends: a call that re-entered
-    /// the engine meanwhile would find the cell empty and make itself
-    /// another.
+    /// A segment crosses as one handle (DESIGN.md §6 "Blocks by
+    /// reference"): the level it leaves lends its [`hl_vdev::Segment`]
+    /// and the level it reaches keeps it.
     pub(crate) fn exec(&self, op: &Request, start: SimTime, drive: usize) -> ExecResult {
-        let mut blocks = self.staged.take();
-        let n = self.map.blocks_per_seg as usize;
-        if blocks.len() != n {
-            blocks = vec![Block::zeroed(BLOCK_SIZE); n];
-        }
-        let done = match op.class {
-            ReqClass::Demand | ReqClass::Prefetch => self.exec_fetch(op, start, drive, &mut blocks),
-            ReqClass::CopyOut => self.exec_copyout(op, start, drive, &mut blocks),
+        match op.class {
+            ReqClass::Demand | ReqClass::Prefetch => self.exec_fetch(op, start, drive),
+            ReqClass::CopyOut => self.exec_copyout(op, start, drive),
             ReqClass::Scrub => {
-                let (report, fault) = self.scrub_pass(start, drive, &mut blocks);
+                let (report, fault) = self.scrub_pass(start, drive);
                 // Abort, don't mis-report segments unrecoverable: a
                 // surviving lane re-runs the pass from its deficits.
                 match fault.and_then(|(at, error)| lane_fault(at, error)) {
@@ -477,9 +465,7 @@ impl TioInner {
             }
             // Ejections never reach the device queue.
             ReqClass::Eject => ExecResult::Done(start),
-        };
-        self.staged.set(blocks);
-        done
+        }
     }
 
     /// Refuses `op` mid-execution; the lane is free again at `at`.
@@ -488,22 +474,16 @@ impl TioInner {
         ExecResult::Done(at)
     }
 
-    fn exec_fetch(
-        &self,
-        op: &Request,
-        start: SimTime,
-        drive: usize,
-        blocks: &mut [Block],
-    ) -> ExecResult {
+    fn exec_fetch(&self, op: &Request, start: SimTime, drive: usize) -> ExecResult {
         // Missing fields are dispatch bugs, but recoverable ones:
         // refuse the op rather than panic (robustness audit).
         let (Some(seg), Some(disk_seg)) = (op.seg, op.disk_seg) else {
             return self.refuse_op(op, start, DevError::Offline);
         };
         // I/O server: tertiary → the line, with retry/failover (§10).
-        // The medium lends its blocks and the cache disk keeps them.
-        let (r, used) = match self.fetch_segment(start, drive, seg, blocks) {
-            Ok((r, used, _home)) => (r, used),
+        // The medium lends its segment and the cache disk keeps it.
+        let (r, used, blocks) = match self.fetch_segment(start, drive, seg) {
+            Ok((r, used, _home, blocks)) => (r, used, blocks),
             Err(e) => {
                 // Drive faults are lane-scoped, not data loss: leave the
                 // ticket and cache line alone and let the caller
@@ -527,7 +507,7 @@ impl TioInner {
                 // foreground I/O). The fill's duration still delays the
                 // line's readiness, and the I/O server is free as soon
                 // as the tertiary read completes.
-                if let Err(e) = self.disks.poke_blocks(base, blocks) {
+                if let Err(e) = self.disks.poke_seg(base, &blocks) {
                     return self.refuse_op(op, r.end, e);
                 }
                 let fill = hl_sim::time::transfer_time(self.seg_bytes as u64, 993.0);
@@ -538,7 +518,7 @@ impl TioInner {
             _ => {
                 // Memory → raw cache disk ("direct access avoids ...
                 // pollution of the block buffer cache", §6.7).
-                let w = match self.disks.write_blocks(r.end, base, blocks) {
+                let w = match self.disks.write_seg(r.end, base, &blocks) {
                     Ok(w) => w,
                     Err(e) => {
                         return self.refuse_op(op, r.end, e);
@@ -565,13 +545,7 @@ impl TioInner {
         ExecResult::Done(end)
     }
 
-    fn exec_copyout(
-        &self,
-        op: &Request,
-        start: SimTime,
-        drive: usize,
-        blocks: &mut [Block],
-    ) -> ExecResult {
+    fn exec_copyout(&self, op: &Request, start: SimTime, drive: usize) -> ExecResult {
         let (Some(seg), Some(disk_seg)) = (op.seg, op.disk_seg) else {
             return self.refuse_op(op, start, DevError::Offline);
         };
@@ -583,10 +557,11 @@ impl TioInner {
             return self.refuse_op(op, start, DevError::Offline);
         };
 
-        // I/O server: the line's blocks, lent by the cache disk...
+        // I/O server: the line's segment, lent by the cache disk...
         let base = self.map.seg_base(disk_seg) as u64;
-        let r = match self.disks.read_blocks(start, base, blocks) {
-            Ok(r) => r,
+        let n = self.map.blocks_per_seg as usize;
+        let (r, blocks) = match self.disks.read_seg(start, base, n) {
+            Ok(lent) => lent,
             Err(e) => return self.refuse_op(op, start, e),
         };
         self.tracer.dev_io(hl_trace::Lane::Staging, r.start, r.end);
@@ -594,7 +569,7 @@ impl TioInner {
         // ...kept by the medium, via Footprint.
         match self
             .jukebox
-            .write_segment_on(r.end, drive, vol, slot, blocks)
+            .write_segment_on(r.end, drive, vol, slot, &blocks)
         {
             Ok((w, used)) => {
                 self.admit_drive_io(w, used);
@@ -605,7 +580,7 @@ impl TioInner {
                     u.avail_bytes = self.seg_bytes as u32;
                     tseg.advance_cursor(vol, slot);
                 }
-                let end = self.write_replicas(w.end, drive, seg, vol, blocks);
+                let end = self.write_replicas(w.end, drive, seg, vol, &blocks);
                 let mut ledger = self.ledger.borrow_mut();
                 ledger.copyouts += 1;
                 ledger.copyout_time += end - op.enqueued_at;
@@ -701,7 +676,6 @@ impl TertiaryIo {
             tseg,
             ledger: RefCell::new(Ledger::default()),
             seg_bytes,
-            staged: Cell::new(Vec::new()),
             replicas: RefCell::new(ReplicaSet::new()),
             replicate: Cell::new(0),
             policy: Cell::new(RecoveryPolicy::default()),

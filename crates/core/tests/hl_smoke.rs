@@ -4,7 +4,7 @@
 use highlight::rig::{hp6300, HlRig};
 use hl_footprint::Footprint;
 use hl_sim::time::{secs, SEC};
-use hl_vdev::{Block, BlockDev, Disk, BLOCK_SIZE};
+use hl_vdev::{BlockDev, Disk};
 
 /// `disk_segs` 1 MB disk segments + a small MO jukebox.
 fn rig(disk_segs: u64, volumes: u32, slots: u32, cache_segs: u32) -> HlRig {
@@ -341,10 +341,7 @@ fn replicas_serve_reads_from_loaded_volumes() {
     let homes = hl.tio().replicas().borrow().homes(&map, tseg);
     assert!(homes.len() >= 2, "replica missing: {homes:?}");
     let (rvol, _) = homes[1];
-    let mut scratch = vec![Block::zeroed(BLOCK_SIZE); 256];
-    let _ = rig
-        .jukebox
-        .read_segment_on(rig.clock.now(), 1, rvol, 0, &mut scratch);
+    let _ = rig.jukebox.read_segment_on(rig.clock.now(), 1, rvol, 0);
 
     let mut back = vec![0u8; data.len()];
     hl.read(ino, 0, &mut back).unwrap();

@@ -14,10 +14,9 @@ use std::rc::Rc;
 
 use hl_sim::time::{SimTime, MS};
 use hl_sim::Resource;
-use hl_vdev::blockdev::run_bytes;
 use hl_vdev::{
-    Block, DevError, DiskProfile, DriveFault, FaultPlan, IoSlot, MediaFault, ScsiBus, SwapFault,
-    BLOCK_SIZE,
+    Block, DevError, DiskProfile, DriveFault, FaultPlan, IoSlot, MediaFault, ScsiBus, Segment,
+    SwapFault, BLOCK_SIZE,
 };
 
 use crate::stats::FpStats;
@@ -54,9 +53,9 @@ impl JukeboxConfig {
 }
 
 struct VolumeState {
-    /// One entry per segment slot: the blocks last written there, `None`
+    /// One entry per segment slot: the segment last written there, `None`
     /// for a slot not written since the volume was made or erased.
-    slots: Vec<Option<Box<[Block]>>>,
+    slots: Vec<Option<Segment>>,
     /// Effective capacity in segments; may be < nominal for compressing
     /// media with a poor compression outcome.
     effective_segments: u32,
@@ -80,33 +79,33 @@ struct Inner {
     /// Seeded fault schedule consulted on every read, write, and swap
     /// (§10 reliability experiments). `None` injects nothing.
     fault: Option<FaultPlan>,
-    /// Lent for every block of an unwritten slot.
-    zero: Block,
+    /// Lent for every unwritten slot: one zero block, once per block.
+    zero: Segment,
 }
 
 /// A robotic media changer implementing [`Footprint`].
 ///
 /// Cloning shares state (one physical device, many handles).
 ///
-/// A written slot holds its segment as [`Block`]s: a byte write makes one
-/// buffer under a window per block; [`Footprint::write_segment_on`] keeps
-/// the caller's handles, so a copied-out cache line shares its buffers.
+/// A written slot holds its [`Segment`]: a byte write makes one buffer
+/// under a window per block; [`Footprint::write_segment_on`] keeps the
+/// caller's segment, so a copied-out cache line shares its array, and
+/// [`Footprint::read_segment_on`] lends it back.
 ///
 /// # Examples
 ///
 /// ```
 /// use std::rc::Rc;
 /// use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
-/// use hl_vdev::{Block, BLOCK_SIZE};
+/// use hl_vdev::{Segment, BLOCK_SIZE};
 ///
 /// let jb = Jukebox::new(JukeboxConfig::hp6300_paper(), None);
 /// let bytes = vec![7u8; jb.segment_bytes()];
-/// let seg: Vec<Block> = Block::split(Rc::from(bytes.clone()), BLOCK_SIZE).collect();
+/// let seg = Segment::split(Rc::from(bytes.clone()), BLOCK_SIZE);
 /// // Volume 0 is swapped into drive 0 for the write...
 /// let (w, _) = jb.write_segment_on(0, 0, 0, 0, &seg).unwrap();
 /// // ...and a read of it asked of drive 1 is served where it sits.
-/// let mut back = vec![Block::zeroed(BLOCK_SIZE); seg.len()];
-/// let (_, drive) = jb.read_segment_on(w.end, 1, 0, 0, &mut back).unwrap();
+/// let (_, drive, back) = jb.read_segment_on(w.end, 1, 0, 0).unwrap();
 /// assert_eq!(drive, 0);
 /// assert_eq!(back.concat(), bytes);
 /// ```
@@ -145,7 +144,7 @@ impl Jukebox {
                 bus,
                 stats: FpStats::default(),
                 fault: None,
-                zero: Block::zeroed(BLOCK_SIZE),
+                zero: Segment::repeat(&Block::zeroed(BLOCK_SIZE), cfg.segment_bytes / BLOCK_SIZE),
             })),
         }
     }
@@ -173,17 +172,17 @@ impl Jukebox {
     }
 
     /// Untimed write by reference, for formatting and tests: slot `seg`
-    /// of `vol` keeps handles onto `blocks`, one per block of the
-    /// segment. The handle form of [`Footprint::poke_segment`], as
-    /// `BlockDev::poke_blocks` is of `BlockDev::poke`.
+    /// of `vol` keeps `blocks`, one handle. The handle form of
+    /// [`Footprint::poke_segment`], as `BlockDev::poke_seg` is of
+    /// `BlockDev::poke`.
     pub fn poke_segment_blocks(
         &self,
         vol: VolumeId,
         seg: u32,
-        blocks: &[Block],
+        blocks: &Segment,
     ) -> Result<(), DevError> {
-        self.check(run_bytes(blocks, BLOCK_SIZE)?, vol, seg)?;
-        self.store(vol, seg, blocks.into());
+        self.check(blocks.bytes(BLOCK_SIZE)?, vol, seg)?;
+        self.store(vol, seg, blocks.clone());
         Ok(())
     }
 
@@ -386,13 +385,8 @@ impl Jukebox {
     }
 
     /// Makes `blocks` slot `seg` of `vol`.
-    fn store(&self, vol: VolumeId, seg: u32, blocks: Box<[Block]>) {
+    fn store(&self, vol: VolumeId, seg: u32, blocks: Segment) {
         self.inner.borrow_mut().volumes[vol as usize].slots[seg as usize] = Some(blocks);
-    }
-
-    /// A byte image as one buffer under one window per block.
-    fn blocks_of(buf: &[u8]) -> Box<[Block]> {
-        Block::split(Rc::from(buf), BLOCK_SIZE).collect()
     }
 }
 
@@ -415,15 +409,12 @@ impl Footprint for Jukebox {
         drive: usize,
         vol: VolumeId,
         seg: u32,
-        out: &mut [Block],
-    ) -> Result<(IoSlot, usize), DevError> {
-        let done = self.segment_io(at, drive, vol, seg, out.len() * BLOCK_SIZE, false)?;
+    ) -> Result<(IoSlot, usize, Segment), DevError> {
+        let bytes = self.segment_bytes();
+        let (slot, used) = self.segment_io(at, drive, vol, seg, bytes, false)?;
         let inner = self.inner.borrow();
-        match &inner.volumes[vol as usize].slots[seg as usize] {
-            Some(blocks) => out.clone_from_slice(blocks),
-            None => out.fill(inner.zero.clone()),
-        }
-        Ok(done)
+        let blocks = inner.volumes[vol as usize].slots[seg as usize].as_ref();
+        Ok((slot, used, blocks.unwrap_or(&inner.zero).clone()))
     }
 
     fn write_segment_on(
@@ -432,10 +423,10 @@ impl Footprint for Jukebox {
         drive: usize,
         vol: VolumeId,
         seg: u32,
-        blocks: &[Block],
+        blocks: &Segment,
     ) -> Result<(IoSlot, usize), DevError> {
-        let done = self.segment_io(at, drive, vol, seg, run_bytes(blocks, BLOCK_SIZE)?, true)?;
-        self.store(vol, seg, blocks.into());
+        let done = self.segment_io(at, drive, vol, seg, blocks.bytes(BLOCK_SIZE)?, true)?;
+        self.store(vol, seg, blocks.clone());
         Ok(done)
     }
 
@@ -450,7 +441,7 @@ impl Footprint for Jukebox {
 
     fn poke_segment(&self, vol: VolumeId, seg: u32, buf: &[u8]) -> Result<(), DevError> {
         self.check(buf.len(), vol, seg)?;
-        self.store(vol, seg, Self::blocks_of(buf));
+        self.store(vol, seg, Segment::split(Rc::from(buf), BLOCK_SIZE));
         Ok(())
     }
 
@@ -531,29 +522,23 @@ mod tests {
         Jukebox::new(JukeboxConfig::hp6300_paper(), None)
     }
 
-    /// A segment's worth of block handles (1 MB segments).
-    fn handles() -> Vec<Block> {
-        vec![Block::zeroed(BLOCK_SIZE); 256]
-    }
-
     /// A 1 MB segment of `byte`, as handles to write.
-    fn filled(byte: u8) -> Vec<Block> {
-        Block::split(Rc::from(vec![byte; 1 << 20]), BLOCK_SIZE).collect()
+    fn filled(byte: u8) -> Segment {
+        Segment::split(Rc::from(vec![byte; 1 << 20]), BLOCK_SIZE)
     }
 
     #[test]
     fn targeted_reads_load_the_named_drive_unless_already_loaded() {
         let jb = hp6300();
-        let mut buf = handles();
         jb.poke_segment(1, 0, &vec![7u8; 1 << 20]).unwrap();
         jb.poke_segment(1, 1, &vec![8u8; 1 << 20]).unwrap();
         // An explicit lane swaps the volume into that drive.
-        let (r1, d1) = jb.read_segment_on(0, 1, 1, 0, &mut buf).unwrap();
+        let (r1, d1, _) = jb.read_segment_on(0, 1, 1, 0).unwrap();
         assert_eq!(d1, 1);
         assert_eq!(jb.loaded_volumes()[1], Some(1));
         // A different lane asking for the same volume is routed to the
         // drive that already holds it: no second swap, no platter fight.
-        let (_, d2) = jb.read_segment_on(r1.end, 0, 1, 1, &mut buf).unwrap();
+        let (_, d2, _) = jb.read_segment_on(r1.end, 0, 1, 1).unwrap();
         assert_eq!(d2, 1);
         assert_eq!(jb.stats().swaps, 1);
     }
@@ -561,28 +546,32 @@ mod tests {
     #[test]
     fn by_reference_transfers_move_handles_not_bytes() {
         let jb = hp6300();
-        let seg: Vec<Block> = Block::split(Rc::from(vec![4u8; 1 << 20]), BLOCK_SIZE).collect();
+        let seg = filled(4);
         let w = jb.write_segment_on(0, 0, 0, 0, &seg).unwrap().0;
-        let mut back = handles();
-        jb.read_segment_on(w.end, 0, 0, 0, &mut back).unwrap();
-        assert!(back.iter().zip(&seg).all(|(b, s)| b.as_ptr() == s.as_ptr()));
+        let (_, _, back) = jb.read_segment_on(w.end, 0, 0, 0).unwrap();
+        assert!(
+            std::ptr::eq(&back[0], &seg[0]),
+            "the slot lends the array it kept"
+        );
         // An unwritten slot lends zeros; erasing unwrites.
-        jb.read_segment_on(w.end, 0, 0, 1, &mut back).unwrap();
+        let (_, _, back) = jb.read_segment_on(w.end, 0, 0, 1).unwrap();
         assert!(back.iter().all(|b| b.iter().all(|&x| x == 0)));
         jb.erase_volume(0).unwrap();
         assert!(!jb.segment_written(0, 0));
-        // A handle count or handle size that is not one segment of
-        // blocks is refused before any time is charged.
-        let mut short = handles();
-        short.pop();
-        assert!(matches!(
-            jb.read_segment_on(0, 0, 0, 0, &mut short),
-            Err(DevError::BadBuffer { .. })
-        ));
-        short.push(Block::zeroed(100));
-        short.push(Block::zeroed(BLOCK_SIZE - 100));
+        // A segment that is not one segment's bytes — too few blocks, or
+        // blocks of another size — is refused before any time is charged.
+        let short = Segment::split(Rc::from(vec![4u8; (1 << 20) - BLOCK_SIZE]), BLOCK_SIZE);
         assert!(matches!(
             jb.write_segment_on(0, 0, 0, 0, &short),
+            Err(DevError::BadBuffer { .. })
+        ));
+        let halves = Segment::split(Rc::from(vec![4u8; 1 << 20]), BLOCK_SIZE / 2);
+        assert!(matches!(
+            jb.write_segment_on(0, 0, 0, 0, &halves),
+            Err(DevError::BadBuffer { .. })
+        ));
+        assert!(matches!(
+            jb.poke_segment_blocks(0, 0, &halves),
             Err(DevError::BadBuffer { .. })
         ));
         assert_eq!(jb.stats().reads + jb.stats().writes, 3);
@@ -596,8 +585,8 @@ mod tests {
         // Two lanes demand swaps at the same instant: the robot arm is a
         // single serialized resource, so the second swap starts only
         // after the first finishes.
-        let (w, dw) = jb.write_segment_on(0, 0, 1, 0, &handles()).unwrap();
-        let (r, dr) = jb.read_segment_on(0, 1, 2, 0, &mut handles()).unwrap();
+        let (w, dw) = jb.write_segment_on(0, 0, 1, 0, &filled(0)).unwrap();
+        let (r, dr, _) = jb.read_segment_on(0, 1, 2, 0).unwrap();
         assert_eq!((dw, dr), (0, 1));
         assert_eq!(jb.stats().swaps, 2);
         let swap = VOLUME_CHANGE_TIME;
@@ -621,9 +610,8 @@ mod tests {
         let seg = vec![0u8; jb.segment_bytes()];
         jb.poke_segment(0, 0, &seg).unwrap();
         jb.poke_segment(1, 0, &seg).unwrap();
-        let mut buf = handles();
-        let t0 = jb.read_segment_on(0, 1, 0, 0, &mut buf).unwrap().0.end;
-        let (s1, _) = jb.read_segment_on(t0, 1, 1, 0, &mut buf).unwrap();
+        let t0 = jb.read_segment_on(0, 1, 0, 0).unwrap().0.end;
+        let (s1, _, _) = jb.read_segment_on(t0, 1, 1, 0).unwrap();
         assert_eq!(s1.end - t0, 15_772_510);
         assert_eq!(jb.loaded_volumes(), [None, Some(1)]);
         assert_eq!(jb.stats().swaps, 2);
@@ -641,7 +629,7 @@ mod tests {
         assert_eq!((w.start, w.end), (13_500_000, 18_521_608));
         // Slot 5 is four slots past the head: overhead, seek and half a
         // turn, then the read.
-        let (r, _) = jb.read_segment_on(w.end, 0, 0, 5, &mut handles()).unwrap();
+        let (r, _, _) = jb.read_segment_on(w.end, 0, 0, 5).unwrap();
         assert_eq!((r.start, r.end), (18_521_608, 20_858_241));
         assert_eq!(jb.stats().seek_time, 2_000 + 66_123);
     }
@@ -674,7 +662,7 @@ mod tests {
     fn reads_of_writing_volume_use_the_writer_drive() {
         let jb = hp6300();
         let (w, _) = jb.write_segment_on(0, 0, 5, 0, &filled(1)).unwrap();
-        let (_, d) = jb.read_segment_on(w.end, 1, 5, 0, &mut handles()).unwrap();
+        let (_, d, _) = jb.read_segment_on(w.end, 1, 5, 0).unwrap();
         // No extra swap: the writing drive serves its own platter's reads.
         assert_eq!(d, 0);
         assert_eq!(jb.stats().swaps, 1);
@@ -722,8 +710,8 @@ mod tests {
         jb.poke_segment(7, 0, &seg).unwrap();
         jb.fail_volume(7);
         assert_eq!(
-            jb.read_segment_on(0, 1, 7, 0, &mut handles()),
-            Err(DevError::MediaFailure)
+            jb.read_segment_on(0, 1, 7, 0).err(),
+            Some(DevError::MediaFailure)
         );
         let mut back = vec![0u8; jb.segment_bytes()];
         assert_eq!(
@@ -741,18 +729,17 @@ mod tests {
         let plan = FaultPlan::new(FaultConfig::none(1));
         plan.fail_volume_at(2, secs(100.0));
         jb.set_fault_plan(plan);
-        let mut back = handles();
         // Before the scripted time: reads succeed.
-        jb.read_segment_on(0, 1, 2, 0, &mut back).unwrap();
+        let (_, _, back) = jb.read_segment_on(0, 1, 2, 0).unwrap();
         assert_eq!(back.concat(), seg);
         // At the scripted time the volume dies, and stays dead.
         assert_eq!(
-            jb.read_segment_on(secs(100.0), 1, 2, 0, &mut back),
-            Err(DevError::MediaFailure)
+            jb.read_segment_on(secs(100.0), 1, 2, 0).err(),
+            Some(DevError::MediaFailure)
         );
         assert_eq!(
-            jb.read_segment_on(secs(200.0), 1, 2, 0, &mut back),
-            Err(DevError::MediaFailure)
+            jb.read_segment_on(secs(200.0), 1, 2, 0).err(),
+            Some(DevError::MediaFailure)
         );
     }
 
@@ -769,12 +756,11 @@ mod tests {
             ..FaultConfig::none(11)
         });
         jb.set_fault_plan(plan);
-        let mut back = handles();
         let mut errors = 0;
         let mut successes = 0;
         for i in 0..32u64 {
-            match jb.read_segment_on(secs(i as f64), 1, 0, 3, &mut back) {
-                Ok(_) => {
+            match jb.read_segment_on(secs(i as f64), 1, 0, 3) {
+                Ok((_, _, back)) => {
                     assert_eq!(back.concat(), seg, "data intact after transient errors");
                     successes += 1;
                 }
@@ -814,8 +800,8 @@ mod tests {
         });
         jb.set_fault_plan(plan);
         assert_eq!(
-            jb.read_segment_on(0, 1, 1, 0, &mut handles()),
-            Err(DevError::Offline)
+            jb.read_segment_on(0, 1, 1, 0).err(),
+            Some(DevError::Offline)
         );
         assert!(jb.loaded_volumes().iter().all(|v| v.is_none()));
     }
@@ -834,7 +820,7 @@ mod tests {
             Err(DevError::EndOfMedium { .. })
         ));
         // Reads are unaffected by the write-fault rate.
-        jb.read_segment_on(0, 1, 0, 0, &mut handles()).unwrap();
+        jb.read_segment_on(0, 1, 0, 0).unwrap();
     }
 
     #[test]
@@ -846,15 +832,14 @@ mod tests {
         jb.set_fault_plan(plan);
         let seg = vec![3u8; jb.segment_bytes()];
         jb.poke_segment(1, 0, &seg).unwrap();
-        let mut buf = handles();
         // Before the death the targeted read works and loads drive 1.
-        let (r, d) = jb.read_segment_on(0, 1, 1, 0, &mut buf).unwrap();
+        let (r, d, _) = jb.read_segment_on(0, 1, 1, 0).unwrap();
         assert_eq!(d, 1);
         // After the death, ops routed to drive 1 fail fast — even via the
         // already-loaded path — and no robot or media time is charged.
         let swaps = jb.stats().swaps;
         assert!(matches!(
-            jb.read_segment_on(r.end, 1, 1, 0, &mut buf),
+            jb.read_segment_on(r.end, 1, 1, 0),
             Err(DevError::DriveDead { drive: 1 })
         ));
         assert_eq!(jb.stats().swaps, swaps);
@@ -864,9 +849,9 @@ mod tests {
         // swap it into its own drive.
         jb.abandon_drive(1);
         assert_eq!(jb.loaded_volumes()[1], None);
-        let (_, d0) = jb.read_segment_on(r.end, 0, 1, 0, &mut buf).unwrap();
+        let (_, d0, back) = jb.read_segment_on(r.end, 0, 1, 0).unwrap();
         assert_eq!(d0, 0);
-        assert_eq!(buf.concat(), seg);
+        assert_eq!(back.concat(), seg);
     }
 
     #[test]
@@ -944,7 +929,7 @@ mod tests {
             Err(DevError::OutOfRange { .. })
         ));
         assert!(matches!(
-            jb.write_segment_on(0, 0, 0, 0, &seg[..1]),
+            jb.write_segment_on(0, 0, 0, 0, &Segment::repeat(&seg[0], 1)),
             Err(DevError::BadBuffer { .. })
         ));
     }

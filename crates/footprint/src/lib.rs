@@ -25,7 +25,7 @@ pub use jukebox::{Jukebox, JukeboxConfig};
 pub use stats::FpStats;
 
 use hl_sim::time::SimTime;
-use hl_vdev::{Block, DevError, IoSlot};
+use hl_vdev::{DevError, IoSlot, Segment};
 
 /// Identifies a media volume (tape cartridge or optical platter) within a
 /// tertiary device.
@@ -66,26 +66,26 @@ pub trait Footprint {
     /// actor per drive).
     fn drives(&self) -> usize;
 
-    /// Timed whole-segment read on a named drive, by reference: each of
-    /// `out`'s handles (one per block of the segment) is replaced by one
-    /// onto the medium's block — no bytes move. The caller picks the
-    /// drive; the device holds no policy of its own (the engine's lanes
-    /// are the policy, DESIGN.md §6e). If `vol` is already loaded
-    /// somewhere the loaded drive serves the read (no media movement);
-    /// otherwise the robot swaps it into `drive`. Returns the slot and
-    /// the drive that actually performed the transfer.
+    /// Timed whole-segment read on a named drive, by reference: the
+    /// medium lends its [`Segment`] — one handle, no bytes move. The
+    /// caller picks the drive; the device holds no policy of its own (the
+    /// engine's lanes are the policy, DESIGN.md §6e). If `vol` is already
+    /// loaded somewhere the loaded drive serves the read (no media
+    /// movement); otherwise the robot swaps it into `drive`. Returns the
+    /// slot, the drive that actually performed the transfer, and the
+    /// segment.
     fn read_segment_on(
         &self,
         at: SimTime,
         drive: usize,
         vol: VolumeId,
         seg: u32,
-        out: &mut [Block],
-    ) -> Result<(IoSlot, usize), DevError>;
+    ) -> Result<(IoSlot, usize, Segment), DevError>;
 
     /// Timed whole-segment write on a named drive, by reference: the
-    /// medium keeps handles onto `blocks`. Same drive-routing rule and
-    /// return convention as [`Footprint::read_segment_on`]. Returns
+    /// medium keeps the caller's segment, one handle. Same drive-routing
+    /// rule as [`Footprint::read_segment_on`]; returns the slot and the
+    /// drive. Returns
     /// [`DevError::EndOfMedium`] if the volume filled early (compression
     /// shortfall); the caller marks the volume full and re-writes the
     /// segment on the next volume (§6.3).
@@ -95,7 +95,7 @@ pub trait Footprint {
         drive: usize,
         vol: VolumeId,
         seg: u32,
-        blocks: &[Block],
+        blocks: &Segment,
     ) -> Result<(IoSlot, usize), DevError>;
 
     /// Erases a volume so its slots may be rewritten (tertiary cleaning,

@@ -37,8 +37,9 @@ use crate::ufs::{Ufs, MAXCONTIG};
 pub const SUPERBLOCK_ADDR: BlockAddr = 0;
 /// Device block holding the two checkpoint slots.
 pub const CHECKPOINT_ADDR: BlockAddr = 1;
-/// Blocks reserved ahead of segment 0 (the "boot blocks" of §6.3).
-pub const BOOT_BLOCKS: u32 = 2;
+/// Blocks reserved ahead of segment 0 (the "boot blocks" of §6.3): the
+/// devices' segment origin, where a disk's store starts its runs.
+pub const BOOT_BLOCKS: u32 = hl_vdev::SEGMENT_ORIGIN;
 
 /// An in-core inode.
 #[derive(Clone, Debug)]

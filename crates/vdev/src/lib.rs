@@ -23,7 +23,7 @@ pub mod error;
 pub mod fault;
 pub mod profile;
 
-pub use backing::{Block, SparseStore};
+pub use backing::{Block, Segment, SparseStore, SEGMENT_ORIGIN};
 pub use blockdev::{BlockDev, IoSlot};
 pub use bus::ScsiBus;
 pub use crash::{CrashDev, CrashPlan, TornWrite};
