@@ -153,6 +153,27 @@ if awk 'FNR == 1 { t = 0 }
   exit 1
 fi
 
+# A segment crosses the levels as one handle (DESIGN.md §6 "Blocks by
+# reference"): the jukebox lends and keeps a slot's `Segment`, and the
+# engine moves it with no staging array. The gate fails on a per-block
+# copy of a slot's handles (`clone_from_slice`) in the non-test part
+# (up to the first column-0 `#[cfg(test)]`) of
+# crates/footprint/src/jukebox.rs, and on the engine's staging array
+# (`staged:`, `self.staged`) in the non-test part of
+# crates/core/src/service.rs. Seen red at the parent commit:
+# jukebox.rs:423 (`out.clone_from_slice(blocks)` in `read_segment_on`)
+# and service.rs:220 (the field), 456 and 481 (`exec` taking it out of
+# its cell and putting it back) and 704 (its initialiser).
+echo "==> a segment crosses as one handle: no per-block slot copy, no staging array"
+if awk 'FNR == 1 { t = 0 }
+        /^#\[cfg\(test\)\]/ { t = 1 }
+        !t && FILENAME ~ /jukebox\.rs$/ && /clone_from_slice/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        !t && FILENAME ~ /service\.rs$/ && /staged:|self\.staged/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/footprint/src/jukebox.rs crates/core/src/service.rs; then
+  echo "  a segment is copied handle by handle: move its Segment"
+  exit 1
+fi
+
 # One drive policy (DESIGN.md §6e): the engine's I/O-server lanes
 # decide which drive serves what, and every timed segment transfer names
 # its drive (`read_segment_on` / `write_segment_on`). The jukebox keeps
