@@ -4,8 +4,8 @@
 //! segment-cache directory, the block-map route, the replica directory,
 //! the request-ticket lifecycle and a resident hit's ticket, the
 //! scheduler step (and a wake at the current instant), the trace emit, the
-//! buffer-cache miss, the cache-line fill (by bytes and by reference)
-//! and the LFS log write (`Lfs::write` + `sync`) — one row per live
+//! buffer-cache miss, the cache-line fill (by bytes, by reference one
+//! handle a block, and as one segment handle) and the LFS log write (`Lfs::write` + `sync`) — one row per live
 //! path. (Earlier PRs'
 //! before/after pairs are history in EXPERIMENTS.md; the "before" arms
 //! are no longer compiled.)
@@ -41,7 +41,7 @@ use hl_lfs::ufs::Ufs;
 use hl_lfs::Lfs;
 use hl_sim::{Actor, Clock, Scheduler, SimTime, Step};
 use hl_trace::{tracecheck, Class, Expectations, Lane, QueueId, Tracer};
-use hl_vdev::{Block, BlockDev, Disk, DiskProfile, BLOCK_SIZE};
+use hl_vdev::{Block, BlockDev, Disk, DiskProfile, Segment, BLOCK_SIZE, SEGMENT_ORIGIN};
 
 /// Hard gate for the single-block secondary route.
 const ROUTE_GATE_NS: f64 = 55.0;
@@ -101,9 +101,10 @@ const LOG_WRITE_OVER_FILL_GATE: f64 = 60.0;
 const LOG_WRITE_BLOCKS: usize = 64;
 /// Id of the log-write row.
 const LOG_WRITE: &str = "Lfs::write + sync, 64 x 4KB overwrite";
-/// Ids of the two line-fill rows.
+/// Ids of the three line-fill rows.
 const FILL_BYTES: &str = "fill 1MB cache line, bytes";
 const FILL_BY_REF: &str = "fill 1MB cache line, by reference";
+const FILL_BY_SEGMENT: &str = "fill 1MB cache line, one segment handle";
 
 fn bench_cksum(c: &mut Criterion) {
     let block = vec![0xa5u8; 4096];
@@ -306,6 +307,20 @@ fn bench_line_fill(c: &mut Criterion) {
     });
 }
 
+/// The fill as the engine makes it: the medium's segment kept whole by
+/// the cache disk, its line at a run boundary of the disk's store, so
+/// one handle moves. A report row; it gates nothing.
+fn bench_line_fill_segment(c: &mut Criterion) {
+    const LINE: u64 = SEGMENT_ORIGIN as u64;
+    let image = vec![0xa5u8; 1 << 20];
+    let disk = Disk::new(DiskProfile::RZ57, LINE + 256, None);
+    disk.poke(LINE, &image).expect("resident line");
+    let seg = Segment::split(Rc::from(image.as_slice()), BLOCK_SIZE);
+    c.bench_function(FILL_BY_SEGMENT, |b| {
+        b.iter(|| disk.write_seg(0, black_box(LINE), black_box(&seg)))
+    });
+}
+
 /// Yields one period ahead, forever.
 struct Periodic(SimTime);
 impl Actor<()> for Periodic {
@@ -466,6 +481,7 @@ fn main() {
         bench_trace_emit(&mut c);
         bench_bufcache_evict(&mut c);
         bench_line_fill(&mut c);
+        bench_line_fill_segment(&mut c);
         bench_lfs_write(&mut c);
     }
 
