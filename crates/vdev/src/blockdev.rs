@@ -89,9 +89,9 @@ pub trait BlockDev {
     /// segment of handles onto the device's blocks. Same timing as
     /// [`BlockDev::read`] of as many bytes.
     fn read_seg(&self, at: SimTime, block: u64, n: usize) -> Result<(IoSlot, Segment), DevError> {
-        let mut out = vec![Block::copy_of(&[]); n];
-        let slot = self.read_blocks(at, block, &mut out)?;
-        Ok((slot, Segment(out.into())))
+        let mut seg = NO_BLOCK.with(|none| Segment::repeat(none, n));
+        let slot = self.read_blocks(at, block, seg.blocks_mut())?;
+        Ok((slot, seg))
     }
 
     /// Timed write of `seg` from `block`. Same timing as
@@ -111,6 +111,12 @@ pub trait BlockDev {
     fn flush(&self, at: SimTime) -> Result<IoSlot, DevError> {
         Ok(IoSlot::instant(at))
     }
+}
+
+thread_local! {
+    /// What [`BlockDev::read_seg`]'s array holds until `read_blocks`
+    /// replaces every handle.
+    static NO_BLOCK: Block = Block::copy_of(&[]);
 }
 
 /// Validates an I/O request against a device's geometry and returns the

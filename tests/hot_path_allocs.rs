@@ -362,17 +362,10 @@ fn a_highlight_read_hit_allocates_nothing_and_an_overwrite_its_block() {
 
 /// The engine's two whole-segment moves, by reference, on devices alone:
 /// a fetch (medium → cache line) and a copy-out (line → medium) of one
-/// 256-block segment, the line at a run boundary of the disk's store.
-/// Each level keeps the array the other lent, so a round trip moves two
-/// handles and allocates nothing. Seen red, each sabotage alone: 300
-/// with the line one block off the boundary (`LINE + 1`: the disk puts
-/// the handles one by one and lends a fresh array of 256, collected
-/// through a growing vector); 200 with the jukebox keeping a copy of the
-/// array it is handed; 300 with it copying the bytes.
-#[test]
-fn a_fetch_and_copy_out_round_trip_allocates_nothing() {
-    const LINE: u64 = SEGMENT_ORIGIN as u64;
-    let disk = Disk::new(DiskProfile::RZ57, LINE + 256, None);
+/// 256-block segment, the line at block `line` of the disk: the
+/// allocations of 100 warm round trips.
+fn device_round_trips_allocs(line: u64) -> u64 {
+    let disk = Disk::new(DiskProfile::RZ57, line + 256, None);
     let jb = Jukebox::new(
         JukeboxConfig {
             volumes: 1,
@@ -382,12 +375,12 @@ fn a_fetch_and_copy_out_round_trip_allocates_nothing() {
         None,
     );
     jb.poke_segment(0, 0, &vec![7u8; 1 << 20]).unwrap();
-    disk.poke(LINE, &vec![0u8; 1 << 20]).unwrap();
+    disk.poke(line, &vec![0u8; 1 << 20]).unwrap();
     let mut t = 0;
     let mut round_trip = || {
         let (r, _, seg) = jb.read_segment_on(t, 0, 0, 0).unwrap();
-        let w = disk.write_seg(r.end, LINE, &seg).unwrap();
-        let (r, seg) = disk.read_seg(w.end, LINE, 256).unwrap();
+        let w = disk.write_seg(r.end, line, &seg).unwrap();
+        let (r, seg) = disk.read_seg(w.end, line, 256).unwrap();
         let (w, _) = jb.write_segment_on(r.end, 0, 0, 0, &seg).unwrap();
         t = w.end;
     };
@@ -397,10 +390,32 @@ fn a_fetch_and_copy_out_round_trip_allocates_nothing() {
             round_trip();
         }
     });
-    assert_eq!(allocs, 0, "a handle each way, nothing per block");
     let mut back = vec![0u8; 1 << 20];
     jb.peek_segment(0, 0, &mut back).unwrap();
     assert!(back.iter().all(|&b| b == 7));
+    allocs
+}
+
+/// The line at a run boundary of the disk's store: each level keeps the
+/// array the other lent, so a round trip moves two handles and
+/// allocates nothing. Seen red, each sabotage alone: 200 with the
+/// jukebox keeping a copy of the array it is handed; 300 with it
+/// copying the bytes.
+#[test]
+fn a_fetch_and_copy_out_round_trip_allocates_nothing() {
+    let allocs = device_round_trips_allocs(SEGMENT_ORIGIN as u64);
+    assert_eq!(allocs, 0, "a handle each way, nothing per block");
+}
+
+/// The line one block off a run boundary: the disk puts the fetched
+/// handles one by one into the two runs the line straddles, and lends
+/// the copy-out a fresh array of 256 handles, made at its exact size:
+/// one allocation a trip. Seen red at 300 with the array collected
+/// through a growing vector and copied into its `Rc`.
+#[test]
+fn a_round_trip_off_a_run_boundary_allocates_the_lent_array() {
+    let allocs = device_round_trips_allocs(SEGMENT_ORIGIN as u64 + 1);
+    assert_eq!(allocs, 100);
 }
 
 /// Building a scenario/shard rig pokes the oracle image onto each of its
