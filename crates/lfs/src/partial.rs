@@ -31,8 +31,11 @@
 //! A partial moves as [`Block`] handles both ways: the builder hands the
 //! device the summary block, the cached buffers' handles and the fresh
 //! inode blocks in one `write_blocks`, and the walker reads a segment as
-//! the handles a `read_blocks` lent. `ss_datasum` is summed over the
-//! payload blocks in place; no segment image is ever assembled.
+//! the handles a `read_blocks` lent. `ss_datasum` folds the payload
+//! blocks' own sums, which their handles carry ([`Block::sum`]): a block
+//! is summed once after it was last written, and a partial that moves it
+//! unchanged reads its sum, not its bytes. No segment image is ever
+//! assembled.
 
 use std::borrow::Borrow;
 
@@ -190,6 +193,10 @@ impl PartialBuilder {
 
         for &(ino, lb, old) in &self.blocks {
             let blk = if let Some(b) = fs.cache.get(ino, lb) {
+                // Summed on the cache's own handle, so the memo outlives
+                // this partial: the next partial to take the block — the
+                // migrator's, a cleaner's — finds it summed.
+                b.data.sum();
                 b.data.clone()
             } else if old != UNASSIGNED {
                 fs.read_block(old)?
@@ -379,7 +386,7 @@ impl Partial {
     }
 
     /// `true` if the payload blocks checksum to the stored `ss_datasum`.
-    pub(crate) fn datasum_matches<B: Borrow<[u8]>>(&self, payload: &[B]) -> bool {
+    pub(crate) fn datasum_matches(&self, payload: &[Block]) -> bool {
         SegSummary::datasum_of_blocks(payload) == self.datasum
     }
 
