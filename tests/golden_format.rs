@@ -36,8 +36,8 @@ fn superblock_hex_snapshot() {
     assert!(blk[52..].iter().all(|&b| b == 0), "padding not zeroed");
     let got = hex(&blk[..52]);
     let want = "\
-3253464c494c4748001000000000030050030000020000000010000010000000\n\
-005003000000000015cd5b070000000008931004";
+3353464c494c4748001000000000030050030000020000000010000010000000\n\
+005003000000000015cd5b0700000000b03d093c";
     assert_eq!(got, want, "\nsuperblock bytes changed; got:\n{got}");
     assert_eq!(Superblock::decode(&blk).unwrap(), sb);
 }
@@ -82,7 +82,7 @@ fn summary_hex_snapshot() {
     assert!(buf[56..504].iter().all(|&b| b == 0), "padding not zeroed");
     let front = hex(&buf[..56]);
     let want_front = "\
-edd870167ea795f8000001000900000000000000010001000000000003000000\n\
+c3df53fe23a161c6000001000900000000000000010001000000000003000000\n\
 0200000004000000001000000000000001000000ffffffff";
     assert_eq!(front, want_front, "\nsummary front changed; got:\n{front}");
     let back = hex(&buf[512 - 8..]);
