@@ -255,8 +255,8 @@ fn immediate_copy_out_life_matches_the_pinned_image() {
     assert_eq!(
         scripted_life(CopyOutMode::Immediate),
         Pin {
-            disk: 0xbb8f_1561_c562_33b0,
-            media: 0x046a_589f_b500_7436,
+            disk: 0xc0e4_6e8e_acfa_738a,
+            media: 0x588d_8ee0_40b9_4b7a,
             slots_written: 4,
             eom_events: 1,
             sim_now: 90_964_383,
@@ -270,8 +270,8 @@ fn delayed_copy_out_life_matches_the_pinned_image() {
     assert_eq!(
         scripted_life(CopyOutMode::Delayed { pipeline: 4 }),
         Pin {
-            disk: 0x8b11_4e1b_72d1_cd0d,
-            media: 0x6ccd_63d0_7846_3222,
+            disk: 0x0b5d_ee43_105f_0c5c,
+            media: 0xf941_591a_e404_db19,
             slots_written: 4,
             eom_events: 2,
             sim_now: 92_129_304,
@@ -430,8 +430,8 @@ fn deep_file_life_matches_the_pinned_image() {
     assert_eq!(
         deep_life(),
         Pin {
-            disk: 0xabab_a88a_cd34_66f7,
-            media: 0xf1a8_2e0a_3454_036c,
+            disk: 0xb3b5_4868_8e8d_2974,
+            media: 0x3bb1_bf2b_d81e_9690,
             slots_written: 11,
             eom_events: 0,
             sim_now: 357_117_149,
