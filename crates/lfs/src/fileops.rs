@@ -176,7 +176,7 @@ impl Lfs {
                 if full_overwrite {
                     // The caller's bytes are the whole block: a fresh
                     // block, whoever shared the old one.
-                    buf.data = Block::copy_of(src);
+                    buf.data = whole_block(src);
                 } else {
                     buf.data.make_mut()[off_in..off_in + n].copy_from_slice(src);
                 }
@@ -193,7 +193,7 @@ impl Lfs {
                     // Fresh block (or full overwrite: no need to read the
                     // old copy; keep its address for live accounting).
                     let blk = if full_overwrite {
-                        Block::copy_of(src)
+                        whole_block(src)
                     } else {
                         let mut blk = Block::zeroed(BLOCK_SIZE);
                         blk.make_mut()[off_in..off_in + n].copy_from_slice(src);
@@ -264,4 +264,14 @@ impl Lfs {
         i.dirty = true;
         Ok(())
     }
+}
+
+/// A fresh block holding the caller's `src`, one whole block, summed now
+/// while its bytes are in the CPU cache: the partial that writes it reads
+/// the sum its handle carries, not the bytes, which are out of the CPU
+/// cache by the time the log is flushed.
+fn whole_block(src: &[u8]) -> Block {
+    let blk = Block::copy_of(src);
+    blk.sum();
+    blk
 }
