@@ -137,6 +137,27 @@ if grep -nE 'Box<\[u8\]>|read_scratch|read_raw' crates/lfs/src/*.rs; then
   exit 1
 fi
 
+# A block is summed once (DESIGN.md §6a "Checksum"): `ss_datasum` folds
+# the sums that block handles carry (`Block::sum`), so no sum streams
+# across the blocks of a payload, and the partial codec sums payload
+# only through the handles. The gate fails on stride gathering across
+# slices (`nheld`) in hl-lfs's ondisk.rs or anywhere in crates/vdev/src,
+# on a datasum over byte slices (`Borrow<[u8]>` on a line naming a
+# datasum) in ondisk.rs and partial.rs, and on a `cksum(` or a byte-form
+# `datasum_of(` in the non-test part (up to the first column-0
+# `#[cfg(test)]`) of partial.rs. Seen red at the parent commit: 8 lines
+# of `cksum_run` in ondisk.rs, `datasum_of_blocks<B: Borrow<[u8]>>` in
+# ondisk.rs and `datasum_matches<B: Borrow<[u8]>>` in partial.rs.
+echo "==> a block is summed once: no stride gathering, payload sums through the handles"
+if grep -nE 'nheld' crates/lfs/src/ondisk.rs crates/vdev/src/*.rs ||
+  grep -nE 'datasum.*Borrow<\[u8\]>' crates/lfs/src/ondisk.rs crates/lfs/src/partial.rs ||
+  awk '/^#\[cfg\(test\)\]/ { exit }
+       /cksum\(|datasum_of\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+       END { exit !bad }' crates/lfs/src/partial.rs; then
+  echo "  a payload is summed past its blocks' carried sums: fold Block::sum"
+  exit 1
+fi
+
 # Whole segments by reference at the rig end too: a rig, shard or bench
 # pokes a tertiary segment as block handles
 # (`Jukebox::poke_segment_blocks`), never as a 1 MB byte image. The gate
