@@ -43,6 +43,7 @@
 
 use std::rc::Rc;
 
+use hl_footprint::VolumeId;
 use hl_sim::time::SimTime;
 use hl_sim::{Actor, ActorId, Scheduler, Step, Waker};
 
@@ -107,6 +108,9 @@ struct IoActor {
     label: String,
     /// When this lane's last operation finished (its busy horizon).
     free_since: SimTime,
+    /// The volume in each drive, refreshed on every step the scheduler
+    /// takes (one entry per drive, so refreshing allocates nothing).
+    loaded: Vec<Option<VolumeId>>,
 }
 
 impl<W> Actor<W> for IoActor {
@@ -134,12 +138,12 @@ impl<W> Actor<W> for IoActor {
         // writer mantle falls to the lowest healthy lane, and a lane
         // left alone by faults serves every class (solo rules).
         let (writer, solo) = self.inner.lane_roles(self.drive);
-        let loaded_all = self.inner.jukebox.loaded_volumes();
+        self.inner.jukebox.loaded_volumes_into(&mut self.loaded);
         let op =
             self.inner
                 .queues
                 .borrow_mut()
-                .take_for_drive(self.drive, writer, solo, &loaded_all);
+                .take_for_drive(self.drive, writer, solo, &self.loaded);
         let Some(op) = op else {
             return Step::Park;
         };
@@ -213,6 +217,7 @@ pub(crate) fn spawn_engine<W: 'static>(
             drive: d,
             label: format!("io-server-d{d}"),
             free_since: 0,
+            loaded: Vec::with_capacity(inner.jukebox.drives()),
         })
     };
     // Reader lanes first (ties at equal wake times resolve toward

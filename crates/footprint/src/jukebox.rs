@@ -453,13 +453,9 @@ impl Footprint for Jukebox {
         self.inner.borrow().stats
     }
 
-    fn loaded_volumes(&self) -> Vec<Option<VolumeId>> {
-        self.inner
-            .borrow()
-            .drives
-            .iter()
-            .map(|d| d.loaded)
-            .collect()
+    fn loaded_volumes_into(&self, out: &mut Vec<Option<VolumeId>>) {
+        out.clear();
+        out.extend(self.inner.borrow().drives.iter().map(|d| d.loaded));
     }
 
     fn drives(&self) -> usize {
@@ -522,6 +518,13 @@ mod tests {
         Jukebox::new(JukeboxConfig::hp6300_paper(), None)
     }
 
+    /// The volume in each drive.
+    fn loaded_volumes(jb: &Jukebox) -> Vec<Option<VolumeId>> {
+        let mut out = Vec::new();
+        jb.loaded_volumes_into(&mut out);
+        out
+    }
+
     /// A 1 MB segment of `byte`, as handles to write.
     fn filled(byte: u8) -> Segment {
         Segment::split(Rc::from(vec![byte; 1 << 20]), BLOCK_SIZE)
@@ -535,7 +538,7 @@ mod tests {
         // An explicit lane swaps the volume into that drive.
         let (r1, d1, _) = jb.read_segment_on(0, 1, 1, 0).unwrap();
         assert_eq!(d1, 1);
-        assert_eq!(jb.loaded_volumes()[1], Some(1));
+        assert_eq!(loaded_volumes(&jb)[1], Some(1));
         // A different lane asking for the same volume is routed to the
         // drive that already holds it: no second swap, no platter fight.
         let (_, d2, _) = jb.read_segment_on(r1.end, 0, 1, 1).unwrap();
@@ -613,7 +616,7 @@ mod tests {
         let t0 = jb.read_segment_on(0, 1, 0, 0).unwrap().0.end;
         let (s1, _, _) = jb.read_segment_on(t0, 1, 1, 0).unwrap();
         assert_eq!(s1.end - t0, 15_772_510);
-        assert_eq!(jb.loaded_volumes(), [None, Some(1)]);
+        assert_eq!(loaded_volumes(&jb), [None, Some(1)]);
         assert_eq!(jb.stats().swaps, 2);
     }
 
@@ -642,7 +645,7 @@ mod tests {
         assert!(slot.end > secs(13.5));
         assert!(slot.end < secs(25.0));
         assert_eq!(jb.stats().swaps, 1);
-        assert_eq!(jb.loaded_volumes()[0], Some(3));
+        assert_eq!(loaded_volumes(&jb)[0], Some(3));
     }
 
     #[test]
@@ -666,7 +669,7 @@ mod tests {
         // No extra swap: the writing drive serves its own platter's reads.
         assert_eq!(d, 0);
         assert_eq!(jb.stats().swaps, 1);
-        assert_eq!(jb.loaded_volumes()[1], None);
+        assert_eq!(loaded_volumes(&jb)[1], None);
     }
 
     #[test]
@@ -803,7 +806,7 @@ mod tests {
             jb.read_segment_on(0, 1, 1, 0).err(),
             Some(DevError::Offline)
         );
-        assert!(jb.loaded_volumes().iter().all(|v| v.is_none()));
+        assert!(loaded_volumes(&jb).iter().all(|v| v.is_none()));
     }
 
     #[test]
@@ -848,7 +851,7 @@ mod tests {
         // Abandoning the drive drops the platter so a surviving lane can
         // swap it into its own drive.
         jb.abandon_drive(1);
-        assert_eq!(jb.loaded_volumes()[1], None);
+        assert_eq!(loaded_volumes(&jb)[1], None);
         let (_, d0, back) = jb.read_segment_on(r.end, 0, 1, 0).unwrap();
         assert_eq!(d0, 0);
         assert_eq!(back.concat(), seg);

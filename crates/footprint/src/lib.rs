@@ -59,8 +59,11 @@ pub trait Footprint {
     /// Cumulative timing/operation counters.
     fn stats(&self) -> FpStats;
 
-    /// Returns the volume currently loaded in each drive (`None` = empty).
-    fn loaded_volumes(&self) -> Vec<Option<VolumeId>>;
+    /// Writes the volume currently loaded in each drive into `out`, one
+    /// entry per drive (`None` = empty), replacing what it held. Allocates
+    /// nothing once `out` has room for [`Footprint::drives`] entries: the
+    /// I/O lanes ask on every step.
+    fn loaded_volumes_into(&self, out: &mut Vec<Option<VolumeId>>);
 
     /// Number of drives in the device (the I/O-server pool spawns one
     /// actor per drive).

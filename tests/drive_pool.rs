@@ -227,7 +227,9 @@ fn primed_two_drive_rig(oracle: &[u8]) -> (Rc<TertiaryIo>, Jukebox, UniformMap, 
     tio.pump();
     let (_, ra) = pa.fetch_result().unwrap();
     let (_, rb) = pb.fetch_result().unwrap();
-    let vol1 = jb.loaded_volumes()[1].expect("drive 1 holds a platter");
+    let mut loaded = Vec::new();
+    jb.loaded_volumes_into(&mut loaded);
+    let vol1 = loaded[1].expect("drive 1 holds a platter");
     (tio, jb, map, ra.max(rb), vol1)
 }
 
