@@ -13,8 +13,10 @@
 //! Exactly that: [`ReplicaSet`] records extra physical homes for a
 //! logical tertiary segment; replicas never appear in the tsegfile's
 //! live accounting, so reclamation logic is untouched. The fetch path
-//! asks [`ReplicaSet::homes`] for every copy and orders them by what is
-//! in the drives.
+//! reads an unreplicated segment from the home the address map gives
+//! it ([`ReplicaSet::has_extra`] says which), and otherwise asks
+//! [`ReplicaSet::homes`] for every copy and orders them by what is in
+//! the drives.
 //!
 //! The directory is a plain map: it is consulted once per media fetch
 //! (a 1 MB transfer behind a robot), never on a resident hit, so its
@@ -45,6 +47,11 @@ impl ReplicaSet {
         if !homes.contains(&(vol, slot)) {
             homes.push((vol, slot));
         }
+    }
+
+    /// `true` when `seg` has a home beyond its primary.
+    pub fn has_extra(&self, seg: SegNo) -> bool {
+        self.extra.contains_key(&seg)
     }
 
     /// All physical homes of `seg`: the primary first, replicas after.
@@ -103,6 +110,7 @@ mod tests {
         let r = ReplicaSet::new();
         let seg = m.tert_seg(1, 3);
         assert_eq!(r.homes(&m, seg), vec![(1, 3)]);
+        assert!(!r.has_extra(seg));
     }
 
     #[test]
@@ -130,6 +138,7 @@ mod tests {
         assert_eq!(r.homes(&m, a), vec![(0, 0), (3, 0)]);
         assert_eq!(r.homes(&m, b), vec![(1, 1)]);
         assert_eq!(r.segments(), vec![a], "emptied records are pruned");
+        assert!(r.has_extra(a) && !r.has_extra(b));
         r.forget(a);
         assert_eq!(r.homes(&m, a), vec![(0, 0)]);
     }
