@@ -298,23 +298,20 @@ impl SegCache {
     }
 
     fn pick_victim(&mut self) -> Option<SegNo> {
-        // Sort by key so policy decisions (including tie-breaks and the
-        // random draw) do not depend on the directory's slot order.
-        let mut clean: Vec<&CacheLine> = self
-            .dir
-            .values()
-            .filter(|l| l.state == LineState::Clean)
-            .collect();
-        clean.sort_by_key(|l| l.tert_seg);
-        if clean.is_empty() {
-            return None;
-        }
+        // Ties go to the smaller tertiary segment, and the random draw
+        // indexes the clean lines sorted by it, so no decision depends on
+        // the directory's slot order.
+        let clean = self.dir.values().filter(|l| l.state == LineState::Clean);
         let key = match &self.policy {
-            EjectPolicy::Lru => clean.iter().min_by_key(|l| l.last_used)?.tert_seg,
-            EjectPolicy::FetchTime => clean.iter().min_by_key(|l| l.fetched_at)?.tert_seg,
+            EjectPolicy::Lru => clean.min_by_key(|l| (l.last_used, l.tert_seg))?.tert_seg,
+            EjectPolicy::FetchTime => clean.min_by_key(|l| (l.fetched_at, l.tert_seg))?.tert_seg,
             EjectPolicy::Random(_) => {
-                let idx = self.rng.below(clean.len() as u64) as usize;
-                clean[idx].tert_seg
+                let mut keys: Vec<SegNo> = clean.map(|l| l.tert_seg).collect();
+                if keys.is_empty() {
+                    return None;
+                }
+                keys.sort_unstable();
+                keys[self.rng.below(keys.len() as u64) as usize]
             }
             EjectPolicy::LeastWorthy => {
                 // Untouched-since-fill lines go first (MRU-ish among
@@ -322,15 +319,17 @@ impl SegCache {
                 // otherwise fall back to LRU among promoted lines.
                 // "Upon repeated access the cache line would be marked
                 // as part of the regular pool" (§10): one re-reference
-                // after the fill promotes.
-                let unworthy = clean
-                    .iter()
-                    .filter(|l| l.touches == 0)
-                    .max_by_key(|l| l.fetched_at);
-                match unworthy {
-                    Some(l) => l.tert_seg,
-                    None => clean.iter().min_by_key(|l| l.last_used)?.tert_seg,
+                // after the fill promotes. One pass keeps both picks.
+                let mut unworthy: Option<(SimTime, SegNo)> = None;
+                let mut lru: Option<(SimTime, SegNo)> = None;
+                for l in clean {
+                    if l.touches == 0 {
+                        unworthy = unworthy.max(Some((l.fetched_at, l.tert_seg)));
+                    }
+                    let used = (l.last_used, l.tert_seg);
+                    lru = Some(lru.map_or(used, |m| m.min(used)));
                 }
+                unworthy.or(lru)?.1
             }
         };
         Some(key)
@@ -507,5 +506,82 @@ mod tests {
         assert!(c.lookup(5, 3).is_some());
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
+    }
+
+    /// The victim pick as it was: every clean line collected and sorted
+    /// by tertiary segment, then each policy's pick from that list.
+    fn oracle_pick_victim(c: &mut SegCache) -> Option<SegNo> {
+        let mut clean: Vec<&CacheLine> = c
+            .dir
+            .values()
+            .filter(|l| l.state == LineState::Clean)
+            .collect();
+        clean.sort_by_key(|l| l.tert_seg);
+        if clean.is_empty() {
+            return None;
+        }
+        let key = match &c.policy {
+            EjectPolicy::Lru => clean.iter().min_by_key(|l| l.last_used)?.tert_seg,
+            EjectPolicy::FetchTime => clean.iter().min_by_key(|l| l.fetched_at)?.tert_seg,
+            EjectPolicy::Random(_) => {
+                let idx = c.rng.below(clean.len() as u64) as usize;
+                clean[idx].tert_seg
+            }
+            EjectPolicy::LeastWorthy => {
+                let unworthy = clean
+                    .iter()
+                    .filter(|l| l.touches == 0)
+                    .max_by_key(|l| l.fetched_at);
+                match unworthy {
+                    Some(l) => l.tert_seg,
+                    None => clean.iter().min_by_key(|l| l.last_used)?.tert_seg,
+                }
+            }
+        };
+        Some(key)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Lines in every state, with `last_used` and `fetched_at` drawn
+        /// from a few values so ties are common, some touched since
+        /// their fill: under each of the four policies, victims picked
+        /// and ejected until none is left come in the order the
+        /// collect-sort-pick form gave. Seen red, each sabotage alone: a
+        /// tie broken to the larger segment under LRU; LeastWorthy's
+        /// newest untouched line taken as the first of a tie, not the
+        /// last.
+        #[test]
+        fn victims_match_the_collect_sort_pick(
+            lines in proptest::collection::vec((0u32..64, 0u8..4, 0u64..4, 0u64..4, 0u32..3), 0..24usize),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let states = [LineState::Clean, LineState::Filling, LineState::Staging, LineState::DirtyWait];
+            for policy in [EjectPolicy::Lru, EjectPolicy::FetchTime, EjectPolicy::Random(seed), EjectPolicy::LeastWorthy] {
+                let victims = |pick: fn(&mut SegCache) -> Option<SegNo>| {
+                    let mut c = cache(0, policy);
+                    for (i, &(seg, state, fetched_at, last_used, touches)) in lines.iter().enumerate() {
+                        let line = CacheLine {
+                            disk_seg: i as SegNo,
+                            tert_seg: seg,
+                            state: states[state as usize],
+                            fetched_at,
+                            ready_at: fetched_at,
+                            last_used,
+                            touches,
+                        };
+                        c.dir.insert(seg, line);
+                    }
+                    let mut out = Vec::new();
+                    while let Some(v) = pick(&mut c) {
+                        out.push(v);
+                        c.eject(v);
+                    }
+                    out
+                };
+                proptest::prop_assert_eq!(victims(SegCache::pick_victim), victims(oracle_pick_victim));
+            }
+        }
     }
 }
