@@ -30,7 +30,7 @@ use highlight::requests::{Inbox, Ticket};
 use highlight::rig::seg_image;
 use highlight::segcache::EjectPolicy;
 use highlight::TenantId;
-use hl_sim::stats::percentile;
+use hl_sim::stats::percentiles;
 use hl_sim::time::MS;
 use hl_sim::{Actor, ActorId, Scheduler, SimTime, Step, Waker};
 use hl_workload::{TenantMix, ZipfStore};
@@ -553,12 +553,12 @@ impl Actor<FleetWorld> for WorkerActor {
 }
 
 fn summarize(mut lats: Vec<u64>) -> TenantLat {
-    lats.sort_unstable();
+    let [p50, p95, p99] = percentiles(&mut lats, [50, 95, 99]);
     TenantLat {
         count: lats.len() as u64,
-        p50: percentile(&lats, 50),
-        p95: percentile(&lats, 95),
-        p99: percentile(&lats, 99),
+        p50,
+        p95,
+        p99,
     }
 }
 
@@ -666,7 +666,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         .filter(|t| !t.is_done())
         .count() as u64;
     let mut all: Vec<u64> = world.lat.iter().map(|&(_, _, l)| l).collect();
-    all.sort_unstable();
+    let [p50, p95, p99] = percentiles(&mut all, [50, 95, 99]);
     let mut per_tenant: BTreeMap<TenantId, TenantLat> = BTreeMap::new();
     for t in 0..cfg.tenants {
         let gets: Vec<u64> = world
@@ -693,9 +693,9 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         steals: 0,
         digest: world.engine.combined_digest(),
         findings: world.engine.total_findings(),
-        p50: percentile(&all, 50),
-        p95: percentile(&all, 95),
-        p99: percentile(&all, 99),
+        p50,
+        p95,
+        p99,
         per_tenant,
         tenant_admits: admits,
         tenant_throttles: throttles,
