@@ -347,6 +347,32 @@ if awk 'FNR == 1 { t = 0; f = 0 }
   exit 1
 fi
 
+# The cold dispatch path (DESIGN.md §6j): a request's way from the
+# request queue to a drive allocates only the request. The fair queue
+# walks its window in place and notes deferrals through `range_mut`, the
+# device scheduler re-walks its queue, and each I/O lane refills its own
+# table of loaded volumes. In the non-test part (up to the first
+# column-0 `#[cfg(test)]`) of crates/core/src the gate fails on a
+# `collect`, `Vec::new`, `Vec::with_capacity` or `.sort` inside `fn
+# pop_ready`, `fn fair_pick` or `fn take_for_drive`, and on a
+# `loaded_volumes()` call anywhere. Seen red at the parent commit: 5
+# lines in three files (`pop_ready`'s held list and `fair_pick`'s
+# candidate list, both `Vec::new()`; `take_for_drive`'s `collect` of
+# eligible ops; the `loaded_volumes()` calls in ioserver.rs and
+# recovery.rs).
+echo "==> cold dispatch path: no scratch list in the queue picks, no collected drive table"
+if awk 'FNR == 1 { t = 0; f = 0 }
+        /^#\[cfg\(test\)\]/ { t = 1 }
+        t { next }
+        /^    (pub )?fn (pop_ready|fair_pick|take_for_drive)\(/ { f = 1 }
+        f && /collect|Vec::new|Vec::with_capacity|\.sort/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        f && /^    }$/ { f = 0 }
+        /loaded_volumes\(\)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/core/src/*.rs; then
+  echo "  the dispatch path builds a throw-away list: walk the queues in place, refill the lane's table"
+  exit 1
+fi
+
 run cargo build --release
 run cargo test --workspace -q   # every test binary once (covers tier-1's root suite)
 run cargo clippy --workspace --all-targets -- -D warnings
