@@ -43,7 +43,7 @@ use hl_server::{
 };
 use hl_sim::time::MS;
 use hl_sim::{Actor, ActorId, Clock, Scheduler, SimTime, Step, Waker};
-use hl_trace::{Class, Lane, Tracer};
+use hl_trace::{Class, Lane, LineTag, Tracer};
 use hl_vdev::{Block, BlockDev, Disk, DiskProfile, BLOCK_SIZE, SEGMENT_ORIGIN};
 
 thread_local! {
@@ -198,6 +198,48 @@ fn ten_thousand_span_queuing_dev_io_emits_allocate_only_the_interval_lists_growt
     }
     assert_eq!(tracer.len(), 10_004);
     assert_eq!(by_kind, [0, 0, 10, 0]);
+    assert_eq!(hl_trace::tracecheck(&tracer, &Default::default()), vec![]);
+}
+
+/// A tracer as a cold fleet's shard holds it: 256 spans live at once
+/// and 64 clean cache lines. 10 000 times the oldest span closes and a
+/// new one opens, and 30 000 times a line moves on: one line after
+/// another is discarded, refilled and turns clean again. Once warm (the
+/// live spans turned over 10 000 times, every line clean), the closes allocate
+/// nothing, the opens 1 633 times and the transitions 981: the
+/// checker's live-span and line tables are `BTreeMap`s, and a B-tree
+/// splits a node as keys arrive and frees one as they leave.
+#[test]
+fn a_warm_tracer_with_256_live_spans_and_64_lines_is_pinned() {
+    const LIVE: u64 = 256;
+    const LINES: u64 = 64;
+    let tracer = Tracer::new();
+    let cycle = |i: u64| {
+        tracer.close_span(i, i, true);
+        assert_eq!(tracer.open_span(i, Class::Demand, Some(i)), i + LIVE);
+    };
+    let step = [LineTag::Clean, LineTag::Empty, LineTag::Filling];
+    let transition = |i: u64| {
+        let phase = i as usize % step.len();
+        let to = step[(phase + 1) % step.len()];
+        tracer.cache_state(i, i / 3 % LINES, step[phase], to);
+    };
+    (0..LIVE).for_each(|i| assert_eq!(tracer.open_span(0, Class::Demand, Some(i)), i));
+    (0..10_000).for_each(cycle);
+    (0..LINES).for_each(|l| tracer.cache_state(0, l, LineTag::Empty, LineTag::Clean));
+
+    let mut close_open_line = [0u64; 3];
+    for i in 10_000..20_000 {
+        close_open_line[0] += allocs_during(|| tracer.close_span(i, i, true));
+        close_open_line[1] += allocs_during(|| {
+            tracer.open_span(i, Class::Demand, Some(i));
+        });
+    }
+    for i in 0..30_000 {
+        close_open_line[2] += allocs_during(|| transition(i));
+    }
+    assert_eq!(tracer.open_spans().len(), LIVE as usize);
+    assert_eq!(close_open_line, [0, 1_633, 981]);
     assert_eq!(hl_trace::tracecheck(&tracer, &Default::default()), vec![]);
 }
 
