@@ -15,7 +15,10 @@
 //! The crate sits at the bottom of the workspace graph (it depends on
 //! nothing), so the device models and the engine can both emit into one
 //! [`Tracer`] without dependency cycles. Timestamps are raw `u64`
-//! microseconds (the same unit as `hl_sim::time::SimTime`).
+//! microseconds (the same unit as `hl_sim::time::SimTime`). For the same
+//! reason it holds the workspace's one fixed integer hasher,
+//! [`BlockHashBuilder`], which `hl_vdev::backing` re-exports for every
+//! crate above.
 //!
 //! The recorder folds each event's line into a running digest without
 //! going through `core::fmt`, bumps the derived accumulators, and feeds
@@ -30,6 +33,7 @@ pub mod check;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use check::Checker;
@@ -639,6 +643,43 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 fn fnv_mix(h: u64, b: u8) -> u64 {
     (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
 }
+
+/// [`Hasher`] for small trusted integer keys: SplitMix64-style finalizer
+/// over the written words. Deterministic across runs and processes, so
+/// no table's layout — nor the allocator's behaviour — differs run to
+/// run; the keys are simulator-internal integers, with no HashDoS
+/// surface.
+#[derive(Default)]
+pub struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let mut x = self.0 ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        self.0 = x ^ (x >> 27);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Generic fallback (FNV-1a): only hit for non-integer keys.
+        self.0 = bytes
+            .iter()
+            .fold(self.0 ^ FNV_OFFSET, |h, &b| fnv_mix(h, b));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Zero-state [`std::hash::BuildHasher`] for [`BlockHasher`].
+pub type BlockHashBuilder = BuildHasherDefault<BlockHasher>;
 
 /// A cloneable handle onto a shared [trace recorder](Tracer::new). Every
 /// layer a request passes through (engine, cache, devices) holds a clone

@@ -29,59 +29,25 @@
 //! sole handle and otherwise replaced, as before.
 //!
 //! The index hashes with a fixed multiplicative mixer
-//! ([`BlockHashBuilder`]) instead of the std `RandomState`/SipHash
-//! default: run numbers are trusted simulator-internal integers (no
-//! HashDoS surface), every probe sits under the device hot path, and a
-//! seeded hasher would make map iteration order — and thus allocator
-//! behaviour — differ run to run. One multiply and a xor-shift replace a
-//! full SipHash round per probe.
+//! ([`BlockHashBuilder`], defined in `hl-trace` at the bottom of the
+//! workspace graph and re-exported here) instead of the std
+//! `RandomState`/SipHash default: run numbers are trusted
+//! simulator-internal integers (no HashDoS surface), every probe sits
+//! under the device hot path, and a seeded hasher would make map
+//! iteration order — and thus allocator behaviour — differ run to run.
+//! One multiply and a xor-shift replace a full SipHash round per probe.
 
 use std::borrow::Borrow;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Deref, Range};
 use std::rc::Rc;
 
 use crate::cksum::cksum;
 use crate::error::DevError;
 
-/// [`Hasher`] for small trusted integer keys: SplitMix64-style finalizer
-/// over the written words. Deterministic across runs and processes.
-#[derive(Default)]
-pub struct BlockHasher(u64);
-
-impl Hasher for BlockHasher {
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        let mut x = self.0 ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        self.0 = x ^ (x >> 27);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n as u64);
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (FNV-1a): only hit for non-integer keys.
-        let mut h = self.0 ^ 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Zero-state [`std::hash::BuildHasher`] for [`BlockHasher`].
-pub type BlockHashBuilder = BuildHasherDefault<BlockHasher>;
+pub use hl_trace::{BlockHashBuilder, BlockHasher};
 
 /// One device block's bytes: the window `off..off + len` of a
 /// reference-counted buffer that other handles — sibling windows, a disk
