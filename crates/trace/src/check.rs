@@ -884,6 +884,55 @@ mod tests {
         assert!(f[1].message.contains("throttle references span 99"));
     }
 
+    /// Whatever order the checker's and the recorder's tables keep, what
+    /// they are read as is ordered: open spans and the "left open"
+    /// finding by id, residencies by value. Spans 0..8 open, the even
+    /// ones close (out of the order they opened in, as far as the table
+    /// is concerned), a line is re-keyed, and a close of a closed span
+    /// comes in as a stray. Seen red, each sabotage alone, with the
+    /// span and residency tables hashed: `open_spans()` without its
+    /// sort; the "left open" finding read straight off the span table;
+    /// `residencies()` expanded straight off the residency table.
+    #[test]
+    fn open_spans_the_left_open_finding_and_residencies_read_in_order() {
+        let t = Tracer::new();
+        let class = |i: u64| Class::ALL[i as usize % Class::ALL.len()];
+        let spans: Vec<u64> = (0..8).map(|i| t.open_span(i, class(i), Some(i))).collect();
+        let residency = [40, 3, 17, 3, 900, 0, 250, 11];
+        for (&s, r) in spans.iter().zip(residency) {
+            t.queuing(1_000, s, Class::Demand, 1_000 - r, 1_000);
+        }
+        for &s in spans.iter().step_by(2) {
+            t.close_span(2_000, s, true);
+        }
+        t.cache_state(2_000, 5, LineTag::Empty, LineTag::Staging);
+        t.cache_rekey(2_001, 5, 9);
+        t.cache_state(2_002, 9, LineTag::Staging, LineTag::DirtyWait);
+        t.close_span(2_003, 2, true);
+
+        let odd = [1, 3, 5, 7].map(|s| (s, class(s)));
+        assert_eq!(t.open_spans(), odd);
+        assert_eq!(
+            t.residencies(Class::Demand),
+            [0, 3, 3, 11, 17, 40, 250, 900]
+        );
+        let f = tracecheck(
+            &t,
+            &Expectations {
+                require_all_closed: true,
+                ..Expectations::default()
+            },
+        );
+        let messages: Vec<&str> = f.iter().map(|f| f.message.as_str()).collect();
+        assert_eq!(
+            messages,
+            [
+                "span 2 closed 2 times",
+                "4 span(s) left open at end of trace: 1 (eject), 3 (prefetch), 5 (demand), 7 (copyout)"
+            ]
+        );
+    }
+
     #[test]
     fn double_admit_of_one_span_is_a_finding() {
         let t = Tracer::new();

@@ -1027,7 +1027,48 @@ impl Tracer {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// `decimal` as every line and the digest see it, against `format!`.
+    fn decimal_matches_format(v: u64) {
+        for width in [1, 6] {
+            let want = format!("{v:0width$}");
+            let mut buf = [0; 20];
+            let got = decimal(v, width, &mut buf);
+            assert_eq!(got, want.as_bytes(), "{v} at width {width}");
+        }
+    }
+
+    /// `decimal` writes exactly `format!`'s digits, at both widths the
+    /// lines use: zero and the one- and two-digit edges, every power of
+    /// ten and the value below it, and `u64::MAX` (20 digits, the whole
+    /// buffer). Seen red, each sabotage alone: a pair written in the
+    /// wrong order (`10` as `01`); a leading single digit dropped when
+    /// the digit count is odd; no digit written for 0; the zero pad
+    /// counted from the last pair instead of the last digit (`000010`
+    /// for `1` at width 6).
+    #[test]
+    fn decimal_matches_format_at_the_edges() {
+        let mut values = vec![0, 9, 10, 99, 100, u64::MAX];
+        for k in 1..=19 {
+            let p = 10u64.pow(k);
+            values.extend([p - 1, p]);
+        }
+        values.into_iter().for_each(decimal_matches_format);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_048))]
+
+        /// Random values of every length: a random `u64` shifted right
+        /// by a random amount.
+        #[test]
+        fn decimal_matches_format_for_random_values(v in any::<u64>(), shift in 0u32..64) {
+            decimal_matches_format(v >> shift);
+        }
+    }
 
     #[test]
     fn digest_is_stable() {
