@@ -380,18 +380,35 @@ trait LineSink {
     fn seq(&mut self, v: u64);
 }
 
-/// The decimal digits of `v`, zero-padded to at least `width`, written
-/// at the end of `buf`.
+/// The two decimal digits of every value below 100, `00` to `99`.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut v = 0;
+    while v < 100 {
+        pairs[2 * v] = b'0' + (v / 10) as u8;
+        pairs[2 * v + 1] = b'0' + (v % 10) as u8;
+        v += 1;
+    }
+    pairs
+};
+
+/// The decimal digits of `v`, zero-padded to at least `width` (at most
+/// 20), written at the end of `buf`: two digits per divide.
 fn decimal(mut v: u64, width: usize, buf: &mut [u8; 20]) -> &[u8] {
     let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 && buf.len() - i >= width {
-            return &buf[i..];
-        }
+    while v >= 10 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
+    if v > 0 || i == buf.len() {
+        i -= 1;
+        buf[i] = b'0' + v as u8;
+    }
+    let start = i.min(buf.len() - width);
+    buf[start..i].fill(b'0');
+    &buf[start..]
 }
 
 impl LineSink for String {
