@@ -48,10 +48,10 @@
 //!    once; re-dispatch after a drive fault is a `Redispatch`, not a
 //!    second admit).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
-use crate::{Class, Event, EventKind, Lane, LineTag, TraceTime, Tracer};
+use crate::{BlockHashBuilder, Class, Event, EventKind, Lane, LineTag, TraceTime, Tracer};
 
 /// External truths the trace is checked against.
 #[derive(Clone, Debug, Default)]
@@ -216,8 +216,8 @@ pub(crate) struct Checker {
     findings: Vec<Finding>,
     /// Findings seen past [`LISTED_FINDINGS`].
     unlisted: u64,
-    /// Open spans.
-    open: BTreeMap<u64, Live>,
+    /// Open spans. Hashed: a read that lists them sorts them.
+    open: HashMap<u64, Live, BlockHashBuilder>,
     /// One past the highest span id opened. The recorder hands span ids
     /// out densely and in order, so every id below it has been opened
     /// and, unless it is open, closed.
@@ -229,8 +229,9 @@ pub(crate) struct Checker {
     stray_closes: BTreeMap<u64, u64>,
     /// Spans re-dispatched while not open (a broken stream only).
     stray_redispatches: BTreeSet<u64>,
-    /// Cache-line state per tertiary segment (absent = empty).
-    lines: BTreeMap<u64, LineTag>,
+    /// Cache-line state per tertiary segment (absent = empty). Hashed;
+    /// nothing iterates it.
+    lines: HashMap<u64, LineTag, BlockHashBuilder>,
     /// Queue residency recomputed per class.
     wait: [TraceTime; 5],
     /// Per drive lane, by index.
@@ -470,7 +471,9 @@ impl Checker {
 
     /// Currently open spans, in id order.
     pub(crate) fn live_spans(&self) -> Vec<(u64, Class)> {
-        self.open.iter().map(|(&s, l)| (s, l.class)).collect()
+        let mut live: Vec<(u64, Class)> = self.open.iter().map(|(&s, l)| (s, l.class)).collect();
+        live.sort_unstable_by_key(|&(s, _)| s);
+        live
     }
 
     /// The findings so far plus the end-of-trace checks against `expect`.
@@ -519,9 +522,9 @@ impl Checker {
 
         if expect.require_all_closed && !self.open.is_empty() {
             let ids: Vec<String> = self
-                .open
-                .iter()
-                .map(|(s, l)| format!("{s} ({})", l.class.label()))
+                .live_spans()
+                .into_iter()
+                .map(|(s, class)| format!("{s} ({})", class.label()))
                 .collect();
             findings.push(whole(format!(
                 "{} span(s) left open at end of trace: {}",
