@@ -17,8 +17,8 @@
 //! [`Tracer`] without dependency cycles. Timestamps are raw `u64`
 //! microseconds (the same unit as `hl_sim::time::SimTime`). For the same
 //! reason it holds the workspace's one fixed integer hasher,
-//! [`BlockHashBuilder`], which `hl_vdev::backing` re-exports for every
-//! crate above.
+//! [`BlockHashBuilder`]: the recorder and the checker key their tables
+//! with it, and `hl_vdev::backing` re-exports it for every crate above.
 //!
 //! The recorder folds each event's line into a running digest without
 //! going through `core::fmt`, bumps the derived accumulators, and feeds
@@ -32,7 +32,7 @@
 pub mod check;
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
@@ -612,7 +612,8 @@ struct Recorder {
     wait: [TraceTime; 5],
     /// Per-class queue residencies as `residency -> count` (from
     /// [`EventKind::Queuing`]): a repeated value costs no allocation.
-    residency: [BTreeMap<TraceTime, u64>; 5],
+    /// Hashed; [`Tracer::residencies`] sorts when it is read.
+    residency: [HashMap<TraceTime, u64, BlockHashBuilder>; 5],
     /// Per-queue depth high-water marks (from [`EventKind::QueueDepth`]).
     hwm: [u32; 2],
     /// Spans opened per class.
@@ -919,9 +920,14 @@ impl Tracer {
     /// [`EventKind::Queuing`] event of `class`, sorted ascending.
     pub fn residencies(&self, class: Class) -> Vec<TraceTime> {
         let r = self.rec.borrow();
-        let counts = r.residency[class.idx()].iter();
+        let mut counts: Vec<(TraceTime, u64)> = r.residency[class.idx()]
+            .iter()
+            .map(|(&v, &n)| (v, n))
+            .collect();
+        counts.sort_unstable();
         counts
-            .flat_map(|(&v, &n)| std::iter::repeat_n(v, n as usize))
+            .into_iter()
+            .flat_map(|(v, n)| std::iter::repeat_n(v, n as usize))
             .collect()
     }
 
