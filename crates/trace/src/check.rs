@@ -437,26 +437,17 @@ impl Checker {
     }
 
     /// `(peak in flight, drive peak)`: see [`Tracer::peak_in_flight`]
-    /// and [`Tracer::drive_peak`]. Read-outs sweep once per new device
-    /// op; [`tracecheck`] sweeps every time it finishes.
+    /// and [`Tracer::drive_peak`]. Read-outs, [`tracecheck`] among them,
+    /// sweep once per new device op.
     pub(crate) fn peaks(&mut self) -> (usize, usize) {
-        match self.peaks {
-            Some(peaks) => peaks,
-            None => self.sweep_peaks(),
-        }
-    }
-
-    fn sweep_peaks(&mut self) -> (usize, usize) {
-        let drive = self
-            .dev
-            .iter()
-            .filter(|(l, _, _)| matches!(l, Lane::Drive(_)));
-        let peaks = (
-            peak_overlap(self.dev.iter().map(|&(_, s, e)| (s, e))),
-            peak_overlap_strict(drive.map(|&(_, s, e)| (s, e))),
-        );
-        self.peaks = Some(peaks);
-        peaks
+        let dev = &self.dev;
+        *self.peaks.get_or_insert_with(|| {
+            let drive = dev.iter().filter(|(l, _, _)| matches!(l, Lane::Drive(_)));
+            (
+                peak_overlap(dev.iter().map(|&(_, s, e)| (s, e))),
+                peak_overlap_strict(drive.map(|&(_, s, e)| (s, e))),
+            )
+        })
     }
 
     /// Each drive's down windows `(drive, down, up)`: the closed ones in
@@ -544,7 +535,7 @@ impl Checker {
                 }
             }
         }
-        let (peak_in_flight, drive_peak) = self.sweep_peaks();
+        let (peak_in_flight, drive_peak) = self.peaks();
         // From the engine this is a value against itself (`io_peak_in_flight`
         // is this sweep over these intervals); kept because `benchmark/`
         // builds `Expectations::quiesced(wait, peak)` — a benchmark-only
