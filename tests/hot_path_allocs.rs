@@ -1,7 +1,10 @@
 //! The two structures simulated events pass through — the scheduler's
 //! run queue, and for a request's events the tracer's digest and checker
-//! — allocate nothing in steady state (but for the checker's amortised
-//! list of device intervals), the structure every file block passes
+//! — allocate nothing once warm: the tracer with one span live, and with
+//! 256 live spans and 64 cache lines once its hashed tables have grown
+//! to their size (but for the checker's amortised list of device
+//! intervals; while those tables were B-trees, only the one-span case
+//! held), the structure every file block passes
 //! through — the buffer cache — allocates only the block, the LFS moves
 //! a block by handle (a read miss allocates nothing, a write and its
 //! sync one block per block written), a mounted HighLight's read of a
