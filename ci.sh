@@ -291,6 +291,27 @@ if grep -nE 'impl (std::)?fmt::Write for|fn write_line\([^)]*fmt::' crates/trace
   exit 1
 fi
 
+# Trace bookkeeping (DESIGN.md §6j): the tables the trace touches on
+# every event hash with the fixed mixer (`BlockHashBuilder`) — the
+# checker's live spans (`open`) and line states (`lines`), the
+# recorder's per-class residency counts (`residency`) — and a read
+# that lists one sorts it. In the non-test part (up to the first
+# column-0 `#[cfg(test)]`) of crates/trace/src/*.rs, the gate fails on a
+# declaration of `open`, `lines` or `residency` whose type names
+# `BTreeMap` or `BTreeSet`. Seen red at the parent commit: 3 lines in
+# two files (`open` and `lines` in check.rs, `residency` in lib.rs).
+echo "==> trace bookkeeping: no ordered map on the per-event path"
+if awk 'FNR == 1 { t = 0 }
+        /^#\[cfg\(test\)\]/ { t = 1 }
+        t { next }
+        /^ *(pub(\([a-z]+\))? )?(open|lines|residency): / && /BTree(Map|Set)/ {
+          print FILENAME ":" FNR ": " $0; bad = 1
+        }
+        END { exit !bad }' crates/trace/src/*.rs; then
+  echo "  an ordered map came back on the trace's per-event path: hash it, sort where it is read"
+  exit 1
+fi
+
 # Resident-read bookkeeping (DESIGN.md §6j): the maps a file read or a
 # demand probes on every call hash with the fixed mixer
 # (`BlockHashBuilder`), and the access tracker updates a file's extents
