@@ -683,8 +683,10 @@ impl Hasher for BlockHasher {
         self.write_u64(n as u64);
     }
 
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (FNV-1a): only hit for non-integer keys.
+        // Generic fallback (FNV-1a): hit for non-integer keys and for an
+        // enum's discriminant, which `derive(Hash)` writes as a `usize`.
         self.0 = bytes
             .iter()
             .fold(self.0 ^ FNV_OFFSET, |h, &b| fnv_mix(h, b));
