@@ -5,8 +5,9 @@
 //! ops, the segment-cache directory, the block-map route, the replica
 //! directory,
 //! the request-ticket lifecycle and a resident hit's ticket, the
-//! scheduler step (and a wake at the current instant), the trace emit, the
-//! buffer-cache miss, the cache-line fill (by bytes, by reference one
+//! scheduler step (and a wake at the current instant), the trace emit (a
+//! queuing event, a join among 256 live spans, a line transition among
+//! 64 lines) and the check's finish, the buffer-cache miss, the cache-line fill (by bytes, by reference one
 //! handle a block, and as one segment handle) and the LFS log write (`Lfs::write` + `sync`) — one row per live
 //! path. (Earlier PRs'
 //! before/after pairs are history in EXPERIMENTS.md; the "before" arms
@@ -42,7 +43,7 @@ use hl_lfs::types::{FileKind, LBlock};
 use hl_lfs::ufs::Ufs;
 use hl_lfs::Lfs;
 use hl_sim::{Actor, Clock, Scheduler, SimTime, Step};
-use hl_trace::{tracecheck, Class, Expectations, Lane, QueueId, Tracer};
+use hl_trace::{tracecheck, Class, Expectations, Lane, LineTag, QueueId, Tracer};
 use hl_vdev::{Block, BlockDev, Disk, DiskProfile, Segment, BLOCK_SIZE, SEGMENT_ORIGIN};
 
 /// Hard gate for the single-block secondary route.
@@ -403,9 +404,12 @@ fn bench_sched_wake_now(c: &mut Criterion) {
 /// request emits, against its open span — on its two paths: digested and
 /// checked, as every run outside tests emits it, and also kept, as a
 /// test that asked for the event stream emits it (the tracer is renewed
-/// every 65 536 events, so the kept stream stays bounded). Then
-/// finishing the check of 10 002 events: one queued fetch's six events,
-/// 1 667 times.
+/// every 65 536 events, so the kept stream stays bounded). Then two
+/// events at a cold fleet shard's scale, whose cost beside the digest is
+/// the checker's table probes: a coalesced fetch joining one of 256 live
+/// spans, and one of 64 cache lines moving on (discarded, refilled,
+/// clean again, one line after another). Then finishing the check of
+/// 10 002 events: one queued fetch's six events, 1 667 times.
 fn bench_trace_emit(c: &mut Criterion) {
     let unkept = Tracer::new();
     let span = unkept.open_span(0, Class::Demand, None);
@@ -434,6 +438,33 @@ fn bench_trace_emit(c: &mut Criterion) {
         })
     });
     black_box((unkept.digest(), kept.digest()));
+
+    let busy = Tracer::new();
+    let live: Vec<u64> = (0..256)
+        .map(|i| busy.open_span(0, Class::Demand, Some(i)))
+        .collect();
+    c.bench_function("trace emit join, 256 live spans", |b| {
+        let mut at = 0u64;
+        b.iter(|| {
+            at += 1;
+            let span = live[at as usize % live.len()];
+            busy.join(black_box(at), span, Class::Prefetch)
+        })
+    });
+    const LINES: u64 = 64;
+    let lines = Tracer::new();
+    (0..LINES).for_each(|l| lines.cache_state(0, l, LineTag::Empty, LineTag::Clean));
+    let step = [LineTag::Clean, LineTag::Empty, LineTag::Filling];
+    c.bench_function("trace cache-line transition, 64 lines", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            let phase = (i % 3) as usize;
+            let (from, to) = (step[phase], step[(phase + 1) % 3]);
+            lines.cache_state(black_box(i), i / 3 % LINES, from, to);
+            i += 1;
+        })
+    });
+    black_box((busy.digest(), lines.digest()));
 
     const SPANS: u64 = 1_667;
     let filled = Tracer::new();
