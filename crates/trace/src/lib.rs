@@ -392,8 +392,8 @@ const DIGIT_PAIRS: [u8; 200] = {
     pairs
 };
 
-/// The decimal digits of `v`, zero-padded to at least `width` (at most
-/// 20), written at the end of `buf`: two digits per divide.
+/// The decimal digits of `v`, zero-padded to at least `width` (1 to 20),
+/// written at the end of `buf`: two digits per divide. Zero is all pad.
 fn decimal(mut v: u64, width: usize, buf: &mut [u8; 20]) -> &[u8] {
     let mut i = buf.len();
     while v >= 10 {
@@ -402,7 +402,7 @@ fn decimal(mut v: u64, width: usize, buf: &mut [u8; 20]) -> &[u8] {
         i -= 2;
         buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
-    if v > 0 || i == buf.len() {
+    if v > 0 {
         i -= 1;
         buf[i] = b'0' + v as u8;
     }
@@ -1069,11 +1069,13 @@ mod tests {
     /// `decimal` writes exactly `format!`'s digits, at both widths the
     /// lines use: zero and the one- and two-digit edges, every power of
     /// ten and the value below it, and `u64::MAX` (20 digits, the whole
-    /// buffer). Seen red, each sabotage alone: a pair written in the
-    /// wrong order (`10` as `01`); a leading single digit dropped when
-    /// the digit count is odd; no digit written for 0; the zero pad
-    /// counted from the last pair instead of the last digit (`000010`
-    /// for `1` at width 6).
+    /// buffer). Seen red, each sabotage alone, here and in the random
+    /// test below: a pair written in the wrong order; the leading digit
+    /// of an odd digit count dropped; the pair loop stopped at 100, so a
+    /// last pair is written as one digit; the pad one digit short (0
+    /// renders empty at width 1); the pad cutting a longer value to the
+    /// width. (With no digit written for 0 the pad still writes it: that
+    /// branch was deleted as equivalent.)
     #[test]
     fn decimal_matches_format_at_the_edges() {
         let mut values = vec![0, 9, 10, 99, 100, u64::MAX];
