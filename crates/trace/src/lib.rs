@@ -922,15 +922,12 @@ impl Tracer {
     /// [`EventKind::Queuing`] event of `class`, sorted ascending.
     pub fn residencies(&self, class: Class) -> Vec<TraceTime> {
         let r = self.rec.borrow();
-        let mut counts: Vec<(TraceTime, u64)> = r.residency[class.idx()]
-            .iter()
-            .map(|(&v, &n)| (v, n))
+        let counts = r.residency[class.idx()].iter();
+        let mut all: Vec<TraceTime> = counts
+            .flat_map(|(&v, &n)| std::iter::repeat_n(v, n as usize))
             .collect();
-        counts.sort_unstable();
-        counts
-            .into_iter()
-            .flat_map(|(v, n)| std::iter::repeat_n(v, n as usize))
-            .collect()
+        all.sort_unstable();
+        all
     }
 
     /// Depth high-water mark of `queue`.
@@ -1074,8 +1071,7 @@ mod tests {
     /// of an odd digit count dropped; the pair loop stopped at 100, so a
     /// last pair is written as one digit; the pad one digit short (0
     /// renders empty at width 1); the pad cutting a longer value to the
-    /// width. (With no digit written for 0 the pad still writes it: that
-    /// branch was deleted as equivalent.)
+    /// width.
     #[test]
     fn decimal_matches_format_at_the_edges() {
         let mut values = vec![0, 9, 10, 99, 100, u64::MAX];
