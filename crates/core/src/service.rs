@@ -897,12 +897,16 @@ impl TertiaryIo {
         if let Some((parent, shared)) = pending {
             // Coalesce: N readers of one tertiary segment share one
             // media read and observe the same `ready_at`. The join is
-            // the count (`SvcStats::coalesced_fetches`).
-            if class == ReqClass::Demand {
-                self.inner.queues.borrow_mut().upgrade_fetch(tert_seg);
-            }
+            // the count (`SvcStats::coalesced_fetches`). Only a demand
+            // join that re-keys a queued prefetch gives the service
+            // process something new to pick (a QoS hold lifts), so only
+            // that one wakes it.
+            let rekeyed =
+                class == ReqClass::Demand && self.inner.queues.borrow_mut().upgrade_fetch(tert_seg);
             self.inner.tracer.join(at, parent, class);
-            self.inner.wake_svc(at);
+            if rekeyed {
+                self.inner.wake_svc(at);
+            }
             return shared;
         }
         self.make_room();
@@ -1191,6 +1195,7 @@ mod tests {
     use super::*;
     use crate::requests::{Inbox, MAX_REDISPATCH};
     use crate::rig::RigSpec;
+    use hl_sim::time::MS;
     use hl_vdev::{FaultConfig, FaultPlan};
 
     /// A copy-out that dies through re-dispatch exhaustion must still
@@ -1773,5 +1778,92 @@ mod tests {
             })
             .collect();
         assert_eq!(closed, [(opened[0], true)]);
+    }
+
+    // ------------------------------------------------------------------
+    // Join wakes: a coalescing join wakes the service process only when
+    // it re-keys a queued prefetch to demand, the one join that gives
+    // the service process something new to pick. Seen red, each sabotage
+    // alone: the wake dropped on a re-key (the joined prefetch stays
+    // held in the request queue until the busy lane finishes); the wake
+    // kept for every join (the service process steps on a join onto a
+    // demand or a dispatched fetch; the fleet step pins move too).
+    // ------------------------------------------------------------------
+
+    /// A one-drive rig whose media hold every segment, attached to a
+    /// fresh scheduler.
+    fn one_drive_engine() -> (Rc<TertiaryIo>, UniformMap, Scheduler<()>) {
+        let (tio, _jb, map) = RigSpec {
+            drives: 1,
+            image_seed: Some(1),
+            ..RigSpec::default()
+        }
+        .build();
+        let mut sched = Scheduler::new();
+        tio.attach_engine(&mut sched);
+        (tio, map, sched)
+    }
+
+    #[test]
+    fn a_demand_join_onto_a_held_prefetch_wakes_the_service_process() {
+        let (tio, map, mut sched) = one_drive_engine();
+        // Seven demands at 0: the lane takes the first and is busy for
+        // seconds, the other six are dispatched behind it one hop apart,
+        // leaving the device queue congested but not full.
+        for slot in 0..7 {
+            tio.enqueue_demand(0, map.tert_seg(0, slot));
+        }
+        sched.run_until(&mut (), 20 * MS);
+        assert_eq!(tio.queue_depths(), (0, 6));
+        // A tenant's prefetch is held for headroom: the service process
+        // parks with it queued.
+        let seg = map.tert_seg(1, 0);
+        let prefetch = tio.session(1).enqueue_prefetch(20 * MS, seg);
+        sched.run_until(&mut (), 30 * MS);
+        assert_eq!(tio.queue_depths(), (1, 6));
+        assert_eq!(tio.stats().tenant_throttles, 1);
+        // Another tenant's demand joins it: re-keyed to demand, it is no
+        // longer held, and the woken service process dispatches it at
+        // the join's instant.
+        let joined = tio.session(2).enqueue_demand(30 * MS, seg);
+        let steps = sched.steps();
+        sched.run_until(&mut (), 30 * MS);
+        assert_eq!(tio.queue_depths(), (0, 7));
+        assert_eq!(sched.steps(), steps + 1, "the service process alone");
+        sched.run(&mut ());
+        assert_eq!(prefetch.fetch_result(), joined.fetch_result());
+        assert_eq!(tio.stats().coalesced_fetches, 1);
+    }
+
+    #[test]
+    fn a_join_onto_a_demand_or_a_dispatched_fetch_posts_no_wake() {
+        let (tio, map, mut sched) = one_drive_engine();
+        let (a, b, c) = (map.tert_seg(0, 0), map.tert_seg(0, 1), map.tert_seg(0, 2));
+        tio.enqueue_demand(0, a);
+        tio.enqueue_demand(0, b);
+        tio.enqueue_prefetch(0, c);
+        // The lane serves `a` for seconds; `b` and `c` wait dispatched
+        // in the device queue, and the service process parks.
+        sched.run_until(&mut (), 10 * MS);
+        assert_eq!(tio.queue_depths(), (0, 2));
+        let steps = sched.steps();
+        // Joins onto the demand, and a demand join onto the dispatched
+        // prefetch, which upgrades it in the device queue.
+        tio.session(1).enqueue_demand(10 * MS, b);
+        tio.session(2).enqueue_prefetch(10 * MS, b);
+        tio.session(3).enqueue_demand(10 * MS, c);
+        let classes: Vec<ReqClass> = tio
+            .inner
+            .queues
+            .borrow()
+            .devq
+            .iter()
+            .map(|op| op.class)
+            .collect();
+        assert_eq!(classes, [ReqClass::Demand, ReqClass::Demand]);
+        sched.run_until(&mut (), 10 * MS);
+        assert_eq!(sched.steps(), steps, "no actor was woken");
+        sched.run(&mut ());
+        assert_eq!(tio.stats().coalesced_fetches, 3);
     }
 }
