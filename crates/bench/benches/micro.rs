@@ -4,7 +4,8 @@
 //! partial's `ss_datasum` from carried and from fresh sums), directory
 //! ops, the segment-cache directory, the block-map route, the replica
 //! directory,
-//! the request-ticket lifecycle and a resident hit's ticket, the
+//! the request-ticket lifecycle, the fair pick among 32 queued tagged
+//! requests and a resident hit's ticket, the
 //! scheduler step (and a wake at the current instant), the trace emit (a
 //! queuing event, a join among 256 live spans, a line transition among
 //! 64 lines) and the check's finish, the buffer-cache miss, the cache-line fill (by bytes, by reference one
@@ -29,6 +30,7 @@ use std::hint::black_box;
 use std::rc::Rc;
 
 use highlight::blockmap::BlockMapDev;
+use highlight::requests::fair_pick_probe;
 use highlight::rig::RigSpec;
 use highlight::segcache::{EjectPolicy, LineState, SegCache};
 use highlight::{Outcome, ReplicaSet, SegDir, Ticket, UniformMap};
@@ -107,6 +109,8 @@ const LOG_WRITE: &str = "Lfs::write + sync, 64 x 4KB overwrite";
 /// Ids of the two datasum rows.
 const DATASUM_MEMO: &str = "datasum of a 1 MB partial, memoized";
 const DATASUM_FRESH: &str = "datasum of a 1 MB partial, fresh";
+/// Id of the fair-pick row.
+const FAIR_PICK: &str = "fair pick, 32 tagged requests over 8 tenants";
 /// Ids of the three line-fill rows.
 const FILL_BYTES: &str = "fill 1MB cache line, bytes";
 const FILL_BY_REF: &str = "fill 1MB cache line, by reference";
@@ -245,6 +249,15 @@ fn bench_ticket(c: &mut Criterion) {
             black_box(peer.is_done())
         })
     });
+}
+
+/// The service process's pick: `pop_ready` over 32 ready demand
+/// requests tagged round-robin over 8 tenants (every pop walks the fair
+/// window of all 32), each pop followed by a fresh request of the popped
+/// tenant, so the depth holds. Reported only.
+fn bench_fair_pick(c: &mut Criterion) {
+    let mut pop = fair_pick_probe(8, 32);
+    c.bench_function(FAIR_PICK, |b| b.iter(&mut pop));
 }
 
 /// A demand fetch of a resident segment and the read of its ticket: the
@@ -526,6 +539,7 @@ fn main() {
         bench_blockmap_route(&mut c);
         bench_replica_dir(&mut c);
         bench_ticket(&mut c);
+        bench_fair_pick(&mut c);
         bench_ticket_resident(&mut c);
         bench_segdir(&mut c);
 
