@@ -370,12 +370,12 @@ fi
 
 # The cold dispatch path (DESIGN.md §6j): a request's way from the
 # request queue to a drive allocates only the request. The fair queue
-# walks its window in place and notes deferrals through `range_mut`, the
-# device scheduler re-walks its queue, and each I/O lane refills its own
-# table of loaded volumes. In the non-test part (up to the first
-# column-0 `#[cfg(test)]`) of crates/core/src the gate fails on a
-# `collect`, `Vec::new`, `Vec::with_capacity` or `.sort` inside `fn
-# pop_ready`, `fn fair_pick` or `fn take_for_drive`, and on a
+# walks its window in place and notes deferrals over a slice of the
+# sorted request queue, the device scheduler re-walks its queue, and
+# each I/O lane refills its own table of loaded volumes. In the non-test
+# part (up to the first column-0 `#[cfg(test)]`) of crates/core/src the
+# gate fails on a `collect`, `Vec::new`, `Vec::with_capacity` or `.sort`
+# inside `fn pop_ready`, `fn fair_pick` or `fn take_for_drive`, and on a
 # `loaded_volumes()` call anywhere. Seen red at the parent commit: 5
 # lines in three files (`pop_ready`'s held list and `fair_pick`'s
 # candidate list, both `Vec::new()`; `take_for_drive`'s `collect` of
