@@ -262,6 +262,26 @@ if awk 'FNR == 1 { t = 0 }
   exit 1
 fi
 
+# One accounting source for recovery too (DESIGN.md §6b, §6d): each
+# retry, failover, quarantine, scrub copy, loss, write fault and
+# end-of-medium is an `rcv` trace event, and the seven `SvcStats` fault
+# counters are read off the recorder's per-step counts; no fault log is
+# kept beside the trace. The gate fails if a `struct FaultLog`, an `enum
+# FaultKind` or a `fault_log` field is declared again in the non-test
+# part (each file up to its first column-0 `#[cfg(test)]`) of
+# crates/*/src. Seen red, each planted alone: `pub struct FaultLog {}`
+# in core's fault.rs, and a `fault_log` field in `TioInner`.
+echo "==> one accounting source: no fault log beside the trace in crates/*/src"
+if awk 'FNR == 1 { t = 0 }
+        /^#\[cfg\(test\)\]/ { t = 1 }
+        !t && /struct FaultLog|enum FaultKind|^ *(pub(\([a-z]+\))? )?fault_log:/ {
+          print FILENAME ":" FNR ": " $0; bad = 1
+        }
+        END { exit !bad }' crates/*/src/*.rs; then
+  echo "  a fault log came back: trace the recovery step (Tracer::recovery) and count it there"
+  exit 1
+fi
+
 # Frames in place (DESIGN.md §6h, "Protocol + pool"): each direction
 # of a connection is one buffer and a read cursor; a send encodes
 # straight onto the buffer and a receive decodes at the cursor, so a

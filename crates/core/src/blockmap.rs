@@ -188,8 +188,8 @@ impl BlockMapDev {
                 return Err(DevError::Offline);
             }
             // The BlockDev boundary speaks DevError; an exhausted
-            // recovery collapses to Offline (the full fault trail stays
-            // in the service's FaultLog).
+            // recovery collapses to Offline (its steps stay in the
+            // engine's trace, as the segment's `rcv` lines).
             None => self.tio.demand_fetch(at, seg).map_err(HlError::into_dev)?,
         };
         let off = block - self.map.seg_base(seg) as u64;

@@ -188,7 +188,7 @@ impl<W> Actor<W> for IoActor {
                 // routed to the platter's holder observes that drive's
                 // death. Down it, then push the orphaned op back for a
                 // surviving lane (the ticket and span stay open).
-                self.inner.mark_lane_down(fired, drive as usize, error);
+                self.inner.mark_lane_down(fired, drive as usize);
                 self.inner.redispatch(op, fired, drive, error);
                 self.free_since = self.free_since.max(fired);
                 Step::Yield(fired)

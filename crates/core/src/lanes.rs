@@ -8,7 +8,6 @@
 use hl_sim::time::SimTime;
 use hl_vdev::DevError;
 
-use crate::fault::FaultEvent;
 use crate::recovery;
 use crate::requests::{Request, MAX_REDISPATCH};
 use crate::service::TioInner;
@@ -86,10 +85,10 @@ impl TioInner {
 
     /// Marks `drive` down at `at` — clamped past the drive's in-flight
     /// transfer, so no admitted device interval outlives the down mark —
-    /// logs it, abandons the platter the drive holds, and wakes the
+    /// traces it, abandons the platter the drive holds, and wakes the
     /// downed lane so it starts its probe ladder. Idempotent: later
     /// observers of the same dead drive are no-ops.
-    pub(crate) fn mark_lane_down(&self, at: SimTime, drive: usize, error: DevError) {
+    pub(crate) fn mark_lane_down(&self, at: SimTime, drive: usize) {
         let at = at.max(self.jukebox.drive_busy_until(drive));
         {
             let mut lanes = self.lane_health.borrow_mut();
@@ -104,11 +103,6 @@ impl TioInner {
             h.next_probe = at + recovery::probe_delay(0);
         }
         self.tracer.drive_down(at, drive as u32);
-        self.fault_log.borrow_mut().push(FaultEvent::DriveDown {
-            at,
-            drive: drive as u32,
-            error,
-        });
         self.jukebox.abandon_drive(drive);
         if let Some(h) = &*self.handles.borrow() {
             if let Some(&id) = h.io.get(drive) {
@@ -151,10 +145,6 @@ impl TioInner {
                 h.probes = 0;
             }
             self.tracer.drive_up(now, drive as u32);
-            self.fault_log.borrow_mut().push(FaultEvent::DriveUp {
-                at: now,
-                drive: drive as u32,
-            });
             return ProbeOutcome::Recovered;
         }
         let (retired, next, all_retired) = {

@@ -48,7 +48,7 @@ pub mod tcleaner;
 pub mod tsegfile;
 
 pub use addr::UniformMap;
-pub use fault::{FaultEvent, FaultKind, FaultLog, HlError};
+pub use fault::HlError;
 pub use fs::{CopyOutMode, HighLight, HlConfig, MigrateStats};
 pub use hlfsck::{HlFinding, HlfsckReport};
 pub use migrator::{

@@ -20,7 +20,9 @@ use hl_sim::time::{SimTime, SEC};
 use hl_vdev::{DevError, IoSlot, Segment};
 use std::collections::{HashMap, HashSet};
 
-use crate::fault::{FaultEvent, HlError};
+use hl_trace::RecoveryStep;
+
+use crate::fault::HlError;
 use crate::service::{ScrubReport, TioInner};
 
 /// Tunable knobs for the retry/failover/quarantine logic.
@@ -143,11 +145,11 @@ impl TioInner {
         Some(ordered)
     }
 
-    /// Quarantines `vol`: no further reads or writes target it. Its
-    /// replica records are dropped (the scrub pass restores the copy
-    /// count elsewhere) and it is marked full so no copy-out or replica
-    /// write allocates on it.
-    fn quarantine_volume(&self, at: SimTime, vol: u32) {
+    /// Quarantines `vol`, struck while reading `seg`: no further reads
+    /// or writes target it. Its replica records are dropped (the scrub
+    /// pass restores the copy count elsewhere) and it is marked full so
+    /// no copy-out or replica write allocates on it.
+    fn quarantine_volume(&self, at: SimTime, seg: SegNo, vol: u32) {
         {
             let mut rec = self.recovery.borrow_mut();
             if rec.is_quarantined(vol) {
@@ -158,17 +160,15 @@ impl TioInner {
         let failures = self.recovery.borrow().failures(vol);
         self.tseg.borrow_mut().volume_mut(vol).full = true;
         self.replicas.borrow_mut().forget_volume(vol);
-        self.fault_log
-            .borrow_mut()
-            .push(FaultEvent::Quarantine { at, vol, failures });
+        self.tracer
+            .recovery(at, seg.into(), RecoveryStep::Quarantine { vol, failures });
     }
 
     /// Reads one copy of `tert_seg`, applying the recovery
     /// policy (§10): bounded backoff retries on transient faults,
     /// immediate quarantine on hard media failures, failover across the
     /// remaining replica homes. Exhausting every copy yields
-    /// [`HlError::SegmentUnavailable`] carrying what this call appended
-    /// to the fault log.
+    /// [`HlError::SegmentUnavailable`]; each step taken is traced.
     /// `drive` is the requesting lane's home drive: already-loaded
     /// volumes are read where they sit, fresh swaps land there.
     pub(crate) fn fetch_segment(
@@ -193,50 +193,30 @@ impl TioInner {
             &one[..usize::from(readable)]
         };
         let policy = self.policy.get();
-        let logged_before = self.fault_log.borrow().len();
+        let rcv = |at, step| self.tracer.recovery(at, tert_seg.into(), step);
         let mut t = at;
-        for (i, &(vol, slot)) in homes.iter().enumerate() {
+        for (i, &copy @ (vol, slot)) in homes.iter().enumerate() {
             let mut attempt = 0u32;
             loop {
                 match self.jukebox.read_segment_on(t, drive, vol, slot) {
-                    Ok((r, used, blocks)) => return Ok((r, used, (vol, slot), blocks)),
-                    Err(e @ DevError::MediaFailure) => {
-                        self.fault_log.borrow_mut().push(FaultEvent::ReadFault {
-                            at: t,
-                            seg: tert_seg,
-                            vol,
-                            slot,
-                            error: e,
-                        });
+                    Ok((r, used, blocks)) => return Ok((r, used, copy, blocks)),
+                    Err(DevError::MediaFailure) => {
+                        rcv(t, RecoveryStep::ReadFault { copy });
                         self.recovery.borrow_mut().record_failure(vol);
-                        self.quarantine_volume(t, vol);
+                        self.quarantine_volume(t, tert_seg, vol);
                         break;
                     }
-                    Err(e @ (DevError::ReadError { .. } | DevError::Offline)) => {
-                        self.fault_log.borrow_mut().push(FaultEvent::ReadFault {
-                            at: t,
-                            seg: tert_seg,
-                            vol,
-                            slot,
-                            error: e,
-                        });
+                    Err(DevError::ReadError { .. } | DevError::Offline) => {
+                        rcv(t, RecoveryStep::ReadFault { copy });
                         attempt += 1;
                         if attempt <= policy.max_retries {
-                            let delay = policy.backoff(attempt);
-                            self.fault_log.borrow_mut().push(FaultEvent::Retry {
-                                at: t,
-                                seg: tert_seg,
-                                vol,
-                                slot,
-                                attempt,
-                                delay,
-                            });
-                            t += delay;
+                            rcv(t, RecoveryStep::Retry { copy, attempt });
+                            t += policy.backoff(attempt);
                             continue;
                         }
                         let strikes = self.recovery.borrow_mut().record_failure(vol);
                         if strikes >= policy.quarantine_after {
-                            self.quarantine_volume(t, vol);
+                            self.quarantine_volume(t, tert_seg, vol);
                         }
                         break;
                     }
@@ -245,24 +225,12 @@ impl TioInner {
                     Err(e) => return Err(HlError::Dev(e)),
                 }
             }
-            if let Some(&next) = homes.get(i + 1) {
-                self.fault_log.borrow_mut().push(FaultEvent::Failover {
-                    at: t,
-                    seg: tert_seg,
-                    from: (vol, slot),
-                    to: next,
-                });
+            if let Some(&copy) = homes.get(i + 1) {
+                rcv(t, RecoveryStep::Failover { copy });
             }
         }
-        let mut log = self.fault_log.borrow_mut();
-        log.push(FaultEvent::PermanentLoss {
-            at: t,
-            seg: tert_seg,
-        });
-        Err(HlError::SegmentUnavailable {
-            seg: tert_seg,
-            trail: log.events()[logged_before..].to_vec(),
-        })
+        rcv(t, RecoveryStep::PermanentLoss);
+        Err(HlError::SegmentUnavailable { seg: tert_seg })
     }
 
     /// Claims the next free slot of `vol` for a replica write, moving
@@ -314,17 +282,13 @@ impl TioInner {
                 Err(DevError::EndOfMedium { .. }) => {
                     self.tseg.borrow_mut().volume_mut(vol).full = true;
                 }
-                Err(e) => {
+                Err(_) => {
                     // Never assume the write landed: the slot is burned
                     // (cursor already moved) but no replica is recorded,
-                    // and the failure is logged rather than swallowed.
-                    self.fault_log.borrow_mut().push(FaultEvent::WriteFault {
-                        at: t,
-                        seg: tert_seg,
-                        vol,
-                        slot,
-                        error: e,
-                    });
+                    // and the failure is traced rather than swallowed.
+                    let copy = (vol, slot);
+                    self.tracer
+                        .recovery(t, tert_seg.into(), RecoveryStep::WriteFault { copy });
                 }
             }
         }
@@ -409,12 +373,9 @@ impl TioInner {
                         t = w.end;
                         self.admit_drive_io(w, used);
                         self.replicas.borrow_mut().add(seg, vol, slot);
-                        self.fault_log.borrow_mut().push(FaultEvent::ScrubCopy {
-                            at: t,
-                            seg,
-                            from,
-                            to: (vol, slot),
-                        });
+                        let to = (vol, slot);
+                        self.tracer
+                            .recovery(t, seg.into(), RecoveryStep::ScrubCopy { from, to });
                         report.copies_made += 1;
                         made += 1;
                     }
@@ -425,14 +386,10 @@ impl TioInner {
                         report.end = t;
                         return (report, Some((t, e)));
                     }
-                    Err(e) => {
-                        self.fault_log.borrow_mut().push(FaultEvent::WriteFault {
-                            at: t,
-                            seg,
-                            vol,
-                            slot,
-                            error: e,
-                        });
+                    Err(_) => {
+                        let copy = (vol, slot);
+                        self.tracer
+                            .recovery(t, seg.into(), RecoveryStep::WriteFault { copy });
                         report.write_failures += 1;
                     }
                 }

@@ -40,7 +40,7 @@ use hl_sim::{ActorId, Scheduler};
 use hl_vdev::{BlockDev, DevError, IoSlot};
 
 use crate::addr::UniformMap;
-use crate::fault::{FaultEvent, FaultKind, FaultLog, HlError};
+use crate::fault::HlError;
 use crate::ioserver::{spawn_engine, EngineHandles};
 use crate::lanes::LaneHealth;
 use crate::recovery::{self, RecoveryPolicy, RecoveryState};
@@ -64,24 +64,29 @@ pub struct SvcStats {
     pub demand_fetches: u64,
     /// Segments copied out to tertiary storage.
     pub copyouts: u64,
-    /// End-of-medium events handled.
+    /// End-of-medium events handled: the trace's `eom` recovery steps.
     pub eom_events: u64,
     /// Total simulated time (enqueue to line-ready) of those fetches.
     pub fetch_time: SimTime,
     /// Total simulated time spent in copy-outs.
     pub copyout_time: SimTime,
-    /// Backoff retries of a copy after a transient fault (§10).
+    /// Backoff retries of a copy after a transient fault (§10): the
+    /// trace's `retry` recovery steps.
     pub retries: u64,
-    /// Failovers from one replica home to the next.
+    /// Failovers from one replica home to the next: the trace's
+    /// `failover` recovery steps.
     pub failovers: u64,
-    /// Volumes quarantined after repeated or hard failures.
+    /// Volumes quarantined after repeated or hard failures: the trace's
+    /// `quarantine` recovery steps.
     pub quarantines: u64,
-    /// Fresh replicas written by scrub passes.
+    /// Fresh replicas written by scrub passes: the trace's `scrub`
+    /// recovery steps.
     pub scrub_copies: u64,
-    /// Fetches that exhausted every copy (segment unavailable).
+    /// Fetches that exhausted every copy (segment unavailable): the
+    /// trace's `loss` recovery steps.
     pub permanent_losses: u64,
     /// Replica/scrub writes that failed outright (the slot was consumed
-    /// but no copy was recorded).
+    /// but no copy was recorded): the trace's `wfault` recovery steps.
     pub replica_write_failures: u64,
     /// Table 4's queuing: time the I/O servers waited between an op
     /// becoming dispatchable and starting it, beyond their lane simply
@@ -209,7 +214,7 @@ pub(crate) struct TioInner {
     pub(crate) cache: Rc<RefCell<SegCache>>,
     pub(crate) tseg: Rc<RefCell<TsegTable>>,
     /// The totals no event carries; [`TertiaryIo::stats`] reads the
-    /// rest of [`SvcStats`] off the trace, the fault log and the queues.
+    /// rest of [`SvcStats`] off the trace and the queues.
     pub(crate) ledger: RefCell<Ledger>,
     pub(crate) seg_bytes: usize,
     /// Replica homes for tertiary segments (§5.4 variant).
@@ -225,8 +230,6 @@ pub(crate) struct TioInner {
     pub(crate) all_retired: Cell<bool>,
     /// Per-volume failure strikes and quarantine set.
     pub(crate) recovery: RefCell<RecoveryState>,
-    /// Append-only record of every fault and recovery action.
-    pub(crate) fault_log: RefCell<FaultLog>,
     /// The request queue, device queue, and coalescing directory.
     pub(crate) queues: RefCell<EngineQueues>,
     /// Wake handles onto whichever scheduler currently hosts the actors.
@@ -595,11 +598,12 @@ impl TioInner {
             }
             Err(DevError::EndOfMedium { written }) => {
                 self.tseg.borrow_mut().volume_mut(vol).full = true;
-                self.fault_log.borrow_mut().push(FaultEvent::EndOfMedium {
-                    at: r.end,
-                    vol,
-                    slot,
-                });
+                let copy = (vol, slot);
+                self.tracer.recovery(
+                    r.end,
+                    seg.into(),
+                    hl_trace::RecoveryStep::EndOfMedium { copy },
+                );
                 self.refuse_op(op, r.end, DevError::EndOfMedium { written })
             }
             Err(e) => self.refuse_op(op, r.end, e),
@@ -682,7 +686,6 @@ impl TertiaryIo {
             lane_health: RefCell::new(vec![LaneHealth::default(); lane_count]),
             all_retired: Cell::new(false),
             recovery: RefCell::new(RecoveryState::new()),
-            fault_log: RefCell::new(FaultLog::new()),
             queues: RefCell::new(EngineQueues::new(tracer.clone())),
             handles: RefCell::new(None),
             attached: Cell::new(false),
@@ -728,11 +731,6 @@ impl TertiaryIo {
             .collect()
     }
 
-    /// Snapshot of the global fault/recovery log.
-    pub fn fault_log(&self) -> FaultLog {
-        self.inner.fault_log.borrow().clone()
-    }
-
     /// Volumes currently quarantined, sorted.
     pub fn quarantined_volumes(&self) -> Vec<u32> {
         self.inner.recovery.borrow().quarantined_volumes()
@@ -763,12 +761,13 @@ impl TertiaryIo {
         self.inner.disks.clone()
     }
 
-    /// Counter snapshot: a read-out of the trace recorder and of the
-    /// fault log's events (DESIGN.md §6d lists the source field by
-    /// field). What has no event to be read from comes from the engine's
-    /// own ledger (the fetch/copy-out totals the read path polls, and
-    /// queuing) and from the queues (the scheduler picks
-    /// `affinity_hits`, `starvation_promotions`, `tenant_promotions`).
+    /// Counter snapshot: a read-out of the trace recorder (DESIGN.md
+    /// §6d lists the source field by field; the fault counters are its
+    /// per-step recovery counts). What has no event to be read from
+    /// comes from the engine's own ledger (the fetch/copy-out totals the
+    /// read path polls, and queuing) and from the queues (the scheduler
+    /// picks `affinity_hits`, `starvation_promotions`,
+    /// `tenant_promotions`).
     pub fn stats(&self) -> SvcStats {
         let l = *self.inner.ledger.borrow();
         let mut st = SvcStats {
@@ -796,16 +795,13 @@ impl TertiaryIo {
             (st.drive_ops[d], st.drive_busy[d]) = t.lane_io(hl_trace::Lane::Drive(d as u32));
         }
         st.drive_peak = t.drive_peak() as u32;
-        {
-            let log = self.inner.fault_log.borrow();
-            st.eom_events = log.count(FaultKind::EndOfMedium);
-            st.retries = log.count(FaultKind::Retry);
-            st.failovers = log.count(FaultKind::Failover);
-            st.quarantines = log.count(FaultKind::Quarantine);
-            st.scrub_copies = log.count(FaultKind::ScrubCopy);
-            st.permanent_losses = log.count(FaultKind::PermanentLoss);
-            st.replica_write_failures = log.count(FaultKind::WriteFault);
-        }
+        st.eom_events = t.recoveries("eom");
+        st.retries = t.recoveries("retry");
+        st.failovers = t.recoveries("failover");
+        st.quarantines = t.recoveries("quarantine");
+        st.scrub_copies = t.recoveries("scrub");
+        st.permanent_losses = t.recoveries("loss");
+        st.replica_write_failures = t.recoveries("wfault");
         {
             let q = self.inner.queues.borrow();
             st.affinity_hits = q.affinity_hits;
@@ -1106,8 +1102,9 @@ impl TertiaryIo {
     /// Demand-fetches `tert_seg` into the cache (§6.2). Returns the
     /// cache line's disk segment and the completion time. Faults along
     /// the way are handled by the engine's recovery policy; if every
-    /// copy is gone the error carries the fault trail and already-cached
-    /// lines keep serving (degraded mode).
+    /// copy is gone the error names the segment (its trail is the
+    /// trace's recovery lines for it) and already-cached lines keep
+    /// serving (degraded mode).
     pub fn demand_fetch(&self, at: SimTime, tert_seg: SegNo) -> Result<(SegNo, SimTime), HlError> {
         let ticket = self.enqueue_demand(at, tert_seg);
         self.pump();
@@ -1197,6 +1194,16 @@ mod tests {
     use crate::rig::RigSpec;
     use hl_sim::time::MS;
     use hl_vdev::{FaultConfig, FaultPlan};
+
+    /// The kept trace's injected faults and recovery steps, each line
+    /// without its sequence number.
+    fn fault_lines(tio: &TertiaryIo) -> Vec<String> {
+        let lines = tio.tracer().render_text().into_iter();
+        let faults = lines.filter(|l| l.contains(" rcv ") || l.contains(" fault "));
+        faults
+            .map(|l| l[l.find(' ').unwrap() + 1..].to_string())
+            .collect()
+    }
 
     /// A copy-out that dies through re-dispatch exhaustion must still
     /// wake the producers parked until space frees, exactly once: they
@@ -1563,11 +1570,13 @@ mod tests {
     #[test]
     fn transient_faults_retry_then_surface_unavailable() {
         let (tio, jb, map) = RigSpec::with_lines(40..44).build();
+        tio.tracer().retain_events();
         jb.poke_segment(0, 0, &vec![5u8; 1 << 20]).unwrap();
         let plan = FaultPlan::new(FaultConfig {
             transient_read_p: 1.0,
             ..FaultConfig::none(42)
         });
+        plan.set_tracer(tio.tracer());
         jb.set_fault_plan(plan);
         tio.set_recovery_policy(RecoveryPolicy {
             max_retries: 2,
@@ -1576,34 +1585,29 @@ mod tests {
         });
         let seg = map.tert_seg(0, 0);
         let err = tio.demand_fetch(0, seg).unwrap_err();
-        // Pinned while the trail was a step list of its own (ISSUE 21);
-        // it is now the request's slice of the fault log.
+        assert_eq!(err, HlError::SegmentUnavailable { seg });
+        assert_eq!(err.to_string(), "tertiary segment 16777207 unavailable");
+        // Three faults, two backoff retries between them (after the
+        // policy's 1000 and 2000), then the policy gave up — and nothing
+        // else faulted or recovered. Pinned while these were the error's
+        // own step list, then the fault log's render.
         assert_eq!(
-            err.to_string(),
-            "tertiary segment 16777207 unavailable after 3 recovery steps; \
-             t=2000 v0/s0 unrecoverable read error at block 0: retry #1 after 1000; \
-             t=3000 v0/s0 unrecoverable read error at block 0: retry #2 after 2000; \
-             t=5000 v0/s0 unrecoverable read error at block 0: gave up"
+            fault_lines(&tio),
+            [
+                "t2000 fault transient read v0 s0",
+                "t2000 rcv 16777207 rfault v0/s0",
+                "t2000 rcv 16777207 retry v0/s0 #1",
+                "t3000 fault transient read v0 s0",
+                "t3000 rcv 16777207 rfault v0/s0",
+                "t3000 rcv 16777207 retry v0/s0 #2",
+                "t5000 fault transient read v0 s0",
+                "t5000 rcv 16777207 rfault v0/s0",
+                "t5000 rcv 16777207 loss",
+            ]
         );
-        match err {
-            HlError::SegmentUnavailable { seg: s, trail } => {
-                assert_eq!(s, seg);
-                // Three faults, two backoff retries between them, then
-                // the policy gave up — and nothing else is in the log.
-                let kinds: Vec<FaultKind> = trail.iter().map(FaultEvent::kind).collect();
-                use FaultKind::{PermanentLoss, ReadFault, Retry};
-                assert_eq!(
-                    kinds,
-                    [ReadFault, Retry, ReadFault, Retry, ReadFault, PermanentLoss]
-                );
-                assert_eq!(trail, tio.fault_log().events());
-            }
-            e => panic!("wrong error: {e:?}"),
-        }
         let st = tio.stats();
         assert_eq!(st.retries, 2);
         assert_eq!(st.permanent_losses, 1);
-        assert!(!tio.fault_log().is_empty());
     }
 
     #[test]
@@ -1635,6 +1639,7 @@ mod tests {
     #[test]
     fn media_failure_fails_over_to_replica_and_quarantines() {
         let (tio, jb, map) = RigSpec::with_lines(40..44).build();
+        tio.tracer().retain_events();
         let seg = map.tert_seg(0, 0);
         let data = vec![9u8; 1 << 20];
         jb.poke_segment(0, 0, &data).unwrap();
@@ -1654,20 +1659,15 @@ mod tests {
             .peek(map.seg_base(disk_seg) as u64, &mut back)
             .unwrap();
         assert_eq!(back, data);
-        let log = tio.fault_log();
-        assert!(log
-            .events()
-            .iter()
-            .any(|e| matches!(e, FaultEvent::Quarantine { vol: 0, .. })));
-        assert!(log
-            .events()
-            .iter()
-            .any(|e| matches!(e, FaultEvent::Failover { .. })));
+        let lines = fault_lines(&tio);
+        assert!(lines.iter().any(|l| l.contains(" quarantine v0 ")));
+        assert!(lines.iter().any(|l| l.contains(" failover ")));
     }
 
     #[test]
     fn scrub_restores_the_copy_count_after_a_volume_loss() {
         let (tio, jb, map) = RigSpec::with_lines(40..44).build();
+        tio.tracer().retain_events();
         tio.set_replication(1);
         let seg = map.tert_seg(0, 0);
         let data = vec![6u8; 1 << 20];
@@ -1693,11 +1693,7 @@ mod tests {
         assert_eq!(report.copies_made, 1);
         assert!(report.unrecoverable.is_empty());
         assert_eq!(tio.stats().scrub_copies, 1);
-        assert!(tio
-            .fault_log()
-            .events()
-            .iter()
-            .any(|e| matches!(e, FaultEvent::ScrubCopy { .. })));
+        assert!(fault_lines(&tio).iter().any(|l| l.contains(" scrub ")));
         // The set is healthy again: a second pass writes nothing.
         let report2 = tio.scrub(report.end);
         assert_eq!(report2.copies_made, 0);

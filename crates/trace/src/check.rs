@@ -47,11 +47,20 @@
 //!    flight), and no open span is admitted twice (a request dispatches
 //!    once; re-dispatch after a drive fault is a `Redispatch`, not a
 //!    second admit).
+//! 9. **Recovery steps** (§10) — a `retry` follows a read fault of the
+//!    same copy at the same instant; a `failover` follows a read fault
+//!    of its segment and names a home other than the faulted one it
+//!    leaves; once a volume is quarantined no recovery step names it
+//!    again; and after a permanent `loss` on a segment, that segment's
+//!    open fetch span closes `err`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
-use crate::{BlockHashBuilder, Class, Event, EventKind, Lane, LineTag, TraceTime, Tracer};
+use crate::{
+    BlockHashBuilder, Class, Event, EventKind, Lane, LineTag, RecoveryStep, TraceTime, Tracer,
+    RECOVERY_TAGS,
+};
 
 /// External truths the trace is checked against.
 #[derive(Clone, Debug, Default)]
@@ -187,11 +196,21 @@ pub fn tracecheck(tracer: &Tracer, expect: &Expectations) -> Vec<Finding> {
 /// What the checker knows of one open span.
 struct Live {
     class: Class,
+    /// A fetch span's (demand or prefetch) segment, or [`NOT_A_FETCH`]:
+    /// what a permanent loss is matched against. Tertiary segment
+    /// numbers are `u32`s, which keeps an entry of the live-span table
+    /// at 16 bytes; a span naming a wider one is not taken for a fetch.
+    fetch_seg: u32,
+    /// A permanent loss was declared on its segment while it was open.
+    lost: bool,
     /// The fair queue admitted it.
     admitted: bool,
     /// A lane that abandoned its op pushed it back into the device queue.
     redispatched: bool,
 }
+
+/// [`Live::fetch_seg`] of a span that is not a fetch.
+const NOT_A_FETCH: u32 = u32::MAX;
 
 /// One drive lane's serialization, streamed. Its ops arrive in start
 /// order, so an overlap shows as an op starting before the lane is free.
@@ -248,6 +267,10 @@ pub(crate) struct Checker {
     /// Watchdog fires whose span is neither re-dispatched nor resolved
     /// yet: (event seq, span).
     watchdogs: Vec<(u64, u64)>,
+    /// The latest recovery read fault: (time, segment, copy).
+    read_fault: Option<(TraceTime, u64, (u32, u32))>,
+    /// Quarantined volumes and when each was quarantined.
+    quarantined: BTreeMap<u32, TraceTime>,
 }
 
 impl Checker {
@@ -270,7 +293,7 @@ impl Checker {
             }
         };
         match &ev.kind {
-            EventKind::SpanOpen { span, class, .. } => {
+            EventKind::SpanOpen { span, class, seg } => {
                 if *span < self.opened_below {
                     let n = self.reopens.entry(*span).or_insert(1);
                     *n += 1;
@@ -279,6 +302,11 @@ impl Checker {
                 self.opened_below = self.opened_below.max(span + 1);
                 let live = Live {
                     class: *class,
+                    fetch_seg: match (class, seg.map(u32::try_from)) {
+                        (Class::Demand | Class::Prefetch, Some(Ok(s))) => s,
+                        _ => NOT_A_FETCH,
+                    },
+                    lost: false,
                     admitted: false,
                     redispatched: false,
                 };
@@ -286,8 +314,14 @@ impl Checker {
                     fail(format_args!("span {span} re-opened while still open"));
                 }
             }
-            EventKind::SpanClose { span, .. } => {
-                if open.remove(span).is_none() {
+            EventKind::SpanClose { span, ok } => {
+                let closed = open.remove(span);
+                if let (Some(Live { lost: true, .. }), true) = (&closed, ok) {
+                    fail(format_args!(
+                        "span {span} closed ok after a permanent loss of its segment"
+                    ));
+                }
+                if closed.is_none() {
                     let n = self.stray_closes.entry(*span).or_insert(0);
                     *n += 1;
                     match *n + u64::from(*span < self.opened_below) {
@@ -430,6 +464,58 @@ impl Checker {
                     fail(format_args!(
                         "tenant n{tenant} throttle references span {span}, which is not open"
                     ));
+                }
+            }
+            EventKind::Recovery { seg, step } => {
+                let tag = RECOVERY_TAGS[step.index()];
+                for vol in step.volumes() {
+                    if let Some(since) = self.quarantined.get(&vol) {
+                        fail(format_args!(
+                            "recovery step {tag} of seg {seg} names v{vol}, quarantined at t{since}"
+                        ));
+                    }
+                }
+                match *step {
+                    RecoveryStep::ReadFault { copy } => {
+                        self.read_fault = Some((ev.at, *seg, copy));
+                    }
+                    RecoveryStep::Retry { copy, .. } => {
+                        if self.read_fault != Some((ev.at, *seg, copy)) {
+                            fail(format_args!(
+                                "retry of seg {seg} v{}/s{} at t{} follows no read fault of that copy then",
+                                copy.0, copy.1, ev.at
+                            ));
+                        }
+                    }
+                    RecoveryStep::Failover { copy } => match self.read_fault {
+                        Some((_, s, left)) if s == *seg && left != copy => {}
+                        Some((_, s, left)) if s == *seg => fail(format_args!(
+                            "failover of seg {seg} names v{}/s{}, the home it leaves",
+                            left.0, left.1
+                        )),
+                        _ => fail(format_args!(
+                            "failover of seg {seg} follows no read fault of that segment"
+                        )),
+                    },
+                    RecoveryStep::Quarantine { vol, .. } => {
+                        self.quarantined.entry(vol).or_insert(ev.at);
+                    }
+                    RecoveryStep::PermanentLoss => {
+                        let fetch_seg = u32::try_from(*seg).ok().filter(|&s| s != NOT_A_FETCH);
+                        let mut any = false;
+                        for live in open.values_mut().filter(|l| Some(l.fetch_seg) == fetch_seg) {
+                            live.lost = true;
+                            any = true;
+                        }
+                        if !any {
+                            fail(format_args!(
+                                "permanent loss of seg {seg} with no open fetch span"
+                            ));
+                        }
+                    }
+                    RecoveryStep::ScrubCopy { .. }
+                    | RecoveryStep::WriteFault { .. }
+                    | RecoveryStep::EndOfMedium { .. } => {}
                 }
             }
             EventKind::Fault { .. } | EventKind::Mark { .. } => {}
@@ -925,6 +1011,123 @@ mod tests {
                 "4 span(s) left open at end of trace: 1 (eject), 3 (prefetch), 5 (demand), 7 (copyout)"
             ]
         );
+    }
+
+    use crate::RecoveryStep::{Failover, PermanentLoss, Quarantine, ReadFault, Retry};
+
+    /// What `fetch_segment` traces when a fetch of segment 9 retries
+    /// copy v0/s1, quarantines volume 0, fails over to v1/s1, and loses
+    /// the segment there; then the fetch span closes `err`.
+    fn lost_fetch(t: &Tracer) -> u64 {
+        let s = t.open_span(0, Class::Demand, Some(9));
+        t.recovery(10, 9, ReadFault { copy: (0, 1) });
+        t.recovery(
+            10,
+            9,
+            Retry {
+                copy: (0, 1),
+                attempt: 1,
+            },
+        );
+        t.recovery(60, 9, ReadFault { copy: (0, 1) });
+        t.recovery(
+            60,
+            9,
+            Quarantine {
+                vol: 0,
+                failures: 2,
+            },
+        );
+        t.recovery(60, 9, Failover { copy: (1, 1) });
+        t.recovery(60, 9, ReadFault { copy: (1, 1) });
+        t.recovery(60, 9, PermanentLoss);
+        s
+    }
+
+    /// The recovery-step invariants (§10), each broken alone on a
+    /// stream that is clean without the break. In the engine, each was
+    /// seen red by a sabotage applied alone in a copy of the tree:
+    ///   * a retry stamped after its backoff, not at its fault —
+    ///     `tests/trace_props.rs` (a retry with no read fault then);
+    ///   * a failover naming the copy it leaves — `fault_recovery.rs`'s
+    ///     volume-loss scenario (`assert_clean`) and `trace_props.rs`
+    ///     (each also names the quarantined volume it leaves);
+    ///   * `fetch_segment` reading a segment's one home although its
+    ///     volume is quarantined — the read fault on it in
+    ///     `trace_props.rs`;
+    ///   * `refuse` closing a lost fetch's span `ok` — the loss rule in
+    ///     `trace_props.rs` and `recovery_edges.rs`'s dispatch-time
+    ///     refusals.
+    #[test]
+    fn recovery_steps_keep_the_fault_invariants() {
+        let t = Tracer::new();
+        let s = lost_fetch(&t);
+        t.close_span(60, s, false);
+        assert!(tracecheck(&t, &Expectations::default()).is_empty());
+
+        // A retry at another instant, and of another copy.
+        let t = Tracer::new();
+        let s = lost_fetch(&t);
+        t.close_span(60, s, false);
+        t.recovery(70, 9, ReadFault { copy: (1, 1) });
+        let retry = |copy, at| {
+            t.recovery(at, 9, Retry { copy, attempt: 1 });
+        };
+        retry((1, 1), 71);
+        retry((2, 1), 70);
+        let f = tracecheck(&t, &Expectations::default());
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f[0].message.contains("retry of seg 9 v1/s1 at t71"));
+        assert!(f[1].message.contains("retry of seg 9 v2/s1 at t70"));
+
+        // A failover to the home it leaves, and one after no read fault
+        // of its segment.
+        let t = Tracer::new();
+        t.recovery(5, 3, ReadFault { copy: (2, 0) });
+        t.recovery(5, 3, Failover { copy: (2, 0) });
+        t.recovery(6, 4, Failover { copy: (2, 0) });
+        let f = tracecheck(&t, &Expectations::default());
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f[0].message.contains("names v2/s0, the home it leaves"));
+        assert!(f[1].message.contains("seg 4 follows no read fault"));
+
+        // A step naming a quarantined volume, a second quarantine of it
+        // among them.
+        let t = Tracer::new();
+        let s = lost_fetch(&t);
+        t.close_span(60, s, false);
+        t.recovery(80, 5, ReadFault { copy: (0, 3) });
+        t.recovery(
+            80,
+            5,
+            Quarantine {
+                vol: 0,
+                failures: 3,
+            },
+        );
+        let f = tracecheck(&t, &Expectations::default());
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f[0]
+            .message
+            .contains("rfault of seg 5 names v0, quarantined at t60"));
+        assert!(f[1].message.contains("quarantine of seg 5 names v0"));
+
+        // A lost fetch's span closing ok, and a loss with no fetch open:
+        // a copy-out span on the segment is not one.
+        let t = Tracer::new();
+        let s = lost_fetch(&t);
+        t.close_span(60, s, true);
+        let c = t.open_span(90, Class::CopyOut, Some(9));
+        t.recovery(90, 9, PermanentLoss);
+        t.close_span(91, c, true);
+        let f = tracecheck(&t, &Expectations::default());
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f[0]
+            .message
+            .contains("span 0 closed ok after a permanent loss"));
+        assert!(f[1]
+            .message
+            .contains("loss of seg 9 with no open fetch span"));
     }
 
     #[test]

@@ -179,6 +179,112 @@ impl QueueId {
     }
 }
 
+/// What the tertiary recovery policy (§10) did about a media fault, as
+/// [`EventKind::Recovery`] carries it. A copy is `(volume, slot)`. The
+/// device's own error is not repeated: an injected fault has its own
+/// [`EventKind::Fault`] line.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RecoveryStep {
+    /// Reading a copy failed.
+    ReadFault {
+        /// The copy read.
+        copy: (u32, u32),
+    },
+    /// A backoff retry of the copy whose read just failed; its delay is
+    /// the policy's backoff for `attempt`.
+    Retry {
+        /// The copy retried.
+        copy: (u32, u32),
+        /// 1-based attempt number.
+        attempt: u32,
+    },
+    /// Failover to the next home; the copy left is the one whose read
+    /// fault precedes it.
+    Failover {
+        /// The copy tried next.
+        copy: (u32, u32),
+    },
+    /// A volume was quarantined: no further reads or writes target it.
+    Quarantine {
+        /// The quarantined volume.
+        vol: u32,
+        /// Strikes against it when it was quarantined.
+        failures: u32,
+    },
+    /// A scrub pass wrote a fresh replica.
+    ScrubCopy {
+        /// The surviving copy read.
+        from: (u32, u32),
+        /// The new copy written.
+        to: (u32, u32),
+    },
+    /// Every copy was tried and none could be read.
+    PermanentLoss,
+    /// A replica or scrub write failed outright (not end-of-medium): the
+    /// slot is burned and holds no copy.
+    WriteFault {
+        /// The copy that was being written.
+        copy: (u32, u32),
+    },
+    /// A copy-out hit end-of-medium; its volume was marked full.
+    EndOfMedium {
+        /// The copy that did not fit.
+        copy: (u32, u32),
+    },
+}
+
+impl RecoveryStep {
+    /// The step's position in [`RECOVERY_TAGS`].
+    fn index(&self) -> usize {
+        match self {
+            RecoveryStep::ReadFault { .. } => 0,
+            RecoveryStep::Retry { .. } => 1,
+            RecoveryStep::Failover { .. } => 2,
+            RecoveryStep::Quarantine { .. } => 3,
+            RecoveryStep::ScrubCopy { .. } => 4,
+            RecoveryStep::PermanentLoss => 5,
+            RecoveryStep::WriteFault { .. } => 6,
+            RecoveryStep::EndOfMedium { .. } => 7,
+        }
+    }
+
+    /// The volumes the step names.
+    fn volumes(&self) -> impl Iterator<Item = u32> {
+        let (a, b) = match *self {
+            RecoveryStep::ReadFault { copy }
+            | RecoveryStep::Retry { copy, .. }
+            | RecoveryStep::Failover { copy }
+            | RecoveryStep::WriteFault { copy }
+            | RecoveryStep::EndOfMedium { copy } => (Some(copy.0), None),
+            RecoveryStep::Quarantine { vol, .. } => (Some(vol), None),
+            RecoveryStep::ScrubCopy { from, to } => (Some(from.0), Some(to.0)),
+            RecoveryStep::PermanentLoss => (None, None),
+        };
+        a.into_iter().chain(b)
+    }
+}
+
+/// Recovery step tags, in [`RecoveryStep`] order: the word each step's
+/// line shows, and what [`Tracer::recoveries`] counts by.
+const RECOVERY_TAGS: [&str; 8] = [
+    "rfault",
+    "retry",
+    "failover",
+    "quarantine",
+    "scrub",
+    "loss",
+    "wfault",
+    "eom",
+];
+
+/// Writes a copy as `v<vol>/s<slot>`.
+fn write_copy(out: &mut impl LineSink, (vol, slot): (u32, u32)) {
+    out.text("v");
+    out.num(vol.into());
+    out.text("/s");
+    out.num(slot.into());
+}
+
 /// One traced occurrence.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EventKind {
@@ -309,6 +415,14 @@ pub enum EventKind {
         /// The held request's span.
         span: u64,
     },
+    /// A step of the tertiary recovery policy on one segment.
+    Recovery {
+        /// The tertiary segment being read, copied or written (for a
+        /// quarantine, the one whose read struck the volume).
+        seg: u64,
+        /// What was done.
+        step: RecoveryStep,
+    },
 }
 
 /// One recorded event: a sequence number (emission order), the simulated
@@ -344,12 +458,13 @@ impl EventKind {
             EventKind::Redispatch { .. } => 13,
             EventKind::TenantAdmit { .. } => 14,
             EventKind::TenantThrottle { .. } => 15,
+            EventKind::Recovery { .. } => 16,
         }
     }
 }
 
 /// Short kind tags (for `--trace` summaries), in [`EventKind`] order.
-const KIND_TAGS: [&str; 16] = [
+const KIND_TAGS: [&str; 17] = [
     "span_open",
     "span_close",
     "join",
@@ -366,6 +481,7 @@ const KIND_TAGS: [&str; 16] = [
     "redispatch",
     "tenant_admit",
     "tenant_throttle",
+    "recovery",
 ];
 
 /// Where [`Event::write_line`] puts a line: the running digest or a
@@ -584,6 +700,40 @@ impl Event {
                 out.text(" ");
                 out.num(*span);
             }
+            EventKind::Recovery { seg, step } => {
+                out.text(" rcv ");
+                out.num(*seg);
+                out.text(" ");
+                out.text(RECOVERY_TAGS[step.index()]);
+                match *step {
+                    RecoveryStep::ReadFault { copy }
+                    | RecoveryStep::Failover { copy }
+                    | RecoveryStep::WriteFault { copy }
+                    | RecoveryStep::EndOfMedium { copy } => {
+                        out.text(" ");
+                        write_copy(out, copy);
+                    }
+                    RecoveryStep::Retry { copy, attempt } => {
+                        out.text(" ");
+                        write_copy(out, copy);
+                        out.text(" #");
+                        out.num(attempt.into());
+                    }
+                    RecoveryStep::Quarantine { vol, failures } => {
+                        out.text(" v");
+                        out.num(vol.into());
+                        out.text(" after ");
+                        out.num(failures.into());
+                    }
+                    RecoveryStep::ScrubCopy { from, to } => {
+                        out.text(" ");
+                        write_copy(out, from);
+                        out.text(">");
+                        write_copy(out, to);
+                    }
+                    RecoveryStep::PermanentLoss => {}
+                }
+            }
         }
     }
 
@@ -619,7 +769,10 @@ struct Recorder {
     /// Spans opened per class.
     opened: [u64; 5],
     /// Events emitted per kind, in [`KIND_TAGS`] order.
-    kinds: [u64; 16],
+    kinds: [u64; 17],
+    /// [`EventKind::Recovery`] events per step, in [`RECOVERY_TAGS`]
+    /// order.
+    recoveries: [u64; 8],
     /// `policy`-prefixed [`EventKind::Mark`] events emitted (see
     /// [`Tracer::policy_decision`]).
     policy_decisions: u64,
@@ -875,6 +1028,13 @@ impl Tracer {
         );
     }
 
+    /// Records a step of the tertiary recovery policy on `seg`.
+    pub fn recovery(&self, at: TraceTime, seg: u64, step: RecoveryStep) {
+        let mut r = self.rec.borrow_mut();
+        r.recoveries[step.index()] += 1;
+        r.emit(at, EventKind::Recovery { seg, step });
+    }
+
     /// Records the fair queue holding a tenant-tagged request back.
     pub fn tenant_throttle(&self, at: TraceTime, tenant: u32, class: Class, span: u64) {
         self.rec.borrow_mut().emit(
@@ -979,6 +1139,14 @@ impl Tracer {
     /// [`EventKind::TenantThrottle`] events recorded.
     pub fn tenant_throttles(&self) -> u64 {
         self.count("tenant_throttle")
+    }
+
+    /// [`EventKind::Recovery`] events recorded whose step's line shows
+    /// `tag`: `rfault`, `retry`, `failover`, `quarantine`, `scrub`,
+    /// `loss`, `wfault` or `eom`.
+    pub fn recoveries(&self, tag: &str) -> u64 {
+        let i = RECOVERY_TAGS.iter().position(|&t| t == tag);
+        self.rec.borrow().recoveries[i.expect("a recovery step tag")]
     }
 
     /// [`Tracer::policy_decision`] marks recorded.
@@ -1243,6 +1411,14 @@ mod tests {
         assert_eq!(text[2], "#000002 t6 tthr n7 prefetch 0");
     }
 
+    /// Every event [`Recorder::emit`] builds is this size: 32 bytes, as
+    /// before [`EventKind::Recovery`] was added, whose widest step (a
+    /// scrub copy's two copies) fits beside its segment.
+    #[test]
+    fn event_kind_stays_32_bytes() {
+        assert_eq!(std::mem::size_of::<EventKind>(), 32);
+    }
+
     #[test]
     fn renders_are_stable() {
         let t = Tracer::new();
@@ -1252,6 +1428,57 @@ mod tests {
         let text = t.render_text();
         assert_eq!(text[0], "#000000 t3 s+ 0 demand seg 42");
         assert_eq!(text[1], "#000001 t4 line 42 empty>filling");
+    }
+
+    /// One of every [`RecoveryStep`], in [`RECOVERY_TAGS`] order.
+    fn every_recovery_step() -> [RecoveryStep; 8] {
+        [
+            RecoveryStep::ReadFault { copy: (0, 1) },
+            RecoveryStep::Retry {
+                copy: (0, 1),
+                attempt: 2,
+            },
+            RecoveryStep::Failover { copy: (3, 4) },
+            RecoveryStep::Quarantine {
+                vol: 0,
+                failures: 5,
+            },
+            RecoveryStep::ScrubCopy {
+                from: (3, 4),
+                to: (6, 7),
+            },
+            RecoveryStep::PermanentLoss,
+            RecoveryStep::WriteFault { copy: (8, 9) },
+            RecoveryStep::EndOfMedium { copy: (10, 11) },
+        ]
+    }
+
+    /// Each recovery step renders as its own `rcv` line and is counted
+    /// under its tag.
+    #[test]
+    fn recovery_steps_render_and_count() {
+        let t = Tracer::new();
+        t.retain_events();
+        for step in every_recovery_step() {
+            t.recovery(7, 42, step);
+        }
+        assert_eq!(
+            t.render_text(),
+            [
+                "#000000 t7 rcv 42 rfault v0/s1",
+                "#000001 t7 rcv 42 retry v0/s1 #2",
+                "#000002 t7 rcv 42 failover v3/s4",
+                "#000003 t7 rcv 42 quarantine v0 after 5",
+                "#000004 t7 rcv 42 scrub v3/s4>v6/s7",
+                "#000005 t7 rcv 42 loss",
+                "#000006 t7 rcv 42 wfault v8/s9",
+                "#000007 t7 rcv 42 eom v10/s11",
+            ]
+        );
+        for tag in RECOVERY_TAGS {
+            assert_eq!(t.recoveries(tag), 1, "{tag}");
+        }
+        assert_eq!(t.summary(), [("recovery", 8)]);
     }
 
     /// Emits every [`EventKind`] (each optional field both ways) through
@@ -1278,6 +1505,9 @@ mod tests {
         t.drive_up(90, 0);
         t.tenant_admit(91, 7, Class::CopyOut, b);
         t.tenant_throttle(91, 3, Class::Eject, b);
+        for step in every_recovery_step() {
+            t.recovery(92, 42, step);
+        }
         t.close_span(95, a, true);
         t.close_span(96, b, false);
     }
@@ -1290,7 +1520,7 @@ mod tests {
         let kept = Tracer::new();
         kept.retain_events();
         emit_every_kind(&kept);
-        assert_eq!(kept.summary().len(), 16, "one of every EventKind");
+        assert_eq!(kept.summary().len(), 17, "one of every EventKind");
         let mut fnv = 0xcbf2_9ce4_8422_2325u64;
         for line in kept.render_text() {
             for b in line.bytes().chain([b'\n']) {

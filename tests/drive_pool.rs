@@ -15,16 +15,18 @@
 //! hanging.
 //!
 //! Accounting pins (ISSUE 21): the literal `SvcStats`, `io_ops()`,
-//! `io_peak_in_flight()` and rendered fault log in the drive-death and
+//! `io_peak_in_flight()` and drive-fault lines in the drive-death and
 //! solo-drive tests were taken while the I/O server's interval tracker
-//! and the `SvcStats` counters were ledgers of their own and hold now
-//! that each is read off the tracer or the fault log. Seen to go red, each sabotage applied
-//! alone and reverted:
+//! and the `SvcStats` counters were ledgers of their own (and the lines
+//! a fault log's render) and hold now that each is read off the tracer.
+//! The injected fault's line comes from a tracer of the plan's own, so
+//! the engine's trace, and the solo test's digest, stay as they were.
+//! Seen to go red, each sabotage applied alone and reverted:
 //!   * `admit_drive_io` not emitting its `dev_io` — the drive-death pin
 //!     reads `drive_ops` [0, 0, ..] for [2, 1, ..], and the two-drive
 //!     overlap test reads a `drive_peak` of 0.
-//!   * `mark_lane_down` not pushing its `FaultEvent::DriveDown` — both
-//!     rendered logs come out empty.
+//!   * `mark_lane_down` not emitting its `drive_down` — both tests'
+//!     `ddn` lines come out empty.
 
 use std::rc::Rc;
 
@@ -33,10 +35,31 @@ use highlight::{SvcStats, TertiaryIo, UniformMap};
 use hl_footprint::{Footprint, Jukebox};
 use hl_lfs::config::AddressMap;
 use hl_sim::Scheduler;
+use hl_trace::Tracer;
 use hl_vdev::{FaultConfig, FaultPlan};
 
 /// The default rig (64 disk segments, 4 volumes × 8 slots, cache lines
 /// `40..52`) with `drives` jukebox drives.
+/// The engine's `ddn`/`dup` lines and the `fault` lines of the plan's
+/// own tracer `faults`, each without its sequence number.
+fn drive_fault_lines(tio: &TertiaryIo, faults: &Tracer) -> Vec<String> {
+    let health = tio.tracer().render_text().into_iter();
+    let health = health.filter(|l| l.contains(" ddn ") || l.contains(" dup "));
+    let lines = health.chain(faults.render_text());
+    lines
+        .map(|l| l[l.find(' ').unwrap() + 1..].to_string())
+        .collect()
+}
+
+/// A tracer for a fault plan's `fault` lines alone, kept apart from the
+/// engine's trace.
+fn plan_tracer(plan: &FaultPlan) -> Tracer {
+    let faults = Tracer::new();
+    faults.retain_events();
+    plan.set_tracer(faults.clone());
+    faults
+}
+
 fn rig(drives: usize) -> (Rc<TertiaryIo>, Jukebox, UniformMap) {
     RigSpec {
         drives,
@@ -244,6 +267,7 @@ fn drive_death_mid_fetch_redispatches_to_survivor() {
     let (tio, jb, map, t0, vol1) = primed_two_drive_rig(&oracle);
     let plan = FaultPlan::new(FaultConfig::none(11));
     plan.fail_drive_at(1, t0);
+    let faults = plan_tracer(&plan);
     jb.set_fault_plan(plan);
     // This fetch's platter sits in the (now dead) drive 1, so affinity
     // routes it straight into the fault.
@@ -282,8 +306,8 @@ fn drive_death_mid_fetch_redispatches_to_survivor() {
     );
     assert_eq!((tio.io_ops(), tio.io_peak_in_flight()), (6, 2));
     assert_eq!(
-        tio.fault_log().render(),
-        "t=30325182 drive d1 DOWN: drive d1 is dead\n"
+        drive_fault_lines(&tio, &faults),
+        ["t30325182 ddn d1", "t30325182 fault drive dead d1"]
     );
 }
 
@@ -345,9 +369,11 @@ fn watchdog_fires_on_hang_and_the_spare_rejoins() {
 fn solo_drive_death_retires_the_pool_and_fails_tickets() {
     use highlight::segcache::LineState;
     let (tio, jb, map) = rig(1);
+    tio.tracer().retain_events();
     jb.poke_segment(0, 0, &vec![9u8; 1 << 20]).unwrap();
     let plan = FaultPlan::new(FaultConfig::none(17));
     plan.fail_drive_at(0, 0);
+    let faults = plan_tracer(&plan);
     jb.set_fault_plan(plan);
     let seal = |slot: u32| {
         let seg = map.tert_seg(3, slot);
@@ -401,8 +427,8 @@ fn solo_drive_death_retires_the_pool_and_fails_tickets() {
     );
     assert_eq!((tio.io_ops(), tio.io_peak_in_flight()), (0, 0));
     assert_eq!(
-        tio.fault_log().render(),
-        "t=2000 drive d0 DOWN: drive d0 is dead\n"
+        drive_fault_lines(&tio, &faults),
+        ["t2000 ddn d0", "t2000 fault drive dead d0"]
     );
     assert_eq!(t.fetch_result().unwrap_err().to_string(), "device offline");
 }

@@ -76,11 +76,11 @@ proptest! {
                     t = end;
                     tio.eject(seg);
                 }
-                Err(HlError::SegmentUnavailable { trail, .. }) => {
+                Err(HlError::SegmentUnavailable { .. }) => {
                     return Err(TestCaseError::fail(format!(
                         "segment unavailable despite a surviving copy \
-                         (kills {:?}, p {}, round {}, {} trail steps)",
-                        kills, p_milli, round, trail.len()
+                         (kills {:?}, p {}, round {}, {} read faults)",
+                        kills, p_milli, round, tio.tracer().recoveries("rfault")
                     )));
                 }
                 Err(e) => {

@@ -18,7 +18,7 @@
 use highlight::rig::RigSpec;
 use highlight::segcache::LineState;
 use hl_footprint::Footprint;
-use hl_trace::{Class, Event, EventKind, Lane, LineTag, QueueId, Tracer};
+use hl_trace::{Class, Event, EventKind, Lane, LineTag, QueueId, RecoveryStep, Tracer};
 use hl_vdev::{FaultConfig, FaultPlan};
 use proptest::prelude::*;
 
@@ -123,7 +123,8 @@ proptest! {
 }
 
 /// The renderer before it stopped going through `core::fmt`, kept
-/// verbatim as the oracle every render must equal byte for byte.
+/// verbatim as the oracle every render must equal byte for byte; the
+/// recovery line, which came later, is written in the same form.
 fn oracle(ev: &Event) -> String {
     use std::fmt::{self, Write};
 
@@ -187,6 +188,27 @@ fn oracle(ev: &Event) -> String {
             span,
         } => {
             write!(w, "tthr n{tenant} {} {span}", class.label())
+        }
+        EventKind::Recovery { seg, step } => {
+            write!(w, "rcv {seg} ").unwrap();
+            match *step {
+                RecoveryStep::ReadFault { copy: (v, s) } => write!(w, "rfault v{v}/s{s}"),
+                RecoveryStep::Retry {
+                    copy: (v, s),
+                    attempt,
+                } => write!(w, "retry v{v}/s{s} #{attempt}"),
+                RecoveryStep::Failover { copy: (v, s) } => write!(w, "failover v{v}/s{s}"),
+                RecoveryStep::Quarantine { vol, failures } => {
+                    write!(w, "quarantine v{vol} after {failures}")
+                }
+                RecoveryStep::ScrubCopy {
+                    from: (fv, fs),
+                    to: (tv, ts),
+                } => write!(w, "scrub v{fv}/s{fs}>v{tv}/s{ts}"),
+                RecoveryStep::PermanentLoss => write!(w, "loss"),
+                RecoveryStep::WriteFault { copy: (v, s) } => write!(w, "wfault v{v}/s{s}"),
+                RecoveryStep::EndOfMedium { copy: (v, s) } => write!(w, "eom v{v}/s{s}"),
+            }
         }
     }
     .unwrap();
@@ -276,7 +298,28 @@ fn emit(t: &Tracer, op: (u8, u8, u64, u8, u64, u8)) {
         13 => t.watchdog_fire(x, pick32(sb, b), y),
         14 => t.redispatch(x, y, pick32(sa, a)),
         15 => t.tenant_admit(x, pick32(sb, b), class, y),
-        _ => t.tenant_throttle(x, pick32(sb, b), class, y),
+        16 => t.tenant_throttle(x, pick32(sb, b), class, y),
+        _ => {
+            let copy = (pick32(sa, a), pick32(sb, b));
+            let n = pick32(sb.wrapping_add(1), a);
+            let step = match small % 8 {
+                0 => RecoveryStep::ReadFault { copy },
+                1 => RecoveryStep::Retry { copy, attempt: n },
+                2 => RecoveryStep::Failover { copy },
+                3 => RecoveryStep::Quarantine {
+                    vol: copy.0,
+                    failures: n,
+                },
+                4 => RecoveryStep::ScrubCopy {
+                    from: copy,
+                    to: (n, copy.0),
+                },
+                5 => RecoveryStep::PermanentLoss,
+                6 => RecoveryStep::WriteFault { copy },
+                _ => RecoveryStep::EndOfMedium { copy },
+            };
+            t.recovery(x, y, step);
+        }
     }
 }
 
@@ -305,7 +348,7 @@ proptest! {
     #[test]
     fn every_render_equals_the_fmt_oracle_and_the_digest_folds_it(
         ops in proptest::collection::vec(
-            (0u8..17, 0u8..4, any::<u64>(), 0u8..4, any::<u64>(), 0u8..30), 1..64),
+            (0u8..18, 0u8..4, any::<u64>(), 0u8..4, any::<u64>(), 0u8..30), 1..64),
     ) {
         let t = Tracer::new();
         t.retain_events();
@@ -329,7 +372,7 @@ fn renders_past_the_six_digit_sequence_pad_equal_the_oracle() {
         t.queue_depth(i, QueueId::Device, 1);
     }
     t.retain_events();
-    for kind in 0..17u8 {
+    for kind in 0..18u8 {
         emit(
             &t,
             (kind, kind, u64::MAX - u64::from(kind), kind + 1, 7, kind),
