@@ -22,7 +22,9 @@
 //! Re-pins: `disk` + `media` for format 2 (every sum is the word-wide
 //! `cksum`); `disk` again because `mkfs` now counts the root directory's
 //! first block in its `blocks` (it said 0); `trace` because the scheduler
-//! stopped writing park/wake lines into the engine trace. Clocks never
+//! stopped writing park/wake lines into the engine trace; `trace` of the
+//! two copy-out lives again when the recovery steps became trace events
+//! (their end-of-medium `rcv` lines). Clocks never
 //! moved until the on-fetch rearrangement step was removed with the
 //! feature: that re-pinned every field of both lives but `eom_events`
 //! (the step wrote the fifth slot).
@@ -260,7 +262,7 @@ fn immediate_copy_out_life_matches_the_pinned_image() {
             slots_written: 4,
             eom_events: 1,
             sim_now: 90_964_383,
-            trace: 0x5859_b00b_8876_5ac0,
+            trace: 0x41af_ae84_0326_3915,
         }
     );
 }
@@ -275,7 +277,7 @@ fn delayed_copy_out_life_matches_the_pinned_image() {
             slots_written: 4,
             eom_events: 2,
             sim_now: 92_129_304,
-            trace: 0x3d55_e05c_c72b_74f1,
+            trace: 0xaf22_3552_ed2d_19e6,
         }
     );
 }

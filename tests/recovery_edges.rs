@@ -319,7 +319,9 @@ fn a_segment_with_no_home_is_offline_until_a_replica_names_one() {
 /// line that is not sealed; an eject of a pinned line; a sealed
 /// copy-out onto the quarantined volume; a demand and a prefetch with
 /// every line pinned. Each ticket holds its class's failure value, the
-/// queues drain, and the digest pins what each refusal traced.
+/// queues drain, and the digest pins what each refusal traced. Re-pinned
+/// when the recovery steps became trace events (the lost fetch's read
+/// fault, quarantine and loss).
 #[test]
 fn dispatch_time_refusals_resolve_every_class() {
     use highlight::rig::{assert_clean, RigSpec};
@@ -365,5 +367,5 @@ fn dispatch_time_refusals_resolve_every_class() {
 
     assert_eq!(tio.queue_depths(), (0, 0));
     assert_clean(&tio);
-    assert_eq!(tio.trace_digest(), 0x05c7_3c03_721e_e55b);
+    assert_eq!(tio.trace_digest(), 0xfc06_5399_bff8_9ec1);
 }
