@@ -492,12 +492,13 @@ impl HighLight {
 
     fn run_prefetch(&mut self) -> Result<()> {
         // Identify the last segment fetched: the most recently filled
-        // line. Prefetch its neighbours per policy.
+        // line, the larger segment on a tie. Prefetch its neighbours per
+        // policy.
         let last = self
             .cache
             .borrow()
             .lines()
-            .max_by_key(|l| l.fetched_at)
+            .max_by_key(|l| (l.fetched_at, l.tert_seg))
             .map(|l| l.tert_seg);
         let Some(seed) = last else { return Ok(()) };
         let targets = prefetch_targets(&self.prefetch, &self.map, &self.hints, seed);
@@ -536,16 +537,18 @@ impl HighLight {
         self.tio.eject(tert_seg)
     }
 
-    /// Ejects every clean cached line (benchmark setup for the uncached
-    /// access-delay measurements, Table 3).
+    /// Ejects every clean cached line in ascending tertiary-segment order
+    /// (benchmark setup for the uncached access-delay measurements,
+    /// Table 3).
     pub fn eject_all(&mut self) {
-        let segs: Vec<SegNo> = self
+        let mut segs: Vec<SegNo> = self
             .cache
             .borrow()
             .lines()
             .filter(|l| l.state == LineState::Clean)
             .map(|l| l.tert_seg)
             .collect();
+        segs.sort_unstable();
         for s in segs {
             self.tio.eject(s);
         }
