@@ -33,7 +33,7 @@ use highlight::blockmap::BlockMapDev;
 use highlight::requests::fair_pick_probe;
 use highlight::rig::RigSpec;
 use highlight::segcache::{EjectPolicy, LineState, SegCache};
-use highlight::{Outcome, ReplicaSet, SegDir, Ticket, UniformMap};
+use highlight::{Outcome, ReplicaSet, Ticket, UniformMap};
 use hl_bench::report::{write_bench_json, Checks, Json};
 use hl_footprint::Footprint;
 use hl_lfs::buffer::BufCache;
@@ -272,22 +272,6 @@ fn bench_ticket_resident(c: &mut Criterion) {
         b.iter(|| {
             at += 1;
             tio.enqueue_demand(black_box(at), seg).fetch_result()
-        })
-    });
-}
-
-/// The open-addressed [`SegDir`] the segment cache routes through. The
-/// key stream mixes 512 hits with 128 misses, like a scan.
-fn bench_segdir(c: &mut Criterion) {
-    let mut dir: SegDir<u64> = SegDir::new();
-    for i in 0..512u32 {
-        dir.insert(1_000_000 + i, i as u64);
-    }
-    c.bench_function("cache directory get, 512 lines (segdir)", |b| {
-        let mut k = 0u32;
-        b.iter(|| {
-            k = (k + 1) % 640;
-            dir.get(black_box(1_000_000 + k)).copied()
         })
     });
 }
@@ -541,7 +525,6 @@ fn main() {
         bench_ticket(&mut c);
         bench_fair_pick(&mut c);
         bench_ticket_resident(&mut c);
-        bench_segdir(&mut c);
 
         bench_sched_step(&mut c);
         bench_sched_wake_now(&mut c);

@@ -41,7 +41,6 @@ pub mod replicas;
 pub mod requests;
 pub mod rig;
 pub mod segcache;
-pub mod segdir;
 pub mod service;
 pub mod stack;
 pub mod tcleaner;
@@ -60,6 +59,5 @@ pub use recovery::{RecoveryPolicy, RecoveryState};
 pub use replicas::ReplicaSet;
 pub use requests::{Outcome, ReqClass, TenantId, Ticket, DISPATCH_CPU};
 pub use segcache::{EjectPolicy, SegCache};
-pub use segdir::SegDir;
 pub use service::{EngineSession, ScrubReport, SvcStats, TertiaryIo, MAX_DRIVES};
 pub use tsegfile::TsegTable;

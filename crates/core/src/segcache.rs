@@ -11,17 +11,18 @@
 //! "a static upper limit (selected when the file system is created) is
 //! placed on the number of disk segments that may be in use for
 //! caching"). The cache directory is "a simple hash table indexed by
-//! [the tertiary] segment number" (§6.3) — literally so since the
-//! hot-path pass: an open-addressed [`SegDir`] (Fibonacci hash + linear
-//! probing) replaces the std `HashMap`, cutting the per-translation
-//! lookup to one multiply and a short sequential probe, with
-//! deterministic iteration order as a bonus.
+//! [the tertiary] segment number" (§6.3): a std `HashMap` keyed with the
+//! workspace's fixed mixer (`BlockHashBuilder`). Its iteration order is
+//! unspecified, so every reader that decides something from the lines
+//! decides by key: the victim pick breaks ties by segment, `eject_all`
+//! ejects in segment order and `hlfsck` sorts before it checks.
+
+use std::collections::HashMap;
 
 use hl_lfs::types::SegNo;
 use hl_sim::time::SimTime;
 use hl_sim::DetRng;
-
-use crate::segdir::SegDir;
+use hl_vdev::backing::BlockHashBuilder;
 
 /// The state of one cache line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,7 +106,7 @@ pub struct SegCache {
     /// Free (unoccupied) pool entries.
     free: Vec<SegNo>,
     /// Cache directory: tertiary segment → line.
-    dir: SegDir<CacheLine>,
+    dir: HashMap<SegNo, CacheLine, BlockHashBuilder>,
     policy: EjectPolicy,
     rng: DetRng,
     stats: CacheStats,
@@ -137,7 +138,7 @@ impl SegCache {
         SegCache {
             free: pool.clone(),
             pool,
-            dir: SegDir::new(),
+            dir: HashMap::default(),
             policy,
             rng: DetRng::new(seed),
             stats: CacheStats::default(),
@@ -193,7 +194,7 @@ impl SegCache {
         }
         self.free.retain(|&s| s != disk_seg);
         self.note_time(fetched_at);
-        let from = match self.dir.get(tert_seg) {
+        let from = match self.dir.get(&tert_seg) {
             Some(line) => tag(line.state),
             None => hl_trace::LineTag::Empty,
         };
@@ -229,14 +230,14 @@ impl SegCache {
 
     /// Directory lookup *without* touching LRU state (for inspection).
     pub fn peek(&self, tert_seg: SegNo) -> Option<&CacheLine> {
-        self.dir.get(tert_seg)
+        self.dir.get(&tert_seg)
     }
 
     /// Directory lookup, recording a hit/miss and refreshing recency.
     /// Touches count per access episode, not per block translation.
     pub fn lookup(&mut self, tert_seg: SegNo, now: SimTime) -> Option<CacheLine> {
         self.note_time(now);
-        match self.dir.get_mut(tert_seg) {
+        match self.dir.get_mut(&tert_seg) {
             Some(line) => {
                 if now >= line.last_used + EPISODE_GAP {
                     line.touches += 1;
@@ -252,7 +253,8 @@ impl SegCache {
         }
     }
 
-    /// Iterates occupied lines.
+    /// Iterates occupied lines, in an unspecified order: a caller that
+    /// decides something from them decides by key.
     pub fn lines(&self) -> impl Iterator<Item = &CacheLine> + '_ {
         self.dir.values()
     }
@@ -267,7 +269,7 @@ impl SegCache {
         state: LineState,
         now: SimTime,
     ) -> Option<(SegNo, Option<SegNo>)> {
-        debug_assert!(!self.dir.contains_key(tert_seg), "already cached");
+        debug_assert!(!self.dir.contains_key(&tert_seg), "already cached");
         self.note_time(now);
         let (disk_seg, ejected) = if let Some(d) = self.free.pop() {
             (d, None)
@@ -276,7 +278,7 @@ impl SegCache {
                 self.stats.stalls += 1;
                 return None;
             };
-            let line = self.dir.remove(victim).expect("victim listed");
+            let line = self.dir.remove(&victim).expect("victim listed");
             self.stats.ejections += 1;
             self.trace_line(now, victim, tag(line.state), hl_trace::LineTag::Empty);
             (line.disk_seg, Some(victim))
@@ -300,7 +302,7 @@ impl SegCache {
     fn pick_victim(&mut self) -> Option<SegNo> {
         // Ties go to the smaller tertiary segment, and the random draw
         // indexes the clean lines sorted by it, so no decision depends on
-        // the directory's slot order.
+        // the directory's iteration order.
         let clean = self.dir.values().filter(|l| l.state == LineState::Clean);
         let key = match &self.policy {
             EjectPolicy::Lru => clean.min_by_key(|l| (l.last_used, l.tert_seg))?.tert_seg,
@@ -337,7 +339,7 @@ impl SegCache {
 
     /// Ejects a specific line, returning its disk segment to the pool.
     pub fn eject(&mut self, tert_seg: SegNo) -> Option<CacheLine> {
-        let line = self.dir.remove(tert_seg)?;
+        let line = self.dir.remove(&tert_seg)?;
         self.free.push(line.disk_seg);
         self.stats.ejections += 1;
         self.trace_line(
@@ -353,7 +355,7 @@ impl SegCache {
     /// migrator seals it, `DirtyWait` → `Clean` once the I/O server has
     /// copied it out).
     pub fn set_state(&mut self, tert_seg: SegNo, state: LineState) {
-        let transition = match self.dir.get_mut(tert_seg) {
+        let transition = match self.dir.get_mut(&tert_seg) {
             Some(line) if line.state != state => {
                 let from = line.state;
                 line.state = state;
@@ -371,7 +373,7 @@ impl SegCache {
     /// never counts as a "repeated access".
     pub fn set_ready_at(&mut self, tert_seg: SegNo, ready_at: SimTime) {
         self.note_time(ready_at);
-        if let Some(line) = self.dir.get_mut(tert_seg) {
+        if let Some(line) = self.dir.get_mut(&tert_seg) {
             line.ready_at = ready_at;
             line.last_used = line.last_used.max(ready_at);
         }
@@ -380,7 +382,7 @@ impl SegCache {
     /// Re-keys a staging line onto a different tertiary segment
     /// (end-of-medium relocation, §6.3).
     pub fn rekey(&mut self, old_tert: SegNo, new_tert: SegNo) {
-        if let Some(mut line) = self.dir.remove(old_tert) {
+        if let Some(mut line) = self.dir.remove(&old_tert) {
             line.tert_seg = new_tert;
             self.dir.insert(new_tert, line);
             if let Some(t) = &self.tracer {

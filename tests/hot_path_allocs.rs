@@ -796,9 +796,9 @@ fn resident_fleet(requests_per_client: u32) -> FleetConfig {
 }
 
 /// Two resident fleets, 20 and 40 gets a client. The 2 000 extra
-/// requests allocate 21 times, none of them per request: a resident
+/// requests allocate 19 times, none of them per request: a resident
 /// get's engine ticket carries its answer without a cell, and the
-/// fleet's latency log is sized for every request up front. The 21
+/// fleet's latency log is sized for every request up front. The 19
 /// follow the warm-up, whose misses coalesce differently as the scripts
 /// change, not the request count: at 20, 40, 80, 160 and 320 gets a
 /// client the runs allocated 3 046, 3 079, 3 089, 3 093 and 3 101 times,
@@ -868,7 +868,11 @@ fn resident_fleet(requests_per_client: u32) -> FleetConfig {
 /// trace: each of four shards' recorders now counts eight recovery steps
 /// and a seventeenth event kind (72 bytes) and its checker keeps the
 /// latest read fault and the quarantined volumes (56 bytes), against
-/// the log's 32 bytes of `TioInner`.
+/// the log's 32 bytes of `TioInner`. Both runs took 4 allocations and
+/// 9 072 bytes fewer while the segment cache's directory was the
+/// open-addressed `SegDir`: the std map grows from empty one doubling
+/// at a time (4, 8, 16, 32, 64 buckets as a shard fills its 32 lines),
+/// where `SegDir` began with 16 slots and rebuilt once into 64.
 #[test]
 fn a_resident_fleet_allocates_nothing_per_request() {
     let runs = [20, 40].map(|n| {
@@ -877,7 +881,7 @@ fn a_resident_fleet_allocates_nothing_per_request() {
         let (allocs, bytes) = allocs_and_bytes_during(|| completed = run_fleet(&cfg).completed);
         (completed, allocs, bytes)
     });
-    assert_eq!(runs, [(2_000, 1_881, 2_021_368), (4_000, 1_900, 2_126_872)]);
+    assert_eq!(runs, [(2_000, 1_885, 2_030_440), (4_000, 1_904, 2_135_944)]);
     let extra_allocs = runs[1].1 - runs[0].1;
     assert!(
         extra_allocs < (runs[1].0 - runs[0].0) / 20,
@@ -912,7 +916,7 @@ fn cold_fleet(requests_per_client: u32) -> FleetConfig {
 
 /// Two cold fleets, 4 and 8 gets a client: the allocations of the 800
 /// extra requests, and of the fetches, ejections and storm prefetches
-/// they bring, pinned exactly: 694, 0.87 a request. They were 695 while
+/// they bring, pinned exactly: 692, 0.87 a request. They were 695 while
 /// every coalescing join woke the service process (the second run took
 /// one allocation more), 723 while the request queue was a B-tree,
 /// whose nodes split and merged as the queue deepened and drained (the
@@ -920,7 +924,10 @@ fn cold_fleet(requests_per_client: u32) -> FleetConfig {
 /// while the trace checker's live-span and line tables and the
 /// recorder's residency counts were B-trees, 777 with the residency
 /// counts alone, and 731 while `tracecheck` swept each shard's device
-/// intervals again (the runs then took 3 495 and 4 226).
+/// intervals again (the runs then took 3 495 and 4 226), and 694 while
+/// the segment cache's directory was the open-addressed `SegDir` (the
+/// runs then took 3 392 and 4 086: `SegDir` rebuilt its arrays when the
+/// ejections' tombstones piled up).
 /// Seen red at 4 312 (5.4) while the fair queue collected its held and
 /// candidate keys on each tagged pop, at 3 189 (4.0) while the device
 /// scheduler collected its eligible ops, at 2 658 (3.3) while each
@@ -935,5 +942,5 @@ fn a_cold_fleets_extra_requests_allocate_their_records() {
         let allocs = allocs_during(|| completed = run_fleet(&cfg).completed);
         (completed, allocs)
     });
-    assert_eq!(runs, [(800, 3_392), (1_600, 4_086)]);
+    assert_eq!(runs, [(800, 3_386), (1_600, 4_078)]);
 }

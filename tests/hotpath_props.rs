@@ -1,6 +1,5 @@
-//! Property suite for the resident hot-path optimizations (DESIGN.md
-//! §6j): every raw-speed structure must be *behaviour-identical* to the
-//! slow reference it replaced.
+//! Property suite for two structures on the request path (DESIGN.md
+//! §6j), each held to a reference model:
 //!
 //! - The [`ReplicaSet`] must agree with a plain `HashMap` reference
 //!   directory under any interleaving of `add` / `forget` /
@@ -8,13 +7,10 @@
 //!   duplicates, emptied records pruned.
 //! - A [`Ticket`] must lose no wakeups: any clone of a completed ticket
 //!   observes the outcome, and no clone resolves before its ticket.
-//! - The open-addressed [`SegDir`] must agree with a `HashMap` oracle
-//!   under random fill / eject / rekey churn (the segment cache's op
-//!   mix), including tombstone-heavy histories.
 
 use std::collections::HashMap;
 
-use highlight::{ReplicaSet, SegDir, Ticket, UniformMap};
+use highlight::{ReplicaSet, Ticket, UniformMap};
 use proptest::prelude::*;
 
 /// A small uniform map: 8 disk segments, 4 volumes × 16 slots. Tertiary
@@ -128,46 +124,5 @@ proptest! {
                 prop_assert_eq!(c.eject_result(), i % 3 == 0);
             }
         }
-    }
-
-    /// Random fill/eject/rekey churn: the open-addressed directory and
-    /// a `HashMap` oracle must agree on every lookup, length, and the
-    /// full key set — tombstones included.
-    #[test]
-    fn segdir_matches_hashmap_oracle_under_churn(
-        ops in prop::collection::vec((0u8..4, 0u32..96, 0u32..96), 1..400),
-    ) {
-        let mut fast: SegDir<u64> = SegDir::new();
-        let mut slow: HashMap<u32, u64> = HashMap::new();
-        for (i, (kind, a, b)) in ops.into_iter().enumerate() {
-            match kind {
-                // Fill: insert/overwrite a line.
-                0 | 1 => {
-                    let v = i as u64;
-                    prop_assert_eq!(fast.insert(a, v), slow.insert(a, v));
-                }
-                // Eject: remove a line.
-                2 => {
-                    prop_assert_eq!(fast.remove(a), slow.remove(&a));
-                }
-                // Rekey: move a line to a new key (end-of-medium path).
-                _ => {
-                    let f = fast.remove(a);
-                    let s = slow.remove(&a);
-                    prop_assert_eq!(f, s);
-                    if let Some(v) = f {
-                        prop_assert_eq!(fast.insert(b, v), slow.insert(b, v));
-                    }
-                }
-            }
-            prop_assert_eq!(fast.len(), slow.len());
-            prop_assert_eq!(fast.get(a).copied(), slow.get(&a).copied());
-            prop_assert_eq!(fast.contains_key(b), slow.contains_key(&b));
-        }
-        let mut fast_keys: Vec<u32> = fast.keys().collect();
-        let mut slow_keys: Vec<u32> = slow.keys().copied().collect();
-        fast_keys.sort_unstable();
-        slow_keys.sort_unstable();
-        prop_assert_eq!(fast_keys, slow_keys);
     }
 }
