@@ -819,9 +819,35 @@ fn fnv_mix(h: u64, b: u8) -> u64 {
 /// over the written words. Deterministic across runs and processes, so
 /// no table's layout — nor the allocator's behaviour — differs run to
 /// run; the keys are simulator-internal integers, with no HashDoS
-/// surface.
-#[derive(Default)]
+/// surface. No output may depend on that layout: a debug build starts
+/// each hasher from the thread's [`set_hash_salt`] value (0 unless a
+/// test sets it), and `tests/hash_salt.rs` runs pinned work under other
+/// salts. A release build reads no salt.
 pub struct BlockHasher(u64);
+
+impl Default for BlockHasher {
+    #[inline]
+    fn default() -> BlockHasher {
+        #[cfg(debug_assertions)]
+        return BlockHasher(HASH_SALT.with(std::cell::Cell::get));
+        #[cfg(not(debug_assertions))]
+        BlockHasher(0)
+    }
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static HASH_SALT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Test hook (debug builds only): every [`BlockHasher`] this thread
+/// builds from now on starts from `salt`, so each fixed-mixer table
+/// lays its keys out differently. Set it before building the tables
+/// that are to use it: a table hashes with the salt of the moment.
+#[cfg(debug_assertions)]
+pub fn set_hash_salt(salt: u64) {
+    HASH_SALT.with(|s| s.set(salt));
+}
 
 impl Hasher for BlockHasher {
     #[inline]

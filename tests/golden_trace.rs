@@ -5,42 +5,18 @@
 //! content) fails this test and forces a conscious decision, because
 //! downstream determinism claims (digest-stamped bench transcripts,
 //! crash-point reproduction by `k=` index) all rest on this stability.
+//! The run itself is `lives::trace_life`, shared with `hash_salt`.
+
+mod lives;
 
 use highlight::migrator::Migrator;
 use highlight::rig::{hp6300, HlRig};
-
-/// The scripted life: one 40 KB file, migrated and fetched back.
-fn scripted() -> (Vec<String>, u64, Vec<(&'static str, u64)>) {
-    let rig = HlRig::new(2 + 16 * 256 + 5, hp6300(2, 4), 4, None);
-    rig.mkfs();
-    let mut hl = rig.mount();
-    hl.tio().tracer().retain_events();
-
-    let data: Vec<u8> = (0..40_000).map(|i| (i % 251) as u8).collect();
-    let ino = hl.create("/doc").expect("create");
-    hl.write(ino, 0, &data).expect("write");
-    hl.sync().expect("sync");
-    hl.migrate_file("/doc", false, None).expect("migrate");
-    let mut tail = Default::default();
-    hl.seal_staging(&mut tail).expect("seal");
-    hl.drain_copyouts().expect("drain");
-    hl.eject_all();
-    hl.drop_caches();
-    let ino = hl.lookup("/doc").expect("lookup");
-    let mut back = vec![0u8; data.len()];
-    hl.read(ino, 0, &mut back).expect("read");
-    assert_eq!(back, data, "bytes diverged before the trace is judged");
-
-    let findings = hl.tio().trace_findings();
-    assert!(findings.is_empty(), "tracecheck: {findings:?}");
-    let tr = hl.tio().tracer();
-    (tr.render_text(), hl.tio().trace_digest(), tr.summary())
-}
+use lives::trace_life;
 
 #[test]
 fn scripted_run_replays_byte_identical_per_seed() {
-    let (a, da, sa) = scripted();
-    let (b, db, sb) = scripted();
+    let (a, da, sa) = trace_life();
+    let (b, db, sb) = trace_life();
     assert_eq!(a, b, "two runs of the same script diverged");
     assert_eq!(da, db);
     assert_eq!(sa, sb, "per-kind counts diverged");
@@ -85,7 +61,7 @@ const GOLDEN_DIGEST: u64 = 0x56de_87ec_d9c5_0a2e;
 
 #[test]
 fn scripted_run_matches_the_pinned_trace() {
-    let (lines, digest, summary) = scripted();
+    let (lines, digest, summary) = trace_life();
     let got = lines.join("\n");
     assert_eq!(
         got, GOLDEN,
