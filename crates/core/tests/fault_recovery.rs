@@ -22,9 +22,10 @@
 use highlight::rig::{assert_clean, hp6300, HlRig, RigSpec};
 use highlight::segcache::LineState;
 use highlight::service::TertiaryIo;
-use highlight::{HlError, SvcStats};
+use highlight::{HlError, SvcStats, UniformMap};
 use hl_footprint::Footprint;
 use hl_lfs::config::AddressMap;
+use hl_sim::time::SimTime;
 use hl_vdev::{FaultConfig, FaultPlan};
 
 /// The kept trace's injected faults and recovery steps, each line
@@ -37,31 +38,38 @@ fn fault_lines(tio: &TertiaryIo) -> Vec<String> {
         .collect()
 }
 
-/// The full mid-run volume-loss scenario; returns its recovery lines
-/// and the engine's trace digest.
-fn run_scenario(seed: u64) -> (Vec<String>, u64) {
-    let (tio, jb, map) = RigSpec::with_lines(40..44).build();
-    tio.tracer().retain_events();
+/// Stages `data` as the segment at volume 0, slot 0 and copies it out
+/// with one replica: the primary at its home, the replica on volume 1.
+/// Returns when the copy-out ended.
+fn replicated_copy_out(tio: &TertiaryIo, map: &UniformMap, data: &[u8]) -> SimTime {
     tio.set_replication(1);
     let seg = map.tert_seg(0, 0);
-    let data: Vec<u8> = (0..1usize << 20)
-        .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed as u8))
-        .collect();
-    // A replicated copy-out puts the segment on tertiary media: the
-    // primary at its home (volume 0, slot 0), one replica on volume 1.
     let (line, _) = tio
         .cache()
         .borrow_mut()
         .allocate(seg, LineState::Staging, 0)
         .expect("staging line");
     tio.disks_handle()
-        .poke(map.seg_base(line) as u64, &data)
+        .poke(map.seg_base(line) as u64, data)
         .unwrap();
     tio.cache()
         .borrow_mut()
         .set_state(seg, LineState::DirtyWait);
     let t0 = tio.copy_out(0, seg).expect("replicated copy-out");
-    assert_eq!(tio.replicas().borrow().homes(&map, seg), [(0, 0), (1, 0)]);
+    assert_eq!(tio.replicas().borrow().homes(map, seg), [(0, 0), (1, 0)]);
+    t0
+}
+
+/// The full mid-run volume-loss scenario; returns its recovery lines
+/// and the engine's trace digest.
+fn run_scenario(seed: u64) -> (Vec<String>, u64) {
+    let (tio, jb, map) = RigSpec::with_lines(40..44).build();
+    tio.tracer().retain_events();
+    let seg = map.tert_seg(0, 0);
+    let data: Vec<u8> = (0..1usize << 20)
+        .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed as u8))
+        .collect();
+    let t0 = replicated_copy_out(&tio, &map, &data);
     assert!(tio.eject(seg));
 
     // Healthy fetches first: a neighbour on volume 0 brings the
@@ -173,6 +181,40 @@ fn volume_loss_mid_run_recovers_and_logs_deterministically() {
     assert!(idx(" rfault ") < idx(" quarantine "));
     assert!(idx(" quarantine ") < idx(" failover "));
     assert!(idx(" failover ") < idx(" scrub "));
+}
+
+/// A scrub pass whose source copy sits on a failed volume takes the
+/// fetch path's recovery steps for that read: the read fault is traced,
+/// the media failure quarantines the volume at its first strike, and
+/// the missing copy is made from the next home. Red before the scrub
+/// shared the fetch's per-copy step: it skipped the failed read with no
+/// trace, no strike and no quarantine, so the dead volume stayed a home.
+#[test]
+fn a_scrub_that_reads_a_failed_volume_quarantines_it() {
+    let (tio, jb, map) = RigSpec::with_lines(40..44).build();
+    tio.tracer().retain_events();
+    let t0 = replicated_copy_out(&tio, &map, &vec![7u8; 1 << 20]);
+    // The replica's volume fails, and a third copy is wanted: the scrub
+    // reads the replica first, since the replica write left its volume
+    // in a drive.
+    let plan = FaultPlan::new(FaultConfig::none(5));
+    plan.fail_volume_at(1, t0);
+    jb.set_fault_plan(plan);
+    tio.set_replication(2);
+
+    let report = tio.scrub(t0);
+    assert_eq!(report.copies_made, 1);
+    assert!(report.unrecoverable.is_empty());
+    assert_eq!(tio.quarantined_volumes(), vec![1]);
+    assert_eq!(
+        fault_lines(&tio),
+        [
+            "t37803395 rcv 16777207 rfault v1/s0",
+            "t37803395 rcv 16777207 quarantine v1 after 1",
+            "t72097513 rcv 16777207 scrub v0/s0>v2/s0",
+        ]
+    );
+    assert_clean(&tio);
 }
 
 #[test]
