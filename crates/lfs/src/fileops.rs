@@ -8,6 +8,8 @@
 //! `read`, `write` and `truncate`, where a block gets no address until the
 //! segment writer picks one.
 
+use std::rc::Rc;
+
 use hl_vdev::{Block, BLOCK_SIZE};
 
 use crate::error::{LfsError, Result};
@@ -162,6 +164,15 @@ impl Lfs {
             return Err(LfsError::FileTooBig);
         }
         let size = self.iget(ino)?.d.size;
+        // The call's whole blocks, copied one segment's worth at a time
+        // into one buffer each and handed out as windows onto it.
+        let head = (offset.next_multiple_of(BLOCK_SIZE as u64) - offset) as usize;
+        let whole = data.get(head..).unwrap_or_default();
+        let whole = &whole[..whole.len() / BLOCK_SIZE * BLOCK_SIZE];
+        let seg_bytes = self.cfg.blocks_per_seg() as usize * BLOCK_SIZE;
+        let mut windows = whole
+            .chunks(seg_bytes)
+            .flat_map(|c| Block::split(Rc::from(c), BLOCK_SIZE));
         let mut done = 0;
         while done < data.len() {
             let pos = offset + done as u64;
@@ -172,11 +183,21 @@ impl Lfs {
 
             let src = &data[done..done + n];
             let full_overwrite = n == BLOCK_SIZE;
+            let mut next_window = || {
+                let blk = windows.next().expect("a whole block has its window");
+                debug_assert!(*blk == *src, "the window holds the caller's bytes");
+                // Summed now, soon after the copy: the partial that
+                // writes it reads the sum its handle carries, not the
+                // bytes, which are out of the CPU cache by the time the
+                // log is flushed.
+                blk.sum();
+                blk
+            };
             if let Some(buf) = self.cache.get_mut(ino, lb) {
                 if full_overwrite {
                     // The caller's bytes are the whole block: a fresh
                     // block, whoever shared the old one.
-                    buf.data = whole_block(src);
+                    buf.data = next_window();
                 } else {
                     buf.data.make_mut()[off_in..off_in + n].copy_from_slice(src);
                 }
@@ -193,7 +214,7 @@ impl Lfs {
                     // Fresh block (or full overwrite: no need to read the
                     // old copy; keep its address for live accounting).
                     let blk = if full_overwrite {
-                        whole_block(src)
+                        next_window()
                     } else {
                         let mut blk = Block::zeroed(BLOCK_SIZE);
                         blk.make_mut()[off_in..off_in + n].copy_from_slice(src);
@@ -264,14 +285,4 @@ impl Lfs {
         i.dirty = true;
         Ok(())
     }
-}
-
-/// A fresh block holding the caller's `src`, one whole block, summed now
-/// while its bytes are in the CPU cache: the partial that writes it reads
-/// the sum its handle carries, not the bytes, which are out of the CPU
-/// cache by the time the log is flushed.
-fn whole_block(src: &[u8]) -> Block {
-    let blk = Block::copy_of(src);
-    blk.sum();
-    blk
 }

@@ -7,12 +7,12 @@
 //! held), the structure every file block passes
 //! through — the buffer cache — allocates only the block, the LFS moves
 //! a block by handle (a read miss allocates nothing, a write and its
-//! sync one block per block written), a mounted HighLight's read of a
-//! cached block allocates nothing and its overwrite of one only the new
-//! block (the access tracker updates its extents in place), a segment
-//! crossing between the levels allocates nothing (each level keeps the
-//! other's array of block handles),
-//! an oracle segment poked onto a rig's media allocates one block and
+//! sync one buffer per call, whatever its block count), a mounted
+//! HighLight's read of a cached block allocates nothing and its
+//! overwrite of one only the new block (the access tracker updates its
+//! extents in place), a segment crossing between the levels allocates
+//! nothing (each level keeps the other's array of block handles), an
+//! oracle segment poked onto a rig's media allocates one block and
 //! one handle array, a request's way through the engine's queues to a
 //! drive and back allocates its boxed record and its ticket cell and
 //! nothing else (no scratch list in the fair queue, the device scheduler,
@@ -345,19 +345,23 @@ fn an_lfs_read_miss_of_a_resident_cluster_allocates_nothing() {
 
 /// Full-block overwrites of a file's synced direct blocks through
 /// `Lfs::write`, then `sync` (one partial: the blocks and the inode).
-/// Each block costs one allocation — the fresh block the caller's bytes
-/// are copied into — and the partial a constant (30): its handle array,
-/// its summary and inode blocks, the writer's key and FINFO lists. The
-/// block counts compared lie in one growth step of those lists (9 to 16
-/// entries), so their difference is the per-block cost alone. Seen red
-/// (6 for the 3 blocks) with the writer handing the device copies of
-/// the cached blocks instead of their handles.
+/// A call costs one allocation — the buffer its whole blocks are copied
+/// into, which the cache holds one window per block of — and the partial
+/// a constant (30): its handle array, its summary and inode blocks, the
+/// writer's key and FINFO lists. The block counts compared lie in one
+/// growth step of those lists (9 to 16 entries), so a 9-block and a
+/// 12-block call cost the same. A call longer than a segment costs one
+/// buffer per segment's worth of blocks: overwrites of cached dirty
+/// blocks, no partial written. Seen red at 3 for the 3 extra blocks,
+/// each sabotage alone: the writer handing the device copies of the
+/// cached blocks instead of their handles; a `Block::copy_of` per block
+/// put back.
 #[test]
-fn an_lfs_write_and_sync_allocates_one_block_per_block_written() {
+fn an_lfs_write_and_sync_allocates_one_buffer_per_call() {
     let mut fs = lfs_on_a_written_disk();
     let ino = fs.create("/f").expect("create");
-    let data = vec![0x5au8; 16 * BLOCK_SIZE];
-    fs.write(ino, 0, &data).expect("write");
+    let data = vec![0x5au8; 600 * BLOCK_SIZE];
+    fs.write(ino, 0, &data[..16 * BLOCK_SIZE]).expect("write");
     fs.sync().expect("sync");
     let write_sync = |fs: &mut Lfs, blocks: usize| {
         allocs_during(|| {
@@ -374,8 +378,25 @@ fn an_lfs_write_and_sync_allocates_one_block_per_block_written() {
         2,
         "one partial each"
     );
-    assert_eq!(twelve - nine, 3, "one allocation per block written");
-    assert_eq!(nine - 9, 30, "the partial's own allocations");
+    assert_eq!(twelve - nine, 0, "one allocation per call");
+    assert_eq!(nine - 1, 30, "the partial's own allocations");
+
+    // Longer than a segment (256 blocks): one buffer per segment's worth.
+    let big = fs.create("/g").expect("create");
+    fs.write(big, 0, &data).expect("write");
+    let partials = fs.stats().partials_written;
+    let mut write = |blocks: usize| {
+        allocs_during(|| {
+            fs.write(big, 0, &data[..blocks * BLOCK_SIZE])
+                .expect("write")
+        })
+    };
+    assert_eq!(
+        [256, 257, 600].map(&mut write),
+        [1, 2, 3],
+        "one buffer per segment"
+    );
+    assert_eq!(fs.stats().partials_written, partials, "cached, not flushed");
 }
 
 /// The hit path through a mounted HighLight: a 4 KB `read` of a block
