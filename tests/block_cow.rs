@@ -28,6 +28,12 @@
 //! `Lfs::write` must take a fresh block, and the old address must still
 //! read the old bytes until the log moves on.
 //!
+//! `an_lfs_write_into_one_window_of_a_calls_buffer_leaves_the_rest_alone`
+//! is the promise for the windows one `Lfs::write` call cuts from its
+//! buffer: a partial overwrite of one of them, dirty, synced or migrated,
+//! copies that block alone, and no sibling, disk, line or slot copy
+//! changes its bytes or its carried sum.
+//!
 //! Sabotages this file was seen to catch (each applied alone, each red):
 //!
 //! - mutating a shared buffer in place (`SparseStore::write` writing
@@ -49,6 +55,12 @@
 //!   lent handle changed") and, for the fetched file, the cache line's
 //!   and the medium's ("the line's copy changed"; the re-staged line
 //!   above also goes red: "the medium's copy of /a changed");
+//! - writing a window in place while a sibling window holds its buffer
+//!   (`Block::make_mut` copying only a handle that is its whole buffer):
+//!   the disk store's clone of the same window sees the write ("synced:
+//!   the disk's copy: block 5 changed"), and so do the lent handle and
+//!   the line above ("a lent handle changed", "the line's copy
+//!   changed");
 //! - lending the zero block mutably (`SparseStore::write` of a never
 //!   written block writing into the store's shared zero block): every
 //!   other unwritten block reads the write ("disk diverged at block 0";
@@ -82,7 +94,7 @@ use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
 use hl_lfs::config::AddressMap;
 use hl_lfs::LBlock;
 use hl_sim::rng::DetRng;
-use hl_vdev::{Block, BlockDev, Disk, DiskProfile, Segment, BLOCK_SIZE, SEGMENT_ORIGIN};
+use hl_vdev::{cksum, Block, BlockDev, Disk, DiskProfile, Segment, BLOCK_SIZE, SEGMENT_ORIGIN};
 
 const VOLUMES: u32 = 2;
 const SLOTS: u32 = 3;
@@ -532,6 +544,134 @@ fn an_lfs_write_to_a_block_shared_with_a_line_and_a_slot_leaves_both_alone() {
         "the medium's copy changed"
     );
     hl.sync().expect("sync");
+    let fsck = hl.fsck().expect("fsck");
+    assert!(fsck.clean(), "{}", fsck.render());
+}
+
+/// The handles the disk store lends for `blocks` blocks from `addr`.
+fn disk_blocks(disk: &Disk, now: u64, addr: u64, blocks: usize) -> Vec<Block> {
+    let mut out = vec![Block::zeroed(BLOCK_SIZE); blocks];
+    disk.read_blocks(now, addr, &mut out).unwrap();
+    out
+}
+
+/// Each handle holds its block of `want` and carries the sum of its
+/// bytes, and `block` is the window beside its left sibling's, in one
+/// buffer.
+fn hold(held: &[Block], want: &[u8], block: usize, what: &str) {
+    for (l, b) in held.iter().enumerate() {
+        assert!(
+            **b == want[l * BLOCK_SIZE..(l + 1) * BLOCK_SIZE],
+            "{what}: block {l} changed"
+        );
+        assert_eq!(b.sum(), cksum(b), "{what}: block {l}'s carried sum");
+    }
+    assert!(
+        std::ptr::eq(
+            held[block - 1].as_ptr().wrapping_add(BLOCK_SIZE),
+            held[block].as_ptr()
+        ),
+        "{what}: block {block} is a window of the call's buffer"
+    );
+}
+
+/// One `Lfs::write` call's 16 blocks are 16 windows onto one buffer. An
+/// overwrite of 100 bytes inside block 5 — while the blocks are dirty in
+/// the buffer cache, after `sync` (the window then shared with the disk
+/// store), and after migration (shared with a cache line and a jukebox
+/// slot) — takes a private copy of block 5: its 15 siblings, the disk's
+/// copy and the slot's copy keep their bytes and the sums they carry,
+/// and after a remount every file reads what a byte oracle says.
+/// Seen red with `Block::make_mut` writing a window in place while a
+/// sibling window holds its buffer ("synced: the disk's copy: block 5
+/// changed").
+#[test]
+fn an_lfs_write_into_one_window_of_a_calls_buffer_leaves_the_rest_alone() {
+    const BLOCKS: usize = 16;
+    const AT: usize = 5 * BLOCK_SIZE + 10;
+    let rig = HlRig::new(2 + 40 * 256 + 5, hp6300(2, 4), 1, None);
+    let (disk, jb) = (&rig.disk, &rig.jukebox);
+    rig.mkfs();
+    let mut hl = rig.mount();
+    let map = hl.map();
+    let mut oracle = Vec::new();
+    for (k, when) in ["dirty", "synced", "migrated"].into_iter().enumerate() {
+        let path = format!("/w{k}");
+        let old = content(10 + k as u8, BLOCKS * BLOCK_SIZE);
+        let ino = hl.create(&path).expect("create");
+        hl.write(ino, 0, &old).expect("write");
+        let held = match when {
+            "dirty" => Vec::new(),
+            "synced" => {
+                hl.sync().expect("sync");
+                let addr = hl.lfs().bmapv(&[(ino, LBlock::Data(0))]).expect("bmap")[0];
+                let on_disk = disk_blocks(disk, hl.clock().now(), addr as u64, BLOCKS);
+                hold(&on_disk, &old, 5, "synced: the disk's copy");
+                vec![("the disk's copy", on_disk)]
+            }
+            _ => {
+                hl.migrate_file(&path, true, None).expect("migrate");
+                hl.seal_staging(&mut MigrateStats::default()).expect("seal");
+                hl.sync().expect("sync");
+                let [(vol, slot)] = written(jb)[..] else {
+                    panic!("{path} filled one segment: {:?}", written(jb));
+                };
+                let tseg = map.tert_seg(vol, slot);
+                let addr = hl.lfs().bmapv(&[(ino, LBlock::Data(0))]).expect("bmap")[0];
+                let off = (addr - map.seg_base(tseg)) as usize;
+                let line = hl.cache().borrow().peek(tseg).expect("staged").disk_seg;
+                let now = hl.clock().now();
+                let on_line =
+                    disk_blocks(disk, now, map.seg_base(line) as u64 + off as u64, BLOCKS);
+                let (_, _, on_slot) = jb.read_segment_on(now, 0, vol, slot).unwrap();
+                let on_slot = on_slot[off..off + BLOCKS].to_vec();
+                hold(&on_line, &old, 5, "migrated: the line's copy");
+                hold(&on_slot, &old, 5, "migrated: the slot's copy");
+                assert!(std::ptr::eq(on_line[5].as_ptr(), on_slot[5].as_ptr()));
+                vec![("the line's copy", on_line), ("the slot's copy", on_slot)]
+            }
+        };
+        hl.write(ino, AT as u64, &[0xee; 100]).expect("overwrite");
+        let mut new = old.clone();
+        new[AT..AT + 100].fill(0xee);
+        let mut back = vec![0u8; new.len()];
+        hl.read(ino, 0, &mut back).expect("read");
+        assert!(back == new, "{when}: {path} reads the overwrite");
+        for (what, blocks) in &held {
+            hold(blocks, &old, 5, &format!("{when}: {what}"));
+        }
+        // What the log wrote: every block, when none was synced before;
+        // else block 5 alone, the others staying where they were.
+        hl.sync().expect("sync");
+        let rewritten = if when == "dirty" { 0..BLOCKS } else { 5..6 };
+        for l in rewritten {
+            let addr = hl
+                .lfs()
+                .bmapv(&[(ino, LBlock::Data(l as u32))])
+                .expect("bmap")[0];
+            let on_disk = disk_blocks(disk, hl.clock().now(), addr as u64, 1);
+            assert!(*on_disk[0] == new[l * BLOCK_SIZE..(l + 1) * BLOCK_SIZE]);
+            assert_eq!(
+                on_disk[0].sum(),
+                cksum(&on_disk[0]),
+                "{when}: block {l}'s carried sum"
+            );
+        }
+        oracle.push((path, new));
+    }
+    let fsck = hl.fsck().expect("fsck");
+    assert!(fsck.clean(), "{}", fsck.render());
+
+    drop(hl);
+    let mut hl = rig.mount();
+    hl.eject_all();
+    hl.drop_caches();
+    for (path, want) in &oracle {
+        let ino = hl.lookup(path).expect("lookup");
+        let mut back = vec![0u8; want.len()];
+        hl.read(ino, 0, &mut back).expect("read");
+        assert!(back == *want, "{path} diverged after a remount");
+    }
     let fsck = hl.fsck().expect("fsck");
     assert!(fsck.clean(), "{}", fsck.render());
 }
