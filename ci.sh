@@ -415,7 +415,7 @@ if awk 'FNR == 1 { t = 0; f = 0 }
 fi
 
 run cargo build --release
-run cargo test --workspace -q   # every test binary once (covers tier-1's root suite)
+run cargo test --workspace -q --no-fail-fast   # every test binary, past a failing one (covers tier-1's root suite)
 run cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps -q
 
