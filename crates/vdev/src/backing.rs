@@ -52,11 +52,19 @@ pub use hl_trace::{BlockHashBuilder, BlockHasher};
 /// One device block's bytes: the window `off..off + len` of a
 /// reference-counted buffer that other handles — sibling windows, a disk
 /// and a jukebox slot holding the same segment — may share. It derefs to
-/// its bytes; cloning hands out another handle.
+/// its bytes; cloning hands out another handle. A buffer is made whole
+/// ([`Block::copy_of`], [`Block::zeroed`]) or cut into windows
+/// ([`Block::split`]): a segment written to a medium as bytes, a
+/// relocated segment's rewritten image and the whole blocks of one
+/// `Lfs::write` call (at most a segment's worth per buffer) are windows
+/// onto one buffer each. A
+/// buffer is freed with its last window, so one surviving window keeps
+/// all of its buffer alive.
 ///
 /// A shared buffer is never written: a store writes a block in place only
 /// through its buffer's sole handle, and otherwise replaces the block
-/// (copy-on-write per block).
+/// (copy-on-write per block). A window's siblings share its buffer, so a
+/// write through any window of a live buffer copies that one block.
 ///
 /// A handle remembers its bytes' [`cksum()`] once it has been asked for
 /// ([`Block::sum`]), and a clone keeps the memo: the handles a disk, a
@@ -98,7 +106,9 @@ impl Clone for Block {
 }
 
 impl Block {
-    /// A block holding a copy of `bytes`, sole handle on its buffer.
+    /// A block holding a copy of `bytes`, sole handle on a buffer of its
+    /// own: one allocation per block. A caller with many consecutive
+    /// blocks copies them into one buffer and [`Block::split`]s it.
     pub fn copy_of(bytes: &[u8]) -> Block {
         Block::whole(Rc::from(bytes))
     }
