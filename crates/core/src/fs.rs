@@ -45,14 +45,14 @@ pub const TSEGFILE_PATH: &str = "/.tsegfile";
 pub enum CopyOutMode {
     /// Copy immediately when a staging segment fills.
     Immediate,
-    /// Queue sealed segments (up to the pipeline depth) and copy them
-    /// when [`HighLight::drain_copyouts`] is called at an idle period;
-    /// a full pipeline forces the oldest out.
-    Delayed {
-        /// Maximum sealed-but-uncopied segments.
-        pipeline: u32,
-    },
+    /// Queue sealed segments (up to four) and copy them when
+    /// [`HighLight::drain_copyouts`] is called at an idle period, or a
+    /// sync drains them; a full pipeline forces the oldest out.
+    Delayed,
 }
+
+/// Maximum sealed-but-uncopied segments under [`CopyOutMode::Delayed`].
+const COPYOUT_PIPELINE: usize = 4;
 
 /// HighLight construction parameters.
 #[derive(Clone)]
@@ -683,11 +683,11 @@ impl HighLight {
         }
         match self.copyout {
             CopyOutMode::Immediate => self.copy_out_now(st.seg, stats)?,
-            CopyOutMode::Delayed { pipeline } => {
+            CopyOutMode::Delayed => {
                 self.copyout_queue.push(st.seg);
                 // "If no such idle period arises ... this policy consumes
                 // some extra reserved disk space" — bound it.
-                while self.copyout_queue.len() > pipeline as usize {
+                while self.copyout_queue.len() > COPYOUT_PIPELINE {
                     let oldest = self.copyout_queue.remove(0);
                     self.copy_out_now(oldest, stats)?;
                 }

@@ -228,31 +228,27 @@ pub trait MigrationPolicy {
 /// §5.1: weighted space-time product. "They recommend using a weighted
 /// space-time product (STP) ranking metric, taking the time since last
 /// access, raised to a small power (possibly 1), times file size raised
-/// to a small power (possibly 1)."
+/// to a small power (possibly 1)." Both powers are 1, as in the paper's
+/// own migrator ("the current migrator in fact uses STP with exponents
+/// of 1").
 pub struct StpPolicy {
-    /// Exponent on file size.
-    pub size_exp: f64,
-    /// Exponent on time since last access.
-    pub age_exp: f64,
     /// Walk root.
     pub root: String,
 }
 
 impl StpPolicy {
-    /// The paper's current migrator: both exponents 1, metadata
-    /// migrated.
+    /// The paper's current migrator, walking the whole name space.
     pub fn paper() -> StpPolicy {
         StpPolicy {
-            size_exp: 1.0,
-            age_exp: 1.0,
             root: "/".to_string(),
         }
     }
 
-    /// STP score of a candidate.
+    /// STP score of a candidate: `(size + 1) · (age + 1)`, age counted
+    /// from the fresher of its access and modification times.
     pub fn score(&self, c: &Candidate, now: SimTime) -> f64 {
         let age = now.saturating_sub(c.atime.max(c.mtime)) as f64 + 1.0;
-        (c.size as f64 + 1.0).powf(self.size_exp) * age.powf(self.age_exp)
+        (c.size as f64 + 1.0) * age
     }
 }
 
@@ -515,44 +511,44 @@ impl MigrationPolicy for BlockRangePolicy {
 /// Hot/cold generational separation. The [`AccessTracker`]'s extent
 /// timestamps (not just inode atimes — a single hot page keeps a file's
 /// atime fresh while most of it is stone cold) classify every file into
-/// *hot* (touched within `hot_window`: withheld from migration unless
-/// the cold bands cannot meet the byte target) or one of
-/// `generations` cold bands of doubling width. Cold bands migrate
-/// coldest-first, and each band carries its own unit label so files that
-/// cooled together are clustered onto neighbouring tertiary segments —
-/// data that aged together will likely be recalled (or die) together,
-/// which is the generational bet.
+/// *hot* (touched within the last 10 minutes: withheld from migration
+/// unless the cold bands cannot meet the byte target) or one of 4 cold
+/// bands of doubling width. Cold bands migrate coldest-first, and each
+/// band carries its own unit label so files that cooled together are
+/// clustered onto neighbouring tertiary segments — data that aged
+/// together will likely be recalled (or die) together, which is the
+/// generational bet.
 pub struct GenerationalPolicy {
     /// Walk root.
     pub root: String,
-    /// Files touched within this window are hot and stay on disk.
-    pub hot_window: SimTime,
-    /// Number of cold age bands (band 0 = coldest).
-    pub generations: u32,
 }
 
+/// Files touched within this window are hot and stay on disk.
+const HOT_WINDOW: SimTime = 600 * hl_sim::time::SEC;
+
+/// Number of cold age bands (band 0 = coldest).
+const GENERATIONS: u32 = 4;
+
 impl GenerationalPolicy {
-    /// Defaults: 10-minute hot window, 4 cold generations.
+    /// The policy over the tree at `root`.
     pub fn new(root: &str) -> GenerationalPolicy {
         GenerationalPolicy {
             root: root.to_string(),
-            hot_window: hl_sim::time::secs(600.0),
-            generations: 4,
         }
     }
 
     /// The age band of a file last touched at `last_touch`: `None` for
     /// hot files, otherwise `Some(band)` with 0 the coldest. Band
-    /// boundaries double: band `generations-1` covers `[w, 2w)`, the
+    /// boundaries double: band `GENERATIONS-1` covers `[w, 2w)`, the
     /// next `[2w, 4w)`, and so on, with everything older than the last
     /// boundary in band 0.
     pub fn generation(&self, last_touch: SimTime, now: SimTime) -> Option<u32> {
         let age = now.saturating_sub(last_touch);
-        if age < self.hot_window {
+        if age < HOT_WINDOW {
             return None;
         }
-        let mut band = self.generations.saturating_sub(1);
-        let mut bound = self.hot_window.saturating_mul(2);
+        let mut band = GENERATIONS - 1;
+        let mut bound = HOT_WINDOW * 2;
         while band > 0 && age >= bound {
             band -= 1;
             bound = bound.saturating_mul(2);
@@ -583,7 +579,7 @@ impl MigrationPolicy for GenerationalPolicy {
         let cands = survey(fs, &self.root)?;
         // Band every cold candidate; hot files are withheld (but see the
         // pressure spill below).
-        let mut bands: Vec<Vec<&Candidate>> = vec![Vec::new(); self.generations as usize];
+        let mut bands: Vec<Vec<&Candidate>> = vec![Vec::new(); GENERATIONS as usize];
         let mut hot: Vec<&Candidate> = Vec::new();
         for c in &cands {
             match self.generation(Self::last_touch(tracker, c), now) {
@@ -654,24 +650,24 @@ impl MigrationPolicy for GenerationalPolicy {
 /// signal the harness derives from recent demand activity. Under heavy
 /// demand traffic, migration (and the cleaning it triggers) is
 /// background work competing with clients for the same drives; shedding
-/// it trades free-space headroom for client latency, down to a `floor`
-/// fraction so the log can never wedge.
+/// it trades free-space headroom for client latency, down to a 25 %
+/// floor so the log can never wedge.
 pub struct AdaptiveThrottle {
     /// The wrapped policy that does the actual selection.
     pub inner: Box<dyn MigrationPolicy>,
     /// Shared load signal, `0.0` (idle) to `1.0` (saturated).
     load: Rc<Cell<f64>>,
-    /// Minimum fraction of the byte target that always survives.
-    pub floor: f64,
 }
 
+/// Minimum fraction of the byte target that always survives throttling.
+const THROTTLE_FLOOR: f64 = 0.25;
+
 impl AdaptiveThrottle {
-    /// Wraps `inner` with a floor of 25 %.
+    /// Wraps `inner`.
     pub fn new(inner: Box<dyn MigrationPolicy>) -> AdaptiveThrottle {
         AdaptiveThrottle {
             inner,
             load: Rc::new(Cell::new(0.0)),
-            floor: 0.25,
         }
     }
 
@@ -684,7 +680,7 @@ impl AdaptiveThrottle {
     /// The byte target that survives throttling at the current load.
     fn throttled_target(&self, target_bytes: u64) -> u64 {
         let load = self.load.get().clamp(0.0, 1.0);
-        let frac = (1.0 - load).max(self.floor.clamp(0.0, 1.0));
+        let frac = (1.0 - load).max(THROTTLE_FLOOR);
         (target_bytes as f64 * frac) as u64
     }
 }
@@ -839,17 +835,15 @@ mod tests {
 
     #[test]
     fn generational_bands_by_doubling_age() {
-        let p = GenerationalPolicy {
-            root: "/".to_string(),
-            hot_window: 100,
-            generations: 4,
-        };
-        let now = 10_000;
-        assert_eq!(p.generation(now - 50, now), None, "hot stays put");
-        assert_eq!(p.generation(now - 100, now), Some(3), "[w, 2w)");
-        assert_eq!(p.generation(now - 250, now), Some(2), "[2w, 4w)");
-        assert_eq!(p.generation(now - 500, now), Some(1), "[4w, 8w)");
-        assert_eq!(p.generation(now - 900, now), Some(0), "oldest band");
+        let p = GenerationalPolicy::new("/");
+        let w = HOT_WINDOW;
+        let now = 100 * w;
+        assert_eq!(p.generation(now - w / 2, now), None, "hot stays put");
+        assert_eq!(p.generation(now - (w - 1), now), None, "hot up to w");
+        assert_eq!(p.generation(now - w, now), Some(3), "[w, 2w)");
+        assert_eq!(p.generation(now - 5 * w / 2, now), Some(2), "[2w, 4w)");
+        assert_eq!(p.generation(now - 5 * w, now), Some(1), "[4w, 8w)");
+        assert_eq!(p.generation(now - 9 * w, now), Some(0), "oldest band");
         assert_eq!(p.generation(0, now), Some(0), "ancient is coldest");
     }
 
@@ -882,12 +876,9 @@ mod tests {
         let small_old = p.score(&mk(4096, 0), now);
         assert!(big_old > big_new);
         assert!(big_old > small_old);
-        // With exponents (2, 1), size dominates harder.
-        let p2 = StpPolicy {
-            size_exp: 2.0,
-            ..StpPolicy::paper()
-        };
-        assert!(p2.score(&mk(1 << 20, 999_000), now) > p2.score(&mk(4096, 0), now));
+        // The score is the plain product (size + 1) · (age + 1).
+        assert_eq!(big_new, ((1 << 20) + 1) as f64 * 1_001.0);
+        assert_eq!(small_old, 4_097.0 * 1_000_001.0);
     }
 
     // -----------------------------------------------------------------

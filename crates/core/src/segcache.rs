@@ -70,8 +70,6 @@ pub enum EjectPolicy {
     Lru,
     /// Uniform random among clean lines.
     Random(u64),
-    /// Oldest fetch time first (FIFO by fill).
-    FetchTime,
     /// §10: lines fetched once are "least worthy" and evicted first; a
     /// repeated access promotes a line into the regular LRU pool.
     LeastWorthy,
@@ -306,7 +304,6 @@ impl SegCache {
         let clean = self.dir.values().filter(|l| l.state == LineState::Clean);
         let key = match &self.policy {
             EjectPolicy::Lru => clean.min_by_key(|l| (l.last_used, l.tert_seg))?.tert_seg,
-            EjectPolicy::FetchTime => clean.min_by_key(|l| (l.fetched_at, l.tert_seg))?.tert_seg,
             EjectPolicy::Random(_) => {
                 let mut keys: Vec<SegNo> = clean.map(|l| l.tert_seg).collect();
                 if keys.is_empty() {
@@ -435,16 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn fetch_time_policy_is_fifo() {
-        let mut c = cache(2, EjectPolicy::FetchTime);
-        c.allocate(1, LineState::Clean, 1).unwrap();
-        c.allocate(2, LineState::Clean, 2).unwrap();
-        c.lookup(1, 50); // recency must not matter
-        let (_, ejected) = c.allocate(3, LineState::Clean, 51).unwrap();
-        assert_eq!(ejected, Some(1));
-    }
-
-    #[test]
     fn least_worthy_prefers_single_use_lines() {
         let mut c = cache(3, EjectPolicy::LeastWorthy);
         c.allocate(1, LineState::Clean, 1).unwrap();
@@ -524,7 +511,6 @@ mod tests {
         }
         let key = match &c.policy {
             EjectPolicy::Lru => clean.iter().min_by_key(|l| l.last_used)?.tert_seg,
-            EjectPolicy::FetchTime => clean.iter().min_by_key(|l| l.fetched_at)?.tert_seg,
             EjectPolicy::Random(_) => {
                 let idx = c.rng.below(clean.len() as u64) as usize;
                 clean[idx].tert_seg
@@ -548,7 +534,7 @@ mod tests {
 
         /// Lines in every state, with `last_used` and `fetched_at` drawn
         /// from a few values so ties are common, some touched since
-        /// their fill: under each of the four policies, victims picked
+        /// their fill: under each of the three policies, victims picked
         /// and ejected until none is left come in the order the
         /// collect-sort-pick form gave. Seen red, each sabotage alone: a
         /// tie broken to the larger segment under LRU; LeastWorthy's
@@ -560,7 +546,7 @@ mod tests {
             seed in proptest::prelude::any::<u64>(),
         ) {
             let states = [LineState::Clean, LineState::Filling, LineState::Staging, LineState::DirtyWait];
-            for policy in [EjectPolicy::Lru, EjectPolicy::FetchTime, EjectPolicy::Random(seed), EjectPolicy::LeastWorthy] {
+            for policy in [EjectPolicy::Lru, EjectPolicy::Random(seed), EjectPolicy::LeastWorthy] {
                 let victims = |pick: fn(&mut SegCache) -> Option<SegNo>| {
                     let mut c = cache(0, policy);
                     for (i, &(seg, state, fetched_at, last_used, touches)) in lines.iter().enumerate() {

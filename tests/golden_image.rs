@@ -60,7 +60,7 @@ fn immediate_copy_out_life_matches_the_pinned_image() {
 #[test]
 fn delayed_copy_out_life_matches_the_pinned_image() {
     assert_eq!(
-        scripted_life(CopyOutMode::Delayed { pipeline: 4 }),
+        scripted_life(CopyOutMode::Delayed),
         Pin {
             disk: 0x52bf_2e11_49a7_3c64,
             media: 0xf941_591a_e404_db19,

@@ -51,10 +51,7 @@ fn outputs() -> Vec<(&'static str, String)> {
         ),
         (
             "golden_image delayed",
-            format!(
-                "{:?}",
-                lives::scripted_life(CopyOutMode::Delayed { pipeline: 4 })
-            ),
+            format!("{:?}", lives::scripted_life(CopyOutMode::Delayed)),
         ),
         ("golden_image deep", format!("{:?}", lives::deep_life())),
         ("tenant_thrash", format!("{:?}", run_scenario(&thrash))),

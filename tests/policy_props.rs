@@ -93,7 +93,7 @@ proptest! {
         cfg.eject = [
             EjectPolicy::Lru,
             EjectPolicy::LeastWorthy,
-            EjectPolicy::FetchTime,
+            EjectPolicy::Random(seed),
         ][eject_idx];
         let r = run_fleet(&cfg);
         prop_assert_eq!(r.lost_tickets, 0, "lost tickets");

@@ -1,7 +1,7 @@
 //! Direct unit tests for the migration policies (DESIGN.md §6i):
-//! `StpPolicy::score` ordering, `NamespacePolicy` unit grouping and
-//! dormancy, and `BlockRangePolicy` edge cases — each `select()` run
-//! against a real mounted filesystem, not mocks.
+//! `StpPolicy::score` ordering and its fixed product, `NamespacePolicy`
+//! unit grouping and dormancy, and `BlockRangePolicy` edge cases — each
+//! `select()` run against a real mounted filesystem, not mocks.
 
 use highlight::migrator::{
     AccessTracker, BlockRangePolicy, Candidate, MigrationPolicy, NamespacePolicy, StpPolicy,
@@ -75,21 +75,20 @@ fn stp_score_orders_by_space_time_product() {
 }
 
 #[test]
-fn stp_exponents_reweight_the_product() {
+fn stp_score_is_the_plain_product_of_size_and_age() {
+    // Both exponents are 1 (§5.1): the score is (size + 1) · (age + 1),
+    // so trading size for age at the same product ties.
+    let p = StpPolicy::paper();
     let now = secs(100.0);
-    let size_heavy = StpPolicy {
-        size_exp: 2.0,
-        age_exp: 0.0,
-        ..StpPolicy::paper()
-    };
-    // With age_exp 0, only size matters.
+    let age = |t: u64| (now - t) as f64 + 1.0;
     assert_eq!(
-        size_heavy.score(&cand(1 << 20, 0, 0), now),
-        size_heavy.score(&cand(1 << 20, secs(99.0), 0), now)
+        p.score(&cand(1 << 20, secs(40.0), 0), now),
+        ((1u64 << 20) + 1) as f64 * age(secs(40.0))
     );
-    assert!(
-        size_heavy.score(&cand(1 << 20, now - 1, now - 1), now)
-            > size_heavy.score(&cand(1 << 19, 0, 0), now)
+    assert_eq!(p.score(&cand(0, now, now), now), 1.0);
+    assert_eq!(
+        p.score(&cand(4095, now - 1, 0), now),
+        p.score(&cand(1, now - 4095, 0), now)
     );
 }
 
