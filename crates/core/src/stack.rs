@@ -43,22 +43,23 @@ pub fn render_fig2(hl: &HighLight) -> String {
     let cache = hl.cache();
     let cache = cache.borrow();
     format!(
-        "The storage hierarchy (Figure 2)\n\
-         \n\
-         reads; initial writes\n\
-                 |\n\
-         +-------v---------------------------+\n\
-         |            file system            |\n\
-         +-----------------------------------+\n\
-         |  disk farm: {:>6} segments       |\n\
-         |  segment cache: {:>3}/{:<3} lines     |\n\
-         +------------------+----------------+\n\
-                 caching ^  |  automigration\n\
-                         |  v\n\
-         +-----------------------------------+\n\
-         |  tertiary jukebox(es):            |\n\
-         |  {:>4} volumes x {:>5} segments    |\n\
-         +-----------------------------------+\n",
+        r#"The storage hierarchy (Figure 2)
+
+reads; initial writes
+        |
++-------v---------------------------+
+|            file system            |
++-----------------------------------+
+|  disk farm: {:>6} segments       |
+|  segment cache: {:>3}/{:<3} lines     |
++------------------+----------------+
+        caching ^  |  automigration
+                |  v
++-----------------------------------+
+|  tertiary jukebox(es):            |
+|  {:>4} volumes x {:>5} segments    |
++-----------------------------------+
+"#,
         map.nsegs_disk,
         cache.len(),
         cache.capacity(),
@@ -113,26 +114,27 @@ pub fn render_fig4(hl: &HighLight) -> String {
     let disk_end = map.seg_base(map.nsegs_disk);
     let tert_start = map.seg_base(map.tertiary_base());
     format!(
-        "Allocation of block addresses to devices (Figure 4)\n\
-         \n\
-         block 0x{:08x}  +--------------------------+\n\
-         ..               |  boot blocks             |\n\
-         block 0x{:08x}  |  disk segments 0..{}      \n\
-         ..               |  (disk farm, ascending)  |\n\
-         block 0x{:08x}  +--------------------------+\n\
-         ..               |  DEAD ZONE (invalid)     |\n\
-         block 0x{:08x}  +--------------------------+\n\
-         ..               |  tertiary: vol {} lowest  \n\
-         ..               |  ... volumes descend ... |\n\
-         ..               |  vol 0 at the top        |\n\
-         block 0x{:08x}  +--------------------------+\n\
-         block 0xffffffff  (out-of-band UNASSIGNED)\n",
+        r#"Allocation of block addresses to devices (Figure 4)
+
+block 0x{:08x}  +--------------------------+
+..                |  boot blocks             |
+block 0x{:08x}  |  {:<24}|
+..                |  (disk farm, ascending)  |
+block 0x{:08x}  +--------------------------+
+..                |  DEAD ZONE (invalid)     |
+block 0x{:08x}  +--------------------------+
+..                |  {:<24}|
+..                |  ... volumes descend ... |
+..                |  vol 0 at the top        |
+block 0x{:08x}  +--------------------------+
+block 0xffffffff  (out-of-band UNASSIGNED)
+"#,
         0,
         map.seg_start,
-        map.nsegs_disk,
+        format!("disk segments 0..{}", map.nsegs_disk),
         disk_end,
         tert_start,
-        map.volumes - 1,
+        format!("tertiary: vol {} lowest", map.volumes - 1),
         map.seg_base(map.total_segs() - 1) + map.blocks_per_seg - 1,
     )
 }
@@ -147,35 +149,36 @@ pub fn render_fig5(hl: &HighLight) -> String {
     let cache = hl.cache();
     let cache = cache.borrow();
     format!(
-        "The layered architecture (Figure 5)\n\
-         \n\
-         user space      | regular cleaner | migration \"cleaner\"\n\
-         ----------------+-----------------+--------------------\n\
-         kernel space    |        HighLight LFS               \n\
-                         |             |                      \n\
-                         |   block map driver & segment cache \n\
-                         |   ({} lines, {} hits / {} misses)  \n\
-                         |      |                |            \n\
-                         | concatenated     tertiary driver   \n\
-                         | disk driver           |            \n\
-         ----------------+------------------+----------------\n\
-         user space      |   == request queue ==             \n\
-                         |   ({} now, hwm {}, {} queued,     \n\
-                         |    {} coalesced)                  \n\
-                         |           |                       \n\
-                         |   service process                 \n\
-                         |           |                       \n\
-                         |   == device queue ==              \n\
-                         |   ({} now, hwm {})                \n\
-                         |           |                       \n\
-                         |   I/O server                      \n\
-                         |   ({} fetches, {} copyouts,       \n\
-                         |    {} device ops, peak {} in flight,\n\
-                         |    waits: demand {} copyout {}    \n\
-                         |           prefetch {} scrub {})   \n\
-                         |        Footprint                  \n\
-                         |           |                       \n\
-                         |   tertiary device(s)              \n",
+        r#"The layered architecture (Figure 5)
+
+user space      | regular cleaner | migration "cleaner"
+----------------+-----------------+--------------------
+kernel space    |        HighLight LFS
+                |             |
+                |   block map driver & segment cache
+                |   ({} lines, {} hits / {} misses)
+                |      |                |
+                | concatenated     tertiary driver
+                | disk driver           |
+----------------+------------------+----------------
+user space      |   == request queue ==
+                |   ({} now, hwm {}, {} queued,
+                |    {} coalesced)
+                |           |
+                |   service process
+                |           |
+                |   == device queue ==
+                |   ({} now, hwm {})
+                |           |
+                |   I/O server
+                |   ({} fetches, {} copyouts,
+                |    {} device ops, peak {} in flight,
+                |    waits: demand {} copyout {}
+                |           prefetch {} scrub {})
+                |        Footprint
+                |           |
+                |   tertiary device(s)
+"#,
         cache.capacity(),
         cache.stats().hits,
         cache.stats().misses,
