@@ -11,9 +11,23 @@
 //! pass, and fetches everything again. Availability is the fraction of
 //! all demand fetches that succeeded; latency is the simulated mean over
 //! the successes (including backoff and media swaps).
+//!
+//! Checked (the bench exits non-zero when one fails): at every `p`,
+//! availability does not fall as replicas are added, and at `p = 0` it
+//! is 100 % for every replica count. Seen red with the replica counts
+//! swept in reverse order, 2, 1, 0 (the ordering at p = 0.02 and 0.05),
+//! and with volume 0 failed before the first pass (the 100 % at p = 0).
+//!
+//! One seeded [`FaultPlan`] stream is drawn on every read of a live
+//! volume across both passes and the scrub, so adding or removing any
+//! read reshuffles every later fault: a cell that moves may be a new
+//! sample of the faults rather than a policy change (CHANGES.md,
+//! FOUND on `sweep`). The checks above are orderings that every sample
+//! must keep, not pinned figures.
 
 use highlight::rig::RigSpec;
 use highlight::TertiaryIo;
+use hl_bench::report::Checks;
 use hl_bench::table::{print_table, Row};
 use hl_footprint::Footprint;
 use hl_sim::time::as_secs;
@@ -106,11 +120,17 @@ fn sweep(replicas: u32, media_p: f64, seed: u64) -> Cell {
     }
 }
 
+const REPLICAS: [u32; 3] = [0, 1, 2];
+const MEDIA_P: [f64; 3] = [0.0, 0.02, 0.05];
+
 fn main() {
     let mut rows = Vec::new();
-    for &replicas in &[0u32, 1, 2] {
-        for &media_p in &[0.0f64, 0.02, 0.05] {
+    // avail[r][p], in the order of REPLICAS and MEDIA_P.
+    let mut avail = [[0.0; MEDIA_P.len()]; REPLICAS.len()];
+    for (r, &replicas) in REPLICAS.iter().enumerate() {
+        for (p, &media_p) in MEDIA_P.iter().enumerate() {
             let cell = sweep(replicas, media_p, 0x510b_5eed);
+            avail[r][p] = cell.availability;
             rows.push(Row {
                 label: format!("replicas={replicas}  media-failure p={media_p:.2}"),
                 paper: "—".into(),
@@ -135,4 +155,16 @@ transient read-error rate fixed at {:.0}%)",
         2 * SEGS,
         100.0 * TRANSIENT_P
     );
+    let mut checks = Checks::new("Reliability checks");
+    for (p, media_p) in MEDIA_P.iter().enumerate() {
+        checks.row(
+            format!("p={media_p:.2}: availability does not fall as replicas are added"),
+            avail.windows(2).all(|w| w[0][p] <= w[1][p]),
+        );
+    }
+    checks.row(
+        "p=0.00: availability is 100% at every replica count",
+        avail.iter().all(|a| a[0] == 1.0),
+    );
+    checks.finish();
 }
