@@ -231,11 +231,16 @@ fi
 # RearrangeMode` in core's fs.rs; the three `pub migrate_inodes` in
 # migrator.rs; `pub buffer_cache_bytes` in lfs's config.rs; `pub
 # swap_stuck_time` in fault.rs), and with `pub swap_stuck_time: SimTime,`
-# planted back into `FaultConfig` alone.
+# planted back into `FaultConfig` alone. The seven policy knobs whose
+# ablation arms read the same, or that only tests set, are constants too:
+# the `FetchTime` ejection, STP's `size_exp` / `age_exp`, the delayed
+# copy-out's `pipeline`, the generational `hot_window` / `generations`
+# and the throttle's `floor`. Seen red with `pub floor: f64,` planted
+# back into `AdaptiveThrottle` alone.
 echo "==> every setting has a workload: no deleted medium, mode or one-value field in crates/*/src"
 if awk 'FNR == 1 { t = 0 }
         /^#\[cfg\(test\)\]/ { t = 1 }
-        !t && /enum (MediaKind|RearrangeMode)|struct TapeProfile|SONY_WORM|fn (metrum|sony_worm)\(|pub (migrate_inodes|buffer_cache_bytes|volume_change_time|swap_stuck_time):/ {
+        !t && /enum (MediaKind|RearrangeMode)|struct TapeProfile|SONY_WORM|fn (metrum|sony_worm)\(|pub (migrate_inodes|buffer_cache_bytes|volume_change_time|swap_stuck_time|size_exp|age_exp|hot_window|generations|floor):|FetchTime|Delayed \{/ {
           print FILENAME ":" FNR ": " $0; bad = 1
         }
         END { exit !bad }' crates/*/src/*.rs; then
@@ -440,10 +445,11 @@ run cargo bench -q -p hl-server --bench server_fleet
 # The server quickstart (README): fails unless two same-seed runs agree.
 run cargo run -q --release -p hl-server --example fleet_demo
 run cargo bench -q -p hl-bench --bench policies
-# The paper's figures, the §5 design-choice ablations and the replica /
-# scrub sweep: no checks of their own, but they are the only callers of
-# several JukeboxConfig, cleaner-policy and stack.rs paths — run, not
-# just type-checked.
+# The paper's figures (each figure's claimed content, read off the
+# rendering), the §5 design-choice ablations (each study's paper
+# prediction; BENCH_ablations.json pins every study's figures) and the
+# replica / scrub sweep (availability never falls as replicas are added,
+# 100 % at p = 0): each exits non-zero when one of its checks is false.
 run cargo bench -q -p hl-bench --bench figures
 run cargo bench -q -p hl-bench --bench ablations
 run cargo bench -q -p hl-bench --bench reliability
@@ -452,7 +458,7 @@ run cargo bench -q -p hl-bench --bench reliability
 run cargo bench -q -p hl-bench --bench micro
 
 run git diff --exit-code -- BENCH_pipeline.json BENCH_faults.json \
-  BENCH_scenarios.json BENCH_server.json BENCH_policies.json
+  BENCH_scenarios.json BENCH_server.json BENCH_policies.json BENCH_ablations.json
 
 # Non-test source lines per crate (each file up to its first column-0
 # `#[cfg(test)]`), then every line of the tests, benches and examples,
